@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-all chaos crash bench bench-parallel bench-hotpath bench-reuse bench-optimizer bench-serve bench-scale bench-live serve-smoke benchdiff profile vet verify
+.PHONY: build test race race-all chaos crash bench bench-layers bench-parallel bench-hotpath bench-reuse bench-optimizer bench-serve bench-scale bench-live serve-smoke benchdiff profile vet verify
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,16 @@ crash:
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
+
+# Per-layer micro-benchmarks where the work happens, with allocs/op: the
+# similarity layer (tokenise, intern, the id kernel on true / near-miss /
+# size-rejected pairs, the string entry point beside the map-based kernel
+# it replaced) and the engine's similarity join on pinned and on
+# first-step-shaped multi-valued cells (400×400, with the candidate funnel
+# as extra metrics).
+bench-layers:
+	$(GO) test -run='^$$' -bench=. -benchmem ./internal/similarity
+	$(GO) test -run='^$$' -bench='SimJoin' -benchmem ./internal/engine
 
 # Serial versus parallel simulation strategy on the T9 join task.
 bench-parallel:

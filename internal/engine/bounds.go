@@ -72,8 +72,8 @@ func (e *Env) UseTFIDF(threshold float64) {
 	}
 	e.Funcs["similar"] = fn
 	e.Funcs["approxMatch"] = fn
-	// The token fast path implements the default Jaccard/prefix semantics,
-	// not TF/IDF: disable it.
+	// TF/IDF cosine is not a Jaccard/prefix token similarity: withdraw the
+	// declaration, leaving any-shared-token blocking and the opaque Func.
 	delete(e.TokenSimilar, "similar")
 	delete(e.TokenSimilar, "approxMatch")
 }

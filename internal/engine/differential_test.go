@@ -31,14 +31,21 @@ func TestSimJoinDifferentialRandom(t *testing.T) {
 		}
 		return out
 	}
-	prog := alog.MustParse(`
+	pinned := alog.MustParse(`
 a(x, <s>) :- L(x), e1(x, s).
 b(y, <t>) :- R(y), e2(y, t).
 Q(s, t) :- a(x, s), b(y, t), similar(s, t).
 e1(x, s) :- from(x, s), bold-font(s) = distinct-yes.
 e2(y, t) :- from(y, t), bold-font(t) = distinct-yes.
 `)
-	for trial := 0; trial < 10; trial++ {
+	// The first-step shape: no constraint yet, every join cell a contain()
+	// over its page with several values (multiValuedSrc).
+	multi := alog.MustParse(multiValuedSrc)
+	for trial := 0; trial < 20; trial++ {
+		prog := pinned
+		if trial%2 == 1 {
+			prog = multi
+		}
 		left := mkDocs("l", 1+r.Intn(6))
 		right := mkDocs("r", 1+r.Intn(6))
 

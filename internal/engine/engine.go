@@ -78,10 +78,14 @@ type Env struct {
 	// Blockable names p-functions that guarantee matching values share at
 	// least one token, enabling the fused token-blocked similarity join.
 	Blockable map[string]bool
-	// TokenSimilar optionally provides a token-slice implementation of a
-	// blockable p-function; the fused join uses it to compare pinned
-	// (single-value) cells without re-tokenising every pair.
-	TokenSimilar map[string]func(a, b []string) bool
+	// TokenSimilar declares, for a blockable p-function whose Func is
+	// exactly a token similarity, that similarity's spec (Jaccard threshold
+	// and token-prefix arm). The engine then decides the function on
+	// interned token records and derives exact candidate filters from the
+	// spec (rarity-prefix and length filtering, see tokensim.go) instead of
+	// calling the Func per value combination. A p-function without an entry
+	// keeps any-shared-token blocking and its opaque Func.
+	TokenSimilar map[string]similarity.Spec
 	// FaultHook, when non-nil, is invoked before every guarded
 	// per-document unit of user code (p-functions, feature constraint
 	// evaluation, procedures) with the guard site name and the sorted IDs
@@ -105,6 +109,10 @@ type Env struct {
 	// it directly when the join's right side is a plain document table,
 	// instead of rebuilding a per-run blocking index from page text.
 	Postings PostingsIndex
+	// vocab interns every token the similarity operators see — live
+	// tokenisation and DocIndex answers alike — so token records built by
+	// different evaluations over this Env compare by id.
+	vocab *similarity.Vocab
 }
 
 // DocIndex answers per-document token queries from a prebuilt index;
@@ -148,6 +156,7 @@ func NewEnv() *Env {
 		Features:    feature.NewRegistry(),
 		Limits:      DefaultLimits(),
 		FeatureMemo: feature.NewMemo(),
+		vocab:       similarity.NewVocab(),
 	}
 	sim := func(args []text.Span) (bool, error) {
 		if len(args) != 2 {
@@ -158,9 +167,9 @@ func NewEnv() *Env {
 	e.Funcs["similar"] = sim
 	e.Funcs["approxMatch"] = sim
 	e.Blockable = map[string]bool{"similar": true, "approxMatch": true}
-	e.TokenSimilar = map[string]func(a, b []string) bool{
-		"similar":     similarity.SimilarTokens,
-		"approxMatch": similarity.SimilarTokens,
+	e.TokenSimilar = map[string]similarity.Spec{
+		"similar":     similarity.Default,
+		"approxMatch": similarity.Default,
 	}
 	return e
 }
@@ -378,8 +387,8 @@ type inflightEval struct {
 // Fields are int64 so concurrent evaluation can update them atomically;
 // read them only after evaluation quiesces (or via a copy).
 //
-// NodesEvaluated, CacheHits, TuplesBuilt, the call counters,
-// LimitFallbacks, DeltaEvals, TuplesReused, and TuplesRecomputed are
+// NodesEvaluated, CacheHits, TuplesBuilt, the call counters, the Sim*
+// funnel, LimitFallbacks, DeltaEvals, TuplesReused, and TuplesRecomputed are
 // deterministic: identical totals at any worker count (the single-flight
 // cache evaluates each key exactly once; every other request is a hit).
 // The pool counters and OpTimeNs depend on scheduling and vary run to
@@ -392,6 +401,15 @@ type Stats struct {
 	FuncCalls      int64
 	VerifyCalls    int64
 	RefineCalls    int64
+	// SimTuplePairs / SimValuePairsProbed / SimValuePairsVerified are the
+	// similarity join's funnel: candidate tuple pairs that reached pair
+	// evaluation after tuple-level blocking, value pairs the value-level
+	// index probes surfaced (with multiplicity — a pair sharing two probed
+	// tokens counts twice), and distinct value pairs the similarity kernel
+	// actually decided. Deterministic like FuncCalls.
+	SimTuplePairs         int64
+	SimValuePairsProbed   int64
+	SimValuePairsVerified int64
 	// LimitFallbacks counts tuples an operator kept conservatively
 	// because value enumeration exceeded Limits (the superset-safe
 	// fallback paths of Section 4.1).
@@ -514,6 +532,9 @@ type statBatch struct {
 	funcCalls        int64
 	verifyCalls      int64
 	refineCalls      int64
+	simTuplePairs    int64
+	simProbed        int64
+	simVerified      int64
 	memoHits         int64
 	memoMisses       int64
 	tuplesReused     int64
@@ -542,8 +563,7 @@ func (b *statBatch) countMemo(hit bool) {
 	}
 }
 
-// flushTo merges the shard into stats without merge-cost accounting (used
-// by entry points that hold no Context).
+// flushTo merges the shard into stats without merge-cost accounting.
 func (b *statBatch) flushTo(stats *Stats) {
 	if b.funcCalls != 0 {
 		atomic.AddInt64(&stats.FuncCalls, b.funcCalls)
@@ -553,6 +573,15 @@ func (b *statBatch) flushTo(stats *Stats) {
 	}
 	if b.refineCalls != 0 {
 		atomic.AddInt64(&stats.RefineCalls, b.refineCalls)
+	}
+	if b.simTuplePairs != 0 {
+		atomic.AddInt64(&stats.SimTuplePairs, b.simTuplePairs)
+	}
+	if b.simProbed != 0 {
+		atomic.AddInt64(&stats.SimValuePairsProbed, b.simProbed)
+	}
+	if b.simVerified != 0 {
+		atomic.AddInt64(&stats.SimValuePairsVerified, b.simVerified)
 	}
 	if b.memoHits != 0 {
 		atomic.AddInt64(&stats.FeatureMemoHits, b.memoHits)
@@ -1047,7 +1076,9 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 			Op: opName(n), Signature: sig, Key: marker + "|" + sig,
 			Status: StatusMiss, Wall: wall, Goroutine: goid(),
 			Fallbacks: ev.fallbacks.Load(), Recomputed: ev.recomputed.Load(),
-			Quarantined: ev.quarantined.Load(),
+			Quarantined:   ev.quarantined.Load(),
+			SimTuplePairs: ev.simPairs.Load(), SimValuePairsProbed: ev.simProbed.Load(),
+			SimValuePairsVerified: ev.simVerified.Load(),
 		}
 		if dx != nil {
 			rec.Reused = dx.reused.Load()

@@ -151,6 +151,9 @@ func explainTree(ctx *Context, root Node, opt *OptInfo) (string, error) {
 		if o.Quarantined > 0 {
 			extra += fmt.Sprintf(" quarantined=%d", o.Quarantined)
 		}
+		if o.SimTuplePairs > 0 {
+			extra += fmt.Sprintf(" sim=%d/%d/%d", o.SimTuplePairs, o.SimValuePairsProbed, o.SimValuePairsVerified)
+		}
 		if opt != nil {
 			if est, ok := opt.Est[n.sigHash()]; ok {
 				extra += " est=" + est.EstimateString()
@@ -193,6 +196,10 @@ func explainTree(ctx *Context, root Node, opt *OptInfo) (string, error) {
 	if total := hits + misses; total > 0 {
 		fmt.Fprintf(&b, "feature memo: %d/%d hits (%.1f%%)\n",
 			hits, total, 100*float64(hits)/float64(total))
+	}
+	if pairs := atomic.LoadInt64(&ctx.Stats.SimTuplePairs); pairs > 0 {
+		fmt.Fprintf(&b, "similarity: %d tuple pairs, %d value pairs probed, %d verified\n", pairs,
+			atomic.LoadInt64(&ctx.Stats.SimValuePairsProbed), atomic.LoadInt64(&ctx.Stats.SimValuePairsVerified))
 	}
 	if merges := atomic.LoadInt64(&ctx.Stats.StatMerges); merges > 0 {
 		fmt.Fprintf(&b, "stat merges: %d batches, %s total\n", merges,

@@ -133,7 +133,7 @@ func TestFallbackCountsAndMaybe(t *testing.T) {
 	env.Limits = Limits{MaxCellValues: 100, MaxValuations: 100}
 	ctx := NewContext(env)
 	fp := genericPred(func([]text.Span) (bool, error) { return false, nil }, 1)
-	out, err := applyFilter(ctx, nil, nil, in, []int{0}, fp)
+	out, err := applyFilter(ctx, nil, nil, in, []int{0}, factored([]int{0}, fp, ctx.Env.Limits))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,6 +76,15 @@ func TestCellsMayEqual(t *testing.T) {
 	}
 }
 
+// genericPred lifts an opaque value predicate into a residual-only
+// factoredPred (explicit nil conjunct per column), so the odometer tests
+// exercise filterTupleF with no per-column decomposition.
+func genericPred(pred Func, arity int) factoredPred {
+	fp := opaquePred(pred)
+	fp.cols = make([]colPred, arity)
+	return fp
+}
+
 func TestFilterTupleExpansionPartial(t *testing.T) {
 	d := markup.MustParse("d", "10 20 30")
 	cell := compact.Cell{Expand: true, Assigns: []text.Assignment{text.ContainOf(d.WholeSpan())}}
@@ -84,7 +93,7 @@ func TestFilterTupleExpansionPartial(t *testing.T) {
 		n, ok := vals[0].Numeric()
 		return ok && n >= 20, nil
 	}
-	res, err := filterTuple(tp, []int{0}, pred, DefaultLimits(), nil)
+	res, err := filterTupleF(tp, []int{0}, genericPred(pred, 1), DefaultLimits(), &statBatch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +117,7 @@ func TestFilterTupleCapFallsBackConservative(t *testing.T) {
 	tp := compact.Tuple{Cells: []compact.Cell{cell}}
 	calls := 0
 	pred := func([]text.Span) (bool, error) { calls++; return false, nil }
-	res, err := filterTuple(tp, []int{0}, pred, DefaultLimits(), nil)
+	res, err := filterTupleF(tp, []int{0}, genericPred(pred, 1), DefaultLimits(), &statBatch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +129,7 @@ func TestFilterTupleCapFallsBackConservative(t *testing.T) {
 func TestFilterTupleEmptyCellDropsTuple(t *testing.T) {
 	d := markup.MustParse("d", "x")
 	tp := compact.Tuple{Cells: []compact.Cell{{}}} // no assignments: no value
-	res, err := filterTuple(tp, []int{0}, func([]text.Span) (bool, error) { return true, nil }, DefaultLimits(), nil)
+	res, err := filterTupleF(tp, []int{0}, genericPred(func([]text.Span) (bool, error) { return true, nil }, 1), DefaultLimits(), &statBatch{})
 	if err != nil {
 		t.Fatal(err)
 	}

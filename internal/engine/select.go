@@ -8,12 +8,8 @@ import (
 
 	"iflex/internal/alog"
 	"iflex/internal/compact"
-	"iflex/internal/similarity"
 	"iflex/internal/text"
 )
-
-// valuePred is a predicate over one concrete value per involved column.
-type valuePred func(vals []text.Span) (bool, error)
 
 // colPred is a single-column conjunct: it tests one value of one involved
 // column in isolation.
@@ -27,8 +23,9 @@ type idxPred func(idx []int) (bool, error)
 // valuation satisfies it iff every per-column conjunct accepts its value
 // AND the residual (when present) accepts the combination.
 //
-//   - cols[i], when non-nil, is evaluated once per value of involved
-//     column i — O(Σ|vals|) work instead of a factor of the cross product.
+//   - cols[i], when present and non-nil, is evaluated once per value of
+//     involved column i — O(Σ|vals|) work instead of a factor of the cross
+//     product.
 //   - prepare, when non-nil, builds the residual predicate after
 //     precomputing whatever per-value state it needs (parsed operands,
 //     normalised token slices); the returned idxPred then runs only over
@@ -44,25 +41,6 @@ type idxPred func(idx []int) (bool, error)
 type factoredPred struct {
 	cols    []colPred
 	prepare func(vals [][]text.Span, batch *statBatch) (idxPred, error)
-}
-
-// genericPred lifts an opaque valuePred into a residual-only factoredPred
-// (no per-column decomposition), preserving the classic full-odometer
-// behaviour for callers that cannot factor their condition.
-func genericPred(pred valuePred, arity int) factoredPred {
-	return factoredPred{
-		cols: make([]colPred, arity),
-		prepare: func(vals [][]text.Span, batch *statBatch) (idxPred, error) {
-			cur := make([]text.Span, len(vals))
-			return func(idx []int) (bool, error) {
-				for i, j := range idx {
-					cur[i] = vals[i][j]
-				}
-				batch.funcCalls++
-				return pred(cur)
-			}, nil
-		},
-	}
 }
 
 // filterOutcome is the result of applying a predicate to one compact tuple
@@ -103,28 +81,14 @@ func (sc *filterScratch) grow(n int) {
 	}
 }
 
-// boolRow returns dst resized to n entries, all false.
-func boolRow(dst []bool, n int) []bool {
-	if cap(dst) < n {
-		return make([]bool, n)
+// resized returns s with n zero elements, reusing its storage.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = false
-	}
-	return dst
-}
-
-// filterTuple evaluates an opaque predicate over every valuation of the
-// involved columns — the unfactored entry point kept for predicates with
-// no per-column structure (and for tests exercising the odometer).
-func filterTuple(tp compact.Tuple, involved []int, pred valuePred, lim Limits, stats *Stats) (filterOutcome, error) {
-	var batch statBatch
-	res, err := filterTupleF(tp, involved, genericPred(pred, len(involved)), lim, &batch)
-	if stats != nil {
-		batch.flushTo(stats)
-	}
-	return res, err
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // filterTupleF evaluates a factored predicate over one compact tuple
@@ -175,9 +139,12 @@ func filterTupleF(tp compact.Tuple, involved []int, fp factoredPred, lim Limits,
 	anyColFailed := false
 	for i := range involved {
 		n := len(vals[i])
-		pass := boolRow(sc.pass[i], n)
+		pass := resized(sc.pass[i], n)
 		kp := sc.keep[i][:0]
-		cp := fp.cols[i]
+		var cp colPred
+		if i < len(fp.cols) {
+			cp = fp.cols[i]
+		}
 		if cp == nil {
 			for j := 0; j < n; j++ {
 				pass[j] = true
@@ -243,7 +210,7 @@ func filterTupleF(tp compact.Tuple, involved []int, fp factoredPred, lim Limits,
 	satRemaining := 0
 	for i, ci := range involved {
 		if tp.Cells[ci].Expand {
-			sc.sat[i] = boolRow(sc.sat[i], len(vals[i]))
+			sc.sat[i] = resized(sc.sat[i], len(vals[i]))
 			satRemaining += len(sc.keep[i])
 		} else {
 			sc.sat[i] = nil
@@ -365,18 +332,28 @@ func finishRepl(out filterOutcome, tp compact.Tuple, involved []int, pass [][]bo
 	return out, nil
 }
 
-// applyFilter runs filterTupleF over a whole table, producing the selected
+// tupleFilter decides one tuple of a selection; counters go to batch.
+type tupleFilter func(tp compact.Tuple, batch *statBatch) (filterOutcome, error)
+
+// factored is the tupleFilter of a factored predicate over the involved
+// columns.
+func factored(involved []int, fp factoredPred, lim Limits) tupleFilter {
+	return func(tp compact.Tuple, batch *statBatch) (filterOutcome, error) {
+		return filterTupleF(tp, involved, fp, lim, batch)
+	}
+}
+
+// applyFilter runs a tuple filter over a whole table, producing the selected
 // table with maybe flags and expansion-cell filtering applied. Tuples are
 // independent, so the loop is partitioned across the context's worker
 // pool; per-index result slots keep the output order serial-identical.
-// The predicate must therefore be safe for concurrent calls (the built-in
+// The filter must therefore be safe for concurrent calls (the built-in
 // p-functions and comparison operands are pure). Stat deltas batch per
 // chunk and flush once, so hot loops pay no per-call atomics. With a
 // delta prior attached (dx), structurally unchanged input tuples replay
 // their memoised outcome — including the valuation-cap fallback charge —
-// without re-running the predicate.
-func applyFilter(ctx *Context, ev *EvalTrace, dx *deltaState, in *compact.Table, involved []int, fp factoredPred) (*compact.Table, error) {
-	lim := ctx.Env.Limits
+// without re-running the filter.
+func applyFilter(ctx *Context, ev *EvalTrace, dx *deltaState, in *compact.Table, involved []int, filter tupleFilter) (*compact.Table, error) {
 	out := compact.NewTable(in.Cols...)
 	// The memo is keyed on the involved columns alone and stores the
 	// filter's outcome (keep/sure/replacements), not the built tuple:
@@ -434,7 +411,7 @@ func applyFilter(ctx *Context, ev *EvalTrace, dx *deltaState, in *compact.Table,
 			var res filterOutcome
 			qed, err := ctx.guard(ev, "pfunc", func() []string { return tupleDocs(tp, involved) }, func() error {
 				var ferr error
-				res, ferr = filterTupleF(tp, involved, fp, lim, &batch)
+				res, ferr = filter(tp, &batch)
 				return ferr
 			})
 			if err != nil {
@@ -468,6 +445,7 @@ func applyFilter(ctx *Context, ev *EvalTrace, dx *deltaState, in *compact.Table,
 		}
 		dx.noteReused(&batch, reused)
 		ev.recompute(batch.tuplesRecomputed)
+		ev.simWork(&batch)
 		return nil
 	})
 	if err != nil {
@@ -546,7 +524,6 @@ func (n *compareNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 		// run the cheap residual over the (early-terminated) cross product.
 		involved := []int{colIndex(in.Cols, n.cmp.L.Var), colIndex(in.Cols, n.cmp.R.Var)}
 		fp := factoredPred{
-			cols: make([]colPred, 2),
 			prepare: func(vals [][]text.Span, batch *statBatch) (idxPred, error) {
 				lops := make([]operand, len(vals[0]))
 				for j, v := range vals[0] {
@@ -562,7 +539,7 @@ func (n *compareNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 				}, nil
 			},
 		}
-		return applyFilter(ctx, ev, dx, in, involved, fp)
+		return applyFilter(ctx, ev, dx, in, involved, factored(involved, fp, ctx.Env.Limits))
 	case lVar:
 		// var ⋈ const: a pure single-column conjunct — O(|vals|) per tuple.
 		involved := []int{colIndex(in.Cols, n.cmp.L.Var)}
@@ -570,14 +547,14 @@ func (n *compareNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 		fp := factoredPred{cols: []colPred{func(v text.Span) (bool, error) {
 			return compare(spanOperand(v), r)
 		}}}
-		return applyFilter(ctx, ev, dx, in, involved, fp)
+		return applyFilter(ctx, ev, dx, in, involved, factored(involved, fp, ctx.Env.Limits))
 	case rVar:
 		involved := []int{colIndex(in.Cols, n.cmp.R.Var)}
 		l := constTerm(n.cmp.L)
 		fp := factoredPred{cols: []colPred{func(v text.Span) (bool, error) {
 			return compare(l, spanOperand(v))
 		}}}
-		return applyFilter(ctx, ev, dx, in, involved, fp)
+		return applyFilter(ctx, ev, dx, in, involved, factored(involved, fp, ctx.Env.Limits))
 	default:
 		// const ⋈ const: one evaluation decides every tuple.
 		ok, err := compare(constTerm(n.cmp.L), constTerm(n.cmp.R))
@@ -701,86 +678,37 @@ func (n *funcNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 		}
 		involved = append(involved, colIndex(in.Cols, a.Var))
 	}
-	// Token fast path: a binary p-function with a token-slice twin (similar,
-	// approxMatch) compares pre-normalised token slices, tokenising each
-	// value once per tuple instead of once per valuation.
-	if tokenFn := ctx.Env.TokenSimilar[n.fname]; tokenFn != nil && len(involved) == 2 {
-		fp := factoredPred{
-			cols: make([]colPred, 2),
-			prepare: func(vals [][]text.Span, batch *statBatch) (idxPred, error) {
-				ltoks := tokenizeValues(ctx, vals[0])
-				rtoks := tokenizeValues(ctx, vals[1])
-				return tokenResidual(tokenFn, ltoks, rtoks, batch), nil
-			},
-		}
-		return applyFilter(ctx, ev, dx, in, involved, fp)
+	// A binary p-function that declares its token similarity is decided on
+	// interned token records, each value tokenised once per tuple, with the
+	// value-level probe instead of the valuation odometer (tokensim.go).
+	// Without a join's right side to rank rarity on, probe keys order by
+	// token string.
+	if spec, ok := ctx.Env.TokenSimilar[n.fname]; ok && len(involved) == 2 {
+		sim := &tokenSim{ctx: ctx, spec: spec}
+		lim := ctx.Env.Limits
+		return applyFilter(ctx, ev, dx, in, involved, func(tp compact.Tuple, batch *statBatch) (filterOutcome, error) {
+			var sc simScratch
+			return sim.filter(tp, involved, lim,
+				func() *cellTokens { return sim.cellTokens(tp.Cells[involved[0]], true, &sc) },
+				func() *cellTokens { return sim.cellTokens(tp.Cells[involved[1]], false, &sc) },
+				&sc, batch)
+		})
 	}
-	fp := factoredPred{
-		cols: make([]colPred, len(involved)),
-		prepare: func(vals [][]text.Span, batch *statBatch) (idxPred, error) {
-			args := make([]text.Span, len(vals))
-			return func(idx []int) (bool, error) {
-				for i, j := range idx {
-					args[i] = vals[i][j]
-				}
-				batch.funcCalls++
-				return fn(args)
-			}, nil
-		},
-	}
-	return applyFilter(ctx, ev, dx, in, involved, fp)
+	return applyFilter(ctx, ev, dx, in, involved, factored(involved, opaquePred(fn), ctx.Env.Limits))
 }
 
-// tokenizeValues normalises and tokenises each value span once. A
-// whole-document span is answered from the document index when one is
-// attached — the stored sequence equals NormalizedTokens(span.NormText())
-// for the whole page, so no page text is touched. (An empty stored list
-// stays as-is: the shared-token residual treats empty and nil alike.)
-func tokenizeValues(ctx *Context, vals []text.Span) [][]string {
-	out := make([][]string, len(vals))
-	di := ctx.Env.DocIndex
-	for i, v := range vals {
-		if di != nil {
-			if d := v.Doc(); d != nil && v.Start() == 0 && v.End() == d.Len() {
-				if toks, ok := di.NormTokens(d); ok && toks != nil {
-					statAdd(&ctx.Stats.IndexTokenHits, 1)
-					out[i] = toks
-					continue
-				}
+// opaquePred factors a p-function the engine knows nothing about: no
+// per-column conjuncts, the function itself as the residual over every
+// combination of argument values.
+func opaquePred(fn Func) factoredPred {
+	return factoredPred{prepare: func(vals [][]text.Span, batch *statBatch) (idxPred, error) {
+		args := make([]text.Span, len(vals))
+		return func(idx []int) (bool, error) {
+			for i, j := range idx {
+				args[i] = vals[i][j]
 			}
-		}
-		out[i] = similarity.NormalizedTokens(v.NormText())
-	}
-	return out
-}
-
-// sharesToken reports whether the two token slices have a token in
-// common. Token lists are short (a handful of words per value), so the
-// nested scan beats building a set.
-func sharesToken(a, b []string) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// tokenResidual builds the residual for a token-similarity predicate
-// using filter-and-verify: every built-in token similarity (normalised
-// equality, token-prefix containment, Jaccard >= 0.6) requires at least
-// one shared token — the same guarantee the join blocking rests on — so
-// a cheap shared-token check rejects most pairs before the full
-// similarity computation runs (and is counted).
-func tokenResidual(tokenFn func(a, b []string) bool, ltoks, rtoks [][]string, batch *statBatch) idxPred {
-	return func(idx []int) (bool, error) {
-		l, r := ltoks[idx[0]], rtoks[idx[1]]
-		if !sharesToken(l, r) {
-			return false, nil
-		}
-		batch.funcCalls++
-		return tokenFn(l, r), nil
-	}
+			batch.funcCalls++
+			return fn(args)
+		}, nil
+	}}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,7 +19,11 @@ import (
 // the p-function's guarantee that matching values share at least one
 // token, which holds for the default similar/approxMatch (normalised
 // equality, token-prefix containment, Jaccard >= 0.6 all require a shared
-// token). Pairs whose join cells are too large to enumerate are kept
+// token). A p-function that declares its token similarity
+// (Env.TokenSimilar) is decided on interned token records with exact
+// prefix and length filters at tuple and value level (tokensim.go); any
+// other blockable function keeps any-shared-token blocking and its opaque
+// Func. Pairs whose join cells are too large to enumerate are kept
 // conservatively, exactly like crossNode + funcNode would.
 type simJoinNode struct {
 	nodeSig
@@ -56,38 +61,31 @@ func wholeDocExact(c compact.Cell) (*text.Document, bool) {
 	return d, true
 }
 
-// blockTokens returns the distinct lower-cased tokens over all value
-// regions of a cell, or nil when the cell is too large to enumerate
-// (callers treat nil as "matches anything"). With a document index
-// attached, a single exact whole-document cell is answered from the
-// stored token set — exactly the distinct sorted similarity.Tokens of the
-// page text, so the result is identical to tokenizing live but touches no
-// page content.
-func blockTokens(ctx *Context, c compact.Cell) map[string]bool {
-	if c.NumValues() > ctx.Env.Limits.MaxCellValues {
-		return nil
-	}
+// blockTokens appends to dst the distinct ids of the lower-cased tokens
+// over all value regions of an enumerable cell. With a document index
+// attached, a single exact whole-document cell is answered from the stored
+// token set — exactly the distinct similarity.Tokens of the page text, so
+// the result is identical to tokenizing live but touches no page content.
+func blockTokens(ctx *Context, c compact.Cell, dst []uint32) []uint32 {
+	v := ctx.Env.vocab
 	if di := ctx.Env.DocIndex; di != nil {
 		if d, ok := wholeDocExact(c); ok {
 			if toks, ok := di.BlockTokens(d); ok {
 				statAdd(&ctx.Stats.IndexTokenHits, 1)
-				out := make(map[string]bool, len(toks))
 				for _, tok := range toks {
-					out[tok] = true
+					dst = append(dst, v.Intern(tok))
 				}
-				return out
+				return dst
 			}
 		}
 	}
-	out := map[string]bool{}
 	// Tokens of each assignment's span cover the tokens of every encoded
 	// value (values are sub-spans).
 	for _, a := range c.Assigns {
-		for _, tok := range similarity.Tokens(a.Span.Text()) {
-			out[tok] = true
-		}
+		dst = v.AppendTokens(dst, a.Span.Text())
 	}
-	return out
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // blockIndex serves candidate right-tuple indices by block token for one
@@ -97,24 +95,35 @@ func blockTokens(ctx *Context, c compact.Cell) map[string]bool {
 // right tuple is a distinct whole document known to the persistent
 // inverted index — the postings lists themselves, decoded lazily per
 // probed token and translated through tupOf.
+//
+// An index built for a declared token similarity additionally holds the
+// token record of every pinned (single-valued) right cell and the rarity
+// rank of every indexed token, which is what lets a pinned left cell probe
+// with its rarity prefix and drop pinned candidates by length.
 type blockIndex struct {
-	byToken map[string][]int
+	byToken map[uint32][]int
 	always  []int
+	pinned  []similarity.Record // by right tuple; empty when not pinned
+	rank    map[uint32]uint32   // see tokenSim.rank; nil on the postings backing
+	// wide is set when some enumerable right cell holds more values than
+	// MaxValuations: its pair with a pinned left cell is kept conservatively
+	// on any shared token, so a pinned probe may not narrow to its prefix.
+	wide bool
 
 	post  PostingsIndex
 	tupOf []int32 // doc ordinal -> right tuple index, -1 when absent
 	nTup  int
 
 	pmu    sync.RWMutex
-	pcache map[string][]int // token -> translated candidates
+	pcache map[uint32][]int // token -> translated candidates
 }
 
 // candidates returns the right-tuple indices whose block-token set may
-// contain tok. Order is unspecified; the probe loop dedups and sorts the
-// merged candidate set. On the postings backing, a token the index cannot
-// answer falls back to every tuple (a superset is always safe — dropping
+// contain tok. Order is unspecified; the probe dedups and sorts the merged
+// candidate set. On the postings backing, a token the index cannot answer
+// falls back to every tuple (a superset is always safe — dropping
 // candidates would silently under-approximate the join).
-func (idx *blockIndex) candidates(tok string) []int {
+func (idx *blockIndex) candidates(v *similarity.Vocab, tok uint32) []int {
 	if idx.post == nil {
 		return idx.byToken[tok]
 	}
@@ -124,7 +133,7 @@ func (idx *blockIndex) candidates(tok string) []int {
 	if ok {
 		return c
 	}
-	ords, aok := idx.post.TokenPostings(tok)
+	ords, aok := idx.post.TokenPostings(v.Token(tok))
 	var out []int
 	if !aok {
 		out = make([]int, idx.nTup)
@@ -148,13 +157,18 @@ func (idx *blockIndex) candidates(tok string) []int {
 	return out
 }
 
-// memBytes approximates the index's resident size for cache accounting.
-// The postings translation cache grows as tokens are probed; its eventual
-// size is bounded by the probed vocabulary and is not re-accounted.
+// memBytes approximates the index's resident size for cache accounting,
+// token records included. The postings translation cache grows as tokens
+// are probed; its eventual size is bounded by the probed vocabulary and is
+// not re-accounted.
 func (idx *blockIndex) memBytes() int64 {
-	b := int64(48)
-	for tok, ids := range idx.byToken {
-		b += int64(len(tok)) + 40 + 8*int64(len(ids))
+	b := int64(96)
+	for _, ids := range idx.byToken {
+		b += 48 + 8*int64(len(ids))
+	}
+	b += 16 * int64(len(idx.rank))
+	for _, r := range idx.pinned {
+		b += 48 + 4*int64(len(r.Ord)+len(r.Set))
 	}
 	b += 8 * int64(len(idx.always))
 	b += 4 * int64(len(idx.tupOf))
@@ -186,7 +200,7 @@ func postingsBlockIndex(pi PostingsIndex, rt *compact.Table, ri int) *blockIndex
 		}
 		tupOf[ord] = int32(j)
 	}
-	return &blockIndex{post: pi, tupOf: tupOf, nTup: len(rt.Tuples), pcache: map[string][]int{}}
+	return &blockIndex{post: pi, tupOf: tupOf, nTup: len(rt.Tuples), pcache: map[uint32][]int{}}
 }
 
 // cellDocs is the quarantine attribution list for a fault inside a
@@ -197,23 +211,113 @@ func cellDocs(c compact.Cell) func() []string {
 	}
 }
 
+// newBlockIndex picks the backing for an index over all of rt: the
+// persistent inverted index when rt is a stored corpus scan (no per-run
+// tokenization), an explicit map otherwise.
+func newBlockIndex(ctx *Context, rt *compact.Table, ri int) *blockIndex {
+	if idx := postingsBlockIndex(ctx.Env.Postings, rt, ri); idx != nil {
+		statAdd(&ctx.Stats.BlockIdxPostings, 1)
+		return idx
+	}
+	return &blockIndex{byToken: map[uint32][]int{}}
+}
+
+// fill indexes the join cells of the listed right tuples. On the map
+// backing each cell tokenizes under a quarantine guard: a page that faults
+// while being indexed is quarantined and the caller's whole pass restarts,
+// so the survivors' subset gets a cleanly rebuilt index (a partial index is
+// never kept). The guard site is "blockindex", not "pfunc": a fault here is
+// attributable to the one document being tokenized, and p-function fault
+// rules must keep injecting at pair granularity. sim is the join's declared
+// token similarity, nil for an opaque p-function — then the postings
+// backing needs no pass over the tuples at all.
+func (idx *blockIndex) fill(ctx *Context, ev *EvalTrace, sim *tokenSim, rt *compact.Table, ri int, tuples []int) error {
+	if idx.post != nil && sim == nil {
+		return nil
+	}
+	if sim != nil {
+		idx.pinned = make([]similarity.Record, len(rt.Tuples))
+	}
+	lim := ctx.Env.Limits
+	var qn int64
+	var toks []uint32
+	for _, j := range tuples {
+		cell := rt.Tuples[j].Cells[ri]
+		values := cell.NumValues()
+		var rec similarity.Record
+		qed, gerr := ctx.guard(ev, "blockindex", cellDocs(cell), func() error {
+			if idx.post == nil && values <= lim.MaxCellValues {
+				toks = blockTokens(ctx, cell, toks[:0])
+			}
+			if sim != nil {
+				rec = sim.pinnedRecord(cell)
+			}
+			return nil
+		})
+		if gerr != nil {
+			return gerr
+		}
+		if qed {
+			qn++
+			continue
+		}
+		if sim != nil {
+			idx.pinned[j] = rec
+		}
+		switch {
+		case idx.post != nil:
+		case values > lim.MaxCellValues:
+			idx.always = append(idx.always, j)
+		default:
+			idx.wide = idx.wide || values > lim.MaxValuations
+			for _, tok := range toks {
+				idx.byToken[tok] = append(idx.byToken[tok], j)
+			}
+		}
+	}
+	if qn > 0 {
+		return quarantineErr("blockindex", qn)
+	}
+	if idx.post == nil {
+		idx.rank = rarityRank(ctx.Env.vocab, idx.byToken)
+	}
+	return nil
+}
+
+// rarityRank numbers the indexed tokens from 1 by ascending posting-list
+// length, ties by token string.
+func rarityRank(v *similarity.Vocab, byToken map[uint32][]int) map[uint32]uint32 {
+	toks := make([]uint32, 0, len(byToken))
+	for tok := range byToken {
+		toks = append(toks, tok)
+	}
+	sort.Slice(toks, func(a, b int) bool {
+		if la, lb := len(byToken[toks[a]]), len(byToken[toks[b]]); la != lb {
+			return la < lb
+		}
+		return v.Token(toks[a]) < v.Token(toks[b])
+	})
+	rank := make(map[uint32]uint32, len(toks))
+	for i, tok := range toks {
+		rank[tok] = uint32(i + 1)
+	}
+	return rank
+}
+
 // rightIndex builds (or fetches from the context cache) the blocking index
 // of the join's right side. The cache entry is keyed by the subset and the
-// right child's signature plus the join variable, so an index is shared
-// only with executions that see the identical table; it lives in the same
-// LRU as the result tables and counts against CacheBudget. Concurrent
-// builders may race to construct the same index; the build is
-// deterministic, so whichever lands in the cache is interchangeable.
-//
-// When the right side is a stored corpus scan, the persistent inverted
-// index backs the blocking directly (no per-run tokenization). Otherwise
-// each right cell tokenizes under a quarantine guard: a page that faults
-// while being indexed is quarantined and the whole pass restarts, so the
-// survivors' subset gets a cleanly rebuilt index (a partial index is never
-// cached).
-func (n *simJoinNode) rightIndex(ctx *Context, ev *EvalTrace, rt *compact.Table, ri int) (*blockIndex, error) {
+// right child's signature plus the join variable (and whether the index
+// carries token records), so an index is shared only with executions that
+// see the identical table; it lives in the same LRU as the result tables
+// and counts against CacheBudget. Concurrent builders may race to
+// construct the same index; the build is deterministic, so whichever lands
+// in the cache is interchangeable.
+func (n *simJoinNode) rightIndex(ctx *Context, ev *EvalTrace, sim *tokenSim, rt *compact.Table, ri int, all []int) (*blockIndex, error) {
 	subsetHash, marker := ctx.subsetKey()
 	key := entryKey{subset: subsetHash, sig: n.right.sigHash(), aux: n.rightVar}
+	if sim != nil {
+		key.aux = "~" + n.rightVar
+	}
 	sig := n.right.Signature()
 	ctx.mu.Lock()
 	if e := ctx.lookupLocked(key, marker, sig); e != nil && e.idx != nil {
@@ -222,37 +326,9 @@ func (n *simJoinNode) rightIndex(ctx *Context, ev *EvalTrace, rt *compact.Table,
 		return e.idx, nil
 	}
 	ctx.mu.Unlock()
-	idx := postingsBlockIndex(ctx.Env.Postings, rt, ri)
-	if idx != nil {
-		statAdd(&ctx.Stats.BlockIdxPostings, 1)
-	} else {
-		idx = &blockIndex{byToken: map[string][]int{}}
-		var qn int64
-		for j, rtp := range rt.Tuples {
-			var toks map[string]bool
-			cell := rtp.Cells[ri]
-			qed, gerr := ctx.guard(ev, "blockindex", cellDocs(cell), func() error {
-				toks = blockTokens(ctx, cell)
-				return nil
-			})
-			if gerr != nil {
-				return nil, gerr
-			}
-			if qed {
-				qn++
-				continue
-			}
-			if toks == nil {
-				idx.always = append(idx.always, j)
-				continue
-			}
-			for tok := range toks {
-				idx.byToken[tok] = append(idx.byToken[tok], j)
-			}
-		}
-		if qn > 0 {
-			return nil, quarantineErr("blockindex", qn)
-		}
+	idx := newBlockIndex(ctx, rt, ri)
+	if err := idx.fill(ctx, ev, sim, rt, ri, all); err != nil {
+		return nil, err
 	}
 	ctx.mu.Lock()
 	if e := ctx.lookupLocked(key, marker, sig); e != nil && e.idx != nil {
@@ -265,6 +341,194 @@ func (n *simJoinNode) rightIndex(ctx *Context, ev *EvalTrace, rt *compact.Table,
 	return idx, nil
 }
 
+// simProbe is the state one evaluation's probe chunks share.
+type simProbe struct {
+	ctx    *Context
+	ev     *EvalTrace
+	sim    *tokenSim // nil for an opaque p-function
+	rt     *compact.Table
+	li, ri int
+	idx    *blockIndex // over all of rt
+	all    []int       // 0..len(rt.Tuples)-1
+	// rcells holds the right cells' value-level token views, built on first
+	// use by whichever chunk needs one (concurrent builders race benignly —
+	// the view is a pure function of the cell) and kept for the evaluation.
+	rcells []atomic.Pointer[cellTokens]
+}
+
+// simChunk is one goroutine's share of a probe: its counter shard and the
+// scratch its candidate generation and pair decisions reuse.
+type simChunk struct {
+	*simProbe
+	batch statBatch
+	sc    simScratch
+	stamp []uint32 // right tuple -> generation that last listed it
+	gen   uint32
+	cands []int
+	toks  []uint32
+	// opaque is the pair predicate of a p-function without a declared
+	// similarity, factored for the odometer.
+	opaque factoredPred
+}
+
+var pairInvolved = []int{0, 1}
+
+// leftSide is what one left tuple brings to each of its candidate pairs.
+type leftSide struct {
+	cell   compact.Cell
+	pinned similarity.Record // empty when not pinned
+	values *cellTokens       // built by the first pair that enumerates
+}
+
+// candidates lists, ascending, the tuples of idx that may join the left
+// cell; universe is every tuple idx covers. An oversized left cell pairs
+// with the whole universe. A pinned one probes with its rarity prefix and
+// first token only, and skips pinned right tuples whose length rules the
+// pair out. Any other cell — several values within the limits — keeps
+// any-shared-token blocking: a pair of such cells may exceed MaxValuations
+// and then stays in the result on the strength of one shared token.
+func (c *simChunk) candidates(left *leftSide, idx *blockIndex, universe []int) (cands []int, oversized bool) {
+	if left.cell.NumValues() > c.ctx.Env.Limits.MaxCellValues {
+		return universe, true
+	}
+	if c.gen++; c.gen == 0 {
+		clear(c.stamp)
+		c.gen = 1
+	}
+	v := c.ctx.Env.vocab
+	cands = c.cands[:0]
+	prefix := len(left.pinned.Ord) > 0 && !idx.wide
+	if prefix {
+		c.toks = c.sim.appendProbeKeys(c.toks[:0], left.pinned, &c.sc)
+	} else {
+		c.toks = blockTokens(c.ctx, left.cell, c.toks[:0])
+	}
+	for _, tok := range c.toks {
+		for _, j := range idx.candidates(v, tok) {
+			if c.stamp[j] == c.gen {
+				continue
+			}
+			c.stamp[j] = c.gen
+			if prefix && len(idx.pinned[j].Ord) > 0 && !c.sim.spec.CanMatch(left.pinned, idx.pinned[j]) {
+				continue
+			}
+			cands = append(cands, j)
+		}
+	}
+	for _, j := range idx.always {
+		if c.stamp[j] != c.gen {
+			c.stamp[j] = c.gen
+			cands = append(cands, j)
+		}
+	}
+	sort.Ints(cands)
+	c.cands = cands
+	return cands, false
+}
+
+// evalPair decides one candidate pair: the similarity kernel alone when
+// both cells are pinned, the value-level filter when the p-function
+// declares its token similarity, the factored odometer over the opaque
+// function otherwise. qed means the pair faulted and was quarantined (the
+// caller drops it); fb reports a charged valuation-limit fallback.
+func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed bool, err error) {
+	rcell := c.rt.Tuples[j].Cells[c.ri]
+	// Filter over the two join cells alone — no tuple is built (let alone
+	// cloned) unless the pair survives.
+	pair := compact.Tuple{Cells: []compact.Cell{left.cell, rcell}}
+	pairDocs := func() []string { return tupleDocs(pair, nil) }
+	c.batch.simTuplePairs++
+	if c.sim != nil && len(left.pinned.Ord) > 0 && len(c.idx.pinned[j].Ord) > 0 {
+		matched := false
+		qed, err = c.ctx.guard(c.ev, "pfunc", pairDocs, func() error {
+			c.batch.funcCalls++
+			c.batch.simProbed++
+			c.batch.simVerified++
+			matched = c.sim.spec.Match(left.pinned, c.idx.pinned[j])
+			return nil
+		})
+		return joinMatch{j: j, sure: true}, matched && !qed && err == nil, false, qed, err
+	}
+	var res filterOutcome
+	qed, err = c.ctx.guard(c.ev, "pfunc", pairDocs, func() error {
+		var ferr error
+		if c.sim == nil {
+			res, ferr = filterTupleF(pair, pairInvolved, c.opaque, c.ctx.Env.Limits, &c.batch)
+			return ferr
+		}
+		res, ferr = c.sim.filter(pair, pairInvolved, c.ctx.Env.Limits,
+			func() *cellTokens {
+				if left.values == nil {
+					left.values = c.sim.cellTokens(left.cell, true, &c.sc)
+				}
+				return left.values
+			},
+			func() *cellTokens {
+				ct := c.rcells[j].Load()
+				if ct == nil {
+					ct = c.sim.cellTokens(rcell, false, &c.sc)
+					c.rcells[j].Store(ct)
+				}
+				return ct
+			}, &c.sc, &c.batch)
+		return ferr
+	})
+	if err != nil || qed {
+		return joinMatch{}, false, false, qed, err
+	}
+	return joinMatch{j: j, sure: res.sure, repl: res.repl}, res.keep, res.fallback, false, nil
+}
+
+// probe joins one left tuple against the right tuples idx covers:
+// candidates by blocking, then one decision per candidate pair. It returns
+// the matches in ascending right-tuple order, the valuation-limit
+// fallbacks charged (the left cell's own oversize only when chargeOversize
+// — a corpus replay already carries it), and qed when the tuple itself was
+// quarantined. nq counts candidate pairs dropped by quarantine.
+//
+// Tokenizing the left cell can page its document in; a load fault
+// quarantines the tuple's documents and drops it, like a faulting
+// candidate pair. Site "blockindex" (single-document attribution), never
+// "pfunc".
+func (c *simChunk) probe(ltp compact.Tuple, idx *blockIndex, universe []int, chargeOversize bool, nq *atomic.Int64) (ms []joinMatch, fb int32, qed bool, err error) {
+	left := leftSide{cell: ltp.Cells[c.li]}
+	var cands []int
+	qed, err = c.ctx.guard(c.ev, "blockindex", cellDocs(left.cell), func() error {
+		if c.sim != nil {
+			left.pinned = c.sim.pinnedRecord(left.cell)
+		}
+		var oversized bool
+		cands, oversized = c.candidates(&left, idx, universe)
+		// (Counted as a fallback only on the probe side — the index side is
+		// built by whichever goroutine wins a benign race, so counting there
+		// would vary with the worker count.)
+		if fb = 0; oversized && chargeOversize {
+			fb = 1
+		}
+		return nil
+	})
+	if err != nil || qed {
+		return nil, 0, qed, err
+	}
+	for _, j := range cands {
+		m, keep, fbp, pq, perr := c.evalPair(&left, j)
+		if perr != nil {
+			return nil, 0, false, perr
+		}
+		if pq {
+			nq.Add(1)
+			continue
+		}
+		if fbp {
+			fb++
+		}
+		if keep {
+			ms = append(ms, m)
+		}
+	}
+	return ms, fb, false, nil
+}
+
 func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
 	fn, ok := ctx.Env.Funcs[n.fname]
 	if !ok {
@@ -274,91 +538,45 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 	if err != nil {
 		return nil, err
 	}
-	lim := ctx.Env.Limits
-	li := colIndex(lt.Cols, n.leftVar)
-	ri := colIndex(rt.Cols, n.rightVar)
-
+	p := &simProbe{ctx: ctx, ev: ev, rt: rt,
+		li: colIndex(lt.Cols, n.leftVar), ri: colIndex(rt.Cols, n.rightVar)}
+	if spec, ok := ctx.Env.TokenSimilar[n.fname]; ok {
+		p.sim = &tokenSim{ctx: ctx, spec: spec}
+		p.rcells = make([]atomic.Pointer[cellTokens], len(rt.Tuples))
+	}
+	p.all = make([]int, len(rt.Tuples))
+	for j := range p.all {
+		p.all[j] = j
+	}
 	// Index right tuples by block token; oversized cells go on the
 	// always-candidate list. The index is cached per (subset, right side).
-	idx, err := n.rightIndex(ctx, ev, rt, ri)
-	if err != nil {
+	if p.idx, err = n.rightIndex(ctx, ev, p.sim, rt, p.ri, p.all); err != nil {
 		return nil, err
 	}
-	always := idx.always
-
-	// Fast path for pinned cells: compare pre-normalised token slices when
-	// the p-function has a token implementation with identical semantics.
-	// A whole-document singleton is answered from the document index when
-	// one is attached: the stored sequence is exactly
-	// NormalizedTokens(span.NormText()) for the whole page. A stored empty
-	// sequence maps to nil because live tokenization of an empty page
-	// yields nil ("not pinned") — the indexed run must take the same code
-	// path.
-	tokenFn := ctx.Env.TokenSimilar[n.fname]
-	singletonTokens := func(c compact.Cell) []string {
-		if tokenFn == nil {
-			return nil
-		}
-		if di := ctx.Env.DocIndex; di != nil {
-			if d, ok := wholeDocExact(c); ok {
-				if toks, ok := di.NormTokens(d); ok {
-					statAdd(&ctx.Stats.IndexTokenHits, 1)
-					if len(toks) == 0 {
-						return nil
-					}
-					return toks
-				}
-			}
-		}
-		if v, ok := c.Singleton(); ok {
-			return similarity.NormalizedTokens(v.NormText())
-		}
-		return nil
+	if p.sim != nil {
+		p.sim.rank = p.idx.rank
 	}
-	// Tokenizing a right cell can page its document in and fault; guard
-	// each so a corrupt page quarantines (restarting the pass without it)
-	// instead of crashing the evaluation. The guard site is "blockindex",
-	// not "pfunc": a fault here is attributable to the one document being
-	// tokenized, and p-function fault rules must keep injecting at pair
-	// granularity exactly as before.
-	rtoks := make([][]string, len(rt.Tuples))
-	var rqn int64
-	for j, rtp := range rt.Tuples {
-		j, cell := j, rtp.Cells[ri]
-		qed, gerr := ctx.guard(ev, "blockindex", cellDocs(cell), func() error {
-			rtoks[j] = singletonTokens(cell)
-			return nil
-		})
-		if gerr != nil {
-			return nil, gerr
-		}
-		if qed {
-			rqn++
-		}
-	}
-	if rqn > 0 {
-		return nil, quarantineErr("blockindex", rqn)
-	}
+	li, ri := p.li, p.ri
 	out := compact.NewTable(n.cols...)
 	// join assembles the output tuple for one matching pair with shallow
 	// cell copies (cells are immutable once built); only kept pairs
 	// allocate anything at all.
-	join := func(ltp, rtp compact.Tuple, maybe bool, repl map[int]compact.Cell) compact.Tuple {
+	join := func(ltp compact.Tuple, m joinMatch) compact.Tuple {
+		rtp := rt.Tuples[m.j]
 		cells := make([]compact.Cell, 0, len(ltp.Cells)+len(rtp.Cells))
 		cells = append(cells, ltp.Cells...)
 		cells = append(cells, rtp.Cells...)
-		if c, ok := repl[0]; ok {
+		if c, ok := m.repl[0]; ok {
 			cells[li] = c
 		}
-		if c, ok := repl[1]; ok {
+		if c, ok := m.repl[1]; ok {
 			cells[len(lt.Cols)+ri] = c
 		}
-		return compact.Tuple{Cells: cells, Maybe: maybe}
+		return compact.Tuple{Cells: cells, Maybe: ltp.Maybe || rtp.Maybe || !m.sure}
 	}
-	pairInvolved := []int{0, 1}
 	// Partition the probe loop over left tuples; each chunk keeps its own
-	// seen-generation map and writes matches into its tuples' result slots,
-	// so the merged output is identical to a serial probe. Candidates are
+	// candidate stamps and writes matches into its tuples' result slots, so
+	// the merged output is identical to a serial probe. Candidates are
 	// probed in ascending right-tuple order (the token index enumerates a
 	// map), which also makes the output order deterministic run to run.
 	// The delta memo is per left tuple and depends only on the left join
@@ -385,32 +603,9 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 		if cp := dx.corpusSimPrior([]int{li}); cp != nil {
 			if rec = buildSimRecon(cp.right, rt); rec != nil {
 				prior = cp
-				freshIdx = &blockIndex{byToken: map[string][]int{}}
-				var qn int64
-				for _, j := range rec.fresh {
-					cell := rt.Tuples[j].Cells[ri]
-					var toks map[string]bool
-					qed, gerr := ctx.guard(ev, "blockindex", cellDocs(cell), func() error {
-						toks = blockTokens(ctx, cell)
-						return nil
-					})
-					if gerr != nil {
-						return nil, gerr
-					}
-					if qed {
-						qn++
-						continue
-					}
-					if toks == nil {
-						freshIdx.always = append(freshIdx.always, j)
-						continue
-					}
-					for tok := range toks {
-						freshIdx.byToken[tok] = append(freshIdx.byToken[tok], j)
-					}
-				}
-				if qn > 0 {
-					return nil, quarantineErr("blockindex", qn)
+				freshIdx = &blockIndex{byToken: map[uint32][]int{}}
+				if err := freshIdx.fill(ctx, ev, p.sim, rt, ri, rec.fresh); err != nil {
+					return nil, err
 				}
 			}
 		}
@@ -422,107 +617,14 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 		matches = make([][]joinMatch, len(lt.Tuples))
 	}
 	rows := make([][]compact.Tuple, len(lt.Tuples))
-	// nq counts candidate pairs dropped by quarantine (both pair documents
-	// are attributed — the guard cannot tell which side faulted); ncut the
-	// chunks cut short by a best-effort cancellation.
+	// nq counts candidate pairs (and left tuples) dropped by quarantine —
+	// both pair documents are attributed, the guard cannot tell which side
+	// faulted; ncut the chunks cut short by a best-effort cancellation.
 	var nq, ncut atomic.Int64
 	probe := func(start, end int) error {
-		var batch statBatch
-		defer batch.flush(ctx)
+		c := &simChunk{simProbe: p, stamp: make([]uint32, len(rt.Tuples)), opaque: opaquePred(fn)}
+		defer c.batch.flush(ctx)
 		reused := 0
-		seen := make(map[int]int) // right idx -> generation marker
-		gen := 0
-		// Chunk-local span-token memo: a right cell's values tokenise once
-		// per chunk, not once per candidate pair it appears in.
-		type spanKey struct {
-			doc        *text.Document
-			start, end int
-		}
-		tokMemo := map[spanKey][]string{}
-		tokensOf := func(s text.Span) []string {
-			k := spanKey{s.Doc(), s.Start(), s.End()}
-			if t, ok := tokMemo[k]; ok {
-				return t
-			}
-			var t []string
-			if di := ctx.Env.DocIndex; di != nil {
-				if d := s.Doc(); d != nil && s.Start() == 0 && s.End() == d.Len() {
-					if toks, ok := di.NormTokens(d); ok && toks != nil {
-						statAdd(&ctx.Stats.IndexTokenHits, 1)
-						t = toks
-					}
-				}
-			}
-			if t == nil {
-				t = similarity.NormalizedTokens(s.NormText())
-			}
-			if t == nil {
-				t = []string{}
-			}
-			tokMemo[k] = t
-			return t
-		}
-		// The pair predicate, factored for the odometer: token-slice
-		// comparison when the p-function has a token twin, the opaque
-		// function otherwise.
-		fp := factoredPred{
-			cols: make([]colPred, 2),
-			prepare: func(vals [][]text.Span, batch *statBatch) (idxPred, error) {
-				if tokenFn == nil {
-					args := make([]text.Span, 2)
-					return func(idx []int) (bool, error) {
-						args[0], args[1] = vals[0][idx[0]], vals[1][idx[1]]
-						batch.funcCalls++
-						return fn(args)
-					}, nil
-				}
-				ltoks := make([][]string, len(vals[0]))
-				for j, v := range vals[0] {
-					ltoks[j] = tokensOf(v)
-				}
-				rtoks := make([][]string, len(vals[1]))
-				for j, v := range vals[1] {
-					rtoks[j] = tokensOf(v)
-				}
-				return tokenResidual(tokenFn, ltoks, rtoks, batch), nil
-			},
-		}
-		// evalPairAt decides one candidate pair for the current left tuple:
-		// the pinned token fast path when both values are pinned, the
-		// factored filter otherwise. qed means the pair faulted and was
-		// quarantined (the caller drops it); fbp reports a charged
-		// valuation-limit fallback.
-		evalPairAt := func(ltp compact.Tuple, lpinned []string, j int) (m joinMatch, keep, fbp, qed bool, err error) {
-			rtp := rt.Tuples[j]
-			pairDocs := func() []string {
-				return tupleDocs(compact.Tuple{Cells: []compact.Cell{ltp.Cells[li], rtp.Cells[ri]}}, nil)
-			}
-			if lpinned != nil && rtoks[j] != nil {
-				matched := false
-				qed, err = ctx.guard(ev, "pfunc", pairDocs, func() error {
-					batch.funcCalls++
-					matched = tokenFn(lpinned, rtoks[j])
-					return nil
-				})
-				if err != nil || qed || !matched {
-					return joinMatch{}, false, false, qed, err
-				}
-				return joinMatch{j: j, sure: true}, true, false, false, nil
-			}
-			// Filter over the two join cells alone — no tuple is built
-			// (let alone cloned) unless the pair survives.
-			pair := compact.Tuple{Cells: []compact.Cell{ltp.Cells[li], rtp.Cells[ri]}}
-			var res filterOutcome
-			qed, err = ctx.guard(ev, "pfunc", pairDocs, func() error {
-				var ferr error
-				res, ferr = filterTupleF(pair, pairInvolved, fp, lim, &batch)
-				return ferr
-			})
-			if err != nil || qed {
-				return joinMatch{}, false, false, qed, err
-			}
-			return joinMatch{j: j, sure: res.sure, repl: res.repl}, res.keep, res.fallback, false, nil
-		}
 		for i := start; i < end; i++ {
 			if cut, cerr := ctx.cutCheck(); cerr != nil {
 				return cerr
@@ -532,182 +634,66 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 				break
 			}
 			ltp := lt.Tuples[i]
+			var ms []joinMatch
+			var fb int32
+			old, hit := deltaOut{}, false
 			if fps != nil {
 				fps[i] = dx.aux.fpOf(ltp)
-				if old, ok := prior.lookup(fps[i], ltp); ok {
-					if rec == nil {
-						for _, m := range old.sim {
-							rtp := rt.Tuples[m.j]
-							maybe := ltp.Maybe || rtp.Maybe || !m.sure
-							rows[i] = append(rows[i], join(ltp, rtp, maybe, m.repl))
-						}
-						matches[i] = old.sim
-						fbs[i] = old.fallbacks
-						ev.fallback(ctx, int(old.fallbacks))
-						reused++
-						continue
-					}
-					// Corpus replay: remap the matches whose right tuple
-					// survived the mutation, probe only the fresh right
-					// tuples, and merge in ascending right-index order — the
-					// order a full probe over the identical candidate set
-					// would have produced, so the output is byte-identical.
-					kept := make([]joinMatch, 0, len(old.sim))
-					for _, m := range old.sim {
-						if nj := rec.newJ[m.j]; nj >= 0 {
-							kept = append(kept, joinMatch{j: nj, sure: m.sure, repl: m.repl})
-						}
-					}
-					fb := old.fallbacks
-					var ltoks map[string]bool
-					var lpinned []string
-					lcell := ltp.Cells[li]
-					qed, gerr := ctx.guard(ev, "blockindex", cellDocs(lcell), func() error {
-						ltoks = blockTokens(ctx, lcell)
-						lpinned = singletonTokens(lcell)
-						return nil
-					})
-					if gerr != nil {
-						return gerr
-					}
-					if qed {
-						nq.Add(1)
-						continue
-					}
-					gen++
-					var cands []int
-					if ltoks == nil {
-						// Oversized left cell: every fresh right tuple is a
-						// candidate (the replayed fallback count already
-						// charged the oversize from the prior evaluation).
-						cands = append(cands, rec.fresh...)
-					} else {
-						for tok := range ltoks {
-							for _, j := range freshIdx.byToken[tok] {
-								if seen[j] != gen {
-									seen[j] = gen
-									cands = append(cands, j)
-								}
-							}
-						}
-						for _, j := range freshIdx.always {
-							if seen[j] != gen {
-								seen[j] = gen
-								cands = append(cands, j)
-							}
-						}
-						sort.Ints(cands)
-					}
-					for _, j := range cands {
-						m, keep, fbp, qed, gerr := evalPairAt(ltp, lpinned, j)
-						if gerr != nil {
-							return gerr
-						}
-						if qed {
-							nq.Add(1)
-							continue
-						}
-						if fbp {
-							fb++
-						}
-						if keep {
-							kept = append(kept, m)
-						}
-					}
-					sort.Slice(kept, func(a, b int) bool { return kept[a].j < kept[b].j })
-					for _, m := range kept {
-						rtp := rt.Tuples[m.j]
-						maybe := ltp.Maybe || rtp.Maybe || !m.sure
-						rows[i] = append(rows[i], join(ltp, rtp, maybe, m.repl))
-					}
-					matches[i] = kept
-					fbs[i] = fb
-					ev.fallback(ctx, int(fb))
-					reused++
-					continue
-				}
+				old, hit = prior.lookup(fps[i], ltp)
 			}
-			batch.tuplesRecomputed++
-			var fb int32
-			gen++
-			var cands []int
-			// Tokenizing the left cell (blocking set and pinned fast path)
-			// can page its document in; a load fault quarantines the tuple's
-			// documents and drops it, like a faulting candidate pair. Site
-			// "blockindex" (single-document attribution), never "pfunc".
-			var ltoks map[string]bool
-			var lpinned []string
-			lcell := ltp.Cells[li]
-			qed, gerr := ctx.guard(ev, "blockindex", cellDocs(lcell), func() error {
-				ltoks = blockTokens(ctx, lcell)
-				lpinned = singletonTokens(lcell)
-				return nil
-			})
-			if gerr != nil {
-				return gerr
-			}
-			if qed {
-				nq.Add(1)
-				continue
-			}
-			if ltoks == nil {
-				// Oversized left cell: every right tuple is a candidate.
-				// (Counted as a fallback only on the probe side — the index
-				// side is built by whichever goroutine wins a benign race,
-				// so counting there would vary with the worker count.)
-				fb++
-				cands = make([]int, len(rt.Tuples))
-				for j := range rt.Tuples {
-					cands[j] = j
-				}
-			} else {
-				for tok := range ltoks {
-					for _, j := range idx.candidates(tok) {
-						if seen[j] != gen {
-							seen[j] = gen
-							cands = append(cands, j)
-						}
-					}
-				}
-				for _, j := range always {
-					if seen[j] != gen {
-						seen[j] = gen
-						cands = append(cands, j)
-					}
-				}
-				sort.Ints(cands)
-			}
-			for _, j := range cands {
-				m, keep, fbp, qed, gerr := evalPairAt(ltp, lpinned, j)
-				if gerr != nil {
-					return gerr
+			switch {
+			case hit && rec == nil:
+				ms, fb = old.sim, old.fallbacks
+				reused++
+			case hit:
+				// Corpus replay: remap the matches whose right tuple survived
+				// the mutation, probe only the fresh right tuples, and merge
+				// in ascending right-index order — the order a full probe
+				// over the identical candidate set would have produced, so
+				// the output is byte-identical. (An oversized left cell pairs
+				// with every fresh tuple; the replayed fallback count already
+				// charged the oversize.)
+				fresh, ffb, qed, perr := c.probe(ltp, freshIdx, rec.fresh, false, &nq)
+				if perr != nil {
+					return perr
 				}
 				if qed {
 					nq.Add(1)
 					continue
 				}
-				if fbp {
-					fb++
+				ms = make([]joinMatch, 0, len(old.sim)+len(fresh))
+				for _, m := range old.sim {
+					if nj := rec.newJ[m.j]; nj >= 0 {
+						ms = append(ms, joinMatch{j: nj, sure: m.sure, repl: m.repl})
+					}
 				}
-				if !keep {
+				ms = append(ms, fresh...)
+				sort.Slice(ms, func(a, b int) bool { return ms[a].j < ms[b].j })
+				fb = old.fallbacks + ffb
+				reused++
+			default:
+				c.batch.tuplesRecomputed++
+				var qed bool
+				var perr error
+				if ms, fb, qed, perr = c.probe(ltp, p.idx, p.all, true, &nq); perr != nil {
+					return perr
+				}
+				if qed {
+					nq.Add(1)
 					continue
 				}
-				rtp := rt.Tuples[j]
-				maybe := ltp.Maybe || rtp.Maybe || !m.sure
-				rows[i] = append(rows[i], join(ltp, rtp, maybe, m.repl))
-				if matches != nil {
-					matches[i] = append(matches[i], m)
-				}
 			}
-			if fb > 0 {
-				ev.fallback(ctx, int(fb))
+			for _, m := range ms {
+				rows[i] = append(rows[i], join(ltp, m))
 			}
-			if fbs != nil {
-				fbs[i] = fb
+			ev.fallback(ctx, int(fb))
+			if fps != nil {
+				matches[i], fbs[i] = ms, fb
 			}
 		}
-		dx.noteReused(&batch, reused)
-		ev.recompute(batch.tuplesRecomputed)
+		dx.noteReused(&c.batch, reused)
+		ev.recompute(c.batch.tuplesRecomputed)
+		ev.simWork(&c.batch)
 		return nil
 	}
 	if err := ctx.parallelChunksSized(len(lt.Tuples), minChunkProbe, probe); err != nil {

@@ -28,8 +28,17 @@ func TestStoreIndexByteIdentity(t *testing.T) {
 	ldocs := docsOf(optDocs("l", 12, r))
 	rdocs := docsOf(optDocs("r", 12, r))
 	all := append(append([]*text.Document{}, ldocs...), rdocs...)
-	prog := alog.MustParse(docJoinSrc)
+	for _, src := range []string{
+		docJoinSrc,
+		// Multi-valued left cells against the postings-backed right side:
+		// the value-level probe meets the stored whole-page records.
+		`Q(s, y) :- L(x), from(x, s), R(y), similar(s, y).`,
+	} {
+		storeIndexByteIdentity(t, alog.MustParse(src), ldocs, rdocs, all)
+	}
+}
 
+func storeIndexByteIdentity(t *testing.T, prog *alog.Program, ldocs, rdocs, all []*text.Document) {
 	run := func(indexed bool, workers int, delta, optimize bool) (string, StatsSnapshot) {
 		env := NewEnv()
 		env.AddDocTable("L", "x", ldocs)

@@ -113,6 +113,20 @@ type EvalTrace struct {
 	fallbacks   atomic.Int64
 	recomputed  atomic.Int64
 	quarantined atomic.Int64
+	simPairs    atomic.Int64
+	simProbed   atomic.Int64
+	simVerified atomic.Int64
+}
+
+// simWork attributes a chunk's similarity funnel counts (see
+// Stats.SimTuplePairs) to this evaluation; the batch still flushes them
+// into the context-wide totals. A nil receiver discards the counts.
+func (ev *EvalTrace) simWork(b *statBatch) {
+	if ev != nil && b.simTuplePairs|b.simProbed|b.simVerified != 0 {
+		ev.simPairs.Add(b.simTuplePairs)
+		ev.simProbed.Add(b.simProbed)
+		ev.simVerified.Add(b.simVerified)
+	}
 }
 
 // quarantine attributes n quarantined per-document units to this
@@ -168,7 +182,12 @@ type TraceRecord struct {
 	// quarantine (such a call's output is discarded and re-evaluated, so
 	// the count attributes where faults surfaced, not result contents).
 	Quarantined int64
-	Goroutine   int64 // id of the goroutine that evaluated the node
+	// SimTuplePairs / SimValuePairsProbed / SimValuePairsVerified are this
+	// call's share of the similarity funnel (see Stats).
+	SimTuplePairs         int64
+	SimValuePairsProbed   int64
+	SimValuePairsVerified int64
+	Goroutine             int64 // id of the goroutine that evaluated the node
 }
 
 type traceNode struct {
@@ -225,7 +244,12 @@ type OpStats struct {
 	Reused      int64         // input tuples replayed from a delta memo
 	Recomputed  int64         // input tuples computed fresh
 	Quarantined int64         // per-document units dropped into quarantine
-	Goroutine   int64         // goroutine id of the (last) evaluating call
+	// Similarity funnel: candidate tuple pairs, value pairs probed, value
+	// pairs verified (see Stats.SimTuplePairs).
+	SimTuplePairs         int64
+	SimValuePairsProbed   int64
+	SimValuePairsVerified int64
+	Goroutine             int64 // goroutine id of the (last) evaluating call
 }
 
 // TraceOps merges the collected trace into per-operator aggregates,
@@ -256,6 +280,9 @@ func (ctx *Context) TraceOps() []OpStats {
 			o.Reused += r.Reused
 			o.Recomputed += r.Recomputed
 			o.Quarantined += r.Quarantined
+			o.SimTuplePairs += r.SimTuplePairs
+			o.SimValuePairsProbed += r.SimValuePairsProbed
+			o.SimValuePairsVerified += r.SimValuePairsVerified
 			o.Goroutine = r.Goroutine
 		case StatusHit:
 			o.Hits++
@@ -309,6 +336,9 @@ type StatsSnapshot struct {
 	FuncCalls        int64              `json:"func_calls"`
 	VerifyCalls      int64              `json:"verify_calls"`
 	RefineCalls      int64              `json:"refine_calls"`
+	SimTuplePairs    int64              `json:"sim_tuple_pairs"`
+	SimProbed        int64              `json:"sim_value_pairs_probed"`
+	SimVerified      int64              `json:"sim_value_pairs_verified"`
 	LimitFallbacks   int64              `json:"limit_fallbacks"`
 	PoolSlotsGranted int64              `json:"pool_slots_granted"`
 	PoolSlotsDenied  int64              `json:"pool_slots_denied"`
@@ -355,6 +385,9 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		FuncCalls:        s.FuncCalls,
 		VerifyCalls:      s.VerifyCalls,
 		RefineCalls:      s.RefineCalls,
+		SimTuplePairs:    s.SimTuplePairs,
+		SimProbed:        s.SimValuePairsProbed,
+		SimVerified:      s.SimValuePairsVerified,
 		LimitFallbacks:   s.LimitFallbacks,
 		PoolSlotsGranted: s.PoolSlotsGranted,
 		PoolSlotsDenied:  s.PoolSlotsDenied,

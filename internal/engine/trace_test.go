@@ -108,7 +108,9 @@ func TestTraceTotalsDeterministic(t *testing.T) {
 			t.Fatalf("operator %d: key %q vs %q", i, s.Key, p.Key)
 		}
 		if s.Evals != p.Evals || s.Tuples != p.Tuples || s.Expanded != p.Expanded ||
-			s.Assignments != p.Assignments || s.Fallbacks != p.Fallbacks {
+			s.Assignments != p.Assignments || s.Fallbacks != p.Fallbacks ||
+			s.SimTuplePairs != p.SimTuplePairs || s.SimValuePairsProbed != p.SimValuePairsProbed ||
+			s.SimValuePairsVerified != p.SimValuePairsVerified {
 			t.Errorf("operator %s diverges:\nserial   %+v\nparallel %+v", s.Key, s, p)
 		}
 		// The hit/wait split depends on timing, but the total number of
@@ -117,12 +119,23 @@ func TestTraceTotalsDeterministic(t *testing.T) {
 			t.Errorf("operator %s: cache-served count %d vs %d", s.Key, s.Hits+s.Waits, p.Hits+p.Waits)
 		}
 	}
-	det := func(s Stats) [8]int64 {
-		return [8]int64{s.NodesEvaluated, s.CacheHits, s.TuplesBuilt, s.ProcCalls,
-			s.FuncCalls, s.VerifyCalls, s.RefineCalls, s.LimitFallbacks}
+	det := func(s Stats) [11]int64 {
+		return [11]int64{s.NodesEvaluated, s.CacheHits, s.TuplesBuilt, s.ProcCalls,
+			s.FuncCalls, s.VerifyCalls, s.RefineCalls, s.LimitFallbacks,
+			s.SimTuplePairs, s.SimValuePairsProbed, s.SimValuePairsVerified}
 	}
 	if det(serialStats) != det(parStats) {
 		t.Errorf("deterministic stats diverge:\nserial   %+v\nparallel %+v", det(serialStats), det(parStats))
+	}
+	// The per-operator funnel adds up to the context-wide one, and the
+	// traced plan (figure 2's approxMatch join) does exercise it.
+	var pairs, probed, verified int64
+	for _, o := range serialOps {
+		pairs, probed, verified = pairs+o.SimTuplePairs, probed+o.SimValuePairsProbed, verified+o.SimValuePairsVerified
+	}
+	if pairs == 0 || pairs != serialStats.SimTuplePairs || probed != serialStats.SimValuePairsProbed || verified != serialStats.SimValuePairsVerified {
+		t.Errorf("per-operator funnel %d/%d/%d does not reconcile with stats %d/%d/%d", pairs, probed, verified,
+			serialStats.SimTuplePairs, serialStats.SimValuePairsProbed, serialStats.SimValuePairsVerified)
 	}
 }
 

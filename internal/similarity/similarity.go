@@ -12,31 +12,37 @@ import (
 
 // Tokens lower-cases s, strips punctuation, and splits into tokens.
 // Leading articles ("the", "a", "an") are kept; callers that want
-// article-insensitive matching use Normalize. The implementation is
-// byte-wise (non-ASCII bytes separate tokens, exactly as the rune-wise
-// mapping did) because tokenisation dominates similarity-join profiles.
+// article-insensitive matching use Normalize.
 func Tokens(s string) []string {
 	var out []string
-	buf := make([]byte, 0, 16)
-	flush := func() {
-		if len(buf) > 0 {
-			out = append(out, string(buf))
-			buf = buf[:0]
-		}
+	var arr [32]byte
+	for tok, pos := nextToken(s, 0, arr[:0]); tok != nil; tok, pos = nextToken(s, pos, arr[:0]) {
+		out = append(out, string(tok))
 	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
+	return out
+}
+
+// nextToken scans s from pos and returns the next token, lower-cased into
+// buf, with the position to resume from; tok is nil at the end of s. The
+// scan is byte-wise (non-ASCII bytes separate tokens, exactly as a
+// rune-wise mapping would) because tokenisation dominates similarity-join
+// profiles.
+func nextToken(s string, pos int, buf []byte) (tok []byte, next int) {
+	for ; pos < len(s); pos++ {
+		c := s[pos]
 		switch {
 		case c >= 'a' && c <= 'z' || c >= '0' && c <= '9':
 			buf = append(buf, c)
 		case c >= 'A' && c <= 'Z':
 			buf = append(buf, c+('a'-'A'))
-		default:
-			flush()
+		case len(buf) > 0:
+			return buf, pos
 		}
 	}
-	flush()
-	return out
+	if len(buf) > 0 {
+		return buf, pos
+	}
+	return nil, pos
 }
 
 // Normalize returns a canonical form: lower-cased, punctuation-stripped
@@ -51,25 +57,13 @@ func Normalize(s string) string {
 // Jaccard returns |A∩B| / |A∪B| over the token sets of a and b.
 // Two empty strings have similarity 0.
 func Jaccard(a, b string) float64 {
-	as, bs := Tokens(a), Tokens(b)
-	if len(as) == 0 || len(bs) == 0 {
+	var buf [2 * pairLocalMax]uint32
+	ra, rb := pairRecords(&buf, Tokens(a), Tokens(b))
+	if len(ra.Set) == 0 || len(rb.Set) == 0 {
 		return 0
 	}
-	set := make(map[string]uint8, len(as)+len(bs))
-	for _, t := range as {
-		set[t] |= 1
-	}
-	for _, t := range bs {
-		set[t] |= 2
-	}
-	inter, union := 0, 0
-	for _, m := range set {
-		union++
-		if m == 3 {
-			inter++
-		}
-	}
-	return float64(inter) / float64(union)
+	inter := overlap(ra.Set, rb.Set, 0)
+	return float64(inter) / float64(len(ra.Set)+len(rb.Set)-inter)
 }
 
 // TFIDF holds document frequencies learned from a corpus of strings and
@@ -130,29 +124,22 @@ func (t *TFIDF) Cosine(a, b string) float64 {
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
 
-// DefaultThreshold is the Jaccard score at or above which Similar matches.
-const DefaultThreshold = 0.6
-
 // Similar is the default implementation of the paper's similar /
 // approxMatch p-function: true when the normalised strings are equal, one
 // contains the other as a token prefix ("Basktall" vs "Basktall HS"), or
-// their Jaccard similarity reaches DefaultThreshold. Each side is
+// their Jaccard similarity reaches 0.6 — the Default Spec. Each side is
 // tokenised exactly once.
 func Similar(a, b string) bool {
-	ta, tb := normTokens(a), normTokens(b)
-	return SimilarTokens(ta, tb)
+	return SimilarTokens(normTokens(a), normTokens(b))
 }
 
 // SimilarTokens is Similar over pre-normalised token slices (see
-// NormalizedTokens); it lets joins tokenise each value once.
+// NormalizedTokens): the pair is interned on the spot and decided by
+// Default.Match. Callers comparing a value many times intern it once into
+// a Vocab instead.
 func SimilarTokens(ta, tb []string) bool {
-	if len(ta) == 0 || len(tb) == 0 {
-		return false
-	}
-	if tokenPrefix(ta, tb) || tokenPrefix(tb, ta) {
-		return true
-	}
-	return jaccardTokens(ta, tb) >= DefaultThreshold
+	var buf [2 * pairLocalMax]uint32
+	return Default.Match(pairRecords(&buf, ta, tb))
 }
 
 // NormalizedTokens returns the Normalize-equivalent token slice of s.
@@ -174,42 +161,6 @@ func normTokens(s string) []string {
 		}
 	}
 	return toks
-}
-
-// jaccardTokens computes Jaccard overlap over token slices.
-func jaccardTokens(as, bs []string) float64 {
-	if len(as) == 0 || len(bs) == 0 {
-		return 0
-	}
-	set := make(map[string]uint8, len(as)+len(bs))
-	for _, t := range as {
-		set[t] |= 1
-	}
-	for _, t := range bs {
-		set[t] |= 2
-	}
-	inter, union := 0, 0
-	for _, m := range set {
-		union++
-		if m == 3 {
-			inter++
-		}
-	}
-	return float64(inter) / float64(union)
-}
-
-// tokenPrefix reports whether token slice a is a prefix of token slice b.
-// Equal slices count as prefixes, covering the equality case.
-func tokenPrefix(at, bt []string) bool {
-	if len(at) == 0 || len(at) > len(bt) {
-		return false
-	}
-	for i, t := range at {
-		if bt[i] != t {
-			return false
-		}
-	}
-	return true
 }
 
 // TopMatches returns the indices of the k best candidates for query under

@@ -56,10 +56,11 @@ func TestParallelSessionDeterminism(t *testing.T) {
 func TestParallelStatsDeterminism(t *testing.T) {
 	serial := runT9(t, 1)
 	par := runT9(t, 8)
-	det := func(r *iflex.SessionResult) [8]int64 {
+	det := func(r *iflex.SessionResult) [11]int64 {
 		s := r.Stats
-		return [8]int64{s.NodesEvaluated, s.CacheHits, s.TuplesBuilt, s.ProcCalls,
-			s.FuncCalls, s.VerifyCalls, s.RefineCalls, s.LimitFallbacks}
+		return [11]int64{s.NodesEvaluated, s.CacheHits, s.TuplesBuilt, s.ProcCalls,
+			s.FuncCalls, s.VerifyCalls, s.RefineCalls, s.LimitFallbacks,
+			s.SimTuplePairs, s.SimValuePairsProbed, s.SimValuePairsVerified}
 	}
 	if det(serial) != det(par) {
 		t.Errorf("deterministic stats diverge:\n--- workers=1 ---\n%+v\n--- workers=8 ---\n%+v",
@@ -77,6 +78,10 @@ func TestParallelStatsDeterminism(t *testing.T) {
 	}
 	if serial.Stats.NodesEvaluated == 0 || serial.Stats.CacheHits == 0 {
 		t.Error("session recorded no evaluations or no cache hits; counters look dead")
+	}
+	if s := serial.Stats; s.SimTuplePairs == 0 || s.SimValuePairsProbed < s.SimValuePairsVerified || s.SimValuePairsVerified == 0 {
+		t.Errorf("similarity funnel looks dead: %d tuple pairs, %d probed, %d verified",
+			s.SimTuplePairs, s.SimValuePairsProbed, s.SimValuePairsVerified)
 	}
 }
 
