@@ -17,9 +17,12 @@ vet:
 race:
 	$(GO) test -race ./internal/engine/... ./internal/assistant/... ./internal/server/...
 
-# The pre-merge gate: vet, the race run over the concurrent core, and the
-# full tier-1 suite. Bench-heavy tests honour -short, so this stays fast.
+# The pre-merge gate: formatting, vet, the race run over the concurrent
+# core, and the full tier-1 suite. Bench-heavy tests honour -short, so this
+# stays fast.
 verify:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/engine/... ./internal/assistant/... ./internal/server/...
 	$(GO) build ./...
@@ -44,14 +47,19 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
 # Per-layer micro-benchmarks where the work happens, with allocs/op: the
-# similarity layer (tokenise, intern, the id kernel on true / near-miss /
-# size-rejected pairs, the string entry point beside the map-based kernel
-# it replaced) and the engine's similarity join on pinned and on
-# first-step-shaped multi-valued cells (400×400, with the candidate funnel
-# as extra metrics).
+# text layer (ParseNumeric on a number and on a rejected phrase, NormText on
+# clean text and on text that needs rewriting), the similarity layer
+# (tokenise, intern, the id kernel on true / near-miss / size-rejected
+# pairs, the string entry point beside the map-based kernel it replaced),
+# the engine's similarity join on pinned and on first-step-shaped
+# multi-valued cells (400×400, with the candidate funnel as extra metrics),
+# and its comparison selection over a join's output (every cell shared) and
+# over one extraction (none shared), with cmp_operands_parsed as an extra
+# metric.
 bench-layers:
+	$(GO) test -run='^$$' -bench='ParseNumeric|NormText' -benchmem ./internal/text
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/similarity
-	$(GO) test -run='^$$' -bench='SimJoin' -benchmem ./internal/engine
+	$(GO) test -run='^$$' -bench='SimJoin|Compare' -benchmem ./internal/engine
 
 # Serial versus parallel simulation strategy on the T9 join task.
 bench-parallel:

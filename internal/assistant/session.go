@@ -177,11 +177,11 @@ type Session struct {
 
 	Alpha float64 // resolved from Config; read by strategies
 
-	ctx      *engine.Context
-	subset   map[string]bool
-	asked    map[string]bool
-	sizes    []int // per-iteration expanded sizes (subset mode)
-	assigns  []int
+	ctx     *engine.Context
+	subset  map[string]bool
+	asked   map[string]bool
+	sizes   []int // per-iteration expanded sizes (subset mode)
+	assigns []int
 	// cuts marks iterations whose subset execution was cut short by a
 	// fired deadline: their partial counts are recorded but never count as
 	// evidence of convergence (a truncated size matching a previous one

@@ -179,7 +179,14 @@ func annContribOf(tp compact.Tuple, keyIdx, annIdx []int, lim Limits) *annContri
 			keySpans[i] = keyVals[i][j]
 			keyParts[i] = keyVals[i][j].NormText()
 		}
-		c.keys = append(c.keys, strings.Join(keyParts, "␟"))
+		key := strings.Join(keyParts, "␟")
+		if len(keyParts) == 1 {
+			// Join hands a lone element through, and NormText may have handed
+			// out a slice of the page; the contribution is memoised across
+			// evaluations and must not keep a released page's text alive.
+			key = strings.Clone(key)
+		}
+		c.keys = append(c.keys, key)
 		c.keySpans = append(c.keySpans, keySpans)
 		k := len(idx) - 1
 		for k >= 0 {

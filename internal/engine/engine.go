@@ -388,8 +388,8 @@ type inflightEval struct {
 // read them only after evaluation quiesces (or via a copy).
 //
 // NodesEvaluated, CacheHits, TuplesBuilt, the call counters, the Sim*
-// funnel, LimitFallbacks, DeltaEvals, TuplesReused, and TuplesRecomputed are
-// deterministic: identical totals at any worker count (the single-flight
+// funnel, CmpOperandsParsed, LimitFallbacks, DeltaEvals, TuplesReused, and
+// TuplesRecomputed are deterministic: identical totals at any worker count (the single-flight
 // cache evaluates each key exactly once; every other request is a hit).
 // The pool counters and OpTimeNs depend on scheduling and vary run to
 // run. Snapshot renders the JSON view with derived rates.
@@ -410,6 +410,12 @@ type Stats struct {
 	SimTuplePairs         int64
 	SimValuePairsProbed   int64
 	SimValuePairsVerified int64
+	// CmpOperandsParsed counts the values comparison selections parsed into
+	// operands (number / normalised string / NULL): once per value of each
+	// distinct cell per node evaluation, however many tuples share the cell
+	// (operands.go). Deterministic like FuncCalls — a record is charged when
+	// published, not when built.
+	CmpOperandsParsed int64
 	// LimitFallbacks counts tuples an operator kept conservatively
 	// because value enumeration exceeded Limits (the superset-safe
 	// fallback paths of Section 4.1).
@@ -1079,6 +1085,7 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 			Quarantined:   ev.quarantined.Load(),
 			SimTuplePairs: ev.simPairs.Load(), SimValuePairsProbed: ev.simProbed.Load(),
 			SimValuePairsVerified: ev.simVerified.Load(),
+			CmpOperandsParsed:     ev.cmpParsed.Load(),
 		}
 		if dx != nil {
 			rec.Reused = dx.reused.Load()

@@ -201,6 +201,9 @@ func explainTree(ctx *Context, root Node, opt *OptInfo) (string, error) {
 		fmt.Fprintf(&b, "similarity: %d tuple pairs, %d value pairs probed, %d verified\n", pairs,
 			atomic.LoadInt64(&ctx.Stats.SimValuePairsProbed), atomic.LoadInt64(&ctx.Stats.SimValuePairsVerified))
 	}
+	if parsed := atomic.LoadInt64(&ctx.Stats.CmpOperandsParsed); parsed > 0 {
+		fmt.Fprintf(&b, "comparisons: %d operands parsed\n", parsed)
+	}
 	if merges := atomic.LoadInt64(&ctx.Stats.StatMerges); merges > 0 {
 		fmt.Fprintf(&b, "stat merges: %d batches, %s total\n", merges,
 			time.Duration(atomic.LoadInt64(&ctx.Stats.StatMergeNs)).Round(time.Microsecond))

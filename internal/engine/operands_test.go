@@ -1,0 +1,410 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"iflex/internal/alog"
+	"iflex/internal/compact"
+	"iflex/internal/text"
+)
+
+// refCompareFilter is the comparison selection as it ran before typed value
+// records: every value of every involved cell goes through spanOperand for
+// every tuple — a per-column conjunct against a constant, a prepared
+// residual between two columns — and filterTupleF decides. It is the
+// reference the record path must reproduce outcome for outcome.
+func refCompareFilter(cmp alog.Compare, cols []string, lim Limits) ([]int, tupleFilter) {
+	compare := func(l, r operand) (bool, error) {
+		if cmp.ROffset != 0 {
+			if !r.isNum {
+				return false, nil
+			}
+			r.num += cmp.ROffset
+		}
+		return compareOperands(cmp.Op, l, r)
+	}
+	lVar, rVar := cmp.L.Kind == alog.TermVar, cmp.R.Kind == alog.TermVar
+	var involved []int
+	var fp factoredPred
+	switch {
+	case lVar && rVar:
+		involved = []int{colIndex(cols, cmp.L.Var), colIndex(cols, cmp.R.Var)}
+		fp.prepare = func(vals [][]text.Span, batch *statBatch) (idxPred, error) {
+			lops := make([]operand, len(vals[0]))
+			for j, v := range vals[0] {
+				lops[j] = spanOperand(v)
+			}
+			rops := make([]operand, len(vals[1]))
+			for j, v := range vals[1] {
+				rops[j] = spanOperand(v)
+			}
+			return func(idx []int) (bool, error) {
+				batch.funcCalls++
+				return compare(lops[idx[0]], rops[idx[1]])
+			}, nil
+		}
+	case lVar:
+		involved = []int{colIndex(cols, cmp.L.Var)}
+		r := constTerm(cmp.R)
+		fp.cols = []colPred{func(v text.Span) (bool, error) { return compare(spanOperand(v), r) }}
+	case rVar:
+		involved = []int{colIndex(cols, cmp.R.Var)}
+		l := constTerm(cmp.L)
+		fp.cols = []colPred{func(v text.Span) (bool, error) { return compare(l, spanOperand(v)) }}
+	}
+	return involved, factored(involved, fp, lim)
+}
+
+// renderOutcome spells an outcome out, replacement cells in assignment
+// order (Cell.String would sort them).
+func renderOutcome(o filterOutcome, ncols int) string {
+	s := fmt.Sprintf("keep=%v sure=%v fallback=%v", o.keep, o.sure, o.fallback)
+	for ci := 0; ci < ncols; ci++ {
+		if c, ok := o.repl[ci]; ok {
+			s += fmt.Sprintf(" repl[%d]=expand:%v", ci, c.Expand)
+			for _, a := range c.Assigns {
+				s += " " + a.String()
+			}
+		}
+	}
+	return s
+}
+
+// operandWords mixes what a comparison can meet: plain and decorated
+// numbers, the specials strconv accepts, hex floats, words, and a word
+// that only looks like the start of a special.
+var operandWords = []string{"10", "20", "20", "30.5", "$1,234.50", "1e3", "-7", "0x1p4", "NaN", "Infinity", "-inf",
+	"alpha", "beta", "beta", "nano", "12-14", "Used"}
+
+// randOperandCell builds a cell over fresh little pages: exact and contain
+// assignments, single- and multi-token, sometimes an empty span (NULL),
+// sometimes text whose whitespace needs collapsing.
+func randOperandCell(r *rand.Rand, id string) compact.Cell {
+	var c compact.Cell
+	for k := 1 + r.Intn(2); k > 0; k-- {
+		toks := make([]string, 1+r.Intn(4))
+		for i := range toks {
+			toks[i] = operandWords[r.Intn(len(operandWords))]
+		}
+		sep := " "
+		if r.Intn(4) == 0 {
+			sep = "  \n"
+		}
+		d := text.NewDocument(fmt.Sprintf("%s-%d", id, k), strings.Join(toks, sep), nil)
+		switch r.Intn(5) {
+		case 0:
+			c.Assigns = append(c.Assigns, text.ExactOf(d.Span(0, 0))) // NULL
+		case 1, 2:
+			c.Assigns = append(c.Assigns, text.ExactOf(d.Span(0, len(toks[0]))))
+		default:
+			c.Assigns = append(c.Assigns, text.ContainOf(d.WholeSpan()))
+		}
+	}
+	c.Expand = r.Intn(2) == 0
+	return c
+}
+
+// TestCompareRecordsEqualSpanPath holds the record path to the span path on
+// random cells × the six operators × offsets × constants of every kind ×
+// expansion flags × three limit settings: every outcome field, replacement
+// cells included, and the FuncCalls charged. Cells recur across tuples, as
+// they do in a join's output, so most decisions read a record an earlier
+// tuple built.
+func TestCompareRecordsEqualSpanPath(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	v := func(name string) alog.Term { return alog.Term{Kind: alog.TermVar, Var: name} }
+	terms := [][2]alog.Term{
+		{v("a"), v("b")}, {v("b"), v("a")}, {v("a"), v("a")},
+		{v("a"), {Kind: alog.TermNum, Num: 20}}, {{Kind: alog.TermNum, Num: 20}, v("b")},
+		{v("b"), {Kind: alog.TermStr, Str: "beta"}}, {{Kind: alog.TermStr, Str: "alpha beta"}, v("a")},
+		{v("a"), {Kind: alog.TermNull}}, {{Kind: alog.TermNull}, v("b")},
+	}
+	ops := []alog.CompareOp{alog.OpLT, alog.OpLE, alog.OpGT, alog.OpGE, alog.OpEQ, alog.OpNE}
+	offsets := []float64{0, 0, 5, -2.5}
+	limits := []Limits{DefaultLimits(), {MaxCellValues: 6, MaxValuations: 1024}, {MaxCellValues: 512, MaxValuations: 12}}
+	cols := []string{"a", "b"}
+	pool := make([]compact.Cell, 60)
+	for i := range pool {
+		pool[i] = randOperandCell(r, fmt.Sprintf("c%d", i))
+	}
+	kept, partial, fallbacks, decided := 0, 0, 0, 0
+	var parsed int64
+	for trial := 0; trial < 1200; trial++ {
+		lr := terms[trial%len(terms)]
+		cmp := alog.Compare{Op: ops[r.Intn(len(ops))], L: lr[0], R: lr[1], ROffset: offsets[r.Intn(len(offsets))]}
+		lim := limits[r.Intn(len(limits))]
+		involved, ref := refCompareFilter(cmp, cols, lim)
+		f := newCompareFilter(cmp, cols, lim)
+		if fmt.Sprint(f.involved) != fmt.Sprint(involved) {
+			t.Fatalf("%s: involved %v, reference %v", cmp, f.involved, involved)
+		}
+		for k := 0; k < 12; k++ {
+			tp := compact.Tuple{Cells: []compact.Cell{pool[r.Intn(len(pool))], pool[r.Intn(len(pool))]}}
+			var gb, wb statBatch
+			want, err := ref(tp, &wb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := f.filter(tp, &gb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := renderOutcome(got, 2), renderOutcome(want, 2); g != w || gb != wb {
+				t.Fatalf("trial %d: %s (limits %+v) on %v:\nrecords %s, %d calls\nspans   %s, %d calls",
+					trial, cmp, lim, tp, g, gb.funcCalls, w, wb.funcCalls)
+			}
+			decided++
+			if got.fallback {
+				fallbacks++
+			} else if got.keep {
+				kept++
+				if len(got.repl) > 0 {
+					partial++
+				}
+			}
+		}
+		parsed += f.recs.parsed
+	}
+	if kept == 0 || partial == 0 || fallbacks == 0 || kept == decided || parsed == 0 {
+		t.Fatalf("weak corpus: %d decisions, %d kept, %d with filtered expansion cells, %d fallbacks, %d operands parsed",
+			decided, kept, partial, fallbacks, parsed)
+	}
+}
+
+// TestOperandRecordsSharedAcrossChunks has many chunks demand the records
+// of the same few cells at once (run under -race): every chunk reads the
+// same operands, a record is charged once however many chunks built it,
+// and the selection's output and counters equal the serial run's.
+func TestOperandRecordsSharedAcrossChunks(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	cells := make([]compact.Cell, 4)
+	values := 0
+	for i := range cells {
+		cells[i] = randOperandCell(r, fmt.Sprintf("s%d", i))
+		cells[i].Expand = i%2 == 0
+		values += cells[i].NumValues()
+	}
+	var recs operandRecords
+	var wg sync.WaitGroup
+	got := make([][][]operand, 16)
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				for _, c := range cells {
+					if c.NumValues() > 0 {
+						got[g] = append(got[g], recs.of(c))
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	// Whoever built it, every caller is handed the one published record.
+	for g := range got {
+		for k, ops := range got[g] {
+			if &ops[0] != &got[0][k][0] {
+				t.Fatalf("goroutine %d, read %d: got a record of its own, %v", g, k, ops)
+			}
+		}
+	}
+	if recs.parsed != int64(values) {
+		t.Errorf("charged %d operands for cells holding %d values", recs.parsed, values)
+	}
+
+	in := compact.NewTable("a", "b")
+	for i := 0; i < 512; i++ {
+		in.Append(compact.Tuple{Cells: []compact.Cell{cells[i%2], cells[2+i%2]}})
+	}
+	run := func(workers int) (string, Stats) {
+		env := NewEnv()
+		env.Tables["T"] = in
+		plan, err := Compile(alog.MustParse(`Q(a, b) :- T(a, b), a < b.`), env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := NewContext(env)
+		ctx.Workers = workers
+		res, err := plan.Execute(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.String(), ctx.Stats
+	}
+	serial, ss := run(1)
+	par, ps := run(8)
+	if serial != par || ss.FuncCalls != ps.FuncCalls || ss.CmpOperandsParsed != ps.CmpOperandsParsed {
+		t.Errorf("workers 1 and 8 diverge: %d/%d calls, %d/%d operands parsed", ss.FuncCalls, ps.FuncCalls, ss.CmpOperandsParsed, ps.CmpOperandsParsed)
+	}
+	if ss.CmpOperandsParsed != int64(values) {
+		t.Errorf("512 tuples over 4 cells parsed %d operands, the cells hold %d values", ss.CmpOperandsParsed, values)
+	}
+}
+
+// TestChaosOperandRecordRebuiltAfterFault: a page that fails to load halfway
+// through a record's build (under the quarantine guard) must leave nothing
+// behind — the next tuple holding the cell builds the whole record again
+// and decides as if the fault had never happened, and the record is
+// charged once.
+func TestChaosOperandRecordRebuiltAfterFault(t *testing.T) {
+	const body = "10 20 30"
+	loads := 0
+	flaky := text.NewLazyDocument("flaky", len(body), func() (text.DocContent, error) {
+		if loads++; loads == 1 {
+			return text.DocContent{}, errors.New("injected shard read error")
+		}
+		return text.DocContent{Text: body}, nil
+	})
+	steady := text.NewDocument("steady", "5 25", nil)
+	shared := compact.Cell{Expand: true, Assigns: []text.Assignment{
+		text.ExactOf(steady.Span(0, 1)), text.ExactOf(steady.Span(2, 4)), text.ExactOf(flaky.Span(0, 2)), text.ExactOf(flaky.Span(6, 8)),
+	}}
+	other := compact.ExactCell(steady.Span(2, 4))
+	cmp := alog.Compare{Op: alog.OpLT, L: alog.Term{Kind: alog.TermVar, Var: "a"}, R: alog.Term{Kind: alog.TermVar, Var: "b"}}
+	cols := []string{"a", "b"}
+	ctx := NewContext(NewEnv())
+	ctx.FaultPolicy = QuarantineFaults
+	f := newCompareFilter(cmp, cols, ctx.Env.Limits)
+	decide := func(tp compact.Tuple) (filterOutcome, bool) {
+		var res filterOutcome
+		var batch statBatch
+		qed, err := ctx.guard(nil, "pfunc", func() []string { return tupleDocs(tp, f.involved) }, func() error {
+			var ferr error
+			res, ferr = f.filter(tp, &batch)
+			return ferr
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, qed
+	}
+	first := compact.Tuple{Cells: []compact.Cell{shared, other}}
+	if _, qed := decide(first); !qed {
+		t.Fatal("the failing load did not quarantine the first tuple")
+	}
+	if len(f.recs.recs) != 0 || f.recs.parsed != 0 {
+		t.Fatalf("a faulted build left %d records and %d charged operands behind", len(f.recs.recs), f.recs.parsed)
+	}
+	second := compact.Tuple{Cells: []compact.Cell{shared, other}, Maybe: true}
+	got, qed := decide(second)
+	if qed {
+		t.Fatal("the second tuple was quarantined although the page now loads")
+	}
+	_, ref := refCompareFilter(cmp, cols, ctx.Env.Limits)
+	want, err := ref(second, &statBatch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := renderOutcome(got, 2), renderOutcome(want, 2); g != w {
+		t.Errorf("after the fault the record path decided\n%s\nthe span path\n%s", g, w)
+	}
+	if rec := f.recs.of(shared); len(rec) != 4 || f.recs.parsed != 5 || loads != 2 {
+		t.Errorf("rebuilt record has %d of 4 operands, %d charged (want 5 with the other cell's), %d loads (want 2)", len(rec), f.recs.parsed, loads)
+	}
+}
+
+// TestAnnotationKeyDoesNotPinPage: an annotation contribution is memoised
+// across evaluations, so its key must be a copy even when NormText could
+// hand out a slice of the page.
+func TestAnnotationKeyDoesNotPinPage(t *testing.T) {
+	d := text.NewDocument("d", "Cozy house", nil)
+	if unsafe.StringData(d.WholeSpan().NormText()) != unsafe.StringData(d.Text()) {
+		t.Skip("NormText copies clean text; nothing can alias")
+	}
+	tp := compact.Tuple{Cells: []compact.Cell{compact.ExactCell(d.WholeSpan()), compact.ExactCell(d.Span(0, 4))}}
+	c := annContribOf(tp, []int{0}, []int{1}, DefaultLimits())
+	if len(c.keys) != 1 || c.keys[0] != "Cozy house" {
+		t.Fatalf("keys = %q", c.keys)
+	}
+	if unsafe.StringData(c.keys[0]) == unsafe.StringData(d.Text()) {
+		t.Error("the memoised key is a slice of the page text")
+	}
+}
+
+// compareBench times one cold evaluation of the plan's topmost comparison
+// selection per iteration, its input served from the cache, and reports the
+// operands parsed beside ns and allocs per op. Pages are seven or eight
+// tokens — a few words and a price — so an unconstrained from() cell holds
+// about thirty values, as on a first step.
+func compareBench(b *testing.B, src string) {
+	r := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(r, 1.3, 4, 499)
+	page := func() string {
+		toks := make([]string, 7+r.Intn(2))
+		for i := range toks {
+			toks[i] = fmt.Sprintf("w%d", zipf.Uint64())
+		}
+		toks[len(toks)-2] = fmt.Sprintf("$%d.%02d", 5+r.Intn(90), r.Intn(100))
+		return strings.Join(toks, " ")
+	}
+	var lt, rtl []string
+	for i := 0; i < 400; i++ {
+		lt, rtl = append(lt, page()), append(rtl, page())
+	}
+	env := NewEnv()
+	env.AddDocTable("L", "x", titleDocs("l", lt))
+	env.AddDocTable("R", "y", titleDocs("r", rtl))
+	plan, err := Compile(alog.MustParse(src), env)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cn *compareNode
+	var find func(n Node)
+	find = func(n Node) {
+		if c, ok := n.(*compareNode); ok && cn == nil {
+			cn = c
+		}
+		for _, ch := range n.Children() {
+			find(ch)
+		}
+	}
+	find(plan.Root)
+	ctx := NewContext(env)
+	ctx.Workers = 1
+	in, err := Eval(ctx, cn.parent)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var parsed int64
+	for i := 0; i < b.N; i++ {
+		before := ctx.Stats.CmpOperandsParsed
+		if _, err := cn.eval(ctx, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+		parsed = ctx.Stats.CmpOperandsParsed - before
+	}
+	b.ReportMetric(float64(len(in.Tuples)), "tuples/op")
+	b.ReportMetric(float64(parsed), "cmp_operands_parsed/op")
+}
+
+// BenchmarkCompareJoined is the T9 first-step shape: p < q over the output
+// of a 400×400 similarity join, where every input cell is shared by all the
+// tuples it joined into.
+func BenchmarkCompareJoined(b *testing.B) {
+	compareBench(b, `
+a(x, <t>, <p>) :- L(x), e1(x, t, p).
+b(y, <u>, <q>) :- R(y), e2(y, u, q).
+Q(t, u) :- a(x, t, p), b(y, u, q), similar(t, u), p < q.
+e1(x, t, p) :- from(x, t), from(x, p).
+e2(y, u, q) :- from(y, u), from(y, q).
+`)
+}
+
+// BenchmarkCompareUnshared is the T8 shape: comparisons between columns of
+// one extraction, no cell shared between tuples.
+func BenchmarkCompareUnshared(b *testing.B) {
+	compareBench(b, `
+a(x, <lp>, <np>, <up>) :- L(x), e1(x, lp, np, up).
+Q(lp) :- a(x, lp, np, up), lp = np, up < np.
+e1(x, lp, np, up) :- from(x, lp), from(x, np), from(x, up).
+`)
+}

@@ -123,8 +123,8 @@ func DefaultSelectivity(k OpKind) float64 {
 	return 1.0
 }
 
-func (defaultCoster) UnitCost(k OpKind) float64               { return DefaultUnitCost(k) }
-func (defaultCoster) Selectivity(k OpKind) float64            { return DefaultSelectivity(k) }
+func (defaultCoster) UnitCost(k OpKind) float64                 { return DefaultUnitCost(k) }
+func (defaultCoster) Selectivity(k OpKind) float64              { return DefaultSelectivity(k) }
 func (defaultCoster) ObservedRows(uint64, string) (int64, bool) { return 0, false }
 
 // AllOpKinds lists every operator kind (for cost-model tables).
@@ -185,10 +185,10 @@ func (c *CanonTable) intern(n Node) Node {
 
 // RuleFiring records one rewrite decision for explain/bench rendering.
 type RuleFiring struct {
-	Rule   string  `json:"rule"`   // fuse-simjoin | pushdown | reorder-conjuncts
-	Node   string  `json:"node"`   // operator label of the rewritten node
-	Sig    uint64  `json:"-"`      // sigHash of the node the firing attaches to
-	Detail string  `json:"detail"` // human-readable what/why
+	Rule   string `json:"rule"`   // fuse-simjoin | pushdown | reorder-conjuncts
+	Node   string `json:"node"`   // operator label of the rewritten node
+	Sig    uint64 `json:"-"`      // sigHash of the node the firing attaches to
+	Detail string `json:"detail"` // human-readable what/why
 	// EstBeforeNs / EstAfterNs are the cost model's estimates for the
 	// affected region before and after the rewrite (reporting only).
 	EstBeforeNs float64 `json:"est_before_ns"`

@@ -152,3 +152,100 @@ func TestChaosWorkerPanicForwarded(t *testing.T) {
 		t.Errorf("quarantined %v, want exactly [h12]", got)
 	}
 }
+
+// hookNode runs fn and returns an empty table.
+type hookNode struct {
+	nodeSig
+	fn func()
+}
+
+func (n *hookNode) Columns() []string { return []string{"x"} }
+func (n *hookNode) Children() []Node  { return nil }
+func (n *hookNode) eval(*Context, *EvalTrace, *deltaState) (*compact.Table, error) {
+	n.fn()
+	return compact.NewTable("x"), nil
+}
+
+// TestCoordinatorPanicWaitsForWorkers is the regression test for the
+// flake in TestChaosWorkerPanicForwarded: when the unit that panics runs
+// on the coordinating goroutine itself (its own chunk, or one no pool
+// slot was free for), the three fan-out constructs used to unwind past
+// workers still running, so the Eval caller saw the panic while in-flight
+// entries and pool slots were still held. The worker is held until the
+// coordinator has started to panic; when the panic arrives, the worker
+// must have finished.
+func TestCoordinatorPanicWaitsForWorkers(t *testing.T) {
+	type rig struct {
+		started, panicking, release chan struct{}
+		workerDone                  atomic.Bool
+	}
+	worker := func(r *rig) {
+		close(r.started)
+		<-r.release
+		r.workerDone.Store(true)
+	}
+	coordinator := func(r *rig) {
+		<-r.started
+		close(r.panicking)
+		panic("coordinator chunk fault")
+	}
+	cases := []struct {
+		name string
+		run  func(ctx *Context, r *rig)
+	}{
+		{"parallelChunksSized", func(ctx *Context, r *rig) {
+			ctx.ChunkHook = func(start, end int) error {
+				if start == 0 {
+					coordinator(r)
+				}
+				worker(r)
+				return nil
+			}
+			_ = ctx.parallelChunksSized(2, 1, func(start, end int) error { return nil })
+		}},
+		{"evalPair", func(ctx *Context, r *rig) {
+			left := &hookNode{nodeSig: sigOf("hook-left"), fn: func() { coordinator(r) }}
+			right := &hookNode{nodeSig: sigOf("hook-right"), fn: func() { worker(r) }}
+			_, _, _ = evalPair(ctx, left, right)
+		}},
+		{"evalAll", func(ctx *Context, r *rig) {
+			first := &hookNode{nodeSig: sigOf("hook-first"), fn: func() { worker(r) }}
+			last := &hookNode{nodeSig: sigOf("hook-last"), fn: func() { coordinator(r) }}
+			_, _ = evalAll(ctx, []Node{first, last})
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ctx := NewContext(NewEnv())
+			ctx.Workers = 2
+			r := &rig{started: make(chan struct{}), panicking: make(chan struct{}), release: make(chan struct{})}
+			type outcome struct {
+				recovered  any
+				workerDone bool
+				inflight   int
+				slots      int64
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				defer func() {
+					o := outcome{recovered: recover(), workerDone: r.workerDone.Load(), slots: ctx.extraWorkers.Load()}
+					ctx.mu.Lock()
+					o.inflight = len(ctx.inflight)
+					ctx.mu.Unlock()
+					done <- o
+				}()
+				c.run(ctx, r)
+			}()
+			<-r.panicking
+			close(r.release)
+			o := <-done
+			if o.recovered == nil || !strings.Contains(fmt.Sprint(o.recovered), "coordinator chunk fault") {
+				t.Fatalf("recovered %v, want the coordinator's panic", o.recovered)
+			}
+			if !o.workerDone || o.inflight != 0 || o.slots != 0 {
+				t.Errorf("panic reached the caller with the worker still running: finished=%v, %d in-flight entries, %d pool slots held",
+					o.workerDone, o.inflight, o.slots)
+			}
+		})
+	}
+}

@@ -142,6 +142,10 @@ func (ctx *Context) parallelChunksSized(n, minChunk int, body func(start, end in
 	errs := make([]error, w)
 	pans := make([]*workerPanic, w)
 	var wg sync.WaitGroup
+	// A chunk the coordinator runs itself may panic; the panic must not
+	// reach the Eval caller while spawned workers still evaluate (holding
+	// pool slots and in-flight cache entries), so wait on that path too.
+	defer wg.Wait()
 	chunk := func(i int) (start, end int) {
 		return i * n / w, (i + 1) * n / w
 	}
@@ -195,6 +199,8 @@ func evalPair(ctx *Context, left, right Node) (lt, rt *compact.Table, err error)
 		defer forwardPanic(&rpan)
 		rt, rerr = Eval(ctx, right)
 	}()
+	// Also when the left side panics: see parallelChunksSized.
+	defer func() { <-done }()
 	lt, err = Eval(ctx, left)
 	<-done
 	if rpan != nil {
@@ -216,6 +222,8 @@ func evalAll(ctx *Context, nodes []Node) ([]*compact.Table, error) {
 	errs := make([]error, len(nodes))
 	pans := make([]*workerPanic, len(nodes))
 	var wg sync.WaitGroup
+	// Also when an inline evaluation panics: see parallelChunksSized.
+	defer wg.Wait()
 	for i, node := range nodes {
 		if i < len(nodes)-1 && ctx.tryAcquire() {
 			wg.Add(1)

@@ -27,9 +27,9 @@ type idxPred func(idx []int) (bool, error)
 //     involved column i — O(Σ|vals|) work instead of a factor of the cross
 //     product.
 //   - prepare, when non-nil, builds the residual predicate after
-//     precomputing whatever per-value state it needs (parsed operands,
-//     normalised token slices); the returned idxPred then runs only over
-//     combinations of values that passed their conjuncts.
+//     precomputing whatever per-value state it needs; the returned idxPred
+//     then runs only over combinations of values that passed their
+//     conjuncts.
 //
 // The residual counts its own predicate evaluations into the batch given
 // to prepare (conjunct evaluations are counted by filterTupleF), so a
@@ -38,6 +38,11 @@ type idxPred func(idx []int) (bool, error)
 // FuncCalls with evaluations that never ran.
 //
 // A predicate with no residual never enumerates the cross product at all.
+//
+// Opaque p-functions run through it as a bare residual (opaquePred).
+// Comparisons and declared token similarities are decided by filters of
+// their own over per-cell records (compareFilter, tokenSim.filter), which
+// reproduce filterTupleF's outcomes and are tested against it.
 type factoredPred struct {
 	cols    []colPred
 	prepare func(vals [][]text.Span, batch *statBatch) (idxPred, error)
@@ -504,60 +509,10 @@ func (n *compareNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 	if err != nil {
 		return nil, err
 	}
-	op := n.cmp.Op
-	offset := n.cmp.ROffset
-	// withOffset applies the rule's numeric offset to the right operand;
-	// offsets only apply to numeric right sides.
-	compare := func(l, r operand) (bool, error) {
-		if offset != 0 {
-			if !r.isNum {
-				return false, nil
-			}
-			r.num += offset
-		}
-		return compareOperands(op, l, r)
-	}
-	lVar, rVar := n.cmp.L.Kind == alog.TermVar, n.cmp.R.Kind == alog.TermVar
-	switch {
-	case lVar && rVar:
-		// var ⋈ var: precompute both columns' operands once per value, then
-		// run the cheap residual over the (early-terminated) cross product.
-		involved := []int{colIndex(in.Cols, n.cmp.L.Var), colIndex(in.Cols, n.cmp.R.Var)}
-		fp := factoredPred{
-			prepare: func(vals [][]text.Span, batch *statBatch) (idxPred, error) {
-				lops := make([]operand, len(vals[0]))
-				for j, v := range vals[0] {
-					lops[j] = spanOperand(v)
-				}
-				rops := make([]operand, len(vals[1]))
-				for j, v := range vals[1] {
-					rops[j] = spanOperand(v)
-				}
-				return func(idx []int) (bool, error) {
-					batch.funcCalls++
-					return compare(lops[idx[0]], rops[idx[1]])
-				}, nil
-			},
-		}
-		return applyFilter(ctx, ev, dx, in, involved, factored(involved, fp, ctx.Env.Limits))
-	case lVar:
-		// var ⋈ const: a pure single-column conjunct — O(|vals|) per tuple.
-		involved := []int{colIndex(in.Cols, n.cmp.L.Var)}
-		r := constTerm(n.cmp.R)
-		fp := factoredPred{cols: []colPred{func(v text.Span) (bool, error) {
-			return compare(spanOperand(v), r)
-		}}}
-		return applyFilter(ctx, ev, dx, in, involved, factored(involved, fp, ctx.Env.Limits))
-	case rVar:
-		involved := []int{colIndex(in.Cols, n.cmp.R.Var)}
-		l := constTerm(n.cmp.L)
-		fp := factoredPred{cols: []colPred{func(v text.Span) (bool, error) {
-			return compare(l, spanOperand(v))
-		}}}
-		return applyFilter(ctx, ev, dx, in, involved, factored(involved, fp, ctx.Env.Limits))
-	default:
+	f := newCompareFilter(n.cmp, in.Cols, ctx.Env.Limits)
+	if len(f.involved) == 0 {
 		// const ⋈ const: one evaluation decides every tuple.
-		ok, err := compare(constTerm(n.cmp.L), constTerm(n.cmp.R))
+		ok, err := f.compare(f.konst[0][0], f.konst[1][0])
 		if err != nil {
 			return nil, err
 		}
@@ -567,18 +522,23 @@ func (n *compareNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 		}
 		return out, nil
 	}
+	out, err := applyFilter(ctx, ev, dx, in, f.involved, f.filter)
+	ev.operandsParsed(ctx, f.recs.parsed)
+	return out, err
 }
 
-// operand is one side of a comparison at valuation time.
+// operand is one side of a comparison at valuation time. The flags sit
+// together so a record of operands takes 32 bytes a value.
 type operand struct {
-	isNum  bool
 	num    float64
 	str    string
+	isNum  bool
 	isNull bool
 }
 
 // spanOperand converts a value span: numeric when it parses, NULL when
-// empty, string otherwise.
+// empty, string otherwise. It runs once per value of a cell's record
+// (operandRecords), never per tuple.
 func spanOperand(s text.Span) operand {
 	if n, ok := s.Numeric(); ok {
 		return operand{isNum: true, num: n}

@@ -116,6 +116,7 @@ type EvalTrace struct {
 	simPairs    atomic.Int64
 	simProbed   atomic.Int64
 	simVerified atomic.Int64
+	cmpParsed   atomic.Int64
 }
 
 // simWork attributes a chunk's similarity funnel counts (see
@@ -127,6 +128,19 @@ func (ev *EvalTrace) simWork(b *statBatch) {
 		ev.simProbed.Add(b.simProbed)
 		ev.simVerified.Add(b.simVerified)
 	}
+}
+
+// operandsParsed records the operands a comparison selection parsed into
+// its published value records (see Stats.CmpOperandsParsed) against both
+// this evaluation's record and the context-wide total.
+func (ev *EvalTrace) operandsParsed(ctx *Context, n int64) {
+	if n == 0 {
+		return
+	}
+	if ev != nil {
+		ev.cmpParsed.Add(n)
+	}
+	atomic.AddInt64(&ctx.Stats.CmpOperandsParsed, n)
 }
 
 // quarantine attributes n quarantined per-document units to this
@@ -187,7 +201,9 @@ type TraceRecord struct {
 	SimTuplePairs         int64
 	SimValuePairsProbed   int64
 	SimValuePairsVerified int64
-	Goroutine             int64 // id of the goroutine that evaluated the node
+	// CmpOperandsParsed is this call's share of Stats.CmpOperandsParsed.
+	CmpOperandsParsed int64
+	Goroutine         int64 // id of the goroutine that evaluated the node
 }
 
 type traceNode struct {
@@ -249,6 +265,7 @@ type OpStats struct {
 	SimTuplePairs         int64
 	SimValuePairsProbed   int64
 	SimValuePairsVerified int64
+	CmpOperandsParsed     int64 // values parsed into comparison operands
 	Goroutine             int64 // goroutine id of the (last) evaluating call
 }
 
@@ -283,6 +300,7 @@ func (ctx *Context) TraceOps() []OpStats {
 			o.SimTuplePairs += r.SimTuplePairs
 			o.SimValuePairsProbed += r.SimValuePairsProbed
 			o.SimValuePairsVerified += r.SimValuePairsVerified
+			o.CmpOperandsParsed += r.CmpOperandsParsed
 			o.Goroutine = r.Goroutine
 		case StatusHit:
 			o.Hits++
@@ -339,6 +357,7 @@ type StatsSnapshot struct {
 	SimTuplePairs    int64              `json:"sim_tuple_pairs"`
 	SimProbed        int64              `json:"sim_value_pairs_probed"`
 	SimVerified      int64              `json:"sim_value_pairs_verified"`
+	CmpParsed        int64              `json:"cmp_operands_parsed"`
 	LimitFallbacks   int64              `json:"limit_fallbacks"`
 	PoolSlotsGranted int64              `json:"pool_slots_granted"`
 	PoolSlotsDenied  int64              `json:"pool_slots_denied"`
@@ -388,6 +407,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		SimTuplePairs:    s.SimTuplePairs,
 		SimProbed:        s.SimValuePairsProbed,
 		SimVerified:      s.SimValuePairsVerified,
+		CmpParsed:        s.CmpOperandsParsed,
 		LimitFallbacks:   s.LimitFallbacks,
 		PoolSlotsGranted: s.PoolSlotsGranted,
 		PoolSlotsDenied:  s.PoolSlotsDenied,

@@ -110,7 +110,8 @@ func TestTraceTotalsDeterministic(t *testing.T) {
 		if s.Evals != p.Evals || s.Tuples != p.Tuples || s.Expanded != p.Expanded ||
 			s.Assignments != p.Assignments || s.Fallbacks != p.Fallbacks ||
 			s.SimTuplePairs != p.SimTuplePairs || s.SimValuePairsProbed != p.SimValuePairsProbed ||
-			s.SimValuePairsVerified != p.SimValuePairsVerified {
+			s.SimValuePairsVerified != p.SimValuePairsVerified ||
+			s.CmpOperandsParsed != p.CmpOperandsParsed {
 			t.Errorf("operator %s diverges:\nserial   %+v\nparallel %+v", s.Key, s, p)
 		}
 		// The hit/wait split depends on timing, but the total number of
@@ -119,19 +120,24 @@ func TestTraceTotalsDeterministic(t *testing.T) {
 			t.Errorf("operator %s: cache-served count %d vs %d", s.Key, s.Hits+s.Waits, p.Hits+p.Waits)
 		}
 	}
-	det := func(s Stats) [11]int64 {
-		return [11]int64{s.NodesEvaluated, s.CacheHits, s.TuplesBuilt, s.ProcCalls,
+	det := func(s Stats) [12]int64 {
+		return [12]int64{s.NodesEvaluated, s.CacheHits, s.TuplesBuilt, s.ProcCalls,
 			s.FuncCalls, s.VerifyCalls, s.RefineCalls, s.LimitFallbacks,
-			s.SimTuplePairs, s.SimValuePairsProbed, s.SimValuePairsVerified}
+			s.SimTuplePairs, s.SimValuePairsProbed, s.SimValuePairsVerified, s.CmpOperandsParsed}
 	}
 	if det(serialStats) != det(parStats) {
 		t.Errorf("deterministic stats diverge:\nserial   %+v\nparallel %+v", det(serialStats), det(parStats))
 	}
-	// The per-operator funnel adds up to the context-wide one, and the
-	// traced plan (figure 2's approxMatch join) does exercise it.
-	var pairs, probed, verified int64
+	// The per-operator funnel and operand count add up to the context-wide
+	// ones, and the traced plan (figure 2's approxMatch join and its price
+	// and area comparisons) does exercise both.
+	var pairs, probed, verified, parsed int64
 	for _, o := range serialOps {
 		pairs, probed, verified = pairs+o.SimTuplePairs, probed+o.SimValuePairsProbed, verified+o.SimValuePairsVerified
+		parsed += o.CmpOperandsParsed
+	}
+	if parsed == 0 || parsed != serialStats.CmpOperandsParsed {
+		t.Errorf("per-operator operands parsed %d do not reconcile with stats %d", parsed, serialStats.CmpOperandsParsed)
 	}
 	if pairs == 0 || pairs != serialStats.SimTuplePairs || probed != serialStats.SimValuePairsProbed || verified != serialStats.SimValuePairsVerified {
 		t.Errorf("per-operator funnel %d/%d/%d does not reconcile with stats %d/%d/%d", pairs, probed, verified,

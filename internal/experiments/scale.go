@@ -170,9 +170,6 @@ func Scale(o Options, so ScaleOptions) (*ScaleResult, error) {
 	}
 	res.SweepS = time.Since(start).Seconds()
 	res.SweepPagesPerS = float64(so.Pages) / res.SweepS
-	// Trimming is asynchronous; settle it so the resident/release numbers
-	// reflect the whole sweep rather than racing the last trim pass.
-	s.TrimWait()
 	res.ResidentMB = mb(s.ResidentEstimate())
 	res.Releases = s.Releases()
 

@@ -141,12 +141,12 @@ type CorpusResponse struct {
 
 // IterationJSON mirrors assistant.Iteration's deterministic fields.
 type IterationJSON struct {
-	N           int    `json:"n"`
-	Tuples      int    `json:"tuples"`
-	Assignments int    `json:"assignments"`
-	Mode        string `json:"mode"`
-	Evals       int64  `json:"evals"`
-	CacheHits   int64  `json:"cache_hits"`
+	N           int     `json:"n"`
+	Tuples      int     `json:"tuples"`
+	Assignments int     `json:"assignments"`
+	Mode        string  `json:"mode"`
+	Evals       int64   `json:"evals"`
+	CacheHits   int64   `json:"cache_hits"`
 	WallS       float64 `json:"wall_s"`
 }
 

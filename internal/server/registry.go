@@ -43,7 +43,7 @@ type session struct {
 	storePred string
 }
 
-func (s *session) touch()           { s.lastUsed.Store(time.Now().UnixNano()) }
+func (s *session) touch()                { s.lastUsed.Store(time.Now().UnixNano()) }
 func (s *session) lastUsedAt() time.Time { return time.Unix(0, s.lastUsed.Load()) }
 
 // state reports the lifecycle phase; callers hold s.mu.

@@ -20,9 +20,9 @@ import (
 // OpenOptions configures a DiskStore.
 type OpenOptions struct {
 	// ResidentBudget caps the estimated bytes of materialized document
-	// content kept resident; least-recently-loaded pages are released
-	// (and re-materialize on next touch) once the budget is exceeded.
-	// 0 means unlimited.
+	// content kept resident; the load that exceeds it releases
+	// least-recently-loaded pages (they re-materialize on next touch)
+	// before it returns. 0 means unlimited.
 	ResidentBudget int64
 	// PostingsCacheBytes caps the LRU of decoded posting runs kept by the
 	// token index, so repeated probes of the same token skip the per-call
@@ -402,10 +402,15 @@ func (s *DiskStore) loadDoc(ord int) (text.DocContent, error) {
 // text + byte->token index (8B/byte) + token/line tables + lazy lower.
 func estBytes(textLen int) int64 { return int64(textLen)*14 + 512 }
 
-// noteLoad records a materialization for the resident budget and kicks
-// off a trim when over. Trimming runs in a separate goroutine because
-// the caller holds the loading document's materialization lock — a
-// same-goroutine release of another mid-load document could deadlock.
+// noteLoad records a materialization for the resident budget and, when
+// over, trims before it returns: the estimate is not left above the budget
+// (but for a single page larger than it), and how many pages a sequence of
+// touches loads depends on the sequence alone, not on when a trimmer got
+// scheduled. The caller holds the loading document's materialization lock
+// and Release waits for a victim's in-flight load, so two loaders trimming
+// each other's pages could deadlock; only one goroutine trims at a time
+// (trimming), and a load that finishes meanwhile leaves its excess to that
+// trimmer without waiting.
 func (s *DiskStore) noteLoad(ord int) {
 	s.loads.Add(1)
 	if s.budget <= 0 {
@@ -424,21 +429,26 @@ func (s *DiskStore) noteLoad(ord int) {
 	}
 	s.mu.Unlock()
 	if over {
-		go s.trim()
+		s.trim(ord)
 	}
 }
 
-// trim releases least-recently-loaded pages until back under budget.
-func (s *DiskStore) trim() {
+// trim releases least-recently-loaded pages until back under budget. It
+// never picks self, the page whose load is calling: that document's lock
+// is the caller's own.
+func (s *DiskStore) trim(self int) {
 	for {
 		s.mu.Lock()
-		if s.loadedB <= s.budget || s.lru.Len() <= 1 {
+		e := s.lru.Front()
+		if e != nil && e.Value.(int) == self {
+			e = e.Next()
+		}
+		if s.loadedB <= s.budget || e == nil {
 			s.trimming = false
 			s.trimDone.Broadcast()
 			s.mu.Unlock()
 			return
 		}
-		e := s.lru.Front()
 		ord := e.Value.(int)
 		s.lru.Remove(e)
 		s.lruElem[ord] = nil
@@ -484,10 +494,10 @@ func (s *DiskStore) Manifest() Manifest { return s.man }
 func (s *DiskStore) Loads() int64    { return s.loads.Load() }
 func (s *DiskStore) Releases() int64 { return s.releases.Load() }
 
-// TrimWait blocks until no budget trim is in flight. Trimming is
-// asynchronous, so Releases and ResidentEstimate read immediately after
-// a bulk sweep may not reflect it yet; a quiesced caller (no concurrent
-// loads) that wants settled numbers waits here first.
+// TrimWait blocks until no budget trim is in flight. A load trims before
+// it returns, so a caller's own touches leave nothing to wait for; it
+// matters to a caller that reads Releases or ResidentEstimate while other
+// goroutines' loads may still be trimming.
 func (s *DiskStore) TrimWait() {
 	s.mu.Lock()
 	for s.trimming {

@@ -152,7 +152,6 @@ func TestDiskStoreResidentBudget(t *testing.T) {
 	for _, d := range s.Docs() {
 		_ = d.Text()
 	}
-	// Trimming is asynchronous; wait for it to settle.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		resident := 0
@@ -177,6 +176,94 @@ func TestDiskStoreResidentBudget(t *testing.T) {
 		if d.Text() != markup.MustParse(ids[i], raws[i]).Text() {
 			t.Fatalf("doc %d text drifted after release/reload", i)
 		}
+	}
+}
+
+// A load trims before it returns: the resident estimate is never left
+// above the budget, and the number of loads is a function of the touch
+// sequence (pages leave in the order they were loaded), not of scheduling.
+func TestDiskStoreTrimIsSynchronous(t *testing.T) {
+	dir := t.TempDir()
+	ids, raws := samplePages(40)
+	buildStore(t, dir, ids, raws, 16)
+
+	var budget int64
+	for i := 0; i < 10; i++ {
+		budget += estBytes(len(markup.MustParse(ids[i], raws[i]).Text()))
+	}
+	s, err := Open(dir, OpenOptions{ResidentBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	scan := func(n, passes int) int64 {
+		before := s.Loads()
+		for p := 0; p < passes; p++ {
+			for _, d := range s.Docs()[:n] {
+				_ = d.Text()
+				if got := s.ResidentEstimate(); got > budget {
+					t.Fatalf("resident estimate %d above the budget %d after a touch returned", got, budget)
+				}
+			}
+		}
+		return s.Loads() - before
+	}
+	// A scan that fits stays resident after its first pass; one that does
+	// not loses each page before it comes round again.
+	if got := scan(8, 3); got != 8 {
+		t.Fatalf("3 passes over 8 pages under a 10-page budget loaded %d pages, want 8", got)
+	}
+	if got := scan(12, 3); got != 36-8 {
+		t.Fatalf("3 passes over 12 pages under a 10-page budget loaded %d pages, want 28", got)
+	}
+}
+
+// Loaders trim each other's pages while holding their own document's
+// lock; that must neither deadlock nor leave the store over its budget.
+func TestDiskStoreTrimConcurrentLoaders(t *testing.T) {
+	dir := t.TempDir()
+	ids, raws := samplePages(40)
+	buildStore(t, dir, ids, raws, 16)
+	want := make([]string, len(ids))
+	for i := range ids {
+		want[i] = markup.MustParse(ids[i], raws[i]).Text()
+	}
+
+	budget := 2 * estBytes(len(want[0]))
+	s, err := Open(dir, OpenOptions{ResidentBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const loaders = 8
+	errs := make(chan error, loaders)
+	for g := 0; g < loaders; g++ {
+		go func(g int) {
+			for p := 0; p < 20; p++ {
+				for k := range want {
+					i := (k*(g+1) + p) % len(want)
+					if s.Doc(i).Text() != want[i] {
+						errs <- fmt.Errorf("loader %d: doc %d text drifted", g, i)
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < loaders; g++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(60 * time.Second):
+			t.Fatal("loaders deadlocked")
+		}
+	}
+	s.TrimWait()
+	if got := s.ResidentEstimate(); got > budget {
+		t.Fatalf("resident estimate %d above the budget %d once every loader returned", got, budget)
 	}
 }
 

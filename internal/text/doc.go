@@ -418,6 +418,27 @@ func (d *Document) ResidentBytes() int64 {
 }
 
 // normalizeSpace collapses runs of whitespace to single spaces and trims.
+// A string that is already in that form is returned as is, without
+// allocating; the result then aliases the argument (for Span.NormText, the
+// page text).
 func normalizeSpace(s string) string {
+	if spaceNormalized(s) {
+		return s
+	}
 	return strings.Join(strings.Fields(s), " ")
+}
+
+// spaceNormalized reports whether s is ASCII with no whitespace but single
+// interior spaces. It may say no to a normalised string (non-ASCII text,
+// control bytes), never yes to one that is not.
+func spaceNormalized(s string) bool {
+	prevSpace := true // a leading space is a run to trim
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= 0x80 || c < ' ' || (c == ' ' && prevSpace) {
+			return false
+		}
+		prevSpace = c == ' '
+	}
+	return !prevSpace || s == ""
 }

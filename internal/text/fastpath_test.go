@@ -1,0 +1,140 @@
+package text
+
+import (
+	"math"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// parseNumericRef is ParseNumeric as it stood before the allocation-free
+// screen was added: trim, strip '$' and ',', strconv.ParseFloat. The screen
+// may only reject what this rejects.
+func parseNumericRef(raw string) (float64, bool) {
+	t := strings.TrimSpace(raw)
+	t = strings.TrimPrefix(t, "$")
+	if t == "" {
+		return 0, false
+	}
+	t = strings.ReplaceAll(t, ",", "")
+	v, err := strconv.ParseFloat(t, 64)
+	if err != nil {
+		return 0, false
+	}
+	return v, true
+}
+
+func checkParseNumeric(t *testing.T, in string) {
+	t.Helper()
+	got, ok := ParseNumeric(in)
+	want, wok := parseNumericRef(in)
+	if ok != wok || math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("ParseNumeric(%q) = %v, %v; reference %v, %v", in, got, ok, want, wok)
+	}
+}
+
+var numericSeeds = []string{
+	"", " ", "$", "$ ", "+", "-", ".", ",", "_", "+.", "-,", "$-",
+	"42", " 42 ", "$1,234.50", "1,2,3", "-0", "+7", ".5", "5.", "1e9", "1E-3", "1e", "e5",
+	"inf", "Inf", "+INF", "-infinity", "Infinit", "nan", "NaN", "+nan", "nano", "in", "n",
+	"0x1p-2", "0X1.8P3", "-0x.8p1", "0x", "0x1", "0x_1p0", "1_000", "_1", "1_", "1__0", "0x1_0p0",
+	"1e400", "-1e400", "4.9e-325", "12-14", "1.2.3", "ISBN123", "Used", "New: $12.99",
+	"Cozy house", "12 34", "12\t", "\u00a042", "42\u0085", "\uff14\uff12", "1\x00", "$$5", "5$", "1,000,000",
+}
+
+func TestParseNumericMatchesReference(t *testing.T) {
+	for _, in := range numericSeeds {
+		checkParseNumeric(t, in)
+	}
+}
+
+// FuzzParseNumeric holds the screened ParseNumeric to the unscreened body it
+// replaced, bit for bit (NaN included).
+func FuzzParseNumeric(f *testing.F) {
+	for _, in := range numericSeeds {
+		f.Add(in)
+	}
+	f.Fuzz(checkParseNumeric)
+}
+
+func checkNormalizeSpace(t *testing.T, in string) {
+	t.Helper()
+	if got, want := normalizeSpace(in), strings.Join(strings.Fields(in), " "); got != want {
+		t.Errorf("normalizeSpace(%q) = %q, want %q", in, got, want)
+	}
+}
+
+var spaceSeeds = []string{
+	"", " ", "  ", "a", " a", "a ", "a b", "a  b", "a b ", " a b", "a\tb", "a\nb", "a\r\nb", "a\vb", "a\fb",
+	"a\u0085b", "a\u00a0b", "\u00a0a", "a\u2003b", "é è", "a\x00b", "a\x7fb", "a\x1fb", "\xff \xfe",
+	"Database Systems: The Complete Book", "Cozy   house\n on quiet street ",
+}
+
+func TestNormalizeSpaceMatchesReference(t *testing.T) {
+	for _, in := range spaceSeeds {
+		checkNormalizeSpace(t, in)
+	}
+}
+
+// FuzzNormalizeSpace holds the fast path to strings.Fields + Join, whose
+// notion of whitespace includes U+0085 and U+00A0.
+func FuzzNormalizeSpace(f *testing.F) {
+	for _, in := range spaceSeeds {
+		f.Add(in)
+	}
+	f.Fuzz(checkNormalizeSpace)
+}
+
+func TestFastPathsDoNotAllocate(t *testing.T) {
+	d := NewDocument("d", "Cozy house on a quiet street, $351,000", nil)
+	phrase := d.Span(0, 28)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := phrase.Numeric(); ok {
+			t.Fatal("a phrase parsed as a number")
+		}
+	}); n != 0 {
+		t.Errorf("rejecting a multi-token span allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if phrase.NormText() != phrase.Text() {
+			t.Fatal("clean text was rewritten")
+		}
+	}); n != 0 {
+		t.Errorf("NormText of already-normalised text allocates %v times", n)
+	}
+}
+
+var (
+	sinkFloat  float64
+	sinkBool   bool
+	sinkString string
+)
+
+func BenchmarkParseNumeric(b *testing.B) {
+	for _, c := range []struct{ name, in string }{
+		{"number", "$1,234.50"},
+		{"rejected_phrase", "Database Systems: The Complete Book"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkFloat, sinkBool = ParseNumeric(c.in)
+			}
+		})
+	}
+}
+
+func BenchmarkNormText(b *testing.B) {
+	for _, c := range []struct{ name, body string }{
+		{"clean", "Database Systems: The Complete Book"},
+		{"needs_rewriting", "Database  Systems:\n The Complete Book "},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := NewDocument("d", c.body, nil).WholeSpan()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkString = s.NormText()
+			}
+		})
+	}
+}

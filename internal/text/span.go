@@ -31,6 +31,10 @@ func (s Span) Len() int { return s.end - s.start }
 func (s Span) Text() string { return s.doc.content().text[s.start:s.end] }
 
 // NormText returns the span text with whitespace runs collapsed and trimmed.
+// Text that needs no rewriting comes back as a slice of the page text, which
+// it keeps alive: compare it, hash it or copy it (strings.Clone), but do not
+// store it in anything that outlives the evaluation at hand, or a released
+// lazy document's content stays resident.
 func (s Span) NormText() string { return normalizeSpace(s.Text()) }
 
 // String formats the span for debugging: doc id, range and text.
@@ -133,11 +137,29 @@ func (s Span) Numeric() (float64, bool) {
 
 // ParseNumeric parses a string as a tolerant number: optional leading '$',
 // optional sign, digits with ',' thousands separators and at most one '.'.
+//
+// Most values a comparison sees are not numbers (multi-token phrases,
+// labels), and strconv.ParseFloat pays for each with an allocated
+// *NumError holding a copy of its input. So the string is first screened,
+// without allocating, for what ParseFloat can never accept: a byte outside
+// [0-9A-Za-z+-.,_] or a leading letter that starts neither "inf" nor "nan".
 func ParseNumeric(raw string) (float64, bool) {
 	t := strings.TrimSpace(raw)
 	t = strings.TrimPrefix(t, "$")
 	if t == "" {
 		return 0, false
+	}
+	if c := t[0] | 0x20; c >= 'a' && c <= 'z' && c != 'i' && c != 'n' {
+		return 0, false
+	}
+	for i := 0; i < len(t); i++ {
+		c := t[i]
+		switch {
+		case c >= '0' && c <= '9', c|0x20 >= 'a' && c|0x20 <= 'z':
+		case c == '+', c == '-', c == '.', c == ',', c == '_':
+		default:
+			return 0, false
+		}
 	}
 	t = strings.ReplaceAll(t, ",", "")
 	v, err := strconv.ParseFloat(t, 64)
