@@ -1,7 +1,9 @@
-// Benchmarks regenerating the paper's tables (one per table, reduced
-// corpus scale) plus ablations for the design choices DESIGN.md calls out:
-// reuse caching, the token-blocked similarity join, subset evaluation, and
-// the compact-table representation itself.
+// The ablations EXPERIMENTS.md cites for the design choices DESIGN.md
+// calls out — reuse caching, the token-blocked similarity join, subset
+// evaluation — plus the engine on the paper's Figure 2 and the precise
+// baseline of Section 6.3. Whole sessions are measured by benchmark/
+// (join_converge, extract_converge), single layers by `make bench-layers`
+// next to the code they measure.
 //
 // Run with: go test -bench=. -benchmem
 package iflex_test
@@ -11,83 +13,9 @@ import (
 
 	"iflex"
 	"iflex/internal/alog"
-	"iflex/internal/assistant"
-	"iflex/internal/compact"
 	"iflex/internal/corpus"
 	"iflex/internal/engine"
-	"iflex/internal/experiments"
-	"iflex/internal/markup"
-	"iflex/internal/similarity"
 )
-
-// benchOpts is the scale used by table benches: small enough for CI,
-// large enough to exercise every code path.
-func benchOpts() experiments.Options {
-	return experiments.Options{Scale: 0.05, Seed: 1, Strategy: "sim"}
-}
-
-func BenchmarkTable1CorpusGeneration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := experiments.Table1(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable2ProgramValidation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := experiments.Table2(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchScenario runs one full assistant session per iteration. Workers
-// bounds the session's worker pool (1 = serial baseline, 0 = all CPUs).
-func benchScenario(b *testing.B, taskID string, records int, strategy string, workers int) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		out, err := experiments.RunScenario(
-			experiments.Scenario{TaskID: taskID, Records: records, Workers: workers}, strategy, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out.Missing != 0 {
-			b.Fatalf("superset violated: %d missing", out.Missing)
-		}
-	}
-}
-
-// Table 3 scenarios: one representative task per domain.
-func BenchmarkTable3MoviesT1(b *testing.B) { benchScenario(b, "T1", 50, "sim", 1) }
-func BenchmarkTable3DBLPT5(b *testing.B)   { benchScenario(b, "T5", 50, "sim", 1) }
-func BenchmarkTable3BooksT8(b *testing.B)  { benchScenario(b, "T8", 50, "sim", 1) }
-
-// Table 4: the per-iteration soliciting experiment (T7's scenario).
-func BenchmarkTable4SolicitingT7(b *testing.B) { benchScenario(b, "T7", 50, "sim", 1) }
-
-// Table 5: both question-selection strategies on the join task T9. The
-// simulation strategy is measured serial (the baseline) and with one
-// worker per CPU; both produce byte-identical sessions.
-func BenchmarkTable5SequentialT9(b *testing.B)         { benchScenario(b, "T9", 30, "seq", 1) }
-func BenchmarkTable5SimulationT9(b *testing.B)         { benchScenario(b, "T9", 30, "sim", 1) }
-func BenchmarkTable5SimulationT9Parallel(b *testing.B) { benchScenario(b, "T9", 30, "sim", 0) }
-
-// Table 6: the DBLife panel task over a small snapshot.
-func BenchmarkTable6DBLifePanel(b *testing.B) {
-	task := corpus.DBLifeTasks()[0]
-	for i := 0; i < b.N; i++ {
-		c := task.Generate(60, 1)
-		env := task.Env(c)
-		prog := alog.MustParse(task.Program)
-		s := assistant.NewSession(env, prog, task.Oracle(), assistant.Config{
-			Strategy: assistant.Simulation{},
-		})
-		if _, err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // --- Ablations -----------------------------------------------------------
 
@@ -219,55 +147,6 @@ func BenchmarkAblationFullEval(b *testing.B) {
 	}
 }
 
-// Compact tables versus a-tables: the representation-size claim of
-// Section 3. Reported as values-per-assignment (higher = more packing).
-func BenchmarkCompactVsATable(b *testing.B) {
-	c := corpus.Movies(corpus.MoviesConfig{Records: 50, Seed: 1})
-	env := engine.NewEnv()
-	env.AddDocTable("IMDB", "x", c.DocsOf("IMDB"))
-	prog := alog.MustParse(`
-Q(x, t) :- IMDB(x), ext(x, t).
-ext(x, t) :- from(x, t).
-`)
-	var packing float64
-	for i := 0; i < b.N; i++ {
-		res, err := engine.Run(prog, env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		at := res.ToATable()
-		values := 0
-		for _, tp := range at.Tuples {
-			for _, cell := range tp.Cells {
-				values += len(cell)
-			}
-		}
-		packing = float64(values) / float64(res.NumAssignments())
-	}
-	b.ReportMetric(packing, "values/assignment")
-}
-
-// --- Microbenchmarks ------------------------------------------------------
-
-func BenchmarkParseProgram(b *testing.B) {
-	src := corpus.Tasks()[8].Program // T9, the largest
-	for i := 0; i < b.N; i++ {
-		if _, err := alog.Parse(src); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMarkupParse(b *testing.B) {
-	src := `<title>SIGMOD 2008</title><h2>Panel</h2><ul><li><b>Alice Anderson</b>, chair</li>
-<li><i>Bob Baxter</i></li></ul><p>Held in <a href="x">Vancouver</a>.</p>`
-	for i := 0; i < b.N; i++ {
-		if _, err := markup.Parse("bench", src); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkEngineFigure2(b *testing.B) {
 	env := iflex.NewEnv()
 	x2, err := iflex.ParseDocument("x2", "Amazing house<br>Sqft: 4700<br>Price: 619000<br>High school: Basktall HS")
@@ -291,25 +170,6 @@ extractSchools(y, s) :- from(y, s), bold-font(s) = yes.
 	for i := 0; i < b.N; i++ {
 		if _, err := iflex.Run(prog, env); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSimilar(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		similarity.Similar("Database Systems: A Modern Approach", "Database Systems a modern approach")
-	}
-}
-
-func BenchmarkSubSpanEnumeration(b *testing.B) {
-	d := markup.MustParse("bench", "one two three four five six seven eight nine ten")
-	ca := compact.ContainCell(d.WholeSpan())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		ca.Values(func(iflexSpan iflex.Span) bool { n++; return true })
-		if n != 55 {
-			b.Fatal("bad count")
 		}
 	}
 }

@@ -6,31 +6,17 @@
 //
 //	iflex-bench -table 5 -scale 0.2          # Table 5 at 20% corpus sizes
 //	iflex-bench -table all -scale 1 -out results.txt
-//	iflex-bench -table serve -tenants 8 -bench-json BENCH_SERVE.json
 //
 // -scale 1 runs the paper's corpus sizes (slow: tens of minutes);
-// benches and CI use small scales, which preserve the result shapes.
-// -table serve load-tests the multi-tenant service (in-process by
-// default; -serve-addr points it at a running iflexd instead).
-// -table scale benches the sharded document store on a generated DBLife
-// corpus (-pages, default 100k): ingest throughput, index load time, a
-// budget-bounded content sweep, and postings-served similarity probes
-// (BENCH_SCALE.json via -bench-json).
-// -table live benches live-corpus incremental evaluation: converge T9
-// over a Books store (-pages, default 10k here), commit a mutation
-// updating -mutate-pct% of the pages, and compare the incremental
-// re-evaluation against a from-scratch run of the same refined program
-// (BENCH_LIVE.json via -bench-json).
+// tests use small scales, which preserve the result shapes.
+// Performance is measured by benchmark/ (bash benchmark/run.sh), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strings"
 
 	"iflex/internal/experiments"
 	"iflex/internal/prof"
@@ -48,22 +34,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("iflex-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		table      = fs.String("table", "all", "which table to regenerate: 1, 2, 3, 4, 5, 6, conv, variance, scaling, parallel, hotpath, reuse, optimizer, serve, scale, live, or all")
-		compare    = fs.Bool("compare", false, "compare two benchmark JSON files (old new); exit non-zero on a >10% wall-time regression")
+		table      = fs.String("table", "all", "which table to regenerate: 1, 2, 3, 4, 5, 6, conv, variance, scaling, or all")
 		scale      = fs.Float64("scale", 0.2, "corpus size factor (1.0 = paper sizes)")
 		seed       = fs.Int64("seed", 1, "corpus generation seed")
 		strategy   = fs.String("strategy", "sim", "assistant strategy for Tables 3/4/conv: seq or sim")
 		workers    = fs.Int("workers", 0, "worker pool size (0 = one per CPU, 1 = serial)")
-		optimize   = fs.Bool("optimize", true, "run assistant sessions with the cost-based plan optimizer; -optimize=false executes plans exactly as compiled (the hotpath/reuse harnesses always pin it off for counter comparability)")
 		timeout    = fs.Duration("timeout", 0, "best-effort deadline per assistant session: expired sessions report their partial result and a degradation summary (0 = none)")
-		tenants    = fs.Int("tenants", 8, "concurrent tenants for -table serve")
-		sessions   = fs.Int("sessions-per-tenant", 2, "sessions each tenant runs for -table serve")
-		serveAddr  = fs.String("serve-addr", "", "load-test a running iflexd at this base URL instead of an in-process server (-table serve)")
-		stepDL     = fs.Duration("step-deadline", 0, "per-step deadline for -table serve sessions (0 = none)")
-		pages      = fs.Int("pages", 100000, "DBLife corpus pages for -table scale (also sizes -table live, where the unset default is 10000)")
-		mutatePct  = fs.Float64("mutate-pct", 1, "percentage of pages the -table live mutation updates")
-		storeDir   = fs.String("store-dir", "", "reuse/build the -table scale document store at this directory (default: a temp dir; -table live requires it empty)")
-		benchJSON  = fs.String("bench-json", "", "write the parallel comparison result to this JSON file")
 		outPath    = fs.String("out", "", "also write output to this file")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
@@ -71,26 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	// -pages defaults to the scale bench's 100k; live's natural size is
-	// 10k, so only an explicit -pages overrides it there.
-	pagesSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "pages" {
-			pagesSet = true
-		}
-	})
-
-	if *compare {
-		if fs.NArg() != 2 {
-			fmt.Fprintln(stderr, "iflex-bench: -compare needs two arguments: old.json new.json")
-			return 2
-		}
-		if err := compareBenchFiles(stdout, fs.Arg(0), fs.Arg(1)); err != nil {
-			fmt.Fprintln(stderr, "iflex-bench:", err)
-			return 1
-		}
-		return 0
 	}
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile, *tracePath)
@@ -114,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer f.Close()
 		out = io.MultiWriter(stdout, f)
 	}
-	o := experiments.Options{Scale: *scale, Seed: *seed, Strategy: *strategy, Workers: *workers, Deadline: *timeout, DisableOptimizer: !*optimize, Out: out}
+	o := experiments.Options{Scale: *scale, Seed: *seed, Strategy: *strategy, Workers: *workers, Deadline: *timeout, Out: out}
 
 	scaled := func(n int) int {
 		v := int(float64(n) * *scale)
@@ -146,74 +102,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			_, err := experiments.Scaling(o, "T7", sizes)
 			return err
 		}},
-		{"parallel", func() error {
-			res, err := experiments.ParallelCompare(o, "T9", scaled(5000))
-			if err != nil {
-				return err
-			}
-			return writeJSON(*benchJSON, res)
-		}},
-		{"hotpath", func() error {
-			res, err := experiments.Hotpath(o, "T9", scaled(5000))
-			if err != nil {
-				return err
-			}
-			return writeJSON(*benchJSON, res)
-		}},
-		{"reuse", func() error {
-			res, err := experiments.Reuse(o, "T9", scaled(5000))
-			if err != nil {
-				return err
-			}
-			return writeJSON(*benchJSON, res)
-		}},
-		{"optimizer", func() error {
-			res, err := experiments.Optimizer(o)
-			if err != nil {
-				return err
-			}
-			return writeJSON(*benchJSON, res)
-		}},
-		{"scale", func() error {
-			res, err := experiments.Scale(o, experiments.ScaleOptions{Pages: *pages, Dir: *storeDir})
-			if err != nil {
-				return err
-			}
-			return writeJSON(*benchJSON, res)
-		}},
-		{"live", func() error {
-			lp := 0 // Live's own default (10000) applies
-			if pagesSet {
-				lp = *pages
-			}
-			res, err := experiments.Live(o, experiments.LiveOptions{Pages: lp, MutatePct: *mutatePct, Dir: *storeDir})
-			if err != nil {
-				return err
-			}
-			return writeJSON(*benchJSON, res)
-		}},
-		{"serve", func() error {
-			res, err := experiments.Serve(o, experiments.ServeOptions{
-				Tenants:           *tenants,
-				SessionsPerTenant: *sessions,
-				Addr:              *serveAddr,
-				StepDeadlineMS:    stepDL.Milliseconds(),
-			})
-			if err != nil {
-				return err
-			}
-			return writeJSON(*benchJSON, res)
-		}},
 	}
-	// The serve harness is a service load test, the scale harness a
-	// corpus-scale storage bench, and the live harness an incremental
-	// re-evaluation bench, not paper tables: they only run when named
-	// explicitly.
 	matched := false
 	for _, tb := range tables {
-		if *table == "all" && (tb.name == "serve" || tb.name == "scale" || tb.name == "live") {
-			continue
-		}
 		if *table != "all" && *table != tb.name {
 			continue
 		}
@@ -229,206 +120,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	return 0
-}
-
-// writeJSON writes v as indented JSON to path (no-op when path is empty).
-func writeJSON(path string, v any) error {
-	if path == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// compareBenchFiles diffs the wall-time fields of two benchmark JSON
-// files (any top-level number whose key ends in "_s") and returns an
-// error when the new file regresses any of them by more than 10%.
-// Keys ending in "_per_s" are throughputs, where more is better: a >10%
-// DROP fails, a rise never does. Two files with no comparable numeric
-// field in common — benchmark JSON of disjoint table kinds — are an
-// error (exit non-zero), not a silent empty comparison. Engine counters
-// (func_calls, cache_hits, tuples_reused) found anywhere in both files
-// are reported as informational delta lines; neither they nor other
-// non-time fields ever fail the check. Top-level numeric fields present
-// in only one of the two files — a field added or dropped between
-// revisions — are listed as informational lines rather than silently
-// skipped.
-func compareBenchFiles(w io.Writer, oldPath, newPath string) error {
-	load := func(path string) (map[string]any, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var m map[string]any
-		if err := json.Unmarshal(data, &m); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return m, nil
-	}
-	oldM, err := load(oldPath)
-	if err != nil {
-		return err
-	}
-	newM, err := load(newPath)
-	if err != nil {
-		return err
-	}
-	common := 0
-	for k, ov := range oldM {
-		if !strings.HasSuffix(k, "_s") {
-			continue // metadata like records/cpus is shared by every kind
-		}
-		if _, ook := ov.(float64); !ook {
-			continue
-		}
-		if _, nok := newM[k].(float64); nok {
-			common++
-		}
-	}
-	if common == 0 {
-		return fmt.Errorf("nothing to compare: %s and %s share no wall-time field — likely benchmark JSON of different table kinds\n  %s has: %s\n  %s has: %s",
-			oldPath, newPath,
-			oldPath, strings.Join(numericKeys(oldM), ", "),
-			newPath, strings.Join(numericKeys(newM), ", "))
-	}
-	const tolerance = 1.10
-	var regressed []string
-	keys := make([]string, 0, len(oldM))
-	for k := range oldM {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	fmt.Fprintf(w, "benchmark comparison: %s -> %s (threshold +%.0f%%)\n", oldPath, newPath, 100*(tolerance-1))
-	for _, k := range keys {
-		ov, ook := oldM[k].(float64)
-		nv, nok := newM[k].(float64)
-		if !ook || !nok {
-			continue
-		}
-		throughput := strings.HasSuffix(k, "_per_s") // higher is better
-		timing := !throughput && strings.HasSuffix(k, "_s")
-		delta := "n/a"
-		if ov != 0 {
-			delta = fmt.Sprintf("%+.1f%%", 100*(nv-ov)/ov)
-		}
-		mark := " "
-		if timing && ov > 0 && nv > ov*tolerance {
-			mark = "!"
-			regressed = append(regressed, fmt.Sprintf("%s: %.3f -> %.3f (%s)", k, ov, nv, delta))
-		}
-		if throughput && ov > 0 && nv < ov/tolerance {
-			mark = "!"
-			regressed = append(regressed, fmt.Sprintf("%s: %.3f -> %.3f (%s, throughput drop)", k, ov, nv, delta))
-		}
-		fmt.Fprintf(w, "%s %-24s %14.3f %14.3f  %s\n", mark, k, ov, nv, delta)
-	}
-	printOneSided(w, oldPath, oldM, newM)
-	printOneSided(w, newPath, newM, oldM)
-	printCounterDeltas(w, oldM, newM)
-	if len(regressed) > 0 {
-		return fmt.Errorf("wall-time or throughput regression over %0.f%%:\n  %s",
-			100*(tolerance-1), strings.Join(regressed, "\n  "))
-	}
-	fmt.Fprintln(w, "no wall-time regressions")
-	return nil
-}
-
-// printOneSided lists m's top-level numeric fields that other lacks, as
-// informational lines: a field that appears or disappears between
-// benchmark revisions should be visible in the comparison, not silently
-// ignored.
-func printOneSided(w io.Writer, path string, m, other map[string]any) {
-	var only []string
-	for k, v := range m {
-		n, ok := v.(float64)
-		if !ok {
-			continue
-		}
-		if _, shared := other[k].(float64); shared {
-			continue
-		}
-		only = append(only, fmt.Sprintf("  %-40s %14.3f", k, n))
-	}
-	if len(only) == 0 {
-		return
-	}
-	sort.Strings(only)
-	fmt.Fprintf(w, "fields only in %s (informational):\n%s\n", path, strings.Join(only, "\n"))
-}
-
-// numericKeys lists a JSON object's top-level numeric field names.
-func numericKeys(m map[string]any) []string {
-	var out []string
-	for k, v := range m {
-		if _, ok := v.(float64); ok {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	if len(out) == 0 {
-		out = []string{"(none)"}
-	}
-	return out
-}
-
-// counterNames are the engine counters -compare reports as informational
-// deltas wherever they occur in the benchmark JSON (they live inside
-// nested stats snapshots, not at the top level).
-var counterNames = map[string]bool{
-	"func_calls":    true,
-	"cache_hits":    true,
-	"tuples_reused": true,
-}
-
-// collectCounters walks a decoded JSON value and returns every counter
-// field as dotted-path → value (arrays index numerically).
-func collectCounters(prefix string, v any, out map[string]float64) {
-	switch t := v.(type) {
-	case map[string]any:
-		for k, sub := range t {
-			p := k
-			if prefix != "" {
-				p = prefix + "." + k
-			}
-			if n, ok := sub.(float64); ok && counterNames[k] {
-				out[p] = n
-				continue
-			}
-			collectCounters(p, sub, out)
-		}
-	case []any:
-		for i, sub := range t {
-			collectCounters(fmt.Sprintf("%s[%d]", prefix, i), sub, out)
-		}
-	}
-}
-
-// printCounterDeltas reports engine-counter changes between the two
-// files as informational lines (never failing the comparison).
-func printCounterDeltas(w io.Writer, oldM, newM map[string]any) {
-	oldC, newC := map[string]float64{}, map[string]float64{}
-	collectCounters("", oldM, oldC)
-	collectCounters("", newM, newC)
-	var keys []string
-	for k := range oldC {
-		if _, ok := newC[k]; ok {
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) == 0 {
-		return
-	}
-	sort.Strings(keys)
-	fmt.Fprintln(w, "counters (informational):")
-	for _, k := range keys {
-		ov, nv := oldC[k], newC[k]
-		delta := "n/a"
-		if ov != 0 {
-			delta = fmt.Sprintf("%+.1f%%", 100*(nv-ov)/ov)
-		}
-		fmt.Fprintf(w, "  %-40s %14.0f %14.0f  %s\n", k, ov, nv, delta)
-	}
 }

@@ -9,105 +9,6 @@ import (
 	"testing"
 )
 
-func writeTemp(t *testing.T, name, content string) string {
-	t.Helper()
-	p := filepath.Join(t.TempDir(), name)
-	if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-func TestCompareBenchFiles(t *testing.T) {
-	old := `{"serial_s": 2.0, "parallel_s": 1.0, "func_calls": 1000, "speedup": 2.0}`
-	cases := []struct {
-		name    string
-		newJSON string
-		wantErr string
-	}{
-		{
-			// Both timings within +10%: counters may explode, only "_s"
-			// fields gate.
-			name:    "within tolerance",
-			newJSON: `{"serial_s": 2.1, "parallel_s": 1.05, "func_calls": 99999, "speedup": 1.9}`,
-		},
-		{
-			name:    "improvement passes",
-			newJSON: `{"serial_s": 0.5, "parallel_s": 0.4, "func_calls": 10, "speedup": 1.2}`,
-		},
-		{
-			name:    "serial regression fails",
-			newJSON: `{"serial_s": 2.3, "parallel_s": 1.0, "func_calls": 10, "speedup": 2.0}`,
-			wantErr: "serial_s",
-		},
-		{
-			name:    "parallel regression fails",
-			newJSON: `{"serial_s": 2.0, "parallel_s": 1.2, "func_calls": 10, "speedup": 2.0}`,
-			wantErr: "parallel_s",
-		},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			oldP := writeTemp(t, "old.json", old)
-			newP := writeTemp(t, "new.json", c.newJSON)
-			var sb strings.Builder
-			err := compareBenchFiles(&sb, oldP, newP)
-			if c.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected failure: %v\n%s", err, sb.String())
-				}
-				if !strings.Contains(sb.String(), "no wall-time regressions") {
-					t.Errorf("missing pass line:\n%s", sb.String())
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("expected regression on %s, got pass:\n%s", c.wantErr, sb.String())
-			}
-			if !strings.Contains(err.Error(), c.wantErr) {
-				t.Errorf("error %q does not name %s", err, c.wantErr)
-			}
-		})
-	}
-}
-
-// TestCompareBenchFilesDisjointKinds feeds -compare benchmark JSON of
-// two different table kinds: no shared wall-time field must be a clear
-// error naming both files' fields, never a silent empty comparison —
-// shared metadata like records/cpus must not mask the mismatch.
-func TestCompareBenchFilesDisjointKinds(t *testing.T) {
-	old := writeTemp(t, "old.json", `{"records": 250, "cpus": 8, "serial_s": 2.0}`)
-	new_ := writeTemp(t, "new.json", `{"records": 250, "cpus": 8, "total_opt_s": 1.0}`)
-	var sb strings.Builder
-	err := compareBenchFiles(&sb, old, new_)
-	if err == nil {
-		t.Fatalf("disjoint table kinds compared without error:\n%s", sb.String())
-	}
-	for _, want := range []string{"nothing to compare", "serial_s", "total_opt_s"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q missing %q", err, want)
-		}
-	}
-}
-
-// TestCompareBenchFilesCounterDeltas checks that engine counters nested
-// anywhere in both files surface as informational lines without ever
-// gating the comparison.
-func TestCompareBenchFilesCounterDeltas(t *testing.T) {
-	old := writeTemp(t, "old.json", `{"wall_s": 1.0, "stats": {"func_calls": 100, "cache_hits": 40, "tuples_reused": 7}}`)
-	new_ := writeTemp(t, "new.json", `{"wall_s": 1.0, "stats": {"func_calls": 150, "cache_hits": 40, "tuples_reused": 9}}`)
-	var sb strings.Builder
-	if err := compareBenchFiles(&sb, old, new_); err != nil {
-		t.Fatalf("counter growth must not fail the comparison: %v", err)
-	}
-	out := sb.String()
-	for _, want := range []string{"counters (informational):", "stats.func_calls", "+50.0%", "stats.tuples_reused"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // parseProfile decompresses a pprof profile (gzipped protobuf) and
 // returns its payload. A profile truncated by os.Exit before
 // pprof.StopCPUProfile could flush it fails right here.
@@ -182,41 +83,4 @@ func TestRunWritesOutFile(t *testing.T) {
 		t.Errorf("-out copy and stdout should both carry the table; file:\n%s", data)
 	}
 	parseProfile(t, prof)
-}
-
-// TestRunServeTable drives -table serve end to end at tiny scale and
-// checks BENCH_SERVE.json lands with the latency/throughput fields.
-func TestRunServeTable(t *testing.T) {
-	dir := t.TempDir()
-	benchJSON := filepath.Join(dir, "BENCH_SERVE.json")
-	var out, errOut strings.Builder
-	code := run([]string{
-		"-table", "serve", "-scale", "0.05",
-		"-tenants", "2", "-sessions-per-tenant", "1",
-		"-bench-json", benchJSON,
-	}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0 (stderr: %s)", code, errOut.String())
-	}
-	data, err := os.ReadFile(benchJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"step_p50_s", "step_p99_s", "sessions_per_sec", "wall_s"} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("BENCH_SERVE.json missing %q:\n%s", want, data)
-		}
-	}
-}
-
-func TestCompareBenchFilesBadInput(t *testing.T) {
-	good := writeTemp(t, "good.json", `{"serial_s": 1.0}`)
-	bad := writeTemp(t, "bad.json", `not json`)
-	var sb strings.Builder
-	if err := compareBenchFiles(&sb, good, bad); err == nil {
-		t.Error("malformed JSON should fail")
-	}
-	if err := compareBenchFiles(&sb, filepath.Join(t.TempDir(), "missing.json"), good); err == nil {
-		t.Error("missing file should fail")
-	}
 }

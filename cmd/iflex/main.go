@@ -88,7 +88,6 @@ func run() (degraded bool, err error) {
 		workers     = flag.Int("workers", 0, "worker pool size for evaluation and simulation (0 = one per CPU, 1 = serial)")
 		maxTuples   = flag.Int("max-print", 50, "print at most this many result tuples")
 		explain     = flag.Bool("explain", false, "print an EXPLAIN ANALYZE tree: per-operator rows, timing, cache status, fallbacks, optimizer decisions")
-		optimize    = flag.Bool("optimize", true, "run the cost-based plan optimizer (pushdown, join fusion, conjunct ordering); -optimize=false executes plans exactly as compiled")
 		timeout     = flag.Duration("timeout", 0, "best-effort deadline: on expiry print the partial result plus a degradation summary (0 = none)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
@@ -152,9 +151,7 @@ func run() (degraded bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		if *optimize {
-			plan = opt.Optimize(plan, env, opt.NewModel(), nil)
-		}
+		plan = opt.Optimize(plan, env, opt.NewModel(), nil)
 		ctx := iflex.NewContext(env)
 		ctx.Workers = *workers
 		if *explain {
@@ -200,7 +197,6 @@ func run() (degraded bool, err error) {
 	})
 	session := iflex.NewSession(env, prog, oracle, iflex.SessionConfig{
 		Strategy: strat, Workers: *workers, Deadline: *timeout,
-		DisableOptimizer: !*optimize,
 	})
 	res, err := session.Run()
 	if err != nil {

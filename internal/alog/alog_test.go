@@ -358,3 +358,21 @@ func TestClassify(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkParseProgram parses the largest paper task (T9, the Books
+// title join with a price comparison): five rules, two annotated heads.
+func BenchmarkParseProgram(b *testing.B) {
+	const src = `
+amT(x, <t1>, <np>) :- Amazon(x), extractAmazonT(x, t1, np).
+bnT(y, <t2>, <bp>) :- Barnes(y), extractBarnesT(y, t2, bp).
+T9(t1) :- amT(x, t1, np), bnT(y, t2, bp), similar(t1, t2), np < bp.
+extractAmazonT(x, t, np) :- from(x, t), from(x, np).
+extractBarnesT(y, t, bp) :- from(y, t), from(y, bp).
+`
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -25,15 +25,14 @@ import (
 // and a fixed subset seed. Sessions over different corpora then ask the
 // same questions and refine to the same program.
 func chaosSessionConfig(workers int, delta bool) assistant.Config {
-	return assistant.Config{
+	return assistant.OracleConfig(assistant.Config{
 		Strategy:          assistant.Sequential{},
 		MaxIterations:     3,
 		ConvergenceWindow: 100,
 		SubsetSeed:        1,
 		Workers:           workers,
-		DisableDeltaReuse: !delta,
 		QuarantineFaults:  true,
-	}
+	}, delta, true)
 }
 
 // TestChaosSessionDeterministic runs a full T9 session under injected

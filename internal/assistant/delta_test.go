@@ -151,12 +151,11 @@ func TestSessionDeltaMatchesFullSession(t *testing.T) {
 		run := func(workers int, disable bool) *assistant.Result {
 			c := task.Generate(20, 1)
 			env := task.Env(c)
-			session := assistant.NewSession(env, alog.MustParse(task.Program), task.Oracle(), assistant.Config{
-				Strategy:          assistant.Simulation{},
-				SubsetSeed:        1,
-				Workers:           workers,
-				DisableDeltaReuse: disable,
-			})
+			session := assistant.NewSession(env, alog.MustParse(task.Program), task.Oracle(), assistant.OracleConfig(assistant.Config{
+				Strategy:   assistant.Simulation{},
+				SubsetSeed: 1,
+				Workers:    workers,
+			}, !disable, true))
 			res, err := session.Run()
 			if err != nil {
 				t.Fatalf("%s workers=%d disable=%v: %v", taskID, workers, disable, err)

@@ -7,3 +7,16 @@ var QuestionSpaceForTest = questionSpace
 
 // KeyForTest exposes the question's asked/known bookkeeping key.
 func (q Question) KeyForTest() string { return q.key() }
+
+// OracleConfig returns cfg with the two differential-oracle toggles set:
+// delta reuse and the plan optimizer each stay on or go off. They are not
+// configuration — results are byte-identical either way — so only tests,
+// which prove exactly that, can reach them.
+func OracleConfig(cfg Config, delta, optimize bool) Config {
+	cfg.noDeltaReuse, cfg.noOptimizer = !delta, !optimize
+	return cfg
+}
+
+// SetChunkHook installs an engine.Context.ChunkHook on the session's
+// private context (deterministic latency injection, internal/fault).
+func (s *Session) SetChunkHook(h func(start, end int) error) { s.ctx.ChunkHook = h }

@@ -67,8 +67,7 @@ func (s *Session) ApplyCorpusDelta(d *engine.CorpusDelta, refresh func(*engine.E
 // re-evaluation; the result is byte-identical to what a fresh session
 // over the mutated corpus would compute.
 func (s *Session) Reevaluate(d time.Duration) (*LiveUpdate, error) {
-	unbind := s.bindStep(d)
-	defer unbind()
+	defer s.bind(d)()
 	base := s.ctx.Stats.Snapshot()
 	start := time.Now()
 	final, _, err := s.execute(false)
@@ -85,11 +84,8 @@ func (s *Session) Reevaluate(d time.Duration) (*LiveUpdate, error) {
 		CorpusPriorHits:  st.CorpusPriorHits - base.CorpusPriorHits,
 		WallS:            time.Since(start).Seconds(),
 	}
-	// Advance the step-mode counter baselines past this run so a later
-	// step's iteration log does not absorb the live run's work.
-	s.prevEvals = s.ctx.Stats.NodesEvaluated
-	s.prevHits = s.ctx.Stats.CacheHits
-	s.prevReused = s.ctx.Stats.TuplesReused
-	s.prevRecomp = s.ctx.Stats.TuplesRecomputed
+	// Advance the counter baselines past this run so a later iteration's
+	// log entry does not absorb the live run's work.
+	s.base = s.counters()
 	return up, nil
 }

@@ -7,10 +7,12 @@ package assistant_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"iflex/internal/alog"
 	"iflex/internal/assistant"
+	"iflex/internal/corpus"
 	"iflex/internal/engine"
 	"iflex/internal/store"
 	"iflex/internal/text"
@@ -66,87 +68,195 @@ func setLiveTables(env *engine.Env, s *store.DiskStore) {
 	env.AddDocTable("R", "y", r)
 }
 
-func liveEnv(s *store.DiskStore) *engine.Env {
-	env := engine.NewEnv()
-	setLiveTables(env, s)
-	env.DocIndex = s
-	env.Postings = s
-	return env
+// liveCase is one input to the commit → ApplyCorpusDelta → Reevaluate
+// check: a store, how its live view binds to the program's tables, the
+// dialogue's oracle, a mutation, and the session configurations that must
+// all land on the same result.
+type liveCase struct {
+	build   func(t *testing.T, dir string)
+	tables  func(env *engine.Env, s *store.DiskStore)
+	program string
+	oracle  func() assistant.Oracle
+	mutate  func(t *testing.T, s *store.DiskStore, m *store.Mutation)
+	configs []assistant.Config
 }
 
-// TestSessionApplyCorpusDelta: finalize a store-backed session, mutate
-// the store, fold the delta in, and re-evaluate — the live result must
-// be byte-identical to a fresh session's over the mutated corpus, with
-// most tuples replayed rather than recomputed.
+// TestSessionApplyCorpusDelta: converge store-backed sessions, mutate the
+// store, fold the delta in, and re-evaluate — every live result must be
+// byte-identical to a fresh session's run of the same refined program
+// over the mutated corpus, with more tuples replayed than recomputed.
 func TestSessionApplyCorpusDelta(t *testing.T) {
+	t.Run("handmade", func(t *testing.T) {
+		checkLiveCase(t, liveCase{
+			build:   buildLiveStore,
+			tables:  setLiveTables,
+			program: liveJoinSrc,
+			oracle:  func() assistant.Oracle { return assistant.NewMapOracle(nil) },
+			mutate: func(t *testing.T, _ *store.DiskStore, m *store.Mutation) {
+				put(t, m, "l-1", "<b>cache coherence</b> left page 1 revised")
+				if err := m.Remove("r-5"); err != nil {
+					t.Fatal(err)
+				}
+				put(t, m, "r-10", "<b>index structures</b> fresh right page")
+			},
+			configs: []assistant.Config{{}},
+		})
+	})
+	// T9 over a generated Books store of 1,000 pages, 1% of them rewritten
+	// with the next seed's content, at Workers 1/8 × optimizer on/off.
+	t.Run("books", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("four T9 dialogues over 1,000 pages")
+		}
+		const records, seed = 500, 1
+		task, err := corpus.TaskByID("T9")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// gen returns one seed's generated pages: ids in table order, and
+		// the markup of each.
+		gen := func(seed int64) (ids []string, raw map[string]string) {
+			raw = map[string]string{}
+			c := task.Generate(records, seed)
+			for _, name := range task.Tables {
+				for i, d := range c.Tables[name].Docs {
+					ids = append(ids, d.ID())
+					raw[d.ID()] = c.Tables[name].Raw[i]
+				}
+			}
+			return ids, raw
+		}
+		var configs []assistant.Config
+		for _, workers := range []int{1, 8} {
+			for _, optimize := range []bool{true, false} {
+				configs = append(configs, assistant.OracleConfig(assistant.Config{
+					Strategy: assistant.Sequential{}, SubsetSeed: seed, Workers: workers,
+				}, true, optimize))
+			}
+		}
+		checkLiveCase(t, liveCase{
+			build: func(t *testing.T, dir string) {
+				w, err := store.Create(dir, store.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids, raw := gen(seed)
+				for _, id := range ids {
+					if err := w.Add(id, raw[id]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+			},
+			tables: func(env *engine.Env, s *store.DiskStore) {
+				var amazon, barnes []*text.Document
+				for _, d := range s.Docs() {
+					if strings.HasPrefix(d.ID(), "amazon") {
+						amazon = append(amazon, d)
+					} else {
+						barnes = append(barnes, d)
+					}
+				}
+				env.AddDocTable("Amazon", "x", amazon)
+				env.AddDocTable("Barnes", "x", barnes)
+			},
+			program: task.Program,
+			oracle:  func() assistant.Oracle { return task.Oracle() },
+			mutate: func(t *testing.T, s *store.DiskStore, m *store.Mutation) {
+				_, next := gen(seed + 1)
+				for i, d := range s.Docs() {
+					if i%100 == 50 {
+						put(t, m, d.ID(), next[d.ID()])
+					}
+				}
+			},
+			configs: configs,
+		})
+	})
+}
+
+func put(t *testing.T, m *store.Mutation, id, raw string) {
+	t.Helper()
+	if err := m.Put(id, raw); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func checkLiveCase(t *testing.T, lc liveCase) {
 	dir := t.TempDir()
-	buildLiveStore(t, dir)
+	lc.build(t, dir)
 	s, err := store.Open(dir, store.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-
-	prog := alog.MustParse(liveJoinSrc)
-	sess := assistant.NewSession(liveEnv(s), prog, assistant.NewMapOracle(nil), assistant.Config{})
-	defer sess.Close()
-	res1, err := sess.Finalize(0)
-	if err != nil {
-		t.Fatal(err)
+	newEnv := func() *engine.Env {
+		env := engine.NewEnv()
+		lc.tables(env, s)
+		env.DocIndex, env.Postings = s, s
+		return env
 	}
-	before := res1.Final.Canonical()
+
+	// One converged session per configuration, before the mutation.
+	var sessions []*assistant.Session
+	var before string
+	for _, cfg := range lc.configs {
+		sess := assistant.NewSession(newEnv(), alog.MustParse(lc.program), lc.oracle(), cfg)
+		defer sess.Close()
+		res, err := sess.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before = res.Final.Canonical()
+		sessions = append(sessions, sess)
+	}
 
 	m, err := s.BeginMutation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Put("l-1", "<b>cache coherence</b> left page 1 revised"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Remove("r-5"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Put("r-10", "<b>index structures</b> fresh right page"); err != nil {
-		t.Fatal(err)
-	}
+	lc.mutate(t, s, m)
 	d, err := m.Commit()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sess.ApplyCorpusDelta(
-		&engine.CorpusDelta{Added: d.Added, Updated: d.Updated, Removed: d.Removed},
-		func(env *engine.Env) { setLiveTables(env, s) },
-	)
-	up, err := sess.Reevaluate(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fresh := assistant.NewSession(liveEnv(s), alog.MustParse(liveJoinSrc), assistant.NewMapOracle(nil), assistant.Config{})
+	// From scratch: a fresh session over the mutated store running the
+	// refined program the dialogue converged to.
+	fresh := assistant.NewSession(newEnv(), sessions[0].Program(), assistant.NewMapOracle(nil), lc.configs[0])
 	defer fresh.Close()
-	res2, err := fresh.Finalize(0)
+	scratch, err := fresh.Finalize(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if got, want := up.Final.Canonical(), res2.Final.Canonical(); got != want {
-		t.Fatalf("live result differs from fresh session:\n%s\nwant:\n%s", got, want)
-	}
-	if up.Final.Canonical() == before {
+	want := scratch.Final.Canonical()
+	if want == before {
 		t.Fatal("mutation did not change the result; test corpus too sparse")
 	}
-	if up.CorpusPriorHits == 0 {
-		t.Fatal("re-evaluation picked up no displaced priors")
-	}
-	if up.TuplesReused == 0 {
-		t.Fatal("re-evaluation replayed no tuples")
-	}
-	if up.TuplesReused < up.TuplesRecomputed {
-		t.Fatalf("small delta recomputed more than it reused: reused=%d recomputed=%d",
-			up.TuplesReused, up.TuplesRecomputed)
-	}
-	if up.FinalTuples != res2.FinalTuples {
-		t.Fatalf("FinalTuples = %d, fresh session = %d", up.FinalTuples, res2.FinalTuples)
+
+	for i, sess := range sessions {
+		sess.ApplyCorpusDelta(
+			&engine.CorpusDelta{Added: d.Added, Updated: d.Updated, Removed: d.Removed},
+			func(env *engine.Env) { lc.tables(env, s) },
+		)
+		up, err := sess.Reevaluate(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := up.Final.Canonical(); got != want {
+			t.Fatalf("config %d: live result differs from fresh session:\n%s\nwant:\n%s", i, got, want)
+		}
+		if up.FinalTuples != scratch.FinalTuples {
+			t.Fatalf("config %d: FinalTuples = %d, fresh session = %d", i, up.FinalTuples, scratch.FinalTuples)
+		}
+		if up.CorpusPriorHits == 0 {
+			t.Fatalf("config %d: re-evaluation picked up no displaced priors", i)
+		}
+		if up.TuplesReused <= up.TuplesRecomputed {
+			t.Fatalf("config %d: small delta did not reuse more than it recomputed: reused=%d recomputed=%d",
+				i, up.TuplesReused, up.TuplesRecomputed)
+		}
 	}
 }

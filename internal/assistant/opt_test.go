@@ -7,26 +7,27 @@ package assistant_test
 // rewrites commute with quarantine).
 
 import (
+	"fmt"
 	"testing"
 
 	"iflex/internal/alog"
 	"iflex/internal/assistant"
 	"iflex/internal/corpus"
 	"iflex/internal/fault"
+	"iflex/internal/store"
+	"iflex/internal/text"
 )
 
 // optSessionConfig mirrors chaosSessionConfig: a data-independent
 // question sequence, so every arm asks the same questions.
 func optSessionConfig(workers int, delta, optimize bool) assistant.Config {
-	return assistant.Config{
+	return assistant.OracleConfig(assistant.Config{
 		Strategy:          assistant.Sequential{},
 		MaxIterations:     3,
 		ConvergenceWindow: 100,
 		SubsetSeed:        1,
 		Workers:           workers,
-		DisableDeltaReuse: !delta,
-		DisableOptimizer:  !optimize,
-	}
+	}, delta, optimize)
 }
 
 // TestOptimizerSessionDifferential runs every paper task's refinement
@@ -128,6 +129,66 @@ func TestOptimizerSessionFaultDifferential(t *testing.T) {
 			if !baseSet[id] {
 				t.Errorf("workers=%d delta=%v: optimized run quarantined %s, absent from the unoptimized quarantine %v",
 					arm.workers, arm.delta, id, baseQ)
+			}
+		}
+	}
+}
+
+// TestSessionSweepT8T9 runs whole T8 (comparisons only, no cell shared)
+// and T9 (comparison over a similarity join's output, every cell shared)
+// sessions across Workers 1/8 × delta × optimizer × indexed/live:
+// transcript and final table are the same everywhere, and the
+// deterministic counters — FuncCalls and CmpOperandsParsed among them —
+// are the same wherever delta and optimizer settings are.
+func TestSessionSweepT8T9(t *testing.T) {
+	if testing.Short() {
+		t.Skip("32 whole sessions; skipped in -short")
+	}
+	for _, id := range []string{"T8", "T9"} {
+		task, err := corpus.TaskByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := task.Generate(24, 2)
+		var all []*text.Document
+		for _, name := range task.Tables {
+			all = append(all, c.DocsOf(name)...)
+		}
+		outputs := map[string]bool{}
+		type group struct{ delta, optimize bool }
+		counters := map[group][8]int64{}
+		for _, indexed := range []bool{false, true} {
+			for _, workers := range []int{1, 8} {
+				for _, delta := range []bool{false, true} {
+					for _, optimize := range []bool{false, true} {
+						env := task.Env(c)
+						if indexed {
+							ms := store.NewMemStore(all)
+							env.DocIndex, env.Postings = ms, ms
+						}
+						res, err := assistant.NewSession(env, alog.MustParse(task.Program), task.Oracle(), assistant.OracleConfig(assistant.Config{
+							Strategy: assistant.Simulation{}, SubsetSeed: 2, Workers: workers,
+						}, delta, optimize)).Run()
+						if err != nil {
+							t.Fatal(err)
+						}
+						where := fmt.Sprintf("%s indexed=%t workers=%d delta=%t opt=%t", id, indexed, workers, delta, optimize)
+						outputs[res.Transcript()+"\x00"+res.Final.String()] = true
+						if len(outputs) != 1 {
+							t.Fatalf("%s: transcript or table differs from the first configuration's", where)
+						}
+						s := res.Stats
+						got := [8]int64{s.TuplesBuilt, s.FuncCalls, s.VerifyCalls, s.RefineCalls,
+							s.LimitFallbacks, s.TuplesRecomputed, s.SimValuePairsVerified, s.CmpOperandsParsed}
+						if prev, ok := counters[group{delta, optimize}]; ok && prev != got {
+							t.Fatalf("%s: counters %v, earlier configurations %v", where, got, prev)
+						}
+						counters[group{delta, optimize}] = got
+						if s.CmpOperandsParsed == 0 {
+							t.Fatalf("%s: no operand parsed", where)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package assistant
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -62,26 +61,19 @@ type Config struct {
 	// re-evaluating (engine.Context.Spill). Results are unaffected; the
 	// directory is cleaned up when the session's Close runs.
 	SpillDir string
-	// DisableDeltaReuse turns off incremental (delta) evaluation between
-	// iterations and simulation candidates, forcing every changed operator
-	// to recompute from its full inputs. Results are byte-identical either
-	// way; this exists for benchmarking the delta win and as an escape
-	// hatch.
-	DisableDeltaReuse bool
-	// DisableOptimizer turns off the cost-based plan optimizer, executing
-	// plans exactly as compiled. Results are byte-identical either way
-	// (every rewrite is semantics-preserving down to tuple order and
-	// Maybe flags); this exists for benchmarking the optimizer win and as
-	// an escape hatch.
-	DisableOptimizer bool
+	// noDeltaReuse and noOptimizer switch off incremental (delta) evaluation
+	// and the cost-based plan optimizer. Results are byte-identical either
+	// way, which is the only reason they exist: the differential suites run
+	// every session with and without each (export_test.go) and compare.
+	noDeltaReuse, noOptimizer bool
 	// Deadline bounds execution in wall-clock time (0 = no deadline).
 	// Run binds it once over the whole session loop: on expiry the session
 	// stops asking questions, evaluation cuts at operator tuple/chunk
 	// boundaries, and Run returns its best partial result — still
 	// superset-correct over the processed documents, with Result.Degraded
-	// naming what was left out. The step-wise API (Step/Finalize) instead
-	// re-arms it per step, so a long-lived interactive session gets a fresh
-	// window for every step instead of expiring mid-conversation.
+	// naming what was left out. Step and Finalize instead re-arm it per
+	// call, so a long-lived interactive session gets a fresh window for
+	// every step instead of expiring mid-conversation (see step.go).
 	Deadline time.Duration
 	// Trace enables per-operator tracing from the first execution, so
 	// Explain can render an EXPLAIN ANALYZE tree at any point of the
@@ -146,8 +138,8 @@ type Iteration struct {
 	// TuplesReused and TuplesRecomputed are the delta-evaluation counter
 	// deltas for this iteration: input tuples replayed from a previous
 	// plan version's memo versus computed fresh (also deterministic).
-	// WallS is the iteration's wall-clock seconds (not deterministic; it
-	// is reported by the reuse bench, never by Transcript).
+	// WallS is the wall-clock seconds the iteration's execution and
+	// question selection took (not deterministic; never in Transcript).
 	TuplesReused     int64
 	TuplesRecomputed int64
 	WallS            float64
@@ -189,22 +181,17 @@ type Session struct {
 	cuts     []bool
 	prevPlan *engine.Plan // last executed plan, the delta predecessor
 
-	// Step-mode state (see step.go). stepRes accumulates the iteration log
-	// across Step calls; pending holds the questions returned by the last
-	// Step, awaiting the next call's answers; iterN counts executed subset
-	// iterations; stepDone blocks further execution once the loop ended;
-	// finished flips when Finalize ran. The counter baselines and iterStart
-	// mirror Run's record closure.
-	stepRes    *Result
-	pending    []Question
-	iterN      int
-	stepDone   bool
-	finished   bool
-	prevEvals  int64
-	prevHits   int64
-	prevReused int64
-	prevRecomp int64
-	iterStart  time.Time
+	// Loop state (see step.go). res accumulates the iteration log; pending
+	// holds the questions the last iteration asked, awaiting answers; iterN
+	// counts executed subset iterations; loopDone blocks further execution
+	// once the loop ended; finished flips when the full result exists; base
+	// is the engine-counter baseline record differences against.
+	res      *Result
+	pending  []Question
+	iterN    int
+	loopDone bool
+	finished bool
+	base     counters
 
 	// trialPrev remembers each simulated candidate's previous trial plan
 	// (keyed by attr/feature/value), so re-simulating the same candidate in
@@ -219,8 +206,8 @@ type Session struct {
 	// deletes them.
 	spill *store.Spill
 
-	// costModel and canon drive the plan optimizer (nil when
-	// DisableOptimizer is set): the model refines reported cost estimates
+	// costModel and canon drive the plan optimizer (nil only under the
+	// optimizer-off test oracle): the model refines reported cost estimates
 	// from the session's own execution statistics, the canon table shares
 	// structurally identical subplans across the base plan and all of an
 	// iteration's simulation trials (cross-trial CSE). The canon resets at
@@ -241,6 +228,7 @@ func NewSession(env *engine.Env, prog *alog.Program, oracle Oracle, cfg Config) 
 		Alpha:  cfg.Alpha,
 		ctx:    engine.NewContext(env),
 		asked:  map[string]bool{},
+		res:    &Result{},
 	}
 	s.ctx.Workers = cfg.Workers
 	s.ctx.CacheBudget = cfg.CacheBudget
@@ -257,10 +245,10 @@ func NewSession(env *engine.Env, prog *alog.Program, oracle Oracle, cfg Config) 
 		s.ctx.FaultPolicy = engine.QuarantineFaults
 		s.ctx.MaxDocRetries = cfg.MaxDocRetries
 	}
-	if !cfg.DisableDeltaReuse {
+	if !cfg.noDeltaReuse {
 		s.ctx.EnableDelta()
 	}
-	if !cfg.DisableOptimizer {
+	if !cfg.noOptimizer {
 		s.costModel = opt.NewModel()
 		s.canon = engine.NewCanonTable()
 	}
@@ -281,12 +269,11 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// optimize runs the cost-based rewrite pass over a freshly compiled plan
-// (identity when the optimizer is disabled). Rewrite decisions are
-// deterministic — purely structural plus static cardinalities — so the
-// base plan and every trial plan of an iteration rewrite in lockstep and
-// delta links between successive optimized plans line up exactly as they
-// do for unoptimized ones.
+// optimize runs the cost-based rewrite pass over a freshly compiled plan.
+// Rewrite decisions are deterministic — purely structural plus static
+// cardinalities — so the base plan and every trial plan of an iteration
+// rewrite in lockstep and delta links between successive optimized plans
+// line up exactly as they do for unoptimized ones.
 func (s *Session) optimize(plan *engine.Plan) *engine.Plan {
 	if s.costModel == nil {
 		return plan
@@ -494,103 +481,6 @@ func (s *Session) converged() bool {
 		}
 	}
 	return true
-}
-
-// Run executes the full session loop until convergence (or the iteration
-// bound), then computes the complete result in reuse (full) mode.
-func (s *Session) Run() (*Result, error) {
-	res := &Result{}
-	if d := s.Config.Deadline; d > 0 {
-		// Best-effort mode: when the deadline fires, in-flight operator
-		// loops cut at tuple/chunk granularity and return their partial
-		// output instead of an error; the loop below then stops asking
-		// questions and jumps straight to the final (partial) result.
-		c, cancel := context.WithTimeout(context.Background(), d)
-		defer cancel()
-		s.ctx.BindCancel(c, engine.CancelBestEffort)
-		defer s.ctx.Unbind()
-	}
-	// record stamps the iteration with the engine-counter deltas since the
-	// previous one (fresh evaluations vs reuse-cache hits, delta-replayed
-	// vs recomputed tuples) plus its wall time, and appends it.
-	var prevEvals, prevHits, prevReused, prevRecomp int64
-	iterStart := time.Now()
-	record := func(log Iteration) {
-		log.Evals = s.ctx.Stats.NodesEvaluated - prevEvals
-		log.CacheHits = s.ctx.Stats.CacheHits - prevHits
-		log.TuplesReused = s.ctx.Stats.TuplesReused - prevReused
-		log.TuplesRecomputed = s.ctx.Stats.TuplesRecomputed - prevRecomp
-		prevEvals += log.Evals
-		prevHits += log.CacheHits
-		prevReused += log.TuplesReused
-		prevRecomp += log.TuplesRecomputed
-		log.WallS = time.Since(iterStart).Seconds()
-		iterStart = time.Now()
-		res.Iterations = append(res.Iterations, log)
-	}
-	for iter := 1; iter <= s.Config.MaxIterations; iter++ {
-		table, assigns, err := s.execute(true)
-		if err != nil {
-			return nil, err
-		}
-		size := table.NumExpandedTuples()
-		s.sizes = append(s.sizes, size)
-		s.assigns = append(s.assigns, assigns)
-		s.cuts = append(s.cuts, s.ctx.Cancelled())
-		log := Iteration{N: iter, Tuples: size, Assignments: assigns, Mode: "subset"}
-
-		if s.ctx.Cancelled() {
-			record(log)
-			break
-		}
-		if s.converged() {
-			record(log)
-			break
-		}
-
-		space := questionSpace(s.Prog, s.Env.Features, s.asked)
-		if len(space) == 0 {
-			record(log)
-			break
-		}
-		questions, err := s.Config.Strategy.Next(s, space, s.Config.QuestionsPerIteration)
-		if err != nil {
-			return nil, err
-		}
-		if len(questions) == 0 {
-			record(log)
-			break
-		}
-		for _, q := range questions {
-			ans := s.Oracle.Answer(q)
-			s.asked[q.key()] = true
-			res.QuestionsAsked++
-			if v, ok := constraintValue(ans); ok {
-				if err := s.Prog.AddConstraint(q.Attr, q.Feature, v); err != nil {
-					return nil, fmt.Errorf("assistant: applying answer to %s: %w", q, err)
-				}
-			}
-			log.Questions = append(log.Questions, QA{Question: q, Answer: ans})
-		}
-		record(log)
-	}
-	res.Converged = s.converged()
-
-	// Switch to reuse mode: compute the complete result over all documents.
-	final, _, err := s.execute(false)
-	if err != nil {
-		return nil, err
-	}
-	final = s.ctx.AttachDegraded(final)
-	res.Final = final
-	res.FinalTuples = final.NumExpandedTuples()
-	res.Degraded = final.Degraded
-	record(Iteration{
-		N: len(res.Iterations) + 1, Tuples: res.FinalTuples,
-		Assignments: final.NumAssignments(), Mode: "full",
-	})
-	res.Stats = s.ctx.Stats
-	return res, nil
 }
 
 // Program returns the session's current (refined) program.

@@ -2,6 +2,7 @@ package assistant
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -9,22 +10,22 @@ import (
 	"iflex/internal/engine"
 )
 
-// This file is the session's step-wise (interactive/service) API. Run
-// drives the whole execute-ask-refine loop against an Oracle in one call;
-// a long-lived service instead steps the loop one iteration at a time,
-// shipping questions to a remote developer and folding their answers back
-// in whenever they arrive. The decomposition mirrors Run exactly — same
-// execution order, same counter attribution, same transcript — so a
-// session stepped to completion is byte-identical to a Run with the same
-// answers (pinned by TestStepMatchesRun and the server's identity test).
+// This file is the session's refinement loop. There is one loop body,
+// iterate — fold the answers in, execute one subset iteration, record it,
+// ask the strategy for the next questions — and one tail, finalize, which
+// computes the complete result. Run, Step and Finalize are drivers over
+// the two and differ only in who answers and in how the deadline is bound.
 //
-// Deadlines differ deliberately: Run binds Config.Deadline once over the
-// whole loop, while Step re-arms it per call. A service session may live
-// for hours between steps; binding once would leave every later step
-// running against a long-expired deadline (the stale-binding bug this API
-// fixes). Each Step gets a fresh window, and an expired step can poison
-// neither the reuse cache (post-cut results are never cached) nor the
-// convergence monitor (cut iterations are excluded — see converged).
+// Run binds Config.Deadline once over the whole loop and answers from the
+// session's Oracle: expiry ends the loop and the tail returns the best
+// partial result. Step and Finalize bind a fresh deadline per call and
+// take the answers from the caller: a service session may live for hours
+// between steps, and a deadline bound once would leave every later step
+// running against a long-expired context. An expired step degrades that
+// step only. It can poison neither the reuse cache (post-cut results are
+// never cached) nor the convergence monitor (cut iterations are excluded,
+// see converged). The two drivers may be mixed: Run finishes a session
+// that was stepped part of the way.
 
 // StepResult reports one interactive step: the iteration just executed,
 // the next questions to answer, and whether the loop is over.
@@ -49,36 +50,40 @@ type StepResult struct {
 	Degraded *compact.Degraded
 }
 
-// ensureStepState lazily initialises the step-mode accumulator.
-func (s *Session) ensureStepState() {
-	if s.stepRes == nil {
-		s.stepRes = &Result{}
-		s.iterStart = time.Now()
-	}
+var errFinalized = errors.New("assistant: session already finalized")
+
+// counters are the engine stats an Iteration reports as deltas.
+type counters struct{ evals, hits, reused, recomp int64 }
+
+func (s *Session) counters() counters {
+	st := &s.ctx.Stats
+	return counters{st.NodesEvaluated, st.CacheHits, st.TuplesReused, st.TuplesRecomputed}
 }
 
-// recordStep stamps log with the engine-counter deltas since the previous
-// iteration and appends it — the step-mode twin of Run's record closure.
-func (s *Session) recordStep(log Iteration) {
-	log.Evals = s.ctx.Stats.NodesEvaluated - s.prevEvals
-	log.CacheHits = s.ctx.Stats.CacheHits - s.prevHits
-	log.TuplesReused = s.ctx.Stats.TuplesReused - s.prevReused
-	log.TuplesRecomputed = s.ctx.Stats.TuplesRecomputed - s.prevRecomp
-	s.prevEvals += log.Evals
-	s.prevHits += log.CacheHits
-	s.prevReused += log.TuplesReused
-	s.prevRecomp += log.TuplesRecomputed
-	log.WallS = time.Since(s.iterStart).Seconds()
-	s.iterStart = time.Now()
-	s.stepRes.Iterations = append(s.stepRes.Iterations, log)
+// record stamps it with the engine-counter deltas since the previous
+// iteration (fresh evaluations vs reuse-cache hits, delta-replayed vs
+// recomputed tuples) and the wall time since start, appends it to the log
+// and returns it.
+func (s *Session) record(it Iteration, start time.Time) Iteration {
+	now := s.counters()
+	it.Evals = now.evals - s.base.evals
+	it.CacheHits = now.hits - s.base.hits
+	it.TuplesReused = now.reused - s.base.reused
+	it.TuplesRecomputed = now.recomp - s.base.recomp
+	s.base = now
+	it.WallS = time.Since(start).Seconds()
+	s.res.Iterations = append(s.res.Iterations, it)
+	return it
 }
 
-// bindStep re-arms the best-effort deadline for one step and returns the
-// unbind function. It always binds — a never-firing background context
-// when d is zero — because BindCancel is also what resets the degradation
-// report: without it, a deadline that expired two steps ago would still be
-// attached to every later step's (complete) result.
-func (s *Session) bindStep(d time.Duration) func() {
+// bind arms the best-effort deadline d and returns the unbind function.
+// When the deadline fires, in-flight operator loops cut at tuple/chunk
+// granularity and return their partial output instead of an error. It
+// always binds — a never-firing background context when d is zero —
+// because BindCancel is also what resets the degradation report: without
+// it, a deadline that expired two steps ago would still be attached to
+// every later step's (complete) result.
+func (s *Session) bind(d time.Duration) func() {
 	c, cancel := context.Background(), func() {}
 	if d > 0 {
 		c, cancel = context.WithTimeout(c, d)
@@ -90,11 +95,11 @@ func (s *Session) bindStep(d time.Duration) func() {
 	}
 }
 
-// applyAnswers folds the answers to the previous step's pending questions
-// into the program, mirroring Run's answer loop: every pending question is
-// marked asked and counted; known answers become domain constraints and
-// are logged on the iteration that asked them. Fewer answers than pending
-// questions treats the remainder as "I do not know"; more is an error.
+// applyAnswers folds the answers to the pending questions into the
+// program: every pending question is marked asked and counted; known
+// answers become domain constraints and are logged on the iteration that
+// asked them. Fewer answers than pending questions treats the remainder as
+// "I do not know"; more is an error.
 func (s *Session) applyAnswers(answers []Answer) error {
 	if len(answers) > len(s.pending) {
 		return fmt.Errorf("assistant: %d answers for %d pending questions", len(answers), len(s.pending))
@@ -105,19 +110,123 @@ func (s *Session) applyAnswers(answers []Answer) error {
 			ans = answers[i]
 		}
 		s.asked[q.key()] = true
-		s.stepRes.QuestionsAsked++
+		s.res.QuestionsAsked++
 		if v, ok := constraintValue(ans); ok {
 			if err := s.Prog.AddConstraint(q.Attr, q.Feature, v); err != nil {
 				return fmt.Errorf("assistant: applying answer to %s: %w", q, err)
 			}
 		}
-		if n := len(s.stepRes.Iterations); n > 0 {
-			it := &s.stepRes.Iterations[n-1]
+		if n := len(s.res.Iterations); n > 0 {
+			it := &s.res.Iterations[n-1]
 			it.Questions = append(it.Questions, QA{Question: q, Answer: ans})
 		}
 	}
 	s.pending = nil
 	return nil
+}
+
+// iterate is the loop body: fold the answers to the previous iteration's
+// questions into the program, execute one subset iteration, record it and
+// ask the strategy for the next questions. The caller has bound the
+// deadline it runs under.
+func (s *Session) iterate(answers []Answer) (*StepResult, error) {
+	if err := s.applyAnswers(answers); err != nil {
+		return nil, err
+	}
+	if !s.loopDone {
+		s.iterN++
+		s.loopDone = s.iterN > s.Config.MaxIterations
+	}
+	if s.loopDone {
+		return &StepResult{Converged: s.converged(), Done: true}, nil
+	}
+
+	start := time.Now()
+	table, assigns, err := s.execute(true)
+	if err != nil {
+		return nil, err
+	}
+	size := table.NumExpandedTuples()
+	cut := s.ctx.Cancelled()
+	s.sizes = append(s.sizes, size)
+	s.assigns = append(s.assigns, assigns)
+	s.cuts = append(s.cuts, cut)
+
+	// A cut iteration's output is partial, so questions scored on it would
+	// be noise: none are asked. It is already excluded from the convergence
+	// monitor and the engine never caches post-cut results, so the next
+	// iteration re-executes cleanly.
+	var questions []Question
+	if !cut && !s.converged() {
+		if space := questionSpace(s.Prog, s.Env.Features, s.asked); len(space) > 0 {
+			questions, err = s.Config.Strategy.Next(s, space, s.Config.QuestionsPerIteration)
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+	// Nothing left to ask ends the loop: convergence, an exhausted question
+	// space, or a strategy that picks none. A cut by itself does not — the
+	// driver knows whether its deadline has another window to offer.
+	s.loopDone = !cut && len(questions) == 0
+	s.pending = questions
+	return &StepResult{
+		Iteration: s.record(Iteration{N: s.iterN, Tuples: size, Assignments: assigns, Mode: "subset"}, start),
+		Questions: questions,
+		Converged: s.converged(),
+		Done:      s.loopDone,
+		Degraded:  s.ctx.DegradedReport(),
+	}, nil
+}
+
+// finalize is the loop's tail: switch to reuse mode and compute the
+// complete result over all documents. The session counts as finished only
+// once that result exists, so a faulted full pass can be retried.
+func (s *Session) finalize() (*Result, error) {
+	start := time.Now()
+	res := s.res
+	res.Converged = s.converged()
+	final, _, err := s.execute(false)
+	if err != nil {
+		return nil, err
+	}
+	final = s.ctx.AttachDegraded(final)
+	res.Final = final
+	res.FinalTuples = final.NumExpandedTuples()
+	res.Degraded = final.Degraded
+	s.record(Iteration{
+		N: len(res.Iterations) + 1, Tuples: res.FinalTuples,
+		Assignments: final.NumAssignments(), Mode: "full",
+	}, start)
+	res.Stats = s.ctx.Stats
+	s.finished = true
+	return res, nil
+}
+
+// Run drives the loop to its end against the session's Oracle — until
+// convergence, an exhausted question space or the iteration bound — then
+// computes the complete result in reuse (full) mode. Config.Deadline covers
+// the whole call: when it fires the loop stops asking and the result is the
+// best partial one. Questions left pending by earlier Step calls are
+// answered by the Oracle first.
+func (s *Session) Run() (*Result, error) {
+	if s.finished {
+		return nil, errFinalized
+	}
+	defer s.bind(s.Config.Deadline)()
+	for !s.loopDone {
+		answers := make([]Answer, len(s.pending))
+		for i, q := range s.pending {
+			answers[i] = s.Oracle.Answer(q)
+		}
+		if _, err := s.iterate(answers); err != nil {
+			return nil, err
+		}
+		if s.ctx.Cancelled() {
+			break // the one deadline has no further window to offer
+		}
+	}
+	return s.finalize()
 }
 
 // Step advances the session one iteration under a per-step deadline of
@@ -130,119 +239,33 @@ func (s *Session) Step(answers []Answer) (*StepResult, error) {
 // the program, executes one subset iteration, and returns the next
 // questions. The deadline d (0 = none) covers this call alone: every step
 // of a long-lived session gets a fresh window, and a step that expired
-// degrades that step only — its partial counts are excluded from the
-// convergence monitor and its post-cut results are never cached, so the
-// next step starts clean.
+// degrades that step only, so the next step starts clean. Only the
+// iteration budget bounds a session whose every step expires.
 func (s *Session) StepDeadline(d time.Duration, answers []Answer) (*StepResult, error) {
 	if s.finished {
-		return nil, fmt.Errorf("assistant: session already finalized")
+		return nil, errFinalized
 	}
-	s.ensureStepState()
-	unbind := s.bindStep(d)
-	defer unbind()
-	if err := s.applyAnswers(answers); err != nil {
-		return nil, err
-	}
-	if s.stepDone {
-		return &StepResult{Converged: s.converged(), Done: true}, nil
-	}
-	s.iterN++
-	if s.iterN > s.Config.MaxIterations {
-		s.stepDone = true
-		return &StepResult{Converged: s.converged(), Done: true}, nil
-	}
-
-	table, assigns, err := s.execute(true)
-	if err != nil {
-		return nil, err
-	}
-	size := table.NumExpandedTuples()
-	s.sizes = append(s.sizes, size)
-	s.assigns = append(s.assigns, assigns)
-	s.cuts = append(s.cuts, s.ctx.Cancelled())
-	log := Iteration{N: s.iterN, Tuples: size, Assignments: assigns, Mode: "subset"}
-	res := &StepResult{Iteration: log}
-
-	stop := func() (*StepResult, error) {
-		s.stepDone = true
-		s.recordStep(log)
-		res.Iteration = s.stepRes.Iterations[len(s.stepRes.Iterations)-1]
-		res.Converged = s.converged()
-		res.Done = true
-		res.Degraded = s.ctx.DegradedReport()
-		return res, nil
-	}
-	if s.ctx.Cancelled() {
-		// This step's deadline fired: its output is partial, so asking
-		// questions scored on it would be noise. Unlike Run — whose one
-		// deadline covers the whole loop, so expiry ends it — the step gets
-		// a fresh window next call; only the iteration budget still bounds
-		// the session. The cut iteration is already excluded from the
-		// convergence monitor, and the engine never caches post-cut
-		// results, so the next step re-executes cleanly.
-		s.recordStep(log)
-		res.Iteration = s.stepRes.Iterations[len(s.stepRes.Iterations)-1]
-		res.Degraded = s.ctx.DegradedReport()
-		return res, nil
-	}
-	if s.converged() {
-		return stop()
-	}
-	space := questionSpace(s.Prog, s.Env.Features, s.asked)
-	if len(space) == 0 {
-		return stop()
-	}
-	questions, err := s.Config.Strategy.Next(s, space, s.Config.QuestionsPerIteration)
-	if err != nil {
-		return nil, err
-	}
-	if len(questions) == 0 {
-		return stop()
-	}
-	s.recordStep(log)
-	res.Iteration = s.stepRes.Iterations[len(s.stepRes.Iterations)-1]
-	s.pending = questions
-	res.Questions = questions
-	res.Degraded = s.ctx.DegradedReport()
-	return res, nil
+	defer s.bind(d)()
+	return s.iterate(answers)
 }
 
 // Finalize computes the complete result over all documents (reuse mode)
-// and returns the accumulated session Result — the step-mode counterpart
-// of Run's tail. The deadline d (0 = none) covers this call alone. The
-// session stays readable afterwards (Program, StatsSnapshot, Explain) but
-// cannot step again.
+// and returns the accumulated session Result. The deadline d (0 = none)
+// covers this call alone. The session stays readable afterwards (Program,
+// StatsSnapshot, Explain) but cannot step again. If the full pass fails,
+// the session is not finalized and the call may be repeated.
 func (s *Session) Finalize(d time.Duration) (*Result, error) {
 	if s.finished {
-		return nil, fmt.Errorf("assistant: session already finalized")
+		return nil, errFinalized
 	}
-	s.ensureStepState()
-	s.finished = true
-	s.stepDone = true
-	unbind := s.bindStep(d)
-	defer unbind()
-	res := s.stepRes
-	res.Converged = s.converged()
-	final, _, err := s.execute(false)
-	if err != nil {
-		return nil, err
-	}
-	final = s.ctx.AttachDegraded(final)
-	res.Final = final
-	res.FinalTuples = final.NumExpandedTuples()
-	res.Degraded = final.Degraded
-	s.recordStep(Iteration{
-		N: len(res.Iterations) + 1, Tuples: res.FinalTuples,
-		Assignments: final.NumAssignments(), Mode: "full",
-	})
-	res.Stats = s.ctx.Stats
-	return res, nil
+	defer s.bind(d)()
+	return s.finalize()
 }
 
 // Pending returns the questions awaiting answers from the next Step call.
 func (s *Session) Pending() []Question { return s.pending }
 
-// Finished reports whether Finalize has run.
+// Finished reports whether the session holds its final result.
 func (s *Session) Finished() bool { return s.finished }
 
 // StatsSnapshot renders the session's engine counters. Call it only while

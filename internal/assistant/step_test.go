@@ -1,25 +1,31 @@
 package assistant_test
 
-// Tests of the step-wise session API (step.go): a session stepped to
+// Tests of the session loop's drivers (step.go): a session stepped to
 // completion must be byte-identical to Run with the same answers, the
 // per-step deadline must be re-armed on every call (the stale-binding
-// bug), and an expired step must poison neither later steps nor the
-// final result.
+// bug), an expired step must poison neither later steps nor the final
+// result, and a faulted Finalize must stay retryable.
 
 import (
+	"errors"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"iflex/internal/alog"
 	"iflex/internal/assistant"
 	"iflex/internal/corpus"
+	"iflex/internal/engine"
+	"iflex/internal/fault"
+	"iflex/internal/text"
 )
 
-// stepToCompletion drives a session through Step until Done, answering
-// pending questions with the oracle, then finalizes. Each step runs under
-// deadline d (0 = none).
-func stepToCompletion(t *testing.T, s *assistant.Session, o *assistant.MapOracle, d time.Duration) *assistant.Result {
+// stepUntilDone drives a session through Step until Done, answering
+// pending questions with the oracle. Each step runs under deadline d
+// (0 = none).
+func stepUntilDone(t *testing.T, s *assistant.Session, o *assistant.MapOracle, d time.Duration) {
 	t.Helper()
 	var answers []assistant.Answer
 	for i := 0; ; i++ {
@@ -31,13 +37,20 @@ func stepToCompletion(t *testing.T, s *assistant.Session, o *assistant.MapOracle
 			t.Fatalf("step %d: %v", i, err)
 		}
 		if sr.Done {
-			break
+			return
 		}
 		answers = answers[:0]
 		for _, q := range sr.Questions {
 			answers = append(answers, o.Answer(q))
 		}
 	}
+}
+
+// stepToCompletion is stepUntilDone followed by Finalize under the same
+// deadline.
+func stepToCompletion(t *testing.T, s *assistant.Session, o *assistant.MapOracle, d time.Duration) *assistant.Result {
+	t.Helper()
+	stepUntilDone(t, s, o, d)
 	res, err := s.Finalize(d)
 	if err != nil {
 		t.Fatalf("finalize: %v", err)
@@ -45,10 +58,29 @@ func stepToCompletion(t *testing.T, s *assistant.Session, o *assistant.MapOracle
 	return res
 }
 
-// TestStepMatchesRun pins the service-path contract: for every corpus
-// task and both strategies, stepping a session to completion with the
-// oracle's answers yields a transcript and final table byte-identical to
-// Run on a session with the same configuration.
+// sameSession fails unless got's transcript, final table, Converged and
+// QuestionsAsked equal want's.
+func sameSession(t *testing.T, label string, got, want *assistant.Result) {
+	t.Helper()
+	if got.Transcript() != want.Transcript() {
+		t.Errorf("%s: transcript differs\ngot:\n%s\nwant:\n%s", label, got.Transcript(), want.Transcript())
+	}
+	if got.Final.String() != want.Final.String() {
+		t.Errorf("%s: final table differs\ngot:\n%s\nwant:\n%s", label, got.Final.String(), want.Final.String())
+	}
+	if got.Converged != want.Converged || got.QuestionsAsked != want.QuestionsAsked {
+		t.Errorf("%s: (converged=%v, asked=%d), want (converged=%v, asked=%d)",
+			label, got.Converged, got.QuestionsAsked, want.Converged, want.QuestionsAsked)
+	}
+}
+
+// TestStepMatchesRun pins the service-path contract: Run and Step are two
+// drivers over one loop body, so for every corpus task and both
+// strategies, stepping a session to completion with the oracle's answers
+// yields a transcript and final table byte-identical to Run on a session
+// with the same configuration — and so does switching from one driver to
+// the other half way. The deadline case pins what only Run does: one
+// Config.Deadline over the whole loop.
 func TestStepMatchesRun(t *testing.T) {
 	const records = 10
 	for _, strat := range []struct {
@@ -72,22 +104,152 @@ func TestStepMatchesRun(t *testing.T) {
 				}
 
 				stepped := assistant.NewSession(env, alog.MustParse(task.Program), task.Oracle(), cfg)
-				got := stepToCompletion(t, stepped, task.Oracle(), 0)
-
-				if got.Transcript() != want.Transcript() {
-					t.Errorf("%s: step transcript differs from run\nstep:\n%s\nrun:\n%s",
-						task.ID, got.Transcript(), want.Transcript())
-				}
-				if got.Final.String() != want.Final.String() {
-					t.Errorf("%s: step final table differs from run\nstep:\n%s\nrun:\n%s",
-						task.ID, got.Final.String(), want.Final.String())
-				}
-				if got.Converged != want.Converged || got.QuestionsAsked != want.QuestionsAsked {
-					t.Errorf("%s: step (converged=%v, asked=%d) vs run (converged=%v, asked=%d)",
-						task.ID, got.Converged, got.QuestionsAsked, want.Converged, want.QuestionsAsked)
-				}
+				sameSession(t, task.ID+" stepped", stepToCompletion(t, stepped, task.Oracle(), 0), want)
 			}
 		})
+	}
+	t.Run("run after two steps", runAfterTwoSteps)
+	t.Run("deadline", runDeadlineMidLoop)
+}
+
+// runAfterTwoSteps switches drivers half way, on every task: Run on a
+// session already stepped twice answers the questions the second step
+// left pending from the Oracle — they are not dropped as "I do not know"
+// — and ends exactly where an undisturbed Run does.
+func runAfterTwoSteps(t *testing.T) {
+	for _, task := range corpus.Tasks() {
+		c := task.Generate(10, 1)
+		env := task.Env(c)
+		cfg := assistant.Config{Strategy: assistant.Sequential{}, Alpha: assistant.ExplicitZero}
+		want, err := assistant.NewSession(env, alog.MustParse(task.Program), task.Oracle(), cfg).Run()
+		if err != nil {
+			t.Fatalf("%s: run: %v", task.ID, err)
+		}
+
+		o := task.Oracle()
+		s := assistant.NewSession(env, alog.MustParse(task.Program), o, cfg)
+		sr, err := s.Step(nil)
+		if err != nil {
+			t.Fatalf("%s: step 1: %v", task.ID, err)
+		}
+		var answers []assistant.Answer
+		for _, q := range sr.Questions {
+			answers = append(answers, o.Answer(q))
+		}
+		if sr, err = s.Step(answers); err != nil {
+			t.Fatalf("%s: step 2: %v", task.ID, err)
+		}
+		if len(sr.Questions) == 0 || len(s.Pending()) != len(sr.Questions) {
+			t.Fatalf("%s: second step left %d questions pending of %d asked; the case is vacuous",
+				task.ID, len(s.Pending()), len(sr.Questions))
+		}
+		got, err := s.Run()
+		if err != nil {
+			t.Fatalf("%s: run after two steps: %v", task.ID, err)
+		}
+		sameSession(t, task.ID, got, want)
+	}
+}
+
+// armingOracle answers like the oracle it wraps and calls arm when asked
+// its first question, i.e. between the first and the second iteration.
+type armingOracle struct {
+	assistant.Oracle
+	asked int
+	arm   func()
+}
+
+func (o *armingOracle) Answer(q assistant.Question) assistant.Answer {
+	if o.asked++; o.asked == 1 {
+		o.arm()
+	}
+	return o.Oracle.Answer(q)
+}
+
+// runDeadlineMidLoop makes Run's one Config.Deadline expire in the middle
+// of the loop: a chunk-latency rule, armed once the first iteration is
+// over, sleeps past the deadline inside the next execution. The loop must
+// stop asking there, the cut iteration must not count as evidence of
+// convergence, and the result must be the degraded partial table — still
+// a superset over the documents it did process.
+func runDeadlineMidLoop(t *testing.T) {
+	task, err := corpus.TaskByID("T1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := task.Generate(10, 1)
+	const deadline = 300 * time.Millisecond
+	inj := fault.New(1, fault.Rule{Site: "chunk", Mode: fault.ModeLatency, Num: 1, Den: 1, Latency: deadline + deadline/2})
+	inj.Disable()
+	o := &armingOracle{Oracle: task.Oracle(), arm: inj.Enable}
+	s := assistant.NewSession(task.Env(c), alog.MustParse(task.Program), o, assistant.Config{
+		Strategy: assistant.Sequential{}, Workers: 1, Deadline: deadline,
+	})
+	hook := inj.ChunkHook()
+	s.SetChunkHook(func(start, end int) error {
+		defer inj.Disable() // one sleep is enough: the deadline is behind us
+		return hook(start, end)
+	})
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inj.Injected.Load() == 0 {
+		t.Fatal("the latency rule never fired; the deadline cannot have expired mid-loop")
+	}
+	if res.Degraded == nil || !res.Degraded.DeadlineExpired {
+		t.Fatalf("degradation report missing or not expired: %+v", res.Degraded)
+	}
+	if res.Converged {
+		t.Error("Converged with the last iteration cut: a cut iteration counted as evidence")
+	}
+	n := len(res.Iterations)
+	if n < 3 || res.Iterations[n-1].Mode != "full" {
+		t.Fatalf("want at least a clean iteration, the cut one and the full pass:\n%s", res.Transcript())
+	}
+	if cut := res.Iterations[n-2]; len(cut.Questions) != 0 {
+		t.Errorf("the cut iteration asked %v", cut.Questions)
+	}
+	logged := 0
+	for _, it := range res.Iterations {
+		logged += len(it.Questions)
+	}
+	if res.QuestionsAsked != o.asked || logged != o.asked {
+		t.Errorf("QuestionsAsked=%d, logged=%d, oracle was asked %d", res.QuestionsAsked, logged, o.asked)
+	}
+	if o.asked >= 10 {
+		t.Errorf("oracle asked %d questions; the loop did not stop at the cut", o.asked)
+	}
+
+	// Superset over the processed documents: whatever the refined program
+	// yields on the corpus minus the unprocessed documents is in the table.
+	// (The full pass starts after the expiry, so it may well process none.)
+	gone := map[string]bool{}
+	for _, id := range res.Degraded.UnprocessedDocs {
+		gone[id] = true
+	}
+	env := task.Env(c)
+	for _, name := range task.Tables {
+		var keep []*text.Document
+		for _, d := range c.DocsOf(name) {
+			if !gone[d.ID()] {
+				keep = append(keep, d)
+			}
+		}
+		env.AddDocTable(name, "x", keep)
+	}
+	processed, err := engine.Run(s.Program(), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := map[string]bool{}
+	for _, tp := range res.Final.Tuples {
+		have[tp.String()] = true
+	}
+	for _, tp := range processed.Tuples {
+		if !have[tp.String()] {
+			t.Errorf("tuple over processed documents missing from the degraded table: %s", tp)
+		}
 	}
 }
 
@@ -285,6 +447,67 @@ func TestStepAPIErrors(t *testing.T) {
 	}
 	if _, err := s.Finalize(0); err == nil {
 		t.Error("double Finalize accepted")
+	}
+	_, stepErr := s.Step(nil)
+	if _, err := s.Run(); err == nil || err.Error() != stepErr.Error() {
+		t.Errorf("Run after Finalize: %v, want Step's error %v", err, stepErr)
+	}
+}
+
+// TestFinalizeRetryAfterFault is the regression test for a session that
+// marked itself finished before its first full-corpus pass had produced
+// anything: when that pass faulted (here a FailFast fault on a document
+// the subset never touched) every later Finalize answered "session
+// already finalized" and the result was lost. The first Finalize must
+// return the fault, the second the complete result, byte-identical to an
+// undisturbed session's.
+func TestFinalizeRetryAfterFault(t *testing.T) {
+	task, err := corpus.TaskByID("T9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := task.Generate(30, 1) // enough pages that the subset leaves most out
+	cfg := assistant.Config{Strategy: assistant.Sequential{}, SubsetSeed: 1}
+
+	ref := assistant.NewSession(task.Env(c), alog.MustParse(task.Program), task.Oracle(), cfg)
+	want := stepToCompletion(t, ref, task.Oracle(), 0)
+
+	var armed atomic.Bool
+	env := task.Env(c)
+	env.FaultHook = func(site string, docs []string) error {
+		if armed.CompareAndSwap(true, false) {
+			return errors.New("injected fault in the full pass")
+		}
+		return nil
+	}
+	s := assistant.NewSession(env, alog.MustParse(task.Program), task.Oracle(), cfg)
+	stepUntilDone(t, s, task.Oracle(), 0)
+	armed.Store(true)
+	if _, err := s.Finalize(0); err == nil || !strings.Contains(err.Error(), "injected fault") {
+		t.Fatalf("first Finalize: %v, want the injected fault", err)
+	}
+	if armed.Load() {
+		t.Fatal("the full pass reached no guarded unit of work; the hook never fired")
+	}
+	if s.Finished() {
+		t.Error("Finished() after a Finalize that produced no result")
+	}
+	got, err := s.Finalize(0)
+	if err != nil {
+		t.Fatalf("second Finalize: %v", err)
+	}
+	if got.Final.String() != want.Final.String() {
+		t.Errorf("retried final table differs from an undisturbed session's\ngot:\n%s\nwant:\n%s",
+			got.Final.String(), want.Final.String())
+	}
+	if got.FinalTuples != want.FinalTuples || got.Converged != want.Converged ||
+		got.QuestionsAsked != want.QuestionsAsked || len(got.Iterations) != len(want.Iterations) {
+		t.Errorf("retried result (tuples=%d converged=%v asked=%d iterations=%d) vs undisturbed (%d %v %d %d)",
+			got.FinalTuples, got.Converged, got.QuestionsAsked, len(got.Iterations),
+			want.FinalTuples, want.Converged, want.QuestionsAsked, len(want.Iterations))
+	}
+	if got.Degraded != nil {
+		t.Errorf("retried result degraded: %s", got.Degraded.Summary())
 	}
 }
 

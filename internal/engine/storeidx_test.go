@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -22,32 +23,70 @@ const docJoinSrc = `Q(x, y) :- L(x), R(y), similar(x, y).`
 // TestStoreIndexByteIdentity: attaching a document index and postings to
 // the environment changes how tokens are obtained, never what they are —
 // results stay byte-identical to the index-free run across worker counts,
-// delta evaluation, and the optimizer.
+// delta evaluation, and the optimizer, whether the index is a MemStore
+// over the same documents or a DiskStore whose pages are loaded lazily
+// and released again under a small resident budget.
 func TestStoreIndexByteIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	ldocs := docsOf(optDocs("l", 12, r))
-	rdocs := docsOf(optDocs("r", 12, r))
-	all := append(append([]*text.Document{}, ldocs...), rdocs...)
+	l, rt := optDocs("l", 12, r), optDocs("r", 12, r)
 	for _, src := range []string{
 		docJoinSrc,
 		// Multi-valued left cells against the postings-backed right side:
 		// the value-level probe meets the stored whole-page records.
 		`Q(s, y) :- L(x), from(x, s), R(y), similar(s, y).`,
 	} {
-		storeIndexByteIdentity(t, alog.MustParse(src), ldocs, rdocs, all)
+		storeIndexByteIdentity(t, alog.MustParse(src), l, rt)
 	}
 }
 
-func storeIndexByteIdentity(t *testing.T, prog *alog.Program, ldocs, rdocs, all []*text.Document) {
-	run := func(indexed bool, workers int, delta, optimize bool) (string, StatsSnapshot) {
-		env := NewEnv()
+func storeIndexByteIdentity(t *testing.T, prog *alog.Program, l, r []docPair) {
+	dir := t.TempDir()
+	w, err := store.Create(dir, store.Options{ShardDocs: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range append(append([]docPair{}, l...), r...) {
+		if err := w.Add(p.id, p.src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// budget has room for two or three of these pages: every run over the
+	// disk leg must release. bind wires one leg's documents and, for the
+	// indexed legs, its index.
+	const budget = 2 << 10
+	type leg struct {
+		name string
+		bind func(env *Env) *store.DiskStore
+	}
+	plain := func(env *Env) []*text.Document {
+		ldocs, rdocs := docsOf(l), docsOf(r)
 		env.AddDocTable("L", "x", ldocs)
 		env.AddDocTable("R", "y", rdocs)
-		if indexed {
-			ms := store.NewMemStore(all)
-			env.DocIndex = ms
-			env.Postings = ms
+		return append(ldocs, rdocs...)
+	}
+	mem := leg{"mem", func(env *Env) *store.DiskStore {
+		ms := store.NewMemStore(plain(env))
+		env.DocIndex, env.Postings = ms, ms
+		return nil
+	}}
+	disk := leg{"disk", func(env *Env) *store.DiskStore {
+		ds, err := store.Open(dir, store.OpenOptions{ResidentBudget: budget})
+		if err != nil {
+			t.Fatal(err)
 		}
+		t.Cleanup(func() { ds.Close() })
+		env.AddDocTable("L", "x", ds.Docs()[:len(l)])
+		env.AddDocTable("R", "y", ds.Docs()[len(l):])
+		env.DocIndex, env.Postings = ds, ds
+		return ds
+	}}
+	run := func(bind func(*Env) *store.DiskStore, workers int, delta, optimize bool) (string, StatsSnapshot, *store.DiskStore) {
+		env := NewEnv()
+		ds := bind(env)
 		plan, err := Compile(prog, env)
 		if err != nil {
 			t.Fatal(err)
@@ -64,29 +103,36 @@ func storeIndexByteIdentity(t *testing.T, prog *alog.Program, ldocs, rdocs, all 
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Canonical(), ctx.Stats.Snapshot()
+		// Canonical compares value bytes, not document handles: the disk
+		// leg joins the same pages through the store's own handles.
+		return res.Canonical(), ctx.Stats.Snapshot(), ds
 	}
 
-	want, base := run(false, 1, false, false)
+	want, base, _ := run(func(env *Env) *store.DiskStore { plain(env); return nil }, 1, false, false)
 	if base.IndexTokenHits != 0 || base.BlockIdxPostings != 0 {
 		t.Fatalf("index counters moved without an index: %+v", base)
 	}
 	if !strings.Contains(want, "(") {
 		t.Fatalf("join produced no tuples; test corpus too sparse:\n%s", want)
 	}
-	for _, workers := range []int{1, 8} {
-		for _, delta := range []bool{false, true} {
-			for _, optimize := range []bool{false, true} {
-				got, st := run(true, workers, delta, optimize)
-				if got != want {
-					t.Fatalf("workers=%d delta=%t opt=%t: indexed result differs:\n%s\nwant:\n%s",
-						workers, delta, optimize, got, want)
-				}
-				if st.IndexTokenHits == 0 {
-					t.Errorf("workers=%d delta=%t opt=%t: index never consulted", workers, delta, optimize)
-				}
-				if st.BlockIdxPostings == 0 {
-					t.Errorf("workers=%d delta=%t opt=%t: blocking did not use postings", workers, delta, optimize)
+	for _, lg := range []leg{mem, disk} {
+		for _, workers := range []int{1, 8} {
+			for _, delta := range []bool{false, true} {
+				for _, optimize := range []bool{false, true} {
+					where := fmt.Sprintf("%s workers=%d delta=%t opt=%t", lg.name, workers, delta, optimize)
+					got, st, ds := run(lg.bind, workers, delta, optimize)
+					if got != want {
+						t.Fatalf("%s: indexed result differs:\n%s\nwant:\n%s", where, got, want)
+					}
+					if st.IndexTokenHits == 0 {
+						t.Errorf("%s: index never consulted", where)
+					}
+					if st.BlockIdxPostings == 0 {
+						t.Errorf("%s: blocking did not use postings", where)
+					}
+					if ds != nil && ds.Releases() == 0 {
+						t.Errorf("%s: %d loads under a %d-byte budget released no page", where, ds.Loads(), budget)
+					}
 				}
 			}
 		}

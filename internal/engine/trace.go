@@ -344,7 +344,7 @@ func goid() int64 {
 }
 
 // StatsSnapshot is the JSON rendering of Stats with derived rates, the
-// shape iflex-bench -bench-json emits.
+// shape the service's result stream emits.
 type StatsSnapshot struct {
 	NodesEvaluated   int64              `json:"nodes_evaluated"`
 	CacheHits        int64              `json:"cache_hits"`

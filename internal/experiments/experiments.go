@@ -7,14 +7,13 @@
 // system; human minutes come from the devmodel cost model (see DESIGN.md).
 //
 // Each harness accepts a Scale factor: 1.0 runs the paper's corpus sizes,
-// smaller factors shrink every scenario proportionally (the test-suite
-// benches use 0.05; iflex-bench defaults to 0.2).
+// smaller factors shrink every scenario proportionally (the tests use
+// 0.05; iflex-bench defaults to 0.2).
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"iflex/internal/alog"
@@ -40,11 +39,6 @@ type Options struct {
 	// none); expired sessions report their best partial result and a
 	// degradation summary instead of failing the harness.
 	Deadline time.Duration
-	// DisableOptimizer runs sessions without the cost-based plan
-	// optimizer (results are byte-identical either way). The Hotpath and
-	// Reuse harnesses pin the optimizer off regardless, so their counters
-	// stay comparable across releases.
-	DisableOptimizer bool
 	// Out receives the rendered table (nil = io.Discard).
 	Out io.Writer
 }
@@ -79,8 +73,6 @@ type Scenario struct {
 	Workers int
 	// Deadline bounds the session in wall-clock time (0 = none).
 	Deadline time.Duration
-	// DisableOptimizer turns the session's plan optimizer off.
-	DisableOptimizer bool
 }
 
 // Table3Sizes lists the paper's 27 scenarios: three sizes per task
@@ -161,11 +153,10 @@ func RunScenario(sc Scenario, strategyName string, seed int64) (*SessionOutcome,
 	truth := task.Truth(c)
 	start := time.Now()
 	session := assistant.NewSession(env, prog, task.Oracle(), assistant.Config{
-		Strategy:         strat,
-		SubsetSeed:       uint64(seed),
-		Workers:          sc.Workers,
-		Deadline:         sc.Deadline,
-		DisableOptimizer: sc.DisableOptimizer,
+		Strategy:   strat,
+		SubsetSeed: uint64(seed),
+		Workers:    sc.Workers,
+		Deadline:   sc.Deadline,
 	})
 	res, err := session.Run()
 	if err != nil {
@@ -260,7 +251,7 @@ func Table3(o Options) ([]Table3Row, error) {
 		shape := devmodel.ShapeOf(alog.MustParse(task.Program))
 		for i, full := range sizes {
 			n := o.scale(full)
-			out, err := RunScenario(Scenario{TaskID: task.ID, Records: n, Workers: o.Workers, Deadline: o.Deadline, DisableOptimizer: o.DisableOptimizer}, o.Strategy, o.Seed)
+			out, err := RunScenario(Scenario{TaskID: task.ID, Records: n, Workers: o.Workers, Deadline: o.Deadline}, o.Strategy, o.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -313,7 +304,7 @@ func Table4(o Options) ([]*SessionOutcome, error) {
 		"Task", "Records", "Correct", "TuplesPerIteration(full in [])", "Quest", "Time(s)", "Superset")
 	for _, task := range corpus.Tasks() {
 		n := o.scale(sizes[task.ID])
-		out, err := RunScenario(Scenario{TaskID: task.ID, Records: n, Workers: o.Workers, Deadline: o.Deadline, DisableOptimizer: o.DisableOptimizer}, o.Strategy, o.Seed)
+		out, err := RunScenario(Scenario{TaskID: task.ID, Records: n, Workers: o.Workers, Deadline: o.Deadline}, o.Strategy, o.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -362,11 +353,11 @@ func Table5(o Options) ([]Table5Row, error) {
 		"Task", "Records", "itS", "qS", "tS(s)", "ssSeq", "itM", "qM", "tM(s)", "ssSim", "p.ssSeq", "p.ssSim")
 	for _, task := range corpus.Tasks() {
 		n := o.scale(sizes[task.ID])
-		seq, err := RunScenario(Scenario{TaskID: task.ID, Records: n, Workers: o.Workers, Deadline: o.Deadline, DisableOptimizer: o.DisableOptimizer}, "seq", o.Seed)
+		seq, err := RunScenario(Scenario{TaskID: task.ID, Records: n, Workers: o.Workers, Deadline: o.Deadline}, "seq", o.Seed)
 		if err != nil {
 			return nil, err
 		}
-		sim, err := RunScenario(Scenario{TaskID: task.ID, Records: n, Workers: o.Workers, Deadline: o.Deadline, DisableOptimizer: o.DisableOptimizer}, "sim", o.Seed)
+		sim, err := RunScenario(Scenario{TaskID: task.ID, Records: n, Workers: o.Workers, Deadline: o.Deadline}, "sim", o.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -421,11 +412,10 @@ func Table6(o Options) ([]Table6Row, error) {
 		truth := task.Truth(c)
 		start := time.Now()
 		session := assistant.NewSession(env, prog, task.Oracle(), assistant.Config{
-			Strategy:         assistant.Simulation{},
-			SubsetSeed:       uint64(o.Seed),
-			Workers:          o.Workers,
-			Deadline:         o.Deadline,
-			DisableOptimizer: o.DisableOptimizer,
+			Strategy:   assistant.Simulation{},
+			SubsetSeed: uint64(o.Seed),
+			Workers:    o.Workers,
+			Deadline:   o.Deadline,
 		})
 		res, err := session.Run()
 		if err != nil {
@@ -503,309 +493,6 @@ func Scaling(o Options, taskID string, sizes []int) ([]ScalingRow, error) {
 	return rows, nil
 }
 
-// ParallelResult compares a serial (Workers=1) and a parallel session on
-// the same scenario. Identical reports whether the transcripts and final
-// tables match byte for byte — the engine's determinism guarantee. The
-// stats snapshots carry the engine counters of each run, including the
-// reuse-cache hit rate and worker-pool utilization.
-type ParallelResult struct {
-	Task            string               `json:"task"`
-	Records         int                  `json:"records"`
-	Workers         int                  `json:"workers"`
-	CPUs            int                  `json:"cpus"`
-	SerialS         float64              `json:"serial_s"`
-	ParallelS       float64              `json:"parallel_s"`
-	Speedup         float64              `json:"speedup"`
-	Identical       bool                 `json:"identical"`
-	CacheHitRate    float64              `json:"cache_hit_rate"`
-	PoolUtilization float64              `json:"pool_utilization"`
-	SerialStats     engine.StatsSnapshot `json:"serial_stats"`
-	ParallelStats   engine.StatsSnapshot `json:"parallel_stats"`
-}
-
-// ParallelCompare runs one scenario twice — serial and with the
-// configured worker pool — and checks that the transcripts and final
-// tables are byte-identical before reporting the speedup.
-func ParallelCompare(o Options, taskID string, records int) (*ParallelResult, error) {
-	o = o.withDefaults()
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	run := func(w int) (*assistant.Result, float64, error) {
-		task, err := corpus.TaskByID(taskID)
-		if err != nil {
-			return nil, 0, err
-		}
-		strat, err := assistant.ByName(o.Strategy)
-		if err != nil {
-			return nil, 0, err
-		}
-		c := task.Generate(records, o.Seed)
-		env := task.Env(c)
-		prog := alog.MustParse(task.Program)
-		start := time.Now()
-		session := assistant.NewSession(env, prog, task.Oracle(), assistant.Config{
-			Strategy:         strat,
-			SubsetSeed:       uint64(o.Seed),
-			Workers:          w,
-			Deadline:         o.Deadline,
-			DisableOptimizer: o.DisableOptimizer,
-		})
-		res, err := session.Run()
-		if err != nil {
-			return nil, 0, fmt.Errorf("experiments: parallel compare %s workers=%d: %w", taskID, w, err)
-		}
-		noteDegraded(o.Out, fmt.Sprintf("%s workers=%d", taskID, w), res.Degraded)
-		return res, time.Since(start).Seconds(), nil
-	}
-	serial, serialS, err := run(1)
-	if err != nil {
-		return nil, err
-	}
-	par, parS, err := run(workers)
-	if err != nil {
-		return nil, err
-	}
-	r := &ParallelResult{
-		Task: taskID, Records: records, Workers: workers,
-		CPUs:    runtime.NumCPU(),
-		SerialS: serialS, ParallelS: parS,
-		Identical: serial.Transcript() == par.Transcript() &&
-			serial.Final.String() == par.Final.String(),
-		SerialStats:   serial.Stats.Snapshot(),
-		ParallelStats: par.Stats.Snapshot(),
-	}
-	r.CacheHitRate = r.ParallelStats.CacheHitRate
-	r.PoolUtilization = r.ParallelStats.PoolUtilization
-	if parS > 0 {
-		r.Speedup = serialS / parS
-	}
-	fmt.Fprintf(o.Out, "Parallel comparison: task %s, %d records, strategy %s, %d CPUs\n",
-		taskID, records, o.Strategy, r.CPUs)
-	fmt.Fprintf(o.Out, "%8s %10s %10s %8s %10s %9s %9s\n",
-		"Workers", "Serial(s)", "Parallel(s)", "Speedup", "Identical", "HitRate", "PoolUtil")
-	fmt.Fprintf(o.Out, "%8d %10.3f %10.3f %7.2fx %10v %8.1f%% %8.1f%%\n",
-		r.Workers, r.SerialS, r.ParallelS, r.Speedup, r.Identical,
-		100*r.CacheHitRate, 100*r.PoolUtilization)
-	if !r.Identical {
-		return r, fmt.Errorf("experiments: parallel run of %s diverged from serial (workers=%d)", taskID, workers)
-	}
-	return r, nil
-}
-
-// HotpathResult is one serial end-to-end run of a scenario with its full
-// counter snapshot — the unit of before/after comparison for hot-path
-// work (BENCH_HOTPATH.json pairs a committed baseline with a current run).
-type HotpathResult struct {
-	Task    string               `json:"task"`
-	Records int                  `json:"records"`
-	CPUs    int                  `json:"cpus"`
-	WallS   float64              `json:"wall_s"`
-	Stats   engine.StatsSnapshot `json:"stats"`
-}
-
-// Hotpath runs one scenario serially (Workers=1, so the wall time is
-// scheduling-free) and reports the time plus every engine counter.
-func Hotpath(o Options, taskID string, records int) (*HotpathResult, error) {
-	o = o.withDefaults()
-	task, err := corpus.TaskByID(taskID)
-	if err != nil {
-		return nil, err
-	}
-	strat, err := assistant.ByName(o.Strategy)
-	if err != nil {
-		return nil, err
-	}
-	c := task.Generate(records, o.Seed)
-	env := task.Env(c)
-	prog := alog.MustParse(task.Program)
-	start := time.Now()
-	// Delta reuse is pinned off: this harness isolates the serial hot path,
-	// and replayed tuples would skip the very Verify/Refine/p-function work
-	// being measured (the reuse axis has its own harness, Reuse).
-	// The optimizer is pinned off too: its rewrites change which plan
-	// shape executes, and this harness's counters (func calls, memo hits)
-	// are only comparable across releases over a fixed shape. The
-	// optimizer axis has its own harness, Optimizer.
-	session := assistant.NewSession(env, prog, task.Oracle(), assistant.Config{
-		Strategy:          strat,
-		SubsetSeed:        uint64(o.Seed),
-		Workers:           1,
-		DisableDeltaReuse: true,
-		DisableOptimizer:  true,
-		Deadline:          o.Deadline,
-	})
-	res, err := session.Run()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: hotpath %s: %w", taskID, err)
-	}
-	noteDegraded(o.Out, taskID, res.Degraded)
-	r := &HotpathResult{
-		Task: taskID, Records: records, CPUs: runtime.NumCPU(),
-		WallS: time.Since(start).Seconds(),
-		Stats: res.Stats.Snapshot(),
-	}
-	fmt.Fprintf(o.Out, "Hotpath: task %s, %d records, serial\n", taskID, records)
-	fmt.Fprintf(o.Out, "%10s %12s %12s %12s %10s %10s\n",
-		"Wall(s)", "FuncCalls", "VerifyCalls", "RefineCalls", "Fallbacks", "MemoHit")
-	fmt.Fprintf(o.Out, "%10.3f %12d %12d %12d %10d %9.1f%%\n",
-		r.WallS, r.Stats.FuncCalls, r.Stats.VerifyCalls, r.Stats.RefineCalls,
-		r.Stats.LimitFallbacks, 100*r.Stats.FeatureMemoRate)
-	return r, nil
-}
-
-// ReuseIteration pairs one session iteration's cost under delta reuse with
-// the same iteration of the identical full-recomputation run (transcripts
-// are byte-equal, so iterations align one to one).
-type ReuseIteration struct {
-	N               int     `json:"n"`
-	Mode            string  `json:"mode"`
-	Tuples          int     `json:"tuples"`
-	DeltaWallS      float64 `json:"delta_wall_s"`
-	FullWallS       float64 `json:"full_wall_s"`
-	DeltaReused     int64   `json:"delta_reused"`
-	DeltaRecomputed int64   `json:"delta_recomputed"`
-	FullRecomputed  int64   `json:"full_recomputed"`
-}
-
-// ReuseResult compares a full-recomputation session (delta reuse disabled)
-// with an incremental one on the same scenario: total and post-answer wall
-// time, how many operator-input tuples each mode re-evaluated, and the
-// byte-identity checks at Workers 1 and 8. The post-answer window starts at
-// iteration 2 — every execution from there on follows a program change,
-// which is exactly where delta evaluation can win.
-type ReuseResult struct {
-	Task    string `json:"task"`
-	Records int    `json:"records"`
-	CPUs    int    `json:"cpus"`
-	// Wall-clock seconds for the whole serial session and for its
-	// post-answer iterations, in each mode.
-	FullS            float64 `json:"full_s"`
-	DeltaS           float64 `json:"delta_s"`
-	PostAnswerFullS  float64 `json:"post_answer_full_s"`
-	PostAnswerDeltaS float64 `json:"post_answer_delta_s"`
-	// Re-evaluated operator-input tuples per mode (deterministic), the
-	// replayed count, and their ratio — the primary delta-win metric.
-	FullRecomputed     int64   `json:"full_recomputed_tuples"`
-	DeltaRecomputed    int64   `json:"delta_recomputed_tuples"`
-	DeltaReused        int64   `json:"delta_reused_tuples"`
-	RecomputeReduction float64 `json:"recompute_reduction"`
-	// The same recompute comparison restricted to the post-answer window,
-	// where every execution follows a program change.
-	PostAnswerFullRecomputed  int64   `json:"post_answer_full_recomputed"`
-	PostAnswerDeltaRecomputed int64   `json:"post_answer_delta_recomputed"`
-	PostAnswerReduction       float64 `json:"post_answer_reduction"`
-	// IdenticalW1/W8: the delta sessions (serial and 8 workers) match the
-	// full serial session's transcript and final table byte for byte.
-	IdenticalW1 bool                 `json:"identical_w1"`
-	IdenticalW8 bool                 `json:"identical_w8"`
-	FullStats   engine.StatsSnapshot `json:"full_stats"`
-	DeltaStats  engine.StatsSnapshot `json:"delta_stats"`
-	Iterations  []ReuseIteration     `json:"iterations"`
-}
-
-// Reuse runs one scenario three times — full recomputation (serial),
-// delta reuse (serial), and delta reuse with 8 workers — and reports the
-// delta win plus the byte-identity checks (BENCH_REUSE.json).
-func Reuse(o Options, taskID string, records int) (*ReuseResult, error) {
-	o = o.withDefaults()
-	task, err := corpus.TaskByID(taskID)
-	if err != nil {
-		return nil, err
-	}
-	strat, err := assistant.ByName(o.Strategy)
-	if err != nil {
-		return nil, err
-	}
-	run := func(workers int, disable bool) (*assistant.Result, float64, error) {
-		c := task.Generate(records, o.Seed)
-		env := task.Env(c)
-		prog := alog.MustParse(task.Program)
-		start := time.Now()
-		// Optimizer pinned off (like Hotpath): the delta-reuse counters
-		// compared across releases must come from a fixed plan shape.
-		session := assistant.NewSession(env, prog, task.Oracle(), assistant.Config{
-			Strategy:          strat,
-			SubsetSeed:        uint64(o.Seed),
-			Workers:           workers,
-			DisableDeltaReuse: disable,
-			DisableOptimizer:  true,
-			Deadline:          o.Deadline,
-		})
-		res, err := session.Run()
-		if err != nil {
-			return nil, 0, fmt.Errorf("experiments: reuse %s workers=%d disable=%v: %w", taskID, workers, disable, err)
-		}
-		noteDegraded(o.Out, fmt.Sprintf("%s workers=%d", taskID, workers), res.Degraded)
-		return res, time.Since(start).Seconds(), nil
-	}
-	full, fullS, err := run(1, true)
-	if err != nil {
-		return nil, err
-	}
-	delta, deltaS, err := run(1, false)
-	if err != nil {
-		return nil, err
-	}
-	delta8, _, err := run(8, false)
-	if err != nil {
-		return nil, err
-	}
-	fs, ds := full.Stats.Snapshot(), delta.Stats.Snapshot()
-	r := &ReuseResult{
-		Task: taskID, Records: records, CPUs: runtime.NumCPU(),
-		FullS: fullS, DeltaS: deltaS,
-		FullRecomputed:  fs.TuplesRecomputed,
-		DeltaRecomputed: ds.TuplesRecomputed,
-		DeltaReused:     ds.TuplesReused,
-		IdenticalW1: delta.Transcript() == full.Transcript() &&
-			delta.Final.String() == full.Final.String(),
-		IdenticalW8: delta8.Transcript() == full.Transcript() &&
-			delta8.Final.String() == full.Final.String(),
-		FullStats: fs, DeltaStats: ds,
-	}
-	if r.DeltaRecomputed > 0 {
-		r.RecomputeReduction = float64(r.FullRecomputed) / float64(r.DeltaRecomputed)
-	}
-	for i, it := range delta.Iterations {
-		ri := ReuseIteration{
-			N: it.N, Mode: it.Mode, Tuples: it.Tuples,
-			DeltaWallS:      it.WallS,
-			DeltaReused:     it.TuplesReused,
-			DeltaRecomputed: it.TuplesRecomputed,
-		}
-		if i < len(full.Iterations) {
-			ri.FullWallS = full.Iterations[i].WallS
-			ri.FullRecomputed = full.Iterations[i].TuplesRecomputed
-		}
-		if i >= 1 {
-			r.PostAnswerDeltaS += ri.DeltaWallS
-			r.PostAnswerFullS += ri.FullWallS
-			r.PostAnswerFullRecomputed += ri.FullRecomputed
-			r.PostAnswerDeltaRecomputed += ri.DeltaRecomputed
-		}
-		r.Iterations = append(r.Iterations, ri)
-	}
-	if r.PostAnswerDeltaRecomputed > 0 {
-		r.PostAnswerReduction = float64(r.PostAnswerFullRecomputed) / float64(r.PostAnswerDeltaRecomputed)
-	}
-	fmt.Fprintf(o.Out, "Reuse: task %s, %d records, strategy %s\n", taskID, records, o.Strategy)
-	fmt.Fprintf(o.Out, "%10s %10s %12s %12s %10s %8s %6s %6s\n",
-		"Full(s)", "Delta(s)", "FullRecomp", "DeltaRecomp", "Reused", "Reduce", "IdW1", "IdW8")
-	fmt.Fprintf(o.Out, "%10.3f %10.3f %12d %12d %10d %7.2fx %6v %6v\n",
-		r.FullS, r.DeltaS, r.FullRecomputed, r.DeltaRecomputed, r.DeltaReused,
-		r.RecomputeReduction, r.IdenticalW1, r.IdenticalW8)
-	fmt.Fprintf(o.Out, "post-answer iterations: full %.3fs, delta %.3fs; recomputed %d vs %d (%.2fx)\n",
-		r.PostAnswerFullS, r.PostAnswerDeltaS,
-		r.PostAnswerFullRecomputed, r.PostAnswerDeltaRecomputed, r.PostAnswerReduction)
-	if !r.IdenticalW1 || !r.IdenticalW8 {
-		return r, fmt.Errorf("experiments: delta run of %s diverged from full recomputation (w1=%v w8=%v)",
-			taskID, r.IdenticalW1, r.IdenticalW8)
-	}
-	return r, nil
-}
-
 // ConvergenceSummary reruns all 27 Table 3 scenarios and reports how many
 // converge to exactly 100% superset (paper: 23 of 27, outliers 170%,
 // 161%, 114%, 102%).
@@ -822,7 +509,7 @@ func Convergence(o Options) (*ConvergenceSummary, error) {
 	fmt.Fprintf(o.Out, "Section 6.2: convergence over 27 scenarios (scale %.2f, strategy %s)\n", o.Scale, o.Strategy)
 	for _, task := range corpus.Tasks() {
 		for _, full := range Table3Sizes[task.ID] {
-			out, err := RunScenario(Scenario{TaskID: task.ID, Records: o.scale(full), Workers: o.Workers, Deadline: o.Deadline, DisableOptimizer: o.DisableOptimizer}, o.Strategy, o.Seed)
+			out, err := RunScenario(Scenario{TaskID: task.ID, Records: o.scale(full), Workers: o.Workers, Deadline: o.Deadline}, o.Strategy, o.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -878,7 +565,7 @@ func Variance(o Options, seeds []int64) ([]VarianceRow, error) {
 		row := VarianceRow{Task: task.ID, Records: n, Runs: len(seeds),
 			MinSuperset: -1, AllCovered: true}
 		for _, seed := range seeds {
-			out, err := RunScenario(Scenario{TaskID: task.ID, Records: n, Workers: o.Workers, Deadline: o.Deadline, DisableOptimizer: o.DisableOptimizer}, o.Strategy, seed)
+			out, err := RunScenario(Scenario{TaskID: task.ID, Records: n, Workers: o.Workers, Deadline: o.Deadline}, o.Strategy, seed)
 			if err != nil {
 				return nil, err
 			}

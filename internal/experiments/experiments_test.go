@@ -188,47 +188,3 @@ func TestVariance(t *testing.T) {
 		}
 	}
 }
-
-func TestHotpathHarness(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := Hotpath(Options{Seed: 1, Strategy: "sim", Out: &buf}, "T9", 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WallS <= 0 || res.CPUs < 1 {
-		t.Errorf("implausible run: %+v", res)
-	}
-	if res.Stats.FuncCalls == 0 && res.Stats.VerifyCalls == 0 {
-		t.Error("hotpath run recorded no predicate work; counters look dead")
-	}
-	if !strings.Contains(buf.String(), "Hotpath") {
-		t.Error("output missing header")
-	}
-}
-
-func TestReuseHarness(t *testing.T) {
-	if testing.Short() {
-		t.Skip("reuse harness runs four full sessions")
-	}
-	var buf bytes.Buffer
-	res, err := Reuse(Options{Seed: 1, Strategy: "sim", Out: &buf}, "T9", 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.IdenticalW1 || !res.IdenticalW8 {
-		t.Errorf("delta run diverged: w1=%v w8=%v", res.IdenticalW1, res.IdenticalW8)
-	}
-	if res.DeltaReused == 0 {
-		t.Error("delta run replayed no tuples")
-	}
-	if res.RecomputeReduction <= 1 {
-		t.Errorf("delta recomputed as much as full: reduction %.2fx (full %d, delta %d)",
-			res.RecomputeReduction, res.FullRecomputed, res.DeltaRecomputed)
-	}
-	if len(res.Iterations) == 0 || res.FullS <= 0 || res.DeltaS <= 0 {
-		t.Errorf("implausible run: %+v", res)
-	}
-	if !strings.Contains(buf.String(), "Reuse") {
-		t.Error("output missing header")
-	}
-}

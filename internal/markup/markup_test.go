@@ -144,3 +144,17 @@ func TestParseCaseInsensitiveTags(t *testing.T) {
 		t.Fatalf("bold = %v", got)
 	}
 }
+
+// BenchmarkMarkupParse parses one small page that carries every mark kind
+// the features read: title, heading, list, bold, italic, hyperlink.
+func BenchmarkMarkupParse(b *testing.B) {
+	src := `<title>SIGMOD 2008</title><h2>Panel</h2><ul><li><b>Alice Anderson</b>, chair</li>
+<li><i>Bob Baxter</i></li></ul><p>Held in <a href="x">Vancouver</a>.</p>`
+	b.ReportAllocs()
+	b.SetBytes(int64(len(src)))
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse("bench", src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -13,8 +13,8 @@ import (
 	"iflex/internal/engine"
 )
 
-// Client is a thin JSON client for the service, used by the serve
-// benchmark harness, the smoke job, and the identity tests.
+// Client is a thin JSON client for the service, used by the benchmark's
+// serve_sessions workload, the daemon smoke test, and the identity tests.
 type Client struct {
 	Base string // e.g. "http://127.0.0.1:8080"
 	HTTP *http.Client

@@ -360,3 +360,19 @@ func TestLowerText(t *testing.T) {
 		t.Error("Kelvin sign should change byte length under ToLower")
 	}
 }
+
+// BenchmarkSubSpanEnumeration enumerates the values of one contain
+// assignment over a ten-token span: the n(n+1)/2 token-aligned sub-spans
+// every from() cell expands to.
+func BenchmarkSubSpanEnumeration(b *testing.B) {
+	a := ContainOf(NewDocument("bench", "one two three four five six seven eight nine ten", nil).WholeSpan())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		a.Values(func(Span) bool { n++; return true })
+		if n != 55 {
+			b.Fatalf("%d sub-spans, want 55", n)
+		}
+	}
+}

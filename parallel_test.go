@@ -5,13 +5,10 @@
 package iflex_test
 
 import (
-	"fmt"
 	"testing"
 
 	"iflex"
 	"iflex/internal/corpus"
-	"iflex/internal/experiments"
-	"iflex/internal/store"
 )
 
 // runT9 executes the Table 5 simulation scenario for T9 with the given
@@ -87,89 +84,5 @@ func TestParallelStatsDeterminism(t *testing.T) {
 	}
 	if serial.Stats.CmpOperandsParsed == 0 {
 		t.Error("np < bp parsed no operand; the counter looks dead")
-	}
-}
-
-// TestParallelCompareHarness exercises the iflex-bench "parallel" table:
-// it must report Identical=true and a positive speedup value.
-func TestParallelCompareHarness(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench harness: runs the scenario twice; skipped in -short")
-	}
-	res, err := experiments.ParallelCompare(
-		experiments.Options{Seed: 1, Strategy: "sim", Workers: 4}, "T9", 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Identical {
-		t.Error("parallel run diverged from serial")
-	}
-	if res.Speedup <= 0 {
-		t.Errorf("speedup = %v, want > 0", res.Speedup)
-	}
-}
-
-// TestSessionSweepT8T9 runs whole T8 (comparisons only, no cell shared)
-// and T9 (comparison over a similarity join's output, every cell shared)
-// sessions across Workers 1/8 × delta × optimizer × indexed/live:
-// transcript and final table are the same everywhere, and the
-// deterministic counters — FuncCalls and CmpOperandsParsed among them —
-// are the same wherever delta and optimizer settings are.
-func TestSessionSweepT8T9(t *testing.T) {
-	if testing.Short() {
-		t.Skip("32 whole sessions; skipped in -short")
-	}
-	for _, id := range []string{"T8", "T9"} {
-		task, err := corpus.TaskByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := task.Generate(24, 2)
-		var all []*iflex.Document
-		for _, name := range task.Tables {
-			all = append(all, c.DocsOf(name)...)
-		}
-		outputs := map[string]bool{}
-		type group struct{ delta, optimize bool }
-		counters := map[group][8]int64{}
-		for _, indexed := range []bool{false, true} {
-			for _, workers := range []int{1, 8} {
-				for _, delta := range []bool{false, true} {
-					for _, optimize := range []bool{false, true} {
-						env := task.Env(c)
-						if indexed {
-							ms := store.NewMemStore(all)
-							env.DocIndex, env.Postings = ms, ms
-						}
-						prog, err := iflex.ParseProgram(task.Program)
-						if err != nil {
-							t.Fatal(err)
-						}
-						res, err := iflex.NewSession(env, prog, task.Oracle(), iflex.SessionConfig{
-							Strategy: iflex.SimulationStrategy, SubsetSeed: 2, Workers: workers,
-							DisableDeltaReuse: !delta, DisableOptimizer: !optimize,
-						}).Run()
-						if err != nil {
-							t.Fatal(err)
-						}
-						where := fmt.Sprintf("%s indexed=%t workers=%d delta=%t opt=%t", id, indexed, workers, delta, optimize)
-						outputs[res.Transcript()+"\x00"+res.Final.String()] = true
-						if len(outputs) != 1 {
-							t.Fatalf("%s: transcript or table differs from the first configuration's", where)
-						}
-						s := res.Stats
-						got := [8]int64{s.TuplesBuilt, s.FuncCalls, s.VerifyCalls, s.RefineCalls,
-							s.LimitFallbacks, s.TuplesRecomputed, s.SimValuePairsVerified, s.CmpOperandsParsed}
-						if prev, ok := counters[group{delta, optimize}]; ok && prev != got {
-							t.Fatalf("%s: counters %v, earlier configurations %v", where, got, prev)
-						}
-						counters[group{delta, optimize}] = got
-						if s.CmpOperandsParsed == 0 {
-							t.Fatalf("%s: no operand parsed", where)
-						}
-					}
-				}
-			}
-		}
 	}
 }
