@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-all chaos crash bench bench-layers serve-smoke profile vet verify
+.PHONY: build test race race-all chaos crash bench bench-layers bench-counters serve-smoke profile vet verify
 
 build:
 	$(GO) build ./...
@@ -50,7 +50,8 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
 # Per-layer micro-benchmarks where the work happens, with allocs/op: the
-# Alog parser on the largest task program, the markup parser on one page,
+# Alog parser on the largest task program and the body ordering of a
+# converged T8 rule, the markup parser on one page,
 # the compact-table to a-table expansion (values per assignment), the
 # text layer (sub-span enumeration of one contain assignment,
 # ParseNumeric on a number and on a rejected phrase, NormText on
@@ -63,12 +64,19 @@ bench:
 # over one extraction (none shared), with cmp_operands_parsed as an extra
 # metric.
 bench-layers:
-	$(GO) test -run='^$$' -bench=ParseProgram -benchmem ./internal/alog
+	$(GO) test -run='^$$' -bench='ParseProgram|OrderBody' -benchmem ./internal/alog
 	$(GO) test -run='^$$' -bench=MarkupParse -benchmem ./internal/markup
 	$(GO) test -run='^$$' -bench=CompactVsATable -benchmem ./internal/compact
 	$(GO) test -run='^$$' -bench='SubSpanEnumeration|ParseNumeric|NormText' -benchmem ./internal/text
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/similarity
 	$(GO) test -run='^$$' -bench='SimJoin|Compare' -benchmem ./internal/engine
+
+# Regenerate the deterministic counters CI holds the two library workloads
+# to (feature_calls_per_round equal, tuples_built_per_round not higher),
+# with the flags the CI job runs them with. Two runs of about 15 s.
+bench-counters:
+	bash .github/benchmark-counters.sh write > .github/benchmark-counters.json.tmp
+	mv .github/benchmark-counters.json.tmp .github/benchmark-counters.json
 
 # Build the real iflexd binary, start it on a free port, drive one T9
 # session over HTTP (table byte-identical to the library path), SIGTERM it

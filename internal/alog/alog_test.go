@@ -1,6 +1,7 @@
 package alog
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -372,6 +373,120 @@ extractBarnesT(y, t, bp) :- from(y, t), from(y, bp).
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Parse(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// convergedT8 returns the extraction rule of the Books task T8 as a session
+// leaves it once every question is answered — one scan, four from atoms and
+// 39 constraints, unfolded into one body — with its program and schema.
+func convergedT8(tb testing.TB) (*Program, *Schema, *Rule) {
+	tb.Helper()
+	p := MustParse(`
+amRec(x, <t>, <lp>, <np>, <up>) :- Amazon(x), extractAmazon(x, t, lp, np, up).
+T8(t) :- amRec(x, t, lp, np, up), lp = np, up < np.
+extractAmazon(x, t, lp, np, up) :- from(x, t), from(x, lp), from(x, np), from(x, up).
+`)
+	boolean := []string{"bold-font", "italic-font", "underlined", "hyperlinked", "in-list", "in-title", "numeric", "capitalized"}
+	// Answers arrive interleaved across the attributes, as a session asks.
+	for i, f := range append(boolean, "max-tokens", "preceded-by") {
+		for _, v := range []string{"t", "lp", "np", "up"} {
+			if v == "t" && f == "capitalized" {
+				continue // the one "I do not know" of the task's oracle
+			}
+			if err := p.AddConstraint(AttrRef{Pred: "extractAmazon", Var: v}, f, fmt.Sprint("v", i)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	s := &Schema{Extensional: map[string][]string{"Amazon": {"x"}}}
+	u, err := Unfold(p, s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := u.RulesFor("amRec")[0]
+	if len(r.Body) != 44 {
+		tb.Fatalf("converged T8 body has %d literals, want 44", len(r.Body))
+	}
+	return u, s, r
+}
+
+// refOrderBody is OrderBody as it was before it ordered in place: a copy of
+// the body, shrunk from the middle, and a result grown by append.
+func refOrderBody(p *Program, s *Schema, r *Rule) ([]Literal, error) {
+	bound := map[string]bool{}
+	remaining := append([]Literal(nil), r.Body...)
+	var out []Literal
+	for len(remaining) > 0 {
+		pick := -1
+		for i, lit := range remaining {
+			if isSelection(p, s, lit) && evaluable(p, s, lit, bound) {
+				pick = i
+				break
+			}
+		}
+		for i := 0; pick < 0 && i < len(remaining); i++ {
+			if evaluable(p, s, remaining[i], bound) {
+				pick = i
+			}
+		}
+		if pick < 0 {
+			return nil, fmt.Errorf("cannot evaluate %q", remaining[0])
+		}
+		bindLiteral(p, s, remaining[pick], bound)
+		out = append(out, remaining[pick])
+		remaining = append(remaining[:pick], remaining[pick+1:]...)
+	}
+	return out, nil
+}
+
+// TestOrderBodyMatchesReference: the in-place ordering places the literals
+// of a converged body exactly where the old one did — every constraint
+// right behind the from that binds its attribute, in answer order — leaves
+// the rule's body alone, and names the same literal when a body cannot be
+// ordered: the first unplaced one in body order.
+func TestOrderBodyMatchesReference(t *testing.T) {
+	p, s, r := convergedT8(t)
+	body := fmt.Sprint(r.Body)
+	got, err := OrderBody(p, s, r, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := refOrderBody(p, s, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("order differs\n got %v\nwant %v", got, want)
+	}
+	if cap(got) != len(r.Body) || fmt.Sprint(r.Body) != body {
+		t.Fatalf("result capacity %d for %d literals, or the body was reordered in place", cap(got), len(r.Body))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].Kind == LitConstraint && got[i-1].Kind == LitAtom && got[i-1].Atom.Args[1].Var != got[i].Cons.Attr {
+			t.Fatalf("%v follows %v: not the from that binds it", got[i], got[i-1])
+		}
+	}
+
+	unsafe := MustParse(`Q(x) :- pages(x), bold-font(u) = yes, f(v, x), f(u, x).`)
+	us := &Schema{Extensional: map[string][]string{"pages": {"x"}}, Functions: map[string]bool{"f": true}}
+	_, gerr := OrderBody(unsafe, us, unsafe.Rules[0], nil)
+	_, werr := refOrderBody(unsafe, us, unsafe.Rules[0])
+	if gerr == nil || werr == nil || !strings.Contains(gerr.Error(), werr.Error()) || !strings.Contains(gerr.Error(), "bold-font(u)") {
+		t.Fatalf("error %v, reference %v: want the first unplaced literal, bold-font(u)", gerr, werr)
+	}
+}
+
+// BenchmarkOrderBody orders the converged T8 body. Every compile does it
+// twice per rule (Validate, then the compiler), and a session compiles some
+// 590 plans on bodies growing towards this one.
+func BenchmarkOrderBody(b *testing.B) {
+	p, s, r := convergedT8(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := OrderBody(p, s, r, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package alog
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Schema describes the non-rule bindings a program runs against: the
@@ -77,22 +78,25 @@ func OrderBody(p *Program, s *Schema, r *Rule, seed map[string]bool) ([]Literal,
 	for v := range seed {
 		bound[v] = true
 	}
-	remaining := append([]Literal(nil), r.Body...)
-	var out []Literal
-	for len(remaining) > 0 {
+	// The body is ordered in place: placed marks what out already holds, so
+	// nothing is copied or shifted, and out is allocated once. A compile
+	// orders every rule twice, on bodies that grow by one literal per answer.
+	placed := make([]bool, len(r.Body))
+	out := make([]Literal, 0, len(r.Body))
+	for len(out) < len(r.Body) {
 		// Prefer selections (comparisons, constraints, p-functions): they
 		// only ever shrink intermediate results, so placing them as soon as
 		// their variables are bound keeps joins small (selection pushdown).
 		pick := -1
-		for i, lit := range remaining {
-			if isSelection(p, s, lit) && evaluable(p, s, lit, bound) {
+		for i, lit := range r.Body {
+			if !placed[i] && isSelection(p, s, lit) && evaluable(p, s, lit, bound) {
 				pick = i
 				break
 			}
 		}
 		if pick < 0 {
-			for i, lit := range remaining {
-				if evaluable(p, s, lit, bound) {
+			for i, lit := range r.Body {
+				if !placed[i] && evaluable(p, s, lit, bound) {
 					pick = i
 					break
 				}
@@ -100,12 +104,11 @@ func OrderBody(p *Program, s *Schema, r *Rule, seed map[string]bool) ([]Literal,
 		}
 		if pick < 0 {
 			return nil, fmt.Errorf("alog: rule %q: cannot evaluate %q (unbound variables); rule is unsafe or mis-ordered",
-				r.Head.Pred, remaining[0])
+				r.Head.Pred, r.Body[slices.Index(placed, false)])
 		}
-		lit := remaining[pick]
-		bindLiteral(p, s, lit, bound)
-		out = append(out, lit)
-		remaining = append(remaining[:pick], remaining[pick+1:]...)
+		placed[pick] = true
+		bindLiteral(p, s, r.Body[pick], bound)
+		out = append(out, r.Body[pick])
 	}
 	return out, nil
 }

@@ -1,0 +1,303 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"iflex/internal/alog"
+	"iflex/internal/compact"
+	"iflex/internal/feature"
+	"iflex/internal/text"
+)
+
+// refRefineCell is refineCell as it was before the scratch lists and the
+// identical-list shortcut: every pass grows a fresh slice and every round
+// renders the list before and after.
+func refRefineCell(ctx *Context, batch *statBatch, c compact.Cell, k feature.Constraint, all []feature.Constraint) (compact.Cell, error) {
+	as, err := applyConstraint(ctx, batch, k, c.Assigns, nil)
+	if err != nil {
+		return compact.Cell{}, err
+	}
+	for round := 0; round < 3; round++ {
+		before := text.FormatAssignments(as)
+		for _, kc := range all {
+			if as, err = applyConstraint(ctx, batch, kc, as, nil); err != nil {
+				return compact.Cell{}, err
+			}
+		}
+		if text.FormatAssignments(as) == before {
+			break
+		}
+	}
+	return compact.Cell{Assigns: text.DedupAssignments(as), Expand: c.Expand}, nil
+}
+
+// refinePages are small record pages with the mark-up and labels the
+// constraint pool below asks about; two of them have the same text.
+func refinePages() []*text.Document {
+	var docs []*text.Document
+	for i, src := range []string{
+		`<ul><li><b>Query Processing</b> by <i>A. Smith</i></li><li>List: $45.00</li><li>New: $39.50</li></ul>`,
+		`<ul><li><b>Query Processing</b> by <i>A. Smith</i></li><li>List: $45.00</li><li>New: $39.50</li></ul>`,
+		`<title>Index Structures</title><b>Index Structures</b> <u>second edition</u> List: $120.00 Used: $80.25 New: $99`,
+		`Stream Systems, <i>B. Jones and C. Wu</i>. Price: 17 New: 12 <a href="x">details</a>`,
+	} {
+		docs = append(docs, mustDoc(fmt.Sprintf("r%d", i), src))
+	}
+	return docs
+}
+
+var refinePool = []feature.Constraint{
+	{Feature: "bold-font", Value: "yes"}, {Feature: "bold-font", Value: "no"}, {Feature: "bold-font", Value: "distinct-yes"},
+	{Feature: "italic-font", Value: "yes"}, {Feature: "italic-font", Value: "no"},
+	{Feature: "underlined", Value: "no"}, {Feature: "in-list", Value: "yes"}, {Feature: "in-list", Value: "no"},
+	{Feature: "numeric", Value: "yes"}, {Feature: "numeric", Value: "no"}, {Feature: "capitalized", Value: "yes"},
+	{Feature: "preceded-by", Value: "List:"}, {Feature: "preceded-by", Value: "New:"},
+	{Feature: "max-tokens", Value: "1"}, {Feature: "max-tokens", Value: "3"}, {Feature: "max-length", Value: "12"},
+	{Feature: "min-value", Value: "20"}, {Feature: "max-value", Value: "100"},
+}
+
+// randomAssignments draws a list over the pages: whole pages and random
+// token-aligned sub-spans, in either mode.
+func randomAssignments(r *rand.Rand, docs []*text.Document, n int) []text.Assignment {
+	var as []text.Assignment
+	for ; n > 0; n-- {
+		s := docs[r.Intn(len(docs))].WholeSpan()
+		if r.Intn(3) > 0 {
+			var subs []text.Span
+			text.ContainOf(s).Values(func(v text.Span) bool { subs = append(subs, v); return len(subs) < 200 })
+			s = subs[r.Intn(len(subs))]
+		}
+		if r.Intn(2) == 0 {
+			as = append(as, text.ExactOf(s))
+		} else {
+			as = append(as, text.ContainOf(s))
+		}
+	}
+	return as
+}
+
+// TestRefineCellMatchesReference holds refineCell to its old body on random
+// cells and constraint lists: the same cell and the same Verify/Refine
+// calls, with one scratch reused across all calls the way a chunk's worker
+// reuses it.
+func TestRefineCellMatchesReference(t *testing.T) {
+	docs := refinePages()
+	env := NewEnv()
+	env.FeatureMemo = nil // both sides count misses only
+	ctx := NewContext(env)
+	r := rand.New(rand.NewSource(20))
+	var sc refineScratch
+	changed := 0
+	for trial := 0; trial < 3000; trial++ {
+		c := compact.Cell{Assigns: randomAssignments(r, docs, 1+r.Intn(4)), Expand: r.Intn(2) == 0}
+		in := slices.Clone(c.Assigns)
+		all := make([]feature.Constraint, 1+r.Intn(6))
+		for i := range all {
+			all[i] = refinePool[r.Intn(len(refinePool))]
+		}
+		k := all[len(all)-1]
+		var wantB, gotB statBatch
+		want, werr := refRefineCell(ctx, &wantB, c, k, all)
+		got, gerr := refineCell(ctx, &gotB, &sc, c, k, all)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("trial %d: error %v, reference %v", trial, gerr, werr)
+		}
+		if !slices.Equal(got.Assigns, want.Assigns) || got.Expand != want.Expand {
+			t.Fatalf("trial %d: %v under %v\n got %v\nwant %v", trial, c, all, got, want)
+		}
+		if gotB != wantB {
+			t.Fatalf("trial %d: calls %+v, reference %+v", trial, gotB, wantB)
+		}
+		if !slices.Equal(c.Assigns, in) {
+			t.Fatalf("trial %d: refineCell wrote into its input cell", trial)
+		}
+		if !slices.Equal(got.Assigns, in) {
+			changed++
+		}
+	}
+	if changed < 500 {
+		t.Fatalf("only %d of 3000 cells were refined at all", changed)
+	}
+}
+
+// TestAssignmentsStable holds the fixpoint test to the comparison it
+// replaced, equal canonical renderings, on list pairs built to sit on both
+// sides of it: identical lists, permutations with duplicates, an element
+// swapped for a different span with the same short text (renders alike),
+// and lists that really differ.
+func TestAssignmentsStable(t *testing.T) {
+	docs := refinePages()
+	r := rand.New(rand.NewSource(7))
+	var stable, unstable, alikeSpans int
+	for trial := 0; trial < 4000; trial++ {
+		a := randomAssignments(r, docs[:3], 1+r.Intn(5))
+		b := slices.Clone(a)
+		switch trial % 5 {
+		case 1: // permuted, with a duplicate
+			b = append(b, b[r.Intn(len(b))])
+			a = append(a, b[len(b)-1])
+			r.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+		case 2: // the same range of the twin page
+			i := r.Intn(len(b))
+			if s := b[i].Span; s.Doc() == docs[0] && s.Len() <= 48 {
+				b[i].Span = docs[1].Span(s.Start(), s.End())
+				alikeSpans++
+			}
+		case 3:
+			b = b[:len(b)-1]
+		case 4:
+			b = randomAssignments(r, docs[:3], len(a))
+		}
+		want := text.FormatAssignments(a) == text.FormatAssignments(b)
+		if got := assignmentsStable(a, b); got != want {
+			t.Fatalf("trial %d: stable=%v, renderings equal=%v\n%v\n%v", trial, got, want, a, b)
+		}
+		if want {
+			stable++
+		} else {
+			unstable++
+		}
+	}
+	if stable < 1000 || unstable < 1000 || alikeSpans < 50 {
+		t.Fatalf("cases not covered: %d stable, %d unstable, %d same-text spans", stable, unstable, alikeSpans)
+	}
+}
+
+// TestProjectIdentitySharesTuples: a projection of every column onto
+// itself hands out its input's tuples, and a constraint above it — which
+// replaces cells — leaves the projection's input as it was.
+func TestProjectIdentitySharesTuples(t *testing.T) {
+	env := NewEnv()
+	env.AddDocTable("pages", "x", refinePages())
+	from := newFromNode(newScanNode("pages", []string{"x"}), "x", "t")
+	same := newProjectNode(from, []string{"x", "t"}, []string{"x", "title"})
+	swapped := newProjectNode(from, []string{"t", "x"}, []string{"t", "x"})
+	top := newConstraintNode(same, feature.Constraint{Feature: "bold-font", Attr: "title", Value: "yes"}, nil)
+	ctx := NewContext(env)
+	in, err := Eval(ctx, from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := in.String()
+	proj, err := Eval(ctx, same)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &proj.Tuples[0] != &in.Tuples[0] || !slices.Equal(proj.Cols, []string{"x", "title"}) {
+		t.Fatalf("identity projection copied its rows or lost its header: cols %v", proj.Cols)
+	}
+	if cap(proj.Tuples) != len(proj.Tuples) {
+		t.Fatal("shared rows must not leave room to append into")
+	}
+	out, err := Eval(ctx, top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.String() == proj.String() {
+		t.Fatal("the constraint refined nothing; the test shows nothing")
+	}
+	if in.String() != before {
+		t.Fatalf("the constraint above the projection changed the projection's input:\n%s\nwas\n%s", in, before)
+	}
+	sw, err := Eval(ctx, swapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tp := range sw.Tuples {
+		if len(tp.Cells) != 2 || cap(tp.Cells) != 2 || !tp.CellsStructuralEq(compact.Tuple{Cells: []compact.Cell{in.Tuples[i].Cells[1], in.Tuples[i].Cells[0]}}, []int{0, 1}) {
+			t.Fatalf("row %d of the reordering projection: %v from %v", i, tp, in.Tuples[i])
+		}
+	}
+}
+
+// runCornerSrc has three constraints on p already; the test adds two more.
+const runCornerSrc = `
+houses(x, <p>, <a>) :- housePages(x), extractHouses(x, p, a).
+Q(x, p, a) :- houses(x, p, a), p > 100000.
+extractHouses(x, p, a) :- from(x, p), from(x, a), numeric(p) = yes, numeric(a) = yes,
+                          bold-font(p) = no, max-tokens(p) = 1.
+`
+
+// TestRunResumesBehindTrial is the corner a run that only followed its
+// RegisterDelta link got wrong: two answers on one attribute are folded
+// into the program in one step, and a trial has already evaluated the first
+// of them. The chain hits the trial's cached node and computes the second
+// constraint only; the run must find the trial's entry under its own prefix
+// signature and resume behind it, not behind the shorter base plan the link
+// names.
+func TestRunResumesBehindTrial(t *testing.T) {
+	p := alog.AttrRef{Pred: "extractHouses", Var: "p"}
+	type outcome struct {
+		verify, refine, stages int64
+		table                  string
+	}
+	session := func(t *testing.T) (outcome, *Context) {
+		env := chaosEnv(40, 4, nil)
+		ctx := NewContext(env)
+		ctx.EnableDelta()
+		compile := func(extra ...[2]string) *Plan {
+			prog := alog.MustParse(runCornerSrc)
+			for _, c := range extra {
+				if err := prog.AddConstraint(p, c[0], c[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			plan, err := Compile(prog, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return plan
+		}
+		execute := func(plan *Plan) *compact.Table {
+			tbl, err := plan.Execute(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tbl
+		}
+		first, second := [2]string{"preceded-by", "Price:"}, [2]string{"min-value", "400000"}
+		base := compile()
+		execute(base)
+		trial := compile(first)
+		ctx.RegisterDelta(base.Root, trial.Root)
+		execute(trial)
+		next := compile(first, second)
+		ctx.ResetDelta()
+		ctx.RegisterDelta(base.Root, next.Root)
+		s0 := ctx.Stats
+		ctx.StartTrace()
+		tbl := execute(next)
+		return outcome{
+			verify: ctx.Stats.VerifyCalls - s0.VerifyCalls, refine: ctx.Stats.RefineCalls - s0.RefineCalls,
+			stages: ctx.Stats.ConstraintStages - s0.ConstraintStages, table: tbl.String(),
+		}, ctx
+	}
+	run, ctx := session(t)
+	restore := StackRunsForTest()
+	stack, _ := session(t)
+	restore()
+	if run.table != stack.table {
+		t.Fatalf("tables differ\nrun:\n%s\nchain:\n%s", run.table, stack.table)
+	}
+	if run != stack {
+		t.Fatalf("verify/refine/stages %d/%d/%d, chain %d/%d/%d", run.verify, run.refine, run.stages, stack.verify, stack.refine, stack.stages)
+	}
+	if run.stages == 0 || run.stages > 40 {
+		t.Fatalf("%d stages computed for 40 pages: want one per page that reaches the last constraint", run.stages)
+	}
+	resumed := false
+	for _, o := range ctx.TraceOps() {
+		if o.Stages == 5 {
+			resumed = true
+			if o.ResumedFrom != 4 || o.Evals != 1 {
+				t.Fatalf("the five-stage run resumed behind %d stages in %d evaluations, want 4 in 1", o.ResumedFrom, o.Evals)
+			}
+		}
+	}
+	if !resumed {
+		t.Fatal("no five-stage run in the trace")
+	}
+}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"iflex/internal/compact"
@@ -67,9 +68,13 @@ type joinMatch struct {
 
 // deltaOut is the memoised outcome of one operator for one input tuple.
 // Exactly one of the payload fields is meaningful per operator family:
-// cell for the constraint operator (the refined attribute cell; nil = the
-// tuple was dropped), filt for selections, sim for binary per-left-tuple
-// joins, ann for the annotation operator's per-tuple key contribution.
+// cell, stages and stageSum for the constraint operator (the attribute cell
+// after the whole run, nil = the tuple was dropped; how many stages it
+// survived; the summed sizes of its cell after each of them — what a longer
+// run resuming from this memo needs to total the stage tables it never
+// builds, see SumAssignments), filt for selections, sim for binary
+// per-left-tuple joins, ann for the annotation operator's per-tuple key
+// contribution.
 // Every payload is expressed in terms of the cells the operator actually
 // reads, never the whole tuple — replay rebuilds the output from the
 // current input tuple, which is what lets a memo survive refinements of
@@ -82,6 +87,8 @@ type deltaOut struct {
 	sim       []joinMatch
 	ann       *annContrib
 	fallbacks int32
+	stages    int32
+	stageSum  int32
 }
 
 // deltaPair is one memo entry: the input tuple (kept for exact structural
@@ -99,12 +106,15 @@ type deltaPair struct {
 // identity when the right subtree's signature is unchanged), and rightDep
 // by a content fingerprint of the right table's dependency columns, which
 // keeps memos transferable when the right subtree was re-evaluated but
-// its join-relevant columns came out identical. memBytes is the cache
-// accounting estimate.
+// its join-relevant columns came out identical. stages is the number of
+// stages of the constraint run that left the memo (0 for every other
+// operator): a longer run replays that many and computes the rest.
+// memBytes is the cache accounting estimate.
 type evalAux struct {
 	right    *compact.Table
 	rightDep uint64
 	cols     []int
+	stages   int
 	memo     map[uint64][]deltaPair
 }
 
@@ -146,7 +156,7 @@ func (a *evalAux) memBytes() int64 {
 	for _, ps := range a.memo {
 		b += 48 // bucket overhead
 		for _, p := range ps {
-			b += 96
+			b += 104 // the pair: input tuple header and deltaOut
 			if p.out.cell != nil {
 				b += 32 + assignmentEstimate*int64(len(p.out.cell.Assigns))
 			}
@@ -255,11 +265,13 @@ func (dx *deltaState) noteReused(batch *statBatch, n int) {
 // deltaLink maps a node of the current plan version (keyed by its
 // signature hash) to its predecessor in the previous version. The
 // signature strings verify both ends of the link, so hash collisions
-// degrade to a full evaluation.
+// degrade to a full evaluation. stages is how many stages of a constraint
+// run the predecessor covers (0 for every other operator).
 type deltaLink struct {
 	oldHash uint64
 	oldSig  string
 	newSig  string
+	stages  int
 }
 
 // EnableDelta turns on incremental evaluation for this context: cache
@@ -279,12 +291,18 @@ func (ctx *Context) ResetDelta() {
 
 // RegisterDelta declares newRoot to be a refinement of oldRoot: a
 // lockstep walk pairs each changed node of the new plan with its
-// predecessor, descending through single inserted (or removed) unary
-// operators — the shape AddConstraint produces. Identical subtrees are
-// skipped (the node cache already reuses them wholesale); structural
-// mismatches beyond one unary insertion stop the walk, leaving those
-// nodes to evaluate in full. Safe to call concurrently (Simulation
-// registers each trial candidate against the shared base plan).
+// predecessor, pairing a constraint run with the shorter run it extends
+// and descending through single inserted (or removed) unary operators —
+// the two shapes AddConstraint produces. Identical subtrees are skipped
+// (the node cache already reuses them wholesale); structural mismatches
+// beyond one unary insertion stop the walk, leaving those nodes to
+// evaluate in full. A later registration replaces an earlier one's link
+// for the same node (the later predecessor is the closer one) unless it
+// covers fewer stages of a constraint run: a trial's previous incarnation
+// predates what the base plan has since added to the run, and resuming
+// from it would recompute those stages for every tuple. Safe to call
+// concurrently (Simulation registers each trial candidate against the
+// shared base plan).
 func (ctx *Context) RegisterDelta(oldRoot, newRoot Node) {
 	if !ctx.deltaOn {
 		return
@@ -299,6 +317,9 @@ func (ctx *Context) RegisterDelta(oldRoot, newRoot Node) {
 		ctx.deltaPrev = map[uint64]deltaLink{}
 	}
 	for k, v := range links {
+		if cur, ok := ctx.deltaPrev[k]; ok && cur.newSig == v.newSig && cur.stages > v.stages {
+			continue
+		}
 		ctx.deltaPrev[k] = v
 	}
 	ctx.mu.Unlock()
@@ -315,7 +336,11 @@ func correspond(o, n Node, links map[uint64]deltaLink) {
 	}
 	oc, nc := o.Children(), n.Children()
 	if len(oc) == len(nc) && sameShape(o, n) {
-		links[n.sigHash()] = deltaLink{oldHash: o.sigHash(), oldSig: o.Signature(), newSig: n.Signature()}
+		link := deltaLink{oldHash: o.sigHash(), oldSig: o.Signature(), newSig: n.Signature()}
+		if run, ok := o.(*constraintNode); ok {
+			link.stages = len(run.cons)
+		}
+		links[n.sigHash()] = link
 		for i := range nc {
 			correspond(oc[i], nc[i], links)
 		}
@@ -337,9 +362,11 @@ func correspond(o, n Node, links map[uint64]deltaLink) {
 // local parameters — the condition under which a per-tuple outcome from
 // the old node is valid for the new one (their inputs may differ; that is
 // exactly what the per-tuple memo absorbs). Parameters that change the
-// function applied to a tuple must all be compared; constraint nodes in
+// function applied to a tuple must all be compared; constraint runs in
 // particular must agree on the prior constraint list, because refinement
-// re-checks refined spans against it.
+// re-checks refined spans against it, and the old run's stages must open
+// the new run's: the memo then holds each tuple's outcome after exactly
+// those stages, and the new run resumes behind them.
 func sameShape(o, n Node) bool {
 	switch a := o.(type) {
 	case *scanNode:
@@ -359,15 +386,7 @@ func sameShape(o, n Node) bool {
 		return ok && eqStrings(a.srcCols, b.srcCols) && eqStrings(a.outCols, b.outCols)
 	case *constraintNode:
 		b, ok := n.(*constraintNode)
-		if !ok || a.cons != b.cons || len(a.prior) != len(b.prior) {
-			return false
-		}
-		for i := range a.prior {
-			if a.prior[i] != b.prior[i] {
-				return false
-			}
-		}
-		return true
+		return ok && slices.Equal(a.prior, b.prior) && len(a.cons) <= len(b.cons) && slices.Equal(a.cons, b.cons[:len(a.cons)])
 	case *compareNode:
 		b, ok := n.(*compareNode)
 		return ok && a.cmp == b.cmp

@@ -309,6 +309,12 @@ type Context struct {
 	// evaluated node, keyed by signature hash — the optimizer's cost
 	// model adopts a snapshot of it to refine reported estimates.
 	obsRows map[uint64]RowObservation
+	// stageAsg records, per cache key of a constraint run with more than
+	// one stage, the assignments of the stage tables the run did not build
+	// (SumAssignments). Like obsRows it is not part of the cache: it
+	// survives eviction, spill resurrection and the adoption of a shorter
+	// run's table.
+	stageAsg map[entryKey]stageTotal
 	// extraWorkers counts pool slots handed out beyond the caller's own
 	// goroutine; see parallel.go.
 	extraWorkers atomic.Int64
@@ -388,9 +394,10 @@ type inflightEval struct {
 // read them only after evaluation quiesces (or via a copy).
 //
 // NodesEvaluated, CacheHits, TuplesBuilt, the call counters, the Sim*
-// funnel, CmpOperandsParsed, LimitFallbacks, DeltaEvals, TuplesReused, and
-// TuplesRecomputed are deterministic: identical totals at any worker count (the single-flight
-// cache evaluates each key exactly once; every other request is a hit).
+// funnel, CmpOperandsParsed, ConstraintStages, LimitFallbacks, DeltaEvals,
+// TuplesReused, and TuplesRecomputed are deterministic: identical totals at
+// any worker count (the single-flight cache evaluates each key exactly
+// once; every other request is a hit).
 // The pool counters and OpTimeNs depend on scheduling and vary run to
 // run. Snapshot renders the JSON view with derived rates.
 type Stats struct {
@@ -416,6 +423,10 @@ type Stats struct {
 	// (operands.go). Deterministic like FuncCalls — a record is charged when
 	// published, not when built.
 	CmpOperandsParsed int64
+	// ConstraintStages counts the stages constraint runs computed: one per
+	// refineCell call, i.e. per tuple and constraint that was not replayed
+	// from a delta memo. Deterministic like FuncCalls.
+	ConstraintStages int64
 	// LimitFallbacks counts tuples an operator kept conservatively
 	// because value enumeration exceeded Limits (the superset-safe
 	// fallback paths of Section 4.1).
@@ -457,7 +468,10 @@ type Stats struct {
 	// annotation), input tuples whose outcome was replayed from a
 	// predecessor memo versus computed fresh. Recomputed is counted in
 	// both modes, so delta and full runs of the same workload are directly
-	// comparable; with delta off, Reused stays 0.
+	// comparable; with delta off, Reused stays 0. A constraint run counts a
+	// tuple once, whatever its number of stages: recomputed when at least
+	// one stage was computed for it (ConstraintStages says how many), reused
+	// when the memo covered them all.
 	TuplesReused     int64
 	TuplesRecomputed int64
 	// TablesAdopted counts re-evaluations whose output reproduced the
@@ -545,6 +559,7 @@ type statBatch struct {
 	memoMisses       int64
 	tuplesReused     int64
 	tuplesRecomputed int64
+	stages           int64
 }
 
 // flush merges the shard into the shared Stats and times the merge
@@ -600,6 +615,9 @@ func (b *statBatch) flushTo(stats *Stats) {
 	}
 	if b.tuplesRecomputed != 0 {
 		atomic.AddInt64(&stats.TuplesRecomputed, b.tuplesRecomputed)
+	}
+	if b.stages != 0 {
+		atomic.AddInt64(&stats.ConstraintStages, b.stages)
 	}
 	*b = statBatch{}
 }
@@ -813,6 +831,25 @@ func (ctx *Context) ObservedRows() map[uint64]RowObservation {
 	return out
 }
 
+// stageTotal is one stageAsg record; marker and sig verify the hashed key.
+type stageTotal struct {
+	marker, sig string
+	n           int64
+}
+
+// stageAssignments returns what the evaluation of n under the current
+// subset recorded in stageAsg; 0 for every node that is not a multi-stage
+// run.
+func (ctx *Context) stageAssignments(n Node) int {
+	subset, marker := ctx.subsetKey()
+	ctx.mu.Lock()
+	defer ctx.mu.Unlock()
+	if r, ok := ctx.stageAsg[entryKey{subset: subset, sig: n.sigHash()}]; ok && r.marker == marker && r.sig == n.Signature() {
+		return int(r.n)
+	}
+	return 0
+}
+
 // Node is one operator of a compiled plan. Nodes are immutable after
 // construction; evaluation is memoised through the context cache.
 type Node interface {
@@ -826,16 +863,19 @@ type Node interface {
 	// Children returns the node's input operators.
 	Children() []Node
 	// eval computes the node's output table (uncached). ev receives
-	// per-evaluation trace attribution (valuation-limit fallbacks) and
-	// may be nil when tracing is off; dx carries delta-evaluation state
-	// and is nil when delta evaluation is off.
+	// per-evaluation attribution (valuation-limit fallbacks, a run's stage
+	// totals) and may be nil, which discards it; dx carries
+	// delta-evaluation state and is nil when delta evaluation is off.
 	eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error)
 }
 
 // SumAssignments evaluates every node of the plan (through the cache) and
 // totals the assignments across all intermediate and final tables — the
 // "number of assignments produced by the extraction process" that the
-// convergence monitor tracks alongside the result size (Section 5.1).
+// convergence monitor tracks alongside the result size (Section 5.1). A
+// constraint run stands for one table per stage: the ones it did not build
+// are totalled from what it recorded while evaluating (stageAsg), so
+// adding a constraint perturbs the sum whether or not it starts a new node.
 func SumAssignments(ctx *Context, root Node) (int, error) {
 	total := 0
 	seen := map[string]bool{}
@@ -854,7 +894,7 @@ func SumAssignments(ctx *Context, root Node) (int, error) {
 		if err != nil {
 			return err
 		}
-		total += t.NumAssignments()
+		total += t.NumAssignments() + ctx.stageAssignments(n)
 		return nil
 	}
 	if err := walk(root); err != nil {
@@ -959,6 +999,18 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 				dx.prior = pe.aux
 			}
 		}
+		// A constraint run takes the predecessor that covers the most of its
+		// stages: the one found above, or a cached run over the same input
+		// under one of its prefix signatures.
+		if run, ok := n.(*constraintNode); ok {
+			have := 0
+			if dx.prior != nil {
+				have = dx.prior.stages
+			}
+			if aux, table := ctx.runPriorLocked(run, subsetHash, marker, prevMode, have); aux != nil {
+				dx.prior, priorTable = aux, table
+			}
+		}
 		// Corpus prior: ApplyCorpusDelta displaced this node's last result
 		// (the plan is typically unchanged, so the plan-delta links above
 		// have nothing). The displaced table is attached for the adoption
@@ -1012,10 +1064,7 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 	if dx != nil && (dx.prior != nil || priorTable != nil) {
 		statAdd(&ctx.Stats.DeltaEvals, 1)
 	}
-	var ev *EvalTrace
-	if trace != nil {
-		ev = &EvalTrace{}
-	}
+	ev := &EvalTrace{}
 	finished := false
 	start := time.Now()
 	defer func() {
@@ -1062,6 +1111,12 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 				ctx.obsRows = map[uint64]RowObservation{}
 			}
 			ctx.obsRows[n.sigHash()] = RowObservation{Sig: sig, Rows: int64(len(t.Tuples))}
+			if ev.stages > 1 {
+				if ctx.stageAsg == nil {
+					ctx.stageAsg = map[entryKey]stageTotal{}
+				}
+				ctx.stageAsg[key] = stageTotal{marker: marker, sig: sig, n: ev.stageAsg}
+			}
 			// A fired cancellation means this result may be partial (a
 			// best-effort cut truncates operator loops), so it is handed to
 			// the caller but never cached: a later evaluation under the same
@@ -1086,6 +1141,7 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 			SimTuplePairs: ev.simPairs.Load(), SimValuePairsProbed: ev.simProbed.Load(),
 			SimValuePairsVerified: ev.simVerified.Load(),
 			CmpOperandsParsed:     ev.cmpParsed.Load(),
+			Stages:                ev.stages, ResumedFrom: ev.resumedFrom,
 		}
 		if dx != nil {
 			rec.Reused = dx.reused.Load()

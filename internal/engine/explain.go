@@ -18,7 +18,11 @@ func opName(n Node) string {
 	case *fromNode:
 		return fmt.Sprintf("from(%s → %s)", t.inVar, t.outVar)
 	case *constraintNode:
-		return fmt.Sprintf("σ[%s]", t.cons)
+		stages := make([]string, len(t.cons))
+		for i, k := range t.cons {
+			stages[i] = k.String()
+		}
+		return fmt.Sprintf("σ[%s]", strings.Join(stages, " ∧ "))
 	case *compareNode:
 		return fmt.Sprintf("σ[%s]", t.cmp)
 	case *funcNode:
@@ -111,19 +115,24 @@ func explainTree(ctx *Context, root Node, opt *OptInfo) (string, error) {
 	}
 	workers := map[int64]int{}
 	var b strings.Builder
+	sizes := func(n Node) (o OpStats, rows, expanded, assigns int, err error) {
+		o = byKey[ctx.cacheKey(n.Signature())]
+		if o.Evals > 0 {
+			return o, o.Tuples, o.Expanded, o.Assignments, nil
+		}
+		// Evaluated before tracing started: sizes come from the cached
+		// table itself.
+		t, err := Eval(ctx, n)
+		if err != nil {
+			return o, 0, 0, 0, err
+		}
+		return o, len(t.Tuples), t.NumExpandedTuples(), t.NumAssignments(), nil
+	}
 	var walk func(n Node, depth int) error
 	walk = func(n Node, depth int) error {
-		key := ctx.cacheKey(n.Signature())
-		o, traced := byKey[key]
-		rows, expanded, assigns := o.Tuples, o.Expanded, o.Assignments
-		if !traced || o.Evals == 0 {
-			// Evaluated before tracing started: sizes come from the cached
-			// table itself.
-			t, err := Eval(ctx, n)
-			if err != nil {
-				return err
-			}
-			rows, expanded, assigns = len(t.Tuples), t.NumExpandedTuples(), t.NumAssignments()
+		o, rows, expanded, assigns, err := sizes(n)
+		if err != nil {
+			return err
 		}
 		cache := "hit"
 		wall := "-"
@@ -153,6 +162,19 @@ func explainTree(ctx *Context, root Node, opt *OptInfo) (string, error) {
 		}
 		if o.SimTuplePairs > 0 {
 			extra += fmt.Sprintf(" sim=%d/%d/%d", o.SimTuplePairs, o.SimValuePairsProbed, o.SimValuePairsVerified)
+		}
+		if run, ok := n.(*constraintNode); ok {
+			// A run is one line for all its stages: say how many, how many
+			// rows went in, and behind how many stages a predecessor let the
+			// replayed tuples resume.
+			_, in, _, _, err := sizes(run.parent)
+			if err != nil {
+				return err
+			}
+			extra += fmt.Sprintf(" stages=%d in=%d", len(run.cons), in)
+			if o.Evals > 0 && o.ResumedFrom >= 0 {
+				extra += fmt.Sprintf(" resumed=%d", o.ResumedFrom)
+			}
 		}
 		if opt != nil {
 			if est, ok := opt.Est[n.sigHash()]; ok {
@@ -203,6 +225,19 @@ func explainTree(ctx *Context, root Node, opt *OptInfo) (string, error) {
 	}
 	if parsed := atomic.LoadInt64(&ctx.Stats.CmpOperandsParsed); parsed > 0 {
 		fmt.Fprintf(&b, "comparisons: %d operands parsed\n", parsed)
+	}
+	if computed := atomic.LoadInt64(&ctx.Stats.ConstraintStages); computed > 0 {
+		var runs, stages, resumed, covered int
+		for _, o := range byKey {
+			if o.Stages > 0 && o.Evals > 0 {
+				runs, stages = runs+1, stages+o.Stages
+				if o.ResumedFrom >= 0 {
+					resumed, covered = resumed+1, covered+o.ResumedFrom
+				}
+			}
+		}
+		fmt.Fprintf(&b, "constraints: %d stages computed; %d runs traced (%d stages), %d resumed (behind %d stages)\n",
+			computed, runs, stages, resumed, covered)
 	}
 	if merges := atomic.LoadInt64(&ctx.Stats.StatMerges); merges > 0 {
 		fmt.Fprintf(&b, "stat merges: %d batches, %s total\n", merges,

@@ -96,16 +96,19 @@ func (n *fromNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 	}
 	idx := colIndex(in.Cols, n.inVar)
 	out := compact.NewTable(n.Columns()...)
-	for _, tp := range in.Tuples {
-		nt := tp.Copy()
-		var as []text.Assignment
-		for _, a := range tp.Cells[idx].Assigns {
+	out.Tuples = make([]compact.Tuple, len(in.Tuples))
+	for ti, tp := range in.Tuples {
+		cells := make([]compact.Cell, len(tp.Cells)+1)
+		copy(cells, tp.Cells)
+		src := tp.Cells[idx].Assigns
+		as := make([]text.Assignment, len(src))
+		for i, a := range src {
 			// contain(s) for every possible value region of the input cell;
 			// exact(s) inputs become contain(s) over that one span.
-			as = append(as, text.ContainOf(a.Span))
+			as[i] = text.ContainOf(a.Span)
 		}
-		nt.Cells = append(nt.Cells, compact.Cell{Assigns: as, Expand: true})
-		out.Tuples = append(out.Tuples, nt)
+		cells[len(tp.Cells)] = compact.Cell{Assigns: as, Expand: true}
+		out.Tuples[ti] = compact.Tuple{Cells: cells, Maybe: tp.Maybe}
 	}
 	return out, nil
 }
@@ -377,13 +380,24 @@ func (n *projectNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 		return nil, err
 	}
 	idx := make([]int, len(n.srcCols))
+	identity := len(n.srcCols) == len(in.Cols)
 	for i, c := range n.srcCols {
 		idx[i] = colIndex(in.Cols, c)
+		identity = identity && idx[i] == i
 	}
 	out := compact.NewTable(n.outCols...)
+	if identity {
+		// Every column onto itself (the π around each ψ): only the header is
+		// new. Tuples are copy-on-write everywhere downstream, so the rows
+		// are the input's; the capacity is clipped so that an append to
+		// either table cannot reach the other.
+		out.Tuples = in.Tuples[:len(in.Tuples):len(in.Tuples)]
+		return out, nil
+	}
 	out.Tuples = make([]compact.Tuple, len(in.Tuples))
+	cells := make([]compact.Cell, len(in.Tuples)*len(idx))
 	for ti, tp := range in.Tuples {
-		nt := compact.Tuple{Maybe: tp.Maybe, Cells: make([]compact.Cell, len(idx))}
+		nt := compact.Tuple{Maybe: tp.Maybe, Cells: cells[ti*len(idx) : (ti+1)*len(idx) : (ti+1)*len(idx)]}
 		for i, j := range idx {
 			nt.Cells[i] = tp.Cells[j]
 		}

@@ -358,7 +358,7 @@ func selOf(n Node) selInfo {
 			s.rank = 1 // variable-vs-variable odometer
 		}
 	case *constraintNode:
-		s.involved = []string{t.cons.Attr}
+		s.involved = []string{t.attr()}
 		s.rank = 2 // feature Verify/Refine
 	case *funcNode:
 		for _, term := range t.args {
@@ -666,7 +666,9 @@ func (o *optimizer) sinkOrWrap(s selInfo, target Node) (Node, Node) {
 }
 
 // rebuildSel reconstructs a selection node over a new input, carrying
-// its parameters (constraint prior lists included) verbatim.
+// its parameters (constraint prior lists included) verbatim. A constraint
+// run is rebuilt stage by stage through its constructor, which extends
+// the new input when that is the run's lower part.
 func (o *optimizer) rebuildSel(s selInfo, parent Node) Node {
 	switch t := s.node.(type) {
 	case *compareNode:
@@ -683,7 +685,11 @@ func (o *optimizer) rebuildSel(s selInfo, parent Node) Node {
 		if t.parent == parent {
 			return t
 		}
-		return newConstraintNode(parent, t.cons, t.prior)
+		all := t.applied()
+		for i, k := range t.cons {
+			parent = newConstraintNode(parent, k, all[:len(t.prior)+i])
+		}
+		return parent
 	}
 	return s.node
 }
@@ -747,7 +753,7 @@ func (o *optimizer) rows(n Node, useObs bool) float64 {
 	case *compareNode:
 		r = o.rows(t.parent, useObs) * o.coster.Selectivity(OpCompare)
 	case *constraintNode:
-		r = o.rows(t.parent, useObs) * o.coster.Selectivity(OpConstraint)
+		r, _ = o.runRows(t, useObs)
 	case *funcNode:
 		r = o.rows(t.parent, useObs) * o.coster.Selectivity(OpFunc)
 	default:
@@ -758,6 +764,21 @@ func (o *optimizer) rows(n Node, useObs bool) float64 {
 	}
 	memo[n] = r
 	return r
+}
+
+// runRows estimates a constraint run as the chain of one-constraint nodes
+// it stands for: every stage applies the constraint selectivity and the
+// one-row floor to the stage before it. out is the last stage's row count,
+// work the rows entering the stages, summed.
+func (o *optimizer) runRows(t *constraintNode, useObs bool) (out, work float64) {
+	out = o.rows(t.parent, useObs)
+	for range t.cons {
+		work += out
+		if out *= o.coster.Selectivity(OpConstraint); out < 1 {
+			out = 1
+		}
+	}
+	return out, work
 }
 
 // cost estimates a node's own evaluation cost in nanoseconds (its work
@@ -777,6 +798,8 @@ func (o *optimizer) cost(n Node) float64 {
 		for _, p := range t.parts {
 			work += o.rows(p, true)
 		}
+	case *constraintNode:
+		_, work = o.runRows(t, true)
 	default:
 		if cs := n.Children(); len(cs) == 1 {
 			work = o.rows(cs[0], true)

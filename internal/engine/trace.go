@@ -117,6 +117,19 @@ type EvalTrace struct {
 	simProbed   atomic.Int64
 	simVerified atomic.Int64
 	cmpParsed   atomic.Int64
+	// Set once by a constraint run, after its chunks have joined: the run's
+	// stage count, the stages its delta predecessor covered (-1 = none) and
+	// the assignments of the stage tables it did not build.
+	stages, resumedFrom int
+	stageAsg            int64
+}
+
+// run records what a constraint run's evaluation did (see the fields). A
+// nil receiver discards it.
+func (ev *EvalTrace) run(stages, resumedFrom int, stageAsg int64) {
+	if ev != nil {
+		ev.stages, ev.resumedFrom, ev.stageAsg = stages, resumedFrom, stageAsg
+	}
 }
 
 // simWork attributes a chunk's similarity funnel counts (see
@@ -203,7 +216,13 @@ type TraceRecord struct {
 	SimValuePairsVerified int64
 	// CmpOperandsParsed is this call's share of Stats.CmpOperandsParsed.
 	CmpOperandsParsed int64
-	Goroutine         int64 // id of the goroutine that evaluated the node
+	// Stages is the number of stages of a constraint run (0 for every other
+	// operator) and ResumedFrom how many of them the delta predecessor
+	// covered, so that each replayed tuple resumed behind them (-1 = no
+	// predecessor; meaningful only when Stages > 0).
+	Stages      int
+	ResumedFrom int
+	Goroutine   int64 // id of the goroutine that evaluated the node
 }
 
 type traceNode struct {
@@ -266,6 +285,8 @@ type OpStats struct {
 	SimValuePairsProbed   int64
 	SimValuePairsVerified int64
 	CmpOperandsParsed     int64 // values parsed into comparison operands
+	Stages                int   // stages of a constraint run (0 otherwise)
+	ResumedFrom           int   // stages the (last) call's predecessor covered, -1 = none
 	Goroutine             int64 // goroutine id of the (last) evaluating call
 }
 
@@ -301,6 +322,7 @@ func (ctx *Context) TraceOps() []OpStats {
 			o.SimValuePairsProbed += r.SimValuePairsProbed
 			o.SimValuePairsVerified += r.SimValuePairsVerified
 			o.CmpOperandsParsed += r.CmpOperandsParsed
+			o.Stages, o.ResumedFrom = r.Stages, r.ResumedFrom
 			o.Goroutine = r.Goroutine
 		case StatusHit:
 			o.Hits++
@@ -358,6 +380,7 @@ type StatsSnapshot struct {
 	SimProbed        int64              `json:"sim_value_pairs_probed"`
 	SimVerified      int64              `json:"sim_value_pairs_verified"`
 	CmpParsed        int64              `json:"cmp_operands_parsed"`
+	ConstraintStages int64              `json:"constraint_stages"`
 	LimitFallbacks   int64              `json:"limit_fallbacks"`
 	PoolSlotsGranted int64              `json:"pool_slots_granted"`
 	PoolSlotsDenied  int64              `json:"pool_slots_denied"`
@@ -408,6 +431,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		SimProbed:        s.SimValuePairsProbed,
 		SimVerified:      s.SimValuePairsVerified,
 		CmpParsed:        s.CmpOperandsParsed,
+		ConstraintStages: s.ConstraintStages,
 		LimitFallbacks:   s.LimitFallbacks,
 		PoolSlotsGranted: s.PoolSlotsGranted,
 		PoolSlotsDenied:  s.PoolSlotsDenied,

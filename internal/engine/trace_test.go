@@ -244,3 +244,61 @@ func TestCacheKeyMemoisedMatchesUnmemoised(t *testing.T) {
 		t.Errorf("stale marker used: got %q, want %q", got, want)
 	}
 }
+
+// TestExplainRun: a run is one line of the plan and of the explain tree,
+// listing its stages with the rows that went in; an extended run evaluated
+// behind its predecessor says how many stages it resumed behind; and
+// ConstraintStages — what the footer totals — counts one computed stage per
+// tuple and constraint, the same serially and on eight workers.
+func TestExplainRun(t *testing.T) {
+	p := alog.AttrRef{Pred: "extractHouses", Var: "p"}
+	const run3 = `σ[numeric(p)="yes" ∧ bold-font(p)="no" ∧ max-tokens(p)="1"]`
+	var stages []int64
+	for _, workers := range []int{1, 8} {
+		env := chaosEnv(40, 4, nil)
+		ctx := NewContext(env)
+		ctx.Workers = workers
+		ctx.EnableDelta()
+		base, err := Compile(alog.MustParse(runCornerSrc), env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Count(base.String(), run3); got != 1 || strings.Count(base.String(), "σ[") != 3 {
+			t.Fatalf("plan shows the three-stage run %d times among %d selections:\n%s", got, strings.Count(base.String(), "σ["), base)
+		}
+		out, err := base.Explain(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, run3) || !strings.Contains(out, " stages=3 in=40") || strings.Contains(out, "resumed=") {
+			t.Fatalf("explain of the first evaluation:\n%s", out)
+		}
+		// 40 pages × (3 stages on p + 1 on a), nothing dropped on the way.
+		if !strings.Contains(out, "constraints: 160 stages computed; 2 runs traced (4 stages), 0 resumed") {
+			t.Fatalf("footer of the first evaluation:\n%s", out)
+		}
+		prog := alog.MustParse(runCornerSrc)
+		if err := prog.AddConstraint(p, "preceded-by", "Price:"); err != nil {
+			t.Fatal(err)
+		}
+		next, err := Compile(prog, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx.RegisterDelta(base.Root, next.Root)
+		if out, err = next.Explain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		// The run on a sits above the extended one: re-evaluated, behind all
+		// of its one stage. The trace still holds the base plan's two runs.
+		if !strings.Contains(out, " stages=4 in=40 resumed=3") || !strings.Contains(out, " stages=1 in=40 resumed=1") ||
+			!strings.Contains(out, "4 runs traced (9 stages), 2 resumed (behind 4 stages)") {
+			t.Fatalf("explain of the extended run:\n%s", out)
+		}
+		stages = append(stages, ctx.Stats.ConstraintStages)
+	}
+	// The extension computed its one new stage per page.
+	if stages[0] != 200 || stages[1] != stages[0] {
+		t.Fatalf("ConstraintStages %v at workers 1 and 8, want 200 both", stages)
+	}
+}

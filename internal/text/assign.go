@@ -2,7 +2,7 @@ package text
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -122,12 +122,16 @@ func CompareAssignments(a, b Assignment) int {
 }
 
 // SortAssignments sorts a slice of assignments into canonical order.
+// Assignments that compare equal are identical, so the order is unique.
 func SortAssignments(as []Assignment) {
-	sort.Slice(as, func(i, j int) bool { return CompareAssignments(as[i], as[j]) < 0 })
+	slices.SortFunc(as, CompareAssignments)
 }
 
 // FormatAssignments renders a multiset of assignments canonically, e.g.
-// {exact("351000"), contain("Cozy ... High")}.
+// {exact("351000"), contain("Cozy ... High")}. It is for rendering only:
+// it copies, sorts and formats every element, so nothing on the evaluation
+// path may call it (the engine's refinement fixpoint falls back to it only
+// for lists that differ, see engine.assignmentsStable).
 func FormatAssignments(as []Assignment) string {
 	cp := make([]Assignment, len(as))
 	copy(cp, as)
@@ -142,15 +146,15 @@ func FormatAssignments(as []Assignment) string {
 // DedupAssignments removes duplicate assignments (same mode, same span) and
 // assignments subsumed by a contain assignment in the same set:
 // contain(s) subsumes contain(t) when t ⊆ s, and subsumes exact(v) when
-// v ∈ V(contain(s)). The result is sorted canonically.
+// v ∈ V(contain(s)). The result is sorted canonically. It is the one
+// allocation of a constraint refinement, so the copy it sorts is also what
+// it returns.
 func DedupAssignments(as []Assignment) []Assignment {
-	if len(as) <= 1 {
-		cp := make([]Assignment, len(as))
-		copy(cp, as)
-		return cp
-	}
 	cp := make([]Assignment, len(as))
 	copy(cp, as)
+	if len(cp) <= 1 {
+		return cp
+	}
 	SortAssignments(cp)
 	// Drop exact duplicates first.
 	uniq := cp[:0]
@@ -160,10 +164,14 @@ func DedupAssignments(as []Assignment) []Assignment {
 		}
 		uniq = append(uniq, a)
 	}
-	// Drop assignments subsumed by a contain assignment.
-	var out []Assignment
+	// Mark the assignments subsumed by a contain assignment — every
+	// decision reads the whole deduplicated list — then close the gaps.
+	var few [64]bool
+	subsumed := few[:min(len(uniq), len(few))]
+	if len(uniq) > len(few) {
+		subsumed = make([]bool, len(uniq))
+	}
 	for i, a := range uniq {
-		subsumed := false
 		for j, b := range uniq {
 			if i == j || b.Mode != Contain {
 				continue
@@ -171,22 +179,25 @@ func DedupAssignments(as []Assignment) []Assignment {
 			switch a.Mode {
 			case Contain:
 				if b.Span.Contains(a.Span) && !a.Span.Equal(b.Span) {
-					subsumed = true
+					subsumed[i] = true
 				} else if a.Span.Equal(b.Span) && j < i {
-					subsumed = true
+					subsumed[i] = true
 				}
 			case Exact:
 				if b.Covers(a.Span) {
-					subsumed = true
+					subsumed[i] = true
 				}
 			}
-			if subsumed {
+			if subsumed[i] {
 				break
 			}
 		}
-		if !subsumed {
+	}
+	out := uniq[:0]
+	for i, a := range uniq {
+		if !subsumed[i] {
 			out = append(out, a)
 		}
 	}
-	return out
+	return out[:len(out):len(out)]
 }

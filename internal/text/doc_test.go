@@ -1,6 +1,9 @@
 package text
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -239,6 +242,79 @@ func TestDedupAssignments(t *testing.T) {
 	out := DedupAssignments(in)
 	if len(out) != 1 || out[0].Mode != Contain || !out[0].Span.Equal(whole) {
 		t.Fatalf("DedupAssignments = %v", out)
+	}
+}
+
+// refDedupAssignments is DedupAssignments as it was before it returned the
+// copy it sorts: the survivors are collected into a second slice.
+func refDedupAssignments(as []Assignment) []Assignment {
+	cp := make([]Assignment, len(as))
+	copy(cp, as)
+	if len(as) <= 1 {
+		return cp
+	}
+	sort.Slice(cp, func(i, j int) bool { return CompareAssignments(cp[i], cp[j]) < 0 })
+	uniq := cp[:0]
+	for i, a := range cp {
+		if i > 0 && CompareAssignments(cp[i-1], a) == 0 {
+			continue
+		}
+		uniq = append(uniq, a)
+	}
+	var out []Assignment
+	for i, a := range uniq {
+		subsumed := false
+		for j, b := range uniq {
+			if i == j || b.Mode != Contain {
+				continue
+			}
+			if a.Mode == Contain && b.Span.Contains(a.Span) && (!a.Span.Equal(b.Span) || j < i) {
+				subsumed = true
+			}
+			if a.Mode == Exact && b.Covers(a.Span) {
+				subsumed = true
+			}
+		}
+		if !subsumed {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// TestDedupMatchesReference: random lists of nested, overlapping and
+// repeated assignments over two pages — a few and more than the 64 the
+// marks fit on the stack for — dedup to what the two-slice version
+// returned, from an input left untouched, with no room to append into.
+func TestDedupMatchesReference(t *testing.T) {
+	docs := []*Document{mkDoc(t, "a", "one two three four five six seven"), mkDoc(t, "b", "uno dos tres cuatro")}
+	r := rand.New(rand.NewSource(3))
+	shrunk := 0
+	for trial := 0; trial < 2000; trial++ {
+		n := 2 + r.Intn(6)
+		if trial%100 == 0 {
+			n = 80
+		}
+		in := make([]Assignment, n)
+		for i := range in {
+			var subs []Span
+			ContainOf(docs[r.Intn(2)].WholeSpan()).Values(func(s Span) bool { subs = append(subs, s); return true })
+			in[i] = Assignment{Mode: Mode(r.Intn(2)), Span: subs[r.Intn(len(subs))]}
+		}
+		before := slices.Clone(in)
+		got, want := DedupAssignments(in), refDedupAssignments(in)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: %v\n got %v\nwant %v", trial, in, got, want)
+		}
+		if !slices.Equal(in, before) || cap(got) != len(got) {
+			t.Fatalf("trial %d: input changed, or %d spare slots behind the result", trial, cap(got)-len(got))
+		}
+		if len(got) < len(in) {
+			shrunk++
+		}
+	}
+	if shrunk < 1000 {
+		t.Fatalf("only %d of 2000 lists had anything to drop", shrunk)
 	}
 }
 

@@ -55,11 +55,12 @@ func TestParallelSessionDeterminism(t *testing.T) {
 func TestParallelStatsDeterminism(t *testing.T) {
 	serial := runT9(t, 1)
 	par := runT9(t, 8)
-	det := func(r *iflex.SessionResult) [12]int64 {
+	det := func(r *iflex.SessionResult) [13]int64 {
 		s := r.Stats
-		return [12]int64{s.NodesEvaluated, s.CacheHits, s.TuplesBuilt, s.ProcCalls,
+		return [13]int64{s.NodesEvaluated, s.CacheHits, s.TuplesBuilt, s.ProcCalls,
 			s.FuncCalls, s.VerifyCalls, s.RefineCalls, s.LimitFallbacks,
-			s.SimTuplePairs, s.SimValuePairsProbed, s.SimValuePairsVerified, s.CmpOperandsParsed}
+			s.SimTuplePairs, s.SimValuePairsProbed, s.SimValuePairsVerified, s.CmpOperandsParsed,
+			s.ConstraintStages}
 	}
 	if det(serial) != det(par) {
 		t.Errorf("deterministic stats diverge:\n--- workers=1 ---\n%+v\n--- workers=8 ---\n%+v",
@@ -84,5 +85,8 @@ func TestParallelStatsDeterminism(t *testing.T) {
 	}
 	if serial.Stats.CmpOperandsParsed == 0 {
 		t.Error("np < bp parsed no operand; the counter looks dead")
+	}
+	if serial.Stats.ConstraintStages == 0 {
+		t.Error("no constraint stage computed; the counter looks dead")
 	}
 }
