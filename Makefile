@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-all chaos crash bench bench-layers bench-counters serve-smoke profile vet verify
+.PHONY: build test race race-all chaos crash bench bench-layers bench-counters serve-smoke profile vet verify loc
 
 build:
 	$(GO) build ./...
@@ -60,16 +60,25 @@ bench:
 # pairs, the string entry point beside the map-based kernel it replaced),
 # the engine's similarity join on pinned and on first-step-shaped
 # multi-valued cells (400×400, with the candidate funnel as extra metrics),
-# and its comparison selection over a join's output (every cell shared) and
+# its comparison selection over a join's output (every cell shared) and
 # over one extraction (none shared), with cmp_operands_parsed as an extra
-# metric.
+# metric, and the build of one Simulation trial plan (clone, add a
+# constraint, compile, optimize) against a converged T8 program whose base
+# plan is interned.
 bench-layers:
 	$(GO) test -run='^$$' -bench='ParseProgram|OrderBody' -benchmem ./internal/alog
 	$(GO) test -run='^$$' -bench=MarkupParse -benchmem ./internal/markup
 	$(GO) test -run='^$$' -bench=CompactVsATable -benchmem ./internal/compact
 	$(GO) test -run='^$$' -bench='SubSpanEnumeration|ParseNumeric|NormText' -benchmem ./internal/text
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/similarity
-	$(GO) test -run='^$$' -bench='SimJoin|Compare' -benchmem ./internal/engine
+	$(GO) test -run='^$$' -bench='SimJoin|Compare|TrialPlan' -benchmem ./internal/engine
+
+# The two line counts ROADMAP.md gates on, with exactly its command:
+# non-test Go outside benchmark/, in total and in internal/engine. CI's
+# verify job prints them last, so every PR's log carries them.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs wc -l | \
+		awk '$$2 ~ /^\.\/internal\/engine\// { e += $$1 } $$2 == "total" { t += $$1 } END { print "non-test Go lines outside benchmark/: " t; print "of which internal/engine: " e }'
 
 # Regenerate the deterministic counters CI holds the two library workloads
 # to (feature_calls_per_round equal, tuples_built_per_round not higher),

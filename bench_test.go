@@ -126,7 +126,7 @@ func BenchmarkAblationSubsetEval(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx := engine.NewContext(env)
-		ctx.DocFilter = filter
+		ctx.SetDocFilter(filter)
 		if _, err := plan.Execute(ctx); err != nil {
 			b.Fatal(err)
 		}

@@ -55,7 +55,6 @@ func main() {
 		truth    = flag.Bool("truth", true, "collect and write ground truth (disable for constant-memory streaming)")
 		mutate   = flag.String("mutate", "", `mutate an existing store in place: "pct=N" commits regenerated content for N% of its live pages (requires -store)`)
 		force    = flag.Bool("force", false, "allow -store to overwrite a directory that already holds a store")
-		sync     = flag.Bool("sync", true, "fsync store writes (ingest seals and mutation commits); off is faster but a crash may lose the run")
 	)
 	flag.Parse()
 	n := *records
@@ -69,7 +68,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "iflex-corpus: -mutate requires -store")
 			os.Exit(2)
 		}
-		err = runMutate(*domain, n, *seed, *storeDir, *mutate, *sync)
+		err = runMutate(*domain, n, *seed, *storeDir, *mutate)
 	case *storeDir != "":
 		// Refuse to write a store over a directory that already has
 		// content: ingesting into it would shadow (not replace) the old
@@ -86,7 +85,7 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		err = runStore(*domain, n, *seed, *storeDir, *truth, *sync)
+		err = runStore(*domain, n, *seed, *storeDir, *truth)
 	default:
 		err = run(*domain, n, *seed, *out)
 	}
@@ -127,7 +126,7 @@ func generatePages(domain string, n int, seed int64) (map[string]string, error) 
 
 // runMutate commits one mutation generation to an existing store:
 // regenerated content for a deterministic pct% sample of its live pages.
-func runMutate(domain string, n int, seed int64, dir, spec string, sync bool) error {
+func runMutate(domain string, n int, seed int64, dir, spec string) error {
 	val, ok := strings.CutPrefix(spec, "pct=")
 	if !ok {
 		return fmt.Errorf(`bad -mutate spec %q (want "pct=N")`, spec)
@@ -140,7 +139,7 @@ func runMutate(domain string, n int, seed int64, dir, spec string, sync bool) er
 	if err != nil {
 		return err
 	}
-	st, err := store.Open(dir, store.OpenOptions{NoSync: !sync})
+	st, err := store.Open(dir, store.OpenOptions{})
 	if err != nil {
 		return err
 	}
@@ -208,8 +207,8 @@ func mutHash(s string, seed int64) uint64 {
 // posting list is retained beyond the store writer's bounded state — so
 // million-page corpora build in constant resident memory. The record
 // domains are small; they generate eagerly and ingest from memory.
-func runStore(domain string, n int, seed int64, dir string, withTruth, sync bool) error {
-	w, err := store.Create(dir, store.Options{NoSync: !sync})
+func runStore(domain string, n int, seed int64, dir string, withTruth bool) error {
+	w, err := store.Create(dir, store.Options{})
 	if err != nil {
 		return err
 	}

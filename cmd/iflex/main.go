@@ -151,7 +151,7 @@ func run() (degraded bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		plan = opt.Optimize(plan, env, opt.NewModel(), nil)
+		plan = opt.Optimize(plan, env, opt.NewModel())
 		ctx := iflex.NewContext(env)
 		ctx.Workers = *workers
 		if *explain {

@@ -76,7 +76,6 @@ func run(args []string) int {
 	var (
 		addr          = fs.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
 		storeBudget   = fs.Int64("store-budget", 256<<20, "resident-memory budget in bytes per mounted store's page content (0 = unlimited)")
-		storeSync     = fs.Bool("store-sync", true, "fsync store mutations at commit (off trades crash durability of the freshest generations for latency)")
 		maxReqBytes   = fs.Int64("max-request-bytes", 8<<20, "cap on a JSON request body; oversized bodies get 413 (negative = unlimited)")
 		readHdrTO     = fs.Duration("read-header-timeout", 10*time.Second, "close connections whose request headers take longer than this")
 		idleTO        = fs.Duration("idle-timeout", 2*time.Minute, "close keep-alive connections idle this long")
@@ -111,7 +110,7 @@ func run(args []string) int {
 
 	stores := map[string]*store.DiskStore{}
 	for name, dir := range storeFlags {
-		st, err := store.Open(dir, store.OpenOptions{ResidentBudget: *storeBudget, NoSync: !*storeSync})
+		st, err := store.Open(dir, store.OpenOptions{ResidentBudget: *storeBudget})
 		if err != nil {
 			logger.Print(err)
 			return 1

@@ -260,3 +260,128 @@ func checkLiveCase(t *testing.T, lc liveCase) {
 		}
 	}
 }
+
+// TestCorpusDeltasStayUnderBudget: a watch-mode session folds twenty
+// one-page commits in, re-evaluating after each. The tables a delta
+// displaces stay in the cache as stale entries, so those the next plans
+// never evaluate again — every trial's — count against CacheBudget and go
+// when it says so: the cache never holds more than the budget plus one
+// table, where without a budget the same script holds several budgets'
+// worth. What each re-evaluation replays does not depend on the budget.
+func TestCorpusDeltasStayUnderBudget(t *testing.T) {
+	const records, seed, deltas = 40, 1, 20
+	task, err := corpus.TaskByID("T9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := func(seed int64) map[string]string {
+		out := map[string]string{}
+		c := task.Generate(records, seed)
+		for _, name := range task.Tables {
+			for i, d := range c.Tables[name].Docs {
+				out[d.ID()] = c.Tables[name].Raw[i]
+			}
+		}
+		return out
+	}
+	dir := t.TempDir()
+	w, err := store.Create(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages, next := raw(seed), raw(seed+1)
+	c := task.Generate(records, seed)
+	for _, name := range task.Tables {
+		for _, d := range c.Tables[name].Docs {
+			if err := w.Add(d.ID(), pages[d.ID()]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir, store.OpenOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	tables := func(env *engine.Env) {
+		byTable := map[string][]*text.Document{}
+		for _, d := range st.Docs() {
+			name := "Barnes"
+			if strings.HasPrefix(d.ID(), "amazon") {
+				name = "Amazon"
+			}
+			byTable[name] = append(byTable[name], d)
+		}
+		env.AddDocTable("Amazon", "x", byTable["Amazon"])
+		env.AddDocTable("Barnes", "x", byTable["Barnes"])
+	}
+	converge := func(budget int64) *assistant.Session {
+		env := engine.NewEnv()
+		tables(env)
+		sess := assistant.NewSession(env, alog.MustParse(task.Program), task.Oracle(),
+			assistant.Config{Strategy: assistant.Simulation{}, SubsetSeed: seed, Workers: 1, CacheBudget: budget})
+		t.Cleanup(func() { sess.Close() })
+		if _, err := sess.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	free := converge(0)
+	// One full pass of the converged program is what a re-evaluation needs
+	// resident; twice that is room for it beside what it replaces.
+	env := engine.NewEnv()
+	tables(env)
+	pass := assistant.NewSession(env, free.Program(), assistant.NewMapOracle(nil), assistant.Config{Workers: 1})
+	if _, err := pass.Reevaluate(0); err != nil {
+		t.Fatal(err)
+	}
+	working := pass.StatsSnapshot().CacheBytes
+	budget := 2 * working
+	bounded := converge(budget)
+
+	var peak int64
+	for i := 0; i < deltas; i++ {
+		m, err := st.BeginMutation()
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := st.Docs()[(7*i+3)%len(st.Docs())].ID()
+		put(t, m, id, next[id]+fmt.Sprintf("<p>revision %d</p>", i))
+		d, err := m.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ups [2]*assistant.LiveUpdate
+		for j, sess := range []*assistant.Session{free, bounded} {
+			sess.ApplyCorpusDelta(&engine.CorpusDelta{Added: d.Added, Updated: d.Updated, Removed: d.Removed}, tables)
+			if ups[j], err = sess.Reevaluate(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		peak = max(peak, free.StatsSnapshot().CacheBytes)
+		if got := bounded.StatsSnapshot().CacheBytes; got > budget+working {
+			t.Fatalf("delta %d: %d bytes cached under a budget of %d (one pass is %d)", i, got, budget, working)
+		}
+		f, b := ups[0], ups[1]
+		if f.Final.Canonical() != b.Final.Canonical() {
+			t.Fatalf("delta %d: the bounded session's result differs", i)
+		}
+		if f.CorpusPriorHits != b.CorpusPriorHits || f.TuplesReused != b.TuplesReused || f.TuplesRecomputed != b.TuplesRecomputed {
+			t.Fatalf("delta %d: prior hits/reused/recomputed %d/%d/%d, under the budget %d/%d/%d", i,
+				f.CorpusPriorHits, f.TuplesReused, f.TuplesRecomputed, b.CorpusPriorHits, b.TuplesReused, b.TuplesRecomputed)
+		}
+		if f.CorpusPriorHits == 0 || f.TuplesReused <= f.TuplesRecomputed {
+			t.Fatalf("delta %d: %d prior hits, %d tuples reused, %d recomputed: nothing replayed", i,
+				f.CorpusPriorHits, f.TuplesReused, f.TuplesRecomputed)
+		}
+	}
+	fs := free.StatsSnapshot()
+	t.Logf("one pass %d bytes, budget %d, unbounded peak %d, bounded now %d; prior hits/reused/recomputed %d/%d/%d",
+		working, budget, peak, bounded.StatsSnapshot().CacheBytes, fs.CorpusPriorHits, fs.TuplesReused, fs.TuplesRecomputed)
+	if peak <= budget+working {
+		t.Fatalf("without a budget the cache peaked at %d bytes, within budget %d plus one pass %d: the stale tables are not counted, or the script leaves none", peak, budget, working)
+	}
+}

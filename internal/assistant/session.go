@@ -206,14 +206,10 @@ type Session struct {
 	// deletes them.
 	spill *store.Spill
 
-	// costModel and canon drive the plan optimizer (nil only under the
-	// optimizer-off test oracle): the model refines reported cost estimates
-	// from the session's own execution statistics, the canon table shares
-	// structurally identical subplans across the base plan and all of an
-	// iteration's simulation trials (cross-trial CSE). The canon resets at
-	// each iteration boundary.
+	// costModel drives the plan optimizer (nil only under the optimizer-off
+	// test oracle): it refines reported cost estimates from the session's
+	// own execution statistics.
 	costModel *opt.Model
-	canon     *engine.CanonTable
 }
 
 // NewSession prepares a session; the program is cloned so the caller's
@@ -250,7 +246,6 @@ func NewSession(env *engine.Env, prog *alog.Program, oracle Oracle, cfg Config) 
 	}
 	if !cfg.noOptimizer {
 		s.costModel = opt.NewModel()
-		s.canon = engine.NewCanonTable()
 	}
 	if cfg.Trace {
 		s.ctx.StartTrace()
@@ -278,7 +273,7 @@ func (s *Session) optimize(plan *engine.Plan) *engine.Plan {
 	if s.costModel == nil {
 		return plan
 	}
-	return opt.Optimize(plan, s.Env, s.costModel, s.canon)
+	return opt.Optimize(plan, s.Env, s.costModel)
 }
 
 // sampleSubset draws a deterministic sample of document IDs across all
@@ -358,13 +353,8 @@ func (s *Session) execute(onSubset bool) (*compact.Table, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	// Iteration boundary: drop last round's interned subplans (this
-	// round's base plan and trials re-intern against a fresh table), then
-	// optimize. The optimized plan is what executes, links, and becomes
-	// the next predecessor.
-	if s.canon != nil {
-		s.canon.Reset()
-	}
+	// The optimized plan is what executes, links, and becomes the next
+	// predecessor.
 	plan = s.optimize(plan)
 	// Link this plan version to its predecessor for delta evaluation,
 	// discarding the links accumulated by the previous round's question
@@ -410,8 +400,8 @@ func (s *Session) lastSize() int {
 
 // useSubset switches the shared context to subset evaluation. Strategies
 // must call it once before fanning simulate calls out across goroutines:
-// DocFilter is a plain field on the shared context, so it may only be
-// written while no evaluations are in flight.
+// the shared context's mode may only be switched while no evaluations are
+// in flight.
 func (s *Session) useSubset() { s.ctx.SetDocFilter(s.subset) }
 
 // simulate returns |exec(g(P, (a, f, v)))| over the subset: the result

@@ -13,23 +13,23 @@ import (
 // possible relations produced by a rule's plan fragment according to the
 // rule's annotations (exists, annotated attribute set).
 type annotateNode struct {
-	nodeSig
+	ident
 	parent   Node
 	exists   bool
 	annotate []string // annotated column names
 }
 
-func newAnnotateNode(parent Node, exists bool, annotated []string) *annotateNode {
+func newAnnotateNode(env *Env, parent Node, exists bool, annotated []string) *annotateNode {
 	ann := append([]string(nil), annotated...)
 	sort.Strings(ann)
-	return &annotateNode{
-		nodeSig: sigOf(fmt.Sprintf("annotate[exists=%t,attrs=%s](%s)", exists, strings.Join(ann, ","), parent.Signature())),
-		parent:  parent, exists: exists, annotate: ann,
+	k := nodeKey{head: fmt.Sprintf("annotate[exists=%t,attrs=%s]", exists, strings.Join(ann, ",")), l: parent.ID()}
+	if n := env.nodes.get(k); n != nil {
+		return n.(*annotateNode)
 	}
+	return env.nodes.put(k, &annotateNode{parent: parent, exists: exists, annotate: ann}, parent).(*annotateNode)
 }
 
 func (n *annotateNode) Columns() []string { return n.parent.Columns() }
-func (n *annotateNode) Children() []Node  { return []Node{n.parent} }
 
 func (n *annotateNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
 	in, err := Eval(ctx, n.parent)

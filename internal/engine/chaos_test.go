@@ -347,7 +347,7 @@ func TestChaosHardCancelReleasesWaiters(t *testing.T) {
 	ctx.BindCancel(c, CancelHard)
 	defer ctx.Unbind()
 
-	n := &panicNode{started: make(chan struct{}), release: make(chan struct{})}
+	n := &panicNode{ident: ident{id: newNodeID(), head: "panicNode"}, started: make(chan struct{}), release: make(chan struct{})}
 	owner := make(chan any, 1)
 	go func() {
 		defer func() { owner <- recover() }()

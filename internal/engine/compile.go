@@ -146,7 +146,7 @@ func (c *compiler) pred(name string) (Node, error) {
 				return nil, fmt.Errorf("engine: rules for %q disagree on arity", name)
 			}
 		}
-		out = newUnionNode(parts)
+		out = newUnionNode(c.env, parts)
 	}
 	c.memo[name] = out
 	return out, nil
@@ -183,9 +183,9 @@ func (c *compiler) rule(r *alog.Rule) (Node, error) {
 		src = append(src, t.Var)
 		out = append(out, t.Var)
 	}
-	var n Node = newProjectNode(cur, src, out)
+	var n Node = newProjectNode(c.env, cur, src, out)
 	if r.Exists || len(r.AnnAttrs) > 0 {
-		n = newAnnotateNode(n, r.Exists, r.AnnAttrs)
+		n = newAnnotateNode(c.env, n, r.Exists, r.AnnAttrs)
 	}
 	return n, nil
 }
@@ -197,7 +197,7 @@ func (c *compiler) literal(cur Node, lit alog.Literal, applied map[string][]feat
 		if cur == nil {
 			return nil, fmt.Errorf("comparison %q cannot start a rule body", lit.Cmp)
 		}
-		return newCompareNode(cur, lit.Cmp), nil
+		return newCompareNode(c.env, cur, lit.Cmp), nil
 
 	case alog.LitConstraint:
 		if cur == nil {
@@ -213,7 +213,7 @@ func (c *compiler) literal(cur Node, lit alog.Literal, applied map[string][]feat
 		}
 		prior := applied[cons.Attr]
 		applied[cons.Attr] = append(applied[cons.Attr], cons)
-		return newConstraintNode(cur, cons, prior), nil
+		return newConstraintNode(c.env, cur, cons, prior), nil
 
 	default:
 		return c.atom(cur, lit.Atom, applied)
@@ -233,10 +233,10 @@ func (c *compiler) atom(cur Node, a alog.Atom, applied map[string][]feature.Cons
 		if containsStr(cur.Columns(), a.Args[1].Var) {
 			return nil, fmt.Errorf("from output variable %q is already bound", a.Args[1].Var)
 		}
-		return newFromNode(cur, a.Args[0].Var, a.Args[1].Var), nil
+		return newFromNode(c.env, cur, a.Args[0].Var, a.Args[1].Var), nil
 
 	case alog.ClassExtensional:
-		n, err := c.adaptColumns(newScanNode(a.Pred, nil), a, true)
+		n, err := c.adaptColumns(nil, a, true)
 		if err != nil {
 			return nil, err
 		}
@@ -260,7 +260,7 @@ func (c *compiler) atom(cur Node, a alog.Atom, applied map[string][]feature.Cons
 		if fused := c.tryFuseSimJoin(cur, a); fused != nil {
 			return fused, nil
 		}
-		return newFuncNode(cur, a.Pred, a.Args), nil
+		return newFuncNode(c.env, cur, a.Pred, a.Args), nil
 
 	case alog.ClassProcedure:
 		if cur == nil {
@@ -279,7 +279,7 @@ func (c *compiler) atom(cur Node, a alog.Atom, applied map[string][]feature.Cons
 			}
 			outs = append(outs, t.Var)
 		}
-		return newProcNode(cur, a.Pred, a.Args[0].Var, outs), nil
+		return newProcNode(c.env, cur, a.Pred, a.Args[0].Var, outs), nil
 
 	case alog.ClassIE:
 		return nil, fmt.Errorf("IE predicate %q was not unfolded (missing description rule input?)", a.Pred)
@@ -330,19 +330,19 @@ func (c *compiler) adaptColumns(sub Node, a alog.Atom, fillScan bool) (Node, err
 
 	var n Node
 	if fillScan {
-		n = newScanNode(a.Pred, names)
+		n = newScanNode(c.env, a.Pred, names)
 	} else {
 		if len(sub.Columns()) != len(names) {
 			return nil, fmt.Errorf("predicate %q used with arity %d but defined with arity %d",
 				a.Pred, len(names), len(sub.Columns()))
 		}
-		n = newProjectNode(sub, sub.Columns(), names)
+		n = newProjectNode(c.env, sub, sub.Columns(), names)
 	}
 	for _, f := range filters {
-		n = newCompareNode(n, alog.Compare{Op: alog.OpEQ, L: alog.Variable(f.col), R: f.term})
+		n = newCompareNode(c.env, n, alog.Compare{Op: alog.OpEQ, L: alog.Variable(f.col), R: f.term})
 	}
 	for _, d := range dups {
-		n = newCompareNode(n, d)
+		n = newCompareNode(c.env, n, d)
 	}
 	// Project away the synthetic columns.
 	if len(synthetic) > 0 {
@@ -352,7 +352,7 @@ func (c *compiler) adaptColumns(sub Node, a alog.Atom, fillScan bool) (Node, err
 				keep = append(keep, col)
 			}
 		}
-		n = newProjectNode(n, keep, keep)
+		n = newProjectNode(c.env, n, keep, keep)
 	}
 	return n, nil
 }
@@ -375,9 +375,9 @@ func (c *compiler) tryFuseSimJoin(cur Node, a alog.Atom) Node {
 	lcols, rcols := cross.left.Columns(), cross.right.Columns()
 	switch {
 	case containsStr(lcols, v1.Var) && containsStr(rcols, v2.Var):
-		return newSimJoinNode(cross.left, cross.right, a.Pred, v1.Var, v2.Var)
+		return newSimJoinNode(c.env, cross.left, cross.right, a.Pred, v1.Var, v2.Var)
 	case containsStr(lcols, v2.Var) && containsStr(rcols, v1.Var):
-		return newSimJoinNode(cross.left, cross.right, a.Pred, v2.Var, v1.Var)
+		return newSimJoinNode(c.env, cross.left, cross.right, a.Pred, v2.Var, v1.Var)
 	}
 	return nil
 }
@@ -388,5 +388,5 @@ func (c *compiler) combine(cur, n Node) Node {
 	if cur == nil {
 		return n
 	}
-	return newCrossNode(cur, n)
+	return newCrossNode(c.env, cur, n)
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"slices"
 	"sync/atomic"
 
@@ -27,18 +26,18 @@ import (
 // chain of one-constraint nodes would make, refineCell(cell, cons[i],
 // prior+cons[:i+1]), and stops at the first empty cell. Cells, drops,
 // tuple order and the Verify/Refine call sequence are the chain's; only
-// the chain's intermediate tables are never built. The signature stays the
-// chain's nested string, so every prefix of a run has the signature the
-// chain's node for that stage had (prefix).
+// the chain's intermediate tables are never built. The node is interned as
+// the chain's top node would be, last constraint over the run below it, so
+// every prefix of a run is the node the chain has for that stage (prev).
 type constraintNode struct {
-	nodeSig
+	ident
 	parent Node
 	cons   []feature.Constraint
 	prior  []feature.Constraint
-	// prefix[i] is the signature of the run cut after stage i; the last
-	// one is the node's own. Eval probes the cache under them for the
-	// predecessor that covers the most stages (runPriorLocked).
-	prefix []nodeSig
+	// prev is the run cut before its last stage, nil for a run of one. Eval
+	// probes the cache under the prefixes for the predecessor that covers
+	// the most stages (runPriorLocked).
+	prev *constraintNode
 }
 
 // newConstraintNode places cons above parent. When parent is itself a run
@@ -46,19 +45,18 @@ type constraintNode struct {
 // the result is parent's run extended by one stage; anything else starts a
 // new run. The compiler and the optimizer therefore build runs by adding
 // constraints one at a time, with no rule of their own.
-func newConstraintNode(parent Node, cons feature.Constraint, prior []feature.Constraint) *constraintNode {
-	sig := sigOf(fmt.Sprintf("constrain[%s](%s)", cons, parent.Signature()))
+func newConstraintNode(env *Env, parent Node, cons feature.Constraint, prior []feature.Constraint) *constraintNode {
+	k := nodeKey{head: "constrain[" + cons.String() + "]", l: parent.ID()}
+	if n := env.nodes.get(k); n != nil {
+		return n.(*constraintNode)
+	}
+	var n *constraintNode
 	if p, ok := parent.(*constraintNode); ok && !stackRuns && p.attr() == cons.Attr && p.hasApplied(prior) {
-		return &constraintNode{
-			nodeSig: sig, parent: p.parent, prior: p.prior,
-			cons:   append(slices.Clone(p.cons), cons),
-			prefix: append(slices.Clone(p.prefix), sig),
-		}
+		n = &constraintNode{parent: p.parent, prior: p.prior, cons: append(slices.Clone(p.cons), cons), prev: p}
+	} else {
+		n = &constraintNode{parent: parent, prior: slices.Clone(prior), cons: []feature.Constraint{cons}}
 	}
-	return &constraintNode{
-		nodeSig: sig, parent: parent, prior: slices.Clone(prior),
-		cons: []feature.Constraint{cons}, prefix: []nodeSig{sig},
-	}
+	return env.nodes.put(k, n, parent).(*constraintNode)
 }
 
 // stackRuns makes newConstraintNode build the chain of one-stage nodes a
@@ -80,25 +78,26 @@ func (n *constraintNode) hasApplied(list []feature.Constraint) bool {
 
 func (n *constraintNode) attr() string      { return n.cons[0].Attr }
 func (n *constraintNode) Columns() []string { return n.parent.Columns() }
-func (n *constraintNode) Children() []Node  { return []Node{n.parent} }
+
+// Children is the run's input, not the shorter run its identity names.
+func (n *constraintNode) Children() []Node { return []Node{n.parent} }
 
 // runPriorLocked looks for a cached run over the same input that covers
-// more than have of n's stages: an entry under one of n's prefix signatures
-// whose memo was left by a run of exactly that many stages (so it is keyed
-// on the same entering cell). A trial that already evaluated the first of
-// two answers folded into one step is found this way; the RegisterDelta
-// link alone would resume one stage too early. The previous evaluation
-// mode is probed like Eval probes it for links, memo only. Callers hold
-// ctx.mu.
-func (ctx *Context) runPriorLocked(n *constraintNode, subset uint64, marker string, prevMode bool, have int) (*evalAux, *compact.Table) {
-	covers := func(e *cacheEntry, stages int) bool { return e != nil && e.aux != nil && e.aux.stages == stages }
-	for stages := len(n.prefix); stages > have; stages-- {
-		p := n.prefix[stages-1]
-		if e := ctx.lookupLocked(entryKey{subset: subset, sig: p.hash}, marker, p.sig); covers(e, stages) {
+// more than have of n's stages: an entry under one of n's prefixes whose
+// memo was left by a run of exactly that many stages (so it is keyed on the
+// same entering cell). A trial that already evaluated the first of two
+// answers folded into one step is found this way; the RegisterDelta link
+// alone would resume one stage too early. The previous evaluation mode
+// (0 = none) is probed like Eval probes it for links, memo only. Callers
+// hold ctx.mu.
+func (ctx *Context) runPriorLocked(n *constraintNode, mode, prevMode uint32, have int) (*evalAux, *compact.Table) {
+	for ; n != nil && len(n.cons) > have; n = n.prev {
+		covers := func(e *cacheEntry) bool { return e != nil && e.aux != nil && e.aux.stages == len(n.cons) }
+		if e := ctx.lookupLocked(entryKey{mode: mode, node: n.id}); covers(e) {
 			return e.aux, e.table
 		}
-		if prevMode {
-			if e := ctx.lookupLocked(entryKey{subset: ctx.prevSubsetHash, sig: p.hash}, ctx.prevSubsetMarker, p.sig); covers(e, stages) {
+		if prevMode != 0 {
+			if e := ctx.lookupLocked(entryKey{mode: prevMode, node: n.id}); covers(e) {
 				return e.aux, nil
 			}
 		}

@@ -172,10 +172,10 @@ func TestAssignmentsStable(t *testing.T) {
 func TestProjectIdentitySharesTuples(t *testing.T) {
 	env := NewEnv()
 	env.AddDocTable("pages", "x", refinePages())
-	from := newFromNode(newScanNode("pages", []string{"x"}), "x", "t")
-	same := newProjectNode(from, []string{"x", "t"}, []string{"x", "title"})
-	swapped := newProjectNode(from, []string{"t", "x"}, []string{"t", "x"})
-	top := newConstraintNode(same, feature.Constraint{Feature: "bold-font", Attr: "title", Value: "yes"}, nil)
+	from := newFromNode(env, newScanNode(env, "pages", []string{"x"}), "x", "t")
+	same := newProjectNode(env, from, []string{"x", "t"}, []string{"x", "title"})
+	swapped := newProjectNode(env, from, []string{"t", "x"}, []string{"t", "x"})
+	top := newConstraintNode(env, same, feature.Constraint{Feature: "bold-font", Attr: "title", Value: "yes"}, nil)
 	ctx := NewContext(env)
 	in, err := Eval(ctx, from)
 	if err != nil {

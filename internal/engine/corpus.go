@@ -4,8 +4,6 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
-
-	"iflex/internal/compact"
 )
 
 // This file implements corpus-delta invalidation: the engine-level half
@@ -21,10 +19,13 @@ import (
 // contribute new tuples to any node, and a projection can have dropped
 // the very column that carried a removed document's span, so the
 // "does this table touch a changed document" test under-approximates
-// staleness. ApplyCorpusDelta therefore displaces every cached result
-// table (with its per-tuple memo) into corpusPrior and drops everything
-// that cannot be replayed — blocking indexes, degraded tables, spilled
-// tables.
+// staleness. ApplyCorpusDelta therefore marks every cached result table
+// (with its per-tuple memo) stale — no lookup sees it again but the next
+// evaluation of its own key, which takes it as its prior — and drops
+// everything that cannot be replayed: blocking indexes, degraded tables,
+// spilled tables. A stale table whose node is never evaluated again (a
+// trial's) stays in the LRU and the byte count, and goes when CacheBudget
+// says so.
 //
 // What keeps the re-evaluation cheap is document-handle identity:
 // unchanged documents keep their *text.Document pointers across a store
@@ -59,23 +60,10 @@ func (d *CorpusDelta) Changed() map[string]bool {
 	return m
 }
 
-// corpusPriorEntry is one displaced cache entry: the stale result table
-// (kept for the adoption check — a node the delta did not affect
-// reproduces it exactly and hands the old pointer back out) and the
-// per-tuple memo (replayed for input tuples sourced from unchanged
-// documents). marker and sig verify the hashed key, exactly like the
-// cache proper.
-type corpusPriorEntry struct {
-	marker string
-	sig    string
-	table  *compact.Table
-	aux    *evalAux
-}
-
 // ApplyCorpusDelta invalidates the context for a committed corpus
-// mutation. Every cached result table is displaced into the corpus-
-// prior map for replay by the next evaluation; blocking indexes and
-// degraded tables are dropped (cheap to rebuild, never replayable);
+// mutation. Every cached result table is marked stale, for replay by the
+// next evaluation of its node; blocking indexes and degraded tables are
+// dropped (cheap to rebuild, never replayable);
 // all spilled tables are invalidated (a spill elides the provenance
 // replay needs); and changed documents are released from quarantine
 // (their content was superseded or removed, so the fault that barred
@@ -93,22 +81,17 @@ func (ctx *Context) ApplyCorpusDelta(d *CorpusDelta) {
 	changed := d.Changed()
 
 	ctx.mu.Lock()
-	if ctx.corpusPrior == nil {
-		ctx.corpusPrior = map[entryKey]*corpusPriorEntry{}
-	}
-	// Priors left over from an earlier delta stay: replay is keyed by
+	// Tables left stale by an earlier delta stay: replay is keyed by
 	// document-handle identity, so a twice-displaced memo is still exactly
 	// as valid for its unchanged tuples (watch mode may commit several
-	// deltas between evaluations). A newer entry for the same key wins.
-	for key, e := range ctx.cache {
+	// deltas between evaluations).
+	for _, e := range ctx.cache {
 		if e.table != nil && e.table.Degraded == nil {
-			ctx.corpusPrior[key] = &corpusPriorEntry{marker: e.marker, sig: e.sig, table: e.table, aux: e.aux}
+			e.stale = true
+		} else {
+			ctx.dropLocked(e)
 		}
 	}
-	ctx.cache = map[entryKey]*cacheEntry{}
-	ctx.lruHead, ctx.lruTail = nil, nil
-	ctx.cacheBytes = 0
-	atomic.StoreInt64(&ctx.Stats.CacheBytes, 0)
 	ctx.mu.Unlock()
 
 	if ctx.Spill != nil {
@@ -140,9 +123,9 @@ func (ctx *Context) ApplyCorpusDelta(d *CorpusDelta) {
 
 // releaseQuarantined removes changed documents from the quarantine set:
 // an update or removal supersedes the content whose processing faulted.
-// The survivor-set cache-key suffix changes with the set, so nothing
-// evaluated under the old suffix remains reachable (displaced priors
-// keyed under it simply never match — a reuse loss, never an error).
+// The mode changes with the set, so nothing evaluated under the old one
+// remains reachable (stale tables keyed under it simply never match — a
+// reuse loss, never an error).
 func (ctx *Context) releaseQuarantined(changed map[string]bool) {
 	ctx.qmu.Lock()
 	defer ctx.qmu.Unlock()
@@ -173,6 +156,7 @@ func (ctx *Context) releaseQuarantined(changed map[string]bool) {
 	}
 	if len(ns.barred) == 0 {
 		ctx.qstate.Store(nil)
+		ctx.remode()
 		atomic.StoreInt64(&ctx.Stats.QuarantinedDocs, 0)
 		return
 	}
@@ -183,6 +167,7 @@ func (ctx *Context) releaseQuarantined(changed map[string]bool) {
 	sort.Strings(ids)
 	ns.suffix = "|quarantine:" + strings.Join(ids, ",")
 	ctx.qstate.Store(ns)
+	ctx.remode()
 	atomic.StoreInt64(&ctx.Stats.QuarantinedDocs, int64(len(ns.barred)))
 }
 

@@ -9,50 +9,22 @@ import (
 
 // This file implements incremental (delta) evaluation across plan
 // versions — the engine-level half of the paper's §5 reuse story. The
-// per-node cache already reuses subtrees whose signature is unchanged;
-// delta evaluation goes one level further: when a refinement changes a
-// subtree, the ancestors above it are re-evaluated, but each delta-capable
-// operator memoises its per-input-tuple outcomes, so the re-evaluation
-// recomputes only the tuples the refinement actually touched and replays
-// the rest. See DESIGN.md §11 for the per-operator rules.
+// per-node cache already reuses subtrees a refinement left alone: they are
+// the same nodes. Delta evaluation goes one level further: when a
+// refinement changes a subtree, the ancestors above it are new nodes and
+// are evaluated, but each delta-capable operator memoises its
+// per-input-tuple outcomes, so the evaluation recomputes only the tuples
+// the refinement actually touched and replays the rest. See DESIGN.md §11
+// for the per-operator rules.
 //
 // The moving parts:
 //
-//   - nodeSig memoises each node's signature string and 64-bit hash
-//     (computed once at construction, not per Eval).
 //   - RegisterDelta declares "plan B succeeds plan A"; a lockstep walk
-//     maps each changed node of B to its predecessor in A.
+//     maps each new node of B to its predecessor in A.
 //   - Eval, on a cache miss of a mapped node, attaches the predecessor's
 //     per-tuple memo (evalAux) to the evaluation as its delta prior.
 //   - Operators consult the prior per input tuple (fingerprint + exact
 //     structural check) and rebuild a fresh memo for the next version.
-
-// fnv64 returns the FNV-1a hash of a string.
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
-	}
-	return h
-}
-
-// nodeSig carries a node's canonical signature and its precomputed hash;
-// every node type embeds it. Plans are immutable, so both are fixed at
-// construction: Eval keys the cache by the hash (verifying the string on
-// lookup, so a 2^-64 collision degrades to a cache miss, never to a wrong
-// result) and the string form survives for -explain and trace output.
-type nodeSig struct {
-	sig  string
-	hash uint64
-}
-
-func sigOf(sig string) nodeSig { return nodeSig{sig: sig, hash: fnv64(sig)} }
-
-// Signature returns the canonical subtree rendering, the reuse key.
-func (s *nodeSig) Signature() string { return s.sig }
-
-// sigHash returns the precomputed 64-bit hash of the signature.
-func (s *nodeSig) sigHash() uint64 { return s.hash }
 
 // joinMatch is one memoised join decision: right-tuple index, whether
 // every valuation of the pair satisfied the predicate, and the filtered
@@ -262,16 +234,12 @@ func (dx *deltaState) noteReused(batch *statBatch, n int) {
 	dx.reused.Add(int64(n))
 }
 
-// deltaLink maps a node of the current plan version (keyed by its
-// signature hash) to its predecessor in the previous version. The
-// signature strings verify both ends of the link, so hash collisions
-// degrade to a full evaluation. stages is how many stages of a constraint
-// run the predecessor covers (0 for every other operator).
+// deltaLink names the predecessor, in the previous plan version, of a
+// node of the current one. stages is how many stages of a constraint run
+// the predecessor covers (0 for every other operator).
 type deltaLink struct {
-	oldHash uint64
-	oldSig  string
-	newSig  string
-	stages  int
+	old    NodeID
+	stages int
 }
 
 // EnableDelta turns on incremental evaluation for this context: cache
@@ -285,15 +253,15 @@ func (ctx *Context) EnableDelta() { ctx.deltaOn = true }
 // that will actually precede the next evaluations).
 func (ctx *Context) ResetDelta() {
 	ctx.mu.Lock()
-	ctx.deltaPrev = nil
+	clear(ctx.deltaPrev)
 	ctx.mu.Unlock()
 }
 
 // RegisterDelta declares newRoot to be a refinement of oldRoot: a
-// lockstep walk pairs each changed node of the new plan with its
+// lockstep walk pairs each new node of the new plan with its
 // predecessor, pairing a constraint run with the shorter run it extends
 // and descending through single inserted (or removed) unary operators —
-// the two shapes AddConstraint produces. Identical subtrees are skipped
+// the two shapes AddConstraint produces. Shared subtrees are skipped
 // (the node cache already reuses them wholesale); structural mismatches
 // beyond one unary insertion stop the walk, leaving those nodes to
 // evaluate in full. A later registration replaces an earlier one's link
@@ -307,17 +275,11 @@ func (ctx *Context) RegisterDelta(oldRoot, newRoot Node) {
 	if !ctx.deltaOn {
 		return
 	}
-	links := map[uint64]deltaLink{}
+	links := map[NodeID]deltaLink{}
 	correspond(oldRoot, newRoot, links)
-	if len(links) == 0 {
-		return
-	}
 	ctx.mu.Lock()
-	if ctx.deltaPrev == nil {
-		ctx.deltaPrev = map[uint64]deltaLink{}
-	}
 	for k, v := range links {
-		if cur, ok := ctx.deltaPrev[k]; ok && cur.newSig == v.newSig && cur.stages > v.stages {
+		if cur, ok := ctx.deltaPrev[k]; ok && cur.stages > v.stages {
 			continue
 		}
 		ctx.deltaPrev[k] = v
@@ -326,21 +288,18 @@ func (ctx *Context) RegisterDelta(oldRoot, newRoot Node) {
 }
 
 // correspond pairs old and new plan nodes position by position.
-func correspond(o, n Node, links map[uint64]deltaLink) {
-	if o == nil || n == nil {
-		return
-	}
-	if o.sigHash() == n.sigHash() && o.Signature() == n.Signature() {
-		// Identical subtree: the node cache reuses it; nothing to link.
+func correspond(o, n Node, links map[NodeID]deltaLink) {
+	if o == nil || n == nil || o.ID() == n.ID() {
+		// The same subtree: the node cache reuses it; nothing to link.
 		return
 	}
 	oc, nc := o.Children(), n.Children()
 	if len(oc) == len(nc) && sameShape(o, n) {
-		link := deltaLink{oldHash: o.sigHash(), oldSig: o.Signature(), newSig: n.Signature()}
+		link := deltaLink{old: o.ID()}
 		if run, ok := o.(*constraintNode); ok {
 			link.stages = len(run.cons)
 		}
-		links[n.sigHash()] = link
+		links[n.ID()] = link
 		for i := range nc {
 			correspond(oc[i], nc[i], links)
 		}

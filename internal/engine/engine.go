@@ -3,21 +3,22 @@
 // tables and evaluates it with superset semantics — the computed set of
 // possible relations always includes every relation the program defines.
 //
-// Plans are trees of materialising operators; every node carries a
-// canonical signature, and evaluation memoises node results in the
-// Context's cache. That cache is the paper's *reuse* optimisation
-// (Section 5.2): refining a program changes signatures only above the
-// touched operator, so unchanged subtrees are reused verbatim across
-// iterations. On top of it, delta evaluation (EnableDelta/RegisterDelta,
-// see delta.go) replays per-tuple outcomes inside the changed ancestors,
-// so a refinement recomputes only the tuples it touched. *Subset
-// evaluation* is the Context's DocFilter: scans drop documents outside
-// the sampled subset.
+// Plans are trees of materialising operators; nodes are interned where
+// they are built (nodes.go), so equal subtrees are one node with one id,
+// and evaluation memoises node results in the Context's cache under that
+// id. That cache is the paper's *reuse* optimisation (Section 5.2):
+// refining a program builds new nodes only above the touched operator, so
+// unchanged subtrees are reused verbatim across iterations. On top of it,
+// delta evaluation (EnableDelta/RegisterDelta, see delta.go) replays
+// per-tuple outcomes inside the changed ancestors, so a refinement
+// recomputes only the tuples it touched. *Subset evaluation* is the
+// Context's SetDocFilter: scans drop documents outside the sampled subset.
 package engine
 
 import (
 	"fmt"
-	"reflect"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -113,6 +114,8 @@ type Env struct {
 	// tokenisation and DocIndex answers alike — so token records built by
 	// different evaluations over this Env compare by id.
 	vocab *similarity.Vocab
+	// nodes interns every plan node built against this Env (nodes.go).
+	nodes nodeTable
 }
 
 // DocIndex answers per-document token queries from a prebuilt index;
@@ -157,6 +160,7 @@ func NewEnv() *Env {
 		Limits:      DefaultLimits(),
 		FeatureMemo: feature.NewMemo(),
 		vocab:       similarity.NewVocab(),
+		nodes:       nodeTable{m: map[nodeKey]Node{}},
 	}
 	sim := func(args []text.Span) (bool, error) {
 		if len(args) != 2 {
@@ -230,25 +234,19 @@ func (e *Env) Schema() *alog.Schema {
 
 // Context carries per-execution state: the environment, the reuse cache,
 // and the optional document subset. A Context is safe for concurrent use:
-// cache lookups are single-flight (one goroutine evaluates a signature
-// while concurrent requesters for the same key block and share the
-// result), stats counters are updated atomically, and evaluation fans
-// leaf loops out across a bounded worker pool. Contexts must not be
-// copied after first use.
+// cache lookups are single-flight (one goroutine evaluates a node while
+// concurrent requesters for the same key block and share the result),
+// stats counters are updated atomically, and evaluation fans leaf loops
+// out across a bounded worker pool. Contexts must not be copied after
+// first use.
 //
 // The reuse cache is internal: it memoises node results keyed by
-// (subset, signature hash), holds the similarity-join blocking indexes
+// (evaluation mode, node id), holds the similarity-join blocking indexes
 // and the delta-evaluation per-tuple memos, and maintains an LRU order
 // so CacheBudget can bound its total size. Share one Context across
 // iterations to get the paper's reuse behaviour.
 type Context struct {
 	Env *Env
-	// DocFilter, when non-nil, restricts scans to documents whose ID it
-	// maps to true (subset evaluation, Section 5.2). It must not be
-	// mutated while evaluations are in flight. Prefer SetDocFilter, which
-	// also memoises the subset cache-key marker; assigning the field
-	// directly still works but pays a re-sort per Eval call.
-	DocFilter map[string]bool
 	// Workers bounds the evaluation worker pool: 0 uses every available
 	// CPU, 1 evaluates fully serially. Results are byte-identical across
 	// worker counts (deterministic merge order).
@@ -281,11 +279,10 @@ type Context struct {
 	// Stats accumulates evaluation counters (atomically).
 	Stats Stats
 
-	// mu guards cache, lru, cacheBytes, inflight, and deltaPrev.
+	// mu guards cache, the LRU list, cacheBytes, inflight, deltaPrev,
+	// obsRows, stageAsg and modes.
 	mu sync.Mutex
-	// cache memoises node results (and blocking indexes) by hashed key;
-	// entries verify the marker and signature strings on lookup, so a
-	// 64-bit collision degrades to a miss, never to a wrong result.
+	// cache memoises node results (and blocking indexes).
 	cache map[entryKey]*cacheEntry
 	// lruHead / lruTail order entries from most to least recently used.
 	lruHead, lruTail *cacheEntry
@@ -296,43 +293,37 @@ type Context struct {
 	inflight map[entryKey]*inflightEval
 	// deltaOn enables incremental evaluation (see delta.go).
 	deltaOn bool
-	// deltaPrev maps current-plan node hashes to their predecessors in
-	// the previous plan version (RegisterDelta).
-	deltaPrev map[uint64]deltaLink
-	// corpusPrior holds the result tables and per-tuple memos displaced
-	// by ApplyCorpusDelta: after a corpus mutation no cached table is
-	// authoritative, but every memo still replays tuples sourced from
-	// unchanged documents. Eval consults it on a cache miss (after the
-	// plan-delta paths) and consumes entries as they are used.
-	corpusPrior map[entryKey]*corpusPriorEntry
+	// deltaPrev maps current-plan nodes to their predecessors in the
+	// previous plan version (RegisterDelta).
+	deltaPrev map[NodeID]deltaLink
 	// obsRows records the observed output cardinality of every cleanly
-	// evaluated node, keyed by signature hash — the optimizer's cost
-	// model adopts a snapshot of it to refine reported estimates.
-	obsRows map[uint64]RowObservation
+	// evaluated node — the optimizer's cost model adopts a snapshot of it
+	// to refine reported estimates.
+	obsRows map[NodeID]int64
 	// stageAsg records, per cache key of a constraint run with more than
 	// one stage, the assignments of the stage tables the run did not build
 	// (SumAssignments). Like obsRows it is not part of the cache: it
 	// survives eviction, spill resurrection and the adoption of a shorter
 	// run's table.
-	stageAsg map[entryKey]stageTotal
+	stageAsg map[entryKey]int64
 	// extraWorkers counts pool slots handed out beyond the caller's own
 	// goroutine; see parallel.go.
 	extraWorkers atomic.Int64
 	// trace, when set, collects one TraceRecord per Eval call; see
 	// trace.go (StartTrace, TraceOps, Explain).
 	trace atomic.Pointer[tracer]
-	// subsetMarker / subsetHash memoise the sorted-subset cache-key prefix
-	// (and its hash) for the DocFilter map identified by subsetFor, so
-	// subset-mode Eval calls skip the per-call sort (SetDocFilter computes
-	// them eagerly).
-	subsetMarker string
-	subsetHash   uint64
-	subsetFor    uintptr
-	// prevSubsetMarker / prevSubsetHash identify the evaluation mode the
-	// context most recently switched away from (SetDocFilter); delta
-	// evaluation probes it for priors when the current mode has none.
-	prevSubsetMarker string
-	prevSubsetHash   uint64
+	// filter, when non-nil, restricts scans to the documents whose ID it
+	// maps to true (subset evaluation, Section 5.2); SetDocFilter sets it.
+	filter map[string]bool
+	// modes interns evaluation modes — the whole corpus or a subset's
+	// contents, less the quarantined documents — by their marker: a mode's
+	// id is its index, 0 stands for none. mode is the current one (remode)
+	// and prevMode the one the context most recently switched away from
+	// (SetDocFilter): delta evaluation probes it for priors when the
+	// current mode has none.
+	modes    []string
+	mode     atomic.Uint32
+	prevMode uint32
 	// cancelSt holds the cancellation source bound via BindCancel (nil
 	// when none); see cancel.go.
 	cancelSt atomic.Pointer[cancelState]
@@ -348,45 +339,42 @@ type Context struct {
 	qstate atomic.Pointer[quarantineSet]
 }
 
-// fullMarker prefixes cache keys of unfiltered (whole-corpus) evaluations.
-const fullMarker = "full"
+// fullMode is the id of unfiltered (whole-corpus) evaluation with nothing
+// quarantined, interned when the context is made.
+const fullMode = 1
 
-var fullMarkerHash = fnv64(fullMarker)
-
-// entryKey identifies one cache entry: the subset marker hash, the node
-// signature hash, and an auxiliary discriminator ("" for the node's
-// result table; the join variable for a similarity-join blocking index).
+// entryKey identifies one cache entry: the evaluation mode, the node, and
+// an auxiliary discriminator ("" for the node's result table; the join
+// variable for a similarity-join blocking index).
 type entryKey struct {
-	subset uint64
-	sig    uint64
-	aux    string
+	mode uint32
+	node NodeID
+	aux  string
 }
 
-// cacheEntry is one resident cache entry. marker and sig hold the strings
-// the key hashes were derived from, verified on every lookup. Exactly one
-// of table (plus optional delta memo aux) or idx is set. Entries form a
-// doubly-linked LRU list under Context.mu.
+// cacheEntry is one resident cache entry. Exactly one of table (plus
+// optional delta memo aux) or idx is set. stale marks a table displaced by
+// ApplyCorpusDelta: no lookup sees it but Eval's probe for its own key's
+// corpus prior, and it is never spilled. Entries form a doubly-linked LRU
+// list under Context.mu.
 type cacheEntry struct {
-	key    entryKey
-	marker string
-	sig    string
-	table  *compact.Table
-	aux    *evalAux
-	idx    *blockIndex
-	bytes  int64
+	key   entryKey
+	node  Node // of a table entry, for the spill key
+	table *compact.Table
+	aux   *evalAux
+	idx   *blockIndex
+	bytes int64
+	stale bool
 
 	prev, next *cacheEntry
 }
 
 // inflightEval is one in-progress node evaluation; waiters block on done
-// and then read table/err (written before done is closed). marker and sig
-// verify the hashed key.
+// and then read table/err (written before done is closed).
 type inflightEval struct {
-	done   chan struct{}
-	table  *compact.Table
-	err    error
-	marker string
-	sig    string
+	done  chan struct{}
+	table *compact.Table
+	err   error
 }
 
 // Stats counts evaluation work, exposed for the experiments and benches.
@@ -624,101 +612,85 @@ func (b *statBatch) flushTo(stats *Stats) {
 
 // NewContext returns a fresh context with an empty reuse cache.
 func NewContext(env *Env) *Context {
-	return &Context{
-		Env:      env,
-		cache:    map[entryKey]*cacheEntry{},
-		inflight: map[entryKey]*inflightEval{},
+	ctx := &Context{
+		Env:       env,
+		cache:     map[entryKey]*cacheEntry{},
+		inflight:  map[entryKey]*inflightEval{},
+		deltaPrev: map[NodeID]deltaLink{},
+		obsRows:   map[NodeID]int64{},
+		stageAsg:  map[entryKey]int64{},
+		modes:     []string{"", "full"},
 	}
+	ctx.mode.Store(fullMode)
+	return ctx
 }
 
 // SetDocFilter switches the context between full evaluation (nil) and
-// subset evaluation, precomputing the subset cache-key marker (and its
-// hash) once instead of per Eval call. Like writing DocFilter directly,
-// it may only be called while no evaluations are in flight.
+// subset evaluation of the documents whose ID the filter maps to true. It
+// may only be called while no evaluations are in flight, and the filter
+// must not be mutated afterwards.
 func (ctx *Context) SetDocFilter(filter map[string]bool) {
-	oldHash, oldMarker := ctx.subsetKey()
-	ctx.DocFilter = filter
-	if filter == nil {
-		ctx.subsetMarker, ctx.subsetHash, ctx.subsetFor = "", 0, 0
-	} else {
-		ctx.subsetMarker = subsetMarkerFor(filter)
-		ctx.subsetHash = fnv64(ctx.subsetMarker)
-		ctx.subsetFor = reflect.ValueOf(filter).Pointer()
-	}
+	old := ctx.mode.Load()
+	ctx.filter = filter
 	// Remember the mode we switched away from: delta evaluation falls back
 	// to the previous mode's memos (per-tuple outcomes are subset-
 	// independent), which is what lets the final full-corpus execution
 	// replay the tuples the subset iterations already processed.
-	if _, newMarker := ctx.subsetKey(); newMarker != oldMarker {
-		ctx.prevSubsetHash, ctx.prevSubsetMarker = oldHash, oldMarker
+	if ctx.remode() != old {
+		ctx.prevMode = old
 	}
 }
 
-// subsetMarkerFor renders the sorted-ID marker that prefixes subset-mode
-// cache keys, so subset and full evaluations never alias and different
-// subsets never share results.
-func subsetMarkerFor(filter map[string]bool) string {
-	ids := make([]string, 0, len(filter))
-	total := 0
-	for id, ok := range filter {
-		if ok {
-			ids = append(ids, id)
-			total += len(id) + 1
+// remode re-derives the current mode where it can change: at SetDocFilter
+// and at every change of the quarantine set. The marker names the subset's
+// contents, so subset and full evaluations never alias and different
+// subsets never share results, whichever map object named them; the
+// quarantined documents extend it, so evaluations over different survivor
+// sets never share cache entries — a pass that saw a fault is never
+// resident under the survivors' key.
+func (ctx *Context) remode() uint32 {
+	marker := "full"
+	if ctx.filter != nil {
+		ids := make([]string, 0, len(ctx.filter))
+		for id, ok := range ctx.filter {
+			if ok {
+				ids = append(ids, ":"+id)
+			}
 		}
+		sort.Strings(ids)
+		marker = "subset" + strings.Join(ids, "")
 	}
-	sort.Strings(ids)
-	var b strings.Builder
-	b.Grow(len("subset") + total)
-	b.WriteString("subset")
-	for _, id := range ids {
-		b.WriteByte(':')
-		b.WriteString(id)
-	}
-	return b.String()
-}
-
-// subsetKey returns the current evaluation mode's marker hash and string.
-// The marker is memoised by SetDocFilter; a DocFilter assigned directly
-// to the field (bypassing SetDocFilter) is detected by map identity and
-// re-sorted per call. Quarantined documents extend the marker, so
-// evaluations over different survivor sets never share cache entries —
-// a pass that saw a fault is never resident under the survivors' key.
-func (ctx *Context) subsetKey() (uint64, string) {
-	h, m := ctx.baseSubsetKey()
 	if q := ctx.qstate.Load(); q != nil {
-		return fnv64More(h, q.suffix), m + q.suffix
+		marker += q.suffix
 	}
-	return h, m
+	ctx.mu.Lock()
+	defer ctx.mu.Unlock()
+	mode := slices.Index(ctx.modes, marker)
+	if mode < 0 {
+		mode = len(ctx.modes)
+		ctx.modes = append(ctx.modes, marker)
+	}
+	ctx.mode.Store(uint32(mode))
+	return uint32(mode)
 }
 
-func (ctx *Context) baseSubsetKey() (uint64, string) {
-	if ctx.DocFilter == nil {
-		return fullMarkerHash, fullMarker
-	}
-	if ctx.subsetFor == reflect.ValueOf(ctx.DocFilter).Pointer() {
-		return ctx.subsetHash, ctx.subsetMarker
-	}
-	marker := subsetMarkerFor(ctx.DocFilter)
-	return fnv64(marker), marker
+// cacheKey renders the human-readable cache key (mode marker plus
+// signature) of trace records, Explain and the spill; the cache itself is
+// keyed by entryKey.
+func (ctx *Context) cacheKey(mode uint32, n Node) string {
+	ctx.mu.Lock()
+	marker := ctx.modes[mode]
+	ctx.mu.Unlock()
+	return marker + "|" + n.Signature()
 }
 
-// cacheKey renders the human-readable cache key (subset marker plus
-// signature) used by trace records and Explain; the cache itself is keyed
-// by the hashed entryKey.
-func (ctx *Context) cacheKey(sig string) string {
-	_, marker := ctx.subsetKey()
-	return marker + "|" + sig
-}
-
-// lookupLocked returns the resident entry for key after verifying the
-// marker and signature strings (a hash collision reads as a miss).
-// Callers hold ctx.mu.
-func (ctx *Context) lookupLocked(key entryKey, marker, sig string) *cacheEntry {
-	e := ctx.cache[key]
-	if e == nil || e.marker != marker || e.sig != sig {
-		return nil
+// lookupLocked returns the resident, current entry for key. Callers hold
+// ctx.mu.
+func (ctx *Context) lookupLocked(key entryKey) *cacheEntry {
+	if e := ctx.cache[key]; e != nil && !e.stale {
+		return e
 	}
-	return e
+	return nil
 }
 
 // touchLocked moves an entry to the front of the LRU order.
@@ -756,7 +728,7 @@ func (ctx *Context) pushFrontLocked(e *cacheEntry) {
 }
 
 // storeLocked inserts an entry (clobbering any previous occupant of the
-// key, which only happens on re-store or a hash collision) and evicts
+// key: a re-store, or the stale table the entry supersedes) and evicts
 // from the LRU tail while over budget. The just-stored entry is never
 // evicted by its own insertion: the cache must be able to hold the result
 // it is about to return.
@@ -776,24 +748,30 @@ func (ctx *Context) storeLocked(e *cacheEntry) {
 	atomic.StoreInt64(&ctx.Stats.CacheBytes, ctx.cacheBytes)
 }
 
-// evictLocked removes one entry and counts the eviction by payload kind.
+// dropLocked removes one entry from the cache.
+func (ctx *Context) dropLocked(e *cacheEntry) {
+	ctx.unlinkLocked(e)
+	delete(ctx.cache, e.key)
+	ctx.cacheBytes -= e.bytes
+	atomic.StoreInt64(&ctx.Stats.CacheBytes, ctx.cacheBytes)
+}
+
+// evictLocked drops one entry and counts the eviction by payload kind.
 // With a spill attached, an evicted result table is demoted to disk
 // first, so the next request for the key resurrects it instead of
 // re-evaluating. The write happens under ctx.mu — eviction is rare (it
 // fires only over budget) and a consistent spill ordering is worth more
-// than the held lock; blocking indexes and delta memos are cheap to
-// rebuild and are dropped, not spilled.
+// than the held lock; blocking indexes, delta memos and stale tables are
+// dropped, not spilled.
 func (ctx *Context) evictLocked(e *cacheEntry) {
-	ctx.unlinkLocked(e)
-	delete(ctx.cache, e.key)
-	ctx.cacheBytes -= e.bytes
+	ctx.dropLocked(e)
 	if e.idx != nil {
 		statAdd(&ctx.Stats.BlockIdxEvictions, 1)
 		return
 	}
 	statAdd(&ctx.Stats.CacheEvictions, 1)
-	if ctx.Spill != nil && e.table != nil && e.table.Degraded == nil && e.key.aux == "" {
-		if n, err := ctx.Spill.Save(e.marker+"|"+e.sig, e.table); err == nil {
+	if ctx.Spill != nil && e.table != nil && e.table.Degraded == nil && !e.stale {
+		if n, err := ctx.Spill.Save(ctx.modes[e.key.mode]+"|"+e.node.Signature(), e.table); err == nil {
 			statAdd(&ctx.Stats.TablesSpilled, 1)
 			statAdd(&ctx.Stats.SpillBytes, int(n))
 		}
@@ -808,56 +786,24 @@ func (ctx *Context) CacheInfo() (bytes int64, entries int) {
 	return ctx.cacheBytes, len(ctx.cache)
 }
 
-// RowObservation is one observed output cardinality: the full signature
-// string guards against 64-bit hash collisions, exactly like the reuse
-// cache does.
-type RowObservation struct {
-	Sig  string
-	Rows int64
-}
-
 // ObservedRows snapshots the per-node output cardinalities observed so
-// far (signature hash → observation). Sessions adopt one snapshot per
-// iteration into the optimizer's cost model, so every trial plan of the
-// iteration reads identical, frozen statistics regardless of worker
-// scheduling.
-func (ctx *Context) ObservedRows() map[uint64]RowObservation {
+// far. Sessions adopt one snapshot per iteration into the optimizer's cost
+// model, so every trial plan of the iteration reads identical, frozen
+// statistics regardless of worker scheduling.
+func (ctx *Context) ObservedRows() map[NodeID]int64 {
 	ctx.mu.Lock()
 	defer ctx.mu.Unlock()
-	out := make(map[uint64]RowObservation, len(ctx.obsRows))
-	for k, v := range ctx.obsRows {
-		out[k] = v
-	}
-	return out
-}
-
-// stageTotal is one stageAsg record; marker and sig verify the hashed key.
-type stageTotal struct {
-	marker, sig string
-	n           int64
-}
-
-// stageAssignments returns what the evaluation of n under the current
-// subset recorded in stageAsg; 0 for every node that is not a multi-stage
-// run.
-func (ctx *Context) stageAssignments(n Node) int {
-	subset, marker := ctx.subsetKey()
-	ctx.mu.Lock()
-	defer ctx.mu.Unlock()
-	if r, ok := ctx.stageAsg[entryKey{subset: subset, sig: n.sigHash()}]; ok && r.marker == marker && r.sig == n.Signature() {
-		return int(r.n)
-	}
-	return 0
+	return maps.Clone(ctx.obsRows)
 }
 
 // Node is one operator of a compiled plan. Nodes are immutable after
 // construction; evaluation is memoised through the context cache.
 type Node interface {
-	// Signature is a canonical rendering of the subtree, the reuse key
-	// (precomputed at construction; see nodeSig).
+	// ID is the node's identity, the reuse key (see NodeID).
+	ID() NodeID
+	// Signature is a canonical rendering of the subtree for people: plans,
+	// -explain, trace records and spill file keys.
 	Signature() string
-	// sigHash is the precomputed 64-bit hash of Signature.
-	sigHash() uint64
 	// Columns names the variables bound by this node's output table.
 	Columns() []string
 	// Children returns the node's input operators.
@@ -878,13 +824,13 @@ type Node interface {
 // adding a constraint perturbs the sum whether or not it starts a new node.
 func SumAssignments(ctx *Context, root Node) (int, error) {
 	total := 0
-	seen := map[string]bool{}
+	seen := map[NodeID]bool{}
 	var walk func(n Node) error
 	walk = func(n Node) error {
-		if seen[n.Signature()] {
+		if seen[n.ID()] {
 			return nil
 		}
-		seen[n.Signature()] = true
+		seen[n.ID()] = true
 		for _, c := range n.Children() {
 			if err := walk(c); err != nil {
 				return err
@@ -894,7 +840,9 @@ func SumAssignments(ctx *Context, root Node) (int, error) {
 		if err != nil {
 			return err
 		}
-		total += t.NumAssignments() + ctx.stageAssignments(n)
+		ctx.mu.Lock()
+		total += t.NumAssignments() + int(ctx.stageAsg[entryKey{mode: ctx.mode.Load(), node: n.ID()}])
+		ctx.mu.Unlock()
 		return nil
 	}
 	if err := walk(root); err != nil {
@@ -904,7 +852,7 @@ func SumAssignments(ctx *Context, root Node) (int, error) {
 }
 
 // Eval evaluates a node through the context's reuse cache with
-// single-flight deduplication: the first goroutine to request a signature
+// single-flight deduplication: the first goroutine to request a node
 // evaluates it; concurrent requesters for the same key block until it
 // finishes and share the result (counted as cache hits). Failed
 // evaluations are not cached, so a later request retries.
@@ -925,31 +873,18 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 		// the partial result propagates up.)
 		return nil, err
 	}
-	subsetHash, marker := ctx.subsetKey()
-	key := entryKey{subset: subsetHash, sig: n.sigHash()}
-	sig := n.Signature()
+	mode := ctx.mode.Load()
+	key := entryKey{mode: mode, node: n.ID()}
 	trace := ctx.trace.Load()
 	ctx.mu.Lock()
-	if e := ctx.lookupLocked(key, marker, sig); e != nil && e.table != nil {
+	if e := ctx.lookupLocked(key); e != nil && e.table != nil {
 		ctx.touchLocked(e)
 		ctx.mu.Unlock()
 		statAdd(&ctx.Stats.CacheHits, 1)
-		if trace != nil {
-			trace.push(TraceRecord{Op: opName(n), Signature: sig, Key: marker + "|" + sig, Status: StatusHit})
-		}
+		trace.note(ctx, n, key, StatusHit)
 		return e.table, nil
 	}
-	if ctx.inflight == nil {
-		ctx.inflight = map[entryKey]*inflightEval{}
-	}
 	if c, ok := ctx.inflight[key]; ok {
-		if c.marker != marker || c.sig != sig {
-			// A different signature hashed onto this in-flight key (2^-64):
-			// evaluate directly, bypassing the cache, rather than corrupt the
-			// single-flight bookkeeping.
-			ctx.mu.Unlock()
-			return evalUncached(ctx, n, marker, sig, trace)
-		}
 		ctx.mu.Unlock()
 		if werr := ctx.waitInflight(c); werr != nil {
 			// Hard cancellation fired while parked on the owner: give up
@@ -960,19 +895,17 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 			return nil, c.err
 		}
 		statAdd(&ctx.Stats.CacheHits, 1)
-		if trace != nil {
-			trace.push(TraceRecord{Op: opName(n), Signature: sig, Key: marker + "|" + sig, Status: StatusWait})
-		}
+		trace.note(ctx, n, key, StatusWait)
 		return c.table, nil
 	}
-	c := &inflightEval{done: make(chan struct{}), marker: marker, sig: sig}
+	c := &inflightEval{done: make(chan struct{})}
 	ctx.inflight[key] = c
-	// Delta prior: a mapped predecessor evaluated under the same subset
-	// whose entry still holds a per-tuple memo. The predecessor's output
-	// table is kept for the adoption check below. When the current mode has
-	// nothing, fall back to the previous evaluation mode (per-tuple memos
-	// are subset-independent: operators decide per tuple, the doc filter
-	// only gates which tuples the scans emit) — including the node's own
+	// Delta prior: a mapped predecessor evaluated under the same mode whose
+	// entry still holds a per-tuple memo. The predecessor's output table is
+	// kept for the adoption check below. When the current mode has nothing,
+	// fall back to the previous evaluation mode (per-tuple memos are
+	// subset-independent: operators decide per tuple, the doc filter only
+	// gates which tuples the scans emit) — including the node's own
 	// previous-mode entry, which covers the final full-corpus execution of
 	// an unchanged plan. Cross-mode priors attach the memo only, never the
 	// table: the tuple sets differ, so adoption would be wrong.
@@ -980,51 +913,51 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 	var priorTable *compact.Table
 	if ctx.deltaOn {
 		dx = &deltaState{}
-		prevMode := ctx.prevSubsetMarker != "" && ctx.prevSubsetMarker != marker
-		if link, ok := ctx.deltaPrev[key.sig]; ok && link.newSig == sig {
-			pk := entryKey{subset: subsetHash, sig: link.oldHash}
-			if pe := ctx.lookupLocked(pk, marker, link.oldSig); pe != nil {
+		prevMode := ctx.prevMode
+		if prevMode == mode {
+			prevMode = 0
+		}
+		if link, ok := ctx.deltaPrev[key.node]; ok {
+			if pe := ctx.lookupLocked(entryKey{mode: mode, node: link.old}); pe != nil {
 				dx.prior = pe.aux
 				priorTable = pe.table
-			} else if prevMode {
-				pk = entryKey{subset: ctx.prevSubsetHash, sig: link.oldHash}
-				if pe := ctx.lookupLocked(pk, ctx.prevSubsetMarker, link.oldSig); pe != nil {
+			} else if prevMode != 0 {
+				if pe := ctx.lookupLocked(entryKey{mode: prevMode, node: link.old}); pe != nil {
 					dx.prior = pe.aux
 				}
 			}
 		}
-		if dx.prior == nil && priorTable == nil && prevMode {
-			pk := entryKey{subset: ctx.prevSubsetHash, sig: key.sig}
-			if pe := ctx.lookupLocked(pk, ctx.prevSubsetMarker, sig); pe != nil {
+		if dx.prior == nil && priorTable == nil && prevMode != 0 {
+			if pe := ctx.lookupLocked(entryKey{mode: prevMode, node: key.node}); pe != nil {
 				dx.prior = pe.aux
 			}
 		}
 		// A constraint run takes the predecessor that covers the most of its
-		// stages: the one found above, or a cached run over the same input
-		// under one of its prefix signatures.
+		// stages: the one found above, or a cached shorter run over the same
+		// input.
 		if run, ok := n.(*constraintNode); ok {
 			have := 0
 			if dx.prior != nil {
 				have = dx.prior.stages
 			}
-			if aux, table := ctx.runPriorLocked(run, subsetHash, marker, prevMode, have); aux != nil {
+			if aux, table := ctx.runPriorLocked(run, mode, prevMode, have); aux != nil {
 				dx.prior, priorTable = aux, table
 			}
 		}
-		// Corpus prior: ApplyCorpusDelta displaced this node's last result
-		// (the plan is typically unchanged, so the plan-delta links above
-		// have nothing). The displaced table is attached for the adoption
+		// Corpus prior: ApplyCorpusDelta marked this node's last result
+		// stale (the plan is typically unchanged, so the plan-delta links
+		// above have nothing). The stale table is attached for the adoption
 		// check and the memo for per-tuple replay; dx.corpus tells binary
 		// operators the prior's right table may have been rebuilt, so they
 		// reconcile it against the current one instead of trusting pointer
-		// identity. Entries are consumed: each is valid for exactly one
+		// identity. The entry is consumed: it is valid for exactly one
 		// re-evaluation of its node.
-		if dx.prior == nil && priorTable == nil && len(ctx.corpusPrior) > 0 {
-			if cp := ctx.corpusPrior[key]; cp != nil && cp.marker == marker && cp.sig == sig {
+		if dx.prior == nil && priorTable == nil {
+			if cp := ctx.cache[key]; cp != nil && cp.stale {
 				dx.prior = cp.aux
 				dx.corpus = true
 				priorTable = cp.table
-				delete(ctx.corpusPrior, key)
+				ctx.dropLocked(cp)
 				statAdd(&ctx.Stats.CorpusPriorHits, 1)
 			}
 		}
@@ -1037,25 +970,20 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 	// memos keyed by handle identity keep working. The file is dropped on
 	// load (the table is resident again; a later eviction re-spills it).
 	if ctx.Spill != nil {
-		if t, ok, serr := ctx.Spill.Load(marker + "|" + sig); serr == nil && ok {
-			ctx.Spill.Drop(marker + "|" + sig)
+		spillKey := ctx.cacheKey(mode, n)
+		if t, ok, serr := ctx.Spill.Load(spillKey); serr == nil && ok {
+			ctx.Spill.Drop(spillKey)
 			statAdd(&ctx.Stats.SpillLoads, 1)
 			c.table = t
 			ctx.mu.Lock()
 			if !ctx.cancelFired() {
-				if ctx.obsRows == nil {
-					ctx.obsRows = map[uint64]RowObservation{}
-				}
-				ctx.obsRows[n.sigHash()] = RowObservation{Sig: sig, Rows: int64(len(t.Tuples))}
-				e := &cacheEntry{key: key, marker: marker, sig: sig, table: t, bytes: t.MemBytes()}
-				ctx.storeLocked(e)
+				ctx.obsRows[key.node] = int64(len(t.Tuples))
+				ctx.storeLocked(&cacheEntry{key: key, node: n, table: t, bytes: t.MemBytes()})
 			}
 			delete(ctx.inflight, key)
 			ctx.mu.Unlock()
 			close(c.done)
-			if trace != nil {
-				trace.push(TraceRecord{Op: opName(n), Signature: sig, Key: marker + "|" + sig, Status: StatusHit})
-			}
+			trace.note(ctx, n, key, StatusHit)
 			return t, nil
 		}
 	}
@@ -1075,7 +1003,7 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 		// an error, leave the key uncached and un-poisoned, then let the
 		// panic continue.
 		r := recover()
-		c.err = fmt.Errorf("engine: panic evaluating %s: %v", sig, r)
+		c.err = fmt.Errorf("engine: panic evaluating %s: %v", n.Signature(), r)
 		ctx.mu.Lock()
 		delete(ctx.inflight, key)
 		ctx.mu.Unlock()
@@ -1107,21 +1035,15 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 			// cost model (reported estimates only — never rewrite
 			// decisions, so partial best-effort results are simply skipped
 			// along with caching).
-			if ctx.obsRows == nil {
-				ctx.obsRows = map[uint64]RowObservation{}
-			}
-			ctx.obsRows[n.sigHash()] = RowObservation{Sig: sig, Rows: int64(len(t.Tuples))}
+			ctx.obsRows[key.node] = int64(len(t.Tuples))
 			if ev.stages > 1 {
-				if ctx.stageAsg == nil {
-					ctx.stageAsg = map[entryKey]stageTotal{}
-				}
-				ctx.stageAsg[key] = stageTotal{marker: marker, sig: sig, n: ev.stageAsg}
+				ctx.stageAsg[key] = ev.stageAsg
 			}
 			// A fired cancellation means this result may be partial (a
 			// best-effort cut truncates operator loops), so it is handed to
 			// the caller but never cached: a later evaluation under the same
 			// key must recompute in full.
-			e := &cacheEntry{key: key, marker: marker, sig: sig, table: t}
+			e := &cacheEntry{key: key, node: n, table: t}
 			if dx != nil {
 				e.aux = dx.aux
 			}
@@ -1134,7 +1056,7 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 	close(c.done)
 	if trace != nil {
 		rec := TraceRecord{
-			Op: opName(n), Signature: sig, Key: marker + "|" + sig,
+			Op: opName(n), Signature: n.Signature(), Key: ctx.cacheKey(mode, n), key: key,
 			Status: StatusMiss, Wall: wall, Goroutine: goid(),
 			Fallbacks: ev.fallbacks.Load(), Recomputed: ev.recomputed.Load(),
 			Quarantined:   ev.quarantined.Load(),
@@ -1145,37 +1067,6 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 		}
 		if dx != nil {
 			rec.Reused = dx.reused.Load()
-		}
-		if err == nil {
-			rec.Tuples = len(t.Tuples)
-			rec.Expanded = t.NumExpandedTuples()
-			rec.Assignments = t.NumAssignments()
-		}
-		trace.push(rec)
-	}
-	return t, err
-}
-
-// evalUncached evaluates a node without touching the cache or the
-// single-flight map — the escape hatch for a hashed-key collision.
-func evalUncached(ctx *Context, n Node, marker, sig string, trace *tracer) (*compact.Table, error) {
-	statAdd(&ctx.Stats.NodesEvaluated, 1)
-	var ev *EvalTrace
-	if trace != nil {
-		ev = &EvalTrace{}
-	}
-	start := time.Now()
-	t, err := n.eval(ctx, ev, nil)
-	wall := time.Since(start)
-	atomic.AddInt64(&ctx.Stats.OpTimeNs[kindOf(n)], int64(wall))
-	if err == nil {
-		statAdd(&ctx.Stats.TuplesBuilt, len(t.Tuples))
-	}
-	if trace != nil {
-		rec := TraceRecord{
-			Op: opName(n), Signature: sig, Key: marker + "|" + sig,
-			Status: StatusMiss, Wall: wall, Goroutine: goid(),
-			Fallbacks: ev.fallbacks.Load(), Recomputed: ev.recomputed.Load(),
 		}
 		if err == nil {
 			rec.Tuples = len(t.Tuples)

@@ -438,7 +438,7 @@ extractP(x, p) :- from(x, p), numeric(p) = yes.
 		t.Fatal(err)
 	}
 	ctx := NewContext(env)
-	ctx.DocFilter = map[string]bool{"x1": true}
+	ctx.SetDocFilter(map[string]bool{"x1": true})
 	res, err := plan.Execute(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -448,7 +448,7 @@ extractP(x, p) :- from(x, p), numeric(p) = yes.
 	}
 	// Full evaluation through the same context must not alias the subset
 	// cache entry.
-	ctx.DocFilter = nil
+	ctx.SetDocFilter(nil)
 	res, err = plan.Execute(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -109,14 +109,14 @@ func explainTree(ctx *Context, root Node, opt *OptInfo) (string, error) {
 	if _, err := Eval(ctx, root); err != nil {
 		return "", err
 	}
-	byKey := map[string]OpStats{}
+	byKey := map[entryKey]OpStats{}
 	for _, o := range ctx.TraceOps() {
-		byKey[o.Key] = o
+		byKey[o.key] = o
 	}
 	workers := map[int64]int{}
 	var b strings.Builder
 	sizes := func(n Node) (o OpStats, rows, expanded, assigns int, err error) {
-		o = byKey[ctx.cacheKey(n.Signature())]
+		o = byKey[entryKey{mode: ctx.mode.Load(), node: n.ID()}]
 		if o.Evals > 0 {
 			return o, o.Tuples, o.Expanded, o.Assignments, nil
 		}
@@ -177,10 +177,10 @@ func explainTree(ctx *Context, root Node, opt *OptInfo) (string, error) {
 			}
 		}
 		if opt != nil {
-			if est, ok := opt.Est[n.sigHash()]; ok {
+			if est, ok := opt.Est[n.ID()]; ok {
 				extra += " est=" + est.EstimateString()
 			}
-			for _, r := range opt.rulesFor(n.sigHash()) {
+			for _, r := range opt.rulesFor(n.ID()) {
 				extra += " «" + r + "»"
 			}
 		}

@@ -2,30 +2,121 @@ package engine
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"iflex/internal/compact"
 	"iflex/internal/text"
 )
 
+// NodeID is a plan node's identity: equal subtrees built against one Env
+// are one node with one id, and no two nodes of the process share an id,
+// so a plan evaluated under a Context of another Env cannot alias there.
+type NodeID uint64
+
+var lastNodeID atomic.Uint64
+
+func newNodeID() NodeID { return NodeID(lastNodeID.Add(1)) }
+
+// ident is a node's identity, embedded in every node type and filled in by
+// nodeTable.put: the id, and what Signature renders — head, the operator
+// with its local parameters, applied to kids.
+type ident struct {
+	id   NodeID
+	head string
+	kids []Node
+	once sync.Once
+	sig  string
+}
+
+func (s *ident) identity() *ident { return s }
+
+// ID returns the node's identity, the reuse key.
+func (s *ident) ID() NodeID { return s.id }
+
+// Children returns the node's input operators.
+func (s *ident) Children() []Node { return s.kids }
+
+// Signature renders the subtree canonically, once, on first use: equal
+// nodes render equal strings and different nodes different ones.
+func (s *ident) Signature() string {
+	s.once.Do(func() {
+		sigs := make([]string, len(s.kids))
+		for i, k := range s.kids {
+			sigs[i] = k.Signature()
+		}
+		if s.head == "union" {
+			s.sig = "union(" + strings.Join(sigs, ";") + ")"
+		} else if len(sigs) > 0 {
+			s.sig = s.head + "(" + strings.Join(sigs, ")(") + ")"
+		} else {
+			s.sig = s.head
+		}
+	})
+	return s.sig
+}
+
+// nodeKey is what a node is interned on: its operator and local parameters
+// and the identities of the nodes they apply to (a union's, there being any
+// number of them, written out in rest).
+type nodeKey struct {
+	head string
+	l, r NodeID
+	rest string
+}
+
+// nodeTable interns the nodes built against one Env. Every constructor
+// asks it first and builds only what it does not have, so structural
+// equality is decided once, where a node is made, and is pointer equality
+// from then on — within a plan, across the trial plans of a session and
+// across its iterations.
+type nodeTable struct {
+	mu sync.Mutex
+	m  map[nodeKey]Node
+}
+
+func (t *nodeTable) get(k nodeKey) Node {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.m[k]
+}
+
+// put gives n its identity and publishes it under k, unless a concurrent
+// constructor got there first: then that node is the one returned.
+func (t *nodeTable) put(k nodeKey, n interface {
+	Node
+	identity() *ident
+}, kids ...Node) Node {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if old, ok := t.m[k]; ok {
+		return old
+	}
+	s := n.identity()
+	s.id, s.head, s.kids = newNodeID(), k.head, kids
+	t.m[k] = n
+	return n
+}
+
 // scanNode reads an extensional table, renaming its columns to the rule's
 // variable names, and applies the context's document subset filter.
 type scanNode struct {
-	nodeSig
+	ident
 	pred string
 	cols []string
 }
 
-func newScanNode(pred string, vars []string) *scanNode {
-	return &scanNode{
-		nodeSig: sigOf(fmt.Sprintf("scan(%s->%s)", pred, strings.Join(vars, ","))),
-		pred:    pred, cols: vars,
+func newScanNode(env *Env, pred string, vars []string) *scanNode {
+	k := nodeKey{head: "scan(" + pred + "->" + strings.Join(vars, ",") + ")"}
+	if n := env.nodes.get(k); n != nil {
+		return n.(*scanNode)
 	}
+	return env.nodes.put(k, &scanNode{pred: pred, cols: vars}).(*scanNode)
 }
 
 func (n *scanNode) Columns() []string { return n.cols }
-func (n *scanNode) Children() []Node  { return nil }
 
 func (n *scanNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
 	src, ok := ctx.Env.Tables[n.pred]
@@ -38,7 +129,7 @@ func (n *scanNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 	out := compact.NewTable(n.cols...)
 	q := ctx.quarantined()
 	for _, tp := range src.Tuples {
-		if ctx.DocFilter != nil && !tupleInSubset(tp, ctx.DocFilter) {
+		if ctx.filter != nil && !tupleInSubset(tp, ctx.filter) {
 			continue
 		}
 		// Quarantined documents drop out here, exactly like the subset
@@ -70,20 +161,19 @@ func tupleInSubset(tp compact.Tuple, filter map[string]bool) bool {
 // column s holding an expansion cell expand({contain(s1), ...,
 // contain(sn)}) over the input cell's assignments (Section 4.2).
 type fromNode struct {
-	nodeSig
+	ident
 	parent Node
 	inVar  string
 	outVar string
 }
 
-func newFromNode(parent Node, inVar, outVar string) *fromNode {
-	return &fromNode{
-		nodeSig: sigOf(fmt.Sprintf("from[%s->%s](%s)", inVar, outVar, parent.Signature())),
-		parent:  parent, inVar: inVar, outVar: outVar,
+func newFromNode(env *Env, parent Node, inVar, outVar string) *fromNode {
+	k := nodeKey{head: "from[" + inVar + "->" + outVar + "]", l: parent.ID()}
+	if n := env.nodes.get(k); n != nil {
+		return n.(*fromNode)
 	}
+	return env.nodes.put(k, &fromNode{parent: parent, inVar: inVar, outVar: outVar}, parent).(*fromNode)
 }
-
-func (n *fromNode) Children() []Node { return []Node{n.parent} }
 
 func (n *fromNode) Columns() []string {
 	return append(append([]string(nil), n.parent.Columns()...), n.outVar)
@@ -118,13 +208,17 @@ func (n *fromNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 // shared by both sides are matched with a may-equal test and projected
 // once (natural-join behaviour).
 type crossNode struct {
-	nodeSig
+	ident
 	left, right Node
 	shared      []string
 	cols        []string
 }
 
-func newCrossNode(left, right Node) *crossNode {
+func newCrossNode(env *Env, left, right Node) *crossNode {
+	k := nodeKey{head: "cross", l: left.ID(), r: right.ID()}
+	if n := env.nodes.get(k); n != nil {
+		return n.(*crossNode)
+	}
 	leftCols := left.Columns()
 	rightCols := right.Columns()
 	n := &crossNode{left: left, right: right}
@@ -140,12 +234,10 @@ func newCrossNode(left, right Node) *crossNode {
 			n.cols = append(n.cols, c)
 		}
 	}
-	n.nodeSig = sigOf(fmt.Sprintf("cross(%s)(%s)", left.Signature(), right.Signature()))
-	return n
+	return env.nodes.put(k, n, left, right).(*crossNode)
 }
 
 func (n *crossNode) Columns() []string { return n.cols }
-func (n *crossNode) Children() []Node  { return []Node{n.left, n.right} }
 
 func (n *crossNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
 	lt, rt, err := evalPair(ctx, n.left, n.right)
@@ -323,23 +415,23 @@ func cellsMayEqual(a, b compact.Cell, lim Limits) (sat satisfaction, capped bool
 // unionNode concatenates the tuples of several same-schema inputs (an IE
 // predicate with several rules has union semantics).
 type unionNode struct {
-	nodeSig
+	ident
 	parts []Node
 }
 
-func newUnionNode(parts []Node) *unionNode {
-	sigs := make([]string, len(parts))
-	for i, p := range parts {
-		sigs[i] = p.Signature()
+func newUnionNode(env *Env, parts []Node) *unionNode {
+	ids := make([]byte, 0, 8*len(parts))
+	for _, p := range parts {
+		ids = strconv.AppendUint(append(ids, ';'), uint64(p.ID()), 36)
 	}
-	return &unionNode{
-		nodeSig: sigOf("union(" + strings.Join(sigs, ";") + ")"),
-		parts:   parts,
+	k := nodeKey{head: "union", rest: string(ids)}
+	if n := env.nodes.get(k); n != nil {
+		return n.(*unionNode)
 	}
+	return env.nodes.put(k, &unionNode{parts: parts}, parts...).(*unionNode)
 }
 
 func (n *unionNode) Columns() []string { return n.parts[0].Columns() }
-func (n *unionNode) Children() []Node  { return append([]Node(nil), n.parts...) }
 
 func (n *unionNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
 	tables, err := evalAll(ctx, n.parts)
@@ -357,22 +449,21 @@ func (n *unionNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.
 // projectNode keeps/reorders/renames columns. Duplicate detection is
 // ignored (Section 4.1).
 type projectNode struct {
-	nodeSig
+	ident
 	parent  Node
 	srcCols []string
 	outCols []string
 }
 
-func newProjectNode(parent Node, srcCols, outCols []string) *projectNode {
-	return &projectNode{
-		nodeSig: sigOf(fmt.Sprintf("project[%s->%s](%s)",
-			strings.Join(srcCols, ","), strings.Join(outCols, ","), parent.Signature())),
-		parent: parent, srcCols: srcCols, outCols: outCols,
+func newProjectNode(env *Env, parent Node, srcCols, outCols []string) *projectNode {
+	k := nodeKey{head: "project[" + strings.Join(srcCols, ",") + "->" + strings.Join(outCols, ",") + "]", l: parent.ID()}
+	if n := env.nodes.get(k); n != nil {
+		return n.(*projectNode)
 	}
+	return env.nodes.put(k, &projectNode{parent: parent, srcCols: srcCols, outCols: outCols}, parent).(*projectNode)
 }
 
 func (n *projectNode) Columns() []string { return n.outCols }
-func (n *projectNode) Children() []Node  { return []Node{n.parent} }
 
 func (n *projectNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
 	in, err := Eval(ctx, n.parent)

@@ -28,7 +28,7 @@ type Model struct {
 	mu   sync.Mutex
 	unit map[engine.OpKind]float64 // ns per unit of work
 	sel  map[engine.OpKind]float64 // output/input row ratio
-	rows map[uint64]engine.RowObservation
+	rows map[engine.NodeID]int64
 	// refined counts how many online refinements were folded in.
 	refined int
 }
@@ -38,7 +38,7 @@ func NewModel() *Model {
 	m := &Model{
 		unit: map[engine.OpKind]float64{},
 		sel:  map[engine.OpKind]float64{},
-		rows: map[uint64]engine.RowObservation{},
+		rows: map[engine.NodeID]int64{},
 	}
 	for _, k := range engine.AllOpKinds() {
 		m.unit[k] = engine.DefaultUnitCost(k)
@@ -63,24 +63,20 @@ func (m *Model) Selectivity(k engine.OpKind) float64 {
 	return m.sel[k]
 }
 
-// ObservedRows implements engine.Coster: observed output cardinality for
-// a node signature, if one was adopted. The signature string is verified
-// so a 64-bit hash collision degrades to "not observed".
-func (m *Model) ObservedRows(sigHash uint64, sig string) (int64, bool) {
+// ObservedRows implements engine.Coster: observed output cardinality of
+// a node, if one was adopted.
+func (m *Model) ObservedRows(id engine.NodeID) (int64, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	o, ok := m.rows[sigHash]
-	if !ok || o.Sig != sig {
-		return 0, false
-	}
-	return o.Rows, true
+	rows, ok := m.rows[id]
+	return rows, ok
 }
 
 // AdoptRows folds a Context.ObservedRows snapshot into the model.
 // Sessions call this once per iteration, after the base execution and
 // before any trial is optimized, so all trials of the iteration see one
 // frozen, scheduling-independent view.
-func (m *Model) AdoptRows(obs map[uint64]engine.RowObservation) {
+func (m *Model) AdoptRows(obs map[engine.NodeID]int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for k, v := range obs {
@@ -209,11 +205,11 @@ func (m *Model) Report() string {
 }
 
 // Optimize rewrites a compiled plan under the model (nil model uses the
-// engine's static defaults; nil canon disables cross-plan CSE).
-func Optimize(p *engine.Plan, env *engine.Env, m *Model, canon *engine.CanonTable) *engine.Plan {
+// engine's static defaults).
+func Optimize(p *engine.Plan, env *engine.Env, m *Model) *engine.Plan {
 	var c engine.Coster
 	if m != nil {
 		c = m
 	}
-	return engine.OptimizePlan(p, env, engine.OptOptions{Coster: c, Canon: canon})
+	return engine.OptimizePlan(p, env, engine.OptOptions{Coster: c})
 }

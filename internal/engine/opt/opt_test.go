@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"iflex/internal/alog"
 	"iflex/internal/engine"
 )
 
@@ -20,20 +21,38 @@ func TestModelSeedsFromDefaults(t *testing.T) {
 	}
 }
 
-func TestObservedRowsVerifiesSignature(t *testing.T) {
+// TestObservedRowsByNodeIdentity: an observation adopted for a node is
+// found by every compile of the same program against the same Env — they
+// build the one node — and by no other node, an equal plan compiled
+// against another Env included.
+func TestObservedRowsByNodeIdentity(t *testing.T) {
+	prog := alog.MustParse(`Q(x) :- docs(x).`)
+	compile := func(env *engine.Env) engine.Node {
+		env.AddDocTable("docs", "x", nil)
+		plan, err := engine.Compile(prog, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan.Root
+	}
+	env := engine.NewEnv()
+	first, again, elsewhere := compile(env), compile(env), compile(engine.NewEnv())
+	if first != again {
+		t.Fatal("two compiles of one program against one Env built two roots")
+	}
+	if first == elsewhere || first.ID() == elsewhere.ID() || first.Signature() != elsewhere.Signature() {
+		t.Fatal("equal plans of two Envs must be equal strings under distinct identities")
+	}
 	m := NewModel()
-	m.AdoptRows(map[uint64]engine.RowObservation{
-		7: {Sig: "scan docs", Rows: 42},
-	})
-	if rows, ok := m.ObservedRows(7, "scan docs"); !ok || rows != 42 {
+	m.AdoptRows(map[engine.NodeID]int64{first.ID(): 42})
+	if rows, ok := m.ObservedRows(again.ID()); !ok || rows != 42 {
 		t.Fatalf("want (42,true), got (%d,%v)", rows, ok)
 	}
-	// Hash collision with a different signature string: must miss.
-	if _, ok := m.ObservedRows(7, "scan other"); ok {
-		t.Fatal("collision should degrade to not-observed")
+	if _, ok := m.ObservedRows(elsewhere.ID()); ok {
+		t.Fatal("another Env's node observed")
 	}
-	if _, ok := m.ObservedRows(8, "scan docs"); ok {
-		t.Fatal("unknown hash should miss")
+	if _, ok := m.ObservedRows(first.Children()[0].ID()); ok {
+		t.Fatal("unobserved node should miss")
 	}
 }
 
@@ -89,7 +108,7 @@ func TestModelConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				m.UnitCost(engine.OpKind(j % 12))
-				m.AdoptRows(map[uint64]engine.RowObservation{uint64(j): {Sig: "s", Rows: int64(j)}})
+				m.AdoptRows(map[engine.NodeID]int64{engine.NodeID(j): int64(j)})
 				m.RefineFromSnapshot(engine.StatsSnapshot{
 					TuplesBuilt:   int64(j + 1),
 					OpTimeSeconds: map[string]float64{"cross": 0.001},

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"iflex/internal/alog"
@@ -35,13 +34,11 @@ import (
 //     constraints before opaque p-functions). Same-rank and overlapping
 //     selections keep their original relative order, which keeps
 //     constraint prior lists valid.
-//   - cse-share: structurally identical subtrees (same signature) are
-//     interned to one canonical node pointer, within a plan and — via a
-//     session-owned CanonTable — across the Simulation strategy's trial
-//     plans of one iteration. Interning changes no signatures, so the
-//     reuse cache behaves identically; what it buys is pointer-identical
-//     inputs for the binary operators' delta memos and the table
-//     adoption path.
+//
+// Sharing is not a rule: every node a rewrite builds goes through the
+// constructors, which intern it (nodes.go), so a rewritten plan shares
+// each subtree it has in common with the plan it came from, with the
+// session's other trial plans and with earlier iterations' plans.
 //
 // Determinism contract: rewrite DECISIONS depend only on the plan
 // structure and the environment's table sizes (via the static cardinality
@@ -63,10 +60,10 @@ type Coster interface {
 	// Selectivity is the default output/input row ratio of one operator
 	// kind (joins: output over the candidate-pair count).
 	Selectivity(k OpKind) float64
-	// ObservedRows returns the observed output row count for a node
-	// signature from a previous execution, if any. Used for reported
-	// estimates only, never for rewrite decisions.
-	ObservedRows(sigHash uint64, sig string) (int64, bool)
+	// ObservedRows returns the observed output row count of a node from a
+	// previous execution, if any. Used for reported estimates only, never
+	// for rewrite decisions.
+	ObservedRows(id NodeID) (int64, bool)
 }
 
 // defaultCoster is the built-in static model used when no Coster is
@@ -123,9 +120,9 @@ func DefaultSelectivity(k OpKind) float64 {
 	return 1.0
 }
 
-func (defaultCoster) UnitCost(k OpKind) float64                 { return DefaultUnitCost(k) }
-func (defaultCoster) Selectivity(k OpKind) float64              { return DefaultSelectivity(k) }
-func (defaultCoster) ObservedRows(uint64, string) (int64, bool) { return 0, false }
+func (defaultCoster) UnitCost(k OpKind) float64         { return DefaultUnitCost(k) }
+func (defaultCoster) Selectivity(k OpKind) float64      { return DefaultSelectivity(k) }
+func (defaultCoster) ObservedRows(NodeID) (int64, bool) { return 0, false }
 
 // AllOpKinds lists every operator kind (for cost-model tables).
 func AllOpKinds() []OpKind {
@@ -142,52 +139,11 @@ func AllOpKinds() []OpKind {
 // alone keeps it maximally comparable.
 const fuseRowThreshold = 64
 
-// CanonTable interns plan subtrees by signature so structurally
-// identical subplans share one node pointer — within a plan and across
-// the trial plans of one session iteration (cross-trial common
-// subexpression sharing). Safe for concurrent use. Reset it at each
-// iteration boundary so canonical nodes never outlive the tables the
-// delta machinery pins them to.
-type CanonTable struct {
-	mu sync.Mutex
-	m  map[uint64]Node
-}
-
-// NewCanonTable returns an empty interning table.
-func NewCanonTable() *CanonTable { return &CanonTable{m: map[uint64]Node{}} }
-
-// Reset drops all interned nodes.
-func (c *CanonTable) Reset() {
-	c.mu.Lock()
-	c.m = map[uint64]Node{}
-	c.mu.Unlock()
-}
-
-// intern returns the canonical node for n's signature, registering n if
-// the signature is new. A 64-bit hash collision (different signature
-// strings) leaves n unshared — correctness never rests on the hash.
-func (c *CanonTable) intern(n Node) Node {
-	if c == nil {
-		return n
-	}
-	h := n.sigHash()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev, ok := c.m[h]; ok {
-		if prev.Signature() == n.Signature() {
-			return prev
-		}
-		return n
-	}
-	c.m[h] = n
-	return n
-}
-
 // RuleFiring records one rewrite decision for explain/bench rendering.
 type RuleFiring struct {
 	Rule   string `json:"rule"`   // fuse-simjoin | pushdown | reorder-conjuncts
 	Node   string `json:"node"`   // operator label of the rewritten node
-	Sig    uint64 `json:"-"`      // sigHash of the node the firing attaches to
+	ID     NodeID `json:"-"`      // the node the firing attaches to
 	Detail string `json:"detail"` // human-readable what/why
 	// EstBeforeNs / EstAfterNs are the cost model's estimates for the
 	// affected region before and after the rewrite (reporting only).
@@ -206,22 +162,18 @@ type NodeEstimate struct {
 type OptInfo struct {
 	// Fired lists every rewrite decision in deterministic plan order.
 	Fired []RuleFiring
-	// CSEShared counts subtrees replaced by an already-interned
-	// canonical node (within-plan and cross-trial sharing combined).
-	CSEShared int
-	// Est holds the cost model's per-node estimates, keyed by the
-	// optimized plan's node signature hashes.
-	Est map[uint64]NodeEstimate
+	// Est holds the cost model's estimates for the optimized plan's nodes.
+	Est map[NodeID]NodeEstimate
 }
 
 // rulesFor returns the rule labels attached to a node (for explain).
-func (o *OptInfo) rulesFor(sig uint64) []string {
+func (o *OptInfo) rulesFor(id NodeID) []string {
 	if o == nil {
 		return nil
 	}
 	var out []string
 	for _, f := range o.Fired {
-		if f.Sig == sig {
+		if f.ID == id {
 			out = append(out, f.Rule)
 		}
 	}
@@ -229,7 +181,7 @@ func (o *OptInfo) rulesFor(sig uint64) []string {
 }
 
 // Summary renders a one-line rule tally, e.g.
-// "3 rewrites (fuse-simjoin=1 pushdown=2), 4 shared subplans".
+// "3 rewrites (fuse-simjoin=1 pushdown=2)".
 func (o *OptInfo) Summary() string {
 	if o == nil {
 		return "off"
@@ -247,9 +199,6 @@ func (o *OptInfo) Summary() string {
 	s := fmt.Sprintf("%d rewrites", len(o.Fired))
 	if len(parts) > 0 {
 		s += " (" + strings.Join(parts, " ") + ")"
-	}
-	if o.CSEShared > 0 {
-		s += fmt.Sprintf(", %d shared subplans", o.CSEShared)
 	}
 	return s
 }
@@ -275,16 +224,12 @@ func (o *OptInfo) RuleTally() []string {
 type OptOptions struct {
 	// Coster supplies the cost model (nil = built-in defaults).
 	Coster Coster
-	// Canon, when non-nil, interns subtrees across plans (cross-trial
-	// CSE). The caller owns its lifetime and must Reset it whenever the
-	// delta predecessor generation rolls over (each session iteration).
-	Canon *CanonTable
 }
 
 // OptimizePlan rewrites a compiled plan with the semantics-preserving
 // rule catalogue above and returns a new Plan carrying the rewritten
 // root and an OptInfo report. The input plan is never mutated (nodes are
-// immutable); unchanged subtrees are shared by pointer, so an optimized
+// immutable); unchanged subtrees are the same nodes, so an optimized
 // plan delta-links against an unoptimized predecessor (and vice versa)
 // exactly as well as the overlap of their shapes allows.
 func OptimizePlan(p *Plan, env *Env, opts OptOptions) *Plan {
@@ -295,24 +240,22 @@ func OptimizePlan(p *Plan, env *Env, opts OptOptions) *Plan {
 	o := &optimizer{
 		env:     env,
 		coster:  c,
-		canon:   opts.Canon,
-		info:    &OptInfo{Est: map[uint64]NodeEstimate{}},
+		info:    &OptInfo{Est: map[NodeID]NodeEstimate{}},
 		done:    map[Node]Node{},
 		rowsEst: map[Node]float64{},
 		rowsObs: map[Node]float64{},
 	}
 	root := o.rewrite(p.Root)
-	o.estimateTree(root, map[uint64]bool{})
+	o.estimateTree(root)
 	return &Plan{Root: root, Program: p.Program, Opt: o.info}
 }
 
 type optimizer struct {
 	env    *Env
 	coster Coster
-	canon  *CanonTable
 	info   *OptInfo
-	// done maps original nodes to their rewritten (and interned)
-	// versions, preserving sharing in the rewritten tree.
+	// done maps original nodes to their rewritten versions, so a shared
+	// subtree is rewritten once.
 	done map[Node]Node
 	// rowsEst memoises the static cardinality estimate (decisions);
 	// rowsObs the observed-refined one (reporting).
@@ -403,43 +346,41 @@ func (o *optimizer) rewrite(n Node) Node {
 	} else {
 		out = o.rebuild(n)
 	}
-	out = o.intern(out)
 	o.done[n] = out
 	return out
 }
 
 // rebuild rewrites a non-selection node's children and reconstructs the
-// node only when a child changed (pointer stability keeps signatures,
-// cache entries, and delta links maximally shared).
+// node when a child changed.
 func (o *optimizer) rebuild(n Node) Node {
 	switch t := n.(type) {
 	case *scanNode:
 		return n
 	case *fromNode:
 		if p := o.rewrite(t.parent); p != t.parent {
-			return newFromNode(p, t.inVar, t.outVar)
+			return newFromNode(o.env, p, t.inVar, t.outVar)
 		}
 	case *procNode:
 		if p := o.rewrite(t.parent); p != t.parent {
-			return newProcNode(p, t.pname, t.inVar, t.outVars)
+			return newProcNode(o.env, p, t.pname, t.inVar, t.outVars)
 		}
 	case *projectNode:
 		if p := o.rewrite(t.parent); p != t.parent {
-			return newProjectNode(p, t.srcCols, t.outCols)
+			return newProjectNode(o.env, p, t.srcCols, t.outCols)
 		}
 	case *annotateNode:
 		if p := o.rewrite(t.parent); p != t.parent {
-			return newAnnotateNode(p, t.exists, t.annotate)
+			return newAnnotateNode(o.env, p, t.exists, t.annotate)
 		}
 	case *crossNode:
 		l, r := o.rewrite(t.left), o.rewrite(t.right)
 		if l != t.left || r != t.right {
-			return newCrossNode(l, r)
+			return newCrossNode(o.env, l, r)
 		}
 	case *simJoinNode:
 		l, r := o.rewrite(t.left), o.rewrite(t.right)
 		if l != t.left || r != t.right {
-			return newSimJoinNode(l, r, t.fname, t.leftVar, t.rightVar)
+			return newSimJoinNode(o.env, l, r, t.fname, t.leftVar, t.rightVar)
 		}
 	case *unionNode:
 		parts := make([]Node, len(t.parts))
@@ -449,7 +390,7 @@ func (o *optimizer) rebuild(n Node) Node {
 			changed = changed || parts[i] != p
 		}
 		if changed {
-			return newUnionNode(parts)
+			return newUnionNode(o.env, parts)
 		}
 	}
 	return n
@@ -484,9 +425,9 @@ func (o *optimizer) rewriteChain(top Node) Node {
 		}
 		cross := base.(*crossNode)
 		lv, rv := orientSim(fn, cross)
-		fused := newSimJoinNode(cross.left, cross.right, fn.fname, lv, rv)
+		fused := newSimJoinNode(o.env, cross.left, cross.right, fn.fname, lv, rv)
 		o.info.Fired = append(o.info.Fired, RuleFiring{
-			Rule: "fuse-simjoin", Node: opName(fused), Sig: fused.sigHash(),
+			Rule: "fuse-simjoin", Node: opName(fused), ID: fused.ID(),
 			Detail: fmt.Sprintf("%s(%s,%s) hoisted past %d selection(s) onto %s and fused",
 				fn.fname, lv, rv, i, opName(cross)),
 			EstBeforeNs: o.cost(cross) + o.coster.UnitCost(OpFunc)*o.rows(cross, false),
@@ -514,7 +455,7 @@ func (o *optimizer) rewriteChain(top Node) Node {
 		if commutes {
 			if nb, moved := o.sink(s, base); nb != nil {
 				o.info.Fired = append(o.info.Fired, RuleFiring{
-					Rule: "pushdown", Node: opName(moved), Sig: moved.sigHash(),
+					Rule: "pushdown", Node: opName(moved), ID: moved.ID(),
 					Detail:      fmt.Sprintf("%s sunk below %s", opName(s.node), opName(base)),
 					EstBeforeNs: o.cost(s.node),
 					EstAfterNs:  o.cost(moved),
@@ -552,7 +493,7 @@ func (o *optimizer) rewriteChain(top Node) Node {
 		beforeCost += o.cost(s.node)
 	}
 	for _, s := range kept {
-		node = o.intern(o.rebuildSel(s, node))
+		node = o.rebuildSel(s, node)
 	}
 	if reordered {
 		var afterCost float64
@@ -560,7 +501,7 @@ func (o *optimizer) rewriteChain(top Node) Node {
 			afterCost += o.cost(w)
 		}
 		o.info.Fired = append(o.info.Fired, RuleFiring{
-			Rule: "reorder-conjuncts", Node: opName(node), Sig: node.sigHash(),
+			Rule: "reorder-conjuncts", Node: opName(node), ID: node.ID(),
 			Detail:      fmt.Sprintf("%d conjuncts ordered cheapest-rank-first", len(kept)),
 			EstBeforeNs: beforeCost, EstAfterNs: afterCost,
 		})
@@ -626,30 +567,30 @@ func (o *optimizer) sink(s selInfo, target Node) (Node, Node) {
 		}
 		if subsetStr(s.involved, t.left.Columns()) {
 			nl, sel := o.sinkOrWrap(s, t.left)
-			return newCrossNode(nl, t.right), sel
+			return newCrossNode(o.env, nl, t.right), sel
 		}
 		if subsetStr(s.involved, t.right.Columns()) {
 			nr, sel := o.sinkOrWrap(s, t.right)
-			return newCrossNode(t.left, nr), sel
+			return newCrossNode(o.env, t.left, nr), sel
 		}
 	case *simJoinNode:
 		if subsetStr(s.involved, t.left.Columns()) && !containsStr(s.involved, t.leftVar) {
 			nl, sel := o.sinkOrWrap(s, t.left)
-			return newSimJoinNode(nl, t.right, t.fname, t.leftVar, t.rightVar), sel
+			return newSimJoinNode(o.env, nl, t.right, t.fname, t.leftVar, t.rightVar), sel
 		}
 		if subsetStr(s.involved, t.right.Columns()) && !containsStr(s.involved, t.rightVar) {
 			nr, sel := o.sinkOrWrap(s, t.right)
-			return newSimJoinNode(t.left, nr, t.fname, t.leftVar, t.rightVar), sel
+			return newSimJoinNode(o.env, t.left, nr, t.fname, t.leftVar, t.rightVar), sel
 		}
 	case *fromNode:
 		if !containsStr(s.involved, t.outVar) {
 			np, sel := o.sinkOrWrap(s, t.parent)
-			return newFromNode(np, t.inVar, t.outVar), sel
+			return newFromNode(o.env, np, t.inVar, t.outVar), sel
 		}
 	case *procNode:
 		if disjointStr(s.involved, t.outVars) {
 			np, sel := o.sinkOrWrap(s, t.parent)
-			return newProcNode(np, t.pname, t.inVar, t.outVars), sel
+			return newProcNode(o.env, np, t.pname, t.inVar, t.outVars), sel
 		}
 	}
 	return nil, nil
@@ -659,9 +600,9 @@ func (o *optimizer) sink(s selInfo, target Node) (Node, Node) {
 // it directly above target.
 func (o *optimizer) sinkOrWrap(s selInfo, target Node) (Node, Node) {
 	if nb, sel := o.sink(s, target); nb != nil {
-		return o.intern(nb), sel
+		return nb, sel
 	}
-	sel := o.intern(o.rebuildSel(s, target))
+	sel := o.rebuildSel(s, target)
 	return sel, sel
 }
 
@@ -675,35 +616,23 @@ func (o *optimizer) rebuildSel(s selInfo, parent Node) Node {
 		if t.parent == parent {
 			return t
 		}
-		return newCompareNode(parent, t.cmp)
+		return newCompareNode(o.env, parent, t.cmp)
 	case *funcNode:
 		if t.parent == parent {
 			return t
 		}
-		return newFuncNode(parent, t.fname, t.args)
+		return newFuncNode(o.env, parent, t.fname, t.args)
 	case *constraintNode:
 		if t.parent == parent {
 			return t
 		}
 		all := t.applied()
 		for i, k := range t.cons {
-			parent = newConstraintNode(parent, k, all[:len(t.prior)+i])
+			parent = newConstraintNode(o.env, parent, k, all[:len(t.prior)+i])
 		}
 		return parent
 	}
 	return s.node
-}
-
-// intern canonicalizes a node through the CSE table (no-op without one).
-func (o *optimizer) intern(n Node) Node {
-	if o.canon == nil {
-		return n
-	}
-	m := o.canon.intern(n)
-	if m != n {
-		o.info.CSEShared++
-	}
-	return m
 }
 
 // rows estimates a node's output row count. With useObs, observed
@@ -719,7 +648,7 @@ func (o *optimizer) rows(n Node, useObs bool) float64 {
 	}
 	var r float64
 	if useObs {
-		if obs, ok := o.coster.ObservedRows(n.sigHash(), n.Signature()); ok {
+		if obs, ok := o.coster.ObservedRows(n.ID()); ok {
 			memo[n] = float64(obs)
 			return float64(obs)
 		}
@@ -811,15 +740,13 @@ func (o *optimizer) cost(n Node) float64 {
 }
 
 // estimateTree fills OptInfo.Est for every node of the final plan.
-func (o *optimizer) estimateTree(n Node, seen map[uint64]bool) {
-	h := n.sigHash()
-	if seen[h] {
+func (o *optimizer) estimateTree(n Node) {
+	if _, seen := o.info.Est[n.ID()]; seen {
 		return
 	}
-	seen[h] = true
-	o.info.Est[h] = NodeEstimate{Rows: int64(o.rows(n, true)), CostNs: o.cost(n)}
+	o.info.Est[n.ID()] = NodeEstimate{Rows: int64(o.rows(n, true)), CostNs: o.cost(n)}
 	for _, c := range n.Children() {
-		o.estimateTree(c, seen)
+		o.estimateTree(c)
 	}
 }
 

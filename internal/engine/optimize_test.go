@@ -234,30 +234,56 @@ func TestOptimizerIdempotent(t *testing.T) {
 	}
 }
 
-// TestOptimizerCSE: two plans optimized against one CanonTable share
-// their structurally identical subtrees by pointer.
+// TestOptimizerCSE: equal subplans are one node across two compiles and
+// across their rewrites, and a refined program's plan shares with the
+// base plan everything the refinement left alone.
 func TestOptimizerCSE(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	env := buildOptEnv(r, 6)
-	canon := NewCanonTable()
-	p1, err := Compile(alog.MustParse(fusionDefeatSrc), env)
-	if err != nil {
+	compile := func(prog *alog.Program) *Plan {
+		p, err := Compile(prog, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	prog := alog.MustParse(fusionDefeatSrc)
+	p1, p2 := compile(prog), compile(alog.MustParse(fusionDefeatSrc))
+	if p1.Root != p2.Root {
+		t.Fatal("separate compilations of one program built separate roots")
+	}
+	o1, o2 := OptimizePlan(p1, env, OptOptions{}), OptimizePlan(p2, env, OptOptions{})
+	if o1.Root != o2.Root || o1.Root == p1.Root {
+		t.Fatal("the rewrites of one plan should be one root, and not the unrewritten one")
+	}
+	next := prog.Clone()
+	if err := next.AddConstraint(alog.AttrRef{Pred: "e1", Var: "s"}, "italic-font", "no"); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Compile(alog.MustParse(fusionDefeatSrc), env)
-	if err != nil {
-		t.Fatal(err)
+	mine := map[Node]bool{}
+	var collect func(n Node)
+	collect = func(n Node) {
+		mine[n] = true
+		for _, c := range n.Children() {
+			collect(c)
+		}
 	}
-	if p1.Root == p2.Root {
-		t.Fatal("separate compilations should build separate nodes")
+	collect(o1.Root)
+	shared, fresh := 0, 0
+	var count func(n Node)
+	count = func(n Node) {
+		if mine[n] {
+			shared++
+			return
+		}
+		fresh++
+		for _, c := range n.Children() {
+			count(c)
+		}
 	}
-	o1 := OptimizePlan(p1, env, OptOptions{Canon: canon})
-	o2 := OptimizePlan(p2, env, OptOptions{Canon: canon})
-	if o1.Root != o2.Root {
-		t.Fatalf("identical plans should intern to one canonical root")
-	}
-	if o2.Opt.CSEShared == 0 {
-		t.Fatal("second optimization should report shared subplans")
+	count(OptimizePlan(compile(next), env, OptOptions{}).Root)
+	if shared == 0 || fresh == 0 || fresh >= CountNodes(o1.Root) {
+		t.Fatalf("refined plan: %d subtrees shared with the base plan, %d nodes new of %d", shared, fresh, CountNodes(o1.Root))
 	}
 }
 

@@ -14,15 +14,13 @@ import (
 // panicNode panics on its first evaluation and succeeds afterwards; the
 // channels let the test interleave a concurrent waiter with the panic.
 type panicNode struct {
+	ident
 	calls   atomic.Int32
 	started chan struct{}
 	release chan struct{}
 }
 
-func (n *panicNode) Signature() string { return "panicNode" }
-func (n *panicNode) sigHash() uint64   { return fnv64("panicNode") }
 func (n *panicNode) Columns() []string { return []string{"x"} }
-func (n *panicNode) Children() []Node  { return nil }
 
 func (n *panicNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
 	if n.calls.Add(1) == 1 {
@@ -42,7 +40,7 @@ func (n *panicNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.
 // retryable rather than poisoned.
 func TestEvalPanicUnblocksWaiters(t *testing.T) {
 	ctx := NewContext(NewEnv())
-	n := &panicNode{started: make(chan struct{}), release: make(chan struct{})}
+	n := &panicNode{ident: ident{id: newNodeID(), head: "panicNode"}, started: make(chan struct{}), release: make(chan struct{})}
 
 	evalPanic := make(chan any, 1)
 	go func() {
@@ -155,12 +153,11 @@ func TestChaosWorkerPanicForwarded(t *testing.T) {
 
 // hookNode runs fn and returns an empty table.
 type hookNode struct {
-	nodeSig
+	ident
 	fn func()
 }
 
 func (n *hookNode) Columns() []string { return []string{"x"} }
-func (n *hookNode) Children() []Node  { return nil }
 func (n *hookNode) eval(*Context, *EvalTrace, *deltaState) (*compact.Table, error) {
 	n.fn()
 	return compact.NewTable("x"), nil
@@ -204,13 +201,13 @@ func TestCoordinatorPanicWaitsForWorkers(t *testing.T) {
 			_ = ctx.parallelChunksSized(2, 1, func(start, end int) error { return nil })
 		}},
 		{"evalPair", func(ctx *Context, r *rig) {
-			left := &hookNode{nodeSig: sigOf("hook-left"), fn: func() { coordinator(r) }}
-			right := &hookNode{nodeSig: sigOf("hook-right"), fn: func() { worker(r) }}
+			left := &hookNode{ident: ident{id: newNodeID(), head: "hook-left"}, fn: func() { coordinator(r) }}
+			right := &hookNode{ident: ident{id: newNodeID(), head: "hook-right"}, fn: func() { worker(r) }}
 			_, _, _ = evalPair(ctx, left, right)
 		}},
 		{"evalAll", func(ctx *Context, r *rig) {
-			first := &hookNode{nodeSig: sigOf("hook-first"), fn: func() { worker(r) }}
-			last := &hookNode{nodeSig: sigOf("hook-last"), fn: func() { coordinator(r) }}
+			first := &hookNode{ident: ident{id: newNodeID(), head: "hook-first"}, fn: func() { worker(r) }}
+			last := &hookNode{ident: ident{id: newNodeID(), head: "hook-last"}, fn: func() { coordinator(r) }}
 			_, _ = evalAll(ctx, []Node{first, last})
 		}},
 	}

@@ -15,21 +15,20 @@ import (
 // Output tuples are maybe when the input tuple represented more than one
 // possible tuple or was itself maybe.
 type procNode struct {
-	nodeSig
+	ident
 	parent  Node
 	pname   string
 	inVar   string
 	outVars []string
 }
 
-func newProcNode(parent Node, pname, inVar string, outVars []string) *procNode {
-	return &procNode{
-		nodeSig: sigOf(fmt.Sprintf("proc[%s(%s->%s)](%s)", pname, inVar, strings.Join(outVars, ","), parent.Signature())),
-		parent:  parent, pname: pname, inVar: inVar, outVars: outVars,
+func newProcNode(env *Env, parent Node, pname, inVar string, outVars []string) *procNode {
+	k := nodeKey{head: "proc[" + pname + "(" + inVar + "->" + strings.Join(outVars, ",") + ")]", l: parent.ID()}
+	if n := env.nodes.get(k); n != nil {
+		return n.(*procNode)
 	}
+	return env.nodes.put(k, &procNode{parent: parent, pname: pname, inVar: inVar, outVars: outVars}, parent).(*procNode)
 }
-
-func (n *procNode) Children() []Node { return []Node{n.parent} }
 
 func (n *procNode) Columns() []string {
 	return append(append([]string(nil), n.parent.Columns()...), n.outVars...)

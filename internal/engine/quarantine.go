@@ -40,8 +40,8 @@ const maxQuarantineRestarts = 100
 
 // quarantineSet is the immutable current quarantine state, swapped
 // atomically so the fault-free fast path is one nil check. suffix is the
-// cache-key component that keeps evaluations over different survivor
-// sets from aliasing.
+// mode-marker component that keeps evaluations over different survivor
+// sets from aliasing (Context.remode).
 type quarantineSet struct {
 	barred  map[string]bool
 	records []compact.QuarantineRecord
@@ -83,7 +83,7 @@ func (ctx *Context) QuarantinedDocs() []string {
 // quarantineDocs adds documents to the quarantine, recording one
 // QuarantineRecord per newly barred document. The set is copy-on-write:
 // readers hold the old pointer safely while the new one (with a rebuilt
-// cache-key suffix) is swapped in.
+// suffix, and the mode it names) is swapped in.
 func (ctx *Context) quarantineDocs(op, cause string, docs []string) {
 	statAdd(&ctx.Stats.QuarantineEvents, 1)
 	ctx.qmu.Lock()
@@ -115,6 +115,7 @@ func (ctx *Context) quarantineDocs(op, cause string, docs []string) {
 	sort.Strings(ids)
 	ns.suffix = "|quarantine:" + strings.Join(ids, ",")
 	ctx.qstate.Store(ns)
+	ctx.remode()
 	atomic.StoreInt64(&ctx.Stats.QuarantinedDocs, int64(len(ns.barred)))
 }
 
@@ -195,8 +196,8 @@ func quarantineErr(op string, n int64) error {
 // evalRetrying evaluates a node through the cache, restarting after
 // quarantine: a pass that faulted returns ErrQuarantined (its output is
 // never cached), the newly barred documents drop out at the scans, and
-// the re-evaluation — under a cache-key marker that now names the
-// survivor set — runs clean. The fixpoint terminates because every
+// the re-evaluation — under a mode that now names the survivor set —
+// runs clean. The fixpoint terminates because every
 // restart bars at least one more document.
 func evalRetrying(ctx *Context, n Node) (*compact.Table, error) {
 	t, err := Eval(ctx, n)
@@ -235,13 +236,4 @@ func tupleDocs(tp compact.Tuple, involved []int) []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// fnv64More continues an FNV-1a hash over more bytes; subsetKey uses it
-// to fold the quarantine suffix into the memoised subset hash.
-func fnv64More(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
-	}
-	return h
 }

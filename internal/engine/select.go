@@ -478,20 +478,20 @@ func applyFilter(ctx *Context, ev *EvalTrace, dx *deltaState, in *compact.Table,
 
 // compareNode is a selection with a comparison condition, e.g. p > 500000.
 type compareNode struct {
-	nodeSig
+	ident
 	parent Node
 	cmp    alog.Compare
 }
 
-func newCompareNode(parent Node, cmp alog.Compare) *compareNode {
-	return &compareNode{
-		nodeSig: sigOf(fmt.Sprintf("select[%s](%s)", cmp, parent.Signature())),
-		parent:  parent, cmp: cmp,
+func newCompareNode(env *Env, parent Node, cmp alog.Compare) *compareNode {
+	k := nodeKey{head: "select[" + cmp.String() + "]", l: parent.ID()}
+	if n := env.nodes.get(k); n != nil {
+		return n.(*compareNode)
 	}
+	return env.nodes.put(k, &compareNode{parent: parent, cmp: cmp}, parent).(*compareNode)
 }
 
 func (n *compareNode) Columns() []string { return n.parent.Columns() }
-func (n *compareNode) Children() []Node  { return []Node{n.parent} }
 
 // constTerm resolves a non-variable comparison term to its operand.
 func constTerm(t alog.Term) operand {
@@ -602,25 +602,25 @@ func compareOperands(op alog.CompareOp, a, b operand) (bool, error) {
 // funcNode is a selection with a boolean p-function condition, e.g.
 // approxMatch(h, s).
 type funcNode struct {
-	nodeSig
+	ident
 	parent Node
 	fname  string
 	args   []alog.Term
 }
 
-func newFuncNode(parent Node, fname string, args []alog.Term) *funcNode {
+func newFuncNode(env *Env, parent Node, fname string, args []alog.Term) *funcNode {
 	strs := make([]string, len(args))
 	for i, a := range args {
 		strs[i] = a.String()
 	}
-	return &funcNode{
-		nodeSig: sigOf(fmt.Sprintf("pfunc[%s(%s)](%s)", fname, strings.Join(strs, ","), parent.Signature())),
-		parent:  parent, fname: fname, args: args,
+	k := nodeKey{head: "pfunc[" + fname + "(" + strings.Join(strs, ",") + ")]", l: parent.ID()}
+	if n := env.nodes.get(k); n != nil {
+		return n.(*funcNode)
 	}
+	return env.nodes.put(k, &funcNode{parent: parent, fname: fname, args: args}, parent).(*funcNode)
 }
 
 func (n *funcNode) Columns() []string { return n.parent.Columns() }
-func (n *funcNode) Children() []Node  { return []Node{n.parent} }
 
 func (n *funcNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
 	fn, ok := ctx.Env.Funcs[n.fname]

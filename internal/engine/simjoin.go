@@ -26,7 +26,7 @@ import (
 // Func. Pairs whose join cells are too large to enumerate are kept
 // conservatively, exactly like crossNode + funcNode would.
 type simJoinNode struct {
-	nodeSig
+	ident
 	left, right Node
 	fname       string
 	leftVar     string
@@ -34,15 +34,17 @@ type simJoinNode struct {
 	cols        []string
 }
 
-func newSimJoinNode(left, right Node, fname, leftVar, rightVar string) *simJoinNode {
+func newSimJoinNode(env *Env, left, right Node, fname, leftVar, rightVar string) *simJoinNode {
+	k := nodeKey{head: "simjoin[" + fname + "(" + leftVar + "," + rightVar + ")]", l: left.ID(), r: right.ID()}
+	if n := env.nodes.get(k); n != nil {
+		return n.(*simJoinNode)
+	}
 	n := &simJoinNode{left: left, right: right, fname: fname, leftVar: leftVar, rightVar: rightVar}
 	n.cols = append(append([]string(nil), left.Columns()...), right.Columns()...)
-	n.nodeSig = sigOf(fmt.Sprintf("simjoin[%s(%s,%s)](%s)(%s)", fname, leftVar, rightVar, left.Signature(), right.Signature()))
-	return n
+	return env.nodes.put(k, n, left, right).(*simJoinNode)
 }
 
 func (n *simJoinNode) Columns() []string { return n.cols }
-func (n *simJoinNode) Children() []Node  { return []Node{n.left, n.right} }
 
 // wholeDocExact reports whether the cell is a single exact assignment
 // covering an entire document, returning that document. Those cells —
@@ -305,22 +307,20 @@ func rarityRank(v *similarity.Vocab, byToken map[uint32][]int) map[uint32]uint32
 }
 
 // rightIndex builds (or fetches from the context cache) the blocking index
-// of the join's right side. The cache entry is keyed by the subset and the
-// right child's signature plus the join variable (and whether the index
+// of the join's right side. The cache entry is keyed by the mode and the
+// right child's identity plus the join variable (and whether the index
 // carries token records), so an index is shared only with executions that
 // see the identical table; it lives in the same LRU as the result tables
 // and counts against CacheBudget. Concurrent builders may race to
 // construct the same index; the build is deterministic, so whichever lands
 // in the cache is interchangeable.
 func (n *simJoinNode) rightIndex(ctx *Context, ev *EvalTrace, sim *tokenSim, rt *compact.Table, ri int, all []int) (*blockIndex, error) {
-	subsetHash, marker := ctx.subsetKey()
-	key := entryKey{subset: subsetHash, sig: n.right.sigHash(), aux: n.rightVar}
+	key := entryKey{mode: ctx.mode.Load(), node: n.right.ID(), aux: n.rightVar}
 	if sim != nil {
 		key.aux = "~" + n.rightVar
 	}
-	sig := n.right.Signature()
 	ctx.mu.Lock()
-	if e := ctx.lookupLocked(key, marker, sig); e != nil && e.idx != nil {
+	if e := ctx.lookupLocked(key); e != nil && e.idx != nil {
 		ctx.touchLocked(e)
 		ctx.mu.Unlock()
 		return e.idx, nil
@@ -331,11 +331,11 @@ func (n *simJoinNode) rightIndex(ctx *Context, ev *EvalTrace, sim *tokenSim, rt 
 		return nil, err
 	}
 	ctx.mu.Lock()
-	if e := ctx.lookupLocked(key, marker, sig); e != nil && e.idx != nil {
+	if e := ctx.lookupLocked(key); e != nil && e.idx != nil {
 		idx = e.idx
 		ctx.touchLocked(e)
 	} else {
-		ctx.storeLocked(&cacheEntry{key: key, marker: marker, sig: sig, idx: idx, bytes: idx.memBytes()})
+		ctx.storeLocked(&cacheEntry{key: key, idx: idx, bytes: idx.memBytes()})
 	}
 	ctx.mu.Unlock()
 	return idx, nil

@@ -11,12 +11,14 @@ import (
 // on a Context (StartTrace, or implicitly by Explain), every Eval call
 // publishes one TraceRecord onto a lock-free list: records are fully
 // built before a CAS push, so concurrent readers never observe partial
-// writes and tracing adds no lock contention to evaluation. Snapshots
-// merge the list into per-operator aggregates keyed and sorted by cache
-// key; the aggregate counts (evaluations, hits, output sizes, limit
-// fallbacks) are identical at any worker count — the same determinism
-// guarantee the evaluator itself makes — while wall times and worker
-// attribution naturally vary run to run.
+// writes and tracing adds no lock contention to evaluation. Signatures and
+// key strings are rendered for the records only — an untraced evaluation
+// formats nothing. Snapshots merge the list into per-operator aggregates
+// keyed by cache key and sorted by its rendering; the aggregate counts
+// (evaluations, hits, output sizes, limit fallbacks) are identical at any
+// worker count — the same determinism guarantee the evaluator itself
+// makes — while wall times and worker attribution naturally vary run to
+// run.
 
 // CacheStatus classifies how one Eval call was satisfied.
 type CacheStatus int
@@ -191,7 +193,8 @@ func (ev *EvalTrace) fallback(ctx *Context, n int) {
 type TraceRecord struct {
 	Op        string
 	Signature string
-	Key       string // cache key: subset marker + signature
+	Key       string // cache key rendered: mode marker + signature
+	key       entryKey
 	Status    CacheStatus
 	// Wall, output sizes, and Fallbacks are recorded only on the
 	// evaluating (StatusMiss) call; hits and waits carry the key alone.
@@ -236,6 +239,13 @@ type tracer struct {
 	head atomic.Pointer[traceNode]
 }
 
+// note records a call that evaluated nothing: a hit or a wait.
+func (t *tracer) note(ctx *Context, n Node, key entryKey, status CacheStatus) {
+	if t != nil {
+		t.push(TraceRecord{Op: opName(n), Signature: n.Signature(), Key: ctx.cacheKey(key.mode, n), key: key, Status: status})
+	}
+}
+
 func (t *tracer) push(rec TraceRecord) {
 	if t == nil {
 		return
@@ -266,6 +276,7 @@ func (ctx *Context) Tracing() bool { return ctx.trace.Load() != nil }
 // same subtree stay separate).
 type OpStats struct {
 	Key         string
+	key         entryKey
 	Op          string
 	Signature   string
 	Evals       int64         // calls that computed the node
@@ -299,13 +310,13 @@ func (ctx *Context) TraceOps() []OpStats {
 	if t == nil {
 		return nil
 	}
-	byKey := map[string]*OpStats{}
+	byKey := map[entryKey]*OpStats{}
 	for node := t.head.Load(); node != nil; node = node.next {
 		r := &node.rec
-		o := byKey[r.Key]
+		o := byKey[r.key]
 		if o == nil {
-			o = &OpStats{Key: r.Key, Op: r.Op, Signature: r.Signature}
-			byKey[r.Key] = o
+			o = &OpStats{Key: r.Key, key: r.key, Op: r.Op, Signature: r.Signature}
+			byKey[r.key] = o
 		}
 		switch r.Status {
 		case StatusMiss:
@@ -330,15 +341,11 @@ func (ctx *Context) TraceOps() []OpStats {
 			o.Waits++
 		}
 	}
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
+	out := make([]OpStats, 0, len(byKey))
+	for _, o := range byKey {
+		out = append(out, *o)
 	}
-	sort.Strings(keys)
-	out := make([]OpStats, len(keys))
-	for i, k := range keys {
-		out[i] = *byKey[k]
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 

@@ -190,8 +190,7 @@ func TestConcurrentExplainAndEval(t *testing.T) {
 	}
 }
 
-// benchSubset builds a DocFilter with n entries, the shape that made the
-// per-Eval subset-marker sort expensive.
+// benchSubset builds a subset filter with n entries.
 func benchSubset(n int) map[string]bool {
 	f := make(map[string]bool, n)
 	for i := 0; i < n; i++ {
@@ -200,48 +199,48 @@ func benchSubset(n int) map[string]bool {
 	return f
 }
 
-// BenchmarkCacheKeySubsetMemoised measures cacheKey with the marker
-// precomputed by SetDocFilter (the session execution path).
-func BenchmarkCacheKeySubsetMemoised(b *testing.B) {
+// TestModeInternedByContents: a mode is its marker's contents, whichever
+// map object named the subset; SetDocFilter(nil) restores the full mode;
+// quarantine moves the mode and a release of every barred page moves it
+// back; and the mode switched away from is remembered only when the
+// switch changed the mode.
+func TestModeInternedByContents(t *testing.T) {
 	ctx := NewContext(NewEnv())
-	ctx.SetDocFilter(benchSubset(500))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx.cacheKey("scan(pages->x)")
+	if ctx.mode.Load() != fullMode || ctx.prevMode != 0 {
+		t.Fatalf("fresh context in mode %d after %d", ctx.mode.Load(), ctx.prevMode)
 	}
-}
-
-// BenchmarkCacheKeySubsetUnmemoised measures the fallback path taken when
-// DocFilter is assigned directly — the pre-memoisation per-Eval cost.
-func BenchmarkCacheKeySubsetUnmemoised(b *testing.B) {
-	ctx := NewContext(NewEnv())
-	ctx.DocFilter = benchSubset(500)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx.cacheKey("scan(pages->x)")
+	ctx.SetDocFilter(benchSubset(5))
+	five := ctx.mode.Load()
+	if five == fullMode || ctx.prevMode != fullMode {
+		t.Fatalf("subset mode %d after %d", five, ctx.prevMode)
 	}
-}
-
-// TestCacheKeyMemoisedMatchesUnmemoised pins the two paths to the same
-// key, and checks SetDocFilter(nil) restores full-mode keys.
-func TestCacheKeyMemoisedMatchesUnmemoised(t *testing.T) {
-	filter := benchSubset(5)
-	memo := NewContext(NewEnv())
-	memo.SetDocFilter(filter)
-	direct := NewContext(NewEnv())
-	direct.DocFilter = filter
-	if got, want := memo.cacheKey("sig"), direct.cacheKey("sig"); got != want {
-		t.Errorf("memoised key %q != direct key %q", got, want)
+	withFalse := benchSubset(5)
+	withFalse["doc-9999"] = false
+	ctx.SetDocFilter(withFalse)
+	if ctx.mode.Load() != five || ctx.prevMode != fullMode {
+		t.Fatalf("an equal subset in another map is mode %d after %d, want %d after %d", ctx.mode.Load(), ctx.prevMode, five, fullMode)
 	}
-	memo.SetDocFilter(nil)
-	if got := memo.cacheKey("sig"); got != "full|sig" {
-		t.Errorf("after SetDocFilter(nil): %q", got)
+	ctx.SetDocFilter(benchSubset(2))
+	if two := ctx.mode.Load(); two == five || two == fullMode || ctx.prevMode != five {
+		t.Fatalf("a different subset is mode %d after %d", two, ctx.prevMode)
 	}
-	// Re-assigning a different map directly must not reuse the stale marker.
-	memo.SetDocFilter(filter)
-	memo.DocFilter = benchSubset(2)
-	if got, want := memo.cacheKey("sig"), subsetMarkerFor(memo.DocFilter)+"|sig"; got != want {
-		t.Errorf("stale marker used: got %q, want %q", got, want)
+	ctx.SetDocFilter(nil)
+	scan := newScanNode(ctx.Env, "pages", []string{"x"})
+	if got := ctx.cacheKey(ctx.mode.Load(), scan); ctx.mode.Load() != fullMode || got != "full|scan(pages->x)" {
+		t.Errorf("after SetDocFilter(nil): mode %d, key %q", ctx.mode.Load(), got)
+	}
+	ctx.quarantineDocs("pfunc", "boom", []string{"doc-0001"})
+	barred := ctx.mode.Load()
+	if got := ctx.cacheKey(barred, scan); barred == fullMode || got != "full|quarantine:doc-0001|scan(pages->x)" {
+		t.Errorf("quarantined: mode %d, key %q", barred, got)
+	}
+	ctx.releaseQuarantined(map[string]bool{"doc-0001": true})
+	if ctx.mode.Load() != fullMode {
+		t.Errorf("after release: mode %d", ctx.mode.Load())
+	}
+	ctx.SetDocFilter(benchSubset(5))
+	if ctx.mode.Load() != five {
+		t.Errorf("the subset came back as mode %d, was %d", ctx.mode.Load(), five)
 	}
 }
 
