@@ -75,10 +75,17 @@ bench-layers:
 
 # The two line counts ROADMAP.md gates on, with exactly its command:
 # non-test Go outside benchmark/, in total and in internal/engine. CI's
-# verify job prints them last, so every PR's log carries them.
+# verify job runs it last, so every PR's log carries them, and it fails
+# when either count exceeds its budget in .github/loc-budget ("total N" and
+# "internal/engine N"). A PR that shrinks the tree lowers the budget to its
+# own counts; one that needs more room has to say so by raising it.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs wc -l | \
-		awk '$$2 ~ /^\.\/internal\/engine\// { e += $$1 } $$2 == "total" { t += $$1 } END { print "non-test Go lines outside benchmark/: " t; print "of which internal/engine: " e }'
+		awk 'NR == FNR { budget[$$1] = $$2; next } \
+			$$2 ~ /^\.\/internal\/engine\// { e += $$1 } $$2 == "total" { t += $$1 } \
+			END { print "non-test Go lines outside benchmark/: " t " (budget " budget["total"] ")"; \
+				print "of which internal/engine: " e " (budget " budget["internal/engine"] ")"; \
+				exit !(t <= budget["total"] && e <= budget["internal/engine"]) }' .github/loc-budget -
 
 # Regenerate the deterministic counters CI holds the two library workloads
 # to (feature_calls_per_round equal, tuples_built_per_round not higher),

@@ -43,7 +43,7 @@ import (
 	"strings"
 
 	"iflex"
-	"iflex/internal/engine/opt"
+	"iflex/internal/engine"
 	"iflex/internal/prof"
 )
 
@@ -151,7 +151,7 @@ func run() (degraded bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		plan = opt.Optimize(plan, env, opt.NewModel())
+		plan = engine.OptimizePlan(plan, env, engine.OptOptions{})
 		ctx := iflex.NewContext(env)
 		ctx.Workers = *workers
 		if *explain {

@@ -1,6 +1,6 @@
 package assistant_test
 
-// Differential suite for the cost-based plan optimizer through the full
+// Differential suite for the plan optimizer through the full
 // session loop: optimizer on versus off over the T1–T9 question space
 // must leave transcripts and final tables byte-identical — at Workers 1
 // and 8, delta reuse on and off, and under the fault injector (plan
@@ -13,6 +13,7 @@ import (
 	"iflex/internal/alog"
 	"iflex/internal/assistant"
 	"iflex/internal/corpus"
+	"iflex/internal/engine"
 	"iflex/internal/fault"
 	"iflex/internal/store"
 	"iflex/internal/text"
@@ -68,6 +69,41 @@ func TestOptimizerSessionDifferential(t *testing.T) {
 				if table != baseTable {
 					t.Errorf("workers=%d delta=%v: optimized final table differs from unoptimized baseline",
 						arm.workers, arm.delta)
+				}
+			}
+		})
+	}
+}
+
+// TestOptimizerIdentityOnTasks: on every task program, as written and
+// carrying every constraint a fully answered session adds, no rule has
+// anything to do — the optimizer hands back the root it was given. That is
+// why no transcript, table or benchmark counter of a task session can
+// depend on the optimizer.
+func TestOptimizerIdentityOnTasks(t *testing.T) {
+	for _, task := range append(corpus.Tasks(), corpus.DBLifeTasks()...) {
+		task := task
+		t.Run(task.ID, func(t *testing.T) {
+			t.Parallel()
+			env := task.Env(task.Generate(24, 1))
+			// A window no session reaches: every question gets asked.
+			sess := assistant.NewSession(env, alog.MustParse(task.Program), task.Oracle(),
+				assistant.Config{Strategy: assistant.Sequential{}, Workers: 1, ConvergenceWindow: 50})
+			if _, err := sess.Run(); err != nil {
+				t.Fatal(err)
+			}
+			written, refined := alog.MustParse(task.Program), sess.Program()
+			if refined.String() == written.String() {
+				t.Fatal("the session added no constraint")
+			}
+			for name, prog := range map[string]*alog.Program{"as written": written, "refined": refined} {
+				plan, err := engine.Compile(prog, env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt := engine.OptimizePlan(plan, env, engine.OptOptions{})
+				if opt.Root != plan.Root || len(opt.Opt.Fired) != 0 {
+					t.Errorf("%s: the optimizer rewrote the plan: %+v\n%s", name, opt.Opt.Fired, opt)
 				}
 			}
 		})

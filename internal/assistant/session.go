@@ -11,7 +11,6 @@ import (
 	"iflex/internal/alog"
 	"iflex/internal/compact"
 	"iflex/internal/engine"
-	"iflex/internal/engine/opt"
 	"iflex/internal/store"
 )
 
@@ -62,9 +61,9 @@ type Config struct {
 	// directory is cleaned up when the session's Close runs.
 	SpillDir string
 	// noDeltaReuse and noOptimizer switch off incremental (delta) evaluation
-	// and the cost-based plan optimizer. Results are byte-identical either
-	// way, which is the only reason they exist: the differential suites run
-	// every session with and without each (export_test.go) and compare.
+	// and the plan optimizer. Results are byte-identical either way, which
+	// is the only reason they exist: the differential suites run every
+	// session with and without each (export_test.go) and compare.
 	noDeltaReuse, noOptimizer bool
 	// Deadline bounds execution in wall-clock time (0 = no deadline).
 	// Run binds it once over the whole session loop: on expiry the session
@@ -205,11 +204,6 @@ type Session struct {
 	// spill owns the on-disk demotion files under Config.SpillDir; Close
 	// deletes them.
 	spill *store.Spill
-
-	// costModel drives the plan optimizer (nil only under the optimizer-off
-	// test oracle): it refines reported cost estimates from the session's
-	// own execution statistics.
-	costModel *opt.Model
 }
 
 // NewSession prepares a session; the program is cloned so the caller's
@@ -244,9 +238,6 @@ func NewSession(env *engine.Env, prog *alog.Program, oracle Oracle, cfg Config) 
 	if !cfg.noDeltaReuse {
 		s.ctx.EnableDelta()
 	}
-	if !cfg.noOptimizer {
-		s.costModel = opt.NewModel()
-	}
 	if cfg.Trace {
 		s.ctx.StartTrace()
 	}
@@ -264,16 +255,15 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// optimize runs the cost-based rewrite pass over a freshly compiled plan.
-// Rewrite decisions are deterministic — purely structural plus static
-// cardinalities — so the base plan and every trial plan of an iteration
-// rewrite in lockstep and delta links between successive optimized plans
-// line up exactly as they do for unoptimized ones.
+// optimize runs the rewrite pass over a freshly compiled plan. Rewrite
+// decisions are purely structural, so the base plan and every trial plan
+// of an iteration rewrite in lockstep and delta links between successive
+// optimized plans line up exactly as they do for unoptimized ones.
 func (s *Session) optimize(plan *engine.Plan) *engine.Plan {
-	if s.costModel == nil {
+	if s.Config.noOptimizer {
 		return plan
 	}
-	return opt.Optimize(plan, s.Env, s.costModel)
+	return engine.OptimizePlan(plan, s.Env, engine.OptOptions{})
 }
 
 // sampleSubset draws a deterministic sample of document IDs across all
@@ -376,15 +366,6 @@ func (s *Session) execute(onSubset bool) (*compact.Table, int, error) {
 	assigns, err := engine.SumAssignments(s.ctx, plan.Root)
 	if err != nil {
 		return nil, 0, err
-	}
-	// Refine the cost model from this execution: observed per-node
-	// cardinalities and per-operator timings. Adopted here — before any
-	// of this iteration's trials is optimized — every trial reads one
-	// frozen, scheduling-independent snapshot; and refinement only
-	// touches reported estimates, never rewrite decisions.
-	if s.costModel != nil {
-		s.costModel.AdoptRows(s.ctx.ObservedRows())
-		s.costModel.RefineFromSnapshot(s.ctx.Stats.Snapshot())
 	}
 	return table, assigns, nil
 }

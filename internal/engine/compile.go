@@ -54,8 +54,8 @@ func (p *Plan) ExecuteContext(c context.Context, ctx *Context) (*compact.Table, 
 }
 
 // Explain renders the plan's EXPLAIN ANALYZE tree (see engine.Explain),
-// annotated with the optimizer's decisions and cost estimates when the
-// plan went through OptimizePlan.
+// annotated with the optimizer's decisions when the plan went through
+// OptimizePlan.
 func (p *Plan) Explain(ctx *Context) (string, error) {
 	return explainTree(ctx, p.Root, p.Opt)
 }
@@ -88,14 +88,14 @@ func Compile(prog *alog.Program, env *Env) (*Plan, error) {
 	return &Plan{Root: root, Program: unfolded}, nil
 }
 
-// Run compiles and executes a program in a fresh context; the convenience
-// entry point for one-shot evaluation.
+// Run compiles, optimizes and executes a program in a fresh context; the
+// convenience entry point for one-shot evaluation.
 func Run(prog *alog.Program, env *Env) (*compact.Table, error) {
 	plan, err := Compile(prog, env)
 	if err != nil {
 		return nil, err
 	}
-	return plan.Execute(NewContext(env))
+	return OptimizePlan(plan, env, OptOptions{}).Execute(NewContext(env))
 }
 
 type compiler struct {

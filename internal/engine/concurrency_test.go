@@ -85,7 +85,7 @@ func TestParallelChunksDeterministicError(t *testing.T) {
 	ctx := NewContext(NewEnv())
 	ctx.Workers = 8
 	for trial := 0; trial < 50; trial++ {
-		err := ctx.parallelChunks(100, func(start, end int) error {
+		err := ctx.parallelChunksSized(100, 1, func(start, end int) error {
 			// Every index from 10 on fails; index 10 falls in chunk 0, so
 			// the lowest-chunk-wins rule must always report chunk 0's
 			// error even when later chunks fail first in wall-clock time.

@@ -17,7 +17,6 @@ package engine
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -280,7 +279,7 @@ type Context struct {
 	Stats Stats
 
 	// mu guards cache, the LRU list, cacheBytes, inflight, deltaPrev,
-	// obsRows, stageAsg and modes.
+	// stageAsg and modes.
 	mu sync.Mutex
 	// cache memoises node results (and blocking indexes).
 	cache map[entryKey]*cacheEntry
@@ -296,15 +295,11 @@ type Context struct {
 	// deltaPrev maps current-plan nodes to their predecessors in the
 	// previous plan version (RegisterDelta).
 	deltaPrev map[NodeID]deltaLink
-	// obsRows records the observed output cardinality of every cleanly
-	// evaluated node — the optimizer's cost model adopts a snapshot of it
-	// to refine reported estimates.
-	obsRows map[NodeID]int64
 	// stageAsg records, per cache key of a constraint run with more than
 	// one stage, the assignments of the stage tables the run did not build
-	// (SumAssignments). Like obsRows it is not part of the cache: it
-	// survives eviction, spill resurrection and the adoption of a shorter
-	// run's table.
+	// (SumAssignments). It is not part of the cache: it survives
+	// eviction, spill resurrection and the adoption of a shorter run's
+	// table.
 	stageAsg map[entryKey]int64
 	// extraWorkers counts pool slots handed out beyond the caller's own
 	// goroutine; see parallel.go.
@@ -617,7 +612,6 @@ func NewContext(env *Env) *Context {
 		cache:     map[entryKey]*cacheEntry{},
 		inflight:  map[entryKey]*inflightEval{},
 		deltaPrev: map[NodeID]deltaLink{},
-		obsRows:   map[NodeID]int64{},
 		stageAsg:  map[entryKey]int64{},
 		modes:     []string{"", "full"},
 	}
@@ -784,16 +778,6 @@ func (ctx *Context) CacheInfo() (bytes int64, entries int) {
 	ctx.mu.Lock()
 	defer ctx.mu.Unlock()
 	return ctx.cacheBytes, len(ctx.cache)
-}
-
-// ObservedRows snapshots the per-node output cardinalities observed so
-// far. Sessions adopt one snapshot per iteration into the optimizer's cost
-// model, so every trial plan of the iteration reads identical, frozen
-// statistics regardless of worker scheduling.
-func (ctx *Context) ObservedRows() map[NodeID]int64 {
-	ctx.mu.Lock()
-	defer ctx.mu.Unlock()
-	return maps.Clone(ctx.obsRows)
 }
 
 // Node is one operator of a compiled plan. Nodes are immutable after
@@ -977,7 +961,6 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 			c.table = t
 			ctx.mu.Lock()
 			if !ctx.cancelFired() {
-				ctx.obsRows[key.node] = int64(len(t.Tuples))
 				ctx.storeLocked(&cacheEntry{key: key, node: n, table: t, bytes: t.MemBytes()})
 			}
 			delete(ctx.inflight, key)
@@ -1031,11 +1014,6 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 	if err == nil {
 		statAdd(&ctx.Stats.TuplesBuilt, len(t.Tuples))
 		if !ctx.cancelFired() {
-			// Record the observed output cardinality for the optimizer's
-			// cost model (reported estimates only — never rewrite
-			// decisions, so partial best-effort results are simply skipped
-			// along with caching).
-			ctx.obsRows[key.node] = int64(len(t.Tuples))
 			if ev.stages > 1 {
 				ctx.stageAsg[key] = ev.stageAsg
 			}

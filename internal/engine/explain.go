@@ -98,10 +98,8 @@ func Explain(ctx *Context, root Node) (string, error) {
 }
 
 // explainTree is Explain plus optimizer annotations: when opt is non-nil
-// each operator line carries the cost model's estimate (est=~cost/rows)
-// next to the measured actuals, lines rewritten by a rule are tagged
-// with the rule name, and a footer lists every rule firing with its
-// estimated cost before and after the rewrite.
+// lines rewritten by a rule are tagged with the rule name and a footer
+// lists every rule firing.
 func explainTree(ctx *Context, root Node, opt *OptInfo) (string, error) {
 	if !ctx.Tracing() {
 		ctx.StartTrace()
@@ -176,13 +174,8 @@ func explainTree(ctx *Context, root Node, opt *OptInfo) (string, error) {
 				extra += fmt.Sprintf(" resumed=%d", o.ResumedFrom)
 			}
 		}
-		if opt != nil {
-			if est, ok := opt.Est[n.ID()]; ok {
-				extra += " est=" + est.EstimateString()
-			}
-			for _, r := range opt.rulesFor(n.ID()) {
-				extra += " «" + r + "»"
-			}
+		for _, r := range opt.rulesFor(n.ID()) {
+			extra += " «" + r + "»"
 		}
 		sig := n.Signature()
 		if len(sig) > 44 {
@@ -204,9 +197,7 @@ func explainTree(ctx *Context, root Node, opt *OptInfo) (string, error) {
 	if opt != nil {
 		fmt.Fprintf(&b, "optimizer: %s\n", opt.Summary())
 		for _, f := range opt.Fired {
-			fmt.Fprintf(&b, "  %s @ %s: est %s → %s — %s\n", f.Rule, f.Node,
-				time.Duration(f.EstBeforeNs).Round(time.Microsecond),
-				time.Duration(f.EstAfterNs).Round(time.Microsecond), f.Detail)
+			fmt.Fprintf(&b, "  %s @ %s — %s\n", f.Rule, f.Node, f.Detail)
 		}
 	}
 	// Hot-path footer: feature-memo effectiveness and what the batched
@@ -280,34 +271,6 @@ func explainTree(ctx *Context, root Node, opt *OptInfo) (string, error) {
 	}
 	if rep := ctx.DegradedReport(); rep != nil && rep.DeadlineExpired {
 		fmt.Fprintf(&b, "degraded: %s\n", rep.Summary())
-	}
-	return b.String(), nil
-}
-
-// AnalyzeString renders the plan with per-operator result sizes (tuples,
-// expanded tuples, assignments) — an EXPLAIN ANALYZE for approximate
-// plans. Nodes are evaluated through the context cache, so calling this
-// after Execute costs no recomputation.
-func AnalyzeString(ctx *Context, root Node) (string, error) {
-	var b strings.Builder
-	var walk func(n Node, depth int) error
-	walk = func(n Node, depth int) error {
-		t, err := Eval(ctx, n)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(&b, "%s%-40s %6d tuples %8d expanded %8d assigns\n",
-			strings.Repeat("  ", depth), opName(n), len(t.Tuples),
-			t.NumExpandedTuples(), t.NumAssignments())
-		for _, c := range n.Children() {
-			if err := walk(c, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(root, 0); err != nil {
-		return "", err
 	}
 	return b.String(), nil
 }

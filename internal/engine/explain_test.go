@@ -127,21 +127,3 @@ func TestCountNodes(t *testing.T) {
 		t.Errorf("plan suspiciously small: %d nodes", n)
 	}
 }
-
-func TestAnalyzeString(t *testing.T) {
-	env := figure2Env()
-	plan, err := Compile(alog.MustParse(figure2Src), env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := NewContext(env)
-	out, err := AnalyzeString(ctx, plan.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"scan housePages", "tuples", "expanded", "assigns"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("analyze output missing %q:\n%s", want, out)
-		}
-	}
-}

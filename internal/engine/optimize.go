@@ -2,14 +2,12 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 
 	"iflex/internal/alog"
 )
 
-// This file is the cost-based plan optimizer: a rewrite pass that runs
+// This file is the plan optimizer: a rewrite pass that runs
 // between Compile and Eval. Every rewrite preserves the result byte for
 // byte — not just set-equal: the compact tables (tuple order, cell
 // replacements, Maybe flags) of an optimized plan are identical to the
@@ -40,130 +38,23 @@ import (
 // each subtree it has in common with the plan it came from, with the
 // session's other trial plans and with earlier iterations' plans.
 //
-// Determinism contract: rewrite DECISIONS depend only on the plan
-// structure and the environment's table sizes (via the static cardinality
-// estimator), never on observed timings or online cardinalities. The
-// Coster's observed statistics refine the cost numbers REPORTED in
-// explain trees and benches; feeding them into decisions would let
-// scheduling noise pick different plans at different worker counts and
-// break the byte-identity guarantees above.
-
-// Coster supplies the cost model: per-operator unit costs and default
-// selectivities (used for both decisions and reporting; the defaults are
-// static) plus observed output cardinalities (reporting only, refined
-// online from prior executions). Implementations must be safe for
-// concurrent use — trial-plan optimization fans out across goroutines.
-type Coster interface {
-	// UnitCost is the estimated cost in nanoseconds per unit of work
-	// (input tuple, or candidate pair for joins) of one operator kind.
-	UnitCost(k OpKind) float64
-	// Selectivity is the default output/input row ratio of one operator
-	// kind (joins: output over the candidate-pair count).
-	Selectivity(k OpKind) float64
-	// ObservedRows returns the observed output row count of a node from a
-	// previous execution, if any. Used for reported estimates only, never
-	// for rewrite decisions.
-	ObservedRows(id NodeID) (int64, bool)
-}
-
-// defaultCoster is the built-in static model used when no Coster is
-// supplied (and the source of the defaults opt.NewModel starts from).
-type defaultCoster struct{}
-
-// DefaultUnitCost returns the built-in per-kind unit cost (ns per unit
-// of work) and DefaultSelectivity the built-in output/input ratio.
-func DefaultUnitCost(k OpKind) float64 {
-	switch k {
-	case OpScan:
-		return 50
-	case OpFrom:
-		return 400
-	case OpCross:
-		return 120
-	case OpSimJoin:
-		return 80
-	case OpUnion:
-		return 20
-	case OpProject:
-		return 60
-	case OpAnnotate:
-		return 60
-	case OpConstraint:
-		return 4000
-	case OpCompare:
-		return 150
-	case OpFunc:
-		return 2500
-	case OpProc:
-		return 5000
-	}
-	return 100
-}
-
-// DefaultSelectivity returns the built-in output/input row ratio per
-// operator kind (joins: matches over candidate pairs).
-func DefaultSelectivity(k OpKind) float64 {
-	switch k {
-	case OpCompare:
-		return 0.4
-	case OpConstraint:
-		return 0.6
-	case OpFunc:
-		return 0.25
-	case OpSimJoin:
-		return 0.02
-	case OpCross:
-		return 0.1 // shared-column (natural join) crosses only
-	case OpFrom:
-		return 2.0 // fan-out, not a filter
-	}
-	return 1.0
-}
-
-func (defaultCoster) UnitCost(k OpKind) float64         { return DefaultUnitCost(k) }
-func (defaultCoster) Selectivity(k OpKind) float64      { return DefaultSelectivity(k) }
-func (defaultCoster) ObservedRows(NodeID) (int64, bool) { return 0, false }
-
-// AllOpKinds lists every operator kind (for cost-model tables).
-func AllOpKinds() []OpKind {
-	ks := make([]OpKind, numOpKinds)
-	for i := range ks {
-		ks[i] = OpKind(i)
-	}
-	return ks
-}
-
-// fuseRowThreshold gates fuse-simjoin on the statically estimated
-// candidate-pair count: below it the cross product is too small for the
-// blocking index to pay for itself either way, and leaving the plan
-// alone keeps it maximally comparable.
-const fuseRowThreshold = 64
+// Determinism contract: every rule fires wherever it is legal, and
+// legality reads the plan's structure only — never table sizes, timings
+// or cardinalities — so a program has one optimized shape at any worker
+// count, execution history or delta setting.
 
 // RuleFiring records one rewrite decision for explain/bench rendering.
 type RuleFiring struct {
 	Rule   string `json:"rule"`   // fuse-simjoin | pushdown | reorder-conjuncts
 	Node   string `json:"node"`   // operator label of the rewritten node
-	ID     NodeID `json:"-"`      // the node the firing attaches to
+	ID     NodeID `json:"-"`      // the node of the final plan the firing attaches to
 	Detail string `json:"detail"` // human-readable what/why
-	// EstBeforeNs / EstAfterNs are the cost model's estimates for the
-	// affected region before and after the rewrite (reporting only).
-	EstBeforeNs float64 `json:"est_before_ns"`
-	EstAfterNs  float64 `json:"est_after_ns"`
-}
-
-// NodeEstimate is the cost model's per-operator estimate for one node of
-// the optimized plan (rendered next to actuals in the explain tree).
-type NodeEstimate struct {
-	Rows   int64
-	CostNs float64
 }
 
 // OptInfo reports what the optimizer did to a plan.
 type OptInfo struct {
 	// Fired lists every rewrite decision in deterministic plan order.
 	Fired []RuleFiring
-	// Est holds the cost model's estimates for the optimized plan's nodes.
-	Est map[NodeID]NodeEstimate
 }
 
 // rulesFor returns the rule labels attached to a node (for explain).
@@ -203,28 +94,9 @@ func (o *OptInfo) Summary() string {
 	return s
 }
 
-// RuleTally returns the fired-rule labels, deduplicated, sorted.
-func (o *OptInfo) RuleTally() []string {
-	if o == nil {
-		return nil
-	}
-	seen := map[string]bool{}
-	var out []string
-	for _, f := range o.Fired {
-		if !seen[f.Rule] {
-			seen[f.Rule] = true
-			out = append(out, f.Rule)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// OptOptions configure an OptimizePlan call.
-type OptOptions struct {
-	// Coster supplies the cost model (nil = built-in defaults).
-	Coster Coster
-}
+// OptOptions is empty: the optimizer has nothing to configure. The
+// parameter stays because benchmark/ names it.
+type OptOptions struct{}
 
 // OptimizePlan rewrites a compiled plan with the semantics-preserving
 // rule catalogue above and returns a new Plan carrying the rewritten
@@ -232,35 +104,17 @@ type OptOptions struct {
 // immutable); unchanged subtrees are the same nodes, so an optimized
 // plan delta-links against an unoptimized predecessor (and vice versa)
 // exactly as well as the overlap of their shapes allows.
-func OptimizePlan(p *Plan, env *Env, opts OptOptions) *Plan {
-	c := opts.Coster
-	if c == nil {
-		c = defaultCoster{}
-	}
-	o := &optimizer{
-		env:     env,
-		coster:  c,
-		info:    &OptInfo{Est: map[NodeID]NodeEstimate{}},
-		done:    map[Node]Node{},
-		rowsEst: map[Node]float64{},
-		rowsObs: map[Node]float64{},
-	}
-	root := o.rewrite(p.Root)
-	o.estimateTree(root)
-	return &Plan{Root: root, Program: p.Program, Opt: o.info}
+func OptimizePlan(p *Plan, env *Env, _ OptOptions) *Plan {
+	o := &optimizer{env: env, info: &OptInfo{}, done: map[Node]Node{}}
+	return &Plan{Root: o.rewrite(p.Root), Program: p.Program, Opt: o.info}
 }
 
 type optimizer struct {
-	env    *Env
-	coster Coster
-	info   *OptInfo
+	env  *Env
+	info *OptInfo
 	// done maps original nodes to their rewritten versions, so a shared
 	// subtree is rewritten once.
 	done map[Node]Node
-	// rowsEst memoises the static cardinality estimate (decisions);
-	// rowsObs the observed-refined one (reporting).
-	rowsEst map[Node]float64
-	rowsObs map[Node]float64
 }
 
 // selInfo is one unary selection of a chain, carried by its original
@@ -430,8 +284,6 @@ func (o *optimizer) rewriteChain(top Node) Node {
 			Rule: "fuse-simjoin", Node: opName(fused), ID: fused.ID(),
 			Detail: fmt.Sprintf("%s(%s,%s) hoisted past %d selection(s) onto %s and fused",
 				fn.fname, lv, rv, i, opName(cross)),
-			EstBeforeNs: o.cost(cross) + o.coster.UnitCost(OpFunc)*o.rows(cross, false),
-			EstAfterNs:  o.cost(fused),
 		})
 		base = fused
 		sels = append(sels[:i], sels[i+1:]...)
@@ -456,9 +308,7 @@ func (o *optimizer) rewriteChain(top Node) Node {
 			if nb, moved := o.sink(s, base); nb != nil {
 				o.info.Fired = append(o.info.Fired, RuleFiring{
 					Rule: "pushdown", Node: opName(moved), ID: moved.ID(),
-					Detail:      fmt.Sprintf("%s sunk below %s", opName(s.node), opName(base)),
-					EstBeforeNs: o.cost(s.node),
-					EstAfterNs:  o.cost(moved),
+					Detail: fmt.Sprintf("%s sunk below %s", opName(s.node), opName(base)),
 				})
 				base = nb
 				changed = true
@@ -488,32 +338,22 @@ func (o *optimizer) rewriteChain(top Node) Node {
 		return top
 	}
 	node := base
-	var beforeCost float64
-	for _, s := range sels {
-		beforeCost += o.cost(s.node)
-	}
 	for _, s := range kept {
 		node = o.rebuildSel(s, node)
 	}
 	if reordered {
-		var afterCost float64
-		for w := node; isSelection(w); w = selParent(w) {
-			afterCost += o.cost(w)
-		}
 		o.info.Fired = append(o.info.Fired, RuleFiring{
 			Rule: "reorder-conjuncts", Node: opName(node), ID: node.ID(),
-			Detail:      fmt.Sprintf("%d conjuncts ordered cheapest-rank-first", len(kept)),
-			EstBeforeNs: beforeCost, EstAfterNs: afterCost,
+			Detail: fmt.Sprintf("%d conjuncts ordered cheapest-rank-first", len(kept)),
 		})
 	}
 	return node
 }
 
 // canFuse reports whether fn can legally fuse with base: base is a
-// shared-free cross with one function variable bound on each side, every
-// selection below fn in the chain is column-disjoint from the function's
-// variables (so hoisting it down commutes byte for byte), and the
-// statically estimated candidate-pair count clears the threshold.
+// shared-free cross with one function variable bound on each side and
+// every selection below fn in the chain is column-disjoint from the
+// function's variables (so hoisting it down commutes byte for byte).
 func (o *optimizer) canFuse(fn *funcNode, base Node, below []selInfo) bool {
 	if !o.env.Blockable[fn.fname] || len(fn.args) != 2 {
 		return false
@@ -538,7 +378,7 @@ func (o *optimizer) canFuse(fn *funcNode, base Node, below []selInfo) bool {
 			return false
 		}
 	}
-	return o.rows(cross.left, false)*o.rows(cross.right, false) >= fuseRowThreshold
+	return true
 }
 
 // orientSim returns the function's variables as (leftVar, rightVar) of
@@ -554,12 +394,27 @@ func orientSim(fn *funcNode, cross *crossNode) (string, string) {
 // sink tries to place a selection below target, descending recursively
 // through joins and column-adding unary operators; it returns the
 // rebuilt target plus the relocated selection node, or (nil, nil) when
-// no legal position strictly below target exists. Projections, unions,
-// and annotations are never crossed: in compiled plans they only occur
+// no legal position strictly below target exists. Firings recorded on
+// target (a fused ⋈~ a selection now sinks into) follow it onto the node
+// that replaces it, so their tags sit on a node of the final plan.
+func (o *optimizer) sink(s selInfo, target Node) (Node, Node) {
+	rebuilt, sel := o.sinkBelow(s, target)
+	if rebuilt != nil {
+		for i := range o.info.Fired {
+			if o.info.Fired[i].ID == target.ID() {
+				o.info.Fired[i].ID = rebuilt.ID()
+			}
+		}
+	}
+	return rebuilt, sel
+}
+
+// sinkBelow is sink's case analysis. Projections, unions, and
+// annotations are never crossed: in compiled plans they only occur
 // at rule-fragment and predicate boundaries, and predicate sub-plans are
 // shared across callers — pushing one caller's selection inside would
 // change the shared intermediate (and the session's convergence signal).
-func (o *optimizer) sink(s selInfo, target Node) (Node, Node) {
+func (o *optimizer) sinkBelow(s selInfo, target Node) (Node, Node) {
 	switch t := target.(type) {
 	case *crossNode:
 		if !disjointStr(s.involved, t.shared) {
@@ -633,125 +488,4 @@ func (o *optimizer) rebuildSel(s selInfo, parent Node) Node {
 		return parent
 	}
 	return s.node
-}
-
-// rows estimates a node's output row count. With useObs, observed
-// cardinalities from previous executions override the static estimate
-// (reporting); without, the estimate is purely structural (decisions).
-func (o *optimizer) rows(n Node, useObs bool) float64 {
-	memo := o.rowsEst
-	if useObs {
-		memo = o.rowsObs
-	}
-	if v, ok := memo[n]; ok {
-		return v
-	}
-	var r float64
-	if useObs {
-		if obs, ok := o.coster.ObservedRows(n.ID()); ok {
-			memo[n] = float64(obs)
-			return float64(obs)
-		}
-	}
-	switch t := n.(type) {
-	case *scanNode:
-		if tab, ok := o.env.Tables[t.pred]; ok {
-			r = float64(len(tab.Tuples))
-		} else {
-			r = 10
-		}
-	case *fromNode:
-		r = o.rows(t.parent, useObs) * o.coster.Selectivity(OpFrom)
-	case *procNode:
-		r = o.rows(t.parent, useObs)
-	case *projectNode:
-		r = o.rows(t.parent, useObs)
-	case *annotateNode:
-		r = o.rows(t.parent, useObs)
-	case *crossNode:
-		r = o.rows(t.left, useObs) * o.rows(t.right, useObs)
-		if len(t.shared) > 0 {
-			r *= o.coster.Selectivity(OpCross)
-		}
-	case *simJoinNode:
-		r = o.rows(t.left, useObs) * o.rows(t.right, useObs) * o.coster.Selectivity(OpSimJoin)
-	case *unionNode:
-		for _, p := range t.parts {
-			r += o.rows(p, useObs)
-		}
-	case *compareNode:
-		r = o.rows(t.parent, useObs) * o.coster.Selectivity(OpCompare)
-	case *constraintNode:
-		r, _ = o.runRows(t, useObs)
-	case *funcNode:
-		r = o.rows(t.parent, useObs) * o.coster.Selectivity(OpFunc)
-	default:
-		r = 10
-	}
-	if r < 1 {
-		r = 1
-	}
-	memo[n] = r
-	return r
-}
-
-// runRows estimates a constraint run as the chain of one-constraint nodes
-// it stands for: every stage applies the constraint selectivity and the
-// one-row floor to the stage before it. out is the last stage's row count,
-// work the rows entering the stages, summed.
-func (o *optimizer) runRows(t *constraintNode, useObs bool) (out, work float64) {
-	out = o.rows(t.parent, useObs)
-	for range t.cons {
-		work += out
-		if out *= o.coster.Selectivity(OpConstraint); out < 1 {
-			out = 1
-		}
-	}
-	return out, work
-}
-
-// cost estimates a node's own evaluation cost in nanoseconds (its work
-// units scaled by the unit cost; observed rows refine the inputs).
-func (o *optimizer) cost(n Node) float64 {
-	u := o.coster.UnitCost(kindOf(n))
-	var work float64
-	switch t := n.(type) {
-	case *scanNode:
-		work = o.rows(n, true)
-	case *crossNode:
-		work = o.rows(t.left, true) * o.rows(t.right, true)
-	case *simJoinNode:
-		l, r := o.rows(t.left, true), o.rows(t.right, true)
-		work = l + r + l*r*o.coster.Selectivity(OpSimJoin)
-	case *unionNode:
-		for _, p := range t.parts {
-			work += o.rows(p, true)
-		}
-	case *constraintNode:
-		_, work = o.runRows(t, true)
-	default:
-		if cs := n.Children(); len(cs) == 1 {
-			work = o.rows(cs[0], true)
-		} else {
-			work = o.rows(n, true)
-		}
-	}
-	return u * work
-}
-
-// estimateTree fills OptInfo.Est for every node of the final plan.
-func (o *optimizer) estimateTree(n Node) {
-	if _, seen := o.info.Est[n.ID()]; seen {
-		return
-	}
-	o.info.Est[n.ID()] = NodeEstimate{Rows: int64(o.rows(n, true)), CostNs: o.cost(n)}
-	for _, c := range n.Children() {
-		o.estimateTree(c)
-	}
-}
-
-// EstimateString renders a node estimate compactly, e.g. "~1.2ms/340r".
-func (e NodeEstimate) EstimateString() string {
-	d := time.Duration(e.CostNs).Round(time.Microsecond)
-	return fmt.Sprintf("~%s/%dr", d, e.Rows)
 }

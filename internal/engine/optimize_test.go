@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"iflex/internal/alog"
@@ -73,61 +74,110 @@ func docsOf(pairs []docPair) []*text.Document {
 // TestOptimizerFusionRescue: the optimizer hoists the blockable
 // similarity past the column-disjoint constraint, fuses it with the
 // cross product, and sinks the constraint into the join side — and the
-// result stays byte-identical to the unoptimized plan.
+// result stays byte-identical to the unoptimized plan. The rule fires
+// wherever it is legal, so a 3+3-document corpus rescues to the same
+// shape as an 8+8 one.
 func TestOptimizerFusionRescue(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	env := buildOptEnv(r, 8)
-	prog := alog.MustParse(fusionDefeatSrc)
+	for _, docs := range []int{8, 3} {
+		t.Run(fmt.Sprintf("%d+%d", docs, docs), func(t *testing.T) {
+			env := buildOptEnv(rand.New(rand.NewSource(11)), docs)
+			plain, err := Compile(alog.MustParse(fusionDefeatSrc), env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(PlanString(plain.Root), "⋈~") {
+				t.Fatalf("compiled plan unexpectedly fused already:\n%s", PlanString(plain.Root))
+			}
+			opt := OptimizePlan(plain, env, OptOptions{})
+			var fused, pushed bool
+			for _, f := range opt.Opt.Fired {
+				switch f.Rule {
+				case "fuse-simjoin":
+					fused = true
+				case "pushdown":
+					pushed = true
+				}
+			}
+			if !fused || !pushed {
+				t.Fatalf("expected fuse-simjoin and a pushdown below the join, got %+v\n%s",
+					opt.Opt.Fired, PlanString(opt.Root))
+			}
 
-	plain, err := Compile(prog, env)
+			// The rescued plan must match the hand-ordered program's plan shape.
+			ordered, err := Compile(alog.MustParse(fusedSrc), env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			orderedOpt := OptimizePlan(ordered, env, OptOptions{})
+			if PlanString(opt.Root) != PlanString(orderedOpt.Root) {
+				t.Fatalf("rescued plan differs from fusion-friendly ordering:\nrescued:\n%s\nordered:\n%s",
+					PlanString(opt.Root), PlanString(orderedOpt.Root))
+			}
+
+			want, err := plain.Execute(NewContext(env))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 8} {
+				ctx := NewContext(env)
+				ctx.Workers = workers
+				got, err := opt.Execute(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Canonical() != want.Canonical() {
+					t.Fatalf("workers %d: optimized result differs:\nopt:\n%s\nplain:\n%s",
+						workers, got.Canonical(), want.Canonical())
+				}
+				// The pushdown rebuilt the fused join over the sunk
+				// constraint; the fuse-simjoin tag must follow it.
+				tree, err := opt.Explain(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var tagged bool
+				for _, line := range strings.Split(tree, "\n") {
+					if strings.Contains(line, "⋈~[") && strings.Contains(line, " rows ") {
+						tagged = strings.Contains(line, "«fuse-simjoin»")
+					}
+				}
+				if !tagged {
+					t.Fatalf("workers %d: the ⋈~ line carries no «fuse-simjoin» tag:\n%s", workers, tree)
+				}
+			}
+		})
+	}
+}
+
+// TestRunOptimizes: Run rewrites the plan it compiles. A blockable
+// p-function that declares no token similarity is called once per
+// candidate value pair, so the fused join a literal-permuted program is
+// rescued to calls it for fewer pairs than the cross product has, and the
+// table is the hand-ordered program's.
+func TestRunOptimizes(t *testing.T) {
+	const docs = 8
+	env := buildOptEnv(rand.New(rand.NewSource(11)), docs)
+	var calls atomic.Int64
+	sim := env.Funcs["similar"]
+	env.Funcs["similar"] = func(args []text.Span) (bool, error) {
+		calls.Add(1)
+		return sim(args)
+	}
+	delete(env.TokenSimilar, "similar")
+
+	got, err := Run(alog.MustParse(fusionDefeatSrc), env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(PlanString(plain.Root), "⋈~") {
-		t.Fatalf("compiled plan unexpectedly fused already:\n%s", PlanString(plain.Root))
+	if n := calls.Load(); n == 0 || n >= docs*docs {
+		t.Fatalf("similar called %d times; the fused join calls it for fewer than the %d pairs of the cross product", n, docs*docs)
 	}
-	opt := OptimizePlan(plain, env, OptOptions{})
-	if !strings.Contains(PlanString(opt.Root), "⋈~") {
-		t.Fatalf("optimizer did not fuse the similarity join:\n%s", PlanString(opt.Root))
-	}
-	var fused, pushed bool
-	for _, f := range opt.Opt.Fired {
-		switch f.Rule {
-		case "fuse-simjoin":
-			fused = true
-		case "pushdown":
-			pushed = true
-		}
-	}
-	if !fused {
-		t.Fatalf("expected a fuse-simjoin firing, got %+v", opt.Opt.Fired)
-	}
-	if !pushed {
-		t.Fatalf("expected the constraint to sink below the join, got %+v\n%s",
-			opt.Opt.Fired, PlanString(opt.Root))
-	}
-
-	want, err := plain.Execute(NewContext(env))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := opt.Execute(NewContext(env))
+	want, err := Run(alog.MustParse(fusedSrc), env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Canonical() != want.Canonical() {
-		t.Fatalf("optimized result differs:\nopt:\n%s\nplain:\n%s", got.Canonical(), want.Canonical())
-	}
-
-	// The rescued plan must match the hand-ordered program's plan shape.
-	ordered, err := Compile(alog.MustParse(fusedSrc), env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orderedOpt := OptimizePlan(ordered, env, OptOptions{})
-	if PlanString(opt.Root) != PlanString(orderedOpt.Root) {
-		t.Fatalf("rescued plan differs from fusion-friendly ordering:\nrescued:\n%s\nordered:\n%s",
-			PlanString(opt.Root), PlanString(orderedOpt.Root))
+		t.Fatalf("permuted program's table differs from the hand-ordered one's:\n%s\nvs\n%s", got.Canonical(), want.Canonical())
 	}
 }
 

@@ -95,22 +95,16 @@ const (
 	minChunkConstraint = 8
 )
 
-// parallelChunks splits [0, n) into up to workers() contiguous chunks and
-// runs body on each, spawning goroutines only for the slots tryAcquire
+// parallelChunksSized splits [0, n) into up to workers() contiguous chunks
+// and runs body on each, spawning goroutines only for the slots tryAcquire
 // grants; the caller's goroutine runs the first chunk (and any chunk that
 // found no free slot) itself. body must write results into per-index
 // slots so the caller can merge in index order. The returned error is the
 // one a serial left-to-right run would have hit first: within a chunk
 // body stops at its first error, and across chunks the lowest-indexed
-// chunk's error wins.
-func (ctx *Context) parallelChunks(n int, body func(start, end int) error) error {
-	return ctx.parallelChunksSized(n, 1, body)
-}
-
-// parallelChunksSized is parallelChunks with a per-chunk work floor: the
-// fan-out is capped so every chunk covers at least minChunk items, which
-// keeps cheap nodes serial instead of paying goroutine and pool-slot
-// overhead for sub-microsecond chunks.
+// chunk's error wins. The fan-out is capped so every chunk covers at
+// least minChunk items, which keeps cheap nodes serial instead of paying
+// goroutine and pool-slot overhead for sub-microsecond chunks.
 func (ctx *Context) parallelChunksSized(n, minChunk int, body func(start, end int) error) error {
 	run := body
 	if h := ctx.ChunkHook; h != nil {
