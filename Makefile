@@ -11,11 +11,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Race-detector run over the concurrent core: the engine's shared-context
-# single-flight cache, the assistant's simulation fan-out, and the
-# multi-tenant server.
+# Race-detector run over the concurrent core: the per-document record
+# tables, the engine's shared-context single-flight cache, the assistant's
+# simulation fan-out, and the multi-tenant server.
 race:
-	$(GO) test -race ./internal/engine/... ./internal/assistant/... ./internal/server/...
+	$(GO) test -race ./internal/feature/... ./internal/engine/... ./internal/assistant/... ./internal/server/...
 
 # The pre-merge gate: formatting, vet, the race run over the concurrent
 # core, and the full tier-1 suite. Bench-heavy tests honour -short, so this
@@ -24,7 +24,7 @@ verify:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) test -short -race ./internal/engine/... ./internal/assistant/... ./internal/server/...
+	$(GO) test -short -race ./internal/feature/... ./internal/engine/... ./internal/assistant/... ./internal/server/...
 	$(GO) build ./...
 	$(GO) test -short ./...
 
@@ -58,19 +58,23 @@ bench:
 # clean text and on text that needs rewriting), the similarity layer
 # (tokenise, intern, the id kernel on true / near-miss / size-rejected
 # pairs, the string entry point beside the map-based kernel it replaced),
+# the feature layer (Verify and Refine of a mark, a context, the numeric
+# and a pattern feature: called directly, through a document's record table
+# on a miss and on a hit),
 # the engine's similarity join on pinned and on first-step-shaped
 # multi-valued cells (400×400, with the candidate funnel as extra metrics),
 # its comparison selection over a join's output (every cell shared) and
-# over one extraction (none shared), with cmp_operands_parsed as an extra
-# metric, and the build of one Simulation trial plan (clone, add a
-# constraint, compile, optimize) against a converged T8 program whose base
-# plan is interned.
+# over one extraction (none shared), each over warm and over dropped record
+# tables, with cmp_operands_parsed as an extra metric, and the build of one
+# Simulation trial plan (clone, add a constraint, compile, optimize) against
+# a converged T8 program whose base plan is interned.
 bench-layers:
 	$(GO) test -run='^$$' -bench='ParseProgram|OrderBody' -benchmem ./internal/alog
 	$(GO) test -run='^$$' -bench=MarkupParse -benchmem ./internal/markup
 	$(GO) test -run='^$$' -bench=CompactVsATable -benchmem ./internal/compact
 	$(GO) test -run='^$$' -bench='SubSpanEnumeration|ParseNumeric|NormText' -benchmem ./internal/text
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/similarity
+	$(GO) test -run='^$$' -bench=FeatureMemo -benchmem ./internal/feature
 	$(GO) test -run='^$$' -bench='SimJoin|Compare|TrialPlan' -benchmem ./internal/engine
 
 # The two line counts ROADMAP.md gates on, with exactly its command:

@@ -7,6 +7,7 @@ package assistant_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -237,10 +238,21 @@ func checkLiveCase(t *testing.T, lc liveCase) {
 	}
 
 	for i, sess := range sessions {
+		held := sess.StatsSnapshot().DocRecordBytes
 		sess.ApplyCorpusDelta(
 			&engine.CorpusDelta{Added: d.Added, Updated: d.Updated, Removed: d.Removed},
 			func(env *engine.Env) { lc.tables(env, s) },
 		)
+		// The handles the mutation replaced or removed took their record
+		// tables with them: the session holds fewer bytes, and no table of
+		// any of those ids is left to drop.
+		gone := map[string]bool{}
+		for _, id := range append(slices.Clone(d.Updated), d.Removed...) {
+			gone[id] = true
+		}
+		if now, left := sess.StatsSnapshot().DocRecordBytes, sess.Env.FeatureMemo.DropDocs(gone); now >= held || left != 0 {
+			t.Fatalf("config %d: doc_record_bytes %d -> %d, %d superseded documents still own records", i, held, now, left)
+		}
 		up, err := sess.Reevaluate(0)
 		if err != nil {
 			t.Fatal(err)

@@ -229,3 +229,44 @@ func TestSessionSweepT8T9(t *testing.T) {
 		}
 	}
 }
+
+// TestOperandsParsedOncePerSession: a comparison operand is parsed once per
+// document span for the life of the session, not once per cell per node
+// evaluation — whole T8 and T9 sessions stay under a bound a few times their
+// number of distinct values (550,688 and 19,271 operands before the
+// documents kept their records), with the same count at Workers 1, 2 and 8
+// and with the optimizer arm on or off.
+func TestOperandsParsedOncePerSession(t *testing.T) {
+	if testing.Short() {
+		t.Skip("twelve whole sessions at benchmark size; skipped in -short")
+	}
+	for _, tc := range []struct {
+		id             string
+		records, bound int
+	}{{"T8", 2000, 30000}, {"T9", 400, 8500}} {
+		task, err := corpus.TaskByID(tc.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := task.Generate(tc.records, 1)
+		var first int64
+		for _, workers := range []int{1, 2, 8} {
+			for _, optimize := range []bool{true, false} {
+				res, err := assistant.NewSession(task.Env(c), alog.MustParse(task.Program), task.Oracle(), assistant.OracleConfig(assistant.Config{
+					Strategy: assistant.Simulation{}, SubsetSeed: 1, Workers: workers,
+				}, true, optimize)).Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := res.Stats.CmpOperandsParsed
+				if first == 0 {
+					first = got
+					t.Logf("%s at %d records: %d operands parsed", tc.id, tc.records, got)
+				}
+				if got != first || got == 0 || got > int64(tc.bound) {
+					t.Errorf("%s workers=%d opt=%t: %d operands parsed, the first session %d, bound %d", tc.id, workers, optimize, got, first, tc.bound)
+				}
+			}
+		}
+	}
+}

@@ -111,9 +111,13 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*com
 		return nil, err
 	}
 	ci := colIndex(in.Cols, n.attr())
-	all, np, stages := n.applied(), len(n.prior), len(n.cons)
+	all, err := resolveStages(ctx.Env, n.applied())
+	if err != nil {
+		return nil, err
+	}
+	np, stages := len(n.prior), len(n.cons)
 	out := compact.NewTable(in.Cols...)
-	// Tuples refine independently (features are pure, the memo is
+	// Tuples refine independently (features are pure, the record tables are
 	// concurrency-safe), so the loop is partitioned across the worker
 	// pool; per-index result slots keep the output order serial-identical.
 	// With a delta prior attached, a tuple whose entering cell the prior has
@@ -140,7 +144,7 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*com
 	err = ctx.parallelChunksSized(len(in.Tuples), minChunkConstraint, func(start, end int) error {
 		var batch statBatch
 		defer batch.flush(ctx)
-		var sc refineScratch
+		sc := refineScratch{docs: docCursor{memo: ctx.Env.FeatureMemo}}
 		reused, asg := 0, 0
 		for i := start; i < end; i++ {
 			if cut, cerr := ctx.cutCheck(); cerr != nil {
@@ -173,7 +177,7 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*com
 					for st := from; st < stages; st++ {
 						batch.stages++
 						var ferr error
-						if c, ferr = refineCell(ctx, &batch, &sc, c, n.cons[st], all[:np+st+1]); ferr != nil {
+						if c, ferr = refineCell(&batch, &sc, c, all[np+st], all[:np+st+1]); ferr != nil {
 							return ferr
 						}
 						if len(c.Assigns) == 0 {
@@ -266,18 +270,41 @@ func tupleAssignments(tp compact.Tuple) int {
 	return n
 }
 
+// stage is one constraint resolved for a node evaluation: the feature
+// looked up and its (feature, parameter) pair interned once, where every
+// application would otherwise pay for both by name.
+type stage struct {
+	f     feature.Feature
+	id    feature.ConsID
+	value string
+}
+
+func resolveStages(env *Env, cons []feature.Constraint) ([]stage, error) {
+	out := make([]stage, len(cons))
+	for i, k := range cons {
+		f, err := env.Features.Lookup(k.Feature)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = stage{f: f, id: env.FeatureMemo.Intern(k.Feature, k.Value), value: k.Value}
+	}
+	return out, nil
+}
+
 // refineScratch holds the assignment lists one refineCell call works in, so
-// that a chunk's worker reuses them from tuple to tuple and stage to stage.
+// that a chunk's worker reuses them from tuple to tuple and stage to stage,
+// and the worker's way to the documents' record tables.
 type refineScratch struct {
 	a, b, before []text.Assignment
+	docs         docCursor
 }
 
 // refineCell computes c' = ∪ A(k, m_i(s_i)) for the new constraint k, then
 // iterates the full constraint set to a fixpoint (bounded) so that every
 // exact span satisfies all constraints and every contain span is the
 // result of refining under all of them. Only the returned cell allocates.
-func refineCell(ctx *Context, batch *statBatch, sc *refineScratch, c compact.Cell, k feature.Constraint, all []feature.Constraint) (compact.Cell, error) {
-	as, err := applyConstraint(ctx, batch, k, c.Assigns, sc.a[:0])
+func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k stage, all []stage) (compact.Cell, error) {
+	as, err := applyConstraint(batch, &sc.docs, k, c.Assigns, sc.a[:0])
 	if err != nil {
 		return compact.Cell{}, err
 	}
@@ -286,7 +313,7 @@ func refineCell(ctx *Context, batch *statBatch, sc *refineScratch, c compact.Cel
 	for round := 0; round < maxRounds; round++ {
 		sc.before = append(sc.before[:0], as...)
 		for _, kc := range all {
-			next, err := applyConstraint(ctx, batch, kc, as, spare[:0])
+			next, err := applyConstraint(batch, &sc.docs, kc, as, spare[:0])
 			if err != nil {
 				return compact.Cell{}, err
 			}
@@ -309,19 +336,16 @@ func assignmentsStable(before, after []text.Assignment) bool {
 
 // applyConstraint applies one constraint to a list of assignments,
 // appending the outcome to out (which must not alias as): Verify for exact
-// assignments, Refine for contain assignments — both through the Env's
-// feature memo. VerifyCalls/RefineCalls count logical calls (deterministic
-// at any worker count); the memo hit/miss split is recorded separately.
-func applyConstraint(ctx *Context, batch *statBatch, k feature.Constraint, as, out []text.Assignment) ([]text.Assignment, error) {
-	f, err := ctx.Env.Features.Lookup(k.Feature)
-	if err != nil {
-		return nil, err
-	}
-	memo := ctx.Env.FeatureMemo
+// assignments, Refine for contain assignments — both through the record
+// table of the assignment's document (directly when the Env has no memo).
+// VerifyCalls/RefineCalls count logical calls (deterministic at any worker
+// count); the table hit/miss split is recorded separately.
+func applyConstraint(batch *statBatch, docs *docCursor, k stage, as, out []text.Assignment) ([]text.Assignment, error) {
 	for _, a := range as {
+		tab := docs.of(a.Span.Doc())
 		if a.Mode == text.Exact {
 			batch.verifyCalls++
-			ok, hit, err := memo.Verify(f, a.Span, k.Value)
+			ok, hit, err := tab.Verify(k.f, k.id, a.Span, k.value)
 			if err != nil {
 				return nil, err
 			}
@@ -332,7 +356,7 @@ func applyConstraint(ctx *Context, batch *statBatch, k feature.Constraint, as, o
 			continue
 		}
 		batch.refineCalls++
-		refined, hit, err := memo.Refine(f, a.Span, k.Value)
+		refined, hit, err := tab.Refine(k.f, k.id, a.Span, k.value)
 		if err != nil {
 			return nil, err
 		}

@@ -15,15 +15,15 @@ import (
 // refRefineCell is refineCell as it was before the scratch lists and the
 // identical-list shortcut: every pass grows a fresh slice and every round
 // renders the list before and after.
-func refRefineCell(ctx *Context, batch *statBatch, c compact.Cell, k feature.Constraint, all []feature.Constraint) (compact.Cell, error) {
-	as, err := applyConstraint(ctx, batch, k, c.Assigns, nil)
+func refRefineCell(batch *statBatch, c compact.Cell, k stage, all []stage) (compact.Cell, error) {
+	as, err := applyConstraint(batch, &docCursor{}, k, c.Assigns, nil)
 	if err != nil {
 		return compact.Cell{}, err
 	}
 	for round := 0; round < 3; round++ {
 		before := text.FormatAssignments(as)
 		for _, kc := range all {
-			if as, err = applyConstraint(ctx, batch, kc, as, nil); err != nil {
+			if as, err = applyConstraint(batch, &docCursor{}, kc, as, nil); err != nil {
 				return compact.Cell{}, err
 			}
 		}
@@ -87,26 +87,29 @@ func TestRefineCellMatchesReference(t *testing.T) {
 	docs := refinePages()
 	env := NewEnv()
 	env.FeatureMemo = nil // both sides count misses only
-	ctx := NewContext(env)
 	r := rand.New(rand.NewSource(20))
 	var sc refineScratch
 	changed := 0
 	for trial := 0; trial < 3000; trial++ {
 		c := compact.Cell{Assigns: randomAssignments(r, docs, 1+r.Intn(4)), Expand: r.Intn(2) == 0}
 		in := slices.Clone(c.Assigns)
-		all := make([]feature.Constraint, 1+r.Intn(6))
-		for i := range all {
-			all[i] = refinePool[r.Intn(len(refinePool))]
+		cons := make([]feature.Constraint, 1+r.Intn(6))
+		for i := range cons {
+			cons[i] = refinePool[r.Intn(len(refinePool))]
+		}
+		all, err := resolveStages(env, cons)
+		if err != nil {
+			t.Fatal(err)
 		}
 		k := all[len(all)-1]
 		var wantB, gotB statBatch
-		want, werr := refRefineCell(ctx, &wantB, c, k, all)
-		got, gerr := refineCell(ctx, &gotB, &sc, c, k, all)
+		want, werr := refRefineCell(&wantB, c, k, all)
+		got, gerr := refineCell(&gotB, &sc, c, k, all)
 		if (werr != nil) != (gerr != nil) {
 			t.Fatalf("trial %d: error %v, reference %v", trial, gerr, werr)
 		}
 		if !slices.Equal(got.Assigns, want.Assigns) || got.Expand != want.Expand {
-			t.Fatalf("trial %d: %v under %v\n got %v\nwant %v", trial, c, all, got, want)
+			t.Fatalf("trial %d: %v under %v\n got %v\nwant %v", trial, c, cons, got, want)
 		}
 		if gotB != wantB {
 			t.Fatalf("trial %d: calls %+v, reference %+v", trial, gotB, wantB)

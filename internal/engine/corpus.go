@@ -65,9 +65,10 @@ func (d *CorpusDelta) Changed() map[string]bool {
 // next evaluation of its node; blocking indexes and degraded tables are
 // dropped (cheap to rebuild, never replayable);
 // all spilled tables are invalidated (a spill elides the provenance
-// replay needs); and changed documents are released from quarantine
-// (their content was superseded or removed, so the fault that barred
-// them no longer describes the corpus).
+// replay needs); the record tables of changed documents are dropped (the
+// handles they hang off were superseded or removed); and changed documents
+// are released from quarantine (their content was superseded or removed,
+// so the fault that barred them no longer describes the corpus).
 //
 // Like SetDocFilter, it may only be called while no evaluations are in
 // flight. The caller is responsible for having the Env's document
@@ -117,6 +118,11 @@ func (ctx *Context) ApplyCorpusDelta(d *CorpusDelta) {
 			ctx.Spill = nil
 		}
 	}
+
+	// The record tables of the handles the mutation superseded go with
+	// them; nothing evaluates over those pages again.
+	ctx.Env.FeatureMemo.DropDocs(changed)
+	atomic.StoreInt64(&ctx.Stats.DocRecordBytes, ctx.Env.FeatureMemo.Bytes())
 
 	ctx.releaseQuarantined(changed)
 }

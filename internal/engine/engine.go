@@ -70,10 +70,12 @@ type Env struct {
 	Procs    map[string]Procedure
 	Features *feature.Registry
 	Limits   Limits
-	// FeatureMemo caches Verify/Refine results per (document, span,
-	// feature, param). Documents are immutable and features are pure, so
-	// entries never invalidate; sharing the Env across a session's
-	// simulation fan-out shares the memo too. May be nil (no caching).
+	// FeatureMemo holds one record table per document: Verify/Refine
+	// results per (constraint, span) and the typed values comparisons read.
+	// Documents are immutable and features are pure, so entries never go
+	// stale; a Context counts their bytes against its CacheBudget and drops
+	// the tables of superseded documents (ApplyCorpusDelta). May be nil:
+	// features then run directly, comparison records last one evaluation.
 	FeatureMemo *feature.Memo
 	// Blockable names p-functions that guarantee matching values share at
 	// least one token, enabling the fused token-blocked similarity join.
@@ -251,10 +253,12 @@ type Context struct {
 	// worker counts (deterministic merge order).
 	Workers int
 	// CacheBudget bounds the reuse cache in bytes (0 = unlimited): cached
-	// tables, delta memos, and blocking indexes all count against it, and
-	// least-recently-used entries are evicted when it is exceeded. An
-	// evicted entry is re-evaluated on next use — results never change,
-	// only how much is recomputed. Set it before the first evaluation.
+	// tables, delta memos, blocking indexes and the Env's document record
+	// tables all count against it. When it is exceeded the record tables are
+	// dropped first, wholesale (they rebuild in microseconds a document),
+	// then least-recently-used entries are evicted. An evicted entry is
+	// re-evaluated on next use — results never change, only how much is
+	// recomputed. Set it before the first evaluation.
 	CacheBudget int64
 	// FaultPolicy selects per-document fault handling: FailFast (default)
 	// propagates the first error or panic; QuarantineFaults isolates the
@@ -402,7 +406,8 @@ type Stats struct {
 	SimValuePairsVerified int64
 	// CmpOperandsParsed counts the values comparison selections parsed into
 	// operands (number / normalised string / NULL): once per value of each
-	// distinct cell per node evaluation, however many tuples share the cell
+	// distinct (document span, mode) assignment for as long as the document's
+	// record table lives, however many tuples, nodes and trials meet it
 	// (operands.go). Deterministic like FuncCalls — a record is charged when
 	// published, not when built.
 	CmpOperandsParsed int64
@@ -425,7 +430,7 @@ type Stats struct {
 	// quota. Scheduling-dependent, like the other pool counters.
 	PoolMaxExtra int64
 	// FeatureMemoHits / FeatureMemoMisses count Verify/Refine invocations
-	// served from (or inserted into) the Env's feature memo. Concurrent
+	// served from (or inserted into) the documents' record tables. Concurrent
 	// evaluations may race to fill the same key, so — like the pool
 	// counters — these vary slightly with scheduling; VerifyCalls and
 	// RefineCalls count logical calls and stay deterministic.
@@ -465,10 +470,13 @@ type Stats struct {
 	// CacheEvictions / BlockIdxEvictions count entries dropped to keep
 	// the cache under CacheBudget, split by payload kind (result table vs
 	// similarity-join blocking index). CacheBytes is a gauge: the current
-	// estimated resident size of the cache.
+	// estimated resident size of the cache. DocRecordBytes is the same for
+	// the Env's document record tables, refreshed whenever an evaluation
+	// stores its result and by ApplyCorpusDelta.
 	CacheEvictions    int64
 	BlockIdxEvictions int64
 	CacheBytes        int64
+	DocRecordBytes    int64
 	// TablesSpilled / SpillLoads / SpillBytes count cache-budget
 	// evictions demoted to the spill area, tables resurrected from it
 	// (instead of re-evaluated), and cumulative bytes written. Like the
@@ -722,8 +730,9 @@ func (ctx *Context) pushFrontLocked(e *cacheEntry) {
 }
 
 // storeLocked inserts an entry (clobbering any previous occupant of the
-// key: a re-store, or the stale table the entry supersedes) and evicts
-// from the LRU tail while over budget. The just-stored entry is never
+// key: a re-store, or the stale table the entry supersedes) and, while over
+// budget, drops the document record tables and then evicts from the LRU
+// tail. The just-stored entry is never
 // evicted by its own insertion: the cache must be able to hold the result
 // it is about to return.
 func (ctx *Context) storeLocked(e *cacheEntry) {
@@ -734,12 +743,17 @@ func (ctx *Context) storeLocked(e *cacheEntry) {
 	ctx.cache[e.key] = e
 	ctx.pushFrontLocked(e)
 	ctx.cacheBytes += e.bytes
+	records := ctx.Env.FeatureMemo
 	if ctx.CacheBudget > 0 {
+		if rb := records.Bytes(); rb > 0 && ctx.cacheBytes+rb > ctx.CacheBudget {
+			records.Drop()
+		}
 		for ctx.cacheBytes > ctx.CacheBudget && ctx.lruTail != nil && ctx.lruTail != e {
 			ctx.evictLocked(ctx.lruTail)
 		}
 	}
 	atomic.StoreInt64(&ctx.Stats.CacheBytes, ctx.cacheBytes)
+	atomic.StoreInt64(&ctx.Stats.DocRecordBytes, records.Bytes())
 }
 
 // dropLocked removes one entry from the cache.

@@ -250,7 +250,7 @@ func explainTree(ctx *Context, root Node, opt *OptInfo) (string, error) {
 	if ev := atomic.LoadInt64(&ctx.Stats.CacheEvictions) + atomic.LoadInt64(&ctx.Stats.BlockIdxEvictions); ev > 0 {
 		fmt.Fprintf(&b, ", %d evicted", ev)
 	}
-	b.WriteByte('\n')
+	fmt.Fprintf(&b, "; document records ~%d bytes\n", ctx.Env.FeatureMemo.Bytes())
 	if q := ctx.quarantined(); q != nil {
 		const maxShown = 8
 		var ids []string

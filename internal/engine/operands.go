@@ -1,67 +1,33 @@
 package engine
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"iflex/internal/alog"
 	"iflex/internal/compact"
+	"iflex/internal/feature"
 	"iflex/internal/text"
 )
 
-// cellKey identifies a cell by its assignment slice: address of the first
-// element and length. The engine never edits an assignment slice in place
-// (cells are replaced wholesale — the invariant compact.Tuple.Copy
-// documents), so two cells with the same key encode the same values, and
-// the tuples a join or a selection copies a cell into all carry one key.
-type cellKey struct {
-	first *text.Assignment
-	n     int
+// operand is one side of a comparison at valuation time: the typed value of
+// a span, as the document's record table keeps it.
+type operand = feature.Value
+
+// docCursor finds the record tables of the documents a worker meets,
+// remembering the last: the cells of a tuple — and the assignments of a
+// cell — nearly always come from one page, whose table is then looked up
+// once. With a nil memo every table is nil and evaluates directly.
+type docCursor struct {
+	memo *feature.Memo
+	doc  *text.Document
+	tab  *feature.DocRecords
 }
 
-// operandRecords holds the typed value records of one evaluation of a
-// comparison selection: per distinct cell, its values in Cell.Values order,
-// each parsed once into an operand. The output of a similarity join shares
-// every input cell among all the tuples it joined into, so a record is read
-// many times for one parse; the records die with the evaluation, which
-// lets an operand's string alias the page text.
-//
-// Safe for concurrent use. Chunks that miss on the same cell at once each
-// build the record, and the first to finish publishes it; a build that
-// panics (a page failing to load under the quarantine guard) publishes
-// nothing, so the next tuple holding the cell builds it afresh. parsed
-// counts the operands of published records only and so does not depend on
-// who won.
-type operandRecords struct {
-	mu     sync.Mutex
-	recs   map[cellKey][]operand
-	parsed int64
-}
-
-// of returns the record of a cell that holds at least one value.
-func (r *operandRecords) of(c compact.Cell) []operand {
-	key := cellKey{first: &c.Assigns[0], n: len(c.Assigns)}
-	r.mu.Lock()
-	ops, ok := r.recs[key]
-	r.mu.Unlock()
-	if ok {
-		return ops
+func (c *docCursor) of(d *text.Document) *feature.DocRecords {
+	if d != c.doc {
+		c.doc, c.tab = d, c.memo.Doc(d)
 	}
-	ops = make([]operand, 0, c.NumValues())
-	c.Values(func(s text.Span) bool {
-		ops = append(ops, spanOperand(s))
-		return true
-	})
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if prev, ok := r.recs[key]; ok {
-		return prev
-	}
-	if r.recs == nil {
-		r.recs = map[cellKey][]operand{}
-	}
-	r.recs[key] = ops
-	r.parsed += int64(len(ops))
-	return ops
+	return c.tab
 }
 
 // compareFilter decides one evaluation of a comparison selection with at
@@ -72,6 +38,11 @@ func (r *operandRecords) of(c compact.Cell) []operand {
 // side fastest, with its short-circuit — so keep/sure verdicts,
 // expansion-cell replacements, fallbacks and FuncCalls are those of the
 // span-based predicates it replaced (kept as the test reference).
+//
+// The records are the documents' own (feature.DocRecords.Values): one per
+// assignment, keyed by its content, parsed once for the life of the document
+// handle and shared by every comparison node, evaluation and trial that
+// meets the span again. Safe for concurrent use.
 type compareFilter struct {
 	op     alog.CompareOp
 	offset float64
@@ -84,11 +55,23 @@ type compareFilter struct {
 	// the side of its first entry.
 	involved []int
 	first    int
-	recs     operandRecords
+	memo     *feature.Memo
+	// parsed counts the operands this evaluation published. A build that
+	// panics (a page failing to load under the quarantine guard) publishes
+	// nothing, so the next tuple holding the assignment builds it afresh; of
+	// two chunks that build one record at once only the first to finish is
+	// charged.
+	parsed atomic.Int64
 }
 
-func newCompareFilter(cmp alog.Compare, cols []string, lim Limits) *compareFilter {
-	f := &compareFilter{op: cmp.Op, offset: cmp.ROffset, lim: lim}
+// newCompareFilter builds the filter over the record tables of memo. Without
+// one (Env.FeatureMemo == nil) the records live in a memo of the filter's
+// own and die with the evaluation.
+func newCompareFilter(cmp alog.Compare, cols []string, lim Limits, memo *feature.Memo) *compareFilter {
+	if memo == nil {
+		memo = feature.NewMemo()
+	}
+	f := &compareFilter{op: cmp.Op, offset: cmp.ROffset, lim: lim, memo: memo}
 	for s, t := range [2]alog.Term{cmp.L, cmp.R} {
 		if t.Kind != alog.TermVar {
 			f.col[s] = -1
@@ -104,14 +87,33 @@ func newCompareFilter(cmp alog.Compare, cols []string, lim Limits) *compareFilte
 	return f
 }
 
+// record returns the record of a cell that holds at least one value — its
+// assignments' records in order, which is Cell.Values order: the stored
+// slice itself for a cell of one assignment, otherwise the records stitched
+// together in *buf.
+func (f *compareFilter) record(c compact.Cell, docs *docCursor, buf *[]operand) []operand {
+	*buf = (*buf)[:0]
+	for _, a := range c.Assigns {
+		rec, parsed := docs.of(a.Span.Doc()).Values(a)
+		if parsed > 0 {
+			f.parsed.Add(int64(parsed))
+		}
+		if len(c.Assigns) == 1 {
+			return rec
+		}
+		*buf = append(*buf, rec...)
+	}
+	return *buf
+}
+
 // compare applies the rule's numeric offset to the right operand (offsets
 // only apply to numeric right sides) and compares.
 func (f *compareFilter) compare(l, r operand) (bool, error) {
 	if f.offset != 0 {
-		if !r.isNum {
+		if !r.IsNum {
 			return false, nil
 		}
-		r.num += f.offset
+		r.Num += f.offset
 	}
 	return compareOperands(f.op, l, r)
 }
@@ -146,13 +148,14 @@ func (f *compareFilter) filter(tp compact.Tuple, batch *statBatch) (filterOutcom
 	// only expansion cells need it, and the odometer may stop once theirs
 	// are saturated.
 	ops, sat := f.konst, sc.sat[:2]
+	docs := docCursor{memo: f.memo}
 	var expand [2]bool
 	satRemaining := 0
 	for s, ci := range f.col {
 		if ci < 0 {
 			continue
 		}
-		ops[s] = f.recs.of(tp.Cells[ci])
+		ops[s] = f.record(tp.Cells[ci], &docs, &sc.ops[s])
 		sat[s] = resized(sat[s], len(ops[s]))
 		if expand[s] = tp.Cells[ci].Expand; expand[s] {
 			satRemaining += len(ops[s])

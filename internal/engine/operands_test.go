@@ -11,54 +11,82 @@ import (
 
 	"iflex/internal/alog"
 	"iflex/internal/compact"
+	"iflex/internal/feature"
 	"iflex/internal/text"
 )
 
+// spanOperand is the per-span parse the records replaced: numeric when the
+// text parses, NULL when empty, normalised text otherwise.
+func spanOperand(s text.Span) operand {
+	if n, ok := s.Numeric(); ok {
+		return operand{IsNum: true, Num: n}
+	}
+	t := s.NormText()
+	if t == "" {
+		return operand{IsNull: true}
+	}
+	return operand{Str: t}
+}
+
 // refCompareFilter is the comparison selection as it ran before typed value
 // records: every value of every involved cell goes through spanOperand for
-// every tuple — a per-column conjunct against a constant, a prepared
-// residual between two columns — and filterTupleF decides. It is the
-// reference the record path must reproduce outcome for outcome.
+// every tuple. Between two columns filterTupleF's odometer decides; against
+// a constant every value is decided on its own, with no valuation cap and
+// no short-circuit. It is the reference the record path must reproduce
+// outcome for outcome.
 func refCompareFilter(cmp alog.Compare, cols []string, lim Limits) ([]int, tupleFilter) {
 	compare := func(l, r operand) (bool, error) {
 		if cmp.ROffset != 0 {
-			if !r.isNum {
+			if !r.IsNum {
 				return false, nil
 			}
-			r.num += cmp.ROffset
+			r.Num += cmp.ROffset
 		}
 		return compareOperands(cmp.Op, l, r)
 	}
-	lVar, rVar := cmp.L.Kind == alog.TermVar, cmp.R.Kind == alog.TermVar
 	var involved []int
-	var fp factoredPred
-	switch {
-	case lVar && rVar:
-		involved = []int{colIndex(cols, cmp.L.Var), colIndex(cols, cmp.R.Var)}
-		fp.prepare = func(vals [][]text.Span, batch *statBatch) (idxPred, error) {
-			lops := make([]operand, len(vals[0]))
-			for j, v := range vals[0] {
-				lops[j] = spanOperand(v)
-			}
-			rops := make([]operand, len(vals[1]))
-			for j, v := range vals[1] {
-				rops[j] = spanOperand(v)
-			}
-			return func(idx []int) (bool, error) {
-				batch.funcCalls++
-				return compare(lops[idx[0]], rops[idx[1]])
-			}, nil
+	for _, t := range [2]alog.Term{cmp.L, cmp.R} {
+		if t.Kind == alog.TermVar {
+			involved = append(involved, colIndex(cols, t.Var))
 		}
-	case lVar:
-		involved = []int{colIndex(cols, cmp.L.Var)}
-		r := constTerm(cmp.R)
-		fp.cols = []colPred{func(v text.Span) (bool, error) { return compare(spanOperand(v), r) }}
-	case rVar:
-		involved = []int{colIndex(cols, cmp.R.Var)}
-		l := constTerm(cmp.L)
-		fp.cols = []colPred{func(v text.Span) (bool, error) { return compare(l, spanOperand(v)) }}
 	}
-	return involved, factored(involved, fp, lim)
+	if len(involved) == 2 {
+		return involved, func(tp compact.Tuple, batch *statBatch) (filterOutcome, error) {
+			return filterTupleF(tp, involved, func(args []text.Span) (bool, error) {
+				return compare(spanOperand(args[0]), spanOperand(args[1]))
+			}, lim, batch)
+		}
+	}
+	decide := func(v text.Span) (bool, error) { return compare(spanOperand(v), constTerm(cmp.R)) }
+	if cmp.L.Kind != alog.TermVar {
+		decide = func(v text.Span) (bool, error) { return compare(constTerm(cmp.L), spanOperand(v)) }
+	}
+	return involved, func(tp compact.Tuple, batch *statBatch) (filterOutcome, error) {
+		cell := tp.Cells[involved[0]]
+		if cell.NumValues() > lim.MaxCellValues {
+			return filterOutcome{keep: true, fallback: true}, nil
+		}
+		var pass []bool
+		anySat, allSat := false, true
+		var err error
+		cell.Values(func(v text.Span) bool {
+			batch.funcCalls++
+			var ok bool
+			ok, err = decide(v)
+			pass = append(pass, ok)
+			anySat, allSat = anySat || ok, allSat && ok
+			return err == nil
+		})
+		switch {
+		case err != nil:
+			return filterOutcome{}, err
+		case !anySat:
+			return filterOutcome{keep: false}, nil
+		case allSat:
+			return filterOutcome{keep: true, sure: true}, nil
+		}
+		return finishRepl(filterOutcome{keep: true}, tp, involved, [][]bool{pass})
+	}
 }
 
 // renderOutcome spells an outcome out, replacement cells in assignment
@@ -113,9 +141,9 @@ func randOperandCell(r *rand.Rand, id string) compact.Cell {
 // TestCompareRecordsEqualSpanPath holds the record path to the span path on
 // random cells × the six operators × offsets × constants of every kind ×
 // expansion flags × three limit settings: every outcome field, replacement
-// cells included, and the FuncCalls charged. Cells recur across tuples, as
-// they do in a join's output, so most decisions read a record an earlier
-// tuple built.
+// cells included, and the FuncCalls charged. Cells recur across tuples and
+// filters, as they do in a join's output and across a session's trials, so
+// most decisions read a record an earlier tuple or comparison built.
 func TestCompareRecordsEqualSpanPath(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
 	v := func(name string) alog.Term { return alog.Term{Kind: alog.TermVar, Var: name} }
@@ -135,12 +163,20 @@ func TestCompareRecordsEqualSpanPath(t *testing.T) {
 	}
 	kept, partial, fallbacks, decided := 0, 0, 0, 0
 	var parsed int64
+	// One memo for most filters, as in a session: a record an earlier
+	// comparison published is read by every later one. Every fifth filter
+	// has none and keeps records of its own.
+	shared := feature.NewMemo()
 	for trial := 0; trial < 1200; trial++ {
+		memo := shared
+		if trial%5 == 4 {
+			memo = nil
+		}
 		lr := terms[trial%len(terms)]
 		cmp := alog.Compare{Op: ops[r.Intn(len(ops))], L: lr[0], R: lr[1], ROffset: offsets[r.Intn(len(offsets))]}
 		lim := limits[r.Intn(len(limits))]
 		involved, ref := refCompareFilter(cmp, cols, lim)
-		f := newCompareFilter(cmp, cols, lim)
+		f := newCompareFilter(cmp, cols, lim, memo)
 		if fmt.Sprint(f.involved) != fmt.Sprint(involved) {
 			t.Fatalf("%s: involved %v, reference %v", cmp, f.involved, involved)
 		}
@@ -169,7 +205,7 @@ func TestCompareRecordsEqualSpanPath(t *testing.T) {
 				}
 			}
 		}
-		parsed += f.recs.parsed
+		parsed += f.parsed.Load()
 	}
 	if kept == 0 || partial == 0 || fallbacks == 0 || kept == decided || parsed == 0 {
 		t.Fatalf("weak corpus: %d decisions, %d kept, %d with filtered expansion cells, %d fallbacks, %d operands parsed",
@@ -190,33 +226,42 @@ func TestOperandRecordsSharedAcrossChunks(t *testing.T) {
 		cells[i].Expand = i%2 == 0
 		values += cells[i].NumValues()
 	}
-	var recs operandRecords
+	recs := &compareFilter{memo: feature.NewMemo()}
 	var wg sync.WaitGroup
-	got := make([][][]operand, 16)
+	type read struct{ cell, first []operand } // a cell's record and its first assignment's
+	got := make([][]read, 16)
 	for g := range got {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			docs := docCursor{memo: recs.memo}
 			for k := 0; k < 50; k++ {
 				for _, c := range cells {
 					if c.NumValues() > 0 {
-						got[g] = append(got[g], recs.of(c))
+						var buf []operand
+						ops := recs.record(c, &docs, &buf)
+						first, _ := docs.of(c.Assigns[0].Span.Doc()).Values(c.Assigns[0])
+						got[g] = append(got[g], read{ops, first})
 					}
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	// Whoever built it, every caller is handed the one published record.
+	// Whoever built it, every caller is handed the one published record of
+	// an assignment, and a cell's record is the same operands in order.
 	for g := range got {
-		for k, ops := range got[g] {
-			if &ops[0] != &got[0][k][0] {
-				t.Fatalf("goroutine %d, read %d: got a record of its own, %v", g, k, ops)
+		for k, rd := range got[g] {
+			if len(rd.first) > 0 && &rd.first[0] != &got[0][k].first[0] {
+				t.Fatalf("goroutine %d, read %d: got a record of its own, %v", g, k, rd.first)
+			}
+			if fmt.Sprint(rd.cell) != fmt.Sprint(got[0][k].cell) { // NaN is a value
+				t.Fatalf("goroutine %d, read %d: cell record %v, goroutine 0 read %v", g, k, rd.cell, got[0][k].cell)
 			}
 		}
 	}
-	if recs.parsed != int64(values) {
-		t.Errorf("charged %d operands for cells holding %d values", recs.parsed, values)
+	if recs.parsed.Load() != int64(values) {
+		t.Errorf("charged %d operands for cells holding %d values", recs.parsed.Load(), values)
 	}
 
 	in := compact.NewTable("a", "b")
@@ -248,11 +293,13 @@ func TestOperandRecordsSharedAcrossChunks(t *testing.T) {
 	}
 }
 
-// TestChaosOperandRecordRebuiltAfterFault: a page that fails to load halfway
-// through a record's build (under the quarantine guard) must leave nothing
-// behind — the next tuple holding the cell builds the whole record again
-// and decides as if the fault had never happened, and the record is
-// charged once.
+// TestChaosOperandRecordRebuiltAfterFault: a page that fails to load while a
+// record is being built (under the quarantine guard) must leave nothing
+// behind. Records are published per assignment, by completed builds only:
+// the assignments decided before the fault stay published and charged, the
+// faulted one publishes and charges nothing, and the next tuple holding the
+// cell parses every value of the page again and decides as if the fault had
+// never happened.
 func TestChaosOperandRecordRebuiltAfterFault(t *testing.T) {
 	const body = "10 20 30"
 	loads := 0
@@ -271,7 +318,7 @@ func TestChaosOperandRecordRebuiltAfterFault(t *testing.T) {
 	cols := []string{"a", "b"}
 	ctx := NewContext(NewEnv())
 	ctx.FaultPolicy = QuarantineFaults
-	f := newCompareFilter(cmp, cols, ctx.Env.Limits)
+	f := newCompareFilter(cmp, cols, ctx.Env.Limits, ctx.Env.FeatureMemo)
 	decide := func(tp compact.Tuple) (filterOutcome, bool) {
 		var res filterOutcome
 		var batch statBatch
@@ -289,8 +336,8 @@ func TestChaosOperandRecordRebuiltAfterFault(t *testing.T) {
 	if _, qed := decide(first); !qed {
 		t.Fatal("the failing load did not quarantine the first tuple")
 	}
-	if len(f.recs.recs) != 0 || f.recs.parsed != 0 {
-		t.Fatalf("a faulted build left %d records and %d charged operands behind", len(f.recs.recs), f.recs.parsed)
+	if got := f.parsed.Load(); got != 2 || loads != 1 {
+		t.Fatalf("the faulted tuple charged %d operands after %d loads, want the 2 of the steady page after 1", got, loads)
 	}
 	second := compact.Tuple{Cells: []compact.Cell{shared, other}, Maybe: true}
 	got, qed := decide(second)
@@ -305,8 +352,13 @@ func TestChaosOperandRecordRebuiltAfterFault(t *testing.T) {
 	if g, w := renderOutcome(got, 2), renderOutcome(want, 2); g != w {
 		t.Errorf("after the fault the record path decided\n%s\nthe span path\n%s", g, w)
 	}
-	if rec := f.recs.of(shared); len(rec) != 4 || f.recs.parsed != 5 || loads != 2 {
-		t.Errorf("rebuilt record has %d of 4 operands, %d charged (want 5 with the other cell's), %d loads (want 2)", len(rec), f.recs.parsed, loads)
+	// Both values of the flaky page were parsed by the retry; the other
+	// cell's only assignment is one the shared cell had already published.
+	if got := f.parsed.Load(); got != 4 || loads != 2 {
+		t.Errorf("%d operands charged after the retry (want 4: each distinct assignment once), %d loads (want 2)", got, loads)
+	}
+	if _, qed := decide(first); qed || f.parsed.Load() != 4 {
+		t.Errorf("a third tuple over published records charged again: %d operands", f.parsed.Load())
 	}
 }
 
@@ -328,11 +380,14 @@ func TestAnnotationKeyDoesNotPinPage(t *testing.T) {
 	}
 }
 
-// compareBench times one cold evaluation of the plan's topmost comparison
+// compareBench times one evaluation of the plan's topmost comparison
 // selection per iteration, its input served from the cache, and reports the
-// operands parsed beside ns and allocs per op. Pages are seven or eight
-// tokens — a few words and a price — so an unconstrained from() cell holds
-// about thirty values, as on a first step.
+// operands parsed beside ns and allocs per op: warm, over the record tables
+// the evaluations before it left in the Env — what every evaluation of a
+// session but the first to meet a span sees — and cold, with the tables
+// dropped before each evaluation. Pages are seven or eight tokens — a few
+// words and a price — so an unconstrained from() cell holds about thirty
+// values, as on a first step.
 func compareBench(b *testing.B, src string) {
 	r := rand.New(rand.NewSource(1))
 	zipf := rand.NewZipf(r, 1.3, 4, 499)
@@ -372,18 +427,28 @@ func compareBench(b *testing.B, src string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var parsed int64
-	for i := 0; i < b.N; i++ {
-		before := ctx.Stats.CmpOperandsParsed
-		if _, err := cn.eval(ctx, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-		parsed = ctx.Stats.CmpOperandsParsed - before
+	for _, leg := range []string{"warm", "cold"} {
+		b.Run(leg, func(b *testing.B) {
+			if _, err := cn.eval(ctx, nil, nil); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var parsed int64
+			for i := 0; i < b.N; i++ {
+				if leg == "cold" {
+					env.FeatureMemo.Drop()
+				}
+				before := ctx.Stats.CmpOperandsParsed
+				if _, err := cn.eval(ctx, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+				parsed = ctx.Stats.CmpOperandsParsed - before
+			}
+			b.ReportMetric(float64(len(in.Tuples)), "tuples/op")
+			b.ReportMetric(float64(parsed), "cmp_operands_parsed/op")
+		})
 	}
-	b.ReportMetric(float64(len(in.Tuples)), "tuples/op")
-	b.ReportMetric(float64(parsed), "cmp_operands_parsed/op")
 }
 
 // BenchmarkCompareJoined is the T9 first-step shape: p < q over the output

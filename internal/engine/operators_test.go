@@ -6,14 +6,15 @@ import (
 
 	"iflex/internal/alog"
 	"iflex/internal/compact"
+	"iflex/internal/feature"
 	"iflex/internal/markup"
 	"iflex/internal/text"
 )
 
 func TestCompareOperandsTable(t *testing.T) {
-	num := func(v float64) operand { return operand{isNum: true, num: v} }
-	str := func(s string) operand { return operand{str: s} }
-	null := operand{isNull: true}
+	num := func(v float64) operand { return operand{IsNum: true, Num: v} }
+	str := func(s string) operand { return operand{Str: s} }
+	null := operand{IsNull: true}
 	cases := []struct {
 		op   alog.CompareOp
 		a, b operand
@@ -43,13 +44,17 @@ func TestCompareOperandsTable(t *testing.T) {
 
 func TestSpanOperandClassification(t *testing.T) {
 	d := markup.MustParse("d", "42 hello ")
-	if op := spanOperand(d.Span(0, 2)); !op.isNum || op.num != 42 {
+	spanOperand := func(s text.Span) operand {
+		rec, _ := (*feature.DocRecords)(nil).Values(text.ExactOf(s))
+		return rec[0]
+	}
+	if op := spanOperand(d.Span(0, 2)); !op.IsNum || op.Num != 42 {
 		t.Errorf("numeric operand = %+v", op)
 	}
-	if op := spanOperand(d.Span(3, 8)); op.isNum || op.str != "hello" {
+	if op := spanOperand(d.Span(3, 8)); op.IsNum || op.Str != "hello" {
 		t.Errorf("string operand = %+v", op)
 	}
-	if op := spanOperand(d.Span(9, 9)); !op.isNull {
+	if op := spanOperand(d.Span(9, 9)); !op.IsNull {
 		t.Errorf("empty span should be NULL: %+v", op)
 	}
 }
@@ -76,15 +81,6 @@ func TestCellsMayEqual(t *testing.T) {
 	}
 }
 
-// genericPred lifts an opaque value predicate into a residual-only
-// factoredPred (explicit nil conjunct per column), so the odometer tests
-// exercise filterTupleF with no per-column decomposition.
-func genericPred(pred Func, arity int) factoredPred {
-	fp := opaquePred(pred)
-	fp.cols = make([]colPred, arity)
-	return fp
-}
-
 func TestFilterTupleExpansionPartial(t *testing.T) {
 	d := markup.MustParse("d", "10 20 30")
 	cell := compact.Cell{Expand: true, Assigns: []text.Assignment{text.ContainOf(d.WholeSpan())}}
@@ -93,7 +89,7 @@ func TestFilterTupleExpansionPartial(t *testing.T) {
 		n, ok := vals[0].Numeric()
 		return ok && n >= 20, nil
 	}
-	res, err := filterTupleF(tp, []int{0}, genericPred(pred, 1), DefaultLimits(), &statBatch{})
+	res, err := filterTupleF(tp, []int{0}, pred, DefaultLimits(), &statBatch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +113,7 @@ func TestFilterTupleCapFallsBackConservative(t *testing.T) {
 	tp := compact.Tuple{Cells: []compact.Cell{cell}}
 	calls := 0
 	pred := func([]text.Span) (bool, error) { calls++; return false, nil }
-	res, err := filterTupleF(tp, []int{0}, genericPred(pred, 1), DefaultLimits(), &statBatch{})
+	res, err := filterTupleF(tp, []int{0}, pred, DefaultLimits(), &statBatch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +125,7 @@ func TestFilterTupleCapFallsBackConservative(t *testing.T) {
 func TestFilterTupleEmptyCellDropsTuple(t *testing.T) {
 	d := markup.MustParse("d", "x")
 	tp := compact.Tuple{Cells: []compact.Cell{{}}} // no assignments: no value
-	res, err := filterTupleF(tp, []int{0}, genericPred(func([]text.Span) (bool, error) { return true, nil }, 1), DefaultLimits(), &statBatch{})
+	res, err := filterTupleF(tp, []int{0}, func([]text.Span) (bool, error) { return true, nil }, DefaultLimits(), &statBatch{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,43 +11,6 @@ import (
 	"iflex/internal/text"
 )
 
-// colPred is a single-column conjunct: it tests one value of one involved
-// column in isolation.
-type colPred func(v text.Span) (bool, error)
-
-// idxPred tests one valuation, identified by the value index chosen for
-// each involved column (idx[i] indexes the column's enumerated values).
-type idxPred func(idx []int) (bool, error)
-
-// factoredPred is a conjunctive tuple predicate factored by column: a
-// valuation satisfies it iff every per-column conjunct accepts its value
-// AND the residual (when present) accepts the combination.
-//
-//   - cols[i], when present and non-nil, is evaluated once per value of
-//     involved column i — O(Σ|vals|) work instead of a factor of the cross
-//     product.
-//   - prepare, when non-nil, builds the residual predicate after
-//     precomputing whatever per-value state it needs; the returned idxPred
-//     then runs only over combinations of values that passed their
-//     conjuncts.
-//
-// The residual counts its own predicate evaluations into the batch given
-// to prepare (conjunct evaluations are counted by filterTupleF), so a
-// residual that rejects a combination with a cheap necessary-condition
-// check — the filter step of filter-and-verify — does not inflate
-// FuncCalls with evaluations that never ran.
-//
-// A predicate with no residual never enumerates the cross product at all.
-//
-// Opaque p-functions run through it as a bare residual (opaquePred).
-// Comparisons and declared token similarities are decided by filters of
-// their own over per-cell records (compareFilter, tokenSim.filter), which
-// reproduce filterTupleF's outcomes and are tested against it.
-type factoredPred struct {
-	cols    []colPred
-	prepare func(vals [][]text.Span, batch *statBatch) (idxPred, error)
-}
-
 // filterOutcome is the result of applying a predicate to one compact tuple
 // with superset semantics.
 type filterOutcome struct {
@@ -57,17 +20,17 @@ type filterOutcome struct {
 	fallback bool                 // kept conservatively: enumeration exceeded Limits
 }
 
-// filterScratch pools the per-call working set of filterTupleF: the value
-// lists, per-value conjunct verdicts, satisfied flags, and odometer
-// positions. One scratch serves one call at a time (callers never hold it
-// across predicate evaluations of other tuples).
+// filterScratch pools the per-call working set of the tuple filters: the
+// value lists, satisfied flags, odometer positions and argument list of
+// filterTupleF, and the stitched operand records of compareFilter. One
+// scratch serves one call at a time (callers never hold it across
+// predicate evaluations of other tuples).
 type filterScratch struct {
 	vals [][]text.Span
-	pass [][]bool
 	sat  [][]bool
-	keep [][]int
 	idx  []int
-	cur  []int
+	args []text.Span
+	ops  [2][]operand
 }
 
 var scratchPool = sync.Pool{New: func() any { return &filterScratch{} }}
@@ -76,13 +39,11 @@ var scratchPool = sync.Pool{New: func() any { return &filterScratch{} }}
 func (sc *filterScratch) grow(n int) {
 	for len(sc.vals) < n {
 		sc.vals = append(sc.vals, nil)
-		sc.pass = append(sc.pass, nil)
 		sc.sat = append(sc.sat, nil)
-		sc.keep = append(sc.keep, nil)
 	}
 	if cap(sc.idx) < n {
 		sc.idx = make([]int, n)
-		sc.cur = make([]int, n)
+		sc.args = make([]text.Span, n)
 	}
 }
 
@@ -96,30 +57,30 @@ func resized[T any](s []T, n int) []T {
 	return s
 }
 
-// filterTupleF evaluates a factored predicate over one compact tuple
-// (Section 4.1) with superset semantics:
+// filterTupleF evaluates an opaque p-function over one compact tuple
+// (Section 4.1) with superset semantics, one call (counted into batch as
+// FuncCalls) per combination of the involved cells' values:
 //
 //   - keep the tuple if any valuation satisfies; mark it maybe unless all do
 //   - expansion cells stand for one tuple per value, so their values are
 //     filtered down to those participating in a satisfying valuation
 //   - when value enumeration exceeds the limits, fall back to keeping the
-//     tuple as maybe — conservative but superset-safe; per-column conjunct
-//     verdicts already decided are still applied (dropping a value whose
-//     conjunct failed can never drop a satisfying valuation)
+//     tuple as maybe — conservative but superset-safe
 //
-// The residual odometer runs only over values that passed their conjuncts
-// and short-circuits once the keep/maybe verdict is decided and every
-// expansion column's satisfied-set is saturated. Conjunct evaluations are
-// counted into batch (FuncCalls) here; residual evaluations count
-// themselves (see factoredPred).
-func filterTupleF(tp compact.Tuple, involved []int, fp factoredPred, lim Limits, batch *statBatch) (filterOutcome, error) {
+// The odometer short-circuits once the keep/maybe verdict is decided and
+// every expansion column's satisfied-set is saturated. Comparisons and
+// declared token similarities are decided by filters of their own over
+// per-value records (compareFilter, tokenSim.filter), which reproduce these
+// outcomes and are tested against them.
+func filterTupleF(tp compact.Tuple, involved []int, fn Func, lim Limits, batch *statBatch) (filterOutcome, error) {
 	sc := scratchPool.Get().(*filterScratch)
 	defer scratchPool.Put(sc)
 	sc.grow(len(involved))
 	conservative := filterOutcome{keep: true, fallback: true}
 
 	// Enumerate the value list of each involved cell, bailing out to the
-	// fully conservative outcome when any single cell is too large.
+	// conservative outcome when any single cell, or the product, is too
+	// large.
 	vals := sc.vals[:len(involved)]
 	for i, ci := range involved {
 		cell := tp.Cells[ci]
@@ -136,128 +97,59 @@ func filterTupleF(tp compact.Tuple, involved []int, fp factoredPred, lim Limits,
 		}
 		vals[i] = vs
 	}
-
-	// Per-column conjunct passes: pass[i][j] records whether value j of
-	// column i satisfies its conjunct; keep[i] lists the passing indices.
-	// A column with no passing value kills the tuple outright (the overall
-	// predicate is a conjunction).
-	anyColFailed := false
-	for i := range involved {
-		n := len(vals[i])
-		pass := resized(sc.pass[i], n)
-		kp := sc.keep[i][:0]
-		var cp colPred
-		if i < len(fp.cols) {
-			cp = fp.cols[i]
-		}
-		if cp == nil {
-			for j := 0; j < n; j++ {
-				pass[j] = true
-				kp = append(kp, j)
-			}
-		} else {
-			for j := 0; j < n; j++ {
-				batch.funcCalls++
-				ok, err := cp(vals[i][j])
-				if err != nil {
-					return filterOutcome{}, err
-				}
-				pass[j] = ok
-				if ok {
-					kp = append(kp, j)
-				} else {
-					anyColFailed = true
-				}
-			}
-			if len(kp) == 0 {
-				return filterOutcome{keep: false}, nil
-			}
-		}
-		sc.pass[i], sc.keep[i] = pass, kp
-	}
-
-	// Fully factored predicate: the conjunct verdicts decide everything —
-	// a value participates in a satisfying valuation iff it passed (every
-	// other column has at least one passing value).
-	if fp.prepare == nil {
-		if !anyColFailed {
-			return filterOutcome{keep: true, sure: true}, nil
-		}
-		out := filterOutcome{keep: true}
-		return finishRepl(out, tp, involved, sc.pass)
-	}
-
-	// Residual odometer over passing values only. The combination count is
-	// checked against the restricted product, so conjuncts shrink the
-	// valuation space before the limit applies.
 	combos := 1
 	for i := range involved {
-		combos *= len(sc.keep[i])
-		if combos > lim.MaxValuations {
-			// Conservative keep, but per-column verdicts already decided
-			// still filter the expansion cells (superset-safe: a value whose
-			// conjunct failed satisfies no valuation).
-			if !anyColFailed {
-				return conservative, nil
-			}
-			out, err := finishRepl(filterOutcome{keep: true, fallback: true}, tp, involved, sc.pass)
-			out.fallback = true
-			return out, err
+		if combos *= len(vals[i]); combos > lim.MaxValuations {
+			return conservative, nil
 		}
 	}
-	res, err := fp.prepare(vals, batch)
-	if err != nil {
-		return filterOutcome{}, err
-	}
 
-	// satNeeded marks expansion columns: only their satisfied-sets matter
-	// for output filtering, so saturation is tracked on them alone.
+	// Only the satisfied-sets of expansion columns matter for output
+	// filtering, so saturation is tracked on them alone.
 	satRemaining := 0
 	for i, ci := range involved {
 		if tp.Cells[ci].Expand {
 			sc.sat[i] = resized(sc.sat[i], len(vals[i]))
-			satRemaining += len(sc.keep[i])
+			satRemaining += len(vals[i])
 		} else {
 			sc.sat[i] = nil
 		}
 	}
 
-	idx := sc.idx[:len(involved)]
-	cur := sc.cur[:len(involved)]
-	for i := range idx {
-		idx[i] = 0
-	}
+	idx, args := sc.idx[:len(involved)], sc.args[:len(involved)]
+	clear(idx)
 	anySat, allSat := false, true
 	for {
-		for i, p := range idx {
-			cur[i] = sc.keep[i][p]
+		for i, j := range idx {
+			args[i] = vals[i][j]
 		}
-		ok, err := res(cur)
+		batch.funcCalls++
+		ok, err := fn(args)
 		if err != nil {
 			return filterOutcome{}, err
 		}
 		if ok {
 			anySat = true
-			for i := range idx {
-				if sc.sat[i] != nil && !sc.sat[i][cur[i]] {
-					sc.sat[i][cur[i]] = true
+			for i, j := range idx {
+				if sc.sat[i] != nil && !sc.sat[i][j] {
+					sc.sat[i][j] = true
 					satRemaining--
 				}
 			}
 		} else {
 			allSat = false
 		}
-		// Short-circuit: once some valuation satisfies, some fails (here or
-		// in a conjunct), and every expansion value's fate is decided,
-		// remaining combinations cannot change the outcome.
-		if anySat && (anyColFailed || !allSat) && satRemaining == 0 {
+		// Short-circuit: once some valuation satisfies, some fails, and every
+		// expansion value's fate is decided, remaining combinations cannot
+		// change the outcome.
+		if anySat && !allSat && satRemaining == 0 {
 			break
 		}
 		// advance the odometer
 		k := len(idx) - 1
 		for k >= 0 {
 			idx[k]++
-			if idx[k] < len(sc.keep[k]) {
+			if idx[k] < len(vals[k]) {
 				break
 			}
 			idx[k] = 0
@@ -267,20 +159,13 @@ func filterTupleF(tp compact.Tuple, involved []int, fp factoredPred, lim Limits,
 			break
 		}
 	}
-	if !anySat {
+	switch {
+	case !anySat:
 		return filterOutcome{keep: false}, nil
-	}
-	if allSat && !anyColFailed {
+	case allSat:
 		return filterOutcome{keep: true, sure: true}, nil
 	}
-	// A value participates in a satisfying valuation iff the residual
-	// marked it; merge that into pass[i] for expansion columns.
-	for i := range involved {
-		if sc.sat[i] != nil {
-			sc.pass[i] = sc.sat[i]
-		}
-	}
-	return finishRepl(filterOutcome{keep: true}, tp, involved, sc.pass)
+	return finishRepl(filterOutcome{keep: true}, tp, involved, sc.sat)
 }
 
 // finishRepl rebuilds filtered expansion cells: values with no satisfying
@@ -339,14 +224,6 @@ func finishRepl(out filterOutcome, tp compact.Tuple, involved []int, pass [][]bo
 
 // tupleFilter decides one tuple of a selection; counters go to batch.
 type tupleFilter func(tp compact.Tuple, batch *statBatch) (filterOutcome, error)
-
-// factored is the tupleFilter of a factored predicate over the involved
-// columns.
-func factored(involved []int, fp factoredPred, lim Limits) tupleFilter {
-	return func(tp compact.Tuple, batch *statBatch) (filterOutcome, error) {
-		return filterTupleF(tp, involved, fp, lim, batch)
-	}
-}
 
 // applyFilter runs a tuple filter over a whole table, producing the selected
 // table with maybe flags and expansion-cell filtering applied. Tuples are
@@ -497,11 +374,11 @@ func (n *compareNode) Columns() []string { return n.parent.Columns() }
 func constTerm(t alog.Term) operand {
 	switch t.Kind {
 	case alog.TermNum:
-		return operand{isNum: true, num: t.Num}
+		return operand{IsNum: true, Num: t.Num}
 	case alog.TermStr:
-		return operand{str: t.Str}
+		return operand{Str: t.Str}
 	}
-	return operand{isNull: true}
+	return operand{IsNull: true}
 }
 
 func (n *compareNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
@@ -509,7 +386,7 @@ func (n *compareNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 	if err != nil {
 		return nil, err
 	}
-	f := newCompareFilter(n.cmp, in.Cols, ctx.Env.Limits)
+	f := newCompareFilter(n.cmp, in.Cols, ctx.Env.Limits, ctx.Env.FeatureMemo)
 	if len(f.involved) == 0 {
 		// const ⋈ const: one evaluation decides every tuple.
 		ok, err := f.compare(f.konst[0][0], f.konst[1][0])
@@ -523,39 +400,16 @@ func (n *compareNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 		return out, nil
 	}
 	out, err := applyFilter(ctx, ev, dx, in, f.involved, f.filter)
-	ev.operandsParsed(ctx, f.recs.parsed)
+	ev.operandsParsed(ctx, f.parsed.Load())
 	return out, err
-}
-
-// operand is one side of a comparison at valuation time. The flags sit
-// together so a record of operands takes 32 bytes a value.
-type operand struct {
-	num    float64
-	str    string
-	isNum  bool
-	isNull bool
-}
-
-// spanOperand converts a value span: numeric when it parses, NULL when
-// empty, string otherwise. It runs once per value of a cell's record
-// (operandRecords), never per tuple.
-func spanOperand(s text.Span) operand {
-	if n, ok := s.Numeric(); ok {
-		return operand{isNum: true, num: n}
-	}
-	t := s.NormText()
-	if t == "" {
-		return operand{isNull: true}
-	}
-	return operand{str: t}
 }
 
 // compareOperands implements the comparison semantics: NULL equals only
 // NULL and is ordered below everything; numbers compare numerically;
 // otherwise strings compare lexically.
 func compareOperands(op alog.CompareOp, a, b operand) (bool, error) {
-	if a.isNull || b.isNull {
-		eq := a.isNull && b.isNull
+	if a.IsNull || b.IsNull {
+		eq := a.IsNull && b.IsNull
 		switch op {
 		case alog.OpEQ:
 			return eq, nil
@@ -566,15 +420,15 @@ func compareOperands(op alog.CompareOp, a, b operand) (bool, error) {
 		}
 	}
 	var c int
-	if a.isNum && b.isNum {
+	if a.IsNum && b.IsNum {
 		switch {
-		case a.num < b.num:
+		case a.Num < b.Num:
 			c = -1
-		case a.num > b.num:
+		case a.Num > b.Num:
 			c = 1
 		}
-	} else if !a.isNum && !b.isNum {
-		c = strings.Compare(a.str, b.str)
+	} else if !a.IsNum && !b.IsNum {
+		c = strings.Compare(a.Str, b.Str)
 	} else {
 		// Mixed number/string never compares equal and has no order.
 		if op == alog.OpNE {
@@ -654,21 +508,10 @@ func (n *funcNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 				&sc, batch)
 		})
 	}
-	return applyFilter(ctx, ev, dx, in, involved, factored(involved, opaquePred(fn), ctx.Env.Limits))
-}
-
-// opaquePred factors a p-function the engine knows nothing about: no
-// per-column conjuncts, the function itself as the residual over every
-// combination of argument values.
-func opaquePred(fn Func) factoredPred {
-	return factoredPred{prepare: func(vals [][]text.Span, batch *statBatch) (idxPred, error) {
-		args := make([]text.Span, len(vals))
-		return func(idx []int) (bool, error) {
-			for i, j := range idx {
-				args[i] = vals[i][j]
-			}
-			batch.funcCalls++
-			return fn(args)
-		}, nil
-	}}
+	// A p-function the engine knows nothing about: the function itself over
+	// every combination of argument values.
+	lim := ctx.Env.Limits
+	return applyFilter(ctx, ev, dx, in, involved, func(tp compact.Tuple, batch *statBatch) (filterOutcome, error) {
+		return filterTupleF(tp, involved, fn, lim, batch)
+	})
 }

@@ -345,7 +345,8 @@ func (n *simJoinNode) rightIndex(ctx *Context, ev *EvalTrace, sim *tokenSim, rt 
 type simProbe struct {
 	ctx    *Context
 	ev     *EvalTrace
-	sim    *tokenSim // nil for an opaque p-function
+	sim    *tokenSim // nil for an opaque p-function,
+	fn     Func      // which the odometer then calls per value pair
 	rt     *compact.Table
 	li, ri int
 	idx    *blockIndex // over all of rt
@@ -366,9 +367,6 @@ type simChunk struct {
 	gen   uint32
 	cands []int
 	toks  []uint32
-	// opaque is the pair predicate of a p-function without a declared
-	// similarity, factored for the odometer.
-	opaque factoredPred
 }
 
 var pairInvolved = []int{0, 1}
@@ -428,7 +426,7 @@ func (c *simChunk) candidates(left *leftSide, idx *blockIndex, universe []int) (
 
 // evalPair decides one candidate pair: the similarity kernel alone when
 // both cells are pinned, the value-level filter when the p-function
-// declares its token similarity, the factored odometer over the opaque
+// declares its token similarity, the odometer over the opaque
 // function otherwise. qed means the pair faulted and was quarantined (the
 // caller drops it); fb reports a charged valuation-limit fallback.
 func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed bool, err error) {
@@ -453,7 +451,7 @@ func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed b
 	qed, err = c.ctx.guard(c.ev, "pfunc", pairDocs, func() error {
 		var ferr error
 		if c.sim == nil {
-			res, ferr = filterTupleF(pair, pairInvolved, c.opaque, c.ctx.Env.Limits, &c.batch)
+			res, ferr = filterTupleF(pair, pairInvolved, c.fn, c.ctx.Env.Limits, &c.batch)
 			return ferr
 		}
 		res, ferr = c.sim.filter(pair, pairInvolved, c.ctx.Env.Limits,
@@ -538,7 +536,7 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 	if err != nil {
 		return nil, err
 	}
-	p := &simProbe{ctx: ctx, ev: ev, rt: rt,
+	p := &simProbe{ctx: ctx, ev: ev, fn: fn, rt: rt,
 		li: colIndex(lt.Cols, n.leftVar), ri: colIndex(rt.Cols, n.rightVar)}
 	if spec, ok := ctx.Env.TokenSimilar[n.fname]; ok {
 		p.sim = &tokenSim{ctx: ctx, spec: spec}
@@ -622,7 +620,7 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 	// faulted; ncut the chunks cut short by a best-effort cancellation.
 	var nq, ncut atomic.Int64
 	probe := func(start, end int) error {
-		c := &simChunk{simProbe: p, stamp: make([]uint32, len(rt.Tuples)), opaque: opaquePred(fn)}
+		c := &simChunk{simProbe: p, stamp: make([]uint32, len(rt.Tuples))}
 		defer c.batch.flush(ctx)
 		reused := 0
 		for i := start; i < end; i++ {

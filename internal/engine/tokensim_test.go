@@ -49,7 +49,7 @@ func TestTokenFilterEqualsOdometer(t *testing.T) {
 	env := NewEnv()
 	ctx := NewContext(env)
 	sim := &tokenSim{ctx: ctx, spec: env.TokenSimilar["similar"]}
-	opaque := opaquePred(env.Funcs["similar"])
+	opaque := env.Funcs["similar"]
 	randCell := func(id string) compact.Cell {
 		var c compact.Cell
 		for k := 1 + r.Intn(2); k > 0; k-- {

@@ -407,6 +407,7 @@ type StatsSnapshot struct {
 	CacheEvictions   int64              `json:"cache_evictions"`
 	BlockIdxEvict    int64              `json:"block_idx_evictions"`
 	CacheBytes       int64              `json:"cache_bytes"`
+	DocRecordBytes   int64              `json:"doc_record_bytes"`
 	TablesSpilled    int64              `json:"tables_spilled"`
 	SpillLoads       int64              `json:"spill_loads"`
 	SpillBytes       int64              `json:"spill_bytes"`
@@ -455,6 +456,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		CacheEvictions:   s.CacheEvictions,
 		BlockIdxEvict:    s.BlockIdxEvictions,
 		CacheBytes:       s.CacheBytes,
+		DocRecordBytes:   s.DocRecordBytes,
 		TablesSpilled:    s.TablesSpilled,
 		SpillLoads:       s.SpillLoads,
 		SpillBytes:       s.SpillBytes,

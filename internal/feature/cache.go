@@ -1,121 +1,315 @@
-// Feature memoisation. Verify and Refine are pure functions of
-// (document, span, feature, parameter): documents are immutable after
-// construction and Feature implementations are stateless by contract. The
-// engine re-verifies the same spans across tuples, across operators of
-// one plan, and — most expensively — across every trial execution of the
-// assistant's question-simulation fan-out, so a process-wide-per-Env memo
-// turns that repetition into map lookups. Entries never need invalidation;
-// the memo simply grows with the set of distinct (span, constraint) pairs
-// the session touches, which the per-document line and case indexes keep
-// small and cheap to compute on miss.
+// Per-document record tables. What a span means — whether it verifies under
+// a constraint, what it refines to, which typed value a comparison reads off
+// it — is a pure function of (document, span, feature, parameter): documents
+// are immutable after construction and Feature implementations are stateless
+// by contract. The engine asks the same questions of the same spans across
+// tuples, across operators of one plan, and — most expensively — across
+// every trial execution of the assistant's question-simulation fan-out, so
+// the answers are kept with the document they were read off: one table per
+// document handle, keyed by small integers. A caller finds a tuple's table
+// once (Memo.Doc) and interns a constraint's (feature, parameter) pair once
+// (Memo.Intern); every call after that is one lookup under the document's
+// own lock, and two workers contend only when they sit on the same page.
+//
+// The lifetime is the document handle's: entries never go stale, a
+// superseded handle's table is dropped with it (DropDocs), and the whole
+// set may be dropped at any time (Drop) — a table rebuilds in microseconds.
 package feature
 
 import (
-	"hash/maphash"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"iflex/internal/text"
 )
 
-// memoShards bounds lock contention: keys hash onto independent
-// RWMutex-guarded shards, so concurrent workers rarely collide.
-const memoShards = 64
+// ConsID names a (feature, parameter) pair interned in one Memo.
+type ConsID uint32
 
-// memoKey identifies one Verify/Refine invocation. The document is keyed
-// by identity (pointer), not ID, so two corpora loaded into one process
-// never alias.
-type memoKey struct {
-	doc        *text.Document
-	start, end int
-	feat       string
-	param      string
+type consKey struct{ feat, param string }
+
+// spanKey and valueKey address a record inside one document's table.
+// Offsets are kept in 32 bits: pages are far smaller, and the key is what a
+// table spends most of its bytes on.
+type spanKey struct {
+	cons       ConsID
+	start, end uint32
 }
 
-type memoShard struct {
-	mu     sync.RWMutex
-	verify map[memoKey]bool
-	refine map[memoKey][]text.Assignment
+type valueKey struct {
+	start, end uint32
+	contain    bool
 }
 
-// Memo is a sharded, concurrency-safe cache of feature Verify/Refine
-// results. The zero value is not usable; construct with NewMemo. A nil
-// *Memo is valid and caches nothing (every call goes to the feature).
+// Accounting estimates, in bytes: a table with its three map headers, and
+// one map slot of each kind (key, value and bucket overhead at the usual
+// load). Slices and strings a slot points to are added per element.
+const (
+	docRecordsBytes  = 208
+	verifySlotBytes  = 20
+	refineSlotBytes  = 48
+	valueSlotBytes   = 48
+	assignmentBytes  = 32
+	valueRecordBytes = 32
+)
+
+// Memo owns the record tables of the documents one Env evaluates over. The
+// zero value is not usable; construct with NewMemo. A nil *Memo is valid and
+// keeps nothing: Doc returns the nil table, whose methods evaluate directly.
+// Safe for concurrent use.
 type Memo struct {
-	seed   maphash.Seed
-	shards [memoShards]memoShard
+	// mu guards cons and docs; the tables lock themselves.
+	mu    sync.RWMutex
+	cons  map[consKey]ConsID
+	docs  map[*text.Document]*DocRecords
+	bytes atomic.Int64
 }
 
 // NewMemo returns an empty memo.
 func NewMemo() *Memo {
-	m := &Memo{seed: maphash.MakeSeed()}
-	for i := range m.shards {
-		m.shards[i].verify = map[memoKey]bool{}
-		m.shards[i].refine = map[memoKey][]text.Assignment{}
-	}
-	return m
+	return &Memo{cons: map[consKey]ConsID{}, docs: map[*text.Document]*DocRecords{}}
 }
 
-func (m *Memo) shard(k memoKey) *memoShard {
-	var h maphash.Hash
-	h.SetSeed(m.seed)
-	h.WriteString(k.doc.ID())
-	h.WriteString(k.feat)
-	h.WriteString(k.param)
-	h.WriteByte(byte(k.start))
-	h.WriteByte(byte(k.start >> 8))
-	h.WriteByte(byte(k.end))
-	h.WriteByte(byte(k.end >> 8))
-	return &m.shards[h.Sum64()%memoShards]
-}
-
-// Verify answers f(s) = v through the cache. hit reports whether the
-// result came from the cache. Errors are never cached (they indicate a
-// malformed parameter, and the caller surfaces them immediately).
-func (m *Memo) Verify(f Feature, s text.Span, v string) (ok, hit bool, err error) {
+// Intern returns the id of a (feature name, parameter) pair. Ids are never
+// reused or dropped, so one resolved before a Drop stays valid after it.
+func (m *Memo) Intern(feat, param string) ConsID {
 	if m == nil {
+		return 0
+	}
+	k := consKey{feat, param}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	id, ok := m.cons[k]
+	if !ok {
+		id = ConsID(len(m.cons))
+		m.cons[k] = id
+	}
+	return id
+}
+
+// Doc returns the record table of a document, made on first use. Documents
+// are told apart by handle, not by id: two corpora loaded into one process
+// never alias, and a page a store has rewritten is a new document.
+func (m *Memo) Doc(d *text.Document) *DocRecords {
+	if m == nil {
+		return nil
+	}
+	m.mu.RLock()
+	t := m.docs[d]
+	m.mu.RUnlock()
+	if t != nil {
+		return t
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if t = m.docs[d]; t == nil {
+		t = &DocRecords{memo: m, bytes: docRecordsBytes, verify: map[spanKey]bool{},
+			refine: map[spanKey][]text.Assignment{}, values: map[valueKey][]Value{}}
+		m.docs[d] = t
+		m.bytes.Add(docRecordsBytes)
+	}
+	return t
+}
+
+// Bytes estimates the resident size of every table, counted as records are
+// published.
+func (m *Memo) Bytes() int64 {
+	if m == nil {
+		return 0
+	}
+	return m.bytes.Load()
+}
+
+// Drop forgets every table. Evaluations in flight finish against the tables
+// they hold, whose late publications may leave Bytes a little high until the
+// next Drop.
+func (m *Memo) Drop() {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	m.docs = map[*text.Document]*DocRecords{}
+	m.bytes.Store(0)
+	m.mu.Unlock()
+}
+
+// DropDocs forgets the tables of the documents whose id is in ids — every
+// handle of that id, which is how a corpus mutation releases the pages it
+// superseded — and reports how many it dropped.
+func (m *Memo) DropDocs(ids map[string]bool) int {
+	if m == nil {
+		return 0
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
+	for d, t := range m.docs {
+		if ids[d.ID()] {
+			delete(m.docs, d)
+			t.mu.Lock()
+			m.bytes.Add(-t.bytes)
+			t.mu.Unlock()
+			n++
+		}
+	}
+	return n
+}
+
+// Verify answers f(s) = v through the table of s's document. hit reports
+// whether the result came from the table. Errors are never kept (they
+// indicate a malformed parameter, and the caller surfaces them immediately).
+func (m *Memo) Verify(f Feature, s text.Span, v string) (ok, hit bool, err error) {
+	return m.Doc(s.Doc()).Verify(f, m.Intern(f.Name(), v), s, v)
+}
+
+// Refine computes the refinement of s under f = v through the table of s's
+// document. The returned slice is shared across callers and must not be
+// mutated. hit reports whether the result came from the table.
+func (m *Memo) Refine(f Feature, s text.Span, v string) (as []text.Assignment, hit bool, err error) {
+	return m.Doc(s.Doc()).Refine(f, m.Intern(f.Name(), v), s, v)
+}
+
+// DocRecords is one document's record table: Verify and Refine results per
+// (constraint id, span), and the typed values of assignments over the
+// document. Every span handed to it must lie in that document, and every id
+// must come from the Memo that made the table. A nil *DocRecords keeps
+// nothing and evaluates directly.
+type DocRecords struct {
+	memo *Memo
+	// mu guards the maps and bytes. It is not held while a feature runs or
+	// a record is built: two callers that miss on one key at once both
+	// compute, and what they publish is charged once.
+	mu     sync.Mutex
+	verify map[spanKey]bool
+	refine map[spanKey][]text.Assignment
+	values map[valueKey][]Value
+	bytes  int64
+}
+
+// charge counts a publication; callers hold t.mu.
+func (t *DocRecords) charge(n int64) {
+	t.bytes += n
+	t.memo.bytes.Add(n)
+}
+
+// Verify is Memo.Verify with the table and the constraint id in hand; id
+// interns (f.Name(), v).
+func (t *DocRecords) Verify(f Feature, id ConsID, s text.Span, v string) (ok, hit bool, err error) {
+	if t == nil {
 		ok, err = f.Verify(s, v)
 		return ok, false, err
 	}
-	k := memoKey{doc: s.Doc(), start: s.Start(), end: s.End(), feat: f.Name(), param: v}
-	sh := m.shard(k)
-	sh.mu.RLock()
-	ok, found := sh.verify[k]
-	sh.mu.RUnlock()
-	if found {
+	k := spanKey{id, uint32(s.Start()), uint32(s.End())}
+	t.mu.Lock()
+	ok, hit = t.verify[k]
+	t.mu.Unlock()
+	if hit {
 		return ok, true, nil
 	}
-	ok, err = f.Verify(s, v)
-	if err != nil {
+	if ok, err = f.Verify(s, v); err != nil {
 		return false, false, err
 	}
-	sh.mu.Lock()
-	sh.verify[k] = ok
-	sh.mu.Unlock()
+	t.mu.Lock()
+	n := len(t.verify)
+	if t.verify[k] = ok; len(t.verify) > n {
+		t.charge(verifySlotBytes)
+	}
+	t.mu.Unlock()
 	return ok, false, nil
 }
 
-// Refine computes the refinement of s under f = v through the cache. The
-// returned slice is shared across callers and must not be mutated. hit
-// reports whether the result came from the cache.
-func (m *Memo) Refine(f Feature, s text.Span, v string) (as []text.Assignment, hit bool, err error) {
-	if m == nil {
+// Refine is Memo.Refine with the table and the constraint id in hand.
+func (t *DocRecords) Refine(f Feature, id ConsID, s text.Span, v string) (as []text.Assignment, hit bool, err error) {
+	if t == nil {
 		as, err = f.Refine(s, v)
 		return as, false, err
 	}
-	k := memoKey{doc: s.Doc(), start: s.Start(), end: s.End(), feat: f.Name(), param: v}
-	sh := m.shard(k)
-	sh.mu.RLock()
-	as, found := sh.refine[k]
-	sh.mu.RUnlock()
-	if found {
+	k := spanKey{id, uint32(s.Start()), uint32(s.End())}
+	t.mu.Lock()
+	as, hit = t.refine[k]
+	t.mu.Unlock()
+	if hit {
 		return as, true, nil
 	}
-	as, err = f.Refine(s, v)
-	if err != nil {
+	if as, err = f.Refine(s, v); err != nil {
 		return nil, false, err
 	}
-	sh.mu.Lock()
-	sh.refine[k] = as
-	sh.mu.Unlock()
+	t.mu.Lock()
+	n := len(t.refine)
+	if t.refine[k] = as; len(t.refine) > n {
+		t.charge(refineSlotBytes + assignmentBytes*int64(len(as)))
+	}
+	t.mu.Unlock()
 	return as, false, nil
+}
+
+// Value is a span as a comparison reads it: a number when its text parses
+// as one, NULL when it is empty, its whitespace-normalised text otherwise.
+// The flags sit together so a record takes 32 bytes a value.
+type Value struct {
+	Num    float64
+	Str    string
+	IsNum  bool
+	IsNull bool
+}
+
+// Values returns the typed values of V(a) in a.Values order, parsed once
+// per (span, mode) for the life of the table. parsed is the number of
+// values this call published and 0 when the record was there — or when
+// another caller published it first, so summed over all callers it does not
+// depend on scheduling. The record is shared and must not be mutated. Only a
+// completed build publishes: a page that fails to load panics out of the
+// build and leaves nothing behind. Strings are the record's own, never
+// slices of the page, so a released lazy document stays released.
+func (t *DocRecords) Values(a text.Assignment) (vals []Value, parsed int) {
+	if t == nil {
+		vals = buildValues(a)
+		return vals, len(vals)
+	}
+	k := valueKey{uint32(a.Span.Start()), uint32(a.Span.End()), a.Mode == text.Contain}
+	t.mu.Lock()
+	vals, ok := t.values[k]
+	t.mu.Unlock()
+	if ok {
+		return vals, 0
+	}
+	vals = buildValues(a)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if prev, dup := t.values[k]; dup {
+		return prev, 0
+	}
+	t.values[k] = vals
+	t.charge(valueSlotBytes + valueRecordBytes*int64(len(vals)) + int64(a.Span.Len()))
+	return vals, len(vals)
+}
+
+// buildValues parses every value of an assignment. Text that needs no
+// normalising comes back from NormText as a slice of the page; such values
+// are cut from one copy of the assignment's text instead, made when the
+// first of them turns up.
+func buildValues(a text.Assignment) []Value {
+	vals := make([]Value, 0, a.NumValues())
+	var own string
+	a.Values(func(s text.Span) bool {
+		if n, ok := s.Numeric(); ok {
+			vals = append(vals, Value{IsNum: true, Num: n})
+			return true
+		}
+		t := s.NormText()
+		switch {
+		case t == "":
+			vals = append(vals, Value{IsNull: true})
+			return true
+		case t == s.Text():
+			if own == "" {
+				own = strings.Clone(a.Span.Text())
+			}
+			t = own[s.Start()-a.Span.Start() : s.End()-a.Span.Start()]
+		}
+		vals = append(vals, Value{Str: t})
+		return true
+	})
+	return vals
 }

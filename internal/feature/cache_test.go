@@ -1,0 +1,279 @@
+package feature
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"iflex/internal/markup"
+	"iflex/internal/text"
+)
+
+// memoPages are record pages carrying every kind of mark-up and label the
+// built-in features look at.
+func memoPages() []*text.Document {
+	var docs []*text.Document
+	for i, src := range []string{
+		`<title>Index Structures</title><ul><li><b>Query Processing</b> by <i>A. Smith</i></li><li>List: $45.00</li><li>New: $39.50</li></ul>`,
+		`<b>Index Structures</b> <u>second edition</u> List: $120.00 Used: $80.25 New: $99 <a href="http://x.org/details">details here</a>`,
+		`Stream Systems, <i>B. Jones and C. Wu</i>. Price: 17 New: 12 pages 351000 or 4700`,
+	} {
+		docs = append(docs, markup.MustParse(fmt.Sprintf("m%d", i), src))
+	}
+	return docs
+}
+
+// memoValues are the values tried against every feature: the boolean
+// domain, parameters of each parametric kind, and ones most features
+// reject.
+var memoValues = []string{Yes, No, DistinctYes, DistinctNo, Unknown, "List:", "New:", "3", "40", "100", `\$\d+`, "details", "(", ""}
+
+// randomSpan draws the whole page or a token-aligned sub-span of it.
+func randomSpan(r *rand.Rand, d *text.Document) text.Span {
+	s := d.WholeSpan()
+	if n := s.NumTokens(); n > 0 && r.Intn(4) > 0 {
+		i := r.Intn(n)
+		s = s.TokenSpan(i, i+1+r.Intn(n-i))
+	}
+	return s
+}
+
+func sameErr(a, b error) bool {
+	return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
+}
+
+// TestMemoEqualsDirect: through the tables every built-in feature answers
+// as it does directly, on random spans and every value; a second call is
+// served from the table with an equal result; an error comes back again and
+// is never kept; and a nil memo evaluates directly.
+func TestMemoEqualsDirect(t *testing.T) {
+	docs := memoPages()
+	r := rand.New(rand.NewSource(23))
+	memo := NewMemo()
+	var none *Memo
+	hits, errs := 0, 0
+	for _, name := range reg.Names() {
+		f := feat(t, name)
+		for trial := 0; trial < 40; trial++ {
+			s := randomSpan(r, docs[r.Intn(len(docs))])
+			v := memoValues[r.Intn(len(memoValues))]
+			wantOK, wantVErr := f.Verify(s, v)
+			wantAs, wantRErr := f.Refine(s, v)
+			for pass := 0; pass < 2; pass++ {
+				ok, vhit, verr := memo.Verify(f, s, v)
+				as, rhit, rerr := memo.Refine(f, s, v)
+				if ok != wantOK || !sameErr(verr, wantVErr) || !slices.Equal(as, wantAs) || !sameErr(rerr, wantRErr) {
+					t.Fatalf("%s(%v)=%q pass %d: memo %v/%v, %v/%v; direct %v/%v, %v/%v",
+						name, s, v, pass, ok, verr, as, rerr, wantOK, wantVErr, wantAs, wantRErr)
+				}
+				// A first call may hit too: the draw repeats spans.
+				if pass == 1 && (vhit != (verr == nil) || rhit != (rerr == nil)) {
+					t.Fatalf("%s(%v)=%q: second call hit=%v/%v with errors %v/%v", name, s, v, vhit, rhit, verr, rerr)
+				}
+				if vhit {
+					hits++
+				}
+				if verr != nil {
+					errs++
+				}
+			}
+			ok, hit, err := none.Verify(f, s, v)
+			as, rhit, rerr := none.Refine(f, s, v)
+			if hit || rhit || ok != wantOK || !sameErr(err, wantVErr) || !slices.Equal(as, wantAs) || !sameErr(rerr, wantRErr) {
+				t.Fatalf("%s(%v)=%q through a nil memo: %v/%v/%v, %v/%v/%v", name, s, v, ok, hit, err, as, rhit, rerr)
+			}
+		}
+	}
+	if hits == 0 || errs == 0 || memo.Bytes() == 0 || none.Bytes() != 0 {
+		t.Fatalf("weak draw: %d hits, %d errors, %d bytes counted (nil memo %d)", hits, errs, memo.Bytes(), none.Bytes())
+	}
+}
+
+// TestMemoDocumentsByHandle: two documents with one id never share a
+// record, dropping by id drops every handle of it, and Drop forgets the
+// rest while interned ids stay what they were.
+func TestMemoDocumentsByHandle(t *testing.T) {
+	a := markup.MustParse("same", "<b>10</b> apples")
+	b := markup.MustParse("same", "10 <b>apples</b>")
+	other := markup.MustParse("other", "<b>20</b> pears")
+	memo := NewMemo()
+	bold := feat(t, "bold-font")
+	for _, d := range []*text.Document{a, b, other} {
+		ok, hit, err := memo.Verify(bold, d.Span(0, 2), Yes)
+		if err != nil || hit || ok != (d != b) {
+			t.Fatalf("%s %q: bold=%v hit=%v err=%v", d.ID(), d.Text(), ok, hit, err)
+		}
+		vals, parsed := memo.Doc(d).Values(text.ContainOf(d.WholeSpan()))
+		if parsed != 3 || len(vals) != 3 || !vals[0].IsNum || vals[1].Str != d.Text() {
+			t.Fatalf("%s: values %+v, %d parsed", d.ID(), vals, parsed)
+		}
+		if again, parsed := memo.Doc(d).Values(text.ContainOf(d.WholeSpan())); parsed != 0 || &again[0] != &vals[0] {
+			t.Fatalf("%s: second read parsed %d values or got a record of its own", d.ID(), parsed)
+		}
+		if exact, parsed := memo.Doc(d).Values(text.ExactOf(d.WholeSpan())); parsed != 1 || exact[0].Str != d.Text() {
+			t.Fatalf("%s: exact(whole) read the contain record: %+v", d.ID(), exact)
+		}
+	}
+	id, before := memo.Intern("bold-font", Yes), memo.Bytes()
+	if n := memo.DropDocs(map[string]bool{"same": true}); n != 2 || memo.Bytes() >= before || memo.Bytes() <= 0 {
+		t.Fatalf("dropped %d tables of id same (want 2), bytes %d -> %d", n, before, memo.Bytes())
+	}
+	if _, hit, _ := memo.Verify(bold, other.Span(0, 2), Yes); !hit {
+		t.Error("dropping one id lost another document's records")
+	}
+	if _, hit, _ := memo.Verify(bold, a.Span(0, 2), Yes); hit {
+		t.Error("a dropped document still has records")
+	}
+	memo.Drop()
+	if _, hit, _ := memo.Verify(bold, other.Span(0, 2), Yes); hit || memo.Intern("bold-font", Yes) != id {
+		t.Error("Drop kept a record or renumbered a constraint")
+	}
+}
+
+// TestMemoValuesOwnTheirStrings: a record's strings are copies, so a
+// released lazy page is not kept alive by them, and reading the record
+// again loads nothing.
+func TestMemoValuesOwnTheirStrings(t *testing.T) {
+	const body = "Cozy house  \n 42 High St"
+	loads := 0
+	d := text.NewLazyDocument("lazy", len(body), func() (text.DocContent, error) {
+		loads++
+		return text.DocContent{Text: strings.Clone(body)}, nil
+	})
+	memo := NewMemo()
+	a := text.ContainOf(d.Span(0, 10))
+	vals, _ := memo.Doc(d).Values(a)
+	page := d.Text()
+	for _, v := range vals {
+		if inside(page, v.Str) {
+			t.Fatalf("value %q is a slice of the page", v.Str)
+		}
+	}
+	if want := []string{"Cozy", "Cozy house", "house"}; len(vals) != 3 || vals[0].Str != want[0] || vals[1].Str != want[1] || vals[2].Str != want[2] {
+		t.Fatalf("values %+v, want %q", vals, want)
+	}
+	d.Release()
+	if again, parsed := memo.Doc(d).Values(a); parsed != 0 || len(again) != 3 || loads != 1 || d.Loaded() {
+		t.Fatalf("reading a published record: %d parsed, %d loads, page loaded=%v", parsed, loads, d.Loaded())
+	}
+}
+
+// inside reports whether sub's bytes lie within s's.
+func inside(s, sub string) bool {
+	p, q := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(sub)))
+	return sub != "" && q >= p && q < p+uintptr(len(s))
+}
+
+// TestMemoConcurrent has eight goroutines ask overlapping questions of the
+// same three documents at once (run under -race): everyone reads what
+// direct evaluation says, and afterwards every question is a hit.
+func TestMemoConcurrent(t *testing.T) {
+	docs := memoPages()
+	memo := NewMemo()
+	names := []string{"bold-font", "numeric", "preceded-by", "max-tokens", "matches", "in-list"}
+	type question struct {
+		f Feature
+		s text.Span
+		v string
+	}
+	r := rand.New(rand.NewSource(5))
+	var qs []question
+	for i := 0; i < 300; i++ {
+		qs = append(qs, question{feat(t, names[r.Intn(len(names))]), randomSpan(r, docs[r.Intn(len(docs))]), memoValues[r.Intn(len(memoValues))]})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range qs {
+				q := qs[(i+g*37)%len(qs)]
+				wantOK, wantErr := q.f.Verify(q.s, q.v)
+				tab, id := memo.Doc(q.s.Doc()), memo.Intern(q.f.Name(), q.v)
+				if ok, _, err := tab.Verify(q.f, id, q.s, q.v); ok != wantOK || !sameErr(err, wantErr) {
+					t.Errorf("%s(%v)=%q: %v/%v, direct %v/%v", q.f.Name(), q.s, q.v, ok, err, wantOK, wantErr)
+				}
+				wantAs, wantErr := q.f.Refine(q.s, q.v)
+				if as, _, err := tab.Refine(q.f, id, q.s, q.v); !slices.Equal(as, wantAs) || !sameErr(err, wantErr) {
+					t.Errorf("%s(%v)=%q refines to %v/%v, direct %v/%v", q.f.Name(), q.s, q.v, as, err, wantAs, wantErr)
+				}
+				vals, _ := tab.Values(text.ContainOf(q.s))
+				if want := buildValues(text.ContainOf(q.s)); fmt.Sprint(vals) != fmt.Sprint(want) {
+					t.Errorf("values of %v: %v, direct %v", q.s, vals, want)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, q := range qs {
+		if _, hit, err := memo.Verify(q.f, q.s, q.v); err == nil && !hit {
+			t.Fatalf("%s(%v)=%q was not kept", q.f.Name(), q.s, q.v)
+		}
+	}
+}
+
+var benchSink int
+
+// BenchmarkFeatureMemo times Verify (on every token of three pages) and
+// Refine (on the whole pages and every six-token window of them) for one
+// feature of each kind — a mark, a context label, the numeric test, a
+// pattern — called directly, through tables that have never seen the
+// question (dropped each time round the pages) and through tables that
+// have.
+func BenchmarkFeatureMemo(b *testing.B) {
+	docs := memoPages()
+	var tokens, pages []text.Span
+	for _, d := range docs {
+		w := d.WholeSpan()
+		pages = append(pages, w)
+		for i, n := 0, w.NumTokens(); i < n; i++ {
+			tokens = append(tokens, w.TokenSpan(i, i+1))
+			if i%3 == 0 {
+				pages = append(pages, w.TokenSpan(i, min(i+6, n)))
+			}
+		}
+	}
+	for _, k := range []struct{ kind, name, value string }{
+		{"mark", "bold-font", Yes}, {"context", "preceded-by", "List:"}, {"numeric", "numeric", Yes}, {"pattern", "matches", `\$\d+`},
+	} {
+		f, err := reg.Lookup(k.name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, op := range []string{"Verify", "Refine"} {
+			spans := tokens
+			if op == "Refine" {
+				spans = pages
+			}
+			for _, mode := range []string{"direct", "miss", "hit"} {
+				b.Run(k.kind+"/"+op+"/"+mode, func(b *testing.B) {
+					var memo *Memo
+					if mode != "direct" {
+						memo = NewMemo()
+					}
+					id := memo.Intern(k.name, k.value)
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						s := spans[i%len(spans)]
+						if mode == "miss" && i%len(spans) == 0 {
+							memo.Drop()
+						}
+						tab := memo.Doc(s.Doc())
+						if op == "Verify" {
+							if ok, _, _ := tab.Verify(f, id, s, k.value); ok {
+								benchSink++
+							}
+						} else {
+							as, _, _ := tab.Refine(f, id, s, k.value)
+							benchSink += len(as)
+						}
+					}
+				})
+			}
+		}
+	}
+}

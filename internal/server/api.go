@@ -206,6 +206,7 @@ type StreamLine struct {
 type TenantStats struct {
 	Sessions        int     `json:"sessions"`
 	CacheBytes      int64   `json:"cache_bytes_allocated"`
+	DocRecordBytes  int64   `json:"doc_record_bytes"`
 	Steps           int64   `json:"steps"`
 	StepSeconds     float64 `json:"step_seconds"`
 	NodesEvaluated  int64   `json:"nodes_evaluated"`

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"iflex/internal/assistant"
+	"iflex/internal/engine"
 )
 
 // session is one hosted refinement session. mu serializes steps: the
@@ -32,6 +33,9 @@ type session struct {
 
 	workers     int
 	cacheBudget int64
+	// recordBytes is the session's share of its tenant's docRecordBytes, as
+	// of its last step; guarded by the registry's mutex.
+	recordBytes int64
 	created     time.Time
 	lastUsed    atomic.Int64 // unix nanos; read by the sweeper without mu
 
@@ -59,11 +63,13 @@ func (s *session) state() string {
 }
 
 // tenantState tracks one tenant's resource accounting: live session count,
-// reuse-cache bytes allocated against the tenant pool, and aggregate step
-// telemetry for GET /v1/stats.
+// reuse-cache bytes allocated against the tenant pool, the document record
+// bytes its sessions hold (counted against those allocations), and aggregate
+// step telemetry for GET /v1/stats.
 type tenantState struct {
-	sessions   int
-	cacheBytes int64
+	sessions       int
+	cacheBytes     int64
+	docRecordBytes int64
 
 	steps           int64
 	stepNs          int64
@@ -192,6 +198,7 @@ func (r *registry) remove(id string, evicted bool) bool {
 	if ts := r.tenants[s.tenant]; ts != nil {
 		ts.sessions--
 		ts.cacheBytes -= s.cacheBudget
+		ts.docRecordBytes -= s.recordBytes
 		if evicted {
 			ts.sessionsEvicted++
 		}
@@ -200,21 +207,24 @@ func (r *registry) remove(id string, evicted bool) bool {
 }
 
 // recordStep folds one finished step into the tenant telemetry: wall
-// time, the step's fresh-evaluation delta, and the session context's pool
-// high-water mark (the tenant's peak machine share so far).
-func (r *registry) recordStep(tenant string, wall time.Duration, evals, poolMax int64) {
+// time, the step's fresh-evaluation delta, and from the session's snapshot
+// the context's pool high-water mark (the tenant's peak machine share so
+// far) and the bytes of its document record tables.
+func (r *registry) recordStep(s *session, wall time.Duration, evals int64, snap engine.StatsSnapshot) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ts := r.tenants[tenant]
+	ts := r.tenants[s.tenant]
 	if ts == nil {
 		return
 	}
 	ts.steps++
 	ts.stepNs += wall.Nanoseconds()
 	ts.nodesEvaluated += evals
-	if poolMax > ts.poolMaxExtra {
-		ts.poolMaxExtra = poolMax
+	if snap.PoolMaxExtra > ts.poolMaxExtra {
+		ts.poolMaxExtra = snap.PoolMaxExtra
 	}
+	ts.docRecordBytes += snap.DocRecordBytes - s.recordBytes
+	s.recordBytes = snap.DocRecordBytes
 }
 
 // expired returns the sessions idle past the TTL. The caller evicts them
@@ -241,6 +251,7 @@ func (r *registry) stats(draining bool) StatsResponse {
 		resp.Tenants[name] = TenantStats{
 			Sessions:        ts.sessions,
 			CacheBytes:      ts.cacheBytes,
+			DocRecordBytes:  ts.docRecordBytes,
 			Steps:           ts.steps,
 			StepSeconds:     float64(ts.stepNs) / 1e9,
 			NodesEvaluated:  ts.nodesEvaluated,

@@ -455,7 +455,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	sess.done = sr.Done
 	sess.iterations = sr.Iteration.N
 	sess.questionsAsked += len(req.Answers)
-	s.reg.recordStep(sess.tenant, time.Since(start), sr.Iteration.Evals, sess.s.StatsSnapshot().PoolMaxExtra)
+	s.reg.recordStep(sess, time.Since(start), sr.Iteration.Evals, sess.s.StatsSnapshot())
 
 	resp := StepResponse{
 		Iteration: iterationJSON(sr.Iteration),

@@ -271,6 +271,51 @@ func TestTTLEviction(t *testing.T) {
 	}
 }
 
+// TestStatsDocRecordBytes: a tenant's doc_record_bytes is what its sessions'
+// document record tables hold as of their last steps, and a deleted
+// session takes its share with it.
+func TestStatsDocRecordBytes(t *testing.T) {
+	_, c, shutdown := newTestServer(t, Config{})
+	defer shutdown()
+	held := func() int64 {
+		stats, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats.Tenants["a"].DocRecordBytes
+	}
+	task, err := corpus.TaskByID("T8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 2; i++ {
+		created, err := c.CreateSession(CreateSessionRequest{Tenant: "a", Task: "T8", Records: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := held()
+		driveSession(t, c, created.ID, task.Oracle(), false)
+		if held() <= before {
+			t.Fatalf("session %d converged: doc_record_bytes %d -> %d", i, before, held())
+		}
+		ids = append(ids, created.ID)
+	}
+	both := held()
+	if err := c.Delete(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if one := held(); one <= 0 || one >= both {
+		t.Errorf("doc_record_bytes %d with two sessions, %d after deleting one", both, one)
+	}
+	if err := c.Delete(ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	if left := held(); left != 0 {
+		t.Errorf("doc_record_bytes %d with no session left", left)
+	}
+}
+
 // waitGoroutines waits for the goroutine count to settle back to at most
 // base+slack, failing the test otherwise.
 func waitGoroutines(t *testing.T, base int) {
