@@ -17,12 +17,19 @@ vet:
 race:
 	$(GO) test -race ./internal/feature/... ./internal/engine/... ./internal/assistant/... ./internal/server/...
 
-# The pre-merge gate: formatting, vet, the race run over the concurrent
-# core, and the full tier-1 suite. Bench-heavy tests honour -short, so this
-# stays fast.
+# The pre-merge gate: formatting, the one-loop rule, vet, the race run over
+# the concurrent core, and the full tier-1 suite. Bench-heavy tests honour
+# -short, so this stays fast. The one-loop rule: the per-tuple protocol
+# (DESIGN.md §11 "The tuple loop") has one home, so outside tupleloop.go no
+# non-test file of internal/engine reports unprocessed documents, looks a
+# delta prior up or fans a loop out (evalPair/evalAll fan out subtrees, not
+# tuples, and stay).
 verify:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
+	@loops="$$(grep -nE '\.(noteUnprocessed|lookup|parallelChunksSized)\(' internal/engine/*.go | \
+		grep -vE '^internal/engine/(tupleloop\.go|[a-z0-9_]*_test\.go):')"; if [ -n "$$loops" ]; then \
+		echo "per-tuple protocol outside internal/engine/tupleloop.go:"; echo "$$loops"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/feature/... ./internal/engine/... ./internal/assistant/... ./internal/server/...
 	$(GO) build ./...

@@ -134,13 +134,13 @@ func run() (degraded bool, err error) {
 			return false, err
 		}
 		defer s.Close()
-		env.AddDocTable(pred, "x", s.Docs())
 		// The engine consults one index per environment; with several
 		// stores bound it falls back to query-time tokenization (results
 		// are identical either way).
 		if len(stores) == 1 {
-			env.DocIndex = s
-			env.Postings = s
+			env.BindStore(pred, "x", s)
+		} else {
+			env.AddDocTable(pred, "x", s.Docs())
 		}
 		fmt.Fprintf(os.Stderr, "opened store %s into %s: %d pages, %d index tokens\n",
 			dir, pred, s.Len(), s.Vocab())

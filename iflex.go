@@ -179,10 +179,10 @@ type DocStore = store.DiskStore
 // OpenStore opens a document store for querying. residentBudget caps the
 // estimated bytes of materialized page content kept in memory (0 =
 // unlimited); pages beyond it are released and re-read on next touch.
-// Bind the store's pages with env.AddDocTable(pred, col, s.Docs()) and,
-// to serve token prefilters and join blocking from the persistent index
-// instead of tokenizing page text at query time, set env.DocIndex = s
-// and env.Postings = s (results are byte-identical either way).
+// env.BindStore(pred, col, s) binds the store's pages and serves token
+// prefilters and join blocking from the persistent index instead of
+// tokenizing page text at query time; env.AddDocTable(pred, col, s.Docs())
+// binds the pages alone (results are byte-identical either way).
 func OpenStore(dir string, residentBudget int64) (*DocStore, error) {
 	return store.Open(dir, store.OpenOptions{ResidentBudget: residentBudget})
 }

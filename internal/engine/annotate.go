@@ -44,7 +44,9 @@ func (n *annotateNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compa
 	}
 	out := in
 	if len(n.annotate) > 0 {
-		out = n.annotateTable(ctx, ev, dx, in)
+		if out, err = n.annotateTable(ctx, ev, dx, in); err != nil {
+			return nil, err
+		}
 	}
 	if n.exists {
 		// Existence annotation: every tuple becomes a maybe tuple.
@@ -61,56 +63,47 @@ func (n *annotateNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compa
 	return out, nil
 }
 
-// annotateTable applies the attribute annotation with optional delta
-// reuse: the per-tuple key enumeration (the expensive half of cAnnotate)
-// is memoised as an annContrib, and the grouping merge replays memoised
-// contributions for structurally unchanged tuples. Output is identical to
-// cAnnotate.
-func (n *annotateNode) annotateTable(ctx *Context, ev *EvalTrace, dx *deltaState, in *compact.Table) *compact.Table {
+// annotateTable applies the attribute annotation: the per-tuple key
+// enumeration (the expensive half of cAnnotate) is what decide memoises, as
+// an annContrib, and emit is the grouping merge, which therefore replays
+// memoised contributions for structurally unchanged tuples. The contribution
+// depends only on the key cells, so the memo is keyed on them alone; the
+// merge reads annotated cells and maybe flags from the current tuples, so
+// replays stay valid across refinements of the annotated columns. Merging is
+// order-dependent: one serial chunk. Output is identical to cAnnotate.
+func (n *annotateNode) annotateTable(ctx *Context, ev *EvalTrace, dx *deltaState, in *compact.Table) (*compact.Table, error) {
 	lim := ctx.Env.Limits
 	keyIdx, annIdx := splitAnnCols(in.Cols, n.annotate)
-	// The contribution depends only on the key cells, so the memo is keyed
-	// on them alone; the merge reads annotated cells and maybe flags from
-	// the current tuples, so replays stay valid across refinements of the
-	// annotated columns.
-	prior, fps := dx.prep(in, keyIdx, nil, 0)
-	contribs := make([]*annContrib, len(in.Tuples))
-	var batch statBatch
-	reused := 0
-	for i, tp := range in.Tuples {
-		if fps != nil {
-			fps[i] = dx.aux.fpOf(tp)
-			if old, ok := prior.lookup(fps[i], tp); ok {
-				contribs[i] = old.ann
-				ev.fallback(ctx, int(old.fallbacks))
-				reused++
-				continue
+	m := annMerger{keyIdx: keyIdx, annIdx: annIdx, groups: map[string]*annGroup{}}
+	out, err := ctx.tupleLoop(ev, dx, in, in.Cols, tupleOp{
+		cols: keyIdx, uncut: true,
+		open: func(*statBatch) decideFn {
+			return func(tp compact.Tuple, old *deltaOut) (deltaOut, bool, bool, error) {
+				if old != nil {
+					return *old, true, false, nil
+				}
+				c := annContribOf(tp, keyIdx, annIdx, lim)
+				o := deltaOut{ann: c}
+				if c.fallback {
+					o.fallbacks = 1
+				}
+				return o, false, false, nil
 			}
-		}
-		batch.tuplesRecomputed++
-		c := annContribOf(tp, keyIdx, annIdx, lim)
-		contribs[i] = c
-		if c.fallback {
-			ev.fallback(ctx, 1)
-		}
-	}
-	dx.noteReused(&batch, reused)
-	ev.recompute(batch.tuplesRecomputed)
-	batch.flush(ctx)
-	out := annMerge(in, keyIdx, annIdx, contribs)
-	dx.finish(in, func(i int) deltaOut {
-		o := deltaOut{ann: contribs[i]}
-		if contribs[i].fallback {
-			o.fallbacks = 1
-		}
-		return o
+		},
+		emit: func(dst []compact.Tuple, tp compact.Tuple, o *deltaOut) []compact.Tuple { return m.add(dst, tp, o.ann) },
 	})
-	return out
+	if err != nil {
+		return nil, err
+	}
+	out.Tuples = m.finish(out.Tuples, len(in.Cols))
+	return out, nil
 }
 
 // splitAnnCols partitions column indices into key (non-annotated) and
-// annotated positions.
+// annotated positions. keyIdx is the annotation's memo key, empty rather
+// than nil when every column is annotated.
 func splitAnnCols(cols []string, annotated []string) (keyIdx, annIdx []int) {
+	keyIdx = []int{}
 	isAnn := map[int]bool{}
 	for _, a := range annotated {
 		isAnn[colIndex(cols, a)] = true
@@ -211,51 +204,54 @@ type annGroup struct {
 	sure     bool                // some non-maybe tuple pins this key exactly
 }
 
-// annMerge folds per-tuple contributions into the grouped output table,
-// in input order: pass-through tuples interleave with the grouping
-// exactly where cAnnotate emitted them, group creation order follows
-// first key occurrence, and per-group assignment concatenation follows
-// tuple order — so the output is byte-identical to the one-pass
-// algorithm.
-func annMerge(in *compact.Table, keyIdx, annIdx []int, contribs []*annContrib) *compact.Table {
-	groups := map[string]*annGroup{}
-	var order []string
-	out := compact.NewTable(in.Cols...)
-	for ti, c := range contribs {
-		if c.pass {
-			nt := in.Tuples[ti].Clone()
-			nt.Maybe = true
-			out.Tuples = append(out.Tuples, nt)
-			continue
+// annMerger folds per-tuple contributions into the grouped output, in input
+// order: add appends pass-through tuples exactly where cAnnotate emitted
+// them and feeds the groups, group creation order follows first key
+// occurrence, per-group assignment concatenation follows tuple order, and
+// finish appends one tuple per group — so the output is byte-identical to
+// the one-pass algorithm.
+type annMerger struct {
+	keyIdx, annIdx []int
+	groups         map[string]*annGroup
+	order          []string
+}
+
+func (m *annMerger) add(dst []compact.Tuple, tp compact.Tuple, c *annContrib) []compact.Tuple {
+	if c.pass {
+		nt := tp.Clone()
+		nt.Maybe = true
+		return append(dst, nt)
+	}
+	for ki, key := range c.keys {
+		g, ok := m.groups[key]
+		if !ok {
+			g = &annGroup{keySpans: c.keySpans[ki], ann: make([][]text.Assignment, len(m.annIdx))}
+			m.groups[key] = g
+			m.order = append(m.order, key)
 		}
-		tp := in.Tuples[ti]
-		for ki, key := range c.keys {
-			g, ok := groups[key]
-			if !ok {
-				g = &annGroup{keySpans: c.keySpans[ki], ann: make([][]text.Assignment, len(annIdx))}
-				groups[key] = g
-				order = append(order, key)
-			}
-			for i, ai := range annIdx {
-				g.ann[i] = append(g.ann[i], tp.Cells[ai].Assigns...)
-			}
-			if c.exactKey && !tp.Maybe {
-				g.sure = true
-			}
+		for i, ai := range m.annIdx {
+			g.ann[i] = append(g.ann[i], tp.Cells[ai].Assigns...)
+		}
+		if c.exactKey && !tp.Maybe {
+			g.sure = true
 		}
 	}
-	for _, key := range order {
-		g := groups[key]
-		nt := compact.Tuple{Cells: make([]compact.Cell, len(in.Cols)), Maybe: !g.sure}
-		for i, ki := range keyIdx {
+	return dst
+}
+
+func (m *annMerger) finish(dst []compact.Tuple, ncols int) []compact.Tuple {
+	for _, key := range m.order {
+		g := m.groups[key]
+		nt := compact.Tuple{Cells: make([]compact.Cell, ncols), Maybe: !g.sure}
+		for i, ki := range m.keyIdx {
 			nt.Cells[ki] = compact.ExactCell(g.keySpans[i])
 		}
-		for i, ai := range annIdx {
+		for i, ai := range m.annIdx {
 			nt.Cells[ai] = compact.Cell{Assigns: text.DedupAssignments(g.ann[i])}
 		}
-		out.Tuples = append(out.Tuples, nt)
+		dst = append(dst, nt)
 	}
-	return out
+	return dst
 }
 
 // cAnnotate implements attribute annotations directly over compact tables.
@@ -274,14 +270,17 @@ func annMerge(in *compact.Table, keyIdx, annIdx []int, contribs []*annContrib) *
 // those ungrouped pass-throughs.
 func cAnnotate(in *compact.Table, annotated []string, lim Limits) (out *compact.Table, fallbacks int) {
 	keyIdx, annIdx := splitAnnCols(in.Cols, annotated)
-	contribs := make([]*annContrib, len(in.Tuples))
-	for i, tp := range in.Tuples {
-		contribs[i] = annContribOf(tp, keyIdx, annIdx, lim)
-		if contribs[i].fallback {
+	m := annMerger{keyIdx: keyIdx, annIdx: annIdx, groups: map[string]*annGroup{}}
+	out = compact.NewTable(in.Cols...)
+	for _, tp := range in.Tuples {
+		c := annContribOf(tp, keyIdx, annIdx, lim)
+		if c.fallback {
 			fallbacks++
 		}
+		out.Tuples = m.add(out.Tuples, tp, c)
 	}
-	return annMerge(in, keyIdx, annIdx, contribs), fallbacks
+	out.Tuples = m.finish(out.Tuples, len(in.Cols))
+	return out, fallbacks
 }
 
 // BAnnotate is the a-table algorithm of Section 4.3 (Figure 5): given an

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"iflex/internal/alog"
+	"iflex/internal/compact"
 	"iflex/internal/fault"
 	"iflex/internal/markup"
 	"iflex/internal/text"
@@ -69,14 +70,45 @@ func chaosEnv(nHouses, nSchools int, exclude map[string]bool) *Env {
 	}
 	env.AddDocTable("housePages", "x", keep(chaosHouseDocs(nHouses)))
 	env.AddDocTable("schoolPages", "y", keep(chaosSchoolDocs(nSchools)))
+	env.Procs["firstWord"] = Procedure{Outputs: 1, Fn: func(in text.Span) ([][]text.Span, error) {
+		if in.NumTokens() == 0 {
+			return nil, nil
+		}
+		return [][]text.Span{{in.TokenSpan(0, 1)}}, nil
+	}}
 	return env
+}
+
+// chaosProcCrossSrc drives the two operators figure2Src leaves out: a
+// procedure (firstWord, bound by chaosEnv) and the plain product, once over
+// a shared column (prices and sizes of one page) and once over none (every
+// school tag).
+const chaosProcCrossSrc = `
+prices(x, p) :- housePages(x), from(x, p), numeric(p) = yes, preceded-by(p) = "Price:".
+sizes(x, a) :- housePages(x), from(x, a), numeric(a) = yes, preceded-by(a) = "Sqft:".
+tags(y, w) :- schoolPages(y), firstWord(y, w).
+Q(x, p, a, w) :- prices(x, p), sizes(x, a), tags(y, w), p > 500000.
+`
+
+// chaosCounters renders the counters that must not depend on the worker
+// count, quarantine and restart counts included.
+func chaosCounters(ctx *Context) string {
+	st := &ctx.Stats
+	return fmt.Sprintf("nodes=%d built=%d proc=%d func=%d verify=%d refine=%d stages=%d fallbacks=%d recomputed=%d events=%d retries=%d restarts=%d",
+		st.NodesEvaluated, st.TuplesBuilt, st.ProcCalls, st.FuncCalls, st.VerifyCalls, st.RefineCalls, st.ConstraintStages,
+		st.LimitFallbacks, st.TuplesRecomputed, st.QuarantineEvents, st.QuarantineRetries, st.EvalRestarts)
 }
 
 // runChaosConfig compiles and executes figure2Src over a chaos env under
 // the given configuration, returning the rendered table and the context.
 func runChaosConfig(t *testing.T, env *Env, workers int, delta bool) (string, *Context) {
 	t.Helper()
-	prog := alog.MustParse(figure2Src)
+	return runChaosProgram(t, figure2Src, env, workers, delta)
+}
+
+func runChaosProgram(t *testing.T, src string, env *Env, workers int, delta bool) (string, *Context) {
+	t.Helper()
+	prog := alog.MustParse(src)
 	plan, err := Compile(prog, env)
 	if err != nil {
 		t.Fatal(err)
@@ -101,20 +133,35 @@ func runChaosConfig(t *testing.T, env *Env, workers int, delta bool) (string, *C
 // fault-free run over the corpus minus exactly the quarantined
 // documents.
 func TestChaosQuarantineDeterministic(t *testing.T) {
-	inj := fault.New(42, fault.Rule{Site: "feature", Mode: fault.ModeError, Num: 1, Den: 4})
+	for _, leg := range []struct {
+		name, src string
+		rules     []fault.Rule
+	}{
+		{"figure2", figure2Src, []fault.Rule{{Site: "feature", Mode: fault.ModeError, Num: 1, Den: 4}}},
+		{"proc and cross", chaosProcCrossSrc, []fault.Rule{
+			{Site: "feature", Mode: fault.ModeError, Num: 1, Den: 6},
+			{Site: "proc", Mode: fault.ModeError, Num: 1, Den: 3}}},
+	} {
+		t.Run(leg.name, func(t *testing.T) { chaosQuarantineDeterministic(t, leg.src, leg.rules) })
+	}
+}
+
+func chaosQuarantineDeterministic(t *testing.T, src string, rules []fault.Rule) {
+	inj := fault.New(42, rules...)
 
 	type cfg struct {
 		workers int
 		delta   bool
 	}
 	configs := []cfg{{1, false}, {8, false}, {1, true}, {8, true}}
-	var tables []string
+	var tables, counters []string
 	var quarantines [][]string
 	for _, c := range configs {
 		env := chaosEnv(18, 6, nil)
 		env.FaultHook = inj.Hook()
-		tbl, ctx := runChaosConfig(t, env, c.workers, c.delta)
+		tbl, ctx := runChaosProgram(t, src, env, c.workers, c.delta)
 		tables = append(tables, tbl)
+		counters = append(counters, chaosCounters(ctx))
 		quarantines = append(quarantines, ctx.QuarantinedDocs())
 		if ctx.Stats.QuarantinedDocs == 0 {
 			t.Fatalf("workers=%d delta=%v: no documents quarantined; faults did not fire", c.workers, c.delta)
@@ -132,13 +179,23 @@ func TestChaosQuarantineDeterministic(t *testing.T) {
 			t.Errorf("config %+v quarantine %v differs from config %+v quarantine %v",
 				configs[i], quarantines[i], configs[0], quarantines[0])
 		}
+		// A single execution links no plan versions, so delta evaluation has
+		// nothing to replay and does the same work. (Only the serial runs
+		// compare: with pool slots free, sibling subtrees fault in the same
+		// pass instead of one restart apart, so how much a faulting pass
+		// evaluated before it was discarded follows the schedule.)
+		if configs[i].workers == configs[0].workers && counters[i] != counters[0] {
+			t.Errorf("config %+v counters differ from config %+v:\n%s\n%s", configs[i], configs[0], counters[i], counters[0])
+		}
 	}
 
-	// Every quarantined document must be one the injector targets at the
-	// feature site: single-document attribution at that boundary.
+	// Every quarantined document must be one the injector targets at one of
+	// the faulted sites: single-document attribution at those boundaries.
 	faulty := map[string]bool{}
-	for _, id := range inj.FaultyDocs("feature", allChaosIDs(18, 6)) {
-		faulty[id] = true
+	for _, r := range rules {
+		for _, id := range inj.FaultyDocs(r.Site, allChaosIDs(18, 6)) {
+			faulty[id] = true
+		}
 	}
 	for _, id := range quarantines[0] {
 		if !faulty[id] {
@@ -153,7 +210,7 @@ func TestChaosQuarantineDeterministic(t *testing.T) {
 		exclude[id] = true
 	}
 	cleanEnv := chaosEnv(18, 6, exclude)
-	cleanTbl, cleanCtx := runChaosConfig(t, cleanEnv, 1, false)
+	cleanTbl, cleanCtx := runChaosProgram(t, src, cleanEnv, 1, false)
 	if got := cleanCtx.QuarantinedDocs(); len(got) != 0 {
 		t.Fatalf("clean run quarantined %v", got)
 	}
@@ -286,16 +343,44 @@ func TestChaosRetriesTransientErrors(t *testing.T) {
 // non-nil partial table, a populated degradation report, and no leaked
 // goroutines.
 func TestChaosDeadlinePartialResult(t *testing.T) {
-	inj := fault.New(5, fault.Rule{Site: "pfunc", Mode: fault.ModeLatency, Num: 1, Den: 1, Latency: 2 * time.Millisecond})
-	env := chaosEnv(30, 10, nil)
+	t.Run("figure2", func(t *testing.T) {
+		rule := fault.Rule{Site: "pfunc", Mode: fault.ModeLatency, Num: 1, Den: 1, Latency: 2 * time.Millisecond}
+		chaosDeadlinePartialResult(t, figure2Src, rule, 30, 10, 2, false)
+	})
+	// Procedures are not fanned out, so forty slow calls overrun the
+	// deadline at any worker count; the products above them are cut in turn.
+	rule := fault.Rule{Site: "proc", Mode: fault.ModeLatency, Num: 1, Den: 1, Latency: 10 * time.Millisecond}
+	for _, workers := range []int{1, 8} {
+		for _, delta := range []bool{false, true} {
+			t.Run(fmt.Sprintf("proc and cross/workers=%d delta=%v", workers, delta), func(t *testing.T) {
+				partial := chaosDeadlinePartialResult(t, chaosProcCrossSrc, rule, 12, 40, workers, delta)
+				// No ψ above the cut operators: what a partial run keeps, the
+				// complete run has.
+				full, _ := runChaosProgram(t, chaosProcCrossSrc, chaosEnv(12, 40, nil), 1, false)
+				for _, tp := range partial.Tuples {
+					if !strings.Contains(full, tp.String()) {
+						t.Errorf("partial result holds %s, which the complete run does not", tp)
+					}
+				}
+			})
+		}
+	}
+}
+
+func chaosDeadlinePartialResult(t *testing.T, src string, rule fault.Rule, nHouses, nSchools, workers int, delta bool) *compact.Table {
+	inj := fault.New(5, rule)
+	env := chaosEnv(nHouses, nSchools, nil)
 	env.FaultHook = inj.Hook()
-	prog := alog.MustParse(figure2Src)
+	prog := alog.MustParse(src)
 	plan, err := Compile(prog, env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := NewContext(env)
-	ctx.Workers = 2
+	ctx.Workers = workers
+	if delta {
+		ctx.EnableDelta()
+	}
 
 	before := runtime.NumGoroutine()
 	deadline := 250 * time.Millisecond
@@ -335,6 +420,7 @@ func TestChaosDeadlinePartialResult(t *testing.T) {
 	if !settled {
 		t.Errorf("goroutines did not settle: before=%d now=%d", before, runtime.NumGoroutine())
 	}
+	return tbl
 }
 
 // TestChaosHardCancelReleasesWaiters checks the single-flight fix: a

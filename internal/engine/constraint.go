@@ -2,7 +2,6 @@ package engine
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"iflex/internal/compact"
 	"iflex/internal/feature"
@@ -82,29 +81,6 @@ func (n *constraintNode) Columns() []string { return n.parent.Columns() }
 // Children is the run's input, not the shorter run its identity names.
 func (n *constraintNode) Children() []Node { return []Node{n.parent} }
 
-// runPriorLocked looks for a cached run over the same input that covers
-// more than have of n's stages: an entry under one of n's prefixes whose
-// memo was left by a run of exactly that many stages (so it is keyed on the
-// same entering cell). A trial that already evaluated the first of two
-// answers folded into one step is found this way; the RegisterDelta link
-// alone would resume one stage too early. The previous evaluation mode
-// (0 = none) is probed like Eval probes it for links, memo only. Callers
-// hold ctx.mu.
-func (ctx *Context) runPriorLocked(n *constraintNode, mode, prevMode uint32, have int) (*evalAux, *compact.Table) {
-	for ; n != nil && len(n.cons) > have; n = n.prev {
-		covers := func(e *cacheEntry) bool { return e != nil && e.aux != nil && e.aux.stages == len(n.cons) }
-		if e := ctx.lookupLocked(entryKey{mode: mode, node: n.id}); covers(e) {
-			return e.aux, e.table
-		}
-		if prevMode != 0 {
-			if e := ctx.lookupLocked(entryKey{mode: prevMode, node: n.id}); covers(e) {
-				return e.aux, nil
-			}
-		}
-	}
-	return nil, nil
-}
-
 func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
 	in, err := Eval(ctx, n.parent)
 	if err != nil {
@@ -116,68 +92,38 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*com
 		return nil, err
 	}
 	np, stages := len(n.prior), len(n.cons)
-	out := compact.NewTable(in.Cols...)
 	// Tuples refine independently (features are pure, the record tables are
-	// concurrency-safe), so the loop is partitioned across the worker
-	// pool; per-index result slots keep the output order serial-identical.
-	// With a delta prior attached, a tuple whose entering cell the prior has
-	// seen resumes after the stages the prior covered: none left replays the
-	// memoised outcome (kept-as cell or dropped) without entering
-	// Verify/Refine at all, one left is the call a new top constraint makes.
-	// The memo depends only on the constrained attribute's cell: a tuple
-	// whose other columns were refined in between still replays, with the
-	// output rebuilt from the current tuple plus the memoised refined cell.
-	prior, fps := dx.prep(in, []int{ci}, nil, 0)
-	covered := -1
-	if prior != nil && prior.stages >= 1 && prior.stages <= stages {
-		covered = prior.stages
-	} else {
-		prior = nil
-	}
-	rows := make([]compact.Tuple, len(in.Tuples))
-	var outs []runOut
-	if fps != nil {
-		dx.aux.stages = stages
-		outs = make([]runOut, len(in.Tuples))
-	}
-	var nq, ncut, hidden atomic.Int64
-	err = ctx.parallelChunksSized(len(in.Tuples), minChunkConstraint, func(start, end int) error {
-		var batch statBatch
-		defer batch.flush(ctx)
+	// concurrency-safe), so the loop fans out. The memo depends only on the
+	// constrained attribute's cell: a tuple whose other columns were refined
+	// in between still replays, with the output rebuilt from the current
+	// tuple plus the memoised refined cell.
+	op := tupleOp{site: "feature", cols: []int{ci}, stages: stages, minChunk: minChunkConstraint}
+	op.open = func(batch *statBatch) decideFn {
 		sc := refineScratch{docs: docCursor{memo: ctx.Env.FeatureMemo}}
-		reused, asg := 0, 0
-		for i := start; i < end; i++ {
-			if cut, cerr := ctx.cutCheck(); cerr != nil {
-				return cerr
-			} else if cut {
-				ctx.noteUnprocessed(in.Tuples[i:end])
-				ncut.Add(1)
-				break
+		return func(tp compact.Tuple, old *deltaOut) (deltaOut, bool, bool, error) {
+			// o is the tuple's outcome so far: nothing, or what the stages the
+			// prior covered left of it — the cell after them, or no cell when
+			// one of them dropped the tuple. Only a surviving cell with stages
+			// left resumes: none left replays the memoised outcome without
+			// entering Verify/Refine at all, one left is the call a new top
+			// constraint makes.
+			var o deltaOut
+			if old != nil {
+				o = *old
 			}
-			tp := in.Tuples[i]
-			// o is the tuple's outcome so far, nothing or what the prior's
-			// stages left of it.
-			var o runOut
-			from := 0
-			if fps != nil {
-				fps[i] = dx.aux.fpOf(tp)
-				if old, ok := prior.lookup(fps[i], tp); ok {
-					o, from = runOut{old.cell, old.stages, old.stageSum}, covered
-				}
-			}
-			if int(o.stages) == from && from < stages {
-				batch.tuplesRecomputed++
-				qed, err := ctx.guard(ev, "feature", func() []string { return tupleDocs(tp, []int{ci}) }, func() error {
+			reused := old != nil && (o.cell == nil || int(o.stages) == stages)
+			if !reused {
+				qed, err := ctx.guard(ev, op.site, func() []string { return tupleDocs(tp, op.cols) }, func() error {
 					// Work on locals and commit at the end: a retry restarts
 					// from the resume point.
 					c, s, sum := tp.Cells[ci], o.stages, o.stageSum
 					if o.cell != nil {
 						c = *o.cell
 					}
-					for st := from; st < stages; st++ {
+					for st := int(s); st < stages; st++ {
 						batch.stages++
 						var ferr error
-						if c, ferr = refineCell(&batch, &sc, c, all[np+st], all[:np+st+1]); ferr != nil {
+						if c, ferr = refineCell(batch, &sc, c, all[np+st], all[:np+st+1]); ferr != nil {
 							return ferr
 						}
 						if len(c.Assigns) == 0 {
@@ -189,22 +135,16 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*com
 						}
 						s, sum = s+1, sum+int32(len(c.Assigns))
 					}
-					o = runOut{stages: s, stageSum: sum}
+					o = deltaOut{stages: s, stageSum: sum}
 					if int(s) == stages {
 						final := c
 						o.cell = &final
 					}
 					return nil
 				})
-				if err != nil {
-					return err
+				if err != nil || qed {
+					return deltaOut{}, false, qed, err
 				}
-				if qed {
-					nq.Add(1)
-					continue
-				}
-			} else {
-				reused++
 			}
 			// The stage tables a chain would have built below this node's
 			// output hold the tuple once per survived stage but the last.
@@ -213,51 +153,22 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*com
 				if int(o.stages) == stages {
 					sum -= len(o.cell.Assigns)
 				}
-				asg += m*(tupleAssignments(tp)-len(tp.Cells[ci].Assigns)) + sum
+				batch.stageAsg += int64(m*(tupleAssignments(tp)-len(tp.Cells[ci].Assigns)) + sum)
 			}
-			if int(o.stages) == stages {
-				rows[i] = tp.Copy()
-				rows[i].Cells[ci] = *o.cell
-			}
-			if outs != nil {
-				outs[i] = o
-			}
-		}
-		hidden.Add(int64(asg))
-		dx.noteReused(&batch, reused)
-		ev.recompute(batch.tuplesRecomputed)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if n := nq.Load(); n > 0 {
-		return nil, quarantineErr("feature", n)
-	}
-	// Dropped tuples left a zero slot; close the gaps in place.
-	kept := rows[:0]
-	for _, nt := range rows {
-		if nt.Cells != nil {
-			kept = append(kept, nt)
+			return o, reused, false, nil
 		}
 	}
-	clear(rows[len(kept):])
-	out.Tuples = kept
-	if ncut.Load() == 0 {
-		dx.finish(in, func(i int) deltaOut {
-			return deltaOut{cell: outs[i].cell, stages: outs[i].stages, stageSum: outs[i].stageSum}
-		})
+	// After decide an outcome holds a cell exactly when the tuple survived
+	// the whole run.
+	op.emit = func(dst []compact.Tuple, tp compact.Tuple, o *deltaOut) []compact.Tuple {
+		if o.cell == nil {
+			return dst
+		}
+		nt := tp.Copy()
+		nt.Cells[ci] = *o.cell
+		return append(dst, nt)
 	}
-	ev.run(stages, covered, hidden.Load())
-	return out, nil
-}
-
-// runOut is a run's outcome for one tuple, the constraint operator's part
-// of deltaOut: the cell after the stages survived (nil before the first
-// and after a drop), their number, and the summed cell sizes after each.
-type runOut struct {
-	cell             *compact.Cell
-	stages, stageSum int32
+	return ctx.tupleLoop(ev, dx, in, in.Cols, op)
 }
 
 // tupleAssignments counts the assignments of one tuple, the per-tuple term

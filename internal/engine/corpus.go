@@ -176,20 +176,3 @@ func (ctx *Context) releaseQuarantined(changed map[string]bool) {
 	ctx.remode()
 	atomic.StoreInt64(&ctx.Stats.QuarantinedDocs, int64(len(ns.barred)))
 }
-
-// corpusSimPrior returns the displaced prior a similarity join may
-// reconcile against when prep declined to hand it out: same dependency
-// narrowing, but a right table that was rebuilt by the corpus
-// re-evaluation (so neither pointer identity nor the dependency
-// fingerprint matches). The join aligns the prior's right tuples with
-// the current ones itself — see simjoin.go.
-func (dx *deltaState) corpusSimPrior(cols []int) *evalAux {
-	if dx == nil || !dx.corpus || dx.prior == nil {
-		return nil
-	}
-	p := dx.prior
-	if p.right == nil || !eqInts(p.cols, cols) {
-		return nil
-	}
-	return p
-}

@@ -21,10 +21,12 @@ import (
 //
 //   - RegisterDelta declares "plan B succeeds plan A"; a lockstep walk
 //     maps each new node of B to its predecessor in A.
-//   - Eval, on a cache miss of a mapped node, attaches the predecessor's
-//     per-tuple memo (evalAux) to the evaluation as its delta prior.
-//   - Operators consult the prior per input tuple (fingerprint + exact
-//     structural check) and rebuild a fresh memo for the next version.
+//   - Eval, on a cache miss, attaches the predecessor's per-tuple memo
+//     (evalAux) to the evaluation as its delta prior (deltaPriorLocked).
+//   - The tuple loop (tupleloop.go) consults the prior per input tuple
+//     (fingerprint + exact structural check), hands the operator's decide
+//     what it finds, and keeps its outcome array as the memo for the next
+//     version.
 
 // joinMatch is one memoised join decision: right-tuple index, whether
 // every valuation of the pair satisfied the predicate, and the filtered
@@ -63,60 +65,58 @@ type deltaOut struct {
 	stageSum  int32
 }
 
-// deltaPair is one memo entry: the input tuple (kept for exact structural
-// verification of fingerprint matches) and its outcome.
-type deltaPair struct {
-	in  compact.Tuple
-	out deltaOut
-}
-
 // evalAux is the per-tuple memo one evaluation leaves behind for its
-// successor. cols narrows the memo key to the input columns the operator
-// reads (nil = the whole tuple including the maybe flag, for operators
-// whose dependency set is unknown). For binary operators the other input
-// is pinned two ways: right by pointer (the node cache guarantees pointer
+// successor: the tuple loop's own working state, kept. in is the input
+// table's rows (shared, not copied — kept for the exact structural
+// verification of fingerprint matches), outs the outcome the loop recorded
+// per input index, and head/next chain the indices that share a fingerprint
+// in input order, stored plus one so that zero ends a chain. cols narrows
+// the memo key to the input columns the operator reads (never nil, empty
+// when it reads none). For binary operators the other input is
+// pinned two ways: right by pointer (the node cache guarantees pointer
 // identity when the right subtree's signature is unchanged), and rightDep
 // by a content fingerprint of the right table's dependency columns, which
 // keeps memos transferable when the right subtree was re-evaluated but
 // its join-relevant columns came out identical. stages is the number of
 // stages of the constraint run that left the memo (0 for every other
 // operator): a longer run replays that many and computes the rest.
-// memBytes is the cache accounting estimate.
 type evalAux struct {
 	right    *compact.Table
 	rightDep uint64
 	cols     []int
 	stages   int
-	memo     map[uint64][]deltaPair
+	in       []compact.Tuple
+	outs     []deltaOut
+	head     map[uint64]int32
+	next     []int32
 }
 
-// fpOf returns the memo key for one input tuple under this memo's
-// dependency narrowing.
-func (a *evalAux) fpOf(tp compact.Tuple) uint64 {
-	if a.cols == nil {
-		return tp.Fingerprint()
+// chain indexes the finished outcome array by the fingerprints the loop
+// computed, back to front so that every chain ascends.
+func (a *evalAux) chain(fps []uint64) {
+	a.head = make(map[uint64]int32, len(fps))
+	a.next = make([]int32, len(fps))
+	for i := len(fps) - 1; i >= 0; i-- {
+		a.next[i] = a.head[fps[i]]
+		a.head[fps[i]] = int32(i + 1)
 	}
-	return tp.CellsFingerprint(a.cols)
 }
 
-// lookup finds the memoised outcome for an input tuple that is
-// structurally identical on the memo's dependency columns. The
-// fingerprint narrows to a bucket; the structural check makes hash
-// collisions harmless.
-func (a *evalAux) lookup(h uint64, tp compact.Tuple) (deltaOut, bool) {
+// lookup finds the memoised outcome of the first input tuple structurally
+// identical to tp on the memo's dependency columns, nil when there is
+// none (or no memo). The fingerprint narrows to a chain; the structural
+// check makes hash collisions harmless. The outcome is the memo's own:
+// callers read it, never write it.
+func (a *evalAux) lookup(h uint64, tp compact.Tuple) *deltaOut {
 	if a == nil {
-		return deltaOut{}, false
+		return nil
 	}
-	for _, p := range a.memo[h] {
-		if a.cols == nil {
-			if p.in.StructuralEq(tp) {
-				return p.out, true
-			}
-		} else if p.in.CellsStructuralEq(tp, a.cols) {
-			return p.out, true
+	for i := a.head[h]; i != 0; i = a.next[i-1] {
+		if a.in[i-1].CellsStructuralEq(tp, a.cols) {
+			return &a.outs[i-1]
 		}
 	}
-	return deltaOut{}, false
+	return nil
 }
 
 // memBytes approximates the memo's resident size for cache accounting.
@@ -124,23 +124,22 @@ func (a *evalAux) memBytes() int64 {
 	if a == nil {
 		return 0
 	}
-	var b int64
-	for _, ps := range a.memo {
-		b += 48 // bucket overhead
-		for _, p := range ps {
-			b += 104 // the pair: input tuple header and deltaOut
-			if p.out.cell != nil {
-				b += 32 + assignmentEstimate*int64(len(p.out.cell.Assigns))
-			}
-			if p.out.filt != nil {
-				b += 32 + 64*int64(len(p.out.filt.repl))
-			}
-			for _, m := range p.out.sim {
-				b += 32 + 64*int64(len(m.repl))
-			}
-			if p.out.ann != nil {
-				b += 64 + 32*int64(len(p.out.ann.keys))
-			}
+	// Per entry: the outcome, its chain link and its share of head (measured
+	// at 25 bytes an entry on a presized map).
+	b := int64(len(a.outs)) * (64 + 4 + 25)
+	for i := range a.outs {
+		o := &a.outs[i]
+		if o.cell != nil {
+			b += 32 + assignmentEstimate*int64(len(o.cell.Assigns))
+		}
+		if o.filt != nil {
+			b += 32 + 64*int64(len(o.filt.repl))
+		}
+		for _, m := range o.sim {
+			b += 32 + 64*int64(len(m.repl))
+		}
+		if o.ann != nil {
+			b += 64 + 32*int64(len(o.ann.keys))
 		}
 	}
 	return b
@@ -151,19 +150,19 @@ func (a *evalAux) memBytes() int64 {
 const assignmentEstimate = 32
 
 // deltaState threads delta bookkeeping through one Eval call. It is nil
-// when delta evaluation is off (operators then skip all delta work); with
-// delta on, Eval allocates one per evaluation and attaches the
-// predecessor's memo as prior when RegisterDelta mapped the node.
+// when delta evaluation is off (the tuple loop then looks nothing up and
+// keeps no outcomes); with delta on, Eval allocates one per evaluation and
+// attaches the predecessor's memo as prior when one is found
+// (deltaPriorLocked). The loop leaves the memo of this evaluation in aux.
 type deltaState struct {
 	prior *evalAux
 	aux   *evalAux
-	fps   []uint64
 	// corpus marks a prior displaced by ApplyCorpusDelta rather than one
 	// linked across plan versions: the prior's right table (for binary
 	// operators) may have been rebuilt by the same corpus re-evaluation,
-	// so prep's pointer/fingerprint pinning will reject it — the
+	// so priorFor's pointer/fingerprint pinning will reject it — the
 	// similarity join reconciles the two right tables instead
-	// (corpusSimPrior).
+	// (tupleOp.reconcile).
 	corpus bool
 	// reused counts tuples replayed from the prior during this evaluation,
 	// for per-operator trace attribution (the deterministic Stats totals
@@ -171,67 +170,28 @@ type deltaState struct {
 	reused atomic.Int64
 }
 
-// prep arms the state for one operator pass over in: it allocates the
-// memo this evaluation will leave behind and returns the usable prior
-// plus the fingerprint slots the operator loop fills per input index.
-// cols is the operator's input-column dependency set (nil = whole-tuple
-// semantics); for binary operators, right is the other input and rightDep
-// the content fingerprint of its dependency columns. The prior is only
-// handed out when its narrowing matches and — for binary operators — the
-// right input is either the pointer-identical table the prior was built
-// against or one whose dependency columns fingerprint identically. A nil
-// receiver (delta off) returns nils, making the operators' delta branches
-// dead.
-func (dx *deltaState) prep(in *compact.Table, cols []int, right *compact.Table, rightDep uint64) (prior *evalAux, fps []uint64) {
-	if dx == nil {
+// priorFor returns the predecessor memo usable for one pass of op, nil
+// when there is none. The prior is only handed out when its narrowing
+// matches, it was left by a run of at most op's stages, and — for binary
+// operators — the right input is either the pointer-identical table the
+// prior was built against or one whose dependency columns fingerprint
+// identically. A corpus-displaced prior that fails only the pin is offered
+// to op.reconcile.
+func (dx *deltaState) priorFor(op *tupleOp, rightDep uint64) (*evalAux, error) {
+	p := dx.prior
+	if p == nil || !slices.Equal(p.cols, op.cols) || p.stages > op.stages {
 		return nil, nil
 	}
-	dx.aux = &evalAux{right: right, rightDep: rightDep, cols: cols, memo: make(map[uint64][]deltaPair, len(in.Tuples))}
-	dx.fps = make([]uint64, len(in.Tuples))
-	if p := dx.prior; p != nil && eqInts(p.cols, cols) {
-		if p.right == right || (rightDep != 0 && p.rightDep == rightDep) {
-			prior = p
+	if p.right == op.right || (rightDep != 0 && p.rightDep == rightDep) {
+		return p, nil
+	}
+	if dx.corpus && p.right != nil && op.reconcile != nil {
+		if ok, err := op.reconcile(p.right); !ok || err != nil {
+			return nil, err
 		}
+		return p, nil
 	}
-	return prior, dx.fps
-}
-
-// eqInts compares dependency-column sets; nil (whole-tuple semantics) and
-// empty (no dependencies) are distinct.
-func eqInts(a, b []int) bool {
-	if (a == nil) != (b == nil) || len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// finish builds the memo after the operator's (possibly parallel) loop:
-// out(i) must return the outcome recorded for input tuple i — including
-// replayed outcomes, so memo chains survive across many versions.
-func (dx *deltaState) finish(in *compact.Table, out func(i int) deltaOut) {
-	if dx == nil || dx.aux == nil {
-		return
-	}
-	m := dx.aux.memo
-	for i, tp := range in.Tuples {
-		h := dx.fps[i]
-		m[h] = append(m[h], deltaPair{in: tp, out: out(i)})
-	}
-}
-
-// noteReused credits n replayed tuples to both the deterministic batch
-// counters and this evaluation's trace attribution.
-func (dx *deltaState) noteReused(batch *statBatch, n int) {
-	if n == 0 {
-		return
-	}
-	batch.tuplesReused += int64(n)
-	dx.reused.Add(int64(n))
+	return nil, nil
 }
 
 // deltaLink names the predecessor, in the previous plan version, of a
@@ -240,6 +200,97 @@ func (dx *deltaState) noteReused(batch *statBatch, n int) {
 type deltaLink struct {
 	old    NodeID
 	stages int
+}
+
+// deltaPriorLocked finds the predecessor of a node Eval is about to
+// evaluate under key: the state the evaluation threads through its tuple
+// loop, and the predecessor's output table for Eval's adoption check (nil
+// when the tuple sets differ). In order: the linked predecessor evaluated
+// under the same mode whose entry still holds a per-tuple memo; failing
+// that the previous evaluation mode's (per-tuple memos are
+// subset-independent: operators decide per tuple, the doc filter only gates
+// which tuples the scans emit) — including the node's own previous-mode
+// entry, which covers the final full-corpus execution of an unchanged
+// plan. Cross-mode priors attach the memo only, never the table: the tuple
+// sets differ, so adoption would be wrong. Callers hold ctx.mu.
+func (ctx *Context) deltaPriorLocked(n Node, key entryKey) (*deltaState, *compact.Table) {
+	if !ctx.deltaOn {
+		return nil, nil
+	}
+	dx := &deltaState{}
+	var priorTable *compact.Table
+	prevMode := ctx.prevMode
+	if prevMode == key.mode {
+		prevMode = 0
+	}
+	if link, ok := ctx.deltaPrev[key.node]; ok {
+		if pe := ctx.lookupLocked(entryKey{mode: key.mode, node: link.old}); pe != nil {
+			dx.prior = pe.aux
+			priorTable = pe.table
+		} else if prevMode != 0 {
+			if pe := ctx.lookupLocked(entryKey{mode: prevMode, node: link.old}); pe != nil {
+				dx.prior = pe.aux
+			}
+		}
+	}
+	if dx.prior == nil && priorTable == nil && prevMode != 0 {
+		if pe := ctx.lookupLocked(entryKey{mode: prevMode, node: key.node}); pe != nil {
+			dx.prior = pe.aux
+		}
+	}
+	// A constraint run takes the predecessor that covers the most of its
+	// stages: the one found above, or a cached shorter run over the same
+	// input.
+	if run, ok := n.(*constraintNode); ok {
+		have := 0
+		if dx.prior != nil {
+			have = dx.prior.stages
+		}
+		if aux, table := ctx.runPriorLocked(run, key.mode, prevMode, have); aux != nil {
+			dx.prior, priorTable = aux, table
+		}
+	}
+	// Corpus prior: ApplyCorpusDelta marked this node's last result
+	// stale (the plan is typically unchanged, so the plan-delta links
+	// above have nothing). The stale table is attached for the adoption
+	// check and the memo for per-tuple replay; dx.corpus tells binary
+	// operators the prior's right table may have been rebuilt, so they
+	// reconcile it against the current one instead of trusting pointer
+	// identity. The entry is consumed: it is valid for exactly one
+	// re-evaluation of its node.
+	if dx.prior == nil && priorTable == nil {
+		if cp := ctx.cache[key]; cp != nil && cp.stale {
+			dx.prior = cp.aux
+			dx.corpus = true
+			priorTable = cp.table
+			ctx.dropLocked(cp)
+			statAdd(&ctx.Stats.CorpusPriorHits, 1)
+		}
+	}
+	return dx, priorTable
+}
+
+// runPriorLocked looks for a cached run over the same input that covers
+// more than have of n's stages: an entry under one of n's prefixes whose
+// memo was left by a run of exactly that many stages (so it is keyed on the
+// same entering cell). A trial that already evaluated the first of two
+// answers folded into one step is found this way; the RegisterDelta link
+// alone would resume one stage too early. The previous evaluation mode
+// (0 = none) is probed like Eval probes it for links, memo only. Callers
+// hold ctx.mu.
+func (ctx *Context) runPriorLocked(n *constraintNode, mode, prevMode uint32, have int) (*evalAux, *compact.Table) {
+	for ; n != nil && len(n.cons) > have; n = n.prev {
+		covers := func(e *cacheEntry) bool { return e != nil && e.aux != nil && e.aux.stages == len(n.cons) }
+		if e := ctx.lookupLocked(entryKey{mode: mode, node: n.id}); covers(e) {
+			return e.aux, e.table
+		}
+		if prevMode != 0 {
+			if e := ctx.lookupLocked(entryKey{mode: prevMode, node: n.id}); covers(e) {
+				return e.aux, nil
+			}
+		}
+	}
+	return nil, nil
 }
 
 // EnableDelta turns on incremental evaluation for this context: cache
@@ -330,19 +381,19 @@ func sameShape(o, n Node) bool {
 	switch a := o.(type) {
 	case *scanNode:
 		b, ok := n.(*scanNode)
-		return ok && a.pred == b.pred && eqStrings(a.cols, b.cols)
+		return ok && a.pred == b.pred && slices.Equal(a.cols, b.cols)
 	case *fromNode:
 		b, ok := n.(*fromNode)
 		return ok && a.inVar == b.inVar && a.outVar == b.outVar
 	case *crossNode:
 		b, ok := n.(*crossNode)
-		return ok && eqStrings(a.shared, b.shared) && eqStrings(a.cols, b.cols)
+		return ok && slices.Equal(a.shared, b.shared) && slices.Equal(a.cols, b.cols)
 	case *unionNode:
 		b, ok := n.(*unionNode)
 		return ok && len(a.parts) == len(b.parts)
 	case *projectNode:
 		b, ok := n.(*projectNode)
-		return ok && eqStrings(a.srcCols, b.srcCols) && eqStrings(a.outCols, b.outCols)
+		return ok && slices.Equal(a.srcCols, b.srcCols) && slices.Equal(a.outCols, b.outCols)
 	case *constraintNode:
 		b, ok := n.(*constraintNode)
 		return ok && slices.Equal(a.prior, b.prior) && len(a.cons) <= len(b.cons) && slices.Equal(a.cons, b.cons[:len(a.cons)])
@@ -351,36 +402,16 @@ func sameShape(o, n Node) bool {
 		return ok && a.cmp == b.cmp
 	case *funcNode:
 		b, ok := n.(*funcNode)
-		if !ok || a.fname != b.fname || len(a.args) != len(b.args) {
-			return false
-		}
-		for i := range a.args {
-			if a.args[i] != b.args[i] {
-				return false
-			}
-		}
-		return true
+		return ok && a.fname == b.fname && slices.Equal(a.args, b.args)
 	case *simJoinNode:
 		b, ok := n.(*simJoinNode)
 		return ok && a.fname == b.fname && a.leftVar == b.leftVar && a.rightVar == b.rightVar
 	case *annotateNode:
 		b, ok := n.(*annotateNode)
-		return ok && a.exists == b.exists && eqStrings(a.annotate, b.annotate)
+		return ok && a.exists == b.exists && slices.Equal(a.annotate, b.annotate)
 	case *procNode:
 		b, ok := n.(*procNode)
-		return ok && a.pname == b.pname && a.inVar == b.inVar && eqStrings(a.outVars, b.outVars)
+		return ok && a.pname == b.pname && a.inVar == b.inVar && slices.Equal(a.outVars, b.outVars)
 	}
 	return false
-}
-
-func eqStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

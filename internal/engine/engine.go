@@ -191,6 +191,19 @@ func (e *Env) AddDocTable(pred, col string, docs []*text.Document) {
 	e.Tables[pred] = t
 }
 
+// BindStore registers a document store's live pages as the extensional
+// table pred(col) and makes the store the Env's token index and postings
+// (see DocIndex and Postings: the engine consults one index per Env).
+// Call it again after a committed mutation to pick up the new live view.
+func (e *Env) BindStore(pred, col string, st interface {
+	Docs() []*text.Document
+	DocIndex
+	PostingsIndex
+}) {
+	e.AddDocTable(pred, col, st.Docs())
+	e.DocIndex, e.Postings = st, st
+}
+
 // DocResolver returns a lookup from document ID to the handle referenced
 // by this environment's tables — what a table spill needs to decode
 // spilled spans back onto the very documents the engine's memos key on.
@@ -551,19 +564,10 @@ type statBatch struct {
 	tuplesReused     int64
 	tuplesRecomputed int64
 	stages           int64
-}
-
-// flush merges the shard into the shared Stats and times the merge
-// (surfaced as stat_merge_seconds in snapshots). The batch is reset so a
-// deferred flush composes with explicit mid-chunk flushes.
-func (b *statBatch) flush(ctx *Context) {
-	if *b == (statBatch{}) {
-		return
-	}
-	start := time.Now()
-	b.flushTo(&ctx.Stats)
-	atomic.AddInt64(&ctx.Stats.StatMergeNs, int64(time.Since(start)))
-	atomic.AddInt64(&ctx.Stats.StatMerges, 1)
+	// stageAsg is not a Stats counter: the assignments of the stage tables a
+	// constraint run did not build, handed to the evaluation's EvalTrace at
+	// the end of the chunk (chunkWork).
+	stageAsg int64
 }
 
 // countMemo records one feature-memo lookup outcome.
@@ -575,8 +579,15 @@ func (b *statBatch) countMemo(hit bool) {
 	}
 }
 
-// flushTo merges the shard into stats without merge-cost accounting.
-func (b *statBatch) flushTo(stats *Stats) {
+// flush merges the shard into the shared Stats — the tuple loop does it
+// once, when the chunk ends — and times the merge (surfaced as
+// stat_merge_seconds in snapshots).
+func (b *statBatch) flush(ctx *Context) {
+	if *b == (statBatch{}) {
+		return
+	}
+	start := time.Now()
+	stats := &ctx.Stats
 	if b.funcCalls != 0 {
 		atomic.AddInt64(&stats.FuncCalls, b.funcCalls)
 	}
@@ -610,7 +621,8 @@ func (b *statBatch) flushTo(stats *Stats) {
 	if b.stages != 0 {
 		atomic.AddInt64(&stats.ConstraintStages, b.stages)
 	}
-	*b = statBatch{}
+	atomic.AddInt64(&stats.StatMergeNs, int64(time.Since(start)))
+	atomic.AddInt64(&stats.StatMerges, 1)
 }
 
 // NewContext returns a fresh context with an empty reuse cache.
@@ -898,68 +910,7 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 	}
 	c := &inflightEval{done: make(chan struct{})}
 	ctx.inflight[key] = c
-	// Delta prior: a mapped predecessor evaluated under the same mode whose
-	// entry still holds a per-tuple memo. The predecessor's output table is
-	// kept for the adoption check below. When the current mode has nothing,
-	// fall back to the previous evaluation mode (per-tuple memos are
-	// subset-independent: operators decide per tuple, the doc filter only
-	// gates which tuples the scans emit) — including the node's own
-	// previous-mode entry, which covers the final full-corpus execution of
-	// an unchanged plan. Cross-mode priors attach the memo only, never the
-	// table: the tuple sets differ, so adoption would be wrong.
-	var dx *deltaState
-	var priorTable *compact.Table
-	if ctx.deltaOn {
-		dx = &deltaState{}
-		prevMode := ctx.prevMode
-		if prevMode == mode {
-			prevMode = 0
-		}
-		if link, ok := ctx.deltaPrev[key.node]; ok {
-			if pe := ctx.lookupLocked(entryKey{mode: mode, node: link.old}); pe != nil {
-				dx.prior = pe.aux
-				priorTable = pe.table
-			} else if prevMode != 0 {
-				if pe := ctx.lookupLocked(entryKey{mode: prevMode, node: link.old}); pe != nil {
-					dx.prior = pe.aux
-				}
-			}
-		}
-		if dx.prior == nil && priorTable == nil && prevMode != 0 {
-			if pe := ctx.lookupLocked(entryKey{mode: prevMode, node: key.node}); pe != nil {
-				dx.prior = pe.aux
-			}
-		}
-		// A constraint run takes the predecessor that covers the most of its
-		// stages: the one found above, or a cached shorter run over the same
-		// input.
-		if run, ok := n.(*constraintNode); ok {
-			have := 0
-			if dx.prior != nil {
-				have = dx.prior.stages
-			}
-			if aux, table := ctx.runPriorLocked(run, mode, prevMode, have); aux != nil {
-				dx.prior, priorTable = aux, table
-			}
-		}
-		// Corpus prior: ApplyCorpusDelta marked this node's last result
-		// stale (the plan is typically unchanged, so the plan-delta links
-		// above have nothing). The stale table is attached for the adoption
-		// check and the memo for per-tuple replay; dx.corpus tells binary
-		// operators the prior's right table may have been rebuilt, so they
-		// reconcile it against the current one instead of trusting pointer
-		// identity. The entry is consumed: it is valid for exactly one
-		// re-evaluation of its node.
-		if dx.prior == nil && priorTable == nil {
-			if cp := ctx.cache[key]; cp != nil && cp.stale {
-				dx.prior = cp.aux
-				dx.corpus = true
-				priorTable = cp.table
-				ctx.dropLocked(cp)
-				statAdd(&ctx.Stats.CorpusPriorHits, 1)
-			}
-		}
-	}
+	dx, priorTable := ctx.deltaPriorLocked(n, key)
 	ctx.mu.Unlock()
 
 	// Spill resurrection: a previous eviction may have demoted this exact
@@ -1029,7 +980,7 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 		statAdd(&ctx.Stats.TuplesBuilt, len(t.Tuples))
 		if !ctx.cancelFired() {
 			if ev.stages > 1 {
-				ctx.stageAsg[key] = ev.stageAsg
+				ctx.stageAsg[key] = ev.stageAsg.Load()
 			}
 			// A fired cancellation means this result may be partial (a
 			// best-effort cut truncates operator loops), so it is handed to

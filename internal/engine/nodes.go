@@ -244,79 +244,30 @@ func (n *crossNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.
 	if err != nil {
 		return nil, err
 	}
-	out := compact.NewTable(n.cols...)
 	lim := ctx.Env.Limits
-	// Partition the product over left tuples; per-index result slots keep
-	// the output order identical to the serial nested loop. The delta memo
-	// is per left tuple too, keyed on the left shared-column cells and
-	// pinned to the right table by a content fingerprint of its shared
-	// columns; replay rebuilds each output row from the current tuples.
+	// The loop runs over left tuples. The memo is per left tuple too, keyed
+	// on the left shared-column cells and pinned to the right table by a
+	// content fingerprint of its shared columns; emit rebuilds each output
+	// row from the current tuples.
 	leftIdx := make([]int, 0, len(n.shared))
 	rightIdx := make([]int, 0, len(n.shared))
 	for _, sc := range n.shared {
 		leftIdx = append(leftIdx, colIndex(lt.Cols, sc))
 		rightIdx = append(rightIdx, colIndex(rt.Cols, sc))
 	}
-	var rdep uint64
-	if dx != nil {
-		rdep = rt.ColsFingerprint(rightIdx)
-	}
-	prior, fps := dx.prep(lt, leftIdx, rt, rdep)
-	var fbs []int32
-	var matches [][]joinMatch
-	if fps != nil {
-		fbs = make([]int32, len(lt.Tuples))
-		matches = make([][]joinMatch, len(lt.Tuples))
-	}
-	rebuild := func(ltp, rtp compact.Tuple, sure bool) compact.Tuple {
-		nt := ltp.Copy()
-		for j, c := range rt.Cols {
-			if !containsStr(n.shared, c) {
-				nt.Cells = append(nt.Cells, rtp.Cells[j])
+	op := tupleOp{cols: leftIdx, right: rt, rightCols: rightIdx, minChunk: minChunkCross}
+	op.open = func(*statBatch) decideFn {
+		return func(ltp compact.Tuple, old *deltaOut) (deltaOut, bool, bool, error) {
+			if old != nil {
+				return *old, true, false, nil
 			}
-		}
-		nt.Maybe = ltp.Maybe || rtp.Maybe || !sure
-		return nt
-	}
-	rows := make([][]compact.Tuple, len(lt.Tuples))
-	var ncut atomic.Int64
-	err = ctx.parallelChunksSized(len(lt.Tuples), minChunkCross, func(start, end int) error {
-		var batch statBatch
-		defer batch.flush(ctx)
-		reused := 0
-		for i := start; i < end; i++ {
-			if cut, cerr := ctx.cutCheck(); cerr != nil {
-				return cerr
-			} else if cut {
-				ctx.noteUnprocessed(lt.Tuples[i:end])
-				ncut.Add(1)
-				break
-			}
-			ltp := lt.Tuples[i]
-			if fps != nil {
-				fps[i] = dx.aux.fpOf(ltp)
-				if old, ok := prior.lookup(fps[i], ltp); ok {
-					for _, m := range old.sim {
-						rows[i] = append(rows[i], rebuild(ltp, rt.Tuples[m.j], m.sure))
-					}
-					matches[i] = old.sim
-					fbs[i] = old.fallbacks
-					ev.fallback(ctx, int(old.fallbacks))
-					reused++
-					continue
-				}
-			}
-			batch.tuplesRecomputed++
-			var fb int32
+			var o deltaOut
 			for j, rtp := range rt.Tuples {
-				keep := true
-				sure := true
-				for _, sc := range n.shared {
-					lc := ltp.Cells[colIndex(lt.Cols, sc)]
-					rc := rtp.Cells[colIndex(rt.Cols, sc)]
-					eq, capped := cellsMayEqual(lc, rc, lim)
+				keep, sure := true, true
+				for k, li := range leftIdx {
+					eq, capped := cellsMayEqual(ltp.Cells[li], rtp.Cells[rightIdx[k]], lim)
 					if capped {
-						fb++
+						o.fallbacks++
 					}
 					if eq == noValuation {
 						keep = false
@@ -326,35 +277,28 @@ func (n *crossNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.
 						sure = false
 					}
 				}
-				if !keep {
-					continue
-				}
-				rows[i] = append(rows[i], rebuild(ltp, rtp, sure))
-				if matches != nil {
-					matches[i] = append(matches[i], joinMatch{j: j, sure: sure})
+				if keep {
+					o.sim = append(o.sim, joinMatch{j: j, sure: sure})
 				}
 			}
-			if fb > 0 {
-				ev.fallback(ctx, int(fb))
-			}
-			if fbs != nil {
-				fbs[i] = fb
-			}
+			return o, false, false, nil
 		}
-		dx.noteReused(&batch, reused)
-		ev.recompute(batch.tuplesRecomputed)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	for _, r := range rows {
-		out.Tuples = append(out.Tuples, r...)
+	op.emit = func(dst []compact.Tuple, ltp compact.Tuple, o *deltaOut) []compact.Tuple {
+		for _, m := range o.sim {
+			rtp := rt.Tuples[m.j]
+			nt := ltp.Copy()
+			for j, c := range rt.Cols {
+				if !containsStr(n.shared, c) {
+					nt.Cells = append(nt.Cells, rtp.Cells[j])
+				}
+			}
+			nt.Maybe = ltp.Maybe || rtp.Maybe || !m.sure
+			dst = append(dst, nt)
+		}
+		return dst
 	}
-	if ncut.Load() == 0 {
-		dx.finish(lt, func(i int) deltaOut { return deltaOut{sim: matches[i], fallbacks: fbs[i]} })
-	}
-	return out, nil
+	return ctx.tupleLoop(ev, dx, lt, n.cols, op)
 }
 
 func containsStr(ss []string, s string) bool {

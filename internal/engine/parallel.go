@@ -9,13 +9,13 @@ import (
 	"iflex/internal/compact"
 )
 
-// This file implements the engine's bounded worker pool. Leaf loops
-// (similarity-join probes, cross products, selections) and independent
-// sibling subtrees run on spare pool slots; the calling goroutine always
-// keeps working too, so progress never depends on slot availability and
-// nested parallel regions cannot deadlock. Every construct merges results
-// in input order, which makes evaluation byte-identical to a serial run
-// regardless of the worker count.
+// This file implements the engine's bounded worker pool. The tuple loop's
+// chunks (tupleloop.go) and independent sibling subtrees run on spare pool
+// slots; the calling goroutine always keeps working too, so progress never
+// depends on slot availability and nested parallel regions cannot
+// deadlock. Every construct merges results in input order, which makes
+// evaluation byte-identical to a serial run regardless of the worker
+// count.
 
 // workers resolves the context's worker budget: Workers when positive,
 // otherwise every available CPU.
@@ -81,13 +81,13 @@ func rethrow(pans []*workerPanic) {
 	}
 }
 
-// Minimum items per chunk for the fan-out of each operator family,
-// derived from their measured per-item cost: similarity-join probes run a
-// blocking lookup plus a token odometer per item (expensive), selections
-// a factored predicate (medium), cross products and constraint refinement
-// sit in between. Nodes smaller than one chunk run serially and skip the
-// pool bookkeeping entirely — the fix for pool_slots_denied ≈ granted on
-// tiny nodes.
+// Minimum items per chunk for the fan-out of each operator family
+// (tupleOp.minChunk), derived from their measured per-item cost:
+// similarity-join probes run a blocking lookup plus a token odometer per
+// item (expensive), selections a factored predicate (medium), cross
+// products and constraint refinement sit in between. Nodes smaller than
+// one chunk run serially and skip the pool bookkeeping entirely — the fix
+// for pool_slots_denied ≈ granted on tiny nodes.
 const (
 	minChunkProbe      = 4
 	minChunkFilter     = 16
@@ -98,9 +98,9 @@ const (
 // parallelChunksSized splits [0, n) into up to workers() contiguous chunks
 // and runs body on each, spawning goroutines only for the slots tryAcquire
 // grants; the caller's goroutine runs the first chunk (and any chunk that
-// found no free slot) itself. body must write results into per-index
-// slots so the caller can merge in index order. The returned error is the
-// one a serial left-to-right run would have hit first: within a chunk
+// found no free slot) itself. body must keep its results apart from other
+// chunks' so the caller can merge them in chunk order. The returned error
+// is the one a serial left-to-right run would have hit first: within a chunk
 // body stops at its first error, and across chunks the lowest-indexed
 // chunk's error wins. The fan-out is capped so every chunk covers at
 // least minChunk items, which keeps cheap nodes serial instead of paying

@@ -48,76 +48,64 @@ func (n *procNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 	}
 	ci := colIndex(in.Cols, n.inVar)
 	lim := ctx.Env.Limits
-	out := compact.NewTable(n.Columns()...)
-	nq := int64(0)
-	for ti := 0; ti < len(in.Tuples); ti++ {
-		if cut, cerr := ctx.cutCheck(); cerr != nil {
-			return nil, cerr
-		} else if cut {
-			ctx.noteUnprocessed(in.Tuples[ti:])
-			break
-		}
-		tp := in.Tuples[ti]
-		cell := tp.Cells[ci]
-		if cell.NumValues() > lim.MaxCellValues {
-			// An engine limit, not a document fault: quarantining here would
-			// hide a program that needs an extra constraint, so it stays
-			// fatal under every fault policy.
-			return nil, fmt.Errorf("engine: procedure %s: input cell encodes %d values, over the limit %d; constrain the attribute first",
-				n.pname, cell.NumValues(), lim.MaxCellValues)
-		}
-		// Per Section 4.1, outputs are maybe when the (expansion-free) input
-		// tuple stands for more than one possible tuple: expansion cells
-		// contribute separate tuples, so only plain multi-value cells count.
-		multi := false
-		for _, c := range tp.Cells {
-			if !c.Expand && c.NumValues() > 1 {
-				multi = true
-				break
+	// Procedures are opaque user code: one serial chunk, nothing memoised.
+	// rows is that chunk's scratch: decide builds one tuple's rows into it
+	// and emit commits them.
+	var rows []compact.Tuple
+	op := tupleOp{site: "proc"}
+	op.open = func(*statBatch) decideFn {
+		return func(tp compact.Tuple, _ *deltaOut) (deltaOut, bool, bool, error) {
+			cell := tp.Cells[ci]
+			if cell.NumValues() > lim.MaxCellValues {
+				// An engine limit, not a document fault: quarantining here would
+				// hide a program that needs an extra constraint, so it stays
+				// fatal under every fault policy.
+				return deltaOut{}, false, false, fmt.Errorf("engine: procedure %s: input cell encodes %d values, over the limit %d; constrain the attribute first",
+					n.pname, cell.NumValues(), lim.MaxCellValues)
 			}
-		}
-		// The tuple's whole value enumeration is one guarded unit: rows are
-		// built into a local batch and committed only when every procedure
-		// call succeeded, which keeps a retried attempt idempotent.
-		var rowsOut []compact.Tuple
-		qed, gerr := ctx.guard(ev, "proc", func() []string { return tupleDocs(tp, []int{ci}) }, func() error {
-			rowsOut = rowsOut[:0]
-			var evalErr error
-			cell.Values(func(v text.Span) bool {
-				statAdd(&ctx.Stats.ProcCalls, 1)
-				rows, err := proc.Fn(v)
-				if err != nil {
-					evalErr = fmt.Errorf("engine: procedure %s: %w", n.pname, err)
-					return false
+			// Per Section 4.1, outputs are maybe when the (expansion-free) input
+			// tuple stands for more than one possible tuple: expansion cells
+			// contribute separate tuples, so only plain multi-value cells count.
+			multi := false
+			for _, c := range tp.Cells {
+				if !c.Expand && c.NumValues() > 1 {
+					multi = true
+					break
 				}
-				for _, row := range rows {
-					if len(row) != proc.Outputs {
-						evalErr = fmt.Errorf("engine: procedure %s returned %d outputs, want %d", n.pname, len(row), proc.Outputs)
+			}
+			// The tuple's whole value enumeration is one guarded unit: the rows
+			// are committed only when every procedure call succeeded, which
+			// keeps a retried attempt idempotent.
+			qed, err := ctx.guard(ev, op.site, func() []string { return tupleDocs(tp, []int{ci}) }, func() error {
+				rows = rows[:0]
+				var evalErr error
+				cell.Values(func(v text.Span) bool {
+					statAdd(&ctx.Stats.ProcCalls, 1)
+					outs, err := proc.Fn(v)
+					if err != nil {
+						evalErr = fmt.Errorf("engine: procedure %s: %w", n.pname, err)
 						return false
 					}
-					nt := tp.Clone()
-					nt.Cells[ci] = compact.ExactCell(v)
-					for _, o := range row {
-						nt.Cells = append(nt.Cells, compact.ExactCell(o))
+					for _, row := range outs {
+						if len(row) != proc.Outputs {
+							evalErr = fmt.Errorf("engine: procedure %s returned %d outputs, want %d", n.pname, len(row), proc.Outputs)
+							return false
+						}
+						nt := tp.Clone()
+						nt.Cells[ci] = compact.ExactCell(v)
+						for _, o := range row {
+							nt.Cells = append(nt.Cells, compact.ExactCell(o))
+						}
+						nt.Maybe = tp.Maybe || multi
+						rows = append(rows, nt)
 					}
-					nt.Maybe = tp.Maybe || multi
-					rowsOut = append(rowsOut, nt)
-				}
-				return true
+					return true
+				})
+				return evalErr
 			})
-			return evalErr
-		})
-		if gerr != nil {
-			return nil, gerr
+			return deltaOut{}, false, qed, err
 		}
-		if qed {
-			nq++
-			continue
-		}
-		out.Tuples = append(out.Tuples, rowsOut...)
 	}
-	if nq > 0 {
-		return nil, quarantineErr("proc", nq)
-	}
-	return out, nil
+	op.emit = func(dst []compact.Tuple, _ compact.Tuple, _ *deltaOut) []compact.Tuple { return append(dst, rows...) }
+	return ctx.tupleLoop(ev, dx, in, n.Columns(), op)
 }

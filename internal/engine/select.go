@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"iflex/internal/alog"
 	"iflex/internal/compact"
@@ -227,130 +226,50 @@ type tupleFilter func(tp compact.Tuple, batch *statBatch) (filterOutcome, error)
 
 // applyFilter runs a tuple filter over a whole table, producing the selected
 // table with maybe flags and expansion-cell filtering applied. Tuples are
-// independent, so the loop is partitioned across the context's worker
-// pool; per-index result slots keep the output order serial-identical.
-// The filter must therefore be safe for concurrent calls (the built-in
-// p-functions and comparison operands are pure). Stat deltas batch per
-// chunk and flush once, so hot loops pay no per-call atomics. With a
-// delta prior attached (dx), structurally unchanged input tuples replay
-// their memoised outcome — including the valuation-cap fallback charge —
-// without re-running the filter.
+// independent, so the loop fans out; the filter must therefore be safe for
+// concurrent calls (the built-in p-functions and comparison operands are
+// pure). The memo is keyed on the involved columns alone and stores the
+// filter's outcome (keep/sure/replacements, and the valuation-cap fallback
+// charge), not the built tuple: replay rebuilds the output from the current
+// tuple, so refinements of uninvolved columns — and maybe-flag changes,
+// reapplied by emit — do not invalidate it.
 func applyFilter(ctx *Context, ev *EvalTrace, dx *deltaState, in *compact.Table, involved []int, filter tupleFilter) (*compact.Table, error) {
-	out := compact.NewTable(in.Cols...)
-	// The memo is keyed on the involved columns alone and stores the
-	// filter's outcome (keep/sure/replacements), not the built tuple:
-	// replay rebuilds the output from the current tuple, so refinements of
-	// uninvolved columns — and maybe-flag changes, reapplied here — do not
-	// invalidate it.
-	prior, fps := dx.prep(in, involved, nil, 0)
-	var fbs []int32
-	var outs []*filterOutcome
-	if fps != nil {
-		fbs = make([]int32, len(in.Tuples))
-		outs = make([]*filterOutcome, len(in.Tuples))
-	}
-	rows := make([]*compact.Tuple, len(in.Tuples))
-	// nq counts tuples dropped by quarantine, ncut the chunks cut short by
-	// a best-effort cancellation; either way the pass's delta memo is
-	// abandoned (it would have holes) and quarantine additionally discards
-	// the output via the restart sentinel.
-	var nq, ncut atomic.Int64
-	err := ctx.parallelChunksSized(len(in.Tuples), minChunkFilter, func(start, end int) error {
-		var batch statBatch
-		defer batch.flush(ctx)
-		reused := 0
-		for i := start; i < end; i++ {
-			if cut, cerr := ctx.cutCheck(); cerr != nil {
-				return cerr
-			} else if cut {
-				ctx.noteUnprocessed(in.Tuples[i:end])
-				ncut.Add(1)
-				break
+	op := tupleOp{site: "pfunc", cols: involved, minChunk: minChunkFilter}
+	op.open = func(batch *statBatch) decideFn {
+		return func(tp compact.Tuple, old *deltaOut) (deltaOut, bool, bool, error) {
+			if old != nil {
+				return *old, true, false, nil
 			}
-			tp := in.Tuples[i]
-			if fps != nil {
-				fps[i] = dx.aux.fpOf(tp)
-				if old, ok := prior.lookup(fps[i], tp); ok {
-					fo := old.filt
-					if fo.keep {
-						nt := tp.Copy()
-						for ci, cell := range fo.repl {
-							nt.Cells[ci] = cell
-						}
-						if !fo.sure {
-							nt.Maybe = true
-						}
-						rows[i] = &nt
-					}
-					outs[i] = fo
-					fbs[i] = old.fallbacks
-					ev.fallback(ctx, int(old.fallbacks))
-					reused++
-					continue
-				}
-			}
-			batch.tuplesRecomputed++
 			var res filterOutcome
-			qed, err := ctx.guard(ev, "pfunc", func() []string { return tupleDocs(tp, involved) }, func() error {
+			qed, err := ctx.guard(ev, op.site, func() []string { return tupleDocs(tp, involved) }, func() error {
 				var ferr error
-				res, ferr = filter(tp, &batch)
+				res, ferr = filter(tp, batch)
 				return ferr
 			})
-			if err != nil {
-				return err
+			if err != nil || qed {
+				return deltaOut{}, false, qed, err
 			}
-			if qed {
-				nq.Add(1)
-				continue
-			}
-			if outs != nil {
-				ro := res
-				outs[i] = &ro
-			}
+			o := deltaOut{filt: &res}
 			if res.fallback {
-				ev.fallback(ctx, 1)
-				if fbs != nil {
-					fbs[i] = 1
-				}
+				o.fallbacks = 1
 			}
-			if !res.keep {
-				continue
-			}
-			nt := tp.Copy()
-			for ci, cell := range res.repl {
-				nt.Cells[ci] = cell
-			}
-			if !res.sure {
-				nt.Maybe = true
-			}
-			rows[i] = &nt
-		}
-		dx.noteReused(&batch, reused)
-		ev.recompute(batch.tuplesRecomputed)
-		ev.simWork(&batch)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if n := nq.Load(); n > 0 {
-		return nil, quarantineErr("pfunc", n)
-	}
-	for _, nt := range rows {
-		if nt != nil {
-			out.Tuples = append(out.Tuples, *nt)
+			return o, false, false, nil
 		}
 	}
-	if ncut.Load() == 0 {
-		dx.finish(in, func(i int) deltaOut {
-			o := deltaOut{filt: outs[i]}
-			if fbs != nil {
-				o.fallbacks = fbs[i]
-			}
-			return o
-		})
+	op.emit = func(dst []compact.Tuple, tp compact.Tuple, o *deltaOut) []compact.Tuple {
+		if !o.filt.keep {
+			return dst
+		}
+		nt := tp.Copy()
+		for ci, cell := range o.filt.repl {
+			nt.Cells[ci] = cell
+		}
+		if !o.filt.sure {
+			nt.Maybe = true
+		}
+		return append(dst, nt)
 	}
-	return out, nil
+	return ctx.tupleLoop(ev, dx, in, in.Cols, op)
 }
 
 // compareNode is a selection with a comparison condition, e.g. p > 500000.
@@ -485,7 +404,7 @@ func (n *funcNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 	if err != nil {
 		return nil, err
 	}
-	var involved []int
+	involved := make([]int, 0, len(n.args))
 	for _, a := range n.args {
 		if a.Kind != alog.TermVar {
 			return nil, fmt.Errorf("engine: p-function %s: only variable arguments are supported, got %s", n.fname, a)

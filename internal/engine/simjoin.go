@@ -361,7 +361,7 @@ type simProbe struct {
 // scratch its candidate generation and pair decisions reuse.
 type simChunk struct {
 	*simProbe
-	batch statBatch
+	batch *statBatch
 	sc    simScratch
 	stamp []uint32 // right tuple -> generation that last listed it
 	gen   uint32
@@ -451,7 +451,7 @@ func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed b
 	qed, err = c.ctx.guard(c.ev, "pfunc", pairDocs, func() error {
 		var ferr error
 		if c.sim == nil {
-			res, ferr = filterTupleF(pair, pairInvolved, c.fn, c.ctx.Env.Limits, &c.batch)
+			res, ferr = filterTupleF(pair, pairInvolved, c.fn, c.ctx.Env.Limits, c.batch)
 			return ferr
 		}
 		res, ferr = c.sim.filter(pair, pairInvolved, c.ctx.Env.Limits,
@@ -468,7 +468,7 @@ func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed b
 					c.rcells[j].Store(ct)
 				}
 				return ct
-			}, &c.sc, &c.batch)
+			}, &c.sc, c.batch)
 		return ferr
 	})
 	if err != nil || qed {
@@ -481,14 +481,15 @@ func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed b
 // candidates by blocking, then one decision per candidate pair. It returns
 // the matches in ascending right-tuple order, the valuation-limit
 // fallbacks charged (the left cell's own oversize only when chargeOversize
-// — a corpus replay already carries it), and qed when the tuple itself was
-// quarantined. nq counts candidate pairs dropped by quarantine.
+// — a corpus replay already carries it), and whether anything was
+// quarantined: a candidate pair that faulted (both pair documents are
+// attributed, the guard cannot tell which side did), or the tuple itself.
 //
 // Tokenizing the left cell can page its document in; a load fault
 // quarantines the tuple's documents and drops it, like a faulting
 // candidate pair. Site "blockindex" (single-document attribution), never
 // "pfunc".
-func (c *simChunk) probe(ltp compact.Tuple, idx *blockIndex, universe []int, chargeOversize bool, nq *atomic.Int64) (ms []joinMatch, fb int32, qed bool, err error) {
+func (c *simChunk) probe(ltp compact.Tuple, idx *blockIndex, universe []int, chargeOversize bool) (ms []joinMatch, fb int32, qed bool, err error) {
 	left := leftSide{cell: ltp.Cells[c.li]}
 	var cands []int
 	qed, err = c.ctx.guard(c.ev, "blockindex", cellDocs(left.cell), func() error {
@@ -514,7 +515,7 @@ func (c *simChunk) probe(ltp compact.Tuple, idx *blockIndex, universe []int, cha
 			return nil, 0, false, perr
 		}
 		if pq {
-			nq.Add(1)
+			qed = true
 			continue
 		}
 		if fbp {
@@ -524,7 +525,7 @@ func (c *simChunk) probe(ltp compact.Tuple, idx *blockIndex, universe []int, cha
 			ms = append(ms, m)
 		}
 	}
-	return ms, fb, false, nil
+	return ms, fb, qed, nil
 }
 
 func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
@@ -555,164 +556,84 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 		p.sim.rank = p.idx.rank
 	}
 	li, ri := p.li, p.ri
-	out := compact.NewTable(n.cols...)
-	// join assembles the output tuple for one matching pair with shallow
-	// cell copies (cells are immutable once built); only kept pairs
-	// allocate anything at all.
-	join := func(ltp compact.Tuple, m joinMatch) compact.Tuple {
-		rtp := rt.Tuples[m.j]
-		cells := make([]compact.Cell, 0, len(ltp.Cells)+len(rtp.Cells))
-		cells = append(cells, ltp.Cells...)
-		cells = append(cells, rtp.Cells...)
-		if c, ok := m.repl[0]; ok {
-			cells[li] = c
-		}
-		if c, ok := m.repl[1]; ok {
-			cells[len(lt.Cols)+ri] = c
-		}
-		return compact.Tuple{Cells: cells, Maybe: ltp.Maybe || rtp.Maybe || !m.sure}
-	}
-	// Partition the probe loop over left tuples; each chunk keeps its own
-	// candidate stamps and writes matches into its tuples' result slots, so
-	// the merged output is identical to a serial probe. Candidates are
-	// probed in ascending right-tuple order (the token index enumerates a
-	// map), which also makes the output order deterministic run to run.
-	// The delta memo is per left tuple and depends only on the left join
-	// cell; the right side is pinned by a content fingerprint of its join
-	// column, so the memo survives re-evaluations of either side that leave
-	// the join-relevant cells intact. Replay rebuilds each output row from
-	// the *current* pair of tuples, carrying refreshed non-join cells.
-	var rdep uint64
-	if dx != nil {
-		rdep = rt.ColsFingerprint([]int{ri})
-	}
-	prior, fps := dx.prep(lt, []int{li}, rt, rdep)
+	// The loop runs over left tuples; each chunk keeps its own candidate
+	// stamps. Candidates are probed in ascending right-tuple order (the token
+	// index enumerates a map), which also makes the output order
+	// deterministic run to run. The delta memo is per left tuple and depends
+	// only on the left join cell; the right side is pinned by a content
+	// fingerprint of its join column, so the memo survives re-evaluations of
+	// either side that leave the join-relevant cells intact.
+	op := tupleOp{site: "pfunc", cols: []int{li}, right: rt, rightCols: []int{ri}, minChunk: minChunkProbe}
 	// Corpus-mode reconciliation: after ApplyCorpusDelta the displaced
-	// memo's right table was rebuilt by this same re-evaluation, so prep's
-	// pointer/fingerprint pinning rejects it even though almost every
-	// right tuple is unchanged. Align the two right tables structurally
-	// (span identity — only tuples from unchanged documents can align) and
-	// block the unmatched "fresh" right tuples separately: a memo-hit left
-	// tuple then replays its surviving matches remapped to current indices
-	// and probes only the fresh tuples, instead of the whole right side.
+	// memo's right table was rebuilt by this same re-evaluation, so the pin
+	// rejects it even though almost every right tuple is unchanged. Align the
+	// two right tables structurally (span identity — only tuples from
+	// unchanged documents can align) and block the unmatched "fresh" right
+	// tuples separately: a memo-hit left tuple then replays its surviving
+	// matches remapped to current indices and probes only the fresh tuples,
+	// instead of the whole right side.
 	var rec *simRecon
 	var freshIdx *blockIndex
-	if prior == nil && fps != nil {
-		if cp := dx.corpusSimPrior([]int{li}); cp != nil {
-			if rec = buildSimRecon(cp.right, rt); rec != nil {
-				prior = cp
-				freshIdx = &blockIndex{byToken: map[uint32][]int{}}
-				if err := freshIdx.fill(ctx, ev, p.sim, rt, ri, rec.fresh); err != nil {
-					return nil, err
+	op.reconcile = func(oldRight *compact.Table) (bool, error) {
+		if rec = buildSimRecon(oldRight, rt); rec == nil {
+			return false, nil
+		}
+		freshIdx = &blockIndex{byToken: map[uint32][]int{}}
+		return true, freshIdx.fill(ctx, ev, p.sim, rt, ri, rec.fresh)
+	}
+	op.open = func(batch *statBatch) decideFn {
+		c := &simChunk{simProbe: p, batch: batch, stamp: make([]uint32, len(rt.Tuples))}
+		return func(ltp compact.Tuple, old *deltaOut) (deltaOut, bool, bool, error) {
+			if old != nil && rec == nil {
+				return *old, true, false, nil
+			}
+			if old == nil {
+				ms, fb, qed, err := c.probe(ltp, p.idx, p.all, true)
+				return deltaOut{sim: ms, fallbacks: fb}, false, qed, err
+			}
+			// Corpus replay: remap the matches whose right tuple survived
+			// the mutation, probe only the fresh right tuples, and merge
+			// in ascending right-index order — the order a full probe
+			// over the identical candidate set would have produced, so
+			// the output is byte-identical. (An oversized left cell pairs
+			// with every fresh tuple; the replayed fallback count already
+			// charged the oversize.)
+			fresh, fb, qed, err := c.probe(ltp, freshIdx, rec.fresh, false)
+			if err != nil {
+				return deltaOut{}, true, false, err
+			}
+			ms := make([]joinMatch, 0, len(old.sim)+len(fresh))
+			for _, m := range old.sim {
+				if nj := rec.newJ[m.j]; nj >= 0 {
+					ms = append(ms, joinMatch{j: nj, sure: m.sure, repl: m.repl})
 				}
 			}
+			ms = append(ms, fresh...)
+			sort.Slice(ms, func(a, b int) bool { return ms[a].j < ms[b].j })
+			return deltaOut{sim: ms, fallbacks: old.fallbacks + fb}, true, qed, nil
 		}
 	}
-	var fbs []int32
-	var matches [][]joinMatch
-	if fps != nil {
-		fbs = make([]int32, len(lt.Tuples))
-		matches = make([][]joinMatch, len(lt.Tuples))
-	}
-	rows := make([][]compact.Tuple, len(lt.Tuples))
-	// nq counts candidate pairs (and left tuples) dropped by quarantine —
-	// both pair documents are attributed, the guard cannot tell which side
-	// faulted; ncut the chunks cut short by a best-effort cancellation.
-	var nq, ncut atomic.Int64
-	probe := func(start, end int) error {
-		c := &simChunk{simProbe: p, stamp: make([]uint32, len(rt.Tuples))}
-		defer c.batch.flush(ctx)
-		reused := 0
-		for i := start; i < end; i++ {
-			if cut, cerr := ctx.cutCheck(); cerr != nil {
-				return cerr
-			} else if cut {
-				ctx.noteUnprocessed(lt.Tuples[i:end])
-				ncut.Add(1)
-				break
+	// emit assembles the output tuple of each matching pair from the current
+	// pair of tuples, carrying refreshed non-join cells, with shallow cell
+	// copies (cells are immutable once built); only kept pairs allocate
+	// anything at all.
+	op.emit = func(dst []compact.Tuple, ltp compact.Tuple, o *deltaOut) []compact.Tuple {
+		for _, m := range o.sim {
+			rtp := rt.Tuples[m.j]
+			cells := make([]compact.Cell, 0, len(ltp.Cells)+len(rtp.Cells))
+			cells = append(cells, ltp.Cells...)
+			cells = append(cells, rtp.Cells...)
+			if c, ok := m.repl[0]; ok {
+				cells[li] = c
 			}
-			ltp := lt.Tuples[i]
-			var ms []joinMatch
-			var fb int32
-			old, hit := deltaOut{}, false
-			if fps != nil {
-				fps[i] = dx.aux.fpOf(ltp)
-				old, hit = prior.lookup(fps[i], ltp)
+			if c, ok := m.repl[1]; ok {
+				cells[len(lt.Cols)+ri] = c
 			}
-			switch {
-			case hit && rec == nil:
-				ms, fb = old.sim, old.fallbacks
-				reused++
-			case hit:
-				// Corpus replay: remap the matches whose right tuple survived
-				// the mutation, probe only the fresh right tuples, and merge
-				// in ascending right-index order — the order a full probe
-				// over the identical candidate set would have produced, so
-				// the output is byte-identical. (An oversized left cell pairs
-				// with every fresh tuple; the replayed fallback count already
-				// charged the oversize.)
-				fresh, ffb, qed, perr := c.probe(ltp, freshIdx, rec.fresh, false, &nq)
-				if perr != nil {
-					return perr
-				}
-				if qed {
-					nq.Add(1)
-					continue
-				}
-				ms = make([]joinMatch, 0, len(old.sim)+len(fresh))
-				for _, m := range old.sim {
-					if nj := rec.newJ[m.j]; nj >= 0 {
-						ms = append(ms, joinMatch{j: nj, sure: m.sure, repl: m.repl})
-					}
-				}
-				ms = append(ms, fresh...)
-				sort.Slice(ms, func(a, b int) bool { return ms[a].j < ms[b].j })
-				fb = old.fallbacks + ffb
-				reused++
-			default:
-				c.batch.tuplesRecomputed++
-				var qed bool
-				var perr error
-				if ms, fb, qed, perr = c.probe(ltp, p.idx, p.all, true, &nq); perr != nil {
-					return perr
-				}
-				if qed {
-					nq.Add(1)
-					continue
-				}
-			}
-			for _, m := range ms {
-				rows[i] = append(rows[i], join(ltp, m))
-			}
-			ev.fallback(ctx, int(fb))
-			if fps != nil {
-				matches[i], fbs[i] = ms, fb
-			}
+			dst = append(dst, compact.Tuple{Cells: cells, Maybe: ltp.Maybe || rtp.Maybe || !m.sure})
 		}
-		dx.noteReused(&c.batch, reused)
-		ev.recompute(c.batch.tuplesRecomputed)
-		ev.simWork(&c.batch)
-		return nil
+		return dst
 	}
-	if err := ctx.parallelChunksSized(len(lt.Tuples), minChunkProbe, probe); err != nil {
-		return nil, err
-	}
-	if n := nq.Load(); n > 0 {
-		return nil, quarantineErr("pfunc", n)
-	}
-	for _, r := range rows {
-		out.Tuples = append(out.Tuples, r...)
-	}
-	if ncut.Load() == 0 {
-		dx.finish(lt, func(i int) deltaOut {
-			o := deltaOut{sim: matches[i]}
-			if fbs != nil {
-				o.fallbacks = fbs[i]
-			}
-			return o
-		})
-	}
-	return out, nil
+	return ctx.tupleLoop(ev, dx, lt, n.cols, op)
 }
 
 // simRecon aligns the right table a displaced memo was built against

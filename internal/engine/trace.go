@@ -119,29 +119,42 @@ type EvalTrace struct {
 	simProbed   atomic.Int64
 	simVerified atomic.Int64
 	cmpParsed   atomic.Int64
+	// stageAsg totals, for a constraint run, the assignments of the stage
+	// tables it did not build.
+	stageAsg atomic.Int64
 	// Set once by a constraint run, after its chunks have joined: the run's
-	// stage count, the stages its delta predecessor covered (-1 = none) and
-	// the assignments of the stage tables it did not build.
+	// stage count and the stages its delta predecessor covered (-1 = none).
 	stages, resumedFrom int
-	stageAsg            int64
 }
 
 // run records what a constraint run's evaluation did (see the fields). A
 // nil receiver discards it.
-func (ev *EvalTrace) run(stages, resumedFrom int, stageAsg int64) {
+func (ev *EvalTrace) run(stages, resumedFrom int) {
 	if ev != nil {
-		ev.stages, ev.resumedFrom, ev.stageAsg = stages, resumedFrom, stageAsg
+		ev.stages, ev.resumedFrom = stages, resumedFrom
 	}
 }
 
-// simWork attributes a chunk's similarity funnel counts (see
-// Stats.SimTuplePairs) to this evaluation; the batch still flushes them
-// into the context-wide totals. A nil receiver discards the counts.
-func (ev *EvalTrace) simWork(b *statBatch) {
-	if ev != nil && b.simTuplePairs|b.simProbed|b.simVerified != 0 {
+// chunkWork attributes one tuple-loop chunk's share of the evaluation to
+// it: the freshly computed input tuples (the per-operator counterpart of
+// Stats.TuplesRecomputed), the similarity funnel counts (see
+// Stats.SimTuplePairs) and a run's unbuilt stage tables. The batch still
+// flushes its counters into the context-wide totals. A nil receiver
+// discards the counts.
+func (ev *EvalTrace) chunkWork(b *statBatch) {
+	if ev == nil {
+		return
+	}
+	if b.tuplesRecomputed != 0 {
+		ev.recomputed.Add(b.tuplesRecomputed)
+	}
+	if b.simTuplePairs|b.simProbed|b.simVerified != 0 {
 		ev.simPairs.Add(b.simTuplePairs)
 		ev.simProbed.Add(b.simProbed)
 		ev.simVerified.Add(b.simVerified)
+	}
+	if b.stageAsg != 0 {
+		ev.stageAsg.Add(b.stageAsg)
 	}
 }
 
@@ -164,15 +177,6 @@ func (ev *EvalTrace) operandsParsed(ctx *Context, n int64) {
 func (ev *EvalTrace) quarantine(n int64) {
 	if ev != nil && n != 0 {
 		ev.quarantined.Add(n)
-	}
-}
-
-// recompute attributes n freshly computed input tuples to this evaluation
-// (the per-operator counterpart of Stats.TuplesRecomputed, which the
-// operators' statBatch maintains). A nil receiver discards the count.
-func (ev *EvalTrace) recompute(n int64) {
-	if ev != nil && n != 0 {
-		ev.recomputed.Add(n)
 	}
 }
 
@@ -264,9 +268,6 @@ func (t *tracer) push(rec TraceRecord) {
 // previously collected records. Tracing is optional and off by default;
 // the always-on Stats counters are unaffected.
 func (ctx *Context) StartTrace() { ctx.trace.Store(&tracer{}) }
-
-// StopTrace disables tracing and discards the collected records.
-func (ctx *Context) StopTrace() { ctx.trace.Store(nil) }
 
 // Tracing reports whether per-operator tracing is enabled.
 func (ctx *Context) Tracing() bool { return ctx.trace.Load() != nil }

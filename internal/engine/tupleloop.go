@@ -1,0 +1,198 @@
+package engine
+
+import (
+	"sort"
+	"sync"
+
+	"iflex/internal/compact"
+)
+
+// This file is the one per-input-tuple loop of the engine. Section 4 of the
+// paper defines every operator over compact tables tuple by tuple, and the
+// reuse of §5.2 is per tuple too; what differs between operators is the
+// decision and the rows it stands for, never the protocol around them. The
+// loop owns that protocol — fan-out over the worker pool, the best-effort
+// cut with its unprocessed-document report, the delta-prior lookup, the
+// quarantine, fallback and reused/recomputed accounting, output order, and
+// the memo an evaluation leaves for its successor — and an operator is a
+// tupleOp: what it reads, and a decide/emit pair.
+
+// decideFn decides one input tuple. old is the outcome the predecessor
+// memoised for a tuple structurally identical on the operator's dependency
+// columns, nil when there is none; o is the outcome this evaluation
+// memoises in turn (a pure replay returns *old). reused says o took no
+// fresh work, quarantined that a guarded unit of the tuple had its documents
+// quarantined (the pass then fails with ErrQuarantined and o is ignored).
+// decide must be a pure function of the dependency cells, the pinned right
+// table and old; counters go to the chunk's statBatch.
+type decideFn func(tp compact.Tuple, old *deltaOut) (o deltaOut, reused, quarantined bool, err error)
+
+// tupleOp describes one operator to tupleLoop.
+type tupleOp struct {
+	// site is the guard site decide runs user code under: the name a pass
+	// that quarantined documents fails with. Empty for operators that guard
+	// nothing.
+	site string
+	// cols are the input columns decide reads, the memo key; empty when it
+	// reads none (every tuple then has the first one's outcome). Nil is for
+	// an operator whose tuples are not delta work (procedures): nothing is
+	// looked up, kept or counted as reused or recomputed. Binary operators
+	// name their other input and the columns of it decide reads: the memo
+	// is pinned to both (evalAux).
+	cols      []int
+	right     *compact.Table
+	rightCols []int
+	// stages is the length of a constraint run, 0 for every other operator:
+	// a memo left by a run of at most as many stages is a usable prior, and
+	// decide resumes behind the stages an outcome already covers.
+	stages int
+	// minChunk is the least number of tuples worth a pool slot (parallel.go);
+	// 0 runs one serial chunk on the caller's goroutine.
+	minChunk int
+	// uncut lets a loop of pure, cheap engine code run to completion over
+	// whatever a best-effort cut left of its input.
+	uncut bool
+	// reconcile, when set, is offered the right table of a memo a corpus
+	// delta displaced and whose pin no longer matches (the same
+	// re-evaluation rebuilt the right input); returning true accepts that
+	// memo as the prior, decide then translating its outcomes.
+	reconcile func(oldRight *compact.Table) (bool, error)
+	// open returns the decide of one chunk, closed over whatever scratch the
+	// chunk's worker reuses from tuple to tuple; batch is the chunk's counter
+	// shard. decide may be called from one goroutine only, open from many.
+	open func(batch *statBatch) decideFn
+	// emit appends the rows o stands for, built from the current tuple (and
+	// the current right table), to dst. It runs on the chunk's goroutine, in
+	// input order within the chunk.
+	emit func(dst []compact.Tuple, tp compact.Tuple, o *deltaOut) []compact.Tuple
+}
+
+// tupleLoop runs op over every tuple of in and returns the emitted rows, as
+// a table over cols, in input order, identical at any worker count. With delta evaluation on
+// (dx != nil) the per-index outcome array it fills is the memo the
+// evaluation leaves behind (dx.aux): outcomes are written once, in place,
+// and only a fingerprint chain is added on top. A best-effort cut reports
+// the documents of the tuples not reached and abandons the memo (it would
+// have holes); a quarantine discards the pass (ErrQuarantined).
+func (ctx *Context) tupleLoop(ev *EvalTrace, dx *deltaState, in *compact.Table, cols []string, op tupleOp) (*compact.Table, error) {
+	n := len(in.Tuples)
+	var prior, aux *evalAux
+	var fps []uint64
+	if dx != nil && op.cols != nil {
+		aux = &evalAux{right: op.right, cols: op.cols, stages: op.stages, in: in.Tuples, outs: make([]deltaOut, n)}
+		if op.right != nil {
+			aux.rightDep = op.right.ColsFingerprint(op.rightCols)
+		}
+		var err error
+		if prior, err = dx.priorFor(&op, aux.rightDep); err != nil {
+			return nil, err
+		}
+		fps = make([]uint64, n)
+	}
+	// Chunks finish in any order; each hands in its rows and totals under mu.
+	type part struct {
+		start int
+		rows  []compact.Tuple
+	}
+	var mu sync.Mutex
+	var parts []part
+	var nq int
+	cut := false
+	body := func(start, end int) error {
+		var batch statBatch
+		defer batch.flush(ctx)
+		decide := op.open(&batch)
+		rows := make([]compact.Tuple, 0, end-start)
+		reused, quarantined, stopped := 0, 0, false
+		var scratch deltaOut // the current outcome of a chunk that keeps none
+		for i := start; i < end; i++ {
+			if !op.uncut {
+				if c, err := ctx.cutCheck(); err != nil {
+					return err
+				} else if c {
+					ctx.noteUnprocessed(in.Tuples[i:end])
+					stopped = true
+					break
+				}
+			}
+			tp := in.Tuples[i]
+			// The outcome is decided into its memo slot: the array is the
+			// memo's storage, never a copy of it.
+			o, old := &scratch, (*deltaOut)(nil)
+			if aux != nil {
+				fps[i] = tp.CellsFingerprint(op.cols)
+				o, old = &aux.outs[i], prior.lookup(fps[i], tp)
+			}
+			var hit, q bool
+			var err error
+			*o, hit, q, err = decide(tp, old)
+			if op.cols != nil {
+				if hit {
+					reused++
+				} else {
+					batch.tuplesRecomputed++
+				}
+			}
+			if err != nil {
+				return err
+			}
+			// Replayed outcomes recharge the valuation-limit fallbacks they
+			// stand for, so LimitFallbacks equals a full evaluation's.
+			ev.fallback(ctx, int(o.fallbacks))
+			if q {
+				quarantined++
+				continue
+			}
+			rows = op.emit(rows, tp, o)
+		}
+		if reused > 0 {
+			batch.tuplesReused += int64(reused)
+			dx.reused.Add(int64(reused))
+		}
+		ev.chunkWork(&batch)
+		mu.Lock()
+		parts = append(parts, part{start, rows})
+		nq += quarantined
+		cut = cut || stopped
+		mu.Unlock()
+		return nil
+	}
+	var err error
+	if op.minChunk == 0 {
+		err = body(0, n)
+	} else {
+		err = ctx.parallelChunksSized(n, op.minChunk, body)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if nq > 0 {
+		return nil, quarantineErr(op.site, int64(nq))
+	}
+	if op.stages > 0 {
+		covered := -1
+		if prior != nil {
+			covered = prior.stages
+		}
+		ev.run(op.stages, covered)
+	}
+	if aux != nil && !cut {
+		aux.chain(fps)
+		dx.aux = aux
+	}
+	out := compact.NewTable(cols...)
+	if len(parts) == 1 {
+		out.Tuples = parts[0].rows
+		return out, nil
+	}
+	sort.Slice(parts, func(a, b int) bool { return parts[a].start < parts[b].start })
+	total := 0
+	for _, p := range parts {
+		total += len(p.rows)
+	}
+	out.Tuples = make([]compact.Tuple, 0, total)
+	for _, p := range parts {
+		out.Tuples = append(out.Tuples, p.rows...)
+	}
+	return out, nil
+}

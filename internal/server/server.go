@@ -324,17 +324,15 @@ func (s *Server) buildSession(req CreateSessionRequest, workers int, cache int64
 		}
 		env = engine.NewEnv()
 		// The store mutex excludes a concurrent corpus commit from
-		// rewriting the live view while this session snapshots it.
-		mu := s.storeMu[req.Store]
-		mu.Lock()
-		env.AddDocTable(pred, "x", st.Docs())
-		mu.Unlock()
-		storePred = pred
-		// Token prefilters and join blocking are served by the store's
+		// rewriting the live view while this session snapshots it. Token
+		// prefilters and join blocking are served by the store's
 		// persistent inverted index; pages materialize lazily, so the
 		// session references the store handle, not a resident corpus.
-		env.DocIndex = st
-		env.Postings = st
+		mu := s.storeMu[req.Store]
+		mu.Lock()
+		env.BindStore(pred, "x", st)
+		mu.Unlock()
+		storePred = pred
 		oracle = candidateOracle{candidates: req.Candidates}
 	} else if req.Task != "" {
 		task, err := corpus.TaskByID(req.Task)
@@ -549,9 +547,7 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 	cd := &engine.CorpusDelta{Added: delta.Added, Updated: delta.Updated, Removed: delta.Removed}
 	for _, b := range backed {
 		pred := b.storePred
-		b.s.ApplyCorpusDelta(cd, func(env *engine.Env) {
-			env.AddDocTable(pred, "x", st.Docs())
-		})
+		b.s.ApplyCorpusDelta(cd, func(env *engine.Env) { env.BindStore(pred, "x", st) })
 	}
 
 	// Re-evaluate the addressed session (its counters are the response)
