@@ -72,9 +72,11 @@ bench:
 # multi-valued cells (400×400, with the candidate funnel as extra metrics),
 # its comparison selection over a join's output (every cell shared) and
 # over one extraction (none shared), each over warm and over dropped record
-# tables, with cmp_operands_parsed as an extra metric, and the build of one
+# tables, with cmp_operands_parsed as an extra metric, the build of one
 # Simulation trial plan (clone, add a constraint, compile, optimize) against
-# a converged T8 program whose base plan is interned.
+# a converged T8 program whose base plan is interned, the annotation ψ over
+# 2,000 T8-shaped rows (one and four rows per key), and a selection that
+# keeps every row as it came or narrows every row.
 bench-layers:
 	$(GO) test -run='^$$' -bench='ParseProgram|OrderBody' -benchmem ./internal/alog
 	$(GO) test -run='^$$' -bench=MarkupParse -benchmem ./internal/markup
@@ -82,7 +84,7 @@ bench-layers:
 	$(GO) test -run='^$$' -bench='SubSpanEnumeration|ParseNumeric|NormText' -benchmem ./internal/text
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/similarity
 	$(GO) test -run='^$$' -bench=FeatureMemo -benchmem ./internal/feature
-	$(GO) test -run='^$$' -bench='SimJoin|Compare|TrialPlan' -benchmem ./internal/engine
+	$(GO) test -run='^$$' -bench='SimJoin|Compare|TrialPlan|Annotate|SelectKeep' -benchmem ./internal/engine
 
 # The two line counts ROADMAP.md gates on, with exactly its command:
 # non-test Go outside benchmark/, in total and in internal/engine. CI's

@@ -203,10 +203,10 @@ func (t *Table) StructuralEq(o *Table) bool {
 const assignmentBytes = 32
 
 // MemBytes estimates the table's resident size in bytes: headers plus
-// per-tuple cell and assignment storage. Assignment slices shared between
-// tables (Tuple.Copy keeps them aliased) are attributed to every holder,
-// so the estimate is an upper bound — the safe direction for a cache
-// working against a byte budget.
+// per-tuple cell and assignment storage. Rows, cells and assignment slices
+// shared between tables are attributed to every holder, so the estimate is
+// an upper bound — the safe direction for a cache working against a byte
+// budget.
 func (t *Table) MemBytes() int64 {
 	b := int64(48) // table header
 	for _, c := range t.Cols {

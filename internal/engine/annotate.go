@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -49,32 +50,44 @@ func (n *annotateNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compa
 		}
 	}
 	if n.exists {
-		// Existence annotation: every tuple becomes a maybe tuple.
-		marked := compact.NewTable(out.Cols...)
-		for _, tp := range out.Tuples {
-			nt := tp.Clone()
-			nt.Maybe = true
-			marked.Tuples = append(marked.Tuples, nt)
+		// Existence annotation: every tuple becomes a maybe tuple. Rows this
+		// evaluation built are marked in place; the input's rows get new
+		// tuple headers over their cells.
+		if out == in {
+			out = compact.NewTable(in.Cols...)
+			out.Tuples = slices.Clone(in.Tuples)
 		}
-		out = marked
-	} else if out == in {
-		out = in.Clone()
+		for i := range out.Tuples {
+			out.Tuples[i].Maybe = true
+		}
 	}
 	return out, nil
 }
 
-// annotateTable applies the attribute annotation: the per-tuple key
-// enumeration (the expensive half of cAnnotate) is what decide memoises, as
-// an annContrib, and emit is the grouping merge, which therefore replays
-// memoised contributions for structurally unchanged tuples. The contribution
-// depends only on the key cells, so the memo is keyed on them alone; the
-// merge reads annotated cells and maybe flags from the current tuples, so
-// replays stay valid across refinements of the annotated columns. Merging is
-// order-dependent: one serial chunk. Output is identical to cAnnotate.
+// annotateTable applies the attribute annotation (Section 4.3). Tuples are
+// grouped by the values of the non-annotated attributes; each group yields
+// one output tuple whose annotated cells union all the group's assignments
+// (the full set of values that can be associated with the key), and whose
+// maybe flag is cleared only when some non-maybe input tuple pins the key
+// exactly. Key cells that are exact singletons group precisely (the common
+// case: the key is the input document); a key cell with several possible
+// values makes its tuple contribute to every key it may take, as a maybe
+// member; a key cell too large to enumerate passes its tuple through
+// ungrouped as a maybe tuple, which keeps the superset guarantee at the cost
+// of precision (a LimitFallback).
+//
+// The per-tuple key enumeration is what decide memoises, as an annContrib,
+// and emit is the grouping merge, which therefore replays memoised
+// contributions for structurally unchanged tuples. The contribution depends
+// only on the key cells, so the memo is keyed on them alone; the merge reads
+// annotated cells and maybe flags from the current tuples, so replays stay
+// valid across refinements of the annotated columns. Merging is
+// order-dependent: one serial chunk.
 func (n *annotateNode) annotateTable(ctx *Context, ev *EvalTrace, dx *deltaState, in *compact.Table) (*compact.Table, error) {
 	lim := ctx.Env.Limits
 	keyIdx, annIdx := splitAnnCols(in.Cols, n.annotate)
-	m := annMerger{keyIdx: keyIdx, annIdx: annIdx, groups: map[string]*annGroup{}}
+	m := annMerger{keyIdx: keyIdx, annIdx: annIdx,
+		index: make(map[string]int32, len(in.Tuples)), groups: make([]annGroup, 0, len(in.Tuples))}
 	out, err := ctx.tupleLoop(ev, dx, in, in.Cols, tupleOp{
 		cols: keyIdx, uncut: true,
 		open: func(*statBatch) decideFn {
@@ -135,7 +148,7 @@ type annContrib struct {
 }
 
 // annContribOf enumerates one tuple's key valuations (the per-tuple half
-// of cAnnotate).
+// of the annotation).
 func annContribOf(tp compact.Tuple, keyIdx, annIdx []int, lim Limits) *annContrib {
 	keyVals := make([][]text.Span, len(keyIdx))
 	exactKey := true
@@ -197,40 +210,53 @@ func annContribOf(tp compact.Tuple, keyIdx, annIdx []int, lim Limits) *annContri
 	return c
 }
 
-// annGroup accumulates one output group during the merge.
+// annGroup accumulates one output group during the merge. first holds the
+// cells of the tuple that created it; ann stays nil while that tuple is the
+// only contributor, and a second one starts the concatenation with first's
+// assignments.
 type annGroup struct {
 	keySpans []text.Span
+	first    []compact.Cell
 	ann      [][]text.Assignment // per annotated column
 	sure     bool                // some non-maybe tuple pins this key exactly
 }
 
 // annMerger folds per-tuple contributions into the grouped output, in input
-// order: add appends pass-through tuples exactly where cAnnotate emitted
-// them and feeds the groups, group creation order follows first key
-// occurrence, per-group assignment concatenation follows tuple order, and
-// finish appends one tuple per group — so the output is byte-identical to
-// the one-pass algorithm.
+// order: add appends pass-through tuples where they occur and feeds the
+// groups, group creation order follows first key occurrence, per-group
+// assignment concatenation follows tuple order, and finish appends one
+// tuple per group. Input rows are immutable, so what a group can take from
+// its creating tuple as it is — a key cell that is exactly the key, the
+// annotated lists of a lone contributor when they are already canonical —
+// is shared, not rebuilt.
 type annMerger struct {
 	keyIdx, annIdx []int
-	groups         map[string]*annGroup
-	order          []string
+	index          map[string]int32 // key -> position in groups
+	groups         []annGroup
 }
 
 func (m *annMerger) add(dst []compact.Tuple, tp compact.Tuple, c *annContrib) []compact.Tuple {
 	if c.pass {
-		nt := tp.Clone()
-		nt.Maybe = true
-		return append(dst, nt)
+		return append(dst, compact.Tuple{Cells: tp.Cells, Maybe: true})
 	}
 	for ki, key := range c.keys {
-		g, ok := m.groups[key]
+		gi, ok := m.index[key]
 		if !ok {
-			g = &annGroup{keySpans: c.keySpans[ki], ann: make([][]text.Assignment, len(m.annIdx))}
-			m.groups[key] = g
-			m.order = append(m.order, key)
+			gi = int32(len(m.groups))
+			m.index[key] = gi
+			m.groups = append(m.groups, annGroup{keySpans: c.keySpans[ki], first: tp.Cells})
 		}
-		for i, ai := range m.annIdx {
-			g.ann[i] = append(g.ann[i], tp.Cells[ai].Assigns...)
+		g := &m.groups[gi]
+		if ok {
+			if g.ann == nil {
+				g.ann = make([][]text.Assignment, len(m.annIdx))
+				for i, ai := range m.annIdx {
+					g.ann[i] = append(g.ann[i], g.first[ai].Assigns...)
+				}
+			}
+			for i, ai := range m.annIdx {
+				g.ann[i] = append(g.ann[i], tp.Cells[ai].Assigns...)
+			}
 		}
 		if c.exactKey && !tp.Maybe {
 			g.sure = true
@@ -239,55 +265,41 @@ func (m *annMerger) add(dst []compact.Tuple, tp compact.Tuple, c *annContrib) []
 	return dst
 }
 
+// finish appends the group rows, their cells cut from one slab.
 func (m *annMerger) finish(dst []compact.Tuple, ncols int) []compact.Tuple {
-	for _, key := range m.order {
-		g := m.groups[key]
-		nt := compact.Tuple{Cells: make([]compact.Cell, ncols), Maybe: !g.sure}
+	cells := make([]compact.Cell, len(m.groups)*ncols)
+	for gi := range m.groups {
+		g := &m.groups[gi]
+		row := cells[gi*ncols : (gi+1)*ncols : (gi+1)*ncols]
 		for i, ki := range m.keyIdx {
-			nt.Cells[ki] = compact.ExactCell(g.keySpans[i])
+			if c := g.first[ki]; !c.Expand && len(c.Assigns) == 1 && c.Assigns[0] == text.ExactOf(g.keySpans[i]) {
+				row[ki] = c
+			} else {
+				row[ki] = compact.ExactCell(g.keySpans[i])
+			}
 		}
 		for i, ai := range m.annIdx {
-			nt.Cells[ai] = compact.Cell{Assigns: text.DedupAssignments(g.ann[i])}
+			as := g.first[ai].Assigns
+			switch {
+			case g.ann != nil:
+				as = text.DedupAssignments(g.ann[i])
+			case text.CanonicalAssignments(as):
+				as = as[:len(as):len(as)]
+			default:
+				as = text.DedupAssignments(as)
+			}
+			row[ai] = compact.Cell{Assigns: as}
 		}
-		dst = append(dst, nt)
+		dst = append(dst, compact.Tuple{Cells: row, Maybe: !g.sure})
 	}
 	return dst
-}
-
-// cAnnotate implements attribute annotations directly over compact tables.
-// Following BAnnotate (Section 4.3), tuples are grouped by the values of
-// the non-annotated attributes; each group yields one output tuple whose
-// annotated cells union all the group's assignments (the full set of
-// values that can be associated with the key), and whose maybe flag is
-// cleared only when some non-maybe input tuple pins the key exactly.
-//
-// Grouping needs concrete key values. Key cells that are exact singletons
-// group precisely (the common case: the key is the input document). A key
-// cell with several possible values makes its tuple contribute to every
-// key it may take, as a maybe member — and when a key cell is too large to
-// enumerate, the tuple is passed through ungrouped as a maybe tuple, which
-// keeps the superset guarantee at the cost of precision. fallbacks counts
-// those ungrouped pass-throughs.
-func cAnnotate(in *compact.Table, annotated []string, lim Limits) (out *compact.Table, fallbacks int) {
-	keyIdx, annIdx := splitAnnCols(in.Cols, annotated)
-	m := annMerger{keyIdx: keyIdx, annIdx: annIdx, groups: map[string]*annGroup{}}
-	out = compact.NewTable(in.Cols...)
-	for _, tp := range in.Tuples {
-		c := annContribOf(tp, keyIdx, annIdx, lim)
-		if c.fallback {
-			fallbacks++
-		}
-		out.Tuples = m.add(out.Tuples, tp, c)
-	}
-	out.Tuples = m.finish(out.Tuples, len(in.Cols))
-	return out, fallbacks
 }
 
 // BAnnotate is the a-table algorithm of Section 4.3 (Figure 5): given an
 // a-table and the set of annotated attribute names, it builds one index
 // per annotated attribute keyed by the non-annotated value tuples, and
 // emits one output a-tuple per key. Exposed for tests and as the reference
-// implementation that cAnnotate is checked against.
+// implementation the annotation operator is checked against.
 func BAnnotate(in *compact.ATable, annotated []string) *compact.ATable {
 	isAnn := map[int]bool{}
 	for _, a := range annotated {

@@ -164,6 +164,9 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*com
 		if o.cell == nil {
 			return dst
 		}
+		if c := tp.Cells[ci]; c.Expand == o.cell.Expand && len(c.Assigns) == len(o.cell.Assigns) && &c.Assigns[0] == &o.cell.Assigns[0] {
+			return append(dst, tp) // every stage returned the entering cell
+		}
 		nt := tp.Copy()
 		nt.Cells[ci] = *o.cell
 		return append(dst, nt)
@@ -213,7 +216,9 @@ type refineScratch struct {
 // refineCell computes c' = ∪ A(k, m_i(s_i)) for the new constraint k, then
 // iterates the full constraint set to a fixpoint (bounded) so that every
 // exact span satisfies all constraints and every contain span is the
-// result of refining under all of them. Only the returned cell allocates.
+// result of refining under all of them. Only the returned cell allocates,
+// and only when it differs from c: a stage that leaves a canonical list as
+// it found it returns c itself.
 func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k stage, all []stage) (compact.Cell, error) {
 	as, err := applyConstraint(batch, &sc.docs, k, c.Assigns, sc.a[:0])
 	if err != nil {
@@ -235,6 +240,9 @@ func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k stage, al
 		}
 	}
 	sc.a, sc.b = as, spare
+	if slices.Equal(as, c.Assigns) && text.CanonicalAssignments(c.Assigns) {
+		return c, nil
+	}
 	return compact.Cell{Assigns: text.DedupAssignments(as), Expand: c.Expand}, nil
 }
 

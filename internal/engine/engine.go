@@ -13,6 +13,12 @@
 // per-tuple outcomes inside the changed ancestors, so a refinement
 // recomputes only the tuples it touched. *Subset evaluation* is the
 // Context's SetDocFilter: scans drop documents outside the sampled subset.
+//
+// A table is immutable once built: no operator writes into a row, a cell
+// or an assignment list of its input, so all three may be shared. An
+// operator appends a row it left alone as it found it and builds new
+// storage only for the cells it changes; the cache still charges a shared
+// row to every table that holds it (compact.Table.MemBytes).
 package engine
 
 import (
@@ -636,8 +642,16 @@ func NewContext(env *Env) *Context {
 		modes:     []string{"", "full"},
 	}
 	ctx.mode.Store(fullMode)
+	if contextMade != nil {
+		contextMade(ctx)
+	}
 	return ctx
 }
+
+// contextMade, when set, is handed every Context NewContext makes. Only
+// tests set it (export_test.go): it is how they reach the private context
+// of a session another package drives.
+var contextMade func(*Context)
 
 // SetDocFilter switches the context between full evaluation (nil) and
 // subset evaluation of the documents whose ID the filter maps to true. It

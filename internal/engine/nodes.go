@@ -137,8 +137,8 @@ func (n *scanNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 		if q != nil && q.tupleBarred(tp) {
 			continue
 		}
-		// Tuples are values and downstream operators copy before mutating,
-		// so the scan shares the extensional table's cells directly.
+		// Tables are immutable once built, so the scan shares the
+		// extensional table's rows directly.
 		out.Tuples = append(out.Tuples, tp)
 	}
 	return out, nil
@@ -187,18 +187,26 @@ func (n *fromNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 	idx := colIndex(in.Cols, n.inVar)
 	out := compact.NewTable(n.Columns()...)
 	out.Tuples = make([]compact.Tuple, len(in.Tuples))
+	// Rows take their cells, and the new cells their assignments, from one
+	// slab each; every piece is clipped to its length.
+	w, nas := len(in.Cols)+1, 0
+	for _, tp := range in.Tuples {
+		nas += len(tp.Cells[idx].Assigns)
+	}
+	cells, slab := make([]compact.Cell, len(in.Tuples)*w), make([]text.Assignment, nas)
 	for ti, tp := range in.Tuples {
-		cells := make([]compact.Cell, len(tp.Cells)+1)
-		copy(cells, tp.Cells)
+		row := cells[ti*w : (ti+1)*w : (ti+1)*w]
+		copy(row, tp.Cells)
 		src := tp.Cells[idx].Assigns
-		as := make([]text.Assignment, len(src))
+		as := slab[:len(src):len(src)]
+		slab = slab[len(src):]
 		for i, a := range src {
 			// contain(s) for every possible value region of the input cell;
 			// exact(s) inputs become contain(s) over that one span.
 			as[i] = text.ContainOf(a.Span)
 		}
-		cells[len(tp.Cells)] = compact.Cell{Assigns: as, Expand: true}
-		out.Tuples[ti] = compact.Tuple{Cells: cells, Maybe: tp.Maybe}
+		row[w-1] = compact.Cell{Assigns: as, Expand: true}
+		out.Tuples[ti] = compact.Tuple{Cells: row, Maybe: tp.Maybe}
 	}
 	return out, nil
 }

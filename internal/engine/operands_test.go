@@ -473,3 +473,55 @@ Q(lp) :- a(x, lp, np, up), lp = np, up < np.
 e1(x, lp, np, up) :- from(x, lp), from(x, np), from(x, up).
 `)
 }
+
+// BenchmarkSelectKeep times one comparison selection, p > 5, over 2,000
+// rows whose p is an expansion cell, its input served from the cache and
+// its records warm: in one leg every value of every row passes, so each
+// row is kept as it came; in the other every row loses one of its two
+// values and is rebuilt around the narrowed cell.
+func BenchmarkSelectKeep(b *testing.B) {
+	for _, leg := range []struct {
+		name   string
+		narrow bool
+	}{{"keep", false}, {"narrow", true}} {
+		b.Run(leg.name, func(b *testing.B) {
+			in := compact.NewTable("x", "p")
+			for i := 0; i < 2000; i++ {
+				d := mustDoc(fmt.Sprintf("s%04d", i), fmt.Sprintf("price 3 or %d", 10+i%90))
+				toks := d.Tokens()
+				tok := func(j int) text.Assignment { return text.ExactOf(d.Span(toks[j].Start, toks[j].End)) }
+				as := []text.Assignment{tok(3)}
+				if leg.narrow {
+					as = []text.Assignment{tok(1), tok(3)}
+				}
+				in.Append(compact.Tuple{Cells: []compact.Cell{compact.ExactCell(d.WholeSpan()), compact.ExpandCell(as...)}})
+			}
+			env := NewEnv()
+			env.Tables["T"] = in
+			plan, err := Compile(alog.MustParse(`Q(x, p) :- T(x, p), p > 5.`), env)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cn := plan.Root.Children()[0].(*compareNode)
+			ctx := NewContext(env)
+			ctx.Workers = 1
+			if _, err := Eval(ctx, cn.parent); err != nil {
+				b.Fatal(err)
+			}
+			out, err := cn.eval(ctx, nil, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(out.Tuples) != 2000 || out.Tuples[0].Cells[1].NumValues() != 1 {
+				b.Fatalf("%d rows kept, the first with %v", len(out.Tuples), out.Tuples[0].Cells[1])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cn.eval(ctx, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

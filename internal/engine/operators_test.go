@@ -243,17 +243,23 @@ e2(y, t) :- from(y, t), bold-font(t) = distinct-yes.
 }
 
 func TestAnnotateConservativeFallback(t *testing.T) {
-	// A key cell too large to enumerate: cAnnotate must pass the tuple
+	// A key cell too large to enumerate: the annotation must pass the tuple
 	// through as maybe instead of grouping.
 	d := markup.MustParse("d", strings.Repeat("w ", 300))
+	env := NewEnv()
 	in := compact.NewTable("k", "v")
 	in.Append(compact.Tuple{Cells: []compact.Cell{
 		compact.ContainCell(d.WholeSpan()), // enormous key cell
 		compact.ExactCell(d.Span(0, 1)),
 	}})
-	out, fallbacks := cAnnotate(in, []string{"v"}, DefaultLimits())
-	if len(out.Tuples) != 1 || !out.Tuples[0].Maybe || fallbacks != 1 {
-		t.Fatalf("fallback wrong:\n%s", out)
+	env.Tables["T"] = in
+	ctx := NewContext(env)
+	out, err := Eval(ctx, newAnnotateNode(env, newScanNode(env, "T", []string{"k", "v"}), false, []string{"v"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Tuples) != 1 || !out.Tuples[0].Maybe || ctx.Stats.LimitFallbacks != 1 {
+		t.Fatalf("fallback wrong (%d fallbacks):\n%s", ctx.Stats.LimitFallbacks, out)
 	}
 }
 

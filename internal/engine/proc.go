@@ -91,13 +91,13 @@ func (n *procNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 							evalErr = fmt.Errorf("engine: procedure %s returned %d outputs, want %d", n.pname, len(row), proc.Outputs)
 							return false
 						}
-						nt := tp.Clone()
-						nt.Cells[ci] = compact.ExactCell(v)
+						cells := make([]compact.Cell, len(tp.Cells), len(tp.Cells)+proc.Outputs)
+						copy(cells, tp.Cells)
+						cells[ci] = compact.ExactCell(v)
 						for _, o := range row {
-							nt.Cells = append(nt.Cells, compact.ExactCell(o))
+							cells = append(cells, compact.ExactCell(o))
 						}
-						nt.Maybe = tp.Maybe || multi
-						rows = append(rows, nt)
+						rows = append(rows, compact.Tuple{Cells: cells, Maybe: tp.Maybe || multi})
 					}
 					return true
 				})

@@ -260,6 +260,9 @@ func applyFilter(ctx *Context, ev *EvalTrace, dx *deltaState, in *compact.Table,
 		if !o.filt.keep {
 			return dst
 		}
+		if len(o.filt.repl) == 0 && (o.filt.sure || tp.Maybe) {
+			return append(dst, tp) // nothing narrowed: the row is the input's
+		}
 		nt := tp.Copy()
 		for ci, cell := range o.filt.repl {
 			nt.Cells[ci] = cell

@@ -90,10 +90,14 @@ func (ctx *Context) tupleLoop(ev *EvalTrace, dx *deltaState, in *compact.Table, 
 		fps = make([]uint64, n)
 	}
 	// Chunks finish in any order; each hands in its rows and totals under mu.
+	// A chunk emits into its own window of one array sized to the input, and
+	// only a chunk that outgrows its window (a product or a join) moves to a
+	// slice of its own.
 	type part struct {
-		start int
-		rows  []compact.Tuple
+		start, end int
+		rows       []compact.Tuple
 	}
+	slots := make([]compact.Tuple, n)
 	var mu sync.Mutex
 	var parts []part
 	var nq int
@@ -102,7 +106,7 @@ func (ctx *Context) tupleLoop(ev *EvalTrace, dx *deltaState, in *compact.Table, 
 		var batch statBatch
 		defer batch.flush(ctx)
 		decide := op.open(&batch)
-		rows := make([]compact.Tuple, 0, end-start)
+		rows := slots[start:start:end]
 		reused, quarantined, stopped := 0, 0, false
 		var scratch deltaOut // the current outcome of a chunk that keeps none
 		for i := start; i < end; i++ {
@@ -151,7 +155,7 @@ func (ctx *Context) tupleLoop(ev *EvalTrace, dx *deltaState, in *compact.Table, 
 		}
 		ev.chunkWork(&batch)
 		mu.Lock()
-		parts = append(parts, part{start, rows})
+		parts = append(parts, part{start, end, rows})
 		nq += quarantined
 		cut = cut || stopped
 		mu.Unlock()
@@ -186,9 +190,21 @@ func (ctx *Context) tupleLoop(ev *EvalTrace, dx *deltaState, in *compact.Table, 
 		return out, nil
 	}
 	sort.Slice(parts, func(a, b int) bool { return parts[a].start < parts[b].start })
-	total := 0
+	total, inWindows := 0, true
 	for _, p := range parts {
 		total += len(p.rows)
+		inWindows = inWindows && len(p.rows) <= p.end-p.start
+	}
+	if inWindows {
+		// Compact the windows in place, in chunk order; the slots behind the
+		// last row are cleared so they hold no rows alive.
+		k := 0
+		for _, p := range parts {
+			k += copy(slots[k:], p.rows)
+		}
+		clear(slots[k:])
+		out.Tuples = slots[:k]
+		return out, nil
 	}
 	out.Tuples = make([]compact.Tuple, 0, total)
 	for _, p := range parts {

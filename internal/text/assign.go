@@ -201,3 +201,33 @@ func DedupAssignments(as []Assignment) []Assignment {
 	}
 	return out[:len(out):len(out)]
 }
+
+// CanonicalAssignments reports whether as is already what DedupAssignments
+// returns for it: strictly ascending in canonical order, so free of
+// duplicates, with no assignment subsumed by a contain assignment of the
+// list. It allocates nothing, which is what lets a caller share a canonical
+// list instead of deduplicating a copy of it.
+func CanonicalAssignments(as []Assignment) bool {
+	if len(as) <= 1 {
+		return true
+	}
+	contains := len(as) // the contain assignments sort behind every exact one
+	for i := range as {
+		if i > 0 && CompareAssignments(as[i-1], as[i]) >= 0 {
+			return false
+		}
+		if as[i].Mode == Contain && contains == len(as) {
+			contains = i
+		}
+	}
+	// Ascending, two contain assignments never have equal spans: only strict
+	// containment and coverage subsume.
+	for i, a := range as {
+		for j := contains; j < len(as); j++ {
+			if b := as[j]; i != j && (a.Mode == Contain && b.Span.Contains(a.Span) || a.Mode == Exact && b.Covers(a.Span)) {
+				return false
+			}
+		}
+	}
+	return true
+}

@@ -318,6 +318,55 @@ func TestDedupMatchesReference(t *testing.T) {
 	}
 }
 
+// canonicalDoc is the page FuzzCanonicalAssignments draws its spans from.
+var canonicalDoc = NewDocument("c", "one two  three four five six seven", nil)
+
+// assignmentsOf decodes fuzz input into assignments over canonicalDoc: three
+// bytes each, the mode and the two ends of a byte range (so spans nest,
+// overlap, repeat, and need not sit on token boundaries). The first byte
+// shapes the list: bit 0 makes it DedupAssignments of itself, bit 1 sorts
+// it, so canonical lists and sorted lists that are not both occur.
+func assignmentsOf(data []byte) []Assignment {
+	if len(data) == 0 {
+		return nil
+	}
+	shape, data := data[0], data[1:]
+	n := canonicalDoc.Len() + 1
+	var as []Assignment
+	for ; len(data) >= 3; data = data[3:] {
+		lo, hi := int(data[1])%n, int(data[2])%n
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		as = append(as, Assignment{Mode: Mode(data[0] & 1), Span: canonicalDoc.Span(lo, hi)})
+	}
+	if shape&1 != 0 {
+		as = DedupAssignments(as)
+	}
+	if shape&2 != 0 {
+		SortAssignments(as)
+	}
+	return as
+}
+
+// FuzzCanonicalAssignments holds the allocation-free check to its
+// definition: a list is canonical exactly when DedupAssignments returns it
+// unchanged.
+func FuzzCanonicalAssignments(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 1, 0, 34, 0, 0, 3})                                // deduplicated: contain(whole) swallows exact("one")
+	f.Add([]byte{2, 0, 0, 3, 0, 4, 7, 1, 8, 15, 1, 0, 7})              // sorted, but contain("one two") covers both exacts
+	f.Add([]byte{2, 0, 4, 7, 0, 0, 3, 1, 17, 21, 9})                   // sorted exacts beside a contain of partial tokens
+	f.Add([]byte{0, 1, 4, 13, 1, 0, 34, 0, 4, 7, 0, 4, 7})             // unsorted, a duplicate
+	f.Add([]byte{3, 1, 0, 7, 1, 4, 15, 0, 16, 21, 0, 1, 2, 1, 22, 22}) // deduplicated: overlap, a partial token, an empty span
+	f.Fuzz(func(t *testing.T, data []byte) {
+		as := assignmentsOf(data)
+		if got, want := CanonicalAssignments(as), slices.Equal(DedupAssignments(as), as); got != want {
+			t.Fatalf("CanonicalAssignments(%v) = %v, DedupAssignments gives %v", as, got, DedupAssignments(as))
+		}
+	})
+}
+
 func TestDedupKeepsIndependent(t *testing.T) {
 	d := mkDoc(t, "d", "alpha beta gamma delta")
 	a := ContainOf(d.Span(0, 10))  // "alpha beta"

@@ -102,6 +102,14 @@ func TestFastPathsDoNotAllocate(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("NormText of already-normalised text allocates %v times", n)
 	}
+	as := DedupAssignments([]Assignment{ExactOf(d.Span(0, 4)), ContainOf(d.Span(5, 10)), ContainOf(d.Span(14, 28))})
+	if n := testing.AllocsPerRun(100, func() {
+		if !CanonicalAssignments(as) {
+			t.Fatal("a deduplicated list is not canonical")
+		}
+	}); n != 0 {
+		t.Errorf("CanonicalAssignments allocates %v times", n)
+	}
 }
 
 var (
