@@ -73,8 +73,9 @@ bench:
 # its comparison selection over a join's output (every cell shared) and
 # over one extraction (none shared), each over warm and over dropped record
 # tables, with cmp_operands_parsed as an extra metric, the build of one
-# Simulation trial plan (clone, add a constraint, compile, optimize) against
-# a converged T8 program whose base plan is interned, the annotation ψ over
+# Simulation trial plan against a converged T8 program whose base plan is
+# interned, compiled (clone, add a constraint, compile, optimize) and edited
+# (WithConstraint, optimize), the annotation ψ over
 # 2,000 T8-shaped rows (one and four rows per key), and a selection that
 # keeps every row as it came or narrows every row.
 bench-layers:

@@ -16,6 +16,7 @@ package alog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -203,6 +204,20 @@ type Rule struct {
 	Exists   bool
 	AnnAttrs []string
 	Body     []Literal
+	// Inlined is set on the rules Unfold produces: the description rules
+	// AddConstraint extends that were inlined into Body, in the order they
+	// were inlined (so a rule comes before those inlined from its own body).
+	Inlined []Inline
+}
+
+// Inline is one description rule inlined into a rule body: Pred is its head
+// predicate, Args maps each of its head variables to the call-site term it
+// became, and End is the body index just past the inlined body — where a
+// constraint AddConstraint appends to the description rule lands.
+type Inline struct {
+	Pred string
+	Args map[string]Term
+	End  int
 }
 
 // Annotated reports whether head variable v carries an attribute annotation.
@@ -238,7 +253,7 @@ func (r *Rule) String() string {
 
 // Clone returns a deep copy of the rule.
 func (r *Rule) Clone() *Rule {
-	cp := &Rule{Head: cloneAtom(r.Head), Exists: r.Exists}
+	cp := &Rule{Head: cloneAtom(r.Head), Exists: r.Exists, Inlined: slices.Clone(r.Inlined)}
 	cp.AnnAttrs = append([]string(nil), r.AnnAttrs...)
 	cp.Body = make([]Literal, len(r.Body))
 	for i, l := range r.Body {

@@ -44,3 +44,25 @@ e(x, t) :- from(x, t), preceded_by(t, "Label:").`,
 		}
 	}
 }
+
+// FuzzParse: Parse never panics, and a program it accepts renders to
+// source that parses back to the same rendering — Parse → String → Parse
+// is a fixpoint after one round. The seed corpus (testdata/fuzz/FuzzParse)
+// holds every task program.
+func FuzzParse(f *testing.F) {
+	f.Add(figure2Src)
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := Parse(src)
+		if err != nil {
+			return
+		}
+		s := p.String()
+		q, err := Parse(s)
+		if err != nil {
+			t.Fatalf("rendering of %q does not parse: %v\n%s", src, err, s)
+		}
+		if q.String() != s {
+			t.Fatalf("rendering of %q is not a fixpoint:\n%s\nvs\n%s", src, s, q)
+		}
+	})
+}

@@ -199,6 +199,8 @@ func (l *lexer) next() (token, error) {
 	return t, nil
 }
 
+// lexString reads a string literal. Its escapes are Go's, the ones
+// strconv.Quote writes, so that a rendered program parses back.
 func (l *lexer) lexString(t token) (token, error) {
 	l.advance() // opening quote
 	var b strings.Builder
@@ -206,41 +208,47 @@ func (l *lexer) lexString(t token) (token, error) {
 		if l.pos >= len(l.src) {
 			return t, l.errf("unterminated string")
 		}
-		c := l.advance()
-		switch c {
+		switch l.src[l.pos] {
 		case '"':
+			l.advance()
 			t.kind = tokString
 			t.text = b.String()
 			return t, nil
 		case '\\':
-			if l.pos >= len(l.src) {
+			if l.pos+1 >= len(l.src) {
 				return t, l.errf("unterminated escape in string")
 			}
-			e := l.advance()
-			switch e {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case '\\', '"':
-				b.WriteByte(e)
-			default:
-				return t, l.errf("unknown escape \\%s", string(e))
+			v, multibyte, tail, err := strconv.UnquoteChar(l.src[l.pos:], '"')
+			if err != nil {
+				return t, l.errf("unknown escape \\%s", string(l.src[l.pos+1]))
+			}
+			if multibyte {
+				b.WriteRune(v)
+			} else {
+				b.WriteByte(byte(v))
+			}
+			for n := len(l.src) - len(tail); l.pos < n; {
+				l.advance()
 			}
 		default:
-			b.WriteByte(c)
+			b.WriteByte(l.advance())
 		}
 	}
 }
 
 func (l *lexer) lexNumber(t token) (token, error) {
-	start := l.pos
-	if l.peek() == '-' {
-		l.advance()
+	neg := l.peek() == '-'
+	if neg {
+		// Spaces may follow the sign: `y - 5` is y plus the number -5, the
+		// way Compare.String writes a negative offset.
+		for l.advance(); l.peek() == ' ' || l.peek() == '\t'; {
+			l.advance()
+		}
 		if !unicode.IsDigit(rune(l.peek())) {
 			return t, l.errf("expected digit after '-'")
 		}
 	}
+	start := l.pos
 	dots := 0
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
@@ -259,7 +267,23 @@ func (l *lexer) lexNumber(t token) (token, error) {
 		}
 		l.advance()
 	}
+	// An exponent, as strconv.FormatFloat writes one: e or E, an optional
+	// sign, digits.
+	if c := l.peek(); c == 'e' || c == 'E' {
+		d := l.pos + 1
+		if d < len(l.src) && (l.src[d] == '+' || l.src[d] == '-') {
+			d++
+		}
+		if d < len(l.src) && unicode.IsDigit(rune(l.src[d])) {
+			for l.pos < d || l.pos < len(l.src) && unicode.IsDigit(rune(l.src[l.pos])) {
+				l.advance()
+			}
+		}
+	}
 	txt := l.src[start:l.pos]
+	if neg {
+		txt = "-" + txt
+	}
 	n, err := strconv.ParseFloat(txt, 64)
 	if err != nil {
 		return t, l.errf("bad number %q", txt)

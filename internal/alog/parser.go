@@ -352,7 +352,11 @@ func termValueString(t Term) string {
 }
 
 // CanonFeature normalises a feature name to the registry's canonical
-// hyphenated form (prec_label_contains -> prec-label-contains).
+// hyphenated form (prec_label_contains -> prec-label-contains). A leading
+// underscore stays: no identifier starts with a hyphen.
 func CanonFeature(name string) string {
+	if lead, rest, ok := strings.Cut(name, "_"); ok && lead == "" {
+		return "_" + strings.ReplaceAll(rest, "_", "-")
+	}
 	return strings.ReplaceAll(name, "_", "-")
 }

@@ -2,6 +2,7 @@ package alog
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 )
 
@@ -85,6 +86,7 @@ func inline(r *Rule, idx int, atom Atom, d *Rule, fresh *int) (*Rule, error) {
 		}
 		subst[ht.Var] = atom.Args[i]
 	}
+	heads := maps.Clone(subst)
 	rename := func(v string) Term {
 		if t, ok := subst[v]; ok {
 			return t
@@ -126,5 +128,14 @@ func inline(r *Rule, idx int, atom Atom, d *Rule, fresh *int) (*Rule, error) {
 
 	nr := r.Clone()
 	nr.Body = newBody
+	// A body inlined earlier that held the atom grows by what replaced it.
+	for i := range nr.Inlined {
+		if nr.Inlined[i].End > idx {
+			nr.Inlined[i].End += len(d.Body) - 1
+		}
+	}
+	if d.IsDescription(nil) {
+		nr.Inlined = append(nr.Inlined, Inline{Pred: d.Head.Pred, Args: heads, End: idx + len(d.Body)})
+	}
 	return nr, nil
 }

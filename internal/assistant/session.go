@@ -179,6 +179,15 @@ type Session struct {
 	// says nothing about stability).
 	cuts     []bool
 	prevPlan *engine.Plan // last executed plan, the delta predecessor
+	// plan is Prog's plan as compiled, before optimization. The first
+	// execution compiles it; from then on every answer folded into Prog
+	// extends it (WithConstraint), and every simulation trial is an edit of
+	// it — so after that first execution Prog changes only through answers.
+	// planCheck, set only by tests (export_test.go), sees each such plan
+	// with the question and answer a trial adds to Prog (zero for the base
+	// plan).
+	plan      *engine.Plan
+	planCheck func(prog *alog.Program, q Question, v string, plan *engine.Plan)
 
 	// Loop state (see step.go). res accumulates the iteration log; pending
 	// holds the questions the last iteration asked, awaiting answers; iterN
@@ -332,20 +341,26 @@ func fnvMix(s string, seed uint64) uint64 {
 	return h
 }
 
-// execute compiles and runs the current program; subset selects the
-// evaluation mode. Alongside the result it returns the total assignments
+// execute runs the current program's plan (compiling it on the session's
+// first execution); subset selects the evaluation mode. Alongside the result it returns the total assignments
 // across the whole extraction plan — the convergence monitor's second
 // signal (Section 5.1 tracks "the number of assignments produced by the
 // extraction process", which a refinement perturbs even when the final
 // projection does not change yet).
 func (s *Session) execute(onSubset bool) (*compact.Table, int, error) {
-	plan, err := engine.Compile(s.Prog, s.Env)
-	if err != nil {
-		return nil, 0, err
+	if s.plan == nil {
+		plan, err := engine.Compile(s.Prog, s.Env)
+		if err != nil {
+			return nil, 0, err
+		}
+		s.plan = plan
+	}
+	if s.planCheck != nil {
+		s.planCheck(s.Prog, Question{}, "", s.plan)
 	}
 	// The optimized plan is what executes, links, and becomes the next
 	// predecessor.
-	plan = s.optimize(plan)
+	plan := s.optimize(s.plan)
 	// Link this plan version to its predecessor for delta evaluation,
 	// discarding the links accumulated by the previous round's question
 	// simulations (their trial plans are no longer anyone's predecessor).
@@ -391,19 +406,20 @@ func (s *Session) useSubset() { s.ctx.SetDocFilter(s.subset) }
 // cache's single-flight deduplication makes concurrent simulate calls
 // safe. The caller must have selected subset mode via useSubset.
 func (s *Session) simulate(q Question, v string) (int, error) {
-	trial := s.Prog.Clone()
-	if err := trial.AddConstraint(q.Attr, q.Feature, v); err != nil {
-		return 0, err
-	}
-	plan, err := engine.Compile(trial, s.Env)
+	// The trial is the base plan with one more constraint: an edit that
+	// builds only the spine above the constraint and reuses every node below
+	// it.
+	plan, err := s.plan.WithConstraint(q.Attr, q.Feature, v)
 	if err != nil {
 		return 0, err
 	}
-	// Optimize the trial exactly like the base plan (deterministic
-	// rewrites keep the two in lockstep); interning against the shared
-	// canon table makes subtrees the trials have in common — and share
-	// with the base plan — pointer-identical, so binary-operator delta
-	// memos and table adoption transfer across trials (cross-trial CSE).
+	if s.planCheck != nil {
+		s.planCheck(s.Prog, q, v, plan)
+	}
+	// Optimize the trial exactly like the base plan. Rewrites read plan
+	// structure only, so the two stay in lockstep, and the constructors
+	// intern what a rewrite builds: a subtree the trial shares with the base
+	// plan or with another trial is one node, with one cache entry.
 	plan = s.optimize(plan)
 	// The trial plan is one constraint away from the last executed plan:
 	// link them so the changed ancestors evaluate as deltas (RegisterDelta

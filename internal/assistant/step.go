@@ -115,6 +115,13 @@ func (s *Session) applyAnswers(answers []Answer) error {
 			if err := s.Prog.AddConstraint(q.Attr, q.Feature, v); err != nil {
 				return fmt.Errorf("assistant: applying answer to %s: %w", q, err)
 			}
+			if s.plan != nil {
+				plan, err := s.plan.WithConstraint(q.Attr, q.Feature, v)
+				if err != nil {
+					return fmt.Errorf("assistant: applying answer to %s: %w", q, err)
+				}
+				s.plan = plan
+			}
 		}
 		if n := len(s.res.Iterations); n > 0 {
 			it := &s.res.Iterations[n-1]

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"iflex/internal/alog"
@@ -15,11 +16,13 @@ import (
 // rules unfolded, one fragment per rule with a ψ annotation operator at
 // its root, fragments stitched together.
 type Plan struct {
-	Root    Node
-	Program *alog.Program // the unfolded program the plan was built from
+	Root Node
 	// Opt carries the optimizer's report when the plan went through
 	// OptimizePlan (nil for plans executed as compiled).
 	Opt *OptInfo
+	// fold is how Compile or WithConstraint built Root (nil for the plans
+	// OptimizePlan returns).
+	fold *fold
 }
 
 // Columns returns the result column names (the query head variables).
@@ -61,7 +64,8 @@ func (p *Plan) Explain(ctx *Context) (string, error) {
 }
 
 // Compile validates, unfolds, and compiles an Alog program against an
-// environment.
+// environment. The plan keeps how it was folded, so that WithConstraint can
+// edit it.
 func Compile(prog *alog.Program, env *Env) (*Plan, error) {
 	schema := env.Schema()
 	if err := alog.Validate(prog, schema); err != nil {
@@ -74,18 +78,20 @@ func Compile(prog *alog.Program, env *Env) (*Plan, error) {
 	if err := alog.Validate(unfolded, schema); err != nil {
 		return nil, fmt.Errorf("after unfolding: %w", err)
 	}
+	f := newFold(prog, unfolded, schema, env)
 	c := &compiler{
 		prog:     unfolded,
 		schema:   schema,
 		env:      env,
 		memo:     map[string]Node{},
 		visiting: map[string]bool{},
+		fold:     f,
 	}
 	root, err := c.pred(unfolded.Query)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Root: root, Program: unfolded}, nil
+	return &Plan{Root: root, fold: f}, nil
 }
 
 // Run compiles, optimizes and executes a program in a fresh context; the
@@ -98,6 +104,9 @@ func Run(prog *alog.Program, env *Env) (*compact.Table, error) {
 	return OptimizePlan(plan, env, OptOptions{}).Execute(NewContext(env))
 }
 
+// compiler folds rule bodies into plans. Compile runs it over a whole
+// program and records the fold; WithConstraint runs it (fold nil, memo
+// holding every predicate) over the suffixes an edit touches.
 type compiler struct {
 	prog     *alog.Program
 	schema   *alog.Schema
@@ -105,6 +114,11 @@ type compiler struct {
 	memo     map[string]Node
 	visiting map[string]bool
 	fresh    int
+	fold     *fold
+	// tick counts the literals Compile has reached and the bodies it has
+	// finished; outer names the fragments it is inside, outermost first.
+	tick  int
+	outer []string
 }
 
 func (c *compiler) freshCol() string {
@@ -128,62 +142,110 @@ func (c *compiler) pred(name string) (Node, error) {
 	if len(rules) == 0 {
 		return nil, fmt.Errorf("engine: no rules for predicate %q", name)
 	}
-	var parts []Node
+	pf := predFold{name: name}
 	for _, r := range rules {
-		n, err := c.rule(r)
+		rf, err := c.rule(r)
 		if err != nil {
 			return nil, err
 		}
-		parts = append(parts, n)
+		pf.rules = append(pf.rules, rf)
 	}
-	var out Node
-	if len(parts) == 1 {
-		out = parts[0]
-	} else {
-		first := parts[0].Columns()
-		for _, p := range parts[1:] {
-			if len(p.Columns()) != len(first) {
-				return nil, fmt.Errorf("engine: rules for %q disagree on arity", name)
-			}
-		}
-		out = newUnionNode(c.env, parts)
-	}
-	c.memo[name] = out
-	return out, nil
-}
-
-// rule compiles one rule: ordered body -> projection to the head -> ψ.
-func (c *compiler) rule(r *alog.Rule) (Node, error) {
-	ordered, err := alog.OrderBody(c.prog, c.schema, r, nil)
+	out, err := c.union(name, pf.rules)
 	if err != nil {
 		return nil, err
 	}
-	var cur Node
-	applied := map[string][]feature.Constraint{} // per-attribute constraints seen so far
-	for _, lit := range ordered {
-		cur, err = c.literal(cur, lit, applied)
-		if err != nil {
-			return nil, fmt.Errorf("engine: rule %q: %w", r.Head.Pred, err)
+	pf.node = out
+	c.memo[name] = out
+	c.fold.preds = append(c.fold.preds, pf)
+	return out, nil
+}
+
+// union is a predicate's plan: its one fragment, or the union of them all.
+func (c *compiler) union(name string, rules []*ruleFold) (Node, error) {
+	if len(rules) == 1 {
+		return rules[0].root, nil
+	}
+	parts := make([]Node, len(rules))
+	for i, rf := range rules {
+		parts[i] = rf.root
+		if len(rf.root.Columns()) != len(parts[0].Columns()) {
+			return nil, fmt.Errorf("engine: rules for %q disagree on arity", name)
 		}
 	}
+	return newUnionNode(c.env, parts), nil
+}
+
+// rule compiles one rule: ordered body -> projection to the head -> ψ.
+func (c *compiler) rule(r *alog.Rule) (*ruleFold, error) {
+	order, err := alog.OrderBody(c.prog, c.schema, r, nil)
+	if err != nil {
+		return nil, err
+	}
+	f := newRuleFold(r, order, c.outer)
+	c.outer = append(slices.Clip(c.outer), r.Head.Pred)
+	defer func() { c.outer = f.outer }()
+	return f, c.foldFrom(f, 0)
+}
+
+// foldFrom folds f's body into its plan from step i on, over the plan
+// f.steps holds below it, then projects to the head.
+func (c *compiler) foldFrom(f *ruleFold, i int) error {
+	var cur Node
+	applied := map[string][]feature.Constraint{} // per-attribute constraints seen so far
+	if i > 0 {
+		// What the body below applied to an attribute the rest constrains is
+		// what the last run on it below applied.
+		cur = f.steps[i-1].node
+		for _, s := range f.steps[i:] {
+			if k, ok := c.stated(*s.lit); ok {
+				if _, seen := applied[k.Attr]; !seen {
+					applied[k.Attr] = appliedBelow(f.steps[:i], k.Attr)
+				}
+			}
+		}
+	}
+	for ; i < len(f.steps); i++ {
+		s := &f.steps[i]
+		// Synthetic column names count up across the whole program, so a
+		// re-fold names them as Compile did at this literal.
+		if c.fold != nil {
+			s.seq, s.fresh = int32(c.tick), int32(c.fresh)
+			c.tick++
+		} else {
+			c.fresh = int(s.fresh)
+		}
+		var err error
+		if cur, err = c.literal(cur, *s.lit, applied); err != nil {
+			return fmt.Errorf("engine: rule %q: %w", f.rule.Head.Pred, err)
+		}
+		s.node = cur
+	}
+	if c.fold != nil {
+		f.end = int32(c.tick)
+		c.tick++
+	}
+	root, err := c.head(f.rule, cur)
+	f.root = root
+	return err
+}
+
+// head projects a folded body to the rule's head and annotates it.
+func (c *compiler) head(r *alog.Rule, cur Node) (Node, error) {
 	if cur == nil {
 		return nil, fmt.Errorf("engine: rule %q has an empty plan", r.Head.Pred)
 	}
 	// Project to the head. Head arguments must be distinct variables.
-	var src, out []string
-	seen := map[string]bool{}
+	vars := make([]string, 0, len(r.Head.Args))
 	for _, t := range r.Head.Args {
 		if t.Kind != alog.TermVar {
 			return nil, fmt.Errorf("engine: rule %q: non-variable head argument %s is not supported", r.Head.Pred, t)
 		}
-		if seen[t.Var] {
+		if slices.Contains(vars, t.Var) {
 			return nil, fmt.Errorf("engine: rule %q: repeated head variable %q is not supported", r.Head.Pred, t.Var)
 		}
-		seen[t.Var] = true
-		src = append(src, t.Var)
-		out = append(out, t.Var)
+		vars = append(vars, t.Var)
 	}
-	var n Node = newProjectNode(c.env, cur, src, out)
+	var n Node = newProjectNode(c.env, cur, vars, vars)
 	if r.Exists || len(r.AnnAttrs) > 0 {
 		n = newAnnotateNode(c.env, n, r.Exists, r.AnnAttrs)
 	}
@@ -200,24 +262,26 @@ func (c *compiler) literal(cur Node, lit alog.Literal, applied map[string][]feat
 		return newCompareNode(c.env, cur, lit.Cmp), nil
 
 	case alog.LitConstraint:
-		if cur == nil {
-			return nil, fmt.Errorf("constraint %q cannot start a rule body", lit.Cons)
-		}
-		if _, err := c.env.Features.Lookup(alog.CanonFeature(lit.Cons.Feature)); err != nil {
-			return nil, err
-		}
-		cons := feature.Constraint{
-			Feature: alog.CanonFeature(lit.Cons.Feature),
-			Attr:    lit.Cons.Attr,
-			Value:   lit.Cons.Value,
-		}
-		prior := applied[cons.Attr]
-		applied[cons.Attr] = append(applied[cons.Attr], cons)
-		return newConstraintNode(c.env, cur, cons, prior), nil
+		return c.constrain(cur, lit.Cons, applied)
 
 	default:
 		return c.atom(cur, lit.Atom, applied)
 	}
+}
+
+// constrain extends the current plan with a domain constraint: the next
+// stage of the attribute's run when the plan ends in it.
+func (c *compiler) constrain(cur Node, k alog.Constraint, applied map[string][]feature.Constraint) (Node, error) {
+	if cur == nil {
+		return nil, fmt.Errorf("constraint %q cannot start a rule body", k)
+	}
+	cons := feature.Constraint{Feature: alog.CanonFeature(k.Feature), Attr: k.Attr, Value: k.Value}
+	if _, err := c.env.Features.Lookup(cons.Feature); err != nil {
+		return nil, err
+	}
+	prior := applied[cons.Attr]
+	applied[cons.Attr] = append(applied[cons.Attr], cons)
+	return newConstraintNode(c.env, cur, cons, prior), nil
 }
 
 // atom extends the plan with a predicate atom.
@@ -286,7 +350,7 @@ func (c *compiler) atom(cur Node, a alog.Atom, applied map[string][]feature.Cons
 
 	default:
 		if sc, ok := alog.SugarConstraint(a); ok {
-			return c.literal(cur, alog.Literal{Kind: alog.LitConstraint, Cons: alog.Constraint(sc)}, applied)
+			return c.constrain(cur, sc, applied)
 		}
 		return nil, fmt.Errorf("unknown predicate %q", a.Pred)
 	}
@@ -389,4 +453,30 @@ func (c *compiler) combine(cur, n Node) Node {
 		return n
 	}
 	return newCrossNode(c.env, cur, n)
+}
+
+// stated returns the domain constraint a literal states, written out or as
+// feature(var, const) sugar on a predicate that is nothing else.
+func (c *compiler) stated(lit alog.Literal) (alog.Constraint, bool) {
+	switch lit.Kind {
+	case alog.LitConstraint:
+		return lit.Cons, true
+	case alog.LitAtom:
+		if sc, ok := alog.SugarConstraint(lit.Atom); ok && alog.Classify(c.prog, c.schema, lit.Atom.Pred) == alog.ClassUnknown {
+			return sc, true
+		}
+	}
+	return alog.Constraint{}, false
+}
+
+// appliedBelow returns every constraint the steps' plans hold on attr — the
+// applied list of the last run on it — with room for the next one.
+func appliedBelow(steps []step, attr string) []feature.Constraint {
+	for j := len(steps) - 1; j >= 0; j-- {
+		if cn, ok := steps[j].node.(*constraintNode); ok && cn.attr() == attr {
+			out := make([]feature.Constraint, 0, len(cn.prior)+len(cn.cons)+1)
+			return append(append(out, cn.prior...), cn.cons...)
+		}
+	}
+	return nil
 }

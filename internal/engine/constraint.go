@@ -2,6 +2,7 @@ package engine
 
 import (
 	"slices"
+	"strconv"
 
 	"iflex/internal/compact"
 	"iflex/internal/feature"
@@ -45,13 +46,15 @@ type constraintNode struct {
 // new run. The compiler and the optimizer therefore build runs by adding
 // constraints one at a time, with no rule of their own.
 func newConstraintNode(env *Env, parent Node, cons feature.Constraint, prior []feature.Constraint) *constraintNode {
-	k := nodeKey{head: "constrain[" + cons.String() + "]", l: parent.ID()}
+	// The key is cons.String() written out: this runs for every stage of
+	// every plan built, hits included.
+	k := nodeKey{head: "constrain[" + cons.Feature + "(" + cons.Attr + ")=" + strconv.Quote(cons.Value) + "]", l: parent.ID()}
 	if n := env.nodes.get(k); n != nil {
 		return n.(*constraintNode)
 	}
 	var n *constraintNode
 	if p, ok := parent.(*constraintNode); ok && !stackRuns && p.attr() == cons.Attr && p.hasApplied(prior) {
-		n = &constraintNode{parent: p.parent, prior: p.prior, cons: append(slices.Clone(p.cons), cons), prev: p}
+		n = &constraintNode{parent: p.parent, prior: p.prior, cons: slices.Concat(p.cons, []feature.Constraint{cons}), prev: p}
 	} else {
 		n = &constraintNode{parent: parent, prior: slices.Clone(prior), cons: []feature.Constraint{cons}}
 	}

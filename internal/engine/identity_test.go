@@ -145,11 +145,12 @@ func TestEnvsNeverShareCacheEntries(t *testing.T) {
 	}
 }
 
-// BenchmarkTrialPlan builds one Simulation trial the way a session does —
-// clone the program, add a constraint, compile, optimize — against a
-// converged T8 program whose base plan the Env already holds. Every
-// iteration adds a constraint no earlier one did, so what is timed is a
-// trial's first build: the nodes from the touched run up to the root are
+// BenchmarkTrialPlan builds one Simulation trial against a converged T8
+// program whose base plan the Env already holds, two ways: compile — clone
+// the program, add a constraint, compile, optimize, as sessions did — and
+// edit — WithConstraint on the base plan, then optimize, as sessions do.
+// Every iteration adds a constraint no earlier one did, so what is timed is
+// a trial's first build: the nodes from the touched run up to the root are
 // new, everything else is found.
 func BenchmarkTrialPlan(b *testing.B) {
 	task, err := corpus.TaskByID("T8")
@@ -170,19 +171,36 @@ func BenchmarkTrialPlan(b *testing.B) {
 	}
 	engine.OptimizePlan(base, env, engine.OptOptions{})
 	attr := alog.AttrRef{Pred: "extractAmazon", Var: "up"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		trial := prog.Clone()
-		if err := trial.AddConstraint(attr, "max-length", strconv.Itoa(100+i)); err != nil {
-			b.Fatal(err)
+	b.Run("compile", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			trial := prog.Clone()
+			trialValue++
+			if err := trial.AddConstraint(attr, "max-length", strconv.Itoa(trialValue)); err != nil {
+				b.Fatal(err)
+			}
+			plan, err := engine.Compile(trial, env)
+			if err != nil {
+				b.Fatal(err)
+			}
+			trialPlanSink = engine.OptimizePlan(plan, env, engine.OptOptions{})
 		}
-		plan, err := engine.Compile(trial, env)
-		if err != nil {
-			b.Fatal(err)
+	})
+	b.Run("edit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			trialValue++
+			plan, err := base.WithConstraint(attr, "max-length", strconv.Itoa(trialValue))
+			if err != nil {
+				b.Fatal(err)
+			}
+			trialPlanSink = engine.OptimizePlan(plan, env, engine.OptOptions{})
 		}
-		trialPlanSink = engine.OptimizePlan(plan, env, engine.OptOptions{})
-	}
+	})
 }
 
 var trialPlanSink *engine.Plan
+
+// trialValue numbers the benchmark's trials, so that no leg and no repeated
+// run builds a constraint an earlier one did.
+var trialValue = 100

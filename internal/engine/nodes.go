@@ -165,6 +165,7 @@ type fromNode struct {
 	parent Node
 	inVar  string
 	outVar string
+	cols   []string
 }
 
 func newFromNode(env *Env, parent Node, inVar, outVar string) *fromNode {
@@ -172,12 +173,11 @@ func newFromNode(env *Env, parent Node, inVar, outVar string) *fromNode {
 	if n := env.nodes.get(k); n != nil {
 		return n.(*fromNode)
 	}
-	return env.nodes.put(k, &fromNode{parent: parent, inVar: inVar, outVar: outVar}, parent).(*fromNode)
+	cols := append(append([]string(nil), parent.Columns()...), outVar)
+	return env.nodes.put(k, &fromNode{parent: parent, inVar: inVar, outVar: outVar, cols: cols}, parent).(*fromNode)
 }
 
-func (n *fromNode) Columns() []string {
-	return append(append([]string(nil), n.parent.Columns()...), n.outVar)
-}
+func (n *fromNode) Columns() []string { return n.cols }
 
 func (n *fromNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
 	in, err := Eval(ctx, n.parent)

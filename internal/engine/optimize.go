@@ -106,7 +106,7 @@ type OptOptions struct{}
 // exactly as well as the overlap of their shapes allows.
 func OptimizePlan(p *Plan, env *Env, _ OptOptions) *Plan {
 	o := &optimizer{env: env, info: &OptInfo{}, done: map[Node]Node{}}
-	return &Plan{Root: o.rewrite(p.Root), Program: p.Program, Opt: o.info}
+	return &Plan{Root: o.rewrite(p.Root), Opt: o.info}
 }
 
 type optimizer struct {
