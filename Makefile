@@ -45,8 +45,8 @@ chaos:
 	$(GO) test -run Chaos -race ./internal/...
 
 # Crash-injection suite (DESIGN.md §17): enumerate every kill point and
-# torn-write prefix of store ingest, mutation commit, and spill writes;
-# every surviving state must reopen as exactly generation G or G+1.
+# torn-write prefix of store ingest and mutation commit; every surviving
+# state must reopen as exactly generation G or G+1.
 crash:
 	$(GO) test -run Crash -race ./internal/...
 

@@ -179,6 +179,43 @@ func TestSessionDeltaMatchesFullSession(t *testing.T) {
 	}
 }
 
+// TestDeltaReuseSavesFeatureCalls pins what the delta memo buys: with it
+// off, the same sessions reach the same final tables but make at least
+// twice the Verify and Refine calls. The memo, constraint-run stage
+// resumption included, is what keeps feature calls down; a change that
+// drops any part of it must keep this test green.
+func TestDeltaReuseSavesFeatureCalls(t *testing.T) {
+	const records = 24
+	for _, taskID := range []string{"T3", "T6", "T8", "T9"} {
+		task, err := corpus.TaskByID(taskID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(delta bool) (string, int64) {
+			env := task.Env(task.Generate(records, 1))
+			session := assistant.NewSession(env, alog.MustParse(task.Program), task.Oracle(), assistant.OracleConfig(assistant.Config{
+				Strategy:   assistant.Simulation{},
+				SubsetSeed: 1,
+				Workers:    1,
+			}, delta, true))
+			res, err := session.Run()
+			if err != nil {
+				t.Fatalf("%s delta=%v: %v", taskID, delta, err)
+			}
+			return res.Final.String(), res.Stats.VerifyCalls + res.Stats.RefineCalls
+		}
+		onFinal, on := run(true)
+		offFinal, off := run(false)
+		if onFinal != offFinal {
+			t.Errorf("%s: final table differs with delta reuse off", taskID)
+		}
+		t.Logf("%s: Verify+Refine calls %d with delta, %d without (%.1fx)", taskID, on, off, float64(off)/float64(on))
+		if off < 2*on {
+			t.Errorf("%s: delta reuse saves too little: %d feature calls with it, %d without (want at least 2x)", taskID, on, off)
+		}
+	}
+}
+
 // TestCacheBudgetEviction simulates a long session under a tight
 // CacheBudget: the reuse cache must stay within budget, evictions must be
 // counted, and the outcome must match an unbudgeted run byte for byte.

@@ -205,7 +205,6 @@ func checkLiveCase(t *testing.T, lc liveCase) {
 	var before string
 	for _, cfg := range lc.configs {
 		sess := assistant.NewSession(newEnv(), alog.MustParse(lc.program), lc.oracle(), cfg)
-		defer sess.Close()
 		res, err := sess.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -227,7 +226,6 @@ func checkLiveCase(t *testing.T, lc liveCase) {
 	// From scratch: a fresh session over the mutated store running the
 	// refined program the dialogue converged to.
 	fresh := assistant.NewSession(newEnv(), sessions[0].Program(), assistant.NewMapOracle(nil), lc.configs[0])
-	defer fresh.Close()
 	scratch, err := fresh.Finalize(0)
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +333,6 @@ func TestCorpusDeltasStayUnderBudget(t *testing.T) {
 		tables(env)
 		sess := assistant.NewSession(env, alog.MustParse(task.Program), task.Oracle(),
 			assistant.Config{Strategy: assistant.Simulation{}, SubsetSeed: seed, Workers: 1, CacheBudget: budget})
-		t.Cleanup(func() { sess.Close() })
 		if _, err := sess.Run(); err != nil {
 			t.Fatal(err)
 		}

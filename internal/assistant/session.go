@@ -11,7 +11,6 @@ import (
 	"iflex/internal/alog"
 	"iflex/internal/compact"
 	"iflex/internal/engine"
-	"iflex/internal/store"
 )
 
 // ExplicitZero is a sentinel for Config fields whose zero value selects a
@@ -54,12 +53,6 @@ type Config struct {
 	// simulation fan-outs evict least-recently-used intermediate tables
 	// instead of growing without limit. Results are unaffected.
 	CacheBudget int64
-	// SpillDir, when set with a CacheBudget, demotes evicted result
-	// tables to files under this directory instead of dropping them: a
-	// later request for the same table reloads it from disk rather than
-	// re-evaluating (engine.Context.Spill). Results are unaffected; the
-	// directory is cleaned up when the session's Close runs.
-	SpillDir string
 	// noDeltaReuse and noOptimizer switch off incremental (delta) evaluation
 	// and the plan optimizer. Results are byte-identical either way, which
 	// is the only reason they exist: the differential suites run every
@@ -209,10 +202,6 @@ type Session struct {
 	// fan out across goroutines).
 	trialMu   sync.Mutex
 	trialPrev map[string]engine.Node
-
-	// spill owns the on-disk demotion files under Config.SpillDir; Close
-	// deletes them.
-	spill *store.Spill
 }
 
 // NewSession prepares a session; the program is cloned so the caller's
@@ -231,15 +220,6 @@ func NewSession(env *engine.Env, prog *alog.Program, oracle Oracle, cfg Config) 
 	}
 	s.ctx.Workers = cfg.Workers
 	s.ctx.CacheBudget = cfg.CacheBudget
-	if cfg.SpillDir != "" && cfg.CacheBudget > 0 {
-		// Spilling is a pure demotion path: if the directory cannot be
-		// created the session just re-evaluates evicted tables, so a spill
-		// setup failure degrades performance, never the session.
-		if sp, err := store.NewSpill(cfg.SpillDir, env.DocResolver()); err == nil {
-			s.ctx.Spill = sp
-			s.spill = sp
-		}
-	}
 	if cfg.QuarantineFaults {
 		s.ctx.FaultPolicy = engine.QuarantineFaults
 		s.ctx.MaxDocRetries = cfg.MaxDocRetries
@@ -252,16 +232,6 @@ func NewSession(env *engine.Env, prog *alog.Program, oracle Oracle, cfg Config) 
 	}
 	s.subset = s.sampleSubset()
 	return s
-}
-
-// Close releases session-owned resources: tables demoted to disk under
-// Config.SpillDir are deleted. Safe to call more than once; sessions
-// without a spill directory need no Close.
-func (s *Session) Close() error {
-	if s.spill != nil {
-		return s.spill.Close()
-	}
-	return nil
 }
 
 // optimize runs the rewrite pass over a freshly compiled plan. Rewrite

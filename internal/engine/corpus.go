@@ -22,8 +22,8 @@ import (
 // staleness. ApplyCorpusDelta therefore marks every cached result table
 // (with its per-tuple memo) stale — no lookup sees it again but the next
 // evaluation of its own key, which takes it as its prior — and drops
-// everything that cannot be replayed: blocking indexes, degraded tables,
-// spilled tables. A stale table whose node is never evaluated again (a
+// everything that cannot be replayed: blocking indexes and degraded
+// tables. A stale table whose node is never evaluated again (a
 // trial's) stays in the LRU and the byte count, and goes when CacheBudget
 // says so.
 //
@@ -63,10 +63,9 @@ func (d *CorpusDelta) Changed() map[string]bool {
 // ApplyCorpusDelta invalidates the context for a committed corpus
 // mutation. Every cached result table is marked stale, for replay by the
 // next evaluation of its node; blocking indexes and degraded tables are
-// dropped (cheap to rebuild, never replayable);
-// all spilled tables are invalidated (a spill elides the provenance
-// replay needs); the record tables of changed documents are dropped (the
-// handles they hang off were superseded or removed); and changed documents
+// dropped (cheap to rebuild, never replayable); the record tables of
+// changed documents are dropped (the handles they hang off were superseded
+// or removed); and changed documents
 // are released from quarantine (their content was superseded or removed,
 // so the fault that barred them no longer describes the corpus).
 //
@@ -94,30 +93,6 @@ func (ctx *Context) ApplyCorpusDelta(d *CorpusDelta) {
 		}
 	}
 	ctx.mu.Unlock()
-
-	if ctx.Spill != nil {
-		type spillWiper interface {
-			InvalidateDocs(ids map[string]bool) int
-			Len() int
-			Close() error
-		}
-		if sp, ok := ctx.Spill.(spillWiper); ok {
-			// Spills touching changed documents first (they would resolve
-			// against superseded handles), then the remainder wholesale:
-			// encoded tables elide the provenance replay would need, and an
-			// added document can extend any node's output. Close drops the
-			// files; the spill area stays usable for future evictions.
-			n := sp.InvalidateDocs(changed)
-			n += sp.Len()
-			sp.Close()
-			statAdd(&ctx.Stats.CorpusSpillsDropped, n)
-		} else {
-			// An unknown spill implementation cannot be invalidated
-			// wholesale; detach it rather than risk resurrecting a stale
-			// table as authoritative.
-			ctx.Spill = nil
-		}
-	}
 
 	// The record tables of the handles the mutation superseded go with
 	// them; nothing evaluates over those pages again.

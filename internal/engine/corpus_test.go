@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"iflex/internal/alog"
@@ -266,100 +265,5 @@ e2(y, t) :- from(y, t), bold-font(t) = distinct-yes.
 	}
 	if res2.Canonical() == res1.Canonical() {
 		t.Fatal("removed document's projected tuple survived")
-	}
-}
-
-// TestSpillEvictResurrectRace: concurrent executions under a one-byte
-// cache budget constantly evict each other's result tables to the spill
-// and resurrect them back. Run with -race; the assertions check that
-// resurrected results stay byte-identical and resolve spans onto the
-// same document handles the environment registered (no duplicate
-// handles from racing loads).
-func TestSpillEvictResurrectRace(t *testing.T) {
-	dir := t.TempDir()
-	buildCorpusStore(t, dir)
-	s, err := store.Open(dir, store.OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	env := corpusEnv(s)
-	sp, err := store.NewSpill(t.TempDir(), env.DocResolver())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sp.Close()
-
-	planA, err := Compile(alog.MustParse(`
-Q(x, <s>) :- L(x), e1(x, s).
-e1(x, s) :- from(x, s), bold-font(s) = distinct-yes.
-`), env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	planB, err := Compile(alog.MustParse(`
-P(y, <t>) :- R(y), e2(y, t).
-e2(y, t) :- from(y, t), bold-font(t) = distinct-yes.
-`), env)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx := NewContext(env)
-	ctx.CacheBudget = 1 // every store evicts everything else
-	ctx.Spill = sp
-
-	wantA, err := planA.Execute(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantB, err := planB.Execute(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	canonA, canonB := wantA.Canonical(), wantB.Canonical()
-
-	handles := map[string]*text.Document{}
-	for _, d := range s.Docs() {
-		handles[d.ID()] = d
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	run := func(p *Plan, want string) {
-		defer wg.Done()
-		for i := 0; i < 20; i++ {
-			res, err := p.Execute(ctx)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if got := res.Canonical(); got != want {
-				errs <- fmt.Errorf("iteration %d: result drifted:\n%s\nwant:\n%s", i, got, want)
-				return
-			}
-			for _, tp := range res.Tuples {
-				for _, cell := range tp.Cells {
-					for _, a := range cell.Assigns {
-						d := a.Span.Doc()
-						if handles[d.ID()] != d {
-							errs <- fmt.Errorf("iteration %d: doc %q resolved to a foreign handle", i, d.ID())
-							return
-						}
-					}
-				}
-			}
-		}
-	}
-	wg.Add(2)
-	go run(planA, canonA)
-	go run(planB, canonB)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if ctx.Stats.SpillLoads == 0 {
-		t.Fatal("race never exercised spill resurrection")
 	}
 }

@@ -148,14 +148,6 @@ type PostingsIndex interface {
 	TokenPostings(tok string) ([]int, bool)
 }
 
-// TableSpill persists evicted result tables so a cache-budget eviction
-// demotes to disk instead of dropping; satisfied by store.Spill.
-type TableSpill interface {
-	Save(key string, t *compact.Table) (int64, error)
-	Load(key string) (*compact.Table, bool, error)
-	Drop(key string)
-}
-
 // NewEnv returns an Env with the built-in feature registry, default
 // limits, and the default p-functions similar and approxMatch.
 func NewEnv() *Env {
@@ -208,29 +200,6 @@ func (e *Env) BindStore(pred, col string, st interface {
 }) {
 	e.AddDocTable(pred, col, st.Docs())
 	e.DocIndex, e.Postings = st, st
-}
-
-// DocResolver returns a lookup from document ID to the handle referenced
-// by this environment's tables — what a table spill needs to decode
-// spilled spans back onto the very documents the engine's memos key on.
-// Build it after the extensional tables are registered.
-func (e *Env) DocResolver() func(id string) (*text.Document, bool) {
-	byID := map[string]*text.Document{}
-	for _, t := range e.Tables {
-		for _, tp := range t.Tuples {
-			for _, c := range tp.Cells {
-				for _, a := range c.Assigns {
-					if d := a.Span.Doc(); d != nil {
-						byID[d.ID()] = d
-					}
-				}
-			}
-		}
-	}
-	return func(id string) (*text.Document, bool) {
-		d, ok := byID[id]
-		return d, ok
-	}
 }
 
 // Schema derives the alog.Schema view of this environment.
@@ -292,12 +261,6 @@ type Context struct {
 	// error fails the chunk. It exists for deterministic fault and
 	// latency injection at operator-chunk boundaries (internal/fault).
 	ChunkHook func(start, end int) error
-	// Spill, when non-nil, demotes result tables evicted by CacheBudget
-	// to disk instead of dropping them; a later request for the key
-	// resurrects the table from the spill rather than re-evaluating.
-	// Results are identical either way — spilling only changes how much
-	// is recomputed. Set it before the first evaluation.
-	Spill TableSpill
 	// Stats accumulates evaluation counters (atomically).
 	Stats Stats
 
@@ -320,9 +283,8 @@ type Context struct {
 	deltaPrev map[NodeID]deltaLink
 	// stageAsg records, per cache key of a constraint run with more than
 	// one stage, the assignments of the stage tables the run did not build
-	// (SumAssignments). It is not part of the cache: it survives
-	// eviction, spill resurrection and the adoption of a shorter run's
-	// table.
+	// (SumAssignments). It is not part of the cache: it survives eviction
+	// and the adoption of a shorter run's table.
 	stageAsg map[entryKey]int64
 	// extraWorkers counts pool slots handed out beyond the caller's own
 	// goroutine; see parallel.go.
@@ -373,11 +335,10 @@ type entryKey struct {
 // cacheEntry is one resident cache entry. Exactly one of table (plus
 // optional delta memo aux) or idx is set. stale marks a table displaced by
 // ApplyCorpusDelta: no lookup sees it but Eval's probe for its own key's
-// corpus prior, and it is never spilled. Entries form a doubly-linked LRU
-// list under Context.mu.
+// corpus prior. Entries form a doubly-linked LRU list under Context.mu.
 type cacheEntry struct {
 	key   entryKey
-	node  Node // of a table entry, for the spill key
+	node  Node // of a table entry; read only by tests (CachedTablesForTest)
 	table *compact.Table
 	aux   *evalAux
 	idx   *blockIndex
@@ -496,14 +457,6 @@ type Stats struct {
 	BlockIdxEvictions int64
 	CacheBytes        int64
 	DocRecordBytes    int64
-	// TablesSpilled / SpillLoads / SpillBytes count cache-budget
-	// evictions demoted to the spill area, tables resurrected from it
-	// (instead of re-evaluated), and cumulative bytes written. Like the
-	// pool counters they depend on eviction order and so may vary with
-	// scheduling; SpillLoads is never folded into CacheHits.
-	TablesSpilled int64
-	SpillLoads    int64
-	SpillBytes    int64
 	// BlockIdxPostings counts simjoin blocking indexes served directly
 	// by the persistent inverted token index (Env.Postings) instead of
 	// being rebuilt from page text; IndexTokenHits counts whole-document
@@ -531,11 +484,8 @@ type Stats struct {
 	// cache-miss evaluations that picked up a displaced prior (table plus
 	// per-tuple memo) from the last corpus delta, so the operator replayed
 	// tuples from unchanged documents instead of recomputing them.
-	// CorpusSpillsDropped counts spilled tables invalidated by corpus
-	// deltas (spills elide provenance, so all of them are dropped).
-	CorpusDeltas        int64
-	CorpusPriorHits     int64
-	CorpusSpillsDropped int64
+	CorpusDeltas    int64
+	CorpusPriorHits int64
 }
 
 // statAdd atomically bumps one stats counter; every Stats write in the
@@ -703,8 +653,7 @@ func (ctx *Context) remode() uint32 {
 }
 
 // cacheKey renders the human-readable cache key (mode marker plus
-// signature) of trace records, Explain and the spill; the cache itself is
-// keyed by entryKey.
+// signature) of trace records; the cache itself is keyed by entryKey.
 func (ctx *Context) cacheKey(mode uint32, n Node) string {
 	ctx.mu.Lock()
 	marker := ctx.modes[mode]
@@ -790,13 +739,8 @@ func (ctx *Context) dropLocked(e *cacheEntry) {
 	atomic.StoreInt64(&ctx.Stats.CacheBytes, ctx.cacheBytes)
 }
 
-// evictLocked drops one entry and counts the eviction by payload kind.
-// With a spill attached, an evicted result table is demoted to disk
-// first, so the next request for the key resurrects it instead of
-// re-evaluating. The write happens under ctx.mu — eviction is rare (it
-// fires only over budget) and a consistent spill ordering is worth more
-// than the held lock; blocking indexes, delta memos and stale tables are
-// dropped, not spilled.
+// evictLocked drops one entry and counts the eviction by payload kind. An
+// evicted entry is gone: the next request for its key re-evaluates.
 func (ctx *Context) evictLocked(e *cacheEntry) {
 	ctx.dropLocked(e)
 	if e.idx != nil {
@@ -804,12 +748,6 @@ func (ctx *Context) evictLocked(e *cacheEntry) {
 		return
 	}
 	statAdd(&ctx.Stats.CacheEvictions, 1)
-	if ctx.Spill != nil && e.table != nil && e.table.Degraded == nil && !e.stale {
-		if n, err := ctx.Spill.Save(ctx.modes[e.key.mode]+"|"+e.node.Signature(), e.table); err == nil {
-			statAdd(&ctx.Stats.TablesSpilled, 1)
-			statAdd(&ctx.Stats.SpillBytes, int(n))
-		}
-	}
 }
 
 // CacheInfo reports the cache's current estimated size and entry count
@@ -826,7 +764,7 @@ type Node interface {
 	// ID is the node's identity, the reuse key (see NodeID).
 	ID() NodeID
 	// Signature is a canonical rendering of the subtree for people: plans,
-	// -explain, trace records and spill file keys.
+	// -explain and trace records.
 	Signature() string
 	// Columns names the variables bound by this node's output table.
 	Columns() []string
@@ -926,29 +864,6 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 	ctx.inflight[key] = c
 	dx, priorTable := ctx.deltaPriorLocked(n, key)
 	ctx.mu.Unlock()
-
-	// Spill resurrection: a previous eviction may have demoted this exact
-	// key to disk. Reload it instead of re-evaluating — the spill decoder
-	// resolves spans back to the same document handles, so downstream
-	// memos keyed by handle identity keep working. The file is dropped on
-	// load (the table is resident again; a later eviction re-spills it).
-	if ctx.Spill != nil {
-		spillKey := ctx.cacheKey(mode, n)
-		if t, ok, serr := ctx.Spill.Load(spillKey); serr == nil && ok {
-			ctx.Spill.Drop(spillKey)
-			statAdd(&ctx.Stats.SpillLoads, 1)
-			c.table = t
-			ctx.mu.Lock()
-			if !ctx.cancelFired() {
-				ctx.storeLocked(&cacheEntry{key: key, node: n, table: t, bytes: t.MemBytes()})
-			}
-			delete(ctx.inflight, key)
-			ctx.mu.Unlock()
-			close(c.done)
-			trace.note(ctx, n, key, StatusHit)
-			return t, nil
-		}
-	}
 
 	statAdd(&ctx.Stats.NodesEvaluated, 1)
 	if dx != nil && (dx.prior != nil || priorTable != nil) {

@@ -185,77 +185,6 @@ e2(y, t) :- from(y, t), bold-font(t) = distinct-yes.
 	}
 }
 
-// TestSpillDemoteResurrect: with a Spill attached and a cache budget that
-// evicts everything, an evicted result table is demoted to disk and a
-// later request for the same key reloads it instead of re-evaluating.
-func TestSpillDemoteResurrect(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	ldocs := docsOf(optDocs("l", 6, r))
-	rdocs := docsOf(optDocs("r", 6, r))
-	byID := map[string]*text.Document{}
-	for _, d := range append(append([]*text.Document{}, ldocs...), rdocs...) {
-		byID[d.ID()] = d
-	}
-	sp, err := store.NewSpill(t.TempDir(), func(id string) (*text.Document, bool) {
-		d, ok := byID[id]
-		return d, ok
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sp.Close()
-
-	env := NewEnv()
-	env.AddDocTable("L", "x", ldocs)
-	env.AddDocTable("R", "y", rdocs)
-	planA, err := Compile(alog.MustParse(`
-Q(x, <s>) :- L(x), e1(x, s).
-e1(x, s) :- from(x, s), bold-font(s) = distinct-yes.
-`), env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	planB, err := Compile(alog.MustParse(`
-P(y, <t>) :- R(y), e2(y, t).
-e2(y, t) :- from(y, t), bold-font(t) = distinct-yes.
-`), env)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx := NewContext(env)
-	ctx.CacheBudget = 1 // every store evicts all other entries
-	ctx.Spill = sp
-	resA, err := planA.Execute(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := planB.Execute(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if ctx.Stats.TablesSpilled == 0 || sp.Len() == 0 {
-		t.Fatalf("no tables spilled (spilled=%d, files=%d)", ctx.Stats.TablesSpilled, sp.Len())
-	}
-	if ctx.Stats.SpillBytes == 0 {
-		t.Fatal("spill bytes not accounted")
-	}
-	evaluated := ctx.Stats.NodesEvaluated
-	resA2, err := planA.Execute(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctx.Stats.SpillLoads == 0 {
-		t.Fatal("no spill resurrection on re-execution")
-	}
-	if resA2.Canonical() != resA.Canonical() {
-		t.Fatalf("resurrected result differs:\n%s\nwant:\n%s", resA2.Canonical(), resA.Canonical())
-	}
-	if ctx.Stats.NodesEvaluated-evaluated >= ctx.Stats.SpillLoads+evaluated {
-		// Sanity only: some nodes resurrect, so fewer evaluate than a cold run.
-		t.Logf("nodes evaluated on rerun: %d", ctx.Stats.NodesEvaluated-evaluated)
-	}
-}
-
 // TestDiskStoreCorruptShardQuarantines: a document whose shard record was
 // corrupted on disk faults at first content access inside a guarded
 // operator; under QuarantineFaults the engine isolates that document and

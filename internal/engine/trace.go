@@ -409,9 +409,6 @@ type StatsSnapshot struct {
 	BlockIdxEvict    int64              `json:"block_idx_evictions"`
 	CacheBytes       int64              `json:"cache_bytes"`
 	DocRecordBytes   int64              `json:"doc_record_bytes"`
-	TablesSpilled    int64              `json:"tables_spilled"`
-	SpillLoads       int64              `json:"spill_loads"`
-	SpillBytes       int64              `json:"spill_bytes"`
 	BlockIdxPostings int64              `json:"block_idx_postings"`
 	IndexTokenHits   int64              `json:"index_token_hits"`
 	QuarantinedDocs  int64              `json:"quarantined_docs"`
@@ -421,7 +418,6 @@ type StatsSnapshot struct {
 	DeadlineCuts     int64              `json:"deadline_cuts"`
 	CorpusDeltas     int64              `json:"corpus_deltas,omitempty"`
 	CorpusPriorHits  int64              `json:"corpus_prior_hits,omitempty"`
-	CorpusSpillsDrop int64              `json:"corpus_spills_dropped,omitempty"`
 	OpTimeSeconds    map[string]float64 `json:"op_time_seconds,omitempty"`
 }
 
@@ -458,9 +454,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		BlockIdxEvict:    s.BlockIdxEvictions,
 		CacheBytes:       s.CacheBytes,
 		DocRecordBytes:   s.DocRecordBytes,
-		TablesSpilled:    s.TablesSpilled,
-		SpillLoads:       s.SpillLoads,
-		SpillBytes:       s.SpillBytes,
 		BlockIdxPostings: s.BlockIdxPostings,
 		IndexTokenHits:   s.IndexTokenHits,
 		QuarantinedDocs:  s.QuarantinedDocs,
@@ -470,7 +463,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		DeadlineCuts:     s.DeadlineCuts,
 		CorpusDeltas:     s.CorpusDeltas,
 		CorpusPriorHits:  s.CorpusPriorHits,
-		CorpusSpillsDrop: s.CorpusSpillsDropped,
 	}
 	if total := s.NodesEvaluated + s.CacheHits; total > 0 {
 		snap.CacheHitRate = float64(s.CacheHits) / float64(total)

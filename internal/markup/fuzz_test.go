@@ -6,26 +6,25 @@ import (
 	"testing/quick"
 )
 
-// Property: Parse never panics on arbitrary input, and when it succeeds,
-// the document text contains no markup delimiters from recognised tags.
-func TestQuickParseNeverPanics(t *testing.T) {
-	f := func(src string) (ok bool) {
-		defer func() {
-			if recover() != nil {
-				ok = false
-			}
-		}()
+// FuzzParse: Parse never panics, and every mark of a page it accepts
+// satisfies TestMarkInvariants' range rule. Seeds are one generated page
+// per task (testdata/fuzz) and the malformed pages the chaos suite drives
+// through a session: an embedded NUL, a 1 MB attribute, a truncated tag.
+func FuzzParse(f *testing.F) {
+	f.Add("Item\x00three<br>Price: 350<br>")
+	f.Add(`<b junk="` + strings.Repeat("A", 1<<20) + `">Item four</b><br>Price: 400<br>`)
+	f.Add(`Price: 12<b class="x`)
+	f.Fuzz(func(t *testing.T, src string) {
 		d, err := Parse("fuzz", src)
 		if err != nil {
-			return true // errors are fine; panics are not
+			return // errors are fine; panics are not
 		}
-		_ = d.Text()
-		_ = d.Marks()
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
+		for _, m := range d.Marks() {
+			if m.Start < 0 || m.End > len(d.Text()) || m.Start >= m.End {
+				t.Fatalf("%q: bad mark %+v", src, m)
+			}
+		}
+	})
 }
 
 // Property: for tag-free input without special characters, Parse is the

@@ -16,15 +16,12 @@ package store_test
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"iflex/internal/compact"
 	"iflex/internal/fault"
 	"iflex/internal/store"
-	"iflex/internal/text"
 )
 
 func crashPages() (map[string]string, []string) {
@@ -266,63 +263,5 @@ func TestCrashIngest(t *testing.T) {
 	}
 	if complete == 0 || recovered == 0 {
 		t.Fatalf("enumeration never exercised both outcomes: %d complete, %d recovered", complete, recovered)
-	}
-}
-
-// TestCrashSpillSweep crashes a spill workload at every boundary and
-// checks a restarted spill area always comes up empty: spill files are
-// cache, and NewSpill sweeps whatever a dead process stranded.
-func TestCrashSpillSweep(t *testing.T) {
-	d1 := text.NewDocument("doc-1", "alpha beta", nil)
-	resolve := func(id string) (*text.Document, bool) {
-		if id == "doc-1" {
-			return d1, true
-		}
-		return nil, false
-	}
-	dir := filepath.Join(t.TempDir(), "spill")
-	cfs, err := fault.NewCrashFS(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := store.NewSpillFS(dir, resolve, cfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := compact.NewTable("x")
-	tb.Append(compact.Tuple{Cells: []compact.Cell{compact.ExactCell(d1.WholeSpan())}})
-	if _, err := sp.Save("k1", tb); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sp.Save("k1", tb); err != nil { // re-save drops the old file
-		t.Fatal(err)
-	}
-	if _, err := sp.Save("k2", tb); err != nil {
-		t.Fatal(err)
-	}
-
-	scratch := t.TempDir()
-	for i, st := range cfs.States(0) {
-		sdir := filepath.Join(scratch, fmt.Sprintf("state-%04d", i))
-		if err := st.Materialize(sdir); err != nil {
-			t.Fatalf("state %q: materialize: %v", st.Desc, err)
-		}
-		sp2, err := store.NewSpill(sdir, resolve)
-		if err != nil {
-			t.Fatalf("state %q: NewSpill failed over crash debris: %v", st.Desc, err)
-		}
-		if n := sp2.Len(); n != 0 {
-			t.Fatalf("state %q: restarted spill reports %d tables", st.Desc, n)
-		}
-		ents, err := os.ReadDir(sdir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range ents {
-			if strings.HasPrefix(e.Name(), "spill-") {
-				t.Fatalf("state %q: stale %s survived restart", st.Desc, e.Name())
-			}
-		}
-		sp2.Close()
 	}
 }

@@ -710,6 +710,12 @@ func openTokenIndex(path string, docCount int) (*tokenIndex, error) {
 	if dc := int(binary.LittleEndian.Uint32(hdr[12:])); dc != docCount {
 		return fail("indexed %d docs, store has %d", dc, docCount)
 	}
+	// Each token needs at least a 2-byte length and an 8-byte offset, and
+	// one closing offset follows: an untrusted count the file cannot hold
+	// fails here, before anything is allocated for it.
+	if bodyLen := st.Size() - 16; int64(vocabCount) > (bodyLen-8)/10 {
+		return fail("%d tokens cannot fit in %d bytes", vocabCount, bodyLen)
+	}
 	// Vocabulary and offsets occupy the file up to the first posting run;
 	// read generously: everything before offs[0] per the writer's layout.
 	body := make([]byte, st.Size()-16)

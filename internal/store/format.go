@@ -168,7 +168,9 @@ func appendDelta(dst []byte, ord, prev int) []byte {
 	return binary.AppendUvarint(dst, uint64(ord-prev))
 }
 
-// decodePostings expands a posting run back into sorted doc ordinals.
+// decodePostings expands a posting run back into sorted doc ordinals, all
+// in [0, docCount). The gap is bounded before it is added, so no uvarint
+// can wrap the ordinal negative.
 func decodePostings(b []byte, docCount int) ([]int, error) {
 	var out []int
 	prev := -1
@@ -177,11 +179,11 @@ func decodePostings(b []byte, docCount int) ([]int, error) {
 		if n <= 0 || gap == 0 {
 			return nil, fmt.Errorf("corrupt posting run")
 		}
+		if gap > uint64(docCount-1-prev) {
+			return nil, fmt.Errorf("posting gap %d after ordinal %d out of range (%d docs)", gap, prev, docCount)
+		}
 		b = b[n:]
 		prev += int(gap)
-		if prev >= docCount {
-			return nil, fmt.Errorf("posting ordinal %d out of range (%d docs)", prev, docCount)
-		}
 		out = append(out, prev)
 	}
 	return out, nil

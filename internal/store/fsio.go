@@ -7,7 +7,7 @@ import (
 	"path/filepath"
 )
 
-// FS is the filesystem seam every store and spill write goes through.
+// FS is the filesystem seam every store write goes through.
 // Reads stay on plain os calls — only mutations (creates, writes, syncs,
 // renames, removes) matter for crash consistency, and routing them
 // through one interface lets a test harness record the exact sequence of

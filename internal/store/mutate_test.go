@@ -2,11 +2,8 @@ package store
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
-	"iflex/internal/compact"
 	"iflex/internal/text"
 )
 
@@ -177,51 +174,4 @@ func contains(ss []string, want string) bool {
 		}
 	}
 	return false
-}
-
-func TestSpillInvalidateDocs(t *testing.T) {
-	d1 := text.NewDocument("doc-1", "alpha beta", nil)
-	d2 := text.NewDocument("doc-2", "gamma delta", nil)
-	resolve := func(id string) (*text.Document, bool) {
-		switch id {
-		case "doc-1":
-			return d1, true
-		case "doc-2":
-			return d2, true
-		}
-		return nil, false
-	}
-	sp, err := NewSpill(filepath.Join(t.TempDir(), "spill"), resolve)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sp.Close()
-	mk := func(d *text.Document) *compact.Table {
-		tb := compact.NewTable("x")
-		tb.Append(compact.Tuple{Cells: []compact.Cell{compact.ExactCell(d.WholeSpan())}})
-		return tb
-	}
-	if _, err := sp.Save("k1", mk(d1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sp.Save("k2", mk(d2)); err != nil {
-		t.Fatal(err)
-	}
-	if n := sp.InvalidateDocs(map[string]bool{"doc-1": true}); n != 1 {
-		t.Fatalf("InvalidateDocs dropped %d spills", n)
-	}
-	if _, ok, _ := sp.Load("k1"); ok {
-		t.Fatal("spill touching invalidated doc still loadable")
-	}
-	if tb, ok, err := sp.Load("k2"); err != nil || !ok || len(tb.Tuples) != 1 {
-		t.Fatalf("untouched spill lost: %v %v", ok, err)
-	}
-	// No stale files left behind.
-	ents, err := os.ReadDir(sp.dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 {
-		t.Fatalf("%d spill files on disk, want 1", len(ents))
-	}
 }
