@@ -98,7 +98,10 @@ func BenchmarkAblationSimJoinBlocked(b *testing.B) {
 
 func BenchmarkAblationSimJoinNaive(b *testing.B) {
 	prog, env := figure2Setup(b, 150)
-	env.Blockable = map[string]bool{} // disable fusion: cross + filter
+	for name, pf := range env.Funcs { // disable fusion: cross + filter
+		pf.Blockable = false
+		env.Funcs[name] = pf
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := engine.Run(prog, env); err != nil {

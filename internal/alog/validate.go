@@ -19,7 +19,7 @@ type Schema struct {
 }
 
 // PredClass classifies a predicate occurrence.
-type PredClass int
+type PredClass uint8
 
 // The predicate classes, in resolution priority order.
 const (
@@ -72,31 +72,39 @@ func Classify(p *Program, s *Schema, pred string) PredClass {
 // extensional/intensional atoms bind their variables; from(x, s) needs x
 // and binds s; functions and comparisons need all their variables; IE
 // predicates and procedures need their first argument and bind the rest.
-// It returns an error naming the first literal that can never be placed.
-func OrderBody(p *Program, s *Schema, r *Rule, seed map[string]bool) ([]Literal, error) {
+// Selections (IsSelection) go as early as their variables allow. It
+// returns the order as body indexes, or an error naming the first literal
+// that can never be placed.
+func OrderBody(p *Program, s *Schema, r *Rule, seed map[string]bool) ([]int, error) {
 	bound := map[string]bool{}
 	for v := range seed {
 		bound[v] = true
 	}
-	// The body is ordered in place: placed marks what out already holds, so
-	// nothing is copied or shifted, and out is allocated once. A compile
-	// orders every rule twice, on bodies that grow by one literal per answer.
-	placed := make([]bool, len(r.Body))
-	out := make([]Literal, 0, len(r.Body))
+	// Each literal is classified once, and the body is ordered in place:
+	// placed marks what out already holds.
+	type state struct {
+		class  PredClass
+		placed bool
+	}
+	lits := make([]state, len(r.Body))
+	for i, lit := range r.Body {
+		lits[i].class = litClass(p, s, lit)
+	}
+	out := make([]int, 0, len(r.Body))
 	for len(out) < len(r.Body) {
-		// Prefer selections (comparisons, constraints, p-functions): they
-		// only ever shrink intermediate results, so placing them as soon as
-		// their variables are bound keeps joins small (selection pushdown).
+		// Prefer selections: they only ever shrink intermediate results, so
+		// placing them as soon as their variables are bound keeps joins small
+		// (selection pushdown).
 		pick := -1
 		for i, lit := range r.Body {
-			if !placed[i] && isSelection(p, s, lit) && evaluable(p, s, lit, bound) {
+			if l := lits[i]; !l.placed && isSelection(lit, l.class) && evaluable(lit, l.class, bound) {
 				pick = i
 				break
 			}
 		}
 		if pick < 0 {
 			for i, lit := range r.Body {
-				if !placed[i] && evaluable(p, s, lit, bound) {
+				if l := lits[i]; !l.placed && evaluable(lit, l.class, bound) {
 					pick = i
 					break
 				}
@@ -104,74 +112,97 @@ func OrderBody(p *Program, s *Schema, r *Rule, seed map[string]bool) ([]Literal,
 		}
 		if pick < 0 {
 			return nil, fmt.Errorf("alog: rule %q: cannot evaluate %q (unbound variables); rule is unsafe or mis-ordered",
-				r.Head.Pred, r.Body[slices.Index(placed, false)])
+				r.Head.Pred, r.Body[slices.IndexFunc(lits, func(l state) bool { return !l.placed })])
 		}
-		placed[pick] = true
-		bindLiteral(p, s, r.Body[pick], bound)
-		out = append(out, r.Body[pick])
+		lits[pick].placed = true
+		bindLiteral(r.Body[pick], lits[pick].class, bound)
+		out = append(out, pick)
 	}
 	return out, nil
 }
 
-// isSelection reports whether the literal filters without binding new
-// variables: comparisons, constraints, and boolean p-functions.
-func isSelection(p *Program, s *Schema, lit Literal) bool {
-	switch lit.Kind {
-	case LitCompare, LitConstraint:
-		return true
-	default:
-		if Classify(p, s, lit.Atom.Pred) == ClassFunction {
-			return true
-		}
-		// Unknown two-arg atoms that look like constraint sugar are
-		// selections too.
-		if Classify(p, s, lit.Atom.Pred) == ClassUnknown {
-			_, ok := SugarConstraint(lit.Atom)
-			return ok
-		}
-		return false
-	}
+// IsSelection reports whether the literal filters without binding new
+// variables: a comparison, a constraint, a boolean p-function, or
+// feature(var, const) constraint sugar. OrderBody places a selection as
+// soon as its variables are bound.
+func IsSelection(p *Program, s *Schema, lit Literal) bool {
+	return isSelection(lit, litClass(p, s, lit))
 }
 
-// evaluable reports whether the literal can run given the bound variables.
-func evaluable(p *Program, s *Schema, lit Literal, bound map[string]bool) bool {
+// Stated returns the domain constraint a literal states: written out, or as
+// feature(var, const) sugar on a predicate that is nothing else.
+func Stated(p *Program, s *Schema, lit Literal) (Constraint, bool) {
+	switch lit.Kind {
+	case LitConstraint:
+		return lit.Cons, true
+	case LitAtom:
+		if sc, ok := SugarConstraint(lit.Atom); ok && Classify(p, s, lit.Atom.Pred) == ClassUnknown {
+			return sc, true
+		}
+	}
+	return Constraint{}, false
+}
+
+// litClass is the class of an atom's predicate; comparisons and
+// constraints have none (ClassUnknown).
+func litClass(p *Program, s *Schema, lit Literal) PredClass {
+	if lit.Kind != LitAtom {
+		return ClassUnknown
+	}
+	return Classify(p, s, lit.Atom.Pred)
+}
+
+// isSelection is IsSelection given the literal's class.
+func isSelection(lit Literal, c PredClass) bool {
+	switch {
+	case lit.Kind != LitAtom, c == ClassFunction:
+		return true
+	case c == ClassUnknown:
+		_, ok := SugarConstraint(lit.Atom)
+		return ok
+	}
+	return false
+}
+
+// evaluable reports whether the literal, of class c, can run given the
+// bound variables.
+func evaluable(lit Literal, c PredClass, bound map[string]bool) bool {
 	switch lit.Kind {
 	case LitCompare:
 		return termBound(lit.Cmp.L, bound) && termBound(lit.Cmp.R, bound)
 	case LitConstraint:
 		return bound[lit.Cons.Attr]
-	default:
-		a := lit.Atom
-		switch Classify(p, s, a.Pred) {
-		case ClassFrom:
-			return len(a.Args) == 2 && termBound(a.Args[0], bound)
-		case ClassExtensional, ClassIntensional:
-			return true
-		case ClassFunction:
-			for _, t := range a.Args {
-				if !termBound(t, bound) {
-					return false
-				}
-			}
-			return true
-		case ClassProcedure, ClassIE:
-			return len(a.Args) >= 1 && termBound(a.Args[0], bound)
-		default:
-			if cons, ok := SugarConstraint(a); ok {
-				return bound[cons.Attr]
-			}
-			return false
-		}
 	}
+	a := lit.Atom
+	switch c {
+	case ClassFrom:
+		return len(a.Args) == 2 && termBound(a.Args[0], bound)
+	case ClassExtensional, ClassIntensional:
+		return true
+	case ClassFunction:
+		for _, t := range a.Args {
+			if !termBound(t, bound) {
+				return false
+			}
+		}
+		return true
+	case ClassProcedure, ClassIE:
+		return len(a.Args) >= 1 && termBound(a.Args[0], bound)
+	}
+	if cons, ok := SugarConstraint(a); ok {
+		return bound[cons.Attr]
+	}
+	return false
 }
 
-// bindLiteral adds the variables the literal binds to the bound set.
-func bindLiteral(p *Program, s *Schema, lit Literal, bound map[string]bool) {
+// bindLiteral adds the variables the literal, of class c, binds to the
+// bound set.
+func bindLiteral(lit Literal, c PredClass, bound map[string]bool) {
 	if lit.Kind != LitAtom {
 		return
 	}
 	a := lit.Atom
-	switch Classify(p, s, a.Pred) {
+	switch c {
 	case ClassFrom:
 		if len(a.Args) == 2 && a.Args[1].Kind == TermVar {
 			bound[a.Args[1].Var] = true
@@ -248,8 +279,7 @@ func validateRule(p *Program, s *Schema, r *Rule) error {
 		}
 	}
 	seed := ruleSeed(p, s, r)
-	ordered, err := OrderBody(p, s, r, seed)
-	if err != nil {
+	if _, err := OrderBody(p, s, r, seed); err != nil {
 		return err
 	}
 	// Safety: every head variable must be bound after evaluating the body.
@@ -257,8 +287,8 @@ func validateRule(p *Program, s *Schema, r *Rule) error {
 	for v := range seed {
 		bound[v] = true
 	}
-	for _, l := range ordered {
-		bindLiteral(p, s, l, bound)
+	for _, l := range r.Body {
+		bindLiteral(l, litClass(p, s, l), bound)
 	}
 	for _, t := range r.Head.Args {
 		if t.Kind == TermVar && !bound[t.Var] {

@@ -75,22 +75,35 @@ var QuestionFeatures = []string{
 	"min-value", "max-value", "max-length", "max-tokens",
 }
 
-// questionSpace enumerates the still-unknown questions for a program: all
-// (attribute, feature) pairs not yet constrained and not yet answered
-// "I do not know".
-func questionSpace(prog *alog.Program, reg *feature.Registry, asked map[string]bool) []Question {
+// questionSpace enumerates the still-open questions about attrs: all
+// (attribute, feature) pairs not yet asked.
+func questionSpace(attrs []alog.AttrRef, reg *feature.Registry, asked map[string]bool) []Question {
 	var out []Question
-	for _, attr := range prog.Attrs() {
+	for _, attr := range attrs {
 		for _, fname := range QuestionFeatures {
 			f, err := reg.Lookup(fname)
 			if err != nil {
 				continue // feature not registered in this deployment
 			}
 			q := Question{Attr: attr, Feature: fname, Kind: f.Kind()}
-			if asked[q.key()] || prog.HasConstraint(attr, fname) {
+			if asked[q.key()] {
 				continue
 			}
 			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// constrained returns the keys of the questions prog's written-out constraints
+// already answer: one per (attribute, feature) it constrains.
+func constrained(prog *alog.Program) map[string]bool {
+	out := map[string]bool{}
+	for _, r := range prog.Rules {
+		for _, l := range r.Body {
+			if l.Kind == alog.LitConstraint {
+				out[Question{Attr: alog.AttrRef{Pred: r.Head.Pred, Var: l.Cons.Attr}, Feature: l.Cons.Feature}.key()] = true
+			}
 		}
 	}
 	return out

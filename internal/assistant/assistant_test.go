@@ -60,7 +60,7 @@ func testOracle() *MapOracle {
 func TestQuestionSpace(t *testing.T) {
 	prog := alog.MustParse(testProg)
 	reg := feature.NewRegistry()
-	space := questionSpace(prog, reg, map[string]bool{})
+	space := questionSpace(prog.Attrs(), reg, constrained(prog))
 	if len(space) == 0 {
 		t.Fatal("empty question space")
 	}
@@ -72,7 +72,9 @@ func TestQuestionSpace(t *testing.T) {
 	}
 	// Marking a question asked removes it.
 	q0 := space[0]
-	space2 := questionSpace(prog, reg, map[string]bool{q0.key(): true})
+	asked := constrained(prog)
+	asked[q0.key()] = true
+	space2 := questionSpace(prog.Attrs(), reg, asked)
 	if len(space2) != len(space)-1 {
 		t.Errorf("asked question not excluded: %d vs %d", len(space2), len(space))
 	}
@@ -117,7 +119,7 @@ func TestSequentialOrdering(t *testing.T) {
 	env := testEnv()
 	prog := alog.MustParse(testProg)
 	s := NewSession(env, prog, testOracle(), Config{})
-	space := questionSpace(s.Prog, env.Features, s.asked)
+	space := questionSpace(s.attrs, env.Features, s.asked)
 	qs, err := (Sequential{}).Next(s, space, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +199,7 @@ func TestSimulationPicksReducingQuestion(t *testing.T) {
 	}
 	s.sizes = append(s.sizes, 100)
 	s.assigns = append(s.assigns, 100)
-	space := questionSpace(s.Prog, env.Features, s.asked)
+	space := questionSpace(s.attrs, env.Features, s.asked)
 	qs, err := (Simulation{}).Next(s, space, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -172,12 +172,12 @@ func TestChaosMalformedMarkup(t *testing.T) {
 	env.AddDocTable("pages", "x", docs)
 	// cleanv stands in for extraction code that chokes on malformed
 	// input: it panics outright when the value's document contains a NUL.
-	env.Funcs["cleanv"] = func(args []text.Span) (bool, error) {
+	env.Funcs["cleanv"] = engine.PFunc{Fn: func(args []text.Span) (bool, error) {
 		if strings.ContainsRune(args[0].Doc().Text(), 0) {
 			panic("extractor crashed on NUL byte")
 		}
 		return true, nil
-	}
+	}}
 	prog := alog.MustParse(`
 Q(x, <v>) :- pages(x), extract(x, v), cleanv(v).
 extract(x, v) :- from(x, v), numeric(v) = yes.

@@ -1,14 +1,22 @@
 package assistant
 
 import (
+	"maps"
+
 	"iflex/internal/alog"
 	"iflex/internal/engine"
+	"iflex/internal/feature"
 )
 
-// QuestionSpaceForTest exposes questionSpace to the external test package
-// (delta_test.go lives in assistant_test so it can import corpus, which
-// itself imports assistant).
-var QuestionSpaceForTest = questionSpace
+// QuestionSpaceForTest is the question space of prog for the external test
+// package (delta_test.go lives in assistant_test so it can import corpus,
+// which itself imports assistant): the questions about its attributes that
+// neither asked nor its constraints answer.
+func QuestionSpaceForTest(prog *alog.Program, reg *feature.Registry, asked map[string]bool) []Question {
+	seen := constrained(prog)
+	maps.Copy(seen, asked)
+	return questionSpace(prog.Attrs(), reg, seen)
+}
 
 // KeyForTest exposes the question's asked/known bookkeeping key.
 func (q Question) KeyForTest() string { return q.key() }

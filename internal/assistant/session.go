@@ -161,8 +161,13 @@ type Session struct {
 
 	Alpha float64 // resolved from Config; read by strategies
 
-	ctx     *engine.Context
-	subset  map[string]bool
+	ctx    *engine.Context
+	subset map[string]bool
+	// Answers only add constraints, so the program's shape is read once:
+	// attrs are its attributes, rank their importance (attrImportance), and
+	// asked starts with the questions its constraints already answer.
+	attrs   []alog.AttrRef
+	rank    map[alog.AttrRef]int
 	asked   map[string]bool
 	sizes   []int // per-iteration expanded sizes (subset mode)
 	assigns []int
@@ -215,9 +220,9 @@ func NewSession(env *engine.Env, prog *alog.Program, oracle Oracle, cfg Config) 
 		Config: cfg,
 		Alpha:  cfg.Alpha,
 		ctx:    engine.NewContext(env),
-		asked:  map[string]bool{},
 		res:    &Result{},
 	}
+	s.attrs, s.rank, s.asked = s.Prog.Attrs(), attrImportance(s.Prog), constrained(s.Prog)
 	s.ctx.Workers = cfg.Workers
 	s.ctx.CacheBudget = cfg.CacheBudget
 	if cfg.QuarantineFaults {

@@ -60,7 +60,7 @@ func TestQuestionSpaceExhaustionEndsSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	space := len(questionSpace(alog.MustParse(testProg), env.Features, map[string]bool{}))
+	space := len(questionSpace(prog.Attrs(), env.Features, constrained(prog)))
 	if res.QuestionsAsked != space {
 		t.Errorf("asked %d questions, space holds %d", res.QuestionsAsked, space)
 	}

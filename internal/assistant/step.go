@@ -115,13 +115,12 @@ func (s *Session) applyAnswers(answers []Answer) error {
 			if err := s.Prog.AddConstraint(q.Attr, q.Feature, v); err != nil {
 				return fmt.Errorf("assistant: applying answer to %s: %w", q, err)
 			}
-			if s.plan != nil {
-				plan, err := s.plan.WithConstraint(q.Attr, q.Feature, v)
-				if err != nil {
-					return fmt.Errorf("assistant: applying answer to %s: %w", q, err)
-				}
-				s.plan = plan
+			// Questions come only from an execution, which compiled s.plan.
+			plan, err := s.plan.WithConstraint(q.Attr, q.Feature, v)
+			if err != nil {
+				return fmt.Errorf("assistant: applying answer to %s: %w", q, err)
 			}
+			s.plan = plan
 		}
 		if n := len(s.res.Iterations); n > 0 {
 			it := &s.res.Iterations[n-1]
@@ -165,7 +164,7 @@ func (s *Session) iterate(answers []Answer) (*StepResult, error) {
 	// iteration re-executes cleanly.
 	var questions []Question
 	if !cut && !s.converged() {
-		if space := questionSpace(s.Prog, s.Env.Features, s.asked); len(space) > 0 {
+		if space := questionSpace(s.attrs, s.Env.Features, s.asked); len(space) > 0 {
 			questions, err = s.Config.Strategy.Next(s, space, s.Config.QuestionsPerIteration)
 			if err != nil {
 				return nil, err

@@ -29,14 +29,13 @@ func (Sequential) Name() string { return "seq" }
 
 // Next returns the first n open questions in rank order.
 func (Sequential) Next(s *Session, space []Question, n int) ([]Question, error) {
-	rank := attrImportance(s.Prog)
 	featPos := map[string]int{}
 	for i, f := range QuestionFeatures {
 		featPos[f] = i
 	}
 	sorted := append([]Question(nil), space...)
 	sort.SliceStable(sorted, func(i, j int) bool {
-		ri, rj := rank[sorted[i].Attr], rank[sorted[j].Attr]
+		ri, rj := s.rank[sorted[i].Attr], s.rank[sorted[j].Attr]
 		if ri != rj {
 			return ri > rj
 		}

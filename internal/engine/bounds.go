@@ -70,12 +70,10 @@ func (e *Env) UseTFIDF(threshold float64) {
 		}
 		return ti.Cosine(args[0].NormText(), args[1].NormText()) >= threshold, nil
 	}
-	e.Funcs["similar"] = fn
-	e.Funcs["approxMatch"] = fn
-	// TF/IDF cosine is not a Jaccard/prefix token similarity: withdraw the
-	// declaration, leaving any-shared-token blocking and the opaque Func.
-	delete(e.TokenSimilar, "similar")
-	delete(e.TokenSimilar, "approxMatch")
+	// TF/IDF cosine is not a Jaccard/prefix token similarity: no Token
+	// spec, so any-shared-token blocking and the opaque Fn.
+	tfidf := PFunc{Fn: fn, Blockable: true}
+	e.Funcs["similar"], e.Funcs["approxMatch"] = tfidf, tfidf
 }
 
 type errArity struct{}

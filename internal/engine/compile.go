@@ -71,6 +71,9 @@ func Compile(prog *alog.Program, env *Env) (*Plan, error) {
 	if err := alog.Validate(prog, schema); err != nil {
 		return nil, err
 	}
+	if err := checkFeatures(prog, schema, env); err != nil {
+		return nil, err
+	}
 	unfolded, err := alog.Unfold(prog, schema)
 	if err != nil {
 		return nil, err
@@ -94,6 +97,31 @@ func Compile(prog *alog.Program, env *Env) (*Plan, error) {
 	return &Plan{Root: root, fold: f}, nil
 }
 
+// checkFeatures resolves the feature of every constraint the program states,
+// written out or as sugar, in rule order, so that an unknown one fails once,
+// naming the rule it is written in, before anything is unfolded or folded.
+func checkFeatures(prog *alog.Program, schema *alog.Schema, env *Env) error {
+	for _, r := range prog.Rules {
+		for _, l := range r.Body {
+			if k, ok := alog.Stated(prog, schema, l); ok {
+				if err := lookupFeature(env, r.Head.Pred, k.Feature); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// lookupFeature reports an unknown feature against pred, the rule the
+// constraint naming it is written in.
+func lookupFeature(env *Env, pred, name string) error {
+	if _, err := env.Features.Lookup(alog.CanonFeature(name)); err != nil {
+		return fmt.Errorf("engine: rule %q: %w", pred, err)
+	}
+	return nil
+}
+
 // Run compiles, optimizes and executes a program in a fresh context; the
 // convenience entry point for one-shot evaluation.
 func Run(prog *alog.Program, env *Env) (*compact.Table, error) {
@@ -115,10 +143,6 @@ type compiler struct {
 	visiting map[string]bool
 	fresh    int
 	fold     *fold
-	// tick counts the literals Compile has reached and the bodies it has
-	// finished; outer names the fragments it is inside, outermost first.
-	tick  int
-	outer []string
 }
 
 func (c *compiler) freshCol() string {
@@ -181,9 +205,11 @@ func (c *compiler) rule(r *alog.Rule) (*ruleFold, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := newRuleFold(r, order, c.outer)
-	c.outer = append(slices.Clip(c.outer), r.Head.Pred)
-	defer func() { c.outer = f.outer }()
+	f := &ruleFold{rule: r, steps: make([]step, len(order)), inl: r.Inlined}
+	for i, pos := range order {
+		lit := &r.Body[pos]
+		f.steps[i] = step{lit: lit, pos: pos, sel: alog.IsSelection(c.prog, c.schema, *lit)}
+	}
 	return f, c.foldFrom(f, 0)
 }
 
@@ -197,7 +223,7 @@ func (c *compiler) foldFrom(f *ruleFold, i int) error {
 		// what the last run on it below applied.
 		cur = f.steps[i-1].node
 		for _, s := range f.steps[i:] {
-			if k, ok := c.stated(*s.lit); ok {
+			if k, ok := alog.Stated(c.prog, c.schema, *s.lit); ok {
 				if _, seen := applied[k.Attr]; !seen {
 					applied[k.Attr] = appliedBelow(f.steps[:i], k.Attr)
 				}
@@ -207,10 +233,16 @@ func (c *compiler) foldFrom(f *ruleFold, i int) error {
 	for ; i < len(f.steps); i++ {
 		s := &f.steps[i]
 		// Synthetic column names count up across the whole program, so a
-		// re-fold names them as Compile did at this literal.
+		// re-fold names them as Compile did at this literal. A predicate the
+		// literal calls is compiled first: the count is then where the
+		// literal's own columns start, as in a re-fold, which finds it built.
 		if c.fold != nil {
-			s.seq, s.fresh = int32(c.tick), int32(c.fresh)
-			c.tick++
+			if s.lit.Kind == alog.LitAtom && alog.Classify(c.prog, c.schema, s.lit.Atom.Pred) == alog.ClassIntensional {
+				if _, err := c.pred(s.lit.Atom.Pred); err != nil {
+					return fmt.Errorf("engine: rule %q: %w", f.rule.Head.Pred, err)
+				}
+			}
+			s.fresh = int32(c.fresh)
 		} else {
 			c.fresh = int(s.fresh)
 		}
@@ -219,10 +251,6 @@ func (c *compiler) foldFrom(f *ruleFold, i int) error {
 			return fmt.Errorf("engine: rule %q: %w", f.rule.Head.Pred, err)
 		}
 		s.node = cur
-	}
-	if c.fold != nil {
-		f.end = int32(c.tick)
-		c.tick++
 	}
 	root, err := c.head(f.rule, cur)
 	f.root = root
@@ -276,9 +304,6 @@ func (c *compiler) constrain(cur Node, k alog.Constraint, applied map[string][]f
 		return nil, fmt.Errorf("constraint %q cannot start a rule body", k)
 	}
 	cons := feature.Constraint{Feature: alog.CanonFeature(k.Feature), Attr: k.Attr, Value: k.Value}
-	if _, err := c.env.Features.Lookup(cons.Feature); err != nil {
-		return nil, err
-	}
 	prior := applied[cons.Attr]
 	applied[cons.Attr] = append(applied[cons.Attr], cons)
 	return newConstraintNode(c.env, cur, cons, prior), nil
@@ -321,8 +346,8 @@ func (c *compiler) atom(cur Node, a alog.Atom, applied map[string][]feature.Cons
 		if cur == nil {
 			return nil, fmt.Errorf("p-function %q cannot start a rule body", a.Pred)
 		}
-		if fused := c.tryFuseSimJoin(cur, a); fused != nil {
-			return fused, nil
+		if cross, lv, rv := simJoinSides(c.env, a.Pred, a.Args, cur); cross != nil {
+			return newSimJoinNode(c.env, cross.left, cross.right, a.Pred, lv, rv), nil
 		}
 		return newFuncNode(c.env, cur, a.Pred, a.Args), nil
 
@@ -421,29 +446,24 @@ func (c *compiler) adaptColumns(sub Node, a alog.Atom, fillScan bool) (Node, err
 	return n, nil
 }
 
-// tryFuseSimJoin rewrites pfunc[sim](cross(L, R)) into the token-blocked
-// simjoin(L, R) when the function is a blockable similarity predicate with
-// one variable on each side of a shared-column-free cross product.
-func (c *compiler) tryFuseSimJoin(cur Node, a alog.Atom) Node {
-	if !c.env.Blockable[a.Pred] || len(a.Args) != 2 {
-		return nil
-	}
-	cross, ok := cur.(*crossNode)
-	if !ok || len(cross.shared) > 0 {
-		return nil
-	}
-	v1, v2 := a.Args[0], a.Args[1]
-	if v1.Kind != alog.TermVar || v2.Kind != alog.TermVar {
-		return nil
+// simJoinSides returns the cross product p-function fname(args) fuses with
+// into a token-blocked simjoin, and its variables as (left, right): the
+// function is blockable, and binary over one variable of each side of a
+// cross sharing no column. cross is nil when they do not fuse.
+func simJoinSides(env *Env, fname string, args []alog.Term, base Node) (cross *crossNode, lv, rv string) {
+	cross, ok := base.(*crossNode)
+	if !env.Funcs[fname].Blockable || len(args) != 2 || !ok || len(cross.shared) > 0 ||
+		args[0].Kind != alog.TermVar || args[1].Kind != alog.TermVar {
+		return nil, "", ""
 	}
 	lcols, rcols := cross.left.Columns(), cross.right.Columns()
-	switch {
-	case containsStr(lcols, v1.Var) && containsStr(rcols, v2.Var):
-		return newSimJoinNode(c.env, cross.left, cross.right, a.Pred, v1.Var, v2.Var)
-	case containsStr(lcols, v2.Var) && containsStr(rcols, v1.Var):
-		return newSimJoinNode(c.env, cross.left, cross.right, a.Pred, v2.Var, v1.Var)
+	switch v1, v2 := args[0].Var, args[1].Var; {
+	case containsStr(lcols, v1) && containsStr(rcols, v2):
+		return cross, v1, v2
+	case containsStr(lcols, v2) && containsStr(rcols, v1):
+		return cross, v2, v1
 	}
-	return nil
+	return nil, "", ""
 }
 
 // combine crosses the new node with the current plan (natural join on
@@ -453,20 +473,6 @@ func (c *compiler) combine(cur, n Node) Node {
 		return n
 	}
 	return newCrossNode(c.env, cur, n)
-}
-
-// stated returns the domain constraint a literal states, written out or as
-// feature(var, const) sugar on a predicate that is nothing else.
-func (c *compiler) stated(lit alog.Literal) (alog.Constraint, bool) {
-	switch lit.Kind {
-	case alog.LitConstraint:
-		return lit.Cons, true
-	case alog.LitAtom:
-		if sc, ok := alog.SugarConstraint(lit.Atom); ok && alog.Classify(c.prog, c.schema, lit.Atom.Pred) == alog.ClassUnknown {
-			return sc, true
-		}
-	}
-	return alog.Constraint{}, false
 }
 
 // appliedBelow returns every constraint the steps' plans hold on attr — the

@@ -12,6 +12,16 @@ import (
 	"iflex/internal/text"
 )
 
+// unblockable withdraws every p-function's blocking promise, so no
+// similarity join fuses: the naive cross product + p-function filter.
+func unblockable(env *Env) *Env {
+	for name, pf := range env.Funcs {
+		pf.Blockable = false
+		env.Funcs[name] = pf
+	}
+	return env
+}
+
 // Differential test: on randomized corpora, the fused token-blocked
 // similarity join must produce exactly the same table as the naive cross
 // product + p-function filter.
@@ -59,8 +69,7 @@ e2(y, t) :- from(y, t), bold-font(t) = distinct-yes.
 		envN := NewEnv()
 		envN.AddDocTable("L", "x", left)
 		envN.AddDocTable("R", "y", right)
-		envN.Blockable = map[string]bool{}
-		naive, err := Run(prog, envN)
+		naive, err := Run(prog, unblockable(envN))
 		if err != nil {
 			t.Fatal(err)
 		}

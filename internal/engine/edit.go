@@ -37,20 +37,19 @@ type predFold struct {
 type ruleFold struct {
 	rule  *alog.Rule    // the unfolded rule, read for its head
 	steps []step        // the body in evaluation order
-	end   int32         // Compile's literal count when it finished the body
 	inl   []alog.Inline // rule.Inlined, with End moved past the constraints added since
-	outer []string      // heads of the fragments Compile was inside when it reached this one
 	root  Node          // π and ψ over the body's plan
 }
 
-// step is one literal of a fragment: its index in the body, the plan after
-// it, and where Compile was when it reached it — seq orders every literal
-// of the program, fresh counts the synthetic columns named so far.
+// step is one literal of a fragment: its index in the body, whether it is a
+// selection (alog.IsSelection), the plan after it, and how many synthetic
+// columns Compile had named when it reached it.
 type step struct {
-	lit        *alog.Literal
-	pos        int
-	node       Node
-	seq, fresh int32
+	lit   *alog.Literal
+	pos   int
+	node  Node
+	fresh int32
+	sel   bool
 }
 
 func newFold(prog, unfolded *alog.Program, schema *alog.Schema, env *Env) *fold {
@@ -76,25 +75,6 @@ func newFold(prog, unfolded *alog.Program, schema *alog.Schema, env *Env) *fold 
 	return f
 }
 
-// newRuleFold records rule r with its body in the order OrderBody gave.
-func newRuleFold(r *alog.Rule, order []alog.Literal, outer []string) *ruleFold {
-	f := &ruleFold{rule: r, steps: make([]step, len(order)), inl: r.Inlined, outer: outer}
-	used := make([]bool, len(r.Body))
-	for i := range order {
-		f.steps[i].lit = &order[i]
-		// Equal literals are placed in body order, so the first unused one
-		// is this literal's place in the body.
-		for j, l := range r.Body {
-			if !used[j] && l.Kind == order[i].Kind && l.Cmp == order[i].Cmp && l.Cons == order[i].Cons &&
-				l.Atom.Pred == order[i].Atom.Pred && slices.Equal(l.Atom.Args, order[i].Atom.Args) {
-				used[j], f.steps[i].pos = true, j
-				break
-			}
-		}
-	}
-	return f
-}
-
 // WithConstraint returns the plan Compile builds for the program p was
 // compiled from once AddConstraint(attr, featureName, value) has extended
 // it, and builds it by editing p. Every fragment that inlined a description
@@ -111,43 +91,18 @@ func (p *Plan) WithConstraint(attr alog.AttrRef, featureName, value string) (*Pl
 		return nil, errors.New("engine: WithConstraint edits only plans Compile or WithConstraint built")
 	}
 	k := alog.Constraint{Feature: featureName, Attr: attr.Var, Value: value}
-	switch {
-	case !f.attrs[attr]:
+	if !f.attrs[attr] {
 		return nil, fmt.Errorf("alog: no description rule for attribute %s", attr)
-	case f.pinned[attr]:
+	}
+	// Compile resolves features before it unfolds: the first rule it finds
+	// the unknown one in is the first one AddConstraint extended.
+	if err := lookupFeature(f.env, attr.Pred, featureName); err != nil {
+		return nil, err
+	}
+	if f.pinned[attr] {
 		return nil, fmt.Errorf("alog: constraint %s applies to %q which unifies with a constant", k, k.Attr)
 	}
 	c := &compiler{prog: f.prog, schema: f.schema, env: f.env, memo: make(map[string]Node, len(f.preds))}
-
-	// An unknown feature fails where Compile would first reach the
-	// constraint, so every place is found before anything is built.
-	var first *ruleFold
-	var firstSeq int32
-	for _, pf := range f.preds {
-		for _, rf := range pf.rules {
-			for q := range rf.inl {
-				if v, ok := rf.target(q, attr); ok {
-					at, err := c.place(rf, v, q)
-					if err != nil {
-						return nil, err
-					}
-					if seq := rf.seq(at); first == nil || seq < firstSeq {
-						first, firstSeq = rf, seq
-					}
-				}
-			}
-		}
-	}
-	if first == nil {
-		return p, nil // no fragment Compile reaches inlines the rule
-	}
-	if _, err := f.env.Features.Lookup(alog.CanonFeature(featureName)); err != nil {
-		err = fmt.Errorf("engine: rule %q: %w", first.rule.Head.Pred, err)
-		for i := len(first.outer) - 1; i >= 0; i-- {
-			err = fmt.Errorf("engine: rule %q: %w", first.outer[i], err)
-		}
-		return nil, err
-	}
 
 	nf := *f
 	nf.preds = slices.Clone(f.preds)
@@ -161,7 +116,7 @@ func (p *Plan) WithConstraint(attr alog.AttrRef, featureName, value string) (*Pl
 				if v, ok := rf.target(q, attr); ok {
 					// Placed against the fragment as the constraints inserted
 					// before this one left it.
-					at, err := c.place(rf, v, q)
+					at, err := rf.place(v, q)
 					if err != nil {
 						return nil, err
 					}
@@ -217,7 +172,7 @@ func (rf *ruleFold) target(q int, attr alog.AttrRef) (string, bool) {
 // place returns the step before which OrderBody puts a constraint on v
 // appended to inlined rule q. A selection binds nothing, so it goes among
 // the selections that follow the literal binding v, in body order.
-func (c *compiler) place(rf *ruleFold, v string, q int) (int, error) {
+func (rf *ruleFold) place(v string, q int) (int, error) {
 	at := 0
 	for at < len(rf.steps) && !containsStr(rf.steps[at].node.Columns(), v) {
 		at++
@@ -225,33 +180,9 @@ func (c *compiler) place(rf *ruleFold, v string, q int) (int, error) {
 	if at == len(rf.steps) {
 		return 0, fmt.Errorf("engine: rule %q never binds %s", rf.rule.Head.Pred, v)
 	}
-	for at++; at < len(rf.steps) && rf.steps[at].pos < rf.inl[q].End && c.isSelection(*rf.steps[at].lit); at++ {
+	for at++; at < len(rf.steps) && rf.steps[at].pos < rf.inl[q].End && rf.steps[at].sel; at++ {
 	}
 	return at, nil
-}
-
-// isSelection is OrderBody's test for a literal that filters without
-// binding: a comparison, a constraint, a p-function or constraint sugar.
-func (c *compiler) isSelection(lit alog.Literal) bool {
-	if lit.Kind != alog.LitAtom {
-		return true
-	}
-	switch alog.Classify(c.prog, c.schema, lit.Atom.Pred) {
-	case alog.ClassFunction:
-		return true
-	case alog.ClassUnknown:
-		_, ok := alog.SugarConstraint(lit.Atom)
-		return ok
-	}
-	return false
-}
-
-// seq is when Compile reached step at (or the body's end).
-func (rf *ruleFold) seq(at int) int32 {
-	if at == len(rf.steps) {
-		return rf.end
-	}
-	return rf.steps[at].seq
 }
 
 // insert returns a copy of rf with lit, a constraint appended to inlined
@@ -263,9 +194,9 @@ func (rf *ruleFold) insert(at, q int, lit *alog.Literal) *ruleFold {
 	end := rf.inl[q].End
 	// A selection keeps its input's columns: until the re-fold replaces it,
 	// the node below stands in for the new step's.
-	s := step{lit: lit, pos: end, node: rf.steps[at-1].node, seq: rf.end}
+	s := step{lit: lit, pos: end, sel: true, node: rf.steps[at-1].node}
 	if at < len(rf.steps) {
-		s.seq, s.fresh = rf.steps[at].seq, rf.steps[at].fresh
+		s.fresh = rf.steps[at].fresh
 	}
 	nf := *rf
 	nf.steps = make([]step, len(rf.steps)+1)

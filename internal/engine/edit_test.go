@@ -15,8 +15,11 @@ import (
 // editShapesSrc are programs no task has, over T9's tables: description
 // rules nested two deep (ending together, and not), one predicate inlined
 // twice into a rule, a predicate with two description rules, selections of
-// the caller sharing the block a constraint joins, constraint sugar, and a
-// call site binding a head variable to a constant.
+// the caller sharing the block a constraint joins, constraint sugar, a call
+// site binding a head variable to a constant, equal literals in one body,
+// in the caller and in the inlined rule, ahead of sugar a constraint must
+// follow, and a call with a constant argument, below the constraint, to a
+// predicate whose own body names synthetic columns.
 var editShapesSrc = []string{`
 Q(x, a) :- Amazon(x), outer(x, a).
 outer(x, a) :- from(x, s), inner(s, a), numeric(a) = yes.
@@ -39,6 +42,13 @@ ext(x, p, q) :- from(x, p), from(x, q).
 `, `
 Q(t) :- Amazon(x), ext(x, t, "c").
 ext(x, t, k) :- from(x, t), Barnes(k).
+`, `
+Q(t1, t2) :- Amazon(x), Barnes(y), ext(x, t1), ext(y, t2), similar(t1, t2), similar(t1, t2).
+ext(d, t) :- from(d, t), numeric(t) = yes, numeric(t) = yes, max_length(t, 40).
+`, `
+Q(x, t) :- Amazon(x), ext(x, t), r(x, "c").
+r(x, k) :- Amazon(x), Barnes(k), Barnes("zz").
+ext(x, t) :- from(x, t).
 `}
 
 // TestWithConstraintEqualsCompile: along seeded chains of up to 20 edits
@@ -154,5 +164,71 @@ func TestWithConstraintEqualsCompile(t *testing.T) {
 	}
 	if edits < 200*chains || refused == 0 {
 		t.Fatalf("%d edits, %d refused: the chains exercised too little", edits, refused)
+	}
+}
+
+// TestUnknownFeatureFailsOnce: Compile resolves every constraint's feature
+// before it folds anything, so an unknown one is one error line naming the
+// rule the constraint is written in — written out, as sugar, in a rule the
+// query never reaches, or added by an edit — and WithConstraint returns
+// that same line.
+func TestUnknownFeatureFailsOnce(t *testing.T) {
+	t9, err := corpus.TaskByID("T9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := t9.Env(t9.Generate(6, 1))
+	nested := `
+rec(x, <t>) :- Amazon(x), ext(x, t).
+Q(t) :- rec(x, t), t != NULL.
+`
+	for _, tc := range []struct {
+		name, base, written string // written "": AddConstraint writes it
+		attr                alog.AttrRef
+		fname, want         string
+	}{{
+		name:    "written out",
+		base:    nested + `ext(x, t) :- from(x, t).`,
+		written: nested + `ext(x, t) :- from(x, t), no-such-feature(t) = yes.`,
+		attr:    alog.AttrRef{Pred: "ext", Var: "t"}, fname: "no-such-feature",
+		want: `engine: rule "ext": feature: unknown feature "no-such-feature"`,
+	}, {
+		name:    "sugar",
+		base:    nested + `ext(x, t) :- from(x, t).`,
+		written: nested + `ext(x, t) :- from(x, t), no_such_feature(t, "yes").`,
+		attr:    alog.AttrRef{Pred: "ext", Var: "t"}, fname: "no_such_feature",
+		want: `engine: rule "ext": feature: unknown feature "no-such-feature"`,
+	}, {
+		name: "never reached",
+		base: `Q(t) :- Amazon(x), ext(x, t).
+ext(x, t) :- from(x, t).
+spare(y, u) :- from(y, u).`,
+		written: `Q(t) :- Amazon(x), ext(x, t).
+ext(x, t) :- from(x, t).
+spare(y, u) :- from(y, u), no-such-feature(u) = yes.`,
+		attr: alog.AttrRef{Pred: "spare", Var: "u"}, fname: "no-such-feature",
+		want: `engine: rule "spare": feature: unknown feature "no-such-feature"`,
+	}, {
+		name: "added by an edit",
+		base: editShapesSrc[0],
+		attr: alog.AttrRef{Pred: "inner", Var: "a"}, fname: "no-such-feature",
+		want: `engine: rule "inner": feature: unknown feature "no-such-feature"`,
+	}} {
+		base := alog.MustParse(tc.base)
+		plan, err := engine.Compile(base, env)
+		if err != nil {
+			t.Fatalf("%s: base program: %v", tc.name, err)
+		}
+		written := base.Clone()
+		if tc.written != "" {
+			written = alog.MustParse(tc.written)
+		} else if err := written.AddConstraint(tc.attr, tc.fname, "yes"); err != nil {
+			t.Fatal(err)
+		}
+		_, cerr := engine.Compile(written, env)
+		_, eerr := plan.WithConstraint(tc.attr, tc.fname, "yes")
+		if cerr == nil || cerr.Error() != tc.want || eerr == nil || eerr.Error() != tc.want {
+			t.Errorf("%s:\ncompile: %v\nedit:    %v\nwant:    %s", tc.name, cerr, eerr, tc.want)
+		}
 	}
 }

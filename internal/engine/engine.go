@@ -59,6 +59,22 @@ func DefaultLimits() Limits {
 // one concrete value span per argument.
 type Func func(args []text.Span) (bool, error)
 
+// PFunc is everything the engine knows about one boolean p-function.
+type PFunc struct {
+	Fn Func
+	// Blockable promises that matching values share at least one token,
+	// enabling the fused token-blocked similarity join.
+	Blockable bool
+	// Token, on a blockable function whose Fn is exactly a token
+	// similarity, declares that similarity's spec (Jaccard threshold and
+	// token-prefix arm). The engine then decides the function on interned
+	// token records and derives exact candidate filters from the spec
+	// (rarity-prefix and length filtering, see tokensim.go) instead of
+	// calling Fn per value combination. Without it a blockable function keeps
+	// any-shared-token blocking and its opaque Fn.
+	Token *similarity.Spec
+}
+
 // Procedure is a procedural p-predicate ("cleanup procedure",
 // Section 2.2.4). Its first rule argument is the input span; Outputs is
 // the number of remaining (output) arguments; Fn maps an input value to
@@ -72,7 +88,7 @@ type Procedure struct {
 // procedures, and the feature registry.
 type Env struct {
 	Tables   map[string]*compact.Table
-	Funcs    map[string]Func
+	Funcs    map[string]PFunc
 	Procs    map[string]Procedure
 	Features *feature.Registry
 	Limits   Limits
@@ -83,17 +99,6 @@ type Env struct {
 	// the tables of superseded documents (ApplyCorpusDelta). May be nil:
 	// features then run directly, comparison records last one evaluation.
 	FeatureMemo *feature.Memo
-	// Blockable names p-functions that guarantee matching values share at
-	// least one token, enabling the fused token-blocked similarity join.
-	Blockable map[string]bool
-	// TokenSimilar declares, for a blockable p-function whose Func is
-	// exactly a token similarity, that similarity's spec (Jaccard threshold
-	// and token-prefix arm). The engine then decides the function on
-	// interned token records and derives exact candidate filters from the
-	// spec (rarity-prefix and length filtering, see tokensim.go) instead of
-	// calling the Func per value combination. A p-function without an entry
-	// keeps any-shared-token blocking and its opaque Func.
-	TokenSimilar map[string]similarity.Spec
 	// FaultHook, when non-nil, is invoked before every guarded
 	// per-document unit of user code (p-functions, feature constraint
 	// evaluation, procedures) with the guard site name and the sorted IDs
@@ -153,7 +158,7 @@ type PostingsIndex interface {
 func NewEnv() *Env {
 	e := &Env{
 		Tables:      map[string]*compact.Table{},
-		Funcs:       map[string]Func{},
+		Funcs:       map[string]PFunc{},
 		Procs:       map[string]Procedure{},
 		Features:    feature.NewRegistry(),
 		Limits:      DefaultLimits(),
@@ -161,19 +166,14 @@ func NewEnv() *Env {
 		vocab:       similarity.NewVocab(),
 		nodes:       nodeTable{m: map[nodeKey]Node{}},
 	}
-	sim := func(args []text.Span) (bool, error) {
+	spec := similarity.Default
+	sim := PFunc{Fn: func(args []text.Span) (bool, error) {
 		if len(args) != 2 {
 			return false, fmt.Errorf("engine: similar expects 2 arguments, got %d", len(args))
 		}
 		return similarity.Similar(args[0].NormText(), args[1].NormText()), nil
-	}
-	e.Funcs["similar"] = sim
-	e.Funcs["approxMatch"] = sim
-	e.Blockable = map[string]bool{"similar": true, "approxMatch": true}
-	e.TokenSimilar = map[string]similarity.Spec{
-		"similar":     similarity.Default,
-		"approxMatch": similarity.Default,
-	}
+	}, Blockable: true, Token: &spec}
+	e.Funcs["similar"], e.Funcs["approxMatch"] = sim, sim
 	return e
 }
 

@@ -105,9 +105,7 @@ e2(y, t) :- from(y, t), bold-font(t) = yes.
 	if err != nil {
 		t.Fatal(err)
 	}
-	envNaive := figure2Env()
-	envNaive.Blockable = map[string]bool{}
-	naive, err := Run(alog.MustParse(src), envNaive)
+	naive, err := Run(alog.MustParse(src), unblockable(figure2Env()))
 	if err != nil {
 		t.Fatal(err)
 	}

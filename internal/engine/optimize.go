@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"iflex/internal/alog"
@@ -269,16 +270,20 @@ func (o *optimizer) rewriteChain(top Node) Node {
 	base := o.rewrite(origBase)
 	changed := base != origBase
 
-	// fuse-simjoin: hoist a fusible similarity selection down past
-	// column-disjoint selections onto the shared-free cross and fuse.
+	// fuse-simjoin: hoist a fusible similarity selection down onto the
+	// shared-free cross and fuse. The hoist commutes byte for byte only past
+	// selections column-disjoint from the function's variables.
 	for i := 0; i < len(sels); {
 		fn, ok := sels[i].node.(*funcNode)
-		if !ok || !o.canFuse(fn, base, sels[:i]) {
+		var cross *crossNode
+		var lv, rv string
+		if ok {
+			cross, lv, rv = simJoinSides(o.env, fn.fname, fn.args, base)
+		}
+		if cross == nil || slices.ContainsFunc(sels[:i], func(s selInfo) bool { return !disjointStr(s.involved, []string{lv, rv}) }) {
 			i++
 			continue
 		}
-		cross := base.(*crossNode)
-		lv, rv := orientSim(fn, cross)
 		fused := newSimJoinNode(o.env, cross.left, cross.right, fn.fname, lv, rv)
 		o.info.Fired = append(o.info.Fired, RuleFiring{
 			Rule: "fuse-simjoin", Node: opName(fused), ID: fused.ID(),
@@ -348,47 +353,6 @@ func (o *optimizer) rewriteChain(top Node) Node {
 		})
 	}
 	return node
-}
-
-// canFuse reports whether fn can legally fuse with base: base is a
-// shared-free cross with one function variable bound on each side and
-// every selection below fn in the chain is column-disjoint from the
-// function's variables (so hoisting it down commutes byte for byte).
-func (o *optimizer) canFuse(fn *funcNode, base Node, below []selInfo) bool {
-	if !o.env.Blockable[fn.fname] || len(fn.args) != 2 {
-		return false
-	}
-	cross, ok := base.(*crossNode)
-	if !ok || len(cross.shared) > 0 {
-		return false
-	}
-	v1, v2 := fn.args[0], fn.args[1]
-	if v1.Kind != alog.TermVar || v2.Kind != alog.TermVar {
-		return false
-	}
-	lcols, rcols := cross.left.Columns(), cross.right.Columns()
-	split := (containsStr(lcols, v1.Var) && containsStr(rcols, v2.Var)) ||
-		(containsStr(lcols, v2.Var) && containsStr(rcols, v1.Var))
-	if !split {
-		return false
-	}
-	fvars := []string{v1.Var, v2.Var}
-	for _, s := range below {
-		if !disjointStr(s.involved, fvars) {
-			return false
-		}
-	}
-	return true
-}
-
-// orientSim returns the function's variables as (leftVar, rightVar) of
-// the cross product (mirrors the compiler's tryFuseSimJoin).
-func orientSim(fn *funcNode, cross *crossNode) (string, string) {
-	v1, v2 := fn.args[0].Var, fn.args[1].Var
-	if containsStr(cross.left.Columns(), v1) {
-		return v1, v2
-	}
-	return v2, v1
 }
 
 // sink tries to place a selection below target, descending recursively

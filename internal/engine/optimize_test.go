@@ -158,12 +158,11 @@ func TestRunOptimizes(t *testing.T) {
 	const docs = 8
 	env := buildOptEnv(rand.New(rand.NewSource(11)), docs)
 	var calls atomic.Int64
-	sim := env.Funcs["similar"]
-	env.Funcs["similar"] = func(args []text.Span) (bool, error) {
+	sim := env.Funcs["similar"].Fn
+	env.Funcs["similar"] = PFunc{Fn: func(args []text.Span) (bool, error) {
 		calls.Add(1)
 		return sim(args)
-	}
-	delete(env.TokenSimilar, "similar")
+	}, Blockable: true}
 
 	got, err := Run(alog.MustParse(fusionDefeatSrc), env)
 	if err != nil {

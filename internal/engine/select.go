@@ -399,7 +399,7 @@ func newFuncNode(env *Env, parent Node, fname string, args []alog.Term) *funcNod
 func (n *funcNode) Columns() []string { return n.parent.Columns() }
 
 func (n *funcNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
-	fn, ok := ctx.Env.Funcs[n.fname]
+	pf, ok := ctx.Env.Funcs[n.fname]
 	if !ok {
 		return nil, fmt.Errorf("engine: p-function %q not bound", n.fname)
 	}
@@ -419,8 +419,8 @@ func (n *funcNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 	// value-level probe instead of the valuation odometer (tokensim.go).
 	// Without a join's right side to rank rarity on, probe keys order by
 	// token string.
-	if spec, ok := ctx.Env.TokenSimilar[n.fname]; ok && len(involved) == 2 {
-		sim := &tokenSim{ctx: ctx, spec: spec}
+	if pf.Token != nil && len(involved) == 2 {
+		sim := &tokenSim{ctx: ctx, spec: *pf.Token}
 		lim := ctx.Env.Limits
 		return applyFilter(ctx, ev, dx, in, involved, func(tp compact.Tuple, batch *statBatch) (filterOutcome, error) {
 			var sc simScratch
@@ -434,6 +434,6 @@ func (n *funcNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 	// every combination of argument values.
 	lim := ctx.Env.Limits
 	return applyFilter(ctx, ev, dx, in, involved, func(tp compact.Tuple, batch *statBatch) (filterOutcome, error) {
-		return filterTupleF(tp, involved, fn, lim, batch)
+		return filterTupleF(tp, involved, pf.Fn, lim, batch)
 	})
 }

@@ -20,7 +20,7 @@ import (
 // token, which holds for the default similar/approxMatch (normalised
 // equality, token-prefix containment, Jaccard >= 0.6 all require a shared
 // token). A p-function that declares its token similarity
-// (Env.TokenSimilar) is decided on interned token records with exact
+// (PFunc.Token) is decided on interned token records with exact
 // prefix and length filters at tuple and value level (tokensim.go); any
 // other blockable function keeps any-shared-token blocking and its opaque
 // Func. Pairs whose join cells are too large to enumerate are kept
@@ -529,7 +529,7 @@ func (c *simChunk) probe(ltp compact.Tuple, idx *blockIndex, universe []int, cha
 }
 
 func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
-	fn, ok := ctx.Env.Funcs[n.fname]
+	pf, ok := ctx.Env.Funcs[n.fname]
 	if !ok {
 		return nil, fmt.Errorf("engine: p-function %q not bound", n.fname)
 	}
@@ -537,10 +537,10 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 	if err != nil {
 		return nil, err
 	}
-	p := &simProbe{ctx: ctx, ev: ev, fn: fn, rt: rt,
+	p := &simProbe{ctx: ctx, ev: ev, fn: pf.Fn, rt: rt,
 		li: colIndex(lt.Cols, n.leftVar), ri: colIndex(rt.Cols, n.rightVar)}
-	if spec, ok := ctx.Env.TokenSimilar[n.fname]; ok {
-		p.sim = &tokenSim{ctx: ctx, spec: spec}
+	if pf.Token != nil {
+		p.sim = &tokenSim{ctx: ctx, spec: *pf.Token}
 		p.rcells = make([]atomic.Pointer[cellTokens], len(rt.Tuples))
 	}
 	p.all = make([]int, len(rt.Tuples))

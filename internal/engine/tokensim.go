@@ -10,7 +10,7 @@ import (
 )
 
 // tokenSim decides a p-function with a declared token similarity
-// (Env.TokenSimilar) on interned token records. It is shared by the fused
+// (PFunc.Token) on interned token records. It is shared by the fused
 // similarity join and the unfused σ[similar(a,b)] selection, and safe for
 // concurrent use: mutable state lives in the caller's simScratch.
 //

@@ -35,7 +35,10 @@ func randTitle(r *rand.Rand) string {
 // any-shared-token blocking — the probe this PR replaced, kept reachable
 // as the oracle.
 func opaqueEnv(env *Env) *Env {
-	env.TokenSimilar = map[string]similarity.Spec{}
+	for name, pf := range env.Funcs {
+		pf.Token = nil
+		env.Funcs[name] = pf
+	}
 	return env
 }
 
@@ -48,8 +51,8 @@ func TestTokenFilterEqualsOdometer(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
 	env := NewEnv()
 	ctx := NewContext(env)
-	sim := &tokenSim{ctx: ctx, spec: env.TokenSimilar["similar"]}
-	opaque := env.Funcs["similar"]
+	sim := &tokenSim{ctx: ctx, spec: *env.Funcs["similar"].Token}
+	opaque := env.Funcs["similar"].Fn
 	randCell := func(id string) compact.Cell {
 		var c compact.Cell
 		for k := 1 + r.Intn(2); k > 0; k-- {

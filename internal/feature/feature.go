@@ -90,11 +90,15 @@ func NewRegistry() *Registry {
 	return r
 }
 
-// Register adds or replaces a feature. This is how a deployment adds
-// domain-specific features (done once, not per Alog program).
+// Register adds a feature. This is how a deployment adds domain-specific
+// features (done once, not per Alog program). A name is registered once:
+// registering it again, a built-in's included, panics.
 func (r *Registry) Register(f Feature) {
 	if r.byName == nil {
 		r.byName = make(map[string]Feature)
+	}
+	if _, dup := r.byName[f.Name()]; dup {
+		panic(fmt.Sprintf("feature: %q registered twice", f.Name()))
 	}
 	r.byName[f.Name()] = f
 }

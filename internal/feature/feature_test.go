@@ -417,6 +417,23 @@ func TestCustomFeatureRegistration(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsDuplicate: a deployment feature named like a built-in
+// does not silently replace it; registering the name again panics. (The
+// built-ins themselves have no duplicate, or NewRegistry would panic.)
+func TestRegisterRejectsDuplicate(t *testing.T) {
+	r := NewRegistry()
+	impostor := markFeature{name: "bold-font", kind: text.MarkItalic}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering bold-font a second time did not panic")
+		}
+		if f, _ := r.Lookup("bold-font"); f == impostor {
+			t.Fatal("the duplicate replaced the built-in bold-font")
+		}
+	}()
+	r.Register(impostor)
+}
+
 // Property-style check: for the mark features and a generated doc, Refine
 // output covers exactly the sub-spans Verify accepts for value "yes".
 func TestRefineVerifyConsistencyBold(t *testing.T) {

@@ -141,7 +141,7 @@ func Open(dir string, opts OpenOptions) (*DiskStore, error) {
 	}
 	s.tomb = make([]bool, len(s.meta))
 	baseDocs := man.BaseDocs
-	if baseDocs == 0 {
+	if man.Generation == 0 {
 		baseDocs = man.Docs
 	}
 	idx, err := openTokenIndex(filepath.Join(dir, indexName), baseDocs)
@@ -151,8 +151,9 @@ func Open(dir string, opts OpenOptions) (*DiskStore, error) {
 	}
 	idx.setCacheCap(opts.PostingsCacheBytes)
 	s.idx = idx
+	docs := baseDocs
 	for g := 1; g <= s.man.Generation; g++ {
-		patch, err := s.parseDeltaFile(g)
+		patch, err := s.parseDeltaFile(g, docs)
 		if err != nil {
 			if g == s.man.Generation {
 				// The freshest generation's sidecar is torn: roll back to
@@ -167,6 +168,7 @@ func Open(dir string, opts OpenOptions) (*DiskStore, error) {
 			return nil, fmt.Errorf("store: open %s: %w", dir, err)
 		}
 		s.applyPatch(patch)
+		docs = patch.docs
 	}
 	if len(s.idx.vocab) != s.man.Vocab {
 		s.Close()

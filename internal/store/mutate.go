@@ -206,8 +206,8 @@ func (m *Mutation) Commit() (*Delta, error) {
 	man.Shards = shardIdx + 1
 	man.Docs = prevDocs + len(recs)
 	man.Vocab = prevVocab + len(newTok)
-	if man.BaseDocs == 0 {
-		man.BaseDocs = prevDocs
+	if gen == 1 {
+		man.BaseDocs = prevDocs // zero for a store built empty
 	}
 	man.TextBytes += txtBytes
 	man.RawBytes += rawBytes
@@ -318,6 +318,15 @@ func writeShardFile(fsys FS, path string, recs [][]byte, meta []docMeta) error {
 // temp + fsync + rename + directory fsync so a reader can never observe
 // a torn sidecar under an intact footer.
 func writeDeltaFile(fsys FS, path string, gen, prevDocs, newDocs, prevVocab int, tombs []int, newTok []string, newPost map[uint32][]int) error {
+	if err := atomicWriteFile(fsys, path, encodeDelta(gen, prevDocs, newDocs, prevVocab, tombs, newTok, newPost)); err != nil {
+		return fmt.Errorf("store: mutate: write delta sidecar: %w", err)
+	}
+	return nil
+}
+
+// encodeDelta lays a sidecar out, footer included; token ids are written
+// in ascending order.
+func encodeDelta(gen, prevDocs, newDocs, prevVocab int, tombs []int, newTok []string, newPost map[uint32][]int) []byte {
 	var w bufWriter
 	w.str(deltaMagic)
 	w.u32(version)
@@ -354,10 +363,7 @@ func writeDeltaFile(fsys FS, path string, gen, prevDocs, newDocs, prevVocab int,
 	}
 	w.u32(crc32.ChecksumIEEE(w.b))
 	w.str(deltaFootMagic)
-	if err := atomicWriteFile(fsys, path, w.b); err != nil {
-		return fmt.Errorf("store: mutate: write delta sidecar: %w", err)
-	}
-	return nil
+	return w.b
 }
 
 // deltaPatch is a fully parsed and validated sidecar, ready to apply.
@@ -365,46 +371,61 @@ func writeDeltaFile(fsys FS, path string, gen, prevDocs, newDocs, prevVocab int,
 // never leaves the open store half-mutated — Open rolls back to the
 // previous generation from an untouched in-memory state.
 type deltaPatch struct {
+	docs  int // the ordinal space after the generation (newDocs)
 	tombs []int
 	toks  []string
 	posts map[uint32][]int // token id -> sorted ordinals
 }
 
-// parseDeltaFile reads generation g's sidecar, verifies the integrity
-// footer, and validates every field against the store's current state
-// without mutating anything.
-func (s *DiskStore) parseDeltaFile(g int) (*deltaPatch, error) {
+// parseDeltaFile reads generation g's sidecar and parses it against the
+// store's current state: docs is the ordinal space the previous
+// generation left (the base documents, then each generation's newDocs).
+func (s *DiskStore) parseDeltaFile(g, docs int) (*deltaPatch, error) {
 	b, err := os.ReadFile(filepath.Join(s.dir, deltaName(g)))
 	if err != nil {
 		return nil, err
 	}
+	return parseDelta(b, g, docs, len(s.idx.vocab), len(s.meta))
+}
+
+// parseDelta verifies sidecar b's integrity footer and validates every
+// field against the state the previous generation left — docs ordinals,
+// vocab tokens, records in the shards — without mutating anything. It
+// accepts only what writeDeltaFile writes: each posting run holds new
+// ordinals only (in [prevDocs, newDocs), after every base and earlier
+// delta ordinal), and token ids ascend strictly.
+func parseDelta(b []byte, g, docs, vocab, records int) (*deltaPatch, error) {
+	name := deltaName(g)
 	if len(b) < deltaFooterSize || string(b[len(b)-4:]) != deltaFootMagic {
-		return nil, fmt.Errorf("%s: missing integrity footer (torn sidecar?)", deltaName(g))
+		return nil, fmt.Errorf("%s: missing integrity footer (torn sidecar?)", name)
 	}
 	body := b[:len(b)-deltaFooterSize]
 	if crc := binary.LittleEndian.Uint32(b[len(b)-deltaFooterSize:]); crc != crc32.ChecksumIEEE(body) {
-		return nil, fmt.Errorf("%s: integrity checksum mismatch (torn sidecar?)", deltaName(g))
+		return nil, fmt.Errorf("%s: integrity checksum mismatch (torn sidecar?)", name)
 	}
 	r := bufReader{b: body}
 	if string(r.bytes(4, "delta magic")) != deltaMagic {
-		return nil, fmt.Errorf("%s: bad magic", deltaName(g))
+		return nil, fmt.Errorf("%s: bad magic", name)
 	}
 	if v := r.u32("delta version"); v != version {
-		return nil, fmt.Errorf("%s: version %d (want %d)", deltaName(g), v, version)
+		return nil, fmt.Errorf("%s: version %d (want %d)", name, v, version)
 	}
 	if gen := int(r.u32("delta generation")); gen != g {
-		return nil, fmt.Errorf("%s: holds generation %d", deltaName(g), gen)
+		return nil, fmt.Errorf("%s: holds generation %d", name, gen)
 	}
 	prevDocs := int(r.u32("delta prevDocs"))
 	newDocs := int(r.u32("delta newDocs"))
 	prevVocab := int(r.u32("delta prevVocab"))
-	if newDocs > len(s.meta) || prevDocs > newDocs {
-		return nil, fmt.Errorf("%s: doc counts %d..%d out of range (%d records)", deltaName(g), prevDocs, newDocs, len(s.meta))
+	if newDocs > records || prevDocs > newDocs {
+		return nil, fmt.Errorf("%s: doc counts %d..%d out of range (%d records)", name, prevDocs, newDocs, records)
 	}
-	if prevVocab != len(s.idx.vocab) {
-		return nil, fmt.Errorf("%s: vocabulary chain broken (%d, index holds %d)", deltaName(g), prevVocab, len(s.idx.vocab))
+	if prevDocs != docs {
+		return nil, fmt.Errorf("%s: ordinal chain broken (starts at %d, previous generation left %d)", name, prevDocs, docs)
 	}
-	p := &deltaPatch{posts: make(map[uint32][]int)}
+	if prevVocab != vocab {
+		return nil, fmt.Errorf("%s: vocabulary chain broken (%d, index holds %d)", name, prevVocab, vocab)
+	}
+	p := &deltaPatch{docs: newDocs, posts: make(map[uint32][]int)}
 	nTomb := int(r.u32("tombstone count"))
 	for i := 0; i < nTomb; i++ {
 		ord := int(r.u32("tombstone"))
@@ -412,7 +433,7 @@ func (s *DiskStore) parseDeltaFile(g int) (*deltaPatch, error) {
 			return nil, r.err
 		}
 		if ord >= prevDocs {
-			return nil, fmt.Errorf("%s: tombstoned ordinal %d out of range", deltaName(g), ord)
+			return nil, fmt.Errorf("%s: tombstoned ordinal %d out of range", name, ord)
 		}
 		p.tombs = append(p.tombs, ord)
 	}
@@ -426,6 +447,7 @@ func (s *DiskStore) parseDeltaFile(g int) (*deltaPatch, error) {
 		p.toks = append(p.toks, tok)
 	}
 	nPost := int(r.u32("delta postings count"))
+	prevTid := -1
 	for i := 0; i < nPost; i++ {
 		tid := r.u32("delta token id")
 		runLen := int(r.u32("delta run len"))
@@ -434,16 +456,24 @@ func (s *DiskStore) parseDeltaFile(g int) (*deltaPatch, error) {
 			return nil, r.err
 		}
 		if int(tid) >= prevVocab+len(p.toks) {
-			return nil, fmt.Errorf("%s: posting for unknown token id %d", deltaName(g), tid)
+			return nil, fmt.Errorf("%s: posting for unknown token id %d", name, tid)
 		}
+		if int(tid) <= prevTid {
+			return nil, fmt.Errorf("%s: token id %d after %d (ids must ascend)", name, tid, prevTid)
+		}
+		prevTid = int(tid)
 		ords, err := decodePostings(run, newDocs)
 		if err != nil {
-			return nil, fmt.Errorf("%s: token id %d: %w", deltaName(g), tid, err)
+			return nil, fmt.Errorf("%s: token id %d: %w", name, tid, err)
+		}
+		// The index appends a delta run after the base and earlier runs.
+		if len(ords) > 0 && ords[0] < prevDocs {
+			return nil, fmt.Errorf("%s: token id %d: ordinal %d predates the generation (starts at %d)", name, tid, ords[0], prevDocs)
 		}
 		p.posts[tid] = ords
 	}
 	if r.err != nil || r.off != len(r.b) {
-		return nil, fmt.Errorf("%s: malformed sidecar", deltaName(g))
+		return nil, fmt.Errorf("%s: malformed sidecar", name)
 	}
 	return p, nil
 }

@@ -1,7 +1,11 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"reflect"
+	"slices"
 	"testing"
 
 	"iflex/internal/text"
@@ -174,4 +178,169 @@ func contains(ss []string, want string) bool {
 		}
 	}
 	return false
+}
+
+// deltaPost is one posting record of a hand-built sidecar.
+type deltaPost struct {
+	tid  uint32
+	ords []int
+}
+
+// rawDelta lays out a sidecar the way encodeDelta does, but with the
+// posting records in the order given, repeats included: what a writer
+// never writes.
+func rawDelta(gen, prevDocs, newDocs, prevVocab int, posts ...deltaPost) []byte {
+	var w bufWriter
+	w.str(deltaMagic)
+	w.u32(version)
+	w.u32(uint32(gen))
+	w.u32(uint32(prevDocs))
+	w.u32(uint32(newDocs))
+	w.u32(uint32(prevVocab))
+	w.u32(0) // tombstones
+	w.u32(0) // new tokens
+	w.u32(uint32(len(posts)))
+	for _, p := range posts {
+		run := encodeOrds(p.ords)
+		w.u32(p.tid)
+		w.u32(uint32(len(run)))
+		w.b = append(w.b, run...)
+	}
+	w.u32(crc32.ChecksumIEEE(w.b))
+	w.str(deltaFootMagic)
+	return w.b
+}
+
+// TestParseDeltaRejectsStaleOrdinal: a generation's posting runs hold its
+// own new ordinals only. The index appends a delta run after the base and
+// earlier runs, so an ordinal below prevDocs would make TokenPostings
+// unsorted or repeat an ordinal; it used to pass because runs were only
+// bounded by newDocs.
+func TestParseDeltaRejectsStaleOrdinal(t *testing.T) {
+	for _, ords := range [][]int{{2}, {4, 5}, {0, 6, 7}} {
+		b := encodeDelta(1, 5, 8, 3, nil, nil, map[uint32][]int{1: ords})
+		if p, err := parseDelta(b, 1, 5, 3, 8); err == nil {
+			t.Errorf("run %v over generation ordinals [5, 8): parsed %+v", ords, p)
+		}
+	}
+	b := encodeDelta(1, 5, 8, 3, nil, nil, map[uint32][]int{1: {5, 7}, 2: {6}})
+	if p, err := parseDelta(b, 1, 5, 3, 8); err != nil || fmt.Sprint(p.posts) != "map[1:[5 7] 2:[6]]" || p.docs != 8 {
+		t.Fatalf("a run of new ordinals: %+v, %v", p, err)
+	}
+}
+
+// TestParseDeltaRejectsRepeatedTokenID: the writer sorts token ids, so a
+// repeated (or descending) id is corrupt. A repeat used to replace the
+// earlier run, and the blocking index missed its documents.
+func TestParseDeltaRejectsRepeatedTokenID(t *testing.T) {
+	for _, posts := range [][]deltaPost{
+		{{1, []int{5}}, {1, []int{6}}},
+		{{2, []int{5}}, {1, []int{6}}},
+	} {
+		if p, err := parseDelta(rawDelta(1, 5, 8, 3, posts...), 1, 5, 3, 8); err == nil {
+			t.Errorf("token ids %d, %d: parsed %+v", posts[0].tid, posts[1].tid, p)
+		}
+	}
+	if _, err := parseDelta(rawDelta(1, 5, 8, 3, deltaPost{0, []int{5}}, deltaPost{2, []int{6}}), 1, 5, 3, 8); err != nil {
+		t.Fatalf("ascending token ids: %v", err)
+	}
+}
+
+// TestParseDeltaChecksOrdinalChain: a sidecar's prevDocs is the ordinal
+// space the previous generation left — the base documents, then each
+// generation's newDocs — as prevVocab is checked against the vocabulary.
+// A sidecar starting anywhere else used to pass.
+func TestParseDeltaChecksOrdinalChain(t *testing.T) {
+	for _, prev := range []int{3, 6} {
+		b := encodeDelta(2, prev, 8, 3, nil, nil, nil)
+		if p, err := parseDelta(b, 2, 5, 3, 8); err == nil {
+			t.Errorf("prevDocs %d after a generation that left 5: parsed %+v", prev, p)
+		}
+	}
+	if _, err := parseDelta(encodeDelta(2, 5, 8, 3, nil, nil, nil), 2, 5, 3, 8); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMutateEmptyBase: a store built empty takes generations and reopens;
+// its ordinal chain starts at zero base documents.
+func TestMutateEmptyBase(t *testing.T) {
+	dir := t.TempDir()
+	buildMutStore(t, dir, nil, nil)
+	for i, id := range []string{"a", "b"} {
+		s, err := Open(dir, OpenOptions{})
+		if err != nil {
+			t.Fatalf("open before generation %d: %v", i+1, err)
+		}
+		m, err := s.BeginMutation()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Put(id, "<b>"+id+" page</b>"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+	}
+	s, err := Open(dir, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Generation() != 2 || s.Len() != 2 || len(s.Recovery()) != 0 {
+		t.Fatalf("generation %d, %d docs, recovery %v", s.Generation(), s.Len(), s.Recovery())
+	}
+	if got := postedIDs(t, s, "page"); len(got) != 2 {
+		t.Fatalf("postings for page = %v", got)
+	}
+}
+
+// The state FuzzParseDeltaFile parses against: generation 2 of a store whose
+// previous generation left 5 ordinals and 6 tokens, with 9 records in its
+// shards.
+const fuzzGen, fuzzDocs, fuzzVocab, fuzzRecords = 2, 5, 6, 9
+
+// FuzzParseDeltaFile: whatever the bytes, parseDelta fails or returns a
+// patch the index can apply as it is — tombstones below the generation's
+// first ordinal, every run strictly ascending inside [prevDocs, newDocs),
+// every token id known — and re-encoding that patch parses to the same
+// patch. The harness recomputes the CRC footer, so mutations reach the
+// fields behind the checksum. Seeds in testdata/fuzz are sidecars
+// writeDeltaFile wrote for this state, some of which it must refuse.
+func FuzzParseDeltaFile(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		b = slices.Clone(b)
+		if len(b) >= deltaFooterSize {
+			body := b[:len(b)-deltaFooterSize]
+			binary.LittleEndian.PutUint32(b[len(body):], crc32.ChecksumIEEE(body))
+		}
+		p, err := parseDelta(b, fuzzGen, fuzzDocs, fuzzVocab, fuzzRecords)
+		if err != nil {
+			return
+		}
+		if p.docs < fuzzDocs || p.docs > fuzzRecords {
+			t.Fatalf("newDocs %d outside [%d, %d]", p.docs, fuzzDocs, fuzzRecords)
+		}
+		for _, ord := range p.tombs {
+			if ord < 0 || ord >= fuzzDocs {
+				t.Fatalf("tombstone %d outside [0, %d)", ord, fuzzDocs)
+			}
+		}
+		for tid, ords := range p.posts {
+			if int(tid) >= fuzzVocab+len(p.toks) {
+				t.Fatalf("token id %d past the %d known", tid, fuzzVocab+len(p.toks))
+			}
+			for i, ord := range ords {
+				if ord < fuzzDocs || ord >= p.docs || i > 0 && ord <= ords[i-1] {
+					t.Fatalf("token id %d: run %v not ascending inside [%d, %d)", tid, ords, fuzzDocs, p.docs)
+				}
+			}
+		}
+		again, err := parseDelta(encodeDelta(fuzzGen, fuzzDocs, p.docs, fuzzVocab, p.tombs, p.toks, p.posts), fuzzGen, fuzzDocs, fuzzVocab, fuzzRecords)
+		if err != nil || !reflect.DeepEqual(again, p) {
+			t.Fatalf("re-encoded %+v parses to %+v, %v", p, again, err)
+		}
+	})
 }

@@ -28,8 +28,8 @@ type Manifest struct {
 	// plus a delta sidecar (tombstones, vocabulary growth, postings).
 	Generation int `json:"generation,omitempty"`
 	// BaseDocs is the ordinal count covered by tokens.idx — the store's
-	// size before its first mutation. 0 means the store has never been
-	// mutated and tokens.idx covers all Docs.
+	// size before its first mutation. At generation 0 it is unused:
+	// tokens.idx covers all Docs.
 	BaseDocs int `json:"base_docs,omitempty"`
 }
 
