@@ -43,7 +43,6 @@ import (
 	"strings"
 
 	"iflex"
-	"iflex/internal/engine"
 	"iflex/internal/prof"
 )
 
@@ -151,7 +150,6 @@ func run() (degraded bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		plan = engine.OptimizePlan(plan, env, engine.OptOptions{})
 		ctx := iflex.NewContext(env)
 		ctx.Workers = *workers
 		if *explain {

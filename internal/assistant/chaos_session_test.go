@@ -32,7 +32,7 @@ func chaosSessionConfig(workers int, delta bool) assistant.Config {
 		SubsetSeed:        1,
 		Workers:           workers,
 		QuarantineFaults:  true,
-	}, delta, true)
+	}, delta)
 }
 
 // TestChaosSessionDeterministic runs a full T9 session under injected

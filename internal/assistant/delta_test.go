@@ -155,7 +155,7 @@ func TestSessionDeltaMatchesFullSession(t *testing.T) {
 				Strategy:   assistant.Simulation{},
 				SubsetSeed: 1,
 				Workers:    workers,
-			}, !disable, true))
+			}, !disable))
 			res, err := session.Run()
 			if err != nil {
 				t.Fatalf("%s workers=%d disable=%v: %v", taskID, workers, disable, err)
@@ -197,7 +197,7 @@ func TestDeltaReuseSavesFeatureCalls(t *testing.T) {
 				Strategy:   assistant.Simulation{},
 				SubsetSeed: 1,
 				Workers:    1,
-			}, delta, true))
+			}, delta))
 			res, err := session.Run()
 			if err != nil {
 				t.Fatalf("%s delta=%v: %v", taskID, delta, err)

@@ -13,9 +13,8 @@ import (
 
 // TestSessionPlansEqualCompile: every base plan and every trial plan a
 // session builds by editing is the plan Compile builds from scratch for the
-// program it stands for — as compiled and once optimized — over whole T1–T9
-// sessions at 24 records, under both strategies, Workers 1 and 8, and each
-// arm of the delta and optimizer oracles.
+// program it stands for, over whole T1–T9 sessions at 24 records, under both
+// strategies, Workers 1 and 8, and each arm of the delta oracle.
 func TestSessionPlansEqualCompile(t *testing.T) {
 	tasks := corpus.Tasks()
 	if testing.Short() {
@@ -25,12 +24,12 @@ func TestSessionPlansEqualCompile(t *testing.T) {
 		c := task.Generate(24, 1)
 		for _, strat := range []assistant.Strategy{assistant.Sequential{}, assistant.Simulation{}} {
 			for _, workers := range []int{1, 8} {
-				for _, arms := range [][2]bool{{true, true}, {false, true}, {true, false}, {false, false}} {
-					name := fmt.Sprintf("%s/%T/workers=%d/delta=%v/opt=%v", task.ID, strat, workers, arms[0], arms[1])
+				for _, delta := range []bool{true, false} {
+					name := fmt.Sprintf("%s/%T/workers=%d/delta=%v", task.ID, strat, workers, delta)
 					env := task.Env(c)
 					s := assistant.NewSession(env, alog.MustParse(task.Program), task.Oracle(), assistant.OracleConfig(assistant.Config{
 						Strategy: strat, SubsetSeed: 1, Workers: workers,
-					}, arms[0], arms[1]))
+					}, delta))
 					var bases, trials atomic.Int64
 					s.CheckPlansForTest(func(prog *alog.Program, q assistant.Question, v string, plan *engine.Plan) {
 						prog = prog.Clone()
@@ -48,8 +47,7 @@ func TestSessionPlansEqualCompile(t *testing.T) {
 							t.Errorf("%s: %v", name, err)
 							return
 						}
-						if plan.Root != want.Root ||
-							engine.OptimizePlan(plan, env, engine.OptOptions{}).Root != engine.OptimizePlan(want, env, engine.OptOptions{}).Root {
+						if plan.Root != want.Root {
 							t.Errorf("%s: %q = %q: edited plan is not the compiled one\n%s", name, q, v, engine.PlanString(want.Root))
 						}
 					})

@@ -104,10 +104,10 @@ func TestSessionApplyCorpusDelta(t *testing.T) {
 		})
 	})
 	// T9 over a generated Books store of 1,000 pages, 1% of them rewritten
-	// with the next seed's content, at Workers 1/8 × optimizer on/off.
+	// with the next seed's content, at Workers 1 and 8.
 	t.Run("books", func(t *testing.T) {
 		if testing.Short() {
-			t.Skip("four T9 dialogues over 1,000 pages")
+			t.Skip("two T9 dialogues over 1,000 pages")
 		}
 		const records, seed = 500, 1
 		task, err := corpus.TaskByID("T9")
@@ -129,11 +129,7 @@ func TestSessionApplyCorpusDelta(t *testing.T) {
 		}
 		var configs []assistant.Config
 		for _, workers := range []int{1, 8} {
-			for _, optimize := range []bool{true, false} {
-				configs = append(configs, assistant.OracleConfig(assistant.Config{
-					Strategy: assistant.Sequential{}, SubsetSeed: seed, Workers: workers,
-				}, true, optimize))
-			}
+			configs = append(configs, assistant.Config{Strategy: assistant.Sequential{}, SubsetSeed: seed, Workers: workers})
 		}
 		checkLiveCase(t, liveCase{
 			build: func(t *testing.T, dir string) {

@@ -53,11 +53,11 @@ type Config struct {
 	// simulation fan-outs evict least-recently-used intermediate tables
 	// instead of growing without limit. Results are unaffected.
 	CacheBudget int64
-	// noDeltaReuse and noOptimizer switch off incremental (delta) evaluation
-	// and the plan optimizer. Results are byte-identical either way, which
-	// is the only reason they exist: the differential suites run every
-	// session with and without each (export_test.go) and compare.
-	noDeltaReuse, noOptimizer bool
+	// noDeltaReuse switches off incremental (delta) evaluation. Results are
+	// byte-identical either way, which is the only reason it exists: the
+	// differential suites run sessions with and without it (export_test.go)
+	// and compare.
+	noDeltaReuse bool
 	// Deadline bounds execution in wall-clock time (0 = no deadline).
 	// Run binds it once over the whole session loop: on expiry the session
 	// stops asking questions, evaluation cuts at operator tuple/chunk
@@ -177,10 +177,10 @@ type Session struct {
 	// says nothing about stability).
 	cuts     []bool
 	prevPlan *engine.Plan // last executed plan, the delta predecessor
-	// plan is Prog's plan as compiled, before optimization. The first
-	// execution compiles it; from then on every answer folded into Prog
-	// extends it (WithConstraint), and every simulation trial is an edit of
-	// it — so after that first execution Prog changes only through answers.
+	// plan is Prog's plan. The first execution compiles it; from then on
+	// every answer folded into Prog extends it (WithConstraint), and every
+	// simulation trial is an edit of it — so after that first execution Prog
+	// changes only through answers.
 	// planCheck, set only by tests (export_test.go), sees each such plan
 	// with the question and answer a trial adds to Prog (zero for the base
 	// plan).
@@ -237,17 +237,6 @@ func NewSession(env *engine.Env, prog *alog.Program, oracle Oracle, cfg Config) 
 	}
 	s.subset = s.sampleSubset()
 	return s
-}
-
-// optimize runs the rewrite pass over a freshly compiled plan. Rewrite
-// decisions are purely structural, so the base plan and every trial plan
-// of an iteration rewrite in lockstep and delta links between successive
-// optimized plans line up exactly as they do for unoptimized ones.
-func (s *Session) optimize(plan *engine.Plan) *engine.Plan {
-	if s.Config.noOptimizer {
-		return plan
-	}
-	return engine.OptimizePlan(plan, s.Env, engine.OptOptions{})
 }
 
 // sampleSubset draws a deterministic sample of document IDs across all
@@ -333,9 +322,7 @@ func (s *Session) execute(onSubset bool) (*compact.Table, int, error) {
 	if s.planCheck != nil {
 		s.planCheck(s.Prog, Question{}, "", s.plan)
 	}
-	// The optimized plan is what executes, links, and becomes the next
-	// predecessor.
-	plan := s.optimize(s.plan)
+	plan := s.plan
 	// Link this plan version to its predecessor for delta evaluation,
 	// discarding the links accumulated by the previous round's question
 	// simulations (their trial plans are no longer anyone's predecessor).
@@ -391,11 +378,6 @@ func (s *Session) simulate(q Question, v string) (int, error) {
 	if s.planCheck != nil {
 		s.planCheck(s.Prog, q, v, plan)
 	}
-	// Optimize the trial exactly like the base plan. Rewrites read plan
-	// structure only, so the two stay in lockstep, and the constructors
-	// intern what a rewrite builds: a subtree the trial shares with the base
-	// plan or with another trial is one node, with one cache entry.
-	plan = s.optimize(plan)
 	// The trial plan is one constraint away from the last executed plan:
 	// link them so the changed ancestors evaluate as deltas (RegisterDelta
 	// is safe under the strategy's concurrent fan-out). Then link the trial

@@ -17,11 +17,7 @@ import (
 // its root, fragments stitched together.
 type Plan struct {
 	Root Node
-	// Opt carries the optimizer's report when the plan went through
-	// OptimizePlan (nil for plans executed as compiled).
-	Opt *OptInfo
-	// fold is how Compile or WithConstraint built Root (nil for the plans
-	// OptimizePlan returns).
+	// fold is how Compile or WithConstraint built Root.
 	fold *fold
 }
 
@@ -56,11 +52,9 @@ func (p *Plan) ExecuteContext(c context.Context, ctx *Context) (*compact.Table, 
 	return ctx.AttachDegraded(t), nil
 }
 
-// Explain renders the plan's EXPLAIN ANALYZE tree (see engine.Explain),
-// annotated with the optimizer's decisions when the plan went through
-// OptimizePlan.
+// Explain renders the plan's EXPLAIN ANALYZE tree (see engine.Explain).
 func (p *Plan) Explain(ctx *Context) (string, error) {
-	return explainTree(ctx, p.Root, p.Opt)
+	return Explain(ctx, p.Root)
 }
 
 // Compile validates, unfolds, and compiles an Alog program against an
@@ -122,14 +116,14 @@ func lookupFeature(env *Env, pred, name string) error {
 	return nil
 }
 
-// Run compiles, optimizes and executes a program in a fresh context; the
-// convenience entry point for one-shot evaluation.
+// Run compiles and executes a program in a fresh context; the convenience
+// entry point for one-shot evaluation.
 func Run(prog *alog.Program, env *Env) (*compact.Table, error) {
 	plan, err := Compile(prog, env)
 	if err != nil {
 		return nil, err
 	}
-	return OptimizePlan(plan, env, OptOptions{}).Execute(NewContext(env))
+	return plan.Execute(NewContext(env))
 }
 
 // compiler folds rule bodies into plans. Compile runs it over a whole
@@ -231,6 +225,9 @@ func (c *compiler) foldFrom(f *ruleFold, i int) error {
 		}
 	}
 	for ; i < len(f.steps); i++ {
+		if cross, ok := cur.(*crossNode); ok && len(cross.shared) == 0 && f.steps[i].sel {
+			c.fuse(f.steps[i:], cur)
+		}
 		s := &f.steps[i]
 		// Synthetic column names count up across the whole program, so a
 		// re-fold names them as Compile did at this literal. A predicate the
@@ -255,6 +252,45 @@ func (c *compiler) foldFrom(f *ruleFold, i int) error {
 	root, err := c.head(f.rule, cur)
 	f.root = root
 	return err
+}
+
+// fuse orders the run of selections steps starts with, which are about to
+// fold over cur, a cross product sharing no column. It puts them in body
+// order — a re-fold may find them as an earlier fuse left them — and then
+// moves first the earliest p-function that fuses with cur into a ⋈~
+// (simJoinSides) and whose variables no selection before it reads, so that
+// where the developer lists the similarity literal among them does not
+// decide whether the join is blocked.
+func (c *compiler) fuse(steps []step, cur Node) {
+	n := 1
+	for n < len(steps) && steps[n].sel {
+		n++
+	}
+	run := steps[:n]
+	slices.SortFunc(run, func(a, b step) int { return a.pos - b.pos })
+	for k, s := range run {
+		if s.lit.Kind != alog.LitAtom {
+			continue
+		}
+		cross, lv, rv := simJoinSides(c.env, s.lit.Atom.Pred, s.lit.Atom.Args, cur)
+		if cross != nil && !slices.ContainsFunc(run[:k], func(p step) bool { return reads(*p.lit, lv) || reads(*p.lit, rv) }) {
+			copy(run[1:k+1], run[:k])
+			run[0] = s
+			return
+		}
+	}
+}
+
+// reads reports whether selection literal lit reads variable v.
+func reads(lit alog.Literal, v string) bool {
+	isV := func(t alog.Term) bool { return t.Kind == alog.TermVar && t.Var == v }
+	switch lit.Kind {
+	case alog.LitCompare:
+		return isV(lit.Cmp.L) || isV(lit.Cmp.R)
+	case alog.LitConstraint:
+		return lit.Cons.Attr == v
+	}
+	return slices.ContainsFunc(lit.Atom.Args, isV)
 }
 
 // head projects a folded body to the rule's head and annotates it.

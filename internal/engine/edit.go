@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -87,9 +86,6 @@ func newFold(prog, unfolded *alog.Program, schema *alog.Schema, env *Env) *fold 
 // calls are safe.
 func (p *Plan) WithConstraint(attr alog.AttrRef, featureName, value string) (*Plan, error) {
 	f := p.fold
-	if f == nil {
-		return nil, errors.New("engine: WithConstraint edits only plans Compile or WithConstraint built")
-	}
 	k := alog.Constraint{Feature: featureName, Attr: attr.Var, Value: value}
 	if !f.attrs[attr] {
 		return nil, fmt.Errorf("alog: no description rule for attribute %s", attr)
@@ -171,7 +167,10 @@ func (rf *ruleFold) target(q int, attr alog.AttrRef) (string, bool) {
 
 // place returns the step before which OrderBody puts a constraint on v
 // appended to inlined rule q. A selection binds nothing, so it goes among
-// the selections that follow the literal binding v, in body order.
+// the selections that follow the literal binding v, in body order. Where
+// fuse moved a later selection to the front, the constraint lands behind
+// it if it follows it in body order and at the front otherwise, and the
+// re-fold fuses from there.
 func (rf *ruleFold) place(v string, q int) (int, error) {
 	at := 0
 	for at < len(rf.steps) && !containsStr(rf.steps[at].node.Columns(), v) {

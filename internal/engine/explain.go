@@ -94,13 +94,6 @@ func CountNodes(root Node) int {
 // comparable even though the underlying goroutine ids differ; timing and
 // worker attribution vary run to run, the counts do not.
 func Explain(ctx *Context, root Node) (string, error) {
-	return explainTree(ctx, root, nil)
-}
-
-// explainTree is Explain plus optimizer annotations: when opt is non-nil
-// lines rewritten by a rule are tagged with the rule name and a footer
-// lists every rule firing.
-func explainTree(ctx *Context, root Node, opt *OptInfo) (string, error) {
 	if !ctx.Tracing() {
 		ctx.StartTrace()
 	}
@@ -174,9 +167,6 @@ func explainTree(ctx *Context, root Node, opt *OptInfo) (string, error) {
 				extra += fmt.Sprintf(" resumed=%d", o.ResumedFrom)
 			}
 		}
-		for _, r := range opt.rulesFor(n.ID()) {
-			extra += " «" + r + "»"
-		}
 		sig := n.Signature()
 		if len(sig) > 44 {
 			sig = sig[:44] + "…"
@@ -193,12 +183,6 @@ func explainTree(ctx *Context, root Node, opt *OptInfo) (string, error) {
 	}
 	if err := walk(root, 0); err != nil {
 		return "", err
-	}
-	if opt != nil {
-		fmt.Fprintf(&b, "optimizer: %s\n", opt.Summary())
-		for _, f := range opt.Fired {
-			fmt.Fprintf(&b, "  %s @ %s — %s\n", f.Rule, f.Node, f.Detail)
-		}
 	}
 	// Hot-path footer: feature-memo effectiveness and what the batched
 	// stat merging cost. Both are scheduling-dependent (unlike the counts

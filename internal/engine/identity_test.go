@@ -70,8 +70,8 @@ func TestNodeIdentityIsStructure(t *testing.T) {
 	}
 }
 
-// TestConcurrentCompilesShareOneRoot: eight goroutines compiling and
-// optimizing one program against one Env all get the same root.
+// TestConcurrentCompilesShareOneRoot: eight goroutines compiling one
+// program against one Env all get the same root.
 func TestConcurrentCompilesShareOneRoot(t *testing.T) {
 	task, err := corpus.TaskByID("T9")
 	if err != nil {
@@ -89,7 +89,7 @@ func TestConcurrentCompilesShareOneRoot(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			roots[i] = engine.OptimizePlan(plan, env, engine.OptOptions{}).Root
+			roots[i] = plan.Root
 		}()
 	}
 	wg.Wait()
@@ -147,8 +147,8 @@ func TestEnvsNeverShareCacheEntries(t *testing.T) {
 
 // BenchmarkTrialPlan builds one Simulation trial against a converged T8
 // program whose base plan the Env already holds, two ways: compile — clone
-// the program, add a constraint, compile, optimize, as sessions did — and
-// edit — WithConstraint on the base plan, then optimize, as sessions do.
+// the program, add a constraint, compile, as sessions did — and edit —
+// WithConstraint on the base plan, as sessions do.
 // Every iteration adds a constraint no earlier one did, so what is timed is
 // a trial's first build: the nodes from the touched run up to the root are
 // new, everything else is found.
@@ -169,7 +169,6 @@ func BenchmarkTrialPlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine.OptimizePlan(base, env, engine.OptOptions{})
 	attr := alog.AttrRef{Pred: "extractAmazon", Var: "up"}
 	b.Run("compile", func(b *testing.B) {
 		b.ReportAllocs()
@@ -183,7 +182,7 @@ func BenchmarkTrialPlan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			trialPlanSink = engine.OptimizePlan(plan, env, engine.OptOptions{})
+			trialPlanSink = plan
 		}
 	})
 	b.Run("edit", func(b *testing.B) {
@@ -194,7 +193,7 @@ func BenchmarkTrialPlan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			trialPlanSink = engine.OptimizePlan(plan, env, engine.OptOptions{})
+			trialPlanSink = plan
 		}
 	})
 }

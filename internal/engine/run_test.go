@@ -96,8 +96,7 @@ type replayed struct {
 // then repeatedly evaluate the next addition as a trial linked to the base
 // plan, fold one or two additions in (two on the same step is the corner
 // TestRunResumesBehindTrial pins) and execute the new base plan linked to
-// the old one. Every other base plan goes through the optimizer. Without
-// delta reuse every plan gets a context of its own: a run is then one unit
+// the old one. Without delta reuse every plan gets a context of its own: a run is then one unit
 // of reuse where the chain has one per constraint, so the work of the two
 // is only comparable plan by plan.
 func replay(t *testing.T, task *corpus.Task, c *corpus.Corpus, adds []addition, seed int64, workers int, delta bool) replayed {
@@ -116,7 +115,6 @@ func replay(t *testing.T, task *corpus.Task, c *corpus.Corpus, adds []addition, 
 	}
 	r := rand.New(rand.NewSource(seed))
 	prog := alog.MustParse(task.Program)
-	plans := 0
 	compile := func(p *alog.Program) *engine.Plan {
 		if ctx == nil || !delta {
 			tally()
@@ -129,9 +127,6 @@ func replay(t *testing.T, task *corpus.Task, c *corpus.Corpus, adds []addition, 
 		plan, err := engine.Compile(p, env)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if plans++; plans%2 == 0 {
-			plan = engine.OptimizePlan(plan, env, engine.OptOptions{})
 		}
 		return plan
 	}

@@ -23,7 +23,7 @@ const docJoinSrc = `Q(x, y) :- L(x), R(y), similar(x, y).`
 // TestStoreIndexByteIdentity: attaching a document index and postings to
 // the environment changes how tokens are obtained, never what they are —
 // results stay byte-identical to the index-free run across worker counts,
-// delta evaluation, and the optimizer, whether the index is a MemStore
+// and delta evaluation, whether the index is a MemStore
 // over the same documents or a DiskStore whose pages are loaded lazily
 // and released again under a small resident budget.
 func TestStoreIndexByteIdentity(t *testing.T) {
@@ -84,15 +84,12 @@ func storeIndexByteIdentity(t *testing.T, prog *alog.Program, l, r []docPair) {
 		env.DocIndex, env.Postings = ds, ds
 		return ds
 	}}
-	run := func(bind func(*Env) *store.DiskStore, workers int, delta, optimize bool) (string, StatsSnapshot, *store.DiskStore) {
+	run := func(bind func(*Env) *store.DiskStore, workers int, delta bool) (string, StatsSnapshot, *store.DiskStore) {
 		env := NewEnv()
 		ds := bind(env)
 		plan, err := Compile(prog, env)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if optimize {
-			plan = OptimizePlan(plan, env, OptOptions{})
 		}
 		ctx := NewContext(env)
 		ctx.Workers = workers
@@ -108,7 +105,7 @@ func storeIndexByteIdentity(t *testing.T, prog *alog.Program, l, r []docPair) {
 		return res.Canonical(), ctx.Stats.Snapshot(), ds
 	}
 
-	want, base, _ := run(func(env *Env) *store.DiskStore { plain(env); return nil }, 1, false, false)
+	want, base, _ := run(func(env *Env) *store.DiskStore { plain(env); return nil }, 1, false)
 	if base.IndexTokenHits != 0 || base.BlockIdxPostings != 0 {
 		t.Fatalf("index counters moved without an index: %+v", base)
 	}
@@ -118,21 +115,19 @@ func storeIndexByteIdentity(t *testing.T, prog *alog.Program, l, r []docPair) {
 	for _, lg := range []leg{mem, disk} {
 		for _, workers := range []int{1, 8} {
 			for _, delta := range []bool{false, true} {
-				for _, optimize := range []bool{false, true} {
-					where := fmt.Sprintf("%s workers=%d delta=%t opt=%t", lg.name, workers, delta, optimize)
-					got, st, ds := run(lg.bind, workers, delta, optimize)
-					if got != want {
-						t.Fatalf("%s: indexed result differs:\n%s\nwant:\n%s", where, got, want)
-					}
-					if st.IndexTokenHits == 0 {
-						t.Errorf("%s: index never consulted", where)
-					}
-					if st.BlockIdxPostings == 0 {
-						t.Errorf("%s: blocking did not use postings", where)
-					}
-					if ds != nil && ds.Releases() == 0 {
-						t.Errorf("%s: %d loads under a %d-byte budget released no page", where, ds.Loads(), budget)
-					}
+				where := fmt.Sprintf("%s workers=%d delta=%t", lg.name, workers, delta)
+				got, st, ds := run(lg.bind, workers, delta)
+				if got != want {
+					t.Fatalf("%s: indexed result differs:\n%s\nwant:\n%s", where, got, want)
+				}
+				if st.IndexTokenHits == 0 {
+					t.Errorf("%s: index never consulted", where)
+				}
+				if st.BlockIdxPostings == 0 {
+					t.Errorf("%s: blocking did not use postings", where)
+				}
+				if ds != nil && ds.Releases() == 0 {
+					t.Errorf("%s: %d loads under a %d-byte budget released no page", where, ds.Loads(), budget)
 				}
 			}
 		}

@@ -223,7 +223,7 @@ e2(y, t) :- from(y, t).
 `
 
 // TestSimJoinSweepMultiValued runs the first-step shape across Workers
-// 1/8 × delta × optimizer × indexed/live, with the similarity declared and
+// 1/8 × delta × indexed/live, with the similarity declared and
 // withdrawn: one table, and one similarity funnel per declaration state.
 func TestSimJoinSweepMultiValued(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
@@ -243,47 +243,42 @@ func TestSimJoinSweepMultiValued(t *testing.T) {
 		for _, indexed := range []bool{false, true} {
 			for _, workers := range []int{1, 8} {
 				for _, delta := range []bool{false, true} {
-					for _, optimize := range []bool{false, true} {
-						env := NewEnv()
-						if !declared {
-							opaqueEnv(env)
-						}
-						env.AddDocTable("L", "x", ldocs)
-						env.AddDocTable("R", "y", rdocs)
-						if indexed {
-							ms := store.NewMemStore(all)
-							env.DocIndex, env.Postings = ms, ms
-						}
-						plan, err := Compile(prog, env)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if optimize {
-							plan = OptimizePlan(plan, env, OptOptions{})
-						}
-						ctx := NewContext(env)
-						ctx.Workers = workers
-						if delta {
-							ctx.EnableDelta()
-						}
-						res, err := plan.Execute(ctx)
-						if err != nil {
-							t.Fatal(err)
-						}
-						tables[res.Canonical()] = true
-						if len(tables) != 1 {
-							t.Fatalf("declared=%t indexed=%t workers=%d delta=%t opt=%t: table differs from the first configuration's",
-								declared, indexed, workers, delta, optimize)
-						}
-						f := [3]int64{ctx.Stats.SimTuplePairs, ctx.Stats.SimValuePairsProbed, ctx.Stats.SimValuePairsVerified}
-						if prev, ok := funnels[key{declared}]; ok && prev != f {
-							t.Fatalf("declared=%t indexed=%t workers=%d delta=%t opt=%t: funnel %v, earlier configurations %v",
-								declared, indexed, workers, delta, optimize, f, prev)
-						}
-						funnels[key{declared}] = f
-						if ctx.Stats.LimitFallbacks == 0 {
-							t.Fatal("no pair exceeded the valuation limit; the sweep does not cover the conservative path")
-						}
+					env := NewEnv()
+					if !declared {
+						opaqueEnv(env)
+					}
+					env.AddDocTable("L", "x", ldocs)
+					env.AddDocTable("R", "y", rdocs)
+					if indexed {
+						ms := store.NewMemStore(all)
+						env.DocIndex, env.Postings = ms, ms
+					}
+					plan, err := Compile(prog, env)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ctx := NewContext(env)
+					ctx.Workers = workers
+					if delta {
+						ctx.EnableDelta()
+					}
+					res, err := plan.Execute(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tables[res.Canonical()] = true
+					if len(tables) != 1 {
+						t.Fatalf("declared=%t indexed=%t workers=%d delta=%t: table differs from the first configuration's",
+							declared, indexed, workers, delta)
+					}
+					f := [3]int64{ctx.Stats.SimTuplePairs, ctx.Stats.SimValuePairsProbed, ctx.Stats.SimValuePairsVerified}
+					if prev, ok := funnels[key{declared}]; ok && prev != f {
+						t.Fatalf("declared=%t indexed=%t workers=%d delta=%t: funnel %v, earlier configurations %v",
+							declared, indexed, workers, delta, f, prev)
+					}
+					funnels[key{declared}] = f
+					if ctx.Stats.LimitFallbacks == 0 {
+						t.Fatal("no pair exceeded the valuation limit; the sweep does not cover the conservative path")
 					}
 				}
 			}

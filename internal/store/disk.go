@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -130,7 +131,11 @@ func Open(dir string, opts OpenOptions) (*DiskStore, error) {
 			return nil, fmt.Errorf("store: open shard %d: %w", i, err)
 		}
 		s.shards = append(s.shards, f)
-		if err := s.readTOC(i, f); err != nil {
+		st, err := f.Stat()
+		if err == nil {
+			err = s.readTOC(i, f, st.Size())
+		}
+		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("store: shard %d: %w", i, err)
 		}
@@ -287,13 +292,9 @@ func (s *DiskStore) rebuildView() error {
 	return nil
 }
 
-// readTOC parses one shard's footer and table of contents.
-func (s *DiskStore) readTOC(shard int, f *os.File) error {
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	size := st.Size()
+// readTOC parses the footer and table of contents of shard, a file of
+// size bytes.
+func (s *DiskStore) readTOC(shard int, f io.ReaderAt, size int64) error {
 	if size < int64(len(shardMagic))+4+footerSize {
 		return fmt.Errorf("file too short (%d bytes)", size)
 	}
@@ -334,8 +335,10 @@ func (s *DiskStore) readTOC(shard int, f *os.File) error {
 		if r.err != nil {
 			return r.err
 		}
-		if m.offset+4+uint64(m.recLen) > tocOff {
-			return fmt.Errorf("doc %q record [%d,+%d) overlaps TOC", m.id, m.offset, m.recLen)
+		// A record, its 4-byte length first, lies between the header and the
+		// TOC. The end is bounded by a difference, which cannot wrap.
+		if m.offset < uint64(len(hdr)) || m.offset > tocOff || tocOff-m.offset < 4+uint64(m.recLen) {
+			return fmt.Errorf("doc %q record [%d,+%d) outside [%d,%d)", m.id, m.offset, 4+uint64(m.recLen), len(hdr), tocOff)
 		}
 		s.meta = append(s.meta, m)
 	}
@@ -735,8 +738,12 @@ func openTokenIndex(path string, docCount int) (*tokenIndex, error) {
 	idx.vocab = make([]string, vocabCount)
 	for i := 0; i < vocabCount; i++ {
 		n := int(r.u16("vocab len"))
-		idx.vocab[i] = string(r.bytes(n, "vocab token"))
-		idx.ids[idx.vocab[i]] = uint32(i)
+		tok := string(r.bytes(n, "vocab token"))
+		if _, dup := idx.ids[tok]; dup && r.err == nil {
+			return fail("token %q listed twice", tok)
+		}
+		idx.vocab[i] = tok
+		idx.ids[tok] = uint32(i)
 	}
 	idx.offs = make([]uint64, vocabCount+1)
 	for i := range idx.offs {
@@ -744,6 +751,10 @@ func openTokenIndex(path string, docCount int) (*tokenIndex, error) {
 	}
 	if r.err != nil {
 		return fail("%v", r.err)
+	}
+	// The first posting run starts where the offset table ends.
+	if end := uint64(16 + r.off); idx.offs[0] != end {
+		return fail("first posting run at %d, offset table ends at %d", idx.offs[0], end)
 	}
 	for i := 0; i < vocabCount; i++ {
 		if idx.offs[i] > idx.offs[i+1] || idx.offs[vocabCount] > uint64(st.Size()) {

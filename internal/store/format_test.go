@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"os"
@@ -116,4 +117,179 @@ func encodeOrds(ords []int) []byte {
 		prev = ord
 	}
 	return b
+}
+
+// shardBytes builds a store of two short pages in one shard and returns
+// the shard file's bytes. The pages are short so that the fuzz targets
+// seeded with them stay fast.
+func shardBytes(t testing.TB, dir string) []byte {
+	buildStore(t, dir, []string{"p", "q"}, []string{"<b>x</b> y", "z"}, 0)
+	b, err := os.ReadFile(filepath.Join(dir, shardName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestReadTOCRejectsRecordOutsideBody: a TOC entry must place its record
+// between the shard header and the TOC. An offset of 2^64-4 used to wrap
+// the end check around and pass, after which the record was read from
+// file offset 0; an offset inside the 8-byte header passed too. Both
+// failed only when the page was loaded. Open must refuse both.
+func TestReadTOCRejectsRecordOutsideBody(t *testing.T) {
+	for _, off := range []uint64{math.MaxUint64 - 3, 4} {
+		dir := t.TempDir()
+		b := shardBytes(t, dir)
+		tocOff := binary.LittleEndian.Uint64(b[len(b)-footerSize:])
+		// The first entry's offset follows the TOC's 4-byte count.
+		binary.LittleEndian.PutUint64(b[tocOff+4:], off)
+		if err := os.WriteFile(filepath.Join(dir, shardName(0)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := Open(dir, OpenOptions{}); err == nil {
+			s.Close()
+			t.Errorf("record offset %d: Open accepted the shard", off)
+		}
+	}
+}
+
+// rawIndex lays out a token index for one document as writeIndex does, each
+// token's run being that document, except that the first posting run
+// starts at first.
+func rawIndex(toks []string, first uint64) []byte {
+	var w bufWriter
+	w.str(indexMagic)
+	w.u32(version)
+	w.u32(uint32(len(toks)))
+	w.u32(1) // docCount
+	for _, tok := range toks {
+		w.u16(uint16(len(tok)))
+		w.str(tok)
+	}
+	for i := range len(toks) + 1 {
+		w.u64(first + uint64(i))
+	}
+	for range toks {
+		w.b = binary.AppendUvarint(w.b, 0)
+	}
+	return w.b
+}
+
+// TestOpenTokenIndexChecksLayout: the first posting run starts where the
+// offset table ends, and no token is listed twice. A first offset of 16
+// used to pass, so token 0's run was read from the vocabulary, and a
+// repeated token silently took the later id.
+func TestOpenTokenIndexChecksLayout(t *testing.T) {
+	end := uint64(16 + 2*3 + 8*3) // header, two one-byte tokens, three offsets
+	for _, tc := range []struct {
+		name  string
+		toks  []string
+		first uint64
+		ok    bool
+	}{
+		{"as written", []string{"a", "b"}, end, true},
+		{"first run in the header", []string{"a", "b"}, 16, false},
+		{"first run inside the offsets", []string{"a", "b"}, end - 8, false},
+		{"a token listed twice", []string{"a", "a"}, end, false},
+	} {
+		path := filepath.Join(t.TempDir(), indexName)
+		if err := os.WriteFile(path, rawIndex(tc.toks, tc.first), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		idx, err := openTokenIndex(path, 1)
+		if err == nil {
+			idx.close()
+		}
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: openTokenIndex error %v", tc.name, err)
+		}
+	}
+}
+
+// FuzzReadTOC: whatever the shard bytes, readTOC fails or accepts entries
+// whose records lie in [header, tocOff); it never panics, and what it
+// allocates is in proportion to the file — a count read from it never
+// sizes an allocation. The seed is a shard buildStore wrote.
+func FuzzReadTOC(f *testing.F) {
+	f.Add(shardBytes(f, f.TempDir()))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var s DiskStore
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := s.readTOC(0, bytes.NewReader(b), int64(len(b)))
+		runtime.ReadMemStats(&after)
+		// Each TOC entry is at least 20 bytes on disk and one docMeta in
+		// memory, and appending grows the slice geometrically.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*uint64(len(b))+1<<20 {
+			t.Fatalf("allocated %d bytes for a %d-byte shard", grew, len(b))
+		}
+		if err != nil {
+			return
+		}
+		tocOff := binary.LittleEndian.Uint64(b[len(b)-footerSize:])
+		for _, m := range s.meta {
+			if m.offset < uint64(len(shardMagic)+4) || m.offset > tocOff || tocOff-m.offset < 4+uint64(m.recLen) {
+				t.Fatalf("doc %q record [%d,+%d) outside [8,%d)", m.id, m.offset, 4+uint64(m.recLen), tocOff)
+			}
+		}
+	})
+}
+
+// FuzzOpenTokenIndex: whatever the index bytes, openTokenIndex fails or
+// returns an index in the writer's layout — every token listed once under
+// its own id, the first posting run where the offset table ends, runs in
+// order inside the file — and never panics. Seeds are the index a
+// buildStore store holds and rawIndex's layouts.
+func FuzzOpenTokenIndex(f *testing.F) {
+	dir := f.TempDir()
+	shardBytes(f, dir)
+	b, err := os.ReadFile(filepath.Join(dir, indexName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
+	f.Add(rawIndex([]string{"a", "b"}, 16+2*3+8*3))
+	f.Add(rawIndex([]string{"a", "a"}, 16+2*3+8*3))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fh, err := os.CreateTemp(dir, indexName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := fh.Name()
+		defer os.Remove(path)
+		_, err = fh.Write(b)
+		if cerr := fh.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		docCount := 0
+		if len(b) >= 16 {
+			docCount = int(binary.LittleEndian.Uint32(b[12:]))
+		}
+		idx, err := openTokenIndex(path, docCount)
+		if err != nil {
+			return
+		}
+		defer idx.close()
+		end := uint64(16 + 8*(len(idx.vocab)+1))
+		for i, tok := range idx.vocab {
+			if id, ok := idx.ids[tok]; !ok || id != uint32(i) {
+				t.Fatalf("token %d %q has id %d, %t", i, tok, id, ok)
+			}
+			end += 2 + uint64(len(tok))
+		}
+		if len(idx.ids) != len(idx.vocab) {
+			t.Fatalf("%d ids for %d tokens", len(idx.ids), len(idx.vocab))
+		}
+		if idx.offs[0] != end {
+			t.Fatalf("first posting run at %d, offset table ends at %d", idx.offs[0], end)
+		}
+		for i := range idx.vocab {
+			if idx.offs[i] > idx.offs[i+1] || idx.offs[i+1] > uint64(len(b)) {
+				t.Fatalf("posting offsets %v out of order or past %d bytes", idx.offs, len(b))
+			}
+		}
+	})
 }

@@ -23,7 +23,7 @@ func samplePages(n int) (ids, raws []string) {
 	return ids, raws
 }
 
-func buildStore(t *testing.T, dir string, ids, raws []string, shardDocs int) {
+func buildStore(t testing.TB, dir string, ids, raws []string, shardDocs int) {
 	t.Helper()
 	w, err := Create(dir, Options{ShardDocs: shardDocs})
 	if err != nil {
