@@ -17,7 +17,6 @@ package alog
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -81,17 +80,6 @@ func (a Atom) String() string {
 		parts[i] = t.String()
 	}
 	return a.Pred + "(" + strings.Join(parts, ", ") + ")"
-}
-
-// Vars returns the atom's variable names in argument order (with repeats).
-func (a Atom) Vars() []string {
-	var out []string
-	for _, t := range a.Args {
-		if t.Kind == TermVar {
-			out = append(out, t.Var)
-		}
-	}
-	return out
 }
 
 // SugarConstraint interprets a two-argument atom feature(var, const) as
@@ -377,20 +365,6 @@ func (p *Program) RulesFor(pred string) []*Rule {
 			out = append(out, r)
 		}
 	}
-	return out
-}
-
-// HeadPreds returns the set of head predicate names, sorted.
-func (p *Program) HeadPreds() []string {
-	seen := map[string]bool{}
-	for _, r := range p.Rules {
-		seen[r.Head.Pred] = true
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -291,7 +291,7 @@ func TestCorpusDeltasStayUnderBudget(t *testing.T) {
 		return out
 	}
 	dir := t.TempDir()
-	w, err := store.Create(dir, store.Options{NoSync: true})
+	w, err := store.Create(dir, store.Options{FS: store.RealFS(false)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestCorpusDeltasStayUnderBudget(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open(dir, store.OpenOptions{NoSync: true})
+	st, err := store.Open(dir, store.OpenOptions{FS: store.RealFS(false)})
 	if err != nil {
 		t.Fatal(err)
 	}

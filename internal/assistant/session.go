@@ -73,14 +73,10 @@ type Config struct {
 	Trace bool
 	// QuarantineFaults switches the engine to per-document fault
 	// isolation: a panic or error raised while processing a document
-	// quarantines that document (after MaxDocRetries re-attempts for
-	// transient errors) instead of failing the session. Quarantined
-	// document IDs and causes surface in Result.Degraded.
+	// quarantines that document (after one re-attempt for transient
+	// errors; panics are never retried) instead of failing the session.
+	// Quarantined document IDs and causes surface in Result.Degraded.
 	QuarantineFaults bool
-	// MaxDocRetries bounds re-attempts before a faulting document is
-	// quarantined (0 = one retry; negative = none; panics are never
-	// retried). Only meaningful with QuarantineFaults.
-	MaxDocRetries int
 }
 
 func (c Config) withDefaults() Config {
@@ -227,7 +223,6 @@ func NewSession(env *engine.Env, prog *alog.Program, oracle Oracle, cfg Config) 
 	s.ctx.CacheBudget = cfg.CacheBudget
 	if cfg.QuarantineFaults {
 		s.ctx.FaultPolicy = engine.QuarantineFaults
-		s.ctx.MaxDocRetries = cfg.MaxDocRetries
 	}
 	if !cfg.noDeltaReuse {
 		s.ctx.EnableDelta()

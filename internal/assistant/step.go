@@ -88,7 +88,7 @@ func (s *Session) bind(d time.Duration) func() {
 	if d > 0 {
 		c, cancel = context.WithTimeout(c, d)
 	}
-	s.ctx.BindCancel(c, engine.CancelBestEffort)
+	s.ctx.BindCancel(c)
 	return func() {
 		s.ctx.Unbind()
 		cancel()

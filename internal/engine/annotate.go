@@ -37,12 +37,8 @@ func (n *annotateNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compa
 	if err != nil {
 		return nil, err
 	}
-	// Annotation is pure and cheap (no user code), so a best-effort cut
-	// lets it run to completion over whatever the parent produced; only a
-	// hard cancellation stops it here.
-	if _, cerr := ctx.cutCheck(); cerr != nil {
-		return nil, cerr
-	}
+	// Annotation is pure and cheap (no user code), so a cut lets it run to
+	// completion over whatever the parent produced.
 	out := in
 	if len(n.annotate) > 0 {
 		if out, err = n.annotateTable(ctx, ev, dx, in); err != nil {

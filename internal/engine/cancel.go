@@ -8,42 +8,29 @@ import (
 	"iflex/internal/compact"
 )
 
-// CancelMode selects what a bound cancellation does when it fires.
-type CancelMode int
-
-const (
-	// CancelHard aborts evaluation with the context's error: Eval calls
-	// and operator chunks fail fast and the caller gets no table.
-	CancelHard CancelMode = iota
-	// CancelBestEffort degrades instead of failing: operator loops stop
-	// at tuple/chunk granularity, remaining documents are recorded as
-	// unprocessed, and the caller gets the partial — still
-	// superset-correct over the processed documents — table built so far.
-	CancelBestEffort
-)
-
 // cancelState is one bound cancellation source. fired memoises the first
 // observation of the done channel so later checkpoints skip the select.
 type cancelState struct {
-	c    context.Context
-	soft bool
+	c context.Context
 	// fired flips to true the first time a checkpoint observes c.Done().
 	fired atomic.Bool
 }
 
-// BindCancel attaches a standard context to this engine context: every
-// subsequent checkpoint (Eval entry, operator tuple/chunk loops,
-// single-flight waits, simulation fan-out) observes c's cancellation in
-// the given mode. It also resets the degradation report collected for
-// the previous binding. Bind before starting an evaluation and Unbind
-// when done; like SetDocFilter it must not race with in-flight
-// evaluations.
-func (ctx *Context) BindCancel(c context.Context, mode CancelMode) {
+// BindCancel attaches a standard context to this engine context. Its
+// cancellation degrades evaluation instead of failing it: every subsequent
+// checkpoint (Eval entry, operator tuple/chunk loops, simulation fan-out)
+// observes it, operator loops stop at tuple/chunk granularity, remaining
+// documents are recorded as unprocessed, and the caller gets the partial —
+// still superset-correct over the processed documents — table built so
+// far. It also resets the degradation report collected for the previous
+// binding. Bind before starting an evaluation and Unbind when done; like
+// SetDocFilter it must not race with in-flight evaluations.
+func (ctx *Context) BindCancel(c context.Context) {
 	ctx.degMu.Lock()
 	ctx.degExpired = false
 	ctx.degUnprocessed = nil
 	ctx.degMu.Unlock()
-	ctx.cancelSt.Store(&cancelState{c: c, soft: mode == CancelBestEffort})
+	ctx.cancelSt.Store(&cancelState{c: c})
 }
 
 // Unbind detaches the bound cancellation source. The degradation state
@@ -52,7 +39,7 @@ func (ctx *Context) BindCancel(c context.Context, mode CancelMode) {
 func (ctx *Context) Unbind() { ctx.cancelSt.Store(nil) }
 
 // Cancelled reports whether a cancellation bound via BindCancel has
-// fired (either mode). With nothing bound it is false.
+// fired. With nothing bound it is false.
 func (ctx *Context) Cancelled() bool {
 	cs := ctx.cancelSt.Load()
 	return cs != nil && cs.observe()
@@ -74,50 +61,27 @@ func (cs *cancelState) observe() bool {
 }
 
 // cutCheck is the engine's cancellation checkpoint. With nothing bound
-// (or the source not yet fired) both returns are zero. A fired hard
-// cancellation returns the context's error; a fired best-effort
-// cancellation returns cut=true and marks the degradation report
-// expired — the caller stops its loop, records what it skipped via
-// noteUnprocessed, and returns its partial output.
-func (ctx *Context) cutCheck() (cut bool, err error) {
+// (or the source not yet fired) it is false. A fired cancellation returns
+// true and marks the degradation report expired — the caller stops its
+// loop, records what it skipped via noteUnprocessed, and returns its
+// partial output.
+func (ctx *Context) cutCheck() bool {
 	cs := ctx.cancelSt.Load()
 	if cs == nil || !cs.observe() {
-		return false, nil
-	}
-	if !cs.soft {
-		return false, context.Cause(cs.c)
+		return false
 	}
 	ctx.degMu.Lock()
 	ctx.degExpired = true
 	ctx.degMu.Unlock()
-	return true, nil
+	return true
 }
 
-// cancelFired reports whether a bound cancellation of either mode has
-// been observed; Eval uses it to keep results computed after the cut out
-// of the reuse cache (a soft-cut evaluation may be partial).
+// cancelFired reports whether a bound cancellation has been observed;
+// Eval uses it to keep results computed after the cut out of the reuse
+// cache (a cut evaluation may be partial).
 func (ctx *Context) cancelFired() bool {
 	cs := ctx.cancelSt.Load()
 	return cs != nil && cs.fired.Load()
-}
-
-// waitInflight parks on another goroutine's in-progress evaluation of
-// the same key. Under a hard cancellation the wait itself is
-// cancellable, so a stuck owner cannot hang a cancelled waiter; under
-// best-effort (or no) cancellation the owner is guaranteed to finish
-// promptly, so a plain wait suffices.
-func (ctx *Context) waitInflight(c *inflightEval) error {
-	if cs := ctx.cancelSt.Load(); cs != nil && !cs.soft {
-		select {
-		case <-c.done:
-			return nil
-		case <-cs.c.Done():
-			cs.fired.Store(true)
-			return context.Cause(cs.c)
-		}
-	}
-	<-c.done
-	return nil
 }
 
 // noteUnprocessed records the documents feeding the given tuples as

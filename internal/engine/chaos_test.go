@@ -422,47 +422,3 @@ func chaosDeadlinePartialResult(t *testing.T, src string, rule fault.Rule, nHous
 	}
 	return tbl
 }
-
-// TestChaosHardCancelReleasesWaiters checks the single-flight fix: a
-// waiter parked on another goroutine's in-progress evaluation must
-// unblock promptly with an error when a hard cancellation fires, even
-// while the owner is still stuck.
-func TestChaosHardCancelReleasesWaiters(t *testing.T) {
-	ctx := NewContext(NewEnv())
-	c, cancel := context.WithCancel(context.Background())
-	ctx.BindCancel(c, CancelHard)
-	defer ctx.Unbind()
-
-	n := &panicNode{ident: ident{id: newNodeID(), head: "panicNode"}, started: make(chan struct{}), release: make(chan struct{})}
-	owner := make(chan any, 1)
-	go func() {
-		defer func() { owner <- recover() }()
-		Eval(ctx, n)
-	}()
-	<-n.started
-
-	waiter := make(chan error, 1)
-	go func() {
-		_, err := Eval(ctx, n)
-		waiter <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let the waiter park on the in-flight entry
-	cancel()
-
-	select {
-	case err := <-waiter:
-		if err == nil {
-			t.Fatal("cancelled waiter returned nil error")
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("waiter error = %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("waiter still blocked after hard cancellation")
-	}
-
-	// Release the stuck owner so its goroutine exits (it panics; that is
-	// panicNode's first-call behaviour, unrelated to the cancellation).
-	close(n.release)
-	<-owner
-}

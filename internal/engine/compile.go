@@ -43,7 +43,7 @@ func (p *Plan) Execute(ctx *Context) (*compact.Table, error) {
 // cached. The binding claims the engine context's single cancellation
 // slot, so concurrent ExecuteContext calls on one Context must share c.
 func (p *Plan) ExecuteContext(c context.Context, ctx *Context) (*compact.Table, error) {
-	ctx.BindCancel(c, CancelBestEffort)
+	ctx.BindCancel(c)
 	defer ctx.Unbind()
 	t, err := p.Execute(ctx)
 	if err != nil {

@@ -259,7 +259,7 @@ func assignmentsStable(before, after []text.Assignment) bool {
 // applyConstraint applies one constraint to a list of assignments,
 // appending the outcome to out (which must not alias as): Verify for exact
 // assignments, Refine for contain assignments — both through the record
-// table of the assignment's document (directly when the Env has no memo).
+// table of the assignment's document.
 // VerifyCalls/RefineCalls count logical calls (deterministic at any worker
 // count); the table hit/miss split is recorded separately.
 func applyConstraint(batch *statBatch, docs *docCursor, k stage, as, out []text.Assignment) ([]text.Assignment, error) {

@@ -15,15 +15,15 @@ import (
 // refRefineCell is refineCell as it was before the scratch lists and the
 // identical-list shortcut: every pass grows a fresh slice and every round
 // renders the list before and after.
-func refRefineCell(batch *statBatch, c compact.Cell, k stage, all []stage) (compact.Cell, error) {
-	as, err := applyConstraint(batch, &docCursor{}, k, c.Assigns, nil)
+func refRefineCell(batch *statBatch, docs *docCursor, c compact.Cell, k stage, all []stage) (compact.Cell, error) {
+	as, err := applyConstraint(batch, docs, k, c.Assigns, nil)
 	if err != nil {
 		return compact.Cell{}, err
 	}
 	for round := 0; round < 3; round++ {
 		before := text.FormatAssignments(as)
 		for _, kc := range all {
-			if as, err = applyConstraint(batch, &docCursor{}, kc, as, nil); err != nil {
+			if as, err = applyConstraint(batch, docs, kc, as, nil); err != nil {
 				return compact.Cell{}, err
 			}
 		}
@@ -81,16 +81,17 @@ func randomAssignments(r *rand.Rand, docs []*text.Document, n int) []text.Assign
 
 // TestRefineCellMatchesReference holds refineCell to its old body on random
 // cells and constraint lists: the same cell and the same Verify/Refine
-// calls, with one scratch reused across all calls the way a chunk's worker
-// reuses it.
+// calls, memo hits included, with one scratch reused across all calls the
+// way a chunk's worker reuses it. Each side reads a fresh memo per trial.
 func TestRefineCellMatchesReference(t *testing.T) {
 	docs := refinePages()
 	env := NewEnv()
-	env.FeatureMemo = nil // both sides count misses only
 	r := rand.New(rand.NewSource(20))
 	var sc refineScratch
 	changed := 0
 	for trial := 0; trial < 3000; trial++ {
+		sc.docs = docCursor{memo: feature.NewMemo()}
+		refDocs := &docCursor{memo: feature.NewMemo()}
 		c := compact.Cell{Assigns: randomAssignments(r, docs, 1+r.Intn(4)), Expand: r.Intn(2) == 0}
 		in := slices.Clone(c.Assigns)
 		cons := make([]feature.Constraint, 1+r.Intn(6))
@@ -103,7 +104,7 @@ func TestRefineCellMatchesReference(t *testing.T) {
 		}
 		k := all[len(all)-1]
 		var wantB, gotB statBatch
-		want, werr := refRefineCell(&wantB, c, k, all)
+		want, werr := refRefineCell(&wantB, refDocs, c, k, all)
 		got, gerr := refineCell(&gotB, &sc, c, k, all)
 		if (werr != nil) != (gerr != nil) {
 			t.Fatalf("trial %d: error %v, reference %v", trial, gerr, werr)

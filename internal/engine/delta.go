@@ -46,9 +46,9 @@ type joinMatch struct {
 // after the whole run, nil = the tuple was dropped; how many stages it
 // survived; the summed sizes of its cell after each of them — what a longer
 // run resuming from this memo needs to total the stage tables it never
-// builds, see SumAssignments), filt for selections, sim for binary
-// per-left-tuple joins, ann for the annotation operator's per-tuple key
-// contribution.
+// builds, see SumAssignments), sim for binary per-left-tuple joins, ann for
+// the annotation operator's per-tuple key contribution. filt carries a
+// selection's outcome from decide to emit; selections keep no memo.
 // Every payload is expressed in terms of the cells the operator actually
 // reads, never the whole tuple — replay rebuilds the output from the
 // current input tuple, which is what lets a memo survive refinements of
@@ -131,9 +131,6 @@ func (a *evalAux) memBytes() int64 {
 		o := &a.outs[i]
 		if o.cell != nil {
 			b += 32 + assignmentEstimate*int64(len(o.cell.Assigns))
-		}
-		if o.filt != nil {
-			b += 32 + 64*int64(len(o.filt.repl))
 		}
 		for _, m := range o.sim {
 			b += 32 + 64*int64(len(m.repl))

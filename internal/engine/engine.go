@@ -96,8 +96,9 @@ type Env struct {
 	// results per (constraint, span) and the typed values comparisons read.
 	// Documents are immutable and features are pure, so entries never go
 	// stale; a Context counts their bytes against its CacheBudget and drops
-	// the tables of superseded documents (ApplyCorpusDelta). May be nil:
-	// features then run directly, comparison records last one evaluation.
+	// the tables of superseded documents (ApplyCorpusDelta). Never nil:
+	// NewEnv makes it, and every feature call and comparison operand goes
+	// through it.
 	FeatureMemo *feature.Memo
 	// FaultHook, when non-nil, is invoked before every guarded
 	// per-document unit of user code (p-functions, feature constraint
@@ -252,10 +253,6 @@ type Context struct {
 	// propagates the first error or panic; QuarantineFaults isolates the
 	// offending documents and proceeds over the survivors (quarantine.go).
 	FaultPolicy FaultPolicy
-	// MaxDocRetries caps the retries a transient per-document error gets
-	// before its documents are quarantined: 0 means the default of one
-	// retry, negative means none. Panics are never retried.
-	MaxDocRetries int
 	// ChunkHook, when non-nil, runs at the start of every parallel-chunk
 	// body (including the serial fallback) before any work; a returned
 	// error fails the chunk. It exists for deterministic fault and
@@ -308,7 +305,7 @@ type Context struct {
 	// when none); see cancel.go.
 	cancelSt atomic.Pointer[cancelState]
 	// degMu guards the degradation report state collected while a
-	// best-effort cancellation is bound.
+	// cancellation is bound.
 	degMu          sync.Mutex
 	degExpired     bool
 	degUnprocessed map[string]bool
@@ -432,14 +429,15 @@ type Stats struct {
 	// DeltaEvals is the full-evaluation count.
 	DeltaEvals int64
 	// TuplesReused / TuplesRecomputed count, across the delta-capable
-	// operators (constraint, selection, cross, similarity join,
-	// annotation), input tuples whose outcome was replayed from a
-	// predecessor memo versus computed fresh. Recomputed is counted in
-	// both modes, so delta and full runs of the same workload are directly
-	// comparable; with delta off, Reused stays 0. A constraint run counts a
-	// tuple once, whatever its number of stages: recomputed when at least
-	// one stage was computed for it (ConstraintStages says how many), reused
-	// when the memo covered them all.
+	// operators (constraint, cross, similarity join, annotation; selections
+	// and procedures keep no memo and count nothing), input tuples whose
+	// outcome was replayed from a predecessor memo versus computed fresh.
+	// Recomputed is counted in both modes, so delta and full runs of the
+	// same workload are directly comparable; with delta off, Reused stays 0.
+	// A constraint run counts a tuple once, whatever its number of stages:
+	// recomputed when at least one stage was computed for it
+	// (ConstraintStages says how many), reused when the memo covered them
+	// all.
 	TuplesReused     int64
 	TuplesRecomputed int64
 	// TablesAdopted counts re-evaluations whose output reproduced the
@@ -829,12 +827,9 @@ func SumAssignments(ctx *Context, root Node) (int, error) {
 // unblock with an error instead of deadlocking and a later request for
 // the same key evaluates afresh.
 func Eval(ctx *Context, n Node) (*compact.Table, error) {
-	if _, err := ctx.cutCheck(); err != nil {
-		// Hard cancellation: fail fast before touching the cache. (A
-		// best-effort cut falls through — operators degrade per chunk and
-		// the partial result propagates up.)
-		return nil, err
-	}
+	// A fired cancellation is marked here and falls through: operators
+	// degrade per chunk and the partial result propagates up.
+	ctx.cutCheck()
 	mode := ctx.mode.Load()
 	key := entryKey{mode: mode, node: n.ID()}
 	trace := ctx.trace.Load()
@@ -848,11 +843,8 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 	}
 	if c, ok := ctx.inflight[key]; ok {
 		ctx.mu.Unlock()
-		if werr := ctx.waitInflight(c); werr != nil {
-			// Hard cancellation fired while parked on the owner: give up
-			// without waiting for it (the owner still cleans up its entry).
-			return nil, werr
-		}
+		// A cut owner finishes promptly, so a plain wait suffices.
+		<-c.done
 		if c.err != nil {
 			return nil, c.err
 		}

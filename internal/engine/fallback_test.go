@@ -93,7 +93,7 @@ func TestFallbackCountsAndMaybe(t *testing.T) {
 	env := NewEnv()
 	env.Limits = Limits{MaxCellValues: 100, MaxValuations: 100}
 	ctx := NewContext(env)
-	out, err := applyFilter(ctx, nil, nil, in, []int{0}, func(tp compact.Tuple, batch *statBatch) (filterOutcome, error) {
+	out, err := applyFilter(ctx, nil, in, []int{0}, func(tp compact.Tuple, batch *statBatch) (filterOutcome, error) {
 		return filterTupleF(tp, []int{0}, func([]text.Span) (bool, error) { return false, nil }, ctx.Env.Limits, batch)
 	})
 	if err != nil {

@@ -16,7 +16,7 @@ type operand = feature.Value
 // docCursor finds the record tables of the documents a worker meets,
 // remembering the last: the cells of a tuple — and the assignments of a
 // cell — nearly always come from one page, whose table is then looked up
-// once. With a nil memo every table is nil and evaluates directly.
+// once.
 type docCursor struct {
 	memo *feature.Memo
 	doc  *text.Document
@@ -64,13 +64,8 @@ type compareFilter struct {
 	parsed atomic.Int64
 }
 
-// newCompareFilter builds the filter over the record tables of memo. Without
-// one (Env.FeatureMemo == nil) the records live in a memo of the filter's
-// own and die with the evaluation.
+// newCompareFilter builds the filter over the record tables of memo.
 func newCompareFilter(cmp alog.Compare, cols []string, lim Limits, memo *feature.Memo) *compareFilter {
-	if memo == nil {
-		memo = feature.NewMemo()
-	}
 	f := &compareFilter{op: cmp.Op, offset: cmp.ROffset, lim: lim, memo: memo}
 	for s, t := range [2]alog.Term{cmp.L, cmp.R} {
 		if t.Kind != alog.TermVar {

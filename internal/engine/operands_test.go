@@ -165,12 +165,12 @@ func TestCompareRecordsEqualSpanPath(t *testing.T) {
 	var parsed int64
 	// One memo for most filters, as in a session: a record an earlier
 	// comparison published is read by every later one. Every fifth filter
-	// has none and keeps records of its own.
+	// has a fresh memo and builds every record it reads.
 	shared := feature.NewMemo()
 	for trial := 0; trial < 1200; trial++ {
 		memo := shared
 		if trial%5 == 4 {
-			memo = nil
+			memo = feature.NewMemo()
 		}
 		lr := terms[trial%len(terms)]
 		cmp := alog.Compare{Op: ops[r.Intn(len(ops))], L: lr[0], R: lr[1], ROffset: offsets[r.Intn(len(offsets))]}

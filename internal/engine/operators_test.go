@@ -45,7 +45,7 @@ func TestCompareOperandsTable(t *testing.T) {
 func TestSpanOperandClassification(t *testing.T) {
 	d := markup.MustParse("d", "42 hello ")
 	spanOperand := func(s text.Span) operand {
-		rec, _ := (*feature.DocRecords)(nil).Values(text.ExactOf(s))
+		rec, _ := feature.NewMemo().Doc(s.Doc()).Values(text.ExactOf(s))
 		return rec[0]
 	}
 	if op := spanOperand(d.Span(0, 2)); !op.IsNum || op.Num != 42 {
@@ -340,5 +340,79 @@ e(x, s) :- from(x, s), bold-font(s) = distinct-yes.
 	// Pairs: (a,a),(a,b),(b,a),(b,b),(c,c) = 5.
 	if len(res.Tuples) != 5 {
 		t.Fatalf("self-join result (%d tuples):\n%s", len(res.Tuples), res)
+	}
+}
+
+// TestSelectionsKeepNoMemo: under delta evaluation a comparison and a
+// p-function selection leave cache entries with no per-tuple memo and count
+// no tuple reused or recomputed, while the constraint run above them still
+// replays the tuples a refinement below them left alone. The table equals a
+// fresh evaluation's.
+func TestSelectionsKeepNoMemo(t *testing.T) {
+	env := figure2Env()
+	env.Funcs["distinct"] = PFunc{Fn: func(args []text.Span) (bool, error) {
+		return args[0].NormText() != args[1].NormText(), nil
+	}}
+	k := func(feat, attr, value string) feature.Constraint {
+		return feature.Constraint{Feature: feat, Attr: attr, Value: value}
+	}
+	numP, numA := k("numeric", "p", "yes"), k("numeric", "a", "yes")
+	v := func(name string) alog.Term { return alog.Term{Kind: alog.TermVar, Var: name} }
+	// from(x, p), from(x, a), a run on each, p > 300000, distinct(p, a), and
+	// a second run on p above the two selections; v2 refines a below them.
+	plan := func(aCons ...feature.Constraint) Node {
+		n := Node(newConstraintNode(env, newFromNode(env, newFromNode(env, newScanNode(env, "housePages", []string{"x"}), "x", "p"), "x", "a"), numP, nil))
+		for i, c := range aCons {
+			n = newConstraintNode(env, n, c, aCons[:i])
+		}
+		n = newCompareNode(env, n, alog.Compare{Op: alog.OpGT, L: v("p"), R: alog.Term{Kind: alog.TermNum, Num: 300000}})
+		n = newFuncNode(env, n, "distinct", []alog.Term{v("p"), v("a")})
+		return newConstraintNode(env, n, k("preceded-by", "p", "Price:"), []feature.Constraint{numP})
+	}
+	v1, v2 := plan(numA), plan(numA, k("preceded-by", "a", "Sqft:"))
+	ctx := NewContext(env)
+	ctx.EnableDelta()
+	ctx.StartTrace()
+	if _, err := Eval(ctx, v1); err != nil {
+		t.Fatal(err)
+	}
+	ctx.RegisterDelta(v1, v2)
+	got, err := Eval(ctx, v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Eval(NewContext(env), v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() || len(got.Tuples) == 0 {
+		t.Fatalf("delta table\n%s\nfresh table\n%s", got, want)
+	}
+	selections := 0
+	for _, e := range ctx.cache {
+		switch e.node.(type) {
+		case *compareNode, *funcNode:
+			selections++
+			if e.aux != nil {
+				t.Errorf("%s keeps a memo of %d tuples", e.node.Signature(), len(e.aux.outs))
+			}
+		}
+	}
+	if selections != 4 {
+		t.Fatalf("%d selection entries cached, want two per plan version", selections)
+	}
+	var runReused int64
+	for _, o := range ctx.TraceOps() {
+		switch {
+		case strings.HasPrefix(o.Signature, "select["), strings.HasPrefix(o.Signature, "pfunc["):
+			if o.Reused != 0 || o.Recomputed != 0 {
+				t.Errorf("%s: %d tuples reused, %d recomputed", o.Signature, o.Reused, o.Recomputed)
+			}
+		case strings.HasPrefix(o.Signature, `constrain[preceded-by(p)="Price:"](pfunc[`):
+			runReused += o.Reused
+		}
+	}
+	if runReused == 0 || ctx.Stats.TuplesReused != runReused {
+		t.Errorf("the run above the selections replayed %d tuples, %d in all", runReused, ctx.Stats.TuplesReused)
 	}
 }

@@ -170,43 +170,14 @@ func (ctx *Context) parallelChunksSized(n, minChunk int, body func(start, end in
 	return nil
 }
 
-// evalPair evaluates two sibling nodes, concurrently when a pool slot is
-// free. On a double failure the left error wins, matching serial order.
+// evalPair evaluates two sibling nodes through evalAll: concurrently when
+// a pool slot is free, the left error winning on a double failure.
 func evalPair(ctx *Context, left, right Node) (lt, rt *compact.Table, err error) {
-	if !ctx.tryAcquire() {
-		lt, err = Eval(ctx, left)
-		if err != nil {
-			return nil, nil, err
-		}
-		rt, err = Eval(ctx, right)
-		if err != nil {
-			return nil, nil, err
-		}
-		return lt, rt, nil
-	}
-	var rerr error
-	var rpan *workerPanic
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer ctx.release()
-		defer forwardPanic(&rpan)
-		rt, rerr = Eval(ctx, right)
-	}()
-	// Also when the left side panics: see parallelChunksSized.
-	defer func() { <-done }()
-	lt, err = Eval(ctx, left)
-	<-done
-	if rpan != nil {
-		panic(*rpan)
-	}
+	ts, err := evalAll(ctx, []Node{left, right})
 	if err != nil {
 		return nil, nil, err
 	}
-	if rerr != nil {
-		return nil, nil, rerr
-	}
-	return lt, rt, nil
+	return ts[0], ts[1], nil
 }
 
 // evalAll evaluates sibling nodes in order, running each on a spare pool

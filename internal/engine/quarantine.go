@@ -132,7 +132,7 @@ func (p recoveredPanic) Error() string { return fmt.Sprintf("panic: %v", p.val) 
 //
 // Under FailFast it adds nothing: errors propagate and panics unwind as
 // they always did. Under QuarantineFaults a transient error is retried
-// up to MaxDocRetries times (run must therefore be idempotent: compute
+// once (run must therefore be idempotent: compute
 // into locals, commit only after guard reports success); a persistent
 // error or a panic quarantines the documents docsFn names, and the
 // caller drops the unit and continues its pass. The Env's FaultHook, if
@@ -169,14 +169,8 @@ func (ctx *Context) guard(ev *EvalTrace, op string, docsFn func() []string, run 
 	if ferr == nil {
 		return false, nil
 	}
-	retries := ctx.MaxDocRetries
-	if retries == 0 {
-		retries = 1
-	} else if retries < 0 {
-		retries = 0
-	}
 	var rp recoveredPanic
-	for r := 0; r < retries && !errors.As(ferr, &rp); r++ {
+	if !errors.As(ferr, &rp) {
 		statAdd(&ctx.Stats.QuarantineRetries, 1)
 		if ferr = attempt(); ferr == nil {
 			return false, nil

@@ -228,18 +228,14 @@ type tupleFilter func(tp compact.Tuple, batch *statBatch) (filterOutcome, error)
 // table with maybe flags and expansion-cell filtering applied. Tuples are
 // independent, so the loop fans out; the filter must therefore be safe for
 // concurrent calls (the built-in p-functions and comparison operands are
-// pure). The memo is keyed on the involved columns alone and stores the
-// filter's outcome (keep/sure/replacements, and the valuation-cap fallback
-// charge), not the built tuple: replay rebuilds the output from the current
-// tuple, so refinements of uninvolved columns — and maybe-flag changes,
-// reapplied by emit — do not invalidate it.
-func applyFilter(ctx *Context, ev *EvalTrace, dx *deltaState, in *compact.Table, involved []int, filter tupleFilter) (*compact.Table, error) {
-	op := tupleOp{site: "pfunc", cols: involved, minChunk: minChunkFilter}
+// pure). A selection keeps no per-tuple memo, with delta evaluation on or
+// off: comparison operands are kept per document (Env.FeatureMemo), and
+// deciding a tuple again costs no more than finding a memoised outcome
+// would, while the memo's bytes would stay resident with the table.
+func applyFilter(ctx *Context, ev *EvalTrace, in *compact.Table, involved []int, filter tupleFilter) (*compact.Table, error) {
+	op := tupleOp{site: "pfunc", minChunk: minChunkFilter}
 	op.open = func(batch *statBatch) decideFn {
-		return func(tp compact.Tuple, old *deltaOut) (deltaOut, bool, bool, error) {
-			if old != nil {
-				return *old, true, false, nil
-			}
+		return func(tp compact.Tuple, _ *deltaOut) (deltaOut, bool, bool, error) {
 			var res filterOutcome
 			qed, err := ctx.guard(ev, op.site, func() []string { return tupleDocs(tp, involved) }, func() error {
 				var ferr error
@@ -272,7 +268,7 @@ func applyFilter(ctx *Context, ev *EvalTrace, dx *deltaState, in *compact.Table,
 		}
 		return append(dst, nt)
 	}
-	return ctx.tupleLoop(ev, dx, in, in.Cols, op)
+	return ctx.tupleLoop(ev, nil, in, in.Cols, op)
 }
 
 // compareNode is a selection with a comparison condition, e.g. p > 500000.
@@ -321,7 +317,7 @@ func (n *compareNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 		}
 		return out, nil
 	}
-	out, err := applyFilter(ctx, ev, dx, in, f.involved, f.filter)
+	out, err := applyFilter(ctx, ev, in, f.involved, f.filter)
 	ev.operandsParsed(ctx, f.parsed.Load())
 	return out, err
 }
@@ -422,7 +418,7 @@ func (n *funcNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 	if pf.Token != nil && len(involved) == 2 {
 		sim := &tokenSim{ctx: ctx, spec: *pf.Token}
 		lim := ctx.Env.Limits
-		return applyFilter(ctx, ev, dx, in, involved, func(tp compact.Tuple, batch *statBatch) (filterOutcome, error) {
+		return applyFilter(ctx, ev, in, involved, func(tp compact.Tuple, batch *statBatch) (filterOutcome, error) {
 			var sc simScratch
 			return sim.filter(tp, involved, lim,
 				func() *cellTokens { return sim.cellTokens(tp.Cells[involved[0]], true, &sc) },
@@ -433,7 +429,7 @@ func (n *funcNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 	// A p-function the engine knows nothing about: the function itself over
 	// every combination of argument values.
 	lim := ctx.Env.Limits
-	return applyFilter(ctx, ev, dx, in, involved, func(tp compact.Tuple, batch *statBatch) (filterOutcome, error) {
+	return applyFilter(ctx, ev, in, involved, func(tp compact.Tuple, batch *statBatch) (filterOutcome, error) {
 		return filterTupleF(tp, involved, pf.Fn, lim, batch)
 	})
 }

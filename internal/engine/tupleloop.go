@@ -35,10 +35,10 @@ type tupleOp struct {
 	site string
 	// cols are the input columns decide reads, the memo key; empty when it
 	// reads none (every tuple then has the first one's outcome). Nil is for
-	// an operator whose tuples are not delta work (procedures): nothing is
-	// looked up, kept or counted as reused or recomputed. Binary operators
-	// name their other input and the columns of it decide reads: the memo
-	// is pinned to both (evalAux).
+	// an operator whose tuples are not delta work (selections, procedures):
+	// nothing is looked up, kept or counted as reused or recomputed. Binary
+	// operators name their other input and the columns of it decide reads:
+	// the memo is pinned to both (evalAux).
 	cols      []int
 	right     *compact.Table
 	rightCols []int
@@ -110,14 +110,10 @@ func (ctx *Context) tupleLoop(ev *EvalTrace, dx *deltaState, in *compact.Table, 
 		reused, quarantined, stopped := 0, 0, false
 		var scratch deltaOut // the current outcome of a chunk that keeps none
 		for i := start; i < end; i++ {
-			if !op.uncut {
-				if c, err := ctx.cutCheck(); err != nil {
-					return err
-				} else if c {
-					ctx.noteUnprocessed(in.Tuples[i:end])
-					stopped = true
-					break
-				}
+			if !op.uncut && ctx.cutCheck() {
+				ctx.noteUnprocessed(in.Tuples[i:end])
+				stopped = true
+				break
 			}
 			tp := in.Tuples[i]
 			// The outcome is decided into its memo slot: the array is the

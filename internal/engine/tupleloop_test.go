@@ -213,7 +213,7 @@ func TestTupleLoopProtocol(t *testing.T) {
 				f := newFake(workers)
 				c, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				f.ctx.BindCancel(c, CancelBestEffort)
+				f.ctx.BindCancel(c)
 				f.before = func(i int) {
 					if i == 13 {
 						cancel()
@@ -240,22 +240,6 @@ func TestTupleLoopProtocol(t *testing.T) {
 				}
 				if dx.aux != nil {
 					t.Error("a cut pass published its memo")
-				}
-			})
-
-			t.Run("hard cancel", func(t *testing.T) {
-				f := newFake(workers)
-				c, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				f.ctx.BindCancel(c, CancelHard)
-				f.before = func(i int) {
-					if i == 13 {
-						cancel()
-					}
-				}
-				dx := &deltaState{}
-				if _, err := f.ctx.tupleLoop(nil, dx, loopInput(), []string{"x"}, f.op()); !errors.Is(err, context.Canceled) || dx.aux != nil {
-					t.Errorf("err=%v memo=%v, want context.Canceled and no memo", err, dx.aux)
 				}
 			})
 

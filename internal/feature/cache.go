@@ -55,9 +55,7 @@ const (
 )
 
 // Memo owns the record tables of the documents one Env evaluates over. The
-// zero value is not usable; construct with NewMemo. A nil *Memo is valid and
-// keeps nothing: Doc returns the nil table, whose methods evaluate directly.
-// Safe for concurrent use.
+// zero value is not usable; construct with NewMemo. Safe for concurrent use.
 type Memo struct {
 	// mu guards cons and docs; the tables lock themselves.
 	mu    sync.RWMutex
@@ -74,9 +72,6 @@ func NewMemo() *Memo {
 // Intern returns the id of a (feature name, parameter) pair. Ids are never
 // reused or dropped, so one resolved before a Drop stays valid after it.
 func (m *Memo) Intern(feat, param string) ConsID {
-	if m == nil {
-		return 0
-	}
 	k := consKey{feat, param}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -92,9 +87,6 @@ func (m *Memo) Intern(feat, param string) ConsID {
 // are told apart by handle, not by id: two corpora loaded into one process
 // never alias, and a page a store has rewritten is a new document.
 func (m *Memo) Doc(d *text.Document) *DocRecords {
-	if m == nil {
-		return nil
-	}
 	m.mu.RLock()
 	t := m.docs[d]
 	m.mu.RUnlock()
@@ -115,9 +107,6 @@ func (m *Memo) Doc(d *text.Document) *DocRecords {
 // Bytes estimates the resident size of every table, counted as records are
 // published.
 func (m *Memo) Bytes() int64 {
-	if m == nil {
-		return 0
-	}
 	return m.bytes.Load()
 }
 
@@ -125,9 +114,6 @@ func (m *Memo) Bytes() int64 {
 // they hold, whose late publications may leave Bytes a little high until the
 // next Drop.
 func (m *Memo) Drop() {
-	if m == nil {
-		return
-	}
 	m.mu.Lock()
 	m.docs = map[*text.Document]*DocRecords{}
 	m.bytes.Store(0)
@@ -138,9 +124,6 @@ func (m *Memo) Drop() {
 // handle of that id, which is how a corpus mutation releases the pages it
 // superseded — and reports how many it dropped.
 func (m *Memo) DropDocs(ids map[string]bool) int {
-	if m == nil {
-		return 0
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
@@ -173,8 +156,7 @@ func (m *Memo) Refine(f Feature, s text.Span, v string) (as []text.Assignment, h
 // DocRecords is one document's record table: Verify and Refine results per
 // (constraint id, span), and the typed values of assignments over the
 // document. Every span handed to it must lie in that document, and every id
-// must come from the Memo that made the table. A nil *DocRecords keeps
-// nothing and evaluates directly.
+// must come from the Memo that made the table.
 type DocRecords struct {
 	memo *Memo
 	// mu guards the maps and bytes. It is not held while a feature runs or
@@ -196,10 +178,6 @@ func (t *DocRecords) charge(n int64) {
 // Verify is Memo.Verify with the table and the constraint id in hand; id
 // interns (f.Name(), v).
 func (t *DocRecords) Verify(f Feature, id ConsID, s text.Span, v string) (ok, hit bool, err error) {
-	if t == nil {
-		ok, err = f.Verify(s, v)
-		return ok, false, err
-	}
 	k := spanKey{id, uint32(s.Start()), uint32(s.End())}
 	t.mu.Lock()
 	ok, hit = t.verify[k]
@@ -221,10 +199,6 @@ func (t *DocRecords) Verify(f Feature, id ConsID, s text.Span, v string) (ok, hi
 
 // Refine is Memo.Refine with the table and the constraint id in hand.
 func (t *DocRecords) Refine(f Feature, id ConsID, s text.Span, v string) (as []text.Assignment, hit bool, err error) {
-	if t == nil {
-		as, err = f.Refine(s, v)
-		return as, false, err
-	}
 	k := spanKey{id, uint32(s.Start()), uint32(s.End())}
 	t.mu.Lock()
 	as, hit = t.refine[k]
@@ -263,10 +237,6 @@ type Value struct {
 // build and leaves nothing behind. Strings are the record's own, never
 // slices of the page, so a released lazy document stays released.
 func (t *DocRecords) Values(a text.Assignment) (vals []Value, parsed int) {
-	if t == nil {
-		vals = buildValues(a)
-		return vals, len(vals)
-	}
 	k := valueKey{uint32(a.Span.Start()), uint32(a.Span.End()), a.Mode == text.Contain}
 	t.mu.Lock()
 	vals, ok := t.values[k]

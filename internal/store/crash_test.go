@@ -37,7 +37,7 @@ func crashPages() (map[string]string, []string) {
 func ingest(t *testing.T, dir string, fsys store.FS) {
 	t.Helper()
 	pages, order := crashPages()
-	w, err := store.Create(dir, store.Options{ShardDocs: 3, NoSync: true, FS: fsys})
+	w, err := store.Create(dir, store.Options{ShardDocs: 3, FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func corpusDump(t *testing.T, s *store.DiskStore) string {
 
 func openDump(t *testing.T, dir string) string {
 	t.Helper()
-	s, err := store.Open(dir, store.OpenOptions{NoSync: true})
+	s, err := store.Open(dir, store.OpenOptions{FS: store.RealFS(false)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func crashMutationScenario(t *testing.T, preGens int) {
 
 	// Advance to the scenario's starting generation (real fs, no record).
 	if preGens >= 1 {
-		s, err := store.Open(dir, store.OpenOptions{NoSync: true})
+		s, err := store.Open(dir, store.OpenOptions{FS: store.RealFS(false)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func crashMutationScenario(t *testing.T, preGens int) {
 		if err := st.Materialize(sdir); err != nil {
 			t.Fatalf("state %q: materialize: %v", st.Desc, err)
 		}
-		rs, err := store.Open(sdir, store.OpenOptions{NoSync: true})
+		rs, err := store.Open(sdir, store.OpenOptions{FS: store.RealFS(false)})
 		if err != nil {
 			t.Fatalf("state %q: Open failed after crash: %v", st.Desc, err)
 		}
@@ -201,7 +201,7 @@ func crashMutationScenario(t *testing.T, preGens int) {
 		}
 		// Recovery must be idempotent: a second open repairs nothing new
 		// and sees the same corpus.
-		rs2, err := store.Open(sdir, store.OpenOptions{NoSync: true})
+		rs2, err := store.Open(sdir, store.OpenOptions{FS: store.RealFS(false)})
 		if err != nil {
 			t.Fatalf("state %q: second Open failed: %v", st.Desc, err)
 		}
@@ -243,7 +243,7 @@ func TestCrashIngest(t *testing.T) {
 		if err := st.Materialize(sdir); err != nil {
 			t.Fatalf("state %q: materialize: %v", st.Desc, err)
 		}
-		s, err := store.Open(sdir, store.OpenOptions{NoSync: true})
+		s, err := store.Open(sdir, store.OpenOptions{FS: store.RealFS(false)})
 		if err == nil {
 			got := corpusDump(t, s)
 			s.Close()

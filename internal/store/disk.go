@@ -25,18 +25,9 @@ type OpenOptions struct {
 	// least-recently-loaded pages (they re-materialize on next touch)
 	// before it returns. 0 means unlimited.
 	ResidentBudget int64
-	// PostingsCacheBytes caps the LRU of decoded posting runs kept by the
-	// token index, so repeated probes of the same token skip the per-call
-	// uvarint decode. 0 means the default (4 MB); negative disables.
-	PostingsCacheBytes int64
-	// NoSync skips the fsyncs in the mutation commit protocol (see
-	// Options.NoSync): commits are faster but a crash may lose the
-	// freshest committed generations. Recovery still never yields a torn
-	// store on filesystems with atomic rename.
-	NoSync bool
 	// FS overrides the filesystem seam for mutations and recovery sweeps
-	// (tests/crash injection). nil means the real filesystem honouring
-	// NoSync; when set, NoSync is ignored.
+	// (tests/crash injection; RealFS(false) skips the fsyncs). nil means
+	// the real, durable filesystem.
 	FS FS
 }
 
@@ -103,7 +94,7 @@ type DiskStore struct {
 // rolled past (later generations build on it) and fails loudly.
 func Open(dir string, opts OpenOptions) (*DiskStore, error) {
 	if opts.FS == nil {
-		opts.FS = RealFS(!opts.NoSync)
+		opts.FS = RealFS(true)
 	}
 	mb, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -154,7 +145,6 @@ func Open(dir string, opts OpenOptions) (*DiskStore, error) {
 		s.Close()
 		return nil, err
 	}
-	idx.setCacheCap(opts.PostingsCacheBytes)
 	s.idx = idx
 	docs := baseDocs
 	for g := 1; g <= s.man.Generation; g++ {
@@ -621,7 +611,6 @@ type tokenIndex struct {
 	pcache map[string]*list.Element
 	plru   *list.List // of *postEntry, front = oldest
 	pbytes int64
-	pcap   int64
 }
 
 type postEntry struct {
@@ -630,23 +619,10 @@ type postEntry struct {
 	bytes int64
 }
 
-const defaultPostingsCache = 4 << 20
-
-func (x *tokenIndex) setCacheCap(capBytes int64) {
-	switch {
-	case capBytes == 0:
-		x.pcap = defaultPostingsCache
-	case capBytes < 0:
-		x.pcap = 0
-	default:
-		x.pcap = capBytes
-	}
-}
+// postingsCacheBytes caps the decoded-run cache.
+const postingsCacheBytes = 4 << 20
 
 func (x *tokenIndex) cacheGet(tok string) ([]int, bool) {
-	if x.pcap <= 0 {
-		return nil, false
-	}
 	x.pmu.Lock()
 	defer x.pmu.Unlock()
 	e, ok := x.pcache[tok]
@@ -658,9 +634,6 @@ func (x *tokenIndex) cacheGet(tok string) ([]int, bool) {
 }
 
 func (x *tokenIndex) cachePut(tok string, ords []int) {
-	if x.pcap <= 0 {
-		return
-	}
 	ent := &postEntry{tok: tok, ords: ords, bytes: int64(len(ords))*8 + int64(len(tok)) + 64}
 	x.pmu.Lock()
 	if old, ok := x.pcache[tok]; ok {
@@ -669,7 +642,7 @@ func (x *tokenIndex) cachePut(tok string, ords []int) {
 	}
 	x.pcache[tok] = x.plru.PushBack(ent)
 	x.pbytes += ent.bytes
-	for x.pbytes > x.pcap && x.plru.Len() > 1 {
+	for x.pbytes > postingsCacheBytes && x.plru.Len() > 1 {
 		oldest := x.plru.Front()
 		v := oldest.Value.(*postEntry)
 		x.plru.Remove(oldest)

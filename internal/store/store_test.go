@@ -318,7 +318,7 @@ func TestDiskStoreCorruptShardFaultsOnLoad(t *testing.T) {
 // c, add e) to the store at dir, bringing it to the next generation.
 func mutateOnce(t *testing.T, dir string) {
 	t.Helper()
-	s, err := Open(dir, OpenOptions{NoSync: true})
+	s, err := Open(dir, OpenOptions{FS: RealFS(false)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestOpenCorruptionRecovery(t *testing.T) {
 				if g == 0 {
 					mutateOnce(t, dir) // update b, remove c, add e
 				} else {
-					s, err := Open(dir, OpenOptions{NoSync: true})
+					s, err := Open(dir, OpenOptions{FS: RealFS(false)})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -478,7 +478,7 @@ func TestOpenCorruptionRecovery(t *testing.T) {
 				}
 			}
 			tc.mangle(t, dir)
-			s, err := Open(dir, OpenOptions{NoSync: true})
+			s, err := Open(dir, OpenOptions{FS: RealFS(false)})
 			if tc.wantErr {
 				if err == nil {
 					s.Close()
@@ -504,7 +504,7 @@ func TestOpenCorruptionRecovery(t *testing.T) {
 				t.Fatal("recovery happened but Recovery() reports nothing")
 			}
 			// The rollback is durable: a second open is clean and identical.
-			s2, err := Open(dir, OpenOptions{NoSync: true})
+			s2, err := Open(dir, OpenOptions{FS: RealFS(false)})
 			if err != nil {
 				t.Fatalf("second open after rollback: %v", err)
 			}
@@ -534,7 +534,7 @@ func TestOpenSweepsOrphans(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "truth.txt"), []byte("keep me"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(dir, OpenOptions{NoSync: true})
+	s, err := Open(dir, OpenOptions{FS: RealFS(false)})
 	if err != nil {
 		t.Fatal(err)
 	}

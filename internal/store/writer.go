@@ -37,15 +37,9 @@ type Manifest struct {
 type Options struct {
 	// ShardDocs is the number of documents per shard file (default 2048).
 	ShardDocs int
-	// NoSync skips the fsyncs in the commit protocol (temp files and the
-	// rename-publish stay). The default — sync on — guarantees a store
-	// whose Close returned nil survives a crash; with NoSync a crash may
-	// lose it, but Open still never sees a torn store on filesystems with
-	// atomic rename.
-	NoSync bool
-	// FS overrides the filesystem seam (tests/crash injection). nil means
-	// the real filesystem honouring NoSync; when set, NoSync is ignored
-	// (the FS decides what Sync does).
+	// FS overrides the filesystem seam (tests/crash injection); the FS
+	// decides what Sync does. nil means RealFS(true): a store whose Close
+	// returned nil survives a crash.
 	FS FS
 }
 
@@ -83,7 +77,7 @@ func Create(dir string, opts Options) (*Writer, error) {
 		opts.ShardDocs = 2048
 	}
 	if opts.FS == nil {
-		opts.FS = RealFS(!opts.NoSync)
+		opts.FS = RealFS(true)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create %s: %w", dir, err)
