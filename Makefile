@@ -109,8 +109,10 @@ bench-counters:
 	mv .github/benchmark-counters.json.tmp .github/benchmark-counters.json
 
 # Build the real iflexd binary, start it on a free port, drive one T9
-# session over HTTP (table byte-identical to the library path), SIGTERM it
-# and require a clean drain with exit status 0.
+# session over HTTP (table byte-identical to the library path), step a
+# session over a mounted store with one corrupt record (a degraded step
+# naming that page), SIGTERM it and require a clean drain with exit
+# status 0.
 serve-smoke:
 	$(GO) test -run TestDaemon -count=1 ./cmd/iflexd
 

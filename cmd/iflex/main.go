@@ -157,14 +157,13 @@ func run() (degraded bool, err error) {
 			// evaluation timings, not all-hit cache lookups.
 			ctx.StartTrace()
 		}
-		var result *iflex.Table
+		c := context.Background()
 		if *timeout > 0 {
-			c, cancel := context.WithTimeout(context.Background(), *timeout)
+			var cancel context.CancelFunc
+			c, cancel = context.WithTimeout(c, *timeout)
 			defer cancel()
-			result, err = plan.ExecuteContext(c, ctx)
-		} else {
-			result, err = plan.Execute(ctx)
 		}
+		result, err := plan.ExecuteContext(c, ctx)
 		if err != nil {
 			return false, err
 		}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -14,18 +16,24 @@ import (
 	"iflex/internal/assistant"
 	"iflex/internal/corpus"
 	"iflex/internal/server"
+	"iflex/internal/store"
 )
 
 // TestDaemon is the end-to-end smoke of the real binary: build it, start
-// it on a free port, drive one task-backed T9 session to completion over
-// HTTP, require the streamed table byte-identical to the library path,
-// then SIGTERM the idle daemon and require a clean drain and exit 0.
+// it on a free port with a document store mounted, drive one task-backed
+// T9 session to completion over HTTP, require the streamed table
+// byte-identical to the library path, step a session over the store, one
+// of whose shard records is corrupt, and require a degraded step naming
+// that page, then SIGTERM the idle daemon and require a clean drain and
+// exit 0.
 func TestDaemon(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "iflexd")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0")
+	const corrupt = "dblife-0011"
+	storeDir := corruptStore(t, 20, corrupt)
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-store", "st="+storeDir)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +126,19 @@ func TestDaemon(t *testing.T) {
 			got.QuestionsAsked, got.Converged, want.QuestionsAsked, want.Converged)
 	}
 
+	// A corrupt page degrades the step over the store instead of failing it.
+	sc, err := c.CreateSession(server.CreateSessionRequest{Tenant: "store", Store: "st", Program: panelProgram, Strategy: "seq"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := c.Step(sc.ID, server.StepRequest{DeadlineMS: deadlineMS})
+	if err != nil {
+		t.Fatalf("step over the corrupt store: %v", err)
+	}
+	if sr.Degraded == nil || len(sr.Degraded.Quarantined) != 1 || sr.Degraded.Quarantined[0].Doc != corrupt {
+		t.Errorf("step degraded %+v, want %s quarantined", sr.Degraded, corrupt)
+	}
+
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -133,4 +154,57 @@ func TestDaemon(t *testing.T) {
 	if !strings.Contains(log, "drained cleanly") {
 		t.Errorf("log lacks \"drained cleanly\":\n%s", log)
 	}
+}
+
+// panelProgram is the DBLife panel program with the constraints Section
+// 6.3 shows the developer adding.
+const panelProgram = `
+onPanel(d, x, <y>) :- docs(d), extractPanelists(d, x), extractConference(d, y).
+Q(x, y) :- onPanel(d, x, y).
+extractPanelists(d, x) :- from(d, x),
+                          prec_label_contains(x, "panel"),
+                          prec_label_max_dist(x, 700),
+                          in-list(x) = distinct-yes.
+extractConference(d, y) :- from(d, y), in-title(y) = yes,
+                           starts_with(y, "[A-Z][A-Z]+"),
+                           ends_with(y, "19\\d\\d|20\\d\\d"),
+                           max_length(y, 12).
+`
+
+// corruptStore writes a store of pages DBLife pages and flips bytes of the
+// markup of page id inside its shard record, so that page fails its
+// checksum when it is first loaded.
+func corruptStore(t *testing.T, pages int, id string) string {
+	dir := filepath.Join(t.TempDir(), "st")
+	w, err := store.Create(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw string
+	err = corpus.StreamDBLife(corpus.DBLifeConfig{Pages: pages, Seed: 7}, nil, func(pid, src string) error {
+		if pid == id {
+			raw = src
+		}
+		return w.Add(pid, src)
+	})
+	if err == nil {
+		err = w.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := filepath.Join(dir, "shard-0000.ifs")
+	b, err := os.ReadFile(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := bytes.Index(b, []byte(raw))
+	if raw == "" || off < 0 {
+		t.Fatalf("markup of %s not found in the shard", id)
+	}
+	b[off+len(raw)/2] ^= 0x20
+	if err := os.WriteFile(shard, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
 }

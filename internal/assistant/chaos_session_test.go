@@ -31,7 +31,6 @@ func chaosSessionConfig(workers int, delta bool) assistant.Config {
 		ConvergenceWindow: 100,
 		SubsetSeed:        1,
 		Workers:           workers,
-		QuarantineFaults:  true,
 	}, delta)
 }
 
@@ -187,7 +186,6 @@ extract(x, v) :- from(x, v), numeric(v) = yes.
 		MaxIterations:     2,
 		ConvergenceWindow: 100,
 		Workers:           4,
-		QuarantineFaults:  true,
 	}
 	res, err := assistant.NewSession(env, prog, assistant.NewMapOracle(nil), cfg).Run()
 	if err != nil {

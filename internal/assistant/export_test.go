@@ -30,10 +30,6 @@ func OracleConfig(cfg Config, delta bool) Config {
 	return cfg
 }
 
-// SetChunkHook installs an engine.Context.ChunkHook on the session's
-// private context (deterministic latency injection, internal/fault).
-func (s *Session) SetChunkHook(h func(start, end int) error) { s.ctx.ChunkHook = h }
-
 // CheckPlansForTest hands f every plan the session builds: each base plan
 // (q and v zero) and each simulation trial with the question and answer it
 // adds to the session's program. Trials call f concurrently.

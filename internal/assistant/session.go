@@ -71,12 +71,6 @@ type Config struct {
 	// Explain can render an EXPLAIN ANALYZE tree at any point of the
 	// session (the service's -explain streaming uses this).
 	Trace bool
-	// QuarantineFaults switches the engine to per-document fault
-	// isolation: a panic or error raised while processing a document
-	// quarantines that document (after one re-attempt for transient
-	// errors; panics are never retried) instead of failing the session.
-	// Quarantined document IDs and causes surface in Result.Degraded.
-	QuarantineFaults bool
 }
 
 func (c Config) withDefaults() Config {
@@ -221,9 +215,6 @@ func NewSession(env *engine.Env, prog *alog.Program, oracle Oracle, cfg Config) 
 	s.attrs, s.rank, s.asked = s.Prog.Attrs(), attrImportance(s.Prog), constrained(s.Prog)
 	s.ctx.Workers = cfg.Workers
 	s.ctx.CacheBudget = cfg.CacheBudget
-	if cfg.QuarantineFaults {
-		s.ctx.FaultPolicy = engine.QuarantineFaults
-	}
 	if !cfg.noDeltaReuse {
 		s.ctx.EnableDelta()
 	}

@@ -182,13 +182,16 @@ func runDeadlineMidLoop(t *testing.T) {
 	inj := fault.New(1, fault.Rule{Site: "chunk", Mode: fault.ModeLatency, Num: 1, Den: 1, Latency: deadline + deadline/2})
 	inj.Disable()
 	o := &armingOracle{Oracle: task.Oracle(), arm: inj.Enable}
-	s := assistant.NewSession(task.Env(c), alog.MustParse(task.Program), o, assistant.Config{
-		Strategy: assistant.Sequential{}, Workers: 1, Deadline: deadline,
-	})
-	hook := inj.ChunkHook()
-	s.SetChunkHook(func(start, end int) error {
+	senv, hook := task.Env(c), inj.Hook()
+	senv.FaultHook = func(site string, docs []string) error {
+		if site != "chunk" {
+			return nil
+		}
 		defer inj.Disable() // one sleep is enough: the deadline is behind us
-		return hook(start, end)
+		return hook(site, docs)
+	}
+	s := assistant.NewSession(senv, alog.MustParse(task.Program), o, assistant.Config{
+		Strategy: assistant.Sequential{}, Workers: 1, Deadline: deadline,
 	})
 	res, err := s.Run()
 	if err != nil {
@@ -456,9 +459,10 @@ func TestStepAPIErrors(t *testing.T) {
 
 // TestFinalizeRetryAfterFault is the regression test for a session that
 // marked itself finished before its first full-corpus pass had produced
-// anything: when that pass faulted (here a FailFast fault on a document
-// the subset never touched) every later Finalize answered "session
-// already finalized" and the result was lost. The first Finalize must
+// anything: when that pass failed (here an injected error at an operator
+// chunk boundary, outside any guarded unit, so nothing quarantines it)
+// every later Finalize answered "session already finalized" and the
+// result was lost. The first Finalize must
 // return the fault, the second the complete result, byte-identical to an
 // undisturbed session's.
 func TestFinalizeRetryAfterFault(t *testing.T) {
@@ -475,7 +479,7 @@ func TestFinalizeRetryAfterFault(t *testing.T) {
 	var armed atomic.Bool
 	env := task.Env(c)
 	env.FaultHook = func(site string, docs []string) error {
-		if armed.CompareAndSwap(true, false) {
+		if site == "chunk" && armed.CompareAndSwap(true, false) {
 			return errors.New("injected fault in the full pass")
 		}
 		return nil
@@ -487,7 +491,7 @@ func TestFinalizeRetryAfterFault(t *testing.T) {
 		t.Fatalf("first Finalize: %v, want the injected fault", err)
 	}
 	if armed.Load() {
-		t.Fatal("the full pass reached no guarded unit of work; the hook never fired")
+		t.Fatal("the full pass reached no operator chunk; the hook never fired")
 	}
 	if s.Finished() {
 		t.Error("Finished() after a Finalize that produced no result")

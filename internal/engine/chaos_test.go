@@ -118,7 +118,6 @@ func runChaosProgram(t *testing.T, src string, env *Env, workers int, delta bool
 	if delta {
 		ctx.EnableDelta()
 	}
-	ctx.FaultPolicy = QuarantineFaults
 	tbl, err := plan.Execute(ctx)
 	if err != nil {
 		t.Fatalf("workers=%d delta=%v: %v", workers, delta, err)
@@ -246,7 +245,6 @@ func TestChaosNoPoisonedCache(t *testing.T) {
 	}
 	ctx := NewContext(env)
 	ctx.Workers = 4
-	ctx.FaultPolicy = QuarantineFaults
 	first, err := plan.Execute(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -24,12 +24,12 @@ type Plan struct {
 // Columns returns the result column names (the query head variables).
 func (p *Plan) Columns() []string { return p.Root.Columns() }
 
-// Execute evaluates the plan in the given context. Under the
-// QuarantineFaults policy a pass that hit per-document faults returns
+// Execute evaluates the plan in the given context. A pass that hit
+// per-document faults quarantines the documents and returns
 // ErrQuarantined internally; Execute then restarts the evaluation over
 // the surviving documents (the quarantine set extends the cache-key
 // marker, so nothing a fault ever touched is reused) until a pass runs
-// clean.
+// clean. Its table carries no Degraded report: ExecuteContext attaches it.
 func (p *Plan) Execute(ctx *Context) (*compact.Table, error) {
 	return evalRetrying(ctx, p.Root)
 }
@@ -117,13 +117,14 @@ func lookupFeature(env *Env, pred, name string) error {
 }
 
 // Run compiles and executes a program in a fresh context; the convenience
-// entry point for one-shot evaluation.
+// entry point for one-shot evaluation. The table carries the Degraded
+// report of any quarantined documents.
 func Run(prog *alog.Program, env *Env) (*compact.Table, error) {
 	plan, err := Compile(prog, env)
 	if err != nil {
 		return nil, err
 	}
-	return plan.Execute(NewContext(env))
+	return plan.ExecuteContext(context.Background(), NewContext(env))
 }
 
 // compiler folds rule bodies into plans. Compile runs it over a whole

@@ -116,7 +116,7 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*com
 			}
 			reused := old != nil && (o.cell == nil || int(o.stages) == stages)
 			if !reused {
-				qed, err := ctx.guard(ev, op.site, func() []string { return tupleDocs(tp, op.cols) }, func() error {
+				qed := ctx.guard(ev, op.site, func() []string { return tupleDocs(tp, op.cols) }, func() error {
 					// Work on locals and commit at the end: a retry restarts
 					// from the resume point.
 					c, s, sum := tp.Cells[ci], o.stages, o.stageSum
@@ -145,8 +145,8 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*com
 					}
 					return nil
 				})
-				if err != nil || qed {
-					return deltaOut{}, false, qed, err
+				if qed {
+					return deltaOut{}, false, true, nil
 				}
 			}
 			// The stage tables a chain would have built below this node's

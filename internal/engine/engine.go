@@ -104,9 +104,13 @@ type Env struct {
 	// per-document unit of user code (p-functions, feature constraint
 	// evaluation, procedures) with the guard site name and the sorted IDs
 	// of the documents involved; a returned error — or a panic — is
-	// handled exactly like a fault in the user code itself. It exists for
-	// deterministic fault injection (internal/fault) and must be set
-	// before evaluation starts.
+	// handled exactly like a fault in the user code itself. It is also
+	// invoked at the start of every operator chunk, the serial fallback
+	// included, as FaultHook("chunk", ["c<start>"]): that call is outside
+	// any guarded unit, so an error it returns fails the evaluation and a
+	// panic reaches the Eval caller. It exists for deterministic fault and
+	// latency injection (internal/fault) and must be set before evaluation
+	// starts.
 	FaultHook func(site string, docs []string) error
 	// DocIndex, when non-nil, answers whole-document token queries from
 	// an index built at ingest (the document store), so the shared-token
@@ -249,15 +253,6 @@ type Context struct {
 	// re-evaluated on next use — results never change, only how much is
 	// recomputed. Set it before the first evaluation.
 	CacheBudget int64
-	// FaultPolicy selects per-document fault handling: FailFast (default)
-	// propagates the first error or panic; QuarantineFaults isolates the
-	// offending documents and proceeds over the survivors (quarantine.go).
-	FaultPolicy FaultPolicy
-	// ChunkHook, when non-nil, runs at the start of every parallel-chunk
-	// body (including the serial fallback) before any work; a returned
-	// error fails the chunk. It exists for deterministic fault and
-	// latency injection at operator-chunk boundaries (internal/fault).
-	ChunkHook func(start, end int) error
 	// Stats accumulates evaluation counters (atomically).
 	Stats Stats
 

@@ -294,7 +294,6 @@ func TestOptimizerQuarantineCommute(t *testing.T) {
 		plan := compileSrc(t, fusionDefeatSrc, env)
 		ctx := NewContext(env)
 		ctx.Workers = workers
-		ctx.FaultPolicy = QuarantineFaults
 		res, err := plan.Execute(ctx)
 		if err != nil {
 			t.Fatal(err)

@@ -155,8 +155,15 @@ func TestProcedureErrors(t *testing.T) {
 			return nil, errBoom{}
 		},
 	}
-	if _, err := Run(alog.MustParse(`Q(x, v) :- pages(x), boom(x, v).`), env); err == nil {
-		t.Error("procedure error must propagate")
+	// A procedure error is the document's fault: d is quarantined and the
+	// run returns the table over the survivors, degraded.
+	res, err := Run(alog.MustParse(`Q(x, v) :- pages(x), boom(x, v).`), env)
+	if err != nil {
+		t.Fatalf("procedure error failed the run: %v", err)
+	}
+	if q := res.Degraded; q == nil || len(q.Quarantined) != 1 || q.Quarantined[0].Doc != "d" ||
+		!strings.Contains(q.Quarantined[0].Cause, "boom") {
+		t.Errorf("degraded %+v, want d quarantined with cause boom", res.Degraded)
 	}
 	// Output arity mismatch.
 	env.Procs["two"] = Procedure{

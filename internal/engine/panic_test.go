@@ -95,18 +95,14 @@ func TestEvalPanicUnblocksWaiters(t *testing.T) {
 // pool worker goroutines: before forwarding, a panic raised while a
 // spawned worker processed its chunk crashed the whole process instead
 // of propagating to the Eval caller like a serial panic. The hook panics
-// for one document that lands in a non-caller chunk of the constraint
-// pass.
+// once at the start of a non-caller chunk, which is outside any guarded
+// unit, so nothing quarantines it.
 func TestChaosWorkerPanicForwarded(t *testing.T) {
 	env := chaosEnv(18, 6, nil)
+	var fired atomic.Value
 	env.FaultHook = func(site string, docs []string) error {
-		if site != "feature" {
-			return nil
-		}
-		for _, d := range docs {
-			if d == "h12" {
-				panic("worker chunk fault for " + d)
-			}
+		if site == "chunk" && docs[0] != "c0" && fired.CompareAndSwap(nil, docs[0]) {
+			panic("worker chunk fault for " + docs[0])
 		}
 		return nil
 	}
@@ -127,7 +123,7 @@ func TestChaosWorkerPanicForwarded(t *testing.T) {
 		t.Fatal("panic in a worker chunk did not propagate to the caller")
 	}
 	msg := fmt.Sprint(recovered)
-	if !strings.Contains(msg, "worker chunk fault for h12") {
+	if key, _ := fired.Load().(string); !strings.Contains(msg, "worker chunk fault for "+key) {
 		t.Errorf("recovered %q does not name the original panic", msg)
 	}
 	ctx.mu.Lock()
@@ -137,11 +133,21 @@ func TestChaosWorkerPanicForwarded(t *testing.T) {
 		t.Errorf("%d in-flight entries leaked after the worker panic", leaked)
 	}
 
-	// The same fault under quarantine must not panic: the document is
-	// isolated and the run completes.
+	// A panic for one document inside a guarded unit of a worker chunk
+	// must not panic: the document is isolated and the run completes.
+	env.FaultHook = func(site string, docs []string) error {
+		if site != "feature" {
+			return nil
+		}
+		for _, d := range docs {
+			if d == "h12" {
+				panic("worker chunk fault for " + d)
+			}
+		}
+		return nil
+	}
 	qctx := NewContext(env)
 	qctx.Workers = 8
-	qctx.FaultPolicy = QuarantineFaults
 	if _, err := plan.Execute(qctx); err != nil {
 		t.Fatalf("quarantine run failed: %v", err)
 	}
@@ -191,8 +197,8 @@ func TestCoordinatorPanicWaitsForWorkers(t *testing.T) {
 		run  func(ctx *Context, r *rig)
 	}{
 		{"parallelChunksSized", func(ctx *Context, r *rig) {
-			ctx.ChunkHook = func(start, end int) error {
-				if start == 0 {
+			ctx.Env.FaultHook = func(site string, docs []string) error {
+				if docs[0] == "c0" {
 					coordinator(r)
 				}
 				worker(r)

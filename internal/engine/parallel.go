@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync"
 
 	"iflex/internal/compact"
@@ -107,9 +108,9 @@ const (
 // goroutine and pool-slot overhead for sub-microsecond chunks.
 func (ctx *Context) parallelChunksSized(n, minChunk int, body func(start, end int) error) error {
 	run := body
-	if h := ctx.ChunkHook; h != nil {
+	if h := ctx.Env.FaultHook; h != nil {
 		run = func(start, end int) error {
-			if err := h(start, end); err != nil {
+			if err := h("chunk", []string{"c" + strconv.Itoa(start)}); err != nil {
 				return err
 			}
 			return body(start, end)

@@ -59,7 +59,7 @@ func (n *procNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 			if cell.NumValues() > lim.MaxCellValues {
 				// An engine limit, not a document fault: quarantining here would
 				// hide a program that needs an extra constraint, so it stays
-				// fatal under every fault policy.
+				// fatal.
 				return deltaOut{}, false, false, fmt.Errorf("engine: procedure %s: input cell encodes %d values, over the limit %d; constrain the attribute first",
 					n.pname, cell.NumValues(), lim.MaxCellValues)
 			}
@@ -75,9 +75,12 @@ func (n *procNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 			}
 			// The tuple's whole value enumeration is one guarded unit: the rows
 			// are committed only when every procedure call succeeded, which
-			// keeps a retried attempt idempotent.
-			qed, err := ctx.guard(ev, op.site, func() []string { return tupleDocs(tp, []int{ci}) }, func() error {
-				rows = rows[:0]
+			// keeps a retried attempt idempotent. A row of the wrong arity
+			// breaks the procedure's declared contract, not a document, so it
+			// ends the unit cleanly and fails the pass after the guard.
+			var arityErr error
+			qed := ctx.guard(ev, op.site, func() []string { return tupleDocs(tp, []int{ci}) }, func() error {
+				rows, arityErr = rows[:0], nil
 				var evalErr error
 				cell.Values(func(v text.Span) bool {
 					statAdd(&ctx.Stats.ProcCalls, 1)
@@ -88,7 +91,7 @@ func (n *procNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 					}
 					for _, row := range outs {
 						if len(row) != proc.Outputs {
-							evalErr = fmt.Errorf("engine: procedure %s returned %d outputs, want %d", n.pname, len(row), proc.Outputs)
+							arityErr = fmt.Errorf("engine: procedure %s returned %d outputs, want %d", n.pname, len(row), proc.Outputs)
 							return false
 						}
 						cells := make([]compact.Cell, len(tp.Cells), len(tp.Cells)+proc.Outputs)
@@ -103,7 +106,7 @@ func (n *procNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 				})
 				return evalErr
 			})
-			return deltaOut{}, false, qed, err
+			return deltaOut{}, false, qed, arityErr
 		}
 	}
 	op.emit = func(dst []compact.Tuple, _ compact.Tuple, _ *deltaOut) []compact.Tuple { return append(dst, rows...) }

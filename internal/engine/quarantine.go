@@ -10,23 +10,6 @@ import (
 	"iflex/internal/compact"
 )
 
-// FaultPolicy selects how a per-document fault (an error or panic inside
-// a p-function, feature evaluation, or procedure) is handled.
-type FaultPolicy int
-
-const (
-	// FailFast propagates the first fault and aborts the evaluation —
-	// the engine's historical behaviour and the default.
-	FailFast FaultPolicy = iota
-	// QuarantineFaults isolates the offending document(s) instead: a
-	// transient error gets a capped retry, a persistent error or a panic
-	// quarantines the documents involved, and the evaluation restarts
-	// over the survivors (see Plan.Execute). Quarantined IDs and causes
-	// surface in Stats.Snapshot, trace records, the -explain footer, and
-	// the table's Degraded report.
-	QuarantineFaults
-)
-
 // ErrQuarantined is the sentinel an operator pass returns (wrapped) when
 // it quarantined documents: the pass's output is discarded and the
 // evaluation is restarted over the surviving documents, so no table that
@@ -128,57 +111,56 @@ func (p recoveredPanic) Error() string { return fmt.Sprintf("panic: %v", p.val) 
 
 // guard runs one per-document unit of user code — a p-function
 // valuation pass over a tuple, a feature constraint refinement, a
-// procedure call — under the context's fault policy.
+// procedure call — isolating its faults. A transient error is retried
+// once (run must therefore be idempotent: compute into locals, commit
+// only after guard reports success); a persistent error or a panic
+// quarantines the documents docsFn names, and the caller drops the unit
+// and continues its pass. The Env's FaultHook, if set, is invoked first
+// with the same documents so injected faults are handled exactly like
+// faults in the user code itself. docsFn runs only then or after the unit
+// failed, so a fault-free unit costs no attribution.
 //
-// Under FailFast it adds nothing: errors propagate and panics unwind as
-// they always did. Under QuarantineFaults a transient error is retried
-// once (run must therefore be idempotent: compute
-// into locals, commit only after guard reports success); a persistent
-// error or a panic quarantines the documents docsFn names, and the
-// caller drops the unit and continues its pass. The Env's FaultHook, if
-// set, is invoked first with the same documents so injected faults are
-// handled exactly like faults in the user code itself.
-//
-// Returns quarantined=true when the unit's documents were quarantined
-// (the caller skips the unit), or a non-nil err under FailFast.
-func (ctx *Context) guard(ev *EvalTrace, op string, docsFn func() []string, run func() error) (quarantined bool, err error) {
+// Returns true when the unit's documents were quarantined (the caller
+// skips the unit).
+func (ctx *Context) guard(ev *EvalTrace, op string, docsFn func() []string, run func() error) (quarantined bool) {
 	hook := ctx.Env.FaultHook
-	if ctx.FaultPolicy != QuarantineFaults {
-		if hook != nil {
-			if err := hook(op, docsFn()); err != nil {
-				return false, err
-			}
-		}
-		return false, run()
+	var docs []string
+	if hook != nil {
+		docs = docsFn()
 	}
-	docs := docsFn()
-	attempt := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = recoveredPanic{val: r}
-			}
-		}()
-		if hook != nil {
-			if err := hook(op, docs); err != nil {
-				return err
-			}
-		}
-		return run()
-	}
-	ferr := attempt()
+	ferr := attempt(hook, op, docs, run)
 	if ferr == nil {
-		return false, nil
+		return false
 	}
 	var rp recoveredPanic
 	if !errors.As(ferr, &rp) {
 		statAdd(&ctx.Stats.QuarantineRetries, 1)
-		if ferr = attempt(); ferr == nil {
-			return false, nil
+		if ferr = attempt(hook, op, docs, run); ferr == nil {
+			return false
 		}
+	}
+	if hook == nil {
+		docs = docsFn()
 	}
 	ctx.quarantineDocs(op, ferr.Error(), docs)
 	ev.quarantine(1)
-	return true, nil
+	return true
+}
+
+// attempt runs a guarded unit once, the hook first, and returns its
+// error or the panic it raised as a recoveredPanic.
+func attempt(hook func(string, []string) error, op string, docs []string, run func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = recoveredPanic{val: r}
+		}
+	}()
+	if hook != nil {
+		if err := hook(op, docs); err != nil {
+			return err
+		}
+	}
+	return run()
 }
 
 // quarantineErr wraps the sentinel with the operator and count for error

@@ -214,7 +214,6 @@ func TestChaosRecordsOfFailedLoad(t *testing.T) {
 	env.Tables["T"] = in
 	prog := alog.MustParse(`Q(a) :- T(a), a > 6.`)
 	ctx := engine.NewContext(env)
-	ctx.FaultPolicy = engine.QuarantineFaults
 	_, tbl := execute(t, env, ctx, prog)
 	if len(tbl.Tuples) != 3 || ctx.Stats.QuarantinedDocs != 1 || ctx.Stats.CmpOperandsParsed != 5 {
 		t.Fatalf("with q3 failing: %d tuples, %d quarantined, %d operands parsed (want 3, 1, 5)",

@@ -257,7 +257,10 @@ func TestRunUnderDeadlineCut(t *testing.T) {
 		if cut {
 			units := 0
 			env.FaultHook = func(site string, _ []string) error {
-				if units++; site == "feature" && units == cutAfter {
+				if site != "feature" {
+					return nil
+				}
+				if units++; units == cutAfter {
 					cancel()
 				}
 				return nil
@@ -345,7 +348,6 @@ func TestRunUnderFeatureFault(t *testing.T) {
 		}
 		ctx := engine.NewContext(env)
 		ctx.Workers = workers
-		ctx.FaultPolicy = engine.QuarantineFaults
 		tbl, err := plan.Execute(ctx)
 		if err != nil {
 			t.Fatal(err)

@@ -237,13 +237,13 @@ func applyFilter(ctx *Context, ev *EvalTrace, in *compact.Table, involved []int,
 	op.open = func(batch *statBatch) decideFn {
 		return func(tp compact.Tuple, _ *deltaOut) (deltaOut, bool, bool, error) {
 			var res filterOutcome
-			qed, err := ctx.guard(ev, op.site, func() []string { return tupleDocs(tp, involved) }, func() error {
+			qed := ctx.guard(ev, op.site, func() []string { return tupleDocs(tp, involved) }, func() error {
 				var ferr error
 				res, ferr = filter(tp, batch)
 				return ferr
 			})
-			if err != nil || qed {
-				return deltaOut{}, false, qed, err
+			if qed {
+				return deltaOut{}, false, true, nil
 			}
 			o := deltaOut{filt: &res}
 			if res.fallback {

@@ -247,7 +247,7 @@ func (idx *blockIndex) fill(ctx *Context, ev *EvalTrace, sim *tokenSim, rt *comp
 		cell := rt.Tuples[j].Cells[ri]
 		values := cell.NumValues()
 		var rec similarity.Record
-		qed, gerr := ctx.guard(ev, "blockindex", cellDocs(cell), func() error {
+		if ctx.guard(ev, "blockindex", cellDocs(cell), func() error {
 			if idx.post == nil && values <= lim.MaxCellValues {
 				toks = blockTokens(ctx, cell, toks[:0])
 			}
@@ -255,11 +255,7 @@ func (idx *blockIndex) fill(ctx *Context, ev *EvalTrace, sim *tokenSim, rt *comp
 				rec = sim.pinnedRecord(cell)
 			}
 			return nil
-		})
-		if gerr != nil {
-			return gerr
-		}
-		if qed {
+		}) {
 			qn++
 			continue
 		}
@@ -429,7 +425,7 @@ func (c *simChunk) candidates(left *leftSide, idx *blockIndex, universe []int) (
 // declares its token similarity, the odometer over the opaque
 // function otherwise. qed means the pair faulted and was quarantined (the
 // caller drops it); fb reports a charged valuation-limit fallback.
-func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed bool, err error) {
+func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed bool) {
 	rcell := c.rt.Tuples[j].Cells[c.ri]
 	// Filter over the two join cells alone — no tuple is built (let alone
 	// cloned) unless the pair survives.
@@ -438,17 +434,17 @@ func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed b
 	c.batch.simTuplePairs++
 	if c.sim != nil && len(left.pinned.Ord) > 0 && len(c.idx.pinned[j].Ord) > 0 {
 		matched := false
-		qed, err = c.ctx.guard(c.ev, "pfunc", pairDocs, func() error {
+		qed = c.ctx.guard(c.ev, "pfunc", pairDocs, func() error {
 			c.batch.funcCalls++
 			c.batch.simProbed++
 			c.batch.simVerified++
 			matched = c.sim.spec.Match(left.pinned, c.idx.pinned[j])
 			return nil
 		})
-		return joinMatch{j: j, sure: true}, matched && !qed && err == nil, false, qed, err
+		return joinMatch{j: j, sure: true}, matched && !qed, false, qed
 	}
 	var res filterOutcome
-	qed, err = c.ctx.guard(c.ev, "pfunc", pairDocs, func() error {
+	if c.ctx.guard(c.ev, "pfunc", pairDocs, func() error {
 		var ferr error
 		if c.sim == nil {
 			res, ferr = filterTupleF(pair, pairInvolved, c.fn, c.ctx.Env.Limits, c.batch)
@@ -470,11 +466,10 @@ func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed b
 				return ct
 			}, &c.sc, c.batch)
 		return ferr
-	})
-	if err != nil || qed {
-		return joinMatch{}, false, false, qed, err
+	}) {
+		return joinMatch{}, false, false, true
 	}
-	return joinMatch{j: j, sure: res.sure, repl: res.repl}, res.keep, res.fallback, false, nil
+	return joinMatch{j: j, sure: res.sure, repl: res.repl}, res.keep, res.fallback, false
 }
 
 // probe joins one left tuple against the right tuples idx covers:
@@ -489,10 +484,10 @@ func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed b
 // quarantines the tuple's documents and drops it, like a faulting
 // candidate pair. Site "blockindex" (single-document attribution), never
 // "pfunc".
-func (c *simChunk) probe(ltp compact.Tuple, idx *blockIndex, universe []int, chargeOversize bool) (ms []joinMatch, fb int32, qed bool, err error) {
+func (c *simChunk) probe(ltp compact.Tuple, idx *blockIndex, universe []int, chargeOversize bool) (ms []joinMatch, fb int32, qed bool) {
 	left := leftSide{cell: ltp.Cells[c.li]}
 	var cands []int
-	qed, err = c.ctx.guard(c.ev, "blockindex", cellDocs(left.cell), func() error {
+	if c.ctx.guard(c.ev, "blockindex", cellDocs(left.cell), func() error {
 		if c.sim != nil {
 			left.pinned = c.sim.pinnedRecord(left.cell)
 		}
@@ -505,15 +500,11 @@ func (c *simChunk) probe(ltp compact.Tuple, idx *blockIndex, universe []int, cha
 			fb = 1
 		}
 		return nil
-	})
-	if err != nil || qed {
-		return nil, 0, qed, err
+	}) {
+		return nil, 0, true
 	}
 	for _, j := range cands {
-		m, keep, fbp, pq, perr := c.evalPair(&left, j)
-		if perr != nil {
-			return nil, 0, false, perr
-		}
+		m, keep, fbp, pq := c.evalPair(&left, j)
 		if pq {
 			qed = true
 			continue
@@ -525,7 +516,7 @@ func (c *simChunk) probe(ltp compact.Tuple, idx *blockIndex, universe []int, cha
 			ms = append(ms, m)
 		}
 	}
-	return ms, fb, qed, nil
+	return ms, fb, qed
 }
 
 func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
@@ -588,8 +579,8 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 				return *old, true, false, nil
 			}
 			if old == nil {
-				ms, fb, qed, err := c.probe(ltp, p.idx, p.all, true)
-				return deltaOut{sim: ms, fallbacks: fb}, false, qed, err
+				ms, fb, qed := c.probe(ltp, p.idx, p.all, true)
+				return deltaOut{sim: ms, fallbacks: fb}, false, qed, nil
 			}
 			// Corpus replay: remap the matches whose right tuple survived
 			// the mutation, probe only the fresh right tuples, and merge
@@ -598,10 +589,7 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 			// the output is byte-identical. (An oversized left cell pairs
 			// with every fresh tuple; the replayed fallback count already
 			// charged the oversize.)
-			fresh, fb, qed, err := c.probe(ltp, freshIdx, rec.fresh, false)
-			if err != nil {
-				return deltaOut{}, true, false, err
-			}
+			fresh, fb, qed := c.probe(ltp, freshIdx, rec.fresh, false)
 			ms := make([]joinMatch, 0, len(old.sim)+len(fresh))
 			for _, m := range old.sim {
 				if nj := rec.newJ[m.j]; nj >= 0 {

@@ -182,9 +182,8 @@ e2(y, t) :- from(y, t), bold-font(t) = distinct-yes.
 
 // TestDiskStoreCorruptShardQuarantines: a document whose shard record was
 // corrupted on disk faults at first content access inside a guarded
-// operator; under QuarantineFaults the engine isolates that document and
-// completes over the survivors — the PR-5 fault path, now covering
-// storage-layer corruption.
+// operator; the engine isolates that document and completes over the
+// survivors, as it does for a fault in extraction code.
 func TestDiskStoreCorruptShardQuarantines(t *testing.T) {
 	dir := t.TempDir()
 	w, err := store.Create(dir, store.Options{})
@@ -241,7 +240,6 @@ e(x, v) :- from(x, v), bold-font(v) = distinct-yes.
 		t.Fatal(err)
 	}
 	ctx := NewContext(env)
-	ctx.FaultPolicy = QuarantineFaults
 	res, err := plan.Execute(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -335,7 +335,6 @@ func TestChaosProbeQuarantineSubset(t *testing.T) {
 			}
 			ctx := NewContext(env)
 			ctx.Workers = workers
-			ctx.FaultPolicy = QuarantineFaults
 			res, err := plan.Execute(ctx)
 			if err != nil {
 				t.Fatal(err)

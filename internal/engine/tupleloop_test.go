@@ -47,14 +47,16 @@ func ordinal(tp compact.Tuple) int {
 
 // fakeOp stands for tuple i with i%3 rows, charges a valuation-limit
 // fallback on every fifth tuple, and runs before (when set) inside its
-// guarded unit, which is where the cases inject cancellations and faults.
+// guarded unit, which is where the cases inject cancellations and faults,
+// and unguarded (when set) outside it, where a panic is not a document's.
 // decided records the tuples decide computed, reached the ones it saw.
 type fakeOp struct {
-	ctx     *Context
-	before  func(i int)
-	mu      sync.Mutex
-	decided []int
-	reached map[int]bool
+	ctx       *Context
+	before    func(i int)
+	unguarded func(i int)
+	mu        sync.Mutex
+	decided   []int
+	reached   map[int]bool
 }
 
 func (f *fakeOp) op() tupleOp {
@@ -72,14 +74,16 @@ func (f *fakeOp) op() tupleOp {
 			if i%5 == 0 {
 				o.fallbacks = 1
 			}
-			qed, err := f.ctx.guard(nil, op.site, func() []string { return tupleDocs(tp, op.cols) }, func() error {
+			if f.unguarded != nil {
+				f.unguarded(i)
+			}
+			if f.ctx.guard(nil, op.site, func() []string { return tupleDocs(tp, op.cols) }, func() error {
 				if f.before != nil {
 					f.before(i)
 				}
 				return nil
-			})
-			if err != nil || qed {
-				return deltaOut{}, false, qed, err
+			}) {
+				return deltaOut{}, false, true, nil
 			}
 			f.mu.Lock()
 			f.decided = append(f.decided, i)
@@ -245,7 +249,6 @@ func TestTupleLoopProtocol(t *testing.T) {
 
 			t.Run("transient error", func(t *testing.T) {
 				f := newFake(workers)
-				f.ctx.FaultPolicy = QuarantineFaults
 				var mu sync.Mutex
 				failed := map[string]bool{}
 				f.ctx.Env.FaultHook = func(site string, docs []string) error {
@@ -271,7 +274,6 @@ func TestTupleLoopProtocol(t *testing.T) {
 
 			t.Run("panic quarantined", func(t *testing.T) {
 				f := newFake(workers)
-				f.ctx.FaultPolicy = QuarantineFaults
 				f.before = func(i int) {
 					if i == 29 {
 						panic("bad page")
@@ -306,15 +308,15 @@ func (n *loopNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 	return ctx.tupleLoop(ev, dx, loopInput(), []string{"x"}, n.f.op())
 }
 
-// TestTupleLoopPanicReachesCaller: under FailFast a panic inside decide —
-// in the last chunk, which a pool worker runs whenever a slot is free —
-// reaches the Eval caller with no in-flight entry or pool slot left
+// TestTupleLoopPanicReachesCaller: a panic inside decide but outside its
+// guarded unit — in the last chunk, which a pool worker runs whenever a
+// slot is free — reaches the Eval caller with no in-flight entry or pool slot left
 // behind, and the key evaluates cleanly afterwards.
 func TestTupleLoopPanicReachesCaller(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		f := newFake(workers)
 		f.ctx.EnableDelta()
-		f.before = func(i int) {
+		f.unguarded = func(i int) {
 			if i == loopTuples-1 {
 				panic("boom in decide")
 			}
@@ -334,7 +336,7 @@ func TestTupleLoopPanicReachesCaller(t *testing.T) {
 		if inflight != 0 || cached != 0 || f.ctx.extraWorkers.Load() != 0 {
 			t.Errorf("workers=%d: %d in-flight entries, %d cached, %d pool slots held after the panic", workers, inflight, cached, f.ctx.extraWorkers.Load())
 		}
-		f.before = nil
+		f.unguarded = nil
 		if out, err := Eval(f.ctx, n); err != nil || len(out.Tuples) == 0 {
 			t.Errorf("workers=%d: re-evaluation after the panic: %v", workers, err)
 		}

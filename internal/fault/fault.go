@@ -5,13 +5,13 @@
 // same corpus ⇒ same faults, at any worker count and in any schedule.
 //
 // The injector deliberately knows nothing about the engine. It produces
-// two plain closures: a Hook compatible with engine.Env.FaultHook
-// (called at p-function, feature, and proc boundaries with the
-// documents involved) and a ChunkHook compatible with
-// engine.Context.ChunkHook (called at operator chunk boundaries).
-// Latency faults sleep; error faults return an error; panic faults
-// panic — which is the point: chaos tests assert the engine survives
-// all three and quarantines exactly the documents the injector targets.
+// one plain closure, a Hook compatible with engine.Env.FaultHook, which
+// the engine calls at p-function, feature, and proc boundaries with the
+// documents involved and at operator chunk boundaries with the chunk's
+// key ("c" and its start index). Latency faults sleep; error faults
+// return an error; panic faults panic — which is the point: chaos tests
+// assert the engine survives all three and quarantines exactly the
+// documents the injector targets.
 package fault
 
 import (
@@ -59,8 +59,10 @@ func (m Mode) String() string {
 // all documents fault at that site, but which ones is a pure function
 // of the seed, never of timing.
 type Rule struct {
-	// Site names the injection point: "pfunc", "feature", "proc" for
-	// the evaluation hooks, "chunk" for operator chunk boundaries.
+	// Site names the injection point: "pfunc", "feature", "proc",
+	// "blockindex" for the guarded units, "chunk" for operator chunk
+	// boundaries (keyed "c" and the chunk's start index, so the schedule
+	// is deterministic for a fixed input size at any worker count).
 	Site string
 	// Mode is what happens when the rule fires.
 	Mode Mode
@@ -171,39 +173,6 @@ func (in *Injector) Hook() func(site string, docs []string) error {
 			default:
 				in.Injected.Add(1)
 				return fmt.Errorf("fault: injected error at %s for doc %s", site, d)
-			}
-		}
-		return nil
-	}
-}
-
-// ChunkHook returns a closure for engine.Context.ChunkHook. Rules with
-// Site "chunk" fire keyed on the chunk's start index, so the schedule
-// is deterministic for a fixed input size regardless of worker count.
-func (in *Injector) ChunkHook() func(start, end int) error {
-	return func(start, end int) error {
-		if in.disabled.Load() {
-			return nil
-		}
-		key := fmt.Sprintf("c%d", start)
-		for i := range in.rules {
-			r := &in.rules[i]
-			if r.Site != "chunk" {
-				continue
-			}
-			if !in.hit(*r, key) {
-				continue
-			}
-			switch r.Mode {
-			case ModeLatency:
-				in.Injected.Add(1)
-				time.Sleep(r.Latency)
-			case ModePanic:
-				in.Injected.Add(1)
-				panic(fmt.Sprintf("fault: injected panic at chunk [%d,%d)", start, end))
-			case ModeError:
-				in.Injected.Add(1)
-				return fmt.Errorf("fault: injected error at chunk [%d,%d)", start, end)
 			}
 		}
 		return nil

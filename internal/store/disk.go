@@ -382,12 +382,19 @@ func (s *DiskStore) loadDoc(ord int) (text.DocContent, error) {
 	if r.err != nil {
 		return text.DocContent{}, r.err
 	}
-	if crc32.ChecksumIEEE(raw) != crc {
-		return text.DocContent{}, fmt.Errorf("doc %q: markup checksum mismatch (corrupt shard?)", s.meta[ord].id)
+	m := s.meta[ord]
+	if r.off != len(r.b) {
+		return text.DocContent{}, fmt.Errorf("doc %q: %d bytes after the markup (corrupt shard?)", m.id, len(r.b)-r.off)
 	}
-	c, err := markup.ParseContent(s.meta[ord].id, string(raw))
+	if crc32.ChecksumIEEE(raw) != crc {
+		return text.DocContent{}, fmt.Errorf("doc %q: markup checksum mismatch (corrupt shard?)", m.id)
+	}
+	c, err := markup.ParseContent(m.id, string(raw))
 	if err != nil {
 		return text.DocContent{}, err
+	}
+	if len(c.Text) != int(m.textLen) {
+		return text.DocContent{}, fmt.Errorf("doc %q: markup parses to %d bytes of text, the record says %d (corrupt shard?)", m.id, len(c.Text), m.textLen)
 	}
 	s.noteLoad(ord)
 	return c, nil

@@ -3,12 +3,16 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
+
+	"iflex/internal/markup"
 )
 
 // uvarints encodes gaps as a posting run, bypassing appendDelta's
@@ -292,4 +296,119 @@ func FuzzOpenTokenIndex(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzLoadRecord: whatever a shard record holds, loadDoc fails or returns
+// exactly what the record says — the page of the TOC's id, whose markup
+// parses to text of the recorded length, with nothing after the markup —
+// and it never panics or allocates out of proportion to the record. The
+// harness recomputes the markup checksum whenever the record's lengths
+// locate the markup, so inputs get past it. Seeds are the records of a
+// shard buildStore wrote.
+func FuzzLoadRecord(f *testing.F) {
+	dir := f.TempDir()
+	b := shardBytes(f, dir)
+	var seed DiskStore
+	if err := seed.readTOC(0, bytes.NewReader(b), int64(len(b))); err != nil {
+		f.Fatal(err)
+	}
+	for _, m := range seed.meta {
+		f.Add(m.id, m.textLen, b[m.offset+4:m.offset+4+uint64(m.recLen)])
+	}
+	fh, err := os.Create(filepath.Join(dir, "record"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer fh.Close()
+	f.Fuzz(func(t *testing.T, id string, textLen uint32, rec []byte) {
+		rec = slices.Clone(rec)
+		raw, ok := recordMarkup(rec)
+		if ok {
+			binary.LittleEndian.PutUint32(rec[4+int(binary.LittleEndian.Uint32(rec))+8:], crc32.ChecksumIEEE(raw))
+		}
+		s := recordStore(t, fh, id, textLen, rec)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := s.loadDoc(0)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(rec))+1<<20 {
+			t.Fatalf("allocated %d bytes for a %d-byte record", grew, len(rec))
+		}
+		if err != nil {
+			return
+		}
+		if !ok {
+			t.Fatalf("loaded a record whose lengths do not end at its markup: %x", rec)
+		}
+		if len(c.Text) != int(textLen) {
+			t.Fatalf("loaded %d bytes of text, the record says %d", len(c.Text), textLen)
+		}
+		want, err := markup.ParseContent(id, string(raw))
+		if err != nil || !reflect.DeepEqual(c, want) {
+			t.Fatalf("loaded %+v, the record's markup parses to %+v, %v", c, want, err)
+		}
+	})
+}
+
+// recordStore writes rec as the only record of the shard file fh and
+// returns a store whose TOC says the record holds page id, of textLen
+// bytes of text.
+func recordStore(t *testing.T, fh *os.File, id string, textLen uint32, rec []byte) *DiskStore {
+	if err := fh.Truncate(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fh.WriteAt(append(binary.LittleEndian.AppendUint32(nil, uint32(len(rec))), rec...), 0); err != nil {
+		t.Fatal(err)
+	}
+	return &DiskStore{shards: []*os.File{fh}, meta: []docMeta{{recLen: uint32(len(rec)), textLen: textLen, id: id}}}
+}
+
+// TestLoadDocRejectsMisreadRecord: loadDoc used to accept a record with
+// bytes after its markup, and markup whose text is not the recorded
+// length (FuzzLoadRecord found the second); the page then faulted only
+// later, as a text-length drift. It must refuse both.
+func TestLoadDocRejectsMisreadRecord(t *testing.T) {
+	dir := t.TempDir()
+	fh, err := os.Create(filepath.Join(dir, "record"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	build := func(raw string) []byte {
+		rec, _, _, err := buildRecord("p", raw, func(string) uint32 { return 0 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	ok := build("<b>x</b> y")
+	if _, err := recordStore(t, fh, "p", 3, ok).loadDoc(0); err != nil {
+		t.Fatalf("the record as written: %v", err)
+	}
+	// The header's textLen follows u32(idLen) and the one-byte id.
+	longer := build("<b>x</b> yz")
+	binary.LittleEndian.PutUint32(longer[5:], 3)
+	for name, rec := range map[string][]byte{
+		"a byte after the markup":   append(slices.Clone(ok), 'z'),
+		"text longer than recorded": longer,
+	} {
+		if _, err := recordStore(t, fh, "p", 3, rec).loadDoc(0); err == nil {
+			t.Errorf("%s: loaded", name)
+		}
+	}
+}
+
+// recordMarkup locates the markup of a record laid out as buildRecord
+// writes it: ok is false when the record's lengths overrun it or leave
+// bytes after the markup.
+func recordMarkup(rec []byte) (raw []byte, ok bool) {
+	r := bufReader{b: rec}
+	r.bytes(int(r.u32("idLen")), "id")
+	r.u32("textLen")
+	rawLen := int(r.u32("rawLen"))
+	r.u32("crc")
+	r.bytes(4*int(r.u32("nBlock")), "block tokens")
+	r.bytes(4*int(r.u32("nNorm")), "norm tokens")
+	raw = r.bytes(rawLen, "raw markup")
+	return raw, r.err == nil && r.off == len(rec)
 }
