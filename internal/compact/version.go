@@ -35,34 +35,37 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
+// fnvBool folds a flag into the hash as one byte.
+func fnvBool(h uint64, b bool) uint64 {
+	if b {
+		return fnvByte(h, 1)
+	}
+	return fnvByte(h, 0)
+}
+
+// fnvCell folds one cell's structure into the hash: the expansion flag and
+// each assignment's mode and span.
+func fnvCell(h uint64, c Cell) uint64 {
+	h = fnvInt(fnvBool(h, c.Expand), len(c.Assigns))
+	for _, a := range c.Assigns {
+		h = fnvInt(h, int(a.Mode))
+		if d := a.Span.Doc(); d != nil {
+			h = fnvString(h, d.ID())
+		}
+		h = fnvInt(fnvInt(h, a.Span.Start()), a.Span.End())
+	}
+	return h
+}
+
 // Fingerprint hashes the tuple's structure: the maybe flag and, per cell,
 // the expansion flag and each assignment's mode and span (document ID plus
 // byte range). Tuples that are StructuralEq always fingerprint equally;
 // the converse holds up to 64-bit collisions, so callers confirm a
 // fingerprint match with StructuralEq before trusting it.
 func (t Tuple) Fingerprint() uint64 {
-	h := uint64(fnvOffset64)
-	if t.Maybe {
-		h = fnvByte(h, 1)
-	} else {
-		h = fnvByte(h, 0)
-	}
-	h = fnvInt(h, len(t.Cells))
+	h := fnvInt(fnvBool(fnvOffset64, t.Maybe), len(t.Cells))
 	for _, c := range t.Cells {
-		if c.Expand {
-			h = fnvByte(h, 1)
-		} else {
-			h = fnvByte(h, 0)
-		}
-		h = fnvInt(h, len(c.Assigns))
-		for _, a := range c.Assigns {
-			h = fnvInt(h, int(a.Mode))
-			if d := a.Span.Doc(); d != nil {
-				h = fnvString(h, d.ID())
-			}
-			h = fnvInt(h, a.Span.Start())
-			h = fnvInt(h, a.Span.End())
-		}
+		h = fnvCell(h, c)
 	}
 	return h
 }
@@ -82,21 +85,7 @@ func (t Tuple) CellsFingerprint(idx []int) uint64 {
 			h = fnvByte(h, 0xff)
 			continue
 		}
-		c := t.Cells[ci]
-		if c.Expand {
-			h = fnvByte(h, 1)
-		} else {
-			h = fnvByte(h, 0)
-		}
-		h = fnvInt(h, len(c.Assigns))
-		for _, a := range c.Assigns {
-			h = fnvInt(h, int(a.Mode))
-			if d := a.Span.Doc(); d != nil {
-				h = fnvString(h, d.ID())
-			}
-			h = fnvInt(h, a.Span.Start())
-			h = fnvInt(h, a.Span.End())
-		}
+		h = fnvCell(h, t.Cells[ci])
 	}
 	return h
 }
@@ -109,18 +98,8 @@ func (t Tuple) CellsStructuralEq(o Tuple, idx []int) bool {
 		if ci >= len(t.Cells) || ci >= len(o.Cells) {
 			return false
 		}
-		a, b := t.Cells[ci], o.Cells[ci]
-		if a.Expand != b.Expand || len(a.Assigns) != len(b.Assigns) {
+		if !cellEq(t.Cells[ci], o.Cells[ci]) {
 			return false
-		}
-		if len(a.Assigns) > 0 && &a.Assigns[0] == &b.Assigns[0] {
-			continue
-		}
-		for j := range a.Assigns {
-			x, y := a.Assigns[j], b.Assigns[j]
-			if x.Mode != y.Mode || !x.Span.Equal(y.Span) {
-				return false
-			}
 		}
 	}
 	return true
@@ -151,21 +130,27 @@ func (t Tuple) StructuralEq(o Tuple) bool {
 		return false
 	}
 	for i := range t.Cells {
-		a, b := t.Cells[i], o.Cells[i]
-		if a.Expand != b.Expand || len(a.Assigns) != len(b.Assigns) {
+		if !cellEq(t.Cells[i], o.Cells[i]) {
 			return false
 		}
-		// Operators share assignment slices between input and output tuples
-		// (Tuple.Copy), so cells of successive table versions usually alias
-		// the very same backing array.
-		if len(a.Assigns) > 0 && &a.Assigns[0] == &b.Assigns[0] {
-			continue
-		}
-		for j := range a.Assigns {
-			x, y := a.Assigns[j], b.Assigns[j]
-			if x.Mode != y.Mode || !x.Span.Equal(y.Span) {
-				return false
-			}
+	}
+	return true
+}
+
+// cellEq reports whether two cells have the same expansion flag and the
+// same assignment sequence. Operators share assignment slices between
+// input and output tuples (Tuple.Copy), so cells of successive table
+// versions usually alias the very same backing array.
+func cellEq(a, b Cell) bool {
+	if a.Expand != b.Expand || len(a.Assigns) != len(b.Assigns) {
+		return false
+	}
+	if len(a.Assigns) > 0 && &a.Assigns[0] == &b.Assigns[0] {
+		return true
+	}
+	for j := range a.Assigns {
+		if x, y := a.Assigns[j], b.Assigns[j]; x.Mode != y.Mode || !x.Span.Equal(y.Span) {
+			return false
 		}
 	}
 	return true

@@ -85,12 +85,6 @@ func boldTitleAnswers() map[string]string {
 		map[string]string{"max-tokens": "8", "max-length": "80"})
 }
 
-func underlinedTitleAnswers() map[string]string {
-	return with(boolBase(
-		[]string{"underlined"}, []string{"in-list", "capitalized"}, nil),
-		map[string]string{"max-tokens": "8", "max-length": "80"})
-}
-
 // Book titles contain lower-case connectives ("From Basics to Advanced"),
 // so capitalized is genuinely "sometimes" -> unknown.
 func bookBoldTitleAnswers() map[string]string {

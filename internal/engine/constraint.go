@@ -20,7 +20,8 @@ import (
 // Spans produced by Refine are then re-checked against every constraint
 // previously applied to the same attribute — prior, then the run's own
 // earlier stages — because refining with a later constraint can produce
-// sub-spans that violate an earlier one.
+// sub-spans that violate an earlier one. Where the plan shows a cell is
+// already refined under them, only what Refine produced is (refineCell).
 //
 // A run evaluates in one pass: per input tuple, stage i makes the call a
 // chain of one-constraint nodes would make, refineCell(cell, cons[i],
@@ -53,12 +54,22 @@ func newConstraintNode(env *Env, parent Node, cons feature.Constraint, prior []f
 		return n.(*constraintNode)
 	}
 	var n *constraintNode
-	if p, ok := parent.(*constraintNode); ok && !stackRuns && p.attr() == cons.Attr && p.hasApplied(prior) {
+	if p, ok := appliedRun(parent, cons.Attr, prior); ok && !stackRuns {
 		n = &constraintNode{parent: p.parent, prior: p.prior, cons: slices.Concat(p.cons, []feature.Constraint{cons}), prev: p}
 	} else {
 		n = &constraintNode{parent: parent, prior: slices.Clone(prior), cons: []feature.Constraint{cons}}
 	}
 	return env.nodes.put(k, n, parent).(*constraintNode)
+}
+
+// appliedRun returns parent as a run on attr that has applied exactly prior
+// (compared in place): the run a stage extends, an input refined under prior.
+func appliedRun(parent Node, attr string, prior []feature.Constraint) (*constraintNode, bool) {
+	p, ok := parent.(*constraintNode)
+	if !ok || p.attr() != attr || len(prior) != len(p.prior)+len(p.cons) {
+		return nil, false
+	}
+	return p, slices.Equal(prior[:len(p.prior)], p.prior) && slices.Equal(prior[len(p.prior):], p.cons)
 }
 
 // stackRuns makes newConstraintNode build the chain of one-stage nodes a
@@ -70,12 +81,6 @@ var stackRuns bool
 // run: stage i re-checks applied()[:len(prior)+i+1].
 func (n *constraintNode) applied() []feature.Constraint {
 	return append(slices.Clone(n.prior), n.cons...)
-}
-
-// hasApplied reports whether list is applied(), without building it.
-func (n *constraintNode) hasApplied(list []feature.Constraint) bool {
-	np := len(n.prior)
-	return len(list) == np+len(n.cons) && slices.Equal(list[:np], n.prior) && slices.Equal(list[np:], n.cons)
 }
 
 func (n *constraintNode) attr() string      { return n.cons[0].Attr }
@@ -95,6 +100,7 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*com
 		return nil, err
 	}
 	np, stages := len(n.prior), len(n.cons)
+	_, refined := appliedRun(n.parent, n.attr(), n.prior)
 	// Tuples refine independently (features are pure, the record tables are
 	// concurrency-safe), so the loop fans out. The memo depends only on the
 	// constrained attribute's cell: a tuple whose other columns were refined
@@ -126,7 +132,7 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*com
 					for st := int(s); st < stages; st++ {
 						batch.stages++
 						var ferr error
-						if c, ferr = refineCell(batch, &sc, c, all[np+st], all[:np+st+1]); ferr != nil {
+						if c, ferr = refineCell(batch, &sc, c, all[np+st], all[:np+st+1], refined || np == 0 || st > 0); ferr != nil {
 							return ferr
 						}
 						if len(c.Assigns) == 0 {
@@ -212,8 +218,8 @@ func resolveStages(env *Env, cons []feature.Constraint) ([]stage, error) {
 // that a chunk's worker reuses them from tuple to tuple and stage to stage,
 // and the worker's way to the documents' record tables.
 type refineScratch struct {
-	a, b, before []text.Assignment
-	docs         docCursor
+	a, b, before, settled []text.Assignment
+	docs                  docCursor
 }
 
 // refineCell computes c' = ∪ A(k, m_i(s_i)) for the new constraint k, then
@@ -222,12 +228,21 @@ type refineScratch struct {
 // result of refining under all of them. Only the returned cell allocates,
 // and only when it differs from c: a stage that leaves a canonical list as
 // it found it returns c itself.
-func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k stage, all []stage) (compact.Cell, error) {
-	as, err := applyConstraint(batch, &sc.docs, k, c.Assigns, sc.a[:0])
-	if err != nil {
-		return compact.Cell{}, err
+// refined states that c is already refined under all[:len(all)-1]: what k
+// leaves as it is then settles, and only the rest enters the fixpoint. If
+// that is false, settling skips only re-checks: a superset, never less.
+func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k stage, all []stage, refined bool) (compact.Cell, error) {
+	as, settled, spare := sc.a[:0], sc.settled[:0], sc.b
+	var err error
+	for i, a := range c.Assigns {
+		n := len(as)
+		if as, err = applyConstraint(batch, &sc.docs, k, c.Assigns[i:i+1], as); err != nil {
+			return compact.Cell{}, err
+		}
+		if refined && len(as) == n+1 && as[n] == a {
+			as, settled = as[:n], append(settled, a)
+		}
 	}
-	spare := sc.b
 	const maxRounds = 3
 	for round := 0; round < maxRounds; round++ {
 		sc.before = append(sc.before[:0], as...)
@@ -242,11 +257,11 @@ func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k stage, al
 			break
 		}
 	}
-	sc.a, sc.b = as, spare
-	if slices.Equal(as, c.Assigns) && text.CanonicalAssignments(c.Assigns) {
+	sc.a, sc.b, sc.settled = as, spare, append(settled, as...)
+	if slices.Equal(sc.settled, c.Assigns) && text.CanonicalAssignments(c.Assigns) {
 		return c, nil
 	}
-	return compact.Cell{Assigns: text.DedupAssignments(as), Expand: c.Expand}, nil
+	return compact.Cell{Assigns: text.DedupAssignments(sc.settled), Expand: c.Expand}, nil
 }
 
 // assignmentsStable is refineCell's fixpoint test: a round changed nothing

@@ -105,7 +105,7 @@ func TestRefineCellMatchesReference(t *testing.T) {
 		k := all[len(all)-1]
 		var wantB, gotB statBatch
 		want, werr := refRefineCell(&wantB, refDocs, c, k, all)
-		got, gerr := refineCell(&gotB, &sc, c, k, all)
+		got, gerr := refineCell(&gotB, &sc, c, k, all, false)
 		if (werr != nil) != (gerr != nil) {
 			t.Fatalf("trial %d: error %v, reference %v", trial, gerr, werr)
 		}
@@ -124,6 +124,107 @@ func TestRefineCellMatchesReference(t *testing.T) {
 	}
 	if changed < 500 {
 		t.Fatalf("only %d of 3000 cells were refined at all", changed)
+	}
+}
+
+// TestRefineCellTrustsRefinedCells holds the semi-naive path to the naive
+// body where its precondition holds: each random cell grows stage by stage
+// from an empty prior, the way a run carries it, and at every stage the
+// trusted call must return the reference cell with no more Verify or
+// Refine calls. The saving is floored so that the settled shortcut is
+// seen to fire.
+func TestRefineCellTrustsRefinedCells(t *testing.T) {
+	docs := refinePages()
+	env := NewEnv()
+	r := rand.New(rand.NewSource(21))
+	var sc refineScratch
+	var stages int
+	var wantCalls, gotCalls int64
+	for cell := 0; cell < 20000; cell++ {
+		sc.docs = docCursor{memo: feature.NewMemo()}
+		refDocs := &docCursor{memo: feature.NewMemo()}
+		c := compact.Cell{Assigns: randomAssignments(r, docs, 1+r.Intn(4)), Expand: r.Intn(2) == 0}
+		cons := make([]feature.Constraint, 1+r.Intn(6))
+		for i := range cons {
+			cons[i] = refinePool[r.Intn(len(refinePool))]
+		}
+		all, err := resolveStages(env, cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for st := range all {
+			var wantB, gotB statBatch
+			want, werr := refRefineCell(&wantB, refDocs, c, all[st], all[:st+1])
+			got, gerr := refineCell(&gotB, &sc, c, all[st], all[:st+1], true)
+			if werr != nil || gerr != nil {
+				t.Fatalf("cell %d stage %d: error %v, reference %v", cell, st, gerr, werr)
+			}
+			if !slices.Equal(got.Assigns, want.Assigns) || got.Expand != want.Expand {
+				t.Fatalf("cell %d stage %d: %v under %v\n got %v\nwant %v", cell, st, c, cons[:st+1], got, want)
+			}
+			if gotB.verifyCalls > wantB.verifyCalls || gotB.refineCalls > wantB.refineCalls {
+				t.Fatalf("cell %d stage %d: calls %+v, reference %+v", cell, st, gotB, wantB)
+			}
+			stages++
+			wantCalls += wantB.verifyCalls + wantB.refineCalls
+			gotCalls += gotB.verifyCalls + gotB.refineCalls
+			if c = want; len(c.Assigns) == 0 {
+				break
+			}
+		}
+	}
+	t.Logf("%d stages: %d Verify/Refine calls, reference %d", stages, gotCalls, wantCalls)
+	if gotCalls*10 > wantCalls*7 {
+		t.Fatalf("trusted path made %d calls, reference %d: want at least 30%% fewer", gotCalls, wantCalls)
+	}
+}
+
+// TestRefineCellTrustedKeepsSuperset breaks the precondition on purpose:
+// raw random cells, never refined under the earlier constraints, go
+// through the trusted path. Skipping a re-check may keep more values but
+// never fewer, so every value of the reference cell must be a value of
+// the trusted one.
+func TestRefineCellTrustedKeepsSuperset(t *testing.T) {
+	docs := refinePages()
+	env := NewEnv()
+	r := rand.New(rand.NewSource(22))
+	var sc refineScratch
+	differ := 0
+	for trial := 0; trial < 20000; trial++ {
+		sc.docs = docCursor{memo: feature.NewMemo()}
+		refDocs := &docCursor{memo: feature.NewMemo()}
+		c := compact.Cell{Assigns: randomAssignments(r, docs, 1+r.Intn(4)), Expand: r.Intn(2) == 0}
+		cons := make([]feature.Constraint, 2+r.Intn(5))
+		for i := range cons {
+			cons[i] = refinePool[r.Intn(len(refinePool))]
+		}
+		all, err := resolveStages(env, cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := all[len(all)-1]
+		var wantB, gotB statBatch
+		want, werr := refRefineCell(&wantB, refDocs, c, k, all)
+		got, gerr := refineCell(&gotB, &sc, c, k, all, true)
+		if werr != nil || gerr != nil {
+			t.Fatalf("trial %d: error %v, reference %v", trial, gerr, werr)
+		}
+		if slices.Equal(got.Assigns, want.Assigns) {
+			continue
+		}
+		differ++
+		for _, w := range want.Assigns {
+			w.Values(func(v text.Span) bool {
+				if !slices.ContainsFunc(got.Assigns, func(g text.Assignment) bool { return g.Covers(v) }) {
+					t.Fatalf("trial %d: %v under %v lost value %q of %v\n got %v\nwant %v", trial, c, cons, v.Text(), w, got, want)
+				}
+				return true
+			})
+		}
+	}
+	t.Logf("%d of 20000 cells differ from the reference", differ)
+	if differ < 2000 {
+		t.Fatalf("only %d of 20000 raw cells kept more than the reference: the test shows nothing", differ)
 	}
 }
 

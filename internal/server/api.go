@@ -38,7 +38,7 @@ type CreateSessionRequest struct {
 	Tenant string `json:"tenant"`
 
 	Task    string `json:"task,omitempty"`
-	Records int    `json:"records,omitempty"`
+	Records int    `json:"records,omitempty"` // at most MaxTaskRecords
 	Seed    int64  `json:"seed,omitempty"`
 
 	Docs    map[string][]Doc `json:"docs,omitempty"`
@@ -60,7 +60,8 @@ type CreateSessionRequest struct {
 	// tenant's quota (0 = the full quota).
 	Workers int `json:"workers,omitempty"`
 	// CacheBudgetBytes requests reuse-cache memory, allocated from the
-	// tenant's byte pool (0 = an equal share of the pool).
+	// tenant's byte pool (0 = an equal share of the pool; negative is
+	// refused).
 	CacheBudgetBytes      int64   `json:"cache_budget_bytes,omitempty"`
 	SubsetSeed            uint64  `json:"subset_seed,omitempty"`
 	Alpha                 float64 `json:"alpha,omitempty"`

@@ -131,7 +131,7 @@ func (r *registry) admit(tenant string, wantWorkers int, wantCache int64) (worke
 		if cache == 0 {
 			cache = pool / int64(r.cfg.MaxSessionsPerTenant)
 		}
-		if ts.cacheBytes+cache > pool {
+		if cache > pool-ts.cacheBytes {
 			return 0, 0, quotaErr{fmt.Sprintf("tenant %q cache budget exhausted (%d of %d bytes allocated)",
 				tenant, ts.cacheBytes, pool)}
 		}

@@ -259,6 +259,9 @@ func (o candidateOracle) Candidates(attr alog.AttrRef, featureName string) []str
 	return nil
 }
 
+// MaxTaskRecords caps a create's records, which size an in-memory corpus.
+const MaxTaskRecords = 10000
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req CreateSessionRequest
 	if !s.decodeBody(w, r, &req) {
@@ -276,6 +279,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	if corpora != 1 {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("exactly one of task, docs, or store is required"))
+		return
+	}
+	if req.CacheBudgetBytes < 0 || req.Records < 0 || req.Records > MaxTaskRecords {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("cache_budget_bytes must not be negative, records must be in [0, %d]", MaxTaskRecords))
 		return
 	}
 

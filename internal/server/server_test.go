@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -203,6 +204,22 @@ func TestQuotas(t *testing.T) {
 	}
 	if a1.CacheBudgetBytes != 600 {
 		t.Errorf("granted cache = %d, want 600", a1.CacheBudgetBytes)
+	}
+	// A negative request would drive the pool's accounting below zero and
+	// let later sessions take more than the pool; an overflowing one would
+	// wrap the sum past the check. Neither is admitted, and neither is a
+	// records count outside [0, MaxTaskRecords].
+	if _, err := mk("a", -1000000); StatusCode(err) != http.StatusBadRequest {
+		t.Errorf("negative cache budget: err = %v, want 400", err)
+	}
+	if _, err := mk("a", math.MaxInt64); StatusCode(err) != http.StatusTooManyRequests {
+		t.Errorf("overflowing cache budget: err = %v, want 429", err)
+	}
+	for _, records := range []int{-1, MaxTaskRecords + 1} {
+		_, err := c.CreateSession(CreateSessionRequest{Tenant: "b", Task: "T1", Records: records})
+		if StatusCode(err) != http.StatusBadRequest {
+			t.Errorf("records %d: err = %v, want 400", records, err)
+		}
 	}
 	// Second session would need 600 more from a pool of 1000: refused.
 	if _, err := mk("a", 600); StatusCode(err) != http.StatusTooManyRequests {

@@ -135,6 +135,13 @@ func Open(dir string, opts OpenOptions) (*DiskStore, error) {
 		s.Close()
 		return nil, fmt.Errorf("store: open %s: shards hold %d docs, manifest says %d", dir, len(s.meta), man.Docs)
 	}
+	// Each commit adds one shard, so the shards below the generations' hold
+	// what tokens.idx covers; if not, a rollback would drop base pages.
+	base := sort.Search(len(s.meta), func(i int) bool { return s.meta[i].shard >= man.Shards-man.Generation })
+	if g := man.Generation; g < 0 || g > man.Shards || g > 0 && man.BaseDocs != base {
+		s.Close()
+		return nil, fmt.Errorf("store: open %s: generation %d over %d shards does not leave the %d base docs", dir, g, man.Shards, man.BaseDocs)
+	}
 	s.tomb = make([]bool, len(s.meta))
 	baseDocs := man.BaseDocs
 	if man.Generation == 0 {

@@ -97,33 +97,24 @@ func (r *bufReader) fail(what string) {
 }
 
 func (r *bufReader) u16(what string) uint16 {
-	if r.err != nil || r.off+2 > len(r.b) {
-		r.fail(what)
-		return 0
+	if b := r.bytes(2, what); b != nil {
+		return binary.LittleEndian.Uint16(b)
 	}
-	v := binary.LittleEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v
+	return 0
 }
 
 func (r *bufReader) u32(what string) uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail(what)
-		return 0
+	if b := r.bytes(4, what); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
+	return 0
 }
 
 func (r *bufReader) u64(what string) uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail(what)
-		return 0
+	if b := r.bytes(8, what); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
+	return 0
 }
 
 func (r *bufReader) bytes(n int, what string) []byte {
@@ -137,15 +128,14 @@ func (r *bufReader) bytes(n int, what string) []byte {
 }
 
 func (r *bufReader) u32s(n int, what string) []uint32 {
-	if r.err != nil || n < 0 || r.off+4*n > len(r.b) {
-		r.fail(what)
+	b := r.bytes(4*n, what)
+	if r.err != nil {
 		return nil
 	}
 	out := make([]uint32, n)
 	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(r.b[r.off+4*i:])
+		out[i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
-	r.off += 4 * n
 	return out
 }
 
