@@ -86,7 +86,7 @@ func run() (degraded bool, err error) {
 		strategy    = flag.String("strategy", "seq", "question selection strategy: seq or sim")
 		workers     = flag.Int("workers", 0, "worker pool size for evaluation and simulation (0 = one per CPU, 1 = serial)")
 		maxTuples   = flag.Int("max-print", 50, "print at most this many result tuples")
-		explain     = flag.Bool("explain", false, "print an EXPLAIN ANALYZE tree: per-operator rows, timing, cache status, fallbacks, optimizer decisions")
+		explain     = flag.Bool("explain", false, "print an EXPLAIN ANALYZE tree: per-operator rows, timing, cache status and work counts, then the counter totals")
 		timeout     = flag.Duration("timeout", 0, "best-effort deadline: on expiry print the partial result plus a degradation summary (0 = none)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")

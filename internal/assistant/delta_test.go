@@ -243,7 +243,7 @@ func TestCacheBudgetEviction(t *testing.T) {
 	}
 	bounded := run(budget)
 	snap := bounded.Stats.Snapshot()
-	if snap.CacheEvictions+snap.BlockIdxEvict == 0 {
+	if snap.CacheEvictions+snap.BlockIdxEvictions == 0 {
 		t.Errorf("no evictions under a %d-byte budget (cache bytes: %d)", budget, snap.CacheBytes)
 	}
 	if snap.CacheBytes > budget {

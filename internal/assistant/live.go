@@ -68,14 +68,14 @@ func (s *Session) ApplyCorpusDelta(d *engine.CorpusDelta, refresh func(*engine.E
 // over the mutated corpus would compute.
 func (s *Session) Reevaluate(d time.Duration) (*LiveUpdate, error) {
 	defer s.bind(d)()
-	base := s.ctx.Stats.Snapshot()
+	base := s.ctx.Stats
 	start := time.Now()
 	final, _, err := s.execute(false)
 	if err != nil {
 		return nil, err
 	}
 	final = s.ctx.AttachDegraded(final)
-	st := s.ctx.Stats.Snapshot()
+	st := s.ctx.Stats
 	up := &LiveUpdate{
 		Final:            final,
 		FinalTuples:      final.NumExpandedTuples(),
@@ -86,6 +86,6 @@ func (s *Session) Reevaluate(d time.Duration) (*LiveUpdate, error) {
 	}
 	// Advance the counter baselines past this run so a later iteration's
 	// log entry does not absorb the live run's work.
-	s.base = s.counters()
+	s.base = st
 	return up, nil
 }

@@ -187,7 +187,7 @@ type Session struct {
 	iterN    int
 	loopDone bool
 	finished bool
-	base     counters
+	base     engine.Stats
 
 	// trialPrev remembers each simulated candidate's previous trial plan
 	// (keyed by attr/feature/value), so re-simulating the same candidate in

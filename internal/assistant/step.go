@@ -52,24 +52,16 @@ type StepResult struct {
 
 var errFinalized = errors.New("assistant: session already finalized")
 
-// counters are the engine stats an Iteration reports as deltas.
-type counters struct{ evals, hits, reused, recomp int64 }
-
-func (s *Session) counters() counters {
-	st := &s.ctx.Stats
-	return counters{st.NodesEvaluated, st.CacheHits, st.TuplesReused, st.TuplesRecomputed}
-}
-
 // record stamps it with the engine-counter deltas since the previous
 // iteration (fresh evaluations vs reuse-cache hits, delta-replayed vs
 // recomputed tuples) and the wall time since start, appends it to the log
 // and returns it.
 func (s *Session) record(it Iteration, start time.Time) Iteration {
-	now := s.counters()
-	it.Evals = now.evals - s.base.evals
-	it.CacheHits = now.hits - s.base.hits
-	it.TuplesReused = now.reused - s.base.reused
-	it.TuplesRecomputed = now.recomp - s.base.recomp
+	now := s.ctx.Stats
+	it.Evals = now.NodesEvaluated - s.base.NodesEvaluated
+	it.CacheHits = now.CacheHits - s.base.CacheHits
+	it.TuplesReused = now.TuplesReused - s.base.TuplesReused
+	it.TuplesRecomputed = now.TuplesRecomputed - s.base.TuplesRecomputed
 	s.base = now
 	it.WallS = time.Since(start).Seconds()
 	s.res.Iterations = append(s.res.Iterations, it)

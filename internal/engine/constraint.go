@@ -130,7 +130,7 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*com
 						c = *o.cell
 					}
 					for st := int(s); st < stages; st++ {
-						batch.stages++
+						batch.ConstraintStages++
 						var ferr error
 						if c, ferr = refineCell(batch, &sc, c, all[np+st], all[:np+st+1], refined || np == 0 || st > 0); ferr != nil {
 							return ferr
@@ -281,7 +281,7 @@ func applyConstraint(batch *statBatch, docs *docCursor, k stage, as, out []text.
 	for _, a := range as {
 		tab := docs.of(a.Span.Doc())
 		if a.Mode == text.Exact {
-			batch.verifyCalls++
+			batch.VerifyCalls++
 			ok, hit, err := tab.Verify(k.f, k.id, a.Span, k.value)
 			if err != nil {
 				return nil, err
@@ -292,7 +292,7 @@ func applyConstraint(batch *statBatch, docs *docCursor, k stage, as, out []text.
 			}
 			continue
 		}
-		batch.refineCalls++
+		batch.RefineCalls++
 		refined, hit, err := tab.Refine(k.f, k.id, a.Span, k.value)
 		if err != nil {
 			return nil, err

@@ -162,12 +162,12 @@ func TestRefineCellTrustsRefinedCells(t *testing.T) {
 			if !slices.Equal(got.Assigns, want.Assigns) || got.Expand != want.Expand {
 				t.Fatalf("cell %d stage %d: %v under %v\n got %v\nwant %v", cell, st, c, cons[:st+1], got, want)
 			}
-			if gotB.verifyCalls > wantB.verifyCalls || gotB.refineCalls > wantB.refineCalls {
+			if gotB.VerifyCalls > wantB.VerifyCalls || gotB.RefineCalls > wantB.RefineCalls {
 				t.Fatalf("cell %d stage %d: calls %+v, reference %+v", cell, st, gotB, wantB)
 			}
 			stages++
-			wantCalls += wantB.verifyCalls + wantB.refineCalls
-			gotCalls += gotB.verifyCalls + gotB.refineCalls
+			wantCalls += wantB.VerifyCalls + wantB.RefineCalls
+			gotCalls += gotB.VerifyCalls + gotB.RefineCalls
 			if c = want; len(c.Assigns) == 0 {
 				break
 			}
@@ -314,6 +314,44 @@ func TestProjectIdentitySharesTuples(t *testing.T) {
 	for i, tp := range sw.Tuples {
 		if len(tp.Cells) != 2 || cap(tp.Cells) != 2 || !tp.CellsStructuralEq(compact.Tuple{Cells: []compact.Cell{in.Tuples[i].Cells[1], in.Tuples[i].Cells[0]}}, []int{0, 1}) {
 			t.Fatalf("row %d of the reordering projection: %v from %v", i, tp, in.Tuples[i])
+		}
+	}
+}
+
+// TestRunOverUnappliedParent: a constraint node whose prior lists
+// constraints its parent has not applied — a trial inserted above an
+// identity projection, say — must not trust its input as refined under
+// them. For every pair of pool constraints its table is the run's that
+// applies them first.
+func TestRunOverUnappliedParent(t *testing.T) {
+	for _, k1 := range refinePool {
+		for _, k2 := range refinePool {
+			if k1 == k2 {
+				continue // one node key: the pair is a single constraint
+			}
+			c1, c2 := k1, k2
+			c1.Attr, c2.Attr = "title", "title"
+			env := NewEnv()
+			env.AddDocTable("pages", "x", refinePages())
+			from := newFromNode(env, newScanNode(env, "pages", []string{"x"}), "x", "t")
+			same := newProjectNode(env, from, []string{"x", "t"}, []string{"x", "title"})
+			over := newConstraintNode(env, same, c2, []feature.Constraint{c1})
+			run := newConstraintNode(env, newConstraintNode(env, same, c1, nil), c2, []feature.Constraint{c1})
+			if over.parent != same || run.parent != same || len(run.cons) != 2 {
+				t.Fatalf("%v over %v: built %s and %s", c2, c1, over.Signature(), run.Signature())
+			}
+			ctx := NewContext(env)
+			got, err := Eval(ctx, over)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Eval(ctx, run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want.String() {
+				t.Errorf("%v over %v above a projection:\n%s\nthe run computes\n%s", c2, c1, got, want)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"iflex/internal/compact"
 )
@@ -161,10 +160,6 @@ type deltaState struct {
 	// similarity join reconciles the two right tables instead
 	// (tupleOp.reconcile).
 	corpus bool
-	// reused counts tuples replayed from the prior during this evaluation,
-	// for per-operator trace attribution (the deterministic Stats totals
-	// are counted through statBatch instead).
-	reused atomic.Int64
 }
 
 // priorFor returns the predecessor memo usable for one pass of op, nil

@@ -23,6 +23,7 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -348,81 +349,131 @@ type inflightEval struct {
 	err   error
 }
 
-// Stats counts evaluation work, exposed for the experiments and benches.
+// Stats counts evaluation work, exposed for the experiments, the benches
+// and the service's stats stream. Each counter is declared once, here or in
+// Work: its doc comment is its help text, its json tag its wire name (the
+// snapshot embeds Stats), and its stat tag its kind:
+//
+//	det    identical totals at any worker count: the single-flight cache
+//	       evaluates each key exactly once, every other request is a hit
+//	sched  depends on scheduling and varies run to run
+//	gauge  a current level rather than a running total
+//	ns     wall time, rendered in seconds by Snapshot
+//
 // Fields are int64 so concurrent evaluation can update them atomically;
 // read them only after evaluation quiesces (or via a copy).
-//
-// NodesEvaluated, CacheHits, TuplesBuilt, the call counters, the Sim*
-// funnel, CmpOperandsParsed, ConstraintStages, LimitFallbacks, DeltaEvals,
-// TuplesReused, and TuplesRecomputed are deterministic: identical totals at
-// any worker count (the single-flight cache evaluates each key exactly
-// once; every other request is a hit).
-// The pool counters and OpTimeNs depend on scheduling and vary run to
-// run. Snapshot renders the JSON view with derived rates.
 type Stats struct {
-	NodesEvaluated int64
-	CacheHits      int64
-	TuplesBuilt    int64
-	ProcCalls      int64
-	FuncCalls      int64
-	VerifyCalls    int64
-	RefineCalls    int64
+	// NodesEvaluated counts the Eval calls that evaluated their node;
+	// CacheHits those the cache or an in-flight evaluation served;
+	// TuplesBuilt the compact tuples the evaluations output; ProcCalls the
+	// procedure invocations.
+	NodesEvaluated int64 `json:"nodes_evaluated" stat:"det"`
+	CacheHits      int64 `json:"cache_hits" stat:"det"`
+	TuplesBuilt    int64 `json:"tuples_built" stat:"det"`
+	ProcCalls      int64 `json:"proc_calls" stat:"det"`
+	Work
+	// PoolSlotsGranted / PoolSlotsDenied count tryAcquire outcomes: a
+	// denial means the work ran inline on the requesting goroutine.
+	PoolSlotsGranted int64 `json:"pool_slots_granted" stat:"sched"`
+	PoolSlotsDenied  int64 `json:"pool_slots_denied" stat:"sched"`
+	// PoolMaxExtra is the high-water mark of concurrently held pool slots
+	// (extra workers beyond the requesting goroutine). A service hosting
+	// many tenants on one process reads this per tenant context to see the
+	// peak share of the machine each actually used against its Workers
+	// quota.
+	PoolMaxExtra int64 `json:"pool_max_extra" stat:"sched"`
+	// OpTimeNs accumulates evaluation wall time per operator kind,
+	// indexed by OpKind (see trace.go).
+	OpTimeNs [numOpKinds]int64 `json:"-" stat:"ns"`
+	// StatMergeNs / StatMerges measure the per-chunk counter flushes: hot
+	// loops batch their counts locally and merge once per chunk, so these
+	// report how much wall time the shared-counter synchronisation costs in
+	// total.
+	StatMergeNs int64 `json:"-" stat:"ns"`
+	StatMerges  int64 `json:"stat_merges" stat:"sched"`
+	// DeltaEvals counts node evaluations that ran with a predecessor memo
+	// attached (cache misses where RegisterDelta had mapped the node and
+	// the predecessor's entry was still resident); NodesEvaluated minus
+	// DeltaEvals is the full-evaluation count.
+	DeltaEvals int64 `json:"delta_evals" stat:"det"`
+	// TablesAdopted counts re-evaluations whose output reproduced the
+	// predecessor's table exactly, so the old table object was handed out
+	// instead — preserving downstream pointer identity (and with it the
+	// binary operators' memo transferability).
+	TablesAdopted int64 `json:"tables_adopted" stat:"det"`
+	// CacheEvictions / BlockIdxEvictions count entries dropped to keep
+	// the cache under CacheBudget, split by payload kind (result table vs
+	// similarity-join blocking index). CacheBytes is the current estimated
+	// resident size of the cache. DocRecordBytes is the same for the Env's
+	// document record tables, refreshed whenever an evaluation stores its
+	// result and by ApplyCorpusDelta.
+	CacheEvictions    int64 `json:"cache_evictions" stat:"sched"`
+	BlockIdxEvictions int64 `json:"block_idx_evictions" stat:"sched"`
+	CacheBytes        int64 `json:"cache_bytes" stat:"gauge"`
+	DocRecordBytes    int64 `json:"doc_record_bytes" stat:"gauge"`
+	// BlockIdxPostings counts simjoin blocking indexes served directly
+	// by the persistent inverted token index (Env.Postings) instead of
+	// being rebuilt from page text; IndexTokenHits counts whole-document
+	// token queries answered by Env.DocIndex. Concurrent builders race
+	// benignly and delta reuse skips lookups, hence sched.
+	BlockIdxPostings int64 `json:"block_idx_postings" stat:"sched"`
+	IndexTokenHits   int64 `json:"index_token_hits" stat:"sched"`
+	// QuarantinedDocs is the number of documents currently quarantined by
+	// per-document fault isolation. QuarantineEvents counts faults converted
+	// into quarantine, QuarantineRetries counts transient-error retries, and
+	// EvalRestarts counts the clean re-evaluations Plan.Execute ran after a
+	// pass quarantined documents. A faulting pass still processes every
+	// unit, so the per-pass quarantine set is schedule-independent.
+	QuarantinedDocs   int64 `json:"quarantined_docs" stat:"gauge"`
+	QuarantineEvents  int64 `json:"quarantine_events" stat:"det"`
+	QuarantineRetries int64 `json:"quarantine_retries" stat:"det"`
+	EvalRestarts      int64 `json:"eval_restarts" stat:"det"`
+	// DeadlineCuts counts operator loops cut short by a fired best-effort
+	// cancellation.
+	DeadlineCuts int64 `json:"deadline_cuts" stat:"sched"`
+	// CorpusDeltas counts ApplyCorpusDelta calls; CorpusPriorHits counts
+	// cache-miss evaluations that picked up a displaced prior (table plus
+	// per-tuple memo) from the last corpus delta, so the operator replayed
+	// tuples from unchanged documents instead of recomputing them.
+	CorpusDeltas    int64 `json:"corpus_deltas,omitempty" stat:"det"`
+	CorpusPriorHits int64 `json:"corpus_prior_hits,omitempty" stat:"det"`
+}
+
+// Work is what the operator loops count. It is kept at three scopes: a
+// chunk's statBatch, one evaluation (EvalTrace, rendered as its TraceRecord
+// and summed into OpStats) and the context (Stats); add merges one scope
+// into the next. Work declares int64 counters only.
+type Work struct {
+	// FuncCalls counts the valuations p-functions and comparisons decided:
+	// decisions, not their cost. VerifyCalls / RefineCalls count logical
+	// feature calls, whether or not a record table answered them.
+	FuncCalls   int64 `json:"func_calls" stat:"det"`
+	VerifyCalls int64 `json:"verify_calls" stat:"det"`
+	RefineCalls int64 `json:"refine_calls" stat:"det"`
 	// SimTuplePairs / SimValuePairsProbed / SimValuePairsVerified are the
 	// similarity join's funnel: candidate tuple pairs that reached pair
 	// evaluation after tuple-level blocking, value pairs the value-level
 	// index probes surfaced (with multiplicity — a pair sharing two probed
 	// tokens counts twice), and distinct value pairs the similarity kernel
-	// actually decided. Deterministic like FuncCalls.
-	SimTuplePairs         int64
-	SimValuePairsProbed   int64
-	SimValuePairsVerified int64
+	// actually decided.
+	SimTuplePairs         int64 `json:"sim_tuple_pairs" stat:"det"`
+	SimValuePairsProbed   int64 `json:"sim_value_pairs_probed" stat:"det"`
+	SimValuePairsVerified int64 `json:"sim_value_pairs_verified" stat:"det"`
 	// CmpOperandsParsed counts the values comparison selections parsed into
 	// operands (number / normalised string / NULL): once per value of each
 	// distinct (document span, mode) assignment for as long as the document's
 	// record table lives, however many tuples, nodes and trials meet it
-	// (operands.go). Deterministic like FuncCalls — a record is charged when
-	// published, not when built.
-	CmpOperandsParsed int64
+	// (operands.go). A record is charged when published, not when built.
+	CmpOperandsParsed int64 `json:"cmp_operands_parsed" stat:"det"`
 	// ConstraintStages counts the stages constraint runs computed: one per
 	// refineCell call, i.e. per tuple and constraint that was not replayed
-	// from a delta memo. Deterministic like FuncCalls.
-	ConstraintStages int64
+	// from a delta memo.
+	ConstraintStages int64 `json:"constraint_stages" stat:"det"`
 	// LimitFallbacks counts tuples an operator kept conservatively
 	// because value enumeration exceeded Limits (the superset-safe
-	// fallback paths of Section 4.1).
-	LimitFallbacks int64
-	// PoolSlotsGranted / PoolSlotsDenied count tryAcquire outcomes: a
-	// denial means the work ran inline on the requesting goroutine.
-	PoolSlotsGranted int64
-	PoolSlotsDenied  int64
-	// PoolMaxExtra is the high-water mark of concurrently held pool slots
-	// (extra workers beyond the requesting goroutine). A service hosting
-	// many tenants on one process reads this per tenant context to see the
-	// peak share of the machine each actually used against its Workers
-	// quota. Scheduling-dependent, like the other pool counters.
-	PoolMaxExtra int64
-	// FeatureMemoHits / FeatureMemoMisses count Verify/Refine invocations
-	// served from (or inserted into) the documents' record tables. Concurrent
-	// evaluations may race to fill the same key, so — like the pool
-	// counters — these vary slightly with scheduling; VerifyCalls and
-	// RefineCalls count logical calls and stay deterministic.
-	FeatureMemoHits   int64
-	FeatureMemoMisses int64
-	// OpTimeNs accumulates evaluation wall time per operator kind,
-	// indexed by OpKind (see trace.go); like the pool counters it varies
-	// with scheduling.
-	OpTimeNs [numOpKinds]int64
-	// StatMergeNs / StatMerges measure the per-worker counter-shard
-	// flushes: hot loops batch their deterministic counter deltas locally
-	// and merge once per chunk, so these report how much wall time the
-	// shared-counter synchronisation costs in total.
-	StatMergeNs int64
-	StatMerges  int64
-	// DeltaEvals counts node evaluations that ran with a predecessor memo
-	// attached (cache misses where RegisterDelta had mapped the node and
-	// the predecessor's entry was still resident); NodesEvaluated minus
-	// DeltaEvals is the full-evaluation count.
-	DeltaEvals int64
+	// fallback paths of Section 4.1). A replayed outcome recharges the
+	// fallbacks it stands for.
+	LimitFallbacks int64 `json:"limit_fallbacks" stat:"det"`
 	// TuplesReused / TuplesRecomputed count, across the delta-capable
 	// operators (constraint, cross, similarity join, annotation; selections
 	// and procedures keep no memo and count nothing), input tuples whose
@@ -433,52 +484,31 @@ type Stats struct {
 	// recomputed when at least one stage was computed for it
 	// (ConstraintStages says how many), reused when the memo covered them
 	// all.
-	TuplesReused     int64
-	TuplesRecomputed int64
-	// TablesAdopted counts re-evaluations whose output reproduced the
-	// predecessor's table exactly, so the old table object was handed out
-	// instead — preserving downstream pointer identity (and with it the
-	// binary operators' memo transferability).
-	TablesAdopted int64
-	// CacheEvictions / BlockIdxEvictions count entries dropped to keep
-	// the cache under CacheBudget, split by payload kind (result table vs
-	// similarity-join blocking index). CacheBytes is a gauge: the current
-	// estimated resident size of the cache. DocRecordBytes is the same for
-	// the Env's document record tables, refreshed whenever an evaluation
-	// stores its result and by ApplyCorpusDelta.
-	CacheEvictions    int64
-	BlockIdxEvictions int64
-	CacheBytes        int64
-	DocRecordBytes    int64
-	// BlockIdxPostings counts simjoin blocking indexes served directly
-	// by the persistent inverted token index (Env.Postings) instead of
-	// being rebuilt from page text; IndexTokenHits counts whole-document
-	// token queries answered by Env.DocIndex. Both vary slightly with
-	// scheduling (concurrent builders race benignly; delta reuse skips
-	// lookups), like the feature-memo counters.
-	BlockIdxPostings int64
-	IndexTokenHits   int64
-	// QuarantinedDocs is a gauge: the number of documents currently
-	// quarantined by per-document fault isolation. QuarantineEvents
-	// counts faults converted into quarantine, QuarantineRetries counts
-	// transient-error retries, and EvalRestarts counts the clean
-	// re-evaluations Plan.Execute ran after a pass quarantined documents.
-	// All four are deterministic at any worker count: a faulting pass
-	// still processes every unit, so the per-pass quarantine set is
-	// schedule-independent.
-	QuarantinedDocs   int64
-	QuarantineEvents  int64
-	QuarantineRetries int64
-	EvalRestarts      int64
-	// DeadlineCuts counts operator loops cut short by a fired best-effort
-	// cancellation; like the pool counters it varies with scheduling.
-	DeadlineCuts int64
-	// CorpusDeltas counts ApplyCorpusDelta calls; CorpusPriorHits counts
-	// cache-miss evaluations that picked up a displaced prior (table plus
-	// per-tuple memo) from the last corpus delta, so the operator replayed
-	// tuples from unchanged documents instead of recomputing them.
-	CorpusDeltas    int64
-	CorpusPriorHits int64
+	TuplesReused     int64 `json:"tuples_reused" stat:"det"`
+	TuplesRecomputed int64 `json:"tuples_recomputed" stat:"det"`
+	// FeatureMemoHits / FeatureMemoMisses count Verify/Refine invocations
+	// served from (or inserted into) the documents' record tables.
+	// Concurrent evaluations may race to fill the same key, so these vary
+	// slightly with scheduling; VerifyCalls and RefineCalls count logical
+	// calls.
+	FeatureMemoHits   int64 `json:"feature_memo_hits" stat:"sched"`
+	FeatureMemoMisses int64 `json:"feature_memo_misses" stat:"sched"`
+}
+
+// add merges w's counts into each of dsts atomically, skipping zero ones:
+// a chunk's into its evaluation and the context, a traced call's into its
+// operator.
+func (w *Work) add(dsts ...*Work) {
+	src := reflect.ValueOf(w).Elem()
+	for i := range src.NumField() {
+		n := src.Field(i).Int()
+		if n == 0 {
+			continue
+		}
+		for _, d := range dsts {
+			atomic.AddInt64(reflect.ValueOf(d).Elem().Field(i).Addr().Interface().(*int64), n)
+		}
+	}
 }
 
 // statAdd atomically bumps one stats counter; every Stats write in the
@@ -496,82 +526,38 @@ func statMax(p *int64, v int64) {
 	}
 }
 
-// statBatch is a worker-local shard of the deterministic call counters.
-// Hot loops (filterTupleF odometers, similarity-join probes, constraint
-// refinement) increment plain fields and flush once per chunk, replacing
-// one atomic add per predicate call with one per counter per chunk — the
-// contention fix for the parallel op-time inflation seen in PR 2's traces.
+// statBatch is one chunk's Work. Hot loops (filterTupleF odometers,
+// similarity-join probes, constraint refinement) increment plain fields
+// and flush once per chunk, replacing one atomic add per predicate call
+// with one per counter per chunk.
 type statBatch struct {
-	funcCalls        int64
-	verifyCalls      int64
-	refineCalls      int64
-	simTuplePairs    int64
-	simProbed        int64
-	simVerified      int64
-	memoHits         int64
-	memoMisses       int64
-	tuplesReused     int64
-	tuplesRecomputed int64
-	stages           int64
+	Work
 	// stageAsg is not a Stats counter: the assignments of the stage tables a
-	// constraint run did not build, handed to the evaluation's EvalTrace at
-	// the end of the chunk (chunkWork).
+	// constraint run did not build, handed to the chunk's EvalTrace.
 	stageAsg int64
 }
 
 // countMemo records one feature-memo lookup outcome.
 func (b *statBatch) countMemo(hit bool) {
 	if hit {
-		b.memoHits++
+		b.FeatureMemoHits++
 	} else {
-		b.memoMisses++
+		b.FeatureMemoMisses++
 	}
 }
 
-// flush merges the shard into the shared Stats — the tuple loop does it
-// once, when the chunk ends — and times the merge (surfaced as
+// flush merges the chunk into its evaluation and the context — the tuple
+// loop does it once, when the chunk ends — and times the merge (surfaced as
 // stat_merge_seconds in snapshots).
-func (b *statBatch) flush(ctx *Context) {
+func (b *statBatch) flush(ctx *Context, ev *EvalTrace) {
 	if *b == (statBatch{}) {
 		return
 	}
 	start := time.Now()
-	stats := &ctx.Stats
-	if b.funcCalls != 0 {
-		atomic.AddInt64(&stats.FuncCalls, b.funcCalls)
-	}
-	if b.verifyCalls != 0 {
-		atomic.AddInt64(&stats.VerifyCalls, b.verifyCalls)
-	}
-	if b.refineCalls != 0 {
-		atomic.AddInt64(&stats.RefineCalls, b.refineCalls)
-	}
-	if b.simTuplePairs != 0 {
-		atomic.AddInt64(&stats.SimTuplePairs, b.simTuplePairs)
-	}
-	if b.simProbed != 0 {
-		atomic.AddInt64(&stats.SimValuePairsProbed, b.simProbed)
-	}
-	if b.simVerified != 0 {
-		atomic.AddInt64(&stats.SimValuePairsVerified, b.simVerified)
-	}
-	if b.memoHits != 0 {
-		atomic.AddInt64(&stats.FeatureMemoHits, b.memoHits)
-	}
-	if b.memoMisses != 0 {
-		atomic.AddInt64(&stats.FeatureMemoMisses, b.memoMisses)
-	}
-	if b.tuplesReused != 0 {
-		atomic.AddInt64(&stats.TuplesReused, b.tuplesReused)
-	}
-	if b.tuplesRecomputed != 0 {
-		atomic.AddInt64(&stats.TuplesRecomputed, b.tuplesRecomputed)
-	}
-	if b.stages != 0 {
-		atomic.AddInt64(&stats.ConstraintStages, b.stages)
-	}
-	atomic.AddInt64(&stats.StatMergeNs, int64(time.Since(start)))
-	atomic.AddInt64(&stats.StatMerges, 1)
+	b.add(&ev.work, &ctx.Stats.Work)
+	ev.stageAsg.Add(b.stageAsg)
+	atomic.AddInt64(&ctx.Stats.StatMergeNs, int64(time.Since(start)))
+	atomic.AddInt64(&ctx.Stats.StatMerges, 1)
 }
 
 // NewContext returns a fresh context with an empty reuse cache.
@@ -764,7 +750,7 @@ type Node interface {
 	// Children returns the node's input operators.
 	Children() []Node
 	// eval computes the node's output table (uncached). ev receives
-	// per-evaluation attribution (valuation-limit fallbacks, a run's stage
+	// per-evaluation attribution (the loop counters, a run's stage
 	// totals) and may be nil, which discards it; dx carries
 	// delta-evaluation state and is nil when delta evaluation is off.
 	eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error)
@@ -916,16 +902,8 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 	if trace != nil {
 		rec := TraceRecord{
 			Op: opName(n), Signature: n.Signature(), Key: ctx.cacheKey(mode, n), key: key,
-			Status: StatusMiss, Wall: wall, Goroutine: goid(),
-			Fallbacks: ev.fallbacks.Load(), Recomputed: ev.recomputed.Load(),
-			Quarantined:   ev.quarantined.Load(),
-			SimTuplePairs: ev.simPairs.Load(), SimValuePairsProbed: ev.simProbed.Load(),
-			SimValuePairsVerified: ev.simVerified.Load(),
-			CmpOperandsParsed:     ev.cmpParsed.Load(),
-			Stages:                ev.stages, ResumedFrom: ev.resumedFrom,
-		}
-		if dx != nil {
-			rec.Reused = dx.reused.Load()
+			Status: StatusMiss, Wall: wall, Goroutine: goid(), Work: ev.work,
+			Quarantined: ev.quarantined.Load(), Stages: ev.stages, ResumedFrom: ev.resumedFrom,
 		}
 		if err == nil {
 			rec.Tuples = len(t.Tuples)

@@ -142,11 +142,11 @@ func Explain(ctx *Context, root Node) (string, error) {
 			cache += fmt.Sprintf("+%dhit", hits)
 		}
 		extra := ""
-		if o.Fallbacks > 0 {
-			extra = fmt.Sprintf(" fallbacks=%d", o.Fallbacks)
+		if o.LimitFallbacks > 0 {
+			extra = fmt.Sprintf(" fallbacks=%d", o.LimitFallbacks)
 		}
-		if o.Reused > 0 {
-			extra += fmt.Sprintf(" reused=%d", o.Reused)
+		if o.TuplesReused > 0 {
+			extra += fmt.Sprintf(" reused=%d", o.TuplesReused)
 		}
 		if o.Quarantined > 0 {
 			extra += fmt.Sprintf(" quarantined=%d", o.Quarantined)

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sync/atomic"
-
 	"iflex/internal/alog"
 	"iflex/internal/compact"
 	"iflex/internal/feature"
@@ -56,12 +54,6 @@ type compareFilter struct {
 	involved []int
 	first    int
 	memo     *feature.Memo
-	// parsed counts the operands this evaluation published. A build that
-	// panics (a page failing to load under the quarantine guard) publishes
-	// nothing, so the next tuple holding the assignment builds it afresh; of
-	// two chunks that build one record at once only the first to finish is
-	// charged.
-	parsed atomic.Int64
 }
 
 // newCompareFilter builds the filter over the record tables of memo.
@@ -85,14 +77,16 @@ func newCompareFilter(cmp alog.Compare, cols []string, lim Limits, memo *feature
 // record returns the record of a cell that holds at least one value — its
 // assignments' records in order, which is Cell.Values order: the stored
 // slice itself for a cell of one assignment, otherwise the records stitched
-// together in *buf.
-func (f *compareFilter) record(c compact.Cell, docs *docCursor, buf *[]operand) []operand {
+// together in *buf. The operands this call published are charged to
+// batch: a build that panics (a page failing to load under the quarantine
+// guard) publishes nothing, so the next tuple holding the assignment builds
+// it afresh, and of two chunks that build one record at once only the first
+// to finish is charged.
+func (f *compareFilter) record(c compact.Cell, docs *docCursor, buf *[]operand, batch *statBatch) []operand {
 	*buf = (*buf)[:0]
 	for _, a := range c.Assigns {
 		rec, parsed := docs.of(a.Span.Doc()).Values(a)
-		if parsed > 0 {
-			f.parsed.Add(int64(parsed))
-		}
+		batch.CmpOperandsParsed += int64(parsed)
 		if len(c.Assigns) == 1 {
 			return rec
 		}
@@ -150,7 +144,7 @@ func (f *compareFilter) filter(tp compact.Tuple, batch *statBatch) (filterOutcom
 		if ci < 0 {
 			continue
 		}
-		ops[s] = f.record(tp.Cells[ci], &docs, &sc.ops[s])
+		ops[s] = f.record(tp.Cells[ci], &docs, &sc.ops[s], batch)
 		sat[s] = resized(sat[s], len(ops[s]))
 		if expand[s] = tp.Cells[ci].Expand; expand[s] {
 			satRemaining += len(ops[s])
@@ -160,7 +154,7 @@ func (f *compareFilter) filter(tp compact.Tuple, batch *statBatch) (filterOutcom
 decide:
 	for a, l := range ops[0] {
 		for b, r := range ops[1] {
-			batch.funcCalls++
+			batch.FuncCalls++
 			ok, err := f.compare(l, r)
 			if err != nil {
 				return filterOutcome{}, err

@@ -70,7 +70,7 @@ func refCompareFilter(cmp alog.Compare, cols []string, lim Limits) ([]int, tuple
 		anySat, allSat := false, true
 		var err error
 		cell.Values(func(v text.Span) bool {
-			batch.funcCalls++
+			batch.FuncCalls++
 			var ok bool
 			ok, err = decide(v)
 			pass = append(pass, ok)
@@ -191,9 +191,11 @@ func TestCompareRecordsEqualSpanPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			parsed += gb.CmpOperandsParsed
+			gb.CmpOperandsParsed = 0 // the span path parses nothing
 			if g, w := renderOutcome(got, 2), renderOutcome(want, 2); g != w || gb != wb {
 				t.Fatalf("trial %d: %s (limits %+v) on %v:\nrecords %s, %d calls\nspans   %s, %d calls",
-					trial, cmp, lim, tp, g, gb.funcCalls, w, wb.funcCalls)
+					trial, cmp, lim, tp, g, gb.FuncCalls, w, wb.FuncCalls)
 			}
 			decided++
 			if got.fallback {
@@ -205,7 +207,6 @@ func TestCompareRecordsEqualSpanPath(t *testing.T) {
 				}
 			}
 		}
-		parsed += f.parsed.Load()
 	}
 	if kept == 0 || partial == 0 || fallbacks == 0 || kept == decided || parsed == 0 {
 		t.Fatalf("weak corpus: %d decisions, %d kept, %d with filtered expansion cells, %d fallbacks, %d operands parsed",
@@ -230,6 +231,7 @@ func TestOperandRecordsSharedAcrossChunks(t *testing.T) {
 	var wg sync.WaitGroup
 	type read struct{ cell, first []operand } // a cell's record and its first assignment's
 	got := make([][]read, 16)
+	batches := make([]statBatch, len(got))
 	for g := range got {
 		wg.Add(1)
 		go func(g int) {
@@ -239,7 +241,7 @@ func TestOperandRecordsSharedAcrossChunks(t *testing.T) {
 				for _, c := range cells {
 					if c.NumValues() > 0 {
 						var buf []operand
-						ops := recs.record(c, &docs, &buf)
+						ops := recs.record(c, &docs, &buf, &batches[g])
 						first, _ := docs.of(c.Assigns[0].Span.Doc()).Values(c.Assigns[0])
 						got[g] = append(got[g], read{ops, first})
 					}
@@ -260,8 +262,12 @@ func TestOperandRecordsSharedAcrossChunks(t *testing.T) {
 			}
 		}
 	}
-	if recs.parsed.Load() != int64(values) {
-		t.Errorf("charged %d operands for cells holding %d values", recs.parsed.Load(), values)
+	var charged int64
+	for _, b := range batches {
+		charged += b.CmpOperandsParsed
+	}
+	if charged != int64(values) {
+		t.Errorf("charged %d operands for cells holding %d values", charged, values)
 	}
 
 	in := compact.NewTable("a", "b")
@@ -318,9 +324,9 @@ func TestChaosOperandRecordRebuiltAfterFault(t *testing.T) {
 	cols := []string{"a", "b"}
 	ctx := NewContext(NewEnv())
 	f := newCompareFilter(cmp, cols, ctx.Env.Limits, ctx.Env.FeatureMemo)
+	var batch statBatch
 	decide := func(tp compact.Tuple) (filterOutcome, bool) {
 		var res filterOutcome
-		var batch statBatch
 		qed := ctx.guard(nil, "pfunc", func() []string { return tupleDocs(tp, f.involved) }, func() error {
 			var ferr error
 			res, ferr = f.filter(tp, &batch)
@@ -332,7 +338,7 @@ func TestChaosOperandRecordRebuiltAfterFault(t *testing.T) {
 	if _, qed := decide(first); !qed {
 		t.Fatal("the failing load did not quarantine the first tuple")
 	}
-	if got := f.parsed.Load(); got != 2 || loads != 1 {
+	if got := batch.CmpOperandsParsed; got != 2 || loads != 1 {
 		t.Fatalf("the faulted tuple charged %d operands after %d loads, want the 2 of the steady page after 1", got, loads)
 	}
 	second := compact.Tuple{Cells: []compact.Cell{shared, other}, Maybe: true}
@@ -350,11 +356,11 @@ func TestChaosOperandRecordRebuiltAfterFault(t *testing.T) {
 	}
 	// Both values of the flaky page were parsed by the retry; the other
 	// cell's only assignment is one the shared cell had already published.
-	if got := f.parsed.Load(); got != 4 || loads != 2 {
+	if got := batch.CmpOperandsParsed; got != 4 || loads != 2 {
 		t.Errorf("%d operands charged after the retry (want 4: each distinct assignment once), %d loads (want 2)", got, loads)
 	}
-	if _, qed := decide(first); qed || f.parsed.Load() != 4 {
-		t.Errorf("a third tuple over published records charged again: %d operands", f.parsed.Load())
+	if _, qed := decide(first); qed || batch.CmpOperandsParsed != 4 {
+		t.Errorf("a third tuple over published records charged again: %d operands", batch.CmpOperandsParsed)
 	}
 }
 

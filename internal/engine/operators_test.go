@@ -412,11 +412,11 @@ func TestSelectionsKeepNoMemo(t *testing.T) {
 	for _, o := range ctx.TraceOps() {
 		switch {
 		case strings.HasPrefix(o.Signature, "select["), strings.HasPrefix(o.Signature, "pfunc["):
-			if o.Reused != 0 || o.Recomputed != 0 {
-				t.Errorf("%s: %d tuples reused, %d recomputed", o.Signature, o.Reused, o.Recomputed)
+			if o.TuplesReused != 0 || o.TuplesRecomputed != 0 {
+				t.Errorf("%s: %d tuples reused, %d recomputed", o.Signature, o.TuplesReused, o.TuplesRecomputed)
 			}
 		case strings.HasPrefix(o.Signature, `constrain[preceded-by(p)="Price:"](pfunc[`):
-			runReused += o.Reused
+			runReused += o.TuplesReused
 		}
 	}
 	if runReused == 0 || ctx.Stats.TuplesReused != runReused {

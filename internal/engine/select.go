@@ -122,7 +122,7 @@ func filterTupleF(tp compact.Tuple, involved []int, fn Func, lim Limits, batch *
 		for i, j := range idx {
 			args[i] = vals[i][j]
 		}
-		batch.funcCalls++
+		batch.FuncCalls++
 		ok, err := fn(args)
 		if err != nil {
 			return filterOutcome{}, err
@@ -317,9 +317,7 @@ func (n *compareNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 		}
 		return out, nil
 	}
-	out, err := applyFilter(ctx, ev, in, f.involved, f.filter)
-	ev.operandsParsed(ctx, f.parsed.Load())
-	return out, err
+	return applyFilter(ctx, ev, in, f.involved, f.filter)
 }
 
 // compareOperands implements the comparison semantics: NULL equals only

@@ -431,13 +431,13 @@ func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed b
 	// cloned) unless the pair survives.
 	pair := compact.Tuple{Cells: []compact.Cell{left.cell, rcell}}
 	pairDocs := func() []string { return tupleDocs(pair, nil) }
-	c.batch.simTuplePairs++
+	c.batch.SimTuplePairs++
 	if c.sim != nil && len(left.pinned.Ord) > 0 && len(c.idx.pinned[j].Ord) > 0 {
 		matched := false
 		qed = c.ctx.guard(c.ev, "pfunc", pairDocs, func() error {
-			c.batch.funcCalls++
-			c.batch.simProbed++
-			c.batch.simVerified++
+			c.batch.FuncCalls++
+			c.batch.SimValuePairsProbed++
+			c.batch.SimValuePairsVerified++
 			matched = c.sim.spec.Match(left.pinned, c.idx.pinned[j])
 			return nil
 		})

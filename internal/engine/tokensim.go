@@ -202,14 +202,14 @@ func (ts *tokenSim) filter(tp compact.Tuple, involved []int, lim Limits, left, r
 				continue
 			}
 			for _, b := range r.vals[r.off[k]:r.off[k+1]] {
-				batch.simProbed++
+				batch.SimValuePairsProbed++
 				bit := a*n + int(b)
 				if sc.seen[bit>>6]&(1<<(bit&63)) != 0 {
 					continue
 				}
 				sc.seen[bit>>6] |= 1 << (bit & 63)
-				batch.simVerified++
-				batch.funcCalls++
+				batch.SimValuePairsVerified++
+				batch.FuncCalls++
 				if ts.spec.Match(x, r.recs[b]) {
 					matches++
 					sc.sat[0][a], sc.sat[1][b] = true, true

@@ -15,8 +15,8 @@ import (
 // key strings are rendered for the records only — an untraced evaluation
 // formats nothing. Snapshots merge the list into per-operator aggregates
 // keyed by cache key and sorted by its rendering; the aggregate counts
-// (evaluations, hits, output sizes, limit fallbacks) are identical at any
-// worker count — the same determinism guarantee the evaluator itself
+// (evaluations, hits, output sizes, the det counters of Work) are identical
+// at any worker count — the same determinism guarantee the evaluator itself
 // makes — while wall times and worker attribution naturally vary run to
 // run.
 
@@ -112,63 +112,16 @@ func kindOf(n Node) OpKind {
 // *EvalTrace is valid and discards per-eval attribution (the context-wide
 // Stats totals are still maintained).
 type EvalTrace struct {
-	fallbacks   atomic.Int64
-	recomputed  atomic.Int64
+	// work is this evaluation's share of the loop counters: each chunk's
+	// statBatch merges into it as it merges into Stats.
+	work        Work
 	quarantined atomic.Int64
-	simPairs    atomic.Int64
-	simProbed   atomic.Int64
-	simVerified atomic.Int64
-	cmpParsed   atomic.Int64
 	// stageAsg totals, for a constraint run, the assignments of the stage
 	// tables it did not build.
 	stageAsg atomic.Int64
 	// Set once by a constraint run, after its chunks have joined: the run's
 	// stage count and the stages its delta predecessor covered (-1 = none).
 	stages, resumedFrom int
-}
-
-// run records what a constraint run's evaluation did (see the fields). A
-// nil receiver discards it.
-func (ev *EvalTrace) run(stages, resumedFrom int) {
-	if ev != nil {
-		ev.stages, ev.resumedFrom = stages, resumedFrom
-	}
-}
-
-// chunkWork attributes one tuple-loop chunk's share of the evaluation to
-// it: the freshly computed input tuples (the per-operator counterpart of
-// Stats.TuplesRecomputed), the similarity funnel counts (see
-// Stats.SimTuplePairs) and a run's unbuilt stage tables. The batch still
-// flushes its counters into the context-wide totals. A nil receiver
-// discards the counts.
-func (ev *EvalTrace) chunkWork(b *statBatch) {
-	if ev == nil {
-		return
-	}
-	if b.tuplesRecomputed != 0 {
-		ev.recomputed.Add(b.tuplesRecomputed)
-	}
-	if b.simTuplePairs|b.simProbed|b.simVerified != 0 {
-		ev.simPairs.Add(b.simTuplePairs)
-		ev.simProbed.Add(b.simProbed)
-		ev.simVerified.Add(b.simVerified)
-	}
-	if b.stageAsg != 0 {
-		ev.stageAsg.Add(b.stageAsg)
-	}
-}
-
-// operandsParsed records the operands a comparison selection parsed into
-// its published value records (see Stats.CmpOperandsParsed) against both
-// this evaluation's record and the context-wide total.
-func (ev *EvalTrace) operandsParsed(ctx *Context, n int64) {
-	if n == 0 {
-		return
-	}
-	if ev != nil {
-		ev.cmpParsed.Add(n)
-	}
-	atomic.AddInt64(&ctx.Stats.CmpOperandsParsed, n)
 }
 
 // quarantine attributes n quarantined per-document units to this
@@ -180,19 +133,6 @@ func (ev *EvalTrace) quarantine(n int64) {
 	}
 }
 
-// fallback records n valuation-limit fallbacks — places where an operator
-// kept a tuple conservatively instead of enumerating its values — against
-// both this evaluation's record and the context-wide total.
-func (ev *EvalTrace) fallback(ctx *Context, n int) {
-	if n == 0 {
-		return
-	}
-	if ev != nil {
-		ev.fallbacks.Add(int64(n))
-	}
-	statAdd(&ctx.Stats.LimitFallbacks, n)
-}
-
 // TraceRecord is one Eval call's measurement.
 type TraceRecord struct {
 	Op        string
@@ -200,29 +140,20 @@ type TraceRecord struct {
 	Key       string // cache key rendered: mode marker + signature
 	key       entryKey
 	Status    CacheStatus
-	// Wall, output sizes, and Fallbacks are recorded only on the
+	// Wall, output sizes and the counts below are recorded only on the
 	// evaluating (StatusMiss) call; hits and waits carry the key alone.
 	Wall        time.Duration
 	Tuples      int // output compact tuples
 	Expanded    int // output expanded tuples
 	Assignments int // output assignments
-	Fallbacks   int64
-	// Reused counts input tuples replayed from a delta-evaluation memo
-	// (non-zero only on StatusMiss calls evaluated with a delta prior);
-	// Recomputed counts the input tuples the call computed fresh.
-	Reused     int64
-	Recomputed int64
+	// Work is this call's share of the loop counters (see Stats): among
+	// them the input tuples it replayed from a delta memo (TuplesReused)
+	// or computed fresh (TuplesRecomputed).
+	Work
 	// Quarantined counts the per-document units this call dropped into
 	// quarantine (such a call's output is discarded and re-evaluated, so
 	// the count attributes where faults surfaced, not result contents).
 	Quarantined int64
-	// SimTuplePairs / SimValuePairsProbed / SimValuePairsVerified are this
-	// call's share of the similarity funnel (see Stats).
-	SimTuplePairs         int64
-	SimValuePairsProbed   int64
-	SimValuePairsVerified int64
-	// CmpOperandsParsed is this call's share of Stats.CmpOperandsParsed.
-	CmpOperandsParsed int64
 	// Stages is the number of stages of a constraint run (0 for every other
 	// operator) and ResumedFrom how many of them the delta predecessor
 	// covered, so that each replayed tuple resumed behind them (-1 = no
@@ -287,19 +218,11 @@ type OpStats struct {
 	Tuples      int           // output compact tuples
 	Expanded    int           // output expanded tuples
 	Assignments int           // output assignments
-	Fallbacks   int64         // valuation-limit fallbacks during evaluation
-	Reused      int64         // input tuples replayed from a delta memo
-	Recomputed  int64         // input tuples computed fresh
+	Work                      // loop counters, summed over the computing calls
 	Quarantined int64         // per-document units dropped into quarantine
-	// Similarity funnel: candidate tuple pairs, value pairs probed, value
-	// pairs verified (see Stats.SimTuplePairs).
-	SimTuplePairs         int64
-	SimValuePairsProbed   int64
-	SimValuePairsVerified int64
-	CmpOperandsParsed     int64 // values parsed into comparison operands
-	Stages                int   // stages of a constraint run (0 otherwise)
-	ResumedFrom           int   // stages the (last) call's predecessor covered, -1 = none
-	Goroutine             int64 // goroutine id of the (last) evaluating call
+	Stages      int           // stages of a constraint run (0 otherwise)
+	ResumedFrom int           // stages the (last) call's predecessor covered, -1 = none
+	Goroutine   int64         // goroutine id of the (last) evaluating call
 }
 
 // TraceOps merges the collected trace into per-operator aggregates,
@@ -326,14 +249,8 @@ func (ctx *Context) TraceOps() []OpStats {
 			o.Tuples = r.Tuples
 			o.Expanded = r.Expanded
 			o.Assignments = r.Assignments
-			o.Fallbacks += r.Fallbacks
-			o.Reused += r.Reused
-			o.Recomputed += r.Recomputed
+			r.Work.add(&o.Work)
 			o.Quarantined += r.Quarantined
-			o.SimTuplePairs += r.SimTuplePairs
-			o.SimValuePairsProbed += r.SimValuePairsProbed
-			o.SimValuePairsVerified += r.SimValuePairsVerified
-			o.CmpOperandsParsed += r.CmpOperandsParsed
 			o.Stages, o.ResumedFrom = r.Stages, r.ResumedFrom
 			o.Goroutine = r.Goroutine
 		case StatusHit:
@@ -373,51 +290,16 @@ func goid() int64 {
 	return id
 }
 
-// StatsSnapshot is the JSON rendering of Stats with derived rates, the
+// StatsSnapshot is the JSON rendering of Stats with derived values, the
 // shape the service's result stream emits.
 type StatsSnapshot struct {
-	NodesEvaluated   int64              `json:"nodes_evaluated"`
-	CacheHits        int64              `json:"cache_hits"`
+	Stats
 	CacheHitRate     float64            `json:"cache_hit_rate"`
-	TuplesBuilt      int64              `json:"tuples_built"`
-	ProcCalls        int64              `json:"proc_calls"`
-	FuncCalls        int64              `json:"func_calls"`
-	VerifyCalls      int64              `json:"verify_calls"`
-	RefineCalls      int64              `json:"refine_calls"`
-	SimTuplePairs    int64              `json:"sim_tuple_pairs"`
-	SimProbed        int64              `json:"sim_value_pairs_probed"`
-	SimVerified      int64              `json:"sim_value_pairs_verified"`
-	CmpParsed        int64              `json:"cmp_operands_parsed"`
-	ConstraintStages int64              `json:"constraint_stages"`
-	LimitFallbacks   int64              `json:"limit_fallbacks"`
-	PoolSlotsGranted int64              `json:"pool_slots_granted"`
-	PoolSlotsDenied  int64              `json:"pool_slots_denied"`
-	PoolMaxExtra     int64              `json:"pool_max_extra"`
 	PoolUtilization  float64            `json:"pool_utilization"`
-	FeatureMemoHits  int64              `json:"feature_memo_hits"`
-	FeatureMemoMiss  int64              `json:"feature_memo_misses"`
 	FeatureMemoRate  float64            `json:"feature_memo_hit_rate"`
 	StatMergeSeconds float64            `json:"stat_merge_seconds"`
-	StatMerges       int64              `json:"stat_merges"`
-	DeltaEvals       int64              `json:"delta_evals"`
 	FullEvals        int64              `json:"full_evals"`
-	TuplesReused     int64              `json:"tuples_reused"`
-	TuplesRecomputed int64              `json:"tuples_recomputed"`
 	DeltaReuseRate   float64            `json:"delta_reuse_rate"`
-	TablesAdopted    int64              `json:"tables_adopted"`
-	CacheEvictions   int64              `json:"cache_evictions"`
-	BlockIdxEvict    int64              `json:"block_idx_evictions"`
-	CacheBytes       int64              `json:"cache_bytes"`
-	DocRecordBytes   int64              `json:"doc_record_bytes"`
-	BlockIdxPostings int64              `json:"block_idx_postings"`
-	IndexTokenHits   int64              `json:"index_token_hits"`
-	QuarantinedDocs  int64              `json:"quarantined_docs"`
-	QuarantineEvents int64              `json:"quarantine_events"`
-	QuarantineRetry  int64              `json:"quarantine_retries"`
-	EvalRestarts     int64              `json:"eval_restarts"`
-	DeadlineCuts     int64              `json:"deadline_cuts"`
-	CorpusDeltas     int64              `json:"corpus_deltas,omitempty"`
-	CorpusPriorHits  int64              `json:"corpus_prior_hits,omitempty"`
 	OpTimeSeconds    map[string]float64 `json:"op_time_seconds,omitempty"`
 }
 
@@ -425,44 +307,9 @@ type StatsSnapshot struct {
 // after evaluation quiesces (the same contract as reading Stats fields).
 func (s *Stats) Snapshot() StatsSnapshot {
 	snap := StatsSnapshot{
-		NodesEvaluated:   s.NodesEvaluated,
-		CacheHits:        s.CacheHits,
-		TuplesBuilt:      s.TuplesBuilt,
-		ProcCalls:        s.ProcCalls,
-		FuncCalls:        s.FuncCalls,
-		VerifyCalls:      s.VerifyCalls,
-		RefineCalls:      s.RefineCalls,
-		SimTuplePairs:    s.SimTuplePairs,
-		SimProbed:        s.SimValuePairsProbed,
-		SimVerified:      s.SimValuePairsVerified,
-		CmpParsed:        s.CmpOperandsParsed,
-		ConstraintStages: s.ConstraintStages,
-		LimitFallbacks:   s.LimitFallbacks,
-		PoolSlotsGranted: s.PoolSlotsGranted,
-		PoolSlotsDenied:  s.PoolSlotsDenied,
-		PoolMaxExtra:     s.PoolMaxExtra,
-		FeatureMemoHits:  s.FeatureMemoHits,
-		FeatureMemoMiss:  s.FeatureMemoMisses,
+		Stats:            *s,
 		StatMergeSeconds: float64(s.StatMergeNs) / 1e9,
-		StatMerges:       s.StatMerges,
-		DeltaEvals:       s.DeltaEvals,
 		FullEvals:        s.NodesEvaluated - s.DeltaEvals,
-		TuplesReused:     s.TuplesReused,
-		TuplesRecomputed: s.TuplesRecomputed,
-		TablesAdopted:    s.TablesAdopted,
-		CacheEvictions:   s.CacheEvictions,
-		BlockIdxEvict:    s.BlockIdxEvictions,
-		CacheBytes:       s.CacheBytes,
-		DocRecordBytes:   s.DocRecordBytes,
-		BlockIdxPostings: s.BlockIdxPostings,
-		IndexTokenHits:   s.IndexTokenHits,
-		QuarantinedDocs:  s.QuarantinedDocs,
-		QuarantineEvents: s.QuarantineEvents,
-		QuarantineRetry:  s.QuarantineRetries,
-		EvalRestarts:     s.EvalRestarts,
-		DeadlineCuts:     s.DeadlineCuts,
-		CorpusDeltas:     s.CorpusDeltas,
-		CorpusPriorHits:  s.CorpusPriorHits,
 	}
 	if total := s.NodesEvaluated + s.CacheHits; total > 0 {
 		snap.CacheHitRate = float64(s.CacheHits) / float64(total)

@@ -1,7 +1,12 @@
 package engine
 
 import (
+	"encoding/json"
 	"fmt"
+	"maps"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -91,10 +96,25 @@ func traceTotals(t *testing.T, workers int) ([]OpStats, Stats) {
 	return ctx.TraceOps(), ctx.Stats
 }
 
+// statCounts maps each counter field of v, a Stats or a Work, whose stat
+// kind keep accepts to its value.
+func statCounts(v any, keep func(kind string) bool) map[string]int64 {
+	out := map[string]int64{}
+	rv := reflect.ValueOf(v)
+	for _, f := range reflect.VisibleFields(rv.Type()) {
+		if !f.Anonymous && keep(f.Tag.Get("stat")) {
+			out[f.Name] = rv.FieldByIndex(f.Index).Int()
+		}
+	}
+	return out
+}
+
+func isDet(kind string) bool { return kind == "det" }
+
 // TestTraceTotalsDeterministic is the observability side of the engine's
-// determinism guarantee: per-operator trace aggregates (and the
-// deterministic stats counters) must be identical for Workers=1 and
-// Workers=8. Wall time, worker ids, and the hit/wait split are the only
+// determinism guarantee: per-operator trace aggregates (and every det
+// stats counter) must be identical for Workers=1 and Workers=8. Wall time,
+// worker ids, the hit/wait split and the sched counters are the only
 // fields allowed to differ.
 func TestTraceTotalsDeterministic(t *testing.T) {
 	serialOps, serialStats := traceTotals(t, 1)
@@ -107,11 +127,8 @@ func TestTraceTotalsDeterministic(t *testing.T) {
 		if s.Key != p.Key {
 			t.Fatalf("operator %d: key %q vs %q", i, s.Key, p.Key)
 		}
-		if s.Evals != p.Evals || s.Tuples != p.Tuples || s.Expanded != p.Expanded ||
-			s.Assignments != p.Assignments || s.Fallbacks != p.Fallbacks ||
-			s.SimTuplePairs != p.SimTuplePairs || s.SimValuePairsProbed != p.SimValuePairsProbed ||
-			s.SimValuePairsVerified != p.SimValuePairsVerified ||
-			s.CmpOperandsParsed != p.CmpOperandsParsed {
+		if s.Evals != p.Evals || s.Tuples != p.Tuples || s.Expanded != p.Expanded || s.Assignments != p.Assignments ||
+			!maps.Equal(statCounts(s.Work, isDet), statCounts(p.Work, isDet)) {
 			t.Errorf("operator %s diverges:\nserial   %+v\nparallel %+v", s.Key, s, p)
 		}
 		// The hit/wait split depends on timing, but the total number of
@@ -120,28 +137,89 @@ func TestTraceTotalsDeterministic(t *testing.T) {
 			t.Errorf("operator %s: cache-served count %d vs %d", s.Key, s.Hits+s.Waits, p.Hits+p.Waits)
 		}
 	}
-	det := func(s Stats) [12]int64 {
-		return [12]int64{s.NodesEvaluated, s.CacheHits, s.TuplesBuilt, s.ProcCalls,
-			s.FuncCalls, s.VerifyCalls, s.RefineCalls, s.LimitFallbacks,
-			s.SimTuplePairs, s.SimValuePairsProbed, s.SimValuePairsVerified, s.CmpOperandsParsed}
+	if s, p := statCounts(serialStats, isDet), statCounts(parStats, isDet); !maps.Equal(s, p) {
+		t.Errorf("deterministic stats diverge:\nserial   %v\nparallel %v", s, p)
 	}
-	if det(serialStats) != det(parStats) {
-		t.Errorf("deterministic stats diverge:\nserial   %+v\nparallel %+v", det(serialStats), det(parStats))
-	}
-	// The per-operator funnel and operand count add up to the context-wide
-	// ones, and the traced plan (figure 2's approxMatch join and its price
-	// and area comparisons) does exercise both.
-	var pairs, probed, verified, parsed int64
+	// Every Work counter of the operators adds up to the context-wide one,
+	// and the traced plan (figure 2's approxMatch join and its price and
+	// area comparisons) does exercise the funnel and the operand parse.
+	all := func(string) bool { return true }
+	sum := map[string]int64{}
 	for _, o := range serialOps {
-		pairs, probed, verified = pairs+o.SimTuplePairs, probed+o.SimValuePairsProbed, verified+o.SimValuePairsVerified
-		parsed += o.CmpOperandsParsed
+		for name, n := range statCounts(o.Work, all) {
+			sum[name] += n
+		}
 	}
-	if parsed == 0 || parsed != serialStats.CmpOperandsParsed {
-		t.Errorf("per-operator operands parsed %d do not reconcile with stats %d", parsed, serialStats.CmpOperandsParsed)
+	if want := statCounts(serialStats.Work, all); !maps.Equal(sum, want) {
+		t.Errorf("per-operator work %v does not reconcile with stats %v", sum, want)
 	}
-	if pairs == 0 || pairs != serialStats.SimTuplePairs || probed != serialStats.SimValuePairsProbed || verified != serialStats.SimValuePairsVerified {
-		t.Errorf("per-operator funnel %d/%d/%d does not reconcile with stats %d/%d/%d", pairs, probed, verified,
-			serialStats.SimTuplePairs, serialStats.SimValuePairsProbed, serialStats.SimValuePairsVerified)
+	if sum["SimTuplePairs"] == 0 || sum["SimValuePairsVerified"] == 0 || sum["CmpOperandsParsed"] == 0 {
+		t.Errorf("figure 2 left the funnel or the operand parse idle: %v", sum)
+	}
+}
+
+// TestStatsCounterTable pins the counter table and the stats stream's wire
+// contract: each counter of Stats (those of its Work included) has one JSON
+// name and a known kind, and a snapshot marshals to exactly the keys the
+// stream has always carried.
+func TestStatsCounterTable(t *testing.T) {
+	var s Stats
+	v := reflect.ValueOf(&s).Elem()
+	names := map[string]string{}
+	for _, f := range reflect.VisibleFields(v.Type()) {
+		if f.Anonymous {
+			continue
+		}
+		switch kind := f.Tag.Get("stat"); kind {
+		case "det", "sched", "gauge", "ns":
+		default:
+			t.Errorf("%s: stat kind %q", f.Name, kind)
+		}
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if name == "" {
+			t.Errorf("%s has no json name", f.Name)
+		} else if prev, dup := names[name]; dup && name != "-" {
+			t.Errorf("%s and %s are both %q", prev, f.Name, name)
+		}
+		names[name] = f.Name
+		// Nothing is left zero, so no omitempty key drops out below.
+		if fv := v.FieldByIndex(f.Index); fv.Kind() == reflect.Int64 {
+			fv.SetInt(1)
+		} else {
+			fv.Index(0).SetInt(1)
+		}
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Work{})) {
+		if f.Type.Kind() != reflect.Int64 {
+			t.Errorf("Work.%s is a %s: Work.add merges int64 counters only", f.Name, f.Type)
+		}
+	}
+	b, err := json.Marshal(s.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire map[string]any
+	if err := json.Unmarshal(b, &wire); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for k := range wire {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	want := []string{
+		"block_idx_evictions", "block_idx_postings", "cache_bytes", "cache_evictions", "cache_hit_rate",
+		"cache_hits", "cmp_operands_parsed", "constraint_stages", "corpus_deltas", "corpus_prior_hits",
+		"deadline_cuts", "delta_evals", "delta_reuse_rate", "doc_record_bytes", "eval_restarts",
+		"feature_memo_hit_rate", "feature_memo_hits", "feature_memo_misses", "full_evals", "func_calls",
+		"index_token_hits", "limit_fallbacks", "nodes_evaluated", "op_time_seconds", "pool_max_extra",
+		"pool_slots_denied", "pool_slots_granted", "pool_utilization", "proc_calls", "quarantine_events",
+		"quarantine_retries", "quarantined_docs", "refine_calls", "sim_tuple_pairs", "sim_value_pairs_probed",
+		"sim_value_pairs_verified", "stat_merge_seconds", "stat_merges", "tables_adopted", "tuples_built",
+		"tuples_recomputed", "tuples_reused", "verify_calls",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("snapshot keys\n%v\nwant the %d of the stats stream\n%v", got, len(want), want)
 	}
 }
 

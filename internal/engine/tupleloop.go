@@ -75,6 +75,9 @@ type tupleOp struct {
 // the documents of the tuples not reached and abandons the memo (it would
 // have holes); a quarantine discards the pass (ErrQuarantined).
 func (ctx *Context) tupleLoop(ev *EvalTrace, dx *deltaState, in *compact.Table, cols []string, op tupleOp) (*compact.Table, error) {
+	if ev == nil {
+		ev = new(EvalTrace) // attribution to discard
+	}
 	n := len(in.Tuples)
 	var prior, aux *evalAux
 	var fps []uint64
@@ -104,10 +107,10 @@ func (ctx *Context) tupleLoop(ev *EvalTrace, dx *deltaState, in *compact.Table, 
 	cut := false
 	body := func(start, end int) error {
 		var batch statBatch
-		defer batch.flush(ctx)
+		defer batch.flush(ctx, ev)
 		decide := op.open(&batch)
 		rows := slots[start:start:end]
-		reused, quarantined, stopped := 0, 0, false
+		quarantined, stopped := 0, false
 		var scratch deltaOut // the current outcome of a chunk that keeps none
 		for i := start; i < end; i++ {
 			if !op.uncut && ctx.cutCheck() {
@@ -128,9 +131,9 @@ func (ctx *Context) tupleLoop(ev *EvalTrace, dx *deltaState, in *compact.Table, 
 			*o, hit, q, err = decide(tp, old)
 			if op.cols != nil {
 				if hit {
-					reused++
+					batch.TuplesReused++
 				} else {
-					batch.tuplesRecomputed++
+					batch.TuplesRecomputed++
 				}
 			}
 			if err != nil {
@@ -138,18 +141,13 @@ func (ctx *Context) tupleLoop(ev *EvalTrace, dx *deltaState, in *compact.Table, 
 			}
 			// Replayed outcomes recharge the valuation-limit fallbacks they
 			// stand for, so LimitFallbacks equals a full evaluation's.
-			ev.fallback(ctx, int(o.fallbacks))
+			batch.LimitFallbacks += int64(o.fallbacks)
 			if q {
 				quarantined++
 				continue
 			}
 			rows = op.emit(rows, tp, o)
 		}
-		if reused > 0 {
-			batch.tuplesReused += int64(reused)
-			dx.reused.Add(int64(reused))
-		}
-		ev.chunkWork(&batch)
 		mu.Lock()
 		parts = append(parts, part{start, end, rows})
 		nq += quarantined
@@ -174,7 +172,7 @@ func (ctx *Context) tupleLoop(ev *EvalTrace, dx *deltaState, in *compact.Table, 
 		if prior != nil {
 			covered = prior.stages
 		}
-		ev.run(op.stages, covered)
+		ev.stages, ev.resumedFrom = op.stages, covered
 	}
 	if aux != nil && !cut {
 		aux.chain(fps)

@@ -168,7 +168,8 @@ func TestTupleLoopProtocol(t *testing.T) {
 				f = newFake(workers)
 				dx = &deltaState{prior: first.aux}
 				in = &compact.Table{Cols: []string{"x"}, Tuples: first.aux.in}
-				if out, err = f.ctx.tupleLoop(nil, dx, in, []string{"x"}, f.op()); err != nil {
+				ev := &EvalTrace{}
+				if out, err = f.ctx.tupleLoop(ev, dx, in, []string{"x"}, f.op()); err != nil {
 					t.Fatal(err)
 				}
 				if out.String() != serialRows(in, nil) {
@@ -179,8 +180,8 @@ func TestTupleLoopProtocol(t *testing.T) {
 					t.Errorf("reused=%d recomputed=%d fallbacks=%d computed=%v, want %d/0/%d/none",
 						st.TuplesReused, st.TuplesRecomputed, st.LimitFallbacks, f.decided, loopTuples, fallbacks)
 				}
-				if dx.reused.Load() != loopTuples || dx.aux == nil {
-					t.Errorf("trace attribution %d, memo %v", dx.reused.Load(), dx.aux)
+				if ev.work != st.Work || dx.aux == nil {
+					t.Errorf("trace attribution %+v, context %+v, memo %v", ev.work, st.Work, dx.aux)
 				}
 			})
 

@@ -5,6 +5,8 @@
 package iflex_test
 
 import (
+	"maps"
+	"reflect"
 	"testing"
 
 	"iflex"
@@ -49,22 +51,25 @@ func TestParallelSessionDeterminism(t *testing.T) {
 }
 
 // TestParallelStatsDeterminism extends the byte-identity guarantee to the
-// engine counters: every deterministic stats total and every per-iteration
+// engine counters: every det stats total and every per-iteration
 // evals/cache-hits delta must match between Workers=1 and Workers=8. Only
-// the pool counters and the per-operator wall times may differ.
+// the sched, gauge and ns counters may differ.
 func TestParallelStatsDeterminism(t *testing.T) {
 	serial := runT9(t, 1)
 	par := runT9(t, 8)
-	det := func(r *iflex.SessionResult) [13]int64 {
-		s := r.Stats
-		return [13]int64{s.NodesEvaluated, s.CacheHits, s.TuplesBuilt, s.ProcCalls,
-			s.FuncCalls, s.VerifyCalls, s.RefineCalls, s.LimitFallbacks,
-			s.SimTuplePairs, s.SimValuePairsProbed, s.SimValuePairsVerified, s.CmpOperandsParsed,
-			s.ConstraintStages}
+	// Every counter whose stat tag says det.
+	det := func(r *iflex.SessionResult) map[string]int64 {
+		out := map[string]int64{}
+		v := reflect.ValueOf(r.Stats)
+		for _, f := range reflect.VisibleFields(v.Type()) {
+			if f.Tag.Get("stat") == "det" {
+				out[f.Name] = v.FieldByIndex(f.Index).Int()
+			}
+		}
+		return out
 	}
-	if det(serial) != det(par) {
-		t.Errorf("deterministic stats diverge:\n--- workers=1 ---\n%+v\n--- workers=8 ---\n%+v",
-			det(serial), det(par))
+	if s, p := det(serial), det(par); !maps.Equal(s, p) {
+		t.Errorf("deterministic stats diverge:\n--- workers=1 ---\n%v\n--- workers=8 ---\n%v", s, p)
 	}
 	if len(serial.Iterations) != len(par.Iterations) {
 		t.Fatalf("iteration counts diverge: %d vs %d", len(serial.Iterations), len(par.Iterations))
