@@ -2,6 +2,7 @@ package assistant_test
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestSessionPlansEqualCompile(t *testing.T) {
 						Strategy: strat, SubsetSeed: 1, Workers: workers,
 					}, delta))
 					var bases, trials atomic.Int64
-					s.CheckPlansForTest(func(prog *alog.Program, q assistant.Question, v string, plan *engine.Plan) {
+					s.CheckPlansForTest(func(prog *alog.Program, q assistant.Question, v string, plan *engine.Plan, _ int) {
 						prog = prog.Clone()
 						if v != "" {
 							trials.Add(1)
@@ -59,6 +60,52 @@ func TestSessionPlansEqualCompile(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestIterationSizesMonotone: a constraint never grows the result
+// (ROADMAP item 1's first metamorphic law). Over whole Simulation sessions
+// of T1–T9 and the DBLife tasks, no subset iteration is larger than the
+// one before it, and no trial is larger over the subset than the base plan
+// it edits.
+func TestIterationSizesMonotone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full sessions are slow")
+	}
+	for _, task := range append(corpus.Tasks(), corpus.DBLifeTasks()...) {
+		c := task.Generate(50, 1)
+		s := assistant.NewSession(task.Env(c), alog.MustParse(task.Program), task.Oracle(), assistant.Config{Strategy: assistant.Simulation{}})
+		var mu sync.Mutex
+		base, trials := -1, 0
+		s.CheckPlansForTest(func(_ *alog.Program, q assistant.Question, v string, _ *engine.Plan, size int) {
+			mu.Lock()
+			defer mu.Unlock()
+			if v == "" {
+				base = size
+				return
+			}
+			trials++
+			if size > base {
+				t.Errorf("%s: the trial %s = %q grew the subset result from %d to %d", task.ID, q, v, base, size)
+			}
+		})
+		res, err := s.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", task.ID, err)
+		}
+		if trials == 0 {
+			t.Fatalf("%s: no trial checked", task.ID)
+		}
+		prev := -1
+		for _, it := range res.Iterations {
+			if it.Mode != "subset" {
+				continue
+			}
+			if prev >= 0 && it.Tuples > prev {
+				t.Errorf("%s: iteration %d grew from %d to %d", task.ID, it.N, prev, it.Tuples)
+			}
+			prev = it.Tuples
 		}
 	}
 }

@@ -30,9 +30,10 @@ func OracleConfig(cfg Config, delta bool) Config {
 	return cfg
 }
 
-// CheckPlansForTest hands f every plan the session builds: each base plan
-// (q and v zero) and each simulation trial with the question and answer it
-// adds to the session's program. Trials call f concurrently.
-func (s *Session) CheckPlansForTest(f func(prog *alog.Program, q Question, v string, plan *engine.Plan)) {
+// CheckPlansForTest hands f every plan the session executes, with its
+// expanded result size: each base plan (q and v zero) and each simulation
+// trial with the question and answer it adds to the session's program.
+// Trials call f concurrently.
+func (s *Session) CheckPlansForTest(f func(prog *alog.Program, q Question, v string, plan *engine.Plan, size int)) {
 	s.planCheck = f
 }

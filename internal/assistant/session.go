@@ -172,10 +172,10 @@ type Session struct {
 	// simulation trial is an edit of it — so after that first execution Prog
 	// changes only through answers.
 	// planCheck, set only by tests (export_test.go), sees each such plan
-	// with the question and answer a trial adds to Prog (zero for the base
-	// plan).
+	// once executed, with the question and answer a trial adds to Prog
+	// (zero for the base plan) and its expanded result size.
 	plan      *engine.Plan
-	planCheck func(prog *alog.Program, q Question, v string, plan *engine.Plan)
+	planCheck func(prog *alog.Program, q Question, v string, plan *engine.Plan, size int)
 
 	// Loop state (see step.go). res accumulates the iteration log; pending
 	// holds the questions the last iteration asked, awaiting answers; iterN
@@ -305,9 +305,6 @@ func (s *Session) execute(onSubset bool) (*compact.Table, int, error) {
 		}
 		s.plan = plan
 	}
-	if s.planCheck != nil {
-		s.planCheck(s.Prog, Question{}, "", s.plan)
-	}
 	plan := s.plan
 	// Link this plan version to its predecessor for delta evaluation,
 	// discarding the links accumulated by the previous round's question
@@ -325,6 +322,9 @@ func (s *Session) execute(onSubset bool) (*compact.Table, int, error) {
 	table, err := plan.Execute(s.ctx)
 	if err != nil {
 		return nil, 0, err
+	}
+	if s.planCheck != nil {
+		s.planCheck(s.Prog, Question{}, "", plan, table.NumExpandedTuples())
 	}
 	assigns, err := engine.SumAssignments(s.ctx, plan.Root)
 	if err != nil {
@@ -361,9 +361,6 @@ func (s *Session) simulate(q Question, v string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if s.planCheck != nil {
-		s.planCheck(s.Prog, q, v, plan)
-	}
 	// The trial plan is one constraint away from the last executed plan:
 	// link them so the changed ancestors evaluate as deltas (RegisterDelta
 	// is safe under the strategy's concurrent fan-out). Then link the trial
@@ -386,6 +383,9 @@ func (s *Session) simulate(q Question, v string) (int, error) {
 	res, err := plan.Execute(s.ctx)
 	if err != nil {
 		return 0, err
+	}
+	if s.planCheck != nil {
+		s.planCheck(s.Prog, q, v, plan, res.NumExpandedTuples())
 	}
 	return res.NumExpandedTuples(), nil
 }

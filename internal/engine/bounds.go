@@ -49,7 +49,7 @@ func ResultBounds(t *compact.Table) Bounds {
 // token.
 func (e *Env) UseTFIDF(threshold float64) {
 	var docsSeen []string
-	seen := map[string]bool{}
+	seen := docSet{}
 	for _, t := range e.Tables {
 		for _, tp := range t.Tuples {
 			for _, c := range tp.Cells {

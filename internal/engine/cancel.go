@@ -97,14 +97,10 @@ func (ctx *Context) noteUnprocessed(tuples []compact.Tuple) {
 	ctx.degMu.Lock()
 	defer ctx.degMu.Unlock()
 	if ctx.degUnprocessed == nil {
-		ctx.degUnprocessed = map[string]bool{}
+		ctx.degUnprocessed = docSet{}
 	}
 	for _, tp := range tuples {
-		for _, cell := range tp.Cells {
-			for _, a := range cell.Assigns {
-				ctx.degUnprocessed[a.Span.Doc().ID()] = true
-			}
-		}
+		ctx.degUnprocessed.add(tp, nil)
 	}
 }
 
@@ -118,11 +114,8 @@ func (ctx *Context) DegradedReport() *compact.Degraded {
 	rep := &compact.Degraded{}
 	ctx.degMu.Lock()
 	rep.DeadlineExpired = ctx.degExpired
-	for id := range ctx.degUnprocessed {
-		rep.UnprocessedDocs = append(rep.UnprocessedDocs, id)
-	}
+	rep.UnprocessedDocs = ctx.degUnprocessed.sorted()
 	ctx.degMu.Unlock()
-	sort.Strings(rep.UnprocessedDocs)
 	if q := ctx.qstate.Load(); q != nil {
 		rep.Quarantined = append(rep.Quarantined, q.records...)
 		sort.Slice(rep.Quarantined, func(i, j int) bool { return rep.Quarantined[i].Doc < rep.Quarantined[j].Doc })

@@ -122,7 +122,7 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*com
 			}
 			reused := old != nil && (o.cell == nil || int(o.stages) == stages)
 			if !reused {
-				qed := ctx.guard(ev, op.site, func() []string { return tupleDocs(tp, op.cols) }, func() error {
+				qed := ctx.guard(ev, op.site, tp, op.cols, func() error {
 					// Work on locals and commit at the end: a retry restarts
 					// from the resume point.
 					c, s, sum := tp.Cells[ci], o.stages, o.stageSum

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"sort"
-	"strings"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // This file implements corpus-delta invalidation: the engine-level half
 // of live-corpus incremental evaluation. A mutable document store
@@ -49,17 +45,6 @@ func (d *CorpusDelta) Empty() bool {
 	return d == nil || len(d.Added)+len(d.Updated)+len(d.Removed) == 0
 }
 
-// Changed returns the set of every document id the delta touches.
-func (d *CorpusDelta) Changed() map[string]bool {
-	m := make(map[string]bool, len(d.Added)+len(d.Updated)+len(d.Removed))
-	for _, ids := range [][]string{d.Added, d.Updated, d.Removed} {
-		for _, id := range ids {
-			m[id] = true
-		}
-	}
-	return m
-}
-
 // ApplyCorpusDelta invalidates the context for a committed corpus
 // mutation. Every cached result table is marked stale, for replay by the
 // next evaluation of its node; blocking indexes and degraded tables are
@@ -78,7 +63,12 @@ func (ctx *Context) ApplyCorpusDelta(d *CorpusDelta) {
 		return
 	}
 	statAdd(&ctx.Stats.CorpusDeltas, 1)
-	changed := d.Changed()
+	changed := docSet{}
+	for _, ids := range [][]string{d.Added, d.Updated, d.Removed} {
+		for _, id := range ids {
+			changed[id] = true
+		}
+	}
 
 	ctx.mu.Lock()
 	// Tables left stale by an earlier delta stay: replay is keyed by
@@ -107,47 +97,21 @@ func (ctx *Context) ApplyCorpusDelta(d *CorpusDelta) {
 // The mode changes with the set, so nothing evaluated under the old one
 // remains reachable (stale tables keyed under it simply never match — a
 // reuse loss, never an error).
-func (ctx *Context) releaseQuarantined(changed map[string]bool) {
+func (ctx *Context) releaseQuarantined(changed docSet) {
 	ctx.qmu.Lock()
 	defer ctx.qmu.Unlock()
-	old := ctx.qstate.Load()
+	old := ctx.quarantined()
 	if old == nil {
 		return
 	}
-	hit := false
-	for id := range old.barred {
-		if changed[id] {
-			hit = true
-			break
-		}
-	}
-	if !hit {
-		return
-	}
-	ns := &quarantineSet{barred: map[string]bool{}}
-	for id := range old.barred {
-		if !changed[id] {
-			ns.barred[id] = true
-		}
-	}
+	ns := &quarantineSet{barred: docSet{}}
 	for _, r := range old.records {
 		if !changed[r.Doc] {
+			ns.barred[r.Doc] = true
 			ns.records = append(ns.records, r)
 		}
 	}
-	if len(ns.barred) == 0 {
-		ctx.qstate.Store(nil)
-		ctx.remode()
-		atomic.StoreInt64(&ctx.Stats.QuarantinedDocs, 0)
-		return
+	if len(ns.records) < len(old.records) {
+		ctx.swapQuarantine(ns)
 	}
-	ids := make([]string, 0, len(ns.barred))
-	for id := range ns.barred {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	ns.suffix = "|quarantine:" + strings.Join(ids, ",")
-	ctx.qstate.Store(ns)
-	ctx.remode()
-	atomic.StoreInt64(&ctx.Stats.QuarantinedDocs, int64(len(ns.barred)))
 }

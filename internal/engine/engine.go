@@ -23,6 +23,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"sort"
@@ -285,16 +286,12 @@ type Context struct {
 	// trace, when set, collects one TraceRecord per Eval call; see
 	// trace.go (StartTrace, TraceOps, Explain).
 	trace atomic.Pointer[tracer]
-	// filter, when non-nil, restricts scans to the documents whose ID it
-	// maps to true (subset evaluation, Section 5.2); SetDocFilter sets it.
-	filter map[string]bool
-	// modes interns evaluation modes — the whole corpus or a subset's
-	// contents, less the quarantined documents — by their marker: a mode's
-	// id is its index, 0 stands for none. mode is the current one (remode)
-	// and prevMode the one the context most recently switched away from
+	// modes interns evaluation modes by their contents: a mode's id is its
+	// index, 0 stands for none. mode is the current one (remode) and
+	// prevMode the one the context most recently switched away from
 	// (SetDocFilter): delta evaluation probes it for priors when the
 	// current mode has none.
-	modes    []string
+	modes    []evalMode
 	mode     atomic.Uint32
 	prevMode uint32
 	// cancelSt holds the cancellation source bound via BindCancel (nil
@@ -304,7 +301,7 @@ type Context struct {
 	// cancellation is bound.
 	degMu          sync.Mutex
 	degExpired     bool
-	degUnprocessed map[string]bool
+	degUnprocessed docSet
 	// qmu serialises quarantine updates; qstate is the immutable current
 	// quarantine set, nil while no document is quarantined (the fault-free
 	// fast path); see quarantine.go.
@@ -568,7 +565,7 @@ func NewContext(env *Env) *Context {
 		inflight:  map[entryKey]*inflightEval{},
 		deltaPrev: map[NodeID]deltaLink{},
 		stageAsg:  map[entryKey]int64{},
-		modes:     []string{"", "full"},
+		modes:     []evalMode{{}, {}},
 	}
 	ctx.mode.Store(fullMode)
 	if contextMade != nil {
@@ -582,62 +579,137 @@ func NewContext(env *Env) *Context {
 // of a session another package drives.
 var contextMade func(*Context)
 
+// docSet is the engine's one representation of a set of documents, keyed
+// by ID: a subset, the quarantined pages, the pages a cut left
+// unprocessed, the pages a faulting unit read. Only true is ever stored,
+// so two sets are equal exactly when maps.Equal says so.
+type docSet map[string]bool
+
+// add adds the documents feeding the given cells of tp (nil involved =
+// every cell) and returns s.
+func (s docSet) add(tp compact.Tuple, involved []int) docSet {
+	for ci, c := range tp.Cells {
+		if involved == nil || slices.Contains(involved, ci) {
+			for _, a := range c.Assigns {
+				s[a.Span.Doc().ID()] = true
+			}
+		}
+	}
+	return s
+}
+
+// sorted lists the IDs in s in ascending order (nil when s is empty).
+func (s docSet) sorted() []string {
+	var ids []string
+	for id := range s {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// evalMode is what the scans of an evaluation see: the whole corpus or,
+// for a subset, the documents in in; either way less the barred
+// (quarantined) ones. A subset that names every document is still a
+// different mode from the whole corpus.
+type evalMode struct {
+	subset     bool
+	in, barred docSet
+}
+
+func (m evalMode) equal(o evalMode) bool {
+	return m.subset == o.subset && maps.Equal(m.in, o.in) && maps.Equal(m.barred, o.barred)
+}
+
+// admits reports whether a scan under m emits tp: every document feeding
+// it is in the subset, if there is one, and none is barred.
+func (m evalMode) admits(tp compact.Tuple) bool {
+	if !m.subset && len(m.barred) == 0 {
+		return true
+	}
+	for _, c := range tp.Cells {
+		for _, a := range c.Assigns {
+			if id := a.Span.Doc().ID(); m.subset && !m.in[id] || m.barred[id] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// marker renders m as trace records' cache keys spell it: "full" or
+// "subset:id1:id2…", then "|quarantine:id1,id2…" while pages are barred.
+func (m evalMode) marker() string {
+	marker := "full"
+	if m.subset {
+		marker = "subset"
+		if ids := m.in.sorted(); len(ids) > 0 {
+			marker += ":" + strings.Join(ids, ":")
+		}
+	}
+	if len(m.barred) > 0 {
+		marker += "|quarantine:" + strings.Join(m.barred.sorted(), ",")
+	}
+	return marker
+}
+
 // SetDocFilter switches the context between full evaluation (nil) and
 // subset evaluation of the documents whose ID the filter maps to true. It
 // may only be called while no evaluations are in flight, and the filter
 // must not be mutated afterwards.
 func (ctx *Context) SetDocFilter(filter map[string]bool) {
 	old := ctx.mode.Load()
-	ctx.filter = filter
+	// The mode holds the filter itself, less any ID it maps to false.
+	in := docSet(filter)
+	for _, ok := range filter {
+		if !ok {
+			in = maps.Clone(in)
+			maps.DeleteFunc(in, func(_ string, ok bool) bool { return !ok })
+			break
+		}
+	}
+	mode := ctx.remode(func(m *evalMode) { m.subset, m.in = filter != nil, in })
 	// Remember the mode we switched away from: delta evaluation falls back
 	// to the previous mode's memos (per-tuple outcomes are subset-
 	// independent), which is what lets the final full-corpus execution
 	// replay the tuples the subset iterations already processed.
-	if ctx.remode() != old {
+	if mode != old {
 		ctx.prevMode = old
 	}
 }
 
-// remode re-derives the current mode where it can change: at SetDocFilter
-// and at every change of the quarantine set. The marker names the subset's
-// contents, so subset and full evaluations never alias and different
-// subsets never share results, whichever map object named them; the
-// quarantined documents extend it, so evaluations over different survivor
-// sets never share cache entries — a pass that saw a fault is never
-// resident under the survivors' key.
-func (ctx *Context) remode() uint32 {
-	marker := "full"
-	if ctx.filter != nil {
-		ids := make([]string, 0, len(ctx.filter))
-		for id, ok := range ctx.filter {
-			if ok {
-				ids = append(ids, ":"+id)
-			}
-		}
-		sort.Strings(ids)
-		marker = "subset" + strings.Join(ids, "")
-	}
-	if q := ctx.qstate.Load(); q != nil {
-		marker += q.suffix
-	}
+// remode edits a copy of the current mode and makes the result current,
+// interned by its contents: at SetDocFilter and at every change of the
+// quarantine set. So subset and full evaluations never alias, different
+// subsets never share results, whichever map object named them, and
+// evaluations over different survivor sets never share cache entries — a
+// pass that saw a fault is never resident under the survivors' key.
+func (ctx *Context) remode(edit func(*evalMode)) uint32 {
 	ctx.mu.Lock()
 	defer ctx.mu.Unlock()
-	mode := slices.Index(ctx.modes, marker)
-	if mode < 0 {
+	m := ctx.modes[ctx.mode.Load()]
+	edit(&m)
+	// modes[0] stands for none and is never current.
+	mode := 1 + slices.IndexFunc(ctx.modes[1:], m.equal)
+	if mode == 0 {
 		mode = len(ctx.modes)
-		ctx.modes = append(ctx.modes, marker)
+		ctx.modes = append(ctx.modes, m)
 	}
 	ctx.mode.Store(uint32(mode))
 	return uint32(mode)
 }
 
+// modeOf returns the interned mode with the given id.
+func (ctx *Context) modeOf(mode uint32) evalMode {
+	ctx.mu.Lock()
+	defer ctx.mu.Unlock()
+	return ctx.modes[mode]
+}
+
 // cacheKey renders the human-readable cache key (mode marker plus
 // signature) of trace records; the cache itself is keyed by entryKey.
 func (ctx *Context) cacheKey(mode uint32, n Node) string {
-	ctx.mu.Lock()
-	marker := ctx.modes[mode]
-	ctx.mu.Unlock()
-	return marker + "|" + n.Signature()
+	return ctx.modeOf(mode).marker() + "|" + n.Signature()
 }
 
 // lookupLocked returns the resident, current entry for key. Callers hold

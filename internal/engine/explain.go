@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -235,17 +234,19 @@ func Explain(ctx *Context, root Node) (string, error) {
 		fmt.Fprintf(&b, ", %d evicted", ev)
 	}
 	fmt.Fprintf(&b, "; document records ~%d bytes\n", ctx.Env.FeatureMemo.Bytes())
-	if q := ctx.quarantined(); q != nil {
+	rep := ctx.DegradedReport()
+	if rep != nil && len(rep.Quarantined) > 0 {
+		// The first documents by ID (the report sorts them), not the first
+		// barred, which depends on scheduling.
 		const maxShown = 8
 		var ids []string
-		for _, r := range q.records {
+		for _, r := range rep.Quarantined {
 			if len(ids) == maxShown {
 				ids = append(ids, "...")
 				break
 			}
 			ids = append(ids, fmt.Sprintf("%s (%s: %s)", r.Doc, r.Op, r.Cause))
 		}
-		sort.Strings(ids)
 		fmt.Fprintf(&b, "quarantine: %d docs, %d events, %d retries, %d restarts: %s\n",
 			atomic.LoadInt64(&ctx.Stats.QuarantinedDocs),
 			atomic.LoadInt64(&ctx.Stats.QuarantineEvents),
@@ -253,7 +254,7 @@ func Explain(ctx *Context, root Node) (string, error) {
 			atomic.LoadInt64(&ctx.Stats.EvalRestarts),
 			strings.Join(ids, "; "))
 	}
-	if rep := ctx.DegradedReport(); rep != nil && rep.DeadlineExpired {
+	if rep != nil && rep.DeadlineExpired {
 		fmt.Fprintf(&b, "degraded: %s\n", rep.Summary())
 	}
 	return b.String(), nil

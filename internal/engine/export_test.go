@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"strings"
+	"maps"
 
 	"iflex/internal/compact"
 )
@@ -46,16 +46,13 @@ func CachedTablesForTest(ctx *Context) []CachedTable {
 	defer ctx.mu.Unlock()
 	var out []CachedTable
 	for key, e := range ctx.cache {
-		marker := ctx.modes[key.mode]
-		if e.table == nil || e.stale || strings.Contains(marker, "|quarantine:") {
+		mode := ctx.modes[key.mode]
+		if e.table == nil || e.stale || len(mode.barred) > 0 {
 			continue
 		}
 		var filter map[string]bool
-		if ids, ok := strings.CutPrefix(marker, "subset"); ok {
-			filter = map[string]bool{}
-			for _, id := range strings.Split(ids, ":")[1:] {
-				filter[id] = true
-			}
+		if mode.subset {
+			filter = maps.Clone(mode.in)
 		}
 		out = append(out, CachedTable{Filter: filter, Node: e.node, Table: e.table})
 	}

@@ -127,34 +127,17 @@ func (n *scanNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 		return nil, fmt.Errorf("engine: %s has %d columns, rule uses %d", n.pred, len(src.Cols), len(n.cols))
 	}
 	out := compact.NewTable(n.cols...)
-	q := ctx.quarantined()
+	// Documents outside the subset and quarantined ones drop out here:
+	// after a restart the evaluation sees only the survivors.
+	mode := ctx.modeOf(ctx.mode.Load())
 	for _, tp := range src.Tuples {
-		if ctx.filter != nil && !tupleInSubset(tp, ctx.filter) {
-			continue
-		}
-		// Quarantined documents drop out here, exactly like the subset
-		// filter: after a restart the evaluation sees only the survivors.
-		if q != nil && q.tupleBarred(tp) {
-			continue
-		}
 		// Tables are immutable once built, so the scan shares the
 		// extensional table's rows directly.
-		out.Tuples = append(out.Tuples, tp)
-	}
-	return out, nil
-}
-
-// tupleInSubset reports whether every cell of the tuple belongs to a
-// document in the subset.
-func tupleInSubset(tp compact.Tuple, filter map[string]bool) bool {
-	for _, c := range tp.Cells {
-		for _, a := range c.Assigns {
-			if !filter[a.Span.Doc().ID()] {
-				return false
-			}
+		if mode.admits(tp) {
+			out.Tuples = append(out.Tuples, tp)
 		}
 	}
-	return true
+	return out, nil
 }
 
 // fromNode implements the built-in from(x, s): for each tuple it appends a

@@ -327,7 +327,7 @@ func TestChaosOperandRecordRebuiltAfterFault(t *testing.T) {
 	var batch statBatch
 	decide := func(tp compact.Tuple) (filterOutcome, bool) {
 		var res filterOutcome
-		qed := ctx.guard(nil, "pfunc", func() []string { return tupleDocs(tp, f.involved) }, func() error {
+		qed := ctx.guard(nil, "pfunc", tp, f.involved, func() error {
 			var ferr error
 			res, ferr = f.filter(tp, &batch)
 			return ferr

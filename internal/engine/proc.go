@@ -79,7 +79,7 @@ func (n *procNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 			// breaks the procedure's declared contract, not a document, so it
 			// ends the unit cleanly and fails the pass after the guard.
 			var arityErr error
-			qed := ctx.guard(ev, op.site, func() []string { return tupleDocs(tp, []int{ci}) }, func() error {
+			qed := ctx.guard(ev, op.site, tp, []int{ci}, func() error {
 				rows, arityErr = rows[:0], nil
 				var evalErr error
 				cell.Values(func(v text.Span) bool {

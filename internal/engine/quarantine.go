@@ -3,8 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
+	"maps"
+	"slices"
 	"sync/atomic"
 
 	"iflex/internal/compact"
@@ -22,83 +22,60 @@ var ErrQuarantined = errors.New("engine: documents quarantined during evaluation
 const maxQuarantineRestarts = 100
 
 // quarantineSet is the immutable current quarantine state, swapped
-// atomically so the fault-free fast path is one nil check. suffix is the
-// mode-marker component that keeps evaluations over different survivor
-// sets from aliasing (Context.remode).
+// atomically so the fault-free fast path is one nil check: the barred
+// documents and one record per barred document.
 type quarantineSet struct {
-	barred  map[string]bool
+	barred  docSet
 	records []compact.QuarantineRecord
-	suffix  string
 }
 
 // quarantined returns the current quarantine set, or nil when no
 // document has been quarantined.
 func (ctx *Context) quarantined() *quarantineSet { return ctx.qstate.Load() }
 
-// tupleBarred reports whether any document feeding the tuple is
-// quarantined; scans drop such tuples, exactly like the subset filter.
-func (q *quarantineSet) tupleBarred(tp compact.Tuple) bool {
-	for _, cell := range tp.Cells {
-		for _, a := range cell.Assigns {
-			if q.barred[a.Span.Doc().ID()] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // QuarantinedDocs returns the sorted IDs of all currently quarantined
 // documents (empty when none).
 func (ctx *Context) QuarantinedDocs() []string {
-	q := ctx.qstate.Load()
-	if q == nil {
-		return nil
+	if q := ctx.quarantined(); q != nil {
+		return q.barred.sorted()
 	}
-	ids := make([]string, 0, len(q.barred))
-	for id := range q.barred {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
+	return nil
 }
 
 // quarantineDocs adds documents to the quarantine, recording one
-// QuarantineRecord per newly barred document. The set is copy-on-write:
-// readers hold the old pointer safely while the new one (with a rebuilt
-// suffix, and the mode it names) is swapped in.
-func (ctx *Context) quarantineDocs(op, cause string, docs []string) {
+// QuarantineRecord per newly barred document.
+func (ctx *Context) quarantineDocs(op, cause string, docs docSet) {
 	statAdd(&ctx.Stats.QuarantineEvents, 1)
 	ctx.qmu.Lock()
 	defer ctx.qmu.Unlock()
-	old := ctx.qstate.Load()
-	ns := &quarantineSet{barred: map[string]bool{}}
-	if old != nil {
-		for id := range old.barred {
-			ns.barred[id] = true
+	ns := &quarantineSet{barred: docSet{}}
+	if old := ctx.quarantined(); old != nil {
+		maps.Copy(ns.barred, old.barred)
+		ns.records = slices.Clone(old.records)
+	}
+	had := len(ns.records)
+	for d := range docs {
+		if !ns.barred[d] {
+			ns.barred[d] = true
+			ns.records = append(ns.records, compact.QuarantineRecord{Doc: d, Op: op, Cause: cause})
 		}
-		ns.records = append(ns.records, old.records...)
 	}
-	added := false
-	for _, d := range docs {
-		if ns.barred[d] {
-			continue
-		}
-		ns.barred[d] = true
-		ns.records = append(ns.records, compact.QuarantineRecord{Doc: d, Op: op, Cause: cause})
-		added = true
+	if len(ns.records) > had {
+		ctx.swapQuarantine(ns)
 	}
-	if !added {
-		return
+}
+
+// swapQuarantine installs ns (empty: nothing barred) as the
+// quarantine state, with the mode it implies and the QuarantinedDocs
+// gauge. The set is copy-on-write: readers hold the old pointer safely.
+// Callers hold qmu.
+func (ctx *Context) swapQuarantine(ns *quarantineSet) {
+	if len(ns.barred) == 0 {
+		ctx.qstate.Store(nil)
+	} else {
+		ctx.qstate.Store(ns)
 	}
-	ids := make([]string, 0, len(ns.barred))
-	for id := range ns.barred {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	ns.suffix = "|quarantine:" + strings.Join(ids, ",")
-	ctx.qstate.Store(ns)
-	ctx.remode()
+	ctx.remode(func(m *evalMode) { m.barred = ns.barred })
 	atomic.StoreInt64(&ctx.Stats.QuarantinedDocs, int64(len(ns.barred)))
 }
 
@@ -114,35 +91,33 @@ func (p recoveredPanic) Error() string { return fmt.Sprintf("panic: %v", p.val) 
 // procedure call — isolating its faults. A transient error is retried
 // once (run must therefore be idempotent: compute into locals, commit
 // only after guard reports success); a persistent error or a panic
-// quarantines the documents docsFn names, and the caller drops the unit
-// and continues its pass. The Env's FaultHook, if set, is invoked first
-// with the same documents so injected faults are handled exactly like
-// faults in the user code itself. docsFn runs only then or after the unit
-// failed, so a fault-free unit costs no attribution.
+// quarantines the documents feeding the involved cells of tp (nil
+// involved = every cell), and the caller drops the unit and continues its
+// pass. The Env's FaultHook, if set, is invoked first with the same
+// documents so injected faults are handled exactly like faults in the
+// user code itself. The documents are collected only then or after the
+// unit failed, so a fault-free unit costs no attribution.
 //
 // Returns true when the unit's documents were quarantined (the caller
 // skips the unit).
-func (ctx *Context) guard(ev *EvalTrace, op string, docsFn func() []string, run func() error) (quarantined bool) {
+func (ctx *Context) guard(ev *EvalTrace, op string, tp compact.Tuple, involved []int, run func() error) (quarantined bool) {
 	hook := ctx.Env.FaultHook
-	var docs []string
+	var ids []string
 	if hook != nil {
-		docs = docsFn()
+		ids = docSet{}.add(tp, involved).sorted()
 	}
-	ferr := attempt(hook, op, docs, run)
+	ferr := attempt(hook, op, ids, run)
 	if ferr == nil {
 		return false
 	}
 	var rp recoveredPanic
 	if !errors.As(ferr, &rp) {
 		statAdd(&ctx.Stats.QuarantineRetries, 1)
-		if ferr = attempt(hook, op, docs, run); ferr == nil {
+		if ferr = attempt(hook, op, ids, run); ferr == nil {
 			return false
 		}
 	}
-	if hook == nil {
-		docs = docsFn()
-	}
-	ctx.quarantineDocs(op, ferr.Error(), docs)
+	ctx.quarantineDocs(op, ferr.Error(), docSet{}.add(tp, involved))
 	ev.quarantine(1)
 	return true
 }
@@ -185,31 +160,4 @@ func evalRetrying(ctx *Context, n Node) (*compact.Table, error) {
 		t, err = Eval(ctx, n)
 	}
 	return t, err
-}
-
-// tupleDocs returns the sorted, deduplicated IDs of the documents
-// feeding the given cells of a tuple (nil involved = all cells) — the
-// quarantine attribution set for a fault while processing the tuple.
-func tupleDocs(tp compact.Tuple, involved []int) []string {
-	seen := map[string]bool{}
-	add := func(cell compact.Cell) {
-		for _, a := range cell.Assigns {
-			seen[a.Span.Doc().ID()] = true
-		}
-	}
-	if involved == nil {
-		for _, cell := range tp.Cells {
-			add(cell)
-		}
-	} else {
-		for _, ci := range involved {
-			add(tp.Cells[ci])
-		}
-	}
-	ids := make([]string, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -237,7 +237,7 @@ func applyFilter(ctx *Context, ev *EvalTrace, in *compact.Table, involved []int,
 	op.open = func(batch *statBatch) decideFn {
 		return func(tp compact.Tuple, _ *deltaOut) (deltaOut, bool, bool, error) {
 			var res filterOutcome
-			qed := ctx.guard(ev, op.site, func() []string { return tupleDocs(tp, involved) }, func() error {
+			qed := ctx.guard(ev, op.site, tp, involved, func() error {
 				var ferr error
 				res, ferr = filter(tp, batch)
 				return ferr

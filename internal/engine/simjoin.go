@@ -205,14 +205,6 @@ func postingsBlockIndex(pi PostingsIndex, rt *compact.Table, ri int) *blockIndex
 	return &blockIndex{post: pi, tupOf: tupOf, nTup: len(rt.Tuples), pcache: map[uint32][]int{}}
 }
 
-// cellDocs is the quarantine attribution list for a fault inside a
-// single-cell operation (index build, token precompute).
-func cellDocs(c compact.Cell) func() []string {
-	return func() []string {
-		return tupleDocs(compact.Tuple{Cells: []compact.Cell{c}}, nil)
-	}
-}
-
 // newBlockIndex picks the backing for an index over all of rt: the
 // persistent inverted index when rt is a stored corpus scan (no per-run
 // tokenization), an explicit map otherwise.
@@ -247,7 +239,7 @@ func (idx *blockIndex) fill(ctx *Context, ev *EvalTrace, sim *tokenSim, rt *comp
 		cell := rt.Tuples[j].Cells[ri]
 		values := cell.NumValues()
 		var rec similarity.Record
-		if ctx.guard(ev, "blockindex", cellDocs(cell), func() error {
+		if ctx.guard(ev, "blockindex", rt.Tuples[j], []int{ri}, func() error {
 			if idx.post == nil && values <= lim.MaxCellValues {
 				toks = blockTokens(ctx, cell, toks[:0])
 			}
@@ -430,11 +422,10 @@ func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed b
 	// Filter over the two join cells alone — no tuple is built (let alone
 	// cloned) unless the pair survives.
 	pair := compact.Tuple{Cells: []compact.Cell{left.cell, rcell}}
-	pairDocs := func() []string { return tupleDocs(pair, nil) }
 	c.batch.SimTuplePairs++
 	if c.sim != nil && len(left.pinned.Ord) > 0 && len(c.idx.pinned[j].Ord) > 0 {
 		matched := false
-		qed = c.ctx.guard(c.ev, "pfunc", pairDocs, func() error {
+		qed = c.ctx.guard(c.ev, "pfunc", pair, nil, func() error {
 			c.batch.FuncCalls++
 			c.batch.SimValuePairsProbed++
 			c.batch.SimValuePairsVerified++
@@ -444,7 +435,7 @@ func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed b
 		return joinMatch{j: j, sure: true}, matched && !qed, false, qed
 	}
 	var res filterOutcome
-	if c.ctx.guard(c.ev, "pfunc", pairDocs, func() error {
+	if c.ctx.guard(c.ev, "pfunc", pair, nil, func() error {
 		var ferr error
 		if c.sim == nil {
 			res, ferr = filterTupleF(pair, pairInvolved, c.fn, c.ctx.Env.Limits, c.batch)
@@ -487,7 +478,7 @@ func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed b
 func (c *simChunk) probe(ltp compact.Tuple, idx *blockIndex, universe []int, chargeOversize bool) (ms []joinMatch, fb int32, qed bool) {
 	left := leftSide{cell: ltp.Cells[c.li]}
 	var cands []int
-	if c.ctx.guard(c.ev, "blockindex", cellDocs(left.cell), func() error {
+	if c.ctx.guard(c.ev, "blockindex", ltp, []int{c.li}, func() error {
 		if c.sim != nil {
 			left.pinned = c.sim.pinnedRecord(left.cell)
 		}

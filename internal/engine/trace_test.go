@@ -43,6 +43,33 @@ func TestExplainFreshContext(t *testing.T) {
 	}
 }
 
+// TestExplainQuarantineFooter: the footer lists the first eight
+// quarantined documents by ID, whatever order they were barred in, and
+// then "...".
+func TestExplainQuarantineFooter(t *testing.T) {
+	env := figure2Env()
+	plan, err := Compile(alog.MustParse(figure2Src), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := NewContext(env)
+	for i := 10; i >= 1; i-- {
+		ctx.quarantineDocs("pfunc", "boom", docSet{fmt.Sprintf("doc-%02d", i): true})
+	}
+	out, err := Explain(ctx, plan.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shown []string
+	for i := 1; i <= 8; i++ {
+		shown = append(shown, fmt.Sprintf("doc-%02d (pfunc: boom)", i))
+	}
+	want := "quarantine: 10 docs, 10 events, 0 retries, 0 restarts: " + strings.Join(shown, "; ") + "; ...\n"
+	if !strings.Contains(out, want) {
+		t.Errorf("Explain footer lacks %q:\n%s", want, out)
+	}
+}
+
 // TestExplainWarmContext executes first and enables tracing only inside
 // Explain — the cmd/iflex -explain=false-then-inspect path. Every node is
 // already cached, so the tree must render hit status with no timings.
@@ -307,7 +334,7 @@ func TestModeInternedByContents(t *testing.T) {
 	if got := ctx.cacheKey(ctx.mode.Load(), scan); ctx.mode.Load() != fullMode || got != "full|scan(pages->x)" {
 		t.Errorf("after SetDocFilter(nil): mode %d, key %q", ctx.mode.Load(), got)
 	}
-	ctx.quarantineDocs("pfunc", "boom", []string{"doc-0001"})
+	ctx.quarantineDocs("pfunc", "boom", docSet{"doc-0001": true})
 	barred := ctx.mode.Load()
 	if got := ctx.cacheKey(barred, scan); barred == fullMode || got != "full|quarantine:doc-0001|scan(pages->x)" {
 		t.Errorf("quarantined: mode %d, key %q", barred, got)

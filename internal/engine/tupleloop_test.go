@@ -77,7 +77,7 @@ func (f *fakeOp) op() tupleOp {
 			if f.unguarded != nil {
 				f.unguarded(i)
 			}
-			if f.ctx.guard(nil, op.site, func() []string { return tupleDocs(tp, op.cols) }, func() error {
+			if f.ctx.guard(nil, op.site, tp, op.cols, func() error {
 				if f.before != nil {
 					f.before(i)
 				}

@@ -93,30 +93,35 @@ func (t *TFIDF) idf(tok string) float64 {
 	return math.Log(1 + float64(t.n+1)/float64(t.df[tok]+1))
 }
 
-// vector builds the TF/IDF vector of s.
-func (t *TFIDF) vector(s string) map[string]float64 {
+// vector builds the TF/IDF vector of s: its distinct tokens in ascending
+// order, and their weights.
+func (t *TFIDF) vector(s string) ([]string, map[string]float64) {
 	tf := map[string]float64{}
 	for _, tok := range Tokens(s) {
 		tf[tok]++
 	}
+	toks := make([]string, 0, len(tf))
 	for tok := range tf {
 		tf[tok] *= t.idf(tok)
+		toks = append(toks, tok)
 	}
-	return tf
+	sort.Strings(toks)
+	return toks, tf
 }
 
-// Cosine returns the TF/IDF cosine similarity of a and b in [0, 1].
+// Cosine returns the TF/IDF cosine similarity of a and b in [0, 1]. The
+// sums run in token order, so the result is the same bits on every call
+// and Cosine(a, b) == Cosine(b, a).
 func (t *TFIDF) Cosine(a, b string) float64 {
-	va, vb := t.vector(a), t.vector(b)
+	ta, va := t.vector(a)
+	tb, vb := t.vector(b)
 	var dot, na, nb float64
-	for tok, w := range va {
-		na += w * w
-		if w2, ok := vb[tok]; ok {
-			dot += w * w2
-		}
+	for _, tok := range ta {
+		na += va[tok] * va[tok]
+		dot += va[tok] * vb[tok]
 	}
-	for _, w := range vb {
-		nb += w * w
+	for _, tok := range tb {
+		nb += vb[tok] * vb[tok]
 	}
 	if na == 0 || nb == 0 {
 		return 0

@@ -1,6 +1,10 @@
 package similarity
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -78,6 +82,37 @@ func TestTFIDFCosine(t *testing.T) {
 	}
 	if got := ti.Cosine("", "x"); got != 0 {
 		t.Errorf("empty cosine = %v", got)
+	}
+}
+
+// TestTFIDFCosineDeterministic: the cosine sums in one order, so repeated
+// calls return the same bits and the score is symmetric — a threshold
+// decision cannot flip between calls, runs or worker counts.
+func TestTFIDFCosineDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	phrase := func(n int) string {
+		toks := make([]string, n)
+		for i := range toks {
+			toks[i] = fmt.Sprintf("w%d", rng.Intn(60))
+		}
+		return strings.Join(toks, " ")
+	}
+	corpus := make([]string, 40)
+	for i := range corpus {
+		corpus[i] = phrase(20)
+	}
+	ti := NewTFIDF(corpus)
+	for i := 0; i < 20; i++ {
+		a, b := phrase(25), phrase(25)
+		want := ti.Cosine(a, b)
+		for j := 0; j < 50; j++ {
+			if got := ti.Cosine(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Cosine(%q, %q) = %v, then %v", a, b, want, got)
+			}
+		}
+		if got := ti.Cosine(b, a); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Cosine not symmetric: %v one way, %v the other", want, got)
+		}
 	}
 }
 

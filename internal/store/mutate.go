@@ -260,11 +260,17 @@ func (m *Mutation) Commit() (*Delta, error) {
 // and fsyncs it before returning: the shard must be durable before the
 // manifest publish makes it reachable. A crash mid-write leaves a
 // partial shard the manifest never references — an orphan Open sweeps.
-func writeShardFile(fsys FS, path string, recs [][]byte, meta []docMeta) error {
+// The file is closed on every path, a failed write's included.
+func writeShardFile(fsys FS, path string, recs [][]byte, meta []docMeta) (err error) {
 	f, err := fsys.Create(path)
 	if err != nil {
 		return fmt.Errorf("store: mutate: create shard: %w", err)
 	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	buf := bufio.NewWriterSize(f, 1<<20)
 	var hdr bufWriter
 	hdr.str(shardMagic)
@@ -299,18 +305,12 @@ func writeShardFile(fsys FS, path string, recs [][]byte, meta []docMeta) error {
 	foot.u64(tocOff)
 	foot.str(footerMagic)
 	if _, err := buf.Write(foot.b); err != nil {
-		f.Close()
 		return err
 	}
 	if err := buf.Flush(); err != nil {
-		f.Close()
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return f.Sync()
 }
 
 // writeDeltaFile writes the generation's sidecar per the layout in

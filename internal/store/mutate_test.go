@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"iflex/internal/text"
@@ -343,4 +344,71 @@ func FuzzParseDeltaFile(f *testing.F) {
 			t.Fatalf("re-encoded %+v parses to %+v, %v", p, again, err)
 		}
 	})
+}
+
+// fullFS is a filesystem whose files fail every write past limit bytes,
+// like a disk that fills up mid-commit; open counts the handles Create
+// returned that are not yet closed.
+type fullFS struct {
+	FS
+	limit int
+	open  int
+}
+
+func (fs *fullFS) Create(path string) (File, error) {
+	f, err := fs.FS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	fs.open++
+	return &fullFile{File: f, fs: fs}, nil
+}
+
+type fullFile struct {
+	File
+	fs      *fullFS
+	written int
+}
+
+func (f *fullFile) Write(p []byte) (int, error) {
+	if f.written+len(p) > f.fs.limit {
+		return 0, fmt.Errorf("disk full")
+	}
+	f.written += len(p)
+	return f.File.Write(p)
+}
+
+func (f *fullFile) Close() error {
+	f.fs.open--
+	return f.File.Close()
+}
+
+// TestCommitClosesShardOnWriteError: a commit whose generation shard
+// cannot be written fails and leaves no file handle open, so a long-lived
+// process does not leak one per failed commit.
+func TestCommitClosesShardOnWriteError(t *testing.T) {
+	dir := t.TempDir()
+	buildMutStore(t, dir, nil, nil)
+	fs := &fullFS{FS: RealFS(false), limit: 1 << 20}
+	s, err := Open(dir, OpenOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	m, err := s.BeginMutation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		page := "<p>" + strings.Repeat(fmt.Sprintf("word%d ", i), 70_000) + "</p>"
+		if err := m.Put(fmt.Sprintf("big-%d", i), page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Commit(); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("commit over a full disk: %v", err)
+	}
+	if fs.open != 0 {
+		t.Fatalf("%d file handles left open after the failed commit", fs.open)
+	}
 }

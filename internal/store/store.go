@@ -27,9 +27,10 @@ import (
 )
 
 // Store is a handle on a corpus of documents. Document handles are
-// stable for the lifetime of the store (the engine keys caches and
-// quarantine state by handle identity); a file-backed store may drop and
-// re-materialize document *content* behind the handles at any time.
+// stable for the lifetime of the store (the feature memo keys its record
+// tables by handle identity; the engine's subset and quarantine key by
+// document ID); a file-backed store may drop and re-materialize document
+// *content* behind the handles at any time.
 type Store interface {
 	// Len returns the number of documents.
 	Len() int
