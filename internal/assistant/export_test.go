@@ -1,6 +1,7 @@
 package assistant
 
 import (
+	"context"
 	"maps"
 
 	"iflex/internal/alog"
@@ -36,4 +37,13 @@ func OracleConfig(cfg Config, delta bool) Config {
 // Trials call f concurrently.
 func (s *Session) CheckPlansForTest(f func(prog *alog.Program, q Question, v string, plan *engine.Plan, size int)) {
 	s.planCheck = f
+}
+
+// StepContextForTest is one step under a cancellation the test fires
+// itself (c) instead of a deadline, so that a test can cut the step at an
+// exact point.
+func (s *Session) StepContextForTest(c context.Context, answers []Answer) (*StepResult, error) {
+	s.ctx.BindCancel(c)
+	defer s.ctx.Unbind()
+	return s.iterate(answers)
 }

@@ -151,15 +151,20 @@ func (s *Session) iterate(answers []Answer) (*StepResult, error) {
 	s.cuts = append(s.cuts, cut)
 
 	// A cut iteration's output is partial, so questions scored on it would
-	// be noise: none are asked. It is already excluded from the convergence
-	// monitor and the engine never caches post-cut results, so the next
-	// iteration re-executes cleanly.
+	// be noise: none are asked. Nor are any from a cut simulation, whose
+	// skipped or cut-short trials score as the best questions: the iteration
+	// counts as cut. A cut one is excluded from the convergence monitor and
+	// the engine never caches post-cut results, so the next iteration
+	// re-executes (and re-simulates) cleanly.
 	var questions []Question
 	if !cut && !s.converged() {
 		if space := questionSpace(s.attrs, s.Env.Features, s.asked); len(space) > 0 {
 			questions, err = s.Config.Strategy.Next(s, space, s.Config.QuestionsPerIteration)
 			if err != nil {
 				return nil, err
+			}
+			if cut = s.ctx.Cancelled(); cut {
+				questions, s.cuts[len(s.cuts)-1] = nil, true
 			}
 		}
 	}

@@ -7,8 +7,10 @@ package assistant_test
 // result, and a faulted Finalize must stay retryable.
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -383,6 +385,75 @@ func TestExpiredStepDoesNotPoison(t *testing.T) {
 	}
 	if !got.Converged {
 		t.Error("session with one expired step failed to converge")
+	}
+}
+
+// cancelAtNext is Simulation whose step's cancellation fires as Next
+// starts, before any trial runs.
+type cancelAtNext struct {
+	assistant.Simulation
+	cancel context.CancelFunc
+}
+
+func (st cancelAtNext) Next(s *assistant.Session, space []assistant.Question, n int) ([]assistant.Question, error) {
+	st.cancel()
+	return st.Simulation.Next(s, space, n)
+}
+
+// TestDeadlineDuringSimulation is the regression test for questions picked
+// from trials that never ran: a deadline that fires once the iteration has
+// executed but before the simulation has scored anything used to leave
+// every trial at size 0 and no error, so the first candidates came back as
+// the best questions and the step reported no degradation. Such a step must
+// come back like one cut during execution — degraded, no questions, not
+// done — and the next step must re-simulate and ask what an undisturbed
+// session asks.
+func TestDeadlineDuringSimulation(t *testing.T) {
+	task, err := corpus.TaskByID("T8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := task.Env(task.Generate(40, 1))
+	for _, workers := range []int{1, 2} {
+		cfg := assistant.Config{Strategy: assistant.Simulation{}, Workers: workers}
+		want, err := assistant.NewSession(env, alog.MustParse(task.Program), task.Oracle(), cfg).StepDeadline(0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Questions) == 0 {
+			t.Fatal("undisturbed first step asked nothing: the test shows nothing")
+		}
+
+		c, cancel := context.WithCancel(context.Background())
+		cfg.Strategy = cancelAtNext{cancel: cancel}
+		s := assistant.NewSession(env, alog.MustParse(task.Program), task.Oracle(), cfg)
+		cut, err := s.StepContextForTest(c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cut.Questions) != 0 {
+			t.Errorf("workers %d: step cut during simulation asked %v", workers, cut.Questions)
+		}
+		if cut.Degraded == nil || !cut.Degraded.DeadlineExpired {
+			t.Errorf("workers %d: step cut during simulation not degraded: %+v", workers, cut.Degraded)
+		}
+		if cut.Done {
+			t.Errorf("workers %d: step cut during simulation ended the loop", workers)
+		}
+
+		// The next step binds a fresh, unfired window (cancel now only
+		// cancels the old one).
+		next, err := s.StepDeadline(0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.Degraded != nil {
+			t.Errorf("workers %d: step after the cut inherited degradation: %+v", workers, next.Degraded)
+		}
+		if !slices.Equal(next.Questions, want.Questions) || next.Iteration.Tuples != want.Iteration.Tuples {
+			t.Errorf("workers %d: step after the cut asked %v over %d tuples, undisturbed %v over %d",
+				workers, next.Questions, next.Iteration.Tuples, want.Questions, want.Iteration.Tuples)
+		}
 	}
 }
 

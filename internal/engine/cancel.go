@@ -38,12 +38,9 @@ func (ctx *Context) BindCancel(c context.Context) {
 // the next BindCancel.
 func (ctx *Context) Unbind() { ctx.cancelSt.Store(nil) }
 
-// Cancelled reports whether a cancellation bound via BindCancel has
-// fired. With nothing bound it is false.
-func (ctx *Context) Cancelled() bool {
-	cs := ctx.cancelSt.Load()
-	return cs != nil && cs.observe()
-}
+// Cancelled reports whether a bound cancellation has fired (never, with
+// none bound), marking the report expired as every engine checkpoint does.
+func (ctx *Context) Cancelled() bool { return ctx.cutCheck() }
 
 // observe checks the bound context without blocking, memoising a fired
 // cancellation.

@@ -197,9 +197,10 @@ func tupleAssignments(tp compact.Tuple) int {
 // looked up and its (feature, parameter) pair interned once, where every
 // application would otherwise pay for both by name.
 type stage struct {
-	f     feature.Feature
-	id    feature.ConsID
-	value string
+	f          feature.Feature
+	id         feature.ConsID
+	value      string
+	hereditary bool // feature.Hereditary(f, value)
 }
 
 func resolveStages(env *Env, cons []feature.Constraint) ([]stage, error) {
@@ -209,7 +210,7 @@ func resolveStages(env *Env, cons []feature.Constraint) ([]stage, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[i] = stage{f: f, id: env.FeatureMemo.Intern(k.Feature, k.Value), value: k.Value}
+		out[i] = stage{f: f, id: env.FeatureMemo.Intern(k.Feature, k.Value), value: k.Value, hereditary: feature.Hereditary(f, k.Value)}
 	}
 	return out, nil
 }
@@ -229,14 +230,15 @@ type refineScratch struct {
 // and only when it differs from c: a stage that leaves a canonical list as
 // it found it returns c itself.
 // refined states that c is already refined under all[:len(all)-1]: what k
-// leaves as it is then settles, and only the rest enters the fixpoint. If
+// leaves as it is then settles, and only the rest enters the fixpoint, where
+// every assignment lies in one that passed each constraint (inherited). If
 // that is false, settling skips only re-checks: a superset, never less.
 func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k stage, all []stage, refined bool) (compact.Cell, error) {
 	as, settled, spare := sc.a[:0], sc.settled[:0], sc.b
 	var err error
 	for i, a := range c.Assigns {
 		n := len(as)
-		if as, err = applyConstraint(batch, &sc.docs, k, c.Assigns[i:i+1], as); err != nil {
+		if as, err = applyConstraint(batch, &sc.docs, k, c.Assigns[i:i+1], as, false); err != nil {
 			return compact.Cell{}, err
 		}
 		if refined && len(as) == n+1 && as[n] == a {
@@ -247,7 +249,7 @@ func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k stage, al
 	for round := 0; round < maxRounds; round++ {
 		sc.before = append(sc.before[:0], as...)
 		for _, kc := range all {
-			next, err := applyConstraint(batch, &sc.docs, kc, as, spare[:0])
+			next, err := applyConstraint(batch, &sc.docs, kc, as, spare[:0], refined && kc.hereditary)
 			if err != nil {
 				return compact.Cell{}, err
 			}
@@ -276,9 +278,15 @@ func assignmentsStable(before, after []text.Assignment) bool {
 // assignments, Refine for contain assignments — both through the record
 // table of the assignment's document.
 // VerifyCalls/RefineCalls count logical calls (deterministic at any worker
-// count); the table hit/miss split is recorded separately.
-func applyConstraint(batch *statBatch, docs *docCursor, k stage, as, out []text.Assignment) ([]text.Assignment, error) {
+// count); the table hit/miss split is recorded separately. With inherited,
+// each assignment lies in one that passed hereditary k: an aligned one passes
+// uncalled, as the call would pass it.
+func applyConstraint(batch *statBatch, docs *docCursor, k stage, as, out []text.Assignment, inherited bool) ([]text.Assignment, error) {
 	for _, a := range as {
+		if inherited && a.Span.TokenAligned() {
+			out = append(out, a)
+			continue
+		}
 		tab := docs.of(a.Span.Doc())
 		if a.Mode == text.Exact {
 			batch.VerifyCalls++

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"iflex/internal/alog"
@@ -16,14 +17,14 @@ import (
 // identical-list shortcut: every pass grows a fresh slice and every round
 // renders the list before and after.
 func refRefineCell(batch *statBatch, docs *docCursor, c compact.Cell, k stage, all []stage) (compact.Cell, error) {
-	as, err := applyConstraint(batch, docs, k, c.Assigns, nil)
+	as, err := applyConstraint(batch, docs, k, c.Assigns, nil, false)
 	if err != nil {
 		return compact.Cell{}, err
 	}
 	for round := 0; round < 3; round++ {
 		before := text.FormatAssignments(as)
 		for _, kc := range all {
-			if as, err = applyConstraint(batch, docs, kc, as, nil); err != nil {
+			if as, err = applyConstraint(batch, docs, kc, as, nil, false); err != nil {
 				return compact.Cell{}, err
 			}
 		}
@@ -131,8 +132,8 @@ func TestRefineCellMatchesReference(t *testing.T) {
 // body where its precondition holds: each random cell grows stage by stage
 // from an empty prior, the way a run carries it, and at every stage the
 // trusted call must return the reference cell with no more Verify or
-// Refine calls. The saving is floored so that the settled shortcut is
-// seen to fire.
+// Refine calls. The saving is floored so that the settled shortcut and the
+// hereditary skip are seen to fire.
 func TestRefineCellTrustsRefinedCells(t *testing.T) {
 	docs := refinePages()
 	env := NewEnv()
@@ -174,8 +175,59 @@ func TestRefineCellTrustsRefinedCells(t *testing.T) {
 		}
 	}
 	t.Logf("%d stages: %d Verify/Refine calls, reference %d", stages, gotCalls, wantCalls)
-	if gotCalls*10 > wantCalls*7 {
-		t.Fatalf("trusted path made %d calls, reference %d: want at least 30%% fewer", gotCalls, wantCalls)
+	if gotCalls*100 > wantCalls*55 {
+		t.Fatalf("trusted path made %d calls, reference %d: want at least 45%% fewer", gotCalls, wantCalls)
+	}
+}
+
+// beforeFeature is a user feature whose spans are not token-aligned:
+// before(s) = label holds when the label does not occur in s, and Refine
+// keeps the part of s before its first occurrence, space included.
+type beforeFeature struct{}
+
+func (beforeFeature) Name() string       { return "before" }
+func (beforeFeature) Kind() feature.Kind { return feature.KindParametric }
+func (beforeFeature) Verify(s text.Span, v string) (bool, error) {
+	return !strings.Contains(s.Text(), v), nil
+}
+func (beforeFeature) Refine(s text.Span, v string) ([]text.Assignment, error) {
+	i := strings.Index(s.Text(), v)
+	switch {
+	case i < 0:
+		return []text.Assignment{text.ContainOf(s)}, nil
+	case i == 0:
+		return nil, nil
+	}
+	return []text.Assignment{text.ContainOf(s.Sub(s.Start(), s.Start()+i))}, nil
+}
+
+// TestRefineCellRechecksUnalignedSpans: on the trusted path a hereditary
+// constraint lets only token-aligned spans through uncalled. Here before
+// narrows a cell already refined under italic-font = no to "Query
+// Processing " — trailing space included, so not aligned — which the
+// re-check of italic-font = no must still narrow to "Query Processing",
+// as the reference does. The narrowed span is aligned, and the next
+// round's re-check of it is skipped.
+func TestRefineCellRechecksUnalignedSpans(t *testing.T) {
+	env := NewEnv()
+	env.Features.Register(beforeFeature{})
+	all, err := resolveStages(env, []feature.Constraint{{Feature: "italic-font", Value: "no"}, {Feature: "before", Value: "by"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := compact.Cell{Assigns: []text.Assignment{text.ContainOf(mustDoc("r", "Query Processing by A. Smith").WholeSpan())}}
+	sc := refineScratch{docs: docCursor{memo: feature.NewMemo()}}
+	var wantB, gotB statBatch
+	want, werr := refRefineCell(&wantB, &docCursor{memo: feature.NewMemo()}, c, all[1], all)
+	got, gerr := refineCell(&gotB, &sc, c, all[1], all, true)
+	if werr != nil || gerr != nil {
+		t.Fatalf("error %v, reference %v", gerr, werr)
+	}
+	if !slices.Equal(got.Assigns, want.Assigns) || len(got.Assigns) != 1 || got.Assigns[0].Span.Text() != "Query Processing" {
+		t.Fatalf("got %v, reference %v: want contain(\"Query Processing\")", got, want)
+	}
+	if calls, ref := gotB.VerifyCalls+gotB.RefineCalls, wantB.VerifyCalls+wantB.RefineCalls; calls >= ref {
+		t.Fatalf("trusted path made %d calls, reference %d: the aligned re-check was not skipped", calls, ref)
 	}
 }
 

@@ -17,6 +17,8 @@
 // assignments. That is what preserves the paper's superset execution
 // semantics. The engine re-checks earlier constraints with Verify whenever
 // later refinement narrows an assignment to an exact span (Section 4.2).
+// Some features declare f = v hereditary (Hereditary): each token-aligned
+// sub-span t of a span that passed it has Verify(t) and Refine(t) = [contain(t)].
 package feature
 
 import (
@@ -60,6 +62,12 @@ type Feature interface {
 	// Refine returns assignments covering every sub-span t of s with
 	// f(t) = v (see the package comment for the covering contract).
 	Refine(s text.Span, v string) ([]text.Assignment, error)
+}
+
+// Hereditary reports whether f declares f = v hereditary by a method of that name.
+func Hereditary(f Feature, v string) bool {
+	h, ok := f.(interface{ Hereditary(v string) bool })
+	return ok && h.Hereditary(v)
 }
 
 // Constraint is a domain constraint f(attr) = value appearing in a

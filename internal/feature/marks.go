@@ -18,8 +18,9 @@ type markFeature struct {
 	kind text.MarkKind
 }
 
-func (f markFeature) Name() string { return f.name }
-func (f markFeature) Kind() Kind   { return KindBoolean }
+func (f markFeature) Name() string           { return f.name }
+func (f markFeature) Kind() Kind             { return KindBoolean }
+func (markFeature) Hereditary(v string) bool { return v == Yes || v == No }
 
 // regions returns the merged k-regions of s's document clipped to s,
 // sorted by start.

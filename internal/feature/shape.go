@@ -17,8 +17,9 @@ type lengthFeature struct {
 	max  bool
 }
 
-func (f lengthFeature) Name() string { return f.name }
-func (f lengthFeature) Kind() Kind   { return KindParametric }
+func (f lengthFeature) Name() string             { return f.name }
+func (f lengthFeature) Kind() Kind               { return KindParametric }
+func (f lengthFeature) Hereditary(v string) bool { _, err := f.bound(v); return f.max && err == nil }
 
 func (f lengthFeature) bound(v string) (int, error) {
 	n, err := strconv.Atoi(v)
@@ -88,8 +89,9 @@ type tokensFeature struct {
 	max  bool
 }
 
-func (f tokensFeature) Name() string { return f.name }
-func (f tokensFeature) Kind() Kind   { return KindParametric }
+func (f tokensFeature) Name() string             { return f.name }
+func (f tokensFeature) Kind() Kind               { return KindParametric }
+func (f tokensFeature) Hereditary(v string) bool { _, err := f.bound(v); return f.max && err == nil }
 
 func (f tokensFeature) bound(v string) (int, error) {
 	n, err := strconv.Atoi(v)
@@ -131,7 +133,7 @@ func (f tokensFeature) Refine(s text.Span, v string) ([]text.Assignment, error) 
 		return []text.Assignment{text.ContainOf(sp)}, nil
 	}
 	var out []text.Assignment
-	for i := 0; i+n <= total; i++ {
+	for i := 0; n > 0 && i+n <= total; i++ {
 		out = append(out, text.ContainOf(sp.TokenSpan(i, i+n)))
 	}
 	return out, nil
@@ -250,8 +252,9 @@ func (f patternFeature) Refine(s text.Span, v string) ([]text.Assignment, error)
 // letter (yes) or not (no). Useful for names and titles.
 type capitalizedFeature struct{}
 
-func (capitalizedFeature) Name() string { return "capitalized" }
-func (capitalizedFeature) Kind() Kind   { return KindBoolean }
+func (capitalizedFeature) Name() string             { return "capitalized" }
+func (capitalizedFeature) Kind() Kind               { return KindBoolean }
+func (capitalizedFeature) Hereditary(v string) bool { return v == Yes }
 
 func tokenCapitalized(tok string) bool {
 	for _, r := range tok {

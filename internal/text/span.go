@@ -106,6 +106,9 @@ func (s Span) Shrink() (Span, bool) {
 	return Span{doc: s.doc, start: toks[lo].Start, end: toks[hi-1].End}, true
 }
 
+// TokenAligned reports whether Shrink returns s itself.
+func (s Span) TokenAligned() bool { sp, ok := s.Shrink(); return ok && sp == s }
+
 // SubSpans enumerates every token-aligned sub-span of s (all contiguous
 // token sequences), calling fn for each. Enumeration stops early if fn
 // returns false. The count of token-aligned sub-spans of a span with t
