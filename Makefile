@@ -22,11 +22,16 @@ race:
 # -short, so this stays fast. The one-loop rule: the per-tuple protocol
 # (DESIGN.md §11 "The tuple loop") has one home, so outside tupleloop.go no
 # non-test file of internal/engine reports unprocessed documents, looks a
-# delta prior up or fans a loop out (evalPair/evalAll fan out subtrees, not
-# tuples, and stay).
+# delta prior up or fans a loop out (evalAll fans out subtrees, not
+# tuples, and stays). The oracle rule: internal/oracle is the reference
+# semantics tests check the engine against, so no non-test file imports it
+# and it imports neither the engine nor the assistant.
 verify:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
+	@imports="$$(find . -name '*.go' -not -path './.bench_build/*' | xargs grep -lE '"iflex/internal/oracle"' | grep -v '_test\.go$$'; \
+		grep -lE '"iflex/internal/(engine|assistant)"' internal/oracle/*.go)"; if [ -n "$$imports" ]; then \
+		echo "internal/oracle imported by production code, or importing the engine:"; echo "$$imports"; exit 1; fi
 	@loops="$$(grep -nE '\.(noteUnprocessed|lookup|parallelChunksSized)\(' internal/engine/*.go | \
 		grep -vE '^internal/engine/(tupleloop\.go|[a-z0-9_]*_test\.go):')"; if [ -n "$$loops" ]; then \
 		echo "per-tuple protocol outside internal/engine/tupleloop.go:"; echo "$$loops"; exit 1; fi
@@ -81,7 +86,7 @@ bench:
 bench-layers:
 	$(GO) test -run='^$$' -bench='ParseProgram|OrderBody' -benchmem ./internal/alog
 	$(GO) test -run='^$$' -bench=MarkupParse -benchmem ./internal/markup
-	$(GO) test -run='^$$' -bench=CompactVsATable -benchmem ./internal/compact
+	$(GO) test -run='^$$' -bench=CompactVsATable -benchmem ./internal/oracle
 	$(GO) test -run='^$$' -bench='SubSpanEnumeration|ParseNumeric|NormText' -benchmem ./internal/text
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/similarity
 	$(GO) test -run='^$$' -bench=FeatureMemo -benchmem ./internal/feature

@@ -136,100 +136,6 @@ func TestAppendArityPanic(t *testing.T) {
 	NewTable("a", "b").Append(Tuple{Cells: []Cell{{}}})
 }
 
-// Figure 3 of the paper: the houses compact table condenses the Figure 2.e
-// a-table; converting back to an a-table must reproduce the enumerated
-// possible values.
-func TestFigure3RoundTrip(t *testing.T) {
-	x1 := markup.MustParse("x1", "Cozy house 351000 5146 2750 Vanhise High")
-	tb := NewTable("x", "p", "h")
-	tb.Append(Tuple{Cells: []Cell{
-		ExactCell(x1.WholeSpan()),
-		{Assigns: []text.Assignment{
-			text.ExactOf(span(x1, "351000")),
-			text.ExactOf(span(x1, "5146")),
-			text.ExactOf(span(x1, "2750")),
-		}},
-		ContainCell(span(x1, "Cozy house")),
-	}})
-	at := tb.ToATable()
-	if len(at.Tuples) != 1 {
-		t.Fatalf("a-table tuples = %d", len(at.Tuples))
-	}
-	pVals := at.Tuples[0].Cells[1]
-	if len(pVals) != 3 {
-		t.Fatalf("p values = %d", len(pVals))
-	}
-	hVals := at.Tuples[0].Cells[2]
-	if len(hVals) != 3 { // "Cozy", "Cozy house", "house"
-		t.Fatalf("h values = %v", at.Tuples[0].Cells[2])
-	}
-	back := at.ToCompact()
-	if back.NumExpandedTuples() != 1 {
-		t.Error("round-trip tuple count changed")
-	}
-}
-
-// The schools side of Figure 3: one compact tuple with an expansion cell
-// over two contain assignments stands for one tuple per bold sub-span.
-func TestFigure3SchoolsExpansion(t *testing.T) {
-	y := markup.MustParse("y", "Basktall Cherry Hills Hoover Lynneville")
-	s1 := span(y, "Basktall Cherry Hills")
-	s2 := span(y, "Hoover Lynneville")
-	tb := NewTable("s")
-	tb.Append(Tuple{Cells: []Cell{ExpandCell(text.ContainOf(s1), text.ContainOf(s2))}})
-	// 3 tokens -> 6 sub-spans; 2 tokens -> 3 sub-spans.
-	if got := tb.NumExpandedTuples(); got != 9 {
-		t.Fatalf("expanded tuples = %d, want 9", got)
-	}
-	at := tb.ToATable()
-	if len(at.Tuples) != 9 {
-		t.Fatalf("a-table tuples = %d, want 9", len(at.Tuples))
-	}
-}
-
-func TestWorldsEnumeration(t *testing.T) {
-	d := markup.MustParse("d", "Alice Bob 5 6")
-	at := NewATable("name", "age")
-	at.Tuples = append(at.Tuples,
-		ATuple{Cells: []ACell{{span(d, "Alice"), span(d, "Bob")}, {span(d, "5")}}},
-		ATuple{Maybe: true, Cells: []ACell{{span(d, "Bob")}, {span(d, "6")}}},
-	)
-	worlds, err := at.Worlds(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 valuations for tuple 1 × (maybe tuple 2: in or out) = 4 worlds.
-	if len(worlds) != 4 {
-		t.Fatalf("worlds = %d, want 4: %v", len(worlds), worlds)
-	}
-}
-
-func TestWorldsLimit(t *testing.T) {
-	d := markup.MustParse("d", "a b c d e f g h")
-	at := NewATable("v")
-	var all ACell
-	for _, tok := range d.Tokens() {
-		all = append(all, d.Span(tok.Start, tok.End))
-	}
-	for i := 0; i < 4; i++ {
-		at.Tuples = append(at.Tuples, ATuple{Cells: []ACell{all}})
-	}
-	if _, err := at.Worlds(10); err == nil {
-		t.Fatal("expected ErrTooManyWorlds")
-	}
-}
-
-func TestIsSupersetOf(t *testing.T) {
-	got := map[string]bool{"a": true, "b": true}
-	want := map[string]bool{"a": true}
-	if !IsSupersetOf(got, want) {
-		t.Error("superset check failed")
-	}
-	if IsSupersetOf(want, got) {
-		t.Error("subset incorrectly accepted")
-	}
-}
-
 func TestTableStringRendering(t *testing.T) {
 	d := markup.MustParse("d", "92 bottles")
 	tb := NewTable("n")

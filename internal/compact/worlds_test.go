@@ -1,10 +1,12 @@
-package compact
+package compact_test
 
 import (
 	"testing"
 	"testing/quick"
 
+	"iflex/internal/compact"
 	"iflex/internal/markup"
+	"iflex/internal/oracle"
 	"iflex/internal/text"
 )
 
@@ -26,17 +28,17 @@ func TestQuickCompactATableEquivalence(t *testing.T) {
 			body += string(rune('a' + w%5))
 		}
 		d := markup.MustParse("q", body)
-		cell := Cell{Assigns: []text.Assignment{text.ContainOf(d.WholeSpan())}, Expand: expand}
-		tb := NewTable("v")
-		tb.Append(Tuple{Cells: []Cell{cell}, Maybe: maybe})
+		cell := compact.Cell{Assigns: []text.Assignment{text.ContainOf(d.WholeSpan())}, Expand: expand}
+		tb := compact.NewTable("v")
+		tb.Append(compact.Tuple{Cells: []compact.Cell{cell}, Maybe: maybe})
 
-		at := tb.ToATable()
+		at := oracle.ToATable(tb)
 		w1, err1 := at.Worlds(100000)
-		w2, err2 := at.ToCompact().ToATable().Worlds(100000)
+		w2, err2 := oracle.ToATable(at.ToCompact()).Worlds(100000)
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		return IsSupersetOf(w1, w2) && IsSupersetOf(w2, w1)
+		return oracle.IsSupersetOf(w1, w2) && oracle.IsSupersetOf(w2, w1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -57,17 +59,17 @@ func TestQuickExpansionPreservesWorlds(t *testing.T) {
 			body += string(rune('a' + w%4))
 		}
 		d := markup.MustParse("q", body)
-		tb := NewTable("v")
-		tb.Append(Tuple{
-			Cells: []Cell{{Assigns: []text.Assignment{text.ContainOf(d.WholeSpan())}, Expand: true}},
+		tb := compact.NewTable("v")
+		tb.Append(compact.Tuple{
+			Cells: []compact.Cell{{Assigns: []text.Assignment{text.ContainOf(d.WholeSpan())}, Expand: true}},
 			Maybe: maybe,
 		})
-		w1, err1 := tb.ToATable().Worlds(100000)
-		w2, err2 := tb.Expand().ToATable().Worlds(100000)
+		w1, err1 := oracle.ToATable(tb).Worlds(100000)
+		w2, err2 := oracle.ToATable(tb.Expand()).Worlds(100000)
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		return IsSupersetOf(w1, w2) && IsSupersetOf(w2, w1)
+		return oracle.IsSupersetOf(w1, w2) && oracle.IsSupersetOf(w2, w1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -77,16 +79,16 @@ func TestQuickExpansionPreservesWorlds(t *testing.T) {
 // A maybe tuple's worlds include the empty relation.
 func TestMaybeTupleAllowsAbsence(t *testing.T) {
 	d := markup.MustParse("d", "only")
-	tb := NewTable("v")
-	tb.Append(Tuple{Cells: []Cell{ExactCell(d.WholeSpan())}, Maybe: true})
-	worlds, err := tb.ToATable().Worlds(100)
+	tb := compact.NewTable("v")
+	tb.Append(compact.Tuple{Cells: []compact.Cell{compact.ExactCell(d.WholeSpan())}, Maybe: true})
+	worlds, err := oracle.ToATable(tb).Worlds(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !worlds[World{}.Canonical()] {
+	if !worlds[oracle.World{}.Canonical()] {
 		t.Error("maybe tuple must admit the empty world")
 	}
-	if !worlds[World{{"only"}}.Canonical()] {
+	if !worlds[oracle.World{{"only"}}.Canonical()] {
 		t.Error("maybe tuple must admit the present world")
 	}
 	if len(worlds) != 2 {
@@ -102,9 +104,9 @@ func TestCompactnessRatio(t *testing.T) {
 		body += " w" + string(rune('0'+i%10))
 	}
 	d := markup.MustParse("d", body)
-	tb := NewTable("v")
-	tb.Append(Tuple{Cells: []Cell{ContainCell(d.WholeSpan())}})
-	values := tb.ToATable().Tuples[0].Cells[0]
+	tb := compact.NewTable("v")
+	tb.Append(compact.Tuple{Cells: []compact.Cell{compact.ContainCell(d.WholeSpan())}})
+	values := oracle.ToATable(tb).Tuples[0].Cells[0]
 	if tb.NumAssignments() != 1 {
 		t.Fatalf("assignments = %d", tb.NumAssignments())
 	}
@@ -119,29 +121,29 @@ func TestCompactnessRatio(t *testing.T) {
 // both-absent.
 func TestMutualExclusionNotRepresentable(t *testing.T) {
 	d := markup.MustParse("d", "t1 t2")
-	tb := NewTable("v")
-	tb.Append(Tuple{Cells: []Cell{ExactCell(span(d, "t1"))}, Maybe: true})
-	tb.Append(Tuple{Cells: []Cell{ExactCell(span(d, "t2"))}, Maybe: true})
-	worlds, err := tb.ToATable().Worlds(100)
+	tb := compact.NewTable("v")
+	tb.Append(compact.Tuple{Cells: []compact.Cell{compact.ExactCell(span(d, "t1"))}, Maybe: true})
+	tb.Append(compact.Tuple{Cells: []compact.Cell{compact.ExactCell(span(d, "t2"))}, Maybe: true})
+	worlds, err := oracle.ToATable(tb).Worlds(100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]bool{
-		World{}.Canonical():               true, // both absent
-		World{{"t1"}}.Canonical():         true,
-		World{{"t2"}}.Canonical():         true,
-		World{{"t1"}, {"t2"}}.Canonical(): true, // both present
+		oracle.World{}.Canonical():               true, // both absent
+		oracle.World{{"t1"}}.Canonical():         true,
+		oracle.World{{"t2"}}.Canonical():         true,
+		oracle.World{{"t1"}, {"t2"}}.Canonical(): true, // both present
 	}
-	if len(worlds) != 4 || !IsSupersetOf(worlds, want) {
+	if len(worlds) != 4 || !oracle.IsSupersetOf(worlds, want) {
 		t.Fatalf("worlds = %v", worlds)
 	}
 	// The xor set {only t1, only t2} is strictly contained: the compact
 	// representation is a superset, never an exact encoding.
-	xor := map[string]bool{World{{"t1"}}.Canonical(): true, World{{"t2"}}.Canonical(): true}
-	if !IsSupersetOf(worlds, xor) {
+	xor := map[string]bool{oracle.World{{"t1"}}.Canonical(): true, oracle.World{{"t2"}}.Canonical(): true}
+	if !oracle.IsSupersetOf(worlds, xor) {
 		t.Error("superset encoding must cover the xor worlds")
 	}
-	if IsSupersetOf(xor, worlds) {
+	if oracle.IsSupersetOf(xor, worlds) {
 		t.Error("xor set must be strictly smaller (incompleteness)")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"iflex/internal/compact"
+	"iflex/internal/oracle"
 	"iflex/internal/text"
 )
 
@@ -264,7 +265,7 @@ func (g *annGen) draw() annCase {
 
 // valueSets renders an a-table as distinct value texts per cell, the form
 // in which the compact annotation and BAnnotate are the same relations.
-func valueSets(a *compact.ATable) string {
+func valueSets(a *oracle.ATable) string {
 	var b strings.Builder
 	for _, tp := range a.Tuples {
 		for _, vals := range tp.Cells {
@@ -303,11 +304,11 @@ func TestAnnotateMatchesReference(t *testing.T) {
 		wantNext, wantNextFb := refAnnotate(c.next, c.annotated, c.exists, lim, &annCoverage{})
 		if c.plain {
 			plain++
-			ba := BAnnotate(c.in.ToATable(), c.annotated)
+			ba := oracle.BAnnotate(oracle.ToATable(c.in), c.annotated)
 			for i := range ba.Tuples {
 				ba.Tuples[i].Maybe = ba.Tuples[i].Maybe || c.exists
 			}
-			if got, want := valueSets(want.ToATable()), valueSets(ba); got != want {
+			if got, want := valueSets(oracle.ToATable(want)), valueSets(ba); got != want {
 				t.Fatalf("trial %d: expanded annotation differs from BAnnotate\ngot:\n%s\nwant:\n%s", trial, got, want)
 			}
 		}
@@ -385,7 +386,8 @@ func BenchmarkAnnotate(b *testing.B) {
 			scan := newScanNode(env, "Amazon", in.Cols)
 			n := newAnnotateNode(env, scan, false, []string{"t", "lp", "np", "up"})
 			ctx := NewContext(env)
-			if _, err := Eval(ctx, scan); err != nil {
+			scanned, err := Eval(ctx, scan)
+			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -393,7 +395,7 @@ func BenchmarkAnnotate(b *testing.B) {
 			var out *compact.Table
 			for i := 0; i < b.N; i++ {
 				var err error
-				if out, err = n.eval(ctx, nil, nil); err != nil {
+				if out, err = n.eval(ctx, nil, nil, []*compact.Table{scanned}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -89,11 +89,8 @@ func (n *constraintNode) Columns() []string { return n.parent.Columns() }
 // Children is the run's input, not the shorter run its identity names.
 func (n *constraintNode) Children() []Node { return []Node{n.parent} }
 
-func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
-	in, err := Eval(ctx, n.parent)
-	if err != nil {
-		return nil, err
-	}
+func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins []*compact.Table) (*compact.Table, error) {
+	in := ins[0]
 	ci := colIndex(in.Cols, n.attr())
 	all, err := resolveStages(ctx.Env, n.applied())
 	if err != nil {

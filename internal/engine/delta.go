@@ -160,6 +160,9 @@ type deltaState struct {
 	// similarity join reconciles the two right tables instead
 	// (tupleOp.reconcile).
 	corpus bool
+	// linked is the linked predecessor's entry under the same mode when it
+	// covers every stage of a run: what adoptUnrun may hand out, or nil.
+	linked *cacheEntry
 }
 
 // priorFor returns the predecessor memo usable for one pass of op, nil
@@ -219,6 +222,9 @@ func (ctx *Context) deltaPriorLocked(n Node, key entryKey) (*deltaState, *compac
 		if pe := ctx.lookupLocked(entryKey{mode: key.mode, node: link.old}); pe != nil {
 			dx.prior = pe.aux
 			priorTable = pe.table
+			if run, ok := n.(*constraintNode); !ok || link.stages == len(run.cons) {
+				dx.linked = pe
+			}
 		} else if prevMode != 0 {
 			if pe := ctx.lookupLocked(entryKey{mode: prevMode, node: link.old}); pe != nil {
 				dx.prior = pe.aux
@@ -261,6 +267,52 @@ func (ctx *Context) deltaPriorLocked(n Node, key entryKey) (*deltaState, *compac
 	}
 	return dx, priorTable
 }
+
+// adoptUnrun is adoption decided before the operator runs: when n's
+// linked predecessor read exactly the tables in — each the one cached
+// under the same mode for the predecessor's corresponding child — the
+// predecessor's table and memo are n's result, and n's operator is not
+// run. That is sound because an operator's output depends only on the
+// parameters sameShape compares, the mode and the contents of its inputs;
+// cached tables are immutable; a stale entry left by a corpus delta is
+// never current, and a partial table from a cut is never cached, so a
+// current entry holds what its node computes under its mode. The
+// evaluation is counted as the adoption it replaces (TablesAdopted, plus
+// AdoptedUnrun), recharges the predecessor's LimitFallbacks and carries
+// over a run's stage totals, so every other count matches a run that
+// replayed its memo in full. Nil when it does not apply.
+func (ctx *Context) adoptUnrun(n Node, dx *deltaState, in []*compact.Table, ev *EvalTrace) *compact.Table {
+	if dx == nil || dx.linked == nil || len(in) == 0 || noAdoptUnrun {
+		return nil
+	}
+	p := dx.linked
+	kids := p.node.Children()
+	if len(kids) != len(in) {
+		return nil
+	}
+	ctx.mu.Lock()
+	for i, k := range kids {
+		if e := ctx.lookupLocked(entryKey{mode: p.key.mode, node: k.ID()}); e == nil || e.table != in[i] {
+			ctx.mu.Unlock()
+			return nil
+		}
+	}
+	asg := ctx.stageAsg[p.key]
+	ctx.mu.Unlock()
+	if run, ok := n.(*constraintNode); ok {
+		ev.stages, ev.resumedFrom = len(run.cons), len(run.cons)
+		ev.stageAsg.Store(asg)
+	}
+	(&Work{LimitFallbacks: p.fallbacks}).add(&ev.work, &ctx.Stats.Work)
+	dx.aux = p.aux
+	statAdd(&ctx.Stats.TablesAdopted, 1)
+	statAdd(&ctx.Stats.AdoptedUnrun, 1)
+	return p.table
+}
+
+// noAdoptUnrun turns adoptUnrun off. Only tests set it
+// (export_test.go): evaluation with and without it must agree.
+var noAdoptUnrun bool
 
 // runPriorLocked looks for a cached run over the same input that covers
 // more than have of n's stages: an entry under one of n's prefixes whose

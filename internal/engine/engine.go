@@ -323,17 +323,20 @@ type entryKey struct {
 }
 
 // cacheEntry is one resident cache entry. Exactly one of table (plus
-// optional delta memo aux) or idx is set. stale marks a table displaced by
-// ApplyCorpusDelta: no lookup sees it but Eval's probe for its own key's
-// corpus prior. Entries form a doubly-linked LRU list under Context.mu.
+// optional delta memo aux) or idx is set. fallbacks is the LimitFallbacks
+// total the table's evaluation charged, which a successor that adopts it
+// unrun recharges. stale marks a table displaced by ApplyCorpusDelta: no
+// lookup sees it but Eval's probe for its own key's corpus prior. Entries
+// form a doubly-linked LRU list under Context.mu.
 type cacheEntry struct {
-	key   entryKey
-	node  Node // of a table entry; read only by tests (CachedTablesForTest)
-	table *compact.Table
-	aux   *evalAux
-	idx   *blockIndex
-	bytes int64
-	stale bool
+	key       entryKey
+	node      Node // of a table entry
+	table     *compact.Table
+	aux       *evalAux
+	idx       *blockIndex
+	bytes     int64
+	fallbacks int64
+	stale     bool
 
 	prev, next *cacheEntry
 }
@@ -398,6 +401,10 @@ type Stats struct {
 	// instead — preserving downstream pointer identity (and with it the
 	// binary operators' memo transferability).
 	TablesAdopted int64 `json:"tables_adopted" stat:"det"`
+	// AdoptedUnrun counts the adoptions decided before the operator ran:
+	// every input was pointer-identical to the one the predecessor read, so
+	// its table was handed out and the loop never started (adoptUnrun).
+	AdoptedUnrun int64 `json:"adopted_unrun" stat:"det"`
 	// CacheEvictions / BlockIdxEvictions count entries dropped to keep
 	// the cache under CacheBudget, split by payload kind (result table vs
 	// similarity-join blocking index). CacheBytes is the current estimated
@@ -821,11 +828,12 @@ type Node interface {
 	Columns() []string
 	// Children returns the node's input operators.
 	Children() []Node
-	// eval computes the node's output table (uncached). ev receives
+	// eval computes the node's output table (uncached) from in, the tables
+	// of Children() in order, which Eval has resolved. ev receives
 	// per-evaluation attribution (the loop counters, a run's stage
 	// totals) and may be nil, which discards it; dx carries
 	// delta-evaluation state and is nil when delta evaluation is off.
-	eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error)
+	eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*compact.Table) (*compact.Table, error)
 }
 
 // SumAssignments evaluates every node of the plan (through the cache) and
@@ -868,12 +876,18 @@ func SumAssignments(ctx *Context, root Node) (int, error) {
 // single-flight deduplication: the first goroutine to request a node
 // evaluates it; concurrent requesters for the same key block until it
 // finishes and share the result (counted as cache hits). Failed
-// evaluations are not cached, so a later request retries.
+// evaluations are not cached, so a later request retries. The evaluating
+// call resolves the node's inputs first (evalAll: siblings fan out over
+// the pool), then runs the operator over them.
 //
 // With delta evaluation on, a cache miss of a node that RegisterDelta
 // mapped to a predecessor picks up the predecessor's per-tuple memo, so
 // the operator replays unchanged tuples instead of recomputing them; the
-// result is byte-identical either way.
+// result is byte-identical either way. When every input is the very table
+// the predecessor read, the operator does not run at all: the
+// predecessor's table and memo are the result (adoptUnrun). When it runs
+// and reproduces the predecessor's table, that table is handed out instead
+// (adoption), which is what keeps the inputs above it pointer-identical.
 //
 // If the node's evaluation panics, the in-flight entry is removed and its
 // done channel closed before the panic propagates, so concurrent waiters
@@ -934,15 +948,24 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 			panic(r)
 		}
 	}()
-	t, err := n.eval(ctx, ev, dx)
-	if err == nil && priorTable != nil && t.StructuralEq(priorTable) {
-		// Adoption: the re-evaluation reproduced the predecessor's output
-		// exactly, so hand out the old table itself. Downstream operators
-		// then see a pointer-identical input, which keeps binary operators'
-		// memos (pinned to their right table) transferable and lets the
-		// whole unchanged region of the plan replay.
-		t = priorTable
-		statAdd(&ctx.Stats.TablesAdopted, 1)
+	in, err := evalAll(ctx, n.Children())
+	var t *compact.Table
+	var self time.Duration
+	if err == nil {
+		opStart := time.Now()
+		if t = ctx.adoptUnrun(n, dx, in, ev); t == nil {
+			t, err = n.eval(ctx, ev, dx, in)
+			if err == nil && priorTable != nil && t.StructuralEq(priorTable) {
+				// Adoption: the re-evaluation reproduced the predecessor's
+				// output exactly, so hand out the old table itself. Downstream
+				// operators then see a pointer-identical input, which keeps
+				// binary operators' memos (pinned to their right table)
+				// transferable and lets the nodes above adopt unrun.
+				t = priorTable
+				statAdd(&ctx.Stats.TablesAdopted, 1)
+			}
+		}
+		self = time.Since(opStart)
 	}
 	finished = true
 	wall := time.Since(start)
@@ -960,7 +983,7 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 			// best-effort cut truncates operator loops), so it is handed to
 			// the caller but never cached: a later evaluation under the same
 			// key must recompute in full.
-			e := &cacheEntry{key: key, node: n, table: t}
+			e := &cacheEntry{key: key, node: n, table: t, fallbacks: ev.work.LimitFallbacks}
 			if dx != nil {
 				e.aux = dx.aux
 			}
@@ -974,7 +997,7 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 	if trace != nil {
 		rec := TraceRecord{
 			Op: opName(n), Signature: n.Signature(), Key: ctx.cacheKey(mode, n), key: key,
-			Status: StatusMiss, Wall: wall, Goroutine: goid(), Work: ev.work,
+			Status: StatusMiss, Wall: wall, Self: self, Goroutine: goid(), Work: ev.work,
 			Quarantined: ev.quarantined.Load(), Stages: ev.stages, ResumedFrom: ev.resumedFrom,
 		}
 		if err == nil {

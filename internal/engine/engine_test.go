@@ -7,6 +7,7 @@ import (
 	"iflex/internal/alog"
 	"iflex/internal/compact"
 	"iflex/internal/markup"
+	"iflex/internal/oracle"
 	"iflex/internal/text"
 )
 
@@ -166,17 +167,17 @@ func TestFigure5BAnnotate(t *testing.T) {
 		i := strings.Index(d.Text(), sub)
 		return d.Span(i, i+len(sub))
 	}
-	in := compact.NewATable("name", "age")
-	in.Tuples = []compact.ATuple{
-		{Cells: []compact.ACell{{sp("Alice"), sp("Bob")}, {sp("5")}}},
-		{Cells: []compact.ACell{{sp("Alice"), sp("Carol")}, {sp("6"), sp("7")}}},
-		{Cells: []compact.ACell{{sp("Dave")}, {sp("8"), sp("9")}}},
+	in := oracle.NewATable("name", "age")
+	in.Tuples = []oracle.ATuple{
+		{Cells: []oracle.ACell{{sp("Alice"), sp("Bob")}, {sp("5")}}},
+		{Cells: []oracle.ACell{{sp("Alice"), sp("Carol")}, {sp("6"), sp("7")}}},
+		{Cells: []oracle.ACell{{sp("Dave")}, {sp("8"), sp("9")}}},
 	}
-	out := BAnnotate(in, []string{"age"})
+	out := oracle.BAnnotate(in, []string{"age"})
 	if len(out.Tuples) != 4 {
 		t.Fatalf("output:\n%s", out)
 	}
-	byName := map[string]compact.ATuple{}
+	byName := map[string]oracle.ATuple{}
 	for _, tp := range out.Tuples {
 		byName[tp.Cells[0][0].NormText()] = tp
 	}
@@ -231,8 +232,8 @@ extractP(x, p) :- from(x, p), numeric(p) = yes.
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := BAnnotate(raw.ToATable(), []string{"p"})
-	gotA := got.ToATable()
+	want := oracle.BAnnotate(oracle.ToATable(raw), []string{"p"})
+	gotA := oracle.ToATable(got)
 	if len(gotA.Tuples) != len(want.Tuples) {
 		t.Fatalf("cAnnotate: %d tuples, BAnnotate: %d\ngot:\n%s\nwant:\n%s",
 			len(gotA.Tuples), len(want.Tuples), gotA, want)
@@ -245,7 +246,7 @@ extractP(x, p) :- from(x, p), numeric(p) = yes.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !compact.IsSupersetOf(worldsGot, worldsWant) || !compact.IsSupersetOf(worldsWant, worldsGot) {
+	if !oracle.IsSupersetOf(worldsGot, worldsWant) || !oracle.IsSupersetOf(worldsWant, worldsGot) {
 		t.Error("cAnnotate and BAnnotate represent different sets of relations")
 	}
 }
@@ -265,7 +266,7 @@ ext(x, v) :- from(x, v), numeric(v) = yes.
 	if err != nil {
 		t.Fatal(err)
 	}
-	worlds, err := res.ToATable().Worlds(100000)
+	worlds, err := oracle.ToATable(res).Worlds(100000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ ext(x, v) :- from(x, v), numeric(v) = yes.
 	d1Text := d1.WholeSpan().NormText()
 	d2Text := d2.WholeSpan().NormText()
 	for _, v1 := range []string{"10", "20"} {
-		w := compact.World{{d1Text, v1}, {d2Text, "30"}}.Canonical()
+		w := oracle.World{{d1Text, v1}, {d2Text, "30"}}.Canonical()
 		if !worlds[w] {
 			t.Errorf("true world missing: %q", w)
 		}

@@ -82,9 +82,9 @@ func CountNodes(root Node) int {
 }
 
 // Explain renders an EXPLAIN ANALYZE-style tree for the plan: one line
-// per operator with output sizes, evaluation wall time, reuse-cache
-// status, valuation-limit fallbacks, the worker goroutine that evaluated
-// it, and a prefix of the signature (the reuse key). Tracing is enabled
+// per operator with output sizes, wall time (inputs included) and self
+// time, reuse-cache status, valuation-limit fallbacks, the evaluating
+// worker and a prefix of the signature (the reuse key). Tracing is enabled
 // on the context if it is not already on, and the plan is evaluated
 // through the cache — after Execute that costs no recomputation. Nodes
 // evaluated before tracing started show cache=hit with no timing.
@@ -125,11 +125,12 @@ func Explain(ctx *Context, root Node) (string, error) {
 			return err
 		}
 		cache := "hit"
-		wall := "-"
+		wall, self := "-", "-"
 		worker := "-"
 		if o.Evals > 0 {
 			cache = "miss"
 			wall = o.Wall.Round(time.Microsecond).String()
+			self = o.Self.Round(time.Microsecond).String()
 			id, ok := workers[o.Goroutine]
 			if !ok {
 				id = len(workers)
@@ -170,9 +171,9 @@ func Explain(ctx *Context, root Node) (string, error) {
 		if len(sig) > 44 {
 			sig = sig[:44] + "…"
 		}
-		fmt.Fprintf(&b, "%-36s %6d rows %8d exp %8d asg %10s  cache=%-9s %-3s%s  sig=%s\n",
+		fmt.Fprintf(&b, "%-36s %6d rows %8d exp %8d asg %10s self %10s  cache=%-9s %-3s%s  sig=%s\n",
 			strings.Repeat("  ", depth)+opName(n), rows, expanded, assigns,
-			wall, cache, worker, extra, sig)
+			wall, self, cache, worker, extra, sig)
 		for _, c := range n.Children() {
 			if err := walk(c, depth+1); err != nil {
 				return err
@@ -224,9 +225,9 @@ func Explain(ctx *Context, root Node) (string, error) {
 		if total := reused + recomputed; total > 0 {
 			rate = 100 * float64(reused) / float64(total)
 		}
-		fmt.Fprintf(&b, "delta evals: %d nodes, %d tuples reused / %d recomputed (%.1f%% reuse), %d tables adopted\n",
+		fmt.Fprintf(&b, "delta evals: %d nodes, %d tuples reused / %d recomputed (%.1f%% reuse), %d tables adopted (%d unrun)\n",
 			deltas, reused, recomputed, rate,
-			atomic.LoadInt64(&ctx.Stats.TablesAdopted))
+			atomic.LoadInt64(&ctx.Stats.TablesAdopted), atomic.LoadInt64(&ctx.Stats.AdoptedUnrun))
 	}
 	bytes, entries := ctx.CacheInfo()
 	fmt.Fprintf(&b, "reuse cache: %d entries, ~%d bytes", entries, bytes)

@@ -233,8 +233,9 @@ func TestOptimizerCSE(t *testing.T) {
 }
 
 // TestOptimizerDeltaLockstep: two successive plan versions of the fused
-// program (one added constraint apart) delta-link and replay tuples, and
-// the delta-evaluated table is the one a fresh context computes.
+// program (one added constraint apart) delta-link — the second replays
+// tuples or adopts tables unrun — and the delta-evaluated table is the one
+// a fresh context computes.
 func TestOptimizerDeltaLockstep(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	env := buildOptEnv(r, 8)
@@ -262,8 +263,8 @@ func TestOptimizerDeltaLockstep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Stats.TuplesReused == 0 {
-		t.Fatal("the fused plan versions did not delta-link (no tuples reused)")
+	if ctx.Stats.TuplesReused+ctx.Stats.AdoptedUnrun == 0 {
+		t.Fatal("the fused plan versions did not delta-link (no tuples reused, no table adopted unrun)")
 	}
 	want, err := p2.Execute(NewContext(env))
 	if err != nil {

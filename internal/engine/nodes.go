@@ -118,7 +118,7 @@ func newScanNode(env *Env, pred string, vars []string) *scanNode {
 
 func (n *scanNode) Columns() []string { return n.cols }
 
-func (n *scanNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
+func (n *scanNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, _ []*compact.Table) (*compact.Table, error) {
 	src, ok := ctx.Env.Tables[n.pred]
 	if !ok {
 		return nil, fmt.Errorf("engine: extensional table %q not bound", n.pred)
@@ -162,11 +162,8 @@ func newFromNode(env *Env, parent Node, inVar, outVar string) *fromNode {
 
 func (n *fromNode) Columns() []string { return n.cols }
 
-func (n *fromNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
-	in, err := Eval(ctx, n.parent)
-	if err != nil {
-		return nil, err
-	}
+func (n *fromNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins []*compact.Table) (*compact.Table, error) {
+	in := ins[0]
 	idx := colIndex(in.Cols, n.inVar)
 	out := compact.NewTable(n.Columns()...)
 	out.Tuples = make([]compact.Tuple, len(in.Tuples))
@@ -230,11 +227,8 @@ func newCrossNode(env *Env, left, right Node) *crossNode {
 
 func (n *crossNode) Columns() []string { return n.cols }
 
-func (n *crossNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
-	lt, rt, err := evalPair(ctx, n.left, n.right)
-	if err != nil {
-		return nil, err
-	}
+func (n *crossNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*compact.Table) (*compact.Table, error) {
+	lt, rt := in[0], in[1]
 	lim := ctx.Env.Limits
 	// The loop runs over left tuples. The memo is per left tuple too, keyed
 	// on the left shared-column cells and pinned to the right table by a
@@ -368,13 +362,9 @@ func newUnionNode(env *Env, parts []Node) *unionNode {
 
 func (n *unionNode) Columns() []string { return n.parts[0].Columns() }
 
-func (n *unionNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
-	tables, err := evalAll(ctx, n.parts)
-	if err != nil {
-		return nil, err
-	}
+func (n *unionNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*compact.Table) (*compact.Table, error) {
 	out := compact.NewTable(n.Columns()...)
-	for _, t := range tables {
+	for _, t := range in {
 		// Cells are immutable once built; the union shares them.
 		out.Tuples = append(out.Tuples, t.Tuples...)
 	}
@@ -400,11 +390,8 @@ func newProjectNode(env *Env, parent Node, srcCols, outCols []string) *projectNo
 
 func (n *projectNode) Columns() []string { return n.outCols }
 
-func (n *projectNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
-	in, err := Eval(ctx, n.parent)
-	if err != nil {
-		return nil, err
-	}
+func (n *projectNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins []*compact.Table) (*compact.Table, error) {
+	in := ins[0]
 	idx := make([]int, len(n.srcCols))
 	identity := len(n.srcCols) == len(in.Cols)
 	for i, c := range n.srcCols {

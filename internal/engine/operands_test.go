@@ -431,7 +431,7 @@ func compareBench(b *testing.B, src string) {
 	}
 	for _, leg := range []string{"warm", "cold"} {
 		b.Run(leg, func(b *testing.B) {
-			if _, err := cn.eval(ctx, nil, nil); err != nil {
+			if _, err := cn.eval(ctx, nil, nil, []*compact.Table{in}); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -442,7 +442,7 @@ func compareBench(b *testing.B, src string) {
 					env.FeatureMemo.Drop()
 				}
 				before := ctx.Stats.CmpOperandsParsed
-				if _, err := cn.eval(ctx, nil, nil); err != nil {
+				if _, err := cn.eval(ctx, nil, nil, []*compact.Table{in}); err != nil {
 					b.Fatal(err)
 				}
 				parsed = ctx.Stats.CmpOperandsParsed - before
@@ -507,10 +507,11 @@ func BenchmarkSelectKeep(b *testing.B) {
 			cn := plan.Root.Children()[0].(*compareNode)
 			ctx := NewContext(env)
 			ctx.Workers = 1
-			if _, err := Eval(ctx, cn.parent); err != nil {
+			scanned, err := Eval(ctx, cn.parent)
+			if err != nil {
 				b.Fatal(err)
 			}
-			out, err := cn.eval(ctx, nil, nil)
+			out, err := cn.eval(ctx, nil, nil, []*compact.Table{scanned})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -520,7 +521,7 @@ func BenchmarkSelectKeep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cn.eval(ctx, nil, nil); err != nil {
+				if _, err := cn.eval(ctx, nil, nil, []*compact.Table{scanned}); err != nil {
 					b.Fatal(err)
 				}
 			}

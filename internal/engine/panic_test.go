@@ -22,7 +22,7 @@ type panicNode struct {
 
 func (n *panicNode) Columns() []string { return []string{"x"} }
 
-func (n *panicNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
+func (n *panicNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*compact.Table) (*compact.Table, error) {
 	if n.calls.Add(1) == 1 {
 		close(n.started)
 		<-n.release
@@ -164,7 +164,7 @@ type hookNode struct {
 }
 
 func (n *hookNode) Columns() []string { return []string{"x"} }
-func (n *hookNode) eval(*Context, *EvalTrace, *deltaState) (*compact.Table, error) {
+func (n *hookNode) eval(*Context, *EvalTrace, *deltaState, []*compact.Table) (*compact.Table, error) {
 	n.fn()
 	return compact.NewTable("x"), nil
 }
@@ -206,10 +206,11 @@ func TestCoordinatorPanicWaitsForWorkers(t *testing.T) {
 			}
 			_ = ctx.parallelChunksSized(2, 1, func(start, end int) error { return nil })
 		}},
+		// A pair of siblings whose first, on a spawned worker, panics.
 		{"evalPair", func(ctx *Context, r *rig) {
 			left := &hookNode{ident: ident{id: newNodeID(), head: "hook-left"}, fn: func() { coordinator(r) }}
 			right := &hookNode{ident: ident{id: newNodeID(), head: "hook-right"}, fn: func() { worker(r) }}
-			_, _, _ = evalPair(ctx, left, right)
+			_, _ = evalAll(ctx, []Node{left, right})
 		}},
 		{"evalAll", func(ctx *Context, r *rig) {
 			first := &hookNode{ident: ident{id: newNodeID(), head: "hook-first"}, fn: func() { worker(r) }}

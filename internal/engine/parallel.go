@@ -171,16 +171,6 @@ func (ctx *Context) parallelChunksSized(n, minChunk int, body func(start, end in
 	return nil
 }
 
-// evalPair evaluates two sibling nodes through evalAll: concurrently when
-// a pool slot is free, the left error winning on a double failure.
-func evalPair(ctx *Context, left, right Node) (lt, rt *compact.Table, err error) {
-	ts, err := evalAll(ctx, []Node{left, right})
-	if err != nil {
-		return nil, nil, err
-	}
-	return ts[0], ts[1], nil
-}
-
 // evalAll evaluates sibling nodes in order, running each on a spare pool
 // slot when one is free. The first (lowest-index) error wins.
 func evalAll(ctx *Context, nodes []Node) ([]*compact.Table, error) {

@@ -34,7 +34,7 @@ func (n *procNode) Columns() []string {
 	return append(append([]string(nil), n.parent.Columns()...), n.outVars...)
 }
 
-func (n *procNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
+func (n *procNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins []*compact.Table) (*compact.Table, error) {
 	proc, ok := ctx.Env.Procs[n.pname]
 	if !ok {
 		return nil, fmt.Errorf("engine: procedure %q not bound", n.pname)
@@ -42,10 +42,7 @@ func (n *procNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.T
 	if proc.Outputs != len(n.outVars) {
 		return nil, fmt.Errorf("engine: procedure %s produces %d outputs but rule binds %d", n.pname, proc.Outputs, len(n.outVars))
 	}
-	in, err := Eval(ctx, n.parent)
-	if err != nil {
-		return nil, err
-	}
+	in := ins[0]
 	ci := colIndex(in.Cols, n.inVar)
 	lim := ctx.Env.Limits
 	// Procedures are opaque user code: one serial chunk, nothing memoised.

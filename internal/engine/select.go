@@ -299,11 +299,8 @@ func constTerm(t alog.Term) operand {
 	return operand{IsNull: true}
 }
 
-func (n *compareNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
-	in, err := Eval(ctx, n.parent)
-	if err != nil {
-		return nil, err
-	}
+func (n *compareNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins []*compact.Table) (*compact.Table, error) {
+	in := ins[0]
 	f := newCompareFilter(n.cmp, in.Cols, ctx.Env.Limits, ctx.Env.FeatureMemo)
 	if len(f.involved) == 0 {
 		// const ⋈ const: one evaluation decides every tuple.
@@ -392,15 +389,12 @@ func newFuncNode(env *Env, parent Node, fname string, args []alog.Term) *funcNod
 
 func (n *funcNode) Columns() []string { return n.parent.Columns() }
 
-func (n *funcNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
+func (n *funcNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins []*compact.Table) (*compact.Table, error) {
 	pf, ok := ctx.Env.Funcs[n.fname]
 	if !ok {
 		return nil, fmt.Errorf("engine: p-function %q not bound", n.fname)
 	}
-	in, err := Eval(ctx, n.parent)
-	if err != nil {
-		return nil, err
-	}
+	in := ins[0]
 	involved := make([]int, 0, len(n.args))
 	for _, a := range n.args {
 		if a.Kind != alog.TermVar {

@@ -510,15 +510,13 @@ func (c *simChunk) probe(ltp compact.Tuple, idx *blockIndex, universe []int, cha
 	return ms, fb, qed
 }
 
-func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
+func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*compact.Table) (*compact.Table, error) {
 	pf, ok := ctx.Env.Funcs[n.fname]
 	if !ok {
 		return nil, fmt.Errorf("engine: p-function %q not bound", n.fname)
 	}
-	lt, rt, err := evalPair(ctx, n.left, n.right)
-	if err != nil {
-		return nil, err
-	}
+	lt, rt := in[0], in[1]
+	var err error
 	p := &simProbe{ctx: ctx, ev: ev, fn: pf.Fn, rt: rt,
 		li: colIndex(lt.Cols, n.leftVar), ri: colIndex(rt.Cols, n.rightVar)}
 	if pf.Token != nil {

@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"iflex/internal/alog"
-	"iflex/internal/compact"
 	"iflex/internal/markup"
+	"iflex/internal/oracle"
 	"iflex/internal/text"
 )
 
@@ -48,7 +48,7 @@ func refWorlds(docs []*text.Document, bound float64, annotate, exists bool) map[
 	var addWorld func(rows []refTuple)
 	addWorld = func(rows []refTuple) {
 		if !exists {
-			w := make(compact.World, len(rows))
+			w := make(oracle.World, len(rows))
 			for i, r := range rows {
 				w[i] = r
 			}
@@ -61,7 +61,7 @@ func refWorlds(docs []*text.Document, bound float64, annotate, exists bool) map[
 			panic("refWorlds: too many rows for powerset")
 		}
 		for mask := 0; mask < 1<<n; mask++ {
-			var w compact.World
+			var w oracle.World
 			for i := 0; i < n; i++ {
 				if mask&(1<<i) != 0 {
 					w = append(w, rows[i])
@@ -148,7 +148,7 @@ ext(x, v) :- from(x, v), numeric(v) = yes.`, head, cmp)
 		if err != nil {
 			t.Fatalf("trial %d: %v\nprogram:\n%s", trial, err, src)
 		}
-		got, err := res.ToATable().Worlds(200000)
+		got, err := oracle.ToATable(res).Worlds(200000)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -142,7 +142,11 @@ type TraceRecord struct {
 	Status    CacheStatus
 	// Wall, output sizes and the counts below are recorded only on the
 	// evaluating (StatusMiss) call; hits and waits carry the key alone.
+	// Wall is inclusive: it covers resolving the inputs, their evaluations
+	// and any waits on them included. Self is the operator alone, from its
+	// resolved inputs to its output.
 	Wall        time.Duration
+	Self        time.Duration
 	Tuples      int // output compact tuples
 	Expanded    int // output expanded tuples
 	Assignments int // output assignments
@@ -214,7 +218,8 @@ type OpStats struct {
 	Evals       int64         // calls that computed the node
 	Hits        int64         // calls served from the reuse cache
 	Waits       int64         // calls that blocked on an in-flight evaluation
-	Wall        time.Duration // total evaluation time
+	Wall        time.Duration // total evaluation time, inputs included
+	Self        time.Duration // total time in the operator alone
 	Tuples      int           // output compact tuples
 	Expanded    int           // output expanded tuples
 	Assignments int           // output assignments
@@ -246,6 +251,7 @@ func (ctx *Context) TraceOps() []OpStats {
 		case StatusMiss:
 			o.Evals++
 			o.Wall += r.Wall
+			o.Self += r.Self
 			o.Tuples = r.Tuples
 			o.Expanded = r.Expanded
 			o.Assignments = r.Assignments

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"iflex/internal/alog"
 )
@@ -32,7 +33,7 @@ func TestExplainFreshContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"scan housePages", "scan schoolPages", "rows", "cache=miss", "w0", "sig=", "ψ[",
+	for _, want := range []string{"scan housePages", "scan schoolPages", "rows", " self ", "cache=miss", "w0", "sig=", "ψ[",
 		"feature memo:", "stat merges:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain output missing %q:\n%s", want, out)
@@ -40,6 +41,35 @@ func TestExplainFreshContext(t *testing.T) {
 	}
 	if strings.Contains(out, "cache=hit ") {
 		t.Errorf("fresh traced run should have no hit-only operators:\n%s", out)
+	}
+}
+
+// TestSelfTimeExcludesInputs: a node's Wall covers the evaluation of its
+// inputs, its Self the operator alone — a projection over an input that
+// takes 30 ms reads at least that much Wall and a fraction of it Self.
+func TestSelfTimeExcludesInputs(t *testing.T) {
+	env := NewEnv()
+	slow := &hookNode{ident: ident{id: newNodeID(), head: "slow"}, fn: func() { time.Sleep(30 * time.Millisecond) }}
+	p := newProjectNode(env, slow, []string{"x"}, []string{"x"})
+	ctx := NewContext(env)
+	ctx.StartTrace()
+	if _, err := Eval(ctx, p); err != nil {
+		t.Fatal(err)
+	}
+	var found bool
+	for _, o := range ctx.TraceOps() {
+		if o.Self > o.Wall {
+			t.Errorf("%s: self %v above wall %v", o.Signature, o.Self, o.Wall)
+		}
+		if o.Signature == p.Signature() {
+			found = true
+			if o.Wall < 30*time.Millisecond || o.Self > o.Wall/2 {
+				t.Errorf("projection: wall %v, self %v; want wall ≥ 30ms, self the operator alone", o.Wall, o.Self)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("the projection left no trace record")
 	}
 }
 
@@ -235,7 +265,7 @@ func TestStatsCounterTable(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{
-		"block_idx_evictions", "block_idx_postings", "cache_bytes", "cache_evictions", "cache_hit_rate",
+		"adopted_unrun", "block_idx_evictions", "block_idx_postings", "cache_bytes", "cache_evictions", "cache_hit_rate",
 		"cache_hits", "cmp_operands_parsed", "constraint_stages", "corpus_deltas", "corpus_prior_hits",
 		"deadline_cuts", "delta_evals", "delta_reuse_rate", "doc_record_bytes", "eval_restarts",
 		"feature_memo_hit_rate", "feature_memo_hits", "feature_memo_misses", "full_evals", "func_calls",

@@ -305,7 +305,7 @@ type loopNode struct {
 }
 
 func (n *loopNode) Columns() []string { return []string{"x"} }
-func (n *loopNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
+func (n *loopNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, _ []*compact.Table) (*compact.Table, error) {
 	return ctx.tupleLoop(ev, dx, loopInput(), []string{"x"}, n.f.op())
 }
 

@@ -1,10 +1,15 @@
-package compact
+// Package oracle is the reference semantics the engine is tested against,
+// written apart from it: the a-tables of Section 3, their possible worlds
+// and BAnnotate (Section 4.3). Only tests import it, and it imports neither
+// the engine nor the assistant (make verify checks both).
+package oracle
 
 import (
 	"fmt"
 	"sort"
 	"strings"
 
+	"iflex/internal/compact"
 	"iflex/internal/text"
 )
 
@@ -18,8 +23,8 @@ type ATuple struct {
 }
 
 // ATable is the classic approximate-table representation that compact
-// tables condense (Section 3). It is used by the BAnnotate algorithm and by
-// the possible-worlds test oracle.
+// tables condense (Section 3). BAnnotate and the possible worlds are
+// defined over it.
 type ATable struct {
 	Cols   []string
 	Tuples []ATuple
@@ -36,7 +41,7 @@ func NewATable(cols ...string) *ATable {
 // cells are expanded into separate tuples, then each cell's assignments are
 // replaced by their value sets. This can be exponentially larger than the
 // compact table; it is the conversion of Definition 3.
-func (t *Table) ToATable() *ATable {
+func ToATable(t *compact.Table) *ATable {
 	out := NewATable(t.Cols...)
 	for _, tp := range t.Expand().Tuples {
 		at := ATuple{Maybe: tp.Maybe, Cells: make([]ACell, len(tp.Cells))}
@@ -55,16 +60,16 @@ func (t *Table) ToATable() *ATable {
 
 // ToCompact converts an a-table back to a compact table with one exact
 // assignment per value (no packing). Used after BAnnotate.
-func (a *ATable) ToCompact() *Table {
-	out := NewTable(a.Cols...)
+func (a *ATable) ToCompact() *compact.Table {
+	out := compact.NewTable(a.Cols...)
 	for _, at := range a.Tuples {
-		tp := Tuple{Maybe: at.Maybe, Cells: make([]Cell, len(at.Cells))}
+		tp := compact.Tuple{Maybe: at.Maybe, Cells: make([]compact.Cell, len(at.Cells))}
 		for i, vals := range at.Cells {
 			as := make([]text.Assignment, len(vals))
 			for j, v := range vals {
 				as[j] = text.ExactOf(v)
 			}
-			tp.Cells[i] = Cell{Assigns: as}
+			tp.Cells[i] = compact.Cell{Assigns: as}
 		}
 		out.Tuples = append(out.Tuples, tp)
 	}

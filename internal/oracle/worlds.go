@@ -1,4 +1,4 @@
-package compact
+package oracle
 
 import (
 	"fmt"
@@ -7,9 +7,8 @@ import (
 )
 
 // A World is one possible relation: a multiset of concrete tuples, each a
-// slice of normalised value texts. Worlds exist for the test oracle that
-// checks superset semantics on small inputs; production code never
-// enumerates them.
+// slice of normalised value texts. Tests enumerate them to check superset
+// semantics on small inputs.
 type World [][]string
 
 // Canonical renders the world with tuples sorted, one per line.
@@ -23,7 +22,7 @@ func (w World) Canonical() string {
 }
 
 // ErrTooManyWorlds is returned when enumeration would exceed the limit.
-var ErrTooManyWorlds = fmt.Errorf("compact: possible-worlds enumeration limit exceeded")
+var ErrTooManyWorlds = fmt.Errorf("oracle: possible-worlds enumeration limit exceeded")
 
 // Worlds enumerates every possible relation the a-table represents:
 // (a) choose any subset of the maybe tuples plus all non-maybe tuples,
@@ -78,11 +77,8 @@ func (a *ATable) Worlds(limit int) (map[string]bool, error) {
 			}
 		}
 		if len(perTuple[i]) == 0 {
-			if t.Maybe {
-				return nil
-			}
-			// Non-maybe tuple with an empty cell: no world includes it;
-			// treat as representing no relations through this branch.
+			// A tuple with an empty cell is in no world: a maybe tuple's
+			// worlds are the ones without it, a sure tuple has none.
 			return nil
 		}
 		for _, row := range perTuple[i] {

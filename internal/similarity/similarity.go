@@ -167,26 +167,3 @@ func normTokens(s string) []string {
 	}
 	return toks
 }
-
-// TopMatches returns the indices of the k best candidates for query under
-// Jaccard similarity, best first; ties break by index. Utility for
-// examples and debugging.
-func TopMatches(query string, candidates []string, k int) []int {
-	type scored struct {
-		idx   int
-		score float64
-	}
-	ss := make([]scored, len(candidates))
-	for i, c := range candidates {
-		ss[i] = scored{i, Jaccard(query, c)}
-	}
-	sort.SliceStable(ss, func(i, j int) bool { return ss[i].score > ss[j].score })
-	if k > len(ss) {
-		k = len(ss)
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = ss[i].idx
-	}
-	return out
-}

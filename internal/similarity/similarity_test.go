@@ -143,14 +143,3 @@ func TestSimilarSymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTopMatches(t *testing.T) {
-	cands := []string{"query optimization", "join processing", "query processing basics"}
-	got := TopMatches("query processing", cands, 2)
-	if len(got) != 2 || got[0] != 2 {
-		t.Fatalf("TopMatches = %v", got)
-	}
-	if got := TopMatches("x", cands, 10); len(got) != 3 {
-		t.Errorf("k clamping failed: %v", got)
-	}
-}

@@ -407,8 +407,8 @@ func (s *DiskStore) loadDoc(ord int) (text.DocContent, error) {
 	return c, nil
 }
 
-// estBytes approximates the resident footprint of a materialized page:
-// text + byte->token index (8B/byte) + token/line tables + lazy lower.
+// estBytes approximates, on the high side, the resident footprint of a
+// materialized page: text, token and line tables, lazy lower-case copy.
 func estBytes(textLen int) int64 { return int64(textLen)*14 + 512 }
 
 // noteLoad records a materialization for the resident budget and, when

@@ -25,15 +25,6 @@ func (d *Delta) Empty() bool {
 	return len(d.Added) == 0 && len(d.Updated) == 0 && len(d.Removed) == 0
 }
 
-// Changed returns every id the delta touched (added + updated + removed).
-func (d *Delta) Changed() []string {
-	out := make([]string, 0, len(d.Added)+len(d.Updated)+len(d.Removed))
-	out = append(out, d.Added...)
-	out = append(out, d.Updated...)
-	out = append(out, d.Removed...)
-	return out
-}
-
 // Mutation batches document puts and removes against an open DiskStore.
 // Commit writes one new generation — a shard of new records plus a
 // delta sidecar (tombstones, vocabulary growth, postings) — and updates

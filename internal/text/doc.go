@@ -108,7 +108,6 @@ type docPayload struct {
 	marks  []Mark   // sorted by Start
 	tokens []Token  // sorted by Start, non-overlapping
 	byKind [][]Mark // marks grouped by kind, each sorted by Start
-	tokAt  []int    // tokAt[i] = index of the token covering byte i, or -1
 	links  []Link   // hyperlink targets, sorted by Start
 
 	lineStarts []int // offset of each line's first byte; lineStarts[0] == 0
@@ -233,25 +232,17 @@ func (d *Document) Release() bool {
 // tokenize splits the text on whitespace — and additionally at mark
 // boundaries, so that a style region always covers whole tokens even when
 // punctuation abuts it ("<b>Basktall</b>," yields tokens "Basktall" and
-// ","). It builds the byte->token index.
+// ",").
 func (p *docPayload) tokenize() {
 	boundary := make(map[int]bool, 2*len(p.marks))
 	for _, m := range p.marks {
 		boundary[m.Start] = true
 		boundary[m.End] = true
 	}
-	p.tokAt = make([]int, len(p.text)+1)
-	for i := range p.tokAt {
-		p.tokAt[i] = -1
-	}
 	inTok := false
 	start := 0
 	emit := func(end int) {
-		idx := len(p.tokens)
 		p.tokens = append(p.tokens, Token{Start: start, End: end})
-		for j := start; j < end; j++ {
-			p.tokAt[j] = idx
-		}
 		inTok = false
 	}
 	for i := 0; i <= len(p.text); i++ {
@@ -333,16 +324,6 @@ func (d *Document) Span(start, end int) Span {
 // WholeSpan returns the span covering the entire document.
 func (d *Document) WholeSpan() Span { return Span{doc: d, start: 0, end: d.textLen} }
 
-// TokenIndexAt returns the index of the token covering byte offset i,
-// or -1 if offset i is whitespace or out of range.
-func (d *Document) TokenIndexAt(i int) int {
-	p := d.content()
-	if i < 0 || i >= len(p.tokAt) {
-		return -1
-	}
-	return p.tokAt[i]
-}
-
 // tokenRange returns the indices [lo, hi) of tokens fully contained in
 // [start, end). hi may equal lo when no token fits.
 func (d *Document) tokenRange(start, end int) (lo, hi int) {
@@ -407,7 +388,6 @@ func (d *Document) ResidentBytes() int64 {
 		return 0
 	}
 	b := int64(len(p.text)) + int64(len(p.lower))
-	b += int64(len(p.tokAt)) * 8
 	b += int64(len(p.tokens)) * 16
 	b += int64(len(p.marks)) * 24 * 2 // marks + byKind share entries but not headers
 	b += int64(len(p.lineStarts)) * 8

@@ -47,19 +47,6 @@ func TestTokenizeWhitespaceVariants(t *testing.T) {
 	}
 }
 
-func TestTokenIndexAt(t *testing.T) {
-	d := mkDoc(t, "d", "ab cd")
-	cases := map[int]int{0: 0, 1: 0, 2: -1, 3: 1, 4: 1}
-	for off, want := range cases {
-		if got := d.TokenIndexAt(off); got != want {
-			t.Errorf("TokenIndexAt(%d) = %d, want %d", off, got, want)
-		}
-	}
-	if d.TokenIndexAt(-1) != -1 || d.TokenIndexAt(100) != -1 {
-		t.Error("out-of-range offsets should map to -1")
-	}
-}
-
 func TestSpanBasics(t *testing.T) {
 	d := mkDoc(t, "d", "Price: 351000 dollars")
 	s := d.Span(7, 13)
