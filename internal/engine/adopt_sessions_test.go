@@ -19,7 +19,8 @@ import (
 // work of the loops it does not run, and its own count. Every other
 // deterministic counter must not notice it.
 var adoptUnrunMoves = map[string]bool{
-	"TuplesReused": true, "TuplesRecomputed": true, "ConstraintStages": true, "FuncCalls": true, "AdoptedUnrun": true,
+	"TuplesReused": true, "TuplesRecomputed": true, "ConstraintStages": true, "FuncCalls": true, "ProcCalls": true,
+	"AdoptedUnrun": true,
 }
 
 // detCounters renders every stat:"det" counter of s outside

@@ -276,11 +276,11 @@ func (ctx *Context) deltaPriorLocked(n Node, key entryKey) (*deltaState, *compac
 // parameters sameShape compares, the mode and the contents of its inputs;
 // cached tables are immutable; a stale entry left by a corpus delta is
 // never current, and a partial table from a cut is never cached, so a
-// current entry holds what its node computes under its mode. The
-// evaluation is counted as the adoption it replaces (TablesAdopted, plus
-// AdoptedUnrun), recharges the predecessor's LimitFallbacks and carries
-// over a run's stage totals, so every other count matches a run that
-// replayed its memo in full. Nil when it does not apply.
+// current entry holds what its node computes under its mode. It counts as
+// the adoption it replaces (TablesAdopted, plus AdoptedUnrun), recharges
+// the predecessor's LimitFallbacks and carries a run's stage totals over;
+// only the skipped loop's own counts go (its tuples and stages, and the
+// FuncCalls and ProcCalls of memo-less selections and procedures).
 func (ctx *Context) adoptUnrun(n Node, dx *deltaState, in []*compact.Table, ev *EvalTrace) *compact.Table {
 	if dx == nil || dx.linked == nil || len(in) == 0 || noAdoptUnrun {
 		return nil
