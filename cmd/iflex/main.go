@@ -217,14 +217,13 @@ func printDegraded(d *iflex.Degraded) {
 	fmt.Fprintf(os.Stderr, "degraded: %s\n", d.Summary())
 }
 
-func printResult(t *iflex.Table, max int) {
+func printResult(t *iflex.Table, limit int) {
 	fmt.Printf("result: %d compact tuples (%d expanded)\n", len(t.Tuples), t.NumExpandedTuples())
 	fmt.Printf("(%s)\n", strings.Join(t.Cols, ", "))
-	for i, tp := range t.Tuples {
-		if i >= max {
-			fmt.Printf("... %d more\n", len(t.Tuples)-max)
-			break
-		}
-		fmt.Println("  " + tp.String())
+	n := min(max(limit, 0), len(t.Tuples))
+	shown := &iflex.Table{Cols: t.Cols, Tuples: t.Tuples[:n]}
+	shown.RenderRows(func(row string) { fmt.Println("  " + row) })
+	if n < len(t.Tuples) {
+		fmt.Printf("... %d more\n", len(t.Tuples)-n)
 	}
 }

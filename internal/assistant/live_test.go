@@ -335,15 +335,16 @@ func TestCorpusDeltasStayUnderBudget(t *testing.T) {
 		return sess
 	}
 	free := converge(0)
-	// One full pass of the converged program is what a re-evaluation needs
-	// resident; twice that is room for it beside what it replaces.
+	// One full pass of the converged program, its result tables and the
+	// record tables it reads, is what a re-evaluation needs resident; twice
+	// that is room for it beside what it replaces.
 	env := engine.NewEnv()
 	tables(env)
 	pass := assistant.NewSession(env, free.Program(), assistant.NewMapOracle(nil), assistant.Config{Workers: 1})
 	if _, err := pass.Reevaluate(0); err != nil {
 		t.Fatal(err)
 	}
-	working := pass.StatsSnapshot().CacheBytes
+	working := pass.StatsSnapshot().CacheBytes + pass.StatsSnapshot().DocRecordBytes
 	budget := 2 * working
 	bounded := converge(budget)
 

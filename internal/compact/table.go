@@ -120,8 +120,11 @@ func (c Cell) Dedup() Cell {
 
 // String renders the cell canonically, prefixing expansion cells with
 // "expand".
-func (c Cell) String() string {
-	body := text.FormatAssignments(c.Assigns)
+func (c Cell) String() string { return c.render(text.Assignment.String) }
+
+// render is String taking each assignment's rendering from str.
+func (c Cell) render(str func(text.Assignment) string) string {
+	body := text.FormatAssignmentsWith(c.Assigns, str)
 	if c.Expand {
 		return "expand(" + body + ")"
 	}
@@ -155,11 +158,14 @@ func (t Tuple) Copy() Tuple {
 }
 
 // String renders the tuple like (cell, cell, ...) with a trailing ? for
-// maybe tuples.
-func (t Tuple) String() string {
+// maybe tuples. Table.RenderRows renders whole tables the same way.
+func (t Tuple) String() string { return t.render(text.Assignment.String) }
+
+// render is String taking each assignment's rendering from str.
+func (t Tuple) render(str func(text.Assignment) string) string {
 	parts := make([]string, len(t.Cells))
 	for i, c := range t.Cells {
-		parts[i] = c.String()
+		parts[i] = c.render(str)
 	}
 	s := "(" + strings.Join(parts, ", ") + ")"
 	if t.Maybe {
@@ -281,22 +287,47 @@ func (t *Table) Expand() *Table {
 	return out
 }
 
+// RenderRows calls fn with each tuple rendered as Tuple.String renders it,
+// in table order. Each distinct assignment is formatted once per call, with
+// each document's text read once for all of its assignments
+// (text.FormatDistinct): a result over lazy pages under a resident budget
+// loads every page once, not once per row that mentions it.
+func (t *Table) RenderRows(fn func(row string)) {
+	idx := map[text.Assignment]int{}
+	var as []text.Assignment
+	for _, tp := range t.Tuples {
+		for _, c := range tp.Cells {
+			for _, a := range c.Assigns {
+				if _, ok := idx[a]; !ok {
+					idx[a] = len(as)
+					as = append(as, a)
+				}
+			}
+		}
+	}
+	strs := text.FormatDistinct(as)
+	str := func(a text.Assignment) string { return strs[idx[a]] }
+	for _, tp := range t.Tuples {
+		fn(tp.render(str))
+	}
+}
+
 // String renders the table with a header row; tuples are rendered in order.
 func (t *Table) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "(%s)\n", strings.Join(t.Cols, ", "))
-	for _, tp := range t.Tuples {
-		b.WriteString("  " + tp.String() + "\n")
-	}
+	t.RenderRows(func(row string) {
+		b.WriteString("  ")
+		b.WriteString(row)
+		b.WriteByte('\n')
+	})
 	return b.String()
 }
 
 // Canonical renders the table with tuples sorted, for comparison in tests.
 func (t *Table) Canonical() string {
-	lines := make([]string, len(t.Tuples))
-	for i, tp := range t.Tuples {
-		lines[i] = tp.String()
-	}
+	lines := make([]string, 0, len(t.Tuples))
+	t.RenderRows(func(row string) { lines = append(lines, row) })
 	sort.Strings(lines)
 	return fmt.Sprintf("(%s)\n%s", strings.Join(t.Cols, ", "), strings.Join(lines, "\n"))
 }

@@ -97,10 +97,11 @@ type Env struct {
 	// FeatureMemo holds one record table per document: Verify/Refine
 	// results per (constraint, span) and the typed values comparisons read.
 	// Documents are immutable and features are pure, so entries never go
-	// stale; a Context counts their bytes against its CacheBudget and drops
-	// the tables of superseded documents (ApplyCorpusDelta). Never nil:
-	// NewEnv makes it, and every feature call and comparison operand goes
-	// through it.
+	// stale; a Context counts their bytes against its CacheBudget (evicting
+	// them per document, least recently used, when no result table is left
+	// to make room) and drops the tables of superseded documents
+	// (ApplyCorpusDelta). Never nil: NewEnv makes it, and every feature call
+	// and comparison operand goes through it.
 	FeatureMemo *feature.Memo
 	// FaultHook, when non-nil, is invoked before every guarded
 	// per-document unit of user code (p-functions, feature constraint
@@ -763,11 +764,15 @@ func (ctx *Context) pushFrontLocked(e *cacheEntry) {
 }
 
 // storeLocked inserts an entry (clobbering any previous occupant of the
-// key: a re-store, or the stale table the entry supersedes) and, while over
-// budget, drops the document record tables and then evicts from the LRU
-// tail. The just-stored entry is never
-// evicted by its own insertion: the cache must be able to hold the result
-// it is about to return.
+// key: a re-store, or the stale table the entry supersedes) and, while the
+// entries and the document record tables together are over budget, evicts
+// entries from the LRU tail. The just-stored entry is never evicted by its
+// own insertion: the cache must be able to hold the result it is about to
+// return. Only when no other entry is left do record tables go, least
+// recently used page first: each is small, but every evaluation over its
+// page reads it, so dropping them all made every comparison rebuild its
+// operands. The bound kept is CacheBytes + DocRecordBytes ≤ CacheBudget +
+// the entry being stored.
 func (ctx *Context) storeLocked(e *cacheEntry) {
 	if old := ctx.cache[e.key]; old != nil {
 		ctx.unlinkLocked(old)
@@ -778,11 +783,12 @@ func (ctx *Context) storeLocked(e *cacheEntry) {
 	ctx.cacheBytes += e.bytes
 	records := ctx.Env.FeatureMemo
 	if ctx.CacheBudget > 0 {
-		if rb := records.Bytes(); rb > 0 && ctx.cacheBytes+rb > ctx.CacheBudget {
-			records.Drop()
-		}
-		for ctx.cacheBytes > ctx.CacheBudget && ctx.lruTail != nil && ctx.lruTail != e {
+		records.Tick()
+		for ctx.cacheBytes+records.Bytes() > ctx.CacheBudget && ctx.lruTail != nil && ctx.lruTail != e {
 			ctx.evictLocked(ctx.lruTail)
+		}
+		if over := ctx.cacheBytes + records.Bytes() - ctx.CacheBudget; over > 0 {
+			records.Evict(over)
 		}
 	}
 	atomic.StoreInt64(&ctx.Stats.CacheBytes, ctx.cacheBytes)

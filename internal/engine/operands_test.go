@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -439,7 +440,7 @@ func compareBench(b *testing.B, src string) {
 			var parsed int64
 			for i := 0; i < b.N; i++ {
 				if leg == "cold" {
-					env.FeatureMemo.Drop()
+					env.FeatureMemo.Evict(math.MaxInt64)
 				}
 				before := ctx.Stats.CmpOperandsParsed
 				if _, err := cn.eval(ctx, nil, nil, []*compact.Table{in}); err != nil {

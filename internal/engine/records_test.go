@@ -8,6 +8,7 @@ package engine_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -226,35 +227,68 @@ func TestChaosRecordsOfFailedLoad(t *testing.T) {
 	}
 }
 
-// TestRecordTablesGoBeforeResultTables: the record tables count against
-// CacheBudget, and a budget the result tables alone fit in is met by
-// dropping the record tables — wholesale, they rebuild in microseconds —
-// without evicting a single result table; the result does not change.
-func TestRecordTablesGoBeforeResultTables(t *testing.T) {
-	task, prog := refinedT8(t)
+// TestResultTablesGoBeforeRecordTables: the record tables count against
+// CacheBudget, but result tables make room first and a page's records go
+// only when no other result table is left, least recently used page first.
+// Over a session-like sequence of plans on one context (T8 refined one
+// attribute at a time), a budget the records fit in beside a few tables
+// evicts tables and keeps every record; a budget below the records evicts
+// some of them and keeps the rest. After every plan CacheBytes +
+// DocRecordBytes is within the budget plus the entry stored last (the
+// plan's result), and every result equals the unbudgeted one.
+func TestResultTablesGoBeforeRecordTables(t *testing.T) {
+	task, _ := refinedT8(t)
+	var attrs []string
+	for a := range task.Oracle().Answers {
+		attrs = append(attrs, a)
+	}
+	sort.Strings(attrs)
+	progs := make([]*alog.Program, len(attrs)+1)
+	for k := range progs {
+		_, progs[k] = refinedT8(t, attrs[:k]...)
+	}
 	c := task.Generate(100, 6)
-	run := func(budget int64) (string, *engine.Context, *engine.Env) {
-		env := task.Env(c)
-		ctx := engine.NewContext(env)
+	run := func(budget int64) (results []string, ctx *engine.Context, env *engine.Env) {
+		env = task.Env(c)
+		ctx = engine.NewContext(env)
 		ctx.Workers, ctx.CacheBudget = 1, budget
-		_, tbl := execute(t, env, ctx, prog)
-		return tbl.String(), ctx, env
+		for k, prog := range progs {
+			_, tbl := execute(t, env, ctx, prog)
+			results = append(results, tbl.String())
+			held, _ := ctx.CacheInfo()
+			if budget > 0 && held+ctx.Stats.DocRecordBytes > budget+tbl.MemBytes() {
+				t.Errorf("budget %d, plan %d: %d table bytes and %d record bytes exceed it by more than the %d-byte result",
+					budget, k, held, ctx.Stats.DocRecordBytes, tbl.MemBytes())
+			}
+		}
+		return results, ctx, env
 	}
 	want, free, _ := run(0)
-	tables, _ := free.CacheInfo()
-	if free.Stats.DocRecordBytes == 0 || free.Stats.CacheEvictions != 0 {
-		t.Fatalf("unbudgeted: %d record bytes, %d evictions", free.Stats.DocRecordBytes, free.Stats.CacheEvictions)
+	records, largest := free.Stats.DocRecordBytes, int64(0)
+	for _, ct := range engine.CachedTablesForTest(free) {
+		largest = max(largest, ct.Table.MemBytes())
 	}
-	got, ctx, env := run(tables + free.Stats.DocRecordBytes/2)
-	if got != want || ctx.Stats.CacheEvictions != 0 || env.FeatureMemo.Bytes() >= free.Stats.DocRecordBytes {
-		t.Errorf("budget of the tables plus half the records: %d evictions, %d record bytes left of %d, same table %v",
-			ctx.Stats.CacheEvictions, env.FeatureMemo.Bytes(), free.Stats.DocRecordBytes, got == want)
+	if records == 0 || free.Stats.CacheEvictions != 0 {
+		t.Fatalf("unbudgeted: %d record bytes, %d evictions", records, free.Stats.CacheEvictions)
 	}
-	if held, _ := ctx.CacheInfo(); held+ctx.Stats.DocRecordBytes > ctx.CacheBudget {
-		t.Errorf("%d table bytes and %d record bytes under a budget of %d", held, ctx.Stats.DocRecordBytes, ctx.CacheBudget)
-	}
-	got, ctx, _ = run(tables / 2)
-	if got != want || ctx.Stats.CacheEvictions == 0 {
-		t.Errorf("budget of half the tables: %d evictions, same table %v", ctx.Stats.CacheEvictions, got == want)
+	for _, leg := range []struct {
+		name        string
+		budget      int64
+		keepRecords bool
+	}{
+		{"records and a few results", records + 3*largest, true},
+		{"half the records", records / 2, false},
+	} {
+		got, ctx, env := run(leg.budget)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: results differ from the unbudgeted run", leg.name)
+		}
+		if ctx.Stats.CacheEvictions == 0 {
+			t.Errorf("%s: no result table evicted", leg.name)
+		}
+		left := env.FeatureMemo.Bytes()
+		if kept := left == records; kept != leg.keepRecords || left == 0 {
+			t.Errorf("%s: %d of %d record bytes left", leg.name, left, records)
+		}
 	}
 }

@@ -12,11 +12,14 @@
 // own lock, and two workers contend only when they sit on the same page.
 //
 // The lifetime is the document handle's: entries never go stale, a
-// superseded handle's table is dropped with it (DropDocs), and the whole
-// set may be dropped at any time (Drop) — a table rebuilds in microseconds.
+// superseded handle's table is dropped with it (DropDocs), and any table
+// may be forgotten at any time — a table rebuilds in microseconds. Under a
+// memory budget the least recently used go first (Tick, Evict).
 package feature
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -61,7 +64,12 @@ type Memo struct {
 	mu    sync.RWMutex
 	cons  map[consKey]ConsID
 	docs  map[*text.Document]*DocRecords
+	made  uint64 // tables made so far, under mu: Evict's tie-break
 	bytes atomic.Int64
+	// clock orders the tables by last use: Tick advances it, and Doc stamps
+	// the table it hands out with its reading. A memo nobody ticks (no
+	// budget) never writes a stamp.
+	clock atomic.Uint64
 }
 
 // NewMemo returns an empty memo.
@@ -70,7 +78,8 @@ func NewMemo() *Memo {
 }
 
 // Intern returns the id of a (feature name, parameter) pair. Ids are never
-// reused or dropped, so one resolved before a Drop stays valid after it.
+// reused or dropped, so one resolved before an eviction stays valid after
+// it.
 func (m *Memo) Intern(feat, param string) ConsID {
 	k := consKey{feat, param}
 	m.mu.Lock()
@@ -90,16 +99,19 @@ func (m *Memo) Doc(d *text.Document) *DocRecords {
 	m.mu.RLock()
 	t := m.docs[d]
 	m.mu.RUnlock()
-	if t != nil {
-		return t
+	if t == nil {
+		m.mu.Lock()
+		if t = m.docs[d]; t == nil {
+			m.made++
+			t = &DocRecords{memo: m, doc: d, seq: m.made, bytes: docRecordsBytes, verify: map[spanKey]bool{},
+				refine: map[spanKey][]text.Assignment{}, values: map[valueKey][]Value{}}
+			m.docs[d] = t
+			m.bytes.Add(docRecordsBytes)
+		}
+		m.mu.Unlock()
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if t = m.docs[d]; t == nil {
-		t = &DocRecords{memo: m, bytes: docRecordsBytes, verify: map[spanKey]bool{},
-			refine: map[spanKey][]text.Assignment{}, values: map[valueKey][]Value{}}
-		m.docs[d] = t
-		m.bytes.Add(docRecordsBytes)
+	if now := m.clock.Load(); t.used.Load() != now {
+		t.used.Store(now)
 	}
 	return t
 }
@@ -110,14 +122,44 @@ func (m *Memo) Bytes() int64 {
 	return m.bytes.Load()
 }
 
-// Drop forgets every table. Evaluations in flight finish against the tables
-// they hold, whose late publications may leave Bytes a little high until the
-// next Drop.
-func (m *Memo) Drop() {
+// Tick advances the memo's clock: every table Doc hands out after it counts
+// as more recently used than every table handed out only before it.
+func (m *Memo) Tick() { m.clock.Add(1) }
+
+// Evict forgets tables, least recently used first and, among tables last
+// used at one tick, the oldest first, until need bytes are freed or none is
+// left. It returns the bytes freed.
+func (m *Memo) Evict(need int64) (freed int64) {
+	type aged struct {
+		used, seq uint64
+		t         *DocRecords
+	}
 	m.mu.Lock()
-	m.docs = map[*text.Document]*DocRecords{}
-	m.bytes.Store(0)
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	byAge := make([]aged, 0, len(m.docs))
+	for _, t := range m.docs {
+		byAge = append(byAge, aged{t.used.Load(), t.seq, t})
+	}
+	slices.SortFunc(byAge, func(a, b aged) int { return cmp.Or(cmp.Compare(a.used, b.used), cmp.Compare(a.seq, b.seq)) })
+	for _, a := range byAge {
+		if freed >= need {
+			break
+		}
+		freed += m.forgetLocked(a.t)
+	}
+	return freed
+}
+
+// forgetLocked drops one table and returns its bytes; callers hold m.mu.
+// Evaluations in flight finish against the table they hold, and what they
+// publish there is no longer charged to the memo.
+func (m *Memo) forgetLocked(t *DocRecords) int64 {
+	delete(m.docs, t.doc)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.gone = true
+	m.bytes.Add(-t.bytes)
+	return t.bytes
 }
 
 // DropDocs forgets the tables of the documents whose id is in ids — every
@@ -129,10 +171,7 @@ func (m *Memo) DropDocs(ids map[string]bool) int {
 	n := 0
 	for d, t := range m.docs {
 		if ids[d.ID()] {
-			delete(m.docs, d)
-			t.mu.Lock()
-			m.bytes.Add(-t.bytes)
-			t.mu.Unlock()
+			m.forgetLocked(t)
 			n++
 		}
 	}
@@ -159,20 +198,26 @@ func (m *Memo) Refine(f Feature, s text.Span, v string) (as []text.Assignment, h
 // must come from the Memo that made the table.
 type DocRecords struct {
 	memo *Memo
-	// mu guards the maps and bytes. It is not held while a feature runs or
-	// a record is built: two callers that miss on one key at once both
-	// compute, and what they publish is charged once.
+	doc  *text.Document
+	seq  uint64        // creation order in the memo
+	used atomic.Uint64 // the memo's clock when Doc last handed the table out
+	// mu guards the maps, bytes and gone. It is not held while a feature
+	// runs or a record is built: two callers that miss on one key at once
+	// both compute, and what they publish is charged once.
 	mu     sync.Mutex
 	verify map[spanKey]bool
 	refine map[spanKey][]text.Assignment
 	values map[valueKey][]Value
 	bytes  int64
+	gone   bool // the memo forgot the table
 }
 
 // charge counts a publication; callers hold t.mu.
 func (t *DocRecords) charge(n int64) {
 	t.bytes += n
-	t.memo.bytes.Add(n)
+	if !t.gone {
+		t.memo.bytes.Add(n)
+	}
 }
 
 // Verify is Memo.Verify with the table and the constraint id in hand; id

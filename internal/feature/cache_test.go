@@ -2,6 +2,7 @@ package feature
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -88,7 +89,7 @@ func TestMemoEqualsDirect(t *testing.T) {
 }
 
 // TestMemoDocumentsByHandle: two documents with one id never share a
-// record, dropping by id drops every handle of it, and Drop forgets the
+// record, dropping by id drops every handle of it, and evicting forgets the
 // rest while interned ids stay what they were.
 func TestMemoDocumentsByHandle(t *testing.T) {
 	a := markup.MustParse("same", "<b>10</b> apples")
@@ -122,9 +123,68 @@ func TestMemoDocumentsByHandle(t *testing.T) {
 	if _, hit, _ := memo.Verify(bold, a.Span(0, 2), Yes); hit {
 		t.Error("a dropped document still has records")
 	}
-	memo.Drop()
+	if freed := memo.Evict(math.MaxInt64); freed <= 0 || memo.Bytes() != 0 {
+		t.Errorf("evicting everything freed %d bytes and left %d", freed, memo.Bytes())
+	}
 	if _, hit, _ := memo.Verify(bold, other.Span(0, 2), Yes); hit || memo.Intern("bold-font", Yes) != id {
-		t.Error("Drop kept a record or renumbered a constraint")
+		t.Error("Evict kept a record or renumbered a constraint")
+	}
+}
+
+// TestMemoEvictsLeastRecentlyUsed: Evict forgets the tables handed out
+// longest ago first, the oldest table first among those of one tick, stops
+// once it has freed what was asked, and a table it forgot while a caller
+// held it charges the memo nothing more.
+func TestMemoEvictsLeastRecentlyUsed(t *testing.T) {
+	bold := feat(t, "bold-font")
+	var docs []*text.Document
+	for i := 0; i < 4; i++ {
+		docs = append(docs, markup.MustParse(fmt.Sprintf("d%d", i), "<b>10</b> apples and pears"))
+	}
+	memo := NewMemo()
+	use := func(i int) *DocRecords {
+		tab := memo.Doc(docs[i])
+		if _, _, err := tab.Verify(bold, memo.Intern("bold-font", Yes), docs[i].Span(0, 2), Yes); err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	use(0)
+	use(1)
+	held := use(2)
+	memo.Tick()
+	use(3)
+	use(0)
+	// Ages now: d1 and d2 at tick 0 (d1 made first), then d0 and d3.
+	has := func(i int) bool {
+		_, hit, _ := memo.Verify(bold, docs[i].Span(0, 2), Yes)
+		return hit
+	}
+	total := memo.Bytes()
+	if freed := memo.Evict(1); freed <= 0 || memo.Bytes() != total-freed {
+		t.Fatalf("Evict(1) freed %d of %d bytes and left %d", freed, total, memo.Bytes())
+	}
+	if has(1) {
+		t.Fatal("d1, the oldest table of the oldest tick, survived")
+	}
+	if !has(0) || !has(2) || !has(3) {
+		t.Fatal("Evict(1) took more than one table")
+	}
+	// d1 came back and d2 was stamped at tick 1; d0 and d3 move on to 2.
+	memo.Tick()
+	use(0)
+	use(3)
+	before := memo.Bytes()
+	freed := memo.Evict(1)
+	after := memo.Bytes()
+	if _, _, err := held.Verify(bold, memo.Intern("bold-font", Yes), docs[2].Span(3, 9), Yes); err != nil {
+		t.Fatal(err)
+	}
+	if freed <= 0 || after != before-freed || memo.Bytes() != after {
+		t.Errorf("evicting freed %d of %d bytes, leaving %d; a publication to the forgotten table left %d", freed, before, after, memo.Bytes())
+	}
+	if has(2) || !has(1) {
+		t.Error("Evict(1) at tick 2 did not take d2, the older of the two tables last used at tick 1")
 	}
 }
 
@@ -164,10 +224,11 @@ func inside(s, sub string) bool {
 
 // TestMemoConcurrent has eight goroutines ask overlapping questions of the
 // same three documents at once (run under -race): everyone reads what
-// direct evaluation says, and afterwards every question is a hit.
+// direct evaluation says, and afterwards every question is a hit. A second
+// round does the same while another goroutine ticks and evicts: answers
+// stay right, and Bytes is what the tables left in the memo hold.
 func TestMemoConcurrent(t *testing.T) {
 	docs := memoPages()
-	memo := NewMemo()
 	names := []string{"bold-font", "numeric", "preceded-by", "max-tokens", "matches", "in-list"}
 	type question struct {
 		f Feature
@@ -179,33 +240,62 @@ func TestMemoConcurrent(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		qs = append(qs, question{feat(t, names[r.Intn(len(names))]), randomSpan(r, docs[r.Intn(len(docs))]), memoValues[r.Intn(len(memoValues))]})
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := range qs {
-				q := qs[(i+g*37)%len(qs)]
-				wantOK, wantErr := q.f.Verify(q.s, q.v)
-				tab, id := memo.Doc(q.s.Doc()), memo.Intern(q.f.Name(), q.v)
-				if ok, _, err := tab.Verify(q.f, id, q.s, q.v); ok != wantOK || !sameErr(err, wantErr) {
-					t.Errorf("%s(%v)=%q: %v/%v, direct %v/%v", q.f.Name(), q.s, q.v, ok, err, wantOK, wantErr)
+	for _, evicting := range []bool{false, true} {
+		memo := NewMemo()
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := range qs {
+					q := qs[(i+g*37)%len(qs)]
+					wantOK, wantErr := q.f.Verify(q.s, q.v)
+					tab, id := memo.Doc(q.s.Doc()), memo.Intern(q.f.Name(), q.v)
+					if ok, _, err := tab.Verify(q.f, id, q.s, q.v); ok != wantOK || !sameErr(err, wantErr) {
+						t.Errorf("%s(%v)=%q: %v/%v, direct %v/%v", q.f.Name(), q.s, q.v, ok, err, wantOK, wantErr)
+					}
+					wantAs, wantErr := q.f.Refine(q.s, q.v)
+					if as, _, err := tab.Refine(q.f, id, q.s, q.v); !slices.Equal(as, wantAs) || !sameErr(err, wantErr) {
+						t.Errorf("%s(%v)=%q refines to %v/%v, direct %v/%v", q.f.Name(), q.s, q.v, as, err, wantAs, wantErr)
+					}
+					vals, _ := tab.Values(text.ContainOf(q.s))
+					if want := buildValues(text.ContainOf(q.s)); fmt.Sprint(vals) != fmt.Sprint(want) {
+						t.Errorf("values of %v: %v, direct %v", q.s, vals, want)
+					}
 				}
-				wantAs, wantErr := q.f.Refine(q.s, q.v)
-				if as, _, err := tab.Refine(q.f, id, q.s, q.v); !slices.Equal(as, wantAs) || !sameErr(err, wantErr) {
-					t.Errorf("%s(%v)=%q refines to %v/%v, direct %v/%v", q.f.Name(), q.s, q.v, as, err, wantAs, wantErr)
-				}
-				vals, _ := tab.Values(text.ContainOf(q.s))
-				if want := buildValues(text.ContainOf(q.s)); fmt.Sprint(vals) != fmt.Sprint(want) {
-					t.Errorf("values of %v: %v, direct %v", q.s, vals, want)
+			}(g)
+		}
+		done := make(chan struct{})
+		evicted := make(chan struct{})
+		go func() {
+			defer close(evicted)
+			for evicting {
+				select {
+				case <-done:
+					return
+				default:
+					memo.Tick()
+					memo.Evict(memo.Bytes() / 2)
 				}
 			}
-		}(g)
-	}
-	wg.Wait()
-	for _, q := range qs {
-		if _, hit, err := memo.Verify(q.f, q.s, q.v); err == nil && !hit {
-			t.Fatalf("%s(%v)=%q was not kept", q.f.Name(), q.s, q.v)
+		}()
+		wg.Wait()
+		close(done)
+		<-evicted
+		if evicting {
+			var held int64
+			for _, tab := range memo.docs {
+				held += tab.bytes
+			}
+			if memo.Bytes() != held {
+				t.Errorf("after concurrent evictions Bytes is %d, the tables left hold %d", memo.Bytes(), held)
+			}
+			continue
+		}
+		for _, q := range qs {
+			if _, hit, err := memo.Verify(q.f, q.s, q.v); err == nil && !hit {
+				t.Fatalf("%s(%v)=%q was not kept", q.f.Name(), q.s, q.v)
+			}
 		}
 	}
 }
@@ -254,7 +344,7 @@ func BenchmarkFeatureMemo(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						s := spans[i%len(spans)]
 						if mode == "miss" && i%len(spans) == 0 {
-							memo.Drop()
+							memo.Evict(math.MaxInt64)
 						}
 						tab := memo.Doc(s.Doc())
 						if op == "Verify" {

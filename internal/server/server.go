@@ -686,9 +686,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		Iterations: len(res.Iterations),
 	})
 	flush()
-	for _, tp := range res.Final.Tuples {
-		_ = enc.Encode(StreamLine{Type: "row", Row: tp.String()})
-	}
+	res.Final.RenderRows(func(row string) {
+		_ = enc.Encode(StreamLine{Type: "row", Row: row})
+	})
 	if res.Degraded != nil {
 		_ = enc.Encode(StreamLine{Type: "degraded", Degraded: res.Degraded, Summary: res.Degraded.Summary()})
 	}

@@ -586,6 +586,74 @@ ext(x, p, s) :- from(x, p), from(x, s), numeric(p) = yes.
 	}
 }
 
+// TestResultStreamLoadsEachPageOnce: the /result stream of a store-backed
+// session whose rows revisit pages the resident budget cannot hold loads
+// each page at most once, where rendering the rows one by one loads a page
+// per row, and streams exactly the rows Tuple.String renders.
+func TestResultStreamLoadsEachPageOnce(t *testing.T) {
+	dir := t.TempDir()
+	w, err := store.Create(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pages = 5
+	for i := 0; i < pages; i++ {
+		html := fmt.Sprintf(`House %d for sale.<br>Price: <i>%d</i><br>School: <b>Lincoln High</b>`, i, 350000+i)
+		if err := w.Add(fmt.Sprintf("h%d", i), html); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir, store.OpenOptions{ResidentBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const prog = `P(x, y) :- docs(x), docs(y).`
+
+	env := engine.NewEnv()
+	env.AddDocTable("docs", "x", st.Docs())
+	want, err := assistant.NewSession(env, alog.MustParse(prog), candidateOracle{}, assistant.Config{}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := st.Loads()
+	var rows []string
+	for _, tp := range want.Final.Tuples {
+		rows = append(rows, tp.String())
+	}
+	if perRow := st.Loads() - before; len(rows) != pages*pages || perRow <= pages {
+		t.Fatalf("%d rows rendered one by one loaded %d pages, want %d rows and more than %d loads", len(rows), perRow, pages*pages, pages)
+	}
+
+	_, c, shutdown := newTestServer(t, Config{Stores: map[string]*store.DiskStore{"houses": st}})
+	defer shutdown()
+	created, err := c.CreateSession(CreateSessionRequest{Tenant: "acme", Store: "houses", Program: prog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr, err := c.Step(created.ID, StepRequest{}); err != nil || !sr.Done {
+		t.Fatalf("step: done %v, err %v", sr.Done, err)
+	}
+	if _, err := c.Result(created.ID, false, 0); err != nil { // finalizes
+		t.Fatal(err)
+	}
+	before = st.Loads()
+	res, err := c.Result(created.ID, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loads := st.Loads() - before; loads > pages {
+		t.Errorf("streaming %d rows over %d pages loaded %d", len(res.Rows), pages, loads)
+	}
+	if strings.Join(res.Rows, "\n") != strings.Join(rows, "\n") {
+		t.Errorf("streamed rows differ from Tuple.String row by row\nstream:\n%s\nrows:\n%s",
+			strings.Join(res.Rows, "\n"), strings.Join(rows, "\n"))
+	}
+}
+
 // TestCorpusEndpoint: the watch/ingest path. A store mutation posted
 // through one session must update the shared store, fold the delta into
 // every session backed by it, and leave both sessions streaming a result

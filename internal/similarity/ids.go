@@ -16,7 +16,7 @@ type Vocab struct {
 	toks []string
 }
 
-// The articles Normalize strips are interned first, so article handling on
+// The articles NormalizedTokens strips are interned first, so article handling on
 // ids is a comparison against numArticles.
 var articles = [...]string{"the", "a", "an"}
 
@@ -86,7 +86,7 @@ func (v *Vocab) AppendNormalized(dst []uint32, s string) []uint32 {
 	return dst[:n+normalizeIDs(dst[n:])]
 }
 
-// normalizeIDs applies Normalize's article handling in place — a trailing
+// normalizeIDs applies NormalizedTokens' article handling in place — a trailing
 // article moves to the front, then a leading article is dropped — and
 // returns the new length.
 func normalizeIDs(ids []uint32) int {

@@ -46,7 +46,7 @@ func refSimilarTokens(ta, tb []string) bool {
 	return float64(inter)/float64(union) >= 0.6
 }
 
-// refNormTokens is normTokens written on strings, the oracle for the
+// refNormTokens is NormalizedTokens written on strings, the oracle for the
 // in-place article handling on ids.
 func refNormTokens(s string) []string {
 	toks := Tokens(s)

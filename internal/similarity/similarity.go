@@ -7,12 +7,11 @@ package similarity
 import (
 	"math"
 	"sort"
-	"strings"
 )
 
 // Tokens lower-cases s, strips punctuation, and splits into tokens.
 // Leading articles ("the", "a", "an") are kept; callers that want
-// article-insensitive matching use Normalize.
+// article-insensitive matching use NormalizedTokens.
 func Tokens(s string) []string {
 	var out []string
 	var arr [32]byte
@@ -43,15 +42,6 @@ func nextToken(s string, pos int, buf []byte) (tok []byte, next int) {
 		return buf, pos
 	}
 	return nil, pos
-}
-
-// Normalize returns a canonical form: lower-cased, punctuation-stripped
-// tokens with leading articles removed, joined by single spaces.
-// "The Godfather" and "Godfather, The" normalise to the same string only
-// modulo token order, so Normalize also handles the trailing-article comma
-// style by moving a trailing article to the front before stripping.
-func Normalize(s string) string {
-	return strings.Join(normTokens(s), " ")
 }
 
 // Jaccard returns |A∩B| / |A∪B| over the token sets of a and b.
@@ -135,7 +125,7 @@ func (t *TFIDF) Cosine(a, b string) float64 {
 // their Jaccard similarity reaches 0.6 — the Default Spec. Each side is
 // tokenised exactly once.
 func Similar(a, b string) bool {
-	return SimilarTokens(normTokens(a), normTokens(b))
+	return SimilarTokens(NormalizedTokens(a), NormalizedTokens(b))
 }
 
 // SimilarTokens is Similar over pre-normalised token slices (see
@@ -147,11 +137,10 @@ func SimilarTokens(ta, tb []string) bool {
 	return Default.Match(pairRecords(&buf, ta, tb))
 }
 
-// NormalizedTokens returns the Normalize-equivalent token slice of s.
-func NormalizedTokens(s string) []string { return normTokens(s) }
-
-// normTokens tokenises and applies Normalize's article handling.
-func normTokens(s string) []string {
+// NormalizedTokens returns the tokens of s with leading articles removed.
+// "The Godfather" and "Godfather, The" should match, so a trailing article
+// (the comma style) first moves to the front.
+func NormalizedTokens(s string) []string {
 	toks := Tokens(s)
 	if len(toks) > 1 {
 		switch toks[len(toks)-1] {

@@ -22,21 +22,6 @@ func TestTokens(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	cases := [][2]string{
-		{"The Godfather", "godfather"},
-		{"Godfather, The", "godfather"},
-		{"A Beautiful Mind", "beautiful mind"},
-		{"An Affair", "affair"},
-		{"THE", "the"}, // single token: article kept
-	}
-	for _, c := range cases {
-		if got := Normalize(c[0]); got != c[1] {
-			t.Errorf("Normalize(%q) = %q, want %q", c[0], got, c[1])
-		}
-	}
-}
-
 func TestJaccard(t *testing.T) {
 	if got := Jaccard("a b c", "a b c"); got != 1 {
 		t.Errorf("identical = %v", got)

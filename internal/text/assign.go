@@ -42,14 +42,44 @@ func ContainOf(s Span) Assignment { return Assignment{Mode: Contain, Span: s} }
 // String renders the assignment like the paper: exact("92"),
 // contain("Cherry Hills"). Long spans are elided but keep their document
 // id and byte range, so distinct spans never render identically.
-func (a Assignment) String() string {
+func (a Assignment) String() string { return a.format(a.Span.Text()) }
+
+// format is String given t, the text of a's span.
+func (a Assignment) format(t string) string {
 	const cut = 48
-	t := a.Span.Text()
 	if len(t) <= cut {
 		return fmt.Sprintf("%s(%q)", a.Mode, t)
 	}
 	return fmt.Sprintf("%s(%s[%d:%d] %q...%q)", a.Mode,
 		a.Span.Doc().ID(), a.Span.Start(), a.Span.End(), t[:20], t[len(t)-12:])
+}
+
+// FormatDistinct renders every assignment of as like String, reading each
+// document's text once for all of its assignments, documents in the order
+// they first appear. A lazy page under a resident budget is then loaded
+// once for the batch rather than once per assignment that mentions it.
+func FormatDistinct(as []Assignment) []string {
+	rank := make([]int, len(as))
+	first := map[*Document]int{}
+	order := make([]int, len(as))
+	for i, a := range as {
+		r, ok := first[a.Span.doc]
+		if !ok {
+			r = len(first)
+			first[a.Span.doc] = r
+		}
+		rank[i], order[i] = r, i
+	}
+	slices.SortStableFunc(order, func(i, j int) int { return rank[i] - rank[j] })
+	out := make([]string, len(as))
+	var page string
+	for k, i := range order {
+		if k == 0 || rank[i] != rank[order[k-1]] {
+			page = as[i].Span.doc.Text()
+		}
+		out[i] = as[i].format(page[as[i].Span.start:as[i].Span.end])
+	}
+	return out
 }
 
 // NumValues returns |V(a)|, the number of values the assignment encodes.
@@ -132,13 +162,17 @@ func SortAssignments(as []Assignment) {
 // it copies, sorts and formats every element, so nothing on the evaluation
 // path may call it (the engine's refinement fixpoint falls back to it only
 // for lists that differ, see engine.assignmentsStable).
-func FormatAssignments(as []Assignment) string {
+func FormatAssignments(as []Assignment) string { return FormatAssignmentsWith(as, Assignment.String) }
+
+// FormatAssignmentsWith is FormatAssignments taking each element's
+// rendering from str, which must render like Assignment.String.
+func FormatAssignmentsWith(as []Assignment, str func(Assignment) string) string {
 	cp := make([]Assignment, len(as))
 	copy(cp, as)
 	SortAssignments(cp)
 	parts := make([]string, len(cp))
 	for i, a := range cp {
-		parts[i] = a.String()
+		parts[i] = str(a)
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
 }

@@ -19,6 +19,7 @@ package text
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -234,29 +235,33 @@ func (d *Document) Release() bool {
 // punctuation abuts it ("<b>Basktall</b>," yields tokens "Basktall" and
 // ",").
 func (p *docPayload) tokenize() {
-	boundary := make(map[int]bool, 2*len(p.marks))
+	cuts := make([]int, 0, 2*len(p.marks))
 	for _, m := range p.marks {
-		boundary[m.Start] = true
-		boundary[m.End] = true
+		cuts = append(cuts, m.Start, m.End)
 	}
+	slices.Sort(cuts)
+	txt := p.text
+	// Generated Books and DBLife pages run 7.3–7.4 bytes a token.
+	p.tokens = make([]Token, 0, len(txt)/6+len(cuts))
 	inTok := false
-	start := 0
-	emit := func(end int) {
-		p.tokens = append(p.tokens, Token{Start: start, End: end})
-		inTok = false
-	}
-	for i := 0; i <= len(p.text); i++ {
-		isSpace := i == len(p.text) || p.text[i] == ' ' || p.text[i] == '\t' || p.text[i] == '\n' || p.text[i] == '\r'
+	start, c := 0, 0
+	for i := 0; i <= len(txt); i++ {
+		isSpace := i == len(txt) || txt[i] == ' ' || txt[i] == '\t' || txt[i] == '\n' || txt[i] == '\r'
 		switch {
 		case !inTok && !isSpace:
 			inTok = true
 			start = i
 		case inTok && isSpace:
-			emit(i)
-		case inTok && boundary[i]:
-			emit(i)
-			inTok = true
-			start = i
+			p.tokens = append(p.tokens, Token{Start: start, End: i})
+			inTok = false
+		case inTok:
+			for c < len(cuts) && cuts[c] < i {
+				c++
+			}
+			if c < len(cuts) && cuts[c] == i {
+				p.tokens = append(p.tokens, Token{Start: start, End: i})
+				start = i
+			}
 		}
 	}
 }

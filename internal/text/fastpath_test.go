@@ -2,6 +2,7 @@ package text
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -83,6 +84,79 @@ func FuzzNormalizeSpace(f *testing.F) {
 		f.Add(in)
 	}
 	f.Fuzz(checkNormalizeSpace)
+}
+
+// tokenizeRef is tokenize as it stood before the boundary cursor: a set of
+// mark boundaries, looked up once per text byte.
+func tokenizeRef(txt string, marks []Mark) []Token {
+	boundary := make(map[int]bool, 2*len(marks))
+	for _, m := range marks {
+		boundary[m.Start] = true
+		boundary[m.End] = true
+	}
+	var out []Token
+	inTok := false
+	start := 0
+	for i := 0; i <= len(txt); i++ {
+		isSpace := i == len(txt) || txt[i] == ' ' || txt[i] == '\t' || txt[i] == '\n' || txt[i] == '\r'
+		switch {
+		case !inTok && !isSpace:
+			inTok = true
+			start = i
+		case inTok && isSpace:
+			out = append(out, Token{Start: start, End: i})
+			inTok = false
+		case inTok && boundary[i]:
+			out = append(out, Token{Start: start, End: i})
+			start = i
+		}
+	}
+	return out
+}
+
+// fuzzMarks decodes three bytes a mark: kind, start and end, the offsets
+// signed so that negative, past-the-end, empty and inverted marks occur.
+func fuzzMarks(raw []byte) []Mark {
+	var marks []Mark
+	for ; len(raw) >= 3; raw = raw[3:] {
+		marks = append(marks, Mark{Kind: MarkKind(raw[0] % 9), Start: int(int8(raw[1])), End: int(int8(raw[2]))})
+	}
+	return marks
+}
+
+func checkTokenize(t *testing.T, txt string, raw []byte) {
+	t.Helper()
+	marks := fuzzMarks(raw)
+	if got, want := NewDocument("f", txt, marks).Tokens(), tokenizeRef(txt, marks); !slices.Equal(got, want) {
+		t.Errorf("tokens of %q under marks %v = %v, reference %v", txt, marks, got, want)
+	}
+}
+
+var tokenizeSeeds = []struct {
+	txt   string
+	marks []byte
+}{
+	{"", nil},
+	{"Cozy house on quiet street", nil},
+	{"<b>Basktall</b>, 42", []byte{0, 0, 8}},
+	{"Basktall, High School", []byte{0, 0, 8, 3, 10, 21, 5, 0, 21}},
+	{"ab\tcd\r\nef  gh", []byte{1, 1, 1, 2, 3, 1, 4, 5, 6, 2, 200, 100, 6, 40, 3}},
+	{"x", []byte{0, 0, 0, 1, 1, 1, 2, 255, 2}},
+}
+
+func TestTokenizeMatchesReference(t *testing.T) {
+	for _, c := range tokenizeSeeds {
+		checkTokenize(t, c.txt, c.marks)
+	}
+}
+
+// FuzzTokenize holds the boundary cursor to the per-byte set lookup it
+// replaced, over arbitrary text and arbitrary marks.
+func FuzzTokenize(f *testing.F) {
+	for _, c := range tokenizeSeeds {
+		f.Add(c.txt, c.marks)
+	}
+	f.Fuzz(checkTokenize)
 }
 
 func TestFastPathsDoNotAllocate(t *testing.T) {
