@@ -17,15 +17,20 @@ vet:
 race:
 	$(GO) test -race ./internal/feature/... ./internal/engine/... ./internal/assistant/... ./internal/server/...
 
-# The pre-merge gate: formatting, the one-loop rule, vet, the race run over
-# the concurrent core, and the full tier-1 suite. Bench-heavy tests honour
-# -short, so this stays fast. The one-loop rule: the per-tuple protocol
-# (DESIGN.md §11 "The tuple loop") has one home, so outside tupleloop.go no
-# non-test file of internal/engine reports unprocessed documents, looks a
-# delta prior up or fans a loop out (evalAll fans out subtrees, not
-# tuples, and stays). The oracle rule: internal/oracle is the reference
-# semantics tests check the engine against, so no non-test file imports it
-# and it imports neither the engine nor the assistant.
+# The pre-merge gate: formatting, the one-loop and one-fan-out rules, vet,
+# the race run over the concurrent core, and the full tier-1 suite.
+# Bench-heavy tests honour -short, so this stays fast. The one-loop rule:
+# the per-tuple protocol (DESIGN.md §11 "The tuple loop") has one home, so
+# outside tupleloop.go no non-test file of internal/engine reports
+# unprocessed documents, looks a delta prior up or fans a loop out
+# (evalAll fans out subtrees, not tuples, and stays). The one-fan-out
+# rule: Context.ForEach (DESIGN.md §8) is the only place the engine and
+# the assistant start goroutines, so outside internal/engine/parallel.go
+# no non-test file of internal/engine or internal/assistant has a go
+# statement, and Workers bounds every goroutine a session evaluates on.
+# The oracle rule: internal/oracle is the reference semantics tests check
+# the engine against, so no non-test file imports it and it imports
+# neither the engine nor the assistant.
 verify:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
@@ -35,6 +40,9 @@ verify:
 	@loops="$$(grep -nE '\.(noteUnprocessed|lookup|parallelChunksSized)\(' internal/engine/*.go | \
 		grep -vE '^internal/engine/(tupleloop\.go|[a-z0-9_]*_test\.go):')"; if [ -n "$$loops" ]; then \
 		echo "per-tuple protocol outside internal/engine/tupleloop.go:"; echo "$$loops"; exit 1; fi
+	@spawns="$$(grep -nE '^\s*go ' internal/engine/*.go internal/assistant/*.go | \
+		grep -vE '^internal/(engine/parallel\.go|(engine|assistant)/[a-z0-9_]*_test\.go):')"; if [ -n "$$spawns" ]; then \
+		echo "go statement outside Context.ForEach (internal/engine/parallel.go):"; echo "$$spawns"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/feature/... ./internal/engine/... ./internal/assistant/... ./internal/server/...
 	$(GO) build ./...

@@ -131,7 +131,8 @@ func Run(prog *Program, env *Env) (*Table, error) { return engine.Run(prog, env)
 // NewContext returns an execution context whose reuse cache persists
 // across iterations (Section 5.2). The context is safe for concurrent
 // use: its cache deduplicates in-flight evaluations, and setting Workers
-// (0 = one per CPU, 1 = serial) bounds the evaluation worker pool.
+// (0 = one per CPU, 1 = serial) bounds every goroutine an evaluation on
+// it runs on, the caller's included.
 func NewContext(env *Env) *Context { return engine.NewContext(env) }
 
 // NewSession prepares an assistant-driven refinement session.

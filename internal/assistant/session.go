@@ -42,10 +42,10 @@ type Config struct {
 	SubsetFraction float64
 	// SubsetSeed varies the deterministic subset sample.
 	SubsetSeed uint64
-	// Workers bounds the worker pool that fans out question simulations
-	// and engine evaluation (0 = one worker per GOMAXPROCS slot, 1 =
-	// fully serial) — the same resolution rule as engine.Context, so the
-	// fan-out never oversubscribes the pool under a CPU quota.
+	// Workers bounds every goroutine the session evaluates on (0 = one per
+	// GOMAXPROCS slot, 1 = fully serial): it becomes the session context's
+	// engine.Context.Workers, and question simulations, sibling subtrees
+	// and tuple chunks all take their slots from that one pool.
 	// Transcripts and results are byte-identical across worker counts.
 	Workers int
 	// CacheBudget bounds the session's reuse cache in bytes (0 =

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"iflex/internal/alog"
 	"iflex/internal/feature"
@@ -184,75 +182,49 @@ func (st Simulation) Next(s *Session, space []Question, n int) ([]Question, erro
 		ordered = picked
 	}
 	// Collect the candidates with a non-empty answer domain; each
-	// (question, answer) pair is one independent simulated execution.
+	// (question, answer) pair is one independent simulated execution, and
+	// a candidate's jobs are consecutive from first.
 	type candidate struct {
 		q      Question
 		values []string
+		first  int
 	}
 	var cands []candidate
-	type job struct{ c, v int }
+	type job struct {
+		q Question
+		v string
+	}
 	var jobs []job
 	for _, q := range ordered {
 		values := st.answerDomain(s, q)
 		if len(values) == 0 {
 			continue
 		}
-		ci := len(cands)
-		cands = append(cands, candidate{q: q, values: values})
-		for vi := range values {
-			jobs = append(jobs, job{c: ci, v: vi})
+		cands = append(cands, candidate{q: q, values: values, first: len(jobs)})
+		for _, v := range values {
+			jobs = append(jobs, job{q: q, v: v})
 		}
 	}
 
-	// Fan the |candidates| x |V| simulations out across the session's
-	// worker pool. The simulations share the session context: its
-	// single-flight reuse cache deduplicates the common plan subtrees
-	// across goroutines (Section 5.2). Sizes and errors land in
-	// per-job slots, and the merge below walks candidates in rank order
-	// and values in domain order, so scores — and therefore the picked
-	// questions and the transcript — are byte-identical to a serial run.
+	// Fan the |candidates| x |V| simulations out across the session
+	// context's worker pool. The simulations share the session context:
+	// its single-flight reuse cache deduplicates the common plan subtrees
+	// across goroutines (Section 5.2). Sizes and errors land in per-job
+	// slots, and the merge below walks candidates in rank order and values
+	// in domain order, so scores — and therefore the picked questions and
+	// the transcript — are byte-identical to a serial run. A fired
+	// best-effort deadline skips the jobs not yet started: the remaining
+	// simulations would only measure partial cuts, and the session loop is
+	// about to stop asking questions anyway.
 	s.useSubset()
-	sizes := make([][]int, len(cands))
-	errs := make([][]error, len(cands))
-	for ci, c := range cands {
-		sizes[ci] = make([]int, len(c.values))
-		errs[ci] = make([]error, len(c.values))
-	}
-	workers := s.Config.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	// A fired best-effort deadline stops workers from claiming further
-	// jobs: the remaining simulations would only measure partial cuts,
-	// and the session loop is about to stop asking questions anyway.
-	if workers <= 1 {
-		for _, j := range jobs {
-			if s.ctx.Cancelled() {
-				break
-			}
-			c := cands[j.c]
-			sizes[j.c][j.v], errs[j.c][j.v] = s.simulate(c.q, c.values[j.v])
+	sizes := make([]int, len(jobs))
+	errs := make([]error, len(jobs))
+	_ = s.ctx.ForEach(len(jobs), func(k int) error {
+		if !s.ctx.Cancelled() {
+			sizes[k], errs[k] = s.simulate(jobs[k].q, jobs[k].v)
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(jobs) || s.ctx.Cancelled() {
-						return
-					}
-					j := jobs[i]
-					c := cands[j.c]
-					sizes[j.c][j.v], errs[j.c][j.v] = s.simulate(c.q, c.values[j.v])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+		return nil
+	})
 
 	type scored struct {
 		q        Question
@@ -260,17 +232,17 @@ func (st Simulation) Next(s *Session, space []Question, n int) ([]Question, erro
 	}
 	var results []scored
 	var simErrs []error
-	for ci, c := range cands {
+	for _, c := range cands {
 		pr := (1 - s.Alpha) / float64(len(c.values))
 		expected := s.Alpha * float64(s.lastSize())
 		feasible := true
 		for vi, v := range c.values {
-			if err := errs[ci][vi]; err != nil {
+			if err := errs[c.first+vi]; err != nil {
 				feasible = false
 				simErrs = append(simErrs, fmt.Errorf("%s = %q: %w", c.q, v, err))
 				break
 			}
-			expected += pr * float64(sizes[ci][vi])
+			expected += pr * float64(sizes[c.first+vi])
 		}
 		if !feasible {
 			continue

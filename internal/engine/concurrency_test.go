@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"iflex/internal/alog"
 )
@@ -102,5 +103,58 @@ func TestParallelChunksDeterministicError(t *testing.T) {
 		if got := err.Error(); got != "fail in chunk starting at 0" {
 			t.Fatalf("trial %d: got error from a later chunk: %q", trial, got)
 		}
+	}
+}
+
+// TestForEach pins the fan-out's contract: every index runs exactly once,
+// the lowest-indexed error wins, n <= 1 takes no pool slot, and a region
+// nested inside a region that holds every slot runs on its caller — at
+// most Workers bodies are ever in flight, and every slot comes back.
+func TestForEach(t *testing.T) {
+	ctx := NewContext(NewEnv())
+	ctx.Workers = 2
+	if err := ctx.ForEach(0, func(int) error { t.Fatal("body ran for n = 0"); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.ForEach(1, func(int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if asked := ctx.Stats.PoolSlotsGranted + ctx.Stats.PoolSlotsDenied; asked != 0 {
+		t.Fatalf("n <= 1 asked the pool for %d slots", asked)
+	}
+
+	var mu sync.Mutex
+	ran := make([]int, 64)
+	inFlight, peak := 0, 0
+	err := ctx.ForEach(8, func(outer int) error {
+		return ctx.ForEach(8, func(inner int) error {
+			mu.Lock()
+			ran[8*outer+inner]++
+			inFlight++
+			peak = max(peak, inFlight)
+			mu.Unlock()
+			time.Sleep(50 * time.Microsecond)
+			mu.Lock()
+			inFlight--
+			mu.Unlock()
+			if i := 8*outer + inner; i == 21 || i == 50 {
+				return fmt.Errorf("fail at %d", i)
+			}
+			return nil
+		})
+	})
+	if err == nil || err.Error() != "fail at 21" {
+		t.Errorf("got error %v, want the lowest-indexed one (fail at 21)", err)
+	}
+	for i, n := range ran {
+		if n != 1 {
+			t.Errorf("index %d ran %d times", i, n)
+		}
+	}
+	if peak > ctx.Workers {
+		t.Errorf("%d bodies in flight at once, want at most Workers = %d", peak, ctx.Workers)
+	}
+	if held := ctx.extraWorkers.Load(); held != 0 {
+		t.Errorf("%d pool slots still held", held)
 	}
 }

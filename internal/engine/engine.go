@@ -244,17 +244,19 @@ func (e *Env) Schema() *alog.Schema {
 // iterations to get the paper's reuse behaviour.
 type Context struct {
 	Env *Env
-	// Workers bounds the evaluation worker pool: 0 uses every available
+	// Workers bounds the goroutines evaluation runs on, the caller's plus
+	// Workers-1 pool slots that ForEach hands out: 0 uses every available
 	// CPU, 1 evaluates fully serially. Results are byte-identical across
 	// worker counts (deterministic merge order).
 	Workers int
 	// CacheBudget bounds the reuse cache in bytes (0 = unlimited): cached
 	// tables, delta memos, blocking indexes and the Env's document record
-	// tables all count against it. When it is exceeded the record tables are
-	// dropped first, wholesale (they rebuild in microseconds a document),
-	// then least-recently-used entries are evicted. An evicted entry is
-	// re-evaluated on next use — results never change, only how much is
-	// recomputed. Set it before the first evaluation.
+	// tables all count against it. When it is exceeded, least-recently-used
+	// cache entries are evicted first (never the one being stored); only
+	// when none is left to evict are record tables forgotten, one document
+	// at a time, least recently used first (feature.Memo.Evict). An evicted
+	// entry is re-evaluated on next use — results never change, only how
+	// much is recomputed. Set it before the first evaluation.
 	CacheBudget int64
 	// Stats accumulates evaluation counters (atomically).
 	Stats Stats

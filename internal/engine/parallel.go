@@ -6,15 +6,17 @@ import (
 	"runtime/debug"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"iflex/internal/compact"
 )
 
-// This file implements the engine's bounded worker pool. The tuple loop's
-// chunks (tupleloop.go) and independent sibling subtrees run on spare pool
+// This file implements the engine's bounded worker pool and its one
+// fan-out, ForEach: the tuple loop's chunks (tupleloop.go), independent
+// sibling subtrees and the assistant's simulations run on spare pool
 // slots; the calling goroutine always keeps working too, so progress never
 // depends on slot availability and nested parallel regions cannot
-// deadlock. Every construct merges results in input order, which makes
+// deadlock. Every caller merges results in index order, which makes
 // evaluation byte-identical to a serial run regardless of the worker
 // count.
 
@@ -96,71 +98,53 @@ const (
 	minChunkConstraint = 8
 )
 
-// parallelChunksSized splits [0, n) into up to workers() contiguous chunks
-// and runs body on each, spawning goroutines only for the slots tryAcquire
-// grants; the caller's goroutine runs the first chunk (and any chunk that
-// found no free slot) itself. body must keep its results apart from other
-// chunks' so the caller can merge them in chunk order. The returned error
-// is the one a serial left-to-right run would have hit first: within a chunk
-// body stops at its first error, and across chunks the lowest-indexed
-// chunk's error wins. The fan-out is capped so every chunk covers at
-// least minChunk items, which keeps cheap nodes serial instead of paying
-// goroutine and pool-slot overhead for sub-microsecond chunks.
-func (ctx *Context) parallelChunksSized(n, minChunk int, body func(start, end int) error) error {
-	run := body
-	if h := ctx.Env.FaultHook; h != nil {
-		run = func(start, end int) error {
-			if err := h("chunk", []string{"c" + strconv.Itoa(start)}); err != nil {
-				return err
-			}
-			return body(start, end)
+// ForEach runs body(i) for every i in [0, n) on the caller's goroutine
+// and on every pool slot tryAcquire grants it, up to min(n, workers())-1
+// of them: each claims the next index from one shared counter until none
+// is left. It is the engine's one fan-out (tuple chunks, sibling subtrees
+// and the assistant's simulations all go through it), so Workers bounds
+// every goroutine a context evaluates on. Every index runs, and the
+// returned error is the lowest-indexed one, as a serial run's first error
+// would be. A panic in a body stops the claiming of further indices and
+// reaches the caller once every claimed body has returned, however many
+// pool slots ran them. body must keep its results apart from other
+// indices' so the caller can merge them in index order.
+func (ctx *Context) ForEach(n int, body func(i int) error) error {
+	if n <= 1 {
+		if n == 1 {
+			return body(0)
+		}
+		return nil
+	}
+	errs := make([]error, n)
+	var next atomic.Int64
+	claim := func() {
+		// A panicking body ends every goroutine's claims; after a normal
+		// return every index is claimed already, so the store is a no-op.
+		defer next.Store(int64(n))
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			errs[i] = body(i)
 		}
 	}
-	w := ctx.workers()
-	if w > n {
-		w = n
-	}
-	if minChunk > 1 && w > 1 {
-		if m := n / minChunk; m < w {
-			w = m
-			if w < 1 {
-				w = 1
-			}
-		}
-	}
-	if w <= 1 {
-		if n <= 0 {
-			return nil
-		}
-		return run(0, n)
-	}
-	errs := make([]error, w)
-	pans := make([]*workerPanic, w)
+	pans := make([]*workerPanic, min(n, ctx.workers())-1)
 	var wg sync.WaitGroup
-	// A chunk the coordinator runs itself may panic; the panic must not
-	// reach the Eval caller while spawned workers still evaluate (holding
-	// pool slots and in-flight cache entries), so wait on that path too.
+	// The caller's own body may panic; the panic must not reach the Eval
+	// caller while helpers still evaluate (holding pool slots and in-flight
+	// cache entries), so wait on that path too.
 	defer wg.Wait()
-	chunk := func(i int) (start, end int) {
-		return i * n / w, (i + 1) * n / w
-	}
-	for i := 1; i < w; i++ {
+	for h := range pans {
 		if !ctx.tryAcquire() {
-			start, end := chunk(i)
-			errs[i] = run(start, end)
-			continue
+			break
 		}
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			defer ctx.release()
-			defer forwardPanic(&pans[i])
-			start, end := chunk(i)
-			errs[i] = run(start, end)
-		}(i)
+			defer forwardPanic(&pans[h])
+			claim()
+		}()
 	}
-	start, end := chunk(0)
-	errs[0] = run(start, end)
+	claim()
 	wg.Wait()
 	rethrow(pans)
 	for _, err := range errs {
@@ -171,34 +155,41 @@ func (ctx *Context) parallelChunksSized(n, minChunk int, body func(start, end in
 	return nil
 }
 
-// evalAll evaluates sibling nodes in order, running each on a spare pool
-// slot when one is free. The first (lowest-index) error wins.
+// parallelChunksSized splits [0, n) into up to workers() contiguous chunks
+// and runs body on each through ForEach. The returned error is the one a
+// serial left-to-right run would have hit first: within a chunk body
+// stops at its first error, and across chunks the lowest-indexed chunk's
+// error wins. The fan-out is capped so every chunk covers at least
+// minChunk items, which keeps cheap nodes serial instead of paying
+// goroutine and pool-slot overhead for sub-microsecond chunks.
+func (ctx *Context) parallelChunksSized(n, minChunk int, body func(start, end int) error) error {
+	if n <= 0 {
+		return nil
+	}
+	w := min(ctx.workers(), n)
+	if minChunk > 1 {
+		w = max(1, min(w, n/minChunk))
+	}
+	return ctx.ForEach(w, func(i int) error {
+		start, end := i*n/w, (i+1)*n/w
+		if h := ctx.Env.FaultHook; h != nil {
+			if err := h("chunk", []string{"c" + strconv.Itoa(start)}); err != nil {
+				return err
+			}
+		}
+		return body(start, end)
+	})
+}
+
+// evalAll evaluates sibling nodes through ForEach. The first
+// (lowest-index) error wins.
 func evalAll(ctx *Context, nodes []Node) ([]*compact.Table, error) {
 	out := make([]*compact.Table, len(nodes))
-	errs := make([]error, len(nodes))
-	pans := make([]*workerPanic, len(nodes))
-	var wg sync.WaitGroup
-	// Also when an inline evaluation panics: see parallelChunksSized.
-	defer wg.Wait()
-	for i, node := range nodes {
-		if i < len(nodes)-1 && ctx.tryAcquire() {
-			wg.Add(1)
-			go func(i int, node Node) {
-				defer wg.Done()
-				defer ctx.release()
-				defer forwardPanic(&pans[i])
-				out[i], errs[i] = Eval(ctx, node)
-			}(i, node)
-			continue
-		}
-		out[i], errs[i] = Eval(ctx, node)
-	}
-	wg.Wait()
-	rethrow(pans)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := ctx.ForEach(len(nodes), func(i int) (err error) {
+		out[i], err = Eval(ctx, nodes[i])
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

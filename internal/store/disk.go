@@ -40,7 +40,7 @@ type docMeta struct {
 	id      string
 }
 
-// DiskStore is the sharded, file-backed Store. Opening reads only the
+// DiskStore is the sharded, file-backed store. Opening reads only the
 // shard TOCs, the manifest, and the token-index vocabulary; page content
 // is read, parsed, and token/line-indexed on first touch, per document,
 // and released again under the resident budget. It implements the

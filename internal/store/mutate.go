@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -132,7 +131,6 @@ func (m *Mutation) Commit() (*Delta, error) {
 		txtBytes int64
 		rawBytes int64
 	)
-	off := uint64(len(shardMagic) + 4)
 	for i, p := range m.puts {
 		rec, textLen, blockIDs, err := buildRecord(p.id, p.raw, intern)
 		if err != nil {
@@ -143,11 +141,9 @@ func (m *Mutation) Commit() (*Delta, error) {
 			newPost[tid] = append(newPost[tid], ord)
 		}
 		newMeta = append(newMeta, docMeta{
-			shard: shardIdx, offset: off,
-			recLen: uint32(len(rec)), textLen: uint32(textLen), id: p.id,
+			shard: shardIdx, recLen: uint32(len(rec)), textLen: uint32(textLen), id: p.id,
 		})
 		recs = append(recs, rec)
-		off += uint64(4 + len(rec))
 		txtBytes += int64(textLen)
 		rawBytes += int64(len(p.raw))
 	}
@@ -247,61 +243,28 @@ func (m *Mutation) Commit() (*Delta, error) {
 	return d, nil
 }
 
-// writeShardFile writes one generation's records as an ordinary shard
-// and fsyncs it before returning: the shard must be durable before the
-// manifest publish makes it reachable. A crash mid-write leaves a
-// partial shard the manifest never references — an orphan Open sweeps.
-// The file is closed on every path, a failed write's included.
+// writeShardFile writes one generation's records as an ordinary shard,
+// filling in each meta entry's offset, and fsyncs it before returning:
+// the shard must be durable before the manifest publish makes it
+// reachable. A crash mid-write leaves a partial shard the manifest never
+// references — an orphan Open sweeps. The file is closed on every path,
+// a failed write's included.
 func writeShardFile(fsys FS, path string, recs [][]byte, meta []docMeta) (err error) {
-	f, err := fsys.Create(path)
+	sf, err := createShard(fsys, path)
 	if err != nil {
 		return fmt.Errorf("store: mutate: create shard: %w", err)
 	}
 	defer func() {
-		if cerr := f.Close(); err == nil {
+		if cerr := sf.f.Close(); err == nil {
 			err = cerr
 		}
 	}()
-	buf := bufio.NewWriterSize(f, 1<<20)
-	var hdr bufWriter
-	hdr.str(shardMagic)
-	hdr.u32(version)
-	buf.Write(hdr.b)
-	var toc bufWriter
-	toc.u32(uint32(len(recs)))
 	for i, rec := range recs {
-		var pre bufWriter
-		pre.u32(uint32(len(rec)))
-		if _, err := buf.Write(pre.b); err != nil {
+		if meta[i].offset, err = sf.add(meta[i].id, int(meta[i].textLen), rec); err != nil {
 			return err
 		}
-		if _, err := buf.Write(rec); err != nil {
-			return err
-		}
-		m := meta[i]
-		toc.u64(m.offset)
-		toc.u32(m.recLen)
-		toc.u32(m.textLen)
-		toc.u32(uint32(len(m.id)))
-		toc.str(m.id)
 	}
-	tocOff := uint64(len(hdr.b))
-	for _, rec := range recs {
-		tocOff += uint64(4 + len(rec))
-	}
-	if _, err := buf.Write(toc.b); err != nil {
-		return err
-	}
-	var foot bufWriter
-	foot.u64(tocOff)
-	foot.str(footerMagic)
-	if _, err := buf.Write(foot.b); err != nil {
-		return err
-	}
-	if err := buf.Flush(); err != nil {
-		return err
-	}
-	return f.Sync()
+	return sf.seal()
 }
 
 // writeDeltaFile writes the generation's sidecar per the layout in

@@ -1,9 +1,12 @@
-// Package store is the document-store abstraction behind corpus-scale
-// evaluation: a narrow interface over a set of documents, with an
-// in-memory implementation (MemStore) for small corpora and a sharded,
-// file-backed implementation (DiskStore) that keeps only a bounded set
-// of pages resident and materializes text.Document token/line indexes
-// lazily per document.
+// Package store holds the document stores behind corpus-scale
+// evaluation: a sharded, file-backed DiskStore that keeps only a bounded
+// set of pages resident and materializes text.Document token/line indexes
+// lazily per document, and an in-memory MemStore that serves the same
+// token-index methods for small corpora and tests. Document handles are
+// stable for the lifetime of a store (the feature memo keys its record
+// tables by handle identity; the engine's subset and quarantine key by
+// document ID); a DiskStore may drop and re-materialize document
+// *content* behind the handles at any time.
 //
 // A disk store is built once at ingest by a Writer, which also persists
 // an inverted token index (tokens.idx) over the blocking tokens of every
@@ -26,26 +29,8 @@ import (
 	"iflex/internal/text"
 )
 
-// Store is a handle on a corpus of documents. Document handles are
-// stable for the lifetime of the store (the feature memo keys its record
-// tables by handle identity; the engine's subset and quarantine key by
-// document ID); a file-backed store may drop and re-materialize document
-// *content* behind the handles at any time.
-type Store interface {
-	// Len returns the number of documents.
-	Len() int
-	// Doc returns the i'th document handle (0 <= i < Len()).
-	Doc(i int) *text.Document
-	// Docs returns all document handles in ordinal order. The returned
-	// slice is shared; callers must not modify it.
-	Docs() []*text.Document
-	// Close releases the store's resources. Document content accessed
-	// after Close may fail (surfacing as a per-document load fault).
-	Close() error
-}
-
-// MemStore is the trivial Store over an in-memory document slice — the
-// corpus shape the engine always had. It also serves the token-index
+// MemStore is the store over an in-memory document slice — the corpus
+// shape the engine always had. It also serves the token-index
 // interfaces by tokenizing on first use, which lets differential tests
 // drive the engine's index-consulting paths without touching disk.
 type MemStore struct {
@@ -58,7 +43,7 @@ type MemStore struct {
 	postings map[string][]int // blocking token -> sorted doc ordinals
 }
 
-// NewMemStore wraps documents in a Store. The slice is not copied.
+// NewMemStore wraps documents in a MemStore. The slice is not copied.
 func NewMemStore(docs []*text.Document) *MemStore {
 	return &MemStore{docs: docs}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -52,12 +53,8 @@ type Writer struct {
 	opts Options
 	fs   FS
 
-	shard     File
-	shardBuf  *bufio.Writer
-	shardIdx  int
-	shardOff  uint64
-	shardTOC  bufWriter
-	shardDocs int
+	shard    *shardFile
+	shardIdx int
 
 	vocab    []string          // token id -> token
 	vocabIDs map[string]uint32 // token -> id
@@ -105,51 +102,84 @@ const manifestName = "manifest.json"
 
 func shardName(i int) string { return fmt.Sprintf("shard-%04d.ifs", i) }
 
-func (w *Writer) openShard() error {
-	f, err := w.fs.Create(filepath.Join(w.dir, shardName(w.shardIdx)))
+// shardFile encodes one shard file in the layout of format.go: the
+// header when it is created, one length-prefixed record per add with its
+// TOC entry held back, and the TOC and footer at seal. Ingest and
+// Mutation.Commit both write their shards through it.
+type shardFile struct {
+	f    File
+	buf  *bufio.Writer
+	off  uint64 // file offset of the next record's recLen field
+	toc  bufWriter
+	docs int
+}
+
+// createShard creates the shard file at path and writes its header.
+func createShard(fsys FS, path string) (*shardFile, error) {
+	f, err := fsys.Create(path)
 	if err != nil {
-		return fmt.Errorf("store: create shard: %w", err)
+		return nil, err
 	}
-	w.shard = f
-	w.shardBuf = bufio.NewWriterSize(f, 1<<20)
+	sf := &shardFile{f: f, buf: bufio.NewWriterSize(f, 1<<20)}
 	var hdr bufWriter
 	hdr.str(shardMagic)
 	hdr.u32(version)
-	if _, err := w.shardBuf.Write(hdr.b); err != nil {
+	sf.buf.Write(hdr.b) // an empty buffer takes it; seal's Flush reports errors
+	sf.off = uint64(len(hdr.b))
+	sf.toc.u32(0) // count, patched at seal
+	return sf, nil
+}
+
+// add appends one record (rec is everything after its recLen prefix) and
+// returns the file offset of its recLen field.
+func (sf *shardFile) add(id string, textLen int, rec []byte) (uint64, error) {
+	off := sf.off
+	sf.toc.u64(off)
+	sf.toc.u32(uint32(len(rec)))
+	sf.toc.u32(uint32(textLen))
+	sf.toc.u32(uint32(len(id)))
+	sf.toc.str(id)
+	sf.off += uint64(4 + len(rec))
+	sf.docs++
+	var pre bufWriter
+	pre.u32(uint32(len(rec)))
+	if _, err := sf.buf.Write(pre.b); err != nil {
+		return off, err
+	}
+	_, err := sf.buf.Write(rec)
+	return off, err
+}
+
+// seal appends the TOC and footer and fsyncs the file, leaving it open:
+// every shard is durable before a manifest publish makes it reachable.
+func (sf *shardFile) seal() error {
+	binary.LittleEndian.PutUint32(sf.toc.b, uint32(sf.docs))
+	sf.toc.u64(sf.off)
+	sf.toc.str(footerMagic)
+	if _, err := sf.buf.Write(sf.toc.b); err != nil {
 		return err
 	}
-	w.shardOff = uint64(len(hdr.b))
-	w.shardTOC = bufWriter{}
-	w.shardTOC.u32(0) // count, patched at seal
-	w.shardDocs = 0
+	if err := sf.buf.Flush(); err != nil {
+		return err
+	}
+	return sf.f.Sync()
+}
+
+func (w *Writer) openShard() error {
+	sf, err := createShard(w.fs, filepath.Join(w.dir, shardName(w.shardIdx)))
+	if err != nil {
+		return fmt.Errorf("store: create shard: %w", err)
+	}
+	w.shard = sf
 	return nil
 }
 
-// sealShard appends the TOC and footer, fsyncs, and closes the shard
-// file. Shards are synced at seal time so every shard the manifest will
-// reference is durable before the manifest publish makes it reachable.
+// sealShard seals and closes the current shard.
 func (w *Writer) sealShard() error {
-	tocOff := w.shardOff
-	// Patch the entry count into the TOC header.
-	var cnt bufWriter
-	cnt.u32(uint32(w.shardDocs))
-	copy(w.shardTOC.b[:4], cnt.b)
-	if _, err := w.shardBuf.Write(w.shardTOC.b); err != nil {
+	if err := w.shard.seal(); err != nil {
 		return err
 	}
-	var foot bufWriter
-	foot.u64(tocOff)
-	foot.str(footerMagic)
-	if _, err := w.shardBuf.Write(foot.b); err != nil {
-		return err
-	}
-	if err := w.shardBuf.Flush(); err != nil {
-		return err
-	}
-	if err := w.shard.Sync(); err != nil {
-		return err
-	}
-	return w.shard.Close()
+	return w.shard.f.Close()
 }
 
 // tokenID interns a token, growing the vocabulary.
@@ -215,29 +245,14 @@ func (w *Writer) Add(id, raw string) error {
 		w.postings[tid] = appendDelta(w.postings[tid], ord, w.lastDoc[tid])
 		w.lastDoc[tid] = ord
 	}
-
-	var hdr bufWriter
-	hdr.u32(uint32(len(rec)))
-
-	w.shardTOC.u64(w.shardOff)
-	w.shardTOC.u32(uint32(len(rec)))
-	w.shardTOC.u32(uint32(textLen))
-	w.shardTOC.u32(uint32(len(id)))
-	w.shardTOC.str(id)
-
-	if _, err := w.shardBuf.Write(hdr.b); err != nil {
+	if _, err := w.shard.add(id, textLen, rec); err != nil {
 		return w.fail(err)
 	}
-	if _, err := w.shardBuf.Write(rec); err != nil {
-		return w.fail(err)
-	}
-	w.shardOff += uint64(4 + len(rec))
-	w.shardDocs++
 	w.man.Docs++
 	w.man.TextBytes += int64(textLen)
 	w.man.RawBytes += int64(len(raw))
 
-	if w.shardDocs >= w.opts.ShardDocs {
+	if w.shard.docs >= w.opts.ShardDocs {
 		if err := w.sealShard(); err != nil {
 			return w.fail(err)
 		}
@@ -266,7 +281,7 @@ func (w *Writer) fail(err error) error {
 // Open refuses and a fresh Create sweeps.
 func (w *Writer) Close() error {
 	if w.err != nil {
-		w.shard.Close()
+		w.shard.f.Close()
 		return w.err
 	}
 	if err := w.sealShard(); err != nil {
