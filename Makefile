@@ -89,8 +89,10 @@ bench:
 # Simulation trial plan against a converged T8 program whose base plan is
 # interned, compiled (clone, add a constraint, compile) and edited
 # (WithConstraint), the annotation ψ over
-# 2,000 T8-shaped rows (one and four rows per key), and a selection that
-# keeps every row as it came or narrows every row.
+# 2,000 T8-shaped rows (one and four rows per key), a selection that
+# keeps every row as it came or narrows every row, and the store's read
+# path over DBLife pages (one page load: read, checksum, decode and
+# payload build; one record built at ingest; one posting-run decode).
 bench-layers:
 	$(GO) test -run='^$$' -bench='ParseProgram|OrderBody' -benchmem ./internal/alog
 	$(GO) test -run='^$$' -bench=MarkupParse -benchmem ./internal/markup
@@ -99,6 +101,7 @@ bench-layers:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/similarity
 	$(GO) test -run='^$$' -bench=FeatureMemo -benchmem ./internal/feature
 	$(GO) test -run='^$$' -bench='SimJoin|Compare|TrialPlan|Annotate|SelectKeep' -benchmem ./internal/engine
+	$(GO) test -run='^$$' -bench='PageLoad|BuildRecord|DecodePostings' -benchmem ./internal/store
 
 # The two line counts ROADMAP.md gates on, with exactly its command:
 # non-test Go outside benchmark/, in total and in internal/engine. CI's

@@ -15,6 +15,7 @@ import (
 	"iflex/internal/alog"
 	"iflex/internal/assistant"
 	"iflex/internal/corpus"
+	"iflex/internal/markup"
 	"iflex/internal/server"
 	"iflex/internal/store"
 )
@@ -171,9 +172,9 @@ extractConference(d, y) :- from(d, y), in-title(y) = yes,
                            max_length(y, 12).
 `
 
-// corruptStore writes a store of pages DBLife pages and flips bytes of the
-// markup of page id inside its shard record, so that page fails its
-// checksum when it is first loaded.
+// corruptStore writes a store of pages DBLife pages and flips a byte of
+// the stored text of page id inside its shard record, so that page fails
+// its checksum when it is first loaded.
 func corruptStore(t *testing.T, pages int, id string) string {
 	dir := filepath.Join(t.TempDir(), "st")
 	w, err := store.Create(dir, store.Options{})
@@ -198,11 +199,12 @@ func corruptStore(t *testing.T, pages int, id string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := bytes.Index(b, []byte(raw))
+	txt := markup.MustParse(id, raw).Text()
+	off := bytes.Index(b, []byte(txt))
 	if raw == "" || off < 0 {
-		t.Fatalf("markup of %s not found in the shard", id)
+		t.Fatalf("text of %s not found in the shard", id)
 	}
-	b[off+len(raw)/2] ^= 0x20
+	b[off+len(txt)/2] ^= 0x20
 	if err := os.WriteFile(shard, b, 0o644); err != nil {
 		t.Fatal(err)
 	}

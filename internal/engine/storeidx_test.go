@@ -2,14 +2,17 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"iflex/internal/alog"
+	"iflex/internal/markup"
 	"iflex/internal/store"
 	"iflex/internal/text"
 )
@@ -205,15 +208,15 @@ func TestDiskStoreCorruptShardQuarantines(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt p2's raw markup inside the shard file.
+	// Corrupt p2's stored text inside the shard file.
 	shard := filepath.Join(dir, "shard-0000.ifs")
 	b, err := os.ReadFile(shard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := bytes.Index(b, []byte(raws[2]))
+	off := bytes.Index(b, []byte(markup.MustParse(ids[2], raws[2]).Text()))
 	if off < 0 {
-		t.Fatal("raw markup not found in shard")
+		t.Fatal("text of p2 not found in shard")
 	}
 	for i := 0; i < 6; i++ {
 		b[off+i] ^= 0xFF
@@ -265,5 +268,68 @@ e(x, v) :- from(x, v), bold-font(v) = distinct-yes.
 	}
 	if !found {
 		t.Fatalf("quarantine records do not name p2: %+v", q.records)
+	}
+}
+
+// TestDiskStoreCorruptTokenListQuarantines: a left page whose stored
+// blocking-token list was corrupted on disk (one flipped bit turns delta
+// into gamma) used to be blocked on the wrong tokens without a trace. The
+// record's checksum covers its token lists, so the index refuses them,
+// the join tokenizes the page live, the load faults, and the result is
+// degraded, naming the page.
+func TestDiskStoreCorruptTokenListQuarantines(t *testing.T) {
+	dir := t.TempDir()
+	w, err := store.Create(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"l0", "l1", "r0", "r1"}
+	raws := []string{"alpha beta gamma", "delta epsilon zeta", "alpha beta gamma", "delta epsilon zeta"}
+	for i := range ids {
+		if err := w.Add(ids[i], raws[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// l1's record: u32(idLen) "l1", textLen, page length, checksum and
+	// nBlock, then its block-token ids, delta's first.
+	shard := filepath.Join(dir, "shard-0000.ifs")
+	b, err := os.ReadFile(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := bytes.Index(b, []byte("\x02\x00\x00\x00l1"))
+	if off < 0 {
+		t.Fatal("record of l1 not found in shard")
+	}
+	b[off+6+16] ^= 1
+	if err := os.WriteFile(shard, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := store.Open(dir, store.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	env := NewEnv()
+	env.AddDocTable("L", "x", s.Docs()[:2])
+	env.AddDocTable("R", "y", s.Docs()[2:])
+	env.DocIndex, env.Postings = s, s
+	plan, err := Compile(alog.MustParse(docJoinSrc), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := plan.ExecuteContext(context.Background(), NewContext(env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Degraded == nil || !slices.Equal(res.Degraded.QuarantinedDocs(), []string{"l1"}) {
+		t.Fatalf("degraded report %+v, want l1 quarantined; result:\n%s", res.Degraded, res.Canonical())
+	}
+	if got := res.Canonical(); !strings.Contains(got, "alpha beta gamma") || strings.Contains(got, "delta") {
+		t.Fatalf("want only the l0-r0 match:\n%s", got)
 	}
 }

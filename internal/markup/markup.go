@@ -39,8 +39,8 @@ func Parse(id, src string) (*text.Document, error) {
 }
 
 // ParseContent converts markup source into raw document content without
-// constructing a Document. The document store's lazy load path uses it to
-// re-materialize pages from their stored markup on demand.
+// constructing a Document. The document store's ingest uses it to store
+// each page parsed, so a load decodes the page instead of parsing it.
 func ParseContent(id, src string) (text.DocContent, error) {
 	p := parser{src: src}
 	if err := p.run(); err != nil {

@@ -140,8 +140,12 @@ func SimilarTokens(ta, tb []string) bool {
 // NormalizedTokens returns the tokens of s with leading articles removed.
 // "The Godfather" and "Godfather, The" should match, so a trailing article
 // (the comma style) first moves to the front.
-func NormalizedTokens(s string) []string {
-	toks := Tokens(s)
+func NormalizedTokens(s string) []string { return NormalizeArticles(Tokens(s)) }
+
+// NormalizeArticles applies NormalizedTokens' article rule to a token
+// sequence: a trailing article moves to the front, then a leading
+// article is dropped. toks is not modified; the result may share it.
+func NormalizeArticles(toks []string) []string {
 	if len(toks) > 1 {
 		switch toks[len(toks)-1] {
 		case "the", "a", "an":

@@ -59,8 +59,8 @@ func corpusDump(t *testing.T, s *store.DiskStore) string {
 	t.Helper()
 	var b strings.Builder
 	man := s.Manifest()
-	fmt.Fprintf(&b, "gen=%d docs=%d shards=%d vocab=%d text=%d raw=%d\n",
-		man.Generation, man.Docs, man.Shards, man.Vocab, man.TextBytes, man.RawBytes)
+	fmt.Fprintf(&b, "gen=%d docs=%d shards=%d vocab=%d text=%d page=%d\n",
+		man.Generation, man.Docs, man.Shards, man.Vocab, man.TextBytes, man.PageBytes)
 	for _, d := range s.Docs() {
 		fmt.Fprintf(&b, "doc %s len=%d text=%q\n", d.ID(), d.Len(), d.Text())
 		bt, ok := s.BlockTokens(d)

@@ -10,11 +10,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
-	"iflex/internal/markup"
 	"iflex/internal/text"
 )
 
@@ -42,7 +40,7 @@ type docMeta struct {
 
 // DiskStore is the sharded, file-backed store. Opening reads only the
 // shard TOCs, the manifest, and the token-index vocabulary; page content
-// is read, parsed, and token/line-indexed on first touch, per document,
+// is read, decoded, and token/line-indexed on first touch, per document,
 // and released again under the resident budget. It implements the
 // engine's DocIndex and PostingsIndex interfaces, answering token
 // queries from the ingest-time index without paging text in.
@@ -214,19 +212,19 @@ func (s *DiskStore) rollbackLastGeneration(cause error) error {
 		return cause
 	}
 	keep := 0
-	var dropText, dropRaw int64
+	var dropText, dropPage int64
 	for _, m := range s.meta {
 		if m.shard < dropShard {
 			keep++
 			continue
 		}
 		dropText += int64(m.textLen)
-		// rawLen sits after recLen, idLen, id, and textLen in the record.
+		// pageLen sits after recLen, idLen, id, and textLen in the record.
 		b := make([]byte, 4)
 		if _, err := s.shards[m.shard].ReadAt(b, int64(m.offset)+4+4+int64(len(m.id))+4); err != nil {
 			return fmt.Errorf("rolling back generation %d (%v): reading dropped record %q: %w", g, cause, m.id, err)
 		}
-		dropRaw += int64(binary.LittleEndian.Uint32(b))
+		dropPage += int64(binary.LittleEndian.Uint32(b))
 	}
 	man := s.man
 	man.Generation = g - 1
@@ -234,7 +232,7 @@ func (s *DiskStore) rollbackLastGeneration(cause error) error {
 	man.Docs = keep
 	man.Vocab = len(s.idx.vocab)
 	man.TextBytes -= dropText
-	man.RawBytes -= dropRaw
+	man.PageBytes -= dropPage
 	if man.Generation == 0 {
 		man.BaseDocs = 0
 	}
@@ -346,62 +344,57 @@ func (s *DiskStore) readTOC(shard int, f io.ReaderAt, size int64) error {
 }
 
 // readRecord reads a document's record bytes (without the recLen
-// prefix) and parses the fixed header, leaving the reader positioned at
-// the token lists.
-func (s *DiskStore) readRecord(ord int) (r *bufReader, rawLen, crc uint32, err error) {
+// prefix), parses the fixed header and verifies the checksum, leaving
+// the reader positioned at the token lists.
+func (s *DiskStore) readRecord(ord int) (r *bufReader, pageLen int, err error) {
 	m := s.meta[ord]
 	if s.closed.Load() {
-		return nil, 0, 0, fmt.Errorf("store is closed")
+		return nil, 0, fmt.Errorf("store is closed")
 	}
 	b := make([]byte, int(m.recLen))
 	if _, err := s.shards[m.shard].ReadAt(b, int64(m.offset)+4); err != nil {
-		return nil, 0, 0, fmt.Errorf("reading record: %w", err)
+		return nil, 0, fmt.Errorf("reading record: %w", err)
 	}
 	r = &bufReader{b: b}
 	idLen := int(r.u32("idLen"))
 	id := string(r.bytes(idLen, "id"))
 	textLen := r.u32("textLen")
-	rawLen = r.u32("rawLen")
-	crc = r.u32("crc")
+	pageLen = int(r.u32("pageLen"))
+	crc := r.u32("crc")
 	if r.err != nil {
-		return nil, 0, 0, r.err
+		return nil, 0, r.err
 	}
 	if id != m.id || textLen != m.textLen {
-		return nil, 0, 0, fmt.Errorf("record/TOC mismatch for doc %q", m.id)
+		return nil, 0, fmt.Errorf("record/TOC mismatch for doc %q", m.id)
 	}
-	return r, rawLen, crc, nil
+	if crc32.ChecksumIEEE(b[r.off:]) != crc {
+		return nil, 0, fmt.Errorf("doc %q: record checksum mismatch (corrupt shard?)", m.id)
+	}
+	return r, pageLen, nil
 }
 
 // loadDoc is the lazy-load callback: read the record, verify the
-// checksum, re-parse the markup. Any failure is returned (and surfaces
-// as a per-document quarantine through the engine's fault guard).
+// checksum, skip the token lists and decode the page ingest parsed —
+// its text exactly the TOC's textLen bytes, every mark and link inside
+// it, nothing after it. Any failure is returned (and surfaces as a
+// per-document quarantine through the engine's fault guard).
 func (s *DiskStore) loadDoc(ord int) (text.DocContent, error) {
-	r, rawLen, crc, err := s.readRecord(ord)
+	r, pageLen, err := s.readRecord(ord)
 	if err != nil {
 		return text.DocContent{}, err
-	}
-	// Skip the token lists.
-	nBlock := int(r.u32("nBlock"))
-	r.bytes(4*nBlock, "block tokens")
-	nNorm := int(r.u32("nNorm"))
-	r.bytes(4*nNorm, "norm tokens")
-	raw := r.bytes(int(rawLen), "raw markup")
-	if r.err != nil {
-		return text.DocContent{}, r.err
 	}
 	m := s.meta[ord]
+	r.bytes(4*int(r.u32("nBlock")), "block tokens")
+	r.bytes(4*int(r.u32("nNorm")), "norm tokens")
+	if r.err == nil && len(r.b)-r.off != pageLen {
+		return text.DocContent{}, fmt.Errorf("doc %q: %d bytes after the token lists, the record says %d (corrupt shard?)", m.id, len(r.b)-r.off, pageLen)
+	}
+	c := r.page(int(m.textLen))
+	if r.err != nil {
+		return text.DocContent{}, fmt.Errorf("doc %q: %w", m.id, r.err)
+	}
 	if r.off != len(r.b) {
-		return text.DocContent{}, fmt.Errorf("doc %q: %d bytes after the markup (corrupt shard?)", m.id, len(r.b)-r.off)
-	}
-	if crc32.ChecksumIEEE(raw) != crc {
-		return text.DocContent{}, fmt.Errorf("doc %q: markup checksum mismatch (corrupt shard?)", m.id)
-	}
-	c, err := markup.ParseContent(m.id, string(raw))
-	if err != nil {
-		return text.DocContent{}, err
-	}
-	if len(c.Text) != int(m.textLen) {
-		return text.DocContent{}, fmt.Errorf("doc %q: markup parses to %d bytes of text, the record says %d (corrupt shard?)", m.id, len(c.Text), m.textLen)
+		return text.DocContent{}, fmt.Errorf("doc %q: %d bytes after the page (corrupt shard?)", m.id, len(r.b)-r.off)
 	}
 	s.noteLoad(ord)
 	return c, nil
@@ -553,9 +546,10 @@ func (s *DiskStore) DocOrdinal(d *text.Document) (int, bool) {
 func (s *DiskStore) NumDocs() int { return len(s.docs) }
 
 // BlockTokens returns the distinct blocking tokens recorded for d at
-// ingest, reading only the record's token header (never the page text).
-// ok is false when d is not from this store or the read fails — callers
-// fall back to tokenizing the text.
+// ingest, decoding only the record's token lists (never the page). ok is
+// false when d is not from this store, the read fails or the record
+// fails its checksum — callers fall back to tokenizing the text, whose
+// load then faults on the same record.
 func (s *DiskStore) BlockTokens(d *text.Document) ([]string, bool) {
 	return s.docTokens(d, false)
 }
@@ -571,7 +565,7 @@ func (s *DiskStore) docTokens(d *text.Document, norm bool) ([]string, bool) {
 	if !ok {
 		return nil, false
 	}
-	r, _, _, err := s.readRecord(ord)
+	r, _, err := s.readRecord(ord)
 	if err != nil {
 		return nil, false
 	}
@@ -812,7 +806,3 @@ func (s *DiskStore) SortedTokens() []string {
 	sort.Strings(out)
 	return out
 }
-
-// normalizeSpace matches text.Span.NormText's whitespace collapsing, so
-// ingest-time normalized tokens equal query-time NormalizedTokens(NormText()).
-func normalizeSpace(s string) string { return strings.Join(strings.Fields(s), " ") }

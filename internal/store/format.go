@@ -3,6 +3,8 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+
+	"iflex/internal/text"
 )
 
 // On-disk layout (all integers little-endian).
@@ -18,11 +20,15 @@ import (
 //
 //	u32(recLen)                  length of everything after this field
 //	u32(idLen) id
-//	u32(textLen)                 length of the parsed plain text
-//	u32(rawLen) u32(crc32(raw))  raw markup length + checksum
+//	u32(textLen)                 length of the page text
+//	u32(pageLen)                 length of the page part
+//	u32(crc32(rest))             checksum of everything after this field
 //	u32(nBlock) u32*             distinct blocking-token ids, sorted
 //	u32(nNorm)  u32*             normalized whole-page token ids, in order
-//	raw                          the markup source, re-parsed on load
+//	page:                        the parsed page, decoded on load
+//	  text                       textLen bytes
+//	  u32(nMarks) (u32(kind) u32(start) u32(end))*
+//	  u32(nLinks) (u32(start) u32(end) u32(targetLen) target)*
 //
 // TOC entry:
 //
@@ -30,8 +36,9 @@ import (
 //	u32(recLen) u32(textLen)
 //	u32(idLen) id
 //
-// Token lists live ahead of the raw markup so the index adapter can read
-// a record's tokens without paging in (or parsing) the page itself.
+// Token lists live ahead of the page so the index adapter can read a
+// record's tokens without decoding the page itself. The checksum covers
+// both, so a corrupt token list is refused like a corrupt page.
 //
 // Token index file (tokens.idx):
 //
@@ -67,15 +74,17 @@ import (
 // stays sorted and runs concatenate in generation order.
 //
 // Version history: 1 = original layout; 2 = delta sidecars carry the
-// integrity footer (all files share one version number, so a v1 store
-// must be re-ingested).
+// integrity footer; 3 = records carry the parsed page instead of its
+// markup, and the checksum covers the token lists and the page. All
+// files share one version number, so an older store must be
+// re-ingested.
 const (
 	shardMagic     = "IFSH"
 	footerMagic    = "IFST"
 	indexMagic     = "IFTI"
 	deltaMagic     = "IFDX"
 	deltaFootMagic = "IFDE"
-	version        = 2
+	version        = 3
 
 	footerSize      = 12
 	deltaFooterSize = 8
@@ -149,6 +158,70 @@ func (w *bufWriter) str(s string) { w.b = append(w.b, s...) }
 func (w *bufWriter) u32s(vs []uint32) {
 	for _, v := range vs {
 		w.u32(v)
+	}
+}
+
+// page appends the page part of a record: the text, then the marks and
+// the links.
+func (w *bufWriter) page(c text.DocContent) {
+	w.str(c.Text)
+	w.u32(uint32(len(c.Marks)))
+	for _, m := range c.Marks {
+		w.u32(uint32(m.Kind))
+		w.u32(uint32(m.Start))
+		w.u32(uint32(m.End))
+	}
+	w.u32(uint32(len(c.Links)))
+	for _, l := range c.Links {
+		w.u32(uint32(l.Start))
+		w.u32(uint32(l.End))
+		w.u32(uint32(len(l.Target)))
+		w.str(l.Target)
+	}
+}
+
+// page decodes a page part written by bufWriter.page whose text is
+// textLen bytes; every mark and link must lie inside the text. Empty
+// mark and link lists decode to nil, as the parser leaves them.
+func (r *bufReader) page(textLen int) text.DocContent {
+	c := text.DocContent{Text: string(r.bytes(textLen, "page text"))}
+	if n := r.count(12, "marks"); n > 0 {
+		c.Marks = make([]text.Mark, n)
+		for i := range c.Marks {
+			m := &c.Marks[i]
+			m.Kind, m.Start, m.End = text.MarkKind(r.u32("mark kind")), int(r.u32("mark start")), int(r.u32("mark end"))
+			r.span(m.Start, m.End, textLen)
+		}
+	}
+	if n := r.count(12, "links"); n > 0 {
+		c.Links = make([]text.Link, n)
+		for i := range c.Links {
+			l := &c.Links[i]
+			l.Start, l.End = int(r.u32("link start")), int(r.u32("link end"))
+			l.Target = string(r.bytes(int(r.u32("link target length")), "link target"))
+			r.span(l.Start, l.End, textLen)
+		}
+	}
+	return c
+}
+
+// count reads the u32 count of a list whose items take at least size
+// bytes each, failing when the bytes left cannot hold them: nothing is
+// allocated past the buffer.
+func (r *bufReader) count(size int, what string) int {
+	n := int(r.u32(what))
+	if n > (len(r.b)-r.off)/size {
+		r.fail(what)
+		return 0
+	}
+	return n
+}
+
+// span fails the reader unless [start, end) lies inside a text of
+// textLen bytes.
+func (r *bufReader) span(start, end, textLen int) {
+	if r.err == nil && (start > end || end > textLen) {
+		r.err = fmt.Errorf("span [%d,%d) outside the %d-byte text at offset %d", start, end, textLen, r.off)
 	}
 }
 

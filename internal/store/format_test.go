@@ -7,12 +7,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"slices"
 	"testing"
-
-	"iflex/internal/markup"
 )
 
 // uvarints encodes gaps as a posting run, bypassing appendDelta's
@@ -299,12 +296,12 @@ func FuzzOpenTokenIndex(f *testing.F) {
 }
 
 // FuzzLoadRecord: whatever a shard record holds, loadDoc fails or returns
-// exactly what the record says — the page of the TOC's id, whose markup
-// parses to text of the recorded length, with nothing after the markup —
-// and it never panics or allocates out of proportion to the record. The
-// harness recomputes the markup checksum whenever the record's lengths
-// locate the markup, so inputs get past it. Seeds are the records of a
-// shard buildStore wrote.
+// exactly what the record says — a text of the TOC's length, every mark
+// and link inside it, re-encoding to the record's page bytes, with
+// nothing after the page — and it never panics or allocates out of
+// proportion to the record. The harness recomputes the checksum whenever
+// the record's header is whole, so inputs get past it. Seeds are the
+// records of a shard buildStore wrote and testdata/fuzz/FuzzLoadRecord.
 func FuzzLoadRecord(f *testing.F) {
 	dir := f.TempDir()
 	b := shardBytes(f, dir)
@@ -322,10 +319,7 @@ func FuzzLoadRecord(f *testing.F) {
 	defer fh.Close()
 	f.Fuzz(func(t *testing.T, id string, textLen uint32, rec []byte) {
 		rec = slices.Clone(rec)
-		raw, ok := recordMarkup(rec)
-		if ok {
-			binary.LittleEndian.PutUint32(rec[4+int(binary.LittleEndian.Uint32(rec))+8:], crc32.ChecksumIEEE(raw))
-		}
+		reseal(rec)
 		s := recordStore(t, fh, id, textLen, rec)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -337,15 +331,27 @@ func FuzzLoadRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
+		page, ok := recordPage(rec)
 		if !ok {
-			t.Fatalf("loaded a record whose lengths do not end at its markup: %x", rec)
+			t.Fatalf("loaded a record whose lengths do not end at its page: %x", rec)
 		}
 		if len(c.Text) != int(textLen) {
 			t.Fatalf("loaded %d bytes of text, the record says %d", len(c.Text), textLen)
 		}
-		want, err := markup.ParseContent(id, string(raw))
-		if err != nil || !reflect.DeepEqual(c, want) {
-			t.Fatalf("loaded %+v, the record's markup parses to %+v, %v", c, want, err)
+		var w bufWriter
+		w.page(c)
+		if !bytes.Equal(w.b, page) {
+			t.Fatalf("loaded %+v, which re-encodes to %x, not the record's page %x", c, w.b, page)
+		}
+		for _, m := range c.Marks {
+			if m.Start < 0 || m.Start > m.End || m.End > len(c.Text) {
+				t.Fatalf("mark %+v outside the %d-byte text", m, len(c.Text))
+			}
+		}
+		for _, l := range c.Links {
+			if l.Start < 0 || l.Start > l.End || l.End > len(c.Text) {
+				t.Fatalf("link %+v outside the %d-byte text", l, len(c.Text))
+			}
 		}
 	})
 }
@@ -363,10 +369,10 @@ func recordStore(t *testing.T, fh *os.File, id string, textLen uint32, rec []byt
 	return &DiskStore{shards: []*os.File{fh}, meta: []docMeta{{recLen: uint32(len(rec)), textLen: textLen, id: id}}}
 }
 
-// TestLoadDocRejectsMisreadRecord: loadDoc used to accept a record with
-// bytes after its markup, and markup whose text is not the recorded
-// length (FuzzLoadRecord found the second); the page then faulted only
-// later, as a text-length drift. It must refuse both.
+// TestLoadDocRejectsMisreadRecord: loadDoc must refuse a record with
+// bytes after its page, a text longer than recorded, and a mark or a link
+// that leaves the text, even when the checksum agrees with what the
+// record holds.
 func TestLoadDocRejectsMisreadRecord(t *testing.T) {
 	dir := t.TempDir()
 	fh, err := os.Create(filepath.Join(dir, "record"))
@@ -375,40 +381,61 @@ func TestLoadDocRejectsMisreadRecord(t *testing.T) {
 	}
 	defer fh.Close()
 	build := func(raw string) []byte {
-		rec, _, _, err := buildRecord("p", raw, func(string) uint32 { return 0 })
+		rec, _, _, _, err := buildRecord("p", raw, func(string) uint32 { return 0 })
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rec
 	}
-	ok := build("<b>x</b> y")
+	const src = `<b>x</b> <a href="u">y</a>` // text "x y"; bold [0,1), link [2,3) twice
+	ok := build(src)
 	if _, err := recordStore(t, fh, "p", 3, ok).loadDoc(0); err != nil {
 		t.Fatalf("the record as written: %v", err)
 	}
-	// The header's textLen follows u32(idLen) and the one-byte id.
-	longer := build("<b>x</b> yz")
-	binary.LittleEndian.PutUint32(longer[5:], 3)
+	// Offsets follow u32(idLen) and the one-byte id: textLen at 5, pageLen
+	// at 9. The page part is the record's tail.
+	edit := func(rec []byte, at int, v uint32) []byte {
+		rec = slices.Clone(rec)
+		binary.LittleEndian.PutUint32(rec[at:], v)
+		return rec
+	}
+	page := len(ok) - int(binary.LittleEndian.Uint32(ok[9:]))
+	longer := build(`<b>x</b> <a href="u">yz</a>`)
 	for name, rec := range map[string][]byte{
-		"a byte after the markup":   append(slices.Clone(ok), 'z'),
-		"text longer than recorded": longer,
+		"a byte after the token lists":   append(slices.Clone(ok), 'z'),
+		"a byte after the page":          edit(append(slices.Clone(ok), 'z'), 9, uint32(len(ok)-page+1)),
+		"text longer than recorded":      edit(longer, 5, 3),
+		"a mark ending past the text":    edit(ok, page+3+4+8, 4),
+		"a mark ending before it starts": edit(ok, page+3+4+4, 2),
+		"a link ending past the text":    edit(ok, len(ok)-1-4-4, 4),
 	} {
+		reseal(rec)
 		if _, err := recordStore(t, fh, "p", 3, rec).loadDoc(0); err == nil {
 			t.Errorf("%s: loaded", name)
 		}
 	}
 }
 
-// recordMarkup locates the markup of a record laid out as buildRecord
-// writes it: ok is false when the record's lengths overrun it or leave
-// bytes after the markup.
-func recordMarkup(rec []byte) (raw []byte, ok bool) {
+// recordPage locates the page part of a record laid out as buildRecord
+// writes it: ok is false when the record's lengths overrun it or the
+// page part is not pageLen bytes.
+func recordPage(rec []byte) (page []byte, ok bool) {
 	r := bufReader{b: rec}
 	r.bytes(int(r.u32("idLen")), "id")
 	r.u32("textLen")
-	rawLen := int(r.u32("rawLen"))
+	pageLen := int(r.u32("pageLen"))
 	r.u32("crc")
 	r.bytes(4*int(r.u32("nBlock")), "block tokens")
 	r.bytes(4*int(r.u32("nNorm")), "norm tokens")
-	raw = r.bytes(rawLen, "raw markup")
-	return raw, r.err == nil && r.off == len(rec)
+	return rec[min(r.off, len(rec)):], r.err == nil && len(rec)-r.off == pageLen
+}
+
+// reseal recomputes the checksum of a record a test edited, when its
+// header (u32(idLen) id textLen pageLen crc) is whole.
+func reseal(rec []byte) {
+	if len(rec) < 16 || uint64(binary.LittleEndian.Uint32(rec)) > uint64(len(rec)-16) {
+		return
+	}
+	sum := 16 + int(binary.LittleEndian.Uint32(rec))
+	binary.LittleEndian.PutUint32(rec[sum-4:], crc32.ChecksumIEEE(rec[sum:]))
 }

@@ -129,10 +129,10 @@ func (m *Mutation) Commit() (*Delta, error) {
 		newMeta  []docMeta
 		newPost  = make(map[uint32][]int)
 		txtBytes int64
-		rawBytes int64
+		pgBytes  int64
 	)
 	for i, p := range m.puts {
-		rec, textLen, blockIDs, err := buildRecord(p.id, p.raw, intern)
+		rec, textLen, pageLen, blockIDs, err := buildRecord(p.id, p.raw, intern)
 		if err != nil {
 			return nil, fmt.Errorf("store: mutate: %q: %w", p.id, err)
 		}
@@ -145,7 +145,7 @@ func (m *Mutation) Commit() (*Delta, error) {
 		})
 		recs = append(recs, rec)
 		txtBytes += int64(textLen)
-		rawBytes += int64(len(p.raw))
+		pgBytes += int64(pageLen)
 	}
 
 	// Classify puts and collect tombstones.
@@ -197,7 +197,7 @@ func (m *Mutation) Commit() (*Delta, error) {
 		man.BaseDocs = prevDocs // zero for a store built empty
 	}
 	man.TextBytes += txtBytes
-	man.RawBytes += rawBytes
+	man.PageBytes += pgBytes
 	mb, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("store: mutate: %w", err)

@@ -14,11 +14,11 @@
 // that index directly — see the BlockTokens/NormTokens/DocOrdinal/
 // TokenPostings methods, which match the engine's DocIndex and
 // PostingsIndex interfaces — instead of re-tokenizing the corpus on
-// every run. Tokenization at ingest uses the exact functions the engine
-// would apply at query time (similarity.Tokens over the page text for
-// blocking; similarity.NormalizedTokens over the normalized whole-page
-// text for the prefilter), so consulting the index is byte-identical to
-// computing on the fly.
+// every run. Ingest tokenizes the page text once with the function the
+// engine would apply at query time (similarity.Tokens), sorted and
+// deduplicated for blocking and under NormalizedTokens' article rule for
+// the prefilter, so consulting the index is byte-identical to computing
+// on the fly.
 package store
 
 import (
@@ -123,8 +123,10 @@ func (m *MemStore) TokenPostings(tok string) ([]int, bool) {
 
 // DistinctTokens returns the sorted distinct similarity.Tokens of s —
 // the per-document token set the blocking index is built from.
-func DistinctTokens(s string) []string {
-	toks := similarity.Tokens(s)
+func DistinctTokens(s string) []string { return distinct(similarity.Tokens(s)) }
+
+// distinct sorts toks in place and returns its distinct prefix.
+func distinct(toks []string) []string {
 	if len(toks) == 0 {
 		return nil
 	}

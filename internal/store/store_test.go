@@ -6,10 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"iflex/internal/corpus"
 	"iflex/internal/markup"
+	"iflex/internal/similarity"
 	"iflex/internal/text"
 )
 
@@ -75,6 +79,58 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(d.Links(), want.Links()) {
 			t.Fatalf("doc %d: links mismatch", i)
+		}
+	}
+}
+
+// TestStoredPageMatchesParse: a record stores the page ingest parsed,
+// so loading it decodes exactly what parsing its source yields, and its
+// token lists are exactly the tokens of the loaded text — over every
+// page of a generated Books corpus and 200 DBLife pages, plus the sample
+// pages (the generators write no links) and pages a leading or trailing
+// article normalizes.
+func TestStoredPageMatchesParse(t *testing.T) {
+	ids, raws := samplePages(25)
+	ids = append(ids, "article-first", "article-last", "article-only")
+	raws = append(raws, "<b>The Godfather</b> Part II", "Godfather, <i>The</i>", "a")
+	books := corpus.Books(corpus.BooksConfig{Records: 150, Seed: 3})
+	for _, name := range []string{"Amazon", "Barnes"} {
+		tb := books.Tables[name]
+		for i, d := range tb.Docs {
+			ids, raws = append(ids, d.ID()), append(raws, tb.Raw[i])
+		}
+	}
+	if err := corpus.StreamDBLife(corpus.DBLifeConfig{Pages: 200, Seed: 3}, nil, func(id, src string) error {
+		ids, raws = append(ids, id), append(raws, src)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	buildStore(t, dir, ids, raws, 128)
+	s, err := Open(dir, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Len() != len(ids) || len(ids) != 528 {
+		t.Fatalf("store holds %d of %d pages", s.Len(), len(ids))
+	}
+	for i, id := range ids {
+		want, err := markup.ParseContent(id, raws[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.loadDoc(i)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: loaded %+v, %v; parsing gives %+v", id, got, err, want)
+		}
+		d := s.Doc(i)
+		if toks, ok := s.BlockTokens(d); !ok || !slices.Equal(toks, DistinctTokens(got.Text)) {
+			t.Errorf("%s: BlockTokens = %v, %v; the text has %v", id, toks, ok, DistinctTokens(got.Text))
+		}
+		if toks, ok := s.NormTokens(d); !ok || !slices.Equal(toks, similarity.NormalizedTokens(got.Text)) {
+			t.Errorf("%s: NormTokens = %v, %v; the text has %v", id, toks, ok, similarity.NormalizedTokens(got.Text))
 		}
 	}
 }
@@ -272,15 +328,15 @@ func TestDiskStoreCorruptShardFaultsOnLoad(t *testing.T) {
 	ids, raws := samplePages(6)
 	buildStore(t, dir, ids, raws, 100)
 
-	// Flip bytes inside the first document's raw markup region.
+	// Flip bytes inside doc 5's stored text.
 	path := filepath.Join(dir, shardName(0))
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := bytes.Index(b, []byte(raws[5]))
+	off := bytes.Index(b, []byte(markup.MustParse(ids[5], raws[5]).Text()))
 	if off < 0 {
-		t.Fatal("raw markup of doc 5 not found in shard")
+		t.Fatal("text of doc 5 not found in shard")
 	}
 	for i := 0; i < 8; i++ {
 		b[off+10+i] ^= 0xFF
@@ -312,6 +368,89 @@ func TestDiskStoreCorruptShardFaultsOnLoad(t *testing.T) {
 		}()
 		_ = s.Doc(5).Text()
 	}()
+}
+
+// flipBlockToken builds a store of the pages "alpha beta gamma" (a) and
+// "delta epsilon zeta" (d) and flips the low bit of d's first
+// blocking-token id in its shard record: delta's id 3 becomes gamma's 2.
+func flipBlockToken(t *testing.T, dir string) {
+	t.Helper()
+	buildStore(t, dir, []string{"a", "d"}, []string{"alpha beta gamma", "delta epsilon zeta"}, 10)
+	path := filepath.Join(dir, shardName(0))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The record's u32(idLen) "d" is followed by textLen, the page length,
+	// the checksum and nBlock, then the block-token ids.
+	off := bytes.Index(b, []byte("\x01\x00\x00\x00d"))
+	if off < 0 {
+		t.Fatal("record of d not found in shard")
+	}
+	b[off+5+16] ^= 1
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDiskStoreCorruptTokenListRefused: one flipped bit in a stored
+// blocking-token id used to be served as the page's tokens ([gamma
+// epsilon zeta] with ok true) while the page itself still loaded. The
+// checksum covers the token lists, so both token lookups refuse the
+// record and its load faults; the other page is untouched.
+func TestDiskStoreCorruptTokenListRefused(t *testing.T) {
+	dir := t.TempDir()
+	flipBlockToken(t, dir)
+	s, err := Open(dir, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	a, d := s.Doc(0), s.Doc(1)
+	if toks, ok := s.BlockTokens(d); ok {
+		t.Errorf("BlockTokens of the corrupt record = %v, ok", toks)
+	}
+	if toks, ok := s.NormTokens(d); ok {
+		t.Errorf("NormTokens of the corrupt record = %v, ok", toks)
+	}
+	if toks, ok := s.BlockTokens(a); !ok || !reflect.DeepEqual(toks, []string{"alpha", "beta", "gamma"}) {
+		t.Errorf("BlockTokens of the intact record = %v, %v", toks, ok)
+	}
+	if _, err := s.loadDoc(1); err == nil {
+		t.Error("the corrupt record loaded")
+	}
+}
+
+// TestOpenRefusesOlderVersion: a store whose manifest, or whose shard
+// header, says version 2 (records holding markup) is refused at Open
+// with the version error; it has to be re-ingested.
+func TestOpenRefusesOlderVersion(t *testing.T) {
+	for _, file := range []string{manifestName, shardName(0)} {
+		dir := t.TempDir()
+		ids, raws := samplePages(3)
+		buildStore(t, dir, ids, raws, 10)
+		path := filepath.Join(dir, file)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if file == manifestName {
+			b = bytes.Replace(b, []byte(`"version": 3`), []byte(`"version": 2`), 1)
+		} else {
+			b[4] = 2 // u32(version) after "IFSH"
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, OpenOptions{})
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s at version 2: opened", file)
+		}
+		if !strings.Contains(err.Error(), "version 2 (want 3)") {
+			t.Errorf("%s at version 2: %v", file, err)
+		}
+	}
 }
 
 // mutateOnce commits the standard scenario mutation (update b, remove

@@ -23,7 +23,7 @@ type Manifest struct {
 	ShardDocs int   `json:"shard_docs"`
 	Vocab     int   `json:"vocab"`
 	TextBytes int64 `json:"text_bytes"`
-	RawBytes  int64 `json:"raw_bytes"`
+	PageBytes int64 `json:"page_bytes"` // page parts of the records
 	// Generation counts committed mutations (0 for a freshly ingested
 	// store). Each generation adds one shard of new/superseding records
 	// plus a delta sidecar (tombstones, vocabulary growth, postings).
@@ -198,45 +198,59 @@ func (w *Writer) tokenID(tok string) uint32 {
 // buildRecord parses one page's markup and encodes its shard record
 // bytes (everything after the recLen prefix). intern maps tokens to
 // ids, growing the vocabulary; the page's distinct blocking-token ids
-// are returned so callers can post them to the inverted index.
-func buildRecord(id, raw string, intern func(string) uint32) (rec []byte, textLen int, blockIDs []uint32, err error) {
+// are returned so callers can post them to the inverted index. The text
+// is tokenized once: the norm list is that sequence under
+// NormalizedTokens' article rule (whitespace normalisation never changes
+// tokens), the blocking list the same sequence sorted and deduplicated.
+func buildRecord(id, raw string, intern func(string) uint32) (rec []byte, textLen, pageLen int, blockIDs []uint32, err error) {
 	c, err := markup.ParseContent(id, raw)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, 0, nil, err
 	}
-	block := DistinctTokens(c.Text)
-	blockIDs = make([]uint32, len(block))
-	for i, t := range block {
-		blockIDs[i] = intern(t)
-	}
-	norm := similarity.NormalizedTokens(normalizeSpace(c.Text))
+	toks := similarity.Tokens(c.Text)
+	norm := similarity.NormalizeArticles(toks)
 	normIDs := make([]uint32, len(norm))
 	for i, t := range norm {
 		normIDs[i] = intern(t)
 	}
-	var w bufWriter
+	block := distinct(toks) // reorders toks: norm is interned already
+	blockIDs = make([]uint32, len(block))
+	for i, t := range block {
+		blockIDs[i] = intern(t)
+	}
+	size := 32 + len(id) + 4*(len(blockIDs)+len(normIDs)) + len(c.Text) + 12*(len(c.Marks)+len(c.Links))
+	for _, l := range c.Links {
+		size += len(l.Target)
+	}
+	w := bufWriter{b: make([]byte, 0, size)} // the record's exact size: one allocation
 	w.u32(uint32(len(id)))
 	w.str(id)
 	w.u32(uint32(len(c.Text)))
-	w.u32(uint32(len(raw)))
-	w.u32(crc32.ChecksumIEEE([]byte(raw)))
+	w.u32(0) // pageLen and the checksum, patched below
+	w.u32(0)
+	sum := len(w.b)
 	w.u32(uint32(len(blockIDs)))
 	w.u32s(blockIDs)
 	w.u32(uint32(len(normIDs)))
 	w.u32s(normIDs)
-	w.str(raw)
-	return w.b, len(c.Text), blockIDs, nil
+	page := len(w.b)
+	w.page(c)
+	pageLen = len(w.b) - page
+	binary.LittleEndian.PutUint32(w.b[sum-8:], uint32(pageLen))
+	binary.LittleEndian.PutUint32(w.b[sum-4:], crc32.ChecksumIEEE(w.b[sum:]))
+	return w.b, len(c.Text), pageLen, blockIDs, nil
 }
 
-// Add ingests one page: its markup is parsed (so the text length and
-// token lists recorded are exactly what query-time parsing would
-// produce), the record is appended to the current shard, and the
-// page's blocking tokens are posted to the inverted index.
+// Add ingests one page: its markup is parsed once, and the record
+// stores the parsed page with the token lists of its text, so what a
+// load returns and what the index answers come from one parse. The
+// record is appended to the current shard, and the page's blocking
+// tokens are posted to the inverted index.
 func (w *Writer) Add(id, raw string) error {
 	if w.err != nil {
 		return w.err
 	}
-	rec, textLen, blockIDs, err := buildRecord(id, raw, w.tokenID)
+	rec, textLen, pageLen, blockIDs, err := buildRecord(id, raw, w.tokenID)
 	if err != nil {
 		return w.fail(err)
 	}
@@ -250,7 +264,7 @@ func (w *Writer) Add(id, raw string) error {
 	}
 	w.man.Docs++
 	w.man.TextBytes += int64(textLen)
-	w.man.RawBytes += int64(len(raw))
+	w.man.PageBytes += int64(pageLen)
 
 	if w.shard.docs >= w.opts.ShardDocs {
 		if err := w.sealShard(); err != nil {
