@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-all chaos crash bench bench-layers bench-counters serve-smoke profile vet verify loc
+.PHONY: build test race race-all chaos crash bench bench-layers bench-counters serve-smoke profile cover vet verify loc
 
 build:
 	$(GO) build ./...
@@ -131,6 +131,16 @@ bench-counters:
 # status 0.
 serve-smoke:
 	$(GO) test -run TestDaemon -count=1 ./cmd/iflexd
+
+# Statement coverage of the tier-1 suite over every package
+# (-coverpkg=./..., so a function counts as reached from any package's
+# tests), written to profiles/cover.out (gitignored), then the non-test
+# functions no test reaches at all: where a deletion pass starts looking.
+# Inspect a file with `go tool cover -html=profiles/cover.out`.
+cover:
+	mkdir -p profiles
+	$(GO) test -coverpkg=./... -coverprofile=profiles/cover.out ./...
+	@$(GO) tool cover -func=profiles/cover.out | awk '$$NF == "0.0%"'
 
 # Capture CPU, heap, and execution-trace profiles from the Table 5
 # sessions (both strategies, all nine tasks); inspect with `go tool pprof`

@@ -71,14 +71,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out = io.MultiWriter(stdout, f)
 	}
 	o := experiments.Options{Scale: *scale, Seed: *seed, Strategy: *strategy, Workers: *workers, Deadline: *timeout, Out: out}
-
-	scaled := func(n int) int {
-		v := int(float64(n) * *scale)
-		if v < 10 {
-			v = 10
-		}
-		return v
-	}
 	tables := []struct {
 		name string
 		fn   func() error
@@ -95,11 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return err
 		}},
 		{"scaling", func() error {
-			sizes := []int{100, 250, 500, 1000, 2500}
-			for i := range sizes {
-				sizes[i] = scaled(sizes[i])
-			}
-			_, err := experiments.Scaling(o, "T7", sizes)
+			_, err := experiments.Scaling(o, "T7", []int{100, 250, 500, 1000, 2500})
 			return err
 		}},
 	}

@@ -95,8 +95,8 @@ type (
 // StrategyByName resolves "seq" or "sim" to a Strategy.
 func StrategyByName(name string) (Strategy, error) { return assistant.ByName(name) }
 
-// ExplicitZero marks a SessionConfig field (Alpha, SubsetFraction) as a
-// literal zero rather than "use the default".
+// ExplicitZero set as SessionConfig.Alpha means a literal α = 0 rather
+// than "use the default".
 const ExplicitZero = assistant.ExplicitZero
 
 // Strategies for the next-effort assistant (Section 5.1).
@@ -180,10 +180,11 @@ type DocStore = store.DiskStore
 // OpenStore opens a document store for querying. residentBudget caps the
 // estimated bytes of materialized page content kept in memory (0 =
 // unlimited); pages beyond it are released and re-read on next touch.
-// env.BindStore(pred, col, s) binds the store's pages and serves token
-// prefilters and join blocking from the persistent index instead of
-// tokenizing page text at query time; env.AddDocTable(pred, col, s.Docs())
-// binds the pages alone (results are byte-identical either way).
+// env.BindStore(pred, col, s) binds the store's pages, backs a similarity
+// join's blocking with the persistent posting runs and reads whole-page
+// token sequences from the index instead of tokenizing page text at query
+// time; env.AddDocTable(pred, col, s.Docs()) binds the pages alone
+// (results are byte-identical either way).
 func OpenStore(dir string, residentBudget int64) (*DocStore, error) {
 	return store.Open(dir, store.OpenOptions{ResidentBudget: residentBudget})
 }

@@ -192,7 +192,7 @@ func TestSessionConvergesSimulation(t *testing.T) {
 func TestSimulationPicksReducingQuestion(t *testing.T) {
 	env := testEnv()
 	prog := alog.MustParse(testProg)
-	s := NewSession(env, prog, testOracle(), Config{Strategy: Simulation{}, SubsetFraction: 1.0})
+	s := NewSession(env, prog, testOracle(), Config{Strategy: Simulation{}, subsetFraction: 1.0})
 	// Execute once so lastSize is meaningful.
 	if _, _, err := s.execute(true); err != nil {
 		t.Fatal(err)
@@ -237,19 +237,19 @@ func TestConvergenceWindow(t *testing.T) {
 func TestSubsetSampling(t *testing.T) {
 	env := testEnv()
 	prog := alog.MustParse(testProg)
-	s := NewSession(env, prog, testOracle(), Config{SubsetFraction: 0.5})
+	s := NewSession(env, prog, testOracle(), Config{subsetFraction: 0.5})
 	if len(s.subset) != 2 { // 4 docs * 0.5
 		t.Errorf("subset = %v", s.subset)
 	}
 	// Deterministic for a fixed seed.
-	s2 := NewSession(env, prog, testOracle(), Config{SubsetFraction: 0.5})
+	s2 := NewSession(env, prog, testOracle(), Config{subsetFraction: 0.5})
 	for id := range s.subset {
 		if !s2.subset[id] {
 			t.Error("subset sampling not deterministic")
 		}
 	}
 	// Different seed changes the sample (with high probability for FNV).
-	s3 := NewSession(env, prog, testOracle(), Config{SubsetFraction: 0.5, SubsetSeed: 99})
+	s3 := NewSession(env, prog, testOracle(), Config{subsetFraction: 0.5, SubsetSeed: 99})
 	same := true
 	for id := range s.subset {
 		if !s3.subset[id] {

@@ -35,13 +35,13 @@ func TestWorkersDefaultMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestSubsetFractionExplicitZero: a negative SubsetFraction selects the
+// TestSubsetFractionExplicitZero: a negative subsetFraction selects the
 // minimal subset — one document per extensional table — instead of the
 // automatic 5–30% sizing, while the zero value keeps the automatic rule.
 func TestSubsetFractionExplicitZero(t *testing.T) {
 	env := testEnv()
 	prog := alog.MustParse(testProg)
-	minimal := NewSession(env, prog, testOracle(), Config{SubsetFraction: ExplicitZero})
+	minimal := NewSession(env, prog, testOracle(), Config{subsetFraction: ExplicitZero})
 	if len(minimal.subset) != 1 {
 		t.Errorf("ExplicitZero subset has %d docs, want 1 (one per table): %v",
 			len(minimal.subset), minimal.subset)
@@ -63,8 +63,8 @@ func TestExplicitZeroAlphaSessionRuns(t *testing.T) {
 		Alpha:    ExplicitZero,
 		Workers:  2,
 	})
-	if s.Alpha != 0 {
-		t.Fatalf("session Alpha = %v, want 0", s.Alpha)
+	if s.Config.Alpha != 0 {
+		t.Fatalf("session Alpha = %v, want 0", s.Config.Alpha)
 	}
 	res, err := s.Run()
 	if err != nil {

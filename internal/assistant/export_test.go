@@ -31,6 +31,14 @@ func OracleConfig(cfg Config, delta bool) Config {
 	return cfg
 }
 
+// SubsetConfig returns cfg with the test-only subset fraction set: the
+// share of each extensional table's documents the subset iterations run
+// over, in place of the automatic 5–30%.
+func SubsetConfig(cfg Config, frac float64) Config {
+	cfg.subsetFraction = frac
+	return cfg
+}
+
 // CheckPlansForTest hands f every plan the session executes, with its
 // expanded result size: each base plan (q and v zero) and each simulation
 // trial with the question and answer it adds to the session's program.

@@ -31,13 +31,12 @@ func fanoutSession(t *testing.T, strategy assistant.Strategy, hook func(site str
 	c := task.Generate(200, 1)
 	env := task.Env(c)
 	env.FaultHook = hook
-	return assistant.NewSession(env, alog.MustParse(task.Program), task.Oracle(), assistant.Config{
-		Strategy:       strategy,
-		MaxIterations:  2,
-		SubsetSeed:     1,
-		SubsetFraction: 1,
-		Workers:        fanoutWorkers,
-	})
+	return assistant.NewSession(env, alog.MustParse(task.Program), task.Oracle(), assistant.SubsetConfig(assistant.Config{
+		Strategy:      strategy,
+		MaxIterations: 2,
+		SubsetSeed:    1,
+		Workers:       fanoutWorkers,
+	}, 1))
 }
 
 // phaseStrategy is Simulation with the "chunk" count read as its first

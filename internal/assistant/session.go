@@ -13,9 +13,9 @@ import (
 	"iflex/internal/engine"
 )
 
-// ExplicitZero is a sentinel for Config fields whose zero value selects a
-// default: setting Alpha or SubsetFraction to ExplicitZero (any negative
-// value works) means a literal 0 rather than "use the default".
+// ExplicitZero is a sentinel for Config.Alpha, whose zero value selects
+// the default: setting Alpha to ExplicitZero (any negative value works)
+// means a literal α = 0 rather than "use the default".
 const ExplicitZero = -1
 
 // Config tunes a refinement session. Zero values select the defaults
@@ -36,10 +36,6 @@ type Config struct {
 	QuestionsPerIteration int
 	// MaxIterations is a safety bound (default 50).
 	MaxIterations int
-	// SubsetFraction overrides the subset size (0 = automatic 5–30%
-	// depending on corpus size, Section 5.2). Use ExplicitZero for the
-	// minimal subset: a single document per extensional table.
-	SubsetFraction float64
 	// SubsetSeed varies the deterministic subset sample.
 	SubsetSeed uint64
 	// Workers bounds every goroutine the session evaluates on (0 = one per
@@ -58,6 +54,10 @@ type Config struct {
 	// differential suites run sessions with and without it (export_test.go)
 	// and compare.
 	noDeltaReuse bool
+	// subsetFraction, set only by tests (export_test.go), overrides the
+	// automatic 5–30% subset size (Section 5.2); a negative value gives the
+	// minimal subset of one document per extensional table.
+	subsetFraction float64
 	// Deadline bounds execution in wall-clock time (0 = no deadline).
 	// Run binds it once over the whole session loop: on expiry the session
 	// stops asking questions, evaluation cuts at operator tuple/chunk
@@ -149,8 +149,6 @@ type Session struct {
 	Oracle Oracle
 	Config Config
 
-	Alpha float64 // resolved from Config; read by strategies
-
 	ctx    *engine.Context
 	subset map[string]bool
 	// Answers only add constraints, so the program's shape is read once:
@@ -208,7 +206,6 @@ func NewSession(env *engine.Env, prog *alog.Program, oracle Oracle, cfg Config) 
 		Prog:   prog.Clone(),
 		Oracle: oracle,
 		Config: cfg,
-		Alpha:  cfg.Alpha,
 		ctx:    engine.NewContext(env),
 		res:    &Result{},
 	}
@@ -228,8 +225,8 @@ func NewSession(env *engine.Env, prog *alog.Program, oracle Oracle, cfg Config) 
 // sampleSubset draws a deterministic sample of document IDs across all
 // extensional tables: 30% for small corpora down to 5% for large ones
 // (Section 5.2). Every table keeps at least one document; a negative
-// SubsetFraction (ExplicitZero) therefore yields the minimal subset of
-// one document per table.
+// subsetFraction therefore yields the minimal subset of one document per
+// table.
 func (s *Session) sampleSubset() map[string]bool {
 	subset := map[string]bool{}
 	for _, table := range s.Env.Tables {
@@ -247,7 +244,7 @@ func (s *Session) sampleSubset() map[string]bool {
 			}
 		}
 		sort.Strings(ids)
-		frac := s.Config.SubsetFraction
+		frac := s.Config.subsetFraction
 		if frac == 0 {
 			switch {
 			case len(ids) <= 20:

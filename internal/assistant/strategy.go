@@ -129,11 +129,11 @@ func attrImportance(prog *alog.Program) map[alog.AttrRef]int {
 // Pr = (1-α)/|V| (Section 5.1). Simulations run over the session's
 // document subset and share its reuse cache, which is what makes them
 // affordable (Section 5.2).
-type Simulation struct {
-	// MaxCandidates bounds how many questions are simulated per step
-	// (0 = all).
-	MaxCandidates int
-}
+type Simulation struct{}
+
+// maxCandidates bounds how many questions are simulated per step, which
+// keeps each iteration's simulation affordable.
+const maxCandidates = 12
 
 // Name returns "sim".
 func (Simulation) Name() string { return "sim" }
@@ -147,11 +147,7 @@ func (st Simulation) Next(s *Session, space []Question, n int) ([]Question, erro
 	if err != nil {
 		return nil, err
 	}
-	maxCand := st.MaxCandidates
-	if maxCand == 0 {
-		maxCand = 12 // keep per-iteration simulation affordable by default
-	}
-	if len(ordered) > maxCand {
+	if len(ordered) > maxCandidates {
 		// Round-robin across attributes (in rank order) so every attribute
 		// has a candidate simulated each step; a straight prefix would
 		// starve lower-ranked attributes of their reducing questions.
@@ -164,13 +160,13 @@ func (st Simulation) Next(s *Session, space []Question, n int) ([]Question, erro
 			byAttr[q.Attr] = append(byAttr[q.Attr], q)
 		}
 		var picked []Question
-		for round := 0; len(picked) < maxCand; round++ {
+		for round := 0; len(picked) < maxCandidates; round++ {
 			advanced := false
 			for _, a := range attrs {
 				if round < len(byAttr[a]) {
 					picked = append(picked, byAttr[a][round])
 					advanced = true
-					if len(picked) == maxCand {
+					if len(picked) == maxCandidates {
 						break
 					}
 				}
@@ -232,9 +228,10 @@ func (st Simulation) Next(s *Session, space []Question, n int) ([]Question, erro
 	}
 	var results []scored
 	var simErrs []error
+	alpha := s.Config.Alpha
 	for _, c := range cands {
-		pr := (1 - s.Alpha) / float64(len(c.values))
-		expected := s.Alpha * float64(s.lastSize())
+		pr := (1 - alpha) / float64(len(c.values))
+		expected := alpha * float64(s.lastSize())
 		feasible := true
 		for vi, v := range c.values {
 			if err := errs[c.first+vi]; err != nil {

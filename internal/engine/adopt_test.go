@@ -26,7 +26,7 @@ func TestAdoptUnrunAboveUnchangedConstraint(t *testing.T) {
 			defer func() { noAdoptUnrun = false }()
 		}
 		env := figure2Env()
-		env.Limits.MaxCellValues = 2
+		env.limits.MaxCellValues = 2
 		prog := alog.MustParse(figure2Src)
 		p1, err := Compile(prog, env)
 		if err != nil {

@@ -78,7 +78,7 @@ func (n *annotateNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins []*
 // valid across refinements of the annotated columns. Merging is
 // order-dependent: one serial chunk.
 func (n *annotateNode) annotateTable(ctx *Context, ev *EvalTrace, dx *deltaState, in *compact.Table) (*compact.Table, error) {
-	lim := ctx.Env.Limits
+	lim := ctx.Env.limits
 	keyIdx, annIdx := splitAnnCols(in.Cols, n.annotate)
 	m := annMerger{keyIdx: keyIdx, annIdx: annIdx,
 		index: make(map[string]int32, len(in.Tuples)), groups: make([]annGroup, 0, len(in.Tuples))}
@@ -143,7 +143,7 @@ type annContrib struct {
 
 // annContribOf enumerates one tuple's key valuations (the per-tuple half
 // of the annotation).
-func annContribOf(tp compact.Tuple, keyIdx, annIdx []int, lim Limits) *annContrib {
+func annContribOf(tp compact.Tuple, keyIdx, annIdx []int, lim limits) *annContrib {
 	keyVals := make([][]text.Span, len(keyIdx))
 	exactKey := true
 	tooBig := false

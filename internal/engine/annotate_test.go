@@ -23,7 +23,7 @@ type annCoverage struct {
 // deduplicates the concatenation, every key cell is rebuilt, and
 // pass-through and existence-marked tuples are deep copies. It returns the
 // valuation-limit fallbacks it charged and tallies what the input covered.
-func refAnnotate(in *compact.Table, annotated []string, exists bool, lim Limits, cov *annCoverage) (*compact.Table, int64) {
+func refAnnotate(in *compact.Table, annotated []string, exists bool, lim limits, cov *annCoverage) (*compact.Table, int64) {
 	keyIdx, annIdx := splitAnnCols(in.Cols, annotated)
 	type group struct {
 		keySpans []text.Span
@@ -289,7 +289,7 @@ func valueSets(a *oracle.ATable) string {
 // Each input is evaluated, then a successor version of it linked to the
 // first, at Workers 1/8 with delta reuse on and off.
 func TestAnnotateMatchesReference(t *testing.T) {
-	lim := Limits{MaxCellValues: 10, MaxValuations: 8}
+	lim := limits{MaxCellValues: 10, MaxValuations: 8}
 	g := newAnnGen(26)
 	var cov annCoverage
 	var reused int64
@@ -315,7 +315,7 @@ func TestAnnotateMatchesReference(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			for _, delta := range []bool{false, true} {
 				env := NewEnv()
-				env.Limits = lim
+				env.limits = lim
 				env.Tables["T"], env.Tables["U"] = c.in, c.next
 				ctx := NewContext(env)
 				ctx.Workers = workers

@@ -39,22 +39,23 @@ import (
 	"iflex/internal/text"
 )
 
-// Limits bound the work done per compact tuple when enumerating possible
+// limits bound the work done per compact tuple when enumerating possible
 // values; beyond them operators fall back to conservative (superset-safe)
-// behaviour: keep the tuple, mark it maybe, skip precise filtering.
-type Limits struct {
+// behaviour: keep the tuple, mark it maybe, skip precise filtering. Every
+// Env holds defaultLimits; only the engine's own tests lower them.
+type limits struct {
 	// MaxCellValues caps value enumeration per cell.
 	MaxCellValues int
 	// MaxValuations caps the number of value combinations per tuple.
 	MaxValuations int
 }
 
-// DefaultLimits balance precision against work: cells pinned by a few
+// defaultLimits balance precision against work: cells pinned by a few
 // constraints enumerate fully, while unconstrained whole-document cells
 // fall back to the conservative keep-as-maybe path instead of enumerating
 // quadratically many sub-span valuations.
-func DefaultLimits() Limits {
-	return Limits{MaxCellValues: 512, MaxValuations: 1024}
+func defaultLimits() limits {
+	return limits{MaxCellValues: 512, MaxValuations: 1024}
 }
 
 // Func is a boolean p-function (e.g. approxMatch, similar): it receives
@@ -93,7 +94,6 @@ type Env struct {
 	Funcs    map[string]PFunc
 	Procs    map[string]Procedure
 	Features *feature.Registry
-	Limits   Limits
 	// FeatureMemo holds one record table per document: Verify/Refine
 	// results per (constraint, span) and the typed values comparisons read.
 	// Documents are immutable and features are pure, so entries never go
@@ -116,14 +116,13 @@ type Env struct {
 	// starts.
 	FaultHook func(site string, docs []string) error
 	// DocIndex, when non-nil, answers whole-document token queries from
-	// an index built at ingest (the document store), so the shared-token
-	// prefilter and simjoin blocking skip re-tokenising resident pages —
-	// and skip paging non-resident pages in at all. Implementations must
-	// return exactly what the engine would compute live: BlockTokens the
-	// distinct similarity.Tokens of the page text, NormTokens the ordered
-	// similarity.NormalizedTokens of the page's normalised text. A false
-	// ok falls back to live tokenisation; results are byte-identical
-	// either way.
+	// an index built at ingest (the document store), so a similarity join
+	// builds the token record of a whole-page cell without re-tokenising
+	// a resident page — or paging a non-resident one in at all.
+	// Implementations must return exactly what the engine would compute
+	// live: the ordered similarity.NormalizedTokens of the page's
+	// normalised text. A false ok falls back to live tokenisation; results
+	// are byte-identical either way.
 	DocIndex DocIndex
 	// Postings, when non-nil, provides the persistent inverted
 	// blocking-token index over the same store: simjoin blocking consults
@@ -136,13 +135,13 @@ type Env struct {
 	vocab *similarity.Vocab
 	// nodes interns every plan node built against this Env (nodes.go).
 	nodes nodeTable
+	// limits bound per-tuple value enumeration (defaultLimits).
+	limits limits
 }
 
 // DocIndex answers per-document token queries from a prebuilt index;
 // see Env.DocIndex for the exactness contract.
 type DocIndex interface {
-	// BlockTokens returns the distinct blocking tokens of the document.
-	BlockTokens(d *text.Document) ([]string, bool)
 	// NormTokens returns the document's ordered normalized token sequence.
 	NormTokens(d *text.Document) ([]string, bool)
 }
@@ -169,7 +168,7 @@ func NewEnv() *Env {
 		Funcs:       map[string]PFunc{},
 		Procs:       map[string]Procedure{},
 		Features:    feature.NewRegistry(),
-		Limits:      DefaultLimits(),
+		limits:      defaultLimits(),
 		FeatureMemo: feature.NewMemo(),
 		vocab:       similarity.NewVocab(),
 		nodes:       nodeTable{m: map[nodeKey]Node{}},
@@ -388,12 +387,6 @@ type Stats struct {
 	// OpTimeNs accumulates evaluation wall time per operator kind,
 	// indexed by OpKind (see trace.go).
 	OpTimeNs [numOpKinds]int64 `json:"-" stat:"ns"`
-	// StatMergeNs / StatMerges measure the per-chunk counter flushes: hot
-	// loops batch their counts locally and merge once per chunk, so these
-	// report how much wall time the shared-counter synchronisation costs in
-	// total.
-	StatMergeNs int64 `json:"-" stat:"ns"`
-	StatMerges  int64 `json:"stat_merges" stat:"sched"`
 	// DeltaEvals counts node evaluations that ran with a predecessor memo
 	// attached (cache misses where RegisterDelta had mapped the node and
 	// the predecessor's entry was still resident); NodesEvaluated minus
@@ -477,7 +470,7 @@ type Work struct {
 	// from a delta memo.
 	ConstraintStages int64 `json:"constraint_stages" stat:"det"`
 	// LimitFallbacks counts tuples an operator kept conservatively
-	// because value enumeration exceeded Limits (the superset-safe
+	// because value enumeration exceeded the limits (the superset-safe
 	// fallback paths of Section 4.1). A replayed outcome recharges the
 	// fallbacks it stands for.
 	LimitFallbacks int64 `json:"limit_fallbacks" stat:"det"`
@@ -554,17 +547,13 @@ func (b *statBatch) countMemo(hit bool) {
 }
 
 // flush merges the chunk into its evaluation and the context — the tuple
-// loop does it once, when the chunk ends — and times the merge (surfaced as
-// stat_merge_seconds in snapshots).
+// loop does it once, when the chunk ends.
 func (b *statBatch) flush(ctx *Context, ev *EvalTrace) {
 	if *b == (statBatch{}) {
 		return
 	}
-	start := time.Now()
 	b.add(&ev.work, &ctx.Stats.Work)
 	ev.stageAsg.Add(b.stageAsg)
-	atomic.AddInt64(&ctx.Stats.StatMergeNs, int64(time.Since(start)))
-	atomic.AddInt64(&ctx.Stats.StatMerges, 1)
 }
 
 // NewContext returns a fresh context with an empty reuse cache.

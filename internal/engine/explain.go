@@ -214,10 +214,6 @@ func Explain(ctx *Context, root Node) (string, error) {
 		fmt.Fprintf(&b, "constraints: %d stages computed; %d runs traced (%d stages), %d resumed (behind %d stages)\n",
 			computed, runs, stages, resumed, covered)
 	}
-	if merges := atomic.LoadInt64(&ctx.Stats.StatMerges); merges > 0 {
-		fmt.Fprintf(&b, "stat merges: %d batches, %s total\n", merges,
-			time.Duration(atomic.LoadInt64(&ctx.Stats.StatMergeNs)).Round(time.Microsecond))
-	}
 	if deltas := atomic.LoadInt64(&ctx.Stats.DeltaEvals); deltas > 0 {
 		reused := atomic.LoadInt64(&ctx.Stats.TuplesReused)
 		recomputed := atomic.LoadInt64(&ctx.Stats.TuplesRecomputed)

@@ -10,7 +10,7 @@ import (
 )
 
 // Table-driven coverage of the limit-fallback contract: whenever value
-// enumeration exceeds Limits, the tuple is kept conservatively (maybe)
+// enumeration exceeds the limits, the tuple is kept conservatively (maybe)
 // and the outcome is flagged as a fallback. The engine must degrade to a
 // superset, never to a subset.
 func TestFilterTupleLimitFallbacks(t *testing.T) {
@@ -25,7 +25,7 @@ func TestFilterTupleLimitFallbacks(t *testing.T) {
 		tp       compact.Tuple
 		involved []int
 		fn       Func
-		lim      Limits
+		lim      limits
 		keep     bool
 		sure     bool
 		fallback bool
@@ -36,7 +36,7 @@ func TestFilterTupleLimitFallbacks(t *testing.T) {
 			tp:       compact.Tuple{Cells: []compact.Cell{bigCell}},
 			involved: []int{0},
 			fn:       falsePred,
-			lim:      Limits{MaxCellValues: 100, MaxValuations: 1 << 20},
+			lim:      limits{MaxCellValues: 100, MaxValuations: 1 << 20},
 			keep:     true, fallback: true,
 		},
 		{
@@ -49,7 +49,7 @@ func TestFilterTupleLimitFallbacks(t *testing.T) {
 			}},
 			involved: []int{0, 1},
 			fn:       falsePred,
-			lim:      Limits{MaxCellValues: 512, MaxValuations: 3},
+			lim:      limits{MaxCellValues: 512, MaxValuations: 3},
 			keep:     true, fallback: true,
 		},
 		{
@@ -59,7 +59,7 @@ func TestFilterTupleLimitFallbacks(t *testing.T) {
 			tp:       compact.Tuple{Cells: []compact.Cell{compact.ContainCell(small.Span(0, 5))}},
 			involved: []int{0},
 			fn:       truePred,
-			lim:      DefaultLimits(),
+			lim:      defaultLimits(),
 			keep:     true, sure: true,
 		},
 	}
@@ -91,10 +91,10 @@ func TestFallbackCountsAndMaybe(t *testing.T) {
 	in.Tuples = append(in.Tuples, tp)
 
 	env := NewEnv()
-	env.Limits = Limits{MaxCellValues: 100, MaxValuations: 100}
+	env.limits = limits{MaxCellValues: 100, MaxValuations: 100}
 	ctx := NewContext(env)
 	out, err := applyFilter(ctx, nil, in, []int{0}, func(tp compact.Tuple, batch *statBatch) (filterOutcome, error) {
-		return filterTupleF(tp, []int{0}, func([]text.Span) (bool, error) { return false, nil }, ctx.Env.Limits, batch)
+		return filterTupleF(tp, []int{0}, func([]text.Span) (bool, error) { return false, nil }, ctx.Env.limits, batch)
 	})
 	if err != nil {
 		t.Fatal(err)

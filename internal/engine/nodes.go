@@ -229,7 +229,7 @@ func (n *crossNode) Columns() []string { return n.cols }
 
 func (n *crossNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*compact.Table) (*compact.Table, error) {
 	lt, rt := in[0], in[1]
-	lim := ctx.Env.Limits
+	lim := ctx.Env.limits
 	// The loop runs over left tuples. The memo is per left tuple too, keyed
 	// on the left shared-column cells and pinned to the right table by a
 	// content fingerprint of its shared columns; emit rebuilds each output
@@ -310,7 +310,7 @@ const (
 // allValuations if both are the same single value, someValuations
 // otherwise. capped reports that enumeration hit the cell-value limit
 // and the conservative someValuations answer was used.
-func cellsMayEqual(a, b compact.Cell, lim Limits) (sat satisfaction, capped bool) {
+func cellsMayEqual(a, b compact.Cell, lim limits) (sat satisfaction, capped bool) {
 	av, aok := a.Singleton()
 	bv, bok := b.Singleton()
 	if aok && bok {

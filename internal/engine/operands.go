@@ -44,7 +44,7 @@ func (c *docCursor) of(d *text.Document) *feature.DocRecords {
 type compareFilter struct {
 	op     alog.CompareOp
 	offset float64
-	lim    Limits
+	lim    limits
 	// The left (0) and right (1) term: col is the input column of a variable
 	// and -1 for a constant, whose one-operand record is konst.
 	col   [2]int
@@ -57,7 +57,7 @@ type compareFilter struct {
 }
 
 // newCompareFilter builds the filter over the record tables of memo.
-func newCompareFilter(cmp alog.Compare, cols []string, lim Limits, memo *feature.Memo) *compareFilter {
+func newCompareFilter(cmp alog.Compare, cols []string, lim limits, memo *feature.Memo) *compareFilter {
 	f := &compareFilter{op: cmp.Op, offset: cmp.ROffset, lim: lim, memo: memo}
 	for s, t := range [2]alog.Term{cmp.L, cmp.R} {
 		if t.Kind != alog.TermVar {

@@ -35,7 +35,7 @@ func spanOperand(s text.Span) operand {
 // a constant every value is decided on its own, with no valuation cap and
 // no short-circuit. It is the reference the record path must reproduce
 // outcome for outcome.
-func refCompareFilter(cmp alog.Compare, cols []string, lim Limits) ([]int, tupleFilter) {
+func refCompareFilter(cmp alog.Compare, cols []string, lim limits) ([]int, tupleFilter) {
 	compare := func(l, r operand) (bool, error) {
 		if cmp.ROffset != 0 {
 			if !r.IsNum {
@@ -156,7 +156,7 @@ func TestCompareRecordsEqualSpanPath(t *testing.T) {
 	}
 	ops := []alog.CompareOp{alog.OpLT, alog.OpLE, alog.OpGT, alog.OpGE, alog.OpEQ, alog.OpNE}
 	offsets := []float64{0, 0, 5, -2.5}
-	limits := []Limits{DefaultLimits(), {MaxCellValues: 6, MaxValuations: 1024}, {MaxCellValues: 512, MaxValuations: 12}}
+	lims := []limits{defaultLimits(), {MaxCellValues: 6, MaxValuations: 1024}, {MaxCellValues: 512, MaxValuations: 12}}
 	cols := []string{"a", "b"}
 	pool := make([]compact.Cell, 60)
 	for i := range pool {
@@ -175,7 +175,7 @@ func TestCompareRecordsEqualSpanPath(t *testing.T) {
 		}
 		lr := terms[trial%len(terms)]
 		cmp := alog.Compare{Op: ops[r.Intn(len(ops))], L: lr[0], R: lr[1], ROffset: offsets[r.Intn(len(offsets))]}
-		lim := limits[r.Intn(len(limits))]
+		lim := lims[r.Intn(len(lims))]
 		involved, ref := refCompareFilter(cmp, cols, lim)
 		f := newCompareFilter(cmp, cols, lim, memo)
 		if fmt.Sprint(f.involved) != fmt.Sprint(involved) {
@@ -324,7 +324,7 @@ func TestChaosOperandRecordRebuiltAfterFault(t *testing.T) {
 	cmp := alog.Compare{Op: alog.OpLT, L: alog.Term{Kind: alog.TermVar, Var: "a"}, R: alog.Term{Kind: alog.TermVar, Var: "b"}}
 	cols := []string{"a", "b"}
 	ctx := NewContext(NewEnv())
-	f := newCompareFilter(cmp, cols, ctx.Env.Limits, ctx.Env.FeatureMemo)
+	f := newCompareFilter(cmp, cols, ctx.Env.limits, ctx.Env.FeatureMemo)
 	var batch statBatch
 	decide := func(tp compact.Tuple) (filterOutcome, bool) {
 		var res filterOutcome
@@ -347,7 +347,7 @@ func TestChaosOperandRecordRebuiltAfterFault(t *testing.T) {
 	if qed {
 		t.Fatal("the second tuple was quarantined although the page now loads")
 	}
-	_, ref := refCompareFilter(cmp, cols, ctx.Env.Limits)
+	_, ref := refCompareFilter(cmp, cols, ctx.Env.limits)
 	want, err := ref(second, &statBatch{})
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +374,7 @@ func TestAnnotationKeyDoesNotPinPage(t *testing.T) {
 		t.Skip("NormText copies clean text; nothing can alias")
 	}
 	tp := compact.Tuple{Cells: []compact.Cell{compact.ExactCell(d.WholeSpan()), compact.ExactCell(d.Span(0, 4))}}
-	c := annContribOf(tp, []int{0}, []int{1}, DefaultLimits())
+	c := annContribOf(tp, []int{0}, []int{1}, defaultLimits())
 	if len(c.keys) != 1 || c.keys[0] != "Cozy house" {
 		t.Fatalf("keys = %q", c.keys)
 	}

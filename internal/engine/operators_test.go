@@ -60,7 +60,7 @@ func TestSpanOperandClassification(t *testing.T) {
 }
 
 func TestCellsMayEqual(t *testing.T) {
-	lim := DefaultLimits()
+	lim := defaultLimits()
 	d := markup.MustParse("d", "alpha beta alpha gamma")
 	a1 := compact.ExactCell(d.Span(0, 5))   // alpha
 	a2 := compact.ExactCell(d.Span(11, 16)) // alpha (different span, same text)
@@ -89,7 +89,7 @@ func TestFilterTupleExpansionPartial(t *testing.T) {
 		n, ok := vals[0].Numeric()
 		return ok && n >= 20, nil
 	}
-	res, err := filterTupleF(tp, []int{0}, pred, DefaultLimits(), &statBatch{})
+	res, err := filterTupleF(tp, []int{0}, pred, defaultLimits(), &statBatch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestFilterTupleCapFallsBackConservative(t *testing.T) {
 	tp := compact.Tuple{Cells: []compact.Cell{cell}}
 	calls := 0
 	pred := func([]text.Span) (bool, error) { calls++; return false, nil }
-	res, err := filterTupleF(tp, []int{0}, pred, DefaultLimits(), &statBatch{})
+	res, err := filterTupleF(tp, []int{0}, pred, defaultLimits(), &statBatch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestFilterTupleCapFallsBackConservative(t *testing.T) {
 func TestFilterTupleEmptyCellDropsTuple(t *testing.T) {
 	d := markup.MustParse("d", "x")
 	tp := compact.Tuple{Cells: []compact.Cell{{}}} // no assignments: no value
-	res, err := filterTupleF(tp, []int{0}, func([]text.Span) (bool, error) { return true, nil }, DefaultLimits(), &statBatch{})
+	res, err := filterTupleF(tp, []int{0}, func([]text.Span) (bool, error) { return true, nil }, defaultLimits(), &statBatch{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func (n *procNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins []*comp
 	}
 	in := ins[0]
 	ci := colIndex(in.Cols, n.inVar)
-	lim := ctx.Env.Limits
+	lim := ctx.Env.limits
 	// Procedures are opaque user code: one serial chunk, nothing memoised.
 	// rows is that chunk's scratch: decide builds one tuple's rows into it
 	// and emit commits them.

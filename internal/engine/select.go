@@ -16,7 +16,7 @@ type filterOutcome struct {
 	keep     bool
 	sure     bool                 // every valuation satisfies, precisely
 	repl     map[int]compact.Cell // replacement cells for filtered expansion columns
-	fallback bool                 // kept conservatively: enumeration exceeded Limits
+	fallback bool                 // kept conservatively: enumeration exceeded the limits
 }
 
 // filterScratch pools the per-call working set of the tuple filters: the
@@ -71,7 +71,7 @@ func resized[T any](s []T, n int) []T {
 // declared token similarities are decided by filters of their own over
 // per-value records (compareFilter, tokenSim.filter), which reproduce these
 // outcomes and are tested against them.
-func filterTupleF(tp compact.Tuple, involved []int, fn Func, lim Limits, batch *statBatch) (filterOutcome, error) {
+func filterTupleF(tp compact.Tuple, involved []int, fn Func, lim limits, batch *statBatch) (filterOutcome, error) {
 	sc := scratchPool.Get().(*filterScratch)
 	defer scratchPool.Put(sc)
 	sc.grow(len(involved))
@@ -301,7 +301,7 @@ func constTerm(t alog.Term) operand {
 
 func (n *compareNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins []*compact.Table) (*compact.Table, error) {
 	in := ins[0]
-	f := newCompareFilter(n.cmp, in.Cols, ctx.Env.Limits, ctx.Env.FeatureMemo)
+	f := newCompareFilter(n.cmp, in.Cols, ctx.Env.limits, ctx.Env.FeatureMemo)
 	if len(f.involved) == 0 {
 		// const ⋈ const: one evaluation decides every tuple.
 		ok, err := f.compare(f.konst[0][0], f.konst[1][0])
@@ -409,7 +409,7 @@ func (n *funcNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins []*comp
 	// token string.
 	if pf.Token != nil && len(involved) == 2 {
 		sim := &tokenSim{ctx: ctx, spec: *pf.Token}
-		lim := ctx.Env.Limits
+		lim := ctx.Env.limits
 		return applyFilter(ctx, ev, in, involved, func(tp compact.Tuple, batch *statBatch) (filterOutcome, error) {
 			var sc simScratch
 			return sim.filter(tp, involved, lim,
@@ -420,7 +420,7 @@ func (n *funcNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins []*comp
 	}
 	// A p-function the engine knows nothing about: the function itself over
 	// every combination of argument values.
-	lim := ctx.Env.Limits
+	lim := ctx.Env.limits
 	return applyFilter(ctx, ev, in, involved, func(tp compact.Tuple, batch *statBatch) (filterOutcome, error) {
 		return filterTupleF(tp, involved, pf.Fn, lim, batch)
 	})

@@ -64,23 +64,9 @@ func wholeDocExact(c compact.Cell) (*text.Document, bool) {
 }
 
 // blockTokens appends to dst the distinct ids of the lower-cased tokens
-// over all value regions of an enumerable cell. With a document index
-// attached, a single exact whole-document cell is answered from the stored
-// token set — exactly the distinct similarity.Tokens of the page text, so
-// the result is identical to tokenizing live but touches no page content.
+// over all value regions of an enumerable cell.
 func blockTokens(ctx *Context, c compact.Cell, dst []uint32) []uint32 {
 	v := ctx.Env.vocab
-	if di := ctx.Env.DocIndex; di != nil {
-		if d, ok := wholeDocExact(c); ok {
-			if toks, ok := di.BlockTokens(d); ok {
-				statAdd(&ctx.Stats.IndexTokenHits, 1)
-				for _, tok := range toks {
-					dst = append(dst, v.Intern(tok))
-				}
-				return dst
-			}
-		}
-	}
 	// Tokens of each assignment's span cover the tokens of every encoded
 	// value (values are sub-spans).
 	for _, a := range c.Assigns {
@@ -232,7 +218,7 @@ func (idx *blockIndex) fill(ctx *Context, ev *EvalTrace, sim *tokenSim, rt *comp
 	if sim != nil {
 		idx.pinned = make([]similarity.Record, len(rt.Tuples))
 	}
-	lim := ctx.Env.Limits
+	lim := ctx.Env.limits
 	var qn int64
 	var toks []uint32
 	for _, j := range tuples {
@@ -374,7 +360,7 @@ type leftSide struct {
 // any-shared-token blocking: a pair of such cells may exceed MaxValuations
 // and then stays in the result on the strength of one shared token.
 func (c *simChunk) candidates(left *leftSide, idx *blockIndex, universe []int) (cands []int, oversized bool) {
-	if left.cell.NumValues() > c.ctx.Env.Limits.MaxCellValues {
+	if left.cell.NumValues() > c.ctx.Env.limits.MaxCellValues {
 		return universe, true
 	}
 	if c.gen++; c.gen == 0 {
@@ -438,10 +424,10 @@ func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed b
 	if c.ctx.guard(c.ev, "pfunc", pair, nil, func() error {
 		var ferr error
 		if c.sim == nil {
-			res, ferr = filterTupleF(pair, pairInvolved, c.fn, c.ctx.Env.Limits, c.batch)
+			res, ferr = filterTupleF(pair, pairInvolved, c.fn, c.ctx.Env.limits, c.batch)
 			return ferr
 		}
-		res, ferr = c.sim.filter(pair, pairInvolved, c.ctx.Env.Limits,
+		res, ferr = c.sim.filter(pair, pairInvolved, c.ctx.Env.limits,
 			func() *cellTokens {
 				if left.values == nil {
 					left.values = c.sim.cellTokens(left.cell, true, &c.sc)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -180,6 +181,82 @@ e2(y, t) :- from(y, t), bold-font(t) = distinct-yes.
 	}
 	if st.BlockIdxPostings != 0 {
 		t.Fatal("postings-backed blocking used for sub-span cells")
+	}
+}
+
+// repeatedPageSrc joins the stored pages with a right side that lists
+// every page twice (a union of two identical rules): the posting runs
+// cannot tell a page's two tuples apart, so postingsBlockIndex declines and
+// the join builds its map-backed index by tokenizing whole-page cells.
+const repeatedPageSrc = `
+R(y) :- D(y).
+R(y) :- D(y).
+Q(x, y) :- D(x), R(y), similar(x, y).
+`
+
+// TestStoreRepeatedRightPage: over a right side that repeats a stored page,
+// a store bound with BindStore gives the same table and the same
+// deterministic counters as the plain document table, at Workers 1 and 8.
+// The store still answers the pinned cells' token sequences; blocking
+// tokenizes the pages it loads.
+func TestStoreRepeatedRightPage(t *testing.T) {
+	pages := optDocs("p", 10, rand.New(rand.NewSource(11)))
+	dir := t.TempDir()
+	w, err := store.Create(dir, store.Options{ShardDocs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pages {
+		if err := w.Add(p.id, p.src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	prog := alog.MustParse(repeatedPageSrc)
+	run := func(bound bool, workers int) (string, StatsSnapshot) {
+		env := NewEnv()
+		if bound {
+			ds, err := store.Open(dir, store.OpenOptions{ResidentBudget: 2 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			env.BindStore("D", "x", ds)
+		} else {
+			env.AddDocTable("D", "x", docsOf(pages))
+		}
+		plan, err := Compile(prog, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := NewContext(env)
+		ctx.Workers = workers
+		res, err := plan.Execute(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Canonical(), ctx.Stats.Snapshot()
+	}
+	want, base := run(false, 1)
+	if base.SimTuplePairs == 0 {
+		t.Fatalf("the join probed no pair; test corpus too sparse:\n%s", want)
+	}
+	for _, workers := range []int{1, 8} {
+		got, st := run(true, workers)
+		if got != want {
+			t.Fatalf("workers=%d: bound store's table differs:\n%s\nwant:\n%s", workers, got, want)
+		}
+		if bound, plain := statCounts(st.Stats, isDet), statCounts(base.Stats, isDet); !maps.Equal(bound, plain) {
+			t.Errorf("workers=%d: deterministic counters differ:\nbound %v\nplain %v", workers, bound, plain)
+		}
+		if st.BlockIdxPostings != 0 {
+			t.Errorf("workers=%d: postings backed a right side that repeats pages", workers)
+		}
+		if st.IndexTokenHits == 0 {
+			t.Errorf("workers=%d: the store answered no token sequence", workers)
+		}
 	}
 }
 

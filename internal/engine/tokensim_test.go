@@ -66,12 +66,12 @@ func TestTokenFilterEqualsOdometer(t *testing.T) {
 		c.Expand = r.Intn(2) == 0
 		return c
 	}
-	limits := []Limits{DefaultLimits(), {MaxCellValues: 6, MaxValuations: 1024}, {MaxCellValues: 512, MaxValuations: 12}}
+	lims := []limits{defaultLimits(), {MaxCellValues: 6, MaxValuations: 1024}, {MaxCellValues: 512, MaxValuations: 12}}
 	var sc simScratch
 	kept, partial := 0, 0
 	for trial := 0; trial < 3000; trial++ {
 		tp := compact.Tuple{Cells: []compact.Cell{randCell(fmt.Sprintf("l%d", trial)), randCell(fmt.Sprintf("r%d", trial))}}
-		lim := limits[trial%len(limits)]
+		lim := lims[trial%len(lims)]
 		var batch statBatch
 		want, err := filterTupleF(tp, pairInvolved, opaque, lim, &batch)
 		if err != nil {

@@ -300,22 +300,20 @@ func goid() int64 {
 // shape the service's result stream emits.
 type StatsSnapshot struct {
 	Stats
-	CacheHitRate     float64            `json:"cache_hit_rate"`
-	PoolUtilization  float64            `json:"pool_utilization"`
-	FeatureMemoRate  float64            `json:"feature_memo_hit_rate"`
-	StatMergeSeconds float64            `json:"stat_merge_seconds"`
-	FullEvals        int64              `json:"full_evals"`
-	DeltaReuseRate   float64            `json:"delta_reuse_rate"`
-	OpTimeSeconds    map[string]float64 `json:"op_time_seconds,omitempty"`
+	CacheHitRate    float64            `json:"cache_hit_rate"`
+	PoolUtilization float64            `json:"pool_utilization"`
+	FeatureMemoRate float64            `json:"feature_memo_hit_rate"`
+	FullEvals       int64              `json:"full_evals"`
+	DeltaReuseRate  float64            `json:"delta_reuse_rate"`
+	OpTimeSeconds   map[string]float64 `json:"op_time_seconds,omitempty"`
 }
 
 // Snapshot derives the JSON view from the raw counters. Call it only
 // after evaluation quiesces (the same contract as reading Stats fields).
 func (s *Stats) Snapshot() StatsSnapshot {
 	snap := StatsSnapshot{
-		Stats:            *s,
-		StatMergeSeconds: float64(s.StatMergeNs) / 1e9,
-		FullEvals:        s.NodesEvaluated - s.DeltaEvals,
+		Stats:     *s,
+		FullEvals: s.NodesEvaluated - s.DeltaEvals,
 	}
 	if total := s.NodesEvaluated + s.CacheHits; total > 0 {
 		snap.CacheHitRate = float64(s.CacheHits) / float64(total)

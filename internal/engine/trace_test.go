@@ -34,7 +34,7 @@ func TestExplainFreshContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"scan housePages", "scan schoolPages", "rows", " self ", "cache=miss", "w0", "sig=", "ψ[",
-		"feature memo:", "stat merges:"} {
+		"feature memo:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain output missing %q:\n%s", want, out)
 		}
@@ -272,7 +272,7 @@ func TestStatsCounterTable(t *testing.T) {
 		"index_token_hits", "limit_fallbacks", "nodes_evaluated", "op_time_seconds", "pool_max_extra",
 		"pool_slots_denied", "pool_slots_granted", "pool_utilization", "proc_calls", "quarantine_events",
 		"quarantine_retries", "quarantined_docs", "refine_calls", "sim_tuple_pairs", "sim_value_pairs_probed",
-		"sim_value_pairs_verified", "stat_merge_seconds", "stat_merges", "tables_adopted", "tuples_built",
+		"sim_value_pairs_verified", "tables_adopted", "tuples_built",
 		"tuples_recomputed", "tuples_reused", "verify_calls",
 	}
 	if !slices.Equal(got, want) {

@@ -67,7 +67,7 @@ func (o Options) scale(n int) int {
 
 // Scenario is one (task, records-per-table) evaluation point.
 type Scenario struct {
-	TaskID  string
+	Task    *corpus.Task
 	Records int
 	// Workers bounds the session's worker pool (0 = one per CPU).
 	Workers int
@@ -134,12 +134,10 @@ func noteDegraded(out io.Writer, label string, d *compact.Degraded) {
 }
 
 // RunScenario executes one task scenario end to end with the given
-// strategy name ("seq" or "sim").
+// strategy name ("seq" or "sim"). Every harness session runs through it,
+// the DBLife ones of Table 6 included.
 func RunScenario(sc Scenario, strategyName string, seed int64) (*SessionOutcome, error) {
-	task, err := corpus.TaskByID(sc.TaskID)
-	if err != nil {
-		return nil, err
-	}
+	task := sc.Task
 	strat, err := assistant.ByName(strategyName)
 	if err != nil {
 		return nil, err
@@ -148,7 +146,7 @@ func RunScenario(sc Scenario, strategyName string, seed int64) (*SessionOutcome,
 	env := task.Env(c)
 	prog, err := alog.Parse(task.Program)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: task %s: %w", sc.TaskID, err)
+		return nil, fmt.Errorf("experiments: task %s: %w", task.ID, err)
 	}
 	truth := task.Truth(c)
 	start := time.Now()
@@ -160,8 +158,9 @@ func RunScenario(sc Scenario, strategyName string, seed int64) (*SessionOutcome,
 	})
 	res, err := session.Run()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: task %s (%d records): %w", sc.TaskID, sc.Records, err)
+		return nil, fmt.Errorf("experiments: task %s (%d records): %w", task.ID, sc.Records, err)
 	}
+	exec := time.Since(start).Seconds()
 	_, exact := corpus.ResultKeys(res.Final)
 	missing := corpus.UncoveredTruth(res.Final, truth)
 	return &SessionOutcome{
@@ -175,9 +174,20 @@ func RunScenario(sc Scenario, strategyName string, seed int64) (*SessionOutcome,
 		Exact:       exact,
 		Missing:     len(missing),
 		Converged:   res.Converged,
-		ExecSeconds: time.Since(start).Seconds(),
+		ExecSeconds: exec,
 		Degraded:    res.Degraded,
 	}, nil
+}
+
+// run runs task's scenario at n records under o's pool and deadline and
+// notes its degradation, if any, under label.
+func (o Options) run(task *corpus.Task, n int, strategyName string, seed int64, label string) (*SessionOutcome, error) {
+	out, err := RunScenario(Scenario{Task: task, Records: n, Workers: o.Workers, Deadline: o.Deadline}, strategyName, seed)
+	if err != nil {
+		return nil, err
+	}
+	noteDegraded(o.Out, label, out.Degraded)
+	return out, nil
 }
 
 // needsCleanup mirrors Section 2.2.4: when declarative refinement
@@ -251,11 +261,10 @@ func Table3(o Options) ([]Table3Row, error) {
 		shape := devmodel.ShapeOf(alog.MustParse(task.Program))
 		for i, full := range sizes {
 			n := o.scale(full)
-			out, err := RunScenario(Scenario{TaskID: task.ID, Records: n, Workers: o.Workers, Deadline: o.Deadline}, o.Strategy, o.Seed)
+			out, err := o.run(task, n, o.Strategy, o.Seed, fmt.Sprintf("%s/%d", task.ID, n))
 			if err != nil {
 				return nil, err
 			}
-			noteDegraded(o.Out, fmt.Sprintf("%s/%d", task.ID, n), out.Degraded)
 			cleanups := 0
 			if needsCleanup(out.Superset) {
 				cleanups = 1
@@ -304,11 +313,10 @@ func Table4(o Options) ([]*SessionOutcome, error) {
 		"Task", "Records", "Correct", "TuplesPerIteration(full in [])", "Quest", "Time(s)", "Superset")
 	for _, task := range corpus.Tasks() {
 		n := o.scale(sizes[task.ID])
-		out, err := RunScenario(Scenario{TaskID: task.ID, Records: n, Workers: o.Workers, Deadline: o.Deadline}, o.Strategy, o.Seed)
+		out, err := o.run(task, n, o.Strategy, o.Seed, fmt.Sprintf("%s/%d", task.ID, n))
 		if err != nil {
 			return nil, err
 		}
-		noteDegraded(o.Out, fmt.Sprintf("%s/%d", task.ID, n), out.Degraded)
 		outs = append(outs, out)
 		iters := ""
 		for _, it := range out.Iterations {
@@ -340,29 +348,30 @@ var paperTable5 = map[string][2]float64{
 	"T7": {100, 100}, "T8": {233, 100}, "T9": {43299, 100},
 }
 
+// table5Sizes are the paper's Table 5 scenario sizes, which Variance
+// reuses.
+var table5Sizes = map[string]int{
+	"T1": 100, "T2": 100, "T3": 100, "T4": 100, "T5": 500,
+	"T6": 500, "T7": 500, "T8": 500, "T9": 500,
+}
+
 // Table5 reruns each task's Table 5 scenario under both strategies.
 func Table5(o Options) ([]Table5Row, error) {
 	o = o.withDefaults()
-	sizes := map[string]int{
-		"T1": 100, "T2": 100, "T3": 100, "T4": 100, "T5": 500,
-		"T6": 500, "T7": 500, "T8": 500, "T9": 500,
-	}
 	var rows []Table5Row
 	fmt.Fprintf(o.Out, "Table 5: question selection strategies (scale %.2f)\n", o.Scale)
 	fmt.Fprintf(o.Out, "%-4s %8s | %5s %6s %6s %9s | %5s %6s %6s %9s | %10s %10s\n",
 		"Task", "Records", "itS", "qS", "tS(s)", "ssSeq", "itM", "qM", "tM(s)", "ssSim", "p.ssSeq", "p.ssSim")
 	for _, task := range corpus.Tasks() {
-		n := o.scale(sizes[task.ID])
-		seq, err := RunScenario(Scenario{TaskID: task.ID, Records: n, Workers: o.Workers, Deadline: o.Deadline}, "seq", o.Seed)
+		n := o.scale(table5Sizes[task.ID])
+		seq, err := o.run(task, n, "seq", o.Seed, task.ID+" seq")
 		if err != nil {
 			return nil, err
 		}
-		sim, err := RunScenario(Scenario{TaskID: task.ID, Records: n, Workers: o.Workers, Deadline: o.Deadline}, "sim", o.Seed)
+		sim, err := o.run(task, n, "sim", o.Seed, task.ID+" sim")
 		if err != nil {
 			return nil, err
 		}
-		noteDegraded(o.Out, task.ID+" seq", seq.Degraded)
-		noteDegraded(o.Out, task.ID+" sim", sim.Degraded)
 		row := Table5Row{
 			Seq: seq, Sim: sim,
 			PaperSeqSuperset: paperTable5[task.ID][0],
@@ -406,32 +415,19 @@ func Table6(o Options) ([]Table6Row, error) {
 	fmt.Fprintf(o.Out, "%-8s %9s %9s %9s %8s %8s | %9s %9s\n",
 		"Task", "Dev(min)", "Cleanup", "Exec(s)", "Result", "Correct", "p.Dev", "p.Clean")
 	for _, task := range corpus.DBLifeTasks() {
-		c := task.Generate(pages, o.Seed)
-		env := task.Env(c)
-		prog := alog.MustParse(task.Program)
-		truth := task.Truth(c)
-		start := time.Now()
-		session := assistant.NewSession(env, prog, task.Oracle(), assistant.Config{
-			Strategy:   assistant.Simulation{},
-			SubsetSeed: uint64(o.Seed),
-			Workers:    o.Workers,
-			Deadline:   o.Deadline,
-		})
-		res, err := session.Run()
+		out, err := o.run(task, pages, "sim", o.Seed, task.ID)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: DBLife %s: %w", task.ID, err)
+			return nil, err
 		}
-		noteDegraded(o.Out, task.ID, res.Degraded)
-		exec := time.Since(start).Seconds()
-		shape := devmodel.ShapeOf(prog)
+		shape := devmodel.ShapeOf(alog.MustParse(task.Program))
 		cleanups := 0
-		if needsCleanup(corpus.SupersetPercent(res.FinalTuples, len(truth))) {
+		if needsCleanup(out.Superset) {
 			cleanups = 1
 		}
-		dev, cleanup := params.IFlex(shape, res.QuestionsAsked, len(res.Iterations), exec, cleanups)
+		dev, cleanup := params.IFlex(shape, out.Questions, len(out.Iterations), out.ExecSeconds, cleanups)
 		row := Table6Row{
-			Task: task.ID, DevMinutes: dev, Cleanup: cleanup, ExecSeconds: exec,
-			FinalTuples: res.FinalTuples, TruthSize: len(truth),
+			Task: task.ID, DevMinutes: dev, Cleanup: cleanup, ExecSeconds: out.ExecSeconds,
+			FinalTuples: out.FinalTuples, TruthSize: out.TruthSize,
 			PaperMinutes: paperTable6[task.ID][0], PaperCleanup: paperTable6[task.ID][1],
 		}
 		rows = append(rows, row)
@@ -452,7 +448,8 @@ type ScalingRow struct {
 // Scaling is an extension experiment in the spirit of Section 6.3's
 // execution-time report: it runs one task's *converged* program (all
 // oracle answers applied up front) over increasing corpus sizes, isolating
-// engine throughput from the interactive loop.
+// engine throughput from the interactive loop. sizes are scaled by
+// o.Scale like every harness's.
 func Scaling(o Options, taskID string, sizes []int) ([]ScalingRow, error) {
 	o = o.withDefaults()
 	task, err := corpus.TaskByID(taskID)
@@ -462,7 +459,8 @@ func Scaling(o Options, taskID string, sizes []int) ([]ScalingRow, error) {
 	fmt.Fprintf(o.Out, "Scaling: task %s converged-program execution\n", taskID)
 	fmt.Fprintf(o.Out, "%8s %10s %8s\n", "Records", "Exec(s)", "Tuples")
 	var rows []ScalingRow
-	for _, n := range sizes {
+	for _, full := range sizes {
+		n := o.scale(full)
 		c := task.Generate(n, o.Seed)
 		env := task.Env(c)
 		prog := alog.MustParse(task.Program)
@@ -509,11 +507,11 @@ func Convergence(o Options) (*ConvergenceSummary, error) {
 	fmt.Fprintf(o.Out, "Section 6.2: convergence over 27 scenarios (scale %.2f, strategy %s)\n", o.Scale, o.Strategy)
 	for _, task := range corpus.Tasks() {
 		for _, full := range Table3Sizes[task.ID] {
-			out, err := RunScenario(Scenario{TaskID: task.ID, Records: o.scale(full), Workers: o.Workers, Deadline: o.Deadline}, o.Strategy, o.Seed)
+			n := o.scale(full)
+			out, err := o.run(task, n, o.Strategy, o.Seed, fmt.Sprintf("%s/%d", task.ID, n))
 			if err != nil {
 				return nil, err
 			}
-			noteDegraded(o.Out, fmt.Sprintf("%s/%d", task.ID, o.scale(full)), out.Degraded)
 			s.Total++
 			if out.Superset <= 100.5 && out.Missing == 0 {
 				s.At100++
@@ -552,24 +550,19 @@ type VarianceRow struct {
 // reports the spread of superset sizes and question counts.
 func Variance(o Options, seeds []int64) ([]VarianceRow, error) {
 	o = o.withDefaults()
-	sizes := map[string]int{
-		"T1": 100, "T2": 100, "T3": 100, "T4": 100, "T5": 500,
-		"T6": 500, "T7": 500, "T8": 500, "T9": 500,
-	}
 	fmt.Fprintf(o.Out, "Variance across %d seeds (scale %.2f, strategy %s)\n", len(seeds), o.Scale, o.Strategy)
 	fmt.Fprintf(o.Out, "%-4s %8s | %9s %9s %9s | %8s %8s\n",
 		"Task", "Records", "ss.mean", "ss.min", "ss.max", "quest", "covered")
 	var rows []VarianceRow
 	for _, task := range corpus.Tasks() {
-		n := o.scale(sizes[task.ID])
+		n := o.scale(table5Sizes[task.ID])
 		row := VarianceRow{Task: task.ID, Records: n, Runs: len(seeds),
 			MinSuperset: -1, AllCovered: true}
 		for _, seed := range seeds {
-			out, err := RunScenario(Scenario{TaskID: task.ID, Records: n, Workers: o.Workers, Deadline: o.Deadline}, o.Strategy, seed)
+			out, err := o.run(task, n, o.Strategy, seed, fmt.Sprintf("%s seed=%d", task.ID, seed))
 			if err != nil {
 				return nil, err
 			}
-			noteDegraded(o.Out, fmt.Sprintf("%s seed=%d", task.ID, seed), out.Degraded)
 			row.MeanSuperset += out.Superset
 			row.MeanQuestions += float64(out.Questions)
 			if row.MinSuperset < 0 || out.Superset < row.MinSuperset {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"iflex/internal/corpus"
 )
 
 // Small scale keeps harness tests quick while preserving shapes.
@@ -37,7 +39,11 @@ func TestTable2ValidatesAllPrograms(t *testing.T) {
 }
 
 func TestRunScenario(t *testing.T) {
-	out, err := RunScenario(Scenario{TaskID: "T1", Records: 20}, "sim", 1)
+	task, err := corpus.TaskByID("T1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := RunScenario(Scenario{Task: task, Records: 20}, "sim", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +53,7 @@ func TestRunScenario(t *testing.T) {
 	if out.Superset != 100 {
 		t.Errorf("T1 should converge to 100%%, got %.0f%%", out.Superset)
 	}
-	if _, err := RunScenario(Scenario{TaskID: "T99", Records: 10}, "sim", 1); err == nil {
-		t.Error("unknown task should fail")
-	}
-	if _, err := RunScenario(Scenario{TaskID: "T1", Records: 10}, "bogus", 1); err == nil {
+	if _, err := RunScenario(Scenario{Task: task, Records: 10}, "bogus", 1); err == nil {
 		t.Error("unknown strategy should fail")
 	}
 }
@@ -97,12 +100,12 @@ func TestTable5Shapes(t *testing.T) {
 	for _, r := range rows {
 		if r.Seq.Missing != 0 || r.Sim.Missing != 0 {
 			t.Errorf("%s: superset violated (seq %d, sim %d missing)",
-				r.Seq.Scenario.TaskID, r.Seq.Missing, r.Sim.Missing)
+				r.Seq.Scenario.Task.ID, r.Seq.Missing, r.Sim.Missing)
 		}
 		// Sequential selection is cheaper per run...
 		if r.Seq.ExecSeconds > r.Sim.ExecSeconds*1.5 {
 			t.Errorf("%s: seq (%.2fs) should not be much slower than sim (%.2fs)",
-				r.Seq.Scenario.TaskID, r.Seq.ExecSeconds, r.Sim.ExecSeconds)
+				r.Seq.Scenario.Task.ID, r.Seq.ExecSeconds, r.Sim.ExecSeconds)
 		}
 		// ...but may land on much larger supersets (the paper's point).
 		if r.Seq.Superset > r.Sim.Superset*2 {

@@ -218,7 +218,6 @@ type TenantStats struct {
 
 // StatsResponse is the GET /v1/stats body.
 type StatsResponse struct {
-	Draining bool                   `json:"draining"`
 	Sessions int                    `json:"sessions"`
 	InFlight int64                  `json:"in_flight"`
 	Tenants  map[string]TenantStats `json:"tenants"`

@@ -243,10 +243,10 @@ func (r *registry) expired(ttl time.Duration) []*session {
 }
 
 // stats renders the per-tenant aggregate view.
-func (r *registry) stats(draining bool) StatsResponse {
+func (r *registry) stats() StatsResponse {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	resp := StatsResponse{Draining: draining, Sessions: len(r.sessions), Tenants: map[string]TenantStats{}}
+	resp := StatsResponse{Sessions: len(r.sessions), Tenants: map[string]TenantStats{}}
 	for name, ts := range r.tenants {
 		resp.Tenants[name] = TenantStats{
 			Sessions:        ts.sessions,

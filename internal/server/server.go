@@ -143,15 +143,13 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Drain flips the server into drain mode: new sessions, steps, and result
 // streams get 503 while requests already inside a handler run to
 // completion (connection-level waiting is http.Server.Shutdown's job).
-// Read-only endpoints stay up so orchestrators can watch the drain.
+// Read-only endpoints stay up so orchestrators can watch the drain
+// (GET /healthz then reports "draining").
 func (s *Server) Drain() {
 	if s.draining.CompareAndSwap(false, true) {
 		s.cfg.Logf("draining: refusing new work")
 	}
 }
-
-// Draining reports drain mode.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Close stops the TTL sweeper and waits for it to exit. It does not wait
 // for in-flight HTTP requests — pair it with http.Server.Shutdown.
@@ -238,7 +236,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	resp := s.reg.stats(s.draining.Load())
+	resp := s.reg.stats()
 	resp.InFlight = s.inflight.Load()
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -594,8 +594,9 @@ func (s *DiskStore) docTokens(d *text.Document, norm bool) ([]string, bool) {
 // the tombstone map, merged with the delta-generation runs. A token
 // absent from the vocabulary returns (nil, true): the index
 // authoritatively says no document contains it. ok is false only on
-// read failure. The returned slice is shared (cached) — callers must
-// not modify it.
+// read failure. Every call reads and decodes the run afresh, so the
+// returned slice is the caller's; the engine keeps what it translated
+// in its similarity join's blocking index.
 func (s *DiskStore) TokenPostings(tok string) ([]int, bool) {
 	return s.idx.postings(tok, s.tomb)
 }
@@ -611,61 +612,6 @@ type tokenIndex struct {
 	offs     []uint64
 	docCount int              // base ordinals covered by the file's runs
 	extra    map[uint32][]int // token id -> delta-generation ordinals, sorted
-
-	// Decoded-run cache: repeated probes of a hot token (simjoin blocking
-	// re-probes the same title tokens across evaluations) skip the uvarint
-	// decode and tombstone filter. Invalidated wholesale on mutation.
-	pmu    sync.Mutex
-	pcache map[string]*list.Element
-	plru   *list.List // of *postEntry, front = oldest
-	pbytes int64
-}
-
-type postEntry struct {
-	tok   string
-	ords  []int
-	bytes int64
-}
-
-// postingsCacheBytes caps the decoded-run cache.
-const postingsCacheBytes = 4 << 20
-
-func (x *tokenIndex) cacheGet(tok string) ([]int, bool) {
-	x.pmu.Lock()
-	defer x.pmu.Unlock()
-	e, ok := x.pcache[tok]
-	if !ok {
-		return nil, false
-	}
-	x.plru.MoveToBack(e)
-	return e.Value.(*postEntry).ords, true
-}
-
-func (x *tokenIndex) cachePut(tok string, ords []int) {
-	ent := &postEntry{tok: tok, ords: ords, bytes: int64(len(ords))*8 + int64(len(tok)) + 64}
-	x.pmu.Lock()
-	if old, ok := x.pcache[tok]; ok {
-		x.pbytes -= old.Value.(*postEntry).bytes
-		x.plru.Remove(old)
-	}
-	x.pcache[tok] = x.plru.PushBack(ent)
-	x.pbytes += ent.bytes
-	for x.pbytes > postingsCacheBytes && x.plru.Len() > 1 {
-		oldest := x.plru.Front()
-		v := oldest.Value.(*postEntry)
-		x.plru.Remove(oldest)
-		delete(x.pcache, v.tok)
-		x.pbytes -= v.bytes
-	}
-	x.pmu.Unlock()
-}
-
-func (x *tokenIndex) cacheReset() {
-	x.pmu.Lock()
-	x.pcache = make(map[string]*list.Element)
-	x.plru = list.New()
-	x.pbytes = 0
-	x.pmu.Unlock()
 }
 
 func openTokenIndex(path string, docCount int) (*tokenIndex, error) {
@@ -711,10 +657,8 @@ func openTokenIndex(path string, docCount int) (*tokenIndex, error) {
 	r := bufReader{b: body}
 	idx := &tokenIndex{
 		f: f, docCount: docCount,
-		ids:    make(map[string]uint32, vocabCount),
-		extra:  make(map[uint32][]int),
-		pcache: make(map[string]*list.Element),
-		plru:   list.New(),
+		ids:   make(map[string]uint32, vocabCount),
+		extra: make(map[uint32][]int),
 	}
 	idx.vocab = make([]string, vocabCount)
 	for i := 0; i < vocabCount; i++ {
@@ -757,9 +701,6 @@ func (x *tokenIndex) postings(tok string, tomb []bool) ([]int, bool) {
 	if !ok {
 		return nil, true // authoritative: no page contains this token
 	}
-	if ords, hit := x.cacheGet(tok); hit {
-		return ords, true
-	}
 	var out []int
 	if int(id) < len(x.offs)-1 { // base-vocabulary token: decode its file run
 		n := x.offs[id+1] - x.offs[id]
@@ -791,7 +732,6 @@ func (x *tokenIndex) postings(tok string, tomb []bool) ([]int, bool) {
 	} else {
 		out = append(out, x.extra[id]...)
 	}
-	x.cachePut(tok, out)
 	return out, true
 }
 

@@ -47,8 +47,9 @@ import (
 //	u64*(vocabCount+1)           posting-run file offsets (begin..end)
 //	postings                     per token: uvarint deltas of doc ordinals
 //
-// The vocabulary and offset table load at Open (they are small); posting
-// runs are read lazily per token.
+// The vocabulary and offset table load at Open (they are small); a
+// posting run is read and decoded on every TokenPostings call, never
+// cached by the store.
 //
 // Delta sidecar (delta-NNNN.idx), one per committed mutation generation;
 // the generation's records live in an ordinary shard file appended to

@@ -236,7 +236,6 @@ func (m *Mutation) Commit() (*Delta, error) {
 	for tid, ords := range newPost {
 		s.idx.extra[tid] = append(s.idx.extra[tid], ords...)
 	}
-	s.idx.cacheReset()
 	if err := s.rebuildView(); err != nil {
 		return nil, fmt.Errorf("store: mutate: %w", err)
 	}

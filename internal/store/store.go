@@ -10,15 +10,16 @@
 //
 // A disk store is built once at ingest by a Writer, which also persists
 // an inverted token index (tokens.idx) over the blocking tokens of every
-// page. The engine's shared-token prefilter and simjoin blocking consult
-// that index directly — see the BlockTokens/NormTokens/DocOrdinal/
-// TokenPostings methods, which match the engine's DocIndex and
-// PostingsIndex interfaces — instead of re-tokenizing the corpus on
-// every run. Ingest tokenizes the page text once with the function the
-// engine would apply at query time (similarity.Tokens), sorted and
-// deduplicated for blocking and under NormalizedTokens' article rule for
-// the prefilter, so consulting the index is byte-identical to computing
-// on the fly.
+// page. The engine's similarity join consults it directly instead of
+// re-tokenizing the corpus on every run: its blocking index is backed by
+// the posting runs (DocOrdinal/TokenPostings, the engine's PostingsIndex)
+// and whole-page token records come from the stored sequences
+// (NormTokens, the engine's DocIndex). BlockTokens answers the stored
+// blocking list for tests and measurements. Ingest tokenizes the page
+// text once with the function the engine would apply at query time
+// (similarity.Tokens), sorted and deduplicated for blocking and under
+// NormalizedTokens' article rule for the token records, so consulting the
+// index is byte-identical to computing on the fly.
 package store
 
 import (
