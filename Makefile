@@ -17,9 +17,10 @@ vet:
 race:
 	$(GO) test -race ./internal/feature/... ./internal/engine/... ./internal/assistant/... ./internal/server/...
 
-# The pre-merge gate: formatting, the one-loop and one-fan-out rules, vet,
-# the race run over the concurrent core, and the full tier-1 suite.
-# Bench-heavy tests honour -short, so this stays fast. The one-loop rule:
+# The pre-merge gate: formatting, the one-loop, one-fan-out and
+# one-fault-state rules, vet, the race run over the concurrent core, and
+# the full tier-1 suite. Bench-heavy tests honour -short, so this stays
+# fast. The one-loop rule:
 # the per-tuple protocol (DESIGN.md §11 "The tuple loop") has one home, so
 # outside tupleloop.go no non-test file of internal/engine reports
 # unprocessed documents, looks a delta prior up or fans a loop out
@@ -28,6 +29,10 @@ race:
 # the assistant start goroutines, so outside internal/engine/parallel.go
 # no non-test file of internal/engine or internal/assistant has a go
 # statement, and Workers bounds every goroutine a session evaluates on.
+# The one-fault-state rule: what a best-effort run reports (the bound
+# cancellation, the documents cuts skipped, the quarantine records) is the
+# Context's fault part (DESIGN.md §12), so outside faults.go no non-test
+# file of internal/engine touches ctx.faults.
 # The oracle rule: internal/oracle is the reference semantics tests check
 # the engine against, so no non-test file imports it and it imports
 # neither the engine nor the assistant.
@@ -43,6 +48,9 @@ verify:
 	@spawns="$$(grep -nE '^\s*go ' internal/engine/*.go internal/assistant/*.go | \
 		grep -vE '^internal/(engine/parallel\.go|(engine|assistant)/[a-z0-9_]*_test\.go):')"; if [ -n "$$spawns" ]; then \
 		echo "go statement outside Context.ForEach (internal/engine/parallel.go):"; echo "$$spawns"; exit 1; fi
+	@faults="$$(grep -nE '\.faults\.' internal/engine/*.go | \
+		grep -vE '^internal/engine/(faults\.go|[a-z0-9_]*_test\.go):')"; if [ -n "$$faults" ]; then \
+		echo "fault state touched outside internal/engine/faults.go:"; echo "$$faults"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/feature/... ./internal/engine/... ./internal/assistant/... ./internal/server/...
 	$(GO) build ./...

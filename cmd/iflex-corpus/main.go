@@ -105,16 +105,9 @@ func generatePages(domain string, n int, seed int64) (map[string]string, error) 
 			func(id, src string) error { pages[id] = src; return nil })
 		return pages, err
 	}
-	var c *corpus.Corpus
-	switch domain {
-	case "movies":
-		c = corpus.Movies(corpus.MoviesConfig{Records: n, Seed: seed})
-	case "dblp":
-		c = corpus.DBLP(corpus.DBLPConfig{Records: n, Seed: seed})
-	case "books":
-		c = corpus.Books(corpus.BooksConfig{Records: n, Seed: seed})
-	default:
-		return nil, fmt.Errorf("unknown domain %q (want movies, dblp, books, dblife)", domain)
+	c, err := generate(domain, n, seed)
+	if err != nil {
+		return nil, err
 	}
 	for _, t := range c.Tables {
 		for i, raw := range t.Raw {
@@ -240,16 +233,9 @@ func runStore(domain string, n int, seed int64, dir string, withTruth bool) erro
 		}
 		return nil
 	}
-	var c *corpus.Corpus
-	switch domain {
-	case "movies":
-		c = corpus.Movies(corpus.MoviesConfig{Records: n, Seed: seed})
-	case "dblp":
-		c = corpus.DBLP(corpus.DBLPConfig{Records: n, Seed: seed})
-	case "books":
-		c = corpus.Books(corpus.BooksConfig{Records: n, Seed: seed})
-	default:
-		return fmt.Errorf("unknown domain %q (want movies, dblp, books, dblife)", domain)
+	c, err := generate(domain, n, seed)
+	if err != nil {
+		return err
 	}
 	var tableNames []string
 	for name := range c.Tables {
@@ -273,6 +259,22 @@ func runStore(domain string, n int, seed int64, dir string, withTruth bool) erro
 	return nil
 }
 
+// generate builds the whole corpus of a domain eagerly: n records per
+// table, or n pages for dblife.
+func generate(domain string, n int, seed int64) (*corpus.Corpus, error) {
+	switch domain {
+	case "movies":
+		return corpus.Movies(corpus.MoviesConfig{Records: n, Seed: seed}), nil
+	case "dblp":
+		return corpus.DBLP(corpus.DBLPConfig{Records: n, Seed: seed}), nil
+	case "books":
+		return corpus.Books(corpus.BooksConfig{Records: n, Seed: seed}), nil
+	case "dblife":
+		return corpus.DBLife(corpus.DBLifeConfig{Pages: n, Seed: seed}), nil
+	}
+	return nil, fmt.Errorf("unknown domain %q (want movies, dblp, books, dblife)", domain)
+}
+
 func writeTruthSet(f *os.File, label string, set map[string]bool) {
 	keys := make([]string, 0, len(set))
 	for k := range set {
@@ -286,20 +288,10 @@ func writeTruthSet(f *os.File, label string, set map[string]bool) {
 }
 
 func run(domain string, records int, seed int64, out string) error {
-	var c *corpus.Corpus
-	switch domain {
-	case "movies":
-		c = corpus.Movies(corpus.MoviesConfig{Records: records, Seed: seed})
-	case "dblp":
-		c = corpus.DBLP(corpus.DBLPConfig{Records: records, Seed: seed})
-	case "books":
-		c = corpus.Books(corpus.BooksConfig{Records: records, Seed: seed})
-	case "dblife":
-		c = corpus.DBLife(corpus.DBLifeConfig{Pages: records, Seed: seed})
-	default:
-		return fmt.Errorf("unknown domain %q (want movies, dblp, books, dblife)", domain)
+	c, err := generate(domain, records, seed)
+	if err != nil {
+		return err
 	}
-
 	var tableNames []string
 	for name := range c.Tables {
 		tableNames = append(tableNames, name)
@@ -325,34 +317,23 @@ func run(domain string, records int, seed int64, out string) error {
 		return err
 	}
 	defer truth.Close()
-	writeSet := func(label string, set map[string]bool) {
-		keys := make([]string, 0, len(set))
-		for k := range set {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Fprintf(truth, "## %s (%d)\n", label, len(keys))
-		for _, k := range keys {
-			fmt.Fprintln(truth, k)
-		}
-	}
 	switch domain {
 	case "movies":
-		writeSet("T1", c.TruthT1())
-		writeSet("T2", c.TruthT2())
-		writeSet("T3", c.TruthT3(similarity.Similar))
+		writeTruthSet(truth, "T1", c.TruthT1())
+		writeTruthSet(truth, "T2", c.TruthT2())
+		writeTruthSet(truth, "T3", c.TruthT3(similarity.Similar))
 	case "dblp":
-		writeSet("T4", c.TruthT4())
-		writeSet("T5", c.TruthT5())
-		writeSet("T6", c.TruthT6(similarity.Similar))
+		writeTruthSet(truth, "T4", c.TruthT4())
+		writeTruthSet(truth, "T5", c.TruthT5())
+		writeTruthSet(truth, "T6", c.TruthT6(similarity.Similar))
 	case "books":
-		writeSet("T7", c.TruthT7())
-		writeSet("T8", c.TruthT8())
-		writeSet("T9", c.TruthT9(similarity.Similar))
+		writeTruthSet(truth, "T7", c.TruthT7())
+		writeTruthSet(truth, "T8", c.TruthT8())
+		writeTruthSet(truth, "T9", c.TruthT9(similarity.Similar))
 	case "dblife":
-		writeSet("Panel", c.DBLife.TruthPanel())
-		writeSet("Project", c.DBLife.TruthProject())
-		writeSet("Chair", c.DBLife.TruthChair())
+		writeTruthSet(truth, "Panel", c.DBLife.TruthPanel())
+		writeTruthSet(truth, "Project", c.DBLife.TruthProject())
+		writeTruthSet(truth, "Chair", c.DBLife.TruthChair())
 	}
 	fmt.Printf("wrote ground truth to %s\n", filepath.Join(out, "truth.txt"))
 	return nil

@@ -216,54 +216,67 @@ func TestDeltaReuseSavesFeatureCalls(t *testing.T) {
 	}
 }
 
-// TestCacheBudgetEviction simulates a long session under a tight
+// TestCacheBudgetEviction simulates long sessions under a tight
 // CacheBudget: the reuse cache must stay within budget, evictions must be
-// counted, and the outcome must match an unbudgeted run byte for byte.
+// counted, and the outcome must match an unbudgeted run byte for byte. The
+// T8 leg's converged plan holds several multi-stage constraint runs, whose
+// stage totals SumAssignments reads off their cache entries, so each
+// iteration's assignment count checks those totals under eviction.
 func TestCacheBudgetEviction(t *testing.T) {
-	task, err := corpus.TaskByID("T9")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const budget = 64 << 10
-	run := func(budget int64) *assistant.Result {
-		c := task.Generate(40, 1)
-		env := task.Env(c)
-		// Workers=1: LRU touch order is deterministic only serially.
-		session := assistant.NewSession(env, alog.MustParse(task.Program), task.Oracle(), assistant.Config{
-			Strategy:    assistant.Simulation{},
-			SubsetSeed:  1,
-			Workers:     1,
-			CacheBudget: budget,
+	for _, leg := range []struct {
+		task    string
+		records int
+		budget  int64
+	}{
+		{"T9", 40, 64 << 10},
+		{"T8", 200, 256 << 10},
+	} {
+		t.Run(leg.task, func(t *testing.T) {
+			task, err := corpus.TaskByID(leg.task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(budget int64) *assistant.Result {
+				c := task.Generate(leg.records, 1)
+				env := task.Env(c)
+				// Workers=1: LRU touch order is deterministic only serially.
+				session := assistant.NewSession(env, alog.MustParse(task.Program), task.Oracle(), assistant.Config{
+					Strategy:    assistant.Simulation{},
+					SubsetSeed:  1,
+					Workers:     1,
+					CacheBudget: budget,
+				})
+				res, err := session.Run()
+				if err != nil {
+					t.Fatalf("budget=%d: %v", budget, err)
+				}
+				return res
+			}
+			bounded := run(leg.budget)
+			snap := bounded.Stats.Snapshot()
+			if snap.CacheEvictions+snap.BlockIdxEvictions == 0 {
+				t.Errorf("no evictions under a %d-byte budget (cache bytes: %d)", leg.budget, snap.CacheBytes)
+			}
+			if snap.CacheBytes > leg.budget {
+				t.Errorf("cache ended at %d bytes, over the %d-byte budget", snap.CacheBytes, leg.budget)
+			}
+			// Evictions force re-evaluations, so the Evals/CacheHits counters in
+			// the transcript legitimately differ; the semantic outcome must not.
+			unbounded := run(0)
+			if bounded.Final.String() != unbounded.Final.String() {
+				t.Error("budgeted final table differs from unbudgeted")
+			}
+			if len(bounded.Iterations) != len(unbounded.Iterations) {
+				t.Fatalf("budgeted session took %d iterations, unbudgeted %d",
+					len(bounded.Iterations), len(unbounded.Iterations))
+			}
+			for i, it := range bounded.Iterations {
+				ref := unbounded.Iterations[i]
+				if it.Tuples != ref.Tuples || it.Assignments != ref.Assignments || it.Mode != ref.Mode {
+					t.Errorf("iteration %d: budgeted (%d tuples, %d assignments, %s) vs unbudgeted (%d, %d, %s)",
+						it.N, it.Tuples, it.Assignments, it.Mode, ref.Tuples, ref.Assignments, ref.Mode)
+				}
+			}
 		})
-		res, err := session.Run()
-		if err != nil {
-			t.Fatalf("budget=%d: %v", budget, err)
-		}
-		return res
-	}
-	bounded := run(budget)
-	snap := bounded.Stats.Snapshot()
-	if snap.CacheEvictions+snap.BlockIdxEvictions == 0 {
-		t.Errorf("no evictions under a %d-byte budget (cache bytes: %d)", budget, snap.CacheBytes)
-	}
-	if snap.CacheBytes > budget {
-		t.Errorf("cache ended at %d bytes, over the %d-byte budget", snap.CacheBytes, budget)
-	}
-	// Evictions force re-evaluations, so the Evals/CacheHits counters in the
-	// transcript legitimately differ; the semantic outcome must not.
-	unbounded := run(0)
-	if bounded.Final.String() != unbounded.Final.String() {
-		t.Error("budgeted final table differs from unbudgeted")
-	}
-	if len(bounded.Iterations) != len(unbounded.Iterations) {
-		t.Fatalf("budgeted session took %d iterations, unbudgeted %d",
-			len(bounded.Iterations), len(unbounded.Iterations))
-	}
-	for i, it := range bounded.Iterations {
-		ref := unbounded.Iterations[i]
-		if it.Tuples != ref.Tuples || it.Assignments != ref.Assignments || it.Mode != ref.Mode {
-			t.Errorf("iteration %d: budgeted (%d tuples, %d assignments, %s) vs unbudgeted (%d, %d, %s)",
-				it.N, it.Tuples, it.Assignments, it.Mode, ref.Tuples, ref.Assignments, ref.Mode)
-		}
 	}
 }

@@ -91,27 +91,3 @@ func (ctx *Context) ApplyCorpusDelta(d *CorpusDelta) {
 
 	ctx.releaseQuarantined(changed)
 }
-
-// releaseQuarantined removes changed documents from the quarantine set:
-// an update or removal supersedes the content whose processing faulted.
-// The mode changes with the set, so nothing evaluated under the old one
-// remains reachable (stale tables keyed under it simply never match — a
-// reuse loss, never an error).
-func (ctx *Context) releaseQuarantined(changed docSet) {
-	ctx.qmu.Lock()
-	defer ctx.qmu.Unlock()
-	old := ctx.quarantined()
-	if old == nil {
-		return
-	}
-	ns := &quarantineSet{barred: docSet{}}
-	for _, r := range old.records {
-		if !changed[r.Doc] {
-			ns.barred[r.Doc] = true
-			ns.records = append(ns.records, r)
-		}
-	}
-	if len(ns.records) < len(old.records) {
-		ctx.swapQuarantine(ns)
-	}
-}

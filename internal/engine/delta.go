@@ -297,11 +297,10 @@ func (ctx *Context) adoptUnrun(n Node, dx *deltaState, in []*compact.Table, ev *
 			return nil
 		}
 	}
-	asg := ctx.stageAsg[p.key]
 	ctx.mu.Unlock()
 	if run, ok := n.(*constraintNode); ok {
 		ev.stages, ev.resumedFrom = len(run.cons), len(run.cons)
-		ev.stageAsg.Store(asg)
+		ev.stageAsg.Store(p.stageAsg)
 	}
 	(&Work{LimitFallbacks: p.fallbacks}).add(&ev.work, &ctx.Stats.Work)
 	dx.aux = p.aux

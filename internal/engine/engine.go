@@ -260,15 +260,15 @@ type Context struct {
 	// Stats accumulates evaluation counters (atomically).
 	Stats Stats
 
-	// mu guards cache, the LRU list, cacheBytes, inflight, deltaPrev,
-	// stageAsg and modes.
+	// mu guards the cache part: cache, the LRU list, inflight, deltaPrev
+	// and modes. The fault part has its own (faults); the scheduler
+	// (extraWorkers) and the telemetry (Stats, trace) are lock-free.
 	mu sync.Mutex
-	// cache memoises node results (and blocking indexes).
+	// cache memoises node results (and blocking indexes); their total size
+	// is Stats.CacheBytes.
 	cache map[entryKey]*cacheEntry
 	// lruHead / lruTail order entries from most to least recently used.
 	lruHead, lruTail *cacheEntry
-	// cacheBytes is the total estimated size of all cached entries.
-	cacheBytes int64
 	// inflight tracks keys currently being evaluated, for single-flight
 	// deduplication across goroutines.
 	inflight map[entryKey]*inflightEval
@@ -277,11 +277,6 @@ type Context struct {
 	// deltaPrev maps current-plan nodes to their predecessors in the
 	// previous plan version (RegisterDelta).
 	deltaPrev map[NodeID]deltaLink
-	// stageAsg records, per cache key of a constraint run with more than
-	// one stage, the assignments of the stage tables the run did not build
-	// (SumAssignments). It is not part of the cache: it survives eviction
-	// and the adoption of a shorter run's table.
-	stageAsg map[entryKey]int64
 	// extraWorkers counts pool slots handed out beyond the caller's own
 	// goroutine; see parallel.go.
 	extraWorkers atomic.Int64
@@ -296,19 +291,19 @@ type Context struct {
 	modes    []evalMode
 	mode     atomic.Uint32
 	prevMode uint32
-	// cancelSt holds the cancellation source bound via BindCancel (nil
-	// when none); see cancel.go.
-	cancelSt atomic.Pointer[cancelState]
-	// degMu guards the degradation report state collected while a
-	// cancellation is bound.
-	degMu          sync.Mutex
-	degExpired     bool
-	degUnprocessed docSet
-	// qmu serialises quarantine updates; qstate is the immutable current
-	// quarantine set, nil while no document is quarantined (the fault-free
-	// fast path); see quarantine.go.
-	qmu    sync.Mutex
-	qstate atomic.Pointer[quarantineSet]
+	// faults is the fault part, touched only by faults.go. bound is the
+	// cancellation source BindCancel attached (nil when none), read
+	// lock-free by every checkpoint; mu guards the rest: last, the most
+	// recent binding, kept after Unbind because its fired is the report's
+	// expiry; unprocessed, the documents cuts skipped since; and
+	// quarantined, one record per barred document.
+	faults struct {
+		bound       atomic.Pointer[cancelState]
+		mu          sync.Mutex
+		last        *cancelState
+		unprocessed docSet
+		quarantined map[string]compact.QuarantineRecord
+	}
 }
 
 // fullMode is the id of unfiltered (whole-corpus) evaluation with nothing
@@ -327,7 +322,9 @@ type entryKey struct {
 // cacheEntry is one resident cache entry. Exactly one of table (plus
 // optional delta memo aux) or idx is set. fallbacks is the LimitFallbacks
 // total the table's evaluation charged, which a successor that adopts it
-// unrun recharges. stale marks a table displaced by ApplyCorpusDelta: no
+// unrun recharges; stageAsg, for a constraint run, the assignments of the
+// stage tables it did not build (SumAssignments), which such a successor
+// carries over. stale marks a table displaced by ApplyCorpusDelta: no
 // lookup sees it but Eval's probe for its own key's corpus prior. Entries
 // form a doubly-linked LRU list under Context.mu.
 type cacheEntry struct {
@@ -338,6 +335,7 @@ type cacheEntry struct {
 	idx       *blockIndex
 	bytes     int64
 	fallbacks int64
+	stageAsg  int64
 	stale     bool
 
 	prev, next *cacheEntry
@@ -563,7 +561,6 @@ func NewContext(env *Env) *Context {
 		cache:     map[entryKey]*cacheEntry{},
 		inflight:  map[entryKey]*inflightEval{},
 		deltaPrev: map[NodeID]deltaLink{},
-		stageAsg:  map[entryKey]int64{},
 		modes:     []evalMode{{}, {}},
 	}
 	ctx.mode.Store(fullMode)
@@ -766,23 +763,22 @@ func (ctx *Context) pushFrontLocked(e *cacheEntry) {
 // the entry being stored.
 func (ctx *Context) storeLocked(e *cacheEntry) {
 	if old := ctx.cache[e.key]; old != nil {
-		ctx.unlinkLocked(old)
-		ctx.cacheBytes -= old.bytes
+		ctx.dropLocked(old)
 	}
 	ctx.cache[e.key] = e
 	ctx.pushFrontLocked(e)
-	ctx.cacheBytes += e.bytes
+	atomic.AddInt64(&ctx.Stats.CacheBytes, e.bytes)
 	records := ctx.Env.FeatureMemo
 	if ctx.CacheBudget > 0 {
 		records.Tick()
-		for ctx.cacheBytes+records.Bytes() > ctx.CacheBudget && ctx.lruTail != nil && ctx.lruTail != e {
+		over := func() int64 { return atomic.LoadInt64(&ctx.Stats.CacheBytes) + records.Bytes() - ctx.CacheBudget }
+		for over() > 0 && ctx.lruTail != nil && ctx.lruTail != e {
 			ctx.evictLocked(ctx.lruTail)
 		}
-		if over := ctx.cacheBytes + records.Bytes() - ctx.CacheBudget; over > 0 {
-			records.Evict(over)
+		if n := over(); n > 0 {
+			records.Evict(n)
 		}
 	}
-	atomic.StoreInt64(&ctx.Stats.CacheBytes, ctx.cacheBytes)
 	atomic.StoreInt64(&ctx.Stats.DocRecordBytes, records.Bytes())
 }
 
@@ -790,8 +786,7 @@ func (ctx *Context) storeLocked(e *cacheEntry) {
 func (ctx *Context) dropLocked(e *cacheEntry) {
 	ctx.unlinkLocked(e)
 	delete(ctx.cache, e.key)
-	ctx.cacheBytes -= e.bytes
-	atomic.StoreInt64(&ctx.Stats.CacheBytes, ctx.cacheBytes)
+	atomic.AddInt64(&ctx.Stats.CacheBytes, -e.bytes)
 }
 
 // evictLocked drops one entry and counts the eviction by payload kind. An
@@ -810,7 +805,7 @@ func (ctx *Context) evictLocked(e *cacheEntry) {
 func (ctx *Context) CacheInfo() (bytes int64, entries int) {
 	ctx.mu.Lock()
 	defer ctx.mu.Unlock()
-	return ctx.cacheBytes, len(ctx.cache)
+	return atomic.LoadInt64(&ctx.Stats.CacheBytes), len(ctx.cache)
 }
 
 // Node is one operator of a compiled plan. Nodes are immutable after
@@ -838,7 +833,7 @@ type Node interface {
 // "number of assignments produced by the extraction process" that the
 // convergence monitor tracks alongside the result size (Section 5.1). A
 // constraint run stands for one table per stage: the ones it did not build
-// are totalled from what it recorded while evaluating (stageAsg), so
+// are totalled from what it recorded on its cache entry (stageAsg), so
 // adding a constraint perturbs the sum whether or not it starts a new node.
 func SumAssignments(ctx *Context, root Node) (int, error) {
 	total := 0
@@ -858,8 +853,11 @@ func SumAssignments(ctx *Context, root Node) (int, error) {
 		if err != nil {
 			return err
 		}
+		total += t.NumAssignments()
 		ctx.mu.Lock()
-		total += t.NumAssignments() + int(ctx.stageAsg[entryKey{mode: ctx.mode.Load(), node: n.ID()}])
+		if e := ctx.lookupLocked(entryKey{mode: ctx.mode.Load(), node: n.ID()}); e != nil {
+			total += int(e.stageAsg)
+		}
 		ctx.mu.Unlock()
 		return nil
 	}
@@ -893,7 +891,7 @@ func SumAssignments(ctx *Context, root Node) (int, error) {
 func Eval(ctx *Context, n Node) (*compact.Table, error) {
 	// A fired cancellation is marked here and falls through: operators
 	// degrade per chunk and the partial result propagates up.
-	ctx.cutCheck()
+	ctx.Cancelled()
 	mode := ctx.mode.Load()
 	key := entryKey{mode: mode, node: n.ID()}
 	trace := ctx.trace.Load()
@@ -973,14 +971,11 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 	if err == nil {
 		statAdd(&ctx.Stats.TuplesBuilt, len(t.Tuples))
 		if !ctx.cancelFired() {
-			if ev.stages > 1 {
-				ctx.stageAsg[key] = ev.stageAsg.Load()
-			}
 			// A fired cancellation means this result may be partial (a
 			// best-effort cut truncates operator loops), so it is handed to
 			// the caller but never cached: a later evaluation under the same
 			// key must recompute in full.
-			e := &cacheEntry{key: key, node: n, table: t, fallbacks: ev.work.LimitFallbacks}
+			e := &cacheEntry{key: key, node: n, table: t, fallbacks: ev.work.LimitFallbacks, stageAsg: ev.stageAsg.Load()}
 			if dx != nil {
 				e.aux = dx.aux
 			}

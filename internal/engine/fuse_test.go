@@ -300,10 +300,8 @@ func TestOptimizerQuarantineCommute(t *testing.T) {
 			t.Fatal(err)
 		}
 		docs := map[string]bool{}
-		if q := ctx.quarantined(); q != nil {
-			for _, rec := range q.records {
-				docs[rec.Doc] = true
-			}
+		for _, d := range ctx.QuarantinedDocs() {
+			docs[d] = true
 		}
 		return res.Canonical(), docs
 	}

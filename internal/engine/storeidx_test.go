@@ -333,18 +333,12 @@ e(x, v) :- from(x, v), bold-font(v) = distinct-yes.
 	if strings.Contains(got, "gamma") {
 		t.Fatalf("corrupt document's tuples survived:\n%s", got)
 	}
-	q := ctx.quarantined()
-	if q == nil {
+	q := ctx.QuarantinedDocs()
+	if len(q) == 0 {
 		t.Fatal("nothing quarantined")
 	}
-	found := false
-	for _, rec := range q.records {
-		if rec.Doc == "p2" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("quarantine records do not name p2: %+v", q.records)
+	if !slices.Contains(q, "p2") {
+		t.Fatalf("quarantine does not name p2: %v", q)
 	}
 }
 

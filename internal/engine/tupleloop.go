@@ -113,7 +113,7 @@ func (ctx *Context) tupleLoop(ev *EvalTrace, dx *deltaState, in *compact.Table, 
 		quarantined, stopped := 0, false
 		var scratch deltaOut // the current outcome of a chunk that keeps none
 		for i := start; i < end; i++ {
-			if !op.uncut && ctx.cutCheck() {
+			if !op.uncut && ctx.Cancelled() {
 				ctx.noteUnprocessed(in.Tuples[i:end])
 				stopped = true
 				break

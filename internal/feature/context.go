@@ -65,25 +65,11 @@ func (precededByFeature) Refine(s text.Span, v string) ([]text.Assignment, error
 	d := s.Doc()
 	// Labels may sit just before s's start, so search a window that begins
 	// at the start of the line containing s.
-	lo := d.LineStart(s.Start())
-	var out []text.Assignment
-	for _, occ := range occurrences(d, v, lo, s.End()) {
-		regionStart := occ[1]
-		regionEnd := d.LineEnd(regionStart)
-		if regionEnd > s.End() {
-			regionEnd = s.End()
-		}
-		if regionStart < s.Start() {
-			regionStart = s.Start()
-		}
-		if regionStart >= regionEnd {
-			continue
-		}
-		if sp, ok := s.Doc().Span(regionStart, regionEnd).Shrink(); ok {
-			out = append(out, text.ContainOf(sp))
-		}
+	rs := make([]byteRange, 0, 8)
+	for _, occ := range occurrences(d, v, d.LineStart(s.Start()), s.End()) {
+		rs = append(rs, byteRange{occ[1], d.LineEnd(occ[1])})
 	}
-	return text.DedupAssignments(out), nil
+	return containRegions(s, rs), nil
 }
 
 // followedByFeature implements followed-by(s)="label": the text on s's
@@ -107,25 +93,11 @@ func (followedByFeature) Refine(s text.Span, v string) ([]text.Assignment, error
 		return nil, fmt.Errorf("feature: followed-by needs a non-empty label")
 	}
 	d := s.Doc()
-	hi := d.LineEnd(s.End())
-	var out []text.Assignment
-	for _, occ := range occurrences(d, v, s.Start(), hi) {
-		regionEnd := occ[0]
-		regionStart := d.LineStart(regionEnd)
-		if regionStart < s.Start() {
-			regionStart = s.Start()
-		}
-		if regionEnd > s.End() {
-			regionEnd = s.End()
-		}
-		if regionStart >= regionEnd {
-			continue
-		}
-		if sp, ok := s.Doc().Span(regionStart, regionEnd).Shrink(); ok {
-			out = append(out, text.ContainOf(sp))
-		}
+	rs := make([]byteRange, 0, 8)
+	for _, occ := range occurrences(d, v, s.Start(), d.LineEnd(s.End())) {
+		rs = append(rs, byteRange{d.LineStart(occ[0]), occ[0]})
 	}
-	return text.DedupAssignments(out), nil
+	return containRegions(s, rs), nil
 }
 
 // precLabelContains implements prec-label-contains(s)="str": the closest
@@ -155,32 +127,19 @@ func (precLabelContains) Refine(s text.Span, v string) ([]text.Assignment, error
 	d := s.Doc()
 	body := d.Text()
 	headers := d.MarksOf(text.MarkHeader)
-	var out []text.Assignment
+	rs := make([]byteRange, 0, 8)
 	for i, h := range headers {
-		label := body[h.Start:h.End]
-		if !strings.Contains(normFold(label), normFold(v)) {
+		if !strings.Contains(normFold(body[h.Start:h.End]), normFold(v)) {
 			continue
 		}
 		// The section governed by this header runs to the next header.
-		regionStart := h.End
-		regionEnd := len(body)
+		end := len(body)
 		if i+1 < len(headers) {
-			regionEnd = headers[i+1].Start
+			end = headers[i+1].Start
 		}
-		if regionStart < s.Start() {
-			regionStart = s.Start()
-		}
-		if regionEnd > s.End() {
-			regionEnd = s.End()
-		}
-		if regionStart >= regionEnd {
-			continue
-		}
-		if sp, ok := d.Span(regionStart, regionEnd).Shrink(); ok {
-			out = append(out, text.ContainOf(sp))
-		}
+		rs = append(rs, byteRange{h.End, end})
 	}
-	return text.DedupAssignments(out), nil
+	return containRegions(s, rs), nil
 }
 
 // precLabelMaxDist implements prec-label-max-dist(s)=n: the distance in
@@ -215,32 +174,16 @@ func (f precLabelMaxDist) Refine(s text.Span, v string) ([]text.Assignment, erro
 	if err != nil {
 		return nil, err
 	}
-	d := s.Doc()
-	headers := d.MarksOf(text.MarkHeader)
-	var out []text.Assignment
+	headers := s.Doc().MarksOf(text.MarkHeader)
+	rs := make([]byteRange, 0, 8)
 	for i, h := range headers {
-		regionStart := h.End
-		regionEnd := h.End + n
-		if i+1 < len(headers) && headers[i+1].Start < regionEnd {
-			regionEnd = headers[i+1].Start
+		end := h.End + n
+		if i+1 < len(headers) {
+			end = min(end, headers[i+1].Start)
 		}
-		if regionEnd > len(d.Text()) {
-			regionEnd = len(d.Text())
-		}
-		if regionStart < s.Start() {
-			regionStart = s.Start()
-		}
-		if regionEnd > s.End() {
-			regionEnd = s.End()
-		}
-		if regionStart >= regionEnd {
-			continue
-		}
-		if sp, ok := d.Span(regionStart, regionEnd).Shrink(); ok {
-			out = append(out, text.ContainOf(sp))
-		}
+		rs = append(rs, byteRange{h.End, end})
 	}
-	return text.DedupAssignments(out), nil
+	return containRegions(s, rs), nil
 }
 
 // linkToContains implements link-to-contains(s)="str": the span lies
@@ -266,26 +209,13 @@ func (linkToContains) Refine(s text.Span, v string) ([]text.Assignment, error) {
 	if v == "" {
 		return nil, fmt.Errorf("feature: link-to-contains needs a non-empty string")
 	}
-	var out []text.Assignment
+	rs := make([]byteRange, 0, 8)
 	for _, l := range s.Doc().Links() {
-		if !strings.Contains(strings.ToLower(l.Target), strings.ToLower(v)) {
-			continue
-		}
-		lo, hi := l.Start, l.End
-		if lo < s.Start() {
-			lo = s.Start()
-		}
-		if hi > s.End() {
-			hi = s.End()
-		}
-		if lo >= hi {
-			continue
-		}
-		if sp, ok := s.Doc().Span(lo, hi).Shrink(); ok {
-			out = append(out, text.ContainOf(sp))
+		if strings.Contains(strings.ToLower(l.Target), strings.ToLower(v)) {
+			rs = append(rs, byteRange{l.Start, l.End})
 		}
 	}
-	return text.DedupAssignments(out), nil
+	return containRegions(s, rs), nil
 }
 
 // inFirstHalf implements the location feature of Section 5.1.1: "does this
@@ -308,25 +238,14 @@ func (inFirstHalf) Verify(s text.Span, v string) (bool, error) {
 }
 
 func (inFirstHalf) Refine(s text.Span, v string) ([]text.Assignment, error) {
-	mid := s.Doc().Len() / 2
-	var lo, hi int
+	// Spans ending after the midpoint (no) may start anywhere.
+	hi := s.End()
 	switch v {
 	case Yes, DistinctYes:
-		lo, hi = s.Start(), mid
+		hi = s.Doc().Len() / 2
 	case No:
-		// Spans ending after the midpoint may start anywhere.
-		lo, hi = s.Start(), s.End()
 	default:
 		return nil, errBadValue("in-first-half", v)
 	}
-	if hi > s.End() {
-		hi = s.End()
-	}
-	if lo >= hi {
-		return nil, nil
-	}
-	if sp, ok := s.Doc().Span(lo, hi).Shrink(); ok {
-		return []text.Assignment{text.ContainOf(sp)}, nil
-	}
-	return nil, nil
+	return containRegions(s, []byteRange{{s.Start(), hi}}), nil
 }

@@ -191,19 +191,12 @@ func mergeRanges(rs []byteRange) []byteRange {
 	return out
 }
 
-// clipRanges intersects sorted ranges with [lo, hi), dropping empties.
+// clipRanges intersects ranges with [lo, hi) in place, dropping empties.
 func clipRanges(rs []byteRange, lo, hi int) []byteRange {
-	var out []byteRange
+	out := rs[:0]
 	for _, r := range rs {
-		s, e := r.start, r.end
-		if s < lo {
-			s = lo
-		}
-		if e > hi {
-			e = hi
-		}
-		if s < e {
-			out = append(out, byteRange{s, e})
+		if r.start, r.end = max(r.start, lo), min(r.end, hi); r.start < r.end {
+			out = append(out, r)
 		}
 	}
 	return out
@@ -237,6 +230,17 @@ func rangesToAssignments(d *text.Document, rs []byteRange, mode text.Mode) []tex
 			continue
 		}
 		out = append(out, text.Assignment{Mode: mode, Span: sp})
+	}
+	return out
+}
+
+// containRegions is the Refine result of a region feature: every range
+// clipped to s (rs is reused), token-trimmed, wrapped as contain and
+// deduplicated.
+func containRegions(s text.Span, rs []byteRange) []text.Assignment {
+	out := rangesToAssignments(s.Doc(), clipRanges(rs, s.Start(), s.End()), text.Contain)
+	if len(out) > 1 {
+		out = text.DedupAssignments(out)
 	}
 	return out
 }

@@ -219,33 +219,20 @@ func (f patternFeature) Refine(s text.Span, v string) ([]text.Assignment, error)
 	if !ok {
 		return nil, nil
 	}
-	body := sp.Text()
-	locs := re.FindAllStringIndex(body, -1)
-	if len(locs) == 0 {
-		return nil, nil
+	// matches keeps each match region; sub-spans starting (ending) at a
+	// match may extend to the end (from the start) of s.
+	rs := make([]byteRange, 0, 8)
+	for _, l := range re.FindAllStringIndex(sp.Text(), -1) {
+		r := byteRange{sp.Start() + l[0], sp.Start() + l[1]}
+		switch f.anchor {
+		case anchorStart:
+			r.end = sp.End()
+		case anchorEnd:
+			r.start = sp.Start()
+		}
+		rs = append(rs, r)
 	}
-	var out []text.Assignment
-	emit := func(start, end int) {
-		if r, ok2 := s.Doc().Span(start, end).Shrink(); ok2 {
-			out = append(out, text.ContainOf(r))
-		}
-	}
-	switch f.anchor {
-	case anchorStart:
-		// Sub-spans starting at a match may extend to the end of s.
-		for _, l := range locs {
-			emit(sp.Start()+l[0], sp.End())
-		}
-	case anchorEnd:
-		for _, l := range locs {
-			emit(sp.Start(), sp.Start()+l[1])
-		}
-	default: // matches: the match region itself
-		for _, l := range locs {
-			emit(sp.Start()+l[0], sp.Start()+l[1])
-		}
-	}
-	return text.DedupAssignments(out), nil
+	return containRegions(s, rs), nil
 }
 
 // capitalizedFeature: every token of the span starts with an upper-case

@@ -19,11 +19,6 @@ type Delta struct {
 	Removed []string `json:"removed,omitempty"`
 }
 
-// Empty reports whether the delta changed nothing.
-func (d *Delta) Empty() bool {
-	return len(d.Added) == 0 && len(d.Updated) == 0 && len(d.Removed) == 0
-}
-
 // Mutation batches document puts and removes against an open DiskStore.
 // Commit writes one new generation — a shard of new records plus a
 // delta sidecar (tombstones, vocabulary growth, postings) — and updates

@@ -49,18 +49,6 @@ func NewMemStore(docs []*text.Document) *MemStore {
 	return &MemStore{docs: docs}
 }
 
-// Len returns the number of documents.
-func (m *MemStore) Len() int { return len(m.docs) }
-
-// Doc returns the i'th document.
-func (m *MemStore) Doc(i int) *text.Document { return m.docs[i] }
-
-// Docs returns all documents in ordinal order.
-func (m *MemStore) Docs() []*text.Document { return m.docs }
-
-// Close is a no-op for the in-memory store.
-func (m *MemStore) Close() error { return nil }
-
 // index tokenizes every document once, on first index use.
 func (m *MemStore) index() {
 	m.once.Do(func() {
