@@ -23,12 +23,14 @@ race:
 # fast. The one-loop rule:
 # the per-tuple protocol (DESIGN.md §11 "The tuple loop") has one home, so
 # outside tupleloop.go no non-test file of internal/engine reports
-# unprocessed documents, looks a delta prior up or fans a loop out
-# (evalAll fans out subtrees, not tuples, and stays). The one-fan-out
-# rule: Context.ForEach (DESIGN.md §8) is the only place the engine and
-# the assistant start goroutines, so outside internal/engine/parallel.go
-# no non-test file of internal/engine or internal/assistant has a go
-# statement, and Workers bounds every goroutine a session evaluates on.
+# unprocessed documents, picks, looks up or indexes a delta memo
+# (priorFor, lookup, buildIndex: defined in delta.go, called only in
+# tupleloop.go) or fans a loop out (evalAll fans out subtrees, not tuples,
+# and stays). The one-fan-out rule: Context.ForEach (DESIGN.md §8) is
+# the only place the engine and the assistant start goroutines, so outside
+# internal/engine/parallel.go no non-test file of internal/engine or
+# internal/assistant has a go statement, and Workers bounds every goroutine
+# a session evaluates on.
 # The one-fault-state rule: what a best-effort run reports (the bound
 # cancellation, the documents cuts skipped, the quarantine records) is the
 # Context's fault part (DESIGN.md §12), so outside faults.go no non-test
@@ -42,7 +44,7 @@ verify:
 	@imports="$$(find . -name '*.go' -not -path './.bench_build/*' | xargs grep -lE '"iflex/internal/oracle"' | grep -v '_test\.go$$'; \
 		grep -lE '"iflex/internal/(engine|assistant)"' internal/oracle/*.go)"; if [ -n "$$imports" ]; then \
 		echo "internal/oracle imported by production code, or importing the engine:"; echo "$$imports"; exit 1; fi
-	@loops="$$(grep -nE '\.(noteUnprocessed|lookup|parallelChunksSized)\(' internal/engine/*.go | \
+	@loops="$$(grep -nE '\.(noteUnprocessed|lookup|priorFor|buildIndex|parallelChunksSized)\(' internal/engine/*.go | \
 		grep -vE '^internal/engine/(tupleloop\.go|[a-z0-9_]*_test\.go):')"; if [ -n "$$loops" ]; then \
 		echo "per-tuple protocol outside internal/engine/tupleloop.go:"; echo "$$loops"; exit 1; fi
 	@spawns="$$(grep -nE '^\s*go ' internal/engine/*.go internal/assistant/*.go | \
@@ -98,7 +100,9 @@ bench:
 # interned, compiled (clone, add a constraint, compile) and edited
 # (WithConstraint), the annotation ψ over
 # 2,000 T8-shaped rows (one and four rows per key), a selection that
-# keeps every row as it came or narrows every row, and the store's read
+# keeps every row as it came or narrows every row, a two-stage constraint
+# run over 2,000 T8-shaped rows with delta on (cold: the memo built with no
+# prior; replay: every row replayed from the previous memo), and the store's read
 # path over DBLife pages (one page load: read, checksum, decode and
 # payload build; one record built at ingest; one posting-run decode).
 bench-layers:
@@ -108,7 +112,7 @@ bench-layers:
 	$(GO) test -run='^$$' -bench='SubSpanEnumeration|ParseNumeric|NormText' -benchmem ./internal/text
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/similarity
 	$(GO) test -run='^$$' -bench=FeatureMemo -benchmem ./internal/feature
-	$(GO) test -run='^$$' -bench='SimJoin|Compare|TrialPlan|Annotate|SelectKeep' -benchmem ./internal/engine
+	$(GO) test -run='^$$' -bench='SimJoin|Compare|TrialPlan|Annotate|SelectKeep|TupleLoopMemo' -benchmem ./internal/engine
 	$(GO) test -run='^$$' -bench='PageLoad|BuildRecord|DecodePostings' -benchmem ./internal/store
 
 # The two line counts ROADMAP.md gates on, with exactly its command:

@@ -82,22 +82,17 @@ func (n *annotateNode) annotateTable(ctx *Context, ev *EvalTrace, dx *deltaState
 	keyIdx, annIdx := splitAnnCols(in.Cols, n.annotate)
 	m := annMerger{keyIdx: keyIdx, annIdx: annIdx,
 		index: make(map[string]int32, len(in.Tuples)), groups: make([]annGroup, 0, len(in.Tuples))}
-	out, err := ctx.tupleLoop(ev, dx, in, in.Cols, tupleOp{
+	out, err := tupleLoop(ctx, ev, dx, in, in.Cols, tupleOp[*annContrib]{
 		cols: keyIdx, uncut: true,
-		open: func(*statBatch) decideFn {
-			return func(tp compact.Tuple, old *deltaOut) (deltaOut, bool, bool, error) {
+		open: func(*statBatch) decideFn[*annContrib] {
+			return func(tp compact.Tuple, old **annContrib) (*annContrib, bool, bool, error) {
 				if old != nil {
 					return *old, true, false, nil
 				}
-				c := annContribOf(tp, keyIdx, annIdx, lim)
-				o := deltaOut{ann: c}
-				if c.fallback {
-					o.fallbacks = 1
-				}
-				return o, false, false, nil
+				return annContribOf(tp, keyIdx, annIdx, lim), false, false, nil
 			}
 		},
-		emit: func(dst []compact.Tuple, tp compact.Tuple, o *deltaOut) []compact.Tuple { return m.add(dst, tp, o.ann) },
+		emit: func(dst []compact.Tuple, tp compact.Tuple, o **annContrib) []compact.Tuple { return m.add(dst, tp, *o) },
 	})
 	if err != nil {
 		return nil, err
@@ -139,6 +134,14 @@ type annContrib struct {
 	exactKey bool
 	keys     []string
 	keySpans [][]text.Span
+}
+
+// A contribution is ψ's outcome as it stands.
+func (c *annContrib) limitFallbacks() int32 {
+	if c.fallback {
+		return 1
+	}
+	return 0
 }
 
 // annContribOf enumerates one tuple's key valuations (the per-tuple half

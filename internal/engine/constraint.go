@@ -103,28 +103,28 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins [
 	// constrained attribute's cell: a tuple whose other columns were refined
 	// in between still replays, with the output rebuilt from the current
 	// tuple plus the memoised refined cell.
-	op := tupleOp{site: "feature", cols: []int{ci}, stages: stages, minChunk: minChunkConstraint}
-	op.open = func(batch *statBatch) decideFn {
+	op := tupleOp[runOut]{site: "feature", cols: []int{ci}, stages: stages, minChunk: minChunkConstraint}
+	op.open = func(batch *statBatch) decideFn[runOut] {
 		sc := refineScratch{docs: docCursor{memo: ctx.Env.FeatureMemo}}
-		return func(tp compact.Tuple, old *deltaOut) (deltaOut, bool, bool, error) {
+		return func(tp compact.Tuple, old *runOut) (runOut, bool, bool, error) {
 			// o is the tuple's outcome so far: nothing, or what the stages the
-			// prior covered left of it — the cell after them, or no cell when
-			// one of them dropped the tuple. Only a surviving cell with stages
+			// prior covered left of it — the cell after them, or an empty cell
+			// when one of them dropped the tuple. Only a surviving cell with stages
 			// left resumes: none left replays the memoised outcome without
 			// entering Verify/Refine at all, one left is the call a new top
 			// constraint makes.
-			var o deltaOut
+			var o runOut
 			if old != nil {
 				o = *old
 			}
-			reused := old != nil && (o.cell == nil || int(o.stages) == stages)
+			reused := old != nil && (!o.survived() || int(o.stages) == stages)
 			if !reused {
 				qed := ctx.guard(ev, op.site, tp, op.cols, func() error {
 					// Work on locals and commit at the end: a retry restarts
 					// from the resume point.
 					c, s, sum := tp.Cells[ci], o.stages, o.stageSum
-					if o.cell != nil {
-						c = *o.cell
+					if o.survived() {
+						c = o.cell
 					}
 					for st := int(s); st < stages; st++ {
 						batch.ConstraintStages++
@@ -141,15 +141,14 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins [
 						}
 						s, sum = s+1, sum+int32(len(c.Assigns))
 					}
-					o = deltaOut{stages: s, stageSum: sum}
+					o = runOut{stages: s, stageSum: sum}
 					if int(s) == stages {
-						final := c
-						o.cell = &final
+						o.cell = c
 					}
 					return nil
 				})
 				if qed {
-					return deltaOut{}, false, true, nil
+					return runOut{}, false, true, nil
 				}
 			}
 			// The stage tables a chain would have built below this node's
@@ -164,21 +163,35 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins [
 			return o, reused, false, nil
 		}
 	}
-	// After decide an outcome holds a cell exactly when the tuple survived
-	// the whole run.
-	op.emit = func(dst []compact.Tuple, tp compact.Tuple, o *deltaOut) []compact.Tuple {
-		if o.cell == nil {
+	// After decide an outcome holds a non-empty cell exactly when the tuple
+	// survived the whole run.
+	op.emit = func(dst []compact.Tuple, tp compact.Tuple, o *runOut) []compact.Tuple {
+		if !o.survived() {
 			return dst
 		}
 		if c := tp.Cells[ci]; c.Expand == o.cell.Expand && len(c.Assigns) == len(o.cell.Assigns) && &c.Assigns[0] == &o.cell.Assigns[0] {
 			return append(dst, tp) // every stage returned the entering cell
 		}
 		nt := tp.Copy()
-		nt.Cells[ci] = *o.cell
+		nt.Cells[ci] = o.cell
 		return append(dst, nt)
 	}
-	return ctx.tupleLoop(ev, dx, in, in.Cols, op)
+	return tupleLoop(ctx, ev, dx, in, in.Cols, op)
 }
+
+// runOut is a constraint run's outcome for one tuple: the attribute cell
+// after the whole run, by value (empty when the tuple was dropped), how
+// many stages the tuple survived, and the summed sizes of its cell after
+// each of them — what a longer run resuming from this memo needs to total
+// the stage tables it never builds, see SumAssignments.
+type runOut struct {
+	cell             compact.Cell
+	stages, stageSum int32
+}
+
+// survived reports whether the tuple survived the whole run that decided o.
+func (o *runOut) survived() bool     { return len(o.cell.Assigns) > 0 }
+func (runOut) limitFallbacks() int32 { return 0 }
 
 // tupleAssignments counts the assignments of one tuple, the per-tuple term
 // of Table.NumAssignments.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"slices"
+	"unsafe"
 
 	"iflex/internal/compact"
 )
@@ -39,37 +40,25 @@ type joinMatch struct {
 	repl map[int]compact.Cell
 }
 
-// deltaOut is the memoised outcome of one operator for one input tuple.
-// Exactly one of the payload fields is meaningful per operator family:
-// cell, stages and stageSum for the constraint operator (the attribute cell
-// after the whole run, nil = the tuple was dropped; how many stages it
-// survived; the summed sizes of its cell after each of them — what a longer
-// run resuming from this memo needs to total the stage tables it never
-// builds, see SumAssignments), sim for binary per-left-tuple joins, ann for
-// the annotation operator's per-tuple key contribution. filt carries a
-// selection's outcome from decide to emit; selections keep no memo.
-// Every payload is expressed in terms of the cells the operator actually
-// reads, never the whole tuple — replay rebuilds the output from the
-// current input tuple, which is what lets a memo survive refinements of
-// unrelated columns. fallbacks records how many valuation-limit fallbacks
-// the computation charged, replayed on reuse so LimitFallbacks totals
-// stay identical to a full re-evaluation.
-type deltaOut struct {
-	cell      *compact.Cell
-	filt      *filterOutcome
+// joinOut is the memoised outcome of ⋈~ and × for one left tuple: its
+// matches in right-tuple order, and the valuation-limit fallbacks deciding
+// them charged. Like every outcome it is expressed in terms of the cells
+// the operator reads, never the whole tuple: replay rebuilds the output
+// from the current input tuple, which is what lets a memo survive
+// refinements of unrelated columns.
+type joinOut struct {
 	sim       []joinMatch
-	ann       *annContrib
 	fallbacks int32
-	stages    int32
-	stageSum  int32
 }
+
+func (o joinOut) limitFallbacks() int32 { return o.fallbacks }
 
 // evalAux is the per-tuple memo one evaluation leaves behind for its
 // successor: the tuple loop's own working state, kept. in is the input
 // table's rows (shared, not copied — kept for the exact structural
-// verification of fingerprint matches), outs the outcome the loop recorded
-// per input index, and head/next chain the indices that share a fingerprint
-// in input order, stored plus one so that zero ends a chain. cols narrows
+// verification of fingerprint matches), fps their fingerprints on cols,
+// outs the loop's outcome array (a []O of the operator's outcome type) and
+// slots an open-addressed index over fps (buildIndex). cols narrows
 // the memo key to the input columns the operator reads (never nil, empty
 // when it reads none). For binary operators the other input is
 // pinned two ways: right by pointer (the node cache guarantees pointer
@@ -78,72 +67,82 @@ type deltaOut struct {
 // keeps memos transferable when the right subtree was re-evaluated but
 // its join-relevant columns came out identical. stages is the number of
 // stages of the constraint run that left the memo (0 for every other
-// operator): a longer run replays that many and computes the rest.
+// operator): a longer run replays that many and computes the rest. bytes
+// is the memo's cache charge (memoBytes).
 type evalAux struct {
 	right    *compact.Table
 	rightDep uint64
 	cols     []int
 	stages   int
 	in       []compact.Tuple
-	outs     []deltaOut
-	head     map[uint64]int32
-	next     []int32
+	fps      []uint64
+	outs     any
+	slots    []int32
+	bytes    int64
 }
 
-// chain indexes the finished outcome array by the fingerprints the loop
-// computed, back to front so that every chain ascends.
-func (a *evalAux) chain(fps []uint64) {
-	a.head = make(map[uint64]int32, len(fps))
-	a.next = make([]int32, len(fps))
-	for i := len(fps) - 1; i >= 0; i-- {
-		a.next[i] = a.head[fps[i]]
-		a.head[fps[i]] = int32(i + 1)
+// buildIndex fills slots, at least twice as many as rows, with row
+// indices plus one (zero is empty), each at the first free slot from its
+// fingerprint's home on. Rows go in in input order, so linear probing
+// meets equal fingerprints in input order.
+func (a *evalAux) buildIndex() {
+	size := 2
+	for size < 2*len(a.fps) {
+		size <<= 1
+	}
+	a.slots = make([]int32, size)
+	for i, h := range a.fps {
+		s := a.home(h)
+		for a.slots[s] != 0 {
+			s = (s + 1) & (size - 1)
+		}
+		a.slots[s] = int32(i + 1)
 	}
 }
 
-// lookup finds the memoised outcome of the first input tuple structurally
-// identical to tp on the memo's dependency columns, nil when there is
-// none (or no memo). The fingerprint narrows to a chain; the structural
-// check makes hash collisions harmless. The outcome is the memo's own:
-// callers read it, never write it.
-func (a *evalAux) lookup(h uint64, tp compact.Tuple) *deltaOut {
+// home is the slot a fingerprint's probe starts at: the middle bits of a
+// multiplicative hash, which mix every bit of the fingerprint.
+func (a *evalAux) home(h uint64) int {
+	return int(h*0x9e3779b97f4a7c15>>32) & (len(a.slots) - 1)
+}
+
+// lookup returns the index of the first input row structurally identical
+// to tp on the memo's dependency columns, -1 when there is none (or no
+// memo). The fingerprint narrows the probe; the structural check makes
+// hash collisions harmless, and a free slot ends the probe.
+func (a *evalAux) lookup(h uint64, tp compact.Tuple) int {
 	if a == nil {
-		return nil
+		return -1
 	}
-	for i := a.head[h]; i != 0; i = a.next[i-1] {
-		if a.in[i-1].CellsStructuralEq(tp, a.cols) {
-			return &a.outs[i-1]
+	for s := a.home(h); a.slots[s] != 0; s = (s + 1) & (len(a.slots) - 1) {
+		if i := a.slots[s] - 1; a.fps[i] == h && a.in[i].CellsStructuralEq(tp, a.cols) {
+			return int(i)
 		}
 	}
-	return nil
+	return -1
 }
 
-// memBytes approximates the memo's resident size for cache accounting.
-func (a *evalAux) memBytes() int64 {
-	if a == nil {
-		return 0
-	}
-	// Per entry: the outcome, its chain link and its share of head (measured
-	// at 25 bytes an entry on a presized map).
-	b := int64(len(a.outs)) * (64 + 4 + 25)
-	for i := range a.outs {
-		o := &a.outs[i]
-		if o.cell != nil {
-			b += 32 + assignmentEstimate*int64(len(o.cell.Assigns))
+// memoBytes is the cache charge of a memo over outs with an index of slots
+// entries: each outcome's slot and fingerprint, each index slot, and what
+// the outcomes hold — join matches with their replacement maps, ψ's
+// contributions; a run's cells are its output rows' and cost nothing more.
+func memoBytes[O outcome](outs []O, slots int) int64 {
+	b := int64(len(outs))*(int64(unsafe.Sizeof(*new(O)))+8) + 4*int64(slots)
+	switch outs := any(outs).(type) {
+	case []joinOut:
+		for _, o := range outs {
+			b += int64(cap(o.sim)) * int64(unsafe.Sizeof(joinMatch{}))
+			for _, m := range o.sim {
+				b += int64(len(m.repl)) * 64
+			}
 		}
-		for _, m := range o.sim {
-			b += 32 + 64*int64(len(m.repl))
-		}
-		if o.ann != nil {
-			b += 64 + 32*int64(len(o.ann.keys))
+	case []*annContrib:
+		for _, c := range outs {
+			b += 64 + 32*int64(len(c.keys))
 		}
 	}
 	return b
 }
-
-// assignmentEstimate mirrors compact's per-assignment size estimate for
-// memoised refined cells.
-const assignmentEstimate = 32
 
 // deltaState threads delta bookkeeping through one Eval call. It is nil
 // when delta evaluation is off (the tuple loop then looks nothing up and
@@ -165,23 +164,23 @@ type deltaState struct {
 	linked *cacheEntry
 }
 
-// priorFor returns the predecessor memo usable for one pass of op, nil
-// when there is none. The prior is only handed out when its narrowing
-// matches, it was left by a run of at most op's stages, and — for binary
-// operators — the right input is either the pointer-identical table the
-// prior was built against or one whose dependency columns fingerprint
-// identically. A corpus-displaced prior that fails only the pin is offered
-// to op.reconcile.
-func (dx *deltaState) priorFor(op *tupleOp, rightDep uint64) (*evalAux, error) {
+// priorFor returns the predecessor memo usable for the pass that builds
+// aux, nil when there is none. The prior is only handed out when its
+// narrowing matches, it was left by a run of at most aux's stages, and —
+// for binary operators — the right input is either the pointer-identical
+// table the prior was built against or one whose dependency columns
+// fingerprint identically. A corpus-displaced prior that fails only the
+// pin is offered to reconcile.
+func (dx *deltaState) priorFor(aux *evalAux, reconcile func(*compact.Table) (bool, error)) (*evalAux, error) {
 	p := dx.prior
-	if p == nil || !slices.Equal(p.cols, op.cols) || p.stages > op.stages {
+	if p == nil || !slices.Equal(p.cols, aux.cols) || p.stages > aux.stages {
 		return nil, nil
 	}
-	if p.right == op.right || (rightDep != 0 && p.rightDep == rightDep) {
+	if p.right == aux.right || (aux.rightDep != 0 && p.rightDep == aux.rightDep) {
 		return p, nil
 	}
-	if dx.corpus && p.right != nil && op.reconcile != nil {
-		if ok, err := op.reconcile(p.right); !ok || err != nil {
+	if dx.corpus && p.right != nil && reconcile != nil {
+		if ok, err := reconcile(p.right); !ok || err != nil {
 			return nil, err
 		}
 		return p, nil

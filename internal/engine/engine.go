@@ -979,7 +979,10 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 			if dx != nil {
 				e.aux = dx.aux
 			}
-			e.bytes = t.MemBytes() + e.aux.memBytes()
+			e.bytes = t.MemBytes()
+			if e.aux != nil {
+				e.bytes += e.aux.bytes
+			}
 			ctx.storeLocked(e)
 		}
 	}

@@ -70,9 +70,9 @@ func TestFilterTupleLimitFallbacks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.keep != c.keep || res.sure != c.sure || res.fallback != c.fallback {
+			if res.keep != c.keep || res.sure != c.sure || (res.fallbacks > 0) != c.fallback {
 				t.Errorf("outcome = {keep:%v sure:%v fallback:%v}, want {keep:%v sure:%v fallback:%v}",
-					res.keep, res.sure, res.fallback, c.keep, c.sure, c.fallback)
+					res.keep, res.sure, res.fallbacks > 0, c.keep, c.sure, c.fallback)
 			}
 			if res.repl != nil {
 				t.Errorf("unexpected repl: %v", res.repl)

@@ -240,13 +240,13 @@ func (n *crossNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*comp
 		leftIdx = append(leftIdx, colIndex(lt.Cols, sc))
 		rightIdx = append(rightIdx, colIndex(rt.Cols, sc))
 	}
-	op := tupleOp{cols: leftIdx, right: rt, rightCols: rightIdx, minChunk: minChunkCross}
-	op.open = func(*statBatch) decideFn {
-		return func(ltp compact.Tuple, old *deltaOut) (deltaOut, bool, bool, error) {
+	op := tupleOp[joinOut]{cols: leftIdx, right: rt, rightCols: rightIdx, minChunk: minChunkCross}
+	op.open = func(*statBatch) decideFn[joinOut] {
+		return func(ltp compact.Tuple, old *joinOut) (joinOut, bool, bool, error) {
 			if old != nil {
 				return *old, true, false, nil
 			}
-			var o deltaOut
+			var o joinOut
 			for j, rtp := range rt.Tuples {
 				keep, sure := true, true
 				for k, li := range leftIdx {
@@ -269,7 +269,7 @@ func (n *crossNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*comp
 			return o, false, false, nil
 		}
 	}
-	op.emit = func(dst []compact.Tuple, ltp compact.Tuple, o *deltaOut) []compact.Tuple {
+	op.emit = func(dst []compact.Tuple, ltp compact.Tuple, o *joinOut) []compact.Tuple {
 		for _, m := range o.sim {
 			rtp := rt.Tuples[m.j]
 			nt := ltp.Copy()
@@ -283,7 +283,7 @@ func (n *crossNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*comp
 		}
 		return dst
 	}
-	return ctx.tupleLoop(ev, dx, lt, n.cols, op)
+	return tupleLoop(ctx, ev, dx, lt, n.cols, op)
 }
 
 func containsStr(ss []string, s string) bool {

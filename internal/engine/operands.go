@@ -108,7 +108,7 @@ func (f *compareFilter) compare(l, r operand) (bool, error) {
 }
 
 func (f *compareFilter) filter(tp compact.Tuple, batch *statBatch) (filterOutcome, error) {
-	conservative := filterOutcome{keep: true, fallback: true}
+	conservative := filterOutcome{keep: true, fallbacks: 1}
 	combos := 1
 	for _, ci := range f.col {
 		if ci < 0 {

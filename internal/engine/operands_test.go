@@ -65,7 +65,7 @@ func refCompareFilter(cmp alog.Compare, cols []string, lim limits) ([]int, tuple
 	return involved, func(tp compact.Tuple, batch *statBatch) (filterOutcome, error) {
 		cell := tp.Cells[involved[0]]
 		if cell.NumValues() > lim.MaxCellValues {
-			return filterOutcome{keep: true, fallback: true}, nil
+			return filterOutcome{keep: true, fallbacks: 1}, nil
 		}
 		var pass []bool
 		anySat, allSat := false, true
@@ -93,7 +93,7 @@ func refCompareFilter(cmp alog.Compare, cols []string, lim limits) ([]int, tuple
 // renderOutcome spells an outcome out, replacement cells in assignment
 // order (Cell.String would sort them).
 func renderOutcome(o filterOutcome, ncols int) string {
-	s := fmt.Sprintf("keep=%v sure=%v fallback=%v", o.keep, o.sure, o.fallback)
+	s := fmt.Sprintf("keep=%v sure=%v fallback=%v", o.keep, o.sure, o.fallbacks > 0)
 	for ci := 0; ci < ncols; ci++ {
 		if c, ok := o.repl[ci]; ok {
 			s += fmt.Sprintf(" repl[%d]=expand:%v", ci, c.Expand)
@@ -199,7 +199,7 @@ func TestCompareRecordsEqualSpanPath(t *testing.T) {
 					trial, cmp, lim, tp, g, gb.FuncCalls, w, wb.FuncCalls)
 			}
 			decided++
-			if got.fallback {
+			if got.fallbacks > 0 {
 				fallbacks++
 			} else if got.keep {
 				kept++

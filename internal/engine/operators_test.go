@@ -401,7 +401,7 @@ func TestSelectionsKeepNoMemo(t *testing.T) {
 		case *compareNode, *funcNode:
 			selections++
 			if e.aux != nil {
-				t.Errorf("%s keeps a memo of %d tuples", e.node.Signature(), len(e.aux.outs))
+				t.Errorf("%s keeps a memo of %d tuples", e.node.Signature(), len(e.aux.in))
 			}
 		}
 	}

@@ -49,15 +49,15 @@ func (n *procNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins []*comp
 	// rows is that chunk's scratch: decide builds one tuple's rows into it
 	// and emit commits them.
 	var rows []compact.Tuple
-	op := tupleOp{site: "proc"}
-	op.open = func(*statBatch) decideFn {
-		return func(tp compact.Tuple, _ *deltaOut) (deltaOut, bool, bool, error) {
+	op := tupleOp[noOut]{site: "proc"}
+	op.open = func(*statBatch) decideFn[noOut] {
+		return func(tp compact.Tuple, _ *noOut) (noOut, bool, bool, error) {
 			cell := tp.Cells[ci]
 			if cell.NumValues() > lim.MaxCellValues {
 				// An engine limit, not a document fault: quarantining here would
 				// hide a program that needs an extra constraint, so it stays
 				// fatal.
-				return deltaOut{}, false, false, fmt.Errorf("engine: procedure %s: input cell encodes %d values, over the limit %d; constrain the attribute first",
+				return noOut{}, false, false, fmt.Errorf("engine: procedure %s: input cell encodes %d values, over the limit %d; constrain the attribute first",
 					n.pname, cell.NumValues(), lim.MaxCellValues)
 			}
 			// Per Section 4.1, outputs are maybe when the (expansion-free) input
@@ -103,9 +103,14 @@ func (n *procNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins []*comp
 				})
 				return evalErr
 			})
-			return deltaOut{}, false, qed, arityErr
+			return noOut{}, false, qed, arityErr
 		}
 	}
-	op.emit = func(dst []compact.Tuple, _ compact.Tuple, _ *deltaOut) []compact.Tuple { return append(dst, rows...) }
-	return ctx.tupleLoop(ev, dx, in, n.Columns(), op)
+	op.emit = func(dst []compact.Tuple, _ compact.Tuple, _ *noOut) []compact.Tuple { return append(dst, rows...) }
+	return tupleLoop(ctx, ev, dx, in, n.Columns(), op)
 }
+
+// noOut is a procedure's outcome: its rows are the chunk's scratch.
+type noOut struct{}
+
+func (noOut) limitFallbacks() int32 { return 0 }

@@ -13,11 +13,14 @@ import (
 // filterOutcome is the result of applying a predicate to one compact tuple
 // with superset semantics.
 type filterOutcome struct {
-	keep     bool
-	sure     bool                 // every valuation satisfies, precisely
-	repl     map[int]compact.Cell // replacement cells for filtered expansion columns
-	fallback bool                 // kept conservatively: enumeration exceeded the limits
+	keep      bool
+	sure      bool                 // every valuation satisfies, precisely
+	repl      map[int]compact.Cell // replacement cells for filtered expansion columns
+	fallbacks int32                // 1 when kept conservatively: enumeration exceeded the limits
 }
+
+// A selection's outcome goes from decide to emit by value, never memoised.
+func (o filterOutcome) limitFallbacks() int32 { return o.fallbacks }
 
 // filterScratch pools the per-call working set of the tuple filters: the
 // value lists, satisfied flags, odometer positions and argument list of
@@ -75,7 +78,7 @@ func filterTupleF(tp compact.Tuple, involved []int, fn Func, lim limits, batch *
 	sc := scratchPool.Get().(*filterScratch)
 	defer scratchPool.Put(sc)
 	sc.grow(len(involved))
-	conservative := filterOutcome{keep: true, fallback: true}
+	conservative := filterOutcome{keep: true, fallbacks: 1}
 
 	// Enumerate the value list of each involved cell, bailing out to the
 	// conservative outcome when any single cell, or the product, is too
@@ -233,9 +236,9 @@ type tupleFilter func(tp compact.Tuple, batch *statBatch) (filterOutcome, error)
 // deciding a tuple again costs no more than finding a memoised outcome
 // would, while the memo's bytes would stay resident with the table.
 func applyFilter(ctx *Context, ev *EvalTrace, in *compact.Table, involved []int, filter tupleFilter) (*compact.Table, error) {
-	op := tupleOp{site: "pfunc", minChunk: minChunkFilter}
-	op.open = func(batch *statBatch) decideFn {
-		return func(tp compact.Tuple, _ *deltaOut) (deltaOut, bool, bool, error) {
+	op := tupleOp[filterOutcome]{site: "pfunc", minChunk: minChunkFilter}
+	op.open = func(batch *statBatch) decideFn[filterOutcome] {
+		return func(tp compact.Tuple, _ *filterOutcome) (filterOutcome, bool, bool, error) {
 			var res filterOutcome
 			qed := ctx.guard(ev, op.site, tp, involved, func() error {
 				var ferr error
@@ -243,32 +246,28 @@ func applyFilter(ctx *Context, ev *EvalTrace, in *compact.Table, involved []int,
 				return ferr
 			})
 			if qed {
-				return deltaOut{}, false, true, nil
+				return filterOutcome{}, false, true, nil
 			}
-			o := deltaOut{filt: &res}
-			if res.fallback {
-				o.fallbacks = 1
-			}
-			return o, false, false, nil
+			return res, false, false, nil
 		}
 	}
-	op.emit = func(dst []compact.Tuple, tp compact.Tuple, o *deltaOut) []compact.Tuple {
-		if !o.filt.keep {
+	op.emit = func(dst []compact.Tuple, tp compact.Tuple, o *filterOutcome) []compact.Tuple {
+		if !o.keep {
 			return dst
 		}
-		if len(o.filt.repl) == 0 && (o.filt.sure || tp.Maybe) {
+		if len(o.repl) == 0 && (o.sure || tp.Maybe) {
 			return append(dst, tp) // nothing narrowed: the row is the input's
 		}
 		nt := tp.Copy()
-		for ci, cell := range o.filt.repl {
+		for ci, cell := range o.repl {
 			nt.Cells[ci] = cell
 		}
-		if !o.filt.sure {
+		if !o.sure {
 			nt.Maybe = true
 		}
 		return append(dst, nt)
 	}
-	return ctx.tupleLoop(ev, nil, in, in.Cols, op)
+	return tupleLoop(ctx, ev, nil, in, in.Cols, op)
 }
 
 // compareNode is a selection with a comparison condition, e.g. p > 500000.

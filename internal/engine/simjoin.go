@@ -446,7 +446,7 @@ func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed b
 	}) {
 		return joinMatch{}, false, false, true
 	}
-	return joinMatch{j: j, sure: res.sure, repl: res.repl}, res.keep, res.fallback, false
+	return joinMatch{j: j, sure: res.sure, repl: res.repl}, res.keep, res.fallbacks > 0, false
 }
 
 // probe joins one left tuple against the right tuples idx covers:
@@ -529,7 +529,7 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*co
 	// only on the left join cell; the right side is pinned by a content
 	// fingerprint of its join column, so the memo survives re-evaluations of
 	// either side that leave the join-relevant cells intact.
-	op := tupleOp{site: "pfunc", cols: []int{li}, right: rt, rightCols: []int{ri}, minChunk: minChunkProbe}
+	op := tupleOp[joinOut]{site: "pfunc", cols: []int{li}, right: rt, rightCols: []int{ri}, minChunk: minChunkProbe}
 	// Corpus-mode reconciliation: after ApplyCorpusDelta the displaced
 	// memo's right table was rebuilt by this same re-evaluation, so the pin
 	// rejects it even though almost every right tuple is unchanged. Align the
@@ -547,15 +547,15 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*co
 		freshIdx = &blockIndex{byToken: map[uint32][]int{}}
 		return true, freshIdx.fill(ctx, ev, p.sim, rt, ri, rec.fresh)
 	}
-	op.open = func(batch *statBatch) decideFn {
+	op.open = func(batch *statBatch) decideFn[joinOut] {
 		c := &simChunk{simProbe: p, batch: batch, stamp: make([]uint32, len(rt.Tuples))}
-		return func(ltp compact.Tuple, old *deltaOut) (deltaOut, bool, bool, error) {
+		return func(ltp compact.Tuple, old *joinOut) (joinOut, bool, bool, error) {
 			if old != nil && rec == nil {
 				return *old, true, false, nil
 			}
 			if old == nil {
 				ms, fb, qed := c.probe(ltp, p.idx, p.all, true)
-				return deltaOut{sim: ms, fallbacks: fb}, false, qed, nil
+				return joinOut{sim: ms, fallbacks: fb}, false, qed, nil
 			}
 			// Corpus replay: remap the matches whose right tuple survived
 			// the mutation, probe only the fresh right tuples, and merge
@@ -573,14 +573,14 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*co
 			}
 			ms = append(ms, fresh...)
 			sort.Slice(ms, func(a, b int) bool { return ms[a].j < ms[b].j })
-			return deltaOut{sim: ms, fallbacks: old.fallbacks + fb}, true, qed, nil
+			return joinOut{sim: ms, fallbacks: old.fallbacks + fb}, true, qed, nil
 		}
 	}
 	// emit assembles the output tuple of each matching pair from the current
 	// pair of tuples, carrying refreshed non-join cells, with shallow cell
 	// copies (cells are immutable once built); only kept pairs allocate
 	// anything at all.
-	op.emit = func(dst []compact.Tuple, ltp compact.Tuple, o *deltaOut) []compact.Tuple {
+	op.emit = func(dst []compact.Tuple, ltp compact.Tuple, o *joinOut) []compact.Tuple {
 		for _, m := range o.sim {
 			rtp := rt.Tuples[m.j]
 			cells := make([]compact.Cell, 0, len(ltp.Cells)+len(rtp.Cells))
@@ -596,7 +596,7 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*co
 		}
 		return dst
 	}
-	return ctx.tupleLoop(ev, dx, lt, n.cols, op)
+	return tupleLoop(ctx, ev, dx, lt, n.cols, op)
 }
 
 // simRecon aligns the right table a displaced memo was built against

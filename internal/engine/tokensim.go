@@ -175,7 +175,7 @@ func (ts *tokenSim) cellTokens(c compact.Cell, left bool, sc *simScratch) *cellT
 // the per-value satisfied sets from the matches. left and right supply the
 // cells' token views and are called only once the limits allow enumeration.
 func (ts *tokenSim) filter(tp compact.Tuple, involved []int, lim limits, left, right func() *cellTokens, sc *simScratch, batch *statBatch) (filterOutcome, error) {
-	conservative := filterOutcome{keep: true, fallback: true}
+	conservative := filterOutcome{keep: true, fallbacks: 1}
 	combos := 1
 	for _, ci := range involved {
 		n := tp.Cells[ci].NumValues()

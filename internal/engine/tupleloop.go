@@ -17,6 +17,12 @@ import (
 // the memo an evaluation leaves for its successor — and an operator is a
 // tupleOp: what it reads, and a decide/emit pair.
 
+// outcome is what one operator family decides, and with delta evaluation
+// on memoises, per input tuple: a small type of its own (DESIGN.md §11).
+// limitFallbacks is how many valuation-limit fallbacks deciding it charged;
+// replays recharge them, so LimitFallbacks stays a full evaluation's.
+type outcome interface{ limitFallbacks() int32 }
+
 // decideFn decides one input tuple. old is the outcome the predecessor
 // memoised for a tuple structurally identical on the operator's dependency
 // columns, nil when there is none; o is the outcome this evaluation
@@ -25,10 +31,10 @@ import (
 // quarantined (the pass then fails with ErrQuarantined and o is ignored).
 // decide must be a pure function of the dependency cells, the pinned right
 // table and old; counters go to the chunk's statBatch.
-type decideFn func(tp compact.Tuple, old *deltaOut) (o deltaOut, reused, quarantined bool, err error)
+type decideFn[O outcome] func(tp compact.Tuple, old *O) (o O, reused, quarantined bool, err error)
 
 // tupleOp describes one operator to tupleLoop.
-type tupleOp struct {
+type tupleOp[O outcome] struct {
 	// site is the guard site decide runs user code under: the name a pass
 	// that quarantined documents fails with. Empty for operators that guard
 	// nothing.
@@ -60,37 +66,43 @@ type tupleOp struct {
 	// open returns the decide of one chunk, closed over whatever scratch the
 	// chunk's worker reuses from tuple to tuple; batch is the chunk's counter
 	// shard. decide may be called from one goroutine only, open from many.
-	open func(batch *statBatch) decideFn
+	open func(batch *statBatch) decideFn[O]
 	// emit appends the rows o stands for, built from the current tuple (and
 	// the current right table), to dst. It runs on the chunk's goroutine, in
 	// input order within the chunk.
-	emit func(dst []compact.Tuple, tp compact.Tuple, o *deltaOut) []compact.Tuple
+	emit func(dst []compact.Tuple, tp compact.Tuple, o *O) []compact.Tuple
 }
 
 // tupleLoop runs op over every tuple of in and returns the emitted rows, as
 // a table over cols, in input order, identical at any worker count. With delta evaluation on
 // (dx != nil) the per-index outcome array it fills is the memo the
 // evaluation leaves behind (dx.aux): outcomes are written once, in place,
-// and only a fingerprint chain is added on top. A best-effort cut reports
+// and only the fingerprints and their index are added on top. A prior
+// holding another type's outcomes is no prior. A best-effort cut reports
 // the documents of the tuples not reached and abandons the memo (it would
 // have holes); a quarantine discards the pass (ErrQuarantined).
-func (ctx *Context) tupleLoop(ev *EvalTrace, dx *deltaState, in *compact.Table, cols []string, op tupleOp) (*compact.Table, error) {
+func tupleLoop[O outcome](ctx *Context, ev *EvalTrace, dx *deltaState, in *compact.Table, cols []string, op tupleOp[O]) (*compact.Table, error) {
 	if ev == nil {
 		ev = new(EvalTrace) // attribution to discard
 	}
 	n := len(in.Tuples)
 	var prior, aux *evalAux
-	var fps []uint64
+	var outs, priorOuts []O
 	if dx != nil && op.cols != nil {
-		aux = &evalAux{right: op.right, cols: op.cols, stages: op.stages, in: in.Tuples, outs: make([]deltaOut, n)}
+		aux = &evalAux{right: op.right, cols: op.cols, stages: op.stages, in: in.Tuples, fps: make([]uint64, n)}
 		if op.right != nil {
 			aux.rightDep = op.right.ColsFingerprint(op.rightCols)
 		}
 		var err error
-		if prior, err = dx.priorFor(&op, aux.rightDep); err != nil {
+		if prior, err = dx.priorFor(aux, op.reconcile); err != nil {
 			return nil, err
 		}
-		fps = make([]uint64, n)
+		if prior != nil {
+			if priorOuts, _ = prior.outs.([]O); priorOuts == nil {
+				prior = nil
+			}
+		}
+		outs = make([]O, n)
 	}
 	// Chunks finish in any order; each hands in its rows and totals under mu.
 	// A chunk emits into its own window of one array sized to the input, and
@@ -111,7 +123,7 @@ func (ctx *Context) tupleLoop(ev *EvalTrace, dx *deltaState, in *compact.Table, 
 		decide := op.open(&batch)
 		rows := slots[start:start:end]
 		quarantined, stopped := 0, false
-		var scratch deltaOut // the current outcome of a chunk that keeps none
+		var scratch O // the current outcome of a chunk that keeps none
 		for i := start; i < end; i++ {
 			if !op.uncut && ctx.Cancelled() {
 				ctx.noteUnprocessed(in.Tuples[i:end])
@@ -121,10 +133,13 @@ func (ctx *Context) tupleLoop(ev *EvalTrace, dx *deltaState, in *compact.Table, 
 			tp := in.Tuples[i]
 			// The outcome is decided into its memo slot: the array is the
 			// memo's storage, never a copy of it.
-			o, old := &scratch, (*deltaOut)(nil)
+			o, old := &scratch, (*O)(nil)
 			if aux != nil {
-				fps[i] = tp.CellsFingerprint(op.cols)
-				o, old = &aux.outs[i], prior.lookup(fps[i], tp)
+				aux.fps[i] = tp.CellsFingerprint(op.cols)
+				o = &outs[i]
+				if j := prior.lookup(aux.fps[i], tp); j >= 0 {
+					old = &priorOuts[j]
+				}
 			}
 			var hit, q bool
 			var err error
@@ -141,7 +156,7 @@ func (ctx *Context) tupleLoop(ev *EvalTrace, dx *deltaState, in *compact.Table, 
 			}
 			// Replayed outcomes recharge the valuation-limit fallbacks they
 			// stand for, so LimitFallbacks equals a full evaluation's.
-			batch.LimitFallbacks += int64(o.fallbacks)
+			batch.LimitFallbacks += int64((*o).limitFallbacks())
 			if q {
 				quarantined++
 				continue
@@ -175,7 +190,9 @@ func (ctx *Context) tupleLoop(ev *EvalTrace, dx *deltaState, in *compact.Table, 
 		ev.stages, ev.resumedFrom = op.stages, covered
 	}
 	if aux != nil && !cut {
-		aux.chain(fps)
+		aux.outs = outs
+		aux.buildIndex()
+		aux.bytes = memoBytes(outs, len(aux.slots))
 		dx.aux = aux
 	}
 	out := compact.NewTable(cols...)

@@ -59,10 +59,16 @@ type fakeOp struct {
 	reached   map[int]bool
 }
 
-func (f *fakeOp) op() tupleOp {
-	op := tupleOp{site: "fake", cols: []int{0}, minChunk: 4}
-	op.open = func(*statBatch) decideFn {
-		return func(tp compact.Tuple, old *deltaOut) (deltaOut, bool, bool, error) {
+// fakeOut is the fake operator's outcome: how many rows the tuple stands
+// for and the fallbacks it charged.
+type fakeOut struct{ rows, fallbacks int32 }
+
+func (o fakeOut) limitFallbacks() int32 { return o.fallbacks }
+
+func (f *fakeOp) op() tupleOp[fakeOut] {
+	op := tupleOp[fakeOut]{site: "fake", cols: []int{0}, minChunk: 4}
+	op.open = func(*statBatch) decideFn[fakeOut] {
+		return func(tp compact.Tuple, old *fakeOut) (fakeOut, bool, bool, error) {
 			i := ordinal(tp)
 			f.mu.Lock()
 			f.reached[i] = true
@@ -70,7 +76,7 @@ func (f *fakeOp) op() tupleOp {
 			if old != nil {
 				return *old, true, false, nil
 			}
-			o := deltaOut{stageSum: int32(i % 3)}
+			o := fakeOut{rows: int32(i % 3)}
 			if i%5 == 0 {
 				o.fallbacks = 1
 			}
@@ -83,7 +89,7 @@ func (f *fakeOp) op() tupleOp {
 				}
 				return nil
 			}) {
-				return deltaOut{}, false, true, nil
+				return fakeOut{}, false, true, nil
 			}
 			f.mu.Lock()
 			f.decided = append(f.decided, i)
@@ -91,8 +97,8 @@ func (f *fakeOp) op() tupleOp {
 			return o, false, false, nil
 		}
 	}
-	op.emit = func(dst []compact.Tuple, tp compact.Tuple, o *deltaOut) []compact.Tuple {
-		for k := int32(0); k < o.stageSum; k++ {
+	op.emit = func(dst []compact.Tuple, tp compact.Tuple, o *fakeOut) []compact.Tuple {
+		for k := int32(0); k < o.rows; k++ {
 			dst = append(dst, tp)
 		}
 		return dst
@@ -126,7 +132,7 @@ func TestTupleLoopProtocol(t *testing.T) {
 			// The memo every prior case replays: one clean pass.
 			base := newFake(workers)
 			first := &deltaState{}
-			if _, err := base.ctx.tupleLoop(nil, first, loopInput(), []string{"x"}, base.op()); err != nil || first.aux == nil {
+			if _, err := tupleLoop(base.ctx, nil, first, loopInput(), []string{"x"}, base.op()); err != nil || first.aux == nil {
 				t.Fatalf("clean pass: err=%v memo=%v", err, first.aux)
 			}
 
@@ -134,7 +140,7 @@ func TestTupleLoopProtocol(t *testing.T) {
 				for _, dx := range []*deltaState{nil, {}} {
 					f := newFake(workers)
 					in := loopInput()
-					out, err := f.ctx.tupleLoop(nil, dx, in, []string{"x"}, f.op())
+					out, err := tupleLoop(f.ctx, nil, dx, in, []string{"x"}, f.op())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -146,7 +152,7 @@ func TestTupleLoopProtocol(t *testing.T) {
 						t.Errorf("delta=%v: reused=%d recomputed=%d fallbacks=%d, want 0/%d/%d",
 							dx != nil, st.TuplesReused, st.TuplesRecomputed, st.LimitFallbacks, loopTuples, fallbacks)
 					}
-					if dx != nil && (dx.aux == nil || len(dx.aux.outs) != loopTuples || &dx.aux.in[0] != &in.Tuples[0]) {
+					if dx != nil && (dx.aux == nil || len(dx.aux.outs.([]fakeOut)) != loopTuples || &dx.aux.in[0] != &in.Tuples[0]) {
 						t.Errorf("memo is not the loop's outcome array over the input rows: %+v", dx.aux)
 					}
 				}
@@ -156,7 +162,7 @@ func TestTupleLoopProtocol(t *testing.T) {
 				f := newFake(workers)
 				dx := &deltaState{prior: first.aux}
 				in := loopInput()
-				out, err := f.ctx.tupleLoop(nil, dx, in, []string{"x"}, f.op())
+				out, err := tupleLoop(f.ctx, nil, dx, in, []string{"x"}, f.op())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -169,7 +175,7 @@ func TestTupleLoopProtocol(t *testing.T) {
 				dx = &deltaState{prior: first.aux}
 				in = &compact.Table{Cols: []string{"x"}, Tuples: first.aux.in}
 				ev := &EvalTrace{}
-				if out, err = f.ctx.tupleLoop(ev, dx, in, []string{"x"}, f.op()); err != nil {
+				if out, err = tupleLoop(f.ctx, ev, dx, in, []string{"x"}, f.op()); err != nil {
 					t.Fatal(err)
 				}
 				if out.String() != serialRows(in, nil) {
@@ -194,7 +200,7 @@ func TestTupleLoopProtocol(t *testing.T) {
 				for _, i := range changed {
 					in.Tuples[i] = fresh.Tuples[i]
 				}
-				out, err := f.ctx.tupleLoop(nil, dx, in, []string{"x"}, f.op())
+				out, err := tupleLoop(f.ctx, nil, dx, in, []string{"x"}, f.op())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -209,7 +215,7 @@ func TestTupleLoopProtocol(t *testing.T) {
 				// The memo left behind chains every row, replayed ones included.
 				next := newFake(workers)
 				dx2 := &deltaState{prior: dx.aux}
-				if _, err := next.ctx.tupleLoop(nil, dx2, in, []string{"x"}, next.op()); err != nil || next.ctx.Stats.TuplesReused != loopTuples {
+				if _, err := tupleLoop(next.ctx, nil, dx2, in, []string{"x"}, next.op()); err != nil || next.ctx.Stats.TuplesReused != loopTuples {
 					t.Errorf("second successor: err=%v reused=%d", err, next.ctx.Stats.TuplesReused)
 				}
 			})
@@ -226,7 +232,7 @@ func TestTupleLoopProtocol(t *testing.T) {
 				}
 				dx := &deltaState{}
 				in := loopInput()
-				out, err := f.ctx.tupleLoop(nil, dx, in, []string{"x"}, f.op())
+				out, err := tupleLoop(f.ctx, nil, dx, in, []string{"x"}, f.op())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -263,7 +269,7 @@ func TestTupleLoopProtocol(t *testing.T) {
 				}
 				dx := &deltaState{}
 				in := loopInput()
-				out, err := f.ctx.tupleLoop(nil, dx, in, []string{"x"}, f.op())
+				out, err := tupleLoop(f.ctx, nil, dx, in, []string{"x"}, f.op())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -281,7 +287,7 @@ func TestTupleLoopProtocol(t *testing.T) {
 					}
 				}
 				dx := &deltaState{}
-				_, err := f.ctx.tupleLoop(nil, dx, loopInput(), []string{"x"}, f.op())
+				_, err := tupleLoop(f.ctx, nil, dx, loopInput(), []string{"x"}, f.op())
 				if !errors.Is(err, ErrQuarantined) || !strings.Contains(err.Error(), "fake") {
 					t.Fatalf("err=%v, want ErrQuarantined at site fake", err)
 				}
@@ -306,7 +312,7 @@ type loopNode struct {
 
 func (n *loopNode) Columns() []string { return []string{"x"} }
 func (n *loopNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, _ []*compact.Table) (*compact.Table, error) {
-	return ctx.tupleLoop(ev, dx, loopInput(), []string{"x"}, n.f.op())
+	return tupleLoop(ctx, ev, dx, loopInput(), []string{"x"}, n.f.op())
 }
 
 // TestTupleLoopPanicReachesCaller: a panic inside decide but outside its
