@@ -102,9 +102,11 @@ bench:
 # 2,000 T8-shaped rows (one and four rows per key), a selection that
 # keeps every row as it came or narrows every row, a two-stage constraint
 # run over 2,000 T8-shaped rows with delta on (cold: the memo built with no
-# prior; replay: every row replayed from the previous memo), and the store's read
+# prior; replay: every row replayed from the previous memo), the store's read
 # path over DBLife pages (one page load: read, checksum, decode and
-# payload build; one record built at ingest; one posting-run decode).
+# payload build; one touch under a resident budget that trims a page; one
+# record built at ingest; one posting-run decode), and the service's
+# /result NDJSON stream of a finished T9 result.
 bench-layers:
 	$(GO) test -run='^$$' -bench='ParseProgram|OrderBody' -benchmem ./internal/alog
 	$(GO) test -run='^$$' -bench=MarkupParse -benchmem ./internal/markup
@@ -113,7 +115,8 @@ bench-layers:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/similarity
 	$(GO) test -run='^$$' -bench=FeatureMemo -benchmem ./internal/feature
 	$(GO) test -run='^$$' -bench='SimJoin|Compare|TrialPlan|Annotate|SelectKeep|TupleLoopMemo' -benchmem ./internal/engine
-	$(GO) test -run='^$$' -bench='PageLoad|BuildRecord|DecodePostings' -benchmem ./internal/store
+	$(GO) test -run='^$$' -bench='PageLoad|Trim|BuildRecord|DecodePostings' -benchmem ./internal/store
+	$(GO) test -run='^$$' -bench=ResultEncode -benchmem ./internal/server
 
 # The two line counts ROADMAP.md gates on, with exactly its command:
 # non-test Go outside benchmark/, in total and in internal/engine. CI's

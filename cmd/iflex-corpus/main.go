@@ -40,7 +40,6 @@ import (
 	"strings"
 
 	"iflex/internal/corpus"
-	"iflex/internal/similarity"
 	"iflex/internal/store"
 )
 
@@ -222,14 +221,7 @@ func runStore(domain string, n int, seed int64, dir string, withTruth bool) erro
 		fmt.Printf("wrote %d pages (%d shards, %d index tokens) to %s\n",
 			man.Docs, man.Shards, man.Vocab, dir)
 		if withTruth {
-			f, err := os.Create(filepath.Join(dir, "truth.txt"))
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			writeTruthSet(f, "Panel", tr.TruthPanel())
-			writeTruthSet(f, "Project", tr.TruthProject())
-			writeTruthSet(f, "Chair", tr.TruthChair())
+			return writeTruth(dir, domain, &corpus.Corpus{DBLife: tr})
 		}
 		return nil
 	}
@@ -275,16 +267,28 @@ func generate(domain string, n int, seed int64) (*corpus.Corpus, error) {
 	return nil, fmt.Errorf("unknown domain %q (want movies, dblp, books, dblife)", domain)
 }
 
-func writeTruthSet(f *os.File, label string, set map[string]bool) {
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
+// writeTruth writes dir/truth.txt: for each task of the domain, in task
+// order, a section of the result keys its Truth computes over c.
+func writeTruth(dir, domain string, c *corpus.Corpus) error {
+	f, err := os.Create(filepath.Join(dir, "truth.txt"))
+	if err != nil {
+		return err
 	}
-	sort.Strings(keys)
-	fmt.Fprintf(f, "## %s (%d)\n", label, len(keys))
-	for _, k := range keys {
-		fmt.Fprintln(f, k)
+	for _, task := range append(corpus.Tasks(), corpus.DBLifeTasks()...) {
+		if !strings.EqualFold(task.Domain, domain) {
+			continue
+		}
+		var keys []string
+		for k := range task.Truth(c) {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		fmt.Fprintf(f, "## %s (%d)\n", task.ID, len(keys))
+		for _, k := range keys {
+			fmt.Fprintln(f, k)
+		}
 	}
+	return f.Close()
 }
 
 func run(domain string, records int, seed int64, out string) error {
@@ -312,28 +316,8 @@ func run(domain string, records int, seed int64, out string) error {
 		fmt.Printf("wrote %d pages to %s\n", len(t.Raw), dir)
 	}
 
-	truth, err := os.Create(filepath.Join(out, "truth.txt"))
-	if err != nil {
+	if err := writeTruth(out, domain, c); err != nil {
 		return err
-	}
-	defer truth.Close()
-	switch domain {
-	case "movies":
-		writeTruthSet(truth, "T1", c.TruthT1())
-		writeTruthSet(truth, "T2", c.TruthT2())
-		writeTruthSet(truth, "T3", c.TruthT3(similarity.Similar))
-	case "dblp":
-		writeTruthSet(truth, "T4", c.TruthT4())
-		writeTruthSet(truth, "T5", c.TruthT5())
-		writeTruthSet(truth, "T6", c.TruthT6(similarity.Similar))
-	case "books":
-		writeTruthSet(truth, "T7", c.TruthT7())
-		writeTruthSet(truth, "T8", c.TruthT8())
-		writeTruthSet(truth, "T9", c.TruthT9(similarity.Similar))
-	case "dblife":
-		writeTruthSet(truth, "Panel", c.DBLife.TruthPanel())
-		writeTruthSet(truth, "Project", c.DBLife.TruthProject())
-		writeTruthSet(truth, "Chair", c.DBLife.TruthChair())
 	}
 	fmt.Printf("wrote ground truth to %s\n", filepath.Join(out, "truth.txt"))
 	return nil

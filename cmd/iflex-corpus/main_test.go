@@ -75,3 +75,36 @@ func TestWrittenCorpusIsLoadable(t *testing.T) {
 		t.Errorf("page content unexpected: %q", raw)
 	}
 }
+
+// TestTruthMatchesGolden: the truth file of every domain, and the one a
+// streamed DBLife store writes, are byte-identical to testdata: one
+// section per task of the domain, in task order.
+func TestTruthMatchesGolden(t *testing.T) {
+	for _, domain := range []string{"movies", "dblp", "books", "dblife"} {
+		want, err := os.ReadFile(filepath.Join("testdata", "truth-"+domain+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := run(domain, 15, 1, dir); err != nil {
+			t.Fatal(err)
+		}
+		dirs := []string{dir}
+		if domain == "dblife" {
+			storeDir := filepath.Join(t.TempDir(), "store")
+			if err := runStore(domain, 15, 1, storeDir, true); err != nil {
+				t.Fatal(err)
+			}
+			dirs = append(dirs, storeDir)
+		}
+		for _, d := range dirs {
+			got, err := os.ReadFile(filepath.Join(d, "truth.txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("%s: %s differs from testdata:\n%s\nwant\n%s", domain, d, got, want)
+			}
+		}
+	}
+}

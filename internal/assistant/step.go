@@ -268,6 +268,14 @@ func (s *Session) Finalize(d time.Duration) (*Result, error) {
 // Pending returns the questions awaiting answers from the next Step call.
 func (s *Session) Pending() []Question { return s.pending }
 
+// Progress returns how many iterations the session has executed (the full
+// pass included, once finalized) and how many questions it has asked: the
+// counts its Result reports. A question counts once the step after it
+// folds its answer in, "I do not know" included.
+func (s *Session) Progress() (iterations, questionsAsked int) {
+	return len(s.res.Iterations), s.res.QuestionsAsked
+}
+
 // Finished reports whether the session holds its final result.
 func (s *Session) Finished() bool { return s.finished }
 

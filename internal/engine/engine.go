@@ -280,7 +280,7 @@ type Context struct {
 	// extraWorkers counts pool slots handed out beyond the caller's own
 	// goroutine; see parallel.go.
 	extraWorkers atomic.Int64
-	// trace, when set, collects one TraceRecord per Eval call; see
+	// trace, when set, aggregates the Eval calls per cache key; see
 	// trace.go (StartTrace, TraceOps, Explain).
 	trace atomic.Pointer[tracer]
 	// modes interns evaluation modes by their contents: a mode's id is its
@@ -438,8 +438,8 @@ type Stats struct {
 }
 
 // Work is what the operator loops count. It is kept at three scopes: a
-// chunk's statBatch, one evaluation (EvalTrace, rendered as its TraceRecord
-// and summed into OpStats) and the context (Stats); add merges one scope
+// chunk's statBatch, one evaluation (EvalTrace, summed into its cache
+// key's OpStats) and the context (Stats); add merges one scope
 // into the next. Work declares int64 counters only.
 type Work struct {
 	// FuncCalls counts the valuations p-functions and comparisons decided:
@@ -702,12 +702,6 @@ func (ctx *Context) modeOf(mode uint32) evalMode {
 	return ctx.modes[mode]
 }
 
-// cacheKey renders the human-readable cache key (mode marker plus
-// signature) of trace records; the cache itself is keyed by entryKey.
-func (ctx *Context) cacheKey(mode uint32, n Node) string {
-	return ctx.modeOf(mode).marker() + "|" + n.Signature()
-}
-
 // lookupLocked returns the resident, current entry for key. Callers hold
 // ctx.mu.
 func (ctx *Context) lookupLocked(key entryKey) *cacheEntry {
@@ -892,15 +886,14 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 	// A fired cancellation is marked here and falls through: operators
 	// degrade per chunk and the partial result propagates up.
 	ctx.Cancelled()
-	mode := ctx.mode.Load()
-	key := entryKey{mode: mode, node: n.ID()}
+	key := entryKey{mode: ctx.mode.Load(), node: n.ID()}
 	trace := ctx.trace.Load()
 	ctx.mu.Lock()
 	if e := ctx.lookupLocked(key); e != nil && e.table != nil {
 		ctx.touchLocked(e)
 		ctx.mu.Unlock()
 		statAdd(&ctx.Stats.CacheHits, 1)
-		trace.note(ctx, n, key, StatusHit)
+		trace.served(key, n, false)
 		return e.table, nil
 	}
 	if c, ok := ctx.inflight[key]; ok {
@@ -911,7 +904,7 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 			return nil, c.err
 		}
 		statAdd(&ctx.Stats.CacheHits, 1)
-		trace.note(ctx, n, key, StatusWait)
+		trace.served(key, n, true)
 		return c.table, nil
 	}
 	c := &inflightEval{done: make(chan struct{})}
@@ -989,19 +982,7 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 	delete(ctx.inflight, key)
 	ctx.mu.Unlock()
 	close(c.done)
-	if trace != nil {
-		rec := TraceRecord{
-			Op: opName(n), Signature: n.Signature(), Key: ctx.cacheKey(mode, n), key: key,
-			Status: StatusMiss, Wall: wall, Self: self, Goroutine: goid(), Work: ev.work,
-			Quarantined: ev.quarantined.Load(), Stages: ev.stages, ResumedFrom: ev.resumedFrom,
-		}
-		if err == nil {
-			rec.Tuples = len(t.Tuples)
-			rec.Expanded = t.NumExpandedTuples()
-			rec.Assignments = t.NumAssignments()
-		}
-		trace.push(rec)
-	}
+	trace.evaluated(key, n, ev, wall, self, t, err)
 	return t, err
 }
 

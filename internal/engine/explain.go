@@ -99,14 +99,11 @@ func Explain(ctx *Context, root Node) (string, error) {
 	if _, err := Eval(ctx, root); err != nil {
 		return "", err
 	}
-	byKey := map[entryKey]OpStats{}
-	for _, o := range ctx.TraceOps() {
-		byKey[o.key] = o
-	}
+	byKey := ctx.trace.Load().snapshot()
 	workers := map[int64]int{}
 	var b strings.Builder
 	sizes := func(n Node) (o OpStats, rows, expanded, assigns int, err error) {
-		o = byKey[entryKey{mode: ctx.mode.Load(), node: n.ID()}]
+		o = byKey[entryKey{mode: ctx.mode.Load(), node: n.ID()}].OpStats
 		if o.Evals > 0 {
 			return o, o.Tuples, o.Expanded, o.Assignments, nil
 		}
@@ -184,10 +181,10 @@ func Explain(ctx *Context, root Node) (string, error) {
 	if err := walk(root, 0); err != nil {
 		return "", err
 	}
-	// Hot-path footer: feature-memo effectiveness and what the batched
-	// stat merging cost. Both are scheduling-dependent (unlike the counts
-	// in the tree above) and meant for eyeballing, not diffing. Counters
-	// are loaded atomically: Explain may run concurrently with evaluation.
+	// Footer: context-wide counters. The feature-memo hit split is
+	// scheduling-dependent (unlike the counts in the tree above) and meant
+	// for eyeballing, not diffing. Counters are loaded atomically: Explain
+	// may run concurrently with evaluation.
 	hits := atomic.LoadInt64(&ctx.Stats.FeatureMemoHits)
 	misses := atomic.LoadInt64(&ctx.Stats.FeatureMemoMisses)
 	if total := hits + misses; total > 0 {

@@ -79,3 +79,9 @@ func InternedForTest(env *Env) []Node {
 	}
 	return out
 }
+
+// cacheKey renders the cache key TraceOps reports for n evaluated under
+// mode: the mode's marker and the signature.
+func (ctx *Context) cacheKey(mode uint32, n Node) string {
+	return ctx.modeOf(mode).marker() + "|" + n.Signature()
+}

@@ -3,47 +3,25 @@ package engine
 import (
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
+
+	"iflex/internal/compact"
 )
 
 // This file is the engine's observability layer. When tracing is enabled
 // on a Context (StartTrace, or implicitly by Explain), every Eval call
-// publishes one TraceRecord onto a lock-free list: records are fully
-// built before a CAS push, so concurrent readers never observe partial
-// writes and tracing adds no lock contention to evaluation. Signatures and
-// key strings are rendered for the records only — an untraced evaluation
-// formats nothing. Snapshots merge the list into per-operator aggregates
-// keyed by cache key and sorted by its rendering; the aggregate counts
-// (evaluations, hits, output sizes, the det counters of Work) are identical
-// at any worker count — the same determinism guarantee the evaluator itself
-// makes — while wall times and worker attribution naturally vary run to
-// run.
-
-// CacheStatus classifies how one Eval call was satisfied.
-type CacheStatus int
-
-const (
-	// StatusMiss marks the call that actually evaluated the node.
-	StatusMiss CacheStatus = iota
-	// StatusHit marks a call served from the reuse cache.
-	StatusHit
-	// StatusWait marks a call that blocked on a concurrent in-flight
-	// evaluation of the same key and shared its result.
-	StatusWait
-)
-
-func (s CacheStatus) String() string {
-	switch s {
-	case StatusMiss:
-		return "miss"
-	case StatusHit:
-		return "hit"
-	case StatusWait:
-		return "wait"
-	}
-	return "unknown"
-}
+// folds into one aggregate per cache key under the tracer's mutex: a hit
+// or a wait bumps a counter, an evaluating call adds its counters and, the
+// first time, its output sizes. Nothing is rendered while evaluating —
+// signatures and key strings are formatted by TraceOps alone, so an Eval
+// call costs the same whether tracing is on or off, apart from the lock
+// and, on a key's first evaluation, the goroutine id. The aggregate
+// counts (evaluations, hits, output sizes, the det counters of Work) are
+// identical at any worker count — the same determinism guarantee the
+// evaluator itself makes — while wall times and worker attribution
+// naturally vary run to run.
 
 // OpKind buckets plan operators for the per-operator time histogram in
 // Stats.OpTimeNs.
@@ -133,76 +111,90 @@ func (ev *EvalTrace) quarantine(n int64) {
 	}
 }
 
-// TraceRecord is one Eval call's measurement.
-type TraceRecord struct {
-	Op        string
-	Signature string
-	Key       string // cache key rendered: mode marker + signature
-	key       entryKey
-	Status    CacheStatus
-	// Wall, output sizes and the counts below are recorded only on the
-	// evaluating (StatusMiss) call; hits and waits carry the key alone.
-	// Wall is inclusive: it covers resolving the inputs, their evaluations
-	// and any waits on them included. Self is the operator alone, from its
-	// resolved inputs to its output.
-	Wall        time.Duration
-	Self        time.Duration
-	Tuples      int // output compact tuples
-	Expanded    int // output expanded tuples
-	Assignments int // output assignments
-	// Work is this call's share of the loop counters (see Stats): among
-	// them the input tuples it replayed from a delta memo (TuplesReused)
-	// or computed fresh (TuplesRecomputed).
-	Work
-	// Quarantined counts the per-document units this call dropped into
-	// quarantine (such a call's output is discarded and re-evaluated, so
-	// the count attributes where faults surfaced, not result contents).
-	Quarantined int64
-	// Stages is the number of stages of a constraint run (0 for every other
-	// operator) and ResumedFrom how many of them the delta predecessor
-	// covered, so that each replayed tuple resumed behind them (-1 = no
-	// predecessor; meaningful only when Stages > 0).
-	Stages      int
-	ResumedFrom int
-	Goroutine   int64 // id of the goroutine that evaluated the node
-}
-
-type traceNode struct {
-	rec  TraceRecord
-	next *traceNode
-}
-
-// tracer accumulates trace records via lock-free pushes. The zero value
-// is ready to use; a nil *tracer discards records.
+// tracer aggregates the traced Eval calls by cache key. A nil *tracer
+// discards them.
 type tracer struct {
-	head atomic.Pointer[traceNode]
+	mu  sync.Mutex
+	ops map[entryKey]*opTrace
 }
 
-// note records a call that evaluated nothing: a hit or a wait.
-func (t *tracer) note(ctx *Context, n Node, key entryKey, status CacheStatus) {
-	if t != nil {
-		t.push(TraceRecord{Op: opName(n), Signature: n.Signature(), Key: ctx.cacheKey(key.mode, n), key: key, Status: status})
+// opTrace is one cache key's aggregate and the node its labels are
+// rendered from.
+type opTrace struct {
+	node Node
+	OpStats
+}
+
+// at returns key's aggregate, making it on the first call. Callers hold
+// t.mu.
+func (t *tracer) at(key entryKey, n Node) *opTrace {
+	o := t.ops[key]
+	if o == nil {
+		o = &opTrace{node: n}
+		t.ops[key] = o
 	}
+	return o
 }
 
-func (t *tracer) push(rec TraceRecord) {
+// served counts a call that evaluated nothing: a hit, or a wait on a
+// concurrent evaluation of the same key.
+func (t *tracer) served(key entryKey, n Node, wait bool) {
 	if t == nil {
 		return
 	}
-	node := &traceNode{rec: rec}
-	for {
-		old := t.head.Load()
-		node.next = old
-		if t.head.CompareAndSwap(old, node) {
-			return
-		}
+	t.mu.Lock()
+	if o := t.at(key, n); wait {
+		o.Waits++
+	} else {
+		o.Hits++
 	}
+	t.mu.Unlock()
+}
+
+// evaluated folds in a call that evaluated the node: wall (inclusive) and
+// self time, its Work and quarantine counts. Output sizes (of out, zero
+// when err is set), stages and the worker are those of the key's first
+// evaluating call.
+func (t *tracer) evaluated(key entryKey, n Node, ev *EvalTrace, wall, self time.Duration, out *compact.Table, err error) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	o := t.at(key, n)
+	if o.Evals == 0 {
+		if err == nil {
+			o.Tuples, o.Expanded, o.Assignments = len(out.Tuples), out.NumExpandedTuples(), out.NumAssignments()
+		}
+		o.Stages, o.ResumedFrom = ev.stages, ev.resumedFrom
+		o.Goroutine = goid()
+	}
+	o.Evals++
+	o.Wall += wall
+	o.Self += self
+	ev.work.add(&o.Work)
+	o.Quarantined += ev.quarantined.Load()
+}
+
+// snapshot copies the aggregates, their labels unrendered; nil when
+// tracing is off.
+func (t *tracer) snapshot() map[entryKey]opTrace {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make(map[entryKey]opTrace, len(t.ops))
+	for k, o := range t.ops {
+		out[k] = *o
+	}
+	return out
 }
 
 // StartTrace enables per-operator tracing on the context, discarding any
-// previously collected records. Tracing is optional and off by default;
+// previously collected aggregates. Tracing is optional and off by default;
 // the always-on Stats counters are unaffected.
-func (ctx *Context) StartTrace() { ctx.trace.Store(&tracer{}) }
+func (ctx *Context) StartTrace() { ctx.trace.Store(&tracer{ops: map[entryKey]*opTrace{}}) }
 
 // Tracing reports whether per-operator tracing is enabled.
 func (ctx *Context) Tracing() bool { return ctx.trace.Load() != nil }
@@ -212,7 +204,6 @@ func (ctx *Context) Tracing() bool { return ctx.trace.Load() != nil }
 // same subtree stay separate).
 type OpStats struct {
 	Key         string
-	key         entryKey
 	Op          string
 	Signature   string
 	Evals       int64         // calls that computed the node
@@ -226,57 +217,38 @@ type OpStats struct {
 	Work                      // loop counters, summed over the computing calls
 	Quarantined int64         // per-document units dropped into quarantine
 	Stages      int           // stages of a constraint run (0 otherwise)
-	ResumedFrom int           // stages the (last) call's predecessor covered, -1 = none
-	Goroutine   int64         // goroutine id of the (last) evaluating call
+	ResumedFrom int           // stages the first call's predecessor covered, -1 = none
+	Goroutine   int64         // goroutine id of the first evaluating call
 }
 
-// TraceOps merges the collected trace into per-operator aggregates,
-// sorted by cache key — a deterministic order regardless of the worker
-// interleaving that produced the records. Returns nil when tracing is
-// off.
+// TraceOps returns the per-operator aggregates with their labels
+// rendered, sorted by cache key — a deterministic order regardless of the
+// worker interleaving that produced them. Returns nil when tracing is off.
 func (ctx *Context) TraceOps() []OpStats {
-	t := ctx.trace.Load()
-	if t == nil {
+	ops := ctx.trace.Load().snapshot()
+	if ops == nil {
 		return nil
 	}
-	byKey := map[entryKey]*OpStats{}
-	for node := t.head.Load(); node != nil; node = node.next {
-		r := &node.rec
-		o := byKey[r.key]
-		if o == nil {
-			o = &OpStats{Key: r.Key, key: r.key, Op: r.Op, Signature: r.Signature}
-			byKey[r.key] = o
+	markers := map[uint32]string{}
+	out := make([]OpStats, 0, len(ops))
+	for k, o := range ops {
+		marker, ok := markers[k.mode]
+		if !ok {
+			marker = ctx.modeOf(k.mode).marker()
+			markers[k.mode] = marker
 		}
-		switch r.Status {
-		case StatusMiss:
-			o.Evals++
-			o.Wall += r.Wall
-			o.Self += r.Self
-			o.Tuples = r.Tuples
-			o.Expanded = r.Expanded
-			o.Assignments = r.Assignments
-			r.Work.add(&o.Work)
-			o.Quarantined += r.Quarantined
-			o.Stages, o.ResumedFrom = r.Stages, r.ResumedFrom
-			o.Goroutine = r.Goroutine
-		case StatusHit:
-			o.Hits++
-		case StatusWait:
-			o.Waits++
-		}
-	}
-	out := make([]OpStats, 0, len(byKey))
-	for _, o := range byKey {
-		out = append(out, *o)
+		o.Signature = o.node.Signature()
+		o.Key, o.Op = marker+"|"+o.Signature, opName(o.node)
+		out = append(out, o.OpStats)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 
 // goid extracts the current goroutine's id from the runtime stack header
-// ("goroutine 123 [running]:"). It is called once per traced evaluation —
-// node granularity, not tuple granularity — so the ~µs stack capture is
-// negligible, and it is never called when tracing is off.
+// ("goroutine 123 [running]:"). It is called on a cache key's first
+// evaluating call — node granularity, not tuple granularity — and never
+// when tracing is off.
 func goid() int64 {
 	var buf [40]byte
 	n := runtime.Stack(buf[:], false)

@@ -436,3 +436,77 @@ func TestExplainRun(t *testing.T) {
 		t.Fatalf("ConstraintStages %v at workers 1 and 8, want 200 both", stages)
 	}
 }
+
+// warmFigure2 returns the Figure 2 plan executed once on a fresh context,
+// traced or not, and a pass that walks it fully cached: Execute answers
+// from the root's entry, SumAssignments looks every node up.
+func warmFigure2(t *testing.T, trace bool) (*Context, *Plan, func()) {
+	t.Helper()
+	env := figure2Env()
+	plan, err := Compile(alog.MustParse(figure2Src), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := NewContext(env)
+	if trace {
+		ctx.StartTrace()
+	}
+	pass := func() {
+		if _, err := plan.Execute(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := SumAssignments(ctx, plan.Root); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass()
+	return ctx, plan, pass
+}
+
+// TestTraceWarmAllocsNothing: tracing a fully cached plan allocates
+// nothing beyond the untraced pass — a hit renders no key and keeps no
+// record of itself.
+func TestTraceWarmAllocsNothing(t *testing.T) {
+	_, _, untraced := warmFigure2(t, false)
+	_, _, traced := warmFigure2(t, true)
+	if off, on := testing.AllocsPerRun(20, untraced), testing.AllocsPerRun(20, traced); on != off {
+		t.Errorf("a warm pass allocates %v times traced, %v untraced", on, off)
+	}
+}
+
+// TestTraceHitsAggregate: repeating warm passes adds no operator to the
+// trace; each Execute adds one hit to the root and each SumAssignments one
+// to every operator.
+func TestTraceHitsAggregate(t *testing.T) {
+	ctx, plan, _ := warmFigure2(t, true)
+	before := ctx.TraceOps()
+	const n = 5
+	for i := 0; i < n; i++ {
+		if _, err := plan.Execute(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if _, err := SumAssignments(ctx, plan.Root); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := ctx.TraceOps()
+	if len(after) != len(before) {
+		t.Fatalf("%d operators traced, %d before the warm passes", len(after), len(before))
+	}
+	root := 0
+	for i, o := range after {
+		want := before[i].Hits + n
+		if o.Signature == plan.Root.Signature() {
+			want += n
+			root++
+		}
+		if o.Key != before[i].Key || o.Hits != want || o.Evals != before[i].Evals {
+			t.Errorf("%s: %d hits, %d evaluations; want %d and %d", o.Key, o.Hits, o.Evals, want, before[i].Evals)
+		}
+	}
+	if root != 1 {
+		t.Errorf("the root is traced %d times", root)
+	}
+}

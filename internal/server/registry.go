@@ -20,16 +20,12 @@ type session struct {
 	id     string
 	tenant string
 
-	mu sync.Mutex // guards s, res, pending, iterations, questionsAsked
+	mu sync.Mutex // guards s, res, done
 	s  *assistant.Session
-	// res is set once the session is finalized; pending mirrors the
-	// questions returned by the last step (also available as s.Pending,
-	// kept here so Info can read it without the session lock discipline
-	// leaking).
-	res            *assistant.Result
-	done           bool
-	iterations     int
-	questionsAsked int
+	// res is set once the session is finalized; done is the last step's
+	// Done. The counts Info reports are read from s itself.
+	res  *assistant.Result
+	done bool
 
 	workers     int
 	cacheBudget int64

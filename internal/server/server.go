@@ -456,8 +456,6 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.touch()
 	sess.done = sr.Done
-	sess.iterations = sr.Iteration.N
-	sess.questionsAsked += len(req.Answers)
 	s.reg.recordStep(sess, time.Since(start), sr.Iteration.Evals, sess.s.StatsSnapshot())
 
 	resp := StepResponse{
@@ -604,9 +602,10 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.mu.Lock()
+	iterations, asked := sess.s.Progress()
 	info := SessionInfo{
 		ID: sess.id, Tenant: sess.tenant, State: sess.state(),
-		Iterations: sess.iterations, QuestionsAsked: sess.questionsAsked,
+		Iterations: iterations, QuestionsAsked: asked,
 		Workers: sess.workers, CacheBudgetBytes: sess.cacheBudget,
 		Created: sess.created, LastUsed: sess.lastUsedAt(),
 	}

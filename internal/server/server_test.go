@@ -482,6 +482,38 @@ func TestResultExplain(t *testing.T) {
 	_ = fmt.Sprintf("%v", info)
 }
 
+// TestInfoReadsSessionProgress: /info reports the library session's own
+// counts. Stepping past Done executes nothing, so the iteration count stays
+// at the last executed one, and questions left unanswered count as asked
+// ("I do not know"), as the result header counts them.
+func TestInfoReadsSessionProgress(t *testing.T) {
+	_, c, shutdown := newTestServer(t, Config{})
+	defer shutdown()
+	created, err := c.CreateSession(CreateSessionRequest{Tenant: "a", Task: "T1", Records: 12, MaxIterations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info SessionInfo
+	for step := 1; step <= 6; step++ {
+		if _, err := c.Step(created.ID, StepRequest{}); err != nil {
+			t.Fatal(err)
+		}
+		if info, err = c.Info(created.ID); err != nil {
+			t.Fatal(err)
+		}
+		if want := min(step, 2); info.Iterations != want {
+			t.Errorf("after step %d: /info iterations %d, want %d", step, info.Iterations, want)
+		}
+	}
+	res, err := c.Result(created.ID, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.QuestionsAsked == 0 || info.QuestionsAsked != res.QuestionsAsked {
+		t.Errorf("/info questions_asked %d, result header %d", info.QuestionsAsked, res.QuestionsAsked)
+	}
+}
+
 // TestStoreBackedSession mounts a sharded document store on the server
 // and creates a session referencing it by name: the result must be
 // byte-identical to the same program run through the library over an

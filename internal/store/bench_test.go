@@ -43,6 +43,39 @@ func BenchmarkPageLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkTrim times one touch under a resident budget of about eight
+// of 64 pages, cycling through them so that every touch loads a page and
+// the budget trim releases the least recently loaded one: the load of
+// BenchmarkPageLoad plus the trim's LRU bookkeeping and release in place
+// of the explicit Release.
+func BenchmarkTrim(b *testing.B) {
+	dir := b.TempDir()
+	ids, raws := benchPages(b, 64)
+	buildStore(b, dir, ids, raws, 2048)
+	man, err := Open(dir, OpenOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := man.Manifest()
+	man.Close()
+	s, err := Open(dir, OpenOptions{ResidentBudget: 8 * estBytes(int(m.TextBytes/int64(m.Docs)))})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if d := s.Doc(i % s.Len()); d.Len() > 0 && d.Text() == "" {
+			b.Fatal("empty load")
+		}
+	}
+	b.StopTimer()
+	if b.N > 64 && s.Releases() == 0 {
+		b.Fatal("the budget never trimmed")
+	}
+}
+
 // BenchmarkBuildRecord times encoding one page's record at ingest: parse
 // the markup, tokenize the text, intern the tokens and encode the record.
 func BenchmarkBuildRecord(b *testing.B) {

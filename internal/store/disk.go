@@ -236,11 +236,7 @@ func (s *DiskStore) rollbackLastGeneration(cause error) error {
 	if man.Generation == 0 {
 		man.BaseDocs = 0
 	}
-	mb, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return fmt.Errorf("rolling back generation %d (%v): %w", g, cause, err)
-	}
-	if err := atomicWriteFile(s.fs, filepath.Join(s.dir, manifestName), append(mb, '\n')); err != nil {
+	if err := writeManifest(s.fs, s.dir, man); err != nil {
 		return fmt.Errorf("rolling back generation %d (%v): rewriting manifest: %w", g, cause, err)
 	}
 	s.shards[dropShard].Close()

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -109,22 +110,22 @@ func (f osFile) Sync() error {
 	return f.File.Sync()
 }
 
-// atomicWriteFile durably publishes data at path: write to path+".tmp",
-// fsync, close, rename over path, fsync the parent directory. After the
-// rename the new content is the only content a reader can see; after the
-// directory sync it survives a crash. A crash at any earlier point
-// leaves at most a *.tmp orphan (swept by Open) plus the old file.
-func atomicWriteFile(fs FS, path string, data []byte) error {
+// atomicWriteFile durably publishes what write writes at path: write to
+// path+".tmp", fsync, close, rename over path, fsync the parent
+// directory. After the rename the new content is the only content a
+// reader can see; after the directory sync it survives a crash. A crash
+// at any earlier point leaves at most a *.tmp orphan (swept by Open) plus
+// the old file.
+func atomicWriteFile(fs FS, path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := fs.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	if err = write(f); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
+	if err != nil {
 		f.Close()
 		return err
 	}
@@ -135,6 +136,23 @@ func atomicWriteFile(fs FS, path string, data []byte) error {
 		return err
 	}
 	return fs.SyncDir(filepath.Dir(path))
+}
+
+// writeBytes is the atomicWriteFile callback that writes data in one call.
+func writeBytes(data []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}
+}
+
+// writeManifest publishes man as dir's manifest.json.
+func writeManifest(fs FS, dir string, man Manifest) error {
+	mb, err := json.MarshalIndent(man, "", "  ")
+	if err != nil {
+		return err
+	}
+	return atomicWriteFile(fs, filepath.Join(dir, manifestName), writeBytes(append(mb, '\n')))
 }
 
 // sweepStoreOrphans removes leftover store files a crash may have

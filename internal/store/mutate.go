@@ -2,7 +2,6 @@ package store
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -193,11 +192,7 @@ func (m *Mutation) Commit() (*Delta, error) {
 	}
 	man.TextBytes += txtBytes
 	man.PageBytes += pgBytes
-	mb, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("store: mutate: %w", err)
-	}
-	if err := atomicWriteFile(s.fs, filepath.Join(s.dir, manifestName), append(mb, '\n')); err != nil {
+	if err := writeManifest(s.fs, s.dir, man); err != nil {
 		return nil, fmt.Errorf("store: mutate: %w", err)
 	}
 
@@ -266,7 +261,7 @@ func writeShardFile(fsys FS, path string, recs [][]byte, meta []docMeta) (err er
 // temp + fsync + rename + directory fsync so a reader can never observe
 // a torn sidecar under an intact footer.
 func writeDeltaFile(fsys FS, path string, gen, prevDocs, newDocs, prevVocab int, tombs []int, newTok []string, newPost map[uint32][]int) error {
-	if err := atomicWriteFile(fsys, path, encodeDelta(gen, prevDocs, newDocs, prevVocab, tombs, newTok, newPost)); err != nil {
+	if err := atomicWriteFile(fsys, path, writeBytes(encodeDelta(gen, prevDocs, newDocs, prevVocab, tombs, newTok, newPost))); err != nil {
 		return fmt.Errorf("store: mutate: write delta sidecar: %w", err)
 	}
 	return nil

@@ -3,9 +3,9 @@ package store
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -306,11 +306,7 @@ func (w *Writer) Close() error {
 	if err := w.writeIndex(); err != nil {
 		return w.fail(err)
 	}
-	mb, err := json.MarshalIndent(w.man, "", "  ")
-	if err != nil {
-		return w.fail(err)
-	}
-	if err := atomicWriteFile(w.fs, filepath.Join(w.dir, manifestName), append(mb, '\n')); err != nil {
+	if err := writeManifest(w.fs, w.dir, w.man); err != nil {
 		return w.fail(err)
 	}
 	return nil
@@ -324,13 +320,6 @@ const indexName = "tokens.idx"
 // writeIndex persists the vocabulary and the per-token posting runs,
 // publishing the file via temp + fsync + rename + directory fsync.
 func (w *Writer) writeIndex() error {
-	path := filepath.Join(w.dir, indexName)
-	f, err := w.fs.Create(path + ".tmp")
-	if err != nil {
-		return err
-	}
-	buf := bufio.NewWriterSize(f, 1<<20)
-
 	var hdr bufWriter
 	hdr.str(indexMagic)
 	hdr.u32(version)
@@ -347,33 +336,15 @@ func (w *Writer) writeIndex() error {
 		off += uint64(len(run))
 	}
 	offs.u64(off)
-	if _, err := buf.Write(hdr.b); err != nil {
-		f.Close()
-		return err
-	}
-	if _, err := buf.Write(offs.b); err != nil {
-		f.Close()
-		return err
-	}
-	for _, run := range w.postings {
-		if _, err := buf.Write(run); err != nil {
-			f.Close()
-			return err
+	return atomicWriteFile(w.fs, filepath.Join(w.dir, indexName), func(f io.Writer) error {
+		// A bufio.Writer keeps its first error: the writes after it do
+		// nothing and Flush returns it.
+		buf := bufio.NewWriterSize(f, 1<<20)
+		_, _ = buf.Write(hdr.b)
+		_, _ = buf.Write(offs.b)
+		for _, run := range w.postings {
+			_, _ = buf.Write(run)
 		}
-	}
-	if err := buf.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := w.fs.Rename(path+".tmp", path); err != nil {
-		return err
-	}
-	return w.fs.SyncDir(w.dir)
+		return buf.Flush()
+	})
 }
