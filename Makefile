@@ -17,10 +17,10 @@ vet:
 race:
 	$(GO) test -race ./internal/feature/... ./internal/engine/... ./internal/assistant/... ./internal/server/...
 
-# The pre-merge gate: formatting, the one-loop, one-fan-out and
-# one-fault-state rules, vet, the race run over the concurrent core, and
-# the full tier-1 suite. Bench-heavy tests honour -short, so this stays
-# fast. The one-loop rule:
+# The pre-merge gate: formatting, the one-loop, one-fan-out,
+# one-fault-state and one-cache-map rules, vet, the race run over the
+# concurrent core, and the full tier-1 suite. Bench-heavy tests honour
+# -short, so this stays fast. The one-loop rule:
 # the per-tuple protocol (DESIGN.md §11 "The tuple loop") has one home, so
 # outside tupleloop.go no non-test file of internal/engine reports
 # unprocessed documents, picks, looks up or indexes a delta memo
@@ -38,6 +38,10 @@ race:
 # The oracle rule: internal/oracle is the reference semantics tests check
 # the engine against, so no non-test file imports it and it imports
 # neither the engine nor the assistant.
+# The one-cache-map rule: what the engine knows per cache key (the result,
+# its memo and the trace of its evaluation, DESIGN.md §9) lives on the
+# cache entry, so outside engine.go (the cache and the in-flight map) no
+# non-test file of internal/engine declares a map[entryKey].
 verify:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
@@ -53,6 +57,9 @@ verify:
 	@faults="$$(grep -nE '\.faults\.' internal/engine/*.go | \
 		grep -vE '^internal/engine/(faults\.go|[a-z0-9_]*_test\.go):')"; if [ -n "$$faults" ]; then \
 		echo "fault state touched outside internal/engine/faults.go:"; echo "$$faults"; exit 1; fi
+	@keymaps="$$(grep -nE 'map\[entryKey\]' internal/engine/*.go | \
+		grep -vE '^internal/engine/(engine\.go|[a-z0-9_]*_test\.go):')"; if [ -n "$$keymaps" ]; then \
+		echo "map keyed by entryKey outside internal/engine/engine.go:"; echo "$$keymaps"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/feature/... ./internal/engine/... ./internal/assistant/... ./internal/server/...
 	$(GO) build ./...

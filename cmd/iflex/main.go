@@ -152,11 +152,6 @@ func run() (degraded bool, err error) {
 		}
 		ctx := iflex.NewContext(env)
 		ctx.Workers = *workers
-		if *explain {
-			// Enable tracing before execution so the tree shows real
-			// evaluation timings, not all-hit cache lookups.
-			ctx.StartTrace()
-		}
 		c := context.Background()
 		if *timeout > 0 {
 			var cancel context.CancelFunc

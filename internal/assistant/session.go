@@ -67,10 +67,6 @@ type Config struct {
 	// call, so a long-lived interactive session gets a fresh window for
 	// every step instead of expiring mid-conversation (see step.go).
 	Deadline time.Duration
-	// Trace enables per-operator tracing from the first execution, so
-	// Explain can render an EXPLAIN ANALYZE tree at any point of the
-	// session (the service's -explain streaming uses this).
-	Trace bool
 }
 
 func (c Config) withDefaults() Config {
@@ -214,9 +210,6 @@ func NewSession(env *engine.Env, prog *alog.Program, oracle Oracle, cfg Config) 
 	s.ctx.CacheBudget = cfg.CacheBudget
 	if !cfg.noDeltaReuse {
 		s.ctx.EnableDelta()
-	}
-	if cfg.Trace {
-		s.ctx.StartTrace()
 	}
 	s.subset = s.sampleSubset()
 	return s

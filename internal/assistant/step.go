@@ -285,9 +285,8 @@ func (s *Session) StatsSnapshot() engine.StatsSnapshot {
 	return s.ctx.Stats.Snapshot()
 }
 
-// Explain renders the EXPLAIN ANALYZE tree of the last executed plan.
-// It requires Config.Trace (tracing from the first execution); without a
-// plan executed yet it returns an error.
+// Explain renders the EXPLAIN ANALYZE tree of the last executed plan;
+// without a plan executed yet it returns an error.
 func (s *Session) Explain() (string, error) {
 	if s.prevPlan == nil {
 		return "", fmt.Errorf("assistant: no plan executed yet")

@@ -586,8 +586,8 @@ func TestFinalizeRetryAfterFault(t *testing.T) {
 	}
 }
 
-// TestStepExplain exercises the Trace/Explain accessors used by the
-// service's -explain streaming.
+// TestStepExplain exercises the Explain accessor used by the service's
+// -explain streaming.
 func TestStepExplain(t *testing.T) {
 	task, err := corpus.TaskByID("T1")
 	if err != nil {
@@ -595,7 +595,7 @@ func TestStepExplain(t *testing.T) {
 	}
 	c := task.Generate(6, 1)
 	env := task.Env(c)
-	s := assistant.NewSession(env, alog.MustParse(task.Program), task.Oracle(), assistant.Config{Trace: true})
+	s := assistant.NewSession(env, alog.MustParse(task.Program), task.Oracle(), assistant.Config{})
 	if _, err := s.Explain(); err == nil {
 		t.Error("Explain before any execution accepted")
 	}

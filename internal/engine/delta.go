@@ -298,10 +298,10 @@ func (ctx *Context) adoptUnrun(n Node, dx *deltaState, in []*compact.Table, ev *
 	}
 	ctx.mu.Unlock()
 	if run, ok := n.(*constraintNode); ok {
-		ev.stages, ev.resumedFrom = len(run.cons), len(run.cons)
-		ev.stageAsg.Store(p.stageAsg)
+		ev.resumedFrom = len(run.cons)
+		ev.stageAsg.Store(p.trace.stageAsg.Load())
 	}
-	(&Work{LimitFallbacks: p.fallbacks}).add(&ev.work, &ctx.Stats.Work)
+	(&Work{LimitFallbacks: p.trace.work.LimitFallbacks}).add(&ev.work, &ctx.Stats.Work)
 	dx.aux = p.aux
 	statAdd(&ctx.Stats.TablesAdopted, 1)
 	statAdd(&ctx.Stats.AdoptedUnrun, 1)

@@ -27,7 +27,6 @@ import (
 	"reflect"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -260,12 +259,13 @@ type Context struct {
 	// Stats accumulates evaluation counters (atomically).
 	Stats Stats
 
-	// mu guards the cache part: cache, the LRU list, inflight, deltaPrev
-	// and modes. The fault part has its own (faults); the scheduler
-	// (extraWorkers) and the telemetry (Stats, trace) are lock-free.
+	// mu guards the cache part: cache, the LRU list, inflight, deltaPrev,
+	// modes and the entries' served counts. The fault part has its
+	// own (faults); the scheduler (extraWorkers) and Stats are lock-free.
 	mu sync.Mutex
-	// cache memoises node results (and blocking indexes); their total size
-	// is Stats.CacheBytes.
+	// cache memoises node results (and blocking indexes), each with the
+	// trace of the evaluation that built it; their total size is
+	// Stats.CacheBytes.
 	cache map[entryKey]*cacheEntry
 	// lruHead / lruTail order entries from most to least recently used.
 	lruHead, lruTail *cacheEntry
@@ -280,9 +280,6 @@ type Context struct {
 	// extraWorkers counts pool slots handed out beyond the caller's own
 	// goroutine; see parallel.go.
 	extraWorkers atomic.Int64
-	// trace, when set, aggregates the Eval calls per cache key; see
-	// trace.go (StartTrace, TraceOps, Explain).
-	trace atomic.Pointer[tracer]
 	// modes interns evaluation modes by their contents: a mode's id is its
 	// index, 0 stands for none. mode is the current one (remode) and
 	// prevMode the one the context most recently switched away from
@@ -320,32 +317,29 @@ type entryKey struct {
 }
 
 // cacheEntry is one resident cache entry. Exactly one of table (plus
-// optional delta memo aux) or idx is set. fallbacks is the LimitFallbacks
-// total the table's evaluation charged, which a successor that adopts it
-// unrun recharges; stageAsg, for a constraint run, the assignments of the
-// stage tables it did not build (SumAssignments), which such a successor
-// carries over. stale marks a table displaced by ApplyCorpusDelta: no
-// lookup sees it but Eval's probe for its own key's corpus prior. Entries
-// form a doubly-linked LRU list under Context.mu.
+// optional delta memo aux) or idx is set. trace is the evaluation that
+// built a table entry (trace.go). stale marks a table displaced by
+// ApplyCorpusDelta: no lookup sees it but Eval's probe for its own key's
+// corpus prior. Entries form a doubly-linked LRU list under Context.mu.
 type cacheEntry struct {
-	key       entryKey
-	node      Node // of a table entry
-	table     *compact.Table
-	aux       *evalAux
-	idx       *blockIndex
-	bytes     int64
-	fallbacks int64
-	stageAsg  int64
-	stale     bool
+	key   entryKey
+	node  Node // of a table entry
+	table *compact.Table
+	aux   *evalAux
+	idx   *blockIndex
+	bytes int64
+	stale bool
+	trace EvalTrace
 
 	prev, next *cacheEntry
 }
 
-// inflightEval is one in-progress node evaluation; waiters block on done
-// and then read table/err (written before done is closed).
+// inflightEval is one in-progress node evaluation; waiters count
+// themselves on the entry it is building, block on done and then read the
+// entry's table and err (written before done is closed).
 type inflightEval struct {
 	done  chan struct{}
-	table *compact.Table
+	entry *cacheEntry
 	err   error
 }
 
@@ -438,9 +432,9 @@ type Stats struct {
 }
 
 // Work is what the operator loops count. It is kept at three scopes: a
-// chunk's statBatch, one evaluation (EvalTrace, summed into its cache
-// key's OpStats) and the context (Stats); add merges one scope
-// into the next. Work declares int64 counters only.
+// chunk's statBatch, one evaluation (EvalTrace, on its cache entry) and
+// the context (Stats); add merges one scope into the next. Work declares
+// int64 counters only.
 type Work struct {
 	// FuncCalls counts the valuations p-functions and comparisons decided:
 	// decisions, not their cost. VerifyCalls / RefineCalls count logical
@@ -494,8 +488,7 @@ type Work struct {
 }
 
 // add merges w's counts into each of dsts atomically, skipping zero ones:
-// a chunk's into its evaluation and the context, a traced call's into its
-// operator.
+// a chunk's into its evaluation and the context.
 func (w *Work) add(dsts ...*Work) {
 	src := reflect.ValueOf(w).Elem()
 	for i := range src.NumField() {
@@ -631,22 +624,6 @@ func (m evalMode) admits(tp compact.Tuple) bool {
 		}
 	}
 	return true
-}
-
-// marker renders m as trace records' cache keys spell it: "full" or
-// "subset:id1:id2…", then "|quarantine:id1,id2…" while pages are barred.
-func (m evalMode) marker() string {
-	marker := "full"
-	if m.subset {
-		marker = "subset"
-		if ids := m.in.sorted(); len(ids) > 0 {
-			marker += ":" + strings.Join(ids, ":")
-		}
-	}
-	if len(m.barred) > 0 {
-		marker += "|quarantine:" + strings.Join(m.barred.sorted(), ",")
-	}
-	return marker
 }
 
 // SetDocFilter switches the context between full evaluation (nil) and
@@ -808,7 +785,7 @@ type Node interface {
 	// ID is the node's identity, the reuse key (see NodeID).
 	ID() NodeID
 	// Signature is a canonical rendering of the subtree for people: plans,
-	// -explain and trace records.
+	// -explain and TraceOps.
 	Signature() string
 	// Columns names the variables bound by this node's output table.
 	Columns() []string
@@ -827,7 +804,7 @@ type Node interface {
 // "number of assignments produced by the extraction process" that the
 // convergence monitor tracks alongside the result size (Section 5.1). A
 // constraint run stands for one table per stage: the ones it did not build
-// are totalled from what it recorded on its cache entry (stageAsg), so
+// are totalled from what its cache entry's trace recorded (stageAsg), so
 // adding a constraint perturbs the sum whether or not it starts a new node.
 func SumAssignments(ctx *Context, root Node) (int, error) {
 	total := 0
@@ -850,7 +827,7 @@ func SumAssignments(ctx *Context, root Node) (int, error) {
 		total += t.NumAssignments()
 		ctx.mu.Lock()
 		if e := ctx.lookupLocked(entryKey{mode: ctx.mode.Load(), node: n.ID()}); e != nil {
-			total += int(e.stageAsg)
+			total += int(e.trace.stageAsg.Load())
 		}
 		ctx.mu.Unlock()
 		return nil
@@ -887,16 +864,16 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 	// degrade per chunk and the partial result propagates up.
 	ctx.Cancelled()
 	key := entryKey{mode: ctx.mode.Load(), node: n.ID()}
-	trace := ctx.trace.Load()
 	ctx.mu.Lock()
 	if e := ctx.lookupLocked(key); e != nil && e.table != nil {
 		ctx.touchLocked(e)
+		e.trace.served++
 		ctx.mu.Unlock()
 		statAdd(&ctx.Stats.CacheHits, 1)
-		trace.served(key, n, false)
 		return e.table, nil
 	}
 	if c, ok := ctx.inflight[key]; ok {
+		c.entry.trace.served++
 		ctx.mu.Unlock()
 		// A cut owner finishes promptly, so a plain wait suffices.
 		<-c.done
@@ -904,10 +881,12 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 			return nil, c.err
 		}
 		statAdd(&ctx.Stats.CacheHits, 1)
-		trace.served(key, n, true)
-		return c.table, nil
+		return c.entry.table, nil
 	}
-	c := &inflightEval{done: make(chan struct{})}
+	// The entry is built as the evaluation goes: its trace is the
+	// evaluation's, and it is stored once the table is complete.
+	e := &cacheEntry{key: key, node: n}
+	c := &inflightEval{done: make(chan struct{}), entry: e}
 	ctx.inflight[key] = c
 	dx, priorTable := ctx.deltaPriorLocked(n, key)
 	ctx.mu.Unlock()
@@ -916,7 +895,7 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 	if dx != nil && (dx.prior != nil || priorTable != nil) {
 		statAdd(&ctx.Stats.DeltaEvals, 1)
 	}
-	ev := &EvalTrace{}
+	ev := &e.trace
 	finished := false
 	start := time.Now()
 	defer func() {
@@ -938,7 +917,6 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 	}()
 	in, err := evalAll(ctx, n.Children())
 	var t *compact.Table
-	var self time.Duration
 	if err == nil {
 		opStart := time.Now()
 		if t = ctx.adoptUnrun(n, dx, in, ev); t == nil {
@@ -953,12 +931,12 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 				statAdd(&ctx.Stats.TablesAdopted, 1)
 			}
 		}
-		self = time.Since(opStart)
+		ev.self = time.Since(opStart)
 	}
 	finished = true
-	wall := time.Since(start)
-	atomic.AddInt64(&ctx.Stats.OpTimeNs[kindOf(n)], int64(wall))
-	c.table, c.err = t, err
+	ev.wall = time.Since(start)
+	atomic.AddInt64(&ctx.Stats.OpTimeNs[kindOf(n)], int64(ev.wall))
+	e.table, c.err = t, err
 
 	ctx.mu.Lock()
 	if err == nil {
@@ -968,7 +946,6 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 			// best-effort cut truncates operator loops), so it is handed to
 			// the caller but never cached: a later evaluation under the same
 			// key must recompute in full.
-			e := &cacheEntry{key: key, node: n, table: t, fallbacks: ev.work.LimitFallbacks, stageAsg: ev.stageAsg.Load()}
 			if dx != nil {
 				e.aux = dx.aux
 			}
@@ -982,7 +959,6 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 	delete(ctx.inflight, key)
 	ctx.mu.Unlock()
 	close(c.done)
-	trace.evaluated(key, n, ev, wall, self, t, err)
 	return t, err
 }
 

@@ -83,60 +83,56 @@ func CountNodes(root Node) int {
 
 // Explain renders an EXPLAIN ANALYZE-style tree for the plan: one line
 // per operator with output sizes, wall time (inputs included) and self
-// time, reuse-cache status, valuation-limit fallbacks, the evaluating
-// worker and a prefix of the signature (the reuse key). Tracing is enabled
-// on the context if it is not already on, and the plan is evaluated
-// through the cache — after Execute that costs no recomputation. Nodes
-// evaluated before tracing started show cache=hit with no timing.
-//
-// Worker ids are densified in tree order (w0, w1, ...), so runs are
-// comparable even though the underlying goroutine ids differ; timing and
-// worker attribution vary run to run, the counts do not.
+// time, reuse-cache status, valuation-limit fallbacks and a prefix of the
+// signature (the reuse key). Each line is the trace of the node's cache
+// entry: the evaluation that built it and the requests it served since.
+// The plan is evaluated through the cache first — after Execute that costs
+// no recomputation; a node whose entry was evicted is evaluated again, and
+// its line shows that evaluation. Timing varies run to run, the counts do
+// not.
 func Explain(ctx *Context, root Node) (string, error) {
-	if !ctx.Tracing() {
-		ctx.StartTrace()
-	}
 	if _, err := Eval(ctx, root); err != nil {
 		return "", err
 	}
-	byKey := ctx.trace.Load().snapshot()
-	workers := map[int64]int{}
-	var b strings.Builder
-	sizes := func(n Node) (o OpStats, rows, expanded, assigns int, err error) {
-		o = byKey[entryKey{mode: ctx.mode.Load(), node: n.ID()}].OpStats
-		if o.Evals > 0 {
-			return o, o.Tuples, o.Expanded, o.Assignments, nil
+	// trace returns n's entry's trace, evaluating n when it has none;
+	// traced is false when the evaluation left no entry (a fired
+	// cancellation).
+	trace := func(n Node) (o OpStats, traced bool, err error) {
+		key := entryKey{mode: ctx.mode.Load(), node: n.ID()}
+		resident := func() bool {
+			ctx.mu.Lock()
+			defer ctx.mu.Unlock()
+			e := ctx.lookupLocked(key)
+			if e != nil && e.table != nil {
+				o = e.opStatsLocked()
+			}
+			return e != nil && e.table != nil
 		}
-		// Evaluated before tracing started: sizes come from the cached
-		// table itself.
+		if resident() {
+			return o, true, nil
+		}
 		t, err := Eval(ctx, n)
-		if err != nil {
-			return o, 0, 0, 0, err
+		if err != nil || resident() {
+			return o, err == nil, err
 		}
-		return o, len(t.Tuples), t.NumExpandedTuples(), t.NumAssignments(), nil
+		o.Tuples, o.Expanded, o.Assignments = len(t.Tuples), t.NumExpandedTuples(), t.NumAssignments()
+		return o, false, nil
 	}
+	var b strings.Builder
 	var walk func(n Node, depth int) error
 	walk = func(n Node, depth int) error {
-		o, rows, expanded, assigns, err := sizes(n)
+		o, traced, err := trace(n)
 		if err != nil {
 			return err
 		}
-		cache := "hit"
 		wall, self := "-", "-"
-		worker := "-"
-		if o.Evals > 0 {
-			cache = "miss"
+		if traced {
 			wall = o.Wall.Round(time.Microsecond).String()
 			self = o.Self.Round(time.Microsecond).String()
-			id, ok := workers[o.Goroutine]
-			if !ok {
-				id = len(workers)
-				workers[o.Goroutine] = id
-			}
-			worker = fmt.Sprintf("w%d", id)
 		}
-		if hits := o.Hits + o.Waits; hits > 0 {
-			cache += fmt.Sprintf("+%dhit", hits)
+		cache := "miss"
+		if o.Served > 0 {
+			cache += fmt.Sprintf("+%dhit", o.Served)
 		}
 		extra := ""
 		if o.LimitFallbacks > 0 {
@@ -155,12 +151,12 @@ func Explain(ctx *Context, root Node) (string, error) {
 			// A run is one line for all its stages: say how many, how many
 			// rows went in, and behind how many stages a predecessor let the
 			// replayed tuples resume.
-			_, in, _, _, err := sizes(run.parent)
+			in, _, err := trace(run.parent)
 			if err != nil {
 				return err
 			}
-			extra += fmt.Sprintf(" stages=%d in=%d", len(run.cons), in)
-			if o.Evals > 0 && o.ResumedFrom >= 0 {
+			extra += fmt.Sprintf(" stages=%d in=%d", len(run.cons), in.Tuples)
+			if traced && o.ResumedFrom >= 0 {
 				extra += fmt.Sprintf(" resumed=%d", o.ResumedFrom)
 			}
 		}
@@ -168,9 +164,9 @@ func Explain(ctx *Context, root Node) (string, error) {
 		if len(sig) > 44 {
 			sig = sig[:44] + "…"
 		}
-		fmt.Fprintf(&b, "%-36s %6d rows %8d exp %8d asg %10s self %10s  cache=%-9s %-3s%s  sig=%s\n",
-			strings.Repeat("  ", depth)+opName(n), rows, expanded, assigns,
-			wall, self, cache, worker, extra, sig)
+		fmt.Fprintf(&b, "%-36s %6d rows %8d exp %8d asg %10s self %10s  cache=%-9s%s  sig=%s\n",
+			strings.Repeat("  ", depth)+opName(n), o.Tuples, o.Expanded, o.Assignments,
+			wall, self, cache, extra, sig)
 		for _, c := range n.Children() {
 			if err := walk(c, depth+1); err != nil {
 				return err
@@ -200,14 +196,16 @@ func Explain(ctx *Context, root Node) (string, error) {
 	}
 	if computed := atomic.LoadInt64(&ctx.Stats.ConstraintStages); computed > 0 {
 		var runs, stages, resumed, covered int
-		for _, o := range byKey {
-			if o.Stages > 0 && o.Evals > 0 {
-				runs, stages = runs+1, stages+o.Stages
-				if o.ResumedFrom >= 0 {
-					resumed, covered = resumed+1, covered+o.ResumedFrom
+		ctx.mu.Lock()
+		for _, e := range ctx.cache {
+			if run, ok := e.node.(*constraintNode); ok {
+				runs, stages = runs+1, stages+len(run.cons)
+				if e.trace.resumedFrom >= 0 {
+					resumed, covered = resumed+1, covered+e.trace.resumedFrom
 				}
 			}
 		}
+		ctx.mu.Unlock()
 		fmt.Fprintf(&b, "constraints: %d stages computed; %d runs traced (%d stages), %d resumed (behind %d stages)\n",
 			computed, runs, stages, resumed, covered)
 	}

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"maps"
+	"sort"
+	"strings"
 
 	"iflex/internal/compact"
 )
@@ -77,6 +79,46 @@ func InternedForTest(env *Env) []Node {
 	for _, n := range env.nodes.m {
 		out = append(out, n)
 	}
+	return out
+}
+
+// marker renders m as TraceOps' keys spell it: "full" or
+// "subset:id1:id2…", then "|quarantine:id1,id2…" while pages are barred.
+func (m evalMode) marker() string {
+	marker := "full"
+	if m.subset {
+		marker = "subset"
+		if ids := m.in.sorted(); len(ids) > 0 {
+			marker += ":" + strings.Join(ids, ":")
+		}
+	}
+	if len(m.barred) > 0 {
+		marker += "|quarantine:" + strings.Join(m.barred.sorted(), ",")
+	}
+	return marker
+}
+
+// TracedOp is one resident result entry's trace with its labels: Key is
+// the mode's marker and the signature.
+type TracedOp struct {
+	Key, Op, Signature string
+	OpStats
+}
+
+// TraceOps returns the trace of every result entry ctx's cache holds,
+// stale ones included, sorted by Key: a deterministic order whatever
+// worker interleaving built them.
+func (ctx *Context) TraceOps() []TracedOp {
+	ctx.mu.Lock()
+	defer ctx.mu.Unlock()
+	var out []TracedOp
+	for k, e := range ctx.cache {
+		if e.table != nil {
+			sig := e.node.Signature()
+			out = append(out, TracedOp{Key: ctx.modes[k.mode].marker() + "|" + sig, Op: opName(e.node), Signature: sig, OpStats: e.opStatsLocked()})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 

@@ -379,7 +379,6 @@ func TestSelectionsKeepNoMemo(t *testing.T) {
 	v1, v2 := plan(numA), plan(numA, k("preceded-by", "a", "Sqft:"))
 	ctx := NewContext(env)
 	ctx.EnableDelta()
-	ctx.StartTrace()
 	if _, err := Eval(ctx, v1); err != nil {
 		t.Fatal(err)
 	}

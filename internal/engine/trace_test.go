@@ -15,9 +15,9 @@ import (
 	"iflex/internal/alog"
 )
 
-// TestExplainFreshContext runs the Figure 2 plan with tracing on from the
-// start: every operator line must show real evaluation data (miss status,
-// row counts, a worker id) plus the signature prefix.
+// TestExplainFreshContext runs the Figure 2 plan, then explains it: every
+// operator line must show real evaluation data (miss status, row counts,
+// timings) plus the signature prefix.
 func TestExplainFreshContext(t *testing.T) {
 	env := figure2Env()
 	plan, err := Compile(alog.MustParse(figure2Src), env)
@@ -25,7 +25,6 @@ func TestExplainFreshContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := NewContext(env)
-	ctx.StartTrace()
 	if _, err := plan.Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -33,14 +32,14 @@ func TestExplainFreshContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"scan housePages", "scan schoolPages", "rows", " self ", "cache=miss", "w0", "sig=", "ψ[",
+	for _, want := range []string{"scan housePages", "scan schoolPages", "rows", " self ", "cache=miss", "sig=", "ψ[",
 		"feature memo:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain output missing %q:\n%s", want, out)
 		}
 	}
 	if strings.Contains(out, "cache=hit ") {
-		t.Errorf("fresh traced run should have no hit-only operators:\n%s", out)
+		t.Errorf("fresh run should have no hit-only operators:\n%s", out)
 	}
 }
 
@@ -52,7 +51,6 @@ func TestSelfTimeExcludesInputs(t *testing.T) {
 	slow := &hookNode{ident: ident{id: newNodeID(), head: "slow"}, fn: func() { time.Sleep(30 * time.Millisecond) }}
 	p := newProjectNode(env, slow, []string{"x"}, []string{"x"})
 	ctx := NewContext(env)
-	ctx.StartTrace()
 	if _, err := Eval(ctx, p); err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +98,9 @@ func TestExplainQuarantineFooter(t *testing.T) {
 	}
 }
 
-// TestExplainWarmContext executes first and enables tracing only inside
-// Explain — the cmd/iflex -explain=false-then-inspect path. Every node is
-// already cached, so the tree must render hit status with no timings.
+// TestExplainWarmContext: Explain on a context that already executed the
+// plan evaluates nothing, and every line renders the evaluation its cache
+// entry holds — a miss with its wall and self time.
 func TestExplainWarmContext(t *testing.T) {
 	env := figure2Env()
 	plan, err := Compile(alog.MustParse(figure2Src), env)
@@ -113,28 +111,33 @@ func TestExplainWarmContext(t *testing.T) {
 	if _, err := plan.Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Tracing() {
-		t.Fatal("tracing should be off by default")
-	}
+	evaluated := ctx.Stats.NodesEvaluated
 	out, err := Explain(ctx, plan.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ctx.Tracing() {
-		t.Error("Explain should have enabled tracing")
+	if ctx.Stats.NodesEvaluated != evaluated {
+		t.Errorf("Explain of a warm context evaluated %d nodes", ctx.Stats.NodesEvaluated-evaluated)
 	}
-	if !strings.Contains(out, "cache=hit") {
-		t.Errorf("warm Explain should show cache hits:\n%s", out)
+	lines := 0
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.Contains(line, " sig=") {
+			continue
+		}
+		lines++
+		if !strings.Contains(line, "cache=miss") || strings.Contains(line, " - self ") {
+			t.Errorf("line without its evaluation: %s", line)
+		}
 	}
-	if strings.Contains(out, "cache=miss") {
-		t.Errorf("warm Explain re-evaluated a cached operator:\n%s", out)
+	if lines != CountNodes(plan.Root) {
+		t.Errorf("%d operator lines for %d nodes:\n%s", lines, CountNodes(plan.Root), out)
 	}
 }
 
 // traceTotals runs the Figure 2 plan at the given worker count and
 // returns the deterministic per-operator aggregates plus the
 // deterministic subset of the context stats.
-func traceTotals(t *testing.T, workers int) ([]OpStats, Stats) {
+func traceTotals(t *testing.T, workers int) ([]TracedOp, Stats) {
 	t.Helper()
 	env := figure2Env()
 	plan, err := Compile(alog.MustParse(figure2Src), env)
@@ -143,7 +146,6 @@ func traceTotals(t *testing.T, workers int) ([]OpStats, Stats) {
 	}
 	ctx := NewContext(env)
 	ctx.Workers = workers
-	ctx.StartTrace()
 	if _, err := plan.Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +172,8 @@ func isDet(kind string) bool { return kind == "det" }
 
 // TestTraceTotalsDeterministic is the observability side of the engine's
 // determinism guarantee: per-operator trace aggregates (and every det
-// stats counter) must be identical for Workers=1 and Workers=8. Wall time,
-// worker ids, the hit/wait split and the sched counters are the only
-// fields allowed to differ.
+// stats counter) must be identical for Workers=1 and Workers=8. Wall and
+// self time and the sched counters are the only fields allowed to differ.
 func TestTraceTotalsDeterministic(t *testing.T) {
 	serialOps, serialStats := traceTotals(t, 1)
 	parOps, parStats := traceTotals(t, 8)
@@ -184,14 +185,14 @@ func TestTraceTotalsDeterministic(t *testing.T) {
 		if s.Key != p.Key {
 			t.Fatalf("operator %d: key %q vs %q", i, s.Key, p.Key)
 		}
-		if s.Evals != p.Evals || s.Tuples != p.Tuples || s.Expanded != p.Expanded || s.Assignments != p.Assignments ||
-			!maps.Equal(statCounts(s.Work, isDet), statCounts(p.Work, isDet)) {
+		if s.Tuples != p.Tuples || s.Expanded != p.Expanded || s.Assignments != p.Assignments ||
+			s.Stages != p.Stages || s.ResumedFrom != p.ResumedFrom || !maps.Equal(statCounts(s.Work, isDet), statCounts(p.Work, isDet)) {
 			t.Errorf("operator %s diverges:\nserial   %+v\nparallel %+v", s.Key, s, p)
 		}
-		// The hit/wait split depends on timing, but the total number of
-		// cache-served requests does not.
-		if s.Hits+s.Waits != p.Hits+p.Waits {
-			t.Errorf("operator %s: cache-served count %d vs %d", s.Key, s.Hits+s.Waits, p.Hits+p.Waits)
+		// Whether a request hit or waited depends on timing, but how many
+		// the entry served does not.
+		if s.Served != p.Served {
+			t.Errorf("operator %s: cache-served count %d vs %d", s.Key, s.Served, p.Served)
 		}
 	}
 	if s, p := statCounts(serialStats, isDet), statCounts(parStats, isDet); !maps.Equal(s, p) {
@@ -280,7 +281,7 @@ func TestStatsCounterTable(t *testing.T) {
 	}
 }
 
-// TestConcurrentExplainAndEval hammers a shared traced context with
+// TestConcurrentExplainAndEval hammers a shared context with
 // simultaneous Explain and Execute calls — run under -race. Explain must
 // stay coherent (no error, non-empty output) while evaluation proceeds.
 func TestConcurrentExplainAndEval(t *testing.T) {
@@ -290,7 +291,6 @@ func TestConcurrentExplainAndEval(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := NewContext(env)
-	ctx.StartTrace()
 	const goroutines = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines*2)
@@ -437,10 +437,10 @@ func TestExplainRun(t *testing.T) {
 	}
 }
 
-// warmFigure2 returns the Figure 2 plan executed once on a fresh context,
-// traced or not, and a pass that walks it fully cached: Execute answers
-// from the root's entry, SumAssignments looks every node up.
-func warmFigure2(t *testing.T, trace bool) (*Context, *Plan, func()) {
+// warmFigure2 returns the Figure 2 plan executed once on a fresh context
+// and a pass that walks it fully cached: Execute answers from the root's
+// entry, SumAssignments looks every node up.
+func warmFigure2(t *testing.T) (*Context, *Plan, func()) {
 	t.Helper()
 	env := figure2Env()
 	plan, err := Compile(alog.MustParse(figure2Src), env)
@@ -448,9 +448,6 @@ func warmFigure2(t *testing.T, trace bool) (*Context, *Plan, func()) {
 		t.Fatal(err)
 	}
 	ctx := NewContext(env)
-	if trace {
-		ctx.StartTrace()
-	}
 	pass := func() {
 		if _, err := plan.Execute(ctx); err != nil {
 			t.Fatal(err)
@@ -463,14 +460,16 @@ func warmFigure2(t *testing.T, trace bool) (*Context, *Plan, func()) {
 	return ctx, plan, pass
 }
 
-// TestTraceWarmAllocsNothing: tracing a fully cached plan allocates
-// nothing beyond the untraced pass — a hit renders no key and keeps no
-// record of itself.
+// warmPassAllocs is what a warm pass allocates: SumAssignments' seen set
+// and walk, nothing per hit.
+const warmPassAllocs = 8
+
+// TestTraceWarmAllocsNothing: counting a hit on its cache entry allocates
+// nothing — a hit renders no key and keeps no record of itself.
 func TestTraceWarmAllocsNothing(t *testing.T) {
-	_, _, untraced := warmFigure2(t, false)
-	_, _, traced := warmFigure2(t, true)
-	if off, on := testing.AllocsPerRun(20, untraced), testing.AllocsPerRun(20, traced); on != off {
-		t.Errorf("a warm pass allocates %v times traced, %v untraced", on, off)
+	_, _, pass := warmFigure2(t)
+	if got := testing.AllocsPerRun(20, pass); got > warmPassAllocs {
+		t.Errorf("a warm pass allocates %v times, want at most %d", got, warmPassAllocs)
 	}
 }
 
@@ -478,7 +477,7 @@ func TestTraceWarmAllocsNothing(t *testing.T) {
 // trace; each Execute adds one hit to the root and each SumAssignments one
 // to every operator.
 func TestTraceHitsAggregate(t *testing.T) {
-	ctx, plan, _ := warmFigure2(t, true)
+	ctx, plan, _ := warmFigure2(t)
 	before := ctx.TraceOps()
 	const n = 5
 	for i := 0; i < n; i++ {
@@ -497,13 +496,13 @@ func TestTraceHitsAggregate(t *testing.T) {
 	}
 	root := 0
 	for i, o := range after {
-		want := before[i].Hits + n
+		want := before[i].Served + n
 		if o.Signature == plan.Root.Signature() {
 			want += n
 			root++
 		}
-		if o.Key != before[i].Key || o.Hits != want || o.Evals != before[i].Evals {
-			t.Errorf("%s: %d hits, %d evaluations; want %d and %d", o.Key, o.Hits, o.Evals, want, before[i].Evals)
+		if o.Key != before[i].Key || o.Served != want || o.Wall != before[i].Wall {
+			t.Errorf("%s: %d hits, wall %v; want %d and %v", o.Key, o.Served, o.Wall, want, before[i].Wall)
 		}
 	}
 	if root != 1 {

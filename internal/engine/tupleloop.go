@@ -187,7 +187,7 @@ func tupleLoop[O outcome](ctx *Context, ev *EvalTrace, dx *deltaState, in *compa
 		if prior != nil {
 			covered = prior.stages
 		}
-		ev.stages, ev.resumedFrom = op.stages, covered
+		ev.resumedFrom = covered
 	}
 	if aux != nil && !cut {
 		aux.outs = outs

@@ -68,9 +68,6 @@ type CreateSessionRequest struct {
 	MaxIterations         int     `json:"max_iterations,omitempty"`
 	QuestionsPerIteration int     `json:"questions_per_iteration,omitempty"`
 	ConvergenceWindow     int     `json:"convergence_window,omitempty"`
-	// Trace enables per-operator tracing so the result stream can include
-	// an EXPLAIN ANALYZE tree.
-	Trace bool `json:"trace,omitempty"`
 }
 
 // CreateSessionResponse reports the granted resources.

@@ -156,8 +156,8 @@ func (r *StreamedResult) TableString() string {
 }
 
 // Result finalizes the session (first call) and streams the result.
-// explain asks for the EXPLAIN trace (needs trace=true at create);
-// deadlineMS bounds the finalize execution.
+// explain asks for the EXPLAIN trace; deadlineMS bounds the finalize
+// execution.
 func (c *Client) Result(id string, explain bool, deadlineMS int64) (*StreamedResult, error) {
 	path := "/v1/sessions/" + id + "/result"
 	sep := "?"

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -394,7 +396,6 @@ func (s *Server) buildSession(req CreateSessionRequest, workers int, cache int64
 		SubsetSeed:            req.SubsetSeed,
 		Workers:               workers,
 		CacheBudget:           cache,
-		Trace:                 req.Trace,
 	})
 	sess := &session{
 		tenant:      req.Tenant,
@@ -636,8 +637,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // handleResult finalizes the session (once) and streams the result as
 // NDJSON: header, one line per compact tuple (rendered exactly as
 // compact.Table.String does), the degradation report, an engine stats
-// snapshot, optionally an EXPLAIN trace (?explain=1, needs trace=true at
-// create), and a terminating end line.
+// snapshot, optionally an EXPLAIN trace (?explain=1), and a terminating
+// end line.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	sess := s.reg.get(r.PathValue("id"))
 	if sess == nil {
@@ -683,9 +684,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		Iterations: len(res.Iterations),
 	})
 	flush()
-	res.Final.RenderRows(func(row string) {
-		_ = enc.Encode(StreamLine{Type: "row", Row: row})
-	})
+	res.Final.RenderRows(writeRowLine(w))
 	if res.Degraded != nil {
 		_ = enc.Encode(StreamLine{Type: "degraded", Degraded: res.Degraded, Summary: res.Degraded.Summary()})
 	}
@@ -700,4 +699,27 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	_ = enc.Encode(StreamLine{Type: "end"})
 	flush()
+}
+
+// writeRowLine returns the writer of the result stream's row lines: each
+// is the line json.Encoder writes for StreamLine{Type: "row", Row: row},
+// built in one buffer that every row reuses, with only the row string
+// going through the encoder. The encoder is handed a pointer to one
+// reused string, which passes as an interface without an allocation.
+func writeRowLine(w io.Writer) func(row string) {
+	var line bytes.Buffer
+	var cur string
+	enc := json.NewEncoder(&line)
+	return func(row string) {
+		line.Reset()
+		line.WriteString(`{"type":"row"`)
+		if row != "" { // omitempty
+			line.WriteString(`,"row":`)
+			cur = row
+			_ = enc.Encode(&cur)
+			line.Truncate(line.Len() - 1) // Encode's newline
+		}
+		line.WriteString("}\n")
+		_, _ = w.Write(line.Bytes())
+	}
 }

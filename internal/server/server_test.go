@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -441,7 +444,9 @@ func TestStepValidation(t *testing.T) {
 	}
 }
 
-// TestResultExplain checks the EXPLAIN stream line for traced sessions.
+// TestResultExplain checks the EXPLAIN stream line of a session created
+// with no option: every operator line shows the evaluation its cache entry
+// holds, a miss with its wall and self time.
 func TestResultExplain(t *testing.T) {
 	_, c, shutdown := newTestServer(t, Config{})
 	defer shutdown()
@@ -450,15 +455,23 @@ func TestResultExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	created, err := c.CreateSession(CreateSessionRequest{
-		Tenant: "a", Task: "T1", Records: 6, Trace: true,
-	})
+	created, err := c.CreateSession(CreateSessionRequest{Tenant: "a", Task: "T1", Records: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := driveSession(t, c, created.ID, task.Oracle(), true)
-	if res.Explain == "" {
-		t.Error("traced session streamed no explain text")
+	lines := 0
+	for _, line := range strings.Split(res.Explain, "\n") {
+		if !strings.Contains(line, " sig=") {
+			continue
+		}
+		lines++
+		if !strings.Contains(line, "cache=miss") || strings.Contains(line, " - self ") {
+			t.Errorf("explain line without its evaluation: %s", line)
+		}
+	}
+	if lines == 0 {
+		t.Errorf("no operator lines in the explain text:\n%s", res.Explain)
 	}
 	// A second result call replays the finalized result (no re-execution).
 	res2, err := c.Result(created.ID, false, 0)
@@ -480,6 +493,23 @@ func TestResultExplain(t *testing.T) {
 		t.Errorf("state = %q, want finalized", info.State)
 	}
 	_ = fmt.Sprintf("%v", info)
+}
+
+// TestCreateIgnoresTraceField: a create body that still carries the
+// "trace" field of older clients is accepted, like any unknown field.
+func TestCreateIgnoresTraceField(t *testing.T) {
+	_, c, shutdown := newTestServer(t, Config{})
+	defer shutdown()
+	resp, err := http.Post(c.Base+"/v1/sessions", "application/json",
+		strings.NewReader(`{"tenant":"a","task":"T1","records":6,"trace":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("create with \"trace\": status %d: %s", resp.StatusCode, body)
+	}
 }
 
 // TestInfoReadsSessionProgress: /info reports the library session's own
@@ -992,5 +1022,28 @@ func TestRequestBodyLimit(t *testing.T) {
 	}
 	if _, err := c.Step(created.ID, big); StatusCode(err) != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized step: err = %v, want 413", err)
+	}
+}
+
+// TestRowLineMatchesEncoder: a row line is byte for byte what json.Encoder
+// writes for the StreamLine it stands for, HTML escaping, control
+// characters, line separators, invalid UTF-8 and the omitted empty row
+// included.
+func TestRowLineMatchesEncoder(t *testing.T) {
+	rows := []string{
+		`(x: <b>Tom & Jerry</b>)`, `"quoted" 'single' \back\slash`, "two\nlines\r\tand\x01\x1f\x7f",
+		"Zürich — 東京 ✓", "sep\u2028par\u2029end", "bad \xff\xfe utf8", "", "plain",
+	}
+	var got, want bytes.Buffer
+	write := writeRowLine(&got)
+	enc := json.NewEncoder(&want)
+	for _, r := range rows {
+		write(r)
+		if err := enc.Encode(StreamLine{Type: "row", Row: r}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got.String() != want.String() {
+		t.Errorf("row lines\n%s\nwant\n%s", got.String(), want.String())
 	}
 }
