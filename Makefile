@@ -18,7 +18,7 @@ race:
 	$(GO) test -race ./internal/feature/... ./internal/engine/... ./internal/assistant/... ./internal/server/...
 
 # The pre-merge gate: formatting, the one-loop, one-fan-out,
-# one-fault-state and one-cache-map rules, vet, the race run over the
+# one-fault-state, one-cache-map and one-declaration rules, vet, the race run over the
 # concurrent core, and the full tier-1 suite. Bench-heavy tests honour
 # -short, so this stays fast. The one-loop rule:
 # the per-tuple protocol (DESIGN.md §11 "The tuple loop") has one home, so
@@ -42,6 +42,11 @@ race:
 # its memo and the trace of its evaluation, DESIGN.md §9) lives on the
 # cache entry, so outside engine.go (the cache and the in-flight map) no
 # non-test file of internal/engine declares a map[entryKey].
+# The one-declaration rule: a built-in feature declares its span language
+# and internal/feature/lang.go derives Verify, Refine and Hereditary from it
+# (DESIGN.md §10, the hereditary paragraph), so no other non-test file of
+# internal/feature declares one of the three Feature methods (the record
+# tables' Verify and Refine take the feature, not a span, first).
 verify:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
@@ -60,6 +65,9 @@ verify:
 	@keymaps="$$(grep -nE 'map\[entryKey\]' internal/engine/*.go | \
 		grep -vE '^internal/engine/(engine\.go|[a-z0-9_]*_test\.go):')"; if [ -n "$$keymaps" ]; then \
 		echo "map keyed by entryKey outside internal/engine/engine.go:"; echo "$$keymaps"; exit 1; fi
+	@methods="$$(grep -nE '^func \([^)]*\) ((Verify|Refine)\([a-z_]+ text\.Span|Hereditary\()' internal/feature/*.go | \
+		grep -vE '^internal/feature/(lang\.go|[a-z0-9_]*_test\.go):')"; if [ -n "$$methods" ]; then \
+		echo "Verify, Refine or Hereditary written outside the adapter (internal/feature/lang.go):"; echo "$$methods"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/feature/... ./internal/engine/... ./internal/assistant/... ./internal/server/...
 	$(GO) build ./...

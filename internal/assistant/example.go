@@ -19,7 +19,8 @@ import (
 // verifies that value, and no when every example fails both; mixed
 // examples answer "I do not know" (the feature is "sometimes"). For
 // preceded-by/followed-by, a label is inferred when every example shares
-// the same adjacent text ending in ':' (the common label shape); other
+// the same adjacent text ending in ':' (the common label shape) and the
+// feature verifies it on each; other
 // parametric features are derived from the examples with slack where a
 // safe bound exists (max-length, max-tokens) and left unknown otherwise.
 type ExampleOracle struct {
@@ -57,9 +58,9 @@ func (o *ExampleOracle) Answer(q Question) Answer {
 	}
 	switch q.Feature {
 	case "preceded-by":
-		return o.adjacentLabel(exs, true)
+		return o.adjacentLabel(f, exs, true)
 	case "followed-by":
-		return o.adjacentLabel(exs, false)
+		return o.adjacentLabel(f, exs, false)
 	case "max-length":
 		longest := 0
 		for _, e := range exs {
@@ -106,57 +107,40 @@ func (o *ExampleOracle) boolAnswer(f feature.Feature, exs []text.Span) Answer {
 }
 
 // adjacentLabel infers a shared label next to every example: the trailing
-// token of the preceding text (or leading token of the following text)
-// when it ends with ':' and is identical across examples.
-func (o *ExampleOracle) adjacentLabel(exs []text.Span, before bool) Answer {
+// tokens of the text before it on its line (or the leading token of the
+// text after it), ending with ':', identical across examples. Of up to
+// three trailing tokens the longest the feature f verifies on the example
+// is taken, so a label spelt with two spaces on the page is not inferred
+// in a form Verify would reject.
+func (o *ExampleOracle) adjacentLabel(f feature.Feature, exs []text.Span, before bool) Answer {
 	label := ""
 	for _, e := range exs {
-		body := e.Doc().Text()
-		var candidate string
+		d := e.Doc()
+		var candidates []string
 		if before {
-			pre := strings.Fields(lineSlice(body, e.Start(), true))
-			// Labels are short: take up to the last three tokens ending ':'.
-			for take := 1; take <= 3 && take <= len(pre); take++ {
-				c := strings.Join(pre[len(pre)-take:], " ")
-				if strings.HasSuffix(c, ":") {
-					candidate = c
-				}
+			pre := strings.Fields(d.Text()[d.LineStart(e.Start()):e.Start()])
+			for take := min(3, len(pre)); take >= 1; take-- {
+				candidates = append(candidates, strings.Join(pre[len(pre)-take:], " "))
 			}
-		} else {
-			post := strings.Fields(lineSlice(body, e.End(), false))
-			if len(post) > 0 && strings.HasSuffix(post[0], ":") {
-				candidate = post[0]
+		} else if post := strings.Fields(d.Text()[e.End():d.LineEnd(e.End())]); len(post) > 0 {
+			candidates = post[:1]
+		}
+		candidate := ""
+		for _, c := range candidates {
+			if ok, err := f.Verify(e, c); err == nil && ok && strings.HasSuffix(c, ":") {
+				candidate = c
+				break
 			}
 		}
-		if candidate == "" {
-			return DontKnow()
+		if candidate == "" || label != "" && label != candidate {
+			return DontKnow() // no label, or examples carry different labels
 		}
-		if label == "" {
-			label = candidate
-		} else if label != candidate {
-			return DontKnow() // examples carry different labels
-		}
+		label = candidate
 	}
 	if label == "" {
 		return DontKnow()
 	}
 	return Know(label)
-}
-
-// lineSlice returns the text on off's line before (true) or after (false)
-// the offset.
-func lineSlice(body string, off int, before bool) string {
-	start, end := off, off
-	for start > 0 && body[start-1] != '\n' {
-		start--
-	}
-	for end < len(body) && body[end] != '\n' {
-		end++
-	}
-	if before {
-		return body[start:off]
-	}
-	return body[off:end]
 }
 
 // Candidates implements CandidateProvider so the simulation strategy can

@@ -70,6 +70,29 @@ func TestExampleOracleLabelInference(t *testing.T) {
 	}
 }
 
+// TestExampleOracleLabelVerifies: the label is read off the page only in a
+// form preceded-by verifies on every example. With "Our  price:" spelt with
+// two spaces, the folded "Our price:" does not precede the prices, so the
+// longest label that does, "price:", is inferred.
+func TestExampleOracleLabelVerifies(t *testing.T) {
+	reg := feature.NewRegistry()
+	exs := []text.Span{
+		exampleSpan(t, markup.MustParse("h1", "Our  price: <i>619000</i><br>rest"), "619000"),
+		exampleSpan(t, markup.MustParse("h2", "<b>Title</b><br>Our  price: <i>351000</i>"), "351000"),
+	}
+	o := NewExampleOracle(reg, map[alog.AttrRef][]text.Span{{Pred: "ext", Var: "p"}: exs})
+	ans := o.Answer(Question{Attr: alog.AttrRef{Pred: "ext", Var: "p"}, Feature: "preceded-by", Kind: feature.KindParametric})
+	if !ans.Known || ans.Value != "price:" {
+		t.Fatalf("preceded-by = %+v, want price:", ans)
+	}
+	f, _ := reg.Lookup("preceded-by")
+	for _, e := range exs {
+		if ok, err := f.Verify(e, ans.Value); err != nil || !ok {
+			t.Errorf("preceded-by=%q does not verify %q: %v", ans.Value, e.Text(), err)
+		}
+	}
+}
+
 func TestExampleOracleMixedExamplesUnknown(t *testing.T) {
 	reg := feature.NewRegistry()
 	d := markup.MustParse("h", "<b>bold one</b> and plain two")

@@ -35,15 +35,16 @@ func refRefineCell(batch *statBatch, docs *docCursor, c compact.Cell, k stage, a
 	return compact.Cell{Assigns: text.DedupAssignments(as), Expand: c.Expand}, nil
 }
 
-// refinePages are small record pages with the mark-up and labels the
-// constraint pool below asks about; two of them have the same text.
+// refinePages are small record pages with the mark-up, labels, section
+// headers and links the constraint pool below asks about; two of them have
+// the same text.
 func refinePages() []*text.Document {
 	var docs []*text.Document
 	for i, src := range []string{
 		`<ul><li><b>Query Processing</b> by <i>A. Smith</i></li><li>List: $45.00</li><li>New: $39.50</li></ul>`,
 		`<ul><li><b>Query Processing</b> by <i>A. Smith</i></li><li>List: $45.00</li><li>New: $39.50</li></ul>`,
-		`<title>Index Structures</title><b>Index Structures</b> <u>second edition</u> List: $120.00 Used: $80.25 New: $99`,
-		`Stream Systems, <i>B. Jones and C. Wu</i>. Price: 17 New: 12 <a href="x">details</a>`,
+		`<title>Index Structures</title><h2>Second Edition</h2><b>Index Structures</b> <u>second edition</u> List: $120.00 Used: $80.25 New: $99`,
+		`Stream Systems, <i>B. Jones and C. Wu</i>. Price: 17 New: 12 <a href="http://books.example/x">More Details</a> <a href="x">here</a>`,
 	} {
 		docs = append(docs, mustDoc(fmt.Sprintf("r%d", i), src))
 	}
@@ -58,6 +59,10 @@ var refinePool = []feature.Constraint{
 	{Feature: "preceded-by", Value: "List:"}, {Feature: "preceded-by", Value: "New:"},
 	{Feature: "max-tokens", Value: "1"}, {Feature: "max-tokens", Value: "3"}, {Feature: "max-length", Value: "12"},
 	{Feature: "min-value", Value: "20"}, {Feature: "max-value", Value: "100"},
+	// Hereditary by derivation from their declarations (feature.Hereditary).
+	{Feature: "in-first-half", Value: "yes"}, {Feature: "in-first-half", Value: "distinct-yes"},
+	{Feature: "capitalized", Value: "distinct-yes"}, {Feature: "link-to-contains", Value: "books"},
+	{Feature: "prec-label-contains", Value: "edition"}, {Feature: "prec-label-max-dist", Value: "40"},
 }
 
 // randomAssignments draws a list over the pages: whole pages and random

@@ -339,22 +339,32 @@ func BenchmarkFeatureMemo(b *testing.B) {
 					if mode != "direct" {
 						memo = NewMemo()
 					}
-					id := memo.Intern(k.name, k.value)
+					var id ConsID
+					if memo != nil {
+						id = memo.Intern(k.name, k.value)
+					}
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						s := spans[i%len(spans)]
 						if mode == "miss" && i%len(spans) == 0 {
 							memo.Evict(math.MaxInt64)
 						}
-						tab := memo.Doc(s.Doc())
-						if op == "Verify" {
-							if ok, _, _ := tab.Verify(f, id, s, k.value); ok {
-								benchSink++
-							}
-						} else {
-							as, _, _ := tab.Refine(f, id, s, k.value)
-							benchSink += len(as)
+						var ok bool
+						var as []text.Assignment
+						switch {
+						case memo == nil && op == "Verify":
+							ok, _ = f.Verify(s, k.value)
+						case memo == nil:
+							as, _ = f.Refine(s, k.value)
+						case op == "Verify":
+							ok, _, _ = memo.Doc(s.Doc()).Verify(f, id, s, k.value)
+						default:
+							as, _, _ = memo.Doc(s.Doc()).Refine(f, id, s, k.value)
 						}
+						if ok {
+							benchSink++
+						}
+						benchSink += len(as)
 					}
 				})
 			}

@@ -2,8 +2,9 @@ package feature
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"iflex/internal/text"
 )
@@ -13,239 +14,179 @@ func normFold(s string) string {
 	return strings.ToLower(strings.Join(strings.Fields(s), " "))
 }
 
-// precededByFeature implements preceded-by(s)="label": the text on s's
-// line immediately before s ends with the label (case- and
-// whitespace-insensitive). Values are assumed not to cross line boundaries
-// (records in the corpora are line-structured).
-type precededByFeature struct{}
-
-func (precededByFeature) Name() string { return "preceded-by" }
-func (precededByFeature) Kind() Kind   { return KindParametric }
-
-func (precededByFeature) Verify(s text.Span, v string) (bool, error) {
-	if v == "" {
-		return false, fmt.Errorf("feature: preceded-by needs a non-empty label")
-	}
-	d := s.Doc()
-	pre := d.Text()[d.LineStart(s.Start()):s.Start()]
-	return strings.HasSuffix(normFold(pre), normFold(v)), nil
+// labelFeature declares a feature whose value is a non-empty string, which
+// mk turns into the language; what names the value in the error.
+func labelFeature(name, what string, mk func(v string) lang) *builtin {
+	return &builtin{name: name, kind: KindParametric, lang: func(v string) (lang, error) {
+		if v == "" {
+			return lang{}, fmt.Errorf("feature: %s needs a non-empty %s", name, what)
+		}
+		return mk(v), nil
+	}}
 }
 
-// occurrences finds case-insensitive occurrences of label in the
-// document's [lo, hi) window, returning (start, end) offsets in document
-// coordinates. Overlapping occurrences are all reported ("aa" occurs
-// twice in "aaa"). The document's cached lower-cased text is used when
-// lowering preserved byte offsets; otherwise (Unicode case mappings that
-// change byte length) the window is folded per call.
-func occurrences(d *text.Document, label string, lo, hi int) [][2]int {
-	var window string
+// precededBy declares preceded-by(s)="label": s lies on one line, after an
+// occurrence of the label (case-insensitive) with only whitespace between.
+// Its regions run from each occurrence to the end of its line, the label
+// matched as written: "Our price:" does not precede a value after "Our
+// price:" spelt with two spaces. Verify is narrowed to the regions, so a
+// span that crosses a line no longer verifies.
+var precededBy = labelFeature("preceded-by", "label", func(v string) lang {
+	return lang{regions: afterLabel, check: adjacentAfter, p: param{label: strings.ToLower(v)}}
+})
+
+// followedBy declares followed-by(s)="label", the mirror of preceded-by:
+// s lies on one line, before an occurrence of the label with only
+// whitespace between.
+var followedBy = labelFeature("followed-by", "label", func(v string) lang {
+	return lang{regions: beforeLabel, check: adjacentBefore, p: param{label: strings.ToLower(v)}}
+})
+
+func afterLabel(dst []byteRange, s text.Span, p param) []byteRange {
+	d := s.Doc()
+	dst = occurrences(dst, d, p.label, d.LineStart(s.Start()), s.End())
+	for i, o := range dst {
+		dst[i] = byteRange{o.end, d.LineEnd(o.end)}
+	}
+	return dst
+}
+
+func beforeLabel(dst []byteRange, s text.Span, p param) []byteRange {
+	d := s.Doc()
+	dst = occurrences(dst, d, p.label, s.Start(), d.LineEnd(s.End()))
+	for i, o := range dst {
+		dst[i] = byteRange{d.LineStart(o.start), o.start}
+	}
+	return dst
+}
+
+// adjacentAfter and adjacentBefore are the label features' residuals: only
+// whitespace between s and its region's label. A span failing it has no
+// sub-span passing it.
+func adjacentAfter(s text.Span, r byteRange, _ param) bool {
+	return blank(s.Doc().Text()[r.start:s.Start()])
+}
+
+func adjacentBefore(s text.Span, r byteRange, _ param) bool {
+	return blank(s.Doc().Text()[s.End():r.end])
+}
+
+func blank(s string) bool { return strings.TrimLeft(s, " \t\r\n") == "" }
+
+// occurrences appends the occurrences of needle, lower-cased, in the
+// document's [lo, hi) window as document offsets. Overlapping occurrences
+// are all reported ("aa" occurs twice in "aaa"), and each one does not
+// depend on the window that finds it. The document's cached lower-cased
+// text is searched when lowering preserved byte offsets; otherwise
+// (Unicode case mappings that change byte length) the text is folded rune
+// by rune at each offset.
+func occurrences(dst []byteRange, d *text.Document, needle string, lo, hi int) []byteRange {
 	if lower := d.LowerText(); len(lower) == d.Len() {
-		window = lower[lo:hi]
-	} else {
-		window = strings.ToLower(d.Text()[lo:hi])
-	}
-	needle := strings.ToLower(label)
-	var out [][2]int
-	from := 0
-	for {
-		i := strings.Index(window[from:], needle)
-		if i < 0 {
-			return out
+		for i := lo; i < hi; i++ {
+			k := strings.Index(lower[i:hi], needle)
+			if k < 0 {
+				break
+			}
+			i += k
+			dst = append(dst, byteRange{i, i + len(needle)})
 		}
-		start := from + i
-		out = append(out, [2]int{lo + start, lo + start + len(needle)})
-		from = start + 1
+		return dst
 	}
-}
-
-func (precededByFeature) Refine(s text.Span, v string) ([]text.Assignment, error) {
-	if v == "" {
-		return nil, fmt.Errorf("feature: preceded-by needs a non-empty label")
-	}
-	d := s.Doc()
-	// Labels may sit just before s's start, so search a window that begins
-	// at the start of the line containing s.
-	rs := make([]byteRange, 0, 8)
-	for _, occ := range occurrences(d, v, d.LineStart(s.Start()), s.End()) {
-		rs = append(rs, byteRange{occ[1], d.LineEnd(occ[1])})
-	}
-	return containRegions(s, rs), nil
-}
-
-// followedByFeature implements followed-by(s)="label": the text on s's
-// line immediately after s begins with the label.
-type followedByFeature struct{}
-
-func (followedByFeature) Name() string { return "followed-by" }
-func (followedByFeature) Kind() Kind   { return KindParametric }
-
-func (followedByFeature) Verify(s text.Span, v string) (bool, error) {
-	if v == "" {
-		return false, fmt.Errorf("feature: followed-by needs a non-empty label")
-	}
-	d := s.Doc()
-	post := d.Text()[s.End():d.LineEnd(s.End())]
-	return strings.HasPrefix(normFold(post), normFold(v)), nil
-}
-
-func (followedByFeature) Refine(s text.Span, v string) ([]text.Assignment, error) {
-	if v == "" {
-		return nil, fmt.Errorf("feature: followed-by needs a non-empty label")
-	}
-	d := s.Doc()
-	rs := make([]byteRange, 0, 8)
-	for _, occ := range occurrences(d, v, s.Start(), d.LineEnd(s.End())) {
-		rs = append(rs, byteRange{d.LineStart(occ[0]), occ[0]})
-	}
-	return containRegions(s, rs), nil
-}
-
-// precLabelContains implements prec-label-contains(s)="str": the closest
-// section header preceding s contains str (one of the "higher-level"
-// features of Section 6.3).
-type precLabelContains struct{}
-
-func (precLabelContains) Name() string { return "prec-label-contains" }
-func (precLabelContains) Kind() Kind   { return KindParametric }
-
-func (precLabelContains) Verify(s text.Span, v string) (bool, error) {
-	if v == "" {
-		return false, fmt.Errorf("feature: prec-label-contains needs a non-empty string")
-	}
-	h, ok := s.Doc().HeaderBefore(s.Start())
-	if !ok {
-		return false, nil
-	}
-	label := s.Doc().Text()[h.Start:h.End]
-	return strings.Contains(normFold(label), normFold(v)), nil
-}
-
-func (precLabelContains) Refine(s text.Span, v string) ([]text.Assignment, error) {
-	if v == "" {
-		return nil, fmt.Errorf("feature: prec-label-contains needs a non-empty string")
-	}
-	d := s.Doc()
 	body := d.Text()
-	headers := d.MarksOf(text.MarkHeader)
-	rs := make([]byteRange, 0, 8)
-	for i, h := range headers {
-		if !strings.Contains(normFold(body[h.Start:h.End]), normFold(v)) {
-			continue
+	for i := lo; i < hi; i++ {
+		if n, ok := foldedPrefix(body[i:hi], needle); ok {
+			dst = append(dst, byteRange{i, i + n})
 		}
-		// The section governed by this header runs to the next header.
-		end := len(body)
+	}
+	return dst
+}
+
+// foldedPrefix reports whether s, lower-cased rune by rune, starts with
+// needle, and how many bytes of s that takes.
+func foldedPrefix(s, needle string) (int, bool) {
+	n := 0
+	var buf [utf8.UTFMax]byte
+	for needle != "" {
+		if n >= len(s) {
+			return 0, false
+		}
+		r, w := utf8.DecodeRuneInString(s[n:])
+		l := buf[:utf8.EncodeRune(buf[:], unicode.ToLower(r))]
+		if !strings.HasPrefix(needle, string(l)) {
+			return 0, false
+		}
+		needle, n = needle[len(l):], n+w
+	}
+	return n, true
+}
+
+// precLabelContains declares prec-label-contains(s)="str": s lies in the
+// section of a header containing str (one of the "higher-level" features
+// of Section 6.3). A section runs from its header to the next one. Verify
+// is narrowed to the section, so a span that crosses into the next one no
+// longer verifies, and the constraint is hereditary.
+var precLabelContains = labelFeature("prec-label-contains", "string", func(v string) lang {
+	return lang{regions: sections, p: param{n: -1, label: normFold(v)}}
+})
+
+// precLabelMaxDist declares prec-label-max-dist(s)=n: s lies in a section,
+// within its first n bytes after the header. Verify is narrowed from where
+// s starts to the whole of s, so the constraint is hereditary.
+var precLabelMaxDist = &builtin{name: "prec-label-max-dist", kind: KindParametric, lang: func(v string) (lang, error) {
+	n, err := intBound("prec-label-max-dist", v)
+	return lang{regions: sections, p: param{n: n}}, err
+}}
+
+// sections lists the first p.n bytes of every section or, with n = -1, each
+// section whose header contains p.label.
+func sections(dst []byteRange, s text.Span, p param) []byteRange {
+	d := s.Doc()
+	headers := d.MarksOf(text.MarkHeader)
+	for i, h := range headers {
+		end := d.Len()
 		if i+1 < len(headers) {
 			end = headers[i+1].Start
 		}
-		rs = append(rs, byteRange{h.End, end})
-	}
-	return containRegions(s, rs), nil
-}
-
-// precLabelMaxDist implements prec-label-max-dist(s)=n: the distance in
-// bytes from the end of the preceding header to the start of s is <= n.
-type precLabelMaxDist struct{}
-
-func (precLabelMaxDist) Name() string { return "prec-label-max-dist" }
-func (precLabelMaxDist) Kind() Kind   { return KindParametric }
-
-func (precLabelMaxDist) bound(v string) (int, error) {
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("feature: prec-label-max-dist needs a non-negative integer, got %q", v)
-	}
-	return n, nil
-}
-
-func (f precLabelMaxDist) Verify(s text.Span, v string) (bool, error) {
-	n, err := f.bound(v)
-	if err != nil {
-		return false, err
-	}
-	h, ok := s.Doc().HeaderBefore(s.Start())
-	if !ok {
-		return false, nil
-	}
-	return s.Start()-h.End <= n, nil
-}
-
-func (f precLabelMaxDist) Refine(s text.Span, v string) ([]text.Assignment, error) {
-	n, err := f.bound(v)
-	if err != nil {
-		return nil, err
-	}
-	headers := s.Doc().MarksOf(text.MarkHeader)
-	rs := make([]byteRange, 0, 8)
-	for i, h := range headers {
-		end := h.End + n
-		if i+1 < len(headers) {
-			end = min(end, headers[i+1].Start)
+		if p.n >= 0 {
+			dst = append(dst, byteRange{h.End, min(end, h.End+p.n)})
+		} else if strings.Contains(normFold(d.Text()[h.Start:h.End]), p.label) {
+			dst = append(dst, byteRange{h.End, end})
 		}
-		rs = append(rs, byteRange{h.End, end})
 	}
-	return containRegions(s, rs), nil
+	return dst
 }
 
-// linkToContains implements link-to-contains(s)="str": the span lies
-// inside a hyperlink whose target URL contains str (case-insensitive).
-// Useful for attributes that always link to a known site section.
-type linkToContains struct{}
+// linkToContains declares link-to-contains(s)="str": s lies inside a
+// hyperlink whose target URL contains str (case-insensitive). Useful for
+// attributes that always link to a known site section.
+var linkToContains = labelFeature("link-to-contains", "string", func(v string) lang {
+	return lang{regions: linksTo, p: param{label: strings.ToLower(v)}}
+})
 
-func (linkToContains) Name() string { return "link-to-contains" }
-func (linkToContains) Kind() Kind   { return KindParametric }
-
-func (linkToContains) Verify(s text.Span, v string) (bool, error) {
-	if v == "" {
-		return false, fmt.Errorf("feature: link-to-contains needs a non-empty string")
-	}
-	l, ok := s.Doc().LinkAt(s.Start())
-	if !ok || s.End() > l.End {
-		return false, nil
-	}
-	return strings.Contains(strings.ToLower(l.Target), strings.ToLower(v)), nil
-}
-
-func (linkToContains) Refine(s text.Span, v string) ([]text.Assignment, error) {
-	if v == "" {
-		return nil, fmt.Errorf("feature: link-to-contains needs a non-empty string")
-	}
-	rs := make([]byteRange, 0, 8)
+func linksTo(dst []byteRange, s text.Span, p param) []byteRange {
 	for _, l := range s.Doc().Links() {
-		if strings.Contains(strings.ToLower(l.Target), strings.ToLower(v)) {
-			rs = append(rs, byteRange{l.Start, l.End})
+		if strings.Contains(strings.ToLower(l.Target), p.label) {
+			dst = append(dst, byteRange{l.Start, l.End})
 		}
 	}
-	return containRegions(s, rs), nil
+	return dst
 }
 
-// inFirstHalf implements the location feature of Section 5.1.1: "does this
-// attribute lie entirely in the first half of the page?"
-type inFirstHalf struct{}
-
-func (inFirstHalf) Name() string { return "in-first-half" }
-func (inFirstHalf) Kind() Kind   { return KindBoolean }
-
-func (inFirstHalf) Verify(s text.Span, v string) (bool, error) {
-	mid := s.Doc().Len() / 2
+// inFirstHalf declares the location feature of Section 5.1.1: "does this
+// attribute lie entirely in the first half of the page?" yes is the first
+// half as a region; no is a span ending after the midpoint.
+var inFirstHalf = &builtin{name: "in-first-half", kind: KindBoolean, lang: func(v string) (lang, error) {
 	switch v {
 	case Yes, DistinctYes:
-		return s.End() <= mid, nil
+		return lang{regions: firstHalf}, nil
 	case No:
-		return s.End() > mid, nil
-	default:
-		return false, errBadValue("in-first-half", v)
+		return lang{regions: whole, check: endsLate}, nil
 	}
+	return lang{}, errBadValue("in-first-half", v)
+}}
+
+func firstHalf(dst []byteRange, s text.Span, _ param) []byteRange {
+	return append(dst, byteRange{0, s.Doc().Len() / 2})
 }
 
-func (inFirstHalf) Refine(s text.Span, v string) ([]text.Assignment, error) {
-	// Spans ending after the midpoint (no) may start anywhere.
-	hi := s.End()
-	switch v {
-	case Yes, DistinctYes:
-		hi = s.Doc().Len() / 2
-	case No:
-	default:
-		return nil, errBadValue("in-first-half", v)
-	}
-	return containRegions(s, []byteRange{{s.Start(), hi}}), nil
-}
+func endsLate(s text.Span, _ byteRange, _ param) bool { return s.End() > s.Doc().Len()/2 }

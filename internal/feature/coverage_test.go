@@ -1,8 +1,8 @@
 package feature
 
 import (
-	"strconv"
-	"strings"
+	"regexp"
+	"slices"
 	"testing"
 
 	"iflex/internal/markup"
@@ -10,11 +10,12 @@ import (
 )
 
 // coveragePages are small pages with marks, a link, headers, numbers,
-// double spaces and a line break inside a list item.
+// double spaces (one inside a label) and a line break inside a list item.
 var coveragePages = []string{
 	"<h2>Venue</h2>Madison Wisconsin<p>Price:  120 in Madison</p><p>VLDB 2001 proceedings</p>",
 	"<title>Houses for sale</title><ul><li><b>Price:</b> 351,000 in\nMadison</li><li>Beds: 3</li></ul><p>See <a href=\"http://imdb.com/x\">The Godfather</a> now</p>",
 	"<h1>Panel</h1><p><i>Alice  Smith</i>, chair</p><h3>Program</h3><p>Bob <u>Jones</u> $45.00</p>",
+	"<ul><li><u>Databases, Volume 2</u><br>Our  price: $45</li></ul>",
 }
 
 // coverageValues lists the values tried per builtin feature.
@@ -29,7 +30,7 @@ func coverageValues(t *testing.T, name string) []string {
 	case "starts-with", "ends-with", "matches":
 		return []string{"[0-9]+", "Price: [0-9]+", "[A-Z][a-z]+"}
 	case "preceded-by", "followed-by":
-		return []string{"Price:", "in"}
+		return []string{"Price:", "in", "Our price:"}
 	case "prec-label-contains":
 		return []string{"venue", "panel"}
 	case "prec-label-max-dist":
@@ -44,46 +45,10 @@ func coverageValues(t *testing.T, name string) []string {
 	return nil
 }
 
-// knownGap names the CHANGES.md FOUND line describing why Refine misses
-// sub, a span Verify accepts, or "" when no known shape explains the miss.
-func knownGap(name, v string, sub text.Span) string {
-	d := sub.Doc()
-	crossesHeader := false
-	for _, h := range d.MarksOf(text.MarkHeader) {
-		crossesHeader = crossesHeader || sub.Start() <= h.Start && h.Start < sub.End()
-	}
-	switch name {
-	case "numeric":
-		if v == No && len(numericTokens(sub)) > 0 {
-			return "FOUND: numeric = no refines to the gaps between numeric tokens"
-		}
-	case "starts-with", "ends-with", "matches":
-		if sub.Text() != sub.NormText() {
-			return "FOUND: pattern features verify NormText but refine raw text"
-		}
-	case "prec-label-max-dist":
-		n, _ := strconv.Atoi(v)
-		if h, ok := d.HeaderBefore(sub.Start()); ok && (sub.End() > h.End+n || crossesHeader) {
-			return "FOUND: prec-label-max-dist verifies where a span starts but refines the whole span"
-		}
-	case "preceded-by", "followed-by":
-		if strings.Contains(sub.Text(), "\n") {
-			return "FOUND: context features verify spans that cross a line or section, Refine stops there"
-		}
-	case "prec-label-contains":
-		if crossesHeader {
-			return "FOUND: context features verify spans that cross a line or section, Refine stops there"
-		}
-	}
-	return ""
-}
-
 // TestRefineCoversVerify holds every builtin feature to the covering
 // contract on whole pages: each token-aligned sub-span Verify accepts is
-// covered by an assignment Refine(whole page) returns. The shapes known to
-// break it are skipped by knownGap, each naming its FOUND line.
+// covered by an assignment Refine(whole page) returns.
 func TestRefineCoversVerify(t *testing.T) {
-	skipped := map[string]int{}
 	for pi, src := range coveragePages {
 		d := markup.MustParse("cov", src)
 		whole := d.WholeSpan()
@@ -100,10 +65,6 @@ func TestRefineCoversVerify(t *testing.T) {
 							return true
 						}
 					}
-					if gap := knownGap(name, v, sub); gap != "" {
-						skipped[gap]++
-						return true
-					}
 					t.Errorf("page %d: %s=%q verifies %q, which Refine(page) = %v does not cover",
 						pi, name, v, sub.Text(), assignTexts(as))
 					return true
@@ -111,7 +72,47 @@ func TestRefineCoversVerify(t *testing.T) {
 			}
 		}
 	}
-	for gap, n := range skipped {
-		t.Logf("skipped %d sub-spans: %s", n, gap)
-	}
+}
+
+// FuzzRefineCoversVerify holds every builtin feature to the covering
+// contract on a page and a token-aligned span s of at most 12 tokens: each
+// token-aligned sub-span of s that Verify accepts is covered by an
+// assignment Refine(s) returns. Each feature tries the values of
+// TestRefineCoversVerify, and the label features also the fuzzed label,
+// as a label and quoted as a pattern. Seeds are the Books and DBLife record
+// pages of FuzzHereditary (testdata/fuzz).
+func FuzzRefineCoversVerify(f *testing.F) {
+	f.Add("<li><u>Databases, Volume 2</u><br>Our  price: $45</li>", uint16(0), uint16(8), "Our price:")
+	f.Fuzz(func(t *testing.T, src string, start, width uint16, label string) {
+		d, err := markup.Parse("fuzz", src)
+		if err != nil || len(d.Tokens()) == 0 {
+			return
+		}
+		toks := d.Tokens()
+		lo := int(start) % len(toks)
+		hi := lo + 1 + int(width)%min(12, len(toks)-lo)
+		s := d.Span(toks[lo].Start, toks[hi-1].End)
+		for _, name := range reg.Names() {
+			ft := feat(t, name)
+			vals := coverageValues(t, name)
+			switch name {
+			case "preceded-by", "followed-by", "prec-label-contains", "link-to-contains":
+				vals = append(vals, label)
+			case "starts-with", "ends-with", "matches":
+				vals = append(vals, regexp.QuoteMeta(label), `^[A-Z]`, `[0-9]$`, `\w+ \w+`)
+			}
+			for _, v := range vals {
+				as, err := ft.Refine(s, v)
+				if err != nil {
+					continue // a value the feature rejects, as Verify does
+				}
+				s.SubSpans(func(sub text.Span) bool {
+					if ok, _ := ft.Verify(sub, v); ok && !slices.ContainsFunc(as, func(a text.Assignment) bool { return a.Covers(sub) }) {
+						t.Fatalf("%s=%q verifies %q, which Refine(%q) = %v does not cover", name, v, sub.Text(), s.Text(), assignTexts(as))
+					}
+					return true
+				})
+			}
+		}
+	})
 }

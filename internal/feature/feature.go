@@ -17,8 +17,31 @@
 // assignments. That is what preserves the paper's superset execution
 // semantics. The engine re-checks earlier constraints with Verify whenever
 // later refinement narrows an assignment to an exact span (Section 4.2).
-// Some features declare f = v hereditary (Hereditary): each token-aligned
-// sub-span t of a span that passed it has Verify(t) and Refine(t) = [contain(t)].
+//
+// The built-ins do not write that contract twice. Each declares, per value,
+// the span language f = v denotes (lang.go), and one adapter derives
+// Verify, Refine and Hereditary from the declaration:
+//
+//   - regions: maximal byte ranges of the document that hold every span
+//     with f = v, listed for the neighbourhood of s, sorted by start;
+//   - exact or contain: an exact span is a whole region, token-trimmed; a
+//     contain span lies inside one region;
+//   - an optional residual check for what the regions do not decide, with
+//     whether a clipped region failing it can still hold a passing span.
+//
+// Verify(s) is "s is a region (exact), or lies inside one and passes the
+// residual"; Refine(s) is exact(r) for the regions inside s, or contain of
+// the regions clipped to s, less those the residual rules out. Every span
+// Verify accepts inside s lies in one of those, so Refine covers Verify by
+// construction. f = v is hereditary (Hereditary) when it is contain with no
+// residual: then each token-aligned sub-span t of a span that passed it has
+// Verify(t) and Refine(t) = [contain(t)].
+//
+// Where Verify and Refine used to disagree, each feature's comment names
+// the side chosen: numeric = no widens its regions, while preceded-by,
+// followed-by, prec-label-contains, prec-label-max-dist and the patterns
+// narrow Verify to their regions. Features registered by a deployment
+// still write Verify and Refine themselves.
 package feature
 
 import (
@@ -130,26 +153,26 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// builtins lists every built-in feature implementation.
+// builtins lists every built-in feature.
 func builtins() []Feature {
 	fs := []Feature{
-		numericFeature{},
-		paramNumFeature{name: "min-value", min: true},
-		paramNumFeature{name: "max-value", min: false},
-		lengthFeature{name: "max-length", max: true},
-		lengthFeature{name: "min-length", max: false},
-		tokensFeature{name: "max-tokens", max: true},
-		tokensFeature{name: "min-tokens", max: false},
-		patternFeature{name: "starts-with", anchor: anchorStart},
-		patternFeature{name: "ends-with", anchor: anchorEnd},
-		patternFeature{name: "matches", anchor: anchorBoth},
-		capitalizedFeature{},
-		precededByFeature{},
-		followedByFeature{},
-		precLabelContains{},
-		precLabelMaxDist{},
-		inFirstHalf{},
-		linkToContains{},
+		numericFeature,
+		valueFeature("min-value", +1),
+		valueFeature("max-value", -1),
+		lengthFeature("max-length", true, false),
+		lengthFeature("min-length", false, false),
+		lengthFeature("max-tokens", true, true),
+		lengthFeature("min-tokens", false, true),
+		patternFeature("starts-with", anchorStart),
+		patternFeature("ends-with", anchorEnd),
+		patternFeature("matches", anchorBoth),
+		capitalizedFeature,
+		precededBy,
+		followedBy,
+		precLabelContains,
+		precLabelMaxDist,
+		inFirstHalf,
+		linkToContains,
 	}
 	for kind, name := range map[text.MarkKind]string{
 		text.MarkBold:      "bold-font",
@@ -159,7 +182,7 @@ func builtins() []Feature {
 		text.MarkListItem:  "in-list",
 		text.MarkTitle:     "in-title",
 	} {
-		fs = append(fs, markFeature{name: name, kind: kind})
+		fs = append(fs, markFeature(name, kind))
 	}
 	return fs
 }
@@ -169,10 +192,11 @@ func errBadValue(feat, v string) error {
 	return fmt.Errorf("feature: %s does not support value %q", feat, v)
 }
 
-// mergeRanges merges overlapping or adjacent [start,end) ranges in place.
-// Input must be sorted by start. Returns the merged prefix.
+// byteRange is a [start, end) range of a document's text.
 type byteRange struct{ start, end int }
 
+// mergeRanges merges overlapping or adjacent ranges in place. Input must be
+// sorted by start. Returns the merged prefix.
 func mergeRanges(rs []byteRange) []byteRange {
 	if len(rs) == 0 {
 		return rs
@@ -187,60 +211,6 @@ func mergeRanges(rs []byteRange) []byteRange {
 			continue
 		}
 		out = append(out, r)
-	}
-	return out
-}
-
-// clipRanges intersects ranges with [lo, hi) in place, dropping empties.
-func clipRanges(rs []byteRange, lo, hi int) []byteRange {
-	out := rs[:0]
-	for _, r := range rs {
-		if r.start, r.end = max(r.start, lo), min(r.end, hi); r.start < r.end {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// complementRanges returns the gaps of sorted, merged ranges within [lo, hi).
-func complementRanges(rs []byteRange, lo, hi int) []byteRange {
-	var out []byteRange
-	cur := lo
-	for _, r := range rs {
-		if r.start > cur {
-			out = append(out, byteRange{cur, r.start})
-		}
-		if r.end > cur {
-			cur = r.end
-		}
-	}
-	if cur < hi {
-		out = append(out, byteRange{cur, hi})
-	}
-	return out
-}
-
-// rangesToAssignments converts ranges of s.Doc() into token-trimmed
-// assignments with the given mode, dropping ranges holding no whole token.
-func rangesToAssignments(d *text.Document, rs []byteRange, mode text.Mode) []text.Assignment {
-	var out []text.Assignment
-	for _, r := range rs {
-		sp, ok := d.Span(r.start, r.end).Shrink()
-		if !ok {
-			continue
-		}
-		out = append(out, text.Assignment{Mode: mode, Span: sp})
-	}
-	return out
-}
-
-// containRegions is the Refine result of a region feature: every range
-// clipped to s (rs is reused), token-trimmed, wrapped as contain and
-// deduplicated.
-func containRegions(s text.Span, rs []byteRange) []text.Assignment {
-	out := rangesToAssignments(s.Doc(), clipRanges(rs, s.Start(), s.End()), text.Contain)
-	if len(out) > 1 {
-		out = text.DedupAssignments(out)
 	}
 	return out
 }

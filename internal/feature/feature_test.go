@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -98,10 +99,15 @@ func TestNumericRefine(t *testing.T) {
 
 func TestNumericRefineNo(t *testing.T) {
 	d := markup.MustParse("d", "alpha 42 beta gamma")
+	// numeric = no widens: a span mixing words and a number is not numeric,
+	// so the whole page stays one contain assignment...
 	as := refine(t, "numeric", d.WholeSpan(), No)
-	// Two gaps: "alpha" and "beta gamma".
-	if len(as) != 2 || as[0].Span.Text() != "alpha" || as[1].Span.Text() != "beta gamma" {
+	if len(as) != 1 || as[0].Mode != text.Contain || as[0].Span != d.WholeSpan() {
 		t.Fatalf("numeric=no refine = %v", assignTexts(as))
+	}
+	// ...and only a span that is one numeric token refines to nothing.
+	if as := refine(t, "numeric", d.Span(5, 9), No); len(as) != 0 {
+		t.Fatalf("numeric=no refine of %q = %v", d.Span(5, 9).Text(), assignTexts(as))
 	}
 }
 
@@ -411,7 +417,7 @@ func TestBadValuesError(t *testing.T) {
 
 func TestCustomFeatureRegistration(t *testing.T) {
 	r := NewRegistry()
-	r.Register(markFeature{name: "shouty", kind: text.MarkBold})
+	r.Register(markFeature("shouty", text.MarkBold))
 	if _, err := r.Lookup("shouty"); err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +428,7 @@ func TestCustomFeatureRegistration(t *testing.T) {
 // built-ins themselves have no duplicate, or NewRegistry would panic.)
 func TestRegisterRejectsDuplicate(t *testing.T) {
 	r := NewRegistry()
-	impostor := markFeature{name: "bold-font", kind: text.MarkItalic}
+	impostor := markFeature("bold-font", text.MarkItalic)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("registering bold-font a second time did not panic")
@@ -607,27 +613,27 @@ func TestOccurrencesSelfOverlap(t *testing.T) {
 	// in "aaa". A scanner that resumes past the end of each match would
 	// find only the first.
 	d := markup.MustParse("d", "aaa")
-	occs := occurrences(d, "aa", 0, 3)
-	want := [][2]int{{0, 2}, {1, 3}}
-	if len(occs) != len(want) {
+	occs := occurrences(nil, d, "aa", 0, 3)
+	if want := []byteRange{{0, 2}, {1, 3}}; !slices.Equal(occs, want) {
 		t.Fatalf("occurrences(aa, aaa) = %v, want %v", occs, want)
-	}
-	for i := range want {
-		if occs[i] != want[i] {
-			t.Errorf("occurrence %d = %v, want %v", i, occs[i], want[i])
-		}
 	}
 }
 
 func TestOccurrencesCaseAndWindow(t *testing.T) {
 	d := markup.MustParse("d", "Beds: 3\nBEDS: 4")
 	// Case-insensitive across the whole document...
-	if got := occurrences(d, "beds", 0, d.Len()); len(got) != 2 {
+	if got := occurrences(nil, d, "beds", 0, d.Len()); len(got) != 2 {
 		t.Fatalf("occurrences(beds) = %v, want 2 matches", got)
 	}
 	// ...and offsets stay in document coordinates inside a sub-window.
-	got := occurrences(d, "beds", 8, d.Len())
-	if len(got) != 1 || got[0] != [2]int{8, 12} {
-		t.Fatalf("windowed occurrences = %v, want [[8 12]]", got)
+	got := occurrences(nil, d, "beds", 8, d.Len())
+	if len(got) != 1 || got[0] != (byteRange{8, 12}) {
+		t.Fatalf("windowed occurrences = %v, want [{8 12}]", got)
+	}
+	// A case mapping that changes byte length ("İ" lowers to one byte)
+	// folds rune by rune, offsets still the document's.
+	d = markup.MustParse("d", "İSTANBUL: 5 and istanbul: 6")
+	if got := occurrences(nil, d, "istanbul:", 0, d.Len()); !slices.Equal(got, []byteRange{{0, 10}, {17, 26}}) {
+		t.Fatalf("folded occurrences = %v, want [{0 10} {17 26}]", got)
 	}
 }

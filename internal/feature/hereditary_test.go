@@ -24,18 +24,25 @@ func hereditaryPairs(n int) []Constraint {
 	return out
 }
 
-// TestHereditaryDeclared pins what the built-ins declare hereditary: the
-// mark features with yes and no, max-length, max-tokens and capitalized
-// with yes. Declaring more is a claim FuzzHereditary must hold up.
+// TestHereditaryDeclared pins what the built-ins' declarations derive as
+// hereditary (contain, no residual): the mark features with yes and no,
+// capitalized and in-first-half with yes and distinct-yes, max-length and
+// max-tokens, and link-to-contains, prec-label-contains and
+// prec-label-max-dist with any well-formed value. Deriving more is a claim
+// FuzzHereditary must hold up.
 func TestHereditaryDeclared(t *testing.T) {
 	var got []string
 	for _, c := range hereditaryPairs(5) {
 		got = append(got, c.Feature+"="+c.Value)
 	}
 	want := []string{
-		"bold-font=yes", "bold-font=no", "capitalized=yes", "hyperlinked=yes", "hyperlinked=no",
-		"in-list=yes", "in-list=no", "in-title=yes", "in-title=no", "italic-font=yes", "italic-font=no",
-		"max-length=5", "max-tokens=5", "underlined=yes", "underlined=no",
+		"bold-font=yes", "bold-font=no", "capitalized=yes", "capitalized=distinct-yes", "hyperlinked=yes", "hyperlinked=no",
+		"in-first-half=yes", "in-first-half=distinct-yes", "in-list=yes", "in-list=no", "in-title=yes", "in-title=no",
+		"italic-font=yes", "italic-font=no",
+		"link-to-contains=yes", "link-to-contains=no", "link-to-contains=distinct-yes", "link-to-contains=distinct-no", "link-to-contains=5",
+		"max-length=5", "max-tokens=5",
+		"prec-label-contains=yes", "prec-label-contains=no", "prec-label-contains=distinct-yes", "prec-label-contains=distinct-no", "prec-label-contains=5",
+		"prec-label-max-dist=5", "underlined=yes", "underlined=no",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("declared hereditary:\n got %v\nwant %v", got, want)

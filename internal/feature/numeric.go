@@ -7,109 +7,55 @@ import (
 	"iflex/internal/text"
 )
 
-// numericFeature implements numeric(s) ∈ {yes, no}: whether the span text
-// is a single numeric value (tolerating $, commas, and a decimal point).
-type numericFeature struct{}
-
-func (numericFeature) Name() string { return "numeric" }
-func (numericFeature) Kind() Kind   { return KindBoolean }
-
-func (numericFeature) Verify(s text.Span, v string) (bool, error) {
-	_, isNum := s.Numeric()
+// numericFeature declares numeric(s) ∈ {yes, no}: whether the span text is
+// a single numeric value (tolerating $, commas, and a decimal point).
+// numeric = yes (and distinct-yes) is exact: its regions are the numeric
+// tokens. numeric = no widens to one region, the page, whose residual
+// rejects one numeric token, so Refine(s) is contain(s) unless s is one: a
+// span mixing words and a number ("VLDB 2001", "… Volume 2" in a book
+// title) is not numeric, and narrowing to the gaps between numbers would
+// lose it.
+var numericFeature = &builtin{name: "numeric", kind: KindBoolean, lang: func(v string) (lang, error) {
 	switch v {
 	case Yes, DistinctYes:
-		return isNum, nil
+		return lang{regions: numericTokens, exact: true}, nil
 	case No:
-		return !isNum, nil
-	default:
-		return false, errBadValue("numeric", v)
+		return lang{regions: whole, check: notNumber}, nil
 	}
+	return lang{}, errBadValue("numeric", v)
+}}
+
+// valueFeature declares min-value(s)=n (sign > 0) and max-value(s)=n (sign
+// < 0): the span is one numeric token whose value is >= n or <= n. These
+// are the "semantics" questions of Section 5.1.1 ("what is a maximal value
+// for price?").
+func valueFeature(name string, sign int) *builtin {
+	return &builtin{name: name, kind: KindParametric, lang: func(v string) (lang, error) {
+		x, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			return lang{}, fmt.Errorf("feature: %s needs a numeric value, got %q", name, v)
+		}
+		return lang{regions: numericTokens, exact: true, p: param{x: x, sign: sign}}, nil
+	}}
 }
 
-// numericTokens returns the token spans of s that parse as numbers.
-func numericTokens(s text.Span) []text.Span {
-	var out []text.Span
+// numericTokens lists the tokens of s that parse as numbers within the
+// bound.
+func numericTokens(dst []byteRange, s text.Span, p param) []byteRange {
 	lo, hi := s.TokenBounds()
 	toks := s.Doc().Tokens()
-	for i := lo; i < hi; i++ {
-		sp := s.Doc().Span(toks[i].Start, toks[i].End)
-		if _, ok := sp.Numeric(); ok {
-			out = append(out, sp)
+	for _, t := range toks[lo:hi] {
+		n, ok := s.Doc().Span(t.Start, t.End).Numeric()
+		if ok && (p.sign == 0 || p.sign > 0 && n >= p.x || p.sign < 0 && n <= p.x) {
+			dst = append(dst, byteRange{t.Start, t.End})
 		}
 	}
-	return out
+	return dst
 }
 
-func (numericFeature) Refine(s text.Span, v string) ([]text.Assignment, error) {
-	switch v {
-	case Yes, DistinctYes:
-		// A numeric value is a single token; multi-token spans never parse.
-		// The maximal verifying sub-spans are therefore the numeric tokens,
-		// pinned exactly.
-		var out []text.Assignment
-		for _, sp := range numericTokens(s) {
-			out = append(out, text.ExactOf(sp))
-		}
-		return out, nil
-	case No:
-		// Complement of the numeric tokens.
-		var rs []byteRange
-		for _, sp := range numericTokens(s) {
-			rs = append(rs, byteRange{sp.Start(), sp.End()})
-		}
-		gaps := complementRanges(rs, s.Start(), s.End())
-		return rangesToAssignments(s.Doc(), gaps, text.Contain), nil
-	default:
-		return nil, errBadValue("numeric", v)
-	}
-}
-
-// paramNumFeature implements min-value(s)=n and max-value(s)=n: the span is
-// numeric and its value is >= n (min) or <= n (max). These are the
-// "semantics" questions of Section 5.1.1 ("what is a maximal value for
-// price?").
-type paramNumFeature struct {
-	name string
-	min  bool
-}
-
-func (f paramNumFeature) Name() string { return f.name }
-func (f paramNumFeature) Kind() Kind   { return KindParametric }
-
-func (f paramNumFeature) bound(v string) (float64, error) {
-	b, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("feature: %s needs a numeric value, got %q", f.name, v)
-	}
-	return b, nil
-}
-
-func (f paramNumFeature) holds(n, bound float64) bool {
-	if f.min {
-		return n >= bound
-	}
-	return n <= bound
-}
-
-func (f paramNumFeature) Verify(s text.Span, v string) (bool, error) {
-	b, err := f.bound(v)
-	if err != nil {
-		return false, err
-	}
-	n, ok := s.Numeric()
-	return ok && f.holds(n, b), nil
-}
-
-func (f paramNumFeature) Refine(s text.Span, v string) ([]text.Assignment, error) {
-	b, err := f.bound(v)
-	if err != nil {
-		return nil, err
-	}
-	var out []text.Assignment
-	for _, sp := range numericTokens(s) {
-		if n, _ := sp.Numeric(); f.holds(n, b) {
-			out = append(out, text.ExactOf(sp))
-		}
-	}
-	return out, nil
+// notNumber is numeric = no's residual: s is not one numeric token. A span
+// failing it has no other token-aligned sub-span.
+func notNumber(s text.Span, _ byteRange, _ param) bool {
+	_, ok := s.Numeric()
+	return !ok || s.NumTokens() != 1
 }

@@ -10,133 +10,59 @@ import (
 	"iflex/internal/text"
 )
 
-// lengthFeature implements max-length(s)=n / min-length(s)=n over the
-// span's byte length.
-type lengthFeature struct {
-	name string
-	max  bool
-}
-
-func (f lengthFeature) Name() string             { return f.name }
-func (f lengthFeature) Kind() Kind               { return KindParametric }
-func (f lengthFeature) Hereditary(v string) bool { _, err := f.bound(v); return f.max && err == nil }
-
-func (f lengthFeature) bound(v string) (int, error) {
+// intBound parses a non-negative integer parameter of feature name.
+func intBound(name, v string) (int, error) {
 	n, err := strconv.Atoi(v)
 	if err != nil || n < 0 {
-		return 0, fmt.Errorf("feature: %s needs a non-negative integer, got %q", f.name, v)
+		return 0, fmt.Errorf("feature: %s needs a non-negative integer, got %q", name, v)
 	}
 	return n, nil
 }
 
-func (f lengthFeature) Verify(s text.Span, v string) (bool, error) {
-	n, err := f.bound(v)
-	if err != nil {
-		return false, err
-	}
-	if f.max {
-		return s.Len() <= n, nil
-	}
-	return s.Len() >= n, nil
+// lengthFeature declares max-length(s)=n / min-length(s)=n over the span's
+// byte length, and max-tokens / min-tokens over its whole-token count.
+// max-* is hereditary: its regions are the longest token runs within the
+// bound, one from each token. min-* is the page with a residual, which no
+// sub-span of a span failing it passes.
+func lengthFeature(name string, atMost, tokens bool) *builtin {
+	return &builtin{name: name, kind: KindParametric, lang: func(v string) (lang, error) {
+		n, err := intBound(name, v)
+		if atMost {
+			return lang{regions: runs, p: param{n: n, tokens: tokens}}, err
+		}
+		return lang{regions: whole, check: long, p: param{n: n, tokens: tokens}}, err
+	}}
 }
 
-func (f lengthFeature) Refine(s text.Span, v string) ([]text.Assignment, error) {
-	n, err := f.bound(v)
-	if err != nil {
-		return nil, err
-	}
-	if !f.max {
-		// min-length cannot shrink contain assignments usefully (short
-		// sub-spans of a long region fail the constraint, but long ones
-		// pass); return contain(s) unchanged. Superset-safe; exact spans
-		// are filtered precisely by Verify in the engine's Case 1.
-		if sp, ok := s.Shrink(); ok && sp.Len() >= n {
-			return []text.Assignment{text.ContainOf(sp)}, nil
-		}
-		return nil, nil
-	}
-	// max-length: maximal token runs whose byte length stays <= n.
-	// Every sub-span of such a run is itself <= n, so contain is precise,
-	// and every short sub-span extends to some maximal run: covering.
-	lo, hi := s.TokenBounds()
+// runs lists, from each token of s, the longest run of document tokens
+// whose length stays within p.n.
+func runs(dst []byteRange, s text.Span, p param) []byteRange {
 	toks := s.Doc().Tokens()
-	var out []text.Assignment
-	i := lo
-	for i < hi {
-		if toks[i].End-toks[i].Start > n {
-			i++
+	fits := func(i, j int) bool {
+		if p.tokens {
+			return j-i < p.n
+		}
+		return toks[j].End-toks[i].Start <= p.n
+	}
+	lo, hi := s.TokenBounds()
+	for i := lo; i < hi; i++ {
+		if !fits(i, i) {
 			continue
 		}
 		j := i
-		for j+1 < hi && toks[j+1].End-toks[i].Start <= n {
+		for j+1 < len(toks) && fits(i, j+1) {
 			j++
 		}
-		sp := s.Doc().Span(toks[i].Start, toks[j].End)
-		// Only emit maximal runs: skip if the previous emitted run already
-		// ends at or beyond this one's end.
-		if len(out) == 0 || out[len(out)-1].Span.End() < sp.End() {
-			out = append(out, text.ContainOf(sp))
-		}
-		i++
+		dst = append(dst, byteRange{toks[i].Start, toks[j].End})
 	}
-	return out, nil
+	return dst
 }
 
-// tokensFeature implements max-tokens(s)=n / min-tokens(s)=n over the
-// span's whole-token count.
-type tokensFeature struct {
-	name string
-	max  bool
-}
-
-func (f tokensFeature) Name() string             { return f.name }
-func (f tokensFeature) Kind() Kind               { return KindParametric }
-func (f tokensFeature) Hereditary(v string) bool { _, err := f.bound(v); return f.max && err == nil }
-
-func (f tokensFeature) bound(v string) (int, error) {
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("feature: %s needs a non-negative integer, got %q", f.name, v)
+func long(s text.Span, _ byteRange, p param) bool {
+	if p.tokens {
+		return s.NumTokens() >= p.n
 	}
-	return n, nil
-}
-
-func (f tokensFeature) Verify(s text.Span, v string) (bool, error) {
-	n, err := f.bound(v)
-	if err != nil {
-		return false, err
-	}
-	if f.max {
-		return s.NumTokens() <= n, nil
-	}
-	return s.NumTokens() >= n, nil
-}
-
-func (f tokensFeature) Refine(s text.Span, v string) ([]text.Assignment, error) {
-	n, err := f.bound(v)
-	if err != nil {
-		return nil, err
-	}
-	sp, ok := s.Shrink()
-	if !ok {
-		return nil, nil
-	}
-	if !f.max {
-		if sp.NumTokens() >= n {
-			return []text.Assignment{text.ContainOf(sp)}, nil
-		}
-		return nil, nil
-	}
-	// max-tokens: sliding windows of n tokens are the maximal runs.
-	total := sp.NumTokens()
-	if total <= n {
-		return []text.Assignment{text.ContainOf(sp)}, nil
-	}
-	var out []text.Assignment
-	for i := 0; n > 0 && i+n <= total; i++ {
-		out = append(out, text.ContainOf(sp.TokenSpan(i, i+n)))
-	}
-	return out, nil
+	return s.Len() >= p.n
 }
 
 // anchorMode controls where patternFeature anchors its regular expression.
@@ -148,19 +74,65 @@ const (
 	anchorBoth                    // matches (full match)
 )
 
-// patternFeature implements starts-with(s)=re, ends-with(s)=re and
-// matches(s)=re with Go regular expressions over the span's normalised
-// text. Refine over-approximates (contain assignments anchored at pattern
-// occurrences), which is superset-safe; exact spans are later filtered
-// precisely by Verify.
-type patternFeature struct {
-	name   string
+// patternFeature declares starts-with(s)=re, ends-with(s)=re and
+// matches(s)=re with Go regular expressions, anchored as the name says,
+// over the span's text as written: "Price:  120" (two spaces) does not
+// match "Price: [0-9]+". Each token of s is tested on its own line, so no
+// region depends on where s starts: starts-with has a region from a token
+// the pattern matches from to the end of the page; ends-with one from the
+// start of the page to a token end the text of its line matches up to;
+// matches one from a token to the furthest token end on its line that the
+// whole pattern spans. Verify is narrowed to them. The residual is the
+// anchored pattern on s; a span failing it may hold one passing it, so
+// Refine keeps every region.
+func patternFeature(name string, anchor anchorMode) *builtin {
+	return &builtin{name: name, kind: KindParametric, lang: func(v string) (lang, error) {
+		re, err := compilePattern(v, anchor)
+		return lang{regions: patternRegions, check: matchesAnchored, open: true, p: param{re: re, anchor: anchor}}, err
+	}}
+}
+
+func patternRegions(dst []byteRange, s text.Span, p param) []byteRange {
+	d, toks := s.Doc(), s.Doc().Tokens()
+	body := d.Text()
+	lo, hi := s.TokenBounds()
+	for i, t := range toks[lo:hi] {
+		switch p.anchor {
+		case anchorStart:
+			if p.re.MatchString(body[t.Start:d.LineEnd(t.Start)]) {
+				dst = append(dst, byteRange{t.Start, d.Len()})
+			}
+		case anchorEnd:
+			if p.re.MatchString(body[d.LineStart(t.Start):t.End]) {
+				dst = append(dst, byteRange{0, t.End})
+			}
+		default:
+			end, le := -1, d.LineEnd(t.Start)
+			for _, u := range toks[lo+i:] {
+				if u.End > le {
+					break
+				} else if p.re.MatchString(body[t.Start:u.End]) {
+					end = u.End
+				}
+			}
+			if end >= 0 {
+				dst = append(dst, byteRange{t.Start, end})
+			}
+		}
+	}
+	return dst
+}
+
+func matchesAnchored(s text.Span, _ byteRange, p param) bool { return p.re.MatchString(s.Text()) }
+
+type patternKey struct {
+	pat    string
 	anchor anchorMode
 }
 
 var (
 	reCacheMu sync.RWMutex
-	reCache   = map[string]*regexp.Regexp{}
+	reCache   = map[patternKey]*regexp.Regexp{}
 )
 
 // compilePattern compiles and caches the pattern anchored as requested.
@@ -169,79 +141,48 @@ var (
 // happens outside any lock and the write path re-checks (keeping the
 // first-stored regexp) in case of a racing miss.
 func compilePattern(pat string, anchor anchorMode) (*regexp.Regexp, error) {
-	key := pat
-	switch anchor {
-	case anchorStart:
-		key = "\\A(?:" + pat + ")"
-	case anchorEnd:
-		key = "(?:" + pat + ")\\z"
-	case anchorBoth:
-		key = "\\A(?:" + pat + ")\\z"
-	}
+	k := patternKey{pat, anchor}
 	reCacheMu.RLock()
-	re, ok := reCache[key]
+	re, ok := reCache[k]
 	reCacheMu.RUnlock()
 	if ok {
 		return re, nil
 	}
-	re, err := regexp.Compile(key)
+	src := `\A(?:` + pat + `)\z`
+	switch anchor {
+	case anchorStart:
+		src = `\A(?:` + pat + ")"
+	case anchorEnd:
+		src = "(?:" + pat + `)\z`
+	}
+	re, err := regexp.Compile(src)
 	if err != nil {
 		return nil, fmt.Errorf("feature: bad pattern %q: %w", pat, err)
 	}
 	reCacheMu.Lock()
-	if prev, ok := reCache[key]; ok {
+	if prev, ok := reCache[k]; ok {
 		re = prev
 	} else {
-		reCache[key] = re
+		reCache[k] = re
 	}
 	reCacheMu.Unlock()
 	return re, nil
 }
 
-func (f patternFeature) Name() string { return f.name }
-func (f patternFeature) Kind() Kind   { return KindParametric }
-
-func (f patternFeature) Verify(s text.Span, v string) (bool, error) {
-	re, err := compilePattern(v, f.anchor)
-	if err != nil {
-		return false, err
+// capitalizedFeature declares capitalized: every token of the span starts
+// with an upper-case letter (yes) or not (no). Useful for names and titles.
+// yes is hereditary: its regions are the maximal runs of capitalised
+// tokens. no is the page with a residual, which no sub-span of a span
+// failing it passes.
+var capitalizedFeature = &builtin{name: "capitalized", kind: KindBoolean, lang: func(v string) (lang, error) {
+	switch v {
+	case Yes, DistinctYes:
+		return lang{regions: capitalRuns}, nil
+	case No:
+		return lang{regions: whole, check: notCapitalized}, nil
 	}
-	return re.MatchString(s.NormText()), nil
-}
-
-func (f patternFeature) Refine(s text.Span, v string) ([]text.Assignment, error) {
-	// Find unanchored occurrences to locate candidate anchor points.
-	re, err := compilePattern(v, anchorMode(-1))
-	if err != nil {
-		return nil, err
-	}
-	sp, ok := s.Shrink()
-	if !ok {
-		return nil, nil
-	}
-	// matches keeps each match region; sub-spans starting (ending) at a
-	// match may extend to the end (from the start) of s.
-	rs := make([]byteRange, 0, 8)
-	for _, l := range re.FindAllStringIndex(sp.Text(), -1) {
-		r := byteRange{sp.Start() + l[0], sp.Start() + l[1]}
-		switch f.anchor {
-		case anchorStart:
-			r.end = sp.End()
-		case anchorEnd:
-			r.start = sp.Start()
-		}
-		rs = append(rs, r)
-	}
-	return containRegions(s, rs), nil
-}
-
-// capitalizedFeature: every token of the span starts with an upper-case
-// letter (yes) or not (no). Useful for names and titles.
-type capitalizedFeature struct{}
-
-func (capitalizedFeature) Name() string             { return "capitalized" }
-func (capitalizedFeature) Kind() Kind               { return KindBoolean }
-func (capitalizedFeature) Hereditary(v string) bool { return v == Yes }
+	return lang{}, errBadValue("capitalized", v)
+}}
 
 func tokenCapitalized(tok string) bool {
 	for _, r := range tok {
@@ -255,67 +196,30 @@ func tokenCapitalized(tok string) bool {
 	return false
 }
 
-func allCapitalized(s text.Span) bool {
+// capitalRuns lists the maximal runs of capitalised tokens within s.
+func capitalRuns(dst []byteRange, s text.Span, _ param) []byteRange {
+	body, toks := s.Doc().Text(), s.Doc().Tokens()
 	lo, hi := s.TokenBounds()
-	if lo >= hi {
-		return false
-	}
-	toks := s.Doc().Tokens()
 	for i := lo; i < hi; i++ {
-		if !tokenCapitalized(s.Doc().Text()[toks[i].Start:toks[i].End]) {
-			return false
-		}
-	}
-	return true
-}
-
-func (capitalizedFeature) Verify(s text.Span, v string) (bool, error) {
-	switch v {
-	case Yes, DistinctYes:
-		return allCapitalized(s), nil
-	case No:
-		return !allCapitalized(s), nil
-	default:
-		return false, errBadValue("capitalized", v)
-	}
-}
-
-func (capitalizedFeature) Refine(s text.Span, v string) ([]text.Assignment, error) {
-	if v != Yes && v != DistinctYes && v != No {
-		return nil, errBadValue("capitalized", v)
-	}
-	if v == No {
-		// Any sub-span containing at least one non-capitalised token
-		// satisfies "no"; such spans are not confined to runs, so the only
-		// covering refinement is s itself (when it verifies).
-		sp, ok := s.Shrink()
-		if !ok || allCapitalized(sp) {
-			return nil, nil
-		}
-		return []text.Assignment{text.ContainOf(sp)}, nil
-	}
-	// Maximal runs of capitalised tokens; every sub-span of a run verifies.
-	const wantCap = true
-	lo, hi := s.TokenBounds()
-	toks := s.Doc().Tokens()
-	var out []text.Assignment
-	i := lo
-	for i < hi {
-		ok := tokenCapitalized(s.Doc().Text()[toks[i].Start:toks[i].End])
-		if ok != wantCap {
-			i++
-			continue
-		}
 		j := i
-		for j+1 < hi {
-			nxt := tokenCapitalized(s.Doc().Text()[toks[j+1].Start:toks[j+1].End])
-			if nxt != wantCap {
-				break
-			}
+		for j < hi && tokenCapitalized(body[toks[j].Start:toks[j].End]) {
 			j++
 		}
-		out = append(out, text.ContainOf(s.Doc().Span(toks[i].Start, toks[j].End)))
-		i = j + 1
+		if j > i {
+			dst = append(dst, byteRange{toks[i].Start, toks[j-1].End})
+			i = j
+		}
 	}
-	return out, nil
+	return dst
+}
+
+func notCapitalized(s text.Span, _ byteRange, _ param) bool {
+	lo, hi := s.TokenBounds()
+	toks := s.Doc().Tokens()
+	for _, t := range toks[lo:hi] {
+		if !tokenCapitalized(s.Doc().Text()[t.Start:t.End]) {
+			return true
+		}
+	}
+	return lo >= hi
 }
