@@ -21,6 +21,18 @@ func (w World) Canonical() string {
 	return strings.Join(lines, "\n")
 }
 
+// ParseWorld is the inverse of Canonical.
+func ParseWorld(canon string) World {
+	if canon == "" {
+		return nil
+	}
+	var w World
+	for _, line := range strings.Split(canon, "\n") {
+		w = append(w, strings.Split(line, "␟"))
+	}
+	return w
+}
+
 // ErrTooManyWorlds is returned when enumeration would exceed the limit.
 var ErrTooManyWorlds = fmt.Errorf("oracle: possible-worlds enumeration limit exceeded")
 
