@@ -1,10 +1,13 @@
 package corpus
 
 import (
+	"slices"
 	"testing"
 
 	"iflex/internal/alog"
+	"iflex/internal/compact"
 	"iflex/internal/engine"
+	"iflex/internal/markup"
 	"iflex/internal/similarity"
 )
 
@@ -166,5 +169,16 @@ func TestUncoveredTruth(t *testing.T) {
 	}
 	if missing := UncoveredTruth(res, task.Truth(c)); len(missing) != 0 {
 		t.Errorf("initial program uncovered: %v", missing)
+	}
+	// A joined key is covered part by part, in column order, by one tuple:
+	// (Alice, VLDB) is; (Bob, SIGMOD) is not, though Bob and SIGMOD each
+	// appear, and neither is (VLDB, Alice).
+	d := markup.MustParse("p", "Alice VLDB Bob SIGMOD")
+	w := func(i int) compact.Cell { return compact.ExactCell(d.WholeSpan().TokenSpan(i, i+1)) }
+	tab := compact.NewTable("x", "y")
+	tab.Tuples = []compact.Tuple{{Cells: []compact.Cell{w(0), w(1)}}, {Cells: []compact.Cell{w(2), w(1)}}, {Cells: []compact.Cell{w(0), w(3)}}}
+	truth := map[string]bool{"Alice|VLDB": true, "Bob|SIGMOD": true, "VLDB|Alice": true, "Bob": true}
+	if missing := UncoveredTruth(tab, truth); !slices.Equal(missing, []string{"Bob|SIGMOD", "VLDB|Alice"}) {
+		t.Errorf("joined keys: missing %v, want [Bob|SIGMOD VLDB|Alice]", missing)
 	}
 }

@@ -113,6 +113,9 @@ func TestDBLifeTasksConverge(t *testing.T) {
 			if res.FinalTuples != len(truth) {
 				t.Errorf("%s: final=%d truth=%d", task.ID, res.FinalTuples, len(truth))
 			}
+			if missing := UncoveredTruth(res.Final, truth); len(missing) > 0 {
+				t.Errorf("%s: missing=%d: %v", task.ID, len(missing), missing)
+			}
 		})
 	}
 }

@@ -3,6 +3,7 @@ package corpus
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"iflex/internal/assistant"
 	"iflex/internal/compact"
@@ -426,22 +427,32 @@ func ResultKeys(t *compact.Table) (map[string]int, bool) {
 	return out, allExact
 }
 
-// UncoveredTruth returns the truth keys not covered by any result tuple's
-// first-column value set — the real superset-semantics check: a correct
-// answer is lost only if no tuple can still take that value.
+// UncoveredTruth returns the truth keys not covered by any result tuple —
+// the real superset-semantics check: a correct answer is lost only if no
+// tuple can still take that value. A key is one value, which the first
+// column must be able to take, or "|"-joined parts (the DBLife tasks),
+// which one tuple's first columns must be able to take, in order.
 func UncoveredTruth(t *compact.Table, truth map[string]bool) []string {
+	var joined [][]string
+	for k := range truth {
+		if strings.Contains(k, "|") {
+			joined = append(joined, strings.Split(k, "|"))
+		}
+	}
 	covered := map[string]bool{}
 	for _, tp := range t.Tuples {
 		if len(tp.Cells) == 0 {
 			continue
 		}
 		tp.Cells[0].Values(func(s text.Span) bool {
-			k := normKey(s.NormText())
-			if truth[k] {
+			if k := normKey(s.NormText()); truth[k] {
 				covered[k] = true
 			}
 			return true
 		})
+		if len(joined) > 0 {
+			coverJoined(tp, joined, covered)
+		}
 	}
 	var missing []string
 	for k := range truth {
@@ -451,6 +462,25 @@ func UncoveredTruth(t *compact.Table, truth map[string]bool) []string {
 	}
 	sort.Strings(missing)
 	return missing
+}
+
+// coverJoined marks covered the joined keys whose parts tp's first columns
+// can take, in order.
+func coverJoined(tp compact.Tuple, joined [][]string, covered map[string]bool) {
+	takes := make([]map[string]bool, len(tp.Cells))
+	for i, c := range tp.Cells {
+		takes[i] = map[string]bool{}
+		c.Values(func(s text.Span) bool { takes[i][normKey(s.NormText())] = true; return true })
+	}
+next:
+	for _, parts := range joined {
+		for i, p := range parts {
+			if i >= len(takes) || !takes[i][p] {
+				continue next
+			}
+		}
+		covered[strings.Join(parts, "|")] = true
+	}
 }
 
 // SupersetPercent computes the Tables 4/5 metric: result size relative to

@@ -311,12 +311,12 @@ func applyConstraint(batch *statBatch, docs *docCursor, k stage, as, out []text.
 			continue
 		}
 		batch.RefineCalls++
-		refined, hit, err := tab.Refine(k.f, k.id, a.Span, k.value)
-		if err != nil {
+		var hit bool
+		var err error
+		if out, hit, err = tab.Refine(k.f, k.id, a.Span, k.value, out); err != nil {
 			return nil, err
 		}
 		batch.countMemo(hit)
-		out = append(out, refined...)
 	}
 	return out, nil
 }

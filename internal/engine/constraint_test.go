@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -85,29 +86,53 @@ func randomAssignments(r *rand.Rand, docs []*text.Document, n int) []text.Assign
 	return as
 }
 
+// freshTables forgets every record table of env's memo and returns a cursor
+// over it; the constraint ids it interned stay valid.
+func freshTables(env *Env) docCursor {
+	env.FeatureMemo.Evict(math.MaxInt64)
+	return docCursor{memo: env.FeatureMemo}
+}
+
+// resolveBoth resolves cons in env and in ref, which have interned the same
+// constraints in the same order, so the stages serve either memo.
+func resolveBoth(t *testing.T, env, ref *Env, cons []feature.Constraint) []stage {
+	t.Helper()
+	all, err := resolveStages(env, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refAll, err := resolveStages(ref, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range all {
+		if all[i].id != refAll[i].id {
+			t.Fatalf("%v: ids %d and %d", cons[i], all[i].id, refAll[i].id)
+		}
+	}
+	return all
+}
+
 // TestRefineCellMatchesReference holds refineCell to its old body on random
 // cells and constraint lists: the same cell and the same Verify/Refine
 // calls, memo hits included, with one scratch reused across all calls the
 // way a chunk's worker reuses it. Each side reads a fresh memo per trial.
 func TestRefineCellMatchesReference(t *testing.T) {
 	docs := refinePages()
-	env := NewEnv()
+	env, refEnv := NewEnv(), NewEnv()
 	r := rand.New(rand.NewSource(20))
 	var sc refineScratch
 	changed := 0
 	for trial := 0; trial < 3000; trial++ {
-		sc.docs = docCursor{memo: feature.NewMemo()}
-		refDocs := &docCursor{memo: feature.NewMemo()}
+		sc.docs = freshTables(env)
+		refDocs := &docCursor{memo: freshTables(refEnv).memo}
 		c := compact.Cell{Assigns: randomAssignments(r, docs, 1+r.Intn(4)), Expand: r.Intn(2) == 0}
 		in := slices.Clone(c.Assigns)
 		cons := make([]feature.Constraint, 1+r.Intn(6))
 		for i := range cons {
 			cons[i] = refinePool[r.Intn(len(refinePool))]
 		}
-		all, err := resolveStages(env, cons)
-		if err != nil {
-			t.Fatal(err)
-		}
+		all := resolveBoth(t, env, refEnv, cons)
 		k := all[len(all)-1]
 		var wantB, gotB statBatch
 		want, werr := refRefineCell(&wantB, refDocs, c, k, all)
@@ -141,23 +166,20 @@ func TestRefineCellMatchesReference(t *testing.T) {
 // hereditary skip are seen to fire.
 func TestRefineCellTrustsRefinedCells(t *testing.T) {
 	docs := refinePages()
-	env := NewEnv()
+	env, refEnv := NewEnv(), NewEnv()
 	r := rand.New(rand.NewSource(21))
 	var sc refineScratch
 	var stages int
 	var wantCalls, gotCalls int64
 	for cell := 0; cell < 20000; cell++ {
-		sc.docs = docCursor{memo: feature.NewMemo()}
-		refDocs := &docCursor{memo: feature.NewMemo()}
+		sc.docs = freshTables(env)
+		refDocs := &docCursor{memo: freshTables(refEnv).memo}
 		c := compact.Cell{Assigns: randomAssignments(r, docs, 1+r.Intn(4)), Expand: r.Intn(2) == 0}
 		cons := make([]feature.Constraint, 1+r.Intn(6))
 		for i := range cons {
 			cons[i] = refinePool[r.Intn(len(refinePool))]
 		}
-		all, err := resolveStages(env, cons)
-		if err != nil {
-			t.Fatal(err)
-		}
+		all := resolveBoth(t, env, refEnv, cons)
 		for st := range all {
 			var wantB, gotB statBatch
 			want, werr := refRefineCell(&wantB, refDocs, c, all[st], all[:st+1])
@@ -214,16 +236,14 @@ func (beforeFeature) Refine(s text.Span, v string) ([]text.Assignment, error) {
 // as the reference does. The narrowed span is aligned, and the next
 // round's re-check of it is skipped.
 func TestRefineCellRechecksUnalignedSpans(t *testing.T) {
-	env := NewEnv()
+	env, refEnv := NewEnv(), NewEnv()
 	env.Features.Register(beforeFeature{})
-	all, err := resolveStages(env, []feature.Constraint{{Feature: "italic-font", Value: "no"}, {Feature: "before", Value: "by"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	refEnv.Features.Register(beforeFeature{})
+	all := resolveBoth(t, env, refEnv, []feature.Constraint{{Feature: "italic-font", Value: "no"}, {Feature: "before", Value: "by"}})
 	c := compact.Cell{Assigns: []text.Assignment{text.ContainOf(mustDoc("r", "Query Processing by A. Smith").WholeSpan())}}
-	sc := refineScratch{docs: docCursor{memo: feature.NewMemo()}}
+	sc := refineScratch{docs: docCursor{memo: env.FeatureMemo}}
 	var wantB, gotB statBatch
-	want, werr := refRefineCell(&wantB, &docCursor{memo: feature.NewMemo()}, c, all[1], all)
+	want, werr := refRefineCell(&wantB, &docCursor{memo: refEnv.FeatureMemo}, c, all[1], all)
 	got, gerr := refineCell(&gotB, &sc, c, all[1], all, true)
 	if werr != nil || gerr != nil {
 		t.Fatalf("error %v, reference %v", gerr, werr)
@@ -243,22 +263,19 @@ func TestRefineCellRechecksUnalignedSpans(t *testing.T) {
 // the trusted one.
 func TestRefineCellTrustedKeepsSuperset(t *testing.T) {
 	docs := refinePages()
-	env := NewEnv()
+	env, refEnv := NewEnv(), NewEnv()
 	r := rand.New(rand.NewSource(22))
 	var sc refineScratch
 	differ := 0
 	for trial := 0; trial < 20000; trial++ {
-		sc.docs = docCursor{memo: feature.NewMemo()}
-		refDocs := &docCursor{memo: feature.NewMemo()}
+		sc.docs = freshTables(env)
+		refDocs := &docCursor{memo: freshTables(refEnv).memo}
 		c := compact.Cell{Assigns: randomAssignments(r, docs, 1+r.Intn(4)), Expand: r.Intn(2) == 0}
 		cons := make([]feature.Constraint, 2+r.Intn(5))
 		for i := range cons {
 			cons[i] = refinePool[r.Intn(len(refinePool))]
 		}
-		all, err := resolveStages(env, cons)
-		if err != nil {
-			t.Fatal(err)
-		}
+		all := resolveBoth(t, env, refEnv, cons)
 		k := all[len(all)-1]
 		var wantB, gotB statBatch
 		want, werr := refRefineCell(&wantB, refDocs, c, k, all)

@@ -5,11 +5,15 @@
 // by contract. The engine asks the same questions of the same spans across
 // tuples, across operators of one plan, and — most expensively — across
 // every trial execution of the assistant's question-simulation fan-out, so
-// the answers are kept with the document they were read off: one table per
-// document handle, keyed by small integers. A caller finds a tuple's table
-// once (Memo.Doc) and interns a constraint's (feature, parameter) pair once
-// (Memo.Intern); every call after that is one lookup under the document's
-// own lock, and two workers contend only when they sit on the same page.
+// what answers them is kept with the document: one table per document
+// handle, found once per tuple (Memo.Doc), a constraint's (feature,
+// parameter) pair interned once (Memo.Intern).
+//
+// A built-in constraint's record is its span language's regions over the
+// page (lang.go), one sorted list per (document, constraint) built on first
+// use. Verify(s) and Refine(s) binary-search it for the regions touching s
+// and derive their answer from those as the feature does from all of them.
+// Comparison operands are kept per (span, mode).
 //
 // The lifetime is the document handle's: entries never go stale, a
 // superseded handle's table is dropped with it (DropDocs), and any table
@@ -23,6 +27,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"iflex/internal/text"
 )
@@ -32,37 +37,38 @@ type ConsID uint32
 
 type consKey struct{ feat, param string }
 
-// spanKey and valueKey address a record inside one document's table.
-// Offsets are kept in 32 bits: pages are far smaller, and the key is what a
-// table spends most of its bytes on.
-type spanKey struct {
-	cons       ConsID
-	start, end uint32
-}
-
+// valueKey addresses a Values record inside one document's table. Offsets
+// are kept in 32 bits: pages are far smaller.
 type valueKey struct {
 	start, end uint32
 	contain    bool
 }
 
-// Accounting estimates, in bytes: a table with its three map headers, and
-// one map slot of each kind (key, value and bucket overhead at the usual
-// load). Slices and strings a slot points to are added per element.
+// regionList is a constraint's record: its language and the page's regions.
+type regionList struct {
+	id ConsID
+	l  *lang
+	rs []byteRange
+}
+
+// Accounting, in bytes: a table with its values map header; a region list
+// and a region as they are laid out; and estimates for one Values map slot
+// (key, value and bucket overhead at the usual load) and what it points to.
 const (
-	docRecordsBytes  = 208
-	verifySlotBytes  = 20
-	refineSlotBytes  = 48
+	docRecordsBytes  = int64(unsafe.Sizeof(DocRecords{})) + 48
+	regionListBytes  = int64(unsafe.Sizeof(regionList{}))
+	regionBytes      = int64(unsafe.Sizeof(byteRange{}))
 	valueSlotBytes   = 48
-	assignmentBytes  = 32
 	valueRecordBytes = 32
 )
 
 // Memo owns the record tables of the documents one Env evaluates over. The
 // zero value is not usable; construct with NewMemo. Safe for concurrent use.
 type Memo struct {
-	// mu guards cons and docs; the tables lock themselves.
+	// mu guards cons, langs and docs; the tables lock themselves.
 	mu    sync.RWMutex
 	cons  map[consKey]ConsID
+	langs []*lang // by ConsID: a built-in's language, parsed on first use
 	docs  map[*text.Document]*DocRecords
 	made  uint64 // tables made so far, under mu: Evict's tie-break
 	bytes atomic.Int64
@@ -88,6 +94,7 @@ func (m *Memo) Intern(feat, param string) ConsID {
 	if !ok {
 		id = ConsID(len(m.cons))
 		m.cons[k] = id
+		m.langs = append(m.langs, nil)
 	}
 	return id
 }
@@ -103,8 +110,7 @@ func (m *Memo) Doc(d *text.Document) *DocRecords {
 		m.mu.Lock()
 		if t = m.docs[d]; t == nil {
 			m.made++
-			t = &DocRecords{memo: m, doc: d, seq: m.made, bytes: docRecordsBytes, verify: map[spanKey]bool{},
-				refine: map[spanKey][]text.Assignment{}, values: map[valueKey][]Value{}}
+			t = &DocRecords{memo: m, doc: d, seq: m.made, bytes: docRecordsBytes, values: map[valueKey][]Value{}}
 			m.docs[d] = t
 			m.bytes.Add(docRecordsBytes)
 		}
@@ -118,9 +124,7 @@ func (m *Memo) Doc(d *text.Document) *DocRecords {
 
 // Bytes estimates the resident size of every table, counted as records are
 // published.
-func (m *Memo) Bytes() int64 {
-	return m.bytes.Load()
-}
+func (m *Memo) Bytes() int64 { return m.bytes.Load() }
 
 // Tick advances the memo's clock: every table Doc hands out after it counts
 // as more recently used than every table handed out only before it.
@@ -179,34 +183,32 @@ func (m *Memo) DropDocs(ids map[string]bool) int {
 }
 
 // Verify answers f(s) = v through the table of s's document. hit reports
-// whether the result came from the table. Errors are never kept (they
-// indicate a malformed parameter, and the caller surfaces them immediately).
+// whether the table held the record. Errors are never kept (they indicate a
+// malformed parameter, and the caller surfaces them immediately).
 func (m *Memo) Verify(f Feature, s text.Span, v string) (ok, hit bool, err error) {
 	return m.Doc(s.Doc()).Verify(f, m.Intern(f.Name(), v), s, v)
 }
 
 // Refine computes the refinement of s under f = v through the table of s's
-// document. The returned slice is shared across callers and must not be
-// mutated. hit reports whether the result came from the table.
+// document, in a slice of its own.
 func (m *Memo) Refine(f Feature, s text.Span, v string) (as []text.Assignment, hit bool, err error) {
-	return m.Doc(s.Doc()).Refine(f, m.Intern(f.Name(), v), s, v)
+	return m.Doc(s.Doc()).Refine(f, m.Intern(f.Name(), v), s, v, nil)
 }
 
-// DocRecords is one document's record table: Verify and Refine results per
-// (constraint id, span), and the typed values of assignments over the
-// document. Every span handed to it must lie in that document, and every id
-// must come from the Memo that made the table.
+// DocRecords is one document's record table: the region list of each
+// built-in constraint asked about it, and the typed values of assignments
+// over it. Every span handed to it must lie in that document, every id come
+// from the Memo that made the table.
 type DocRecords struct {
 	memo *Memo
 	doc  *text.Document
 	seq  uint64        // creation order in the memo
 	used atomic.Uint64 // the memo's clock when Doc last handed the table out
-	// mu guards the maps, bytes and gone. It is not held while a feature
-	// runs or a record is built: two callers that miss on one key at once
-	// both compute, and what they publish is charged once.
+	// mu guards lists, values, bytes and gone. It is not held while a list
+	// or a record is built: two callers that miss on one key at once both
+	// build, and what they publish is charged once.
 	mu     sync.Mutex
-	verify map[spanKey]bool
-	refine map[spanKey][]text.Assignment
+	lists  []regionList // sorted by id
 	values map[valueKey][]Value
 	bytes  int64
 	gone   bool // the memo forgot the table
@@ -221,46 +223,68 @@ func (t *DocRecords) charge(n int64) {
 }
 
 // Verify is Memo.Verify with the table and the constraint id in hand; id
-// interns (f.Name(), v).
+// interns (f.Name(), v). A feature that declares no language for v — one a
+// deployment registered, or a value it rejects — answers for itself.
 func (t *DocRecords) Verify(f Feature, id ConsID, s text.Span, v string) (ok, hit bool, err error) {
-	k := spanKey{id, uint32(s.Start()), uint32(s.End())}
-	t.mu.Lock()
-	ok, hit = t.verify[k]
-	t.mu.Unlock()
-	if hit {
-		return ok, true, nil
+	if rl, hit := t.list(f, id, v); rl.l != nil {
+		return rl.l.verify(rl.l.near(rl.rs, s), s), hit, nil
 	}
-	if ok, err = f.Verify(s, v); err != nil {
-		return false, false, err
-	}
-	t.mu.Lock()
-	n := len(t.verify)
-	if t.verify[k] = ok; len(t.verify) > n {
-		t.charge(verifySlotBytes)
-	}
-	t.mu.Unlock()
-	return ok, false, nil
+	ok, err = f.Verify(s, v)
+	return ok, false, err
 }
 
-// Refine is Memo.Refine with the table and the constraint id in hand.
-func (t *DocRecords) Refine(f Feature, id ConsID, s text.Span, v string) (as []text.Assignment, hit bool, err error) {
-	k := spanKey{id, uint32(s.Start()), uint32(s.End())}
+// Refine is Memo.Refine with the table and the constraint id in hand: it
+// appends the refinement of s to out.
+func (t *DocRecords) Refine(f Feature, id ConsID, s text.Span, v string, out []text.Assignment) (as []text.Assignment, hit bool, err error) {
+	if rl, hit := t.list(f, id, v); rl.l != nil {
+		return rl.l.refine(out, rl.l.near(rl.rs, s), s), hit, nil
+	}
+	as, err = f.Refine(s, v)
+	return append(out, as...), false, err
+}
+
+// list returns the region list of f = v, built over the page on first use,
+// and whether the table held it; no list when f declares no language for
+// v. The language is parsed once per memo and kept by id.
+func (t *DocRecords) list(f Feature, id ConsID, v string) (rl regionList, hit bool) {
+	b, declared := f.(*builtin)
+	if !declared {
+		return rl, false
+	}
+	byID := func(e regionList, id ConsID) int { return cmp.Compare(e.id, id) }
 	t.mu.Lock()
-	as, hit = t.refine[k]
+	i, hit := slices.BinarySearchFunc(t.lists, id, byID)
+	if hit {
+		rl = t.lists[i]
+	}
 	t.mu.Unlock()
 	if hit {
-		return as, true, nil
+		return rl, true
 	}
-	if as, err = f.Refine(s, v); err != nil {
-		return nil, false, err
+	m := t.memo
+	m.mu.RLock()
+	l := m.langs[id]
+	m.mu.RUnlock()
+	if l == nil {
+		parsed, err := b.lang(v)
+		if err != nil {
+			return rl, false
+		}
+		m.mu.Lock()
+		l = cmp.Or(m.langs[id], &parsed)
+		m.langs[id] = l
+		m.mu.Unlock()
 	}
+	rl = regionList{id: id, l: l, rs: l.list(nil, t.doc)}
 	t.mu.Lock()
-	n := len(t.refine)
-	if t.refine[k] = as; len(t.refine) > n {
-		t.charge(refineSlotBytes + assignmentBytes*int64(len(as)))
+	defer t.mu.Unlock()
+	if i, hit = slices.BinarySearchFunc(t.lists, id, byID); hit {
+		return t.lists[i], false
 	}
-	t.mu.Unlock()
-	return as, false, nil
+	held := cap(t.lists)
+	t.lists = slices.Insert(t.lists, i, rl)
+	t.charge(int64(cap(t.lists)-held)*regionListBytes + int64(cap(rl.rs))*regionBytes)
+	return rl, false
 }
 
 // Value is a span as a comparison reads it: a number when its text parses

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -47,44 +48,144 @@ func sameErr(a, b error) bool {
 	return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
 }
 
+// memoSpans lists the whole page — which starts with a line break, so it is
+// not token-aligned — and every token-aligned sub-span of it.
+func memoSpans(d *text.Document) []text.Span {
+	spans := []text.Span{d.WholeSpan()}
+	d.WholeSpan().SubSpans(func(s text.Span) bool {
+		spans = append(spans, s)
+		return true
+	})
+	return spans
+}
+
 // TestMemoEqualsDirect: through the tables every built-in feature answers
-// as it does directly, on random spans and every value; a second call is
-// served from the table with an equal result; and an error comes back again
-// and is never kept.
+// as it does directly, for every value and every span of memoSpans, first
+// on fresh tables (the first question about a page builds its list) and
+// then on warm ones, where every answer is a hit. An error comes back each
+// time and is never kept.
 func TestMemoEqualsDirect(t *testing.T) {
-	docs := memoPages()
-	r := rand.New(rand.NewSource(23))
 	memo := NewMemo()
 	hits, errs := 0, 0
-	for _, name := range reg.Names() {
-		f := feat(t, name)
-		for trial := 0; trial < 40; trial++ {
-			s := randomSpan(r, docs[r.Intn(len(docs))])
-			v := memoValues[r.Intn(len(memoValues))]
-			wantOK, wantVErr := f.Verify(s, v)
-			wantAs, wantRErr := f.Refine(s, v)
-			for pass := 0; pass < 2; pass++ {
-				ok, vhit, verr := memo.Verify(f, s, v)
-				as, rhit, rerr := memo.Refine(f, s, v)
-				if ok != wantOK || !sameErr(verr, wantVErr) || !slices.Equal(as, wantAs) || !sameErr(rerr, wantRErr) {
-					t.Fatalf("%s(%v)=%q pass %d: memo %v/%v, %v/%v; direct %v/%v, %v/%v",
-						name, s, v, pass, ok, verr, as, rerr, wantOK, wantVErr, wantAs, wantRErr)
+	for _, d := range memoPages() {
+		spans := memoSpans(d)
+		for _, name := range reg.Names() {
+			f := feat(t, name)
+			for _, v := range memoValues {
+				type answer struct {
+					ok   bool
+					as   []text.Assignment
+					verr error
+					rerr error
 				}
-				// A first call may hit too: the draw repeats spans.
-				if pass == 1 && (vhit != (verr == nil) || rhit != (rerr == nil)) {
-					t.Fatalf("%s(%v)=%q: second call hit=%v/%v with errors %v/%v", name, s, v, vhit, rhit, verr, rerr)
+				want := make([]answer, len(spans))
+				for i, s := range spans {
+					want[i].ok, want[i].verr = f.Verify(s, v)
+					want[i].as, want[i].rerr = f.Refine(s, v)
 				}
-				if vhit {
-					hits++
-				}
-				if verr != nil {
-					errs++
+				for pass := 0; pass < 2; pass++ {
+					for i, s := range spans {
+						w := want[i]
+						ok, vhit, verr := memo.Verify(f, s, v)
+						as, rhit, rerr := memo.Refine(f, s, v)
+						if ok != w.ok || !sameErr(verr, w.verr) || !slices.Equal(as, w.as) || !sameErr(rerr, w.rerr) {
+							t.Fatalf("%s(%v)=%q pass %d: memo %v/%v, %v/%v; direct %v/%v, %v/%v",
+								name, s, v, pass, ok, verr, as, rerr, w.ok, w.verr, w.as, w.rerr)
+						}
+						if pass == 1 && (vhit != (verr == nil) || rhit != (rerr == nil)) {
+							t.Fatalf("%s(%v)=%q: warm call hit=%v/%v with errors %v/%v", name, s, v, vhit, rhit, verr, rerr)
+						}
+						if vhit {
+							hits++
+						}
+						if verr != nil {
+							errs++
+						}
+					}
 				}
 			}
 		}
 	}
 	if hits == 0 || errs == 0 || memo.Bytes() == 0 {
 		t.Fatalf("weak draw: %d hits, %d errors, %d bytes counted", hits, errs, memo.Bytes())
+	}
+}
+
+// TestMemoBytesMatchHeldHeap: a table charges what it holds. Every value of
+// memoValues under every built-in, asked of ten copies of the memo and
+// coverage pages, builds one region list per (page, constraint); the live
+// heap the tables add, measured after a collection, stays within 15 % of
+// Memo.Bytes(). The languages are parsed in a first round whose tables are
+// then evicted: they are the memo's, kept across evictions, and no table's.
+func TestMemoBytesMatchHeldHeap(t *testing.T) {
+	var docs []*text.Document
+	for i := 0; i < 10; i++ {
+		for j, src := range coveragePages {
+			docs = append(docs, markup.MustParse(fmt.Sprintf("c%d.%d", i, j), src))
+		}
+		docs = append(docs, memoPages()...)
+	}
+	memo := NewMemo()
+	ask := func() {
+		for _, d := range docs {
+			for _, name := range reg.Names() {
+				for _, v := range memoValues {
+					memo.Refine(feat(t, name), d.WholeSpan(), v)
+				}
+			}
+		}
+	}
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC() // a second cycle empties the pools' victim caches
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	ask()
+	memo.Evict(math.MaxInt64)
+	before := live()
+	ask()
+	held := int64(live()) - int64(before)
+	runtime.KeepAlive(memo)
+	t.Logf("tables charge %d bytes and hold %d", memo.Bytes(), held)
+	if c := float64(memo.Bytes()); c < 0.85*float64(held) || c > 1.15*float64(held) {
+		t.Errorf("tables charge %d bytes and hold %d", memo.Bytes(), held)
+	}
+}
+
+// TestRegionListsOrdered: over the whole page every built-in lists its
+// regions sorted by start with ends that never decrease — but for the
+// languages pinned to region starts — which is what lets a table
+// binary-search them.
+func TestRegionListsOrdered(t *testing.T) {
+	var pages []*text.Document
+	pages = append(pages, memoPages()...)
+	for i, src := range coveragePages {
+		pages = append(pages, markup.MustParse(fmt.Sprintf("c%d", i), src))
+	}
+	pages = append(pages, markup.MustParse("nested", `<a href="http://x.org/a">outer <a href="http://x.org/b">inner</a> tail</a> <a href="http://x.org/c">next</a>`))
+	lists := 0
+	for _, d := range pages {
+		for _, name := range reg.Names() {
+			b := feat(t, name).(*builtin)
+			for _, v := range append(memoValues, coverageValues(t, name)...) {
+				l, err := b.lang(v)
+				if err != nil {
+					continue
+				}
+				rs := l.list(nil, d)
+				for i := 1; i < len(rs); i++ {
+					if rs[i].start < rs[i-1].start || l.pin != pinStart && rs[i].end < rs[i-1].end {
+						t.Fatalf("%s=%q on %s: regions %v out of order at %d", name, v, d.ID(), rs, i)
+					}
+				}
+				lists++
+			}
+		}
+	}
+	if lists < 500 {
+		t.Fatalf("only %d lists checked", lists)
 	}
 }
 
@@ -255,7 +356,7 @@ func TestMemoConcurrent(t *testing.T) {
 						t.Errorf("%s(%v)=%q: %v/%v, direct %v/%v", q.f.Name(), q.s, q.v, ok, err, wantOK, wantErr)
 					}
 					wantAs, wantErr := q.f.Refine(q.s, q.v)
-					if as, _, err := tab.Refine(q.f, id, q.s, q.v); !slices.Equal(as, wantAs) || !sameErr(err, wantErr) {
+					if as, _, err := tab.Refine(q.f, id, q.s, q.v, nil); !slices.Equal(as, wantAs) || !sameErr(err, wantErr) {
 						t.Errorf("%s(%v)=%q refines to %v/%v, direct %v/%v", q.f.Name(), q.s, q.v, as, err, wantAs, wantErr)
 					}
 					vals, _ := tab.Values(text.ContainOf(q.s))
@@ -359,7 +460,7 @@ func BenchmarkFeatureMemo(b *testing.B) {
 						case op == "Verify":
 							ok, _, _ = memo.Doc(s.Doc()).Verify(f, id, s, k.value)
 						default:
-							as, _, _ = memo.Doc(s.Doc()).Refine(f, id, s, k.value)
+							as, _, _ = memo.Doc(s.Doc()).Refine(f, id, s, k.value, as[:0])
 						}
 						if ok {
 							benchSink++

@@ -2,6 +2,7 @@ package feature
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -42,18 +43,16 @@ var followedBy = labelFeature("followed-by", "label", func(v string) lang {
 	return lang{regions: beforeLabel, check: adjacentBefore, p: param{label: strings.ToLower(v)}}
 })
 
-func afterLabel(dst []byteRange, s text.Span, p param) []byteRange {
-	d := s.Doc()
-	dst = occurrences(dst, d, p.label, d.LineStart(s.Start()), s.End())
+func afterLabel(dst []byteRange, d *text.Document, p *param) []byteRange {
+	dst = occurrences(dst, d, p.label)
 	for i, o := range dst {
 		dst[i] = byteRange{o.end, d.LineEnd(o.end)}
 	}
 	return dst
 }
 
-func beforeLabel(dst []byteRange, s text.Span, p param) []byteRange {
-	d := s.Doc()
-	dst = occurrences(dst, d, p.label, s.Start(), d.LineEnd(s.End()))
+func beforeLabel(dst []byteRange, d *text.Document, p *param) []byteRange {
+	dst = occurrences(dst, d, p.label)
 	for i, o := range dst {
 		dst[i] = byteRange{d.LineStart(o.start), o.start}
 	}
@@ -63,27 +62,25 @@ func beforeLabel(dst []byteRange, s text.Span, p param) []byteRange {
 // adjacentAfter and adjacentBefore are the label features' residuals: only
 // whitespace between s and its region's label. A span failing it has no
 // sub-span passing it.
-func adjacentAfter(s text.Span, r byteRange, _ param) bool {
+func adjacentAfter(s text.Span, r byteRange, _ *param) bool {
 	return blank(s.Doc().Text()[r.start:s.Start()])
 }
 
-func adjacentBefore(s text.Span, r byteRange, _ param) bool {
+func adjacentBefore(s text.Span, r byteRange, _ *param) bool {
 	return blank(s.Doc().Text()[s.End():r.end])
 }
 
 func blank(s string) bool { return strings.TrimLeft(s, " \t\r\n") == "" }
 
 // occurrences appends the occurrences of needle, lower-cased, in the
-// document's [lo, hi) window as document offsets. Overlapping occurrences
-// are all reported ("aa" occurs twice in "aaa"), and each one does not
-// depend on the window that finds it. The document's cached lower-cased
-// text is searched when lowering preserved byte offsets; otherwise
-// (Unicode case mappings that change byte length) the text is folded rune
-// by rune at each offset.
-func occurrences(dst []byteRange, d *text.Document, needle string, lo, hi int) []byteRange {
+// document. Overlapping occurrences are all reported ("aa" occurs twice in
+// "aaa"). The document's cached lower-cased text is searched when lowering
+// preserved byte offsets; otherwise (Unicode case mappings that change byte
+// length) the text is folded rune by rune at each offset.
+func occurrences(dst []byteRange, d *text.Document, needle string) []byteRange {
 	if lower := d.LowerText(); len(lower) == d.Len() {
-		for i := lo; i < hi; i++ {
-			k := strings.Index(lower[i:hi], needle)
+		for i := 0; i < len(lower); i++ {
+			k := strings.Index(lower[i:], needle)
 			if k < 0 {
 				break
 			}
@@ -93,8 +90,8 @@ func occurrences(dst []byteRange, d *text.Document, needle string, lo, hi int) [
 		return dst
 	}
 	body := d.Text()
-	for i := lo; i < hi; i++ {
-		if n, ok := foldedPrefix(body[i:hi], needle); ok {
+	for i := range body {
+		if n, ok := foldedPrefix(body[i:], needle); ok {
 			dst = append(dst, byteRange{i, i + n})
 		}
 	}
@@ -139,8 +136,7 @@ var precLabelMaxDist = &builtin{name: "prec-label-max-dist", kind: KindParametri
 
 // sections lists the first p.n bytes of every section or, with n = -1, each
 // section whose header contains p.label.
-func sections(dst []byteRange, s text.Span, p param) []byteRange {
-	d := s.Doc()
+func sections(dst []byteRange, d *text.Document, p *param) []byteRange {
 	headers := d.MarksOf(text.MarkHeader)
 	for i, h := range headers {
 		end := d.Len()
@@ -163,9 +159,13 @@ var linkToContains = labelFeature("link-to-contains", "string", func(v string) l
 	return lang{regions: linksTo, p: param{label: strings.ToLower(v)}}
 })
 
-func linksTo(dst []byteRange, s text.Span, p param) []byteRange {
-	for _, l := range s.Doc().Links() {
+// linksTo lists the matching links but those inside another: a span in one
+// lies in the other. Links nest, and an inner one is closed, so listed,
+// before the link around it.
+func linksTo(dst []byteRange, d *text.Document, p *param) []byteRange {
+	for _, l := range d.Links() {
 		if strings.Contains(strings.ToLower(l.Target), p.label) {
+			dst = slices.DeleteFunc(dst, func(r byteRange) bool { return l.Start <= r.start && r.end <= l.End })
 			dst = append(dst, byteRange{l.Start, l.End})
 		}
 	}
@@ -185,8 +185,8 @@ var inFirstHalf = &builtin{name: "in-first-half", kind: KindBoolean, lang: func(
 	return lang{}, errBadValue("in-first-half", v)
 }}
 
-func firstHalf(dst []byteRange, s text.Span, _ param) []byteRange {
-	return append(dst, byteRange{0, s.Doc().Len() / 2})
+func firstHalf(dst []byteRange, d *text.Document, _ *param) []byteRange {
+	return append(dst, byteRange{0, d.Len() / 2})
 }
 
-func endsLate(s text.Span, _ byteRange, _ param) bool { return s.End() > s.Doc().Len()/2 }
+func endsLate(s text.Span, _ byteRange, _ *param) bool { return s.End() > s.Doc().Len()/2 }

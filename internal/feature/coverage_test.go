@@ -79,8 +79,9 @@ func TestRefineCoversVerify(t *testing.T) {
 // token-aligned sub-span of s that Verify accepts is covered by an
 // assignment Refine(s) returns. Each feature tries the values of
 // TestRefineCoversVerify, and the label features also the fuzzed label,
-// as a label and quoted as a pattern. Seeds are the Books and DBLife record
-// pages of FuzzHereditary (testdata/fuzz).
+// as a label and quoted as a pattern. Through a record table, Refine(s)
+// and Verify of each sub-span answer as they do directly. Seeds are the
+// Books and DBLife record pages of FuzzHereditary (testdata/fuzz).
 func FuzzRefineCoversVerify(f *testing.F) {
 	f.Add("<li><u>Databases, Volume 2</u><br>Our  price: $45</li>", uint16(0), uint16(8), "Our price:")
 	f.Fuzz(func(t *testing.T, src string, start, width uint16, label string) {
@@ -92,6 +93,7 @@ func FuzzRefineCoversVerify(f *testing.F) {
 		lo := int(start) % len(toks)
 		hi := lo + 1 + int(width)%min(12, len(toks)-lo)
 		s := d.Span(toks[lo].Start, toks[hi-1].End)
+		memo := NewMemo()
 		for _, name := range reg.Names() {
 			ft := feat(t, name)
 			vals := coverageValues(t, name)
@@ -106,9 +108,16 @@ func FuzzRefineCoversVerify(f *testing.F) {
 				if err != nil {
 					continue // a value the feature rejects, as Verify does
 				}
+				if tas, _, _ := memo.Refine(ft, s, v); !slices.Equal(tas, as) {
+					t.Fatalf("%s=%q: Refine(%q) = %v through the table, %v directly", name, v, s.Text(), assignTexts(tas), assignTexts(as))
+				}
 				s.SubSpans(func(sub text.Span) bool {
-					if ok, _ := ft.Verify(sub, v); ok && !slices.ContainsFunc(as, func(a text.Assignment) bool { return a.Covers(sub) }) {
+					ok, _ := ft.Verify(sub, v)
+					if ok && !slices.ContainsFunc(as, func(a text.Assignment) bool { return a.Covers(sub) }) {
 						t.Fatalf("%s=%q verifies %q, which Refine(%q) = %v does not cover", name, v, sub.Text(), s.Text(), assignTexts(as))
+					}
+					if tok, _, _ := memo.Verify(ft, sub, v); tok != ok {
+						t.Fatalf("%s=%q: Verify(%q) = %v through the table, %v directly", name, v, sub.Text(), tok, ok)
 					}
 					return true
 				})

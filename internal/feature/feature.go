@@ -22,10 +22,11 @@
 // the span language f = v denotes (lang.go), and one adapter derives
 // Verify, Refine and Hereditary from the declaration:
 //
-//   - regions: maximal byte ranges of the document that hold every span
-//     with f = v, listed for the neighbourhood of s, sorted by start;
+//   - regions: maximal byte ranges of the page that hold every span with
+//     f = v, sorted by start;
 //   - exact or contain: an exact span is a whole region, token-trimmed; a
-//     contain span lies inside one region;
+//     contain span lies inside one region, starting or ending where it
+//     does when the language pins that end;
 //   - an optional residual check for what the regions do not decide, with
 //     whether a clipped region failing it can still hold a passing span.
 //
@@ -34,14 +35,9 @@
 // the regions clipped to s, less those the residual rules out. Every span
 // Verify accepts inside s lies in one of those, so Refine covers Verify by
 // construction. f = v is hereditary (Hereditary) when it is contain with no
-// residual: then each token-aligned sub-span t of a span that passed it has
-// Verify(t) and Refine(t) = [contain(t)].
-//
-// Where Verify and Refine used to disagree, each feature's comment names
-// the side chosen: numeric = no widens its regions, while preceded-by,
-// followed-by, prec-label-contains, prec-label-max-dist and the patterns
-// narrow Verify to their regions. Features registered by a deployment
-// still write Verify and Refine themselves.
+// residual and no pin: then each token-aligned sub-span t of a span that
+// passed it has Verify(t) and Refine(t) = [contain(t)]. Features registered
+// by a deployment still write Verify and Refine themselves.
 package feature
 
 import (
@@ -194,23 +190,3 @@ func errBadValue(feat, v string) error {
 
 // byteRange is a [start, end) range of a document's text.
 type byteRange struct{ start, end int }
-
-// mergeRanges merges overlapping or adjacent ranges in place. Input must be
-// sorted by start. Returns the merged prefix.
-func mergeRanges(rs []byteRange) []byteRange {
-	if len(rs) == 0 {
-		return rs
-	}
-	out := rs[:1]
-	for _, r := range rs[1:] {
-		last := &out[len(out)-1]
-		if r.start <= last.end {
-			if r.end > last.end {
-				last.end = r.end
-			}
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
-}

@@ -613,27 +613,22 @@ func TestOccurrencesSelfOverlap(t *testing.T) {
 	// in "aaa". A scanner that resumes past the end of each match would
 	// find only the first.
 	d := markup.MustParse("d", "aaa")
-	occs := occurrences(nil, d, "aa", 0, 3)
+	occs := occurrences(nil, d, "aa")
 	if want := []byteRange{{0, 2}, {1, 3}}; !slices.Equal(occs, want) {
 		t.Fatalf("occurrences(aa, aaa) = %v, want %v", occs, want)
 	}
 }
 
-func TestOccurrencesCaseAndWindow(t *testing.T) {
+func TestOccurrencesCase(t *testing.T) {
 	d := markup.MustParse("d", "Beds: 3\nBEDS: 4")
-	// Case-insensitive across the whole document...
-	if got := occurrences(nil, d, "beds", 0, d.Len()); len(got) != 2 {
-		t.Fatalf("occurrences(beds) = %v, want 2 matches", got)
-	}
-	// ...and offsets stay in document coordinates inside a sub-window.
-	got := occurrences(nil, d, "beds", 8, d.Len())
-	if len(got) != 1 || got[0] != (byteRange{8, 12}) {
-		t.Fatalf("windowed occurrences = %v, want [{8 12}]", got)
+	// Case-insensitive across the whole document.
+	if got := occurrences(nil, d, "beds"); !slices.Equal(got, []byteRange{{0, 4}, {8, 12}}) {
+		t.Fatalf("occurrences(beds) = %v, want [{0 4} {8 12}]", got)
 	}
 	// A case mapping that changes byte length ("İ" lowers to one byte)
 	// folds rune by rune, offsets still the document's.
 	d = markup.MustParse("d", "İSTANBUL: 5 and istanbul: 6")
-	if got := occurrences(nil, d, "istanbul:", 0, d.Len()); !slices.Equal(got, []byteRange{{0, 10}, {17, 26}}) {
+	if got := occurrences(nil, d, "istanbul:"); !slices.Equal(got, []byteRange{{0, 10}, {17, 26}}) {
 		t.Fatalf("folded occurrences = %v, want [{0 10} {17 26}]", got)
 	}
 }

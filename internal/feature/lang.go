@@ -4,7 +4,7 @@ import (
 	"cmp"
 	"regexp"
 	"slices"
-	"sync"
+	"sort"
 
 	"iflex/internal/text"
 )
@@ -12,21 +12,32 @@ import (
 // lang is the span language one built-in value denotes (the package
 // comment): the declaration Verify, Refine and Hereditary are derived from.
 type lang struct {
-	// regions appends to dst, which is empty, the regions near s: maximal
-	// ranges holding every span of the language. A region that holds a
-	// sub-span t of s must be listed for s as for t.
-	regions func(dst []byteRange, s text.Span, p param) []byteRange
+	// regions appends to dst the page's regions: maximal ranges holding
+	// every span of the language. Sorted by start, their ends never
+	// decrease unless the language pins its spans to region starts.
+	regions func(dst []byteRange, d *text.Document, p *param) []byteRange
 	// exact: a span of the language is a whole region, token-trimmed.
 	exact bool
+	// pin: a span of the language starts (pinStart) or ends (pinEnd) where
+	// its region does.
+	pin pinMode
 	// check is the residual a contain span inside region r must pass, or
 	// nil. Unless open, a span failing it has no token-aligned sub-span
 	// passing it, so Refine drops a clipped region that fails it.
-	check func(s text.Span, r byteRange, p param) bool
+	check func(s text.Span, r byteRange, p *param) bool
 	open  bool
 	p     param
 }
 
-// param is a value parsed once per call, for regions and check to read.
+type pinMode uint8
+
+const (
+	pinNone pinMode = iota
+	pinStart
+	pinEnd
+)
+
+// param is a value parsed once per language, for regions and check to read.
 type param struct {
 	mark   text.MarkKind
 	n      int     // a byte, token or distance bound
@@ -49,55 +60,38 @@ type builtin struct {
 func (b *builtin) Name() string { return b.name }
 func (b *builtin) Kind() Kind   { return b.kind }
 
-// regionBufs recycles region lists: regions is called through a func value,
-// so a buffer on Verify's stack would escape to the heap on every call.
-var regionBufs = sync.Pool{New: func() any { return new([]byteRange) }}
-
-// regionsOf returns l's regions near s, sorted by start, in a pooled buffer
-// the caller puts back.
-func (l *lang) regionsOf(s text.Span) *[]byteRange {
-	buf := regionBufs.Get().(*[]byteRange)
-	*buf = l.regions((*buf)[:0], s, l.p)
-	if byStart := func(a, b byteRange) int { return cmp.Compare(a.start, b.start) }; !slices.IsSortedFunc(*buf, byStart) {
-		slices.SortFunc(*buf, byStart)
-	}
-	return buf
+// list appends l's regions over d to dst, sorted by start and then end.
+func (l *lang) list(dst []byteRange, d *text.Document) []byteRange {
+	dst = l.regions(dst, d, &l.p)
+	slices.SortFunc(dst, func(a, b byteRange) int { return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.end, b.end)) })
+	return dst
 }
 
-// Verify reports whether s is a region of an exact language, or lies inside
-// a region and passes its residual.
-func (b *builtin) Verify(s text.Span, v string) (bool, error) {
-	l, err := b.lang(v)
-	if err != nil {
-		return false, err
-	}
-	buf := l.regionsOf(s)
-	defer regionBufs.Put(buf)
-	for _, r := range *buf {
+// verify reports whether one of rs holds s: s is the region, token-trimmed,
+// of an exact language, or lies inside it, at its pinned end, and passes
+// its residual.
+func (l *lang) verify(rs []byteRange, s text.Span) bool {
+	for _, r := range rs {
 		if l.exact {
 			if sp, ok := s.Doc().Span(r.start, r.end).Shrink(); ok && sp == s {
-				return true, nil
+				return true
 			}
-		} else if r.start <= s.Start() && s.End() <= r.end && (l.check == nil || l.check(s, r, l.p)) {
-			return true, nil
+		} else if r.start <= s.Start() && s.End() <= r.end && (l.pin != pinStart || r.start == s.Start()) &&
+			(l.pin != pinEnd || r.end == s.End()) && (l.check == nil || l.check(s, r, &l.p)) {
+			return true
 		}
 	}
-	return false, nil
+	return false
 }
 
-// Refine returns exact(r) for each region of an exact language inside s;
-// otherwise contain of each region clipped to s and token-trimmed, less the
+// refine appends to out, whose elements it leaves alone, what Refine(s)
+// returns given l's regions in start order (all, or those near s): exact(r)
+// for each region of an exact language inside s; otherwise contain of each
+// region with its pinned end in s, clipped to s and token-trimmed, less the
 // ones the residual rules out and the ones another covers.
-func (b *builtin) Refine(s text.Span, v string) ([]text.Assignment, error) {
-	l, err := b.lang(v)
-	if err != nil {
-		return nil, err
-	}
-	buf := l.regionsOf(s)
-	defer regionBufs.Put(buf)
-	d := s.Doc()
-	var out []text.Assignment
-	for _, r := range *buf {
+func (l *lang) refine(out []text.Assignment, rs []byteRange, s text.Span) []text.Assignment {
+	d, first := s.Doc(), len(out)
+	for _, r := range rs {
 		if l.exact {
 			if sp, ok := d.Span(r.start, r.end).Shrink(); ok && s.Contains(sp) {
 				out = append(out, text.ExactOf(sp))
@@ -105,32 +99,63 @@ func (b *builtin) Refine(s text.Span, v string) ([]text.Assignment, error) {
 			continue
 		}
 		lo, hi := max(r.start, s.Start()), min(r.end, s.End())
-		if lo >= hi {
+		if lo >= hi || l.pin == pinStart && r.start < s.Start() || l.pin == pinEnd && r.end > s.End() {
 			continue
 		}
 		sp, ok := d.Span(lo, hi).Shrink()
-		if !ok || !l.open && l.check != nil && !l.check(sp, r, l.p) {
+		if !ok || !l.open && l.check != nil && !l.check(sp, r, &l.p) {
 			continue
 		}
 		// Starts never decrease, so sp is covered by the last one kept when
 		// it ends no later, and covers it when both start together.
-		if n := len(out); n > 0 && sp.End() <= out[n-1].Span.End() {
+		if n := len(out); n > first && sp.End() <= out[n-1].Span.End() {
 			continue
-		} else if n > 0 && sp.Start() == out[n-1].Span.Start() {
+		} else if n > first && sp.Start() == out[n-1].Span.Start() {
 			out = out[:n-1]
 		}
 		out = append(out, text.ContainOf(sp))
 	}
-	return out, nil
+	return out
 }
 
-// Hereditary reports whether f = v is contain with no residual.
+// near returns the part of rs, l's regions over the page, that touches s
+// with its pinned end inside it: every region that may hold s or a
+// sub-span of s. Starts never decrease, nor do ends unless the language
+// pins starts, so both bounds are binary searches.
+func (l *lang) near(rs []byteRange, s text.Span) []byteRange {
+	lo := sort.Search(len(rs), func(i int) bool { return rs[i].end >= s.Start() })
+	if l.pin == pinStart {
+		lo = sort.Search(len(rs), func(i int) bool { return rs[i].start >= s.Start() })
+	}
+	hi := sort.Search(len(rs), func(i int) bool { return rs[i].start > s.End() || l.pin == pinEnd && rs[i].end > s.End() })
+	return rs[lo:max(lo, hi)]
+}
+
+// Verify is verify over every region of the page.
+func (b *builtin) Verify(s text.Span, v string) (bool, error) {
+	l, err := b.lang(v)
+	if err != nil {
+		return false, err
+	}
+	return l.verify(l.list(nil, s.Doc()), s), nil
+}
+
+// Refine is refine over every region of the page.
+func (b *builtin) Refine(s text.Span, v string) ([]text.Assignment, error) {
+	l, err := b.lang(v)
+	if err != nil {
+		return nil, err
+	}
+	return l.refine(nil, l.list(nil, s.Doc()), s), nil
+}
+
+// Hereditary reports whether f = v is contain with no residual and no pin.
 func (b *builtin) Hereditary(v string) bool {
 	l, err := b.lang(v)
-	return err == nil && !l.exact && l.check == nil
+	return err == nil && !l.exact && l.check == nil && l.pin == pinNone
 }
 
 // whole is the one region of languages a residual alone decides.
-func whole(dst []byteRange, s text.Span, _ param) []byteRange {
-	return append(dst, byteRange{0, s.Doc().Len()})
+func whole(dst []byteRange, d *text.Document, _ *param) []byteRange {
+	return append(dst, byteRange{0, d.Len()})
 }

@@ -28,18 +28,23 @@ func markFeature(name string, kind text.MarkKind) *builtin {
 	}}
 }
 
-// markRegions lists the merged regions of the mark kind, document-wide.
-func markRegions(dst []byteRange, s text.Span, p param) []byteRange {
-	for _, m := range s.Doc().MarksOf(p.mark) {
-		dst = append(dst, byteRange{m.Start, m.End})
+// markRegions lists the regions of the mark kind, overlapping or adjacent
+// marks merged.
+func markRegions(dst []byteRange, d *text.Document, p *param) []byteRange {
+	for _, m := range d.MarksOf(p.mark) {
+		if n := len(dst); n > 0 && m.Start <= dst[n-1].end {
+			dst[n-1].end = max(dst[n-1].end, m.End)
+		} else {
+			dst = append(dst, byteRange{m.Start, m.End})
+		}
 	}
-	return mergeRanges(dst)
+	return dst
 }
 
-// markGaps lists the gaps between the merged regions, document-wide. The
-// i-th gap is written over the i-th region only after that is read.
-func markGaps(dst []byteRange, s text.Span, p param) []byteRange {
-	rs := markRegions(dst, s, p)
+// markGaps lists the gaps between the merged regions. The i-th gap is
+// written over the i-th region only after that is read.
+func markGaps(dst []byteRange, d *text.Document, p *param) []byteRange {
+	rs := markRegions(dst, d, p)
 	out, cur := rs[:0], 0
 	for _, r := range rs {
 		if r.start > cur {
@@ -47,8 +52,8 @@ func markGaps(dst []byteRange, s text.Span, p param) []byteRange {
 		}
 		cur = r.end
 	}
-	if cur < s.Doc().Len() {
-		out = append(out, byteRange{cur, s.Doc().Len()})
+	if cur < d.Len() {
+		out = append(out, byteRange{cur, d.Len()})
 	}
 	return out
 }

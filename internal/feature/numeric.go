@@ -39,13 +39,10 @@ func valueFeature(name string, sign int) *builtin {
 	}}
 }
 
-// numericTokens lists the tokens of s that parse as numbers within the
-// bound.
-func numericTokens(dst []byteRange, s text.Span, p param) []byteRange {
-	lo, hi := s.TokenBounds()
-	toks := s.Doc().Tokens()
-	for _, t := range toks[lo:hi] {
-		n, ok := s.Doc().Span(t.Start, t.End).Numeric()
+// numericTokens lists the tokens that parse as numbers within the bound.
+func numericTokens(dst []byteRange, d *text.Document, p *param) []byteRange {
+	for _, t := range d.Tokens() {
+		n, ok := d.Span(t.Start, t.End).Numeric()
 		if ok && (p.sign == 0 || p.sign > 0 && n >= p.x || p.sign < 0 && n <= p.x) {
 			dst = append(dst, byteRange{t.Start, t.End})
 		}
@@ -55,7 +52,7 @@ func numericTokens(dst []byteRange, s text.Span, p param) []byteRange {
 
 // notNumber is numeric = no's residual: s is not one numeric token. A span
 // failing it has no other token-aligned sub-span.
-func notNumber(s text.Span, _ byteRange, _ param) bool {
+func notNumber(s text.Span, _ byteRange, _ *param) bool {
 	_, ok := s.Numeric()
 	return !ok || s.NumTokens() != 1
 }

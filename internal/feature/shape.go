@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"regexp"
 	"strconv"
-	"sync"
 	"unicode"
 
 	"iflex/internal/text"
@@ -34,18 +33,17 @@ func lengthFeature(name string, atMost, tokens bool) *builtin {
 	}}
 }
 
-// runs lists, from each token of s, the longest run of document tokens
-// whose length stays within p.n.
-func runs(dst []byteRange, s text.Span, p param) []byteRange {
-	toks := s.Doc().Tokens()
+// runs lists, from each token, the longest run of tokens whose length
+// stays within p.n.
+func runs(dst []byteRange, d *text.Document, p *param) []byteRange {
+	toks := d.Tokens()
 	fits := func(i, j int) bool {
 		if p.tokens {
 			return j-i < p.n
 		}
 		return toks[j].End-toks[i].Start <= p.n
 	}
-	lo, hi := s.TokenBounds()
-	for i := lo; i < hi; i++ {
+	for i := range toks {
 		if !fits(i, i) {
 			continue
 		}
@@ -58,7 +56,7 @@ func runs(dst []byteRange, s text.Span, p param) []byteRange {
 	return dst
 }
 
-func long(s text.Span, _ byteRange, p param) bool {
+func long(s text.Span, _ byteRange, p *param) bool {
 	if p.tokens {
 		return s.NumTokens() >= p.n
 	}
@@ -82,21 +80,24 @@ const (
 // the pattern matches from to the end of the page; ends-with one from the
 // start of the page to a token end the text of its line matches up to;
 // matches one from a token to the furthest token end on its line that the
-// whole pattern spans. Verify is narrowed to them. The residual is the
-// anchored pattern on s; a span failing it may hold one passing it, so
-// Refine keeps every region.
+// whole pattern spans. Verify is narrowed to them. A span of the language
+// starts where its region does (ends, for ends-with): the token it was
+// found from. The residual is the anchored pattern on s; a span failing it
+// may hold one passing it, so Refine keeps every region.
 func patternFeature(name string, anchor anchorMode) *builtin {
+	pin := pinStart
+	if anchor == anchorEnd {
+		pin = pinEnd
+	}
 	return &builtin{name: name, kind: KindParametric, lang: func(v string) (lang, error) {
 		re, err := compilePattern(v, anchor)
-		return lang{regions: patternRegions, check: matchesAnchored, open: true, p: param{re: re, anchor: anchor}}, err
+		return lang{regions: patternRegions, pin: pin, check: matchesAnchored, open: true, p: param{re: re, anchor: anchor}}, err
 	}}
 }
 
-func patternRegions(dst []byteRange, s text.Span, p param) []byteRange {
-	d, toks := s.Doc(), s.Doc().Tokens()
-	body := d.Text()
-	lo, hi := s.TokenBounds()
-	for i, t := range toks[lo:hi] {
+func patternRegions(dst []byteRange, d *text.Document, p *param) []byteRange {
+	toks, body := d.Tokens(), d.Text()
+	for i, t := range toks {
 		switch p.anchor {
 		case anchorStart:
 			if p.re.MatchString(body[t.Start:d.LineEnd(t.Start)]) {
@@ -108,7 +109,7 @@ func patternRegions(dst []byteRange, s text.Span, p param) []byteRange {
 			}
 		default:
 			end, le := -1, d.LineEnd(t.Start)
-			for _, u := range toks[lo+i:] {
+			for _, u := range toks[i:] {
 				if u.End > le {
 					break
 				} else if p.re.MatchString(body[t.Start:u.End]) {
@@ -123,31 +124,10 @@ func patternRegions(dst []byteRange, s text.Span, p param) []byteRange {
 	return dst
 }
 
-func matchesAnchored(s text.Span, _ byteRange, p param) bool { return p.re.MatchString(s.Text()) }
+func matchesAnchored(s text.Span, _ byteRange, p *param) bool { return p.re.MatchString(s.Text()) }
 
-type patternKey struct {
-	pat    string
-	anchor anchorMode
-}
-
-var (
-	reCacheMu sync.RWMutex
-	reCache   = map[patternKey]*regexp.Regexp{}
-)
-
-// compilePattern compiles and caches the pattern anchored as requested.
-// Verify/Refine call it on every span, concurrently once evaluation is
-// parallel, so the steady-state hit takes only a read lock; compilation
-// happens outside any lock and the write path re-checks (keeping the
-// first-stored regexp) in case of a racing miss.
+// compilePattern compiles the pattern anchored as requested.
 func compilePattern(pat string, anchor anchorMode) (*regexp.Regexp, error) {
-	k := patternKey{pat, anchor}
-	reCacheMu.RLock()
-	re, ok := reCache[k]
-	reCacheMu.RUnlock()
-	if ok {
-		return re, nil
-	}
 	src := `\A(?:` + pat + `)\z`
 	switch anchor {
 	case anchorStart:
@@ -159,13 +139,6 @@ func compilePattern(pat string, anchor anchorMode) (*regexp.Regexp, error) {
 	if err != nil {
 		return nil, fmt.Errorf("feature: bad pattern %q: %w", pat, err)
 	}
-	reCacheMu.Lock()
-	if prev, ok := reCache[k]; ok {
-		re = prev
-	} else {
-		reCache[k] = re
-	}
-	reCacheMu.Unlock()
 	return re, nil
 }
 
@@ -196,13 +169,12 @@ func tokenCapitalized(tok string) bool {
 	return false
 }
 
-// capitalRuns lists the maximal runs of capitalised tokens within s.
-func capitalRuns(dst []byteRange, s text.Span, _ param) []byteRange {
-	body, toks := s.Doc().Text(), s.Doc().Tokens()
-	lo, hi := s.TokenBounds()
-	for i := lo; i < hi; i++ {
+// capitalRuns lists the maximal runs of capitalised tokens.
+func capitalRuns(dst []byteRange, d *text.Document, _ *param) []byteRange {
+	body, toks := d.Text(), d.Tokens()
+	for i := 0; i < len(toks); i++ {
 		j := i
-		for j < hi && tokenCapitalized(body[toks[j].Start:toks[j].End]) {
+		for j < len(toks) && tokenCapitalized(body[toks[j].Start:toks[j].End]) {
 			j++
 		}
 		if j > i {
@@ -213,7 +185,7 @@ func capitalRuns(dst []byteRange, s text.Span, _ param) []byteRange {
 	return dst
 }
 
-func notCapitalized(s text.Span, _ byteRange, _ param) bool {
+func notCapitalized(s text.Span, _ byteRange, _ *param) bool {
 	lo, hi := s.TokenBounds()
 	toks := s.Doc().Tokens()
 	for _, t := range toks[lo:hi] {
