@@ -178,35 +178,45 @@ extractSchools(y, s) :- from(y, s), bold-font(s) = yes.
 }
 
 // Section 6.3's anecdote: converged approximate programs run comparably to
-// hand-tuned precise procedural programs. These two benches measure both
-// paths over the same corpus.
-func BenchmarkPreciseBaselineT7(b *testing.B) {
-	base, err := corpus.TaskByID("T7")
-	if err != nil {
-		b.Fatal(err)
-	}
-	precise, err := corpus.PreciseTaskByID("T7")
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := base.Generate(500, 1)
-	env := precise.Env(base, c)
-	prog := alog.MustParse(precise.Program)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.Run(prog, env); err != nil {
-			b.Fatal(err)
-		}
-	}
+// hand-tuned precise procedural programs. These benches measure both paths
+// over the same 500-record corpus, warm (one Env, so the document record
+// tables persist from run to run) and cold (a fresh Env per run, outside
+// the timer).
+func BenchmarkPreciseBaselineT7(b *testing.B)          { benchRun(b, preciseSetup(b, "T7"), false) }
+func BenchmarkPreciseBaselineT7Cold(b *testing.B)      { benchRun(b, preciseSetup(b, "T7"), true) }
+func BenchmarkPreciseBaselineT8Cold(b *testing.B)      { benchRun(b, preciseSetup(b, "T8"), true) }
+func BenchmarkConvergedApproximateT7(b *testing.B)     { benchRun(b, convergedSetup(b, "T7"), false) }
+func BenchmarkConvergedApproximateT7Cold(b *testing.B) { benchRun(b, convergedSetup(b, "T7"), true) }
+func BenchmarkConvergedApproximateT8Cold(b *testing.B) { benchRun(b, convergedSetup(b, "T8"), true) }
+
+// benchSetup is a program and the Envs it runs over.
+type benchSetup struct {
+	prog *alog.Program
+	env  func() *engine.Env
 }
 
-func BenchmarkConvergedApproximateT7(b *testing.B) {
-	base, err := corpus.TaskByID("T7")
+// preciseSetup is task id's hand-written precise program.
+func preciseSetup(b *testing.B, id string) benchSetup {
+	base, err := corpus.TaskByID(id)
+	if err != nil {
+		b.Fatal(err)
+	}
+	precise, err := corpus.PreciseTaskByID(id)
 	if err != nil {
 		b.Fatal(err)
 	}
 	c := base.Generate(500, 1)
-	env := base.Env(c)
+	return benchSetup{alog.MustParse(precise.Program), func() *engine.Env { return precise.Env(base, c) }}
+}
+
+// convergedSetup is task id's program with every constraint the oracle
+// knows added: the program a session converges to.
+func convergedSetup(b *testing.B, id string) benchSetup {
+	base, err := corpus.TaskByID(id)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := base.Generate(500, 1)
 	prog := alog.MustParse(base.Program)
 	oracle := base.Oracle()
 	for _, attr := range prog.Attrs() {
@@ -219,9 +229,20 @@ func BenchmarkConvergedApproximateT7(b *testing.B) {
 			}
 		}
 	}
+	return benchSetup{prog, func() *engine.Env { return base.Env(c) }}
+}
+
+func benchRun(b *testing.B, s benchSetup, cold bool) {
+	env := s.env()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Run(prog, env); err != nil {
+		if cold {
+			b.StopTimer()
+			env = s.env()
+			b.StartTimer()
+		}
+		if _, err := engine.Run(s.prog, env); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -44,11 +44,12 @@ type valueKey struct {
 	contain    bool
 }
 
-// regionList is a constraint's record: its language and the page's regions.
+// regionList is a constraint's record: its language and where its regions
+// over the page lie in the table's regions.
 type regionList struct {
-	id ConsID
-	l  *lang
-	rs []byteRange
+	id     ConsID
+	lo, hi uint32
+	l      *lang
 }
 
 // Accounting, in bytes: a table with its values map header; a region list
@@ -204,14 +205,15 @@ type DocRecords struct {
 	doc  *text.Document
 	seq  uint64        // creation order in the memo
 	used atomic.Uint64 // the memo's clock when Doc last handed the table out
-	// mu guards lists, values, bytes and gone. It is not held while a list
-	// or a record is built: two callers that miss on one key at once both
-	// build, and what they publish is charged once.
-	mu     sync.Mutex
-	lists  []regionList // sorted by id
-	values map[valueKey][]Value
-	bytes  int64
-	gone   bool // the memo forgot the table
+	// mu guards the fields below; a list is built under it. It is not held
+	// while a Values record is built: two callers that miss on one at once
+	// both build, and what they publish is charged once.
+	mu      sync.Mutex
+	lists   []regionList // sorted by id
+	regions []byteRange  // every list's regions, one list after another
+	values  map[valueKey][]Value
+	bytes   int64
+	gone    bool // the memo forgot the table
 }
 
 // charge counts a publication; callers hold t.mu.
@@ -226,8 +228,8 @@ func (t *DocRecords) charge(n int64) {
 // interns (f.Name(), v). A feature that declares no language for v — one a
 // deployment registered, or a value it rejects — answers for itself.
 func (t *DocRecords) Verify(f Feature, id ConsID, s text.Span, v string) (ok, hit bool, err error) {
-	if rl, hit := t.list(f, id, v); rl.l != nil {
-		return rl.l.verify(rl.l.near(rl.rs, s), s), hit, nil
+	if l, rs, hit := t.list(f, id, v); l != nil {
+		return l.verify(l.near(rs, s), s), hit, nil
 	}
 	ok, err = f.Verify(s, v)
 	return ok, false, err
@@ -236,55 +238,60 @@ func (t *DocRecords) Verify(f Feature, id ConsID, s text.Span, v string) (ok, hi
 // Refine is Memo.Refine with the table and the constraint id in hand: it
 // appends the refinement of s to out.
 func (t *DocRecords) Refine(f Feature, id ConsID, s text.Span, v string, out []text.Assignment) (as []text.Assignment, hit bool, err error) {
-	if rl, hit := t.list(f, id, v); rl.l != nil {
-		return rl.l.refine(out, rl.l.near(rl.rs, s), s), hit, nil
+	if l, rs, hit := t.list(f, id, v); l != nil {
+		return l.refine(out, l.near(rs, s), s), hit, nil
 	}
 	as, err = f.Refine(s, v)
 	return append(out, as...), false, err
 }
 
-// list returns the region list of f = v, built over the page on first use,
-// and whether the table held it; no list when f declares no language for
-// v. The language is parsed once per memo and kept by id.
-func (t *DocRecords) list(f Feature, id ConsID, v string) (rl regionList, hit bool) {
+// list returns the language of f = v and its regions over the page, built
+// on first use, and whether the table held them; no language when f
+// declares none for v. The language is parsed once per memo and kept by id.
+func (t *DocRecords) list(f Feature, id ConsID, v string) (l *lang, rs []byteRange, hit bool) {
 	b, declared := f.(*builtin)
 	if !declared {
-		return rl, false
+		return nil, nil, false
 	}
-	byID := func(e regionList, id ConsID) int { return cmp.Compare(e.id, id) }
+	find := func() (int, bool) {
+		return slices.BinarySearchFunc(t.lists, id, func(e regionList, id ConsID) int { return cmp.Compare(e.id, id) })
+	}
 	t.mu.Lock()
-	i, hit := slices.BinarySearchFunc(t.lists, id, byID)
-	if hit {
-		rl = t.lists[i]
+	if i, ok := find(); ok {
+		e := t.lists[i]
+		rs = t.regions[e.lo:e.hi]
+		t.mu.Unlock()
+		return e.l, rs, true
 	}
 	t.mu.Unlock()
-	if hit {
-		return rl, true
-	}
-	m := t.memo
+	m := t.memo // m.mu is never taken under t.mu: forgetLocked nests them the other way
 	m.mu.RLock()
-	l := m.langs[id]
+	l = m.langs[id]
 	m.mu.RUnlock()
 	if l == nil {
 		parsed, err := b.lang(v)
 		if err != nil {
-			return rl, false
+			return nil, nil, false
 		}
 		m.mu.Lock()
 		l = cmp.Or(m.langs[id], &parsed)
 		m.langs[id] = l
 		m.mu.Unlock()
 	}
-	rl = regionList{id: id, l: l, rs: l.list(nil, t.doc)}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if i, hit = slices.BinarySearchFunc(t.lists, id, byID); hit {
-		return t.lists[i], false
+	i, ok := find()
+	if !ok {
+		n, lists, regions := len(t.regions), cap(t.lists), cap(t.regions)
+		t.regions = l.list(t.regions, t.doc)
+		if t.lists == nil { // a session asks about a page under a dozen or two constraints
+			t.lists = make([]regionList, 0, 16)
+		}
+		t.lists = slices.Insert(t.lists, i, regionList{id, uint32(n), uint32(len(t.regions)), l})
+		t.charge(int64(cap(t.lists)-lists)*regionListBytes + int64(cap(t.regions)-regions)*regionBytes)
 	}
-	held := cap(t.lists)
-	t.lists = slices.Insert(t.lists, i, rl)
-	t.charge(int64(cap(t.lists)-held)*regionListBytes + int64(cap(rl.rs))*regionBytes)
-	return rl, false
+	e := t.lists[i]
+	return l, t.regions[e.lo:e.hi], ok
 }
 
 // Value is a span as a comparison reads it: a number when its text parses

@@ -44,17 +44,19 @@ var followedBy = labelFeature("followed-by", "label", func(v string) lang {
 })
 
 func afterLabel(dst []byteRange, d *text.Document, p *param) []byteRange {
+	n := len(dst)
 	dst = occurrences(dst, d, p.label)
-	for i, o := range dst {
-		dst[i] = byteRange{o.end, d.LineEnd(o.end)}
+	for i, o := range dst[n:] {
+		dst[n+i] = byteRange{o.end, d.LineEnd(o.end)}
 	}
 	return dst
 }
 
 func beforeLabel(dst []byteRange, d *text.Document, p *param) []byteRange {
+	n := len(dst)
 	dst = occurrences(dst, d, p.label)
-	for i, o := range dst {
-		dst[i] = byteRange{d.LineStart(o.start), o.start}
+	for i, o := range dst[n:] {
+		dst[n+i] = byteRange{d.LineStart(o.start), o.start}
 	}
 	return dst
 }
@@ -163,10 +165,11 @@ var linkToContains = labelFeature("link-to-contains", "string", func(v string) l
 // lies in the other. Links nest, and an inner one is closed, so listed,
 // before the link around it.
 func linksTo(dst []byteRange, d *text.Document, p *param) []byteRange {
+	n := len(dst)
 	for _, l := range d.Links() {
 		if strings.Contains(strings.ToLower(l.Target), p.label) {
-			dst = slices.DeleteFunc(dst, func(r byteRange) bool { return l.Start <= r.start && r.end <= l.End })
-			dst = append(dst, byteRange{l.Start, l.End})
+			kept := slices.DeleteFunc(dst[n:], func(r byteRange) bool { return l.Start <= r.start && r.end <= l.End })
+			dst = append(dst[:n+len(kept)], byteRange{l.Start, l.End})
 		}
 	}
 	return dst

@@ -12,9 +12,9 @@ import (
 // lang is the span language one built-in value denotes (the package
 // comment): the declaration Verify, Refine and Hereditary are derived from.
 type lang struct {
-	// regions appends to dst the page's regions: maximal ranges holding
-	// every span of the language. Sorted by start, their ends never
-	// decrease unless the language pins its spans to region starts.
+	// regions appends to dst, leaving what it holds alone, the page's
+	// regions: maximal ranges holding every span of the language. Sorted by
+	// start, their ends never decrease unless the language pins starts.
 	regions func(dst []byteRange, d *text.Document, p *param) []byteRange
 	// exact: a span of the language is a whole region, token-trimmed.
 	exact bool
@@ -62,8 +62,9 @@ func (b *builtin) Kind() Kind   { return b.kind }
 
 // list appends l's regions over d to dst, sorted by start and then end.
 func (l *lang) list(dst []byteRange, d *text.Document) []byteRange {
+	n := len(dst)
 	dst = l.regions(dst, d, &l.p)
-	slices.SortFunc(dst, func(a, b byteRange) int { return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.end, b.end)) })
+	slices.SortFunc(dst[n:], func(a, b byteRange) int { return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.end, b.end)) })
 	return dst
 }
 

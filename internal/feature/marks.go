@@ -31,8 +31,9 @@ func markFeature(name string, kind text.MarkKind) *builtin {
 // markRegions lists the regions of the mark kind, overlapping or adjacent
 // marks merged.
 func markRegions(dst []byteRange, d *text.Document, p *param) []byteRange {
+	first := len(dst)
 	for _, m := range d.MarksOf(p.mark) {
-		if n := len(dst); n > 0 && m.Start <= dst[n-1].end {
+		if n := len(dst); n > first && m.Start <= dst[n-1].end {
 			dst[n-1].end = max(dst[n-1].end, m.End)
 		} else {
 			dst = append(dst, byteRange{m.Start, m.End})
@@ -44,9 +45,10 @@ func markRegions(dst []byteRange, d *text.Document, p *param) []byteRange {
 // markGaps lists the gaps between the merged regions. The i-th gap is
 // written over the i-th region only after that is read.
 func markGaps(dst []byteRange, d *text.Document, p *param) []byteRange {
+	n := len(dst)
 	rs := markRegions(dst, d, p)
-	out, cur := rs[:0], 0
-	for _, r := range rs {
+	out, cur := rs[:n], 0
+	for _, r := range rs[n:] {
 		if r.start > cur {
 			out = append(out, byteRange{cur, r.start})
 		}

@@ -34,9 +34,10 @@ func lengthFeature(name string, atMost, tokens bool) *builtin {
 }
 
 // runs lists, from each token, the longest run of tokens whose length
-// stays within p.n.
+// stays within p.n, but one ending where the run before it does, which
+// holds nothing more.
 func runs(dst []byteRange, d *text.Document, p *param) []byteRange {
-	toks := d.Tokens()
+	toks, first := d.Tokens(), len(dst)
 	fits := func(i, j int) bool {
 		if p.tokens {
 			return j-i < p.n
@@ -51,7 +52,9 @@ func runs(dst []byteRange, d *text.Document, p *param) []byteRange {
 		for j+1 < len(toks) && fits(i, j+1) {
 			j++
 		}
-		dst = append(dst, byteRange{toks[i].Start, toks[j].End})
+		if n := len(dst); n == first || dst[n-1].end < toks[j].End {
+			dst = append(dst, byteRange{toks[i].Start, toks[j].End})
+		}
 	}
 	return dst
 }
