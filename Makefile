@@ -120,8 +120,10 @@ bench:
 # prior; replay: every row replayed from the previous memo), the store's read
 # path over DBLife pages (one page load: read, checksum, decode and
 # payload build; one touch under a resident budget that trims a page; one
-# record built at ingest; one posting-run decode), and the service's
-# /result NDJSON stream of a finished T9 result.
+# record built at ingest; one posting-run decode), the service's
+# /result NDJSON stream of a finished T9 result, and the converged T7 and
+# T8 programs and their precise baselines over 500 records with a fresh
+# Env (so fresh record tables) per run.
 bench-layers:
 	$(GO) test -run='^$$' -bench='ParseProgram|OrderBody' -benchmem ./internal/alog
 	$(GO) test -run='^$$' -bench=MarkupParse -benchmem ./internal/markup
@@ -132,6 +134,7 @@ bench-layers:
 	$(GO) test -run='^$$' -bench='SimJoin|Compare|TrialPlan|Annotate|SelectKeep|TupleLoopMemo' -benchmem ./internal/engine
 	$(GO) test -run='^$$' -bench='PageLoad|Trim|BuildRecord|DecodePostings' -benchmem ./internal/store
 	$(GO) test -run='^$$' -bench=ResultEncode -benchmem ./internal/server
+	$(GO) test -run='^$$' -bench='T[78]Cold$$' -benchmem .
 
 # The two line counts ROADMAP.md gates on, with exactly its command:
 # non-test Go outside benchmark/, in total and in internal/engine. CI's

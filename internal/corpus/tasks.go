@@ -450,8 +450,15 @@ func UncoveredTruth(t *compact.Table, truth map[string]bool) []string {
 			}
 			return true
 		})
-		if len(joined) > 0 {
-			coverJoined(tp, joined, covered)
+		for _, parts := range joined {
+			all := len(parts) <= len(tp.Cells)
+			for i := 0; all && i < len(parts); i++ {
+				all = false
+				tp.Cells[i].Values(func(s text.Span) bool { all = normKey(s.NormText()) == parts[i]; return !all })
+			}
+			if all {
+				covered[strings.Join(parts, "|")] = true
+			}
 		}
 	}
 	var missing []string
@@ -464,25 +471,6 @@ func UncoveredTruth(t *compact.Table, truth map[string]bool) []string {
 	return missing
 }
 
-// coverJoined marks covered the joined keys whose parts tp's first columns
-// can take, in order.
-func coverJoined(tp compact.Tuple, joined [][]string, covered map[string]bool) {
-	takes := make([]map[string]bool, len(tp.Cells))
-	for i, c := range tp.Cells {
-		takes[i] = map[string]bool{}
-		c.Values(func(s text.Span) bool { takes[i][normKey(s.NormText())] = true; return true })
-	}
-next:
-	for _, parts := range joined {
-		for i, p := range parts {
-			if i >= len(takes) || !takes[i][p] {
-				continue next
-			}
-		}
-		covered[strings.Join(parts, "|")] = true
-	}
-}
-
 // SupersetPercent computes the Tables 4/5 metric: result size relative to
 // the correct size, in percent.
 func SupersetPercent(resultTuples, correct int) float64 {
@@ -493,22 +481,4 @@ func SupersetPercent(resultTuples, correct int) float64 {
 		return float64(resultTuples+1) * 100
 	}
 	return 100 * float64(resultTuples) / float64(correct)
-}
-
-// KeysMatch reports whether the distinct result keys equal the truth set,
-// and returns the sorted missing/extra keys for diagnostics.
-func KeysMatch(keys map[string]int, truth map[string]bool) (missing, extra []string) {
-	for k := range truth {
-		if keys[k] == 0 {
-			missing = append(missing, k)
-		}
-	}
-	for k := range keys {
-		if !truth[k] {
-			extra = append(extra, k)
-		}
-	}
-	sort.Strings(missing)
-	sort.Strings(extra)
-	return missing, extra
 }

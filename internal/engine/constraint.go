@@ -286,7 +286,7 @@ func assignmentsStable(before, after []text.Assignment) bool {
 // applyConstraint applies one constraint to a list of assignments,
 // appending the outcome to out (which must not alias as): Verify for exact
 // assignments, Refine for contain assignments — both through the record
-// table of the assignment's document.
+// table of the assignment's document, Refine appending in place.
 // VerifyCalls/RefineCalls count logical calls (deterministic at any worker
 // count); the table hit/miss split is recorded separately. With inherited,
 // each assignment lies in one that passed hereditary k: an aligned one passes

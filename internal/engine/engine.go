@@ -93,8 +93,8 @@ type Env struct {
 	Funcs    map[string]PFunc
 	Procs    map[string]Procedure
 	Features *feature.Registry
-	// FeatureMemo holds one record table per document: Verify/Refine
-	// results per (constraint, span) and the typed values comparisons read.
+	// FeatureMemo holds one record table per document: each built-in
+	// constraint's regions over the page and the typed values comparisons read.
 	// Documents are immutable and features are pure, so entries never go
 	// stale; a Context counts their bytes against its CacheBudget (evicting
 	// them per document, least recently used, when no result table is left
@@ -479,10 +479,9 @@ type Work struct {
 	TuplesReused     int64 `json:"tuples_reused" stat:"det"`
 	TuplesRecomputed int64 `json:"tuples_recomputed" stat:"det"`
 	// FeatureMemoHits / FeatureMemoMisses count Verify/Refine invocations
-	// served from (or inserted into) the documents' record tables.
-	// Concurrent evaluations may race to fill the same key, so these vary
-	// slightly with scheduling; VerifyCalls and RefineCalls count logical
-	// calls.
+	// answered from a region list a record table held (or built for them).
+	// Evictions under a budget, and so rebuilds, follow scheduling, so these
+	// vary with it; VerifyCalls and RefineCalls count logical calls.
 	FeatureMemoHits   int64 `json:"feature_memo_hits" stat:"sched"`
 	FeatureMemoMisses int64 `json:"feature_memo_misses" stat:"sched"`
 }

@@ -66,13 +66,15 @@ const (
 // Memo owns the record tables of the documents one Env evaluates over. The
 // zero value is not usable; construct with NewMemo. Safe for concurrent use.
 type Memo struct {
-	// mu guards cons, langs and docs; the tables lock themselves.
-	mu    sync.RWMutex
-	cons  map[consKey]ConsID
-	langs []*lang // by ConsID: a built-in's language, parsed on first use
-	docs  map[*text.Document]*DocRecords
-	made  uint64 // tables made so far, under mu: Evict's tie-break
-	bytes atomic.Int64
+	// mu guards cons and docs; the tables lock themselves, and take langMu
+	// (never the other way round) for the built-ins' languages, parsed once.
+	mu     sync.RWMutex
+	cons   map[consKey]ConsID
+	docs   map[*text.Document]*DocRecords
+	langMu sync.Mutex
+	langs  map[ConsID]*lang
+	made   uint64 // tables made so far, under mu: Evict's tie-break
+	bytes  atomic.Int64
 	// clock orders the tables by last use: Tick advances it, and Doc stamps
 	// the table it hands out with its reading. A memo nobody ticks (no
 	// budget) never writes a stamp.
@@ -81,7 +83,7 @@ type Memo struct {
 
 // NewMemo returns an empty memo.
 func NewMemo() *Memo {
-	return &Memo{cons: map[consKey]ConsID{}, docs: map[*text.Document]*DocRecords{}}
+	return &Memo{cons: map[consKey]ConsID{}, docs: map[*text.Document]*DocRecords{}, langs: map[ConsID]*lang{}}
 }
 
 // Intern returns the id of a (feature name, parameter) pair. Ids are never
@@ -95,9 +97,22 @@ func (m *Memo) Intern(feat, param string) ConsID {
 	if !ok {
 		id = ConsID(len(m.cons))
 		m.cons[k] = id
-		m.langs = append(m.langs, nil)
 	}
 	return id
+}
+
+// lang returns the language of b = v, id's pair, or nil when b rejects v.
+func (m *Memo) lang(b *builtin, id ConsID, v string) *lang {
+	m.langMu.Lock()
+	defer m.langMu.Unlock()
+	if m.langs[id] == nil {
+		l, err := b.lang(v)
+		if err != nil {
+			return nil
+		}
+		m.langs[id] = &l
+	}
+	return m.langs[id]
 }
 
 // Doc returns the record table of a document, made on first use. Documents
@@ -205,9 +220,9 @@ type DocRecords struct {
 	doc  *text.Document
 	seq  uint64        // creation order in the memo
 	used atomic.Uint64 // the memo's clock when Doc last handed the table out
-	// mu guards the fields below; a list is built under it. It is not held
-	// while a Values record is built: two callers that miss on one at once
-	// both build, and what they publish is charged once.
+	// mu guards the fields below; a list is built under it, a Values record
+	// outside it: two callers that miss on one at once both build, and what
+	// they publish is charged once.
 	mu      sync.Mutex
 	lists   []regionList // sorted by id
 	regions []byteRange  // every list's regions, one list after another
@@ -247,41 +262,20 @@ func (t *DocRecords) Refine(f Feature, id ConsID, s text.Span, v string, out []t
 
 // list returns the language of f = v and its regions over the page, built
 // on first use, and whether the table held them; no language when f
-// declares none for v. The language is parsed once per memo and kept by id.
-func (t *DocRecords) list(f Feature, id ConsID, v string) (l *lang, rs []byteRange, hit bool) {
+// declares none for v.
+func (t *DocRecords) list(f Feature, id ConsID, v string) (*lang, []byteRange, bool) {
 	b, declared := f.(*builtin)
 	if !declared {
 		return nil, nil, false
 	}
-	find := func() (int, bool) {
-		return slices.BinarySearchFunc(t.lists, id, func(e regionList, id ConsID) int { return cmp.Compare(e.id, id) })
-	}
-	t.mu.Lock()
-	if i, ok := find(); ok {
-		e := t.lists[i]
-		rs = t.regions[e.lo:e.hi]
-		t.mu.Unlock()
-		return e.l, rs, true
-	}
-	t.mu.Unlock()
-	m := t.memo // m.mu is never taken under t.mu: forgetLocked nests them the other way
-	m.mu.RLock()
-	l = m.langs[id]
-	m.mu.RUnlock()
-	if l == nil {
-		parsed, err := b.lang(v)
-		if err != nil {
-			return nil, nil, false
-		}
-		m.mu.Lock()
-		l = cmp.Or(m.langs[id], &parsed)
-		m.langs[id] = l
-		m.mu.Unlock()
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := find()
-	if !ok {
+	i, hit := slices.BinarySearchFunc(t.lists, id, func(e regionList, id ConsID) int { return cmp.Compare(e.id, id) })
+	if !hit {
+		l := t.memo.lang(b, id, v)
+		if l == nil {
+			return nil, nil, false
+		}
 		n, lists, regions := len(t.regions), cap(t.lists), cap(t.regions)
 		t.regions = l.list(t.regions, t.doc)
 		if t.lists == nil { // a session asks about a page under a dozen or two constraints
@@ -291,7 +285,7 @@ func (t *DocRecords) list(f Feature, id ConsID, v string) (l *lang, rs []byteRan
 		t.charge(int64(cap(t.lists)-lists)*regionListBytes + int64(cap(t.regions)-regions)*regionBytes)
 	}
 	e := t.lists[i]
-	return l, t.regions[e.lo:e.hi], ok
+	return e.l, t.regions[e.lo:e.hi], hit
 }
 
 // Value is a span as a comparison reads it: a number when its text parses

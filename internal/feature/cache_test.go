@@ -176,7 +176,7 @@ func TestRegionListsOrdered(t *testing.T) {
 				}
 				rs := l.list(nil, d)
 				for i := 1; i < len(rs); i++ {
-					if rs[i].start < rs[i-1].start || l.pin != pinStart && rs[i].end < rs[i-1].end {
+					if rs[i].start < rs[i-1].start || !l.pinStart && rs[i].end < rs[i-1].end {
 						t.Fatalf("%s=%q on %s: regions %v out of order at %d", name, v, d.ID(), rs, i)
 					}
 				}
@@ -407,8 +407,8 @@ var benchSink int
 // Refine (on the whole pages and every six-token window of them) for one
 // feature of each kind — a mark, a context label, the numeric test, a
 // pattern — called directly, through tables that have never seen the
-// question (dropped each time round the pages) and through tables that
-// have.
+// constraint (dropped each time round the pages) and through tables that
+// have; through a table, Refine appends to one reused slice.
 func BenchmarkFeatureMemo(b *testing.B) {
 	docs := memoPages()
 	var tokens, pages []text.Span
@@ -444,6 +444,7 @@ func BenchmarkFeatureMemo(b *testing.B) {
 					if memo != nil {
 						id = memo.Intern(k.name, k.value)
 					}
+					var buf []text.Assignment // the caller's, reused as the engine's workers do
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						s := spans[i%len(spans)]
@@ -451,7 +452,7 @@ func BenchmarkFeatureMemo(b *testing.B) {
 							memo.Evict(math.MaxInt64)
 						}
 						var ok bool
-						var as []text.Assignment
+						as := buf[:0]
 						switch {
 						case memo == nil && op == "Verify":
 							ok, _ = f.Verify(s, k.value)
@@ -460,7 +461,8 @@ func BenchmarkFeatureMemo(b *testing.B) {
 						case op == "Verify":
 							ok, _, _ = memo.Doc(s.Doc()).Verify(f, id, s, k.value)
 						default:
-							as, _, _ = memo.Doc(s.Doc()).Refine(f, id, s, k.value, as[:0])
+							as, _, _ = memo.Doc(s.Doc()).Refine(f, id, s, k.value, as)
+							buf = as
 						}
 						if ok {
 							benchSink++

@@ -18,9 +18,9 @@ type lang struct {
 	regions func(dst []byteRange, d *text.Document, p *param) []byteRange
 	// exact: a span of the language is a whole region, token-trimmed.
 	exact bool
-	// pin: a span of the language starts (pinStart) or ends (pinEnd) where
-	// its region does.
-	pin pinMode
+	// pinStart (pinEnd): a span of the language starts (ends) where its
+	// region does.
+	pinStart, pinEnd bool
 	// check is the residual a contain span inside region r must pass, or
 	// nil. Unless open, a span failing it has no token-aligned sub-span
 	// passing it, so Refine drops a clipped region that fails it.
@@ -28,14 +28,6 @@ type lang struct {
 	open  bool
 	p     param
 }
-
-type pinMode uint8
-
-const (
-	pinNone pinMode = iota
-	pinStart
-	pinEnd
-)
 
 // param is a value parsed once per language, for regions and check to read.
 type param struct {
@@ -77,8 +69,8 @@ func (l *lang) verify(rs []byteRange, s text.Span) bool {
 			if sp, ok := s.Doc().Span(r.start, r.end).Shrink(); ok && sp == s {
 				return true
 			}
-		} else if r.start <= s.Start() && s.End() <= r.end && (l.pin != pinStart || r.start == s.Start()) &&
-			(l.pin != pinEnd || r.end == s.End()) && (l.check == nil || l.check(s, r, &l.p)) {
+		} else if r.start <= s.Start() && s.End() <= r.end && (!l.pinStart || r.start == s.Start()) &&
+			(!l.pinEnd || r.end == s.End()) && (l.check == nil || l.check(s, r, &l.p)) {
 			return true
 		}
 	}
@@ -100,7 +92,7 @@ func (l *lang) refine(out []text.Assignment, rs []byteRange, s text.Span) []text
 			continue
 		}
 		lo, hi := max(r.start, s.Start()), min(r.end, s.End())
-		if lo >= hi || l.pin == pinStart && r.start < s.Start() || l.pin == pinEnd && r.end > s.End() {
+		if lo >= hi || l.pinStart && r.start < s.Start() || l.pinEnd && r.end > s.End() {
 			continue
 		}
 		sp, ok := d.Span(lo, hi).Shrink()
@@ -125,10 +117,10 @@ func (l *lang) refine(out []text.Assignment, rs []byteRange, s text.Span) []text
 // pins starts, so both bounds are binary searches.
 func (l *lang) near(rs []byteRange, s text.Span) []byteRange {
 	lo := sort.Search(len(rs), func(i int) bool { return rs[i].end >= s.Start() })
-	if l.pin == pinStart {
+	if l.pinStart {
 		lo = sort.Search(len(rs), func(i int) bool { return rs[i].start >= s.Start() })
 	}
-	hi := sort.Search(len(rs), func(i int) bool { return rs[i].start > s.End() || l.pin == pinEnd && rs[i].end > s.End() })
+	hi := sort.Search(len(rs), func(i int) bool { return rs[i].start > s.End() || l.pinEnd && rs[i].end > s.End() })
 	return rs[lo:max(lo, hi)]
 }
 
@@ -153,7 +145,7 @@ func (b *builtin) Refine(s text.Span, v string) ([]text.Assignment, error) {
 // Hereditary reports whether f = v is contain with no residual and no pin.
 func (b *builtin) Hereditary(v string) bool {
 	l, err := b.lang(v)
-	return err == nil && !l.exact && l.check == nil && l.pin == pinNone
+	return err == nil && !l.exact && l.check == nil && !l.pinStart && !l.pinEnd
 }
 
 // whole is the one region of languages a residual alone decides.

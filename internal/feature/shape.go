@@ -88,13 +88,10 @@ const (
 // found from. The residual is the anchored pattern on s; a span failing it
 // may hold one passing it, so Refine keeps every region.
 func patternFeature(name string, anchor anchorMode) *builtin {
-	pin := pinStart
-	if anchor == anchorEnd {
-		pin = pinEnd
-	}
 	return &builtin{name: name, kind: KindParametric, lang: func(v string) (lang, error) {
 		re, err := compilePattern(v, anchor)
-		return lang{regions: patternRegions, pin: pin, check: matchesAnchored, open: true, p: param{re: re, anchor: anchor}}, err
+		return lang{regions: patternRegions, pinStart: anchor != anchorEnd, pinEnd: anchor == anchorEnd,
+			check: matchesAnchored, open: true, p: param{re: re, anchor: anchor}}, err
 	}}
 }
 

@@ -1,6 +1,8 @@
 package oracle
 
 import (
+	"slices"
+
 	"iflex/internal/feature"
 	"iflex/internal/text"
 )
@@ -67,28 +69,23 @@ func Extract(d *text.Document, cols []string, cons []feature.Constraint, reg *fe
 // A matching covering every row and one covering every sure tuple exist
 // together exactly when one matching covers both (Mendelsohn–Dulmage).
 func (a *ATable) HasWorld(w World) bool {
-	yields := func(t ATuple, row []string) bool {
-		if len(row) != len(t.Cells) {
-			return false
-		}
+	texts := make([][][]string, len(a.Tuples)) // tuple, cell -> its values' texts
+	for j, t := range a.Tuples {
+		texts[j] = make([][]string, len(t.Cells))
 		for c, cell := range t.Cells {
-			found := false
 			for _, v := range cell {
-				if v.NormText() == row[c] {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return false
+				texts[j][c] = append(texts[j][c], v.NormText())
 			}
 		}
-		return true
 	}
 	adj := make([][]int, len(w)) // row -> the tuples that can yield it
 	for i, row := range w {
-		for j, t := range a.Tuples {
-			if yields(t, row) {
+		for j := range a.Tuples {
+			yields := len(row) == len(texts[j])
+			for c := 0; yields && c < len(row); c++ {
+				yields = slices.Contains(texts[j][c], row[c])
+			}
+			if yields {
 				adj[i] = append(adj[i], j)
 			}
 		}
