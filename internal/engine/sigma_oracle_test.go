@@ -159,9 +159,9 @@ func checkSigmaCase(t *testing.T, c sigmaCase) {
 // oracle (Verify on every token-aligned sub-span). The long leg draws ten
 // times as many programs.
 func TestConstraintRunsMatchOracle(t *testing.T) {
-	n := 3000
+	n := 10000
 	if testing.Short() {
-		n = 300
+		n = 1000
 	}
 	r := rand.New(rand.NewSource(52))
 	reg := feature.NewRegistry()
