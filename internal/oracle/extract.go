@@ -22,20 +22,22 @@ func Extract(d *text.Document, cols []string, cons []feature.Constraint, reg *fe
 	for i, attr := range cols[1:] {
 		var err error
 		d.WholeSpan().SubSpans(func(s text.Span) bool {
+			ok := true
 			for _, k := range cons {
-				if k.Attr != attr {
+				if k.Attr != attr || !ok {
 					continue
 				}
 				var f feature.Feature
-				if f, err = reg.Lookup(k.Feature); err != nil {
+				if f, err = reg.Lookup(k.Feature); err == nil {
+					ok, err = f.Verify(s, k.Value)
+				}
+				if err != nil {
 					return false
 				}
-				ok, verr := f.Verify(s, k.Value)
-				if err = verr; err != nil || !ok {
-					return err == nil
-				}
 			}
-			vals[i] = append(vals[i], s)
+			if ok {
+				vals[i] = append(vals[i], s)
+			}
 			return true
 		})
 		if err != nil {
@@ -90,60 +92,48 @@ func (a *ATable) HasWorld(w World) bool {
 			}
 		}
 	}
-	// Kuhn's augmenting paths from the rows, then from the sure tuples.
-	rowOf := make([]int, len(a.Tuples))
-	for j := range rowOf {
-		rowOf[j] = -1
-	}
-	var seen []bool
-	var augRow func(i int) bool
-	augRow = func(i int) bool {
-		for _, j := range adj[i] {
-			if !seen[j] {
-				seen[j] = true
-				if rowOf[j] < 0 || augRow(rowOf[j]) {
-					rowOf[j] = i
-					return true
-				}
-			}
-		}
-		return false
-	}
-	for i := range w {
-		seen = make([]bool, len(a.Tuples))
-		if !augRow(i) {
-			return false
-		}
-	}
 	rev := make([][]int, len(a.Tuples)) // tuple -> the rows it can yield
 	for i, js := range adj {
 		for _, j := range js {
 			rev[j] = append(rev[j], i)
 		}
 	}
-	tupleOf := make([]int, len(w))
-	for i := range tupleOf {
-		tupleOf[i] = -1
+	var rows, sure []int
+	for i := range w {
+		rows = append(rows, i)
 	}
-	var augTuple func(j int) bool
-	augTuple = func(j int) bool {
-		for _, i := range rev[j] {
-			if !seen[i] {
-				seen[i] = true
-				if tupleOf[i] < 0 || augTuple(tupleOf[i]) {
-					tupleOf[i] = j
+	for j, t := range a.Tuples {
+		if !t.Maybe {
+			sure = append(sure, j)
+		}
+	}
+	return covers(adj, len(a.Tuples), rows) && covers(rev, len(w), sure)
+}
+
+// covers reports whether some matching of the bipartite graph adj (each
+// left vertex to its right vertices, n of them) covers every vertex of
+// left, by Kuhn's augmenting paths.
+func covers(adj [][]int, n int, left []int) bool {
+	match := make([]int, n) // right vertex -> its left vertex, or -1
+	for j := range match {
+		match[j] = -1
+	}
+	var seen []bool
+	var augment func(i int) bool
+	augment = func(i int) bool {
+		for _, j := range adj[i] {
+			if !seen[j] {
+				seen[j] = true
+				if match[j] < 0 || augment(match[j]) {
+					match[j] = i
 					return true
 				}
 			}
 		}
 		return false
 	}
-	for j, t := range a.Tuples {
-		if t.Maybe {
-			continue
-		}
-		seen = make([]bool, len(w))
-		if !augTuple(j) {
+	for _, i := range left {
+		if seen = make([]bool, n); !augment(i) {
 			return false
 		}
 	}
