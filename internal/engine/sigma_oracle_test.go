@@ -13,12 +13,13 @@ import (
 	"iflex/internal/text"
 )
 
-// sigmaFragments are the pieces oracle pages are made of: marks, a link,
-// headers, labels and numbers.
+// sigmaFragments are the pieces oracle pages are made of: marks, links,
+// headers (a link and a header nested in another), labels and numbers.
 var sigmaFragments = []string{
 	"<b>Price:</b> 42", "<h2>Venue</h2>Madison", "<i>A. Smith</i>", "New: $45.00", "<u>Vol 2</u>",
 	`<a href="http://imdb.com/x">Godfather</a>`, "<li>Beds: 3</li>", "Our price: 17", "<title>Books</title>",
 	"VLDB 2001", "<h3>Program</h3><b>Bob</b>", "<li>List: 120</li>",
+	`<a href="http://imdb.com/t">Cast <a href="http://imdb.com/n">Al</a> 7</a>`, "<h2>Venue <h3>Program</h3> 9</h2> Bob",
 }
 
 // sigmaValues lists the values a generated constraint may take per feature.

@@ -16,13 +16,15 @@ import (
 )
 
 // memoPages are record pages carrying every kind of mark-up and label the
-// built-in features look at.
+// built-in features look at, the last with a header and a link nested in
+// another.
 func memoPages() []*text.Document {
 	var docs []*text.Document
 	for i, src := range []string{
 		`<title>Index Structures</title><ul><li><b>Query Processing</b> by <i>A. Smith</i></li><li>List: $45.00</li><li>New: $39.50</li></ul>`,
 		`<b>Index Structures</b> <u>second edition</u> List: $120.00 Used: $80.25 New: $99 <a href="http://x.org/details">details here</a>`,
 		`Stream Systems, <i>B. Jones and C. Wu</i>. Price: 17 New: 12 pages 351000 or 4700`,
+		`<h2>List: <h3>New:</h3> 3</h2> $40 <a href="http://x.org/details/a">Used <a href="http://x.org/details/b">12</a> 100</a> 7`,
 	} {
 		docs = append(docs, markup.MustParse(fmt.Sprintf("m%d", i), src))
 	}
@@ -164,12 +166,14 @@ func TestRegionListsOrdered(t *testing.T) {
 	for i, src := range coveragePages {
 		pages = append(pages, markup.MustParse(fmt.Sprintf("c%d", i), src))
 	}
-	pages = append(pages, markup.MustParse("nested", `<a href="http://x.org/a">outer <a href="http://x.org/b">inner</a> tail</a> <a href="http://x.org/c">next</a>`))
+	pages = append(pages,
+		markup.MustParse("links", `<a href="http://x.org/a">outer <a href="http://x.org/b">inner</a> tail</a> <a href="http://x.org/c">next</a>`),
+		markup.MustParse("headers", `<h1>Books <h2>New <h3>Used</h3> old</h2> now</h1> 12 <h2>New</h2> 40`))
 	lists := 0
 	for _, d := range pages {
 		for _, name := range reg.Names() {
 			b := feat(t, name).(*builtin)
-			for _, v := range append(memoValues, coverageValues(t, name)...) {
+			for _, v := range append(memoValues, append(coverageValues(t, name), "x.org", "books")...) {
 				l, err := b.lang(v)
 				if err != nil {
 					continue

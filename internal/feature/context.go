@@ -2,7 +2,6 @@ package feature
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -137,7 +136,8 @@ var precLabelMaxDist = &builtin{name: "prec-label-max-dist", kind: KindParametri
 }}
 
 // sections lists the first p.n bytes of every section or, with n = -1, each
-// section whose header contains p.label.
+// section whose header contains p.label. A header with another nested in
+// it has no section: the next header starts before it ends.
 func sections(dst []byteRange, d *text.Document, p *param) []byteRange {
 	headers := d.MarksOf(text.MarkHeader)
 	for i, h := range headers {
@@ -146,8 +146,9 @@ func sections(dst []byteRange, d *text.Document, p *param) []byteRange {
 			end = headers[i+1].Start
 		}
 		if p.n >= 0 {
-			dst = append(dst, byteRange{h.End, min(end, h.End+p.n)})
-		} else if strings.Contains(normFold(d.Text()[h.Start:h.End]), p.label) {
+			end = min(end, h.End+p.n)
+		}
+		if h.End <= end && (p.n >= 0 || strings.Contains(normFold(d.Text()[h.Start:h.End]), p.label)) {
 			dst = append(dst, byteRange{h.End, end})
 		}
 	}
@@ -162,15 +163,17 @@ var linkToContains = labelFeature("link-to-contains", "string", func(v string) l
 })
 
 // linksTo lists the matching links but those inside another: a span in one
-// lies in the other. Links nest, and an inner one is closed, so listed,
-// before the link around it.
+// lies in the other. Links come sorted by start, so one inside the last
+// kept ends no later, and one around it starts with it and ends later.
 func linksTo(dst []byteRange, d *text.Document, p *param) []byteRange {
-	n := len(dst)
+	first := len(dst)
 	for _, l := range d.Links() {
-		if strings.Contains(strings.ToLower(l.Target), p.label) {
-			kept := slices.DeleteFunc(dst[n:], func(r byteRange) bool { return l.Start <= r.start && r.end <= l.End })
-			dst = append(dst[:n+len(kept)], byteRange{l.Start, l.End})
+		if n := len(dst); !strings.Contains(strings.ToLower(l.Target), p.label) || n > first && l.End <= dst[n-1].end {
+			continue
+		} else if n > first && l.Start == dst[n-1].start {
+			dst = dst[:n-1]
 		}
+		dst = append(dst, byteRange{l.Start, l.End})
 	}
 	return dst
 }
