@@ -210,7 +210,7 @@ type stage struct {
 	f          feature.Feature
 	id         feature.ConsID
 	value      string
-	hereditary bool // feature.Hereditary(f, value)
+	hereditary bool // Memo.Hereditary(f, id, value)
 }
 
 func resolveStages(env *Env, cons []feature.Constraint) ([]stage, error) {
@@ -220,7 +220,8 @@ func resolveStages(env *Env, cons []feature.Constraint) ([]stage, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[i] = stage{f: f, id: env.FeatureMemo.Intern(k.Feature, k.Value), value: k.Value, hereditary: feature.Hereditary(f, k.Value)}
+		id := env.FeatureMemo.Intern(k.Feature, k.Value)
+		out[i] = stage{f: f, id: id, value: k.Value, hereditary: env.FeatureMemo.Hereditary(f, id, k.Value)}
 	}
 	return out, nil
 }

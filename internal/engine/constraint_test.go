@@ -60,7 +60,7 @@ var refinePool = []feature.Constraint{
 	{Feature: "preceded-by", Value: "List:"}, {Feature: "preceded-by", Value: "New:"},
 	{Feature: "max-tokens", Value: "1"}, {Feature: "max-tokens", Value: "3"}, {Feature: "max-length", Value: "12"},
 	{Feature: "min-value", Value: "20"}, {Feature: "max-value", Value: "100"},
-	// Hereditary by derivation from their declarations (feature.Hereditary).
+	// Hereditary by derivation from their declarations (Memo.Hereditary).
 	{Feature: "in-first-half", Value: "yes"}, {Feature: "in-first-half", Value: "distinct-yes"},
 	{Feature: "capitalized", Value: "distinct-yes"}, {Feature: "link-to-contains", Value: "books"},
 	{Feature: "prec-label-contains", Value: "edition"}, {Feature: "prec-label-max-dist", Value: "40"},

@@ -34,10 +34,11 @@
 // residual"; Refine(s) is exact(r) for the regions inside s, or contain of
 // the regions clipped to s, less those the residual rules out. Every span
 // Verify accepts inside s lies in one of those, so Refine covers Verify by
-// construction. f = v is hereditary (Hereditary) when it is contain with no
-// residual and no pin: then each token-aligned sub-span t of a span that
+// construction. f = v is hereditary (Memo.Hereditary) when it is contain
+// with no residual: then each token-aligned sub-span t of a span that
 // passed it has Verify(t) and Refine(t) = [contain(t)]. Features registered
-// by a deployment still write Verify and Refine themselves.
+// by a deployment still write Verify and Refine themselves, and Hereditary
+// if they have it.
 package feature
 
 import (
@@ -81,12 +82,6 @@ type Feature interface {
 	// Refine returns assignments covering every sub-span t of s with
 	// f(t) = v (see the package comment for the covering contract).
 	Refine(s text.Span, v string) ([]text.Assignment, error)
-}
-
-// Hereditary reports whether f declares f = v hereditary by a method of that name.
-func Hereditary(f Feature, v string) bool {
-	h, ok := f.(interface{ Hereditary(v string) bool })
-	return ok && h.Hereditary(v)
 }
 
 // Constraint is a domain constraint f(attr) = value appearing in a
@@ -151,7 +146,7 @@ func (r *Registry) Names() []string {
 
 // builtins lists every built-in feature.
 func builtins() []Feature {
-	fs := []Feature{
+	return []Feature{
 		numericFeature,
 		valueFeature("min-value", +1),
 		valueFeature("max-value", -1),
@@ -169,18 +164,13 @@ func builtins() []Feature {
 		precLabelMaxDist,
 		inFirstHalf,
 		linkToContains,
+		markFeature("bold-font", text.MarkBold),
+		markFeature("italic-font", text.MarkItalic),
+		markFeature("underlined", text.MarkUnderline),
+		markFeature("hyperlinked", text.MarkLink),
+		markFeature("in-list", text.MarkListItem),
+		markFeature("in-title", text.MarkTitle),
 	}
-	for kind, name := range map[text.MarkKind]string{
-		text.MarkBold:      "bold-font",
-		text.MarkItalic:    "italic-font",
-		text.MarkUnderline: "underlined",
-		text.MarkLink:      "hyperlinked",
-		text.MarkListItem:  "in-list",
-		text.MarkTitle:     "in-title",
-	} {
-		fs = append(fs, markFeature(name, kind))
-	}
-	return fs
 }
 
 // errBadValue builds the standard error for an unsupported feature value.

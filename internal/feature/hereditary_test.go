@@ -13,10 +13,11 @@ import (
 // hereditary among the boolean values and the bound n.
 func hereditaryPairs(n int) []Constraint {
 	var out []Constraint
+	memo := NewMemo()
 	for _, name := range reg.Names() {
 		f, _ := reg.Lookup(name)
 		for _, v := range []string{Yes, No, DistinctYes, DistinctNo, strconv.Itoa(n)} {
-			if Hereditary(f, v) {
+			if memo.Hereditary(f, memo.Intern(name, v), v) {
 				out = append(out, Constraint{Feature: name, Value: v})
 			}
 		}
@@ -48,14 +49,25 @@ func TestHereditaryDeclared(t *testing.T) {
 		t.Errorf("declared hereditary:\n got %v\nwant %v", got, want)
 	}
 	// A bound that does not parse is not declared (the call reports the
-	// error), and a feature without the method never is.
-	if Hereditary(feat(t, "max-length"), "ten") || Hereditary(feat(t, "max-tokens"), "-1") {
+	// error); a feature of another type is when its method says so, and
+	// never without one.
+	memo := NewMemo()
+	hereditary := func(f Feature, v string) bool { return memo.Hereditary(f, memo.Intern(f.Name(), v), v) }
+	if hereditary(feat(t, "max-length"), "ten") || hereditary(feat(t, "max-tokens"), "-1") {
 		t.Error("a malformed bound is declared hereditary")
 	}
-	if Hereditary(struct{ Feature }{feat(t, "bold-font")}, Yes) {
+	if hereditary(struct{ Feature }{feat(t, "bold-font")}, Yes) {
 		t.Error("a feature without Hereditary is declared hereditary")
 	}
+	if !hereditary(declaring{feat(t, "numeric")}, "5") || hereditary(declaring{feat(t, "bold-font")}, "4") {
+		t.Error("a feature's own Hereditary is not what decides")
+	}
 }
+
+// declaring is a feature that declares f = v hereditary for v = "5" only.
+type declaring struct{ Feature }
+
+func (declaring) Hereditary(v string) bool { return v == "5" }
 
 // FuzzHereditary holds every declared hereditary constraint f = v to its
 // contract on a page and a token-aligned span s: for each assignment

@@ -142,10 +142,16 @@ func (b *builtin) Refine(s text.Span, v string) ([]text.Assignment, error) {
 	return l.refine(nil, l.list(nil, s.Doc()), s), nil
 }
 
-// Hereditary reports whether f = v is contain with no residual and no pin.
-func (b *builtin) Hereditary(v string) bool {
-	l, err := b.lang(v)
-	return err == nil && !l.exact && l.check == nil && !l.pinStart && !l.pinEnd
+// Hereditary reports whether f = v, the pair id interns, is hereditary: a
+// built-in's language, which the memo parses once, is contain with no
+// residual; another feature says so by a method of that name.
+func (m *Memo) Hereditary(f Feature, id ConsID, v string) bool {
+	if b, ok := f.(*builtin); ok {
+		l := m.lang(b, id, v)
+		return l != nil && !l.exact && l.check == nil
+	}
+	h, ok := f.(interface{ Hereditary(v string) bool })
+	return ok && h.Hereditary(v)
 }
 
 // whole is the one region of languages a residual alone decides.
