@@ -1,7 +1,6 @@
 package corpus
 
 import (
-	"sort"
 	"testing"
 
 	"iflex/internal/alog"
@@ -137,22 +136,4 @@ func TestIterationSizesMonotone(t *testing.T) {
 		}
 		prev = it.Tuples
 	}
-}
-
-// KeysMatch reports whether the distinct result keys equal the truth set,
-// and returns the sorted missing/extra keys for diagnostics.
-func KeysMatch(keys map[string]int, truth map[string]bool) (missing, extra []string) {
-	for k := range truth {
-		if keys[k] == 0 {
-			missing = append(missing, k)
-		}
-	}
-	for k := range keys {
-		if !truth[k] {
-			extra = append(extra, k)
-		}
-	}
-	sort.Strings(missing)
-	sort.Strings(extra)
-	return missing, extra
 }

@@ -482,3 +482,21 @@ func SupersetPercent(resultTuples, correct int) float64 {
 	}
 	return 100 * float64(resultTuples) / float64(correct)
 }
+
+// KeysMatch reports whether the distinct result keys equal the truth set,
+// and returns the sorted missing/extra keys for diagnostics.
+func KeysMatch(keys map[string]int, truth map[string]bool) (missing, extra []string) {
+	for k := range truth {
+		if keys[k] == 0 {
+			missing = append(missing, k)
+		}
+	}
+	for k := range keys {
+		if !truth[k] {
+			extra = append(extra, k)
+		}
+	}
+	sort.Strings(missing)
+	sort.Strings(extra)
+	return missing, extra
+}
