@@ -18,7 +18,8 @@ race:
 	$(GO) test -race ./internal/feature/... ./internal/engine/... ./internal/assistant/... ./internal/server/...
 
 # The pre-merge gate: formatting, the one-loop, one-fan-out,
-# one-fault-state, one-cache-map and one-declaration rules, vet, the race run over the
+# one-fault-state, one-cache-map, one-declaration, one-resolution and
+# no-rendering rules, vet, the race run over the
 # concurrent core, and the full tier-1 suite. Bench-heavy tests honour
 # -short, so this stays fast. The one-loop rule:
 # the per-tuple protocol (DESIGN.md §11 "The tuple loop") has one home, so
@@ -46,7 +47,14 @@ race:
 # and internal/feature/lang.go derives Verify, Refine and Hereditary from it
 # (DESIGN.md §10, the hereditary paragraph), so no other non-test file of
 # internal/feature declares one of the three Feature methods (the record
-# tables' Verify and Refine take the feature, not a span, first).
+# tables' Verify and Refine take a constraint handle, not a span, first).
+# The one-resolution rule: a domain constraint is resolved once, when the
+# compiler builds its node (DESIGN.md §10), so outside compile.go no non-test
+# file of internal/engine looks a feature up or interns a (feature, value)
+# pair — a call of Intern with two arguments; the similarity vocabulary's
+# Intern takes one. The no-rendering rule: evaluation compares values, never
+# their text renderings, so no non-test file of internal/engine calls one of
+# the text.Format functions.
 verify:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
@@ -68,6 +76,11 @@ verify:
 	@methods="$$(grep -nE '^func \([^)]*\) ((Verify|Refine)\([a-z_]+ text\.Span|Hereditary\()' internal/feature/*.go | \
 		grep -vE '^internal/feature/(lang\.go|[a-z0-9_]*_test\.go):')"; if [ -n "$$methods" ]; then \
 		echo "Verify, Refine or Hereditary written outside the adapter (internal/feature/lang.go):"; echo "$$methods"; exit 1; fi
+	@resolves="$$(grep -nE '\.Intern\([^)]*,|Features\.Lookup\(' internal/engine/*.go | \
+		grep -vE '^internal/engine/(compile\.go|[a-z0-9_]*_test\.go):')"; if [ -n "$$resolves" ]; then \
+		echo "constraint resolved outside the compiler (internal/engine/compile.go):"; echo "$$resolves"; exit 1; fi
+	@renders="$$(grep -nE 'text\.Format' internal/engine/*.go | grep -vE '^internal/engine/[a-z0-9_]*_test\.go:')"; \
+		if [ -n "$$renders" ]; then echo "text rendered on the evaluation path:"; echo "$$renders"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/feature/... ./internal/engine/... ./internal/assistant/... ./internal/server/...
 	$(GO) build ./...

@@ -1,0 +1,223 @@
+package iflex_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// goNames is what the repository's Go files declare: every type, type
+// parameter, func, method, field, const and var name, each package's
+// top-level names, each type's methods and fields (an alias's are its
+// target's), and every string literal — the names of metrics, p-functions
+// and HTTP methods the code spells out.
+type goNames struct {
+	all, lits map[string]bool
+	pkgs      map[string]map[string]bool
+	members   map[string]map[string]bool
+}
+
+func declaredNames(t *testing.T) goNames {
+	t.Helper()
+	g := goNames{all: map[string]bool{}, lits: map[string]bool{}, pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{}}
+	aliases := map[string]string{}
+	member := func(typ, name string) {
+		if g.members[typ] == nil {
+			g.members[typ] = map[string]bool{}
+		}
+		g.members[typ][name], g.all[name] = true, true
+	}
+	fields := func(typ string, fl *ast.FieldList) {
+		for _, f := range fl.List {
+			for _, n := range f.Names {
+				member(typ, n.Name)
+			}
+			if len(f.Names) == 0 { // embedded: the type's name is the field's
+				x := f.Type
+				if s, ok := x.(*ast.StarExpr); ok {
+					x = s.X
+				}
+				if s, ok := x.(*ast.SelectorExpr); ok {
+					x = s.Sel
+				}
+				if id, ok := x.(*ast.Ident); ok {
+					member(typ, id.Name)
+				}
+			}
+		}
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == ".git" || d.Name() == ".bench_build") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := g.pkgs[f.Name.Name]
+		if pkg == nil {
+			pkg = map[string]bool{}
+			g.pkgs[f.Name.Name] = pkg
+		}
+		top := func(name string) { pkg[name], g.all[name] = true, true }
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.BasicLit:
+				if n.Kind == token.STRING {
+					g.lits[strings.Trim(n.Value, "`\"")] = true
+				}
+			case *ast.TypeSpec:
+				if n.TypeParams != nil {
+					fields("", n.TypeParams)
+				}
+			case *ast.FuncType:
+				if n.TypeParams != nil {
+					fields("", n.TypeParams)
+				}
+			}
+			return true
+		})
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					top(d.Name.Name)
+					continue
+				}
+				recv := d.Recv.List[0].Type
+				for {
+					switch r := recv.(type) {
+					case *ast.StarExpr:
+						recv = r.X
+						continue
+					case *ast.IndexExpr:
+						recv = r.X
+						continue
+					case *ast.IndexListExpr:
+						recv = r.X
+						continue
+					}
+					break
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					member(id.Name, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						top(s.Name.Name)
+						if sel, ok := s.Type.(*ast.SelectorExpr); ok && s.Assign != 0 {
+							aliases[s.Name.Name] = sel.Sel.Name
+						}
+						switch st := s.Type.(type) {
+						case *ast.StructType:
+							fields(s.Name.Name, st.Fields)
+						case *ast.InterfaceType:
+							fields(s.Name.Name, st.Methods)
+						}
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							top(n.Name)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for alias, target := range aliases {
+		g.members[alias] = g.members[target]
+	}
+	return g
+}
+
+// docAllowed are names the documents cite from the standard library and
+// the runtime, and the packages whose names they cite as pkg.Name.
+var docAllowed = map[string]bool{
+	"RWMutex": true, "TryLock": true, "HeapAlloc": true, "TotalAlloc": true, "NumError": true,
+	"runtime": true, "strconv": true, "strings": true, "slices": true, "http": true, "fmt": true, "unsafe": true,
+}
+
+var (
+	backticked = regexp.MustCompile("`([^`\n]+)`")
+	// goRef is an identifier or a dotted selector of them, with an optional
+	// pointer star before and call parentheses after.
+	goRef = regexp.MustCompile(`^\*?([A-Za-z][A-Za-z0-9]*(?:\.[A-Za-z][A-Za-z0-9]*)*)(?:\(.*\))?$`)
+)
+
+// fileExt lists the suffixes that make a dotted name a file name.
+var fileExt = map[string]bool{"go": true, "md": true, "json": true, "sh": true, "html": true, "alog": true,
+	"ifs": true, "txt": true, "golden": true, "yml": true, "mod": true, "prof": true, "test": true, "log": true, "tmp": true}
+
+// undeclared reports whether ref, a backticked name that reads as Go,
+// names something no Go file of the repository declares. A single name
+// counts as Go when it carries an upper-case letter (a lower-case word may
+// be Alog, a feature or a value); in a selector X.Y, X is a type whose
+// member Y must be, a package whose top-level name Y must be, or a
+// variable, whose field or method Y must be declared somewhere.
+func (g goNames) undeclared(ref string) bool {
+	parts := strings.Split(ref, ".")
+	if docAllowed[parts[0]] || docAllowed[parts[len(parts)-1]] || fileExt[parts[len(parts)-1]] || g.lits[ref] {
+		return false
+	}
+	if len(parts) == 1 {
+		return strings.ToLower(ref) != ref && !g.all[ref] && !g.all["Test"+ref] && !g.all["Benchmark"+ref]
+	}
+	if len(parts) > 2 && g.pkgs[parts[0]] != nil {
+		parts = parts[1:]
+	}
+	x, y := parts[len(parts)-2], parts[len(parts)-1]
+	switch {
+	case g.members[x] != nil:
+		return !g.members[x][y]
+	case g.pkgs[x] != nil:
+		return !g.pkgs[x][y]
+	case !g.all[x] && strings.ToLower(x[:1]) != x[:1]:
+		return true
+	}
+	return !g.all[y]
+}
+
+// TestDocsNameWhatExists: DESIGN.md and README.md describe the system as it
+// is, so every Go identifier or Type.Member they name in backticks is
+// declared by some Go file of the repository (history stays in CHANGES.md).
+// snake_case names are metrics and JSON fields, not Go.
+func TestDocsNameWhatExists(t *testing.T) {
+	g := declaredNames(t)
+	if !g.members["Memo"]["Intern"] || !g.pkgs["feature"]["Memo"] || !g.members["Plan"]["WithConstraint"] {
+		t.Fatal("the Go files were not read")
+	}
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			for _, m := range backticked.FindAllStringSubmatch(line, -1) {
+				if strings.Contains(m[1], "_") {
+					continue
+				}
+				if r := goRef.FindStringSubmatch(m[1]); r != nil && g.undeclared(r[1]) {
+					t.Errorf("%s:%d names `%s`, which no Go file declares", doc, i+1, m[1])
+				}
+			}
+		}
+	}
+}

@@ -23,15 +23,18 @@ import (
 // feature verifies it on each; other
 // parametric features are derived from the examples with slack where a
 // safe bound exists (max-length, max-tokens) and left unknown otherwise.
+// Every Verify goes through the oracle's own record tables, so a page's
+// regions under one value are listed once, not once per question.
 type ExampleOracle struct {
 	reg      *feature.Registry
+	memo     *feature.Memo
 	examples map[string][]text.Span
 }
 
 // NewExampleOracle builds the oracle from marked-up examples keyed by
 // attribute ("pred.var").
 func NewExampleOracle(reg *feature.Registry, examples map[alog.AttrRef][]text.Span) *ExampleOracle {
-	o := &ExampleOracle{reg: reg, examples: map[string][]text.Span{}}
+	o := &ExampleOracle{reg: reg, memo: feature.NewMemo(), examples: map[string][]text.Span{}}
 	for ref, spans := range examples {
 		o.examples[ref.String()] = append([]text.Span(nil), spans...)
 	}
@@ -86,7 +89,7 @@ func (o *ExampleOracle) Answer(q Question) Answer {
 func (o *ExampleOracle) boolAnswer(f feature.Feature, exs []text.Span) Answer {
 	allVerify := func(v string) bool {
 		for _, e := range exs {
-			ok, err := f.Verify(e, v)
+			ok, _, err := o.memo.Verify(f, e, v)
 			if err != nil || !ok {
 				return false
 			}
@@ -127,7 +130,7 @@ func (o *ExampleOracle) adjacentLabel(f feature.Feature, exs []text.Span, before
 		}
 		candidate := ""
 		for _, c := range candidates {
-			if ok, err := f.Verify(e, c); err == nil && ok && strings.HasSuffix(c, ":") {
+			if ok, _, err := o.memo.Verify(f, e, c); err == nil && ok && strings.HasSuffix(c, ":") {
 				candidate = c
 				break
 			}

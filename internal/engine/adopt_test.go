@@ -65,7 +65,7 @@ func TestAdoptUnrunAboveUnchangedConstraint(t *testing.T) {
 		var run *constraintNode
 		var find func(n Node)
 		find = func(n Node) {
-			if c, ok := n.(*constraintNode); ok && c.attr() == "s" {
+			if c, ok := n.(*constraintNode); ok && c.attr == "s" {
 				run = c
 			}
 			for _, k := range n.Children() {

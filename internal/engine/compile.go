@@ -212,7 +212,7 @@ func (c *compiler) rule(r *alog.Rule) (*ruleFold, error) {
 // f.steps holds below it, then projects to the head.
 func (c *compiler) foldFrom(f *ruleFold, i int) error {
 	var cur Node
-	applied := map[string][]feature.Constraint{} // per-attribute constraints seen so far
+	applied := map[string][]*feature.Cons{} // per-attribute constraints seen so far
 	if i > 0 {
 		// What the body below applied to an attribute the rest constrains is
 		// what the last run on it below applied.
@@ -318,7 +318,7 @@ func (c *compiler) head(r *alog.Rule, cur Node) (Node, error) {
 }
 
 // literal extends the current plan with one body literal.
-func (c *compiler) literal(cur Node, lit alog.Literal, applied map[string][]feature.Constraint) (Node, error) {
+func (c *compiler) literal(cur Node, lit alog.Literal, applied map[string][]*feature.Cons) (Node, error) {
 	switch lit.Kind {
 	case alog.LitCompare:
 		if cur == nil {
@@ -335,19 +335,23 @@ func (c *compiler) literal(cur Node, lit alog.Literal, applied map[string][]feat
 }
 
 // constrain extends the current plan with a domain constraint: the next
-// stage of the attribute's run when the plan ends in it.
-func (c *compiler) constrain(cur Node, k alog.Constraint, applied map[string][]feature.Constraint) (Node, error) {
+// stage of the attribute's run when the plan ends in it. This is where a
+// constraint is resolved, once: its feature looked up and the pair interned
+// in the Env's memo, whose handle the plan carries.
+func (c *compiler) constrain(cur Node, k alog.Constraint, applied map[string][]*feature.Cons) (Node, error) {
 	if cur == nil {
 		return nil, fmt.Errorf("constraint %q cannot start a rule body", k)
 	}
-	cons := feature.Constraint{Feature: alog.CanonFeature(k.Feature), Attr: k.Attr, Value: k.Value}
-	prior := applied[cons.Attr]
-	applied[cons.Attr] = append(applied[cons.Attr], cons)
-	return newConstraintNode(c.env, cur, cons, prior), nil
+	f, err := c.env.Features.Lookup(alog.CanonFeature(k.Feature))
+	if err != nil {
+		return nil, err
+	}
+	applied[k.Attr] = append(applied[k.Attr], c.env.FeatureMemo.Intern(f, k.Value))
+	return newConstraintNode(c.env, cur, k.Attr, applied[k.Attr]), nil
 }
 
 // atom extends the plan with a predicate atom.
-func (c *compiler) atom(cur Node, a alog.Atom, applied map[string][]feature.Constraint) (Node, error) {
+func (c *compiler) atom(cur Node, a alog.Atom, applied map[string][]*feature.Cons) (Node, error) {
 	switch alog.Classify(c.prog, c.schema, a.Pred) {
 	case alog.ClassFrom:
 		if len(a.Args) != 2 || a.Args[0].Kind != alog.TermVar || a.Args[1].Kind != alog.TermVar {
@@ -512,13 +516,12 @@ func (c *compiler) combine(cur, n Node) Node {
 	return newCrossNode(c.env, cur, n)
 }
 
-// appliedBelow returns every constraint the steps' plans hold on attr — the
-// applied list of the last run on it — with room for the next one.
-func appliedBelow(steps []step, attr string) []feature.Constraint {
+// appliedBelow returns every constraint the steps' plans hold on attr: the
+// applied list of the last run on it, which an append copies.
+func appliedBelow(steps []step, attr string) []*feature.Cons {
 	for j := len(steps) - 1; j >= 0; j-- {
-		if cn, ok := steps[j].node.(*constraintNode); ok && cn.attr() == attr {
-			out := make([]feature.Constraint, 0, len(cn.prior)+len(cn.cons)+1)
-			return append(append(out, cn.prior...), cn.cons...)
+		if cn, ok := steps[j].node.(*constraintNode); ok && cn.attr == attr {
+			return cn.prior[:len(cn.prior)+len(cn.cons)]
 		}
 	}
 	return nil

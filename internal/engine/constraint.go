@@ -30,46 +30,59 @@ import (
 // the chain's intermediate tables are never built. The node is interned as
 // the chain's top node would be, last constraint over the run below it, so
 // every prefix of a run is the node the chain has for that stage (prev).
+//
+// The constraints are the handles the compiler interned in the Env's
+// memo (feature.Memo.Intern), compared by pointer.
 type constraintNode struct {
 	ident
 	parent Node
-	cons   []feature.Constraint
-	prior  []feature.Constraint
+	attr   string
+	// prior and cons are one array, prior first: prior[:len(prior)+len(cons)]
+	// lists every constraint on attr up to and including the run, and stage
+	// i re-checks its first len(prior)+i+1.
+	prior, cons []*feature.Cons
 	// prev is the run cut before its last stage, nil for a run of one. Eval
 	// probes the cache under the prefixes for the predecessor that covers
 	// the most stages (runPriorLocked).
 	prev *constraintNode
 }
 
-// newConstraintNode places cons above parent. When parent is itself a run
-// on the same attribute and prior lists exactly what that run has applied,
-// the result is parent's run extended by one stage; anything else starts a
-// new run. The compiler and the optimizer therefore build runs by adding
-// constraints one at a time, with no rule of their own.
-func newConstraintNode(env *Env, parent Node, cons feature.Constraint, prior []feature.Constraint) *constraintNode {
-	// The key is cons.String() written out: this runs for every stage of
-	// every plan built, hits included.
-	k := nodeKey{head: "constrain[" + cons.Feature + "(" + cons.Attr + ")=" + strconv.Quote(cons.Value) + "]", l: parent.ID()}
+// newConstraintNode places the last of applied, which lists every
+// constraint on attr up to and including it, above parent. When parent is
+// itself a run on the same attribute that has applied exactly the rest, the
+// result is parent's run extended by one stage; anything else starts a new
+// run. The compiler and the optimizer therefore build runs by adding
+// constraints one at a time, with no rule of their own. The node keeps
+// applied: callers may append to it, never write inside it.
+func newConstraintNode(env *Env, parent Node, attr string, applied []*feature.Cons) *constraintNode {
+	// The key is the constraint as Explain renders it, written out: this
+	// runs for every stage of every plan built, hits included.
+	var buf [96]byte
+	last := applied[len(applied)-1]
+	key := append(buf[:0], "constrain["...)
+	key = append(append(append(key, last.Feature.Name()...), '('), attr...)
+	key = append(strconv.AppendQuote(append(key, ")="...), last.Value), ']')
+	k := nodeKey{head: string(key), l: parent.ID()}
 	if n := env.nodes.get(k); n != nil {
 		return n.(*constraintNode)
 	}
-	var n *constraintNode
-	if p, ok := appliedRun(parent, cons.Attr, prior); ok && !stackRuns {
-		n = &constraintNode{parent: p.parent, prior: p.prior, cons: slices.Concat(p.cons, []feature.Constraint{cons}), prev: p}
-	} else {
-		n = &constraintNode{parent: parent, prior: slices.Clone(prior), cons: []feature.Constraint{cons}}
+	applied = applied[:len(applied):len(applied)]
+	n, np := &constraintNode{parent: parent, attr: attr}, len(applied)-1
+	if p, ok := appliedRun(parent, attr, applied[:np]); ok && !stackRuns {
+		n.parent, n.prev, np = p.parent, p, len(p.prior)
 	}
+	n.prior, n.cons = applied[:np], applied[np:]
 	return env.nodes.put(k, n, parent).(*constraintNode)
 }
 
 // appliedRun returns parent as a run on attr that has applied exactly prior
 // (compared in place): the run a stage extends, an input refined under prior.
-func appliedRun(parent Node, attr string, prior []feature.Constraint) (*constraintNode, bool) {
+func appliedRun(parent Node, attr string, prior []*feature.Cons) (*constraintNode, bool) {
 	p, ok := parent.(*constraintNode)
-	if !ok || p.attr() != attr || len(prior) != len(p.prior)+len(p.cons) {
+	if !ok || p.attr != attr || len(prior) != len(p.prior)+len(p.cons) {
 		return nil, false
 	}
-	return p, slices.Equal(prior[:len(p.prior)], p.prior) && slices.Equal(prior[len(p.prior):], p.cons)
+	return p, slices.Equal(prior, p.prior[:len(prior)])
 }
 
 // stackRuns makes newConstraintNode build the chain of one-stage nodes a
@@ -77,13 +90,6 @@ func appliedRun(parent Node, attr string, prior []feature.Constraint) (*constrai
 // compared with.
 var stackRuns bool
 
-// applied lists every constraint on the attribute up to and including the
-// run: stage i re-checks applied()[:len(prior)+i+1].
-func (n *constraintNode) applied() []feature.Constraint {
-	return append(slices.Clone(n.prior), n.cons...)
-}
-
-func (n *constraintNode) attr() string      { return n.cons[0].Attr }
 func (n *constraintNode) Columns() []string { return n.parent.Columns() }
 
 // Children is the run's input, not the shorter run its identity names.
@@ -91,13 +97,10 @@ func (n *constraintNode) Children() []Node { return []Node{n.parent} }
 
 func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins []*compact.Table) (*compact.Table, error) {
 	in := ins[0]
-	ci := colIndex(in.Cols, n.attr())
-	all, err := resolveStages(ctx.Env, n.applied())
-	if err != nil {
-		return nil, err
-	}
+	ci := colIndex(in.Cols, n.attr)
 	np, stages := len(n.prior), len(n.cons)
-	_, refined := appliedRun(n.parent, n.attr(), n.prior)
+	all := n.prior[:np+stages]
+	_, refined := appliedRun(n.parent, n.attr, n.prior)
 	// Tuples refine independently (features are pure, the record tables are
 	// concurrency-safe), so the loop fans out. The memo depends only on the
 	// constrained attribute's cell: a tuple whose other columns were refined
@@ -203,29 +206,6 @@ func tupleAssignments(tp compact.Tuple) int {
 	return n
 }
 
-// stage is one constraint resolved for a node evaluation: the feature
-// looked up and its (feature, parameter) pair interned once, where every
-// application would otherwise pay for both by name.
-type stage struct {
-	f          feature.Feature
-	id         feature.ConsID
-	value      string
-	hereditary bool // Memo.Hereditary(f, id, value)
-}
-
-func resolveStages(env *Env, cons []feature.Constraint) ([]stage, error) {
-	out := make([]stage, len(cons))
-	for i, k := range cons {
-		f, err := env.Features.Lookup(k.Feature)
-		if err != nil {
-			return nil, err
-		}
-		id := env.FeatureMemo.Intern(k.Feature, k.Value)
-		out[i] = stage{f: f, id: id, value: k.Value, hereditary: env.FeatureMemo.Hereditary(f, id, k.Value)}
-	}
-	return out, nil
-}
-
 // refineScratch holds the assignment lists one refineCell call works in, so
 // that a chunk's worker reuses them from tuple to tuple and stage to stage,
 // and the worker's way to the documents' record tables.
@@ -244,7 +224,7 @@ type refineScratch struct {
 // leaves as it is then settles, and only the rest enters the fixpoint, where
 // every assignment lies in one that passed each constraint (inherited). If
 // that is false, settling skips only re-checks: a superset, never less.
-func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k stage, all []stage, refined bool) (compact.Cell, error) {
+func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k *feature.Cons, all []*feature.Cons, refined bool) (compact.Cell, error) {
 	as, settled, spare := sc.a[:0], sc.settled[:0], sc.b
 	var err error
 	for i, a := range c.Assigns {
@@ -260,13 +240,13 @@ func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k stage, al
 	for round := 0; round < maxRounds; round++ {
 		sc.before = append(sc.before[:0], as...)
 		for _, kc := range all {
-			next, err := applyConstraint(batch, &sc.docs, kc, as, spare[:0], refined && kc.hereditary)
+			next, err := applyConstraint(batch, &sc.docs, kc, as, spare[:0], refined && kc.Hereditary)
 			if err != nil {
 				return compact.Cell{}, err
 			}
 			as, spare = next, as
 		}
-		if assignmentsStable(sc.before, as) {
+		if assignmentsStable(sc.before, as, &spare) {
 			break
 		}
 	}
@@ -278,10 +258,20 @@ func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k stage, al
 }
 
 // assignmentsStable is refineCell's fixpoint test: a round changed nothing
-// when the list renders as it did before the round. Identical lists render
-// identically, so only lists that differ are rendered.
-func assignmentsStable(before, after []text.Assignment) bool {
-	return slices.Equal(before, after) || text.FormatAssignments(before) == text.FormatAssignments(after)
+// when the list holds the same (mode, span) multiset as before it. Lists
+// that are not identical are compared sorted: before in place, after as a
+// copy in *tmp, which must alias neither.
+func assignmentsStable(before, after []text.Assignment, tmp *[]text.Assignment) bool {
+	if slices.Equal(before, after) {
+		return true
+	}
+	if len(before) != len(after) {
+		return false
+	}
+	*tmp = append((*tmp)[:0], after...)
+	slices.SortFunc(before, text.CompareAssignments)
+	slices.SortFunc(*tmp, text.CompareAssignments)
+	return slices.Equal(before, *tmp)
 }
 
 // applyConstraint applies one constraint to a list of assignments,
@@ -292,7 +282,7 @@ func assignmentsStable(before, after []text.Assignment) bool {
 // count); the table hit/miss split is recorded separately. With inherited,
 // each assignment lies in one that passed hereditary k: an aligned one passes
 // uncalled, as the call would pass it.
-func applyConstraint(batch *statBatch, docs *docCursor, k stage, as, out []text.Assignment, inherited bool) ([]text.Assignment, error) {
+func applyConstraint(batch *statBatch, docs *docCursor, k *feature.Cons, as, out []text.Assignment, inherited bool) ([]text.Assignment, error) {
 	for _, a := range as {
 		if inherited && a.Span.TokenAligned() {
 			out = append(out, a)
@@ -301,7 +291,7 @@ func applyConstraint(batch *statBatch, docs *docCursor, k stage, as, out []text.
 		tab := docs.of(a.Span.Doc())
 		if a.Mode == text.Exact {
 			batch.VerifyCalls++
-			ok, hit, err := tab.Verify(k.f, k.id, a.Span, k.value)
+			ok, hit, err := tab.Verify(k, a.Span)
 			if err != nil {
 				return nil, err
 			}
@@ -314,7 +304,7 @@ func applyConstraint(batch *statBatch, docs *docCursor, k stage, as, out []text.
 		batch.RefineCalls++
 		var hit bool
 		var err error
-		if out, hit, err = tab.Refine(k.f, k.id, a.Span, k.value, out); err != nil {
+		if out, hit, err = tab.Refine(k, a.Span, out); err != nil {
 			return nil, err
 		}
 		batch.countMemo(hit)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"iflex/internal/alog"
@@ -16,24 +17,52 @@ import (
 
 // refRefineCell is refineCell as it was before the scratch lists and the
 // identical-list shortcut: every pass grows a fresh slice and every round
-// renders the list before and after.
-func refRefineCell(batch *statBatch, docs *docCursor, c compact.Cell, k stage, all []stage) (compact.Cell, error) {
+// compares sorted copies of the list before and after.
+func refRefineCell(batch *statBatch, docs *docCursor, c compact.Cell, k *feature.Cons, all []*feature.Cons) (compact.Cell, error) {
 	as, err := applyConstraint(batch, docs, k, c.Assigns, nil, false)
 	if err != nil {
 		return compact.Cell{}, err
 	}
 	for round := 0; round < 3; round++ {
-		before := text.FormatAssignments(as)
+		before := sortedAssignments(as)
 		for _, kc := range all {
 			if as, err = applyConstraint(batch, docs, kc, as, nil, false); err != nil {
 				return compact.Cell{}, err
 			}
 		}
-		if text.FormatAssignments(as) == before {
+		if slices.Equal(sortedAssignments(as), before) {
 			break
 		}
 	}
 	return compact.Cell{Assigns: text.DedupAssignments(as), Expand: c.Expand}, nil
+}
+
+// sortedAssignments returns a sorted copy of as.
+func sortedAssignments(as []text.Assignment) []text.Assignment {
+	cp := slices.Clone(as)
+	text.SortAssignments(cp)
+	return cp
+}
+
+// intern resolves cons in env as the compiler does: each feature looked up
+// by name, each pair interned in env's memo.
+func intern(tb testing.TB, env *Env, cons ...alog.Constraint) []*feature.Cons {
+	tb.Helper()
+	out := make([]*feature.Cons, len(cons))
+	for i, k := range cons {
+		f, err := env.Features.Lookup(k.Feature)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[i] = env.FeatureMemo.Intern(f, k.Value)
+	}
+	return out
+}
+
+// constrain places k above parent with prior applied before it on k.Attr,
+// as the compiler would.
+func constrain(tb testing.TB, env *Env, parent Node, k alog.Constraint, prior ...alog.Constraint) *constraintNode {
+	return newConstraintNode(env, parent, k.Attr, intern(tb, env, slices.Concat(prior, []alog.Constraint{k})...))
 }
 
 // refinePages are small record pages with the mark-up, labels, section
@@ -52,7 +81,7 @@ func refinePages() []*text.Document {
 	return docs
 }
 
-var refinePool = []feature.Constraint{
+var refinePool = []alog.Constraint{
 	{Feature: "bold-font", Value: "yes"}, {Feature: "bold-font", Value: "no"}, {Feature: "bold-font", Value: "distinct-yes"},
 	{Feature: "italic-font", Value: "yes"}, {Feature: "italic-font", Value: "no"},
 	{Feature: "underlined", Value: "no"}, {Feature: "in-list", Value: "yes"}, {Feature: "in-list", Value: "no"},
@@ -60,7 +89,7 @@ var refinePool = []feature.Constraint{
 	{Feature: "preceded-by", Value: "List:"}, {Feature: "preceded-by", Value: "New:"},
 	{Feature: "max-tokens", Value: "1"}, {Feature: "max-tokens", Value: "3"}, {Feature: "max-length", Value: "12"},
 	{Feature: "min-value", Value: "20"}, {Feature: "max-value", Value: "100"},
-	// Hereditary by derivation from their declarations (Memo.Hereditary).
+	// Hereditary by derivation from their declarations (Cons.Hereditary).
 	{Feature: "in-first-half", Value: "yes"}, {Feature: "in-first-half", Value: "distinct-yes"},
 	{Feature: "capitalized", Value: "distinct-yes"}, {Feature: "link-to-contains", Value: "books"},
 	{Feature: "prec-label-contains", Value: "edition"}, {Feature: "prec-label-max-dist", Value: "40"},
@@ -87,30 +116,17 @@ func randomAssignments(r *rand.Rand, docs []*text.Document, n int) []text.Assign
 }
 
 // freshTables forgets every record table of env's memo and returns a cursor
-// over it; the constraint ids it interned stay valid.
+// over it; the constraint handles it interned stay valid.
 func freshTables(env *Env) docCursor {
 	env.FeatureMemo.Evict(math.MaxInt64)
 	return docCursor{memo: env.FeatureMemo}
 }
 
-// resolveBoth resolves cons in env and in ref, which have interned the same
-// constraints in the same order, so the stages serve either memo.
-func resolveBoth(t *testing.T, env, ref *Env, cons []feature.Constraint) []stage {
+// resolveBoth interns cons in env and in ref: a handle serves the memo
+// that made it only.
+func resolveBoth(t *testing.T, env, ref *Env, cons []alog.Constraint) (all, refAll []*feature.Cons) {
 	t.Helper()
-	all, err := resolveStages(env, cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refAll, err := resolveStages(ref, cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range all {
-		if all[i].id != refAll[i].id {
-			t.Fatalf("%v: ids %d and %d", cons[i], all[i].id, refAll[i].id)
-		}
-	}
-	return all
+	return intern(t, env, cons...), intern(t, ref, cons...)
 }
 
 // TestRefineCellMatchesReference holds refineCell to its old body on random
@@ -128,15 +144,14 @@ func TestRefineCellMatchesReference(t *testing.T) {
 		refDocs := &docCursor{memo: freshTables(refEnv).memo}
 		c := compact.Cell{Assigns: randomAssignments(r, docs, 1+r.Intn(4)), Expand: r.Intn(2) == 0}
 		in := slices.Clone(c.Assigns)
-		cons := make([]feature.Constraint, 1+r.Intn(6))
+		cons := make([]alog.Constraint, 1+r.Intn(6))
 		for i := range cons {
 			cons[i] = refinePool[r.Intn(len(refinePool))]
 		}
-		all := resolveBoth(t, env, refEnv, cons)
-		k := all[len(all)-1]
+		all, refAll := resolveBoth(t, env, refEnv, cons)
 		var wantB, gotB statBatch
-		want, werr := refRefineCell(&wantB, refDocs, c, k, all)
-		got, gerr := refineCell(&gotB, &sc, c, k, all, false)
+		want, werr := refRefineCell(&wantB, refDocs, c, refAll[len(all)-1], refAll)
+		got, gerr := refineCell(&gotB, &sc, c, all[len(all)-1], all, false)
 		if (werr != nil) != (gerr != nil) {
 			t.Fatalf("trial %d: error %v, reference %v", trial, gerr, werr)
 		}
@@ -175,14 +190,14 @@ func TestRefineCellTrustsRefinedCells(t *testing.T) {
 		sc.docs = freshTables(env)
 		refDocs := &docCursor{memo: freshTables(refEnv).memo}
 		c := compact.Cell{Assigns: randomAssignments(r, docs, 1+r.Intn(4)), Expand: r.Intn(2) == 0}
-		cons := make([]feature.Constraint, 1+r.Intn(6))
+		cons := make([]alog.Constraint, 1+r.Intn(6))
 		for i := range cons {
 			cons[i] = refinePool[r.Intn(len(refinePool))]
 		}
-		all := resolveBoth(t, env, refEnv, cons)
+		all, refAll := resolveBoth(t, env, refEnv, cons)
 		for st := range all {
 			var wantB, gotB statBatch
-			want, werr := refRefineCell(&wantB, refDocs, c, all[st], all[:st+1])
+			want, werr := refRefineCell(&wantB, refDocs, c, refAll[st], refAll[:st+1])
 			got, gerr := refineCell(&gotB, &sc, c, all[st], all[:st+1], true)
 			if werr != nil || gerr != nil {
 				t.Fatalf("cell %d stage %d: error %v, reference %v", cell, st, gerr, werr)
@@ -228,6 +243,59 @@ func (beforeFeature) Refine(s text.Span, v string) ([]text.Assignment, error) {
 	return []text.Assignment{text.ContainOf(s.Sub(s.Start(), s.Start()+i))}, nil
 }
 
+// declaredBold is bold-font under another name, as a deployment would
+// register it: a user feature that declares f = v hereditary by a method,
+// and counts how often it is asked.
+type declaredBold struct {
+	feature.Feature
+	asked *atomic.Int32
+}
+
+func (declaredBold) Name() string { return "declared-bold" }
+func (f declaredBold) Hereditary(v string) bool {
+	f.asked.Add(1)
+	return v == feature.Yes
+}
+
+// TestUserHereditaryAskedOnce: a user feature's Hereditary(v) is asked when
+// the compiler interns f = v, once per handle: compiling the program again
+// and evaluating it in fresh contexts at one and two workers asks nothing
+// more. The tables are the built-in's.
+func TestUserHereditaryAskedOnce(t *testing.T) {
+	var asked atomic.Int32
+	env := figure2Env()
+	bold, err := env.Features.Lookup("bold-font")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Features.Register(declaredBold{bold, &asked})
+	want, err := Run(alog.MustParse(figure2Src), figure2Env())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := alog.MustParse(strings.Replace(figure2Src, "bold-font(s)", "declared-bold(s)", 1))
+	for range 2 {
+		plan, err := Compile(prog, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			ctx := NewContext(env)
+			ctx.Workers = workers
+			got, err := plan.Execute(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Canonical() != want.Canonical() || ctx.Stats.ConstraintStages == 0 {
+				t.Fatalf("workers=%d, %d stages:\n%s\nbold-font gives\n%s", workers, ctx.Stats.ConstraintStages, got, want)
+			}
+		}
+	}
+	if n := asked.Load(); n != 1 {
+		t.Fatalf("Hereditary asked %d times, want once", n)
+	}
+}
+
 // TestRefineCellRechecksUnalignedSpans: on the trusted path a hereditary
 // constraint lets only token-aligned spans through uncalled. Here before
 // narrows a cell already refined under italic-font = no to "Query
@@ -239,11 +307,11 @@ func TestRefineCellRechecksUnalignedSpans(t *testing.T) {
 	env, refEnv := NewEnv(), NewEnv()
 	env.Features.Register(beforeFeature{})
 	refEnv.Features.Register(beforeFeature{})
-	all := resolveBoth(t, env, refEnv, []feature.Constraint{{Feature: "italic-font", Value: "no"}, {Feature: "before", Value: "by"}})
+	all, refAll := resolveBoth(t, env, refEnv, []alog.Constraint{{Feature: "italic-font", Value: "no"}, {Feature: "before", Value: "by"}})
 	c := compact.Cell{Assigns: []text.Assignment{text.ContainOf(mustDoc("r", "Query Processing by A. Smith").WholeSpan())}}
 	sc := refineScratch{docs: docCursor{memo: env.FeatureMemo}}
 	var wantB, gotB statBatch
-	want, werr := refRefineCell(&wantB, &docCursor{memo: refEnv.FeatureMemo}, c, all[1], all)
+	want, werr := refRefineCell(&wantB, &docCursor{memo: refEnv.FeatureMemo}, c, refAll[1], refAll)
 	got, gerr := refineCell(&gotB, &sc, c, all[1], all, true)
 	if werr != nil || gerr != nil {
 		t.Fatalf("error %v, reference %v", gerr, werr)
@@ -271,15 +339,14 @@ func TestRefineCellTrustedKeepsSuperset(t *testing.T) {
 		sc.docs = freshTables(env)
 		refDocs := &docCursor{memo: freshTables(refEnv).memo}
 		c := compact.Cell{Assigns: randomAssignments(r, docs, 1+r.Intn(4)), Expand: r.Intn(2) == 0}
-		cons := make([]feature.Constraint, 2+r.Intn(5))
+		cons := make([]alog.Constraint, 2+r.Intn(5))
 		for i := range cons {
 			cons[i] = refinePool[r.Intn(len(refinePool))]
 		}
-		all := resolveBoth(t, env, refEnv, cons)
-		k := all[len(all)-1]
+		all, refAll := resolveBoth(t, env, refEnv, cons)
 		var wantB, gotB statBatch
-		want, werr := refRefineCell(&wantB, refDocs, c, k, all)
-		got, gerr := refineCell(&gotB, &sc, c, k, all, true)
+		want, werr := refRefineCell(&wantB, refDocs, c, refAll[len(all)-1], refAll)
+		got, gerr := refineCell(&gotB, &sc, c, all[len(all)-1], all, true)
 		if werr != nil || gerr != nil {
 			t.Fatalf("trial %d: error %v, reference %v", trial, gerr, werr)
 		}
@@ -302,15 +369,17 @@ func TestRefineCellTrustedKeepsSuperset(t *testing.T) {
 	}
 }
 
-// TestAssignmentsStable holds the fixpoint test to the comparison it
-// replaced, equal canonical renderings, on list pairs built to sit on both
-// sides of it: identical lists, permutations with duplicates, an element
-// swapped for a different span with the same short text (renders alike),
-// and lists that really differ.
+// TestAssignmentsStable holds the fixpoint test to equal sorted lists, on
+// list pairs built to sit on both sides of it: identical lists,
+// permutations with duplicates, an element swapped for the same range of
+// the twin page, and lists that really differ. The swapped span has the
+// same short text, so the two lists render alike: the rendering the test
+// once compared could not tell them apart.
 func TestAssignmentsStable(t *testing.T) {
 	docs := refinePages()
 	r := rand.New(rand.NewSource(7))
-	var stable, unstable, alikeSpans int
+	var stable, unstable, renderedAlike int
+	var tmp []text.Assignment
 	for trial := 0; trial < 4000; trial++ {
 		a := randomAssignments(r, docs[:3], 1+r.Intn(5))
 		b := slices.Clone(a)
@@ -323,16 +392,22 @@ func TestAssignmentsStable(t *testing.T) {
 			i := r.Intn(len(b))
 			if s := b[i].Span; s.Doc() == docs[0] && s.Len() <= 48 {
 				b[i].Span = docs[1].Span(s.Start(), s.End())
-				alikeSpans++
 			}
 		case 3:
 			b = b[:len(b)-1]
 		case 4:
 			b = randomAssignments(r, docs[:3], len(a))
 		}
-		want := text.FormatAssignments(a) == text.FormatAssignments(b)
-		if got := assignmentsStable(a, b); got != want {
-			t.Fatalf("trial %d: stable=%v, renderings equal=%v\n%v\n%v", trial, got, want, a, b)
+		want := slices.Equal(sortedAssignments(a), sortedAssignments(b))
+		if !want && text.FormatAssignments(a) == text.FormatAssignments(b) {
+			renderedAlike++
+		}
+		bIn := slices.Clone(b)
+		if got := assignmentsStable(a, b, &tmp); got != want {
+			t.Fatalf("trial %d: stable=%v, want %v\n%v\n%v", trial, got, want, a, b)
+		}
+		if !slices.Equal(b, bIn) {
+			t.Fatalf("trial %d: the list after the round was reordered", trial)
 		}
 		if want {
 			stable++
@@ -340,8 +415,8 @@ func TestAssignmentsStable(t *testing.T) {
 			unstable++
 		}
 	}
-	if stable < 1000 || unstable < 1000 || alikeSpans < 50 {
-		t.Fatalf("cases not covered: %d stable, %d unstable, %d same-text spans", stable, unstable, alikeSpans)
+	if stable < 1000 || unstable < 1000 || renderedAlike < 50 {
+		t.Fatalf("cases not covered: %d stable, %d unstable, %d rendered alike", stable, unstable, renderedAlike)
 	}
 }
 
@@ -354,7 +429,7 @@ func TestProjectIdentitySharesTuples(t *testing.T) {
 	from := newFromNode(env, newScanNode(env, "pages", []string{"x"}), "x", "t")
 	same := newProjectNode(env, from, []string{"x", "t"}, []string{"x", "title"})
 	swapped := newProjectNode(env, from, []string{"t", "x"}, []string{"t", "x"})
-	top := newConstraintNode(env, same, feature.Constraint{Feature: "bold-font", Attr: "title", Value: "yes"}, nil)
+	top := constrain(t, env, same, alog.Constraint{Feature: "bold-font", Attr: "title", Value: "yes"})
 	ctx := NewContext(env)
 	in, err := Eval(ctx, from)
 	if err != nil {
@@ -409,8 +484,8 @@ func TestRunOverUnappliedParent(t *testing.T) {
 			env.AddDocTable("pages", "x", refinePages())
 			from := newFromNode(env, newScanNode(env, "pages", []string{"x"}), "x", "t")
 			same := newProjectNode(env, from, []string{"x", "t"}, []string{"x", "title"})
-			over := newConstraintNode(env, same, c2, []feature.Constraint{c1})
-			run := newConstraintNode(env, newConstraintNode(env, same, c1, nil), c2, []feature.Constraint{c1})
+			over := constrain(t, env, same, c2, c1)
+			run := constrain(t, env, constrain(t, env, same, c1), c2, c1)
 			if over.parent != same || run.parent != same || len(run.cons) != 2 {
 				t.Fatalf("%v over %v: built %s and %s", c2, c1, over.Signature(), run.Signature())
 			}

@@ -438,7 +438,7 @@ func sameShape(o, n Node) bool {
 		return ok && slices.Equal(a.srcCols, b.srcCols) && slices.Equal(a.outCols, b.outCols)
 	case *constraintNode:
 		b, ok := n.(*constraintNode)
-		return ok && slices.Equal(a.prior, b.prior) && len(a.cons) <= len(b.cons) && slices.Equal(a.cons, b.cons[:len(a.cons)])
+		return ok && a.attr == b.attr && slices.Equal(a.prior, b.prior) && len(a.cons) <= len(b.cons) && slices.Equal(a.cons, b.cons[:len(a.cons)])
 	case *compareNode:
 		b, ok := n.(*compareNode)
 		return ok && a.cmp == b.cmp

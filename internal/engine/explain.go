@@ -19,7 +19,7 @@ func opName(n Node) string {
 	case *constraintNode:
 		stages := make([]string, len(t.cons))
 		for i, k := range t.cons {
-			stages[i] = k.String()
+			stages[i] = fmt.Sprintf("%s(%s)=%q", k.Feature.Name(), t.attr, k.Value)
 		}
 		return fmt.Sprintf("σ[%s]", strings.Join(stages, " ∧ "))
 	case *compareNode:

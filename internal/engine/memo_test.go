@@ -6,8 +6,8 @@ import (
 	"runtime"
 	"testing"
 
+	"iflex/internal/alog"
 	"iflex/internal/compact"
-	"iflex/internal/feature"
 	"iflex/internal/text"
 )
 
@@ -142,9 +142,8 @@ func memoRun(tb testing.TB, rows int) (*Context, *constraintNode, []*compact.Tab
 	env := NewEnv()
 	env.Tables["Books"] = in
 	scan := newScanNode(env, "Books", in.Cols)
-	numeric := feature.Constraint{Feature: "numeric", Attr: "lp", Value: "yes"}
-	run := newConstraintNode(env, newConstraintNode(env, scan, numeric, nil),
-		feature.Constraint{Feature: "min-value", Attr: "lp", Value: "30"}, []feature.Constraint{numeric})
+	numeric := alog.Constraint{Feature: "numeric", Attr: "lp", Value: "yes"}
+	run := constrain(tb, env, constrain(tb, env, scan, numeric), alog.Constraint{Feature: "min-value", Attr: "lp", Value: "30"}, numeric)
 	ctx := NewContext(env)
 	ctx.Workers = 1
 	scanned, err := Eval(ctx, scan)

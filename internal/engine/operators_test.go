@@ -360,21 +360,21 @@ func TestSelectionsKeepNoMemo(t *testing.T) {
 	env.Funcs["distinct"] = PFunc{Fn: func(args []text.Span) (bool, error) {
 		return args[0].NormText() != args[1].NormText(), nil
 	}}
-	k := func(feat, attr, value string) feature.Constraint {
-		return feature.Constraint{Feature: feat, Attr: attr, Value: value}
+	k := func(feat, attr, value string) alog.Constraint {
+		return alog.Constraint{Feature: feat, Attr: attr, Value: value}
 	}
 	numP, numA := k("numeric", "p", "yes"), k("numeric", "a", "yes")
 	v := func(name string) alog.Term { return alog.Term{Kind: alog.TermVar, Var: name} }
 	// from(x, p), from(x, a), a run on each, p > 300000, distinct(p, a), and
 	// a second run on p above the two selections; v2 refines a below them.
-	plan := func(aCons ...feature.Constraint) Node {
-		n := Node(newConstraintNode(env, newFromNode(env, newFromNode(env, newScanNode(env, "housePages", []string{"x"}), "x", "p"), "x", "a"), numP, nil))
+	plan := func(aCons ...alog.Constraint) Node {
+		n := Node(constrain(t, env, newFromNode(env, newFromNode(env, newScanNode(env, "housePages", []string{"x"}), "x", "p"), "x", "a"), numP))
 		for i, c := range aCons {
-			n = newConstraintNode(env, n, c, aCons[:i])
+			n = constrain(t, env, n, c, aCons[:i]...)
 		}
 		n = newCompareNode(env, n, alog.Compare{Op: alog.OpGT, L: v("p"), R: alog.Term{Kind: alog.TermNum, Num: 300000}})
 		n = newFuncNode(env, n, "distinct", []alog.Term{v("p"), v("a")})
-		return newConstraintNode(env, n, k("preceded-by", "p", "Price:"), []feature.Constraint{numP})
+		return constrain(t, env, n, k("preceded-by", "p", "Price:"), numP)
 	}
 	v1, v2 := plan(numA), plan(numA, k("preceded-by", "a", "Sqft:"))
 	ctx := NewContext(env)

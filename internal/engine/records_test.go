@@ -8,6 +8,7 @@ package engine_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -102,6 +103,30 @@ func TestOperandRecordsOutliveContexts(t *testing.T) {
 	}
 	if parsed[0] == 0 || parsed[1] != parsed[0] || parsed[2] != parsed[0] {
 		t.Errorf("operands parsed at workers 1/2/8: %v", parsed)
+	}
+}
+
+// TestPlanOutlivesEvictedTables: the converged T8 plan carries the
+// constraint handles it was compiled with. Once Memo.Evict has dropped every
+// record table, the plan evaluates in a fresh context to the identical
+// canonical table, every region list built again under the same handles.
+func TestPlanOutlivesEvictedTables(t *testing.T) {
+	task, prog := refinedT8(t)
+	env := task.Env(task.Generate(200, 5))
+	plan, first := execute(t, env, engine.NewContext(env), prog)
+	if freed := env.FeatureMemo.Evict(math.MaxInt64); freed <= 0 || env.FeatureMemo.Bytes() != 0 {
+		t.Fatalf("evicting every table freed %d bytes and left %d", freed, env.FeatureMemo.Bytes())
+	}
+	ctx := engine.NewContext(env)
+	again, err := plan.Execute(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Canonical() != first.Canonical() {
+		t.Fatalf("after eviction the plan gives\n%s\nbefore\n%s", again, first)
+	}
+	if ctx.Stats.FeatureMemoMisses == 0 || env.FeatureMemo.Bytes() == 0 {
+		t.Fatalf("%d misses, %d bytes: no table was built again", ctx.Stats.FeatureMemoMisses, env.FeatureMemo.Bytes())
 	}
 }
 

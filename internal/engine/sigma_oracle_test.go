@@ -49,7 +49,7 @@ func sigmaValues(f feature.Feature) []string {
 type sigmaCase struct {
 	page  *text.Document
 	attrs []string
-	cons  []feature.Constraint
+	cons  []alog.Constraint
 	head  string // "", "<>" (attribute annotation) or "?" (existence)
 }
 
@@ -102,7 +102,7 @@ func genSigmaCase(r *rand.Rand, reg *feature.Registry, i int) sigmaCase {
 	for n := 1 + r.Intn(4); n > 0; n-- {
 		f, _ := reg.Lookup(names[r.Intn(len(names))])
 		vs := sigmaValues(f)
-		c.cons = append(c.cons, feature.Constraint{Feature: f.Name(), Attr: c.attrs[r.Intn(len(c.attrs))], Value: vs[r.Intn(len(vs))]})
+		c.cons = append(c.cons, alog.Constraint{Feature: f.Name(), Attr: c.attrs[r.Intn(len(c.attrs))], Value: vs[r.Intn(len(vs))]})
 	}
 	return c
 }
@@ -157,8 +157,10 @@ func checkSigmaCase(t *testing.T, c sigmaCase) {
 
 // TestConstraintRunsMatchOracle: seeded random single-page programs with
 // built-in constraints, checked against the brute-force σ-run of the
-// oracle (Verify on every token-aligned sub-span). The long leg draws ten
-// times as many programs.
+// oracle (Verify on every token-aligned sub-span). What an unannotated
+// result promises — every precise row among its rows, not the precise
+// world among its worlds — is DESIGN.md §4's superset paragraph. The long
+// leg draws ten times as many programs.
 func TestConstraintRunsMatchOracle(t *testing.T) {
 	n := 10000
 	if testing.Short() {

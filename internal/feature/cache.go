@@ -6,14 +6,17 @@
 // tuples, across operators of one plan, and — most expensively — across
 // every trial execution of the assistant's question-simulation fan-out, so
 // what answers them is kept with the document: one table per document
-// handle, found once per tuple (Memo.Doc), a constraint's (feature,
-// parameter) pair interned once (Memo.Intern).
+// handle, found once per tuple (Memo.Doc).
 //
-// A built-in constraint's record is its span language's regions over the
-// page (lang.go), one sorted list per (document, constraint) built on first
-// use. Verify(s) and Refine(s) binary-search it for the regions touching s
-// and derive their answer from those as the feature does from all of them.
-// Comparison operands are kept per (span, mode).
+// What a constraint f = v means is resolved once per memo, when a plan is
+// compiled: Memo.Intern hands out one handle per (feature, value), holding
+// the feature, a built-in's parsed span language (lang.go) and whether the
+// pair is hereditary. The tables take the handle. A built-in constraint's
+// record is its language's regions over the page, one sorted list per
+// (document, handle) built on first use; Verify(s) and Refine(s)
+// binary-search it for the regions touching s and derive their answer from
+// those as the feature does from all of them. A feature with no language
+// answers for itself. Comparison operands are kept per (span, mode).
 //
 // The lifetime is the document handle's: entries never go stale, a
 // superseded handle's table is dropped with it (DropDocs), and any table
@@ -32,10 +35,25 @@ import (
 	"iflex/internal/text"
 )
 
-// ConsID names a (feature, parameter) pair interned in one Memo.
-type ConsID uint32
+// consKey names a (feature, value) pair: a memo tells features apart by
+// name, as a Registry does.
+type consKey struct{ feat, value string }
 
-type consKey struct{ feat, param string }
+// Cons is a domain constraint's (feature, value) pair f = v interned in one
+// Memo: everything applying it needs, resolved once. Handles compare by
+// pointer and are valid only with the memo that made them.
+type Cons struct {
+	Feature Feature
+	Value   string
+	// Hereditary: each token-aligned sub-span t of a span that passed f = v
+	// has Verify(t) and Refine(t) = [contain(t)] (lang.go).
+	Hereditary bool
+	id         uint32 // interning order in the memo
+	memo       *Memo
+	// declared: f is a built-in that takes v, and lang is its language.
+	declared bool
+	lang     lang
+}
 
 // valueKey addresses a Values record inside one document's table. Offsets
 // are kept in 32 bits: pages are far smaller.
@@ -44,13 +62,9 @@ type valueKey struct {
 	contain    bool
 }
 
-// regionList is a constraint's record: its language and where its regions
-// over the page lie in the table's regions.
-type regionList struct {
-	id     ConsID
-	lo, hi uint32
-	l      *lang
-}
+// regionList is a constraint's record: where its language's regions over
+// the page lie in the table's regions.
+type regionList struct{ id, lo, hi uint32 }
 
 // Accounting, in bytes: a table with its values map header; a region list
 // and a region as they are laid out; and estimates for one Values map slot
@@ -63,18 +77,16 @@ const (
 	valueRecordBytes = 32
 )
 
-// Memo owns the record tables of the documents one Env evaluates over. The
-// zero value is not usable; construct with NewMemo. Safe for concurrent use.
+// Memo owns the record tables of the documents one Env evaluates over and
+// the handles of the constraints asked about them. The zero value is not
+// usable; construct with NewMemo. Safe for concurrent use.
 type Memo struct {
-	// mu guards cons and docs; the tables lock themselves, and take langMu
-	// (never the other way round) for the built-ins' languages, parsed once.
-	mu     sync.RWMutex
-	cons   map[consKey]ConsID
-	docs   map[*text.Document]*DocRecords
-	langMu sync.Mutex
-	langs  map[ConsID]*lang
-	made   uint64 // tables made so far, under mu: Evict's tie-break
-	bytes  atomic.Int64
+	// mu guards cons and docs; the tables lock themselves.
+	mu    sync.RWMutex
+	cons  map[consKey]*Cons
+	docs  map[*text.Document]*DocRecords
+	made  uint64 // tables made so far, under mu: Evict's tie-break
+	bytes atomic.Int64
 	// clock orders the tables by last use: Tick advances it, and Doc stamps
 	// the table it hands out with its reading. A memo nobody ticks (no
 	// budget) never writes a stamp.
@@ -83,36 +95,30 @@ type Memo struct {
 
 // NewMemo returns an empty memo.
 func NewMemo() *Memo {
-	return &Memo{cons: map[consKey]ConsID{}, docs: map[*text.Document]*DocRecords{}, langs: map[ConsID]*lang{}}
+	return &Memo{cons: map[consKey]*Cons{}, docs: map[*text.Document]*DocRecords{}}
 }
 
-// Intern returns the id of a (feature name, parameter) pair. Ids are never
-// reused or dropped, so one resolved before an eviction stays valid after
-// it.
-func (m *Memo) Intern(feat, param string) ConsID {
-	k := consKey{feat, param}
+// Intern returns the handle of f = v, made on first use (resolve). It is
+// resolved outside the lock, as it may ask the feature: callers racing on a
+// new pair each resolve it and keep the first handle published. Handles
+// are never dropped, so one made before an eviction stays valid after it.
+func (m *Memo) Intern(f Feature, v string) *Cons {
+	k := consKey{f.Name(), v}
+	m.mu.RLock()
+	c := m.cons[k]
+	m.mu.RUnlock()
+	if c != nil {
+		return c
+	}
+	c = resolve(f, v)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	id, ok := m.cons[k]
-	if !ok {
-		id = ConsID(len(m.cons))
-		m.cons[k] = id
+	if prev := m.cons[k]; prev != nil {
+		return prev
 	}
-	return id
-}
-
-// lang returns the language of b = v, id's pair, or nil when b rejects v.
-func (m *Memo) lang(b *builtin, id ConsID, v string) *lang {
-	m.langMu.Lock()
-	defer m.langMu.Unlock()
-	if m.langs[id] == nil {
-		l, err := b.lang(v)
-		if err != nil {
-			return nil
-		}
-		m.langs[id] = &l
-	}
-	return m.langs[id]
+	c.id, c.memo = uint32(len(m.cons)), m
+	m.cons[k] = c
+	return c
 }
 
 // Doc returns the record table of a document, made on first use. Documents
@@ -202,19 +208,19 @@ func (m *Memo) DropDocs(ids map[string]bool) int {
 // whether the table held the record. Errors are never kept (they indicate a
 // malformed parameter, and the caller surfaces them immediately).
 func (m *Memo) Verify(f Feature, s text.Span, v string) (ok, hit bool, err error) {
-	return m.Doc(s.Doc()).Verify(f, m.Intern(f.Name(), v), s, v)
+	return m.Doc(s.Doc()).Verify(m.Intern(f, v), s)
 }
 
 // Refine computes the refinement of s under f = v through the table of s's
 // document, in a slice of its own.
 func (m *Memo) Refine(f Feature, s text.Span, v string) (as []text.Assignment, hit bool, err error) {
-	return m.Doc(s.Doc()).Refine(f, m.Intern(f.Name(), v), s, v, nil)
+	return m.Doc(s.Doc()).Refine(m.Intern(f, v), s, nil)
 }
 
 // DocRecords is one document's record table: the region list of each
 // built-in constraint asked about it, and the typed values of assignments
-// over it. Every span handed to it must lie in that document, every id come
-// from the Memo that made the table.
+// over it. Every span handed to it must lie in that document, every handle
+// come from the Memo that made the table.
 type DocRecords struct {
 	memo *Memo
 	doc  *text.Document
@@ -224,7 +230,7 @@ type DocRecords struct {
 	// outside it: two callers that miss on one at once both build, and what
 	// they publish is charged once.
 	mu      sync.Mutex
-	lists   []regionList // sorted by id
+	lists   []regionList // sorted by handle id
 	regions []byteRange  // every list's regions, one list after another
 	values  map[valueKey][]Value
 	bytes   int64
@@ -239,53 +245,49 @@ func (t *DocRecords) charge(n int64) {
 	}
 }
 
-// Verify is Memo.Verify with the table and the constraint id in hand; id
-// interns (f.Name(), v). A feature that declares no language for v — one a
-// deployment registered, or a value it rejects — answers for itself.
-func (t *DocRecords) Verify(f Feature, id ConsID, s text.Span, v string) (ok, hit bool, err error) {
-	if l, rs, hit := t.list(f, id, v); l != nil {
-		return l.verify(l.near(rs, s), s), hit, nil
+// Verify is Memo.Verify with the table and the handle in hand. A feature
+// that declares no language for the value — one a deployment registered,
+// or a value it rejects — answers for itself.
+func (t *DocRecords) Verify(c *Cons, s text.Span) (ok, hit bool, err error) {
+	if !c.declared {
+		ok, err = c.Feature.Verify(s, c.Value)
+		return ok, false, err
 	}
-	ok, err = f.Verify(s, v)
-	return ok, false, err
+	rs, hit := t.list(c)
+	return c.lang.verify(c.lang.near(rs, s), s), hit, nil
 }
 
-// Refine is Memo.Refine with the table and the constraint id in hand: it
-// appends the refinement of s to out.
-func (t *DocRecords) Refine(f Feature, id ConsID, s text.Span, v string, out []text.Assignment) (as []text.Assignment, hit bool, err error) {
-	if l, rs, hit := t.list(f, id, v); l != nil {
-		return l.refine(out, l.near(rs, s), s), hit, nil
+// Refine is Memo.Refine with the table and the handle in hand: it appends
+// the refinement of s to out.
+func (t *DocRecords) Refine(c *Cons, s text.Span, out []text.Assignment) (as []text.Assignment, hit bool, err error) {
+	if !c.declared {
+		as, err = c.Feature.Refine(s, c.Value)
+		return append(out, as...), false, err
 	}
-	as, err = f.Refine(s, v)
-	return append(out, as...), false, err
+	rs, hit := t.list(c)
+	return c.lang.refine(out, c.lang.near(rs, s), s), hit, nil
 }
 
-// list returns the language of f = v and its regions over the page, built
-// on first use, and whether the table held them; no language when f
-// declares none for v.
-func (t *DocRecords) list(f Feature, id ConsID, v string) (*lang, []byteRange, bool) {
-	b, declared := f.(*builtin)
-	if !declared {
-		return nil, nil, false
+// list returns the regions of c's language over the page, built on first
+// use, and whether the table held them.
+func (t *DocRecords) list(c *Cons) ([]byteRange, bool) {
+	if c.memo != t.memo {
+		panic("feature: a constraint handle used with another memo's record table")
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, hit := slices.BinarySearchFunc(t.lists, id, func(e regionList, id ConsID) int { return cmp.Compare(e.id, id) })
+	i, hit := slices.BinarySearchFunc(t.lists, c.id, func(e regionList, id uint32) int { return cmp.Compare(e.id, id) })
 	if !hit {
-		l := t.memo.lang(b, id, v)
-		if l == nil {
-			return nil, nil, false
-		}
 		n, lists, regions := len(t.regions), cap(t.lists), cap(t.regions)
-		t.regions = l.list(t.regions, t.doc)
+		t.regions = c.lang.list(t.regions, t.doc)
 		if t.lists == nil { // a session asks about a page under a dozen or two constraints
 			t.lists = make([]regionList, 0, 16)
 		}
-		t.lists = slices.Insert(t.lists, i, regionList{id, uint32(n), uint32(len(t.regions)), l})
+		t.lists = slices.Insert(t.lists, i, regionList{c.id, uint32(n), uint32(len(t.regions))})
 		t.charge(int64(cap(t.lists)-lists)*regionListBytes + int64(cap(t.regions)-regions)*regionBytes)
 	}
 	e := t.lists[i]
-	return e.l, t.regions[e.lo:e.hi], hit
+	return t.regions[e.lo:e.hi], hit
 }
 
 // Value is a span as a comparison reads it: a number when its text parses

@@ -117,8 +117,9 @@ func TestMemoEqualsDirect(t *testing.T) {
 // memoValues under every built-in, asked of ten copies of the memo and
 // coverage pages, builds one region list per (page, constraint); the live
 // heap the tables add, measured after a collection, stays within 15 % of
-// Memo.Bytes(). The languages are parsed in a first round whose tables are
-// then evicted: they are the memo's, kept across evictions, and no table's.
+// Memo.Bytes(). The handles, with their parsed languages, are made in a
+// first round whose tables are then evicted: they are the memo's, kept
+// across evictions, and no table's.
 func TestMemoBytesMatchHeldHeap(t *testing.T) {
 	var docs []*text.Document
 	for i := 0; i < 10; i++ {
@@ -195,7 +196,7 @@ func TestRegionListsOrdered(t *testing.T) {
 
 // TestMemoDocumentsByHandle: two documents with one id never share a
 // record, dropping by id drops every handle of it, and evicting forgets the
-// rest while interned ids stay what they were.
+// rest while interned handles stay what they were.
 func TestMemoDocumentsByHandle(t *testing.T) {
 	a := markup.MustParse("same", "<b>10</b> apples")
 	b := markup.MustParse("same", "10 <b>apples</b>")
@@ -218,7 +219,7 @@ func TestMemoDocumentsByHandle(t *testing.T) {
 			t.Fatalf("%s: exact(whole) read the contain record: %+v", d.ID(), exact)
 		}
 	}
-	id, before := memo.Intern("bold-font", Yes), memo.Bytes()
+	c, before := memo.Intern(bold, Yes), memo.Bytes()
 	if n := memo.DropDocs(map[string]bool{"same": true}); n != 2 || memo.Bytes() >= before || memo.Bytes() <= 0 {
 		t.Fatalf("dropped %d tables of id same (want 2), bytes %d -> %d", n, before, memo.Bytes())
 	}
@@ -231,7 +232,7 @@ func TestMemoDocumentsByHandle(t *testing.T) {
 	if freed := memo.Evict(math.MaxInt64); freed <= 0 || memo.Bytes() != 0 {
 		t.Errorf("evicting everything freed %d bytes and left %d", freed, memo.Bytes())
 	}
-	if _, hit, _ := memo.Verify(bold, other.Span(0, 2), Yes); hit || memo.Intern("bold-font", Yes) != id {
+	if _, hit, _ := memo.Verify(bold, other.Span(0, 2), Yes); hit || memo.Intern(bold, Yes) != c {
 		t.Error("Evict kept a record or renumbered a constraint")
 	}
 }
@@ -249,7 +250,7 @@ func TestMemoEvictsLeastRecentlyUsed(t *testing.T) {
 	memo := NewMemo()
 	use := func(i int) *DocRecords {
 		tab := memo.Doc(docs[i])
-		if _, _, err := tab.Verify(bold, memo.Intern("bold-font", Yes), docs[i].Span(0, 2), Yes); err != nil {
+		if _, _, err := tab.Verify(memo.Intern(bold, Yes), docs[i].Span(0, 2)); err != nil {
 			t.Fatal(err)
 		}
 		return tab
@@ -282,7 +283,7 @@ func TestMemoEvictsLeastRecentlyUsed(t *testing.T) {
 	before := memo.Bytes()
 	freed := memo.Evict(1)
 	after := memo.Bytes()
-	if _, _, err := held.Verify(bold, memo.Intern("bold-font", Yes), docs[2].Span(3, 9), Yes); err != nil {
+	if _, _, err := held.Verify(memo.Intern(bold, Yes), docs[2].Span(3, 9)); err != nil {
 		t.Fatal(err)
 	}
 	if freed <= 0 || after != before-freed || memo.Bytes() != after {
@@ -355,12 +356,12 @@ func TestMemoConcurrent(t *testing.T) {
 				for i := range qs {
 					q := qs[(i+g*37)%len(qs)]
 					wantOK, wantErr := q.f.Verify(q.s, q.v)
-					tab, id := memo.Doc(q.s.Doc()), memo.Intern(q.f.Name(), q.v)
-					if ok, _, err := tab.Verify(q.f, id, q.s, q.v); ok != wantOK || !sameErr(err, wantErr) {
+					tab, c := memo.Doc(q.s.Doc()), memo.Intern(q.f, q.v)
+					if ok, _, err := tab.Verify(c, q.s); ok != wantOK || !sameErr(err, wantErr) {
 						t.Errorf("%s(%v)=%q: %v/%v, direct %v/%v", q.f.Name(), q.s, q.v, ok, err, wantOK, wantErr)
 					}
 					wantAs, wantErr := q.f.Refine(q.s, q.v)
-					if as, _, err := tab.Refine(q.f, id, q.s, q.v, nil); !slices.Equal(as, wantAs) || !sameErr(err, wantErr) {
+					if as, _, err := tab.Refine(c, q.s, nil); !slices.Equal(as, wantAs) || !sameErr(err, wantErr) {
 						t.Errorf("%s(%v)=%q refines to %v/%v, direct %v/%v", q.f.Name(), q.s, q.v, as, err, wantAs, wantErr)
 					}
 					vals, _ := tab.Values(text.ContainOf(q.s))
@@ -444,9 +445,9 @@ func BenchmarkFeatureMemo(b *testing.B) {
 					if mode != "direct" {
 						memo = NewMemo()
 					}
-					var id ConsID
+					var c *Cons
 					if memo != nil {
-						id = memo.Intern(k.name, k.value)
+						c = memo.Intern(f, k.value)
 					}
 					var buf []text.Assignment // the caller's, reused as the engine's workers do
 					b.ReportAllocs()
@@ -463,9 +464,9 @@ func BenchmarkFeatureMemo(b *testing.B) {
 						case memo == nil:
 							as, _ = f.Refine(s, k.value)
 						case op == "Verify":
-							ok, _, _ = memo.Doc(s.Doc()).Verify(f, id, s, k.value)
+							ok, _, _ = memo.Doc(s.Doc()).Verify(c, s)
 						default:
-							as, _, _ = memo.Doc(s.Doc()).Refine(f, id, s, k.value, as)
+							as, _, _ = memo.Doc(s.Doc()).Refine(c, s, as)
 							buf = as
 						}
 						if ok {

@@ -34,7 +34,7 @@
 // residual"; Refine(s) is exact(r) for the regions inside s, or contain of
 // the regions clipped to s, less those the residual rules out. Every span
 // Verify accepts inside s lies in one of those, so Refine covers Verify by
-// construction. f = v is hereditary (Memo.Hereditary) when it is contain
+// construction. f = v is hereditary (Cons.Hereditary) when it is contain
 // with no residual: then each token-aligned sub-span t of a span that
 // passed it has Verify(t) and Refine(t) = [contain(t)]. Features registered
 // by a deployment still write Verify and Refine themselves, and Hereditary
@@ -82,19 +82,6 @@ type Feature interface {
 	// Refine returns assignments covering every sub-span t of s with
 	// f(t) = v (see the package comment for the covering contract).
 	Refine(s text.Span, v string) ([]text.Assignment, error)
-}
-
-// Constraint is a domain constraint f(attr) = value appearing in a
-// description rule body.
-type Constraint struct {
-	Feature string
-	Attr    string
-	Value   string
-}
-
-// String renders the constraint as it appears in Alog source.
-func (c Constraint) String() string {
-	return fmt.Sprintf("%s(%s)=%q", c.Feature, c.Attr, c.Value)
 }
 
 // Registry maps feature names to implementations. The zero value is empty;

@@ -3,22 +3,24 @@ package feature
 import (
 	"slices"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"iflex/internal/markup"
 	"iflex/internal/text"
 )
 
-// hereditaryPairs lists the (feature, value) pairs the registry declares
-// hereditary among the boolean values and the bound n.
-func hereditaryPairs(n int) []Constraint {
-	var out []Constraint
+// hereditaryPairs lists the handles of the (feature, value) pairs the
+// registry declares hereditary among the boolean values and the bound n.
+func hereditaryPairs(n int) []*Cons {
+	var out []*Cons
 	memo := NewMemo()
 	for _, name := range reg.Names() {
 		f, _ := reg.Lookup(name)
 		for _, v := range []string{Yes, No, DistinctYes, DistinctNo, strconv.Itoa(n)} {
-			if memo.Hereditary(f, memo.Intern(name, v), v) {
-				out = append(out, Constraint{Feature: name, Value: v})
+			if c := memo.Intern(f, v); c.Hereditary {
+				out = append(out, c)
 			}
 		}
 	}
@@ -34,7 +36,7 @@ func hereditaryPairs(n int) []Constraint {
 func TestHereditaryDeclared(t *testing.T) {
 	var got []string
 	for _, c := range hereditaryPairs(5) {
-		got = append(got, c.Feature+"="+c.Value)
+		got = append(got, c.Feature.Name()+"="+c.Value)
 	}
 	want := []string{
 		"bold-font=yes", "bold-font=no", "capitalized=yes", "capitalized=distinct-yes", "hyperlinked=yes", "hyperlinked=no",
@@ -50,9 +52,9 @@ func TestHereditaryDeclared(t *testing.T) {
 	}
 	// A bound that does not parse is not declared (the call reports the
 	// error); a feature of another type is when its method says so, and
-	// never without one.
-	memo := NewMemo()
-	hereditary := func(f Feature, v string) bool { return memo.Hereditary(f, memo.Intern(f.Name(), v), v) }
+	// never without one. A memo tells features apart by name, so each
+	// wrapper gets a memo of its own.
+	hereditary := func(f Feature, v string) bool { return NewMemo().Intern(f, v).Hereditary }
 	if hereditary(feat(t, "max-length"), "ten") || hereditary(feat(t, "max-tokens"), "-1") {
 		t.Error("a malformed bound is declared hereditary")
 	}
@@ -68,6 +70,72 @@ func TestHereditaryDeclared(t *testing.T) {
 type declaring struct{ Feature }
 
 func (declaring) Hereditary(v string) bool { return v == "5" }
+
+// counting is declaring that counts how often it is asked.
+type counting struct {
+	declaring
+	asked *atomic.Int32
+}
+
+func (c counting) Hereditary(v string) bool {
+	c.asked.Add(1)
+	return c.declaring.Hereditary(v)
+}
+
+// TestInternOneHandle: interning one (feature, value) pair from 16
+// goroutines at once (run under -race) returns one handle, a second memo
+// returns another, and a user feature's Hereditary is asked when a handle
+// is made, not once per Intern.
+func TestInternOneHandle(t *testing.T) {
+	var asked atomic.Int32
+	f := counting{declaring{feat(t, "numeric")}, &asked}
+	memo := NewMemo()
+	got := make([]*Cons, 16)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = memo.Intern(f, "5")
+		}()
+	}
+	wg.Wait()
+	for g, c := range got {
+		if c != got[0] {
+			t.Fatalf("goroutine %d got handle %p, goroutine 0 %p", g, c, got[0])
+		}
+	}
+	if c := got[0]; c.Feature.Name() != "numeric" || c.Value != "5" || !c.Hereditary {
+		t.Fatalf("handle %s=%q hereditary=%v", c.Feature.Name(), c.Value, c.Hereditary)
+	}
+	// Goroutines that raced on the new pair may each have asked; no later
+	// Intern asks again.
+	raced := asked.Load()
+	for range 3 {
+		memo.Intern(f, "5")
+	}
+	other := NewMemo().Intern(f, "5")
+	if other == got[0] || raced < 1 || asked.Load() != raced+1 {
+		t.Fatalf("a second memo shares the handle (%v), or Hereditary was asked %d times after the race's %d, want once (the second memo)",
+			other == got[0], asked.Load()-raced, raced)
+	}
+	if memo.Intern(f, "4") == got[0] || memo.Intern(feat(t, "numeric"), "5") != got[0] {
+		t.Fatal("handles are not one per (feature name, value)")
+	}
+}
+
+// TestForeignHandleRejected: a record table refuses a handle another memo
+// made, whose id would name a different constraint in its own lists.
+func TestForeignHandleRejected(t *testing.T) {
+	d := markup.MustParse("d", "<b>10</b> apples")
+	c := NewMemo().Intern(feat(t, "bold-font"), Yes)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a handle from another memo was accepted")
+		}
+	}()
+	NewMemo().Doc(d).Verify(c, d.Span(0, 2))
+}
 
 // FuzzHereditary holds every declared hereditary constraint f = v to its
 // contract on a page and a token-aligned span s: for each assignment
@@ -90,21 +158,21 @@ func FuzzHereditary(f *testing.F) {
 		hi := lo + 1 + int(width)%min(12, len(toks)-lo)
 		s := d.Span(toks[lo].Start, toks[hi-1].End)
 		for _, c := range hereditaryPairs(int(bound) % 48) {
-			ft := feat(t, c.Feature)
+			ft, name := c.Feature, c.Feature.Name()
 			var passed []text.Span
-			if verify(t, c.Feature, s, c.Value) {
+			if verify(t, name, s, c.Value) {
 				passed = append(passed, s)
 			}
-			for _, a := range refine(t, c.Feature, s, c.Value) {
+			for _, a := range refine(t, name, s, c.Value) {
 				passed = append(passed, a.Span)
 			}
 			for _, p := range passed {
 				p.SubSpans(func(sub text.Span) bool {
 					if ok, _ := ft.Verify(sub, c.Value); !ok {
-						t.Fatalf("%s=%q: %v passed, its sub-span %v does not verify", c.Feature, c.Value, p, sub)
+						t.Fatalf("%s=%q: %v passed, its sub-span %v does not verify", name, c.Value, p, sub)
 					}
 					if as, _ := ft.Refine(sub, c.Value); len(as) != 1 || as[0] != text.ContainOf(sub) {
-						t.Fatalf("%s=%q: %v passed, its sub-span %v refines to %v", c.Feature, c.Value, p, sub, as)
+						t.Fatalf("%s=%q: %v passed, its sub-span %v refines to %v", name, c.Value, p, sub, as)
 					}
 					return true
 				})

@@ -142,16 +142,21 @@ func (b *builtin) Refine(s text.Span, v string) ([]text.Assignment, error) {
 	return l.refine(nil, l.list(nil, s.Doc()), s), nil
 }
 
-// Hereditary reports whether f = v, the pair id interns, is hereditary: a
-// built-in's language, which the memo parses once, is contain with no
-// residual; another feature says so by a method of that name.
-func (m *Memo) Hereditary(f Feature, id ConsID, v string) bool {
+// resolve makes the handle of f = v: a built-in's language, unless it
+// rejects v, and whether f = v is hereditary — for a built-in, when the
+// language is contain with no residual; another feature says so by a
+// method of that name, asked here once.
+func resolve(f Feature, v string) *Cons {
+	c := &Cons{Feature: f, Value: v}
 	if b, ok := f.(*builtin); ok {
-		l := m.lang(b, id, v)
-		return l != nil && !l.exact && l.check == nil
+		var err error
+		c.lang, err = b.lang(v)
+		c.declared = err == nil
+		c.Hereditary = c.declared && !c.lang.exact && c.lang.check == nil
+	} else if h, ok := f.(interface{ Hereditary(v string) bool }); ok {
+		c.Hereditary = h.Hereditary(v)
 	}
-	h, ok := f.(interface{ Hereditary(v string) bool })
-	return ok && h.Hereditary(v)
+	return c
 }
 
 // whole is the one region of languages a residual alone decides.

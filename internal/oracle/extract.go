@@ -3,6 +3,7 @@ package oracle
 import (
 	"slices"
 
+	"iflex/internal/alog"
 	"iflex/internal/feature"
 	"iflex/internal/text"
 )
@@ -17,7 +18,7 @@ import (
 // the record tables are never consulted. The result holds one sure a-tuple
 // per combination of values, every cell a single span, the page cell d's
 // whole span; an attribute with no value leaves the relation empty.
-func Extract(d *text.Document, cols []string, cons []feature.Constraint, reg *feature.Registry) (*ATable, error) {
+func Extract(d *text.Document, cols []string, cons []alog.Constraint, reg *feature.Registry) (*ATable, error) {
 	vals := make([][]text.Span, len(cols)-1)
 	for i, attr := range cols[1:] {
 		var err error

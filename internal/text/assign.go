@@ -159,9 +159,9 @@ func SortAssignments(as []Assignment) {
 
 // FormatAssignments renders a multiset of assignments canonically, e.g.
 // {exact("351000"), contain("Cozy ... High")}. It is for rendering only:
-// it copies, sorts and formats every element, so nothing on the evaluation
-// path may call it (the engine's refinement fixpoint falls back to it only
-// for lists that differ, see engine.assignmentsStable).
+// it copies, sorts and formats every element, and it drops the offsets of
+// short spans, so two lists it renders alike may differ. Nothing on the
+// evaluation path calls it.
 func FormatAssignments(as []Assignment) string { return FormatAssignmentsWith(as, Assignment.String) }
 
 // FormatAssignmentsWith is FormatAssignments taking each element's
