@@ -54,7 +54,11 @@ race:
 # pair — a call of Intern with two arguments; the similarity vocabulary's
 # Intern takes one. The no-rendering rule: evaluation compares values, never
 # their text renderings, so no non-test file of internal/engine calls one of
-# the text.Format functions.
+# the text.Format functions. The one-switch rule: a plan node states its
+# operator once, in the key and kind its constructor interns it under
+# (DESIGN.md, "Identity by construction"), so outside explain.go, whose
+# opName labels PlanString and the sweep's plan hashes read, no non-test file
+# of internal/engine has a case *…Node clause.
 verify:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
@@ -81,6 +85,9 @@ verify:
 		echo "constraint resolved outside the compiler (internal/engine/compile.go):"; echo "$$resolves"; exit 1; fi
 	@renders="$$(grep -nE 'text\.Format' internal/engine/*.go | grep -vE '^internal/engine/[a-z0-9_]*_test\.go:')"; \
 		if [ -n "$$renders" ]; then echo "text rendered on the evaluation path:"; echo "$$renders"; exit 1; fi
+	@switches="$$(grep -nE '^\s*case .*\*[A-Za-z]+Node\b' internal/engine/*.go | \
+		grep -vE '^internal/engine/(explain\.go|[a-z0-9_]*_test\.go):')"; if [ -n "$$switches" ]; then \
+		echo "per-operator switch outside opName (internal/engine/explain.go):"; echo "$$switches"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/feature/... ./internal/engine/... ./internal/assistant/... ./internal/server/...
 	$(GO) build ./...
@@ -125,8 +132,9 @@ bench:
 # over one extraction (none shared), each over warm and over dropped record
 # tables, with cmp_operands_parsed as an extra metric, the build of one
 # Simulation trial plan against a converged T8 program whose base plan is
-# interned, compiled (clone, add a constraint, compile) and edited
-# (WithConstraint), the annotation ψ over
+# interned, compiled (clone, add a constraint, compile), edited
+# (WithConstraint) and edited again (repeat: one edit rebuilt, every node
+# found), the annotation ψ over
 # 2,000 T8-shaped rows (one and four rows per key), a selection that
 # keeps every row as it came or narrows every row, a two-stage constraint
 # run over 2,000 T8-shaped rows with delta on (cold: the memo built with no

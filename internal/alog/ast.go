@@ -53,18 +53,21 @@ func StringConst(s string) Term { return Term{Kind: TermStr, Str: s} }
 func NumberConst(n float64) Term { return Term{Kind: TermNum, Num: n} }
 
 // String renders the term in Alog source syntax.
-func (t Term) String() string {
+func (t Term) String() string { return string(t.Append(nil)) }
+
+// Append appends the term's String rendering to b.
+func (t Term) Append(b []byte) []byte {
 	switch t.Kind {
 	case TermVar:
-		return t.Var
+		return append(b, t.Var...)
 	case TermStr:
-		return strconv.Quote(t.Str)
+		return strconv.AppendQuote(b, t.Str)
 	case TermNum:
-		return strconv.FormatFloat(t.Num, 'g', -1, 64)
+		return strconv.AppendFloat(b, t.Num, 'g', -1, 64)
 	case TermNull:
-		return "NULL"
+		return append(b, "NULL"...)
 	}
-	return "?"
+	return append(b, '?')
 }
 
 // Atom is a predicate applied to terms: pred(arg1, ..., argN).
@@ -125,17 +128,18 @@ type Compare struct {
 }
 
 // String renders the comparison in source syntax.
-func (c Compare) String() string {
-	if c.ROffset != 0 {
-		op := "+"
-		off := c.ROffset
-		if off < 0 {
-			op = "-"
-			off = -off
-		}
-		return fmt.Sprintf("%s %s %s %s %s", c.L, c.Op, c.R, op, strconv.FormatFloat(off, 'g', -1, 64))
+func (c Compare) String() string { return string(c.Append(nil)) }
+
+// Append appends the comparison's String rendering to b.
+func (c Compare) Append(b []byte) []byte {
+	b = append(append(append(c.L.Append(b), ' '), c.Op...), ' ')
+	b = c.R.Append(b)
+	if off := c.ROffset; off < 0 {
+		b = strconv.AppendFloat(append(b, " - "...), -off, 'g', -1, 64)
+	} else if off != 0 {
+		b = strconv.AppendFloat(append(b, " + "...), off, 'g', -1, 64)
 	}
-	return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R)
+	return b
 }
 
 // Constraint is a domain-constraint literal f(attr) = value

@@ -1,9 +1,8 @@
 package engine
 
 import (
-	"fmt"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 
 	"iflex/internal/compact"
@@ -21,13 +20,15 @@ type annotateNode struct {
 }
 
 func newAnnotateNode(env *Env, parent Node, exists bool, annotated []string) *annotateNode {
-	ann := append([]string(nil), annotated...)
-	sort.Strings(ann)
-	k := nodeKey{head: fmt.Sprintf("annotate[exists=%t,attrs=%s]", exists, strings.Join(ann, ",")), l: parent.ID()}
-	if n := env.nodes.get(k); n != nil {
-		return n.(*annotateNode)
-	}
-	return env.nodes.put(k, &annotateNode{parent: parent, exists: exists, annotate: ann}, parent).(*annotateNode)
+	// Sorted on the stack: a hit allocates nothing.
+	var buf [8]string
+	ann := append(buf[:0], annotated...)
+	slices.Sort(ann)
+	h := cat(make([]byte, 0, headCap), "annotate[exists=", strconv.FormatBool(exists), ",attrs=")
+	h = append(catList(h, ann), ']')
+	return env.nodes.intern(h, OpAnnotate, func() Node {
+		return &annotateNode{parent: parent, exists: exists, annotate: append([]string(nil), ann...)}
+	}, parent).(*annotateNode)
 }
 
 func (n *annotateNode) Columns() []string { return n.parent.Columns() }

@@ -55,24 +55,18 @@ type constraintNode struct {
 // constraints one at a time, with no rule of their own. The node keeps
 // applied: callers may append to it, never write inside it.
 func newConstraintNode(env *Env, parent Node, attr string, applied []*feature.Cons) *constraintNode {
-	// The key is the constraint as Explain renders it, written out: this
-	// runs for every stage of every plan built, hits included.
-	var buf [96]byte
 	last := applied[len(applied)-1]
-	key := append(buf[:0], "constrain["...)
-	key = append(append(append(key, last.Feature.Name()...), '('), attr...)
-	key = append(strconv.AppendQuote(append(key, ")="...), last.Value), ']')
-	k := nodeKey{head: string(key), l: parent.ID()}
-	if n := env.nodes.get(k); n != nil {
-		return n.(*constraintNode)
-	}
-	applied = applied[:len(applied):len(applied)]
-	n, np := &constraintNode{parent: parent, attr: attr}, len(applied)-1
-	if p, ok := appliedRun(parent, attr, applied[:np]); ok && !stackRuns {
-		n.parent, n.prev, np = p.parent, p, len(p.prior)
-	}
-	n.prior, n.cons = applied[:np], applied[np:]
-	return env.nodes.put(k, n, parent).(*constraintNode)
+	h := cat(make([]byte, 0, headCap), "constrain[", last.Feature.Name(), "(", attr, ")=")
+	h = append(strconv.AppendQuote(h, last.Value), ']')
+	return env.nodes.intern(h, OpConstraint, func() Node {
+		all := applied[:len(applied):len(applied)]
+		n, np := &constraintNode{parent: parent, attr: attr}, len(all)-1
+		if p, ok := appliedRun(parent, attr, all[:np]); ok && !stackRuns {
+			n.parent, n.prev, np = p.parent, p, len(p.prior)
+		}
+		n.prior, n.cons = all[:np], all[np:]
+		return n
+	}, parent).(*constraintNode)
 }
 
 // appliedRun returns parent as a run on attr that has applied exactly prior

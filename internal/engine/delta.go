@@ -413,47 +413,17 @@ func correspond(o, n Node, links map[NodeID]deltaLink) {
 // sameShape reports whether two nodes are the same operator with the same
 // local parameters — the condition under which a per-tuple outcome from
 // the old node is valid for the new one (their inputs may differ; that is
-// exactly what the per-tuple memo absorbs). Parameters that change the
-// function applied to a tuple must all be compared; constraint runs in
-// particular must agree on the prior constraint list, because refinement
-// re-checks refined spans against it, and the old run's stages must open
-// the new run's: the memo then holds each tuple's outcome after exactly
-// those stages, and the new run resumes behind them.
+// exactly what the per-tuple memo absorbs). Their heads say that, with one
+// exception: a constraint run's head names only its last stage, and runs
+// must agree on the prior constraint list, because refinement re-checks
+// refined spans against it, and the old run's stages must open the new
+// run's: the memo then holds each tuple's outcome after exactly those
+// stages, and the new run resumes behind them.
 func sameShape(o, n Node) bool {
-	switch a := o.(type) {
-	case *scanNode:
-		b, ok := n.(*scanNode)
-		return ok && a.pred == b.pred && slices.Equal(a.cols, b.cols)
-	case *fromNode:
-		b, ok := n.(*fromNode)
-		return ok && a.inVar == b.inVar && a.outVar == b.outVar
-	case *crossNode:
-		b, ok := n.(*crossNode)
-		return ok && slices.Equal(a.shared, b.shared) && slices.Equal(a.cols, b.cols)
-	case *unionNode:
-		b, ok := n.(*unionNode)
-		return ok && len(a.parts) == len(b.parts)
-	case *projectNode:
-		b, ok := n.(*projectNode)
-		return ok && slices.Equal(a.srcCols, b.srcCols) && slices.Equal(a.outCols, b.outCols)
-	case *constraintNode:
-		b, ok := n.(*constraintNode)
-		return ok && a.attr == b.attr && slices.Equal(a.prior, b.prior) && len(a.cons) <= len(b.cons) && slices.Equal(a.cons, b.cons[:len(a.cons)])
-	case *compareNode:
-		b, ok := n.(*compareNode)
-		return ok && a.cmp == b.cmp
-	case *funcNode:
-		b, ok := n.(*funcNode)
-		return ok && a.fname == b.fname && slices.Equal(a.args, b.args)
-	case *simJoinNode:
-		b, ok := n.(*simJoinNode)
-		return ok && a.fname == b.fname && a.leftVar == b.leftVar && a.rightVar == b.rightVar
-	case *annotateNode:
-		b, ok := n.(*annotateNode)
-		return ok && a.exists == b.exists && slices.Equal(a.annotate, b.annotate)
-	case *procNode:
-		b, ok := n.(*procNode)
-		return ok && a.pname == b.pname && a.inVar == b.inVar && slices.Equal(a.outVars, b.outVars)
+	a, aok := o.(*constraintNode)
+	b, bok := n.(*constraintNode)
+	if aok && bok {
+		return a.attr == b.attr && slices.Equal(a.prior, b.prior) && len(a.cons) <= len(b.cons) && slices.Equal(a.cons, b.cons[:len(a.cons)])
 	}
-	return false
+	return o.identity().head == n.identity().head
 }

@@ -170,7 +170,7 @@ func NewEnv() *Env {
 		limits:      defaultLimits(),
 		FeatureMemo: feature.NewMemo(),
 		vocab:       similarity.NewVocab(),
-		nodes:       nodeTable{m: map[nodeKey]Node{}},
+		nodes:       nodeTable{m: map[string]Node{}},
 	}
 	spec := similarity.Default
 	sim := PFunc{Fn: func(args []text.Span) (bool, error) {
@@ -796,6 +796,8 @@ type Node interface {
 	// totals) and may be nil, which discards it; dx carries
 	// delta-evaluation state and is nil when delta evaluation is off.
 	eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*compact.Table) (*compact.Table, error)
+	// identity is what nodeTable.intern filled in: the id, the kind, the head.
+	identity() *ident
 }
 
 // SumAssignments evaluates every node of the plan (through the cache) and
@@ -934,7 +936,7 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 	}
 	finished = true
 	ev.wall = time.Since(start)
-	atomic.AddInt64(&ctx.Stats.OpTimeNs[kindOf(n)], int64(ev.wall))
+	atomic.AddInt64(&ctx.Stats.OpTimeNs[n.identity().kind], int64(ev.wall))
 	e.table, c.err = t, err
 
 	ctx.mu.Lock()

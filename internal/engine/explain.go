@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // opName returns a short operator label for plan rendering, mirroring the
@@ -162,7 +163,12 @@ func Explain(ctx *Context, root Node) (string, error) {
 		}
 		sig := n.Signature()
 		if len(sig) > 44 {
-			sig = sig[:44] + "…"
+			// Cut at a rune boundary: the signature quotes constraint values.
+			cut := 44
+			for !utf8.RuneStart(sig[cut]) {
+				cut--
+			}
+			sig = sig[:cut] + "…"
 		}
 		fmt.Fprintf(&b, "%-36s %6d rows %8d exp %8d asg %10s self %10s  cache=%-9s%s  sig=%s\n",
 			strings.Repeat("  ", depth)+opName(n), o.Tuples, o.Expanded, o.Assignments,

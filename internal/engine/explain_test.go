@@ -3,8 +3,11 @@ package engine
 import (
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"iflex/internal/alog"
+	"iflex/internal/markup"
+	"iflex/internal/text"
 )
 
 // Figure 4 of the paper: compiling the Figure 2 program must unfold the
@@ -123,5 +126,30 @@ func TestCountNodes(t *testing.T) {
 	}
 	if n := CountNodes(plan.Root); n < 10 {
 		t.Errorf("plan suspiciously small: %d nodes", n)
+	}
+}
+
+// Explain cuts a long signature at a rune boundary: the constraint value
+// below puts a three-byte rune across the cut.
+func TestExplainCutsAtRune(t *testing.T) {
+	env := NewEnv()
+	env.AddDocTable("pages", "x", []*text.Document{markup.MustParse("d1", "Preis inkl. MwSt €: 12,99")})
+	plan, err := Compile(alog.MustParse(`
+prices(x, p) :- pages(x), from(x, p), preceded-by(p) = "Preis inkl. MwSt €:".
+`), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := plan.Explain(NewContext(env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "MwSt") {
+		t.Fatalf("no line shows the constraint:\n%s", out)
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if !utf8.ValidString(line) {
+			t.Errorf("invalid UTF-8: %q", line)
+		}
 	}
 }

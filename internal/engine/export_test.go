@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"maps"
 	"sort"
 	"strings"
@@ -81,6 +82,40 @@ func InternedForTest(env *Env) []Node {
 	}
 	return out
 }
+
+// RebuildForTest calls the constructor of n, a node built against env, with
+// n's own fields, and returns what it returns.
+func RebuildForTest(env *Env, n Node) Node {
+	switch t := n.(type) {
+	case *scanNode:
+		return newScanNode(env, t.pred, t.cols)
+	case *fromNode:
+		return newFromNode(env, t.parent, t.inVar, t.outVar)
+	case *crossNode:
+		return newCrossNode(env, t.left, t.right)
+	case *simJoinNode:
+		return newSimJoinNode(env, t.left, t.right, t.fname, t.leftVar, t.rightVar)
+	case *unionNode:
+		return newUnionNode(env, t.kids)
+	case *projectNode:
+		return newProjectNode(env, t.parent, t.srcCols, t.outCols)
+	case *annotateNode:
+		return newAnnotateNode(env, t.parent, t.exists, t.annotate)
+	case *constraintNode:
+		// Its key names the run it extends, not the run's input.
+		return newConstraintNode(env, t.kids[0], t.attr, t.prior[:len(t.prior)+len(t.cons)])
+	case *compareNode:
+		return newCompareNode(env, t.parent, t.cmp)
+	case *funcNode:
+		return newFuncNode(env, t.parent, t.fname, t.args)
+	case *procNode:
+		return newProcNode(env, t.parent, t.pname, t.inVar, t.outVars)
+	}
+	panic(fmt.Sprintf("engine: no constructor for %T", n))
+}
+
+// KindForTest returns the operator n declared when it was interned.
+func KindForTest(n Node) OpKind { return n.identity().kind }
 
 // marker renders m as TraceOps' keys spell it: "full" or
 // "subset:id1:id2…", then "|quarantine:id1,id2…" while pages are barred.

@@ -4,6 +4,7 @@ package engine_test
 // hold that one decision to the renderings it replaced as the reuse key.
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -149,9 +150,10 @@ func TestEnvsNeverShareCacheEntries(t *testing.T) {
 // program whose base plan the Env already holds, two ways: compile — clone
 // the program, add a constraint, compile, as sessions did — and edit —
 // WithConstraint on the base plan, as sessions do.
-// Every iteration adds a constraint no earlier one did, so what is timed is
-// a trial's first build: the nodes from the touched run up to the root are
-// new, everything else is found.
+// Every iteration of these adds a constraint no earlier one did, so what is
+// timed is a trial's first build: the nodes from the touched run up to the
+// root are new, everything else is found. A third leg, repeat, times the
+// same edit again and again: every node is found.
 func BenchmarkTrialPlan(b *testing.B) {
 	task, err := corpus.TaskByID("T8")
 	if err != nil {
@@ -196,9 +198,85 @@ func BenchmarkTrialPlan(b *testing.B) {
 			trialPlanSink = plan
 		}
 	})
+	// One edit, built before the timer and then again: every node a hit.
+	b.Run("repeat", func(b *testing.B) {
+		trialValue++
+		value := strconv.Itoa(trialValue)
+		if _, err := base.WithConstraint(attr, "max-length", value); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			plan, err := base.WithConstraint(attr, "max-length", value)
+			if err != nil {
+				b.Fatal(err)
+			}
+			trialPlanSink = plan
+		}
+	})
 }
 
 var trialPlanSink *engine.Plan
+
+// TestInternHitAllocatesNothing: every node of the converged task plans,
+// of the precise baselines and of a program with a union and a p-function
+// selection, built again from its own fields, is the node itself, and
+// finding it allocates nothing.
+func TestInternHitAllocatesNothing(t *testing.T) {
+	kinds := map[engine.OpKind]bool{}
+	rebuild := func(id string, env *engine.Env, prog *alog.Program) {
+		if _, err := engine.Compile(prog, env); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		for _, n := range engine.InternedForTest(env) {
+			kinds[engine.KindForTest(n)] = true
+			if got := engine.RebuildForTest(env, n); got != n {
+				t.Fatalf("%s: rebuilding %s built another node", id, n.Signature())
+			}
+			if a := testing.AllocsPerRun(20, func() { engine.RebuildForTest(env, n) }); a != 0 {
+				t.Errorf("%s: rebuilding %s: %v allocations", id, n.Signature(), a)
+			}
+		}
+	}
+	for _, task := range corpus.Tasks() {
+		c := task.Generate(12, 1)
+		prog := alog.MustParse(task.Program)
+		for _, attr := range prog.Attrs() {
+			answers := task.Oracle().Answers[attr.String()]
+			var features []string
+			for f := range answers {
+				features = append(features, f)
+			}
+			slices.Sort(features)
+			for _, f := range features {
+				if v := answers[f]; v != "unknown" {
+					if err := prog.AddConstraint(attr, f, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		rebuild(task.ID, task.Env(c), prog)
+		if precise, err := corpus.PreciseTaskByID(task.ID); err == nil {
+			rebuild(task.ID+" precise", precise.Env(task, c), alog.MustParse(precise.Program))
+		}
+	}
+	t3, err := corpus.TaskByID("T3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuild("union", t3.Env(t3.Generate(12, 1)), alog.MustParse(`
+Q(t) :- r(x, t, u), similar(t, u).
+r(x, <t>, <u>) :- IMDB(x), from(x, t), from(x, u).
+r(y, <t>, <u>) :- Ebert(y), from(y, t), from(y, u), bold-font(t) = yes.
+`))
+	for k := engine.OpScan; k <= engine.OpProc; k++ {
+		if !kinds[k] {
+			t.Errorf("no %s node rebuilt", k)
+		}
+	}
+}
 
 // trialValue numbers the benchmark's trials, so that no leg and no repeated
 // run builds a constraint an earlier one did.

@@ -1,8 +1,9 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,10 +22,11 @@ var lastNodeID atomic.Uint64
 func newNodeID() NodeID { return NodeID(lastNodeID.Add(1)) }
 
 // ident is a node's identity, embedded in every node type and filled in by
-// nodeTable.put: the id, and what Signature renders — head, the operator
-// with its local parameters, applied to kids.
+// nodeTable.intern: the id, the operator kind, and what Signature renders —
+// head, the operator with its local parameters, applied to kids.
 type ident struct {
 	id   NodeID
+	kind OpKind
 	head string
 	kids []Node
 	once sync.Once
@@ -58,15 +60,6 @@ func (s *ident) Signature() string {
 	return s.sig
 }
 
-// nodeKey is what a node is interned on: its operator and local parameters
-// and the identities of the nodes they apply to (a union's, there being any
-// number of them, written out in rest).
-type nodeKey struct {
-	head string
-	l, r NodeID
-	rest string
-}
-
 // nodeTable interns the nodes built against one Env. Every constructor
 // asks it first and builds only what it does not have, so structural
 // equality is decided once, where a node is made, and is pointer equality
@@ -74,29 +67,56 @@ type nodeKey struct {
 // across its iterations.
 type nodeTable struct {
 	mu sync.Mutex
-	m  map[nodeKey]Node
+	m  map[string]Node
 }
 
-func (t *nodeTable) get(k nodeKey) Node {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.m[k]
-}
+// headCap is the stack buffer a constructor writes its node's head into,
+// and intern the key; a longer one moves to the heap.
+const headCap = 128
 
-// put gives n its identity and publishes it under k, unless a concurrent
-// constructor got there first: then that node is the one returned.
-func (t *nodeTable) put(k nodeKey, n interface {
-	Node
-	identity() *ident
-}, kids ...Node) Node {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if old, ok := t.m[k]; ok {
-		return old
+// cat appends strs to h.
+func cat(h []byte, strs ...string) []byte {
+	for _, s := range strs {
+		h = append(h, s...)
 	}
+	return h
+}
+
+// catList appends strs to h, comma-separated.
+func catList(h []byte, strs []string) []byte {
+	for i, s := range strs {
+		if i > 0 {
+			h = append(h, ',')
+		}
+		h = append(h, s...)
+	}
+	return h
+}
+
+// intern returns the node whose operator and local parameters head spells,
+// applied to kids: the one the table holds, or else the one build makes,
+// which it gives its identity and kind. The key is the number of kids and
+// their ids, eight bytes each, then head; the count fixes where the ids
+// end, so no head reads as an id. Key and head are written on the stack, so
+// a hit allocates nothing; a new node's key is stored as one string, and
+// its head is a substring of it. build runs under the table's lock: it
+// allocates the node and reads its children, nothing more.
+func (t *nodeTable) intern(head []byte, kind OpKind, build func() Node, kids ...Node) Node {
+	k := binary.AppendUvarint(make([]byte, 0, headCap), uint64(len(kids)))
+	for _, kid := range kids {
+		k = binary.BigEndian.AppendUint64(k, uint64(kid.ID()))
+	}
+	ids := len(k)
+	k = append(k, head...)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if n, ok := t.m[string(k)]; ok {
+		return n
+	}
+	key, n := string(k), build()
 	s := n.identity()
-	s.id, s.head, s.kids = newNodeID(), k.head, kids
-	t.m[k] = n
+	s.id, s.kind, s.head, s.kids = newNodeID(), kind, key[ids:], slices.Clone(kids)
+	t.m[key] = n
 	return n
 }
 
@@ -109,11 +129,8 @@ type scanNode struct {
 }
 
 func newScanNode(env *Env, pred string, vars []string) *scanNode {
-	k := nodeKey{head: "scan(" + pred + "->" + strings.Join(vars, ",") + ")"}
-	if n := env.nodes.get(k); n != nil {
-		return n.(*scanNode)
-	}
-	return env.nodes.put(k, &scanNode{pred: pred, cols: vars}).(*scanNode)
+	h := append(catList(cat(make([]byte, 0, headCap), "scan(", pred, "->"), vars), ')')
+	return env.nodes.intern(h, OpScan, func() Node { return &scanNode{pred: pred, cols: vars} }).(*scanNode)
 }
 
 func (n *scanNode) Columns() []string { return n.cols }
@@ -152,12 +169,11 @@ type fromNode struct {
 }
 
 func newFromNode(env *Env, parent Node, inVar, outVar string) *fromNode {
-	k := nodeKey{head: "from[" + inVar + "->" + outVar + "]", l: parent.ID()}
-	if n := env.nodes.get(k); n != nil {
-		return n.(*fromNode)
-	}
-	cols := append(append([]string(nil), parent.Columns()...), outVar)
-	return env.nodes.put(k, &fromNode{parent: parent, inVar: inVar, outVar: outVar, cols: cols}, parent).(*fromNode)
+	h := cat(make([]byte, 0, headCap), "from[", inVar, "->", outVar, "]")
+	return env.nodes.intern(h, OpFrom, func() Node {
+		cols := append(append([]string(nil), parent.Columns()...), outVar)
+		return &fromNode{parent: parent, inVar: inVar, outVar: outVar, cols: cols}
+	}, parent).(*fromNode)
 }
 
 func (n *fromNode) Columns() []string { return n.cols }
@@ -203,26 +219,29 @@ type crossNode struct {
 }
 
 func newCrossNode(env *Env, left, right Node) *crossNode {
-	k := nodeKey{head: "cross", l: left.ID(), r: right.ID()}
-	if n := env.nodes.get(k); n != nil {
-		return n.(*crossNode)
-	}
-	leftCols := left.Columns()
-	rightCols := right.Columns()
-	n := &crossNode{left: left, right: right}
-	n.cols = append(n.cols, leftCols...)
-	seen := map[string]bool{}
-	for _, c := range leftCols {
-		seen[c] = true
-	}
+	// The head names the shared columns, as the plan's label does: a cross
+	// links to its predecessor (sameShape) only when both join on the same.
+	leftCols, rightCols := left.Columns(), right.Columns()
+	h, sep := cat(make([]byte, 0, headCap), "cross"), byte('[')
 	for _, c := range rightCols {
-		if seen[c] {
-			n.shared = append(n.shared, c)
-		} else {
-			n.cols = append(n.cols, c)
+		if containsStr(leftCols, c) {
+			h, sep = append(append(h, sep), c...), ','
 		}
 	}
-	return env.nodes.put(k, n, left, right).(*crossNode)
+	if sep == ',' {
+		h = append(h, ']')
+	}
+	return env.nodes.intern(h, OpCross, func() Node {
+		n := &crossNode{left: left, right: right, cols: slices.Clone(leftCols)}
+		for _, c := range rightCols {
+			if containsStr(leftCols, c) {
+				n.shared = append(n.shared, c)
+			} else {
+				n.cols = append(n.cols, c)
+			}
+		}
+		return n
+	}, left, right).(*crossNode)
 }
 
 func (n *crossNode) Columns() []string { return n.cols }
@@ -342,25 +361,15 @@ func cellsMayEqual(a, b compact.Cell, lim limits) (sat satisfaction, capped bool
 }
 
 // unionNode concatenates the tuples of several same-schema inputs (an IE
-// predicate with several rules has union semantics).
-type unionNode struct {
-	ident
-	parts []Node
-}
+// predicate with several rules has union semantics). Its inputs are its
+// children.
+type unionNode struct{ ident }
 
 func newUnionNode(env *Env, parts []Node) *unionNode {
-	ids := make([]byte, 0, 8*len(parts))
-	for _, p := range parts {
-		ids = strconv.AppendUint(append(ids, ';'), uint64(p.ID()), 36)
-	}
-	k := nodeKey{head: "union", rest: string(ids)}
-	if n := env.nodes.get(k); n != nil {
-		return n.(*unionNode)
-	}
-	return env.nodes.put(k, &unionNode{parts: parts}, parts...).(*unionNode)
+	return env.nodes.intern([]byte("union"), OpUnion, func() Node { return &unionNode{} }, parts...).(*unionNode)
 }
 
-func (n *unionNode) Columns() []string { return n.parts[0].Columns() }
+func (n *unionNode) Columns() []string { return n.kids[0].Columns() }
 
 func (n *unionNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*compact.Table) (*compact.Table, error) {
 	out := compact.NewTable(n.Columns()...)
@@ -381,11 +390,11 @@ type projectNode struct {
 }
 
 func newProjectNode(env *Env, parent Node, srcCols, outCols []string) *projectNode {
-	k := nodeKey{head: "project[" + strings.Join(srcCols, ",") + "->" + strings.Join(outCols, ",") + "]", l: parent.ID()}
-	if n := env.nodes.get(k); n != nil {
-		return n.(*projectNode)
-	}
-	return env.nodes.put(k, &projectNode{parent: parent, srcCols: srcCols, outCols: outCols}, parent).(*projectNode)
+	h := catList(cat(make([]byte, 0, headCap), "project["), srcCols)
+	h = append(catList(cat(h, "->"), outCols), ']')
+	return env.nodes.intern(h, OpProject, func() Node {
+		return &projectNode{parent: parent, srcCols: srcCols, outCols: outCols}
+	}, parent).(*projectNode)
 }
 
 func (n *projectNode) Columns() []string { return n.outCols }

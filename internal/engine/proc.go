@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 
 	"iflex/internal/compact"
 	"iflex/internal/text"
@@ -20,19 +19,18 @@ type procNode struct {
 	pname   string
 	inVar   string
 	outVars []string
+	cols    []string
 }
 
 func newProcNode(env *Env, parent Node, pname, inVar string, outVars []string) *procNode {
-	k := nodeKey{head: "proc[" + pname + "(" + inVar + "->" + strings.Join(outVars, ",") + ")]", l: parent.ID()}
-	if n := env.nodes.get(k); n != nil {
-		return n.(*procNode)
-	}
-	return env.nodes.put(k, &procNode{parent: parent, pname: pname, inVar: inVar, outVars: outVars}, parent).(*procNode)
+	h := cat(catList(cat(make([]byte, 0, headCap), "proc[", pname, "(", inVar, "->"), outVars), ")]")
+	return env.nodes.intern(h, OpProc, func() Node {
+		cols := append(append([]string(nil), parent.Columns()...), outVars...)
+		return &procNode{parent: parent, pname: pname, inVar: inVar, outVars: outVars, cols: cols}
+	}, parent).(*procNode)
 }
 
-func (n *procNode) Columns() []string {
-	return append(append([]string(nil), n.parent.Columns()...), n.outVars...)
-}
+func (n *procNode) Columns() []string { return n.cols }
 
 func (n *procNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins []*compact.Table) (*compact.Table, error) {
 	proc, ok := ctx.Env.Procs[n.pname]

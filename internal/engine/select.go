@@ -278,11 +278,8 @@ type compareNode struct {
 }
 
 func newCompareNode(env *Env, parent Node, cmp alog.Compare) *compareNode {
-	k := nodeKey{head: "select[" + cmp.String() + "]", l: parent.ID()}
-	if n := env.nodes.get(k); n != nil {
-		return n.(*compareNode)
-	}
-	return env.nodes.put(k, &compareNode{parent: parent, cmp: cmp}, parent).(*compareNode)
+	h := append(cmp.Append(cat(make([]byte, 0, headCap), "select[")), ']')
+	return env.nodes.intern(h, OpCompare, func() Node { return &compareNode{parent: parent, cmp: cmp} }, parent).(*compareNode)
 }
 
 func (n *compareNode) Columns() []string { return n.parent.Columns() }
@@ -375,15 +372,15 @@ type funcNode struct {
 }
 
 func newFuncNode(env *Env, parent Node, fname string, args []alog.Term) *funcNode {
-	strs := make([]string, len(args))
+	h := cat(make([]byte, 0, headCap), "pfunc[", fname, "(")
 	for i, a := range args {
-		strs[i] = a.String()
+		if i > 0 {
+			h = append(h, ',')
+		}
+		h = a.Append(h)
 	}
-	k := nodeKey{head: "pfunc[" + fname + "(" + strings.Join(strs, ",") + ")]", l: parent.ID()}
-	if n := env.nodes.get(k); n != nil {
-		return n.(*funcNode)
-	}
-	return env.nodes.put(k, &funcNode{parent: parent, fname: fname, args: args}, parent).(*funcNode)
+	h = cat(h, ")]")
+	return env.nodes.intern(h, OpFunc, func() Node { return &funcNode{parent: parent, fname: fname, args: args} }, parent).(*funcNode)
 }
 
 func (n *funcNode) Columns() []string { return n.parent.Columns() }

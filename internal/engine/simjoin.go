@@ -35,13 +35,11 @@ type simJoinNode struct {
 }
 
 func newSimJoinNode(env *Env, left, right Node, fname, leftVar, rightVar string) *simJoinNode {
-	k := nodeKey{head: "simjoin[" + fname + "(" + leftVar + "," + rightVar + ")]", l: left.ID(), r: right.ID()}
-	if n := env.nodes.get(k); n != nil {
-		return n.(*simJoinNode)
-	}
-	n := &simJoinNode{left: left, right: right, fname: fname, leftVar: leftVar, rightVar: rightVar}
-	n.cols = append(append([]string(nil), left.Columns()...), right.Columns()...)
-	return env.nodes.put(k, n, left, right).(*simJoinNode)
+	h := cat(make([]byte, 0, headCap), "simjoin[", fname, "(", leftVar, ",", rightVar, ")]")
+	return env.nodes.intern(h, OpSimJoin, func() Node {
+		cols := append(append([]string(nil), left.Columns()...), right.Columns()...)
+		return &simJoinNode{left: left, right: right, fname: fname, leftVar: leftVar, rightVar: rightVar, cols: cols}
+	}, left, right).(*simJoinNode)
 }
 
 func (n *simJoinNode) Columns() []string { return n.cols }

@@ -21,7 +21,8 @@ import (
 // count — the same determinism guarantee the evaluator itself makes —
 // while wall and self time vary run to run.
 
-// OpKind buckets plan operators for the per-operator time histogram in
+// OpKind is a plan node's operator, which its constructor declares when the
+// node is interned; it buckets the per-operator time histogram in
 // Stats.OpTimeNs.
 type OpKind int
 
@@ -37,50 +38,15 @@ const (
 	OpCompare
 	OpFunc
 	OpProc
-	OpOther
 	numOpKinds
 )
 
 var opKindNames = [numOpKinds]string{
 	"scan", "from", "cross", "simjoin", "union", "project",
-	"annotate", "constrain", "compare", "pfunc", "proc", "other",
+	"annotate", "constrain", "compare", "pfunc", "proc",
 }
 
-func (k OpKind) String() string {
-	if k >= 0 && int(k) < len(opKindNames) {
-		return opKindNames[k]
-	}
-	return "other"
-}
-
-// kindOf buckets a node by its operator type.
-func kindOf(n Node) OpKind {
-	switch n.(type) {
-	case *scanNode:
-		return OpScan
-	case *fromNode:
-		return OpFrom
-	case *crossNode:
-		return OpCross
-	case *simJoinNode:
-		return OpSimJoin
-	case *unionNode:
-		return OpUnion
-	case *projectNode:
-		return OpProject
-	case *annotateNode:
-		return OpAnnotate
-	case *constraintNode:
-		return OpConstraint
-	case *compareNode:
-		return OpCompare
-	case *funcNode:
-		return OpFunc
-	case *procNode:
-		return OpProc
-	}
-	return OpOther
-}
+func (k OpKind) String() string { return opKindNames[k] }
 
 // EvalTrace is the trace of one evaluation, kept on the cache entry the
 // evaluation builds. Operator loops may run chunks of one evaluation on
