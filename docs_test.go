@@ -221,3 +221,60 @@ func TestDocsNameWhatExists(t *testing.T) {
 		}
 	}
 }
+
+// fuzzTarget matches a fuzz target's declaration in a test file.
+var fuzzTarget = regexp.MustCompile(`(?m)^func (Fuzz\w+)\(f \*testing\.F\)`)
+
+// TestCIFuzzesEveryTarget: CI's fuzz job runs the targets its list names,
+// one `FuzzX ./pkg` line each, so every fuzz target declared in a test
+// file of the repository is listed there and every listed target exists.
+func TestCIFuzzesEveryTarget(t *testing.T) {
+	declared := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == ".git" || d.Name() == ".bench_build") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range fuzzTarget.FindAllStringSubmatch(string(src), -1) {
+			declared[m[1]+" ./"+filepath.ToSlash(filepath.Dir(path))] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, list, _ := strings.Cut(string(ci), "<<'TARGETS'\n")
+	listed := map[string]bool{}
+	for _, line := range strings.Split(list, "\n") {
+		if strings.TrimSpace(line) == "TARGETS" {
+			break
+		}
+		listed[strings.Join(strings.Fields(line), " ")] = true
+	}
+	if len(declared) == 0 || len(listed) == 0 {
+		t.Fatalf("%d fuzz targets declared, %d listed in ci.yml", len(declared), len(listed))
+	}
+	for target := range declared {
+		if !listed[target] {
+			t.Errorf("fuzz target %s is not in ci.yml's fuzz list", target)
+		}
+	}
+	for target := range listed {
+		if !declared[target] {
+			t.Errorf("ci.yml's fuzz list names %s, which no test file declares", target)
+		}
+	}
+}

@@ -120,15 +120,11 @@ func (c Cell) Dedup() Cell {
 
 // String renders the cell canonically, prefixing expansion cells with
 // "expand".
-func (c Cell) String() string { return c.render(text.Assignment.String) }
-
-// render is String taking each assignment's rendering from str.
-func (c Cell) render(str func(text.Assignment) string) string {
-	body := text.FormatAssignmentsWith(c.Assigns, str)
+func (c Cell) String() string {
 	if c.Expand {
-		return "expand(" + body + ")"
+		return "expand(" + text.FormatAssignments(c.Assigns) + ")"
 	}
-	return body
+	return text.FormatAssignments(c.Assigns)
 }
 
 // Tuple is a compact tuple: one cell per column, optionally maybe ('?').
@@ -159,19 +155,48 @@ func (t Tuple) Copy() Tuple {
 
 // String renders the tuple like (cell, cell, ...) with a trailing ? for
 // maybe tuples. Table.RenderRows renders whole tables the same way.
-func (t Tuple) String() string { return t.render(text.Assignment.String) }
+func (t Tuple) String() string { return (&renderer{str: text.Assignment.String}).row(t) }
 
-// render is String taking each assignment's rendering from str.
-func (t Tuple) render(str func(text.Assignment) string) string {
-	parts := make([]string, len(t.Cells))
+// renderer renders tuples as Tuple.String does. str renders one
+// assignment like Assignment.String; the scratch slices are reused from
+// row to row.
+type renderer struct {
+	str   func(text.Assignment) string
+	as    []text.Assignment // one cell's assignments, sorted
+	parts []string          // the row's pieces, joined at the end
+}
+
+// row collects t's pieces, each cell's assignments in canonical order,
+// and joins them into one string allocated at the row's length.
+func (r *renderer) row(t Tuple) string {
+	p := append(r.parts[:0], "(")
 	for i, c := range t.Cells {
-		parts[i] = c.render(str)
+		if i > 0 {
+			p = append(p, ", ")
+		}
+		if c.Expand {
+			p = append(p, "expand(")
+		}
+		r.as = append(r.as[:0], c.Assigns...)
+		text.SortAssignments(r.as)
+		p = append(p, "{")
+		for j, a := range r.as {
+			if j > 0 {
+				p = append(p, ", ")
+			}
+			p = append(p, r.str(a))
+		}
+		p = append(p, "}")
+		if c.Expand {
+			p = append(p, ")")
+		}
 	}
-	s := "(" + strings.Join(parts, ", ") + ")"
+	p = append(p, ")")
 	if t.Maybe {
-		s += " ?"
+		p = append(p, " ?")
 	}
-	return s
+	r.parts = p
+	return strings.Join(p, "")
 }
 
 // NumExpanded returns how many expansion-free compact tuples this tuple
@@ -306,9 +331,9 @@ func (t *Table) RenderRows(fn func(row string)) {
 		}
 	}
 	strs := text.FormatDistinct(as)
-	str := func(a text.Assignment) string { return strs[idx[a]] }
+	r := renderer{str: func(a text.Assignment) string { return strs[idx[a]] }}
 	for _, tp := range t.Tuples {
-		fn(tp.render(str))
+		fn(r.row(tp))
 	}
 }
 

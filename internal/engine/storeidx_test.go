@@ -343,9 +343,9 @@ e(x, v) :- from(x, v), bold-font(v) = distinct-yes.
 }
 
 // TestDiskStoreCorruptTokenListQuarantines: a left page whose stored
-// blocking-token list was corrupted on disk (one flipped bit turns delta
+// token list was corrupted on disk (one flipped bit turns delta
 // into gamma) used to be blocked on the wrong tokens without a trace. The
-// record's checksum covers its token lists, so the index refuses them,
+// record's checksum covers its token list, so the index refuses it,
 // the join tokenizes the page live, the load faults, and the result is
 // degraded, naming the page.
 func TestDiskStoreCorruptTokenListQuarantines(t *testing.T) {
@@ -365,7 +365,7 @@ func TestDiskStoreCorruptTokenListQuarantines(t *testing.T) {
 		t.Fatal(err)
 	}
 	// l1's record: u32(idLen) "l1", textLen, page length, checksum and
-	// nBlock, then its block-token ids, delta's first.
+	// nTokens, then its token ids in text order, delta's first.
 	shard := filepath.Join(dir, "shard-0000.ifs")
 	b, err := os.ReadFile(shard)
 	if err != nil {

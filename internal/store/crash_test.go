@@ -52,17 +52,21 @@ func ingest(t *testing.T, dir string, fsys store.FS) {
 }
 
 // corpusDump renders everything observable about a store into one
-// string: manifest counts, the live view's ids/texts/token lists, and
-// every vocabulary token's postings. Two stores with equal dumps are
-// indistinguishable to the engine.
+// string: manifest counts, the ordinal space, the live view's
+// ids/ordinals/texts/token lists, and every vocabulary token's postings.
+// Two stores with equal dumps are indistinguishable to the engine.
 func corpusDump(t *testing.T, s *store.DiskStore) string {
 	t.Helper()
 	var b strings.Builder
 	man := s.Manifest()
-	fmt.Fprintf(&b, "gen=%d docs=%d shards=%d vocab=%d text=%d page=%d\n",
-		man.Generation, man.Docs, man.Shards, man.Vocab, man.TextBytes, man.PageBytes)
+	fmt.Fprintf(&b, "gen=%d docs=%d shards=%d vocab=%d base=%d ordinals=%d\n",
+		man.Generation, man.Docs, man.Shards, man.Vocab, man.BaseDocs, s.NumDocs())
 	for _, d := range s.Docs() {
-		fmt.Fprintf(&b, "doc %s len=%d text=%q\n", d.ID(), d.Len(), d.Text())
+		ord, ok := s.DocOrdinal(d)
+		if !ok {
+			t.Fatalf("DocOrdinal(%s) failed", d.ID())
+		}
+		fmt.Fprintf(&b, "doc %s ord=%d len=%d text=%q\n", d.ID(), ord, d.Len(), d.Text())
 		bt, ok := s.BlockTokens(d)
 		if !ok {
 			t.Fatalf("BlockTokens(%s) failed", d.ID())
@@ -160,10 +164,16 @@ func crashMutationScenario(t *testing.T, preGens int) {
 	if _, err := m.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	// Commit applies the generation in place; Open replays it from the
+	// sidecar. Both must leave the same store.
+	committed := corpusDump(t, s)
 	s.Close()
 	refG1 := openDump(t, dir)
 	if refG1 == refG {
 		t.Fatal("mutation changed nothing; scenario is vacuous")
+	}
+	if committed != refG1 {
+		t.Fatalf("the committed store differs from its reopening:\n--- committed ---\n%s--- reopened ---\n%s", committed, refG1)
 	}
 
 	states := cfs.States(0)

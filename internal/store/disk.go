@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"iflex/internal/similarity"
 	"iflex/internal/text"
 )
 
@@ -174,16 +175,8 @@ func Open(dir string, opts OpenOptions) (*DiskStore, error) {
 		s.Close()
 		return nil, fmt.Errorf("store: open %s: index holds %d tokens, manifest says %d", dir, len(s.idx.vocab), s.man.Vocab)
 	}
-	s.docs = make([]*text.Document, len(s.meta))
 	s.ord = make(map[*text.Document]int, len(s.meta))
-	s.lruElem = make([]*list.Element, len(s.meta))
-	for i := range s.meta {
-		ord := i
-		s.docs[i] = text.NewLazyDocument(s.meta[i].id, int(s.meta[i].textLen), func() (text.DocContent, error) {
-			return s.loadDoc(ord)
-		})
-		s.ord[s.docs[i]] = i
-	}
+	s.addHandles(0)
 	if removed, errs := sweepStoreOrphans(s.fs, dir, s.man.Shards, s.man.Generation); len(removed) > 0 || len(errs) > 0 {
 		for _, name := range removed {
 			s.recovery = append(s.recovery, fmt.Sprintf("swept orphan %s", name))
@@ -199,40 +192,38 @@ func Open(dir string, opts OpenOptions) (*DiskStore, error) {
 	return s, nil
 }
 
+// addHandles makes the lazy document handle of every record from ordinal
+// from on: Open makes them all, Commit those of its generation.
+func (s *DiskStore) addHandles(from int) {
+	for ord := from; ord < len(s.meta); ord++ {
+		doc := text.NewLazyDocument(s.meta[ord].id, int(s.meta[ord].textLen), func() (text.DocContent, error) {
+			return s.loadDoc(ord)
+		})
+		s.docs = append(s.docs, doc)
+		s.ord[doc] = ord
+		s.lruElem = append(s.lruElem, nil)
+	}
+}
+
 // rollbackLastGeneration undoes the manifest's final generation at Open
 // time, after its delta sidecar failed to parse: the generation's shard
-// is dropped, counts are recomputed, and the manifest is durably
-// rewritten at the previous generation so the rollback is permanent. The
-// in-memory index state is untouched by the failed parse (sidecars apply
-// atomically), so after rollback it is exactly the previous generation's.
+// is dropped, counts are recomputed from the TOCs, and the manifest is
+// durably rewritten at the previous generation so the rollback is
+// permanent. The in-memory index state is untouched by the failed parse
+// (sidecars apply atomically), so after rollback it is exactly the
+// previous generation's.
 func (s *DiskStore) rollbackLastGeneration(cause error) error {
 	g := s.man.Generation
 	dropShard := s.man.Shards - 1
 	if g < 1 || dropShard < 0 {
 		return cause
 	}
-	keep := 0
-	var dropText, dropPage int64
-	for _, m := range s.meta {
-		if m.shard < dropShard {
-			keep++
-			continue
-		}
-		dropText += int64(m.textLen)
-		// pageLen sits after recLen, idLen, id, and textLen in the record.
-		b := make([]byte, 4)
-		if _, err := s.shards[m.shard].ReadAt(b, int64(m.offset)+4+4+int64(len(m.id))+4); err != nil {
-			return fmt.Errorf("rolling back generation %d (%v): reading dropped record %q: %w", g, cause, m.id, err)
-		}
-		dropPage += int64(binary.LittleEndian.Uint32(b))
-	}
+	keep := sort.Search(len(s.meta), func(i int) bool { return s.meta[i].shard >= dropShard })
 	man := s.man
 	man.Generation = g - 1
 	man.Shards = dropShard
 	man.Docs = keep
 	man.Vocab = len(s.idx.vocab)
-	man.TextBytes -= dropText
-	man.PageBytes -= dropPage
 	if man.Generation == 0 {
 		man.BaseDocs = 0
 	}
@@ -341,7 +332,7 @@ func (s *DiskStore) readTOC(shard int, f io.ReaderAt, size int64) error {
 
 // readRecord reads a document's record bytes (without the recLen
 // prefix), parses the fixed header and verifies the checksum, leaving
-// the reader positioned at the token lists.
+// the reader positioned at the token list.
 func (s *DiskStore) readRecord(ord int) (r *bufReader, pageLen int, err error) {
 	m := s.meta[ord]
 	if s.closed.Load() {
@@ -370,7 +361,7 @@ func (s *DiskStore) readRecord(ord int) (r *bufReader, pageLen int, err error) {
 }
 
 // loadDoc is the lazy-load callback: read the record, verify the
-// checksum, skip the token lists and decode the page ingest parsed —
+// checksum, skip the token list and decode the page ingest parsed —
 // its text exactly the TOC's textLen bytes, every mark and link inside
 // it, nothing after it. Any failure is returned (and surfaces as a
 // per-document quarantine through the engine's fault guard).
@@ -380,10 +371,9 @@ func (s *DiskStore) loadDoc(ord int) (text.DocContent, error) {
 		return text.DocContent{}, err
 	}
 	m := s.meta[ord]
-	r.bytes(4*int(r.u32("nBlock")), "block tokens")
-	r.bytes(4*int(r.u32("nNorm")), "norm tokens")
+	r.bytes(4*int(r.u32("nTokens")), "tokens")
 	if r.err == nil && len(r.b)-r.off != pageLen {
-		return text.DocContent{}, fmt.Errorf("doc %q: %d bytes after the token lists, the record says %d (corrupt shard?)", m.id, len(r.b)-r.off, pageLen)
+		return text.DocContent{}, fmt.Errorf("doc %q: %d bytes after the token list, the record says %d (corrupt shard?)", m.id, len(r.b)-r.off, pageLen)
 	}
 	c := r.page(int(m.textLen))
 	if r.err != nil {
@@ -529,8 +519,10 @@ func (s *DiskStore) Close() error {
 	return first
 }
 
-// DocOrdinal returns d's position in Docs(), or false if d is not from
-// this store.
+// DocOrdinal returns d's record ordinal, the number postings hold, or
+// false if d is not from this store. It is not d's position in Docs():
+// an updated page keeps its view position but its record gets the next
+// free ordinal.
 func (s *DiskStore) DocOrdinal(d *text.Document) (int, bool) {
 	i, ok := s.ord[d]
 	return i, ok
@@ -541,22 +533,26 @@ func (s *DiskStore) DocOrdinal(d *text.Document) (int, bool) {
 // addressable.
 func (s *DiskStore) NumDocs() int { return len(s.docs) }
 
-// BlockTokens returns the distinct blocking tokens recorded for d at
-// ingest, decoding only the record's token lists (never the page). ok is
-// false when d is not from this store, the read fails or the record
-// fails its checksum — callers fall back to tokenizing the text, whose
-// load then faults on the same record.
+// BlockTokens returns the distinct blocking tokens of d: the token list
+// recorded at ingest, sorted and deduplicated, decoding only that list
+// (never the page). ok is false when d is not from this store, the read
+// fails or the record fails its checksum — callers fall back to
+// tokenizing the text, whose load then faults on the same record.
 func (s *DiskStore) BlockTokens(d *text.Document) ([]string, bool) {
-	return s.docTokens(d, false)
+	toks, ok := s.docTokens(d)
+	return distinct(toks), ok
 }
 
-// NormTokens returns the ordered normalized token sequence recorded for
-// the whole page at ingest; same contract as BlockTokens.
+// NormTokens returns the ordered normalized token sequence of the whole
+// page: the recorded token list under the article rule. Same contract as
+// BlockTokens.
 func (s *DiskStore) NormTokens(d *text.Document) ([]string, bool) {
-	return s.docTokens(d, true)
+	toks, ok := s.docTokens(d)
+	return similarity.NormalizeArticles(toks), ok
 }
 
-func (s *DiskStore) docTokens(d *text.Document, norm bool) ([]string, bool) {
+// docTokens reads d's recorded token list, in text order.
+func (s *DiskStore) docTokens(d *text.Document) ([]string, bool) {
 	ord, ok := s.ord[d]
 	if !ok {
 		return nil, false
@@ -565,24 +561,15 @@ func (s *DiskStore) docTokens(d *text.Document, norm bool) ([]string, bool) {
 	if err != nil {
 		return nil, false
 	}
-	nBlock := int(r.u32("nBlock"))
-	ids := r.u32s(nBlock, "block tokens")
-	if norm {
-		nNorm := int(r.u32("nNorm"))
-		ids = r.u32s(nNorm, "norm tokens")
-	}
-	if r.err != nil {
-		return nil, false
-	}
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		tok, ok := s.idx.token(id)
-		if !ok {
+	out := make([]string, r.count(4, "nTokens"))
+	for i := range out {
+		id := r.u32("token")
+		if int(id) >= len(s.idx.vocab) {
 			return nil, false
 		}
-		out[i] = tok
+		out[i] = s.idx.vocab[id]
 	}
-	return out, true
+	return out, r.err == nil
 }
 
 // TokenPostings returns the sorted ordinals of live documents whose
@@ -683,13 +670,6 @@ func openTokenIndex(path string, docCount int) (*tokenIndex, error) {
 		}
 	}
 	return idx, nil
-}
-
-func (x *tokenIndex) token(id uint32) (string, bool) {
-	if int(id) >= len(x.vocab) {
-		return "", false
-	}
-	return x.vocab[id], true
 }
 
 func (x *tokenIndex) postings(tok string, tomb []bool) ([]int, bool) {

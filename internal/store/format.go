@@ -23,8 +23,7 @@ import (
 //	u32(textLen)                 length of the page text
 //	u32(pageLen)                 length of the page part
 //	u32(crc32(rest))             checksum of everything after this field
-//	u32(nBlock) u32*             distinct blocking-token ids, sorted
-//	u32(nNorm)  u32*             normalized whole-page token ids, in order
+//	u32(nTokens) u32*            the text's token ids, in text order
 //	page:                        the parsed page, decoded on load
 //	  text                       textLen bytes
 //	  u32(nMarks) (u32(kind) u32(start) u32(end))*
@@ -36,9 +35,12 @@ import (
 //	u32(recLen) u32(textLen)
 //	u32(idLen) id
 //
-// Token lists live ahead of the page so the index adapter can read a
-// record's tokens without decoding the page itself. The checksum covers
-// both, so a corrupt token list is refused like a corrupt page.
+// The token list holds the page text's similarity.Tokens once; both of
+// the index adapter's views derive from it (NormTokens under the article
+// rule, BlockTokens sorted and deduplicated). It lives ahead of the page
+// so the adapter can read a record's tokens without decoding the page
+// itself. The checksum covers both, so a corrupt token list is refused
+// like a corrupt page.
 //
 // Token index file (tokens.idx):
 //
@@ -76,16 +78,16 @@ import (
 //
 // Version history: 1 = original layout; 2 = delta sidecars carry the
 // integrity footer; 3 = records carry the parsed page instead of its
-// markup, and the checksum covers the token lists and the page. All
-// files share one version number, so an older store must be
-// re-ingested.
+// markup, and the checksum covers the token lists and the page; 4 = one
+// token list; manifest without byte counts. All files share one version
+// number, so an older store must be re-ingested.
 const (
 	shardMagic     = "IFSH"
 	footerMagic    = "IFST"
 	indexMagic     = "IFTI"
 	deltaMagic     = "IFDX"
 	deltaFootMagic = "IFDE"
-	version        = 3
+	version        = 4
 
 	footerSize      = 12
 	deltaFooterSize = 8
@@ -135,18 +137,6 @@ func (r *bufReader) bytes(n int, what string) []byte {
 	v := r.b[r.off : r.off+n]
 	r.off += n
 	return v
-}
-
-func (r *bufReader) u32s(n int, what string) []uint32 {
-	b := r.bytes(4*n, what)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	return out
 }
 
 // bufWriter encodes the same primitives into an append buffer.

@@ -381,7 +381,7 @@ func TestLoadDocRejectsMisreadRecord(t *testing.T) {
 	}
 	defer fh.Close()
 	build := func(raw string) []byte {
-		rec, _, _, _, err := buildRecord("p", raw, func(string) uint32 { return 0 })
+		rec, _, _, err := buildRecord("p", raw, func(string) uint32 { return 0 })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,7 +402,7 @@ func TestLoadDocRejectsMisreadRecord(t *testing.T) {
 	page := len(ok) - int(binary.LittleEndian.Uint32(ok[9:]))
 	longer := build(`<b>x</b> <a href="u">yz</a>`)
 	for name, rec := range map[string][]byte{
-		"a byte after the token lists":   append(slices.Clone(ok), 'z'),
+		"a byte after the token list":    append(slices.Clone(ok), 'z'),
 		"a byte after the page":          edit(append(slices.Clone(ok), 'z'), 9, uint32(len(ok)-page+1)),
 		"text longer than recorded":      edit(longer, 5, 3),
 		"a mark ending past the text":    edit(ok, page+3+4+8, 4),
@@ -425,8 +425,7 @@ func recordPage(rec []byte) (page []byte, ok bool) {
 	r.u32("textLen")
 	pageLen := int(r.u32("pageLen"))
 	r.u32("crc")
-	r.bytes(4*int(r.u32("nBlock")), "block tokens")
-	r.bytes(4*int(r.u32("nNorm")), "norm tokens")
+	r.bytes(4*int(r.u32("nTokens")), "tokens")
 	return rec[min(r.off, len(rec)):], r.err == nil && len(rec)-r.off == pageLen
 }
 

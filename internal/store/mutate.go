@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-
-	"iflex/internal/text"
 )
 
 // Delta reports what a committed mutation changed, by document id.
@@ -100,54 +98,46 @@ func (m *Mutation) Commit() (*Delta, error) {
 	prevDocs := len(s.meta)
 	prevVocab := len(s.idx.vocab)
 
-	// Intern new tokens locally so a failed commit leaves the open index
-	// untouched; ids continue the store's id space.
-	var newTok []string
+	// Intern new tokens into the generation's patch so a failed commit
+	// leaves the open index untouched; ids continue the store's id space.
+	patch := &deltaPatch{docs: prevDocs + len(m.puts), posts: make(map[uint32][]int)}
 	localIDs := make(map[string]uint32)
 	intern := func(t string) uint32 {
 		if id, ok := s.idx.ids[t]; ok {
 			return id
 		}
-		if id, ok := localIDs[t]; ok {
-			return id
+		id, ok := localIDs[t]
+		if !ok {
+			id = uint32(prevVocab + len(patch.toks))
+			localIDs[t] = id
+			patch.toks = append(patch.toks, t)
 		}
-		id := uint32(prevVocab + len(newTok))
-		localIDs[t] = id
-		newTok = append(newTok, t)
 		return id
 	}
 
 	// Encode the new records and collect their postings and TOC.
-	var (
-		recs     [][]byte
-		newMeta  []docMeta
-		newPost  = make(map[uint32][]int)
-		txtBytes int64
-		pgBytes  int64
-	)
+	var recs [][]byte
+	var newMeta []docMeta
 	for i, p := range m.puts {
-		rec, textLen, pageLen, blockIDs, err := buildRecord(p.id, p.raw, intern)
+		rec, textLen, postIDs, err := buildRecord(p.id, p.raw, intern)
 		if err != nil {
 			return nil, fmt.Errorf("store: mutate: %q: %w", p.id, err)
 		}
 		ord := prevDocs + i
-		for _, tid := range blockIDs {
-			newPost[tid] = append(newPost[tid], ord)
+		for _, tid := range postIDs {
+			patch.posts[tid] = append(patch.posts[tid], ord)
 		}
 		newMeta = append(newMeta, docMeta{
 			shard: shardIdx, recLen: uint32(len(rec)), textLen: uint32(textLen), id: p.id,
 		})
 		recs = append(recs, rec)
-		txtBytes += int64(textLen)
-		pgBytes += int64(pageLen)
 	}
 
 	// Classify puts and collect tombstones.
 	d := &Delta{Removed: append([]string(nil), m.rems...)}
-	var tombs []int
 	for _, p := range m.puts {
 		if old, ok := s.live[p.id]; ok {
-			tombs = append(tombs, old)
+			patch.tombs = append(patch.tombs, old)
 			d.Updated = append(d.Updated, p.id)
 		} else {
 			d.Added = append(d.Added, p.id)
@@ -158,16 +148,18 @@ func (m *Mutation) Commit() (*Delta, error) {
 		if !ok {
 			return nil, fmt.Errorf("store: mutate: remove %q: no such document", id)
 		}
-		tombs = append(tombs, old)
+		patch.tombs = append(patch.tombs, old)
 	}
-	sort.Ints(tombs)
+	sort.Ints(patch.tombs)
 	sort.Strings(d.Added)
 	sort.Strings(d.Updated)
 	sort.Strings(d.Removed)
 
 	// Crash-atomic commit order: (1) the generation shard, fsynced; (2)
-	// the delta sidecar, via temp + fsync + rename + directory fsync —
-	// which also makes the shard's directory entry durable; (3) the
+	// the delta sidecar with its integrity footer, via temp + fsync +
+	// rename + directory fsync, so no reader sees a torn sidecar under an
+	// intact footer — which also makes the shard's directory entry
+	// durable; (3) the
 	// manifest, published the same way. The manifest rename is the single
 	// commit point: a crash before it leaves the store at the previous
 	// generation with (at most) an orphan shard/sidecar/temp file Open
@@ -178,25 +170,25 @@ func (m *Mutation) Commit() (*Delta, error) {
 	if err := writeShardFile(s.fs, filepath.Join(s.dir, shardName(shardIdx)), recs, newMeta); err != nil {
 		return nil, err
 	}
-	if err := writeDeltaFile(s.fs, filepath.Join(s.dir, deltaName(gen)), gen, prevDocs, prevDocs+len(recs), prevVocab, tombs, newTok, newPost); err != nil {
-		return nil, err
+	if err := atomicWriteFile(s.fs, filepath.Join(s.dir, deltaName(gen)), writeBytes(encodeDelta(gen, prevDocs, prevVocab, patch))); err != nil {
+		return nil, fmt.Errorf("store: mutate: write delta sidecar: %w", err)
 	}
 
 	man := s.man
 	man.Generation = gen
 	man.Shards = shardIdx + 1
-	man.Docs = prevDocs + len(recs)
-	man.Vocab = prevVocab + len(newTok)
+	man.Docs = patch.docs
+	man.Vocab = prevVocab + len(patch.toks)
 	if gen == 1 {
 		man.BaseDocs = prevDocs // zero for a store built empty
 	}
-	man.TextBytes += txtBytes
-	man.PageBytes += pgBytes
 	if err := writeManifest(s.fs, s.dir, man); err != nil {
 		return nil, fmt.Errorf("store: mutate: %w", err)
 	}
 
-	// Apply in place. The shard is reopened read-only like any other.
+	// Apply in place, as Open replays the generation: the shard is
+	// reopened read-only like any other, its records get handles, and the
+	// patch the sidecar holds is applied.
 	f, err := os.Open(filepath.Join(s.dir, shardName(shardIdx)))
 	if err != nil {
 		return nil, fmt.Errorf("store: mutate: reopen shard: %w", err)
@@ -204,28 +196,11 @@ func (m *Mutation) Commit() (*Delta, error) {
 	s.man = man
 	s.shards = append(s.shards, f)
 	s.mu.Lock()
-	for i, nm := range newMeta {
-		ord := prevDocs + i
-		s.meta = append(s.meta, nm)
-		doc := text.NewLazyDocument(nm.id, int(nm.textLen), func() (text.DocContent, error) {
-			return s.loadDoc(ord)
-		})
-		s.docs = append(s.docs, doc)
-		s.ord[doc] = ord
-		s.lruElem = append(s.lruElem, nil)
-		s.tomb = append(s.tomb, false)
-	}
-	for _, ord := range tombs {
-		s.tomb[ord] = true
-	}
+	s.meta = append(s.meta, newMeta...)
+	s.tomb = append(s.tomb, make([]bool, len(newMeta))...)
+	s.addHandles(prevDocs)
+	s.applyPatch(patch)
 	s.mu.Unlock()
-	for i, t := range newTok {
-		s.idx.ids[t] = uint32(prevVocab + i)
-		s.idx.vocab = append(s.idx.vocab, t)
-	}
-	for tid, ords := range newPost {
-		s.idx.extra[tid] = append(s.idx.extra[tid], ords...)
-	}
 	if err := s.rebuildView(); err != nil {
 		return nil, fmt.Errorf("store: mutate: %w", err)
 	}
@@ -256,44 +231,34 @@ func writeShardFile(fsys FS, path string, recs [][]byte, meta []docMeta) (err er
 	return sf.seal()
 }
 
-// writeDeltaFile writes the generation's sidecar per the layout in
-// format.go — integrity footer (CRC + magic) appended, published via
-// temp + fsync + rename + directory fsync so a reader can never observe
-// a torn sidecar under an intact footer.
-func writeDeltaFile(fsys FS, path string, gen, prevDocs, newDocs, prevVocab int, tombs []int, newTok []string, newPost map[uint32][]int) error {
-	if err := atomicWriteFile(fsys, path, writeBytes(encodeDelta(gen, prevDocs, newDocs, prevVocab, tombs, newTok, newPost))); err != nil {
-		return fmt.Errorf("store: mutate: write delta sidecar: %w", err)
-	}
-	return nil
-}
-
-// encodeDelta lays a sidecar out, footer included; token ids are written
-// in ascending order.
-func encodeDelta(gen, prevDocs, newDocs, prevVocab int, tombs []int, newTok []string, newPost map[uint32][]int) []byte {
+// encodeDelta lays out, per format.go, the sidecar of generation gen,
+// which patch p applies to a store of prevDocs ordinals and prevVocab
+// tokens, footer included; token ids are written in ascending order.
+func encodeDelta(gen, prevDocs, prevVocab int, p *deltaPatch) []byte {
 	var w bufWriter
 	w.str(deltaMagic)
 	w.u32(version)
 	w.u32(uint32(gen))
 	w.u32(uint32(prevDocs))
-	w.u32(uint32(newDocs))
+	w.u32(uint32(p.docs))
 	w.u32(uint32(prevVocab))
-	w.u32(uint32(len(tombs)))
-	for _, t := range tombs {
+	w.u32(uint32(len(p.tombs)))
+	for _, t := range p.tombs {
 		w.u32(uint32(t))
 	}
-	w.u32(uint32(len(newTok)))
-	for _, t := range newTok {
+	w.u32(uint32(len(p.toks)))
+	for _, t := range p.toks {
 		w.u16(uint16(len(t)))
 		w.str(t)
 	}
-	tids := make([]int, 0, len(newPost))
-	for tid := range newPost {
+	tids := make([]int, 0, len(p.posts))
+	for tid := range p.posts {
 		tids = append(tids, int(tid))
 	}
 	sort.Ints(tids)
 	w.u32(uint32(len(tids)))
 	for _, tid := range tids {
-		ords := newPost[uint32(tid)]
+		ords := p.posts[uint32(tid)]
 		var run []byte
 		prev := -1
 		for _, ord := range ords {
@@ -309,10 +274,11 @@ func encodeDelta(gen, prevDocs, newDocs, prevVocab int, tombs []int, newTok []st
 	return w.b
 }
 
-// deltaPatch is a fully parsed and validated sidecar, ready to apply.
-// Parsing is separated from application so a torn or corrupt sidecar
-// never leaves the open store half-mutated — Open rolls back to the
-// previous generation from an untouched in-memory state.
+// deltaPatch is what one generation changes in the index: a fully parsed
+// and validated sidecar at Open, or what Commit wrote. Parsing is
+// separated from application so a torn or corrupt sidecar never leaves
+// the open store half-mutated — Open rolls back to the previous
+// generation from an untouched in-memory state.
 type deltaPatch struct {
 	docs  int // the ordinal space after the generation (newDocs)
 	tombs []int
@@ -334,7 +300,7 @@ func (s *DiskStore) parseDeltaFile(g, docs int) (*deltaPatch, error) {
 // parseDelta verifies sidecar b's integrity footer and validates every
 // field against the state the previous generation left — docs ordinals,
 // vocab tokens, records in the shards — without mutating anything. It
-// accepts only what writeDeltaFile writes: each posting run holds new
+// accepts only what encodeDelta writes: each posting run holds new
 // ordinals only (in [prevDocs, newDocs), after every base and earlier
 // delta ordinal), and token ids ascend strictly.
 func parseDelta(b []byte, g, docs, vocab, records int) (*deltaPatch, error) {
@@ -421,7 +387,8 @@ func parseDelta(b []byte, g, docs, vocab, records int) (*deltaPatch, error) {
 	return p, nil
 }
 
-// applyPatch folds a validated sidecar into the open index state.
+// applyPatch folds a generation's patch into the open index state: Open
+// applies each sidecar it replays, Commit the one it wrote.
 func (s *DiskStore) applyPatch(p *deltaPatch) {
 	for _, ord := range p.tombs {
 		s.tomb[ord] = true

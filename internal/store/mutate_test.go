@@ -116,6 +116,15 @@ func TestMutationGenerations(t *testing.T) {
 		if toks, ok := s.BlockTokens(b); !ok || !contains(toks, "redux") {
 			t.Fatalf("%s: BlockTokens(b) = %v %v", label, toks, ok)
 		}
+		// b keeps its view position, but its record's ordinal is new, and
+		// the ordinal is what postings hold.
+		ord, ok := s.DocOrdinal(b)
+		if !ok || ord == slices.Index(s.Docs(), b) {
+			t.Fatalf("%s: DocOrdinal(b) = %d, %v at view position %d", label, ord, ok, slices.Index(s.Docs(), b))
+		}
+		if ords, ok := s.TokenPostings("redux"); !ok || !slices.Contains(ords, ord) {
+			t.Fatalf("%s: postings for redux = %v, want ordinal %d", label, ords, ord)
+		}
 	}
 	check(s, "in-place")
 
@@ -219,12 +228,12 @@ func rawDelta(gen, prevDocs, newDocs, prevVocab int, posts ...deltaPost) []byte 
 // bounded by newDocs.
 func TestParseDeltaRejectsStaleOrdinal(t *testing.T) {
 	for _, ords := range [][]int{{2}, {4, 5}, {0, 6, 7}} {
-		b := encodeDelta(1, 5, 8, 3, nil, nil, map[uint32][]int{1: ords})
+		b := encodeDelta(1, 5, 3, &deltaPatch{docs: 8, posts: map[uint32][]int{1: ords}})
 		if p, err := parseDelta(b, 1, 5, 3, 8); err == nil {
 			t.Errorf("run %v over generation ordinals [5, 8): parsed %+v", ords, p)
 		}
 	}
-	b := encodeDelta(1, 5, 8, 3, nil, nil, map[uint32][]int{1: {5, 7}, 2: {6}})
+	b := encodeDelta(1, 5, 3, &deltaPatch{docs: 8, posts: map[uint32][]int{1: {5, 7}, 2: {6}}})
 	if p, err := parseDelta(b, 1, 5, 3, 8); err != nil || fmt.Sprint(p.posts) != "map[1:[5 7] 2:[6]]" || p.docs != 8 {
 		t.Fatalf("a run of new ordinals: %+v, %v", p, err)
 	}
@@ -253,12 +262,12 @@ func TestParseDeltaRejectsRepeatedTokenID(t *testing.T) {
 // A sidecar starting anywhere else used to pass.
 func TestParseDeltaChecksOrdinalChain(t *testing.T) {
 	for _, prev := range []int{3, 6} {
-		b := encodeDelta(2, prev, 8, 3, nil, nil, nil)
+		b := encodeDelta(2, prev, 3, &deltaPatch{docs: 8})
 		if p, err := parseDelta(b, 2, 5, 3, 8); err == nil {
 			t.Errorf("prevDocs %d after a generation that left 5: parsed %+v", prev, p)
 		}
 	}
-	if _, err := parseDelta(encodeDelta(2, 5, 8, 3, nil, nil, nil), 2, 5, 3, 8); err != nil {
+	if _, err := parseDelta(encodeDelta(2, 5, 3, &deltaPatch{docs: 8}), 2, 5, 3, 8); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -309,7 +318,7 @@ const fuzzGen, fuzzDocs, fuzzVocab, fuzzRecords = 2, 5, 6, 9
 // every token id known — and re-encoding that patch parses to the same
 // patch. The harness recomputes the CRC footer, so mutations reach the
 // fields behind the checksum. Seeds in testdata/fuzz are sidecars
-// writeDeltaFile wrote for this state, some of which it must refuse.
+// encodeDelta wrote for this state, some of which it must refuse.
 func FuzzParseDeltaFile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		b = slices.Clone(b)
@@ -339,7 +348,7 @@ func FuzzParseDeltaFile(f *testing.F) {
 				}
 			}
 		}
-		again, err := parseDelta(encodeDelta(fuzzGen, fuzzDocs, p.docs, fuzzVocab, p.tombs, p.toks, p.posts), fuzzGen, fuzzDocs, fuzzVocab, fuzzRecords)
+		again, err := parseDelta(encodeDelta(fuzzGen, fuzzDocs, fuzzVocab, p), fuzzGen, fuzzDocs, fuzzVocab, fuzzRecords)
 		if err != nil || !reflect.DeepEqual(again, p) {
 			t.Fatalf("re-encoded %+v parses to %+v, %v", p, again, err)
 		}

@@ -13,16 +13,17 @@
 // page. The engine's similarity join consults it directly instead of
 // re-tokenizing the corpus on every run: its blocking index is backed by
 // the posting runs (DocOrdinal/TokenPostings, the engine's PostingsIndex)
-// and whole-page token records come from the stored sequences
-// (NormTokens, the engine's DocIndex). BlockTokens answers the stored
-// blocking list for tests and measurements. Ingest tokenizes the page
-// text once with the function the engine would apply at query time
-// (similarity.Tokens), sorted and deduplicated for blocking and under
-// NormalizedTokens' article rule for the token records, so consulting the
-// index is byte-identical to computing on the fly.
+// and whole-page token records come from the stored tokens (NormTokens,
+// the engine's DocIndex). Ingest tokenizes the page text once with the
+// function the engine would apply at query time (similarity.Tokens) and
+// records that one list, in text order; NormTokens derives it under
+// NormalizedTokens' article rule and BlockTokens (for tests and
+// measurements) sorted and deduplicated, so consulting the index is
+// byte-identical to computing on the fly.
 package store
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -39,8 +40,7 @@ type MemStore struct {
 
 	once     sync.Once
 	ord      map[*text.Document]int
-	blockTok [][]string       // per ordinal: distinct sorted blocking tokens
-	normTok  [][]string       // per ordinal: ordered normalized tokens
+	toks     [][]string       // per ordinal: the text's tokens, in text order
 	postings map[string][]int // blocking token -> sorted doc ordinals
 }
 
@@ -49,19 +49,17 @@ func NewMemStore(docs []*text.Document) *MemStore {
 	return &MemStore{docs: docs}
 }
 
-// index tokenizes every document once, on first index use.
+// index tokenizes every document once, on first index use. Both token
+// views derive from that list as DiskStore's do from a record's.
 func (m *MemStore) index() {
 	m.once.Do(func() {
 		m.ord = make(map[*text.Document]int, len(m.docs))
-		m.blockTok = make([][]string, len(m.docs))
-		m.normTok = make([][]string, len(m.docs))
+		m.toks = make([][]string, len(m.docs))
 		m.postings = make(map[string][]int)
 		for i, d := range m.docs {
 			m.ord[d] = i
-			txt := d.Text()
-			m.blockTok[i] = DistinctTokens(txt)
-			m.normTok[i] = similarity.NormalizedTokens(d.WholeSpan().NormText())
-			for _, t := range m.blockTok[i] {
+			m.toks[i] = similarity.Tokens(d.Text())
+			for _, t := range distinct(slices.Clone(m.toks[i])) {
 				m.postings[t] = append(m.postings[t], i)
 			}
 		}
@@ -71,27 +69,32 @@ func (m *MemStore) index() {
 // BlockTokens returns the distinct blocking tokens of d (the token set
 // simjoin blocking uses), or false if d is not in this store.
 func (m *MemStore) BlockTokens(d *text.Document) ([]string, bool) {
-	m.index()
-	i, ok := m.ord[d]
-	if !ok {
-		return nil, false
-	}
-	return m.blockTok[i], true
+	toks, ok := m.docTokens(d)
+	return distinct(slices.Clone(toks)), ok
 }
 
 // NormTokens returns the ordered normalized token sequence of the whole
 // document (the sequence the prefilter and similarity p-functions use),
 // or false if d is not in this store.
 func (m *MemStore) NormTokens(d *text.Document) ([]string, bool) {
+	toks, ok := m.docTokens(d)
+	return similarity.NormalizeArticles(toks), ok
+}
+
+// docTokens returns d's tokens in text order, or false if d is not in
+// this store.
+func (m *MemStore) docTokens(d *text.Document) ([]string, bool) {
 	m.index()
 	i, ok := m.ord[d]
 	if !ok {
 		return nil, false
 	}
-	return m.normTok[i], true
+	return m.toks[i], true
 }
 
-// DocOrdinal returns d's position in Docs(), or false if absent.
+// DocOrdinal returns d's ordinal, the number postings hold, or false if
+// absent. A MemStore never mutates, so it is also d's index in its
+// document slice.
 func (m *MemStore) DocOrdinal(d *text.Document) (int, bool) {
 	m.index()
 	i, ok := m.ord[d]

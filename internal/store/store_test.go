@@ -371,8 +371,8 @@ func TestDiskStoreCorruptShardFaultsOnLoad(t *testing.T) {
 }
 
 // flipBlockToken builds a store of the pages "alpha beta gamma" (a) and
-// "delta epsilon zeta" (d) and flips the low bit of d's first
-// blocking-token id in its shard record: delta's id 3 becomes gamma's 2.
+// "delta epsilon zeta" (d) and flips the low bit of d's first token id
+// in its shard record: delta's id 3 becomes gamma's 2.
 func flipBlockToken(t *testing.T, dir string) {
 	t.Helper()
 	buildStore(t, dir, []string{"a", "d"}, []string{"alpha beta gamma", "delta epsilon zeta"}, 10)
@@ -382,7 +382,7 @@ func flipBlockToken(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	// The record's u32(idLen) "d" is followed by textLen, the page length,
-	// the checksum and nBlock, then the block-token ids.
+	// the checksum and nTokens, then the token ids in text order.
 	off := bytes.Index(b, []byte("\x01\x00\x00\x00d"))
 	if off < 0 {
 		t.Fatal("record of d not found in shard")
@@ -394,10 +394,10 @@ func flipBlockToken(t *testing.T, dir string) {
 }
 
 // TestDiskStoreCorruptTokenListRefused: one flipped bit in a stored
-// blocking-token id used to be served as the page's tokens ([gamma
-// epsilon zeta] with ok true) while the page itself still loaded. The
-// checksum covers the token lists, so both token lookups refuse the
-// record and its load faults; the other page is untouched.
+// token id used to be served as the page's tokens ([gamma epsilon zeta]
+// with ok true) while the page itself still loaded. The checksum covers
+// the token list, so both token lookups refuse the record and its load
+// faults; the other page is untouched.
 func TestDiskStoreCorruptTokenListRefused(t *testing.T) {
 	dir := t.TempDir()
 	flipBlockToken(t, dir)
@@ -422,8 +422,8 @@ func TestDiskStoreCorruptTokenListRefused(t *testing.T) {
 }
 
 // TestOpenRefusesOlderVersion: a store whose manifest, or whose shard
-// header, says version 2 (records holding markup) is refused at Open
-// with the version error; it has to be re-ingested.
+// header, says version 3 (records holding two token lists) is refused at
+// Open with the version error; it has to be re-ingested.
 func TestOpenRefusesOlderVersion(t *testing.T) {
 	for _, file := range []string{manifestName, shardName(0)} {
 		dir := t.TempDir()
@@ -435,9 +435,9 @@ func TestOpenRefusesOlderVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 		if file == manifestName {
-			b = bytes.Replace(b, []byte(`"version": 3`), []byte(`"version": 2`), 1)
+			b = bytes.Replace(b, []byte(`"version": 4`), []byte(`"version": 3`), 1)
 		} else {
-			b[4] = 2 // u32(version) after "IFSH"
+			b[4] = 3 // u32(version) after "IFSH"
 		}
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
@@ -445,10 +445,10 @@ func TestOpenRefusesOlderVersion(t *testing.T) {
 		s, err := Open(dir, OpenOptions{})
 		if err == nil {
 			s.Close()
-			t.Fatalf("%s at version 2: opened", file)
+			t.Fatalf("%s at version 3: opened", file)
 		}
-		if !strings.Contains(err.Error(), "version 2 (want 3)") {
-			t.Errorf("%s at version 2: %v", file, err)
+		if !strings.Contains(err.Error(), "version 3 (want 4)") {
+			t.Errorf("%s at version 3: %v", file, err)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"iflex/internal/markup"
 	"iflex/internal/similarity"
@@ -17,13 +18,11 @@ import (
 // ingest and validated at Open. Counts let tools report store shape
 // without opening shards.
 type Manifest struct {
-	Version   int   `json:"version"`
-	Docs      int   `json:"docs"`
-	Shards    int   `json:"shards"`
-	ShardDocs int   `json:"shard_docs"`
-	Vocab     int   `json:"vocab"`
-	TextBytes int64 `json:"text_bytes"`
-	PageBytes int64 `json:"page_bytes"` // page parts of the records
+	Version   int `json:"version"`
+	Docs      int `json:"docs"`
+	Shards    int `json:"shards"`
+	ShardDocs int `json:"shard_docs"`
+	Vocab     int `json:"vocab"`
 	// Generation counts committed mutations (0 for a freshly ingested
 	// store). Each generation adds one shard of new/superseding records
 	// plus a delta sidecar (tombstones, vocabulary growth, postings).
@@ -197,28 +196,21 @@ func (w *Writer) tokenID(tok string) uint32 {
 
 // buildRecord parses one page's markup and encodes its shard record
 // bytes (everything after the recLen prefix). intern maps tokens to
-// ids, growing the vocabulary; the page's distinct blocking-token ids
-// are returned so callers can post them to the inverted index. The text
-// is tokenized once: the norm list is that sequence under
-// NormalizedTokens' article rule (whitespace normalisation never changes
-// tokens), the blocking list the same sequence sorted and deduplicated.
-func buildRecord(id, raw string, intern func(string) uint32) (rec []byte, textLen, pageLen int, blockIDs []uint32, err error) {
+// ids, growing the vocabulary. The text is tokenized and each token
+// interned once, in text order; the page's distinct token ids, which
+// callers post to the inverted index, are that id list sorted and
+// compacted.
+func buildRecord(id, raw string, intern func(string) uint32) (rec []byte, textLen int, postIDs []uint32, err error) {
 	c, err := markup.ParseContent(id, raw)
 	if err != nil {
-		return nil, 0, 0, nil, err
+		return nil, 0, nil, err
 	}
 	toks := similarity.Tokens(c.Text)
-	norm := similarity.NormalizeArticles(toks)
-	normIDs := make([]uint32, len(norm))
-	for i, t := range norm {
-		normIDs[i] = intern(t)
+	ids := make([]uint32, len(toks))
+	for i, t := range toks {
+		ids[i] = intern(t)
 	}
-	block := distinct(toks) // reorders toks: norm is interned already
-	blockIDs = make([]uint32, len(block))
-	for i, t := range block {
-		blockIDs[i] = intern(t)
-	}
-	size := 32 + len(id) + 4*(len(blockIDs)+len(normIDs)) + len(c.Text) + 12*(len(c.Marks)+len(c.Links))
+	size := 28 + len(id) + 4*len(ids) + len(c.Text) + 12*(len(c.Marks)+len(c.Links))
 	for _, l := range c.Links {
 		size += len(l.Target)
 	}
@@ -229,33 +221,31 @@ func buildRecord(id, raw string, intern func(string) uint32) (rec []byte, textLe
 	w.u32(0) // pageLen and the checksum, patched below
 	w.u32(0)
 	sum := len(w.b)
-	w.u32(uint32(len(blockIDs)))
-	w.u32s(blockIDs)
-	w.u32(uint32(len(normIDs)))
-	w.u32s(normIDs)
+	w.u32(uint32(len(ids)))
+	w.u32s(ids)
 	page := len(w.b)
 	w.page(c)
-	pageLen = len(w.b) - page
-	binary.LittleEndian.PutUint32(w.b[sum-8:], uint32(pageLen))
+	binary.LittleEndian.PutUint32(w.b[sum-8:], uint32(len(w.b)-page))
 	binary.LittleEndian.PutUint32(w.b[sum-4:], crc32.ChecksumIEEE(w.b[sum:]))
-	return w.b, len(c.Text), pageLen, blockIDs, nil
+	slices.Sort(ids)
+	return w.b, len(c.Text), slices.Compact(ids), nil
 }
 
 // Add ingests one page: its markup is parsed once, and the record
-// stores the parsed page with the token lists of its text, so what a
+// stores the parsed page with the token list of its text, so what a
 // load returns and what the index answers come from one parse. The
-// record is appended to the current shard, and the page's blocking
+// record is appended to the current shard, and the page's distinct
 // tokens are posted to the inverted index.
 func (w *Writer) Add(id, raw string) error {
 	if w.err != nil {
 		return w.err
 	}
-	rec, textLen, pageLen, blockIDs, err := buildRecord(id, raw, w.tokenID)
+	rec, textLen, postIDs, err := buildRecord(id, raw, w.tokenID)
 	if err != nil {
 		return w.fail(err)
 	}
 	ord := w.man.Docs
-	for _, tid := range blockIDs {
+	for _, tid := range postIDs {
 		w.postings[tid] = appendDelta(w.postings[tid], ord, w.lastDoc[tid])
 		w.lastDoc[tid] = ord
 	}
@@ -263,8 +253,6 @@ func (w *Writer) Add(id, raw string) error {
 		return w.fail(err)
 	}
 	w.man.Docs++
-	w.man.TextBytes += int64(textLen)
-	w.man.PageBytes += int64(pageLen)
 
 	if w.shard.docs >= w.opts.ShardDocs {
 		if err := w.sealShard(); err != nil {

@@ -158,21 +158,17 @@ func SortAssignments(as []Assignment) {
 }
 
 // FormatAssignments renders a multiset of assignments canonically, e.g.
-// {exact("351000"), contain("Cozy ... High")}. It is for rendering only:
-// it copies, sorts and formats every element, and it drops the offsets of
-// short spans, so two lists it renders alike may differ. Nothing on the
-// evaluation path calls it.
-func FormatAssignments(as []Assignment) string { return FormatAssignmentsWith(as, Assignment.String) }
-
-// FormatAssignmentsWith is FormatAssignments taking each element's
-// rendering from str, which must render like Assignment.String.
-func FormatAssignmentsWith(as []Assignment, str func(Assignment) string) string {
+// {exact("351000"), contain("Cozy ... High")}, as a compact cell renders
+// them. It is for rendering only: it copies, sorts and formats every
+// element, and it drops the offsets of short spans, so two lists it
+// renders alike may differ. Nothing on the evaluation path calls it.
+func FormatAssignments(as []Assignment) string {
 	cp := make([]Assignment, len(as))
 	copy(cp, as)
 	SortAssignments(cp)
 	parts := make([]string, len(cp))
 	for i, a := range cp {
-		parts[i] = str(a)
+		parts[i] = a.String()
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
 }
