@@ -17,11 +17,9 @@ import (
 //	contain(s) -> Refine(s, f, v): assignments over the maximal verifying
 //	              sub-spans
 //
-// Spans produced by Refine are then re-checked against every constraint
-// previously applied to the same attribute — prior, then the run's own
-// earlier stages — because refining with a later constraint can produce
-// sub-spans that violate an earlier one. Where the plan shows a cell is
-// already refined under them, only what Refine produced is (refineCell).
+// What Refine produced is then re-checked against every constraint applied
+// to attr before it (prior, then the run's earlier stages), as a narrower
+// span may violate one; refineCell says which re-checks it can skip.
 //
 // A run evaluates in one pass: per input tuple, stage i makes the call a
 // chain of one-constraint nodes would make, refineCell(cell, cons[i],
@@ -130,10 +128,8 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins [
 							return ferr
 						}
 						if len(c.Assigns) == 0 {
-							// No possible value for the attribute survives: the tuple
-							// is certainly gone (both for expansion cells — all
-							// expanded tuples fail — and plain cells — no valuation
-							// exists).
+							// No value survives: the tuple is certainly gone, whether
+							// its cell expands (every expansion fails) or not.
 							break
 						}
 						s, sum = s+1, sum+int32(len(c.Assigns))
@@ -209,15 +205,18 @@ type refineScratch struct {
 }
 
 // refineCell computes c' = ∪ A(k, m_i(s_i)) for the new constraint k, then
-// iterates the full constraint set to a fixpoint (bounded) so that every
-// exact span satisfies all constraints and every contain span is the
-// result of refining under all of them. Only the returned cell allocates,
-// and only when it differs from c: a stage that leaves a canonical list as
-// it found it returns c itself.
+// iterates the full constraint set to a fixpoint (at most three rounds) so
+// that every exact span satisfies all constraints and every contain span is
+// the result of refining under all of them. Only the returned cell
+// allocates, and only when it differs from c: a stage that leaves a
+// canonical list as it found it returns c itself.
 // refined states that c is already refined under all[:len(all)-1]: what k
 // leaves as it is then settles, and only the rest enters the fixpoint, where
-// every assignment lies in one that passed each constraint (inherited). If
-// that is false, settling skips only re-checks: a superset, never less.
+// every assignment lies in one that passed each constraint (inherited). A
+// round skips what cannot change the list while it is the one the round
+// found (same): a self-stable k, and in the first, a hereditary prior when
+// k is declared (its spans are token-aligned). If refined is false in truth,
+// these skip only re-checks: a superset, never less.
 func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k *feature.Cons, all []*feature.Cons, refined bool) (compact.Cell, error) {
 	as, settled, spare := sc.a[:0], sc.settled[:0], sc.b
 	var err error
@@ -230,17 +229,21 @@ func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k *feature.
 			as, settled = as[:n], append(settled, a)
 		}
 	}
-	const maxRounds = 3
-	for round := 0; round < maxRounds; round++ {
+	for round := 0; round < 3; round++ {
 		sc.before = append(sc.before[:0], as...)
+		same := true
 		for _, kc := range all {
+			if same && refined && (kc == k && k.SelfStable || round == 0 && kc.Hereditary && k.Declared) {
+				continue
+			}
 			next, err := applyConstraint(batch, &sc.docs, kc, as, spare[:0], refined && kc.Hereditary)
 			if err != nil {
 				return compact.Cell{}, err
 			}
+			same = same && slices.Equal(next, as)
 			as, spare = next, as
 		}
-		if assignmentsStable(sc.before, as, &spare) {
+		if same || assignmentsStable(sc.before, as, &spare) {
 			break
 		}
 	}
@@ -251,14 +254,11 @@ func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k *feature.
 	return compact.Cell{Assigns: text.DedupAssignments(sc.settled), Expand: c.Expand}, nil
 }
 
-// assignmentsStable is refineCell's fixpoint test: a round changed nothing
-// when the list holds the same (mode, span) multiset as before it. Lists
-// that are not identical are compared sorted: before in place, after as a
-// copy in *tmp, which must alias neither.
+// assignmentsStable is refineCell's fixpoint test for a round that changed
+// the list on the way: it ends up where it started when it holds the same
+// (mode, span) multiset as before it. The lists are compared sorted: before
+// in place, after as a copy in *tmp, which must alias neither.
 func assignmentsStable(before, after []text.Assignment, tmp *[]text.Assignment) bool {
-	if slices.Equal(before, after) {
-		return true
-	}
 	if len(before) != len(after) {
 		return false
 	}

@@ -369,6 +369,72 @@ func TestRefineCellTrustedKeepsSuperset(t *testing.T) {
 	}
 }
 
+// TestRefineCellSelfStableSkipsRecheck: on the trusted path a self-stable
+// constraint k over hereditary priors makes only its own first pass, one
+// call per entering assignment, and still returns the reference cell: what
+// k returned needs no re-check under k (Cons.SelfStable), and the priors
+// pass its token-aligned spans uncalled. Each cell is first refined under
+// the priors stage by stage, as a run carries it. The draw is floored so
+// that k returns spans the reference re-checks.
+func TestRefineCellSelfStableSkipsRecheck(t *testing.T) {
+	docs := refinePages()
+	env, refEnv := NewEnv(), NewEnv()
+	r := rand.New(rand.NewSource(23))
+	var sc refineScratch
+	hereditary := []alog.Constraint{
+		{Feature: "bold-font", Value: "yes"}, {Feature: "italic-font", Value: "no"}, {Feature: "in-list", Value: "yes"},
+		{Feature: "max-tokens", Value: "3"}, {Feature: "capitalized", Value: "yes"}, {Feature: "in-first-half", Value: "yes"},
+	}
+	stable := []alog.Constraint{
+		{Feature: "numeric", Value: "yes"}, {Feature: "numeric", Value: "no"}, {Feature: "bold-font", Value: "distinct-yes"},
+		{Feature: "preceded-by", Value: "List:"}, {Feature: "preceded-by", Value: "New:"}, {Feature: "min-value", Value: "20"},
+		{Feature: "max-value", Value: "100"}, {Feature: "max-length", Value: "12"}, {Feature: "in-list", Value: "no"},
+	}
+	rechecked := 0
+	for trial := 0; trial < 5000; trial++ {
+		sc.docs = freshTables(env)
+		refDocs := &docCursor{memo: freshTables(refEnv).memo}
+		c := compact.Cell{Assigns: randomAssignments(r, docs, 1+r.Intn(4)), Expand: r.Intn(2) == 0}
+		cons := make([]alog.Constraint, r.Intn(3), 3)
+		for i := range cons {
+			cons[i] = hereditary[r.Intn(len(hereditary))]
+		}
+		cons = append(cons, stable[r.Intn(len(stable))])
+		all, refAll := resolveBoth(t, env, refEnv, cons)
+		if k := all[len(all)-1]; !k.SelfStable {
+			t.Fatalf("%v is not self-stable", cons[len(cons)-1])
+		}
+		for st := range refAll[:len(refAll)-1] {
+			var b statBatch
+			if c, _ = refRefineCell(&b, refDocs, c, refAll[st], refAll[:st+1]); len(c.Assigns) == 0 {
+				break
+			}
+		}
+		if len(c.Assigns) == 0 {
+			continue
+		}
+		var wantB, gotB statBatch
+		want, werr := refRefineCell(&wantB, refDocs, c, refAll[len(all)-1], refAll)
+		got, gerr := refineCell(&gotB, &sc, c, all[len(all)-1], all, true)
+		if werr != nil || gerr != nil {
+			t.Fatalf("trial %d: error %v, reference %v", trial, gerr, werr)
+		}
+		if !slices.Equal(got.Assigns, want.Assigns) || got.Expand != want.Expand {
+			t.Fatalf("trial %d: %v under %v\n got %v\nwant %v", trial, c, cons, got, want)
+		}
+		if calls := gotB.VerifyCalls + gotB.RefineCalls; calls != int64(len(c.Assigns)) {
+			t.Fatalf("trial %d: %v under %v made %d calls, want %d (k's first pass)", trial, c, cons, calls, len(c.Assigns))
+		}
+		if wantB.VerifyCalls+wantB.RefineCalls > int64(len(c.Assigns)) {
+			rechecked++
+		}
+	}
+	t.Logf("%d of 5000 cells had something to re-check", rechecked)
+	if rechecked < 1000 {
+		t.Fatalf("only %d cells had anything to re-check: the test shows nothing", rechecked)
+	}
+}
+
 // TestAssignmentsStable holds the fixpoint test to equal sorted lists, on
 // list pairs built to sit on both sides of it: identical lists,
 // permutations with duplicates, an element swapped for the same range of

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"iflex/internal/alog"
+	"iflex/internal/compact"
 	"iflex/internal/feature"
 	"iflex/internal/markup"
 	"iflex/internal/oracle"
@@ -115,7 +116,9 @@ func genSigmaCase(r *rand.Rand, reg *feature.Registry, i int) sigmaCase {
 // extraction lists every value of its contain cells, which the program's
 // constraints may still reject, so the contract there is that every row of
 // a precise world is among the result's. Under existence annotation the
-// result's maybe flags are ψ's output and are read as they are.
+// result's maybe flags are ψ's output and are read as they are. Then the
+// first metamorphic law: the result expands to no row the program without
+// its last constraint does not.
 func checkSigmaCase(t *testing.T, c sigmaCase) {
 	t.Helper()
 	reg := feature.NewRegistry()
@@ -153,11 +156,49 @@ func checkSigmaCase(t *testing.T, c sigmaCase) {
 			t.Fatalf("page %q\nprogram:\n%sthe result lacks the world\n%s\nresult:\n%s", c.page.Text(), src, w, res)
 		}
 	}
+	// Adding a constraint never grows the expanded result: the program with
+	// its last constraint dropped expands to every row this one does.
+	shorter := c
+	shorter.cons = c.cons[:len(c.cons)-1]
+	wider, err := Run(alog.MustParse(shorter.program()), env)
+	if err != nil {
+		t.Fatalf("%v\nprogram:\n%s", err, shorter.program())
+	}
+	rows, widerRows := expandedRows(res), expandedRows(wider)
+	for row := range rows {
+		if !widerRows[row] {
+			t.Fatalf("page %q\nprogram:\n%sexpands to the row %s, which it does not without its last constraint:\n%s\nresult:\n%s\nwithout it:\n%s",
+				c.page.Text(), src, row, shorter.program(), res, wider)
+		}
+	}
+}
+
+// expandedRows lists every row a result can take, one value from each cell
+// of each of its a-tuples, each value rendered by its byte offsets.
+func expandedRows(t *compact.Table) map[string]bool {
+	rows := map[string]bool{}
+	for _, at := range oracle.ToATable(t).Tuples {
+		keys := []string{""}
+		for _, c := range at.Cells {
+			var next []string
+			for _, k := range keys {
+				for _, v := range c {
+					next = append(next, fmt.Sprintf("%s[%d,%d)", k, v.Start(), v.End()))
+				}
+			}
+			keys = next
+		}
+		for _, k := range keys {
+			rows[k] = true
+		}
+	}
+	return rows
 }
 
 // TestConstraintRunsMatchOracle: seeded random single-page programs with
 // built-in constraints, checked against the brute-force σ-run of the
-// oracle (Verify on every token-aligned sub-span). What an unannotated
+// oracle (Verify on every token-aligned sub-span) and against themselves
+// with the last constraint dropped (checkSigmaCase). What an unannotated
 // result promises — every precise row among its rows, not the precise
 // world among its worlds — is DESIGN.md §4's superset paragraph. The long
 // leg draws ten times as many programs.

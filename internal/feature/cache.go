@@ -48,11 +48,15 @@ type Cons struct {
 	// Hereditary: each token-aligned sub-span t of a span that passed f = v
 	// has Verify(t) and Refine(t) = [contain(t)] (lang.go).
 	Hereditary bool
+	// Declared: f is a built-in that takes v, and lang is its language, so
+	// every span Refine returns is token-aligned.
+	Declared bool
+	// SelfStable: every exact span Refine returns verifies, and every
+	// contain span x it returns refines to exactly [contain(x)] (lang.go).
+	SelfStable bool
 	id         uint32 // interning order in the memo
 	memo       *Memo
-	// declared: f is a built-in that takes v, and lang is its language.
-	declared bool
-	lang     lang
+	lang       lang
 }
 
 // valueKey addresses a Values record inside one document's table. Offsets
@@ -249,7 +253,7 @@ func (t *DocRecords) charge(n int64) {
 // that declares no language for the value — one a deployment registered,
 // or a value it rejects — answers for itself.
 func (t *DocRecords) Verify(c *Cons, s text.Span) (ok, hit bool, err error) {
-	if !c.declared {
+	if !c.Declared {
 		ok, err = c.Feature.Verify(s, c.Value)
 		return ok, false, err
 	}
@@ -260,7 +264,7 @@ func (t *DocRecords) Verify(c *Cons, s text.Span) (ok, hit bool, err error) {
 // Refine is Memo.Refine with the table and the handle in hand: it appends
 // the refinement of s to out.
 func (t *DocRecords) Refine(c *Cons, s text.Span, out []text.Assignment) (as []text.Assignment, hit bool, err error) {
-	if !c.declared {
+	if !c.Declared {
 		as, err = c.Feature.Refine(s, c.Value)
 		return append(out, as...), false, err
 	}

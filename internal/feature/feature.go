@@ -36,9 +36,11 @@
 // Verify accepts inside s lies in one of those, so Refine covers Verify by
 // construction. f = v is hereditary (Cons.Hereditary) when it is contain
 // with no residual: then each token-aligned sub-span t of a span that
-// passed it has Verify(t) and Refine(t) = [contain(t)]. Features registered
-// by a deployment still write Verify and Refine themselves, and Hereditary
-// if they have it.
+// passed it has Verify(t) and Refine(t) = [contain(t)]. f = v is
+// self-stable (Cons.SelfStable) when it is exact or pins neither end: then
+// re-applying it to what its Refine returned changes nothing. Features
+// registered by a deployment still write Verify and Refine themselves, and
+// Hereditary if they have it; they are never self-stable.
 package feature
 
 import (

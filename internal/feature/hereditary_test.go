@@ -1,8 +1,10 @@
 package feature
 
 import (
+	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -63,6 +65,94 @@ func TestHereditaryDeclared(t *testing.T) {
 	}
 	if !hereditary(declaring{feat(t, "numeric")}, "5") || hereditary(declaring{feat(t, "bold-font")}, "4") {
 		t.Error("a feature's own Hereditary is not what decides")
+	}
+}
+
+// selfStablePairs lists, in one memo, the handles of every built-in under
+// the boolean values, the bound n and the values TestRefineCoversVerify
+// tries, each pair once, that claim to be self-stable.
+func selfStablePairs(t *testing.T, n int) []*Cons {
+	var out []*Cons
+	memo := NewMemo()
+	for _, name := range reg.Names() {
+		f := feat(t, name)
+		for _, v := range append([]string{Yes, No, DistinctYes, DistinctNo, strconv.Itoa(n)}, coverageValues(t, name)...) {
+			if c := memo.Intern(f, v); c.SelfStable && !slices.Contains(out, c) {
+				out = append(out, c)
+			}
+		}
+	}
+	return out
+}
+
+// unstable reports what breaks f = v's self-stability on s, or "": an
+// assignment Refine(s) returns that is not token-aligned, an exact one
+// that does not verify, or a contain one that does not refine to exactly
+// itself.
+func unstable(c *Cons, s text.Span) string {
+	as, _ := c.Feature.Refine(s, c.Value)
+	for _, a := range as {
+		if !a.Span.TokenAligned() {
+			return fmt.Sprintf("Refine(%q) returns %v, which is not token-aligned", s.Text(), a)
+		}
+		if a.Mode == text.Exact {
+			if ok, _ := c.Feature.Verify(a.Span, c.Value); !ok {
+				return fmt.Sprintf("Refine(%q) returns %v, which does not verify", s.Text(), a)
+			}
+		} else if again, _ := c.Feature.Refine(a.Span, c.Value); !slices.Equal(again, []text.Assignment{a}) {
+			return fmt.Sprintf("Refine(%q) returns %v, which refines to %v", s.Text(), a, again)
+		}
+	}
+	return ""
+}
+
+// rightAfter is a pinned language no built-in declares: a span starting
+// right where a label ends. A label is followed by a space, so Refine trims
+// its spans off the region start they are pinned to, and refining one
+// again finds no region starting there.
+var rightAfter = &builtin{name: "right-after", kind: KindParametric, lang: func(v string) (lang, error) {
+	return lang{regions: afterLabel, pinStart: true, p: param{label: strings.ToLower(v)}}, nil
+}}
+
+// TestSelfStableDeclared pins which built-ins are self-stable — every one
+// but the pinned patterns (starts-with, ends-with, matches) — and holds
+// each claim to its contract on every span of the memo pages: every
+// assignment Refine returns is token-aligned, verifies when exact and
+// refines to exactly itself when contain. A feature a deployment registers
+// is never self-stable, whatever it declares, and rightAfter, a pinned
+// language where the contract fails, is not either.
+func TestSelfStableDeclared(t *testing.T) {
+	claims, after := selfStablePairs(t, 5), NewMemo().Intern(rightAfter, "List:")
+	if after.SelfStable {
+		claims = append(claims, after)
+	}
+	memo := NewMemo()
+	for _, name := range reg.Names() {
+		for _, v := range coverageValues(t, name) {
+			c := memo.Intern(feat(t, name), v)
+			pattern := name == "starts-with" || name == "ends-with" || name == "matches"
+			if !c.Declared || c.SelfStable == pattern {
+				t.Errorf("%s=%q: declared %v, self-stable %v", name, v, c.Declared, c.SelfStable)
+			}
+		}
+	}
+	var spans []text.Span
+	for _, d := range memoPages() {
+		spans = append(spans, memoSpans(d)...)
+	}
+	for _, c := range claims {
+		for _, s := range spans {
+			if why := unstable(c, s); why != "" {
+				t.Fatalf("%s=%q claims self-stability: %s", c.Feature.Name(), c.Value, why)
+			}
+		}
+	}
+	if NewMemo().Intern(struct{ Feature }{feat(t, "bold-font")}, Yes).SelfStable ||
+		NewMemo().Intern(declaring{feat(t, "numeric")}, "5").SelfStable {
+		t.Error("a feature a deployment registers is self-stable")
+	}
+	if !slices.ContainsFunc(spans, func(s text.Span) bool { return unstable(after, s) != "" }) {
+		t.Error("right-after keeps the contract on every span: it shows nothing")
 	}
 }
 
@@ -142,8 +232,10 @@ func TestForeignHandleRejected(t *testing.T) {
 // Refine(s, v) returns, and for s itself when Verify(s, v) holds, every
 // token-aligned sub-span t has Verify(t, v) true and Refine(t, v) exactly
 // [contain(t)]. That is what lets the engine pass such a t through a
-// re-check of f = v without calling either. Seeds are Books and DBLife
-// record pages (testdata/fuzz).
+// re-check of f = v without calling either. Every self-stable one is held
+// to its own contract on s (unstable), which lets the engine skip
+// re-checking what f = v itself returned. Seeds are Books and DBLife record
+// pages (testdata/fuzz).
 func FuzzHereditary(f *testing.F) {
 	f.Add(`<li><b>Query Processing</b> by <i>A. Smith</i></li><li>List: $45.00</li>`, uint8(12), uint16(0), uint16(8))
 	f.Fuzz(func(t *testing.T, src string, bound uint8, start, width uint16) {
@@ -157,6 +249,11 @@ func FuzzHereditary(f *testing.F) {
 		lo := int(start) % len(toks)
 		hi := lo + 1 + int(width)%min(12, len(toks)-lo)
 		s := d.Span(toks[lo].Start, toks[hi-1].End)
+		for _, c := range selfStablePairs(t, int(bound)%48) {
+			if why := unstable(c, s); why != "" {
+				t.Fatalf("%s=%q claims self-stability: %s", c.Feature.Name(), c.Value, why)
+			}
+		}
 		for _, c := range hereditaryPairs(int(bound) % 48) {
 			ft, name := c.Feature, c.Feature.Name()
 			var passed []text.Span

@@ -10,7 +10,8 @@ import (
 )
 
 // lang is the span language one built-in value denotes (the package
-// comment): the declaration Verify, Refine and Hereditary are derived from.
+// comment): the declaration Verify, Refine, Hereditary and SelfStable are
+// derived from.
 type lang struct {
 	// regions appends to dst, leaving what it holds alone, the page's
 	// regions: maximal ranges holding every span of the language. Sorted by
@@ -146,13 +147,24 @@ func (b *builtin) Refine(s text.Span, v string) ([]text.Assignment, error) {
 // rejects v, and whether f = v is hereditary — for a built-in, when the
 // language is contain with no residual; another feature says so by a
 // method of that name, asked here once.
+//
+// A built-in is self-stable when its language is exact or pins neither
+// end. Exact: Refine emits r token-trimmed for a region r inside s, which
+// verify finds among the regions near it. Unpinned contain: Refine emits x,
+// r clipped to s and trimmed, when the residual passes (x, r) or is open.
+// Refining x clips r to x, which passes again; any other region clips to a
+// sub-span of x starting where x does (a token start), which x replaces or
+// covers, or later, after r, which x covers: the answer is [contain(x)].
+// Pinned, an x trimmed off a region end that is no token boundary finds no
+// region pinned there. A feature a deployment registers never is.
 func resolve(f Feature, v string) *Cons {
 	c := &Cons{Feature: f, Value: v}
 	if b, ok := f.(*builtin); ok {
 		var err error
 		c.lang, err = b.lang(v)
-		c.declared = err == nil
-		c.Hereditary = c.declared && !c.lang.exact && c.lang.check == nil
+		c.Declared = err == nil
+		c.Hereditary = c.Declared && !c.lang.exact && c.lang.check == nil
+		c.SelfStable = c.Declared && (c.lang.exact || !c.lang.pinStart && !c.lang.pinEnd)
 	} else if h, ok := f.(interface{ Hereditary(v string) bool }); ok {
 		c.Hereditary = h.Hereditary(v)
 	}
