@@ -115,23 +115,21 @@ type Env struct {
 	// starts.
 	FaultHook func(site string, docs []string) error
 	// DocIndex, when non-nil, answers whole-document token queries from
-	// an index built at ingest (the document store), so a similarity join
-	// builds the token record of a whole-page cell without re-tokenising
-	// a resident page — or paging a non-resident one in at all.
+	// an index built at ingest (the document store): the token record of
+	// an exact whole-page cell is built from it on every use, without
+	// tokenising a resident page, paging a non-resident one in or making
+	// the page a record table (feature.Memo.IndexRecords). Every other
+	// value reads its ids off its page's token list in FeatureMemo.
 	// Implementations must return exactly what the engine would compute
-	// live: the ordered similarity.NormalizedTokens of the page's
-	// normalised text. A false ok falls back to live tokenisation; results
-	// are byte-identical either way.
+	// live: the ordered similarity.NormalizedTokens of the page's text. A
+	// false ok falls back to the record table; results are byte-identical
+	// either way.
 	DocIndex DocIndex
 	// Postings, when non-nil, provides the persistent inverted
 	// blocking-token index over the same store: simjoin blocking consults
 	// it directly when the join's right side is a plain document table,
 	// instead of rebuilding a per-run blocking index from page text.
 	Postings PostingsIndex
-	// vocab interns every token the similarity operators see — live
-	// tokenisation and DocIndex answers alike — so token records built by
-	// different evaluations over this Env compare by id.
-	vocab *similarity.Vocab
 	// nodes interns every plan node built against this Env (nodes.go).
 	nodes nodeTable
 	// limits bound per-tuple value enumeration (defaultLimits).
@@ -140,10 +138,7 @@ type Env struct {
 
 // DocIndex answers per-document token queries from a prebuilt index;
 // see Env.DocIndex for the exactness contract.
-type DocIndex interface {
-	// NormTokens returns the document's ordered normalized token sequence.
-	NormTokens(d *text.Document) ([]string, bool)
-}
+type DocIndex = feature.TokenIndex
 
 // PostingsIndex is an inverted blocking-token index over an ordinal
 // document space; see Env.Postings.
@@ -169,7 +164,6 @@ func NewEnv() *Env {
 		Features:    feature.NewRegistry(),
 		limits:      defaultLimits(),
 		FeatureMemo: feature.NewMemo(),
-		vocab:       similarity.NewVocab(),
 		nodes:       nodeTable{m: map[string]Node{}},
 	}
 	spec := similarity.Default
@@ -405,8 +399,8 @@ type Stats struct {
 	DocRecordBytes    int64 `json:"doc_record_bytes" stat:"gauge"`
 	// BlockIdxPostings counts simjoin blocking indexes served directly
 	// by the persistent inverted token index (Env.Postings) instead of
-	// being rebuilt from page text; IndexTokenHits counts whole-document
-	// token queries answered by Env.DocIndex. Concurrent builders race
+	// being rebuilt from page text; IndexTokenHits counts the whole-page
+	// token records built from Env.DocIndex. Concurrent builders race
 	// benignly and delta reuse skips lookups, hence sched.
 	BlockIdxPostings int64 `json:"block_idx_postings" stat:"sched"`
 	IndexTokenHits   int64 `json:"index_token_hits" stat:"sched"`

@@ -399,15 +399,15 @@ func (n *funcNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins []*comp
 		involved = append(involved, colIndex(in.Cols, a.Var))
 	}
 	// A binary p-function that declares its token similarity is decided on
-	// interned token records, each value tokenised once per tuple, with the
-	// value-level probe instead of the valuation odometer (tokensim.go).
+	// the token records of the record tables, with the value-level probe
+	// instead of the valuation odometer (tokensim.go).
 	// Without a join's right side to rank rarity on, probe keys order by
 	// token string.
 	if pf.Token != nil && len(involved) == 2 {
 		sim := &tokenSim{ctx: ctx, spec: *pf.Token}
 		lim := ctx.Env.limits
 		return applyFilter(ctx, ev, in, involved, func(tp compact.Tuple, batch *statBatch) (filterOutcome, error) {
-			var sc simScratch
+			sc := simScratch{docs: docCursor{memo: ctx.Env.FeatureMemo}}
 			return sim.filter(tp, involved, lim,
 				func() *cellTokens { return sim.cellTokens(tp.Cells[involved[0]], true, &sc) },
 				func() *cellTokens { return sim.cellTokens(tp.Cells[involved[1]], false, &sc) },

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"iflex/internal/compact"
 	"iflex/internal/similarity"
@@ -61,14 +62,16 @@ func wholeDocExact(c compact.Cell) (*text.Document, bool) {
 	return d, true
 }
 
-// blockTokens appends to dst the distinct ids of the lower-cased tokens
-// over all value regions of an enumerable cell.
-func blockTokens(ctx *Context, c compact.Cell, dst []uint32) []uint32 {
-	v := ctx.Env.vocab
-	// Tokens of each assignment's span cover the tokens of every encoded
-	// value (values are sub-spans).
+// blockTokens returns the distinct ids of the lower-cased tokens over all
+// value regions of an enumerable cell: the blocking set the record table
+// keeps for its one assignment (feature.DocRecords.Block), shared and not
+// to be mutated, or the union of several, built in dst.
+func blockTokens(docs *docCursor, c compact.Cell, dst []uint32) []uint32 {
+	if len(c.Assigns) == 1 {
+		return docs.of(c.Assigns[0].Span.Doc()).Block(c.Assigns[0])
+	}
 	for _, a := range c.Assigns {
-		dst = v.AppendTokens(dst, a.Span.Text())
+		dst = append(dst, docs.of(a.Span.Doc()).Block(a)...)
 	}
 	slices.Sort(dst)
 	return slices.Compact(dst)
@@ -76,8 +79,8 @@ func blockTokens(ctx *Context, c compact.Cell, dst []uint32) []uint32 {
 
 // blockIndex serves candidate right-tuple indices by block token for one
 // evaluated side of a similarity join; always lists tuples whose cells
-// were too large to enumerate. It has two backings: an explicit
-// token->tuples map built by tokenizing every right cell, or — when every
+// were too large to enumerate. It has two backings: sorted token->tuples
+// lists built from every right cell's blocking set, or — when every
 // right tuple is a distinct whole document known to the persistent
 // inverted index — the postings lists themselves, decoded lazily per
 // probed token and translated through tupOf.
@@ -87,10 +90,9 @@ func blockTokens(ctx *Context, c compact.Cell, dst []uint32) []uint32 {
 // rank of every indexed token, which is what lets a pinned left cell probe
 // with its rarity prefix and drop pinned candidates by length.
 type blockIndex struct {
-	byToken map[uint32][]int
-	always  []int
-	pinned  []similarity.Record // by right tuple; empty when not pinned
-	rank    map[uint32]uint32   // see tokenSim.rank; nil on the postings backing
+	lists  similarity.Lists // ranked when built for a token similarity
+	always []int
+	pinned []similarity.Record // by right tuple; empty when not pinned
 	// wide is set when some enumerable right cell holds more values than
 	// MaxValuations: its pair with a pinned left cell is kept conservatively
 	// on any shared token, so a pinned probe may not narrow to its prefix.
@@ -101,7 +103,7 @@ type blockIndex struct {
 	nTup  int
 
 	pmu    sync.RWMutex
-	pcache map[uint32][]int // token -> translated candidates
+	pcache map[uint32][]int32 // token -> translated candidates
 }
 
 // candidates returns the right-tuple indices whose block-token set may
@@ -109,9 +111,9 @@ type blockIndex struct {
 // candidate set. On the postings backing, a token the index cannot answer
 // falls back to every tuple (a superset is always safe — dropping
 // candidates would silently under-approximate the join).
-func (idx *blockIndex) candidates(v *similarity.Vocab, tok uint32) []int {
+func (idx *blockIndex) candidates(v *similarity.Vocab, tok uint32) []int32 {
 	if idx.post == nil {
-		return idx.byToken[tok]
+		return idx.lists.Of(tok)
 	}
 	idx.pmu.RLock()
 	c, ok := idx.pcache[tok]
@@ -120,16 +122,16 @@ func (idx *blockIndex) candidates(v *similarity.Vocab, tok uint32) []int {
 		return c
 	}
 	ords, aok := idx.post.TokenPostings(v.Token(tok))
-	var out []int
+	var out []int32
 	if !aok {
-		out = make([]int, idx.nTup)
+		out = make([]int32, idx.nTup)
 		for i := range out {
-			out[i] = i
+			out[i] = int32(i)
 		}
 	} else {
 		for _, o := range ords {
 			if o >= 0 && o < len(idx.tupOf) && idx.tupOf[o] >= 0 {
-				out = append(out, int(idx.tupOf[o]))
+				out = append(out, idx.tupOf[o])
 			}
 		}
 	}
@@ -143,22 +145,14 @@ func (idx *blockIndex) candidates(v *similarity.Vocab, tok uint32) []int {
 	return out
 }
 
-// memBytes approximates the index's resident size for cache accounting,
-// token records included. The postings translation cache grows as tokens
-// are probed; its eventual size is bounded by the probed vocabulary and is
-// not re-accounted.
+// memBytes approximates the index's resident size for cache accounting:
+// its lists, ranks and record headers. The records' ids are the record
+// tables' (feature.DocRecords), charged there. The postings translation
+// cache grows as tokens are probed; its eventual size is bounded by the
+// probed vocabulary and is not re-accounted.
 func (idx *blockIndex) memBytes() int64 {
-	b := int64(96)
-	for _, ids := range idx.byToken {
-		b += 48 + 8*int64(len(ids))
-	}
-	b += 16 * int64(len(idx.rank))
-	for _, r := range idx.pinned {
-		b += 48 + 4*int64(len(r.Ord)+len(r.Set))
-	}
-	b += 8 * int64(len(idx.always))
-	b += 4 * int64(len(idx.tupOf))
-	return b
+	return 96 + idx.lists.Bytes() + 4*int64(len(idx.tupOf)) +
+		int64(unsafe.Sizeof(similarity.Record{}))*int64(len(idx.pinned)) + 8*int64(len(idx.always))
 }
 
 // postingsBlockIndex tries to back the blocking index directly by the
@@ -186,21 +180,21 @@ func postingsBlockIndex(pi PostingsIndex, rt *compact.Table, ri int) *blockIndex
 		}
 		tupOf[ord] = int32(j)
 	}
-	return &blockIndex{post: pi, tupOf: tupOf, nTup: len(rt.Tuples), pcache: map[uint32][]int{}}
+	return &blockIndex{post: pi, tupOf: tupOf, nTup: len(rt.Tuples), pcache: map[uint32][]int32{}}
 }
 
 // newBlockIndex picks the backing for an index over all of rt: the
 // persistent inverted index when rt is a stored corpus scan (no per-run
-// tokenization), an explicit map otherwise.
+// tokenization), lists of its own otherwise.
 func newBlockIndex(ctx *Context, rt *compact.Table, ri int) *blockIndex {
 	if idx := postingsBlockIndex(ctx.Env.Postings, rt, ri); idx != nil {
 		statAdd(&ctx.Stats.BlockIdxPostings, 1)
 		return idx
 	}
-	return &blockIndex{byToken: map[uint32][]int{}}
+	return &blockIndex{}
 }
 
-// fill indexes the join cells of the listed right tuples. On the map
+// fill indexes the join cells of the listed right tuples. On the lists
 // backing each cell tokenizes under a quarantine guard: a page that faults
 // while being indexed is quarantined and the caller's whole pass restarts,
 // so the survivors' subset gets a cleanly rebuilt index (a partial index is
@@ -217,18 +211,22 @@ func (idx *blockIndex) fill(ctx *Context, ev *EvalTrace, sim *tokenSim, rt *comp
 		idx.pinned = make([]similarity.Record, len(rt.Tuples))
 	}
 	lim := ctx.Env.limits
+	docs := docCursor{memo: ctx.Env.FeatureMemo}
 	var qn int64
 	var toks []uint32
+	var blocks [][]uint32 // the listed cells' tokens, of the tuples in rows
+	var rows []uint64
+	n := 0
 	for _, j := range tuples {
 		cell := rt.Tuples[j].Cells[ri]
 		values := cell.NumValues()
 		var rec similarity.Record
 		if ctx.guard(ev, "blockindex", rt.Tuples[j], []int{ri}, func() error {
 			if idx.post == nil && values <= lim.MaxCellValues {
-				toks = blockTokens(ctx, cell, toks[:0])
+				toks = blockTokens(&docs, cell, nil)
 			}
 			if sim != nil {
-				rec = sim.pinnedRecord(cell)
+				rec = sim.pinnedRecord(cell, &docs)
 			}
 			return nil
 		}) {
@@ -244,38 +242,24 @@ func (idx *blockIndex) fill(ctx *Context, ev *EvalTrace, sim *tokenSim, rt *comp
 			idx.always = append(idx.always, j)
 		default:
 			idx.wide = idx.wide || values > lim.MaxValuations
-			for _, tok := range toks {
-				idx.byToken[tok] = append(idx.byToken[tok], j)
-			}
+			blocks, rows, n = append(blocks, toks), append(rows, uint64(j)), n+len(toks)
 		}
 	}
 	if qn > 0 {
 		return quarantineErr("blockindex", qn)
 	}
 	if idx.post == nil {
-		idx.rank = rarityRank(ctx.Env.vocab, idx.byToken)
+		packed := make([]uint64, 0, n)
+		for i, toks := range blocks {
+			for _, tok := range toks {
+				packed = append(packed, uint64(tok)<<32|rows[i])
+			}
+		}
+		if idx.lists = similarity.NewLists(packed); sim != nil {
+			idx.lists.Rank(ctx.Env.FeatureMemo.Vocab())
+		}
 	}
 	return nil
-}
-
-// rarityRank numbers the indexed tokens from 1 by ascending posting-list
-// length, ties by token string.
-func rarityRank(v *similarity.Vocab, byToken map[uint32][]int) map[uint32]uint32 {
-	toks := make([]uint32, 0, len(byToken))
-	for tok := range byToken {
-		toks = append(toks, tok)
-	}
-	sort.Slice(toks, func(a, b int) bool {
-		if la, lb := len(byToken[toks[a]]), len(byToken[toks[b]]); la != lb {
-			return la < lb
-		}
-		return v.Token(toks[a]) < v.Token(toks[b])
-	})
-	rank := make(map[uint32]uint32, len(toks))
-	for i, tok := range toks {
-		rank[tok] = uint32(i + 1)
-	}
-	return rank
 }
 
 // rightIndex builds (or fetches from the context cache) the blocking index
@@ -365,16 +349,19 @@ func (c *simChunk) candidates(left *leftSide, idx *blockIndex, universe []int) (
 		clear(c.stamp)
 		c.gen = 1
 	}
-	v := c.ctx.Env.vocab
+	v := c.ctx.Env.FeatureMemo.Vocab()
 	cands = c.cands[:0]
 	prefix := len(left.pinned.Ord) > 0 && !idx.wide
+	keys := c.toks[:0]
 	if prefix {
-		c.toks = c.sim.appendProbeKeys(c.toks[:0], left.pinned, &c.sc)
+		c.toks = c.sim.appendProbeKeys(keys, left.pinned, &c.sc)
+		keys = c.toks
 	} else {
-		c.toks = blockTokens(c.ctx, left.cell, c.toks[:0])
+		keys = blockTokens(&c.sc.docs, left.cell, keys)
 	}
-	for _, tok := range c.toks {
-		for _, j := range idx.candidates(v, tok) {
+	for _, tok := range keys {
+		for _, j32 := range idx.candidates(v, tok) {
+			j := int(j32)
 			if c.stamp[j] == c.gen {
 				continue
 			}
@@ -464,7 +451,7 @@ func (c *simChunk) probe(ltp compact.Tuple, idx *blockIndex, universe []int, cha
 	var cands []int
 	if c.ctx.guard(c.ev, "blockindex", ltp, []int{c.li}, func() error {
 		if c.sim != nil {
-			left.pinned = c.sim.pinnedRecord(left.cell)
+			left.pinned = c.sim.pinnedRecord(left.cell, &c.sc.docs)
 		}
 		var oversized bool
 		cands, oversized = c.candidates(&left, idx, universe)
@@ -517,7 +504,7 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*co
 		return nil, err
 	}
 	if p.sim != nil {
-		p.sim.rank = p.idx.rank
+		p.sim.idx = p.idx
 	}
 	li, ri := p.li, p.ri
 	// The loop runs over left tuples; each chunk keeps its own candidate
@@ -542,11 +529,12 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*co
 		if rec = buildSimRecon(oldRight, rt); rec == nil {
 			return false, nil
 		}
-		freshIdx = &blockIndex{byToken: map[uint32][]int{}}
+		freshIdx = &blockIndex{}
 		return true, freshIdx.fill(ctx, ev, p.sim, rt, ri, rec.fresh)
 	}
 	op.open = func(batch *statBatch) decideFn[joinOut] {
-		c := &simChunk{simProbe: p, batch: batch, stamp: make([]uint32, len(rt.Tuples))}
+		c := &simChunk{simProbe: p, batch: batch, stamp: make([]uint32, len(rt.Tuples)),
+			sc: simScratch{docs: docCursor{memo: ctx.Env.FeatureMemo}}}
 		return func(ltp compact.Tuple, old *joinOut) (joinOut, bool, bool, error) {
 			if old != nil && rec == nil {
 				return *old, true, false, nil

@@ -187,7 +187,7 @@ e2(y, t) :- from(y, t), bold-font(t) = distinct-yes.
 // repeatedPageSrc joins the stored pages with a right side that lists
 // every page twice (a union of two identical rules): the posting runs
 // cannot tell a page's two tuples apart, so postingsBlockIndex declines and
-// the join builds its map-backed index by tokenizing whole-page cells.
+// the join builds its own lists from the whole-page cells' tokens.
 const repeatedPageSrc = `
 R(y) :- D(y).
 R(y) :- D(y).

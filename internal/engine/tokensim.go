@@ -2,7 +2,6 @@ package engine
 
 import (
 	"slices"
-	"strings"
 
 	"iflex/internal/compact"
 	"iflex/internal/similarity"
@@ -24,11 +23,12 @@ import (
 type tokenSim struct {
 	ctx  *Context
 	spec similarity.Spec
-	// rank orders tokens by ascending frequency on the join's right side
-	// (1 = rarest); absent tokens rank 0 and tie-break by token string, so
-	// the probe keys — and with them the work counters — do not depend on
-	// the order ids were interned in. nil ranks everything 0.
-	rank map[uint32]uint32
+	// idx ranks tokens by ascending frequency on the join's right side
+	// (1 = rarest, similarity.Lists.Rank). nil, or an index without ranks,
+	// ranks everything alike, and rarest then means first by token string,
+	// so the probe keys — and with them the work counters — never depend
+	// on the order ids were interned in.
+	idx *blockIndex
 }
 
 // simScratch is the reusable working set of one goroutine's pair
@@ -37,65 +37,62 @@ type simScratch struct {
 	packed []uint64
 	seen   []uint64
 	sat    [2][]bool
+	ids    []uint32
+	docs   docCursor
 }
 
-// appendValue appends the normalised token ids of one value. A
-// whole-document span is answered from the document index when one is
-// attached — the stored sequence equals the live tokenisation of the page,
-// so no page text is touched. Live values tokenise the span's raw text:
-// whitespace normalisation (Span.NormText) never changes the tokens.
-func (ts *tokenSim) appendValue(dst []uint32, s text.Span) []uint32 {
-	v := ts.ctx.Env.vocab
-	if di := ts.ctx.Env.DocIndex; di != nil {
-		if d := s.Doc(); d != nil && s.Start() == 0 && s.End() == d.Len() {
-			if toks, ok := di.NormTokens(d); ok && toks != nil {
-				statAdd(&ts.ctx.Stats.IndexTokenHits, 1)
-				for _, t := range toks {
-					dst = append(dst, v.Intern(t))
-				}
-				return dst
-			}
-		}
+// records returns the token records of a's values: an exact whole page's
+// from Env.DocIndex when it can answer, anything else's from the record
+// table of its document, which builds them once per (span, mode).
+func (ts *tokenSim) records(a text.Assignment, docs *docCursor) []similarity.Record {
+	if recs, ok := ts.ctx.Env.FeatureMemo.IndexRecords(a, ts.ctx.Env.DocIndex); ok {
+		statAdd(&ts.ctx.Stats.IndexTokenHits, 1)
+		return recs
 	}
-	return v.AppendNormalized(dst, s.Text())
+	return docs.of(a.Span.Doc()).Records(a)
 }
 
 // pinnedRecord returns the record of a cell pinned to one value, and the
 // empty record otherwise (several values, or a value without tokens).
-func (ts *tokenSim) pinnedRecord(c compact.Cell) similarity.Record {
-	s, ok := c.Singleton()
-	if !ok {
-		return similarity.Record{}
+func (ts *tokenSim) pinnedRecord(c compact.Cell, docs *docCursor) similarity.Record {
+	if _, ok := c.Singleton(); ok {
+		for _, a := range c.Assigns {
+			if recs := ts.records(a, docs); len(recs) > 0 {
+				return recs[0]
+			}
+		}
 	}
-	return similarity.NewRecord(ts.appendValue(nil, s))
+	return similarity.Record{}
 }
 
 // appendProbeKeys appends the tokens under which x must be looked up to
 // meet every value it can match: its PrefixLen rarest distinct tokens and,
-// for the prefix arm, its first token.
+// for the prefix arm, its first token. With ranks, every rank-0 token is a
+// key: it is in no right cell's blocking set, so the index lists nothing
+// under it, and taking them all needs no order among them (DESIGN.md §10).
 func (ts *tokenSim) appendProbeKeys(dst []uint32, x similarity.Record, sc *simScratch) []uint32 {
 	if len(x.Ord) == 0 {
 		return dst
 	}
-	packed := sc.packed[:0]
-	for _, id := range x.Set {
-		packed = append(packed, uint64(ts.rank[id])<<32|uint64(id))
-	}
-	sc.packed = packed
-	slices.Sort(packed)
-	zeros := 0
-	for zeros < len(packed) && packed[zeros]>>32 == 0 {
-		zeros++
-	}
-	if zeros > 1 {
-		v := ts.ctx.Env.vocab
-		slices.SortFunc(packed[:zeros], func(a, b uint64) int {
-			return strings.Compare(v.Token(uint32(a)), v.Token(uint32(b)))
-		})
-	}
 	n := len(dst)
-	for _, p := range packed[:ts.spec.PrefixLen(len(packed))] {
-		dst = append(dst, uint32(p))
+	if ts.idx == nil || !ts.idx.lists.Ranked() {
+		sc.ids = append(sc.ids[:0], x.Set...)
+		ts.ctx.Env.FeatureMemo.Vocab().SortByToken(sc.ids)
+		dst = append(dst, sc.ids[:ts.spec.PrefixLen(len(sc.ids))]...)
+	} else {
+		packed := sc.packed[:0]
+		for _, id := range x.Set {
+			packed = append(packed, uint64(ts.idx.lists.RankOf(id))<<32|uint64(id))
+		}
+		sc.packed = packed
+		slices.Sort(packed)
+		zeros := 0
+		for zeros < len(packed) && packed[zeros]>>32 == 0 {
+			zeros++
+		}
+		for _, p := range packed[:max(zeros, ts.spec.PrefixLen(len(packed)))] {
+			dst = append(dst, uint32(p))
+		}
 	}
 	if first := x.Ord[0]; ts.spec.Prefix && !slices.Contains(dst[n:], first) {
 		dst = append(dst, first)
@@ -105,40 +102,33 @@ func (ts *tokenSim) appendProbeKeys(dst []uint32, x similarity.Record, sc *simSc
 
 // cellTokens is the token view of one enumerable cell: a record per value
 // in Cell.Values order, plus what the value-level probe walks — the probe
-// keys of each value on the left side of a pair, an inverted list from
-// token to the values containing it on the right side.
+// keys of each value on the left side of a pair, lists from token to the
+// values containing it on the right side.
 type cellTokens struct {
 	recs []similarity.Record
 	// keys[koff[a]:koff[a+1]] are value a's probe keys (left side).
 	keys []uint32
 	koff []int32
-	// vals[off[k]:off[k+1]] are the values whose token set holds toks[k];
-	// toks ascends (right side).
-	toks []uint32
-	off  []int32
-	vals []int32
+	similarity.Lists
 }
 
-// cellTokens tokenises every value of c once. left selects which side of
-// a pair the cell will stand on.
+// cellTokens reads the records of every value of c from the record tables.
+// left selects which side of a pair the cell will stand on.
 func (ts *tokenSim) cellTokens(c compact.Cell, left bool, sc *simScratch) *cellTokens {
-	var arena []uint32
-	var cuts []int
-	c.Values(func(s text.Span) bool {
-		start := len(arena)
-		arena = ts.appendValue(arena, s)
-		mid := len(arena)
-		arena = similarity.AppendSet(arena, arena[start:mid])
-		cuts = append(cuts, start, mid, len(arena))
-		return true
-	})
-	ct := &cellTokens{recs: make([]similarity.Record, len(cuts)/3)}
-	for a := range ct.recs {
-		start, mid, end := cuts[3*a], cuts[3*a+1], cuts[3*a+2]
-		ct.recs[a] = similarity.Record{Ord: arena[start:mid:mid], Set: arena[mid:end:end]}
+	ct := &cellTokens{}
+	for _, a := range c.Assigns {
+		if recs := ts.records(a, &sc.docs); len(c.Assigns) == 1 {
+			ct.recs = recs
+		} else {
+			ct.recs = append(ct.recs, recs...)
+		}
 	}
 	if left {
-		ct.koff = make([]int32, len(ct.recs)+1)
+		n := len(ct.recs)
+		for _, x := range ct.recs {
+			n += len(x.Set)
+		}
+		ct.keys, ct.koff = make([]uint32, 0, n), make([]int32, len(ct.recs)+1)
 		for a, x := range ct.recs {
 			ct.keys = ts.appendProbeKeys(ct.keys, x, sc)
 			ct.koff[a+1] = int32(len(ct.keys))
@@ -152,16 +142,7 @@ func (ts *tokenSim) cellTokens(c compact.Cell, left bool, sc *simScratch) *cellT
 		}
 	}
 	sc.packed = packed
-	slices.Sort(packed)
-	ct.vals = make([]int32, len(packed))
-	for k, p := range packed {
-		if tok := uint32(p >> 32); k == 0 || tok != ct.toks[len(ct.toks)-1] {
-			ct.toks = append(ct.toks, tok)
-			ct.off = append(ct.off, int32(k))
-		}
-		ct.vals[k] = int32(uint32(p))
-	}
-	ct.off = append(ct.off, int32(len(packed)))
+	ct.Lists = similarity.NewLists(packed)
 	return ct
 }
 
@@ -197,11 +178,7 @@ func (ts *tokenSim) filter(tp compact.Tuple, involved []int, lim limits, left, r
 	matches := 0
 	for a, x := range l.recs {
 		for _, key := range l.keys[l.koff[a]:l.koff[a+1]] {
-			k, ok := slices.BinarySearch(r.toks, key)
-			if !ok {
-				continue
-			}
-			for _, b := range r.vals[r.off[k]:r.off[k+1]] {
+			for _, b := range r.Of(key) {
 				batch.SimValuePairsProbed++
 				bit := a*n + int(b)
 				if sc.seen[bit>>6]&(1<<(bit&63)) != 0 {

@@ -3,9 +3,11 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"iflex/internal/alog"
 	"iflex/internal/compact"
@@ -67,7 +69,7 @@ func TestTokenFilterEqualsOdometer(t *testing.T) {
 		return c
 	}
 	lims := []limits{defaultLimits(), {MaxCellValues: 6, MaxValuations: 1024}, {MaxCellValues: 512, MaxValuations: 12}}
-	var sc simScratch
+	sc := simScratch{docs: docCursor{memo: env.FeatureMemo}}
 	kept, partial := 0, 0
 	for trial := 0; trial < 3000; trial++ {
 		tp := compact.Tuple{Cells: []compact.Cell{randCell(fmt.Sprintf("l%d", trial)), randCell(fmt.Sprintf("r%d", trial))}}
@@ -392,8 +394,69 @@ func TestChaosProbeQuarantineSubset(t *testing.T) {
 	}
 }
 
-// TestBlockIndexChargesTokenRecords: the token records a cached blocking
-// index keeps are part of what the byte-accounted cache charges for it.
+// TestProbeKeysIgnoreInterningOrder: rarity ranks tie by token string and,
+// without ranks, probe keys order by token string, so the order in which a
+// vocabulary interned the right side's tokens moves neither the table nor
+// the similarity funnel — on the lists backing, which ranks, and on the
+// postings backing, which does not.
+func TestProbeKeysIgnoreInterningOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	var lt, rtl []string
+	for i := 0; i < 60; i++ {
+		lt, rtl = append(lt, randTitle(r)), append(rtl, randTitle(r))
+	}
+	ldocs, rdocs := titleDocs("l", lt), titleDocs("r", rtl)
+	var toks []string
+	for _, title := range rtl {
+		toks = append(toks, similarity.Tokens(title)...)
+	}
+	slices.Sort(toks)
+	toks = slices.Compact(toks)
+	for _, src := range []string{docJoinSrc, `Q(x, y) :- L(x), from(x, s), R(y), from(y, t), similar(s, t).`} {
+		for _, postings := range []bool{false, true} {
+			var runs [2]string
+			for o := range runs {
+				env := NewEnv()
+				for i := range toks {
+					if o == 1 {
+						i = len(toks) - 1 - i
+					}
+					env.FeatureMemo.Vocab().Intern(toks[i])
+				}
+				env.AddDocTable("L", "x", ldocs)
+				env.AddDocTable("R", "y", rdocs)
+				if postings {
+					ms := store.NewMemStore(rdocs)
+					env.DocIndex, env.Postings = ms, ms
+				}
+				plan, err := Compile(alog.MustParse(src), env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx := NewContext(env)
+				res, err := plan.Execute(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if postings && src == docJoinSrc && ctx.Stats.BlockIdxPostings == 0 {
+					t.Fatal("the join did not probe the postings")
+				}
+				runs[o] = fmt.Sprintf("sim=%d/%d/%d\n%s", ctx.Stats.SimTuplePairs, ctx.Stats.SimValuePairsProbed,
+					ctx.Stats.SimValuePairsVerified, res.Canonical())
+			}
+			if runs[0] != runs[1] {
+				t.Errorf("%s, postings=%t: interning order moved the join:\n%.80s\nvs\n%.80s", src, postings, runs[0], runs[1])
+			}
+		}
+	}
+}
+
+// TestBlockIndexChargesTokenRecords: a cached blocking index is charged
+// for its sorted lists — every distinct token, its offset and one entry
+// per (token, tuple) — and, when built for a declared token similarity,
+// for its rarity ranks and a record header per right tuple. The records'
+// ids are the record tables': the index shares them, and the tables
+// charge them.
 func TestBlockIndexChargesTokenRecords(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	var titles []string
@@ -408,7 +471,15 @@ func TestBlockIndexChargesTokenRecords(t *testing.T) {
 	for j := range all {
 		all[j] = j
 	}
-	sizes := map[bool]int64{}
+	distinct, postings := map[uint32]bool{}, 0
+	v := env.FeatureMemo.Vocab()
+	for _, title := range titles {
+		set := similarity.AppendSet(nil, v.AppendTokens(nil, title))
+		for _, id := range set {
+			distinct[id] = true
+		}
+		postings += len(set)
+	}
 	for _, declared := range []bool{false, true} {
 		var sim *tokenSim
 		if declared {
@@ -418,24 +489,31 @@ func TestBlockIndexChargesTokenRecords(t *testing.T) {
 		if err := idx.fill(ctx, nil, sim, rt, 0, all); err != nil {
 			t.Fatal(err)
 		}
-		sizes[declared] = idx.memBytes()
+		want := int64(96 + 4*(2*len(distinct)+1+postings))
 		if declared {
-			var ids int64
-			for _, rec := range idx.pinned {
-				ids += int64(len(rec.Ord) + len(rec.Set))
+			want += 4*int64(len(distinct)) + int64(unsafe.Sizeof(similarity.Record{}))*int64(len(rt.Tuples))
+		}
+		if got := idx.memBytes(); got != want {
+			t.Errorf("declared=%t: index over %d tokens and %d postings charges %d bytes, want %d", declared, len(distinct), postings, got, want)
+		}
+		if !declared {
+			continue
+		}
+		var ranks []int
+		for id := range distinct {
+			ranks = append(ranks, int(idx.lists.RankOf(id)))
+		}
+		sort.Ints(ranks)
+		for i, rk := range ranks {
+			if rk != i+1 {
+				t.Fatalf("rarity ranks are not 1..n: %v", ranks)
 			}
-			if ids == 0 || sizes[true] < sizes[false]+4*ids {
-				t.Errorf("index with %d record ids accounts %d bytes, %d without records", ids, sizes[true], sizes[false])
-			}
-			ranks := make([]int, 0, len(idx.rank))
-			for _, rk := range idx.rank {
-				ranks = append(ranks, int(rk))
-			}
-			sort.Ints(ranks)
-			for i, rk := range ranks {
-				if rk != i+1 {
-					t.Fatalf("rarity ranks are not 1..n: %v", ranks)
-				}
+		}
+		for j, tp := range rt.Tuples {
+			a := tp.Cells[0].Assigns[0]
+			recs := env.FeatureMemo.Doc(a.Span.Doc()).Records(a)
+			if got := idx.pinned[j]; len(got.Set) == 0 || &got.Set[0] != &recs[0].Set[0] {
+				t.Fatalf("tuple %d: the index holds a copy of the record table's record", j)
 			}
 		}
 	}

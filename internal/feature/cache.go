@@ -16,7 +16,8 @@
 // (document, handle) built on first use; Verify(s) and Refine(s)
 // binary-search it for the regions touching s and derive their answer from
 // those as the feature does from all of them. A feature with no language
-// answers for itself. Comparison operands are kept per (span, mode).
+// answers for itself. Comparison operands and similarity token records
+// (tokens.go) are kept per (span, mode).
 //
 // The lifetime is the document handle's: entries never go stale, a
 // superseded handle's table is dropped with it (DropDocs), and any table
@@ -32,6 +33,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"iflex/internal/similarity"
 	"iflex/internal/text"
 )
 
@@ -70,13 +72,14 @@ type valueKey struct {
 // the page lie in the table's regions.
 type regionList struct{ id, lo, hi uint32 }
 
-// Accounting, in bytes: a table with its values map header; a region list
-// and a region as they are laid out; and estimates for one Values map slot
+// Accounting, in bytes: a table; a region list and a region as they are
+// laid out; and estimates for the Values map's header, one of its slots
 // (key, value and bucket overhead at the usual load) and what it points to.
 const (
-	docRecordsBytes  = int64(unsafe.Sizeof(DocRecords{})) + 48
+	docRecordsBytes  = int64(unsafe.Sizeof(DocRecords{}))
 	regionListBytes  = int64(unsafe.Sizeof(regionList{}))
 	regionBytes      = int64(unsafe.Sizeof(byteRange{}))
+	valuesMapBytes   = 48
 	valueSlotBytes   = 48
 	valueRecordBytes = 32
 )
@@ -89,18 +92,24 @@ type Memo struct {
 	mu    sync.RWMutex
 	cons  map[consKey]*Cons
 	docs  map[*text.Document]*DocRecords
-	made  uint64 // tables made so far, under mu: Evict's tie-break
+	made  uint32 // tables made so far, under mu: Evict's tie-break
 	bytes atomic.Int64
 	// clock orders the tables by last use: Tick advances it, and Doc stamps
 	// the table it hands out with its reading. A memo nobody ticks (no
 	// budget) never writes a stamp.
 	clock atomic.Uint64
+	// vocab interns every similarity token the tables hold (tokens.go); it
+	// outlives evictions, so token ids stay comparable across tables.
+	vocab *similarity.Vocab
 }
 
 // NewMemo returns an empty memo.
 func NewMemo() *Memo {
-	return &Memo{cons: map[consKey]*Cons{}, docs: map[*text.Document]*DocRecords{}}
+	return &Memo{cons: map[consKey]*Cons{}, docs: map[*text.Document]*DocRecords{}, vocab: similarity.NewVocab()}
 }
+
+// Vocab is the vocabulary of the token ids the tables hold.
+func (m *Memo) Vocab() *similarity.Vocab { return m.vocab }
 
 // Intern returns the handle of f = v, made on first use (resolve). It is
 // resolved outside the lock, as it may ask the feature: callers racing on a
@@ -136,7 +145,7 @@ func (m *Memo) Doc(d *text.Document) *DocRecords {
 		m.mu.Lock()
 		if t = m.docs[d]; t == nil {
 			m.made++
-			t = &DocRecords{memo: m, doc: d, seq: m.made, bytes: docRecordsBytes, values: map[valueKey][]Value{}}
+			t = &DocRecords{memo: m, doc: d, seq: m.made, bytes: docRecordsBytes}
 			m.docs[d] = t
 			m.bytes.Add(docRecordsBytes)
 		}
@@ -161,8 +170,9 @@ func (m *Memo) Tick() { m.clock.Add(1) }
 // left. It returns the bytes freed.
 func (m *Memo) Evict(need int64) (freed int64) {
 	type aged struct {
-		used, seq uint64
-		t         *DocRecords
+		used uint64
+		seq  uint32
+		t    *DocRecords
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -222,23 +232,24 @@ func (m *Memo) Refine(f Feature, s text.Span, v string) (as []text.Assignment, h
 }
 
 // DocRecords is one document's record table: the region list of each
-// built-in constraint asked about it, and the typed values of assignments
-// over it. Every span handed to it must lie in that document, every handle
-// come from the Memo that made the table.
+// built-in constraint asked about it, and the typed values and similarity
+// tokens of assignments over it. Every span handed to it must lie in that
+// document, every handle come from the Memo that made the table.
 type DocRecords struct {
 	memo *Memo
 	doc  *text.Document
-	seq  uint64        // creation order in the memo
 	used atomic.Uint64 // the memo's clock when Doc last handed the table out
-	// mu guards the fields below; a list is built under it, a Values record
-	// outside it: two callers that miss on one at once both build, and what
-	// they publish is charged once.
+	// mu guards the fields below but seq; a list is built under it, a
+	// Values or token record outside it: two callers that miss on one at
+	// once both build, and what they publish is charged once.
 	mu      sync.Mutex
-	lists   []regionList // sorted by handle id
-	regions []byteRange  // every list's regions, one list after another
-	values  map[valueKey][]Value
+	lists   []regionList         // sorted by handle id
+	regions []byteRange          // every list's regions, one list after another
+	values  map[valueKey][]Value // made on first use
+	sim     *simRecords          // made on first use (tokens.go)
 	bytes   int64
-	gone    bool // the memo forgot the table
+	seq     uint32 // creation order in the memo
+	gone    bool   // the memo forgot the table
 }
 
 // charge counts a publication; callers hold t.mu.
@@ -313,7 +324,7 @@ type Value struct {
 // build and leaves nothing behind. Strings are the record's own, never
 // slices of the page, so a released lazy document stays released.
 func (t *DocRecords) Values(a text.Assignment) (vals []Value, parsed int) {
-	k := valueKey{uint32(a.Span.Start()), uint32(a.Span.End()), a.Mode == text.Contain}
+	k := keyOf(a)
 	t.mu.Lock()
 	vals, ok := t.values[k]
 	t.mu.Unlock()
@@ -325,6 +336,10 @@ func (t *DocRecords) Values(a text.Assignment) (vals []Value, parsed int) {
 	defer t.mu.Unlock()
 	if prev, dup := t.values[k]; dup {
 		return prev, 0
+	}
+	if t.values == nil {
+		t.values = map[valueKey][]Value{}
+		t.charge(valuesMapBytes)
 	}
 	t.values[k] = vals
 	t.charge(valueSlotBytes + valueRecordBytes*int64(len(vals)) + int64(a.Span.Len()))

@@ -12,6 +12,7 @@ import (
 	"unsafe"
 
 	"iflex/internal/markup"
+	"iflex/internal/similarity"
 	"iflex/internal/text"
 )
 
@@ -330,7 +331,8 @@ func inside(s, sub string) bool {
 
 // TestMemoConcurrent has eight goroutines ask overlapping questions of the
 // same three documents at once (run under -race): everyone reads what
-// direct evaluation says, and afterwards every question is a hit. A second
+// direct evaluation says — and for token records and blocking sets what the
+// span's text tokenises to — and afterwards every question is a hit. A second
 // round does the same while another goroutine ticks and evicts: answers
 // stay right, and Bytes is what the tables left in the memo hold.
 func TestMemoConcurrent(t *testing.T) {
@@ -367,6 +369,12 @@ func TestMemoConcurrent(t *testing.T) {
 					vals, _ := tab.Values(text.ContainOf(q.s))
 					if want := buildValues(text.ContainOf(q.s)); fmt.Sprint(vals) != fmt.Sprint(want) {
 						t.Errorf("values of %v: %v, direct %v", q.s, vals, want)
+					}
+					if recs, want := tab.Records(text.ExactOf(q.s)), wantRecord(memo.Vocab(), q.s); !slices.Equal(recs[0].Ord, want.Ord) || !slices.Equal(recs[0].Set, want.Set) {
+						t.Errorf("token record of %v: %v, tokenised %v", q.s, recs[0], want)
+					}
+					if block, want := tab.Block(text.ContainOf(q.s)), similarity.AppendSet(nil, memo.Vocab().AppendTokens(nil, q.s.Text())); !slices.Equal(block, want) {
+						t.Errorf("blocking set of %v: %v, tokenised %v", q.s, block, want)
 					}
 				}
 			}(g)

@@ -2,6 +2,7 @@ package similarity
 
 import (
 	"slices"
+	"strings"
 	"sync"
 )
 
@@ -61,9 +62,37 @@ func (v *Vocab) Token(id uint32) string {
 	return v.toks[id]
 }
 
+// SortByToken sorts ids, each interned before the call, by token string.
+// It takes the lock once, not once per comparison: interned tokens never
+// change, so the table it read under the lock stays valid without it.
+func (v *Vocab) SortByToken(ids []uint32) {
+	v.mu.RLock()
+	toks := v.toks
+	v.mu.RUnlock()
+	slices.SortFunc(ids, func(a, b uint32) int { return strings.Compare(toks[a], toks[b]) })
+}
+
+// CountTokens returns len(Tokens(s)) without interning a token.
+func CountTokens(s string) int {
+	var arr [32]byte
+	n := 0
+	for tok, pos := nextToken(s, 0, arr[:0]); tok != nil; tok, pos = nextToken(s, pos, arr[:0]) {
+		n++
+	}
+	return n
+}
+
 // AppendTokens appends the ids of Tokens(s) to dst without materialising
 // the token strings (a known token costs one map probe, no allocation).
 func (v *Vocab) AppendTokens(dst []uint32, s string) []uint32 {
+	dst, _ = v.AppendTokenBounds(dst, nil, s)
+	return dst
+}
+
+// AppendTokenBounds is AppendTokens that also appends the byte offsets of
+// each token in s, its start and then its end, to bounds — unless bounds
+// is nil.
+func (v *Vocab) AppendTokenBounds(dst, bounds []uint32, s string) ([]uint32, []uint32) {
 	var arr [32]byte
 	v.mu.RLock()
 	for tok, pos := nextToken(s, 0, arr[:0]); tok != nil; tok, pos = nextToken(s, pos, arr[:0]) {
@@ -74,33 +103,34 @@ func (v *Vocab) AppendTokens(dst []uint32, s string) []uint32 {
 			v.mu.RLock()
 		}
 		dst = append(dst, id)
+		if bounds != nil {
+			bounds = append(bounds, uint32(pos-len(tok)), uint32(pos))
+		}
 	}
 	v.mu.RUnlock()
-	return dst
+	return dst, bounds
 }
 
 // AppendNormalized appends the ids of NormalizedTokens(s) to dst.
 func (v *Vocab) AppendNormalized(dst []uint32, s string) []uint32 {
 	n := len(dst)
 	dst = v.AppendTokens(dst, s)
-	return dst[:n+normalizeIDs(dst[n:])]
+	norm := Normalized(dst[n:])
+	return dst[:n+copy(dst[n:], norm)]
 }
 
-// normalizeIDs applies NormalizedTokens' article handling in place — a trailing
-// article moves to the front, then a leading article is dropped — and
-// returns the new length.
-func normalizeIDs(ids []uint32) int {
-	n := len(ids)
-	if n > 1 && ids[n-1] < numArticles {
-		last := ids[n-1]
-		copy(ids[1:], ids[:n-1])
-		ids[0] = last
+// Normalized applies NormalizedTokens' article rule to a token id
+// sequence — a trailing article moves to the front, then a leading
+// article is dropped — as a sub-slice of ids: the moved article is the
+// one dropped, so no id ever has to move.
+func Normalized(ids []uint32) []uint32 {
+	switch n := len(ids); {
+	case n > 1 && ids[n-1] < numArticles:
+		return ids[:n-1]
+	case n > 1 && ids[0] < numArticles:
+		return ids[1:]
 	}
-	if n > 1 && ids[0] < numArticles {
-		copy(ids, ids[1:])
-		n--
-	}
-	return n
+	return ids
 }
 
 // AppendSet appends the sorted distinct ids of ord to dst. ord may alias
