@@ -152,7 +152,7 @@ bench-layers:
 	$(GO) test -run='^$$' -bench='SubSpanEnumeration|ParseNumeric|NormText' -benchmem ./internal/text
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/similarity
 	$(GO) test -run='^$$' -bench=FeatureMemo -benchmem ./internal/feature
-	$(GO) test -run='^$$' -bench='SimJoin|Compare|TrialPlan|Annotate|SelectKeep|TupleLoopMemo' -benchmem ./internal/engine
+	$(GO) test -run='^$$' -bench='SimJoin|Cross|Compare|TrialPlan|Annotate|SelectKeep|TupleLoopMemo' -benchmem ./internal/engine
 	$(GO) test -run='^$$' -bench='PageLoad|Trim|BuildRecord|DecodePostings' -benchmem ./internal/store
 	$(GO) test -run='^$$' -bench=ResultEncode -benchmem ./internal/server
 	$(GO) test -run='^$$' -bench='T[78]Cold$$' -benchmem .

@@ -98,7 +98,7 @@ func TestMemoIndexFirstMatch(t *testing.T) {
 // TestMemoOfAnotherTypeIsNoPrior: a prior whose outcome array holds
 // another operator family's type is ignored; the loop recomputes every row.
 func TestMemoOfAnotherTypeIsNoPrior(t *testing.T) {
-	base := newFake(2)
+	base := newFake(2, false)
 	first := &deltaState{}
 	in := loopInput()
 	if _, err := tupleLoop(base.ctx, nil, first, in, []string{"x"}, base.op()); err != nil || first.aux == nil {
@@ -194,6 +194,67 @@ func TestMemoChargeMatchesAllocation(t *testing.T) {
 	t.Logf("memo charged %d bytes, keeping it allocated %d", charge, keeping)
 	if kept == nil || float64(charge) < 0.85*float64(keeping) || float64(charge) > 1.15*float64(keeping) {
 		t.Errorf("memo charged %d bytes, keeping it allocated %d (%d with delta on, %d off)", charge, keeping, on, off)
+	}
+}
+
+// TestJoinMemoChargeMatchesHeap: the cache charge of a ⋈~ memo (memoBytes,
+// which charges each outcome's matches by their capacity) is within 15 %
+// of the live heap the kept memo holds, on the first-step shape (contain
+// cells over 300×300 titles, many matches per left tuple) and on pinned
+// cells.
+func TestJoinMemoChargeMatchesHeap(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	var lt, rtl []string
+	for i := 0; i < 300; i++ {
+		lt, rtl = append(lt, randTitle(r)), append(rtl, randTitle(r))
+	}
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for name, src := range map[string]string{"first step": multiValuedSrc, "pinned": docJoinSrc} {
+		env := NewEnv()
+		env.AddDocTable("L", "x", titleDocs("l", lt))
+		env.AddDocTable("R", "y", titleDocs("r", rtl))
+		plan, err := Compile(alog.MustParse(src), env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var join *simJoinNode
+		for n := plan.Root; join == nil; n = n.Children()[0] {
+			join, _ = n.(*simJoinNode)
+		}
+		ctx := NewContext(env)
+		ins := []*compact.Table{}
+		for _, k := range join.Children() {
+			in, err := Eval(ctx, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ins = append(ins, in)
+		}
+		// A pass without a memo builds the records and the right index.
+		if _, err := join.eval(ctx, nil, nil, ins); err != nil {
+			t.Fatal(err)
+		}
+		dx := &deltaState{}
+		out, err := join.eval(ctx, nil, dx, ins)
+		if err != nil || len(out.Tuples) < 2*len(ins[0].Tuples) {
+			t.Fatalf("%s: err=%v, %d rows", name, err, len(out.Tuples))
+		}
+		out = nil
+		// What the memo holds is what dropping it frees.
+		kept, charged := live(), dx.aux.bytes
+		dx.aux = nil
+		held := kept - live()
+		t.Logf("%s: memo charges %d bytes and holds %d", name, charged, held)
+		if c := float64(charged); c < 0.85*float64(held) || c > 1.15*float64(held) {
+			t.Errorf("%s: memo charges %d bytes and holds %d", name, charged, held)
+		}
+		runtime.KeepAlive(ins)
 	}
 }
 

@@ -216,6 +216,7 @@ type crossNode struct {
 	left, right Node
 	shared      []string
 	cols        []string
+	kept        []int // the right columns the output keeps, in order
 }
 
 func newCrossNode(env *Env, left, right Node) *crossNode {
@@ -233,11 +234,11 @@ func newCrossNode(env *Env, left, right Node) *crossNode {
 	}
 	return env.nodes.intern(h, OpCross, func() Node {
 		n := &crossNode{left: left, right: right, cols: slices.Clone(leftCols)}
-		for _, c := range rightCols {
+		for j, c := range rightCols {
 			if containsStr(leftCols, c) {
 				n.shared = append(n.shared, c)
 			} else {
-				n.cols = append(n.cols, c)
+				n.cols, n.kept = append(n.cols, c), append(n.kept, j)
 			}
 		}
 		return n
@@ -259,13 +260,15 @@ func (n *crossNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*comp
 		leftIdx = append(leftIdx, colIndex(lt.Cols, sc))
 		rightIdx = append(rightIdx, colIndex(rt.Cols, sc))
 	}
-	op := tupleOp[joinOut]{cols: leftIdx, right: rt, rightCols: rightIdx, minChunk: minChunkCross}
+	op := tupleOp[joinOut]{cols: leftIdx, right: rt, rightCols: rightIdx, minChunk: minChunkCross, count: func(o *joinOut) int { return len(o.sim) }}
 	op.open = func(*statBatch) decideFn[joinOut] {
+		var ms []joinMatch // the chunk's scratch, kept at exact size
 		return func(ltp compact.Tuple, old *joinOut) (joinOut, bool, bool, error) {
 			if old != nil {
 				return *old, true, false, nil
 			}
 			var o joinOut
+			ms = ms[:0]
 			for j, rtp := range rt.Tuples {
 				keep, sure := true, true
 				for k, li := range leftIdx {
@@ -282,23 +285,25 @@ func (n *crossNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*comp
 					}
 				}
 				if keep {
-					o.sim = append(o.sim, joinMatch{j: j, sure: sure})
+					ms = append(ms, joinMatch{j: j, sure: sure})
 				}
 			}
+			o.sim = slices.Clone(ms)
 			return o, false, false, nil
 		}
 	}
+	// Rows are the left cells, then the right's kept; one slab per left tuple.
+	w := len(n.cols)
 	op.emit = func(dst []compact.Tuple, ltp compact.Tuple, o *joinOut) []compact.Tuple {
-		for _, m := range o.sim {
+		slab := make([]compact.Cell, len(o.sim)*w)
+		for k, m := range o.sim {
 			rtp := rt.Tuples[m.j]
-			nt := ltp.Copy()
-			for j, c := range rt.Cols {
-				if !containsStr(n.shared, c) {
-					nt.Cells = append(nt.Cells, rtp.Cells[j])
-				}
+			cells := slab[k*w : (k+1)*w : (k+1)*w]
+			nl := copy(cells, ltp.Cells)
+			for x, j := range n.kept {
+				cells[nl+x] = rtp.Cells[j]
 			}
-			nt.Maybe = ltp.Maybe || rtp.Maybe || !m.sure
-			dst = append(dst, nt)
+			dst = append(dst, compact.Tuple{Cells: cells, Maybe: ltp.Maybe || rtp.Maybe || !m.sure})
 		}
 		return dst
 	}

@@ -216,6 +216,9 @@ func (idx *blockIndex) fill(ctx *Context, ev *EvalTrace, sim *tokenSim, rt *comp
 	var toks []uint32
 	var blocks [][]uint32 // the listed cells' tokens, of the tuples in rows
 	var rows []uint64
+	if idx.post == nil {
+		blocks, rows = make([][]uint32, 0, len(tuples)), make([]uint64, 0, len(tuples))
+	}
 	n := 0
 	for _, j := range tuples {
 		cell := rt.Tuples[j].Cells[ri]
@@ -323,6 +326,7 @@ type simChunk struct {
 	gen   uint32
 	cands []int
 	toks  []uint32
+	ms    []joinMatch
 }
 
 var pairInvolved = []int{0, 1}
@@ -436,8 +440,9 @@ func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed b
 
 // probe joins one left tuple against the right tuples idx covers:
 // candidates by blocking, then one decision per candidate pair. It returns
-// the matches in ascending right-tuple order, the valuation-limit
-// fallbacks charged (the left cell's own oversize only when chargeOversize
+// the matches in ascending right-tuple order at their exact size (built in
+// the chunk's scratch), the valuation-limit fallbacks charged (the left
+// cell's own oversize only when chargeOversize
 // — a corpus replay already carries it), and whether anything was
 // quarantined: a candidate pair that faulted (both pair documents are
 // attributed, the guard cannot tell which side did), or the tuple itself.
@@ -465,6 +470,7 @@ func (c *simChunk) probe(ltp compact.Tuple, idx *blockIndex, universe []int, cha
 	}) {
 		return nil, 0, true
 	}
+	ms = c.ms[:0]
 	for _, j := range cands {
 		m, keep, fbp, pq := c.evalPair(&left, j)
 		if pq {
@@ -478,7 +484,8 @@ func (c *simChunk) probe(ltp compact.Tuple, idx *blockIndex, universe []int, cha
 			ms = append(ms, m)
 		}
 	}
-	return ms, fb, qed
+	c.ms = ms
+	return slices.Clone(ms), fb, qed
 }
 
 func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*compact.Table) (*compact.Table, error) {
@@ -564,14 +571,16 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*co
 	}
 	// emit assembles the output tuple of each matching pair from the current
 	// pair of tuples, carrying refreshed non-join cells, with shallow cell
-	// copies (cells are immutable once built); only kept pairs allocate
-	// anything at all.
+	// copies (cells are immutable once built); a left tuple's rows take
+	// their cells from one slab.
+	op.count = func(o *joinOut) int { return len(o.sim) }
+	w := len(n.cols)
 	op.emit = func(dst []compact.Tuple, ltp compact.Tuple, o *joinOut) []compact.Tuple {
-		for _, m := range o.sim {
+		slab := make([]compact.Cell, len(o.sim)*w)
+		for k, m := range o.sim {
 			rtp := rt.Tuples[m.j]
-			cells := make([]compact.Cell, 0, len(ltp.Cells)+len(rtp.Cells))
-			cells = append(cells, ltp.Cells...)
-			cells = append(cells, rtp.Cells...)
+			cells := slab[k*w : (k+1)*w : (k+1)*w]
+			copy(cells[copy(cells, ltp.Cells):], rtp.Cells)
 			if c, ok := m.repl[0]; ok {
 				cells[li] = c
 			}

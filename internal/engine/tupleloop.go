@@ -1,7 +1,8 @@
 package engine
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 	"sync"
 
 	"iflex/internal/compact"
@@ -68,9 +69,13 @@ type tupleOp[O outcome] struct {
 	// shard. decide may be called from one goroutine only, open from many.
 	open func(batch *statBatch) decideFn[O]
 	// emit appends the rows o stands for, built from the current tuple (and
-	// the current right table), to dst. It runs on the chunk's goroutine, in
-	// input order within the chunk.
+	// the current right table), to dst, in input order within a chunk.
 	emit func(dst []compact.Tuple, tp compact.Tuple, o *O) []compact.Tuple
+	// count, set by ⋈~ and ×, is the number of rows emit appends for o: every
+	// tuple is decided before any is emitted, into one array of the exact
+	// total. A loop without it emits as it decides, at most one row per tuple
+	// into a chunk's window (σ, runs) or any number in one serial chunk (ψ).
+	count func(o *O) int
 }
 
 // tupleLoop runs op over every tuple of in and returns the emitted rows, as
@@ -102,41 +107,49 @@ func tupleLoop[O outcome](ctx *Context, ev *EvalTrace, dx *deltaState, in *compa
 				prior = nil
 			}
 		}
+	}
+	if aux != nil || op.count != nil {
 		outs = make([]O, n)
 	}
-	// Chunks finish in any order; each hands in its rows and totals under mu.
-	// A chunk emits into its own window of one array sized to the input, and
-	// only a chunk that outgrows its window (a product or a join) moves to a
-	// slice of its own.
+	// Chunks finish in any order and hand in their parts under mu: the tuples
+	// decided (a cut ends them early) and their rows, emitted or counted.
 	type part struct {
-		start, end int
-		rows       []compact.Tuple
+		start, end, count int
+		rows              []compact.Tuple
 	}
-	slots := make([]compact.Tuple, n)
+	var slots []compact.Tuple
+	if op.count == nil {
+		slots = make([]compact.Tuple, n)
+	}
 	var mu sync.Mutex
 	var parts []part
-	var nq int
+	var nq, total int
 	cut := false
 	body := func(start, end int) error {
 		var batch statBatch
 		defer batch.flush(ctx, ev)
 		decide := op.open(&batch)
-		rows := slots[start:start:end]
-		quarantined, stopped := 0, false
+		p := part{start: start, end: end}
+		if slots != nil {
+			p.rows = slots[start:start:end]
+		}
+		quarantined := 0
 		var scratch O // the current outcome of a chunk that keeps none
 		for i := start; i < end; i++ {
 			if !op.uncut && ctx.Cancelled() {
 				ctx.noteUnprocessed(in.Tuples[i:end])
-				stopped = true
+				p.end = i
 				break
 			}
 			tp := in.Tuples[i]
-			// The outcome is decided into its memo slot: the array is the
-			// memo's storage, never a copy of it.
+			// The outcome is decided into its slot of outs: with delta on the
+			// array is the memo's storage, never a copy of it.
 			o, old := &scratch, (*O)(nil)
+			if outs != nil {
+				o = &outs[i]
+			}
 			if aux != nil {
 				aux.fps[i] = tp.CellsFingerprint(op.cols)
-				o = &outs[i]
 				if j := prior.lookup(aux.fps[i], tp); j >= 0 {
 					old = &priorOuts[j]
 				}
@@ -157,16 +170,22 @@ func tupleLoop[O outcome](ctx *Context, ev *EvalTrace, dx *deltaState, in *compa
 			// Replayed outcomes recharge the valuation-limit fallbacks they
 			// stand for, so LimitFallbacks equals a full evaluation's.
 			batch.LimitFallbacks += int64((*o).limitFallbacks())
-			if q {
+			switch {
+			case q:
 				quarantined++
-				continue
+			case op.count != nil:
+				p.count += op.count(o)
+			default:
+				p.rows = op.emit(p.rows, tp, o)
 			}
-			rows = op.emit(rows, tp, o)
+		}
+		if op.minChunk > 0 && len(p.rows) > end-start {
+			panic(fmt.Sprintf("engine: %d rows emitted for a window of %d", len(p.rows), end-start))
 		}
 		mu.Lock()
-		parts = append(parts, part{start, end, rows})
-		nq += quarantined
-		cut = cut || stopped
+		parts = append(parts, p)
+		nq, total = nq+quarantined, total+p.count
+		cut = cut || p.end < end
 		mu.Unlock()
 		return nil
 	}
@@ -196,30 +215,37 @@ func tupleLoop[O outcome](ctx *Context, ev *EvalTrace, dx *deltaState, in *compa
 		dx.aux = aux
 	}
 	out := compact.NewTable(cols...)
+	slices.SortFunc(parts, func(a, b part) int { return a.start - b.start })
+	if op.count != nil {
+		// Each chunk emits into its range of one array of the exact total.
+		out.Tuples = make([]compact.Tuple, total)
+		_ = ctx.ForEach(len(parts), func(k int) error { // emitting cannot fail
+			p, off := parts[k], 0
+			for _, q := range parts[:k] {
+				off += q.count
+			}
+			dst := out.Tuples[off : off : off+p.count]
+			for i := p.start; i < p.end; i++ {
+				dst = op.emit(dst, in.Tuples[i], &outs[i])
+			}
+			if len(dst) != p.count {
+				panic(fmt.Sprintf("engine: %d rows emitted for a count of %d", len(dst), p.count))
+			}
+			return nil
+		})
+		return out, nil
+	}
 	if len(parts) == 1 {
-		out.Tuples = parts[0].rows
+		out.Tuples = parts[0].rows // ψ or a procedure may outgrow its window
 		return out, nil
 	}
-	sort.Slice(parts, func(a, b int) bool { return parts[a].start < parts[b].start })
-	total, inWindows := 0, true
+	// Compact the windows in place, in chunk order; the slots behind the
+	// last row are cleared so they hold no rows alive.
+	k := 0
 	for _, p := range parts {
-		total += len(p.rows)
-		inWindows = inWindows && len(p.rows) <= p.end-p.start
+		k += copy(slots[k:], p.rows)
 	}
-	if inWindows {
-		// Compact the windows in place, in chunk order; the slots behind the
-		// last row are cleared so they hold no rows alive.
-		k := 0
-		for _, p := range parts {
-			k += copy(slots[k:], p.rows)
-		}
-		clear(slots[k:])
-		out.Tuples = slots[:k]
-		return out, nil
-	}
-	out.Tuples = make([]compact.Tuple, 0, total)
-	for _, p := range parts {
-		out.Tuples = append(out.Tuples, p.rows...)
-	}
+	clear(slots[k:])
+	out.Tuples = slots[:k]
 	return out, nil
 }

@@ -45,18 +45,22 @@ func ordinal(tp compact.Tuple) int {
 	return i
 }
 
-// fakeOp stands for tuple i with i%3 rows, charges a valuation-limit
-// fallback on every fifth tuple, and runs before (when set) inside its
-// guarded unit, which is where the cases inject cancellations and faults,
-// and unguarded (when set) outside it, where a panic is not a document's.
-// decided records the tuples decide computed, reached the ones it saw.
+// fakeOp stands for tuple i with i%3 rows, declared through the loop's
+// count, or, windowed, for at most one row (i%3 != 0) emitted as it
+// decides. It charges a valuation-limit fallback on every fifth tuple, and
+// runs before (when set) inside its guarded unit, which is where the cases
+// inject cancellations and faults, and unguarded (when set) outside it,
+// where a panic is not a document's. decided records the tuples decide
+// computed, reached the ones it saw, emitted the rows emit appended.
 type fakeOp struct {
 	ctx       *Context
+	windowed  bool
 	before    func(i int)
 	unguarded func(i int)
 	mu        sync.Mutex
 	decided   []int
 	reached   map[int]bool
+	emitted   int
 }
 
 // fakeOut is the fake operator's outcome: how many rows the tuple stands
@@ -76,7 +80,7 @@ func (f *fakeOp) op() tupleOp[fakeOut] {
 			if old != nil {
 				return *old, true, false, nil
 			}
-			o := fakeOut{rows: int32(i % 3)}
+			o := fakeOut{rows: int32(f.rowsOf(i))}
 			if i%5 == 0 {
 				o.fallbacks = 1
 			}
@@ -101,17 +105,30 @@ func (f *fakeOp) op() tupleOp[fakeOut] {
 		for k := int32(0); k < o.rows; k++ {
 			dst = append(dst, tp)
 		}
+		f.mu.Lock()
+		f.emitted += int(o.rows)
+		f.mu.Unlock()
 		return dst
+	}
+	if !f.windowed {
+		op.count = func(o *fakeOut) int { return int(o.rows) }
 	}
 	return op
 }
 
+func (f *fakeOp) rowsOf(i int) int {
+	if f.windowed {
+		return min(i%3, 1)
+	}
+	return i % 3
+}
+
 // serialRows is what a plain loop over the reached tuples of in emits.
-func serialRows(in *compact.Table, reached map[int]bool) string {
+func (f *fakeOp) serialRows(in *compact.Table, reached map[int]bool) string {
 	out := compact.NewTable("x")
 	for _, tp := range in.Tuples {
 		if i := ordinal(tp); reached == nil || reached[i] {
-			for k := 0; k < i%3; k++ {
+			for k := 0; k < f.rowsOf(i); k++ {
 				out.Append(tp)
 			}
 		}
@@ -119,189 +136,199 @@ func serialRows(in *compact.Table, reached map[int]bool) string {
 	return out.String()
 }
 
-func newFake(workers int) *fakeOp {
+func newFake(workers int, windowed bool) *fakeOp {
 	ctx := NewContext(NewEnv())
 	ctx.Workers = workers
-	return &fakeOp{ctx: ctx, reached: map[int]bool{}}
+	return &fakeOp{ctx: ctx, windowed: windowed, reached: map[int]bool{}}
 }
 
+// TestTupleLoopProtocol runs every case with the counted fake, and again,
+// under windowed/, with the windowed one.
 func TestTupleLoopProtocol(t *testing.T) {
-	const fallbacks = loopTuples / 5
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			// The memo every prior case replays: one clean pass.
-			base := newFake(workers)
-			first := &deltaState{}
-			if _, err := tupleLoop(base.ctx, nil, first, loopInput(), []string{"x"}, base.op()); err != nil || first.aux == nil {
-				t.Fatalf("clean pass: err=%v memo=%v", err, first.aux)
-			}
-
-			t.Run("no prior", func(t *testing.T) {
-				for _, dx := range []*deltaState{nil, {}} {
-					f := newFake(workers)
-					in := loopInput()
-					out, err := tupleLoop(f.ctx, nil, dx, in, []string{"x"}, f.op())
-					if err != nil {
-						t.Fatal(err)
-					}
-					if out.String() != serialRows(in, nil) {
-						t.Errorf("delta=%v: rows differ from the serial run", dx != nil)
-					}
-					st := &f.ctx.Stats
-					if st.TuplesReused != 0 || st.TuplesRecomputed != loopTuples || st.LimitFallbacks != fallbacks {
-						t.Errorf("delta=%v: reused=%d recomputed=%d fallbacks=%d, want 0/%d/%d",
-							dx != nil, st.TuplesReused, st.TuplesRecomputed, st.LimitFallbacks, loopTuples, fallbacks)
-					}
-					if dx != nil && (dx.aux == nil || len(dx.aux.outs.([]fakeOut)) != loopTuples || &dx.aux.in[0] != &in.Tuples[0]) {
-						t.Errorf("memo is not the loop's outcome array over the input rows: %+v", dx.aux)
-					}
-				}
-			})
-
-			t.Run("full prior", func(t *testing.T) {
-				f := newFake(workers)
-				dx := &deltaState{prior: first.aux}
-				in := loopInput()
-				out, err := tupleLoop(f.ctx, nil, dx, in, []string{"x"}, f.op())
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Same ids, fresh handles: nothing matches structurally.
-				if st := &f.ctx.Stats; st.TuplesReused != 0 || st.TuplesRecomputed != loopTuples {
-					t.Fatalf("fresh handles replayed: reused=%d", st.TuplesReused)
-				}
-				// The rows the memo was built over do.
-				f = newFake(workers)
-				dx = &deltaState{prior: first.aux}
-				in = &compact.Table{Cols: []string{"x"}, Tuples: first.aux.in}
-				ev := &EvalTrace{}
-				if out, err = tupleLoop(f.ctx, ev, dx, in, []string{"x"}, f.op()); err != nil {
-					t.Fatal(err)
-				}
-				if out.String() != serialRows(in, nil) {
-					t.Error("replayed rows differ from the serial run")
-				}
-				st := &f.ctx.Stats
-				if st.TuplesReused != loopTuples || st.TuplesRecomputed != 0 || st.LimitFallbacks != fallbacks || len(f.decided) != 0 {
-					t.Errorf("reused=%d recomputed=%d fallbacks=%d computed=%v, want %d/0/%d/none",
-						st.TuplesReused, st.TuplesRecomputed, st.LimitFallbacks, f.decided, loopTuples, fallbacks)
-				}
-				if ev.work != st.Work || dx.aux == nil {
-					t.Errorf("trace attribution %+v, context %+v, memo %v", ev.work, st.Work, dx.aux)
-				}
-			})
-
-			t.Run("prior with changed tuples", func(t *testing.T) {
-				changed := []int{3, 17, 18, 39}
-				f := newFake(workers)
-				dx := &deltaState{prior: first.aux}
-				in := &compact.Table{Cols: []string{"x"}, Tuples: slices.Clone(first.aux.in)}
-				fresh := loopInput(changed...)
-				for _, i := range changed {
-					in.Tuples[i] = fresh.Tuples[i]
-				}
-				out, err := tupleLoop(f.ctx, nil, dx, in, []string{"x"}, f.op())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if out.String() != serialRows(in, nil) {
-					t.Error("rows differ from the serial run")
-				}
-				sort.Ints(f.decided)
-				st := &f.ctx.Stats
-				if !slices.Equal(f.decided, changed) || st.TuplesReused != loopTuples-4 || st.TuplesRecomputed != 4 || st.LimitFallbacks != fallbacks {
-					t.Errorf("computed %v (want %v), reused=%d recomputed=%d fallbacks=%d", f.decided, changed, st.TuplesReused, st.TuplesRecomputed, st.LimitFallbacks)
-				}
-				// The memo left behind chains every row, replayed ones included.
-				next := newFake(workers)
-				dx2 := &deltaState{prior: dx.aux}
-				if _, err := tupleLoop(next.ctx, nil, dx2, in, []string{"x"}, next.op()); err != nil || next.ctx.Stats.TuplesReused != loopTuples {
-					t.Errorf("second successor: err=%v reused=%d", err, next.ctx.Stats.TuplesReused)
-				}
-			})
-
-			t.Run("best-effort cut", func(t *testing.T) {
-				f := newFake(workers)
-				c, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				f.ctx.BindCancel(c)
-				f.before = func(i int) {
-					if i == 13 {
-						cancel()
-					}
-				}
-				dx := &deltaState{}
-				in := loopInput()
-				out, err := tupleLoop(f.ctx, nil, dx, in, []string{"x"}, f.op())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if out.String() != serialRows(in, f.reached) {
-					t.Error("partial rows differ from the serial run over the reached tuples")
-				}
-				var want []string
-				for i := 0; i < loopTuples; i++ {
-					if !f.reached[i] {
-						want = append(want, fmt.Sprintf("d%02d", i))
-					}
-				}
-				rep := f.ctx.DegradedReport()
-				if len(want) == 0 || rep == nil || !rep.DeadlineExpired || !slices.Equal(rep.UnprocessedDocs, want) {
-					t.Errorf("unprocessed %v, want exactly the unreached %v", rep, want)
-				}
-				if dx.aux != nil {
-					t.Error("a cut pass published its memo")
-				}
-			})
-
-			t.Run("transient error", func(t *testing.T) {
-				f := newFake(workers)
-				var mu sync.Mutex
-				failed := map[string]bool{}
-				f.ctx.Env.FaultHook = func(site string, docs []string) error {
-					mu.Lock()
-					defer mu.Unlock()
-					if site == "fake" && strings.HasSuffix(docs[0], "7") && !failed[docs[0]] {
-						failed[docs[0]] = true
-						return errors.New("transient")
-					}
-					return nil
-				}
-				dx := &deltaState{}
-				in := loopInput()
-				out, err := tupleLoop(f.ctx, nil, dx, in, []string{"x"}, f.op())
-				if err != nil {
-					t.Fatal(err)
-				}
-				st := &f.ctx.Stats
-				if out.String() != serialRows(in, nil) || st.QuarantineRetries != 4 || st.QuarantinedDocs != 0 || st.TuplesRecomputed != loopTuples || dx.aux == nil {
-					t.Errorf("retries=%d quarantined=%d recomputed=%d memo=%v", st.QuarantineRetries, st.QuarantinedDocs, st.TuplesRecomputed, dx.aux)
-				}
-			})
-
-			t.Run("panic quarantined", func(t *testing.T) {
-				f := newFake(workers)
-				f.before = func(i int) {
-					if i == 29 {
-						panic("bad page")
-					}
-				}
-				dx := &deltaState{}
-				_, err := tupleLoop(f.ctx, nil, dx, loopInput(), []string{"x"}, f.op())
-				if !errors.Is(err, ErrQuarantined) || !strings.Contains(err.Error(), "fake") {
-					t.Fatalf("err=%v, want ErrQuarantined at site fake", err)
-				}
-				// A faulting pass still decides every other tuple, so the
-				// quarantine set does not depend on the schedule.
-				if got := f.ctx.QuarantinedDocs(); !slices.Equal(got, []string{"d29"}) || len(f.decided) != loopTuples-1 {
-					t.Errorf("quarantined %v, %d tuples computed", got, len(f.decided))
-				}
-				if dx.aux != nil {
-					t.Error("a quarantining pass published its memo")
-				}
-			})
+			testLoopProtocol(t, workers, false)
+			t.Run("windowed", func(t *testing.T) { testLoopProtocol(t, workers, true) })
 		})
 	}
+}
+
+func testLoopProtocol(t *testing.T, workers int, windowed bool) {
+	const fallbacks = loopTuples / 5
+	// The memo every prior case replays: one clean pass.
+	base := newFake(workers, windowed)
+	first := &deltaState{}
+	if _, err := tupleLoop(base.ctx, nil, first, loopInput(), []string{"x"}, base.op()); err != nil || first.aux == nil {
+		t.Fatalf("clean pass: err=%v memo=%v", err, first.aux)
+	}
+
+	t.Run("no prior", func(t *testing.T) {
+		for _, dx := range []*deltaState{nil, {}} {
+			f := newFake(workers, windowed)
+			in := loopInput()
+			out, err := tupleLoop(f.ctx, nil, dx, in, []string{"x"}, f.op())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.String() != f.serialRows(in, nil) {
+				t.Errorf("delta=%v: rows differ from the serial run", dx != nil)
+			}
+			st := &f.ctx.Stats
+			if st.TuplesReused != 0 || st.TuplesRecomputed != loopTuples || st.LimitFallbacks != fallbacks {
+				t.Errorf("delta=%v: reused=%d recomputed=%d fallbacks=%d, want 0/%d/%d",
+					dx != nil, st.TuplesReused, st.TuplesRecomputed, st.LimitFallbacks, loopTuples, fallbacks)
+			}
+			if dx != nil && (dx.aux == nil || len(dx.aux.outs.([]fakeOut)) != loopTuples || &dx.aux.in[0] != &in.Tuples[0]) {
+				t.Errorf("memo is not the loop's outcome array over the input rows: %+v", dx.aux)
+			}
+		}
+	})
+
+	t.Run("full prior", func(t *testing.T) {
+		f := newFake(workers, windowed)
+		dx := &deltaState{prior: first.aux}
+		in := loopInput()
+		out, err := tupleLoop(f.ctx, nil, dx, in, []string{"x"}, f.op())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Same ids, fresh handles: nothing matches structurally.
+		if st := &f.ctx.Stats; st.TuplesReused != 0 || st.TuplesRecomputed != loopTuples {
+			t.Fatalf("fresh handles replayed: reused=%d", st.TuplesReused)
+		}
+		// The rows the memo was built over do.
+		f = newFake(workers, windowed)
+		dx = &deltaState{prior: first.aux}
+		in = &compact.Table{Cols: []string{"x"}, Tuples: first.aux.in}
+		ev := &EvalTrace{}
+		if out, err = tupleLoop(f.ctx, ev, dx, in, []string{"x"}, f.op()); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != f.serialRows(in, nil) {
+			t.Error("replayed rows differ from the serial run")
+		}
+		st := &f.ctx.Stats
+		if st.TuplesReused != loopTuples || st.TuplesRecomputed != 0 || st.LimitFallbacks != fallbacks || len(f.decided) != 0 {
+			t.Errorf("reused=%d recomputed=%d fallbacks=%d computed=%v, want %d/0/%d/none",
+				st.TuplesReused, st.TuplesRecomputed, st.LimitFallbacks, f.decided, loopTuples, fallbacks)
+		}
+		if ev.work != st.Work || dx.aux == nil {
+			t.Errorf("trace attribution %+v, context %+v, memo %v", ev.work, st.Work, dx.aux)
+		}
+	})
+
+	t.Run("prior with changed tuples", func(t *testing.T) {
+		changed := []int{3, 17, 18, 39}
+		f := newFake(workers, windowed)
+		dx := &deltaState{prior: first.aux}
+		in := &compact.Table{Cols: []string{"x"}, Tuples: slices.Clone(first.aux.in)}
+		fresh := loopInput(changed...)
+		for _, i := range changed {
+			in.Tuples[i] = fresh.Tuples[i]
+		}
+		out, err := tupleLoop(f.ctx, nil, dx, in, []string{"x"}, f.op())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != f.serialRows(in, nil) {
+			t.Error("rows differ from the serial run")
+		}
+		sort.Ints(f.decided)
+		st := &f.ctx.Stats
+		if !slices.Equal(f.decided, changed) || st.TuplesReused != loopTuples-4 || st.TuplesRecomputed != 4 || st.LimitFallbacks != fallbacks {
+			t.Errorf("computed %v (want %v), reused=%d recomputed=%d fallbacks=%d", f.decided, changed, st.TuplesReused, st.TuplesRecomputed, st.LimitFallbacks)
+		}
+		// The memo left behind chains every row, replayed ones included.
+		next := newFake(workers, windowed)
+		dx2 := &deltaState{prior: dx.aux}
+		if _, err := tupleLoop(next.ctx, nil, dx2, in, []string{"x"}, next.op()); err != nil || next.ctx.Stats.TuplesReused != loopTuples {
+			t.Errorf("second successor: err=%v reused=%d", err, next.ctx.Stats.TuplesReused)
+		}
+	})
+
+	t.Run("best-effort cut", func(t *testing.T) {
+		f := newFake(workers, windowed)
+		c, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		f.ctx.BindCancel(c)
+		f.before = func(i int) {
+			if i == 13 {
+				cancel()
+			}
+		}
+		dx := &deltaState{}
+		in := loopInput()
+		out, err := tupleLoop(f.ctx, nil, dx, in, []string{"x"}, f.op())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != f.serialRows(in, f.reached) {
+			t.Error("partial rows differ from the serial run over the reached tuples")
+		}
+		var want []string
+		for i := 0; i < loopTuples; i++ {
+			if !f.reached[i] {
+				want = append(want, fmt.Sprintf("d%02d", i))
+			}
+		}
+		rep := f.ctx.DegradedReport()
+		if len(want) == 0 || rep == nil || !rep.DeadlineExpired || !slices.Equal(rep.UnprocessedDocs, want) {
+			t.Errorf("unprocessed %v, want exactly the unreached %v", rep, want)
+		}
+		if dx.aux != nil {
+			t.Error("a cut pass published its memo")
+		}
+	})
+
+	t.Run("transient error", func(t *testing.T) {
+		f := newFake(workers, windowed)
+		var mu sync.Mutex
+		failed := map[string]bool{}
+		f.ctx.Env.FaultHook = func(site string, docs []string) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if site == "fake" && strings.HasSuffix(docs[0], "7") && !failed[docs[0]] {
+				failed[docs[0]] = true
+				return errors.New("transient")
+			}
+			return nil
+		}
+		dx := &deltaState{}
+		in := loopInput()
+		out, err := tupleLoop(f.ctx, nil, dx, in, []string{"x"}, f.op())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := &f.ctx.Stats
+		if out.String() != f.serialRows(in, nil) || st.QuarantineRetries != 4 || st.QuarantinedDocs != 0 || st.TuplesRecomputed != loopTuples || dx.aux == nil {
+			t.Errorf("retries=%d quarantined=%d recomputed=%d memo=%v", st.QuarantineRetries, st.QuarantinedDocs, st.TuplesRecomputed, dx.aux)
+		}
+	})
+
+	t.Run("panic quarantined", func(t *testing.T) {
+		f := newFake(workers, windowed)
+		f.before = func(i int) {
+			if i == 29 {
+				panic("bad page")
+			}
+		}
+		dx := &deltaState{}
+		_, err := tupleLoop(f.ctx, nil, dx, loopInput(), []string{"x"}, f.op())
+		if !errors.Is(err, ErrQuarantined) || !strings.Contains(err.Error(), "fake") {
+			t.Fatalf("err=%v, want ErrQuarantined at site fake", err)
+		}
+		// A faulting pass still decides every other tuple, so the
+		// quarantine set does not depend on the schedule.
+		if got := f.ctx.QuarantinedDocs(); !slices.Equal(got, []string{"d29"}) || len(f.decided) != loopTuples-1 {
+			t.Errorf("quarantined %v, %d tuples computed", got, len(f.decided))
+		}
+		if dx.aux != nil {
+			t.Error("a quarantining pass published its memo")
+		}
+		if !windowed && f.emitted != 0 {
+			t.Errorf("a quarantining counted pass emitted %d rows", f.emitted)
+		}
+	})
 }
 
 // loopNode evaluates its fake operator over a fixed table.
@@ -321,7 +348,7 @@ func (n *loopNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, _ []*compac
 // behind, and the key evaluates cleanly afterwards.
 func TestTupleLoopPanicReachesCaller(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
-		f := newFake(workers)
+		f := newFake(workers, false)
 		f.ctx.EnableDelta()
 		f.unguarded = func(i int) {
 			if i == loopTuples-1 {
