@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The deterministic counters of the two library workloads, as a CI gate.
+# The deterministic counters of the two library workloads and store_cycle,
+# as a CI gate.
 #
 #   benchmark-counters.sh write                      print benchmark-counters.json (make bench-counters)
 #   benchmark-counters.sh check <workload> <output>  compare one run's output with it
@@ -14,7 +15,7 @@ set -euo pipefail
 here="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 file="$here/benchmark-counters.json"
 flags="--seed 1 --seconds 10 --trace 0"
-workloads="join_converge extract_converge"
+workloads="join_converge extract_converge store_cycle"
 
 # value <metric>: the metric's value on the line read from stdin.
 value() { sed -n 's/.*"'"$1"'":{"value":\([0-9.e+]*\).*/\1/p'; }

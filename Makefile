@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-all chaos crash bench bench-layers bench-counters serve-smoke profile cover vet verify loc
+.PHONY: build test race race-all chaos crash bench bench-layers bench-counters bench-cover serve-smoke profile cover vet verify loc
 
 build:
 	$(GO) build ./...
@@ -172,8 +172,9 @@ loc:
 				exit !(t <= budget["total"] && e <= budget["internal/engine"]) }' .github/loc-budget -
 
 # Regenerate the deterministic counters CI holds the two library workloads
-# to (feature_calls_per_round equal, tuples_built_per_round not higher),
-# with the flags the CI job runs them with. Two runs of about 15 s.
+# and store_cycle to (feature_calls_per_round equal, tuples_built_per_round
+# not higher), with the flags the CI job runs them with. Three runs of a
+# few seconds each.
 bench-counters:
 	bash .github/benchmark-counters.sh write > .github/benchmark-counters.json.tmp
 	mv .github/benchmark-counters.json.tmp .github/benchmark-counters.json
@@ -195,6 +196,30 @@ cover:
 	mkdir -p profiles
 	$(GO) test -coverpkg=./... -coverprofile=profiles/cover.out ./...
 	@$(GO) tool cover -func=profiles/cover.out | awk '$$NF == "0.0%"'
+
+# Statement coverage of what the benchmark's workloads run, not of what
+# the tests reach: the harness is built with -cover -coverpkg=iflex/...
+# under .bench_build (as benchmark/run.sh builds it, nothing fetched),
+# each workload runs a few seconds at seed 1 with GOCOVERDIR set, and the
+# merged counts of internal/ go to profiles/bench-cover.out (gitignored;
+# the harness's own package, iflex/benchmark, is left out). Then the
+# non-test internal/ functions no workload runs at all: reuse and fallback
+# paths that only tests reach, where a deletion pass starts looking. Read
+# a listed file with `go tool cover -html=profiles/bench-cover.out`: a
+# 0-count block inside a covered `if` is a branch no workload took, not a
+# function never called, so a path guarded inside a function that runs
+# shows only there, never in the list.
+BENCH_COVER_ENV = GOCACHE=$(CURDIR)/.bench_build/gocache GOTMPDIR=$(CURDIR)/.bench_build/tmp \
+	GOENV=off GOPROXY=off GOTOOLCHAIN=local XDG_CONFIG_HOME=$(CURDIR)/.bench_build/config
+bench-cover:
+	rm -rf .bench_build/cover
+	mkdir -p profiles .bench_build/cover .bench_build/tmp
+	cd benchmark && $(BENCH_COVER_ENV) $(GO) build -cover -covermode=atomic -coverpkg=iflex/... -o ../.bench_build/iflex-benchmark-cover .
+	for w in join_converge extract_converge serve_sessions store_cycle; do \
+		GOCOVERDIR=.bench_build/cover .bench_build/iflex-benchmark-cover --workload $$w --seed 1 --seconds 5 --trace 0 >/dev/null || exit 1; \
+	done
+	$(GO) tool covdata textfmt -i=.bench_build/cover -pkg='iflex/internal/...' -o profiles/bench-cover.out
+	@$(GO) tool cover -func=profiles/bench-cover.out | awk '$$1 ~ /\/internal\// && $$NF == "0.0%"'
 
 # Capture CPU, heap, and execution-trace profiles from the Table 5
 # sessions (both strategies, all nine tasks); inspect with `go tool pprof`

@@ -9,6 +9,7 @@
 package iflex_test
 
 import (
+	"slices"
 	"testing"
 
 	"iflex"
@@ -210,7 +211,10 @@ func preciseSetup(b *testing.B, id string) benchSetup {
 }
 
 // convergedSetup is task id's program with every constraint the oracle
-// knows added: the program a session converges to.
+// knows added: the program a session converges to. Each attribute's
+// constraints go in in feature order, so every setup builds the same
+// program: the order decides how many stages rewrite a cell, and with it
+// what the program allocates.
 func convergedSetup(b *testing.B, id string) benchSetup {
 	base, err := corpus.TaskByID(id)
 	if err != nil {
@@ -220,11 +224,17 @@ func convergedSetup(b *testing.B, id string) benchSetup {
 	prog := alog.MustParse(base.Program)
 	oracle := base.Oracle()
 	for _, attr := range prog.Attrs() {
-		for f, v := range oracle.Answers[attr.String()] {
-			if v == "unknown" {
+		answers := oracle.Answers[attr.String()]
+		feats := make([]string, 0, len(answers))
+		for f := range answers {
+			feats = append(feats, f)
+		}
+		slices.Sort(feats)
+		for _, f := range feats {
+			if answers[f] == "unknown" {
 				continue
 			}
-			if err := prog.AddConstraint(attr, f, v); err != nil {
+			if err := prog.AddConstraint(attr, f, answers[f]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -222,6 +222,22 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 }
 
+// prRef matches a pull-request number in prose, across a line break too.
+var prRef = regexp.MustCompile(`\bPRs?\s+\d+`)
+
+// TestReadmeNamesNoPR: README.md says what the system does and what the
+// benchmark reports today; how and when it came to be is CHANGES.md's, so
+// the README names no "PR n".
+func TestReadmeNamesNoPR(t *testing.T) {
+	src, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, loc := range prRef.FindAllIndex(src, -1) {
+		t.Errorf("README.md:%d names %q", 1+strings.Count(string(src[:loc[0]]), "\n"), src[loc[0]:loc[1]])
+	}
+}
+
 // fuzzTarget matches a fuzz target's declaration in a test file.
 var fuzzTarget = regexp.MustCompile(`(?m)^func (Fuzz\w+)\(f \*testing\.F\)`)
 

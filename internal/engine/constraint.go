@@ -19,7 +19,9 @@ import (
 //
 // What Refine produced is then re-checked against every constraint applied
 // to attr before it (prior, then the run's earlier stages), as a narrower
-// span may violate one; refineCell says which re-checks it can skip.
+// span may violate one; refineCell says which re-checks it can skip, and it
+// may skip them because the cell entering a stage is always refined under
+// the constraints before it (newConstraintNode).
 //
 // A run evaluates in one pass: per input tuple, stage i makes the call a
 // chain of one-constraint nodes would make, refineCell(cell, cons[i],
@@ -48,18 +50,25 @@ type constraintNode struct {
 // newConstraintNode places the last of applied, which lists every
 // constraint on attr up to and including it, above parent. When parent is
 // itself a run on the same attribute that has applied exactly the rest, the
-// result is parent's run extended by one stage; anything else starts a new
-// run. The compiler and the optimizer therefore build runs by adding
-// constraints one at a time, with no rule of their own. The node keeps
-// applied: callers may append to it, never write inside it.
+// result is parent's run extended by one stage. Any other parent is not
+// known to be refined under the rest (a selection or a trial may sit between
+// the constraints), so the rest is placed above it first: the result is then
+// a run whose stages are the whole of applied. The compiler and the
+// optimizer therefore build runs by adding constraints one at a time, with
+// no rule of their own. The node keeps applied: callers may append to it,
+// never write inside it.
 func newConstraintNode(env *Env, parent Node, attr string, applied []*feature.Cons) *constraintNode {
-	last := applied[len(applied)-1]
+	all := applied[:len(applied):len(applied)]
+	np := len(all) - 1
+	if np > 0 && !appliedRun(parent, attr, all[:np]) {
+		parent = newConstraintNode(env, parent, attr, all[:np])
+	}
+	last := all[np]
 	h := cat(make([]byte, 0, headCap), "constrain[", last.Feature.Name(), "(", attr, ")=")
 	h = append(strconv.AppendQuote(h, last.Value), ']')
 	return env.nodes.intern(h, OpConstraint, func() Node {
-		all := applied[:len(applied):len(applied)]
-		n, np := &constraintNode{parent: parent, attr: attr}, len(all)-1
-		if p, ok := appliedRun(parent, attr, all[:np]); ok && !stackRuns {
+		n := &constraintNode{parent: parent, attr: attr}
+		if p, ok := parent.(*constraintNode); ok && np > 0 && !stackRuns {
 			n.parent, n.prev, np = p.parent, p, len(p.prior)
 		}
 		n.prior, n.cons = all[:np], all[np:]
@@ -67,19 +76,16 @@ func newConstraintNode(env *Env, parent Node, attr string, applied []*feature.Co
 	}, parent).(*constraintNode)
 }
 
-// appliedRun returns parent as a run on attr that has applied exactly prior
-// (compared in place): the run a stage extends, an input refined under prior.
-func appliedRun(parent Node, attr string, prior []*feature.Cons) (*constraintNode, bool) {
+// appliedRun reports whether parent is a run on attr that has applied
+// exactly prior (compared in place): the run a stage extends.
+func appliedRun(parent Node, attr string, prior []*feature.Cons) bool {
 	p, ok := parent.(*constraintNode)
-	if !ok || p.attr != attr || len(prior) != len(p.prior)+len(p.cons) {
-		return nil, false
-	}
-	return p, slices.Equal(prior, p.prior[:len(prior)])
+	return ok && p.attr == attr && len(prior) == len(p.prior)+len(p.cons) && slices.Equal(prior, p.prior[:len(prior)])
 }
 
 // stackRuns makes newConstraintNode build the chain of one-stage nodes a
-// run replaces. Only tests set it: the chain is the oracle every run is
-// compared with.
+// run replaces, one node per stage. Only tests set it: the chain is the
+// oracle every run is compared with.
 var stackRuns bool
 
 func (n *constraintNode) Columns() []string { return n.parent.Columns() }
@@ -92,7 +98,6 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins [
 	ci := colIndex(in.Cols, n.attr)
 	np, stages := len(n.prior), len(n.cons)
 	all := n.prior[:np+stages]
-	_, refined := appliedRun(n.parent, n.attr, n.prior)
 	// Tuples refine independently (features are pure, the record tables are
 	// concurrency-safe), so the loop fans out. The memo depends only on the
 	// constrained attribute's cell: a tuple whose other columns were refined
@@ -124,7 +129,7 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins [
 					for st := int(s); st < stages; st++ {
 						batch.ConstraintStages++
 						var ferr error
-						if c, ferr = refineCell(batch, &sc, c, all[np+st], all[:np+st+1], refined || np == 0 || st > 0); ferr != nil {
+						if c, ferr = refineCell(batch, &sc, c, all[np+st], all[:np+st+1]); ferr != nil {
 							return ferr
 						}
 						if len(c.Assigns) == 0 {
@@ -210,14 +215,14 @@ type refineScratch struct {
 // the result of refining under all of them. Only the returned cell
 // allocates, and only when it differs from c: a stage that leaves a
 // canonical list as it found it returns c itself.
-// refined states that c is already refined under all[:len(all)-1]: what k
-// leaves as it is then settles, and only the rest enters the fixpoint, where
-// every assignment lies in one that passed each constraint (inherited). A
-// round skips what cannot change the list while it is the one the round
-// found (same): a self-stable k, and in the first, a hereditary prior when
-// k is declared (its spans are token-aligned). If refined is false in truth,
-// these skip only re-checks: a superset, never less.
-func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k *feature.Cons, all []*feature.Cons, refined bool) (compact.Cell, error) {
+// c is already refined under all[:len(all)-1]: what k leaves as it is
+// settles, and only the rest enters the fixpoint, where every assignment
+// lies in one that passed each constraint (inherited). A round skips what
+// cannot change the list while it is the one the round found (same): a
+// self-stable k, and in the first, a hereditary prior when k is declared
+// (its spans are token-aligned). Were c not refined in truth, these would
+// skip only re-checks: a superset, never less.
+func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k *feature.Cons, all []*feature.Cons) (compact.Cell, error) {
 	as, settled, spare := sc.a[:0], sc.settled[:0], sc.b
 	var err error
 	for i, a := range c.Assigns {
@@ -225,7 +230,7 @@ func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k *feature.
 		if as, err = applyConstraint(batch, &sc.docs, k, c.Assigns[i:i+1], as, false); err != nil {
 			return compact.Cell{}, err
 		}
-		if refined && len(as) == n+1 && as[n] == a {
+		if len(as) == n+1 && as[n] == a {
 			as, settled = as[:n], append(settled, a)
 		}
 	}
@@ -233,10 +238,10 @@ func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k *feature.
 		sc.before = append(sc.before[:0], as...)
 		same := true
 		for _, kc := range all {
-			if same && refined && (kc == k && k.SelfStable || round == 0 && kc.Hereditary && k.Declared) {
+			if same && (kc == k && k.SelfStable || round == 0 && kc.Hereditary && k.Declared) {
 				continue
 			}
-			next, err := applyConstraint(batch, &sc.docs, kc, as, spare[:0], refined && kc.Hereditary)
+			next, err := applyConstraint(batch, &sc.docs, kc, as, spare[:0], kc.Hereditary)
 			if err != nil {
 				return compact.Cell{}, err
 			}

@@ -130,9 +130,11 @@ func resolveBoth(t *testing.T, env, ref *Env, cons []alog.Constraint) (all, refA
 }
 
 // TestRefineCellMatchesReference holds refineCell to its old body on random
-// cells and constraint lists: the same cell and the same Verify/Refine
-// calls, memo hits included, with one scratch reused across all calls the
-// way a chunk's worker reuses it. Each side reads a fresh memo per trial.
+// cells and constraint lists: the same cell, with no more Verify or Refine
+// calls, and one scratch reused across all calls the way a chunk's worker
+// reuses it. Each cell is first refined under the earlier constraints by
+// the reference, stage by stage, which is how every cell enters a stage
+// (newConstraintNode). Each side reads a fresh memo per trial.
 func TestRefineCellMatchesReference(t *testing.T) {
 	docs := refinePages()
 	env, refEnv := NewEnv(), NewEnv()
@@ -143,22 +145,31 @@ func TestRefineCellMatchesReference(t *testing.T) {
 		sc.docs = freshTables(env)
 		refDocs := &docCursor{memo: freshTables(refEnv).memo}
 		c := compact.Cell{Assigns: randomAssignments(r, docs, 1+r.Intn(4)), Expand: r.Intn(2) == 0}
-		in := slices.Clone(c.Assigns)
 		cons := make([]alog.Constraint, 1+r.Intn(6))
 		for i := range cons {
 			cons[i] = refinePool[r.Intn(len(refinePool))]
 		}
 		all, refAll := resolveBoth(t, env, refEnv, cons)
+		for st := range refAll[:len(refAll)-1] {
+			var b statBatch
+			if c, _ = refRefineCell(&b, refDocs, c, refAll[st], refAll[:st+1]); len(c.Assigns) == 0 {
+				break
+			}
+		}
+		if len(c.Assigns) == 0 {
+			continue
+		}
+		in := slices.Clone(c.Assigns)
 		var wantB, gotB statBatch
 		want, werr := refRefineCell(&wantB, refDocs, c, refAll[len(all)-1], refAll)
-		got, gerr := refineCell(&gotB, &sc, c, all[len(all)-1], all, false)
+		got, gerr := refineCell(&gotB, &sc, c, all[len(all)-1], all)
 		if (werr != nil) != (gerr != nil) {
 			t.Fatalf("trial %d: error %v, reference %v", trial, gerr, werr)
 		}
 		if !slices.Equal(got.Assigns, want.Assigns) || got.Expand != want.Expand {
 			t.Fatalf("trial %d: %v under %v\n got %v\nwant %v", trial, c, cons, got, want)
 		}
-		if gotB != wantB {
+		if gotB.VerifyCalls > wantB.VerifyCalls || gotB.RefineCalls > wantB.RefineCalls {
 			t.Fatalf("trial %d: calls %+v, reference %+v", trial, gotB, wantB)
 		}
 		if !slices.Equal(c.Assigns, in) {
@@ -168,6 +179,7 @@ func TestRefineCellMatchesReference(t *testing.T) {
 			changed++
 		}
 	}
+	t.Logf("%d of 3000 cells changed in their last stage", changed)
 	if changed < 500 {
 		t.Fatalf("only %d of 3000 cells were refined at all", changed)
 	}
@@ -198,7 +210,7 @@ func TestRefineCellTrustsRefinedCells(t *testing.T) {
 		for st := range all {
 			var wantB, gotB statBatch
 			want, werr := refRefineCell(&wantB, refDocs, c, refAll[st], refAll[:st+1])
-			got, gerr := refineCell(&gotB, &sc, c, all[st], all[:st+1], true)
+			got, gerr := refineCell(&gotB, &sc, c, all[st], all[:st+1])
 			if werr != nil || gerr != nil {
 				t.Fatalf("cell %d stage %d: error %v, reference %v", cell, st, gerr, werr)
 			}
@@ -312,7 +324,7 @@ func TestRefineCellRechecksUnalignedSpans(t *testing.T) {
 	sc := refineScratch{docs: docCursor{memo: env.FeatureMemo}}
 	var wantB, gotB statBatch
 	want, werr := refRefineCell(&wantB, &docCursor{memo: refEnv.FeatureMemo}, c, refAll[1], refAll)
-	got, gerr := refineCell(&gotB, &sc, c, all[1], all, true)
+	got, gerr := refineCell(&gotB, &sc, c, all[1], all)
 	if werr != nil || gerr != nil {
 		t.Fatalf("error %v, reference %v", gerr, werr)
 	}
@@ -346,7 +358,7 @@ func TestRefineCellTrustedKeepsSuperset(t *testing.T) {
 		all, refAll := resolveBoth(t, env, refEnv, cons)
 		var wantB, gotB statBatch
 		want, werr := refRefineCell(&wantB, refDocs, c, refAll[len(all)-1], refAll)
-		got, gerr := refineCell(&gotB, &sc, c, all[len(all)-1], all, true)
+		got, gerr := refineCell(&gotB, &sc, c, all[len(all)-1], all)
 		if werr != nil || gerr != nil {
 			t.Fatalf("trial %d: error %v, reference %v", trial, gerr, werr)
 		}
@@ -415,7 +427,7 @@ func TestRefineCellSelfStableSkipsRecheck(t *testing.T) {
 		}
 		var wantB, gotB statBatch
 		want, werr := refRefineCell(&wantB, refDocs, c, refAll[len(all)-1], refAll)
-		got, gerr := refineCell(&gotB, &sc, c, all[len(all)-1], all, true)
+		got, gerr := refineCell(&gotB, &sc, c, all[len(all)-1], all)
 		if werr != nil || gerr != nil {
 			t.Fatalf("trial %d: error %v, reference %v", trial, gerr, werr)
 		}

@@ -11,8 +11,9 @@ import (
 
 // corpusJoinSrc extracts bold titles from two document sets and joins
 // them approximately — the extraction chain exercises the unary-operator
-// memos and the join exercises the corpus-mode right-table
-// reconciliation (extracted sub-spans cannot be postings-backed).
+// memos and the join a corpus delta that changes its right table, whose pin
+// then rejects the displaced memo (extracted sub-spans cannot be
+// postings-backed).
 const corpusJoinSrc = `
 a(x, <s>) :- L(x), e1(x, s).
 b(y, <t>) :- R(y), e2(y, t).

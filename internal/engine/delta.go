@@ -40,12 +40,12 @@ type joinMatch struct {
 	repl map[int]compact.Cell
 }
 
-// joinOut is the memoised outcome of ⋈~ and × for one left tuple: its
-// matches in right-tuple order, and the valuation-limit fallbacks deciding
-// them charged. Like every outcome it is expressed in terms of the cells
-// the operator reads, never the whole tuple: replay rebuilds the output
-// from the current input tuple, which is what lets a memo survive
-// refinements of unrelated columns.
+// joinOut is the outcome of ⋈~ and × for one left tuple: its matches in
+// right-tuple order, and the valuation-limit fallbacks deciding them
+// charged. ⋈~ memoises it; like every memoised outcome it is expressed in
+// terms of the cells the operator reads, never the whole tuple: replay
+// rebuilds the output from the current input tuple, which is what lets a
+// memo survive refinements of unrelated columns.
 type joinOut struct {
 	sim       []joinMatch
 	fallbacks int32
@@ -60,12 +60,12 @@ func (o joinOut) limitFallbacks() int32 { return o.fallbacks }
 // outs the loop's outcome array (a []O of the operator's outcome type) and
 // slots an open-addressed index over fps (buildIndex). cols narrows
 // the memo key to the input columns the operator reads (never nil, empty
-// when it reads none). For binary operators the other input is
-// pinned two ways: right by pointer (the node cache guarantees pointer
-// identity when the right subtree's signature is unchanged), and rightDep
-// by a content fingerprint of the right table's dependency columns, which
-// keeps memos transferable when the right subtree was re-evaluated but
-// its join-relevant columns came out identical. stages is the number of
+// when it reads none). For ⋈~ the other input is pinned two ways: right
+// by pointer (the node cache guarantees pointer identity when the right
+// subtree's signature is unchanged), and rightDep by a content fingerprint
+// of the right table's dependency columns, which keeps memos transferable
+// when the right subtree was re-evaluated but its join-relevant columns
+// came out identical. stages is the number of
 // stages of the constraint run that left the memo (0 for every other
 // operator): a longer run replays that many and computes the rest. bytes
 // is the memo's cache charge (memoBytes).
@@ -152,13 +152,6 @@ func memoBytes[O outcome](outs []O, slots int) int64 {
 type deltaState struct {
 	prior *evalAux
 	aux   *evalAux
-	// corpus marks a prior displaced by ApplyCorpusDelta rather than one
-	// linked across plan versions: the prior's right table (for binary
-	// operators) may have been rebuilt by the same corpus re-evaluation,
-	// so priorFor's pointer/fingerprint pinning will reject it — the
-	// similarity join reconciles the two right tables instead
-	// (tupleOp.reconcile).
-	corpus bool
 	// linked is the linked predecessor's entry under the same mode when it
 	// covers every stage of a run: what adoptUnrun may hand out, or nil.
 	linked *cacheEntry
@@ -167,25 +160,20 @@ type deltaState struct {
 // priorFor returns the predecessor memo usable for the pass that builds
 // aux, nil when there is none. The prior is only handed out when its
 // narrowing matches, it was left by a run of at most aux's stages, and —
-// for binary operators — the right input is either the pointer-identical
-// table the prior was built against or one whose dependency columns
-// fingerprint identically. A corpus-displaced prior that fails only the
-// pin is offered to reconcile.
-func (dx *deltaState) priorFor(aux *evalAux, reconcile func(*compact.Table) (bool, error)) (*evalAux, error) {
+// for ⋈~ — the right input is either the pointer-identical table the prior
+// was built against or one whose dependency columns fingerprint
+// identically. That holds for a prior a corpus delta displaced too: when
+// the mutation rebuilt the right table's join cells, the join probes in
+// full.
+func (dx *deltaState) priorFor(aux *evalAux) *evalAux {
 	p := dx.prior
 	if p == nil || !slices.Equal(p.cols, aux.cols) || p.stages > aux.stages {
-		return nil, nil
+		return nil
 	}
 	if p.right == aux.right || (aux.rightDep != 0 && p.rightDep == aux.rightDep) {
-		return p, nil
+		return p
 	}
-	if dx.corpus && p.right != nil && reconcile != nil {
-		if ok, err := reconcile(p.right); !ok || err != nil {
-			return nil, err
-		}
-		return p, nil
-	}
-	return nil, nil
+	return nil
 }
 
 // deltaLink names the predecessor, in the previous plan version, of a
@@ -200,23 +188,18 @@ type deltaLink struct {
 // evaluate under key: the state the evaluation threads through its tuple
 // loop, and the predecessor's output table for Eval's adoption check (nil
 // when the tuple sets differ). In order: the linked predecessor evaluated
-// under the same mode whose entry still holds a per-tuple memo; failing
-// that the previous evaluation mode's (per-tuple memos are
-// subset-independent: operators decide per tuple, the doc filter only gates
-// which tuples the scans emit) — including the node's own previous-mode
-// entry, which covers the final full-corpus execution of an unchanged
-// plan. Cross-mode priors attach the memo only, never the table: the tuple
-// sets differ, so adoption would be wrong. Callers hold ctx.mu.
+// under the same mode; failing that the node's own entry under the
+// previous evaluation mode (per-tuple memos are subset-independent:
+// operators decide per tuple, the doc filter only gates which tuples the
+// scans emit), which covers the final full-corpus execution of an
+// unchanged plan. That prior attaches the memo only, never the table: the
+// tuple sets differ, so adoption would be wrong. Callers hold ctx.mu.
 func (ctx *Context) deltaPriorLocked(n Node, key entryKey) (*deltaState, *compact.Table) {
 	if !ctx.deltaOn {
 		return nil, nil
 	}
 	dx := &deltaState{}
 	var priorTable *compact.Table
-	prevMode := ctx.prevMode
-	if prevMode == key.mode {
-		prevMode = 0
-	}
 	if link, ok := ctx.deltaPrev[key.node]; ok {
 		if pe := ctx.lookupLocked(entryKey{mode: key.mode, node: link.old}); pe != nil {
 			dx.prior = pe.aux
@@ -224,14 +207,10 @@ func (ctx *Context) deltaPriorLocked(n Node, key entryKey) (*deltaState, *compac
 			if run, ok := n.(*constraintNode); !ok || link.stages == len(run.cons) {
 				dx.linked = pe
 			}
-		} else if prevMode != 0 {
-			if pe := ctx.lookupLocked(entryKey{mode: prevMode, node: link.old}); pe != nil {
-				dx.prior = pe.aux
-			}
 		}
 	}
-	if dx.prior == nil && priorTable == nil && prevMode != 0 {
-		if pe := ctx.lookupLocked(entryKey{mode: prevMode, node: key.node}); pe != nil {
+	if dx.prior == nil && priorTable == nil && ctx.prevMode != 0 && ctx.prevMode != key.mode {
+		if pe := ctx.lookupLocked(entryKey{mode: ctx.prevMode, node: key.node}); pe != nil {
 			dx.prior = pe.aux
 		}
 	}
@@ -243,22 +222,19 @@ func (ctx *Context) deltaPriorLocked(n Node, key entryKey) (*deltaState, *compac
 		if dx.prior != nil {
 			have = dx.prior.stages
 		}
-		if aux, table := ctx.runPriorLocked(run, key.mode, prevMode, have); aux != nil {
+		if aux, table := ctx.runPriorLocked(run, key.mode, have); aux != nil {
 			dx.prior, priorTable = aux, table
 		}
 	}
 	// Corpus prior: ApplyCorpusDelta marked this node's last result
 	// stale (the plan is typically unchanged, so the plan-delta links
 	// above have nothing). The stale table is attached for the adoption
-	// check and the memo for per-tuple replay; dx.corpus tells binary
-	// operators the prior's right table may have been rebuilt, so they
-	// reconcile it against the current one instead of trusting pointer
-	// identity. The entry is consumed: it is valid for exactly one
-	// re-evaluation of its node.
+	// check and the memo for per-tuple replay, which ⋈~ takes only while
+	// its right pin holds (priorFor). The entry is consumed: it is valid
+	// for exactly one re-evaluation of its node.
 	if dx.prior == nil && priorTable == nil {
 		if cp := ctx.cache[key]; cp != nil && cp.stale {
 			dx.prior = cp.aux
-			dx.corpus = true
 			priorTable = cp.table
 			ctx.dropLocked(cp)
 			statAdd(&ctx.Stats.CorpusPriorHits, 1)
@@ -313,23 +289,16 @@ func (ctx *Context) adoptUnrun(n Node, dx *deltaState, in []*compact.Table, ev *
 var noAdoptUnrun bool
 
 // runPriorLocked looks for a cached run over the same input that covers
-// more than have of n's stages: an entry under one of n's prefixes whose
-// memo was left by a run of exactly that many stages (so it is keyed on the
-// same entering cell). A trial that already evaluated the first of two
-// answers folded into one step is found this way; the RegisterDelta link
-// alone would resume one stage too early. The previous evaluation mode
-// (0 = none) is probed like Eval probes it for links, memo only. Callers
-// hold ctx.mu.
-func (ctx *Context) runPriorLocked(n *constraintNode, mode, prevMode uint32, have int) (*evalAux, *compact.Table) {
+// more than have of n's stages: an entry under one of n's prefixes, in the
+// current mode, whose memo was left by a run of exactly that many stages
+// (so it is keyed on the same entering cell). A trial that already
+// evaluated the first of two answers folded into one step is found this
+// way; the RegisterDelta link alone would resume one stage too early.
+// Callers hold ctx.mu.
+func (ctx *Context) runPriorLocked(n *constraintNode, mode uint32, have int) (*evalAux, *compact.Table) {
 	for ; n != nil && len(n.cons) > have; n = n.prev {
-		covers := func(e *cacheEntry) bool { return e != nil && e.aux != nil && e.aux.stages == len(n.cons) }
-		if e := ctx.lookupLocked(entryKey{mode: mode, node: n.id}); covers(e) {
+		if e := ctx.lookupLocked(entryKey{mode: mode, node: n.id}); e != nil && e.aux != nil && e.aux.stages == len(n.cons) {
 			return e.aux, e.table
-		}
-		if prevMode != 0 {
-			if e := ctx.lookupLocked(entryKey{mode: prevMode, node: n.id}); covers(e) {
-				return e.aux, nil
-			}
 		}
 	}
 	return nil, nil

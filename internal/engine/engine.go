@@ -461,8 +461,8 @@ type Work struct {
 	// fallbacks it stands for.
 	LimitFallbacks int64 `json:"limit_fallbacks" stat:"det"`
 	// TuplesReused / TuplesRecomputed count, across the delta-capable
-	// operators (constraint, cross, similarity join, annotation; selections
-	// and procedures keep no memo and count nothing), input tuples whose
+	// operators (constraint, similarity join, annotation; selections, cross
+	// products and procedures keep no memo and count nothing), input tuples whose
 	// outcome was replayed from a predecessor memo versus computed fresh.
 	// Recomputed is counted in both modes, so delta and full runs of the
 	// same workload are directly comparable; with delta off, Reused stays 0.

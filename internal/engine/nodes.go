@@ -250,23 +250,18 @@ func (n *crossNode) Columns() []string { return n.cols }
 func (n *crossNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*compact.Table) (*compact.Table, error) {
 	lt, rt := in[0], in[1]
 	lim := ctx.Env.limits
-	// The loop runs over left tuples. The memo is per left tuple too, keyed
-	// on the left shared-column cells and pinned to the right table by a
-	// content fingerprint of its shared columns; emit rebuilds each output
-	// row from the current tuples.
+	// The loop runs over left tuples and keeps no memo, as σ keeps none: a
+	// left tuple's matches are decided afresh on every evaluation.
 	leftIdx := make([]int, 0, len(n.shared))
 	rightIdx := make([]int, 0, len(n.shared))
 	for _, sc := range n.shared {
 		leftIdx = append(leftIdx, colIndex(lt.Cols, sc))
 		rightIdx = append(rightIdx, colIndex(rt.Cols, sc))
 	}
-	op := tupleOp[joinOut]{cols: leftIdx, right: rt, rightCols: rightIdx, minChunk: minChunkCross, count: func(o *joinOut) int { return len(o.sim) }}
+	op := tupleOp[joinOut]{minChunk: minChunkCross, count: func(o *joinOut) int { return len(o.sim) }}
 	op.open = func(*statBatch) decideFn[joinOut] {
 		var ms []joinMatch // the chunk's scratch, kept at exact size
-		return func(ltp compact.Tuple, old *joinOut) (joinOut, bool, bool, error) {
-			if old != nil {
-				return *old, true, false, nil
-			}
+		return func(ltp compact.Tuple, _ *joinOut) (joinOut, bool, bool, error) {
 			var o joinOut
 			ms = ms[:0]
 			for j, rtp := range rt.Tuples {

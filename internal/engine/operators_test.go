@@ -350,11 +350,11 @@ e(x, s) :- from(x, s), bold-font(s) = distinct-yes.
 	}
 }
 
-// TestSelectionsKeepNoMemo: under delta evaluation a comparison and a
-// p-function selection leave cache entries with no per-tuple memo and count
-// no tuple reused or recomputed, while the constraint run above them still
-// replays the tuples a refinement below them left alone. The table equals a
-// fresh evaluation's.
+// TestSelectionsKeepNoMemo: under delta evaluation a cross product, a
+// comparison and a p-function selection leave cache entries with no
+// per-tuple memo and count no tuple reused or recomputed, while the
+// constraint run above them still replays the tuples a refinement below
+// them left alone. The table equals a fresh evaluation's.
 func TestSelectionsKeepNoMemo(t *testing.T) {
 	env := figure2Env()
 	env.Funcs["distinct"] = PFunc{Fn: func(args []text.Span) (bool, error) {
@@ -365,13 +365,15 @@ func TestSelectionsKeepNoMemo(t *testing.T) {
 	}
 	numP, numA := k("numeric", "p", "yes"), k("numeric", "a", "yes")
 	v := func(name string) alog.Term { return alog.Term{Kind: alog.TermVar, Var: name} }
-	// from(x, p), from(x, a), a run on each, p > 300000, distinct(p, a), and
-	// a second run on p above the two selections; v2 refines a below them.
+	// from(x, p), from(x, a), a run on each, × schoolPages(y), p > 300000,
+	// distinct(p, a), and a second constraint on p above them, which makes
+	// the run numeric(p), preceded-by(p) over them; v2 refines a below them.
 	plan := func(aCons ...alog.Constraint) Node {
 		n := Node(constrain(t, env, newFromNode(env, newFromNode(env, newScanNode(env, "housePages", []string{"x"}), "x", "p"), "x", "a"), numP))
 		for i, c := range aCons {
 			n = constrain(t, env, n, c, aCons[:i]...)
 		}
+		n = newCrossNode(env, n, newScanNode(env, "schoolPages", []string{"y"}))
 		n = newCompareNode(env, n, alog.Compare{Op: alog.OpGT, L: v("p"), R: alog.Term{Kind: alog.TermNum, Num: 300000}})
 		n = newFuncNode(env, n, "distinct", []alog.Term{v("p"), v("a")})
 		return constrain(t, env, n, k("preceded-by", "p", "Price:"), numP)
@@ -394,27 +396,27 @@ func TestSelectionsKeepNoMemo(t *testing.T) {
 	if got.String() != want.String() || len(got.Tuples) == 0 {
 		t.Fatalf("delta table\n%s\nfresh table\n%s", got, want)
 	}
-	selections := 0
+	memoless := 0
 	for _, e := range ctx.cache {
 		switch e.node.(type) {
-		case *compareNode, *funcNode:
-			selections++
+		case *crossNode, *compareNode, *funcNode:
+			memoless++
 			if e.aux != nil {
 				t.Errorf("%s keeps a memo of %d tuples", e.node.Signature(), len(e.aux.in))
 			}
 		}
 	}
-	if selections != 4 {
-		t.Fatalf("%d selection entries cached, want two per plan version", selections)
+	if memoless != 6 {
+		t.Fatalf("%d cross and selection entries cached, want three per plan version", memoless)
 	}
 	var runReused int64
 	for _, o := range ctx.TraceOps() {
 		switch {
-		case strings.HasPrefix(o.Signature, "select["), strings.HasPrefix(o.Signature, "pfunc["):
+		case strings.HasPrefix(o.Signature, "cross("), strings.HasPrefix(o.Signature, "select["), strings.HasPrefix(o.Signature, "pfunc["):
 			if o.TuplesReused != 0 || o.TuplesRecomputed != 0 {
 				t.Errorf("%s: %d tuples reused, %d recomputed", o.Signature, o.TuplesReused, o.TuplesRecomputed)
 			}
-		case strings.HasPrefix(o.Signature, `constrain[preceded-by(p)="Price:"](pfunc[`):
+		case strings.HasPrefix(o.Signature, `constrain[preceded-by(p)="Price:"](constrain[numeric(p)="yes"](pfunc[`):
 			runReused += o.TuplesReused
 		}
 	}

@@ -194,7 +194,7 @@ func newBlockIndex(ctx *Context, rt *compact.Table, ri int) *blockIndex {
 	return &blockIndex{}
 }
 
-// fill indexes the join cells of the listed right tuples. On the lists
+// fill indexes the join cells of every tuple of rt. On the lists
 // backing each cell tokenizes under a quarantine guard: a page that faults
 // while being indexed is quarantined and the caller's whole pass restarts,
 // so the survivors' subset gets a cleanly rebuilt index (a partial index is
@@ -203,7 +203,7 @@ func newBlockIndex(ctx *Context, rt *compact.Table, ri int) *blockIndex {
 // rules must keep injecting at pair granularity. sim is the join's declared
 // token similarity, nil for an opaque p-function — then the postings
 // backing needs no pass over the tuples at all.
-func (idx *blockIndex) fill(ctx *Context, ev *EvalTrace, sim *tokenSim, rt *compact.Table, ri int, tuples []int) error {
+func (idx *blockIndex) fill(ctx *Context, ev *EvalTrace, sim *tokenSim, rt *compact.Table, ri int) error {
 	if idx.post != nil && sim == nil {
 		return nil
 	}
@@ -217,14 +217,14 @@ func (idx *blockIndex) fill(ctx *Context, ev *EvalTrace, sim *tokenSim, rt *comp
 	var blocks [][]uint32 // the listed cells' tokens, of the tuples in rows
 	var rows []uint64
 	if idx.post == nil {
-		blocks, rows = make([][]uint32, 0, len(tuples)), make([]uint64, 0, len(tuples))
+		blocks, rows = make([][]uint32, 0, len(rt.Tuples)), make([]uint64, 0, len(rt.Tuples))
 	}
 	n := 0
-	for _, j := range tuples {
-		cell := rt.Tuples[j].Cells[ri]
+	for j, rtp := range rt.Tuples {
+		cell := rtp.Cells[ri]
 		values := cell.NumValues()
 		var rec similarity.Record
-		if ctx.guard(ev, "blockindex", rt.Tuples[j], []int{ri}, func() error {
+		if ctx.guard(ev, "blockindex", rtp, []int{ri}, func() error {
 			if idx.post == nil && values <= lim.MaxCellValues {
 				toks = blockTokens(&docs, cell, nil)
 			}
@@ -273,7 +273,7 @@ func (idx *blockIndex) fill(ctx *Context, ev *EvalTrace, sim *tokenSim, rt *comp
 // and counts against CacheBudget. Concurrent builders may race to
 // construct the same index; the build is deterministic, so whichever lands
 // in the cache is interchangeable.
-func (n *simJoinNode) rightIndex(ctx *Context, ev *EvalTrace, sim *tokenSim, rt *compact.Table, ri int, all []int) (*blockIndex, error) {
+func (n *simJoinNode) rightIndex(ctx *Context, ev *EvalTrace, sim *tokenSim, rt *compact.Table, ri int) (*blockIndex, error) {
 	key := entryKey{mode: ctx.mode.Load(), node: n.right.ID(), aux: n.rightVar}
 	if sim != nil {
 		key.aux = "~" + n.rightVar
@@ -286,7 +286,7 @@ func (n *simJoinNode) rightIndex(ctx *Context, ev *EvalTrace, sim *tokenSim, rt 
 	}
 	ctx.mu.Unlock()
 	idx := newBlockIndex(ctx, rt, ri)
-	if err := idx.fill(ctx, ev, sim, rt, ri, all); err != nil {
+	if err := idx.fill(ctx, ev, sim, rt, ri); err != nil {
 		return nil, err
 	}
 	ctx.mu.Lock()
@@ -338,17 +338,18 @@ type leftSide struct {
 	values *cellTokens       // built by the first pair that enumerates
 }
 
-// candidates lists, ascending, the tuples of idx that may join the left
-// cell; universe is every tuple idx covers. An oversized left cell pairs
-// with the whole universe. A pinned one probes with its rarity prefix and
-// first token only, and skips pinned right tuples whose length rules the
-// pair out. Any other cell — several values within the limits — keeps
-// any-shared-token blocking: a pair of such cells may exceed MaxValuations
-// and then stays in the result on the strength of one shared token.
-func (c *simChunk) candidates(left *leftSide, idx *blockIndex, universe []int) (cands []int, oversized bool) {
+// candidates lists, ascending, the right tuples that may join the left
+// cell. An oversized left cell pairs with every one. A pinned one probes
+// with its rarity prefix and first token only, and skips pinned right
+// tuples whose length rules the pair out. Any other cell — several values
+// within the limits — keeps any-shared-token blocking: a pair of such cells
+// may exceed MaxValuations and then stays in the result on the strength of
+// one shared token.
+func (c *simChunk) candidates(left *leftSide) (cands []int, oversized bool) {
 	if left.cell.NumValues() > c.ctx.Env.limits.MaxCellValues {
-		return universe, true
+		return c.all, true
 	}
+	idx := c.idx
 	if c.gen++; c.gen == 0 {
 		clear(c.stamp)
 		c.gen = 1
@@ -438,20 +439,19 @@ func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed b
 	return joinMatch{j: j, sure: res.sure, repl: res.repl}, res.keep, res.fallbacks > 0, false
 }
 
-// probe joins one left tuple against the right tuples idx covers:
-// candidates by blocking, then one decision per candidate pair. It returns
-// the matches in ascending right-tuple order at their exact size (built in
-// the chunk's scratch), the valuation-limit fallbacks charged (the left
-// cell's own oversize only when chargeOversize
-// — a corpus replay already carries it), and whether anything was
-// quarantined: a candidate pair that faulted (both pair documents are
-// attributed, the guard cannot tell which side did), or the tuple itself.
+// probe joins one left tuple against the right table: candidates by
+// blocking, then one decision per candidate pair. It returns the matches in
+// ascending right-tuple order at their exact size (built in the chunk's
+// scratch), the valuation-limit fallbacks charged (the left cell's own
+// oversize among them), and whether anything was quarantined: a candidate
+// pair that faulted (both pair documents are attributed, the guard cannot
+// tell which side did), or the tuple itself.
 //
 // Tokenizing the left cell can page its document in; a load fault
 // quarantines the tuple's documents and drops it, like a faulting
 // candidate pair. Site "blockindex" (single-document attribution), never
 // "pfunc".
-func (c *simChunk) probe(ltp compact.Tuple, idx *blockIndex, universe []int, chargeOversize bool) (ms []joinMatch, fb int32, qed bool) {
+func (c *simChunk) probe(ltp compact.Tuple) (ms []joinMatch, fb int32, qed bool) {
 	left := leftSide{cell: ltp.Cells[c.li]}
 	var cands []int
 	if c.ctx.guard(c.ev, "blockindex", ltp, []int{c.li}, func() error {
@@ -459,11 +459,11 @@ func (c *simChunk) probe(ltp compact.Tuple, idx *blockIndex, universe []int, cha
 			left.pinned = c.sim.pinnedRecord(left.cell, &c.sc.docs)
 		}
 		var oversized bool
-		cands, oversized = c.candidates(&left, idx, universe)
+		cands, oversized = c.candidates(&left)
 		// (Counted as a fallback only on the probe side — the index side is
 		// built by whichever goroutine wins a benign race, so counting there
 		// would vary with the worker count.)
-		if fb = 0; oversized && chargeOversize {
+		if fb = 0; oversized {
 			fb = 1
 		}
 		return nil
@@ -507,7 +507,7 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*co
 	}
 	// Index right tuples by block token; oversized cells go on the
 	// always-candidate list. The index is cached per (subset, right side).
-	if p.idx, err = n.rightIndex(ctx, ev, p.sim, rt, p.ri, p.all); err != nil {
+	if p.idx, err = n.rightIndex(ctx, ev, p.sim, rt, p.ri); err != nil {
 		return nil, err
 	}
 	if p.sim != nil {
@@ -522,51 +522,15 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*co
 	// fingerprint of its join column, so the memo survives re-evaluations of
 	// either side that leave the join-relevant cells intact.
 	op := tupleOp[joinOut]{site: "pfunc", cols: []int{li}, right: rt, rightCols: []int{ri}, minChunk: minChunkProbe}
-	// Corpus-mode reconciliation: after ApplyCorpusDelta the displaced
-	// memo's right table was rebuilt by this same re-evaluation, so the pin
-	// rejects it even though almost every right tuple is unchanged. Align the
-	// two right tables structurally (span identity — only tuples from
-	// unchanged documents can align) and block the unmatched "fresh" right
-	// tuples separately: a memo-hit left tuple then replays its surviving
-	// matches remapped to current indices and probes only the fresh tuples,
-	// instead of the whole right side.
-	var rec *simRecon
-	var freshIdx *blockIndex
-	op.reconcile = func(oldRight *compact.Table) (bool, error) {
-		if rec = buildSimRecon(oldRight, rt); rec == nil {
-			return false, nil
-		}
-		freshIdx = &blockIndex{}
-		return true, freshIdx.fill(ctx, ev, p.sim, rt, ri, rec.fresh)
-	}
 	op.open = func(batch *statBatch) decideFn[joinOut] {
 		c := &simChunk{simProbe: p, batch: batch, stamp: make([]uint32, len(rt.Tuples)),
 			sc: simScratch{docs: docCursor{memo: ctx.Env.FeatureMemo}}}
 		return func(ltp compact.Tuple, old *joinOut) (joinOut, bool, bool, error) {
-			if old != nil && rec == nil {
+			if old != nil {
 				return *old, true, false, nil
 			}
-			if old == nil {
-				ms, fb, qed := c.probe(ltp, p.idx, p.all, true)
-				return joinOut{sim: ms, fallbacks: fb}, false, qed, nil
-			}
-			// Corpus replay: remap the matches whose right tuple survived
-			// the mutation, probe only the fresh right tuples, and merge
-			// in ascending right-index order — the order a full probe
-			// over the identical candidate set would have produced, so
-			// the output is byte-identical. (An oversized left cell pairs
-			// with every fresh tuple; the replayed fallback count already
-			// charged the oversize.)
-			fresh, fb, qed := c.probe(ltp, freshIdx, rec.fresh, false)
-			ms := make([]joinMatch, 0, len(old.sim)+len(fresh))
-			for _, m := range old.sim {
-				if nj := rec.newJ[m.j]; nj >= 0 {
-					ms = append(ms, joinMatch{j: nj, sure: m.sure, repl: m.repl})
-				}
-			}
-			ms = append(ms, fresh...)
-			sort.Slice(ms, func(a, b int) bool { return ms[a].j < ms[b].j })
-			return joinOut{sim: ms, fallbacks: old.fallbacks + fb}, true, qed, nil
+			ms, fb, qed := c.probe(ltp)
+			return joinOut{sim: ms, fallbacks: fb}, false, qed, nil
 		}
 	}
 	// emit assembles the output tuple of each matching pair from the current
@@ -592,55 +556,4 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*co
 		return dst
 	}
 	return tupleLoop(ctx, ev, dx, lt, n.cols, op)
-}
-
-// simRecon aligns the right table a displaced memo was built against
-// with the current right table after a corpus re-evaluation. Alignment
-// is whole-tuple structural identity — spans compare by document
-// pointer, and unchanged documents keep their handles across a store
-// mutation, so exactly the tuples sourced from unchanged documents
-// align (updated documents get fresh handles and read as fresh tuples).
-// Both views preserve relative document order, so the mapping is
-// monotonic; the probe loop still sorts merged matches for safety.
-type simRecon struct {
-	// newJ maps an old right index to its current one, -1 when the tuple
-	// is gone (its document was updated or removed).
-	newJ []int
-	// fresh lists current right indices with no aligned predecessor
-	// (added or updated documents), ascending.
-	fresh []int
-}
-
-// buildSimRecon pairs old and new right tuples greedily in order within
-// fingerprint buckets (duplicates pair first-to-first; any consistent
-// pairing is valid — aligned tuples are structurally interchangeable).
-// Returns nil when the tables cannot correspond.
-func buildSimRecon(oldRt, newRt *compact.Table) *simRecon {
-	if oldRt == nil || len(oldRt.Cols) != len(newRt.Cols) {
-		return nil
-	}
-	rec := &simRecon{newJ: make([]int, len(oldRt.Tuples))}
-	buckets := make(map[uint64][]int, len(oldRt.Tuples))
-	for j, tp := range oldRt.Tuples {
-		rec.newJ[j] = -1
-		h := tp.Fingerprint()
-		buckets[h] = append(buckets[h], j)
-	}
-	for j, tp := range newRt.Tuples {
-		h := tp.Fingerprint()
-		aligned := false
-		bs := buckets[h]
-		for k, oj := range bs {
-			if oldRt.Tuples[oj].StructuralEq(tp) {
-				rec.newJ[oj] = j
-				buckets[h] = append(bs[:k:k], bs[k+1:]...)
-				aligned = true
-				break
-			}
-		}
-		if !aligned {
-			rec.fresh = append(rec.fresh, j)
-		}
-	}
-	return rec
 }

@@ -486,7 +486,7 @@ func TestBlockIndexChargesTokenRecords(t *testing.T) {
 			sim = &tokenSim{ctx: ctx, spec: similarity.Default}
 		}
 		idx := newBlockIndex(ctx, rt, 0)
-		if err := idx.fill(ctx, nil, sim, rt, 0, all); err != nil {
+		if err := idx.fill(ctx, nil, sim, rt, 0); err != nil {
 			t.Fatal(err)
 		}
 		want := int64(96 + 4*(2*len(distinct)+1+postings))

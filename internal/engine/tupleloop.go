@@ -42,10 +42,10 @@ type tupleOp[O outcome] struct {
 	site string
 	// cols are the input columns decide reads, the memo key; empty when it
 	// reads none (every tuple then has the first one's outcome). Nil is for
-	// an operator whose tuples are not delta work (selections, procedures):
-	// nothing is looked up, kept or counted as reused or recomputed. Binary
-	// operators name their other input and the columns of it decide reads:
-	// the memo is pinned to both (evalAux).
+	// an operator whose tuples are not delta work (selections, ×,
+	// procedures): nothing is looked up, kept or counted as reused or
+	// recomputed. ⋈~ names its other input and the columns of it decide
+	// reads: the memo is pinned to both (evalAux).
 	cols      []int
 	right     *compact.Table
 	rightCols []int
@@ -59,11 +59,6 @@ type tupleOp[O outcome] struct {
 	// uncut lets a loop of pure, cheap engine code run to completion over
 	// whatever a best-effort cut left of its input.
 	uncut bool
-	// reconcile, when set, is offered the right table of a memo a corpus
-	// delta displaced and whose pin no longer matches (the same
-	// re-evaluation rebuilt the right input); returning true accepts that
-	// memo as the prior, decide then translating its outcomes.
-	reconcile func(oldRight *compact.Table) (bool, error)
 	// open returns the decide of one chunk, closed over whatever scratch the
 	// chunk's worker reuses from tuple to tuple; batch is the chunk's counter
 	// shard. decide may be called from one goroutine only, open from many.
@@ -98,11 +93,7 @@ func tupleLoop[O outcome](ctx *Context, ev *EvalTrace, dx *deltaState, in *compa
 		if op.right != nil {
 			aux.rightDep = op.right.ColsFingerprint(op.rightCols)
 		}
-		var err error
-		if prior, err = dx.priorFor(aux, op.reconcile); err != nil {
-			return nil, err
-		}
-		if prior != nil {
+		if prior = dx.priorFor(aux); prior != nil {
 			if priorOuts, _ = prior.outs.([]O); priorOuts == nil {
 				prior = nil
 			}
