@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// The shape PR 10 left behind: the optimizer job lost its key, so its
-// name/runs-on/steps repeat inside the crash job.
+// A workflow whose second job lost its key: its name, runs-on and steps
+// repeat inside the crash job, silently merging the two jobs into one.
 const lostJobKey = `
 jobs:
   crash:

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -195,16 +197,19 @@ func (g goNames) undeclared(ref string) bool {
 	return !g.all[y]
 }
 
-// TestDocsNameWhatExists: DESIGN.md and README.md describe the system as it
-// is, so every Go identifier or Type.Member they name in backticks is
-// declared by some Go file of the repository (history stays in CHANGES.md).
-// snake_case names are metrics and JSON fields, not Go.
+// currentDocs describe the system as it is; how it came to be is
+// CHANGES.md's.
+var currentDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
+// TestDocsNameWhatExists: every Go identifier or Type.Member the current
+// documents name in backticks is declared by some Go file of the
+// repository. snake_case names are metrics and JSON fields, not Go.
 func TestDocsNameWhatExists(t *testing.T) {
 	g := declaredNames(t)
 	if !g.members["Memo"]["Intern"] || !g.pkgs["feature"]["Memo"] || !g.members["Plan"]["WithConstraint"] {
 		t.Fatal("the Go files were not read")
 	}
-	for _, doc := range []string{"DESIGN.md", "README.md"} {
+	for _, doc := range currentDocs {
 		src, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -225,16 +230,155 @@ func TestDocsNameWhatExists(t *testing.T) {
 // prRef matches a pull-request number in prose, across a line break too.
 var prRef = regexp.MustCompile(`\bPRs?\s+\d+`)
 
-// TestReadmeNamesNoPR: README.md says what the system does and what the
-// benchmark reports today; how and when it came to be is CHANGES.md's, so
-// the README names no "PR n".
+// TestReadmeNamesNoPR: the current documents say what the system does and
+// what the benchmark reports today, so none of them names a "PR n".
 func TestReadmeNamesNoPR(t *testing.T) {
-	src, err := os.ReadFile("README.md")
+	for _, doc := range currentDocs {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, loc := range prRef.FindAllIndex(src, -1) {
+			t.Errorf("%s:%d names %q", doc, 1+strings.Count(string(src[:loc[0]]), "\n"), src[loc[0]:loc[1]])
+		}
+	}
+}
+
+// TestDesignWithinBudget: DESIGN.md stays under the byte budget its line in
+// .github/loc-budget sets ("DESIGN.md N"). A change that documents
+// something new replaces text, or raises the budget by what it adds.
+func TestDesignWithinBudget(t *testing.T) {
+	budgets, err := os.ReadFile(filepath.Join(".github", "loc-budget"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, loc := range prRef.FindAllIndex(src, -1) {
-		t.Errorf("README.md:%d names %q", 1+strings.Count(string(src[:loc[0]]), "\n"), src[loc[0]:loc[1]])
+	budget := -1
+	for _, line := range strings.Split(string(budgets), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "DESIGN.md" {
+			if budget, err = strconv.Atoi(f[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if budget < 0 {
+		t.Fatal(`.github/loc-budget has no "DESIGN.md <bytes>" line`)
+	}
+	src, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(src) > budget {
+		t.Errorf("DESIGN.md is %d bytes, over its budget of %d in .github/loc-budget", len(src), budget)
+	}
+}
+
+var (
+	// A numbered section, a subsection, and the bold lead of a paragraph
+	// or list item: what a citation of DESIGN.md may name.
+	designSection = regexp.MustCompile(`^## (\d+)\. (.+)`)
+	designSub     = regexp.MustCompile(`^### (.+)`)
+	designLead    = regexp.MustCompile(`^(?:[*-] |\d+\. )?\*\*([^*]+)\*\*`)
+	// commentBreak is a line break with the comment marker of the next line
+	// (Go, Makefile, YAML), so a citation reads the same across lines.
+	commentBreak = regexp.MustCompile(`[ \t]*\n[ \t]*(?:(?://|#)[ \t]*)?`)
+	designRef    = regexp.MustCompile(`DESIGN\.md`)
+	// citeItem is one item of a citation after "DESIGN.md": a section
+	// number, a quoted title, or both (§11 "The tuple loop", §10,
+	// "Typed value records", ("Which reuse pays")).
+	citeItem = regexp.MustCompile(`^[,;]?\s*(?:§(\d+))?,?\s*\(?(?:"([A-Z][^"]*)")?`)
+)
+
+// TestDesignCitationsResolve: every citation of DESIGN.md in the repository
+// names what DESIGN.md has. A "DESIGN.md §N" names a "## N." heading; a
+// quoted title after it begins a "###" heading or a bold paragraph lead of
+// that section (of any section when no number is given); and a possessive,
+// such as DESIGN.md's per-experiment index, begins with a heading's name,
+// its title up to a colon or parenthesis. At the root only the documents
+// that describe or plan the system are read: CHANGES.md records history.
+func TestDesignCitationsResolve(t *testing.T) {
+	src, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	titles := map[string][]string{} // section number → its titles; "" → every section's
+	var names []string
+	section := ""
+	add := func(title string) {
+		titles[section] = append(titles[section], title)
+		titles[""] = append(titles[""], title)
+	}
+	for _, line := range strings.Split(string(src), "\n") {
+		heading := ""
+		if m := designSection.FindStringSubmatch(line); m != nil {
+			section, heading = m[1], m[2]
+		} else if m := designSub.FindStringSubmatch(line); m != nil {
+			heading = m[1]
+		} else if m := designLead.FindStringSubmatch(line); m != nil && section != "" {
+			add(m[1])
+			continue
+		} else {
+			continue
+		}
+		add(heading)
+		name, _, _ := strings.Cut(heading, ":")
+		name, _, _ = strings.Cut(name, "(")
+		names = append(names, strings.ToLower(strings.TrimSpace(name)))
+	}
+	cites := 0
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == ".git" || d.Name() == ".bench_build" || d.Name() == "profiles") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() {
+			return nil
+		}
+		if filepath.Dir(path) == "." && filepath.Ext(path) == ".md" && path != "ROADMAP.md" && !slices.Contains(currentDocs, path) {
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil || slices.Contains(raw, 0) { // a binary file cites nothing
+			return err
+		}
+		text := commentBreak.ReplaceAllString(string(raw), " ")
+		for _, loc := range designRef.FindAllStringIndex(text, -1) {
+			rest := text[loc[1]:]
+			if after, ok := strings.CutPrefix(rest, "'s "); ok {
+				cites++
+				if !slices.ContainsFunc(names, func(n string) bool { return strings.HasPrefix(strings.ToLower(after), n) }) {
+					t.Errorf("%s cites %.40q… of DESIGN.md, which names no heading", path, after)
+				}
+				continue
+			}
+			num := ""
+			for {
+				m := citeItem.FindStringSubmatch(rest)
+				if m[1] == "" && m[2] == "" {
+					break
+				}
+				rest = rest[len(m[0]):]
+				cites++
+				if m[1] != "" {
+					num = m[1]
+					if _, ok := titles[num]; !ok {
+						t.Errorf("%s cites DESIGN.md §%s, which has no \"## %s.\" heading", path, num, num)
+						continue
+					}
+				}
+				if m[2] != "" && !slices.ContainsFunc(titles[num], func(h string) bool { return strings.HasPrefix(h, m[2]) }) {
+					t.Errorf("%s cites DESIGN.md §%s %q, which begins no heading or bold lead there", path, num, m[2])
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cites == 0 {
+		t.Fatal("no citation of DESIGN.md was found")
 	}
 }
 

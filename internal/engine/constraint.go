@@ -37,9 +37,9 @@ type constraintNode struct {
 	ident
 	parent Node
 	attr   string
-	// prior and cons are one array, prior first: prior[:len(prior)+len(cons)]
-	// lists every constraint on attr up to and including the run, and stage
-	// i re-checks its first len(prior)+i+1.
+	// prior and cons are one array, prior first, listing every constraint on
+	// attr through the run's last; stage i re-checks the first len(prior)+i+1.
+	// Only the StackRunsForTest chain has a prior: Compile and edits never do.
 	prior, cons []*feature.Cons
 	// prev is the run cut before its last stage, nil for a run of one. Eval
 	// probes the cache under the prefixes for the predecessor that covers
@@ -53,10 +53,10 @@ type constraintNode struct {
 // result is parent's run extended by one stage. Any other parent is not
 // known to be refined under the rest (a selection or a trial may sit between
 // the constraints), so the rest is placed above it first: the result is then
-// a run whose stages are the whole of applied. The compiler and the
-// optimizer therefore build runs by adding constraints one at a time, with
-// no rule of their own. The node keeps applied: callers may append to it,
-// never write inside it.
+// a run whose stages are the whole of applied. The compiler and
+// Plan.WithConstraint therefore build runs by adding constraints one at a
+// time, with no rule of their own. The node keeps applied: callers may
+// append to it, never write inside it.
 func newConstraintNode(env *Env, parent Node, attr string, applied []*feature.Cons) *constraintNode {
 	all := applied[:len(applied):len(applied)]
 	np := len(all) - 1

@@ -173,6 +173,13 @@ func TestWithConstraintEqualsCompile(t *testing.T) {
 				}
 			}
 		}
+		// Only the chain StackRunsForTest builds has a prior: every run the
+		// compiler and the edits made stages its whole applied list.
+		for _, n := range engine.InternedForTest(pr.env) {
+			if p := engine.PriorForTest(n); p != 0 {
+				t.Fatalf("%s: %s re-checks a prior of %d constraints", pr.name, n.Signature(), p)
+			}
+		}
 	}
 	if edits < 200*chains || refused == 0 {
 		t.Fatalf("%d edits, %d refused: the chains exercised too little", edits, refused)

@@ -83,6 +83,15 @@ func InternedForTest(env *Env) []Node {
 	return out
 }
 
+// PriorForTest returns how many constraints n re-checks ahead of its own
+// stages (a constraint node's prior), and 0 for any other node.
+func PriorForTest(n Node) int {
+	if c, ok := n.(*constraintNode); ok {
+		return len(c.prior)
+	}
+	return 0
+}
+
 // RebuildForTest calls the constructor of n, a node built against env, with
 // n's own fields, and returns what it returns.
 func RebuildForTest(env *Env, n Node) Node {
