@@ -100,7 +100,7 @@ func BenchmarkAblationSimJoinBlocked(b *testing.B) {
 func BenchmarkAblationSimJoinNaive(b *testing.B) {
 	prog, env := figure2Setup(b, 150)
 	for name, pf := range env.Funcs { // disable fusion: cross + filter
-		pf.Blockable = false
+		pf.Token = nil
 		env.Funcs[name] = pf
 	}
 	b.ResetTimer()

@@ -141,8 +141,7 @@ func run() (degraded bool, err error) {
 		} else {
 			env.AddDocTable(pred, "x", s.Docs())
 		}
-		fmt.Fprintf(os.Stderr, "opened store %s into %s: %d pages, %d index tokens\n",
-			dir, pred, s.Len(), s.Vocab())
+		fmt.Fprintf(os.Stderr, "opened store %s into %s: %d pages\n", dir, pred, s.Len())
 	}
 
 	if !*interactive {

@@ -120,7 +120,7 @@ func run(args []string) int {
 		for _, note := range st.Recovery() {
 			logger.Printf("store %q: recovery: %s", name, note)
 		}
-		logger.Printf("mounted store %q from %s: %d pages, %d index tokens (generation %d)", name, dir, st.Len(), st.Vocab(), st.Generation())
+		logger.Printf("mounted store %q from %s: %d pages (generation %d)", name, dir, st.Len(), st.Generation())
 	}
 
 	srv := server.New(server.Config{

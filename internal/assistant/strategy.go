@@ -11,8 +11,6 @@ import (
 
 // Strategy selects the next questions to ask (Section 5.1).
 type Strategy interface {
-	// Name identifies the strategy in experiment reports ("seq", "sim").
-	Name() string
 	// Next picks up to n questions from the open question space.
 	Next(s *Session, space []Question, n int) ([]Question, error)
 }
@@ -21,9 +19,6 @@ type Strategy interface {
 // decreasing importance (join participation, use in the query head), then
 // the fixed feature order of QuestionFeatures.
 type Sequential struct{}
-
-// Name returns "seq".
-func (Sequential) Name() string { return "seq" }
 
 // Next returns the first n open questions in rank order.
 func (Sequential) Next(s *Session, space []Question, n int) ([]Question, error) {
@@ -134,9 +129,6 @@ type Simulation struct{}
 // maxCandidates bounds how many questions are simulated per step, which
 // keeps each iteration's simulation affordable.
 const maxCandidates = 12
-
-// Name returns "sim".
-func (Simulation) Name() string { return "sim" }
 
 // Next simulates candidate questions and returns the n with the lowest
 // expected result size.

@@ -176,21 +176,28 @@ func annContribOf(tp compact.Tuple, keyIdx, annIdx []int, lim limits) *annContri
 	}
 	c := &annContrib{exactKey: exactKey}
 	idx := make([]int, len(keyIdx))
+	var kb []byte
 	for {
 		keySpans := make([]text.Span, len(keyIdx))
-		keyParts := make([]string, len(keyIdx))
 		for i, j := range idx {
 			keySpans[i] = keyVals[i][j]
-			keyParts[i] = keyVals[i][j].NormText()
 		}
-		key := strings.Join(keyParts, "␟")
-		if len(keyParts) == 1 {
-			// Join hands a lone element through, and NormText may have handed
-			// out a slice of the page; the contribution is memoised across
-			// evaluations and must not keep a released page's text alive.
-			key = strings.Clone(key)
+		// A key is a fresh string: NormText may have handed out a slice of
+		// the page, and the contribution is memoised across evaluations, so
+		// it must not keep a released page's text alive. A lone part is the
+		// key; each of several is preceded by its byte length, so two keys
+		// are equal only when their parts' texts are, whatever bytes those
+		// texts hold.
+		if len(idx) == 1 {
+			c.keys = append(c.keys, strings.Clone(keySpans[0].NormText()))
+		} else {
+			kb = kb[:0]
+			for _, s := range keySpans {
+				part := s.NormText()
+				kb = append(append(strconv.AppendInt(kb, int64(len(part)), 10), ':'), part...)
+			}
+			c.keys = append(c.keys, string(kb))
 		}
-		c.keys = append(c.keys, key)
 		c.keySpans = append(c.keySpans, keySpans)
 		k := len(idx) - 1
 		for k >= 0 {

@@ -67,7 +67,7 @@ func refAnnotate(in *compact.Table, annotated []string, exists bool, lim limits,
 			for i, j := range idx {
 				spans[i], parts[i] = keyVals[i][j], keyVals[i][j].NormText()
 			}
-			key := strings.Join(parts, "␟")
+			key := oracle.World{parts}.Canonical()
 			g, ok := groups[key]
 			if !ok {
 				g = &group{keySpans: spans, ann: make([][]text.Assignment, len(annIdx))}
@@ -402,4 +402,56 @@ func BenchmarkAnnotate(b *testing.B) {
 			b.ReportMetric(float64(len(out.Tuples)), "groups/op")
 		})
 	}
+}
+
+// annotateRows runs ψ annotating c over a table (a, b, c) whose cells are
+// exact whole documents holding the given texts, and returns its result.
+func annotateRows(t *testing.T, rows [][3]string) *compact.Table {
+	t.Helper()
+	in := compact.NewTable("a", "b", "c")
+	for i, row := range rows {
+		var tp compact.Tuple
+		for j, s := range row {
+			d := text.NewDocument(fmt.Sprintf("d%d-%d", i, j), s, nil)
+			tp.Cells = append(tp.Cells, compact.ExactCell(d.WholeSpan()))
+		}
+		in.Append(tp)
+	}
+	env := NewEnv()
+	env.Tables["T"] = in
+	res, err := Eval(NewContext(env), newAnnotateNode(env, newScanNode(env, "T", in.Cols), false, []string{"c"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestAnnotateKeysInjective: ψ groups by the texts of a key's parts,
+// whatever bytes they hold, so (x␟y, z) and (x, y␟z) stay two groups and
+// the world holding (x, y␟z, v2) is kept.
+func TestAnnotateKeysInjective(t *testing.T) {
+	res := annotateRows(t, [][3]string{{"x␟y", "z", "v1"}, {"x", "y␟z", "v2"}})
+	if len(res.Tuples) != 2 {
+		t.Fatalf("two distinct keys made %d groups:\n%s", len(res.Tuples), res)
+	}
+}
+
+// FuzzAnnotateKeys: over two-column keys built from fuzzed texts, ψ makes
+// one group per distinct (NormText, NormText) pair.
+func FuzzAnnotateKeys(f *testing.F) {
+	f.Add("x␟y", "z", "x", "y␟z")
+	f.Add("a", "b", "A", "b ")
+	f.Fuzz(func(t *testing.T, a1, b1, a2, b2 string) {
+		rows := [][3]string{{a1, b1, "v1"}, {a2, b2, "v2"}, {a1, b2, "v3"}, {a2, b1, "v4"}}
+		distinct := map[[2]string]bool{}
+		for i, row := range rows {
+			norm := func(j int) string {
+				return text.NewDocument(fmt.Sprintf("n%d-%d", i, j), row[j], nil).WholeSpan().NormText()
+			}
+			distinct[[2]string{norm(0), norm(1)}] = true
+		}
+		if res := annotateRows(t, rows); len(res.Tuples) != len(distinct) {
+			t.Fatalf("%d distinct keys made %d groups:\n%s", len(distinct), len(res.Tuples), res)
+		}
+	})
 }

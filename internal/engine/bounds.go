@@ -44,9 +44,9 @@ func ResultBounds(t *compact.Table) Bounds {
 // UseTFIDF rebinds the similar/approxMatch p-functions to TF/IDF cosine
 // similarity with document statistics learned from the environment's
 // extensional tables (the paper's approxMatch "e.g., TF/IDF"). The
-// threshold is the cosine score at or above which spans match. The
-// p-functions remain token-blockable: a non-zero cosine requires a shared
-// token.
+// threshold is the cosine score at or above which spans match. TF/IDF
+// cosine is not a Jaccard/prefix token similarity, so the p-functions
+// declare none: a join on them is σ over ×, calling the opaque Fn.
 func (e *Env) UseTFIDF(threshold float64) {
 	var docsSeen []string
 	seen := docSet{}
@@ -70,9 +70,7 @@ func (e *Env) UseTFIDF(threshold float64) {
 		}
 		return ti.Cosine(args[0].NormText(), args[1].NormText()) >= threshold, nil
 	}
-	// TF/IDF cosine is not a Jaccard/prefix token similarity: no Token
-	// spec, so any-shared-token blocking and the opaque Fn.
-	tfidf := PFunc{Fn: fn, Blockable: true}
+	tfidf := PFunc{Fn: fn}
 	e.Funcs["similar"], e.Funcs["approxMatch"] = tfidf, tfidf
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"iflex/internal/alog"
@@ -60,7 +61,15 @@ Q(s, t) :- a(x, s), b(y, t), similar(s, t).
 e1(x, s) :- from(x, s), bold-font(s) = distinct-yes.
 e2(y, t) :- from(y, t), bold-font(t) = distinct-yes.
 `)
-	res, err := Run(prog, env)
+	// TF/IDF declares no token similarity, so the join is σ over ×.
+	plan, err := Compile(prog, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps := PlanString(plan.Root); strings.Contains(ps, "⋈~") {
+		t.Fatalf("TF/IDF similarity fused:\n%s", ps)
+	}
+	res, err := plan.Execute(NewContext(env))
 	if err != nil {
 		t.Fatal(err)
 	}

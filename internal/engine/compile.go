@@ -21,9 +21,6 @@ type Plan struct {
 	fold *fold
 }
 
-// Columns returns the result column names (the query head variables).
-func (p *Plan) Columns() []string { return p.Root.Columns() }
-
 // Execute evaluates the plan in the given context. A pass that hit
 // per-document faults quarantines the documents and returns
 // ErrQuarantined internally; Execute then restarts the evaluation over
@@ -489,11 +486,12 @@ func (c *compiler) adaptColumns(sub Node, a alog.Atom, fillScan bool) (Node, err
 
 // simJoinSides returns the cross product p-function fname(args) fuses with
 // into a token-blocked simjoin, and its variables as (left, right): the
-// function is blockable, and binary over one variable of each side of a
-// cross sharing no column. cross is nil when they do not fuse.
+// function declares a token similarity, and is binary over one variable of
+// each side of a cross sharing no column. cross is nil when they do not
+// fuse.
 func simJoinSides(env *Env, fname string, args []alog.Term, base Node) (cross *crossNode, lv, rv string) {
 	cross, ok := base.(*crossNode)
-	if !env.Funcs[fname].Blockable || len(args) != 2 || !ok || len(cross.shared) > 0 ||
+	if env.Funcs[fname].Token == nil || len(args) != 2 || !ok || len(cross.shared) > 0 ||
 		args[0].Kind != alog.TermVar || args[1].Kind != alog.TermVar {
 		return nil, "", ""
 	}

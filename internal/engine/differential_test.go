@@ -12,11 +12,14 @@ import (
 	"iflex/internal/text"
 )
 
-// unblockable withdraws every p-function's blocking promise, so no
-// similarity join fuses: the naive cross product + p-function filter.
-func unblockable(env *Env) *Env {
+// opaqueEnv withdraws every p-function's token similarity: the same Fn,
+// now opaque, so no join fuses and a similarity over two sides is the
+// naive cross product + p-function filter, σ over ×. It is the reference
+// the fused ⋈~ is checked against, and shares none of its blocking or
+// token filters.
+func opaqueEnv(env *Env) *Env {
 	for name, pf := range env.Funcs {
-		pf.Blockable = false
+		pf.Token = nil
 		env.Funcs[name] = pf
 	}
 	return env
@@ -69,7 +72,7 @@ e2(y, t) :- from(y, t), bold-font(t) = distinct-yes.
 		envN := NewEnv()
 		envN.AddDocTable("L", "x", left)
 		envN.AddDocTable("R", "y", right)
-		naive, err := Run(prog, unblockable(envN))
+		naive, err := Run(prog, opaqueEnv(envN))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,16 +64,14 @@ type Func func(args []text.Span) (bool, error)
 // PFunc is everything the engine knows about one boolean p-function.
 type PFunc struct {
 	Fn Func
-	// Blockable promises that matching values share at least one token,
-	// enabling the fused token-blocked similarity join.
-	Blockable bool
-	// Token, on a blockable function whose Fn is exactly a token
-	// similarity, declares that similarity's spec (Jaccard threshold and
-	// token-prefix arm). The engine then decides the function on interned
-	// token records and derives exact candidate filters from the spec
-	// (rarity-prefix and length filtering, see tokensim.go) instead of
-	// calling Fn per value combination. Without it a blockable function keeps
-	// any-shared-token blocking and its opaque Fn.
+	// Token, on a function whose Fn is exactly a token similarity, declares
+	// that similarity's spec (Jaccard threshold and token-prefix arm). The
+	// engine then decides the function on interned token records and
+	// derives exact candidate filters from the spec (rarity-prefix and
+	// length filtering, see tokensim.go) instead of calling Fn per value
+	// combination, and a binary use over two sides of a cross product fuses
+	// into the token-blocked similarity join ⋈~. Without it the function is
+	// opaque: σ over × calls Fn per value combination.
 	Token *similarity.Spec
 }
 
@@ -172,7 +170,7 @@ func NewEnv() *Env {
 			return false, fmt.Errorf("engine: similar expects 2 arguments, got %d", len(args))
 		}
 		return similarity.Similar(args[0].NormText(), args[1].NormText()), nil
-	}, Blockable: true, Token: &spec}
+	}, Token: &spec}
 	e.Funcs["similar"], e.Funcs["approxMatch"] = sim, sim
 	return e
 }

@@ -92,7 +92,7 @@ e2(y, t) :- from(y, t).
 	}
 }
 
-// With fusion disabled (non-blockable function), the same program compiles
+// With fusion disabled (an opaque function), the same program compiles
 // to a cross product plus a p-function selection — and both plans must
 // produce identical results.
 func TestSimJoinEquivalentToNaive(t *testing.T) {
@@ -108,7 +108,7 @@ e2(y, t) :- from(y, t), bold-font(t) = yes.
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := Run(alog.MustParse(src), unblockable(figure2Env()))
+	naive, err := Run(alog.MustParse(src), opaqueEnv(figure2Env()))
 	if err != nil {
 		t.Fatal(err)
 	}

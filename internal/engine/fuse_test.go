@@ -63,10 +63,10 @@ func buildOptEnv(r *rand.Rand, n int) *Env {
 }
 
 // fusedAndNaive builds two Envs over the same n+n documents: one as
-// buildOptEnv has it, and one whose p-functions are unblockable, so that
-// no plan compiled against it fuses a ⋈~.
+// buildOptEnv has it, and one whose p-functions are opaque, so that no
+// plan compiled against it fuses a ⋈~.
 func fusedAndNaive(seed int64, n int) (fused, naive *Env) {
-	return buildOptEnv(rand.New(rand.NewSource(seed)), n), unblockable(buildOptEnv(rand.New(rand.NewSource(seed)), n))
+	return buildOptEnv(rand.New(rand.NewSource(seed)), n), opaqueEnv(buildOptEnv(rand.New(rand.NewSource(seed)), n))
 }
 
 func docsOf(pairs []docPair) []*text.Document {
@@ -87,7 +87,7 @@ func compileSrc(t *testing.T, src string, env *Env) *Plan {
 	return plan
 }
 
-// TestOptimizerFusionRescue: the fold puts the blockable similarity ahead
+// TestOptimizerFusionRescue: the fold puts the declared similarity ahead
 // of the column-disjoint constraint listed before it and fuses it with the
 // cross product, so the permuted program compiles to the plan of the one
 // listing its literals in evaluation order — at 8+8 documents and at 3+3,
@@ -104,7 +104,7 @@ func TestOptimizerFusionRescue(t *testing.T) {
 			}
 			naive := compileSrc(t, fusionDefeatSrc, naiveEnv)
 			if strings.Contains(PlanString(naive.Root), "⋈~") {
-				t.Fatalf("an unblockable similarity fused:\n%s", PlanString(naive.Root))
+				t.Fatalf("an opaque similarity fused:\n%s", PlanString(naive.Root))
 			}
 			want, err := naive.Execute(NewContext(naiveEnv))
 			if err != nil {
@@ -127,33 +127,48 @@ func TestOptimizerFusionRescue(t *testing.T) {
 }
 
 // TestRunOptimizes: Run executes the plan Compile builds, in which the
-// similarity of a literal-permuted program is fused. A blockable p-function
-// that declares no token similarity is called once per candidate value
-// pair, so the fused join calls it for fewer pairs than the cross product
-// has, and the table is the hand-ordered program's.
+// similarity of a literal-permuted program is fused. The fused join
+// decides the declared similarity on token records and never calls its
+// Fn; with the declaration withdrawn, σ over × calls Fn for every value
+// pair of the cross product. Both tables are the hand-ordered program's.
 func TestRunOptimizes(t *testing.T) {
 	const docs = 8
-	env := buildOptEnv(rand.New(rand.NewSource(11)), docs)
 	var calls atomic.Int64
-	sim := env.Funcs["similar"].Fn
-	env.Funcs["similar"] = PFunc{Fn: func(args []text.Span) (bool, error) {
-		calls.Add(1)
-		return sim(args)
-	}, Blockable: true}
-
-	got, err := Run(alog.MustParse(fusionDefeatSrc), env)
-	if err != nil {
-		t.Fatal(err)
+	counted := func() *Env {
+		env := buildOptEnv(rand.New(rand.NewSource(11)), docs)
+		pf := env.Funcs["similar"]
+		sim := pf.Fn
+		pf.Fn = func(args []text.Span) (bool, error) {
+			calls.Add(1)
+			return sim(args)
+		}
+		env.Funcs["similar"] = pf
+		return env
 	}
-	if n := calls.Load(); n == 0 || n >= docs*docs {
-		t.Fatalf("similar called %d times; the fused join calls it for fewer than the %d pairs of the cross product", n, docs*docs)
-	}
+	env := counted()
 	want, err := Run(alog.MustParse(fusedSrc), env)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, err := Run(alog.MustParse(fusionDefeatSrc), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("similar called %d times; the fused join decides it on token records", n)
+	}
 	if got.Canonical() != want.Canonical() {
 		t.Fatalf("permuted program's table differs from the hand-ordered one's:\n%s\nvs\n%s", got.Canonical(), want.Canonical())
+	}
+	naive, err := Run(alog.MustParse(fusionDefeatSrc), opaqueEnv(counted()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n < docs*docs {
+		t.Fatalf("similar called %d times; σ over × calls it for each of the %d pairs of the cross product", n, docs*docs)
+	}
+	if naive.Canonical() != want.Canonical() {
+		t.Fatalf("σ over ×'s table differs from the fused one's:\n%s\nvs\n%s", naive.Canonical(), want.Canonical())
 	}
 }
 

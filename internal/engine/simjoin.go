@@ -16,16 +16,14 @@ import (
 // simJoinNode is the fused approximate string join: cross(left, right)
 // followed by a similar/approxMatch filter, evaluated with token blocking
 // instead of the full Cartesian product. The paper defers approximate
-// string joins to the full technical report [20]; the blocking relies on
-// the p-function's guarantee that matching values share at least one
-// token, which holds for the default similar/approxMatch (normalised
-// equality, token-prefix containment, Jaccard >= 0.6 all require a shared
-// token). A p-function that declares its token similarity
-// (PFunc.Token) is decided on interned token records with exact
-// prefix and length filters at tuple and value level (tokensim.go); any
-// other blockable function keeps any-shared-token blocking and its opaque
-// Func. Pairs whose join cells are too large to enumerate are kept
-// conservatively, exactly like crossNode + funcNode would.
+// string joins to the full technical report [20]. Only a p-function that
+// declares its token similarity (PFunc.Token) fuses: it is decided on
+// interned token records with exact prefix and length filters at tuple
+// and value level (tokensim.go), and the blocking relies on the
+// declaration's guarantee that matching values share at least one token
+// (normalised equality, token-prefix containment and Jaccard >= 0.6 all
+// require one). Pairs whose join cells are too large to enumerate are
+// kept conservatively, exactly like crossNode + funcNode would.
 type simJoinNode struct {
 	ident
 	left, right Node
@@ -85,12 +83,12 @@ func blockTokens(docs *docCursor, c compact.Cell, dst []uint32) []uint32 {
 // inverted index — the postings lists themselves, decoded lazily per
 // probed token and translated through tupOf.
 //
-// An index built for a declared token similarity additionally holds the
-// token record of every pinned (single-valued) right cell and the rarity
-// rank of every indexed token, which is what lets a pinned left cell probe
-// with its rarity prefix and drop pinned candidates by length.
+// The index also holds the token record of every pinned (single-valued)
+// right cell and, on the lists backing, the rarity rank of every indexed
+// token, which is what lets a pinned left cell probe with its rarity
+// prefix and drop pinned candidates by length.
 type blockIndex struct {
-	lists  similarity.Lists // ranked when built for a token similarity
+	lists  similarity.Lists // ranked
 	always []int
 	pinned []similarity.Record // by right tuple; empty when not pinned
 	// wide is set when some enumerable right cell holds more values than
@@ -194,22 +192,16 @@ func newBlockIndex(ctx *Context, rt *compact.Table, ri int) *blockIndex {
 	return &blockIndex{}
 }
 
-// fill indexes the join cells of every tuple of rt. On the lists
-// backing each cell tokenizes under a quarantine guard: a page that faults
-// while being indexed is quarantined and the caller's whole pass restarts,
-// so the survivors' subset gets a cleanly rebuilt index (a partial index is
-// never kept). The guard site is "blockindex", not "pfunc": a fault here is
+// fill indexes the join cells of every tuple of rt. Each cell tokenizes
+// under a quarantine guard (on the postings backing only for its pinned
+// record): a page that faults while being indexed is quarantined and the
+// caller's whole pass restarts, so the survivors' subset gets a cleanly
+// rebuilt index (a partial index is never kept). The guard site is "blockindex", not "pfunc": a fault here is
 // attributable to the one document being tokenized, and p-function fault
 // rules must keep injecting at pair granularity. sim is the join's declared
-// token similarity, nil for an opaque p-function — then the postings
-// backing needs no pass over the tuples at all.
+// token similarity, which builds each pinned cell's record.
 func (idx *blockIndex) fill(ctx *Context, ev *EvalTrace, sim *tokenSim, rt *compact.Table, ri int) error {
-	if idx.post != nil && sim == nil {
-		return nil
-	}
-	if sim != nil {
-		idx.pinned = make([]similarity.Record, len(rt.Tuples))
-	}
+	idx.pinned = make([]similarity.Record, len(rt.Tuples))
 	lim := ctx.Env.limits
 	docs := docCursor{memo: ctx.Env.FeatureMemo}
 	var qn int64
@@ -228,17 +220,13 @@ func (idx *blockIndex) fill(ctx *Context, ev *EvalTrace, sim *tokenSim, rt *comp
 			if idx.post == nil && values <= lim.MaxCellValues {
 				toks = blockTokens(&docs, cell, nil)
 			}
-			if sim != nil {
-				rec = sim.pinnedRecord(cell, &docs)
-			}
+			rec = sim.pinnedRecord(cell, &docs)
 			return nil
 		}) {
 			qn++
 			continue
 		}
-		if sim != nil {
-			idx.pinned[j] = rec
-		}
+		idx.pinned[j] = rec
 		switch {
 		case idx.post != nil:
 		case values > lim.MaxCellValues:
@@ -258,26 +246,21 @@ func (idx *blockIndex) fill(ctx *Context, ev *EvalTrace, sim *tokenSim, rt *comp
 				packed = append(packed, uint64(tok)<<32|rows[i])
 			}
 		}
-		if idx.lists = similarity.NewLists(packed); sim != nil {
-			idx.lists.Rank(ctx.Env.FeatureMemo.Vocab())
-		}
+		idx.lists = similarity.NewLists(packed)
+		idx.lists.Rank(ctx.Env.FeatureMemo.Vocab())
 	}
 	return nil
 }
 
 // rightIndex builds (or fetches from the context cache) the blocking index
 // of the join's right side. The cache entry is keyed by the mode and the
-// right child's identity plus the join variable (and whether the index
-// carries token records), so an index is shared only with executions that
-// see the identical table; it lives in the same LRU as the result tables
-// and counts against CacheBudget. Concurrent builders may race to
-// construct the same index; the build is deterministic, so whichever lands
-// in the cache is interchangeable.
+// right child's identity plus the join variable, so an index is shared
+// only with executions that see the identical table; it lives in the same
+// LRU as the result tables and counts against CacheBudget. Concurrent
+// builders may race to construct the same index; the build is
+// deterministic, so whichever lands in the cache is interchangeable.
 func (n *simJoinNode) rightIndex(ctx *Context, ev *EvalTrace, sim *tokenSim, rt *compact.Table, ri int) (*blockIndex, error) {
 	key := entryKey{mode: ctx.mode.Load(), node: n.right.ID(), aux: n.rightVar}
-	if sim != nil {
-		key.aux = "~" + n.rightVar
-	}
 	ctx.mu.Lock()
 	if e := ctx.lookupLocked(key); e != nil && e.idx != nil {
 		ctx.touchLocked(e)
@@ -304,8 +287,7 @@ func (n *simJoinNode) rightIndex(ctx *Context, ev *EvalTrace, sim *tokenSim, rt 
 type simProbe struct {
 	ctx    *Context
 	ev     *EvalTrace
-	sim    *tokenSim // nil for an opaque p-function,
-	fn     Func      // which the odometer then calls per value pair
+	sim    *tokenSim
 	rt     *compact.Table
 	li, ri int
 	idx    *blockIndex // over all of rt
@@ -389,17 +371,16 @@ func (c *simChunk) candidates(left *leftSide) (cands []int, oversized bool) {
 }
 
 // evalPair decides one candidate pair: the similarity kernel alone when
-// both cells are pinned, the value-level filter when the p-function
-// declares its token similarity, the odometer over the opaque
-// function otherwise. qed means the pair faulted and was quarantined (the
-// caller drops it); fb reports a charged valuation-limit fallback.
+// both cells are pinned, the value-level filter otherwise. qed means the
+// pair faulted and was quarantined (the caller drops it); fb reports a
+// charged valuation-limit fallback.
 func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed bool) {
 	rcell := c.rt.Tuples[j].Cells[c.ri]
 	// Filter over the two join cells alone — no tuple is built (let alone
 	// cloned) unless the pair survives.
 	pair := compact.Tuple{Cells: []compact.Cell{left.cell, rcell}}
 	c.batch.SimTuplePairs++
-	if c.sim != nil && len(left.pinned.Ord) > 0 && len(c.idx.pinned[j].Ord) > 0 {
+	if len(left.pinned.Ord) > 0 && len(c.idx.pinned[j].Ord) > 0 {
 		matched := false
 		qed = c.ctx.guard(c.ev, "pfunc", pair, nil, func() error {
 			c.batch.FuncCalls++
@@ -413,10 +394,6 @@ func (c *simChunk) evalPair(left *leftSide, j int) (m joinMatch, keep, fb, qed b
 	var res filterOutcome
 	if c.ctx.guard(c.ev, "pfunc", pair, nil, func() error {
 		var ferr error
-		if c.sim == nil {
-			res, ferr = filterTupleF(pair, pairInvolved, c.fn, c.ctx.Env.limits, c.batch)
-			return ferr
-		}
 		res, ferr = c.sim.filter(pair, pairInvolved, c.ctx.Env.limits,
 			func() *cellTokens {
 				if left.values == nil {
@@ -455,9 +432,7 @@ func (c *simChunk) probe(ltp compact.Tuple) (ms []joinMatch, fb int32, qed bool)
 	left := leftSide{cell: ltp.Cells[c.li]}
 	var cands []int
 	if c.ctx.guard(c.ev, "blockindex", ltp, []int{c.li}, func() error {
-		if c.sim != nil {
-			left.pinned = c.sim.pinnedRecord(left.cell, &c.sc.docs)
-		}
+		left.pinned = c.sim.pinnedRecord(left.cell, &c.sc.docs)
 		var oversized bool
 		cands, oversized = c.candidates(&left)
 		// (Counted as a fallback only on the probe side — the index side is
@@ -490,17 +465,14 @@ func (c *simChunk) probe(ltp compact.Tuple) (ms []joinMatch, fb int32, qed bool)
 
 func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*compact.Table) (*compact.Table, error) {
 	pf, ok := ctx.Env.Funcs[n.fname]
-	if !ok {
-		return nil, fmt.Errorf("engine: p-function %q not bound", n.fname)
+	if !ok || pf.Token == nil {
+		return nil, fmt.Errorf("engine: p-function %q declares no token similarity", n.fname)
 	}
 	lt, rt := in[0], in[1]
 	var err error
-	p := &simProbe{ctx: ctx, ev: ev, fn: pf.Fn, rt: rt,
-		li: colIndex(lt.Cols, n.leftVar), ri: colIndex(rt.Cols, n.rightVar)}
-	if pf.Token != nil {
-		p.sim = &tokenSim{ctx: ctx, spec: *pf.Token}
-		p.rcells = make([]atomic.Pointer[cellTokens], len(rt.Tuples))
-	}
+	p := &simProbe{ctx: ctx, ev: ev, sim: &tokenSim{ctx: ctx, spec: *pf.Token}, rt: rt,
+		li: colIndex(lt.Cols, n.leftVar), ri: colIndex(rt.Cols, n.rightVar),
+		rcells: make([]atomic.Pointer[cellTokens], len(rt.Tuples))}
 	p.all = make([]int, len(rt.Tuples))
 	for j := range p.all {
 		p.all[j] = j
@@ -510,9 +482,7 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, in []*co
 	if p.idx, err = n.rightIndex(ctx, ev, p.sim, rt, p.ri); err != nil {
 		return nil, err
 	}
-	if p.sim != nil {
-		p.sim.idx = p.idx
-	}
+	p.sim.idx = p.idx
 	li, ri := p.li, p.ri
 	// The loop runs over left tuples; each chunk keeps its own candidate
 	// stamps. Candidates are probed in ascending right-tuple order (the token

@@ -32,18 +32,6 @@ func randTitle(r *rand.Rand) string {
 	return strings.Join(toks, " ")
 }
 
-// opaqueEnv is env with the similarity declaration withdrawn: the same
-// p-function decided by its opaque Func over the valuation odometer behind
-// any-shared-token blocking — the probe this PR replaced, kept reachable
-// as the oracle.
-func opaqueEnv(env *Env) *Env {
-	for name, pf := range env.Funcs {
-		pf.Token = nil
-		env.Funcs[name] = pf
-	}
-	return env
-}
-
 // TestTokenFilterEqualsOdometer compares the value-level probe with the
 // valuation odometer over the opaque similar() on random pairs of cells —
 // pinned, contain, expansion, several assignments — under default and
@@ -225,8 +213,8 @@ e2(y, t) :- from(y, t).
 `
 
 // TestSimJoinSweepMultiValued runs the first-step shape across Workers
-// 1/8 × delta × indexed/live, with the similarity declared and
-// withdrawn: one table, and one similarity funnel per declaration state.
+// 1/8 × delta × indexed/live: one table, one similarity funnel, and the
+// table of σ over × with the similarity's opaque Fn.
 func TestSimJoinSweepMultiValued(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	var lt, rtl []string
@@ -238,68 +226,66 @@ func TestSimJoinSweepMultiValued(t *testing.T) {
 	ldocs, rdocs := titleDocs("l", lt), titleDocs("r", rtl)
 	all := append(append([]*text.Document{}, ldocs...), rdocs...)
 	prog := alog.MustParse(multiValuedSrc)
-	type key struct{ declared bool }
-	tables := map[string]bool{}
-	funnels := map[key][3]int64{}
-	for _, declared := range []bool{true, false} {
-		for _, indexed := range []bool{false, true} {
-			for _, workers := range []int{1, 8} {
-				for _, delta := range []bool{false, true} {
-					env := NewEnv()
-					if !declared {
-						opaqueEnv(env)
-					}
-					env.AddDocTable("L", "x", ldocs)
-					env.AddDocTable("R", "y", rdocs)
-					if indexed {
-						ms := store.NewMemStore(all)
-						env.DocIndex, env.Postings = ms, ms
-					}
-					plan, err := Compile(prog, env)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ctx := NewContext(env)
-					ctx.Workers = workers
-					if delta {
-						ctx.EnableDelta()
-					}
-					res, err := plan.Execute(ctx)
-					if err != nil {
-						t.Fatal(err)
-					}
-					tables[res.Canonical()] = true
-					if len(tables) != 1 {
-						t.Fatalf("declared=%t indexed=%t workers=%d delta=%t: table differs from the first configuration's",
-							declared, indexed, workers, delta)
-					}
-					f := [3]int64{ctx.Stats.SimTuplePairs, ctx.Stats.SimValuePairsProbed, ctx.Stats.SimValuePairsVerified}
-					if prev, ok := funnels[key{declared}]; ok && prev != f {
-						t.Fatalf("declared=%t indexed=%t workers=%d delta=%t: funnel %v, earlier configurations %v",
-							declared, indexed, workers, delta, f, prev)
-					}
-					funnels[key{declared}] = f
-					if ctx.Stats.LimitFallbacks == 0 {
-						t.Fatal("no pair exceeded the valuation limit; the sweep does not cover the conservative path")
-					}
+	mkEnv := func() *Env {
+		env := NewEnv()
+		env.AddDocTable("L", "x", ldocs)
+		env.AddDocTable("R", "y", rdocs)
+		return env
+	}
+	naive, err := Run(prog, opaqueEnv(mkEnv()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var funnel [3]int64
+	for _, indexed := range []bool{false, true} {
+		for _, workers := range []int{1, 8} {
+			for _, delta := range []bool{false, true} {
+				env := mkEnv()
+				if indexed {
+					ms := store.NewMemStore(all)
+					env.DocIndex, env.Postings = ms, ms
+				}
+				plan, err := Compile(prog, env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx := NewContext(env)
+				ctx.Workers = workers
+				if delta {
+					ctx.EnableDelta()
+				}
+				res, err := plan.Execute(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Canonical() != naive.Canonical() {
+					t.Fatalf("indexed=%t workers=%d delta=%t: table differs from σ over ×'s", indexed, workers, delta)
+				}
+				f := [3]int64{ctx.Stats.SimTuplePairs, ctx.Stats.SimValuePairsProbed, ctx.Stats.SimValuePairsVerified}
+				if funnel != ([3]int64{}) && funnel != f {
+					t.Fatalf("indexed=%t workers=%d delta=%t: funnel %v, earlier configurations %v",
+						indexed, workers, delta, f, funnel)
+				}
+				funnel = f
+				if ctx.Stats.LimitFallbacks == 0 {
+					t.Fatal("no pair exceeded the valuation limit; the sweep does not cover the conservative path")
 				}
 			}
 		}
 	}
-	if f := funnels[key{true}]; f[2] == 0 {
-		t.Fatalf("declared similarity verified no value pair: %v", f)
+	if funnel[2] == 0 {
+		t.Fatalf("declared similarity verified no value pair: %v", funnel)
 	}
 }
 
 // TestChaosProbeQuarantineSubset injects p-function faults into a join
-// under the declared similarity and under the withdrawn one
-// (any-shared-token blocking, every sharing pair evaluated). The new probe
+// under the declared similarity (⋈~) and under the withdrawn one (σ over
+// × with the opaque Fn, every pair of the cross product evaluated). ⋈~
 // evaluates a subset of those pairs, so it must quarantine a subset of
 // those documents — strictly fewer when the cells are pinned and the
-// rarity prefix narrows the candidates, the same ones when they are
-// multi-valued and tuple-level blocking is unchanged. And what either run
-// returns must be exactly a clean run over the corpus minus what it
-// quarantined — the same table whichever probe computes it.
+// rarity prefix narrows the candidates. And what either run returns must
+// be exactly a clean run over the corpus minus what it quarantined — the
+// same table whichever plan computes it.
 func TestChaosProbeQuarantineSubset(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	var lt, rtl []string
@@ -384,11 +370,11 @@ func TestChaosProbeQuarantineSubset(t *testing.T) {
 		}
 		for _, id := range quarantined[true] {
 			if !old[id] {
-				t.Errorf("%s: document %s quarantined under the new probe but not under any-shared-token blocking", c.name, id)
+				t.Errorf("%s: document %s quarantined under ⋈~ but not under σ over ×", c.name, id)
 			}
 		}
 		if c.strict && len(quarantined[true]) >= len(quarantined[false]) {
-			t.Errorf("%s: new probe quarantined %d documents, any-shared-token blocking %d: expected strictly fewer",
+			t.Errorf("%s: ⋈~ quarantined %d documents, σ over × %d: expected strictly fewer",
 				c.name, len(quarantined[true]), len(quarantined[false]))
 		}
 	}
@@ -453,10 +439,9 @@ func TestProbeKeysIgnoreInterningOrder(t *testing.T) {
 
 // TestBlockIndexChargesTokenRecords: a cached blocking index is charged
 // for its sorted lists — every distinct token, its offset and one entry
-// per (token, tuple) — and, when built for a declared token similarity,
-// for its rarity ranks and a record header per right tuple. The records'
-// ids are the record tables': the index shares them, and the tables
-// charge them.
+// per (token, tuple) — for its rarity ranks and for a record header per
+// right tuple. The records' ids are the record tables': the index shares
+// them, and the tables charge them.
 func TestBlockIndexChargesTokenRecords(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	var titles []string
@@ -467,10 +452,6 @@ func TestBlockIndexChargesTokenRecords(t *testing.T) {
 	env.AddDocTable("R", "y", titleDocs("r", titles))
 	ctx := NewContext(env)
 	rt := env.Tables["R"]
-	all := make([]int, len(rt.Tuples))
-	for j := range all {
-		all[j] = j
-	}
 	distinct, postings := map[uint32]bool{}, 0
 	v := env.FeatureMemo.Vocab()
 	for _, title := range titles {
@@ -480,41 +461,29 @@ func TestBlockIndexChargesTokenRecords(t *testing.T) {
 		}
 		postings += len(set)
 	}
-	for _, declared := range []bool{false, true} {
-		var sim *tokenSim
-		if declared {
-			sim = &tokenSim{ctx: ctx, spec: similarity.Default}
+	idx := newBlockIndex(ctx, rt, 0)
+	if err := idx.fill(ctx, nil, &tokenSim{ctx: ctx, spec: similarity.Default}, rt, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(96+4*(3*len(distinct)+1+postings)) + int64(unsafe.Sizeof(similarity.Record{}))*int64(len(rt.Tuples))
+	if got := idx.memBytes(); got != want {
+		t.Errorf("index over %d tokens and %d postings charges %d bytes, want %d", len(distinct), postings, got, want)
+	}
+	var ranks []int
+	for id := range distinct {
+		ranks = append(ranks, int(idx.lists.RankOf(id)))
+	}
+	sort.Ints(ranks)
+	for i, rk := range ranks {
+		if rk != i+1 {
+			t.Fatalf("rarity ranks are not 1..n: %v", ranks)
 		}
-		idx := newBlockIndex(ctx, rt, 0)
-		if err := idx.fill(ctx, nil, sim, rt, 0); err != nil {
-			t.Fatal(err)
-		}
-		want := int64(96 + 4*(2*len(distinct)+1+postings))
-		if declared {
-			want += 4*int64(len(distinct)) + int64(unsafe.Sizeof(similarity.Record{}))*int64(len(rt.Tuples))
-		}
-		if got := idx.memBytes(); got != want {
-			t.Errorf("declared=%t: index over %d tokens and %d postings charges %d bytes, want %d", declared, len(distinct), postings, got, want)
-		}
-		if !declared {
-			continue
-		}
-		var ranks []int
-		for id := range distinct {
-			ranks = append(ranks, int(idx.lists.RankOf(id)))
-		}
-		sort.Ints(ranks)
-		for i, rk := range ranks {
-			if rk != i+1 {
-				t.Fatalf("rarity ranks are not 1..n: %v", ranks)
-			}
-		}
-		for j, tp := range rt.Tuples {
-			a := tp.Cells[0].Assigns[0]
-			recs := env.FeatureMemo.Doc(a.Span.Doc()).Records(a)
-			if got := idx.pinned[j]; len(got.Set) == 0 || &got.Set[0] != &recs[0].Set[0] {
-				t.Fatalf("tuple %d: the index holds a copy of the record table's record", j)
-			}
+	}
+	for j, tp := range rt.Tuples {
+		a := tp.Cells[0].Assigns[0]
+		recs := env.FeatureMemo.Doc(a.Span.Doc()).Records(a)
+		if got := idx.pinned[j]; len(got.Set) == 0 || &got.Set[0] != &recs[0].Set[0] {
+			t.Fatalf("tuple %d: the index holds a copy of the record table's record", j)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package oracle
 
 import (
 	"sort"
-	"strings"
 
 	"iflex/internal/text"
 )
@@ -40,7 +39,7 @@ func BAnnotate(in *ATable, annotated []string) *ATable {
 	var rec func(t ATuple, i int, keySpans []text.Span, keyParts []string, single bool)
 	rec = func(t ATuple, i int, keySpans []text.Span, keyParts []string, single bool) {
 		if i == len(keyIdx) {
-			key := strings.Join(keyParts, "␟")
+			key := World{keyParts}.Canonical()
 			e, ok := index[key]
 			if !ok {
 				e = &entry{keySpans: append([]text.Span(nil), keySpans...), values: make([]map[string]text.Span, len(annIdx))}

@@ -3,6 +3,7 @@ package oracle
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -11,11 +12,17 @@ import (
 // semantics on small inputs.
 type World [][]string
 
-// Canonical renders the world with tuples sorted, one per line.
+// Canonical renders the world with tuples sorted, one per line, each cell
+// as its text's byte length, ':' and the text, so cells and tuples decode
+// unambiguously whatever bytes the texts hold.
 func (w World) Canonical() string {
 	lines := make([]string, len(w))
 	for i, tp := range w {
-		lines[i] = strings.Join(tp, "␟") // unit separator keeps cells unambiguous
+		var b []byte
+		for _, c := range tp {
+			b = append(append(strconv.AppendInt(b, int64(len(c)), 10), ':'), c...)
+		}
+		lines[i] = string(b)
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
@@ -26,9 +33,16 @@ func ParseWorld(canon string) World {
 	if canon == "" {
 		return nil
 	}
-	var w World
-	for _, line := range strings.Split(canon, "\n") {
-		w = append(w, strings.Split(line, "␟"))
+	w := World{nil}
+	for canon != "" {
+		if canon[0] == '\n' {
+			w, canon = append(w, nil), canon[1:]
+			continue
+		}
+		n, rest, _ := strings.Cut(canon, ":")
+		size, _ := strconv.Atoi(n)
+		last := len(w) - 1
+		w[last], canon = append(w[last], rest[:size]), rest[size:]
 	}
 	return w
 }

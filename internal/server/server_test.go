@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -183,6 +184,61 @@ ext(x, p, s) :- from(x, p), from(x, s), numeric(p) = yes.
 	}
 	if res.ExpandedTuples == 0 {
 		t.Error("inline session produced no expanded tuples")
+	}
+
+	// A simulation session scores a parametric question over the candidate
+	// values its create request carries: its first questions, every
+	// simulated one in score order, are those of a library session whose
+	// oracle offers the same candidates, and among them is the parametric
+	// question only those candidates make simulatable.
+	simProg := `
+T(x, <p>) :- pages(x), ext(x, p).
+ext(x, p) :- from(x, p).
+`
+	cands := map[string]map[string][]string{"ext.p": {"preceded-by": {"Price:", "School:"}}}
+	pages := map[string][]Doc{"pages": {
+		{ID: "h1", HTML: page("351000", "Vanhise High")},
+		{ID: "h2", HTML: page("619000", "Basktall HS")},
+	}}
+	simSess, err := c.CreateSession(CreateSessionRequest{
+		Tenant: "acme", Program: simProg, Docs: pages, Strategy: "sim", Candidates: cands, QuestionsPerIteration: 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := c.Step(simSess.ID, StepRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := engine.NewEnv()
+	var docs []*text.Document
+	for _, d := range pages["pages"] {
+		doc, err := markup.Parse(d.ID, d.HTML)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, doc)
+	}
+	env.AddDocTable("pages", "x", docs)
+	lib := assistant.NewSession(env, alog.MustParse(simProg), candidateOracle{candidates: cands},
+		assistant.Config{Strategy: assistant.Simulation{}, QuestionsPerIteration: 20})
+	want, err := lib.Step(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantQs []QuestionJSON
+	for _, q := range want.Questions {
+		wantQs = append(wantQs, questionJSON(q))
+	}
+	if !reflect.DeepEqual(sr.Questions, wantQs) {
+		t.Fatalf("served sim session's first questions %v, library session's %v", sr.Questions, wantQs)
+	}
+	parametric := false
+	for _, q := range sr.Questions {
+		parametric = parametric || q.Kind == "parametric"
+	}
+	if !parametric {
+		t.Fatalf("no parametric question among %v: the candidates were not simulated", sr.Questions)
 	}
 }
 

@@ -44,18 +44,6 @@ func nextToken(s string, pos int, buf []byte) (tok []byte, next int) {
 	return nil, pos
 }
 
-// Jaccard returns |A∩B| / |A∪B| over the token sets of a and b.
-// Two empty strings have similarity 0.
-func Jaccard(a, b string) float64 {
-	var buf [2 * pairLocalMax]uint32
-	ra, rb := pairRecords(&buf, Tokens(a), Tokens(b))
-	if len(ra.Set) == 0 || len(rb.Set) == 0 {
-		return 0
-	}
-	inter := overlap(ra.Set, rb.Set, 0)
-	return float64(inter) / float64(len(ra.Set)+len(rb.Set)-inter)
-}
-
 // TFIDF holds document frequencies learned from a corpus of strings and
 // scores pairs with cosine similarity of TF/IDF vectors.
 type TFIDF struct {

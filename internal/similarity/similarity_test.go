@@ -22,31 +22,6 @@ func TestTokens(t *testing.T) {
 	}
 }
 
-func TestJaccard(t *testing.T) {
-	if got := Jaccard("a b c", "a b c"); got != 1 {
-		t.Errorf("identical = %v", got)
-	}
-	if got := Jaccard("a b", "c d"); got != 0 {
-		t.Errorf("disjoint = %v", got)
-	}
-	if got := Jaccard("a b c", "b c d"); got != 0.5 {
-		t.Errorf("half = %v", got)
-	}
-	if got := Jaccard("", "a"); got != 0 {
-		t.Errorf("empty = %v", got)
-	}
-}
-
-func TestJaccardProperties(t *testing.T) {
-	f := func(a, b string) bool {
-		s1, s2 := Jaccard(a, b), Jaccard(b, a)
-		return s1 == s2 && s1 >= 0 && s1 <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTFIDFCosine(t *testing.T) {
 	corpus := []string{
 		"database systems", "database design", "query processing",

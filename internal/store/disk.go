@@ -713,9 +713,6 @@ func (x *tokenIndex) postings(tok string, tomb []bool) ([]int, bool) {
 
 func (x *tokenIndex) close() error { return x.f.Close() }
 
-// Vocab returns the number of distinct indexed tokens.
-func (s *DiskStore) Vocab() int { return len(s.idx.vocab) }
-
 // SortedTokens returns the vocabulary sorted lexically (debug helper).
 func (s *DiskStore) SortedTokens() []string {
 	out := append([]string(nil), s.idx.vocab...)
