@@ -58,7 +58,11 @@ race:
 # operator once, in the key and kind its constructor interns it under
 # (DESIGN.md, "Identity by construction"), so outside explain.go, whose
 # opName labels PlanString and the sweep's plan hashes read, no non-test file
-# of internal/engine has a case *…Node clause.
+# of internal/engine has a case *…Node clause. The one-adoption rule: handing
+# out a predecessor's table is decided once, by content, before the operator
+# runs (DESIGN.md §11 "Table adoption"), so outside adoptUnrun (delta.go) no
+# non-test file of internal/engine calls StructuralEq (the memo lookup's
+# CellsStructuralEq compares a tuple's read cells and stays).
 verify:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
@@ -88,6 +92,9 @@ verify:
 	@switches="$$(grep -nE '^\s*case .*\*[A-Za-z]+Node\b' internal/engine/*.go | \
 		grep -vE '^internal/engine/(explain\.go|[a-z0-9_]*_test\.go):')"; if [ -n "$$switches" ]; then \
 		echo "per-operator switch outside opName (internal/engine/explain.go):"; echo "$$switches"; exit 1; fi
+	@adopts="$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /[^A-Za-z]StructuralEq\(/ && fn !~ /\) adoptUnrun\(/ { print FILENAME ":" FNR ": " $$0 }' \
+		$$(ls internal/engine/*.go | grep -v '_test\.go$$'))"; if [ -n "$$adopts" ]; then \
+		echo "StructuralEq outside adoptUnrun (internal/engine/delta.go):"; echo "$$adopts"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/feature/... ./internal/engine/... ./internal/assistant/... ./internal/server/...
 	$(GO) build ./...

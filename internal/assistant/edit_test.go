@@ -2,6 +2,7 @@ package assistant_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,6 +63,63 @@ func TestSessionPlansEqualCompile(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPlansHoldNoIdentityProjection: no compiled or trial plan of a T1–T9
+// or DBLife Simulation session holds a projection that keeps every column
+// of its input in place under its name — such a π computes nothing, and
+// the compiler builds none.
+func TestPlansHoldNoIdentityProjection(t *testing.T) {
+	for _, task := range append(corpus.Tasks(), corpus.DBLifeTasks()...) {
+		s := assistant.NewSession(task.Env(task.Generate(24, 1)), alog.MustParse(task.Program), task.Oracle(),
+			assistant.Config{Strategy: assistant.Simulation{}, SubsetSeed: 1, Workers: 2})
+		var mu sync.Mutex
+		var plans, found int
+		s.CheckPlansForTest(func(_ *alog.Program, q assistant.Question, v string, plan *engine.Plan, _ int) {
+			ids := identityProjections(plan.Root)
+			mu.Lock()
+			defer mu.Unlock()
+			plans++
+			for _, sig := range ids {
+				if found++; found <= 3 {
+					t.Errorf("%s: %q = %q: identity projection %s", task.ID, q, v, sig)
+				}
+			}
+		})
+		if _, err := s.Run(); err != nil {
+			t.Fatalf("%s: %v", task.ID, err)
+		}
+		if plans < 2 {
+			t.Fatalf("%s: %d plans checked", task.ID, plans)
+		}
+	}
+}
+
+// identityProjections lists the signatures of the projections under root
+// whose source and output columns both equal their input's columns.
+func identityProjections(root engine.Node) []string {
+	var out []string
+	seen := map[engine.NodeID]bool{}
+	var walk func(n engine.Node)
+	walk = func(n engine.Node) {
+		if seen[n.ID()] {
+			return
+		}
+		seen[n.ID()] = true
+		if rest, ok := strings.CutPrefix(n.Signature(), "project["); ok {
+			head, _, _ := strings.Cut(rest, "]")
+			src, dst, _ := strings.Cut(head, "->")
+			in := strings.Join(n.Children()[0].Columns(), ",")
+			if src == in && dst == in {
+				out = append(out, n.Signature())
+			}
+		}
+		for _, k := range n.Children() {
+			walk(k)
+		}
+	}
+	walk(root)
+	return out
 }
 
 // TestIterationSizesMonotone: a constraint never grows the result

@@ -336,16 +336,20 @@ func TestCorpusDeltasStayUnderBudget(t *testing.T) {
 	}
 	free := converge(0)
 	// One full pass of the converged program, its result tables and the
-	// record tables it reads, is what a re-evaluation needs resident; twice
-	// that is room for it beside what it replaces.
+	// record tables it reads, is what a re-evaluation needs resident. The
+	// budget is room for two passes of result tables beside the record
+	// tables the converged session holds: one region list per constraint
+	// any trial applied, several times a pass's, and the cache evicts every
+	// result table before a record table.
 	env := engine.NewEnv()
 	tables(env)
 	pass := assistant.NewSession(env, free.Program(), assistant.NewMapOracle(nil), assistant.Config{Workers: 1})
 	if _, err := pass.Reevaluate(0); err != nil {
 		t.Fatal(err)
 	}
-	working := pass.StatsSnapshot().CacheBytes + pass.StatsSnapshot().DocRecordBytes
-	budget := 2 * working
+	ps := pass.StatsSnapshot()
+	working := ps.CacheBytes + ps.DocRecordBytes
+	budget := 2*ps.CacheBytes + free.StatsSnapshot().DocRecordBytes
 	bounded := converge(budget)
 
 	var peak int64
@@ -384,9 +388,12 @@ func TestCorpusDeltasStayUnderBudget(t *testing.T) {
 				f.CorpusPriorHits, f.TuplesReused, f.TuplesRecomputed)
 		}
 	}
-	fs := free.StatsSnapshot()
-	t.Logf("one pass %d bytes, budget %d, unbounded peak %d, bounded now %d; prior hits/reused/recomputed %d/%d/%d",
-		working, budget, peak, bounded.StatsSnapshot().CacheBytes, fs.CorpusPriorHits, fs.TuplesReused, fs.TuplesRecomputed)
+	fs, bs := free.StatsSnapshot(), bounded.StatsSnapshot()
+	t.Logf("one pass %d bytes, budget %d, unbounded peak %d, bounded now %d (%d evicted); prior hits/reused/recomputed %d/%d/%d",
+		working, budget, peak, bs.CacheBytes, bs.CacheEvictions, fs.CorpusPriorHits, fs.TuplesReused, fs.TuplesRecomputed)
+	if bs.CacheEvictions == 0 {
+		t.Fatal("the bounded session evicted nothing: the budget does not bind")
+	}
 	if peak <= budget+working {
 		t.Fatalf("without a budget the cache peaked at %d bytes, within budget %d plus one pass %d: the stale tables are not counted, or the script leaves none", peak, budget, working)
 	}

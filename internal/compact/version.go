@@ -157,10 +157,9 @@ func cellEq(a, b Cell) bool {
 }
 
 // StructuralEq reports whether two tables are structurally identical:
-// same columns and, position by position, structurally equal tuples.
-// Operators producing a structurally identical successor of a previous
-// version's table can hand out the old table itself, keeping downstream
-// pointer identities (and therefore memo transferability) intact.
+// same columns and, position by position, structurally equal tuples. The
+// engine's adoption compares a node's inputs with the tables its
+// predecessor read this way before handing out the predecessor's result.
 func (t *Table) StructuralEq(o *Table) bool {
 	if t == o {
 		return true

@@ -15,16 +15,15 @@ import (
 	"iflex/internal/text"
 )
 
-// adoptUnrunMoves are the counters adoption before evaluation may move: the
-// work of the loops it does not run, and its own count. Every other
-// deterministic counter must not notice it.
-var adoptUnrunMoves = map[string]bool{
+// adoptMoves are the counters adoption may move: the work of the loops it
+// does not run, and its own count. Every other deterministic counter must
+// not notice it.
+var adoptMoves = map[string]bool{
 	"TuplesReused": true, "TuplesRecomputed": true, "ConstraintStages": true, "FuncCalls": true, "ProcCalls": true,
-	"AdoptedUnrun": true,
+	"TablesAdopted": true,
 }
 
-// detCounters renders every stat:"det" counter of s outside
-// adoptUnrunMoves.
+// detCounters renders every stat:"det" counter of s outside adoptMoves.
 func detCounters(s engine.Stats) string {
 	var b strings.Builder
 	var walk func(v reflect.Value)
@@ -34,7 +33,7 @@ func detCounters(s engine.Stats) string {
 			switch {
 			case f.Anonymous:
 				walk(v.Field(i))
-			case f.Tag.Get("stat") == "det" && !adoptUnrunMoves[f.Name]:
+			case f.Tag.Get("stat") == "det" && !adoptMoves[f.Name]:
 				fmt.Fprintf(&b, "%s=%d ", f.Name, v.Field(i).Int())
 			}
 		}
@@ -58,10 +57,9 @@ func runSession(env *engine.Env, task *corpus.Task, cfg assistant.Config, delta 
 
 // TestAdoptUnrunSessionsMatch runs the sessions of TestSessionSweepT8T9,
 // TestSessionDeltaMatchesFullSession and TestChaosSessionDeterministic
-// (internal/assistant) with adoption before evaluation on and off: the
-// transcripts, final tables, degradation reports and every deterministic
-// counter outside adoptUnrunMoves are the same, and with delta evaluation
-// on the skip happens.
+// (internal/assistant) with adoption on and off: the transcripts, final
+// tables, degradation reports and every deterministic counter outside
+// adoptMoves are the same, and with delta evaluation on adoption happens.
 func TestAdoptUnrunSessionsMatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("28 whole sessions, each run twice; skipped in -short")
@@ -139,20 +137,20 @@ func TestAdoptUnrunSessionsMatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
-		restore := engine.NoAdoptUnrunForTest()
+		restore := engine.NoAdoptForTest()
 		off, err := s.run()
 		restore()
 		if err != nil {
-			t.Fatalf("%s, skip off: %v", s.name, err)
+			t.Fatalf("%s, adoption off: %v", s.name, err)
 		}
 		if got, want := render(on), render(off); got != want {
-			t.Errorf("%s: adoption before evaluation changed the session\nwith:\n%s\nwithout:\n%s", s.name, got, want)
+			t.Errorf("%s: adoption changed the session\nwith:\n%s\nwithout:\n%s", s.name, got, want)
 		}
-		if off.Stats.AdoptedUnrun != 0 {
-			t.Errorf("%s: %d tables adopted unrun with the skip off", s.name, off.Stats.AdoptedUnrun)
+		if off.Stats.TablesAdopted != 0 {
+			t.Errorf("%s: %d tables adopted with adoption off", s.name, off.Stats.TablesAdopted)
 		}
-		if delta := !strings.HasSuffix(s.name, "delta=false"); delta != (on.Stats.AdoptedUnrun > 0) {
-			t.Errorf("%s: %d tables adopted unrun", s.name, on.Stats.AdoptedUnrun)
+		if delta := !strings.HasSuffix(s.name, "delta=false"); delta != (on.Stats.TablesAdopted > 0) {
+			t.Errorf("%s: %d tables adopted", s.name, on.Stats.TablesAdopted)
 		}
 	}
 }

@@ -8,22 +8,24 @@ import (
 
 // TestAdoptUnrunAboveUnchangedConstraint: a new constraint that leaves
 // every cell of its run as it was (italic-font=no over bold school names,
-// none of them italic) is adopted after its run replays, and then every
-// node above it is adopted without running: each reads exactly the table
-// its predecessor read. The counts are those of a plan that ran every
-// node: LimitFallbacks (forced here by a tight value limit) equals the
-// evaluation's with the skip off and with delta evaluation off.
+// none of them italic) runs — its link covers fewer stages than it has —
+// and reproduces its predecessor's table in a new object. Every node above
+// it is then adopted without running: the first because its input holds
+// what its predecessor read, the rest because their inputs are the very
+// tables their predecessors read. The counts are those of a plan that ran
+// every node: LimitFallbacks (forced here by a tight value limit) equals
+// the evaluation's with adoption off and with delta evaluation off.
 func TestAdoptUnrunAboveUnchangedConstraint(t *testing.T) {
 	type outcome struct {
 		table                   string
-		unrun, adopted, evals   int64
+		adopted, evals, stages  int64
 		fallbacks, fallbacksP2  int64
 		tuples, hits, recompute int64
 	}
-	run := func(delta, skip bool) (outcome, int) {
-		if !skip {
-			noAdoptUnrun = true
-			defer func() { noAdoptUnrun = false }()
+	run := func(delta, adopt bool) (outcome, int) {
+		if !adopt {
+			noAdopt = true
+			defer func() { noAdopt = false }()
 		}
 		env := figure2Env()
 		env.limits.MaxCellValues = 2
@@ -56,7 +58,7 @@ func TestAdoptUnrunAboveUnchangedConstraint(t *testing.T) {
 		}
 		s := ctx.Stats
 		o := outcome{
-			table: res.String(), unrun: s.AdoptedUnrun - before.AdoptedUnrun, adopted: s.TablesAdopted - before.TablesAdopted,
+			table: res.String(), adopted: s.TablesAdopted - before.TablesAdopted, stages: s.ConstraintStages - before.ConstraintStages,
 			evals: s.NodesEvaluated - before.NodesEvaluated, fallbacks: s.LimitFallbacks,
 			fallbacksP2: s.LimitFallbacks - before.LimitFallbacks, tuples: s.TuplesBuilt, hits: s.CacheHits,
 			recompute: s.TuplesRecomputed,
@@ -96,13 +98,15 @@ func TestAdoptUnrunAboveUnchangedConstraint(t *testing.T) {
 	if above == 0 {
 		t.Fatal("no node above the new constraint")
 	}
-	t.Logf("%d nodes above the new constraint, %d adopted unrun; the second plan charged %d fallbacks", above, on.unrun, on.fallbacksP2)
-	if on.unrun != int64(above) || on.adopted != int64(above)+1 {
-		t.Errorf("%d nodes above the new constraint: %d adopted unrun, %d adopted in all (want %d and %d)",
-			above, on.unrun, on.adopted, above, above+1)
+	t.Logf("%d nodes above the new constraint, %d adopted; the second plan charged %d fallbacks", above, on.adopted, on.fallbacksP2)
+	if on.adopted != int64(above) {
+		t.Errorf("%d nodes above the new constraint, %d adopted (want every one, and not the run)", above, on.adopted)
 	}
-	if off.unrun != 0 || off.adopted != on.adopted {
-		t.Errorf("skip off: %d adopted unrun, %d adopted; skip on: %d adopted", off.unrun, off.adopted, on.adopted)
+	if on.stages == 0 {
+		t.Error("the new run computed no stage: it did not run")
+	}
+	if off.adopted != 0 {
+		t.Errorf("adoption off: %d tables adopted", off.adopted)
 	}
 	if on.fallbacksP2 == 0 {
 		t.Fatal("the second plan charged no fallback: the recharge is untested")
@@ -110,10 +114,10 @@ func TestAdoptUnrunAboveUnchangedConstraint(t *testing.T) {
 	for _, o := range []outcome{off, full} {
 		if o.table != on.table || o.fallbacks != on.fallbacks || o.fallbacksP2 != on.fallbacksP2 ||
 			o.evals != on.evals || o.tuples != on.tuples || o.hits != on.hits {
-			t.Errorf("skipping changed what a run of every node gives:\n%+v\n%+v", on, o)
+			t.Errorf("adoption changed what a run of every node gives:\n%+v\n%+v", on, o)
 		}
 	}
 	if on.recompute != off.recompute {
-		t.Errorf("tuples recomputed %d with the skip, %d without: the skipped nodes replay every tuple", on.recompute, off.recompute)
+		t.Errorf("tuples recomputed %d with adoption, %d without: the adopted nodes replay every tuple", on.recompute, off.recompute)
 	}
 }

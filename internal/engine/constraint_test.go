@@ -546,8 +546,8 @@ func TestProjectIdentitySharesTuples(t *testing.T) {
 }
 
 // TestRunOverUnappliedParent: a constraint node whose prior lists
-// constraints its parent has not applied — a trial inserted above an
-// identity projection, say — must not trust its input as refined under
+// constraints its parent has not applied — a trial inserted above a
+// projection, say — must not trust its input as refined under
 // them. For every pair of pool constraints its table is the run's that
 // applies them first.
 func TestRunOverUnappliedParent(t *testing.T) {

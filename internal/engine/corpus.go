@@ -15,13 +15,13 @@ import "sync/atomic"
 // contribute new tuples to any node, and a projection can have dropped
 // the very column that carried a removed document's span, so the
 // "does this table touch a changed document" test under-approximates
-// staleness. ApplyCorpusDelta therefore marks every cached result table
-// (with its per-tuple memo) stale — no lookup sees it again but the next
-// evaluation of its own key, which takes it as its prior — and drops
-// everything that cannot be replayed: blocking indexes and degraded
-// tables. A stale table whose node is never evaluated again (a
-// trial's) stays in the LRU and the byte count, and goes when CacheBudget
-// says so.
+// staleness. ApplyCorpusDelta therefore marks every cached result that
+// carries a per-tuple memo stale — no lookup sees it again but the next
+// evaluation of its own key, which takes the memo as its prior — and drops
+// everything that cannot be replayed: memo-less tables, blocking indexes
+// and degraded tables. A stale entry whose node is never evaluated again
+// (a trial's) stays in the LRU and the byte count, and goes when
+// CacheBudget says so.
 //
 // What keeps the re-evaluation cheap is document-handle identity:
 // unchanged documents keep their *text.Document pointers across a store
@@ -46,9 +46,9 @@ func (d *CorpusDelta) Empty() bool {
 }
 
 // ApplyCorpusDelta invalidates the context for a committed corpus
-// mutation. Every cached result table is marked stale, for replay by the
-// next evaluation of its node; blocking indexes and degraded tables are
-// dropped (cheap to rebuild, never replayable); the record tables of
+// mutation. Every cached result with a memo is marked stale, for replay by
+// the next evaluation of its node; memo-less tables, blocking indexes and
+// degraded tables are dropped (never replayable); the record tables of
 // changed documents are dropped (the handles they hang off were superseded
 // or removed); and changed documents
 // are released from quarantine (their content was superseded or removed,
@@ -71,12 +71,12 @@ func (ctx *Context) ApplyCorpusDelta(d *CorpusDelta) {
 	}
 
 	ctx.mu.Lock()
-	// Tables left stale by an earlier delta stay: replay is keyed by
+	// Entries left stale by an earlier delta stay: replay is keyed by
 	// document-handle identity, so a twice-displaced memo is still exactly
 	// as valid for its unchanged tuples (watch mode may commit several
 	// deltas between evaluations).
 	for _, e := range ctx.cache {
-		if e.table != nil && e.table.Degraded == nil {
+		if e.aux != nil && e.table.Degraded == nil {
 			e.stale = true
 		} else {
 			ctx.dropLocked(e)

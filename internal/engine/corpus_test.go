@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"iflex/internal/alog"
+	"iflex/internal/compact"
 	"iflex/internal/store"
 	"iflex/internal/text"
 )
@@ -266,5 +267,130 @@ e2(y, t) :- from(y, t), bold-font(t) = distinct-yes.
 	}
 	if res2.Canonical() == res1.Canonical() {
 		t.Fatal("removed document's projected tuple survived")
+	}
+}
+
+// TestPlanEditAfterCorpusDeltaAdoptsNoSupersededTable: adoption compares
+// contents, and after a corpus delta a table built over a superseded
+// document handle must never be handed out, even when the page was
+// rewritten with byte-identical text. Two facts keep it so, and each is
+// pinned: StructuralEq compares spans by document handle (the rewritten
+// page's old and new tables render equally and still differ), and an entry
+// ApplyCorpusDelta displaced is never current (no lookup sees it). A plan
+// edit evaluated right after the delta then adopts nothing; one evaluated
+// after the unchanged plan has re-run adopts. Either way every table the
+// cache holds and the result mention current handles only.
+func TestPlanEditAfterCorpusDeltaAdoptsNoSupersededTable(t *testing.T) {
+	prog := alog.MustParse(corpusJoinSrc)
+	next := prog.Clone()
+	if err := next.AddConstraint(alog.AttrRef{Pred: "e1", Var: "s"}, "italic-font", "no"); err != nil {
+		t.Fatal(err)
+	}
+	for _, rerun := range []bool{false, true} {
+		t.Run(fmt.Sprintf("rerun=%t", rerun), func(t *testing.T) {
+			dir := t.TempDir()
+			buildCorpusStore(t, dir)
+			s, err := store.Open(dir, store.OpenOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			env := corpusEnv(s)
+			p1, err := Compile(prog, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p2, err := Compile(next, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := NewContext(env)
+			ctx.EnableDelta()
+			if _, err := p1.Execute(ctx); err != nil {
+				t.Fatal(err)
+			}
+			oldL := map[NodeID]*compact.Table{}
+			for _, c := range CachedTablesForTest(ctx) {
+				oldL[c.Node.ID()] = c.Table
+			}
+			old := map[string]*text.Document{}
+			for _, doc := range s.Docs() {
+				old[doc.ID()] = doc
+			}
+
+			m, err := s.BeginMutation()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Put("l-1", "<b>join order primer</b> left page 1"); err != nil {
+				t.Fatal(err)
+			}
+			d, err := m.Commit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			current := map[*text.Document]bool{}
+			for _, doc := range s.Docs() {
+				current[doc] = true
+				if o := old["l-1"]; doc.ID() == "l-1" && (doc == o || doc.Text() != o.Text()) {
+					t.Fatalf("l-1 rewritten: same handle %t, same text %t", doc == o, doc.Text() == o.Text())
+				}
+			}
+			setCorpusTables(env, s)
+			ctx.ApplyCorpusDelta(&CorpusDelta{Added: d.Added, Updated: d.Updated, Removed: d.Removed})
+			ctx.mu.Lock()
+			for id := range oldL {
+				if e := ctx.lookupLocked(entryKey{mode: fullMode, node: id}); e != nil {
+					t.Errorf("%s: a displaced entry is current", e.node.Signature())
+				}
+			}
+			ctx.mu.Unlock()
+
+			if rerun {
+				if _, err := p1.Execute(ctx); err != nil {
+					t.Fatal(err)
+				}
+				var rewritten int
+				for _, c := range CachedTablesForTest(ctx) {
+					if o := oldL[c.Node.ID()]; o != nil && o.String() == c.Table.String() && !o.StructuralEq(c.Table) {
+						rewritten++
+					}
+				}
+				if rewritten == 0 {
+					t.Error("no table over the rewritten page renders as before yet differs by handle")
+				}
+			}
+			before := ctx.Stats.TablesAdopted
+			ctx.RegisterDelta(p1.Root, p2.Root)
+			res, err := p2.Execute(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if adopted := ctx.Stats.TablesAdopted - before; (adopted > 0) != rerun {
+				t.Errorf("%d tables adopted by the edit", adopted)
+			}
+			want, err := p2.Execute(NewContext(env))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Canonical() != want.Canonical() {
+				t.Fatalf("edited plan after the delta:\n%s\nwant:\n%s", res.Canonical(), want.Canonical())
+			}
+			tables := []*compact.Table{res}
+			for _, c := range CachedTablesForTest(ctx) {
+				tables = append(tables, c.Table)
+			}
+			for _, tb := range tables {
+				for _, tp := range tb.Tuples {
+					for _, c := range tp.Cells {
+						for _, a := range c.Assigns {
+							if !current[a.Span.Doc()] {
+								t.Fatalf("a table over superseded page %s is in use:\n%s", a.Span.Doc().ID(), tb)
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }

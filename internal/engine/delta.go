@@ -186,30 +186,25 @@ type deltaLink struct {
 
 // deltaPriorLocked finds the predecessor of a node Eval is about to
 // evaluate under key: the state the evaluation threads through its tuple
-// loop, and the predecessor's output table for Eval's adoption check (nil
-// when the tuple sets differ). In order: the linked predecessor evaluated
-// under the same mode; failing that the node's own entry under the
-// previous evaluation mode (per-tuple memos are subset-independent:
-// operators decide per tuple, the doc filter only gates which tuples the
-// scans emit), which covers the final full-corpus execution of an
-// unchanged plan. That prior attaches the memo only, never the table: the
-// tuple sets differ, so adoption would be wrong. Callers hold ctx.mu.
-func (ctx *Context) deltaPriorLocked(n Node, key entryKey) (*deltaState, *compact.Table) {
+// loop. In order: the linked predecessor evaluated under the same mode;
+// failing that the node's own entry under the previous evaluation mode
+// (per-tuple memos are subset-independent: operators decide per tuple, the
+// doc filter only gates which tuples the scans emit), which covers the
+// final full-corpus execution of an unchanged plan. Callers hold ctx.mu.
+func (ctx *Context) deltaPriorLocked(n Node, key entryKey) *deltaState {
 	if !ctx.deltaOn {
-		return nil, nil
+		return nil
 	}
 	dx := &deltaState{}
-	var priorTable *compact.Table
 	if link, ok := ctx.deltaPrev[key.node]; ok {
 		if pe := ctx.lookupLocked(entryKey{mode: key.mode, node: link.old}); pe != nil {
 			dx.prior = pe.aux
-			priorTable = pe.table
 			if run, ok := n.(*constraintNode); !ok || link.stages == len(run.cons) {
 				dx.linked = pe
 			}
 		}
 	}
-	if dx.prior == nil && priorTable == nil && ctx.prevMode != 0 && ctx.prevMode != key.mode {
+	if dx.prior == nil && ctx.prevMode != 0 && ctx.prevMode != key.mode {
 		if pe := ctx.lookupLocked(entryKey{mode: ctx.prevMode, node: key.node}); pe != nil {
 			dx.prior = pe.aux
 		}
@@ -222,42 +217,43 @@ func (ctx *Context) deltaPriorLocked(n Node, key entryKey) (*deltaState, *compac
 		if dx.prior != nil {
 			have = dx.prior.stages
 		}
-		if aux, table := ctx.runPriorLocked(run, key.mode, have); aux != nil {
-			dx.prior, priorTable = aux, table
+		if aux := ctx.runPriorLocked(run, key.mode, have); aux != nil {
+			dx.prior = aux
 		}
 	}
 	// Corpus prior: ApplyCorpusDelta marked this node's last result
 	// stale (the plan is typically unchanged, so the plan-delta links
-	// above have nothing). The stale table is attached for the adoption
-	// check and the memo for per-tuple replay, which ⋈~ takes only while
-	// its right pin holds (priorFor). The entry is consumed: it is valid
-	// for exactly one re-evaluation of its node.
-	if dx.prior == nil && priorTable == nil {
+	// above have nothing). Its memo is attached for per-tuple replay,
+	// which ⋈~ takes only while its right pin holds (priorFor). The entry
+	// is consumed: it is valid for exactly one re-evaluation of its node.
+	if dx.prior == nil {
 		if cp := ctx.cache[key]; cp != nil && cp.stale {
 			dx.prior = cp.aux
-			priorTable = cp.table
 			ctx.dropLocked(cp)
 			statAdd(&ctx.Stats.CorpusPriorHits, 1)
 		}
 	}
-	return dx, priorTable
+	return dx
 }
 
-// adoptUnrun is adoption decided before the operator runs: when n's
-// linked predecessor read exactly the tables in — each the one cached
-// under the same mode for the predecessor's corresponding child — the
+// adoptUnrun is adoption, decided before the operator runs: when every
+// table in holds what n's linked predecessor read — the table cached under
+// the same mode for the predecessor's corresponding child — the
 // predecessor's table and memo are n's result, and n's operator is not
 // run. That is sound because an operator's output depends only on the
 // parameters sameShape compares, the mode and the contents of its inputs;
-// cached tables are immutable; a stale entry left by a corpus delta is
-// never current, and a partial table from a cut is never cached, so a
-// current entry holds what its node computes under its mode. It counts as
-// the adoption it replaces (TablesAdopted, plus AdoptedUnrun), recharges
-// the predecessor's LimitFallbacks and carries a run's stage totals over;
-// only the skipped loop's own counts go (its tuples and stages, and the
-// FuncCalls and ProcCalls of memo-less selections and procedures).
+// cached tables are immutable; StructuralEq compares spans by document
+// handle, and a stale entry left by a corpus delta is never current, so a
+// table over superseded pages never matches; and a partial table from a
+// cut is never cached, so a current entry holds what its node computes
+// under its mode. The kids' tables are collected under ctx.mu and compared
+// outside it (the pointer check first): a trial fan-out never waits on a
+// row-by-row compare. It recharges the predecessor's LimitFallbacks and
+// carries a run's stage totals over; only the skipped loop's own counts go
+// (its tuples and stages, and the FuncCalls and ProcCalls of memo-less
+// selections and procedures).
 func (ctx *Context) adoptUnrun(n Node, dx *deltaState, in []*compact.Table, ev *EvalTrace) *compact.Table {
-	if dx == nil || dx.linked == nil || len(in) == 0 || noAdoptUnrun {
+	if dx == nil || dx.linked == nil || len(in) == 0 || noAdopt {
 		return nil
 	}
 	p := dx.linked
@@ -265,14 +261,22 @@ func (ctx *Context) adoptUnrun(n Node, dx *deltaState, in []*compact.Table, ev *
 	if len(kids) != len(in) {
 		return nil
 	}
+	read := make([]*compact.Table, 0, 2)
 	ctx.mu.Lock()
-	for i, k := range kids {
-		if e := ctx.lookupLocked(entryKey{mode: p.key.mode, node: k.ID()}); e == nil || e.table != in[i] {
+	for _, k := range kids {
+		e := ctx.lookupLocked(entryKey{mode: p.key.mode, node: k.ID()})
+		if e == nil {
 			ctx.mu.Unlock()
 			return nil
 		}
+		read = append(read, e.table)
 	}
 	ctx.mu.Unlock()
+	for i, t := range read {
+		if !t.StructuralEq(in[i]) {
+			return nil
+		}
+	}
 	if run, ok := n.(*constraintNode); ok {
 		ev.resumedFrom = len(run.cons)
 		ev.stageAsg.Store(p.trace.stageAsg.Load())
@@ -280,28 +284,27 @@ func (ctx *Context) adoptUnrun(n Node, dx *deltaState, in []*compact.Table, ev *
 	(&Work{LimitFallbacks: p.trace.work.LimitFallbacks}).add(&ev.work, &ctx.Stats.Work)
 	dx.aux = p.aux
 	statAdd(&ctx.Stats.TablesAdopted, 1)
-	statAdd(&ctx.Stats.AdoptedUnrun, 1)
 	return p.table
 }
 
-// noAdoptUnrun turns adoptUnrun off. Only tests set it
-// (export_test.go): evaluation with and without it must agree.
-var noAdoptUnrun bool
+// noAdopt turns adoption off. Only tests set it (export_test.go):
+// evaluation with and without it must agree.
+var noAdopt bool
 
 // runPriorLocked looks for a cached run over the same input that covers
-// more than have of n's stages: an entry under one of n's prefixes, in the
-// current mode, whose memo was left by a run of exactly that many stages
+// more than have of n's stages: the memo of an entry under one of n's
+// prefixes, in the current mode, left by a run of exactly that many stages
 // (so it is keyed on the same entering cell). A trial that already
 // evaluated the first of two answers folded into one step is found this
 // way; the RegisterDelta link alone would resume one stage too early.
 // Callers hold ctx.mu.
-func (ctx *Context) runPriorLocked(n *constraintNode, mode uint32, have int) (*evalAux, *compact.Table) {
+func (ctx *Context) runPriorLocked(n *constraintNode, mode uint32, have int) *evalAux {
 	for ; n != nil && len(n.cons) > have; n = n.prev {
 		if e := ctx.lookupLocked(entryKey{mode: mode, node: n.id}); e != nil && e.aux != nil && e.aux.stages == len(n.cons) {
-			return e.aux, e.table
+			return e.aux
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // EnableDelta turns on incremental evaluation for this context: cache

@@ -376,15 +376,10 @@ type Stats struct {
 	// the predecessor's entry was still resident); NodesEvaluated minus
 	// DeltaEvals is the full-evaluation count.
 	DeltaEvals int64 `json:"delta_evals" stat:"det"`
-	// TablesAdopted counts re-evaluations whose output reproduced the
-	// predecessor's table exactly, so the old table object was handed out
-	// instead — preserving downstream pointer identity (and with it the
-	// binary operators' memo transferability).
+	// TablesAdopted counts the evaluations whose inputs held what the
+	// linked predecessor read, so its table was handed out and the operator
+	// never ran (adoptUnrun).
 	TablesAdopted int64 `json:"tables_adopted" stat:"det"`
-	// AdoptedUnrun counts the adoptions decided before the operator ran:
-	// every input was pointer-identical to the one the predecessor read, so
-	// its table was handed out and the loop never started (adoptUnrun).
-	AdoptedUnrun int64 `json:"adopted_unrun" stat:"det"`
 	// CacheEvictions / BlockIdxEvictions count entries dropped to keep
 	// the cache under CacheBudget, split by payload kind (result table vs
 	// similarity-join blocking index). CacheBytes is the current estimated
@@ -842,11 +837,9 @@ func SumAssignments(ctx *Context, root Node) (int, error) {
 // With delta evaluation on, a cache miss of a node that RegisterDelta
 // mapped to a predecessor picks up the predecessor's per-tuple memo, so
 // the operator replays unchanged tuples instead of recomputing them; the
-// result is byte-identical either way. When every input is the very table
-// the predecessor read, the operator does not run at all: the
-// predecessor's table and memo are the result (adoptUnrun). When it runs
-// and reproduces the predecessor's table, that table is handed out instead
-// (adoption), which is what keeps the inputs above it pointer-identical.
+// result is byte-identical either way. When every input holds what the
+// predecessor read, the operator does not run at all: the predecessor's
+// table and memo are the result (adoptUnrun).
 //
 // If the node's evaluation panics, the in-flight entry is removed and its
 // done channel closed before the panic propagates, so concurrent waiters
@@ -881,11 +874,11 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 	e := &cacheEntry{key: key, node: n}
 	c := &inflightEval{done: make(chan struct{}), entry: e}
 	ctx.inflight[key] = c
-	dx, priorTable := ctx.deltaPriorLocked(n, key)
+	dx := ctx.deltaPriorLocked(n, key)
 	ctx.mu.Unlock()
 
 	statAdd(&ctx.Stats.NodesEvaluated, 1)
-	if dx != nil && (dx.prior != nil || priorTable != nil) {
+	if dx != nil && (dx.prior != nil || dx.linked != nil) {
 		statAdd(&ctx.Stats.DeltaEvals, 1)
 	}
 	ev := &e.trace
@@ -914,15 +907,6 @@ func Eval(ctx *Context, n Node) (*compact.Table, error) {
 		opStart := time.Now()
 		if t = ctx.adoptUnrun(n, dx, in, ev); t == nil {
 			t, err = n.eval(ctx, ev, dx, in)
-			if err == nil && priorTable != nil && t.StructuralEq(priorTable) {
-				// Adoption: the re-evaluation reproduced the predecessor's
-				// output exactly, so hand out the old table itself. Downstream
-				// operators then see a pointer-identical input, which keeps
-				// binary operators' memos (pinned to their right table)
-				// transferable and lets the nodes above adopt unrun.
-				t = priorTable
-				statAdd(&ctx.Stats.TablesAdopted, 1)
-			}
 		}
 		ev.self = time.Since(opStart)
 	}

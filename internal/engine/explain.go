@@ -222,9 +222,8 @@ func Explain(ctx *Context, root Node) (string, error) {
 		if total := reused + recomputed; total > 0 {
 			rate = 100 * float64(reused) / float64(total)
 		}
-		fmt.Fprintf(&b, "delta evals: %d nodes, %d tuples reused / %d recomputed (%.1f%% reuse), %d tables adopted (%d unrun)\n",
-			deltas, reused, recomputed, rate,
-			atomic.LoadInt64(&ctx.Stats.TablesAdopted), atomic.LoadInt64(&ctx.Stats.AdoptedUnrun))
+		fmt.Fprintf(&b, "delta evals: %d nodes, %d tuples reused / %d recomputed (%.1f%% reuse), %d tables adopted\n",
+			deltas, reused, recomputed, rate, atomic.LoadInt64(&ctx.Stats.TablesAdopted))
 	}
 	bytes, entries := ctx.CacheInfo()
 	fmt.Fprintf(&b, "reuse cache: %d entries, ~%d bytes", entries, bytes)

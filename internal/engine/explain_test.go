@@ -55,22 +55,27 @@ func TestFigure4CompileStructure(t *testing.T) {
 
 // The annotation operator must sit at the root of its rule's fragment:
 // above the projection to the rule head (Section 4: "append an annotation
-// operator ψ to the root of h").
+// operator ψ to the root of h"). A head that lists the body's columns in
+// order projects nothing, and ψ sits on the body itself.
 func TestFigure4AnnotationAtFragmentRoot(t *testing.T) {
-	env := figure2Env()
-	plan, err := Compile(alog.MustParse(`
-houses(x, <p>) :- housePages(x), extractP(x, p).
+	for _, leg := range []struct {
+		head    string
+		project bool
+	}{{"houses(x, <p>)", false}, {"houses(<p>, x)", true}, {"houses(<p>)", true}} {
+		env := figure2Env()
+		plan, err := Compile(alog.MustParse(leg.head+` :- housePages(x), extractP(x, p).
 extractP(x, p) :- from(x, p), numeric(p) = yes.
 `), env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ann, ok := plan.Root.(*annotateNode)
-	if !ok {
-		t.Fatalf("root is %T, want *annotateNode:\n%s", plan.Root, plan)
-	}
-	if _, ok := ann.parent.(*projectNode); !ok {
-		t.Fatalf("ψ's child is %T, want projection:\n%s", ann.parent, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ann, ok := plan.Root.(*annotateNode)
+		if !ok {
+			t.Fatalf("%s: root is %T, want *annotateNode:\n%s", leg.head, plan.Root, plan)
+		}
+		if _, ok := ann.parent.(*projectNode); ok != leg.project {
+			t.Errorf("%s: ψ's child is %T, want a projection %t:\n%s", leg.head, ann.parent, leg.project, plan)
+		}
 	}
 }
 

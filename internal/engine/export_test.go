@@ -20,13 +20,13 @@ func StackRunsForTest() (restore func()) {
 	return func() { stackRuns = false }
 }
 
-// NoAdoptUnrunForTest turns adoption before evaluation off until restore
-// is called, so that every linked node runs its operator: the oracle the
-// skip is compared with. Tests that call it must not run in parallel with
-// tests that evaluate.
-func NoAdoptUnrunForTest() (restore func()) {
-	noAdoptUnrun = true
-	return func() { noAdoptUnrun = false }
+// NoAdoptForTest turns adoption off until restore is called, so that
+// every linked node runs its operator: the oracle adoption is compared
+// with. Tests that call it must not run in parallel with tests that
+// evaluate.
+func NoAdoptForTest() (restore func()) {
+	noAdopt = true
+	return func() { noAdopt = false }
 }
 
 // CaptureContextsForTest hands every Context made until restore is called

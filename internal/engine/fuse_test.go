@@ -278,8 +278,8 @@ func TestOptimizerDeltaLockstep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Stats.TuplesReused+ctx.Stats.AdoptedUnrun == 0 {
-		t.Fatal("the fused plan versions did not delta-link (no tuples reused, no table adopted unrun)")
+	if ctx.Stats.TuplesReused+ctx.Stats.TablesAdopted == 0 {
+		t.Fatal("the fused plan versions did not delta-link (no tuples reused, no table adopted)")
 	}
 	want, err := p2.Execute(NewContext(env))
 	if err != nil {

@@ -389,12 +389,17 @@ type projectNode struct {
 	outCols []string
 }
 
-func newProjectNode(env *Env, parent Node, srcCols, outCols []string) *projectNode {
+// newProjectNode returns parent itself when the projection would keep every
+// column in place under its name: such a π computes nothing.
+func newProjectNode(env *Env, parent Node, srcCols, outCols []string) Node {
+	if pc := parent.Columns(); slices.Equal(srcCols, pc) && slices.Equal(outCols, pc) {
+		return parent
+	}
 	h := catList(cat(make([]byte, 0, headCap), "project["), srcCols)
 	h = append(catList(cat(h, "->"), outCols), ']')
 	return env.nodes.intern(h, OpProject, func() Node {
 		return &projectNode{parent: parent, srcCols: srcCols, outCols: outCols}
-	}, parent).(*projectNode)
+	}, parent)
 }
 
 func (n *projectNode) Columns() []string { return n.outCols }
@@ -409,10 +414,10 @@ func (n *projectNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins []*c
 	}
 	out := compact.NewTable(n.outCols...)
 	if identity {
-		// Every column onto itself (the π around each ψ): only the header is
-		// new. Tuples are copy-on-write everywhere downstream, so the rows
-		// are the input's; the capacity is clipped so that an append to
-		// either table cannot reach the other.
+		// A pure rename, every column in place under a new name: only the
+		// header is new. Tuples are copy-on-write everywhere downstream, so
+		// the rows are the input's; the capacity is clipped so that an
+		// append to either table cannot reach the other.
 		out.Tuples = in.Tuples[:len(in.Tuples):len(in.Tuples)]
 		return out, nil
 	}

@@ -44,12 +44,12 @@ func TestExplainFreshContext(t *testing.T) {
 }
 
 // TestSelfTimeExcludesInputs: a node's Wall covers the evaluation of its
-// inputs, its Self the operator alone — a projection over an input that
-// takes 30 ms reads at least that much Wall and a fraction of it Self.
+// inputs, its Self the operator alone — a renaming projection over an input
+// that takes 30 ms reads at least that much Wall and a fraction of it Self.
 func TestSelfTimeExcludesInputs(t *testing.T) {
 	env := NewEnv()
 	slow := &hookNode{ident: ident{id: newNodeID(), head: "slow"}, fn: func() { time.Sleep(30 * time.Millisecond) }}
-	p := newProjectNode(env, slow, []string{"x"}, []string{"x"})
+	p := newProjectNode(env, slow, []string{"x"}, []string{"y"})
 	ctx := NewContext(env)
 	if _, err := Eval(ctx, p); err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestStatsCounterTable(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{
-		"adopted_unrun", "block_idx_evictions", "block_idx_postings", "cache_bytes", "cache_evictions", "cache_hit_rate",
+		"block_idx_evictions", "block_idx_postings", "cache_bytes", "cache_evictions", "cache_hit_rate",
 		"cache_hits", "cmp_operands_parsed", "constraint_stages", "corpus_deltas", "corpus_prior_hits",
 		"deadline_cuts", "delta_evals", "delta_reuse_rate", "doc_record_bytes", "eval_restarts",
 		"feature_memo_hit_rate", "feature_memo_hits", "feature_memo_misses", "full_evals", "func_calls",
