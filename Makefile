@@ -13,9 +13,10 @@ vet:
 
 # Race-detector run over the concurrent core: the per-document record
 # tables, the engine's shared-context single-flight cache, the assistant's
-# simulation fan-out, and the multi-tenant server.
+# simulation fan-out, the multi-tenant server, and the store's page loads,
+# which share their read buffers across goroutines.
 race:
-	$(GO) test -race ./internal/feature/... ./internal/engine/... ./internal/assistant/... ./internal/server/...
+	$(GO) test -race ./internal/feature/... ./internal/engine/... ./internal/assistant/... ./internal/server/... ./internal/store/...
 
 # The pre-merge gate: formatting, the one-loop, one-fan-out,
 # one-fault-state, one-cache-map, one-declaration, one-resolution and
@@ -96,7 +97,7 @@ verify:
 		$$(ls internal/engine/*.go | grep -v '_test\.go$$'))"; if [ -n "$$adopts" ]; then \
 		echo "StructuralEq outside adoptUnrun (internal/engine/delta.go):"; echo "$$adopts"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) test -short -race ./internal/feature/... ./internal/engine/... ./internal/assistant/... ./internal/server/...
+	$(GO) test -short -race ./internal/feature/... ./internal/engine/... ./internal/assistant/... ./internal/server/... ./internal/store/...
 	$(GO) build ./...
 	$(GO) test -short ./...
 

@@ -119,9 +119,9 @@ type Env struct {
 	// the page a record table (feature.Memo.IndexRecords). Every other
 	// value reads its ids off its page's token list in FeatureMemo.
 	// Implementations must return exactly what the engine would compute
-	// live: the ordered similarity.NormalizedTokens of the page's text. A
-	// false ok falls back to the record table; results are byte-identical
-	// either way.
+	// live: the ordered similarity.Tokens of the page's text, as ids of
+	// the index's vocabulary. A false ok falls back to the record table;
+	// results are byte-identical either way.
 	DocIndex DocIndex
 	// Postings, when non-nil, provides the persistent inverted
 	// blocking-token index over the same store: simjoin blocking consults

@@ -101,6 +101,8 @@ type Memo struct {
 	// vocab interns every similarity token the tables hold (tokens.go); it
 	// outlives evictions, so token ids stay comparable across tables.
 	vocab *similarity.Vocab
+	// index maps a store index's token ids to vocab's (IndexRecords).
+	index indexIDs
 }
 
 // NewMemo returns an empty memo.

@@ -4,18 +4,33 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+	"sync"
 	"unsafe"
 
 	"iflex/internal/similarity"
 	"iflex/internal/text"
 )
 
-// TokenIndex answers a whole page's normalised similarity tokens from an
-// index built at ingest (a document store) without paging the page in: the
-// ordered similarity.NormalizedTokens of its text, exactly. A false ok, or
-// no tokens, leaves the page to be tokenised.
+// TokenIndex answers a whole page's similarity tokens from an index built
+// at ingest (a document store) without paging the page in: the ordered
+// similarity.Tokens of its text, exactly, as ids in the index's own
+// vocabulary. A false ok, or a nil list, leaves the page to be tokenised.
 type TokenIndex interface {
-	NormTokens(d *text.Document) ([]string, bool)
+	// TokenIDs returns d's token ids in text order, in a slice the caller
+	// owns.
+	TokenIDs(d *text.Document) ([]uint32, bool)
+	// Token returns the token of an id TokenIDs returned. An id keeps its
+	// token for the life of the index.
+	Token(id uint32) string
+}
+
+// indexIDs translates one TokenIndex's token ids to the memo's: ids[i] is
+// the memo id of index id i plus one, 0 until the id is first seen. It
+// belongs to the index it was built from; a different index starts anew.
+type indexIDs struct {
+	mu  sync.Mutex
+	idx TokenIndex
+	ids []uint32
 }
 
 // simRecords is what a record table keeps for similarity joins: the
@@ -94,22 +109,40 @@ func b2i(b bool) int {
 // IndexRecords returns the token record of an exact whole-page assignment
 // from idx, built on every call without touching the page or its table:
 // the index holds the page's tokens already, and a record table per stored
-// page would only add to the heap. ok is false for any other assignment,
-// or when idx cannot answer.
+// page would only add to the heap. The index's ids map to the memo's
+// through a table the memo keeps, so a token is interned once, when first
+// seen, and the article rule applies to memo ids. ok is false for any
+// other assignment, or when idx cannot answer.
 func (m *Memo) IndexRecords(a text.Assignment, idx TokenIndex) ([]similarity.Record, bool) {
 	d := a.Span.Doc()
 	if idx == nil || a.Mode != text.Exact || a.Span.Start() != 0 || a.Span.End() != d.Len() {
 		return nil, false
 	}
-	toks, ok := idx.NormTokens(d)
-	if !ok || toks == nil {
+	ids, ok := idx.TokenIDs(d)
+	if !ok || ids == nil {
 		return nil, false
 	}
-	ord := make([]uint32, len(toks))
-	for i, tok := range toks {
-		ord[i] = m.vocab.Intern(tok)
+	m.fromIndex(idx, ids)
+	return []similarity.Record{similarity.NewRecord(similarity.Normalized(ids))}, true
+}
+
+// fromIndex rewrites ids, token ids of idx, in place as memo ids.
+func (m *Memo) fromIndex(idx TokenIndex, ids []uint32) {
+	x := &m.index
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.idx != idx {
+		x.idx, x.ids = idx, nil
 	}
-	return []similarity.Record{similarity.NewRecord(ord)}, true
+	for i, id := range ids {
+		if int(id) >= len(x.ids) {
+			x.ids = append(x.ids, make([]uint32, int(id)+1-len(x.ids))...)
+		}
+		if x.ids[id] == 0 {
+			x.ids[id] = m.vocab.Intern(idx.Token(id)) + 1
+		}
+		ids[i] = x.ids[id] - 1
+	}
 }
 
 // Records returns the token record of each value of a, in a.Values order,

@@ -94,19 +94,37 @@ func TestSpanTokenIDs(t *testing.T) {
 	}
 }
 
-// pageIndex answers NormTokens from the page text, as a store's index does.
-type pageIndex struct{ asked int }
-
-func (p *pageIndex) NormTokens(d *text.Document) ([]string, bool) {
-	p.asked++
-	return similarity.NormalizedTokens(d.Text()), true
+// pageIndex answers TokenIDs from the page text as a store's index does,
+// in a vocabulary of its own: ids in first-seen order, the articles
+// included, so they are not the memo's.
+type pageIndex struct {
+	asked int
+	ids   map[string]uint32
+	toks  []string
 }
+
+func (p *pageIndex) TokenIDs(d *text.Document) ([]uint32, bool) {
+	p.asked++
+	var ids []uint32
+	for _, tok := range similarity.Tokens(d.Text()) {
+		id, ok := p.ids[tok]
+		if !ok {
+			id = uint32(len(p.toks))
+			p.ids[tok] = id
+			p.toks = append(p.toks, tok)
+		}
+		ids = append(ids, id)
+	}
+	return ids, true
+}
+
+func (p *pageIndex) Token(id uint32) string { return p.toks[id] }
 
 // TestWholePageRecordFromIndex: an exact whole-page value that the index
 // answers is built from it on every call, equals its text tokenised, and
 // makes no record table; any other assignment is the tables' to answer.
 func TestWholePageRecordFromIndex(t *testing.T) {
-	memo, idx := NewMemo(), &pageIndex{}
+	memo, idx := NewMemo(), &pageIndex{ids: map[string]uint32{}}
 	for i, src := range tokenPages {
 		d := markup.MustParse(fmt.Sprintf("w%d", i), src)
 		recs, ok := memo.IndexRecords(text.ExactOf(d.WholeSpan()), idx)

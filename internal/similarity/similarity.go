@@ -6,6 +6,7 @@ package similarity
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -19,6 +20,17 @@ func Tokens(s string) []string {
 		out = append(out, string(tok))
 	}
 	return out
+}
+
+// EachToken calls yield with each token of Tokens(s), in order, as bytes:
+// a caller that looks tokens up (m[string(tok)] makes no string) builds a
+// string only for one it keeps. tok is valid only until yield returns.
+// Its scratch buffer escapes to yield, so a call allocates once.
+func EachToken(s string, yield func(tok []byte)) {
+	var arr [32]byte
+	for tok, pos := nextToken(s, 0, arr[:0]); tok != nil; tok, pos = nextToken(s, pos, arr[:0]) {
+		yield(tok)
+	}
 }
 
 // nextToken scans s from pos and returns the next token, lower-cased into
@@ -127,24 +139,15 @@ func SimilarTokens(ta, tb []string) bool {
 
 // NormalizedTokens returns the tokens of s with leading articles removed.
 // "The Godfather" and "Godfather, The" should match, so a trailing article
-// (the comma style) first moves to the front.
-func NormalizedTokens(s string) []string { return NormalizeArticles(Tokens(s)) }
-
-// NormalizeArticles applies NormalizedTokens' article rule to a token
-// sequence: a trailing article moves to the front, then a leading
-// article is dropped. toks is not modified; the result may share it.
-func NormalizeArticles(toks []string) []string {
-	if len(toks) > 1 {
-		switch toks[len(toks)-1] {
-		case "the", "a", "an":
-			toks = append([]string{toks[len(toks)-1]}, toks[:len(toks)-1]...)
-		}
-	}
-	if len(toks) > 1 {
-		switch toks[0] {
-		case "the", "a", "an":
-			toks = toks[1:]
-		}
+// (the comma style) first moves to the front — to be dropped there, as
+// Normalized does on ids.
+func NormalizedTokens(s string) []string {
+	toks := Tokens(s)
+	switch n := len(toks); {
+	case n > 1 && slices.Contains(articles[:], toks[n-1]):
+		return toks[:n-1]
+	case n > 1 && slices.Contains(articles[:], toks[0]):
+		return toks[1:]
 	}
 	return toks
 }

@@ -84,21 +84,24 @@ func BenchmarkTrim(b *testing.B) {
 func BenchmarkBuildRecord(b *testing.B) {
 	ids, raws := benchPages(b, 64)
 	vocab := map[string]uint32{}
-	intern := func(t string) uint32 {
-		id, ok := vocab[t]
+	intern := func(t []byte) uint32 {
+		id, ok := vocab[string(t)]
 		if !ok {
 			id = uint32(len(vocab))
-			vocab[t] = id
+			vocab[string(t)] = id
 		}
 		return id
 	}
+	var scratch []uint32
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % len(ids)
-		if _, _, _, err := buildRecord(ids[j], raws[j], intern); err != nil {
+		_, _, postIDs, err := buildRecord(ids[j], raws[j], intern, scratch)
+		if err != nil {
 			b.Fatal(err)
 		}
+		scratch = postIDs
 	}
 }
 

@@ -17,10 +17,12 @@ package store_test
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"iflex/internal/fault"
+	"iflex/internal/similarity"
 	"iflex/internal/store"
 )
 
@@ -71,11 +73,18 @@ func corpusDump(t *testing.T, s *store.DiskStore) string {
 		if !ok {
 			t.Fatalf("BlockTokens(%s) failed", d.ID())
 		}
-		nt, ok := s.NormTokens(d)
+		ids, ok := s.TokenIDs(d)
 		if !ok {
-			t.Fatalf("NormTokens(%s) failed", d.ID())
+			t.Fatalf("TokenIDs(%s) failed", d.ID())
 		}
-		fmt.Fprintf(&b, "  block=%v norm=%v\n", bt, nt)
+		toks := make([]string, len(ids))
+		for i, id := range ids {
+			toks[i] = s.Token(id)
+		}
+		if want := similarity.Tokens(d.Text()); !slices.Equal(toks, want) {
+			t.Fatalf("%s: token ids name %v, the text has %v", d.ID(), toks, want)
+		}
+		fmt.Fprintf(&b, "  block=%v tokens=%v\n", bt, toks)
 	}
 	for _, tok := range s.SortedTokens() {
 		ords, ok := s.TokenPostings(tok)

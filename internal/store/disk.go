@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"iflex/internal/similarity"
 	"iflex/internal/text"
 )
 
@@ -330,34 +329,46 @@ func (s *DiskStore) readTOC(shard int, f io.ReaderAt, size int64) error {
 	return nil
 }
 
+// recordBufs holds the buffers records are read into, shared by every
+// store and goroutine: a read takes one and gives it back when its
+// decoding is done.
+var recordBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // readRecord reads a document's record bytes (without the recLen
-// prefix), parses the fixed header and verifies the checksum, leaving
-// the reader positioned at the token list.
-func (s *DiskStore) readRecord(ord int) (r *bufReader, pageLen int, err error) {
+// prefix) into a pooled buffer, parses the fixed header, verifies the
+// checksum and calls decode with the reader positioned at the token list
+// and the length of the page part. The buffer goes back to the pool when
+// readRecord returns, on every path: nothing decode keeps may alias it.
+func (s *DiskStore) readRecord(ord int, decode func(r *bufReader, pageLen int) error) error {
 	m := s.meta[ord]
 	if s.closed.Load() {
-		return nil, 0, fmt.Errorf("store is closed")
+		return fmt.Errorf("store is closed")
 	}
-	b := make([]byte, int(m.recLen))
+	bp := recordBufs.Get().(*[]byte)
+	defer recordBufs.Put(bp)
+	if cap(*bp) < int(m.recLen) {
+		*bp = make([]byte, int(m.recLen))
+	}
+	b := (*bp)[:m.recLen]
 	if _, err := s.shards[m.shard].ReadAt(b, int64(m.offset)+4); err != nil {
-		return nil, 0, fmt.Errorf("reading record: %w", err)
+		return fmt.Errorf("reading record: %w", err)
 	}
-	r = &bufReader{b: b}
+	r := bufReader{b: b}
 	idLen := int(r.u32("idLen"))
-	id := string(r.bytes(idLen, "id"))
+	id := r.bytes(idLen, "id")
 	textLen := r.u32("textLen")
-	pageLen = int(r.u32("pageLen"))
+	pageLen := int(r.u32("pageLen"))
 	crc := r.u32("crc")
 	if r.err != nil {
-		return nil, 0, r.err
+		return r.err
 	}
-	if id != m.id || textLen != m.textLen {
-		return nil, 0, fmt.Errorf("record/TOC mismatch for doc %q", m.id)
+	if string(id) != m.id || textLen != m.textLen {
+		return fmt.Errorf("record/TOC mismatch for doc %q", m.id)
 	}
 	if crc32.ChecksumIEEE(b[r.off:]) != crc {
-		return nil, 0, fmt.Errorf("doc %q: record checksum mismatch (corrupt shard?)", m.id)
+		return fmt.Errorf("doc %q: record checksum mismatch (corrupt shard?)", m.id)
 	}
-	return r, pageLen, nil
+	return decode(&r, pageLen)
 }
 
 // loadDoc is the lazy-load callback: read the record, verify the
@@ -365,22 +376,24 @@ func (s *DiskStore) readRecord(ord int) (r *bufReader, pageLen int, err error) {
 // its text exactly the TOC's textLen bytes, every mark and link inside
 // it, nothing after it. Any failure is returned (and surfaces as a
 // per-document quarantine through the engine's fault guard).
-func (s *DiskStore) loadDoc(ord int) (text.DocContent, error) {
-	r, pageLen, err := s.readRecord(ord)
+func (s *DiskStore) loadDoc(ord int) (c text.DocContent, err error) {
+	m := s.meta[ord]
+	err = s.readRecord(ord, func(r *bufReader, pageLen int) error {
+		r.bytes(4*int(r.u32("nTokens")), "tokens")
+		if r.err == nil && len(r.b)-r.off != pageLen {
+			return fmt.Errorf("doc %q: %d bytes after the token list, the record says %d (corrupt shard?)", m.id, len(r.b)-r.off, pageLen)
+		}
+		c = r.page(int(m.textLen))
+		if r.err != nil {
+			return fmt.Errorf("doc %q: %w", m.id, r.err)
+		}
+		if r.off != len(r.b) {
+			return fmt.Errorf("doc %q: %d bytes after the page (corrupt shard?)", m.id, len(r.b)-r.off)
+		}
+		return nil
+	})
 	if err != nil {
 		return text.DocContent{}, err
-	}
-	m := s.meta[ord]
-	r.bytes(4*int(r.u32("nTokens")), "tokens")
-	if r.err == nil && len(r.b)-r.off != pageLen {
-		return text.DocContent{}, fmt.Errorf("doc %q: %d bytes after the token list, the record says %d (corrupt shard?)", m.id, len(r.b)-r.off, pageLen)
-	}
-	c := r.page(int(m.textLen))
-	if r.err != nil {
-		return text.DocContent{}, fmt.Errorf("doc %q: %w", m.id, r.err)
-	}
-	if r.off != len(r.b) {
-		return text.DocContent{}, fmt.Errorf("doc %q: %d bytes after the page (corrupt shard?)", m.id, len(r.b)-r.off)
 	}
 	s.noteLoad(ord)
 	return c, nil
@@ -539,38 +552,37 @@ func (s *DiskStore) NumDocs() int { return len(s.docs) }
 // fails or the record fails its checksum — callers fall back to
 // tokenizing the text, whose load then faults on the same record.
 func (s *DiskStore) BlockTokens(d *text.Document) ([]string, bool) {
-	toks, ok := s.docTokens(d)
-	return distinct(toks), ok
+	ids, ok := s.TokenIDs(d)
+	return distinct(tokenStrings(s, ids)), ok
 }
 
-// NormTokens returns the ordered normalized token sequence of the whole
-// page: the recorded token list under the article rule. Same contract as
+// TokenIDs returns d's recorded token list — similarity.Tokens of its
+// text, in text order — as ids in the store's vocabulary (Token), in a
+// slice the caller owns; non-nil when ok, a page without tokens
+// included. Ids are append-only across commits. Same contract as
 // BlockTokens.
-func (s *DiskStore) NormTokens(d *text.Document) ([]string, bool) {
-	toks, ok := s.docTokens(d)
-	return similarity.NormalizeArticles(toks), ok
-}
-
-// docTokens reads d's recorded token list, in text order.
-func (s *DiskStore) docTokens(d *text.Document) ([]string, bool) {
+func (s *DiskStore) TokenIDs(d *text.Document) (ids []uint32, ok bool) {
 	ord, ok := s.ord[d]
 	if !ok {
 		return nil, false
 	}
-	r, _, err := s.readRecord(ord)
+	err := s.readRecord(ord, func(r *bufReader, _ int) error {
+		ids = make([]uint32, r.count(4, "nTokens"))
+		for i := range ids {
+			if ids[i] = r.u32("token"); int(ids[i]) >= len(s.idx.vocab) {
+				return fmt.Errorf("token id %d outside the vocabulary", ids[i])
+			}
+		}
+		return r.err
+	})
 	if err != nil {
 		return nil, false
 	}
-	out := make([]string, r.count(4, "nTokens"))
-	for i := range out {
-		id := r.u32("token")
-		if int(id) >= len(s.idx.vocab) {
-			return nil, false
-		}
-		out[i] = s.idx.vocab[id]
-	}
-	return out, r.err == nil
+	return ids, true
 }
+
+// Token returns the token of an id TokenIDs returned.
+func (s *DiskStore) Token(id uint32) string { return s.idx.vocab[id] }
 
 // TokenPostings returns the sorted ordinals of live documents whose
 // blocking token set contains tok: the persistent base run filtered by

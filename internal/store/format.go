@@ -35,9 +35,9 @@ import (
 //	u32(recLen) u32(textLen)
 //	u32(idLen) id
 //
-// The token list holds the page text's similarity.Tokens once; both of
-// the index adapter's views derive from it (NormTokens under the article
-// rule, BlockTokens sorted and deduplicated). It lives ahead of the page
+// The token list holds the page text's similarity.Tokens once, as ids;
+// both of the index adapter's views derive from it (TokenIDs as it is,
+// BlockTokens as strings sorted and deduplicated). It lives ahead of the page
 // so the adapter can read a record's tokens without decoding the page
 // itself. The checksum covers both, so a corrupt token list is refused
 // like a corrupt page.

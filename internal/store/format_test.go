@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"iflex/internal/text"
 )
 
 // uvarints encodes gaps as a posting run, bypassing appendDelta's
@@ -299,7 +301,9 @@ func FuzzOpenTokenIndex(f *testing.F) {
 // exactly what the record says — a text of the TOC's length, every mark
 // and link inside it, re-encoding to the record's page bytes, with
 // nothing after the page — and it never panics or allocates out of
-// proportion to the record. The harness recomputes the checksum whenever
+// proportion to the record. TokenIDs fails or returns exactly the
+// record's token list, every id inside the vocabulary, and answers for
+// every record that loads and names only such ids. The harness recomputes the checksum whenever
 // the record's header is whole, so inputs get past it. Seeds are the
 // records of a shard buildStore wrote and testdata/fuzz/FuzzLoadRecord.
 func FuzzLoadRecord(f *testing.F) {
@@ -324,12 +328,24 @@ func FuzzLoadRecord(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		c, err := s.loadDoc(0)
+		ids, idsOK := s.TokenIDs(s.docs[0])
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(rec))+1<<20 {
 			t.Fatalf("allocated %d bytes for a %d-byte record", grew, len(rec))
 		}
+		list, inVocab := recordTokens(rec, len(s.idx.vocab))
+		if idsOK {
+			var w bufWriter
+			w.u32s(ids)
+			if !bytes.Equal(w.b, list) || !inVocab {
+				t.Fatalf("TokenIDs = %v, the record's token list is %x", ids, list)
+			}
+		}
 		if err != nil {
 			return
+		}
+		if !idsOK && inVocab {
+			t.Fatalf("a record that loads, naming only ids in the vocabulary, gave no token ids: %x", rec)
 		}
 		page, ok := recordPage(rec)
 		if !ok {
@@ -358,7 +374,7 @@ func FuzzLoadRecord(f *testing.F) {
 
 // recordStore writes rec as the only record of the shard file fh and
 // returns a store whose TOC says the record holds page id, of textLen
-// bytes of text.
+// bytes of text, and whose vocabulary holds four tokens.
 func recordStore(t *testing.T, fh *os.File, id string, textLen uint32, rec []byte) *DiskStore {
 	if err := fh.Truncate(0); err != nil {
 		t.Fatal(err)
@@ -366,7 +382,31 @@ func recordStore(t *testing.T, fh *os.File, id string, textLen uint32, rec []byt
 	if _, err := fh.WriteAt(append(binary.LittleEndian.AppendUint32(nil, uint32(len(rec))), rec...), 0); err != nil {
 		t.Fatal(err)
 	}
-	return &DiskStore{shards: []*os.File{fh}, meta: []docMeta{{recLen: uint32(len(rec)), textLen: textLen, id: id}}}
+	s := &DiskStore{
+		shards: []*os.File{fh},
+		meta:   []docMeta{{recLen: uint32(len(rec)), textLen: textLen, id: id}},
+		idx:    &tokenIndex{vocab: []string{"w", "x", "y", "z"}},
+	}
+	s.docs = []*text.Document{text.NewLazyDocument(id, int(textLen), func() (text.DocContent, error) { return s.loadDoc(0) })}
+	s.ord = map[*text.Document]int{s.docs[0]: 0}
+	return s
+}
+
+// recordTokens returns the bytes of the token list of a record laid out
+// as buildRecord writes it, and whether the list is whole and names only
+// ids below vocab.
+func recordTokens(rec []byte, vocab int) (list []byte, ok bool) {
+	r := bufReader{b: rec}
+	r.bytes(int(r.u32("idLen")), "id")
+	r.bytes(12, "textLen, pageLen and crc")
+	n := r.count(4, "nTokens")
+	list = r.bytes(4*n, "tokens")
+	for i := 0; i < n && r.err == nil; i++ {
+		if int(binary.LittleEndian.Uint32(list[4*i:])) >= vocab {
+			return list, false
+		}
+	}
+	return list, r.err == nil
 }
 
 // TestLoadDocRejectsMisreadRecord: loadDoc must refuse a record with
@@ -381,7 +421,7 @@ func TestLoadDocRejectsMisreadRecord(t *testing.T) {
 	}
 	defer fh.Close()
 	build := func(raw string) []byte {
-		rec, _, _, err := buildRecord("p", raw, func(string) uint32 { return 0 })
+		rec, _, _, err := buildRecord("p", raw, func([]byte) uint32 { return 0 }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

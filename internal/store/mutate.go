@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -102,12 +103,13 @@ func (m *Mutation) Commit() (*Delta, error) {
 	// leaves the open index untouched; ids continue the store's id space.
 	patch := &deltaPatch{docs: prevDocs + len(m.puts), posts: make(map[uint32][]int)}
 	localIDs := make(map[string]uint32)
-	intern := func(t string) uint32 {
-		if id, ok := s.idx.ids[t]; ok {
+	intern := func(b []byte) uint32 {
+		if id, ok := s.idx.ids[string(b)]; ok {
 			return id
 		}
-		id, ok := localIDs[t]
+		id, ok := localIDs[string(b)]
 		if !ok {
+			t := string(b)
 			id = uint32(prevVocab + len(patch.toks))
 			localIDs[t] = id
 			patch.toks = append(patch.toks, t)
@@ -116,10 +118,12 @@ func (m *Mutation) Commit() (*Delta, error) {
 	}
 
 	// Encode the new records and collect their postings and TOC.
-	var recs [][]byte
-	var newMeta []docMeta
+	recs := make([][]byte, 0, len(m.puts))
+	newMeta := make([]docMeta, 0, len(m.puts))
+	var ids []uint32
 	for i, p := range m.puts {
-		rec, textLen, postIDs, err := buildRecord(p.id, p.raw, intern)
+		rec, textLen, postIDs, err := buildRecord(p.id, p.raw, intern, ids)
+		ids = postIDs
 		if err != nil {
 			return nil, fmt.Errorf("store: mutate: %q: %w", p.id, err)
 		}
@@ -212,9 +216,14 @@ func (m *Mutation) Commit() (*Delta, error) {
 // the shard must be durable before the manifest publish makes it
 // reachable. A crash mid-write leaves a partial shard the manifest never
 // references — an orphan Open sweeps. The file is closed on every path,
-// a failed write's included.
+// a failed write's included. Its buffer holds the whole file, so the
+// shard reaches the file in one write.
 func writeShardFile(fsys FS, path string, recs [][]byte, meta []docMeta) (err error) {
-	sf, err := createShard(fsys, path)
+	size := len(shardMagic) + 4 + 4 + footerSize // header, TOC count, footer
+	for i, rec := range recs {
+		size += 4 + len(rec) + 20 + len(meta[i].id) // recLen, record, TOC entry
+	}
+	sf, err := createShard(fsys, path, bufio.NewWriterSize(nil, size))
 	if err != nil {
 		return fmt.Errorf("store: mutate: create shard: %w", err)
 	}

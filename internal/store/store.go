@@ -13,13 +13,14 @@
 // page. The engine's similarity join consults it directly instead of
 // re-tokenizing the corpus on every run: its blocking index is backed by
 // the posting runs (DocOrdinal/TokenPostings, the engine's PostingsIndex)
-// and whole-page token records come from the stored tokens (NormTokens,
-// the engine's DocIndex). Ingest tokenizes the page text once with the
-// function the engine would apply at query time (similarity.Tokens) and
-// records that one list, in text order; NormTokens derives it under
-// NormalizedTokens' article rule and BlockTokens (for tests and
-// measurements) sorted and deduplicated, so consulting the index is
-// byte-identical to computing on the fly.
+// and whole-page token records come from the stored tokens (TokenIDs and
+// Token, the engine's DocIndex). Ingest tokenizes the page text once with
+// the function the engine would apply at query time (similarity.Tokens)
+// and records that one list, in text order, as ids; TokenIDs hands the
+// ids out as they are, the feature memo maps them to its own and applies
+// the article rule there, and BlockTokens (for tests and measurements)
+// derives the list's strings sorted and deduplicated, so consulting the
+// index is byte-identical to computing on the fly.
 package store
 
 import (
@@ -40,7 +41,8 @@ type MemStore struct {
 
 	once     sync.Once
 	ord      map[*text.Document]int
-	toks     [][]string       // per ordinal: the text's tokens, in text order
+	vocab    *similarity.Vocab
+	toks     [][]uint32       // per ordinal: the text's token ids, in text order
 	postings map[string][]int // blocking token -> sorted doc ordinals
 }
 
@@ -49,17 +51,20 @@ func NewMemStore(docs []*text.Document) *MemStore {
 	return &MemStore{docs: docs}
 }
 
-// index tokenizes every document once, on first index use. Both token
-// views derive from that list as DiskStore's do from a record's.
+// index tokenizes every document once, on first index use, into ids of
+// a vocabulary of its own, as a Writer does at ingest. Both token views
+// derive from that list as DiskStore's do from a record's.
 func (m *MemStore) index() {
 	m.once.Do(func() {
 		m.ord = make(map[*text.Document]int, len(m.docs))
-		m.toks = make([][]string, len(m.docs))
+		m.vocab = similarity.NewVocab()
+		m.toks = make([][]uint32, len(m.docs))
 		m.postings = make(map[string][]int)
 		for i, d := range m.docs {
 			m.ord[d] = i
-			m.toks[i] = similarity.Tokens(d.Text())
-			for _, t := range distinct(slices.Clone(m.toks[i])) {
+			m.toks[i] = m.vocab.AppendTokens(nil, d.Text())
+			for _, id := range similarity.AppendSet(nil, m.toks[i]) {
+				t := m.vocab.Token(id)
 				m.postings[t] = append(m.postings[t], i)
 			}
 		}
@@ -69,28 +74,24 @@ func (m *MemStore) index() {
 // BlockTokens returns the distinct blocking tokens of d (the token set
 // simjoin blocking uses), or false if d is not in this store.
 func (m *MemStore) BlockTokens(d *text.Document) ([]string, bool) {
-	toks, ok := m.docTokens(d)
-	return distinct(slices.Clone(toks)), ok
+	ids, ok := m.TokenIDs(d)
+	return distinct(tokenStrings(m, ids)), ok
 }
 
-// NormTokens returns the ordered normalized token sequence of the whole
-// document (the sequence the prefilter and similarity p-functions use),
-// or false if d is not in this store.
-func (m *MemStore) NormTokens(d *text.Document) ([]string, bool) {
-	toks, ok := m.docTokens(d)
-	return similarity.NormalizeArticles(toks), ok
-}
-
-// docTokens returns d's tokens in text order, or false if d is not in
-// this store.
-func (m *MemStore) docTokens(d *text.Document) ([]string, bool) {
+// TokenIDs returns d's tokens in text order as ids in the store's
+// vocabulary (Token), in a slice the caller owns; nil for a page without
+// tokens. ok is false if d is not in this store.
+func (m *MemStore) TokenIDs(d *text.Document) ([]uint32, bool) {
 	m.index()
 	i, ok := m.ord[d]
 	if !ok {
 		return nil, false
 	}
-	return m.toks[i], true
+	return slices.Clone(m.toks[i]), true
 }
+
+// Token returns the token of an id TokenIDs returned.
+func (m *MemStore) Token(id uint32) string { return m.vocab.Token(id) }
 
 // DocOrdinal returns d's ordinal, the number postings hold, or false if
 // absent. A MemStore never mutates, so it is also d's index in its
@@ -116,6 +117,15 @@ func (m *MemStore) TokenPostings(tok string) ([]int, bool) {
 // DistinctTokens returns the sorted distinct similarity.Tokens of s —
 // the per-document token set the blocking index is built from.
 func DistinctTokens(s string) []string { return distinct(similarity.Tokens(s)) }
+
+// tokenStrings returns the tokens of ids in vocab.
+func tokenStrings(vocab interface{ Token(uint32) string }, ids []uint32) []string {
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = vocab.Token(id)
+	}
+	return out
+}
 
 // distinct sorts toks in place and returns its distinct prefix.
 func distinct(toks []string) []string {

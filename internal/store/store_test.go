@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"iflex/internal/corpus"
+	"iflex/internal/feature"
 	"iflex/internal/markup"
 	"iflex/internal/similarity"
 	"iflex/internal/text"
@@ -83,14 +84,36 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStoredPageMatchesParse: a record stores the page ingest parsed,
-// so loading it decodes exactly what parsing its source yields, and its
-// token lists are exactly the tokens of the loaded text — over every
-// page of a generated Books corpus and 200 DBLife pages, plus the sample
-// pages (the generators write no links) and pages a leading or trailing
-// article normalizes.
-func TestStoredPageMatchesParse(t *testing.T) {
-	ids, raws := samplePages(25)
+// tokenView is what idx says d's similarity.Tokens are: its token ids
+// mapped through its tokens.
+func tokenView(idx feature.TokenIndex, d *text.Document) ([]string, bool) {
+	ids, ok := idx.TokenIDs(d)
+	if !ok {
+		return nil, false
+	}
+	return tokenStrings(idx, ids), true
+}
+
+// checkIndexRecords fails t unless memo's record of d's whole page from
+// idx is the record memo interns from similarity.NormalizedTokens(txt),
+// d's text. A page without tokens may be left to the record table.
+func checkIndexRecords(t *testing.T, memo *feature.Memo, idx feature.TokenIndex, d *text.Document, txt string) {
+	t.Helper()
+	want := memo.Vocab().Record(similarity.NormalizedTokens(txt))
+	recs, ok := memo.IndexRecords(text.ExactOf(d.WholeSpan()), idx)
+	if !ok && len(want.Ord) == 0 {
+		return
+	}
+	if !ok || len(recs) != 1 || !slices.Equal(recs[0].Ord, want.Ord) || !slices.Equal(recs[0].Set, want.Set) {
+		t.Fatalf("%s: indexed record %v (ok=%t), interned from the text %v", d.ID(), recs, ok, want)
+	}
+}
+
+// storedPages is a store's test set: every page of a generated Books
+// corpus and 200 DBLife pages, plus the sample pages (the generators
+// write no links) and pages a leading or trailing article normalizes.
+func storedPages(t *testing.T) (ids, raws []string) {
+	ids, raws = samplePages(25)
 	ids = append(ids, "article-first", "article-last", "article-only")
 	raws = append(raws, "<b>The Godfather</b> Part II", "Godfather, <i>The</i>", "a")
 	books := corpus.Books(corpus.BooksConfig{Records: 150, Seed: 3})
@@ -106,6 +129,15 @@ func TestStoredPageMatchesParse(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	return ids, raws
+}
+
+// TestStoredPageMatchesParse: a record stores the page ingest parsed,
+// so loading it decodes exactly what parsing its source yields, and its
+// token list is exactly the tokens of the loaded text, as strings and as
+// the memo's whole-page record, over every page of storedPages.
+func TestStoredPageMatchesParse(t *testing.T) {
+	ids, raws := storedPages(t)
 	dir := t.TempDir()
 	buildStore(t, dir, ids, raws, 128)
 	s, err := Open(dir, OpenOptions{})
@@ -116,6 +148,7 @@ func TestStoredPageMatchesParse(t *testing.T) {
 	if s.Len() != len(ids) || len(ids) != 528 {
 		t.Fatalf("store holds %d of %d pages", s.Len(), len(ids))
 	}
+	memo := feature.NewMemo()
 	for i, id := range ids {
 		want, err := markup.ParseContent(id, raws[i])
 		if err != nil {
@@ -129,9 +162,10 @@ func TestStoredPageMatchesParse(t *testing.T) {
 		if toks, ok := s.BlockTokens(d); !ok || !slices.Equal(toks, DistinctTokens(got.Text)) {
 			t.Errorf("%s: BlockTokens = %v, %v; the text has %v", id, toks, ok, DistinctTokens(got.Text))
 		}
-		if toks, ok := s.NormTokens(d); !ok || !slices.Equal(toks, similarity.NormalizedTokens(got.Text)) {
-			t.Errorf("%s: NormTokens = %v, %v; the text has %v", id, toks, ok, similarity.NormalizedTokens(got.Text))
+		if toks, ok := tokenView(s, d); !ok || !slices.Equal(toks, similarity.Tokens(got.Text)) {
+			t.Errorf("%s: token ids name %v, %v; the text has %v", id, toks, ok, similarity.Tokens(got.Text))
 		}
+		checkIndexRecords(t, memo, s, d, got.Text)
 	}
 }
 
@@ -162,13 +196,13 @@ func TestDiskStoreTokenIndexMatchesMem(t *testing.T) {
 		if !reflect.DeepEqual(bt, wantBT) {
 			t.Fatalf("doc %d: block tokens %v != %v", i, bt, wantBT)
 		}
-		nt, ok := s.NormTokens(d)
+		view, ok := tokenView(s, d)
 		if !ok {
-			t.Fatalf("doc %d: NormTokens not ok", i)
+			t.Fatalf("doc %d: TokenIDs not ok", i)
 		}
-		wantNT, _ := mem.NormTokens(eager[i])
-		if !reflect.DeepEqual(nt, wantNT) {
-			t.Fatalf("doc %d: norm tokens %v != %v", i, nt, wantNT)
+		wantView, _ := tokenView(mem, eager[i])
+		if !reflect.DeepEqual(view, wantView) || !slices.Equal(view, similarity.Tokens(eager[i].Text())) {
+			t.Fatalf("doc %d: token ids name %v, the memory store's %v", i, view, wantView)
 		}
 		if d.Loaded() {
 			t.Fatalf("doc %d: token queries paged the document in", i)
@@ -410,8 +444,8 @@ func TestDiskStoreCorruptTokenListRefused(t *testing.T) {
 	if toks, ok := s.BlockTokens(d); ok {
 		t.Errorf("BlockTokens of the corrupt record = %v, ok", toks)
 	}
-	if toks, ok := s.NormTokens(d); ok {
-		t.Errorf("NormTokens of the corrupt record = %v, ok", toks)
+	if ids, ok := s.TokenIDs(d); ok {
+		t.Errorf("TokenIDs of the corrupt record = %v, ok", ids)
 	}
 	if toks, ok := s.BlockTokens(a); !ok || !reflect.DeepEqual(toks, []string{"alpha", "beta", "gamma"}) {
 		t.Errorf("BlockTokens of the intact record = %v, %v", toks, ok)

@@ -54,6 +54,10 @@ type Writer struct {
 
 	shard    *shardFile
 	shardIdx int
+	// buf buffers every file the writer writes, its shards and tokens.idx,
+	// one at a time; ids is buildRecord's scratch token id list.
+	buf *bufio.Writer
+	ids []uint32
 
 	vocab    []string          // token id -> token
 	vocabIDs map[string]uint32 // token -> id
@@ -89,6 +93,7 @@ func Create(dir string, opts Options) (*Writer, error) {
 		opts:     opts,
 		fs:       opts.FS,
 		vocabIDs: make(map[string]uint32),
+		buf:      bufio.NewWriterSize(nil, 1<<20),
 		man:      Manifest{Version: version, ShardDocs: opts.ShardDocs},
 	}
 	if err := w.openShard(); err != nil {
@@ -113,13 +118,16 @@ type shardFile struct {
 	docs int
 }
 
-// createShard creates the shard file at path and writes its header.
-func createShard(fsys FS, path string) (*shardFile, error) {
+// createShard creates the shard file at path and writes its header
+// through buf, which it resets to the file: the shard has the buffer
+// until it is sealed.
+func createShard(fsys FS, path string, buf *bufio.Writer) (*shardFile, error) {
 	f, err := fsys.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	sf := &shardFile{f: f, buf: bufio.NewWriterSize(f, 1<<20)}
+	buf.Reset(f)
+	sf := &shardFile{f: f, buf: buf}
 	var hdr bufWriter
 	hdr.str(shardMagic)
 	hdr.u32(version)
@@ -165,7 +173,7 @@ func (sf *shardFile) seal() error {
 }
 
 func (w *Writer) openShard() error {
-	sf, err := createShard(w.fs, filepath.Join(w.dir, shardName(w.shardIdx)))
+	sf, err := createShard(w.fs, filepath.Join(w.dir, shardName(w.shardIdx)), w.buf)
 	if err != nil {
 		return fmt.Errorf("store: create shard: %w", err)
 	}
@@ -181,11 +189,13 @@ func (w *Writer) sealShard() error {
 	return w.shard.f.Close()
 }
 
-// tokenID interns a token, growing the vocabulary.
-func (w *Writer) tokenID(tok string) uint32 {
-	if id, ok := w.vocabIDs[tok]; ok {
+// tokenID interns a token, growing the vocabulary; only a new token is
+// made a string.
+func (w *Writer) tokenID(b []byte) uint32 {
+	if id, ok := w.vocabIDs[string(b)]; ok {
 		return id
 	}
+	tok := string(b)
 	id := uint32(len(w.vocab))
 	w.vocabIDs[tok] = id
 	w.vocab = append(w.vocab, tok)
@@ -195,21 +205,19 @@ func (w *Writer) tokenID(tok string) uint32 {
 }
 
 // buildRecord parses one page's markup and encodes its shard record
-// bytes (everything after the recLen prefix). intern maps tokens to
-// ids, growing the vocabulary. The text is tokenized and each token
-// interned once, in text order; the page's distinct token ids, which
-// callers post to the inverted index, are that id list sorted and
-// compacted.
-func buildRecord(id, raw string, intern func(string) uint32) (rec []byte, textLen int, postIDs []uint32, err error) {
+// bytes (everything after the recLen prefix). intern maps a token, as
+// bytes valid only during the call, to its id, growing the vocabulary.
+// The text is tokenized and each token interned once, in text order, into
+// ids[:0]; the page's distinct token ids, which callers post to the
+// inverted index, are that id list sorted and compacted, in ids' array:
+// a caller that posts them before its next call passes them back as ids.
+func buildRecord(id, raw string, intern func([]byte) uint32, ids []uint32) (rec []byte, textLen int, postIDs []uint32, err error) {
 	c, err := markup.ParseContent(id, raw)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, ids, err
 	}
-	toks := similarity.Tokens(c.Text)
-	ids := make([]uint32, len(toks))
-	for i, t := range toks {
-		ids[i] = intern(t)
-	}
+	ids = ids[:0]
+	similarity.EachToken(c.Text, func(tok []byte) { ids = append(ids, intern(tok)) })
 	size := 28 + len(id) + 4*len(ids) + len(c.Text) + 12*(len(c.Marks)+len(c.Links))
 	for _, l := range c.Links {
 		size += len(l.Target)
@@ -240,7 +248,8 @@ func (w *Writer) Add(id, raw string) error {
 	if w.err != nil {
 		return w.err
 	}
-	rec, textLen, postIDs, err := buildRecord(id, raw, w.tokenID)
+	rec, textLen, postIDs, err := buildRecord(id, raw, w.tokenID, w.ids)
+	w.ids = postIDs
 	if err != nil {
 		return w.fail(err)
 	}
@@ -327,7 +336,8 @@ func (w *Writer) writeIndex() error {
 	return atomicWriteFile(w.fs, filepath.Join(w.dir, indexName), func(f io.Writer) error {
 		// A bufio.Writer keeps its first error: the writes after it do
 		// nothing and Flush returns it.
-		buf := bufio.NewWriterSize(f, 1<<20)
+		buf := w.buf
+		buf.Reset(f)
 		_, _ = buf.Write(hdr.b)
 		_, _ = buf.Write(offs.b)
 		for _, run := range w.postings {
