@@ -519,7 +519,7 @@ func (c *compiler) combine(cur, n Node) Node {
 func appliedBelow(steps []step, attr string) []*feature.Cons {
 	for j := len(steps) - 1; j >= 0; j-- {
 		if cn, ok := steps[j].node.(*constraintNode); ok && cn.attr == attr {
-			return cn.prior[:len(cn.prior)+len(cn.cons)]
+			return cn.cons
 		}
 	}
 	return nil

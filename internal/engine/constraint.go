@@ -18,18 +18,14 @@ import (
 //	              sub-spans
 //
 // What Refine produced is then re-checked against every constraint applied
-// to attr before it (prior, then the run's earlier stages), as a narrower
-// span may violate one; refineCell says which re-checks it can skip, and it
-// may skip them because the cell entering a stage is always refined under
-// the constraints before it (newConstraintNode).
+// to attr before it, as a narrower span may violate one; refineCell says
+// which re-checks it can skip, and it may skip them because the cell
+// entering a stage is always refined under the stages before it.
 //
-// A run evaluates in one pass: per input tuple, stage i makes the call a
-// chain of one-constraint nodes would make, refineCell(cell, cons[i],
-// prior+cons[:i+1]), and stops at the first empty cell. Cells, drops,
-// tuple order and the Verify/Refine call sequence are the chain's; only
-// the chain's intermediate tables are never built. The node is interned as
-// the chain's top node would be, last constraint over the run below it, so
-// every prefix of a run is the node the chain has for that stage (prev).
+// A run evaluates in one pass: per input tuple, stage i is
+// refineCell(cell, cons[i], cons[:i+1]), and the tuple stops at the first
+// empty cell. The node is interned as its last constraint over the run of
+// the others, so every prefix of a run is a node of its own (prev).
 //
 // The constraints are the handles the compiler interned in the Env's
 // memo (feature.Memo.Intern), compared by pointer.
@@ -37,10 +33,9 @@ type constraintNode struct {
 	ident
 	parent Node
 	attr   string
-	// prior and cons are one array, prior first, listing every constraint on
-	// attr through the run's last; stage i re-checks the first len(prior)+i+1.
-	// Only the StackRunsForTest chain has a prior: Compile and edits never do.
-	prior, cons []*feature.Cons
+	// cons lists every constraint on attr through the run's last; stage i
+	// re-checks the first i+1.
+	cons []*feature.Cons
 	// prev is the run cut before its last stage, nil for a run of one. Eval
 	// probes the cache under the prefixes for the predecessor that covers
 	// the most stages (runPriorLocked).
@@ -67,26 +62,21 @@ func newConstraintNode(env *Env, parent Node, attr string, applied []*feature.Co
 	h := cat(make([]byte, 0, headCap), "constrain[", last.Feature.Name(), "(", attr, ")=")
 	h = append(strconv.AppendQuote(h, last.Value), ']')
 	return env.nodes.intern(h, OpConstraint, func() Node {
-		n := &constraintNode{parent: parent, attr: attr}
-		if p, ok := parent.(*constraintNode); ok && np > 0 && !stackRuns {
-			n.parent, n.prev, np = p.parent, p, len(p.prior)
+		n := &constraintNode{parent: parent, attr: attr, cons: all}
+		if np > 0 {
+			p := parent.(*constraintNode)
+			n.parent, n.prev = p.parent, p
 		}
-		n.prior, n.cons = all[:np], all[np:]
 		return n
 	}, parent).(*constraintNode)
 }
 
 // appliedRun reports whether parent is a run on attr that has applied
-// exactly prior (compared in place): the run a stage extends.
-func appliedRun(parent Node, attr string, prior []*feature.Cons) bool {
+// exactly earlier: the run a stage extends.
+func appliedRun(parent Node, attr string, earlier []*feature.Cons) bool {
 	p, ok := parent.(*constraintNode)
-	return ok && p.attr == attr && len(prior) == len(p.prior)+len(p.cons) && slices.Equal(prior, p.prior[:len(prior)])
+	return ok && p.attr == attr && slices.Equal(earlier, p.cons)
 }
-
-// stackRuns makes newConstraintNode build the chain of one-stage nodes a
-// run replaces, one node per stage. Only tests set it: the chain is the
-// oracle every run is compared with.
-var stackRuns bool
 
 func (n *constraintNode) Columns() []string { return n.parent.Columns() }
 
@@ -96,8 +86,7 @@ func (n *constraintNode) Children() []Node { return []Node{n.parent} }
 func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins []*compact.Table) (*compact.Table, error) {
 	in := ins[0]
 	ci := colIndex(in.Cols, n.attr)
-	np, stages := len(n.prior), len(n.cons)
-	all := n.prior[:np+stages]
+	stages := len(n.cons)
 	// Tuples refine independently (features are pure, the record tables are
 	// concurrency-safe), so the loop fans out. The memo depends only on the
 	// constrained attribute's cell: a tuple whose other columns were refined
@@ -129,7 +118,7 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins [
 					for st := int(s); st < stages; st++ {
 						batch.ConstraintStages++
 						var ferr error
-						if c, ferr = refineCell(batch, &sc, c, all[np+st], all[:np+st+1]); ferr != nil {
+						if c, ferr = refineCell(batch, &sc, c, n.cons[st], n.cons[:st+1]); ferr != nil {
 							return ferr
 						}
 						if len(c.Assigns) == 0 {
@@ -149,8 +138,8 @@ func (n *constraintNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState, ins [
 					return runOut{}, false, true, nil
 				}
 			}
-			// The stage tables a chain would have built below this node's
-			// output hold the tuple once per survived stage but the last.
+			// The tables between the stages, which the run never builds, hold
+			// the tuple once per survived stage but the last.
 			if m := min(int(o.stages), stages-1); m > 0 {
 				sum := int(o.stageSum)
 				if int(o.stages) == stages {

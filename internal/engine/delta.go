@@ -386,16 +386,14 @@ func correspond(o, n Node, links map[NodeID]deltaLink) {
 // local parameters — the condition under which a per-tuple outcome from
 // the old node is valid for the new one (their inputs may differ; that is
 // exactly what the per-tuple memo absorbs). Their heads say that, with one
-// exception: a constraint run's head names only its last stage, and runs
-// must agree on the prior constraint list, because refinement re-checks
-// refined spans against it, and the old run's stages must open the new
-// run's: the memo then holds each tuple's outcome after exactly those
-// stages, and the new run resumes behind them.
+// exception: a constraint run's head names only its last stage, and the old
+// run's stages must open the new run's: the memo then holds each tuple's
+// outcome after exactly those stages, and the new run resumes behind them.
 func sameShape(o, n Node) bool {
 	a, aok := o.(*constraintNode)
 	b, bok := n.(*constraintNode)
 	if aok && bok {
-		return a.attr == b.attr && slices.Equal(a.prior, b.prior) && len(a.cons) <= len(b.cons) && slices.Equal(a.cons, b.cons[:len(a.cons)])
+		return a.attr == b.attr && len(a.cons) <= len(b.cons) && slices.Equal(a.cons, b.cons[:len(a.cons)])
 	}
 	return o.identity().head == n.identity().head
 }

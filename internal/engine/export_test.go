@@ -7,18 +7,8 @@ import (
 	"strings"
 
 	"iflex/internal/compact"
+	"iflex/internal/feature"
 )
-
-// StackRunsForTest makes every constraint node built until restore is
-// called a one-stage node over the constraint node below it — the chain a
-// run replaces, which the run tests use as their oracle. Tests that call it
-// must not run in parallel with tests that compile plans, and must build the
-// chain against an Env of its own: a chain node and the run it stands for
-// are interned under one key.
-func StackRunsForTest() (restore func()) {
-	stackRuns = true
-	return func() { stackRuns = false }
-}
 
 // NoAdoptForTest turns adoption off until restore is called, so that
 // every linked node runs its operator: the oracle adoption is compared
@@ -43,11 +33,13 @@ func DisableDeltaForTest(ctx *Context) { ctx.deltaOn = false }
 
 // CachedTable is one result table resident in a context's cache: the
 // document subset of the mode it was evaluated under (nil for the whole
-// corpus), its node, and the table.
+// corpus), its node, the table, and what SumAssignments adds for the
+// tables between a constraint run's stages (0 for any other node).
 type CachedTable struct {
-	Filter map[string]bool
-	Node   Node
-	Table  *compact.Table
+	Filter       map[string]bool
+	Node         Node
+	Table        *compact.Table
+	StageAssigns int
 }
 
 // CachedTablesForTest lists the result tables ctx's cache holds, in no
@@ -66,7 +58,7 @@ func CachedTablesForTest(ctx *Context) []CachedTable {
 		if mode.subset {
 			filter = maps.Clone(mode.in)
 		}
-		out = append(out, CachedTable{Filter: filter, Node: e.node, Table: e.table})
+		out = append(out, CachedTable{Filter: filter, Node: e.node, Table: e.table, StageAssigns: int(e.trace.stageAsg.Load())})
 	}
 	return out
 }
@@ -83,13 +75,13 @@ func InternedForTest(env *Env) []Node {
 	return out
 }
 
-// PriorForTest returns how many constraints n re-checks ahead of its own
-// stages (a constraint node's prior), and 0 for any other node.
-func PriorForTest(n Node) int {
-	if c, ok := n.(*constraintNode); ok {
-		return len(c.prior)
+// RunForTest returns the attribute a constraint run refines and every
+// constraint it applies, in stage order; ok is false for any other node.
+func RunForTest(n Node) (attr string, cons []*feature.Cons, ok bool) {
+	if c, is := n.(*constraintNode); is {
+		return c.attr, c.cons, true
 	}
-	return 0
+	return "", nil, false
 }
 
 // RebuildForTest calls the constructor of n, a node built against env, with
@@ -112,7 +104,7 @@ func RebuildForTest(env *Env, n Node) Node {
 		return newAnnotateNode(env, t.parent, t.exists, t.annotate)
 	case *constraintNode:
 		// Its key names the run it extends, not the run's input.
-		return newConstraintNode(env, t.kids[0], t.attr, t.prior[:len(t.prior)+len(t.cons)])
+		return newConstraintNode(env, t.kids[0], t.attr, t.cons)
 	case *compareNode:
 		return newCompareNode(env, t.parent, t.cmp)
 	case *funcNode:

@@ -52,6 +52,17 @@ func TestSharedRowsNeverMutated(t *testing.T) {
 	}
 }
 
+// subsetKey names the document subset of a cached table's mode: the sorted
+// page ids, or the whole corpus for a nil filter.
+func subsetKey(filter map[string]bool) string {
+	ids := make([]string, 0, len(filter))
+	for id := range filter {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return fmt.Sprint(filter != nil, ids)
+}
+
 // checkCachedTables evaluates the node of every table ctx holds in a fresh
 // context per document subset, children before parents (a node is built,
 // and numbered, after its inputs), and compares renderings as it goes.
@@ -59,12 +70,7 @@ func checkCachedTables(t *testing.T, where string, env *engine.Env, ctx *engine.
 	t.Helper()
 	bySubset := map[string][]engine.CachedTable{}
 	for _, e := range engine.CachedTablesForTest(ctx) {
-		ids := make([]string, 0, len(e.Filter))
-		for id := range e.Filter {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		k := fmt.Sprint(e.Filter != nil, ids)
+		k := subsetKey(e.Filter)
 		bySubset[k] = append(bySubset[k], e)
 	}
 	if len(bySubset) < 2 {

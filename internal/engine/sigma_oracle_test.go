@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -118,7 +119,9 @@ func genSigmaCase(r *rand.Rand, reg *feature.Registry, i int) sigmaCase {
 // a precise world is among the result's. Under existence annotation the
 // result's maybe flags are ψ's output and are read as they are. Then the
 // first metamorphic law: the result expands to no row the program without
-// its last constraint does not.
+// its last constraint does not. Last the precision law: every exact
+// assignment of a result cell verifies under every constraint on its
+// attribute, asked of the registry's feature itself.
 func checkSigmaCase(t *testing.T, c sigmaCase) {
 	t.Helper()
 	reg := feature.NewRegistry()
@@ -169,6 +172,24 @@ func checkSigmaCase(t *testing.T, c sigmaCase) {
 		if !widerRows[row] {
 			t.Fatalf("page %q\nprogram:\n%sexpands to the row %s, which it does not without its last constraint:\n%s\nresult:\n%s\nwithout it:\n%s",
 				c.page.Text(), src, row, shorter.program(), res, wider)
+		}
+	}
+	for _, k := range c.cons {
+		f, err := reg.Lookup(k.Feature)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ci := slices.Index(res.Cols, k.Attr)
+		for _, tp := range res.Tuples {
+			for _, a := range tp.Cells[ci].Assigns {
+				if a.Mode != text.Exact {
+					continue
+				}
+				if ok, err := f.Verify(a.Span, k.Value); err != nil || !ok {
+					t.Fatalf("page %q\nprogram:\n%sthe result holds %s, which %s(%s) = %q does not verify (err %v):\n%s",
+						c.page.Text(), src, a, k.Feature, k.Attr, k.Value, err, res)
+				}
+			}
 		}
 	}
 }
