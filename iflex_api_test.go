@@ -7,18 +7,21 @@ import (
 	"testing"
 
 	"iflex"
+	"iflex/internal/store"
 )
+
+// apiPages are the pages apiEnv binds, by id a, b, c.
+var apiPages = []string{
+	"Item A<br>Price: <b>120</b>",
+	"Item B<br>Price: <b>80</b>",
+	"Item C<br>Price: <b>300</b>",
+}
 
 func apiEnv(t *testing.T) *iflex.Env {
 	t.Helper()
 	env := iflex.NewEnv()
-	pages := []string{
-		"Item A<br>Price: <b>120</b>",
-		"Item B<br>Price: <b>80</b>",
-		"Item C<br>Price: <b>300</b>",
-	}
 	var docs []*iflex.Document
-	for i, src := range pages {
+	for i, src := range apiPages {
 		d, err := iflex.ParseDocument(string(rune('a'+i)), src)
 		if err != nil {
 			t.Fatal(err)
@@ -172,5 +175,86 @@ func TestParseErrorsSurface(t *testing.T) {
 	// unterminated *tag* is an error.
 	if _, err := iflex.ParseDocument("d", "hello <b world"); err == nil {
 		t.Error("bad markup should fail to parse")
+	}
+}
+
+// TestPublicOpenStore: a store built by a Writer from apiPages, opened
+// through the facade and bound with BindStore, gives the table the
+// in-memory pages give, with no resident budget and with one so small
+// that pages are released and re-read.
+func TestPublicOpenStore(t *testing.T) {
+	dir := t.TempDir()
+	w, err := store.Create(dir, store.Options{ShardDocs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, src := range apiPages {
+		if err := w.Add(string(rune('a'+i)), src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := iflex.Run(iflex.MustParseProgram(apiProg), apiEnv(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int64{0, 1} {
+		st, err := iflex.OpenStore(dir, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := iflex.NewEnv()
+		env.BindStore("pages", "x", st)
+		got, err := iflex.Run(iflex.MustParseProgram(apiProg), env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Rendering reads the pages, so the store closes after it.
+		if got.Canonical() != want.Canonical() {
+			t.Fatalf("budget %d: the store gives\n%s\nthe in-memory pages give\n%s", budget, got, want)
+		}
+		st.TrimWait()
+		if budget > 0 && st.Releases() == 0 {
+			t.Errorf("budget %d: %d loads and no page released", budget, st.Loads())
+		}
+		st.Close()
+	}
+	if _, err := iflex.OpenStore(filepath.Join(dir, "missing"), 0); err == nil {
+		t.Error("OpenStore of a directory without a store should fail")
+	}
+}
+
+// TestPublicExampleOracle runs a session to its end with every answer
+// derived from one marked example price, and keeps both prices above 100.
+func TestPublicExampleOracle(t *testing.T) {
+	env := apiEnv(t)
+	d := env.Tables["pages"].Tuples[0].Cells[0].Assigns[0].Span.Doc()
+	i := strings.Index(d.Text(), "120")
+	if d.ID() != "a" || i < 0 {
+		t.Fatalf("page %s: %q", d.ID(), d.Text())
+	}
+	oracle := iflex.ExampleOracle(env, map[iflex.AttrRef][]iflex.Span{
+		{Pred: "extractPrice", Var: "p"}: {d.Span(i, i+3)},
+	})
+	session := iflex.NewSession(env, iflex.MustParseProgram(apiProg), oracle, iflex.SessionConfig{
+		Strategy: iflex.SimulationStrategy,
+	})
+	res, err := session.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.QuestionsAsked == 0 || !res.Converged || res.FinalTuples != 2 {
+		t.Fatalf("asked %d questions, converged %v, %d tuples:\n%s", res.QuestionsAsked, res.Converged, res.FinalTuples, res.Final)
+	}
+	for _, price := range []string{"120", "300"} {
+		kept := false
+		for _, tp := range res.Final.Tuples {
+			kept = kept || tp.Cells[1].CoversTextValue(price)
+		}
+		if !kept {
+			t.Errorf("price %s lost:\n%s\nprogram:\n%s", price, res.Final, session.Program())
+		}
 	}
 }

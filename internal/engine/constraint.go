@@ -194,23 +194,26 @@ func tupleAssignments(tp compact.Tuple) int {
 // that a chunk's worker reuses them from tuple to tuple and stage to stage,
 // and the worker's way to the documents' record tables.
 type refineScratch struct {
-	a, b, before, settled []text.Assignment
-	docs                  docCursor
+	a, b, settled []text.Assignment
+	docs          docCursor
 }
 
 // refineCell computes c' = ∪ A(k, m_i(s_i)) for the new constraint k, then
-// iterates the full constraint set to a fixpoint (at most three rounds) so
-// that every exact span satisfies all constraints and every contain span is
-// the result of refining under all of them. Only the returned cell
-// allocates, and only when it differs from c: a stage that leaves a
-// canonical list as it found it returns c itself.
-// c is already refined under all[:len(all)-1]: what k leaves as it is
-// settles, and only the rest enters the fixpoint, where every assignment
-// lies in one that passed each constraint (inherited). A round skips what
-// cannot change the list while it is the one the round found (same): a
-// self-stable k, and in the first, a hereditary prior when k is declared
-// (its spans are token-aligned). Were c not refined in truth, these would
-// skip only re-checks: a superset, never less.
+// re-checks what k changed once against each constraint in all, so that
+// every exact span satisfies all constraints and every contain span is the
+// result of refining under all of them. One pass is the re-check Section 4.2
+// asks for: c is already refined under all[:len(all)-1], so a span the pass
+// keeps lies in the conjunction of the constraints' languages, and no
+// further pass narrows it (TestRefineCellTrustsRefinedCells holds this to a
+// reference that repeats the pass). Only the returned cell allocates, and
+// only when it differs from c: a stage that leaves a canonical list as it
+// found it returns c itself.
+// What k leaves as it is settles, and only the rest is re-checked, where
+// every assignment lies in one that passed each constraint (inherited). The
+// pass skips what cannot change the list while it is the one k returned
+// (same): a self-stable k, and a hereditary prior when k is declared (its
+// spans are token-aligned). Were c not refined in truth, these would skip
+// only re-checks: a superset, never less.
 func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k *feature.Cons, all []*feature.Cons) (compact.Cell, error) {
 	as, settled, spare := sc.a[:0], sc.settled[:0], sc.b
 	var err error
@@ -223,43 +226,23 @@ func refineCell(batch *statBatch, sc *refineScratch, c compact.Cell, k *feature.
 			as, settled = as[:n], append(settled, a)
 		}
 	}
-	for round := 0; round < 3; round++ {
-		sc.before = append(sc.before[:0], as...)
-		same := true
-		for _, kc := range all {
-			if same && (kc == k && k.SelfStable || round == 0 && kc.Hereditary && k.Declared) {
-				continue
-			}
-			next, err := applyConstraint(batch, &sc.docs, kc, as, spare[:0], kc.Hereditary)
-			if err != nil {
-				return compact.Cell{}, err
-			}
-			same = same && slices.Equal(next, as)
-			as, spare = next, as
+	same := true
+	for _, kc := range all {
+		if same && (kc == k && k.SelfStable || kc.Hereditary && k.Declared) {
+			continue
 		}
-		if same || assignmentsStable(sc.before, as, &spare) {
-			break
+		next, err := applyConstraint(batch, &sc.docs, kc, as, spare[:0], kc.Hereditary)
+		if err != nil {
+			return compact.Cell{}, err
 		}
+		same = same && slices.Equal(next, as)
+		as, spare = next, as
 	}
 	sc.a, sc.b, sc.settled = as, spare, append(settled, as...)
 	if slices.Equal(sc.settled, c.Assigns) && text.CanonicalAssignments(c.Assigns) {
 		return c, nil
 	}
 	return compact.Cell{Assigns: text.DedupAssignments(sc.settled), Expand: c.Expand}, nil
-}
-
-// assignmentsStable is refineCell's fixpoint test for a round that changed
-// the list on the way: it ends up where it started when it holds the same
-// (mode, span) multiset as before it. The lists are compared sorted: before
-// in place, after as a copy in *tmp, which must alias neither.
-func assignmentsStable(before, after []text.Assignment, tmp *[]text.Assignment) bool {
-	if len(before) != len(after) {
-		return false
-	}
-	*tmp = append((*tmp)[:0], after...)
-	slices.SortFunc(before, text.CompareAssignments)
-	slices.SortFunc(*tmp, text.CompareAssignments)
-	return slices.Equal(before, *tmp)
 }
 
 // applyConstraint applies one constraint to a list of assignments,

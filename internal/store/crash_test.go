@@ -190,7 +190,7 @@ func crashMutationScenario(t *testing.T, preGens int) {
 		t.Fatalf("only %d crash states enumerated (ops: %v)", len(states), cfs.OpLog())
 	}
 	scratch := t.TempDir()
-	var sawG, sawG1 int
+	var sawG, sawG1, swept int
 	for i, st := range states {
 		sdir := filepath.Join(scratch, fmt.Sprintf("state-%04d", i))
 		if err := st.Materialize(sdir); err != nil {
@@ -212,11 +212,15 @@ func crashMutationScenario(t *testing.T, preGens int) {
 			t.Fatalf("state %q: recovered to generation %d, want %d or %d",
 				st.Desc, g, preGens, preGens+1)
 		}
-		got := corpusDump(t, rs)
+		got, notes := corpusDump(t, rs), rs.Recovery()
 		rs.Close()
 		if got != want {
 			t.Fatalf("state %q: recovered corpus differs from its generation's reference:\n--- got ---\n%s--- want ---\n%s",
 				st.Desc, got, want)
+		}
+		if slices.ContainsFunc(notes, func(n string) bool { return strings.HasPrefix(n, "swept orphan") }) {
+			recoverUnderCrash(t, st, rs.Generation(), want)
+			swept++
 		}
 		// Recovery must be idempotent: a second open repairs nothing new
 		// and sees the same corpus.
@@ -235,6 +239,56 @@ func crashMutationScenario(t *testing.T, preGens int) {
 	if sawG == 0 || sawG1 == 0 {
 		t.Fatalf("enumeration never exercised both outcomes: %d states at gen %d, %d at gen %d",
 			sawG, preGens, sawG1, preGens+1)
+	}
+	if swept == 0 {
+		t.Fatal("no crash state's reopen swept an orphan: recovery itself was never crashed")
+	}
+}
+
+// recoverUnderCrash crashes the recovery of st: it reopens st through a
+// CrashFS, so that the reopen's own removes (the orphan sweep) and
+// writes (a rollback's manifest) are recorded, and requires every state a
+// power cut during that reopen could leave to reopen to gen and the
+// corpus want, which the first recovery of st reached.
+func recoverUnderCrash(t *testing.T, st fault.CrashState, gen int, want string) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := st.Materialize(dir); err != nil {
+		t.Fatalf("state %q: materialize: %v", st.Desc, err)
+	}
+	cfs, err := fault.NewCrashFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := store.Open(dir, store.OpenOptions{FS: cfs})
+	if err != nil {
+		t.Fatalf("state %q: Open through a CrashFS failed: %v", st.Desc, err)
+	}
+	got, g := corpusDump(t, s), s.Generation()
+	s.Close()
+	if g != gen || got != want {
+		t.Fatalf("state %q: recovery through a CrashFS reached generation %d, want %d, or another corpus", st.Desc, g, gen)
+	}
+	ops := cfs.OpLog()
+	if !slices.ContainsFunc(ops, func(op string) bool { return strings.HasPrefix(op, "remove ") }) {
+		t.Fatalf("state %q: the sweeping reopen recorded no remove: %v", st.Desc, ops)
+	}
+	scratch := t.TempDir()
+	for i, rst := range cfs.States(0) {
+		sdir := filepath.Join(scratch, fmt.Sprintf("state-%04d", i))
+		if err := rst.Materialize(sdir); err != nil {
+			t.Fatalf("state %q, recovery %q: materialize: %v", st.Desc, rst.Desc, err)
+		}
+		rs, err := store.Open(sdir, store.OpenOptions{FS: store.RealFS(false)})
+		if err != nil {
+			t.Fatalf("state %q, recovery %q: Open failed: %v\nrecovery ops: %v", st.Desc, rst.Desc, err, ops)
+		}
+		got, g := corpusDump(t, rs), rs.Generation()
+		rs.Close()
+		if g != gen || got != want {
+			t.Fatalf("state %q, recovery %q: reopened to generation %d, want %d, or another corpus:\n--- got ---\n%s--- want ---\n%s",
+				st.Desc, rst.Desc, g, gen, got, want)
+		}
 	}
 }
 

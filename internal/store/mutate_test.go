@@ -421,3 +421,46 @@ func TestCommitClosesShardOnWriteError(t *testing.T) {
 		t.Fatalf("%d file handles left open after the failed commit", fs.open)
 	}
 }
+
+// TestIngestWriteErrorSticks: an ingest whose shard cannot be written
+// fails the Add that seals it with a "store: ingest:" error. Every later
+// Add and Close returns that same error, Close still closes the shard,
+// Open refuses the directory (no manifest was published), and a fresh
+// Create over it sweeps the debris and ingests.
+func TestIngestWriteErrorSticks(t *testing.T) {
+	dir := t.TempDir()
+	ids, raws := samplePages(4)
+	fs := &fullFS{FS: RealFS(false), limit: 64}
+	w, err := Create(dir, Options{ShardDocs: 2, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Add(ids[0], raws[0]); err != nil {
+		t.Fatalf("first Add, before any write reaches the file: %v", err)
+	}
+	failed := w.Add(ids[1], raws[1])
+	if failed == nil || !strings.HasPrefix(failed.Error(), "store: ingest: ") || !strings.Contains(failed.Error(), "disk full") {
+		t.Fatalf("Add that seals the shard over a full disk: %v", failed)
+	}
+	if err := w.Add(ids[2], raws[2]); err != failed {
+		t.Fatalf("Add after the failure: %v, want %v", err, failed)
+	}
+	if err := w.Close(); err != failed {
+		t.Fatalf("Close after the failure: %v, want %v", err, failed)
+	}
+	if fs.open != 0 {
+		t.Fatalf("%d file handles left open after the failed ingest", fs.open)
+	}
+	if _, err := Open(dir, OpenOptions{FS: RealFS(false)}); err == nil {
+		t.Fatal("Open accepted the directory of a failed ingest")
+	}
+	buildStore(t, dir, ids, raws, 2)
+	s, err := Open(dir, OpenOptions{FS: RealFS(false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.NumDocs() != len(ids) {
+		t.Fatalf("re-ingest holds %d docs, want %d", s.NumDocs(), len(ids))
+	}
+}
